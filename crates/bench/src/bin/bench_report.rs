@@ -115,6 +115,7 @@ fn main() {
 
     let report = DataplaneReport {
         smoke,
+        aead_backend: mbtls_crypto::gcm::backend_name(),
         bulk_len: BULK_LEN,
         record_len: mbtls_bench::report::RECORD_LEN,
         throughputs,

@@ -126,6 +126,7 @@ fn main() {
 
     let report = ChainReport {
         smoke,
+        aead_backend: mbtls_crypto::gcm::backend_name(),
         record_len: RECORD_LEN,
         per_hop,
         read_only_speedup,

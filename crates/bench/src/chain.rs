@@ -55,6 +55,8 @@ pub struct ChainReport {
     /// True when produced by a `--smoke` run (numbers are noisy and
     /// only prove the harness works).
     pub smoke: bool,
+    /// `gcm::backend_name()`: the AES-GCM backend under every number.
+    pub aead_backend: &'static str,
     /// Record payload size for the per-hop numbers.
     pub record_len: usize,
     /// Per-hop relay throughputs.
@@ -81,6 +83,7 @@ impl ChainReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
+        out.push_str(&format!("  \"aead_backend\": \"{}\",\n", self.aead_backend));
         out.push_str(&format!("  \"record_len\": {},\n", self.record_len));
         out.push_str("  \"per_hop_mb_s\": {\n");
         for (i, t) in self.per_hop.iter().enumerate() {
@@ -511,6 +514,7 @@ mod tests {
         let (amortized, amortized_det) = bench_amortized(true, 0xC0DE);
         let report = ChainReport {
             smoke: true,
+            aead_backend: mbtls_crypto::gcm::backend_name(),
             record_len: RECORD_LEN,
             per_hop,
             read_only_speedup: speedup,
@@ -522,6 +526,7 @@ mod tests {
         assert_eq!(amortized_det, "identical");
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(json.contains("\"aead_backend\": \""));
         assert!(json.contains("\"middlebox_read_only_forward\""));
         assert!(json.contains("\"middleboxes_3_read_only\""));
         assert!(json.contains("\"middleboxes_3_resp_256k\""));

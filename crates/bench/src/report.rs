@@ -1,13 +1,13 @@
 //! The `BENCH_dataplane.json` regression reporter.
 //!
 //! Measures the data-plane fast path end to end — bulk AEAD
-//! throughput for both GCM implementations, record-layer throughput
-//! per hop, and a steady-state loop the `bench_report` binary wraps
-//! with a counting allocator to prove the per-record path is
-//! allocation-free. The binary serialises a [`DataplaneReport`] to
-//! `BENCH_dataplane.json`; `scripts/check.sh` runs it in `--smoke`
-//! mode as a regression gate. See DESIGN.md §"Data-plane fast path"
-//! for how to read the numbers.
+//! throughput for the selected AES-GCM backend, the bitsliced one and
+//! the reference oracle, record-layer throughput per hop, and a
+//! steady-state loop the `bench_report` binary wraps with a counting
+//! allocator to prove the per-record path is allocation-free. The
+//! binary serialises a [`DataplaneReport`] to `BENCH_dataplane.json`;
+//! `scripts/check.sh` runs it in `--smoke` mode as a regression gate.
+//! See DESIGN.md §"Data-plane fast path" for how to read the numbers.
 
 use std::time::Instant;
 
@@ -42,6 +42,9 @@ pub struct DataplaneReport {
     /// True when produced by a `--smoke` run (numbers are noisy and
     /// only prove the harness works).
     pub smoke: bool,
+    /// `gcm::backend_name()`: the AES-GCM backend every number except
+    /// the `bitsliced` and `reference` rows was measured on.
+    pub aead_backend: &'static str,
     /// Bulk message size the primitive numbers were measured at.
     pub bulk_len: usize,
     /// Record payload size for the per-hop numbers.
@@ -61,6 +64,7 @@ impl DataplaneReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
+        out.push_str(&format!("  \"aead_backend\": \"{}\",\n", self.aead_backend));
         out.push_str(&format!("  \"bulk_len\": {},\n", self.bulk_len));
         out.push_str(&format!("  \"record_len\": {},\n", self.record_len));
         out.push_str("  \"throughput_mb_s\": {\n");
@@ -86,58 +90,68 @@ fn mb_per_s(bytes: usize, elapsed: std::time::Duration) -> f64 {
     bytes as f64 / 1e6 / elapsed.as_secs_f64()
 }
 
-/// Bulk AEAD throughput for the bitsliced fast path and the reference
-/// oracle, seal and open, at `BULK_LEN`-byte messages. `total_bytes`
-/// is the measurement budget per metric.
+/// Bulk AEAD throughput at `BULK_LEN`-byte messages: seal and open on
+/// the backend `AesGcm::new` selects on this machine (named by the
+/// report's `aead_backend`), seal on the bitsliced backend, and seal
+/// on the reference oracle. `total_bytes` is the measurement budget
+/// per metric.
 pub fn bench_primitives(total_bytes: usize) -> Vec<Throughput> {
     let mut rng = CryptoRng::from_seed(0xBE9C);
     let mut key = [0u8; 32];
     rng.fill(&mut key);
-    let fast = AesGcm::new(&key).expect("key");
+    let selected = AesGcm::new(&key).expect("key");
+    let bitsliced = AesGcm::portable(&key).expect("key");
     let slow = AesGcmRef::new(&key).expect("key");
     let nonce = [0x24u8; 12];
     let aad = [0u8; 13];
     let iters = (total_bytes / BULK_LEN).max(1);
     let warmup = (iters / 16).max(1);
 
-    let mut out = Vec::new();
-
-    // Fast-path seal: in place over a reused buffer, like the record
-    // layer drives it. Each timed loop is preceded by an untimed
-    // warm-up so the first metric doesn't absorb cold caches and
-    // frequency ramp-up.
+    // Seal in place over a reused buffer, like the record layer
+    // drives it. Each timed loop is preceded by an untimed warm-up so
+    // the first metric doesn't absorb cold caches and frequency
+    // ramp-up.
     let mut buf = vec![0u8; BULK_LEN];
     rng.fill(&mut buf);
-    for _ in 0..warmup {
-        let _tag = fast.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let _tag = fast.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
-    }
-    out.push(Throughput {
-        name: "aes_gcm_bitsliced_seal",
-        mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
-    });
+    let mut seal_mb_per_s = |gcm: &AesGcm| {
+        for _ in 0..warmup {
+            let _tag = gcm.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
+        }
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            let _tag = gcm.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
+        }
+        mb_per_s(iters * BULK_LEN, t0.elapsed())
+    };
+    let mut out = vec![
+        Throughput {
+            name: "aes_gcm_seal",
+            mb_per_s: seal_mb_per_s(&selected),
+        },
+        Throughput {
+            name: "aes_gcm_bitsliced_seal",
+            mb_per_s: seal_mb_per_s(&bitsliced),
+        },
+    ];
 
-    // Fast-path open: seal once, then repeatedly verify+decrypt a
-    // scratch copy (decrypting restores the plaintext, so re-copy the
-    // ciphertext each round; the copy cost is ~1% of the crypto).
+    // Open: seal once, then repeatedly verify+decrypt a scratch copy
+    // (decrypting restores the plaintext, so re-copy the ciphertext
+    // each round; the copy is a memcpy against two cipher passes).
     let mut ct = vec![0u8; BULK_LEN];
     rng.fill(&mut ct);
-    let tag = fast.seal_in_place(&nonce, &aad, &mut ct).expect("seal");
+    let tag = selected.seal_in_place(&nonce, &aad, &mut ct).expect("seal");
     let mut scratch = vec![0u8; BULK_LEN];
     for _ in 0..warmup {
         scratch.copy_from_slice(&ct);
-        fast.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
+        selected.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
     }
     let t0 = Instant::now();
     for _ in 0..iters {
         scratch.copy_from_slice(&ct);
-        fast.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
+        selected.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
     }
     out.push(Throughput {
-        name: "aes_gcm_bitsliced_open",
+        name: "aes_gcm_open",
         mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
     });
 
@@ -335,6 +349,7 @@ mod tests {
         throughputs.extend(bench_record_path(RECORD_LEN));
         let report = DataplaneReport {
             smoke: true,
+            aead_backend: mbtls_crypto::gcm::backend_name(),
             bulk_len: BULK_LEN,
             record_len: RECORD_LEN,
             throughputs,
@@ -343,7 +358,10 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"aes_gcm_bitsliced_seal\""));
+        assert!(json.contains("\"aead_backend\": \""));
+        for key in ["aes_gcm_seal", "aes_gcm_open", "aes_gcm_bitsliced_seal", "aes_gcm_reference_seal"] {
+            assert!(json.contains(&format!("\"{key}\"")), "missing {key}");
+        }
         assert!(json.contains("\"middlebox_forward_record\""));
         // Balanced braces and no trailing commas before closers.
         assert_eq!(json.matches('{').count(), json.matches('}').count());

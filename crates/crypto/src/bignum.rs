@@ -36,11 +36,7 @@ impl BigUint {
     /// Volatile-wipe the limb storage (for secret exponents whose
     /// containers zeroize on drop). The value becomes zero.
     pub fn zeroize(&mut self) {
-        for limb in self.limbs.iter_mut() {
-            // Safety: writing a valid u64 through a valid &mut reference.
-            unsafe { std::ptr::write_volatile(limb, 0) };
-        }
-        std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
+        crate::ct::zeroize_u64(&mut self.limbs);
         self.limbs.clear();
     }
 

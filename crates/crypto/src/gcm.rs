@@ -1,33 +1,33 @@
 //! AES-GCM authenticated encryption (NIST SP 800-38D).
 //!
-//! This is the bulk data-plane cipher, so both halves are built for
-//! throughput:
+//! This is the bulk data-plane cipher. [`AesGcm`] has two backends
+//! and picks one per key from what the CPU reports, nothing else:
 //!
-//! * **CTR** runs through the bitsliced [`Aes`] four counter blocks
-//!   per invocation ([`Aes::ctr_xor`]), with no table lookups.
-//! * **GHASH** uses 8-bit Shoup tables over the first four powers of
-//!   the hash subkey `H` and processes four blocks per aggregated
-//!   reduction:
+//! * **AES-NI + PCLMULQDQ** (`crate::aesni`) wherever x86_64 has
+//!   them: hardware AES rounds, carry-less-multiply GHASH, no tables.
+//! * **Bitsliced**, everywhere else and as the differential oracle
+//!   for the hardware path ([`AesGcm::portable`]). CTR runs through
+//!   the bitsliced [`Aes`] eight counter blocks per invocation
+//!   ([`Aes::ctr_xor`]); GHASH uses 8-bit Shoup tables over H¹..H⁴
+//!   of the hash subkey, four blocks per aggregated reduction:
 //!
 //!   ```text
 //!   Y' = (Y ^ C1)·H⁴  ^  C2·H³  ^  C3·H²  ^  C4·H
 //!   ```
 //!
-//!   which is an algebraic regrouping of four serial Horner steps —
-//!   the four multiplications are independent, so the CPU can overlap
-//!   them instead of waiting on the serial `Y·H` dependency chain.
+//!   Those tables are keyed (derived from `H`), so indexing them is
+//!   a data-dependent memory access the hardware path does not have;
+//!   see DESIGN.md for why it is accepted here.
 //!
-//! The GHASH tables are keyed (derived from `H`), so indexing them is
-//! a data-dependent memory access; see DESIGN.md for why this is
-//! accepted for GHASH while the AES S-box lookups were eliminated.
-//! The previous one-block-at-a-time formulation survives as
-//! `AesGcmRef` — the cross-check oracle used by the vector and
-//! differential tests, never by live traffic, and compiled only
-//! under `cfg(test)` or the `reference-oracle` feature.
+//! The original one-block-at-a-time formulation survives as
+//! `AesGcmRef`, a cross-check oracle compiled only under `cfg(test)`
+//! or the `reference-oracle` feature and never used by live traffic.
 
 use crate::aes::Aes;
 #[cfg(any(test, feature = "reference-oracle"))]
 use crate::aes_ref::AesRef;
+#[cfg(target_arch = "x86_64")]
+use crate::aesni::AesNiGcm;
 use crate::{ct, CryptoError};
 
 /// GCM tag length used by TLS (full 16 bytes).
@@ -238,31 +238,81 @@ fn check_len(len: usize) -> Result<(), CryptoError> {
     Ok(())
 }
 
+/// Which backend [`AesGcm::new`] selects on this machine:
+/// `"aesni-pclmul"` or `"bitsliced"`. For labelling measurements.
+pub fn backend_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::aesni::available() {
+        return "aesni-pclmul";
+    }
+    "bitsliced"
+}
+
+// The large variant is the one live traffic uses; it stays inline so
+// a key costs no allocation and a record no pointer chase.
+#[allow(clippy::large_enum_variant)]
+enum Backend {
+    #[cfg(target_arch = "x86_64")]
+    AesNi(AesNiGcm),
+    Bitsliced { aes: Aes, ghash_key: GhashKey },
+}
+
 /// AES-GCM with a fixed 12-byte nonce size (the TLS case).
 pub struct AesGcm {
-    aes: Aes,
-    ghash_key: GhashKey,
+    backend: Backend,
 }
 
 impl AesGcm {
-    /// Create from a 16- or 32-byte AES key.
+    /// Create from a 16- or 32-byte AES key, on the AES-NI +
+    /// PCLMULQDQ backend when the CPU reports `aes`, `pclmulqdq` and
+    /// `ssse3`, on the bitsliced one otherwise.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = AesNiGcm::new(key) {
+            return Ok(AesGcm { backend: Backend::AesNi(hw) });
+        }
+        Self::portable(key)
+    }
+
+    /// Create on the bitsliced backend whatever the CPU offers: the
+    /// fallback [`AesGcm::new`] takes without AES-NI, constructible
+    /// anywhere so tests and benches can hold the hardware path
+    /// against it.
+    pub fn portable(key: &[u8]) -> Result<Self, CryptoError> {
         let aes = Aes::new(key)?;
         let h = aes.encrypt_block_copy(&[0u8; 16]);
         Ok(AesGcm {
-            ghash_key: GhashKey::new(&h),
-            aes,
+            backend: Backend::Bitsliced {
+                ghash_key: GhashKey::new(&h),
+                aes,
+            },
         })
     }
 
-    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let s = ghash(&self.ghash_key, aad, ciphertext);
-        let e = self.aes.encrypt_block_copy(&counter_block(nonce, 1));
-        let mut tag = [0u8; 16];
-        for i in 0..16 {
-            tag[i] = s[i] ^ e[i];
+    /// XOR the CTR keystream for the message body (counter 2 on;
+    /// counter 1 masks the tag) into `data`.
+    fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.ctr_xor(nonce, 2, data),
+            Backend::Bitsliced { aes, .. } => aes.ctr_xor(nonce, 2, data),
         }
-        tag
+    }
+
+    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.tag(nonce, aad, ciphertext),
+            Backend::Bitsliced { aes, ghash_key } => {
+                let s = ghash(ghash_key, aad, ciphertext);
+                let e = aes.encrypt_block_copy(&counter_block(nonce, 1));
+                let mut tag = [0u8; 16];
+                for i in 0..16 {
+                    tag[i] = s[i] ^ e[i];
+                }
+                tag
+            }
+        }
     }
 
     /// Encrypt `plaintext` in place and return the 16-byte tag.
@@ -273,7 +323,7 @@ impl AesGcm {
         data: &mut [u8],
     ) -> Result<[u8; 16], CryptoError> {
         check_len(data.len())?;
-        self.aes.ctr_xor(nonce, 2, data);
+        self.ctr_xor(nonce, data);
         Ok(self.tag(nonce, aad, data))
     }
 
@@ -316,7 +366,7 @@ impl AesGcm {
         if !ct::eq(&expected, tag) {
             return Err(CryptoError::BadTag);
         }
-        self.aes.ctr_xor(nonce, 2, data);
+        self.ctr_xor(nonce, data);
         Ok(())
     }
 
@@ -689,27 +739,59 @@ mod tests {
         assert_eq!(ct_part, before, "verification must not decrypt");
     }
 
-    // Fast path and reference must agree across AAD/plaintext length
-    // combinations that exercise the aggregated 4-block absorb, its
-    // remainder path, and padding (the full differential hammer lives
-    // in tests/gcm_vectors.rs).
+    // Both backends and the reference must agree across AAD/plaintext
+    // length combinations that exercise the aggregated absorbs (four
+    // blocks bitsliced, eight in hardware), their remainder paths, and
+    // padding (the full differential hammer lives in
+    // tests/gcm_vectors.rs).
     #[test]
     fn fast_and_reference_agree_on_boundary_lengths() {
         let key = [0x42u8; 32];
-        let fast = AesGcm::new(&key).unwrap();
         let slow = AesGcmRef::new(&key).unwrap();
         let nonce = [3u8; 12];
-        let payload: Vec<u8> = (0u32..200).map(|i| (i * 7 + 1) as u8).collect();
-        for pt_len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 128, 129, 200] {
-            for aad_len in [0usize, 1, 16, 64, 65] {
-                let sealed_fast = fast
-                    .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
-                    .unwrap();
-                let sealed_slow = slow
-                    .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
-                    .unwrap();
-                assert_eq!(sealed_fast, sealed_slow, "pt {pt_len} aad {aad_len}");
+        let payload: Vec<u8> = (0u32..300).map(|i| (i * 7 + 1) as u8).collect();
+        for fast in [AesGcm::new(&key).unwrap(), AesGcm::portable(&key).unwrap()] {
+            for pt_len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 127, 128, 129, 200, 256, 257] {
+                for aad_len in [0usize, 1, 16, 64, 65, 128, 129] {
+                    let sealed_fast = fast
+                        .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
+                        .unwrap();
+                    let sealed_slow = slow
+                        .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
+                        .unwrap();
+                    assert_eq!(sealed_fast, sealed_slow, "pt {pt_len} aad {aad_len}");
+                }
             }
+        }
+    }
+
+    // `new` must land on the hardware backend exactly when the CPU
+    // reports the three features, and `portable` never.
+    #[test]
+    fn backend_selection_follows_detection() {
+        let key = [1u8; 16];
+        let selected = AesGcm::new(&key).unwrap();
+        #[cfg(target_arch = "x86_64")]
+        {
+            let detected = std::arch::is_x86_feature_detected!("aes")
+                && std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("ssse3");
+            assert_eq!(matches!(selected.backend, Backend::AesNi(_)), detected);
+            assert_eq!(backend_name() == "aesni-pclmul", detected);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            assert!(matches!(selected.backend, Backend::Bitsliced { .. }));
+            assert_eq!(backend_name(), "bitsliced");
+        }
+        assert!(matches!(
+            AesGcm::portable(&key).unwrap().backend,
+            Backend::Bitsliced { .. }
+        ));
+        // Bad key lengths are reported the same way on both routes.
+        for len in [0usize, 15, 24, 33] {
+            assert_eq!(AesGcm::new(&vec![0u8; len]).err(), Some(CryptoError::BadKeyLength));
+            assert_eq!(AesGcm::portable(&vec![0u8; len]).err(), Some(CryptoError::BadKeyLength));
         }
     }
 }

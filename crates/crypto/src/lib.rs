@@ -23,7 +23,10 @@
 //! * [`aes`] — constant-time bitsliced AES (128/256-bit keys, 4-wide CTR).
 //! * `aes_ref` — reference table-lookup AES (cross-check oracle only;
 //!   compiled only under `cfg(test)` or the `reference-oracle` feature).
-//! * [`gcm`] — AES-GCM AEAD (GHASH + CTR).
+//! * `aesni` — the x86_64 AES-NI + PCLMULQDQ AES-GCM backend, reachable
+//!   only through [`gcm::AesGcm`] after runtime detection.
+//! * [`gcm`] — AES-GCM AEAD (GHASH + CTR) over whichever of the two
+//!   backends the CPU supports.
 //! * [`aead`] — the AEAD trait object used by the record layer.
 //! * [`x25519`] — Diffie-Hellman over Curve25519.
 //! * [`ed25519`] — Ed25519 signatures (used by the PKI).
@@ -37,6 +40,8 @@
 pub mod aead;
 pub mod aes;
 pub mod aes_ref;
+#[cfg(target_arch = "x86_64")]
+mod aesni;
 pub mod bignum;
 pub mod ct;
 pub mod dh;

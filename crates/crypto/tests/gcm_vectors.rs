@@ -1,12 +1,15 @@
 //! AES-GCM test vectors (NIST SP 800-38D / Wycheproof-style cases)
-//! run against BOTH the bitsliced fast path (`AesGcm`) and the
-//! reference oracle (`AesGcmRef`), plus a seed-deterministic
-//! differential test hammering random lengths across the two
-//! implementations.
+//! run against the backend `AesGcm::new` selects on this machine
+//! (AES-NI + PCLMULQDQ where the CPU has them), the bitsliced backend
+//! (`AesGcm::portable`) and the reference oracle (`AesGcmRef`), plus
+//! seed-deterministic differential tests hammering random lengths
+//! across the implementations and the tamper cases on the selected
+//! backend.
 
 use mbtls_crypto::gcm::{AesGcm, AesGcmRef, TAG_LEN};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::CryptoError;
+use proptest::prelude::*;
 
 fn unhex(s: &str) -> Vec<u8> {
     (0..s.len())
@@ -171,6 +174,19 @@ fn nist_vectors_fast_path() {
 }
 
 #[test]
+fn nist_vectors_portable_path() {
+    for v in VECTORS {
+        let key = unhex(&strip_ws(v.key));
+        let gcm = AesGcm::portable(&key).unwrap();
+        check_vector(
+            v,
+            |n, a, p| gcm.seal(n, a, p).unwrap(),
+            |n, a, s| gcm.open(n, a, s),
+        );
+    }
+}
+
+#[test]
 fn nist_vectors_reference_path() {
     for v in VECTORS {
         let key = unhex(&strip_ws(v.key));
@@ -184,9 +200,9 @@ fn nist_vectors_reference_path() {
 }
 
 /// Differential hammer: random keys, nonces, AAD and plaintext
-/// lengths under a fixed seed. The two implementations share no
-/// cipher or GHASH code, so agreement here is strong evidence both
-/// are computing GCM (and the run is bit-reproducible: any failure
+/// lengths under a fixed seed. The implementations share no cipher or
+/// GHASH code, so agreement here is strong evidence all of them are
+/// computing GCM (and the run is bit-reproducible: any failure
 /// reports the iteration for replay).
 #[test]
 fn differential_fast_vs_reference() {
@@ -196,6 +212,7 @@ fn differential_fast_vs_reference() {
         let mut key = vec![0u8; key_len];
         rng.fill(&mut key);
         let fast = AesGcm::new(&key).unwrap();
+        let portable = AesGcm::portable(&key).unwrap();
         let slow = AesGcmRef::new(&key).unwrap();
 
         let nonce: [u8; 12] = {
@@ -221,8 +238,14 @@ fn differential_fast_vs_reference() {
             sealed_fast, sealed_slow,
             "iter {iter}: seal divergence (pt {pt_len}, aad {aad_len})"
         );
+        assert_eq!(
+            portable.seal(&nonce, &aad, &pt).unwrap(),
+            sealed_slow,
+            "iter {iter}: bitsliced seal divergence (pt {pt_len}, aad {aad_len})"
+        );
         // Cross-open: each implementation must accept the other's output.
         assert_eq!(fast.open(&nonce, &aad, &sealed_slow).unwrap(), pt);
+        assert_eq!(portable.open(&nonce, &aad, &sealed_slow).unwrap(), pt);
         assert_eq!(slow.open(&nonce, &aad, &sealed_fast).unwrap(), pt);
 
         // And a random single-bit flip must be rejected by both.
@@ -231,7 +254,110 @@ fn differential_fast_vs_reference() {
             let pos = rng.gen_range(bad.len() as u64) as usize;
             bad[pos] ^= 1 << rng.gen_range(8);
             assert_eq!(fast.open(&nonce, &aad, &bad), Err(CryptoError::BadTag));
+            assert_eq!(portable.open(&nonce, &aad, &bad), Err(CryptoError::BadTag));
             assert_eq!(slow.open(&nonce, &aad, &bad), Err(CryptoError::BadTag));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The selected backend and the bitsliced one are the same
+    /// function: identical ciphertext and tag from `seal_in_place`,
+    /// identical verdicts from `open_in_place` and `verify_tag` on the
+    /// genuine and on a corrupted message. Lengths reach past eight
+    /// 128-byte groups so the eight-wide, single-block and
+    /// partial-tail paths of both CTR and GHASH all run. (Without
+    /// AES-NI both sides are the bitsliced backend and the property
+    /// holds trivially; the benchmark host has it.)
+    #[test]
+    fn hw_matches_portable(key256 in any::<bool>(),
+                           key in proptest::collection::vec(any::<u8>(), 32),
+                           nonce in proptest::array::uniform12(any::<u8>()),
+                           aad in proptest::collection::vec(any::<u8>(), 0..=64),
+                           data in proptest::collection::vec(any::<u8>(), 0..=8 * 128 + 17),
+                           flip in any::<prop::sample::Index>()) {
+        let key = &key[..if key256 { 32 } else { 16 }];
+        let selected = AesGcm::new(key).unwrap();
+        let portable = AesGcm::portable(key).unwrap();
+
+        let mut ct = data.clone();
+        let mut ct_portable = data.clone();
+        let tag = selected.seal_in_place(&nonce, &aad, &mut ct).unwrap();
+        let tag_portable = portable.seal_in_place(&nonce, &aad, &mut ct_portable).unwrap();
+        prop_assert_eq!(&ct, &ct_portable, "ciphertext, {} bytes", data.len());
+        prop_assert_eq!(tag, tag_portable, "tag, {} bytes", data.len());
+
+        // One flipped bit somewhere in ciphertext || tag.
+        let mut bad = ct.clone();
+        bad.extend_from_slice(&tag);
+        let bit = flip.index(bad.len() * 8);
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let (bad_ct, bad_tag) = bad.split_at(ct.len());
+
+        for gcm in [&selected, &portable] {
+            prop_assert_eq!(gcm.verify_tag(&nonce, &aad, &ct, &tag), Ok(()));
+            prop_assert_eq!(gcm.verify_tag(&nonce, &aad, bad_ct, bad_tag), Err(CryptoError::BadTag));
+            let mut buf = ct.clone();
+            prop_assert_eq!(gcm.open_in_place(&nonce, &aad, &mut buf, &tag), Ok(()));
+            prop_assert_eq!(&buf, &data);
+            let mut buf = bad_ct.to_vec();
+            prop_assert_eq!(gcm.open_in_place(&nonce, &aad, &mut buf, bad_tag), Err(CryptoError::BadTag));
+            prop_assert_eq!(&buf[..], bad_ct);
+        }
+    }
+}
+
+/// Tampering on the backend live traffic uses: a flipped bit in the
+/// ciphertext (in the eight-wide body, the single-block tail and the
+/// partial block), in the tag, or in the AAD is `BadTag`, from
+/// `open_in_place` and `verify_tag` alike, and `open_in_place` leaves
+/// the buffer as the ciphertext it was given — no plaintext is
+/// produced before the tag has been checked.
+#[test]
+fn tampering_is_rejected_and_leaves_ciphertext_untouched() {
+    let mut rng = CryptoRng::from_seed(0x07A3_BE12);
+    for key_len in [16usize, 32] {
+        let mut key = vec![0u8; key_len];
+        rng.fill(&mut key);
+        let gcm = AesGcm::new(&key).unwrap();
+        let nonce = [0x31u8; 12];
+        let aad = *b"seq+type+ver+";
+        for len in [1usize, 16, 100, 128, 300, 8 * 128 + 17] {
+            let mut ct = vec![0u8; len];
+            rng.fill(&mut ct);
+            let tag = gcm.seal_in_place(&nonce, &aad, &mut ct).unwrap();
+
+            let rejected = |aad: &[u8], ct: &[u8], tag: &[u8], what: &str| {
+                assert_eq!(
+                    gcm.verify_tag(&nonce, aad, ct, tag),
+                    Err(CryptoError::BadTag),
+                    "verify_tag accepted {what} (len {len})"
+                );
+                let mut buf = ct.to_vec();
+                assert_eq!(
+                    gcm.open_in_place(&nonce, aad, &mut buf, tag),
+                    Err(CryptoError::BadTag),
+                    "open_in_place accepted {what} (len {len})"
+                );
+                assert_eq!(buf, ct, "failed open modified the buffer: {what} (len {len})");
+            };
+
+            for pos in [0, len / 2, len - 1] {
+                let mut bad = ct.clone();
+                bad[pos] ^= 0x04;
+                rejected(&aad, &bad, &tag, "a flipped ciphertext bit");
+            }
+            for pos in [0, 7, 15] {
+                let mut bad = tag;
+                bad[pos] ^= 0x80;
+                rejected(&aad, &ct, &bad, "a flipped tag bit");
+            }
+            let mut bad_aad = aad;
+            bad_aad[3] ^= 0x01;
+            rejected(&bad_aad, &ct, &tag, "a flipped AAD bit");
+            rejected(&aad[..12], &ct, &tag, "a truncated AAD");
         }
     }
 }

@@ -63,6 +63,23 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
         RuleId::ShardIsolation,
         &["crates/host/src", "crates/netsim/src", "crates/mboxes/src"],
     ),
+    (
+        // Everything that would ship. The rule itself names the four
+        // crypto files that may contain `unsafe`; sgx (simulated
+        // enclave memory) and the tooling crates are out of scope.
+        RuleId::UnsafeConfinement,
+        &[
+            "crates/crypto/src",
+            "crates/tls/src",
+            "crates/core/src",
+            "crates/pki/src",
+            "crates/host/src",
+            "crates/netsim/src",
+            "crates/http/src",
+            "crates/mboxes/src",
+            "crates/telemetry/src",
+        ],
+    ),
 ];
 
 /// Files whose buffers hold attacker-controlled wire bytes: direct

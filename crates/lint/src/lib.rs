@@ -4,8 +4,9 @@
 //! §4) rests on properties the compiler cannot see: session keys
 //! must never reach a log line, protocol state machines must stay
 //! sans-IO and deterministic, record parsing must not panic on
-//! attacker bytes, and comparisons on secrets must be constant-time.
-//! This crate enforces all four as a from-scratch lexical static
+//! attacker bytes, comparisons on secrets must be constant-time, and
+//! `unsafe` must stay where its safety arguments can be reviewed.
+//! This crate enforces them as a from-scratch lexical static
 //! analysis — no external dependencies, run as the first step of
 //! `scripts/check.sh`.
 //!
@@ -18,6 +19,7 @@
 //! | `panic-freedom` | core, crypto, tls | `unwrap`/`expect`/`panic!` and wire-buffer indexing in parsing files |
 //! | `const-time` | crypto, tls, core | `==`/`!=` on secret-tagged *or secret-tainted* operands outside `ct.rs` |
 //! | `shard-isolation` | host, netsim | shared statics, `Rc`/`RefCell`/locks, borrowed ring elements, hash-container iteration |
+//! | `unsafe-confinement` | crypto, tls, core, pki, host, netsim, http, mboxes, telemetry | the `unsafe` keyword outside the four crypto files the rule lists |
 //!
 //! Rules are token-sequence matchers over a line-tagged token stream,
 //! sharpened by an intra-item dataflow pass ([`dataflow`]) that

@@ -7,6 +7,7 @@ pub mod panic_freedom;
 pub mod sans_io;
 pub mod secret_hygiene;
 pub mod shard_isolation;
+pub mod unsafe_confinement;
 
 /// The rule families the checker enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,6 +29,9 @@ pub enum RuleId {
     /// `Rc`/`RefCell`/locks, only owned data across the `ShardMux`
     /// seam, no hash-container iteration.
     ShardIsolation,
+    /// `unsafe` may appear only in the few crypto files that wrap CPU
+    /// intrinsics and volatile wipes behind safe interfaces.
+    UnsafeConfinement,
     /// A `lint:allow` annotation is malformed (unknown rule, missing
     /// reason). Not suppressible.
     AllowSyntax,
@@ -35,12 +39,13 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every real rule family (excludes the meta `allow-syntax`).
-    pub const FAMILIES: [RuleId; 5] = [
+    pub const FAMILIES: [RuleId; 6] = [
         RuleId::SansIo,
         RuleId::SecretHygiene,
         RuleId::PanicFreedom,
         RuleId::ConstTime,
         RuleId::ShardIsolation,
+        RuleId::UnsafeConfinement,
     ];
 
     /// Kebab-case name used in annotations and reports.
@@ -51,6 +56,7 @@ impl RuleId {
             RuleId::PanicFreedom => "panic-freedom",
             RuleId::ConstTime => "const-time",
             RuleId::ShardIsolation => "shard-isolation",
+            RuleId::UnsafeConfinement => "unsafe-confinement",
             RuleId::AllowSyntax => "allow-syntax",
         }
     }
@@ -64,6 +70,7 @@ impl RuleId {
             "panic-freedom" => Some(RuleId::PanicFreedom),
             "const-time" => Some(RuleId::ConstTime),
             "shard-isolation" => Some(RuleId::ShardIsolation),
+            "unsafe-confinement" => Some(RuleId::UnsafeConfinement),
             _ => None,
         }
     }
@@ -109,6 +116,7 @@ pub fn check_file(file: &SourceFile, families: &[RuleId]) -> Vec<Finding> {
             RuleId::PanicFreedom => panic_freedom::check(file),
             RuleId::ConstTime => const_time::check(file),
             RuleId::ShardIsolation => shard_isolation::check(file),
+            RuleId::UnsafeConfinement => unsafe_confinement::check(file),
             RuleId::AllowSyntax => Vec::new(),
         };
         for hit in hits {

@@ -360,6 +360,55 @@ fn shard_isolation_scope_is_host_and_netsim_only() {
 }
 
 #[test]
+fn unsafe_confinement_bad_fixture_is_caught() {
+    let src = fixture("unsafe_confinement", "bad.rs");
+    let findings = lint_source("crates/tls/src/fixture.rs", &src, &[RuleId::UnsafeConfinement]);
+    // Block, `unsafe fn`, `unsafe impl`, and the annotated block; the
+    // `#[cfg(test)]` module is exempt.
+    assert_eq!(lines_of(&findings, RuleId::UnsafeConfinement), vec![2, 5, 10, 14]);
+    let blocking: Vec<usize> = findings.iter().filter(|f| f.is_blocking()).map(|f| f.line).collect();
+    assert_eq!(blocking, vec![2, 5, 10], "an annotated block is reported but waived");
+}
+
+#[test]
+fn unsafe_confinement_good_fixture_is_clean() {
+    let src = fixture("unsafe_confinement", "good.rs");
+    let findings = lint_source("crates/tls/src/fixture.rs", &src, &[RuleId::UnsafeConfinement]);
+    assert!(findings.is_empty(), "unexpected findings: {findings:?}");
+}
+
+#[test]
+fn unsafe_confinement_allowlist_is_by_file() {
+    use mbtls_lint::rules::unsafe_confinement::ALLOWED_FILES;
+    let src = fixture("unsafe_confinement", "bad.rs");
+    for path in ALLOWED_FILES {
+        let findings = lint_source(path, &src, &[RuleId::UnsafeConfinement]);
+        assert!(findings.is_empty(), "{path} is on the confinement list: {findings:?}");
+    }
+    // A sibling of an allowed file is not allowed.
+    let findings = lint_source("crates/crypto/src/sha2.rs", &src, &[RuleId::UnsafeConfinement]);
+    assert_eq!(findings.iter().filter(|f| f.is_blocking()).count(), 3);
+}
+
+#[test]
+fn unsafe_confinement_scope_is_the_shipping_crates() {
+    use mbtls_lint::config::families_for;
+    for krate in ["crypto", "tls", "core", "pki", "host", "netsim", "http", "mboxes", "telemetry"] {
+        let path = format!("crates/{krate}/src/lib.rs");
+        assert!(
+            families_for(&path).contains(&RuleId::UnsafeConfinement),
+            "{path} must be in the unsafe-confinement scope"
+        );
+    }
+    for path in ["crates/sgx/src/enclave.rs", "crates/bench/src/lib.rs", "crates/lint/src/lib.rs", "crates/crypto/tests/x.rs"] {
+        assert!(
+            !families_for(path).contains(&RuleId::UnsafeConfinement),
+            "{path} must NOT be in the unsafe-confinement scope"
+        );
+    }
+}
+
+#[test]
 fn standalone_allow_does_not_survive_a_blank_line() {
     // The annotation must sit directly above (or on) the line it
     // waives; a blank line detaches it, so the finding blocks AND the

@@ -48,6 +48,36 @@ fn shard_scoped_crates_have_zero_shard_isolation_findings() {
     );
 }
 
+/// `unsafe` in the shipping crates is confined to the files the rule
+/// lists, with no allowances at all — not even waived findings. A
+/// per-line `lint:allow(unsafe-confinement)` would grow the unsafe
+/// surface without touching the list a reviewer reads; the fix is
+/// safe code, or a reviewed addition to
+/// `rules::unsafe_confinement::ALLOWED_FILES`.
+#[test]
+fn unsafe_is_confined_with_zero_findings() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("lint crate sits two levels under the workspace root");
+    let findings = mbtls_lint::lint_workspace(root).expect("workspace walk");
+    let stray: Vec<String> = findings
+        .iter()
+        .filter(|f| f.rule == mbtls_lint::RuleId::UnsafeConfinement)
+        .map(mbtls_lint::report::human)
+        .collect();
+    assert!(
+        stray.is_empty(),
+        "`unsafe` outside the confinement list (allowed or not):\n{}",
+        stray.join("\n")
+    );
+    // The list names real files: a rename must not leave a stale
+    // entry that silently allows nothing.
+    for path in mbtls_lint::rules::unsafe_confinement::ALLOWED_FILES {
+        assert!(root.join(path).is_file(), "confinement list names a missing file: {path}");
+    }
+}
+
 /// The file-level waiver budget is zero: the last `lint:allow-file`
 /// (the const-time opt-out for the reference AES oracle) went away
 /// when aes_ref.rs was gated behind `cfg(any(test, feature =

@@ -149,7 +149,7 @@ impl fmt::Display for CredentialError {
                 write!(f, "credential role does not permit the required role")
             }
             CredentialError::BadSignature => write!(f, "credential signature invalid"),
-            CredentialError::Wire(e) => write!(f, "credential encoding: {e:?}"),
+            CredentialError::Wire(e) => write!(f, "credential encoding: {e}"),
             CredentialError::Chain(e) => write!(f, "credential issuer chain: {e}"),
         }
     }

@@ -2,8 +2,9 @@
 # Full local gate, run as named stages with per-stage timing:
 #
 #   lint        mbtls-lint workspace invariants (sans-IO, secret
-#               hygiene, panic-freedom, const-time, shard-isolation);
-#               JSON-lines report to target/lint-report.jsonl
+#               hygiene, panic-freedom, const-time, shard-isolation,
+#               unsafe-confinement); JSON-lines report to
+#               target/lint-report.jsonl
 #   clippy      cargo clippy --workspace --all-targets -D warnings
 #   build       cargo build --release --workspace
 #   test        cargo test -q --workspace

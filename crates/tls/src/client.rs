@@ -5,22 +5,22 @@ use std::sync::Arc;
 use mbtls_crypto::dh::{DhPublic, DhSecret};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::x25519;
-use mbtls_crypto::{ct, CryptoError};
+use mbtls_crypto::CryptoError;
 use mbtls_pki::cert::Certificate;
 use mbtls_pki::delegation::{CredentialError, CredentialVerifier, DelegatedCredential};
 use mbtls_pki::SignatureCheck;
 use mbtls_sgx::Quote;
 
-use crate::alert::{Alert, AlertDescription, AlertLevel};
 use crate::config::ClientConfig;
 use crate::keyschedule::{self, strip_leading_zeros};
 use crate::messages::{
     choose_suite, extension_type, frame_handshake, handshake_type, ClientHello,
-    ClientKeyExchange, DelegatedCredentialMsg, Extension, HandshakeReader, NewSessionTicket,
-    ServerHello, ServerKeyExchange, ServerKeyExchangeParams, SgxAttestationMsg,
+    ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
+    ServerKeyExchange, ServerKeyExchangeParams, SgxAttestationMsg,
 };
-use crate::record::{ContentType, DirectionState, RecordReader, frame_plaintext, fragment};
+use crate::record::{ContentType, DirectionState};
 use crate::session::{ConnectionSecrets, ResumptionData, SessionKeys};
+use crate::shell::{self, ConnectionRole, RecordShell};
 use crate::suites::{CipherSuite, KeyExchange};
 use crate::transcript::Transcript;
 use crate::TlsError;
@@ -47,10 +47,7 @@ pub struct ClientConnection {
     config: Arc<ClientConfig>,
     server_name: String,
     phase: Phase,
-
-    record_reader: RecordReader,
-    hs_reader: HandshakeReader,
-    out: Vec<u8>,
+    shell: RecordShell,
 
     transcript: Transcript,
     hello: ClientHello,
@@ -59,10 +56,6 @@ pub struct ClientConnection {
 
     suite: Option<CipherSuite>,
     secrets: Option<ConnectionSecrets>,
-
-    peer_change_cipher_seen: bool,
-    read_cipher: Option<DirectionState>,
-    write_cipher: Option<DirectionState>,
 
     peer_extensions: Vec<Extension>,
     peer_chain: Vec<Certificate>,
@@ -79,11 +72,6 @@ pub struct ClientConnection {
     pending_resumption: Option<ResumptionData>,
     resumed: bool,
     false_started: bool,
-
-    nonstandard_in: Vec<(u8, Vec<u8>)>,
-    plaintext_in: Vec<u8>,
-    error: Option<TlsError>,
-    closed_by_peer: bool,
 
     /// Deferred signature checks (`ClientConfig::defer_verify`)
     /// collected during the server flight, awaiting pickup.
@@ -138,26 +126,21 @@ impl ClientConnection {
         let frame = frame_handshake(handshake_type::CLIENT_HELLO, &hello.encode_body());
         let mut transcript = Transcript::new();
         transcript.add(&frame);
-        let mut out = Vec::new();
+        let mut shell = RecordShell::default();
         if send {
-            out.extend_from_slice(&frame_plaintext(ContentType::Handshake, &frame));
+            shell.queue_plaintext(ContentType::Handshake, &frame);
         }
         ClientConnection {
             config,
             server_name: server_name.to_string(),
             phase: Phase::AwaitServerHello,
-            record_reader: RecordReader::new(),
-            hs_reader: HandshakeReader::new(),
-            out,
+            shell,
             transcript,
             hello,
             client_random,
             server_random: [0; 32],
             suite: None,
             secrets: None,
-            peer_change_cipher_seen: false,
-            read_cipher: None,
-            write_cipher: None,
             peer_extensions: Vec::new(),
             peer_chain: Vec::new(),
             peer_quote: None,
@@ -169,10 +152,6 @@ impl ClientConnection {
             pending_resumption: None,
             resumed: false,
             false_started: false,
-            nonstandard_in: Vec::new(),
-            plaintext_in: Vec::new(),
-            error: None,
-            closed_by_peer: false,
             pending_checks: None,
             verify_outstanding: false,
         }
@@ -226,7 +205,7 @@ impl ClientConnection {
 
     /// Bytes queued for the wire; call after every feed/send.
     pub fn take_outgoing(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out)
+        std::mem::take(&mut self.shell.out)
     }
 
     /// True once the handshake completed — including resolution of
@@ -257,7 +236,7 @@ impl ClientConnection {
         self.verify_outstanding = false;
         self.pending_checks = None;
         if !valid {
-            self.fail(TlsError::Crypto(CryptoError::BadSignature));
+            shell::fail(self, TlsError::Crypto(CryptoError::BadSignature));
         }
     }
 
@@ -273,7 +252,7 @@ impl ClientConnection {
 
     /// The error that failed the connection, if any.
     pub fn error(&self) -> Option<&TlsError> {
-        self.error.as_ref()
+        self.shell.error.as_ref()
     }
 
     /// Did this handshake resume a cached session?
@@ -332,8 +311,8 @@ impl ClientConnection {
     /// mbTLS endpoint hands to its middleboxes for the bridge hop.
     pub fn export_session_keys(&self) -> Option<SessionKeys> {
         let secrets = self.secrets.as_ref()?;
-        let c2s = self.write_cipher.as_ref()?.seq();
-        let s2c = self.read_cipher.as_ref()?.seq();
+        let c2s = self.shell.write_cipher.as_ref()?.seq();
+        let s2c = self.shell.read_cipher.as_ref()?.seq();
         Some(SessionKeys::from_secrets(secrets, c2s, s2c))
     }
 
@@ -345,151 +324,43 @@ impl ClientConnection {
             || (self.config.enable_false_start
                 && matches!(self.phase, Phase::AwaitServerFinished)
                 && !self.verify_outstanding
-                && self.write_cipher.is_some());
+                && self.shell.write_cipher.is_some());
         if !can_send {
             return Err(TlsError::HandshakeNotDone);
         }
         if !self.is_established() {
             self.false_started = true;
         }
-        for frag in fragment(data) {
-            let cipher = self
-                .write_cipher
-                .as_mut()
-                .ok_or(TlsError::Internal("write cipher active but missing"))?;
-            let rec = cipher.seal_record(ContentType::ApplicationData, frag)?;
-            self.out.extend_from_slice(&rec);
-        }
-        Ok(())
+        self.shell.seal_application_data(data)
     }
 
     /// Received application data.
     pub fn take_plaintext(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.plaintext_in)
+        std::mem::take(&mut self.shell.plaintext_in)
     }
 
     /// Records with non-standard content types received (mbTLS
     /// subchannel records land here).
     pub fn take_nonstandard_records(&mut self) -> Vec<(u8, Vec<u8>)> {
-        std::mem::take(&mut self.nonstandard_in)
+        std::mem::take(&mut self.shell.nonstandard_in)
     }
 
     /// Send a raw plaintext-framed record of the given content type
     /// (mbTLS Encapsulated / KeyMaterial records).
     pub fn send_raw_record(&mut self, content_type: ContentType, payload: &[u8]) {
-        self.out
-            .extend_from_slice(&frame_plaintext(content_type, payload));
+        self.shell.queue_plaintext(content_type, payload);
     }
 
     /// True if the peer sent close_notify.
     pub fn peer_closed(&self) -> bool {
-        self.closed_by_peer
+        self.shell.closed_by_peer
     }
 
     /// Feed bytes from the wire; processes as many records as
     /// possible. On error the connection moves to Failed and a fatal
     /// alert is queued.
     pub fn feed_incoming(&mut self, data: &[u8], rng: &mut CryptoRng) -> Result<(), TlsError> {
-        if self.phase == Phase::Failed {
-            return Err(self.error.clone().unwrap_or(TlsError::Closed));
-        }
-        self.record_reader.feed(data);
-        loop {
-            match self.record_reader.next_record() {
-                Ok(Some(record)) => {
-                    if let Err(e) = self.process_record(record.content_type_byte, record.body, rng)
-                    {
-                        self.fail(e.clone());
-                        return Err(e);
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.fail(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn fail(&mut self, e: TlsError) {
-        if self.phase != Phase::Failed {
-            let alert = Alert::for_error(&e);
-            self.out
-                .extend_from_slice(&frame_plaintext(ContentType::Alert, &alert.encode()));
-            self.phase = Phase::Failed;
-            self.error = Some(e);
-        }
-    }
-
-    fn process_record(
-        &mut self,
-        ct_byte: u8,
-        body: Vec<u8>,
-        rng: &mut CryptoRng,
-    ) -> Result<(), TlsError> {
-        let Some(content_type) = ContentType::from_u8(ct_byte) else {
-            // Unknown content type: surface to the caller (tolerant
-            // behaviour; mbTLS relies on this).
-            self.nonstandard_in.push((ct_byte, body));
-            return Ok(());
-        };
-        if content_type.is_mbtls() {
-            self.nonstandard_in.push((ct_byte, body));
-            return Ok(());
-        }
-        // Decrypt if the peer has activated its cipher.
-        let payload = if self.peer_change_cipher_seen
-            && content_type != ContentType::ChangeCipherSpec
-        {
-            self.read_cipher
-                .as_mut()
-                .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?
-                .open_record(content_type, &body)?
-        } else {
-            body
-        };
-        match content_type {
-            ContentType::Alert => self.handle_alert(&payload),
-            ContentType::ChangeCipherSpec => {
-                if payload != [1] {
-                    return Err(TlsError::Decode("bad ChangeCipherSpec"));
-                }
-                if self.hs_reader.has_partial() {
-                    return Err(TlsError::UnexpectedMessage("CCS mid-handshake-message"));
-                }
-                self.activate_read_cipher()?;
-                Ok(())
-            }
-            ContentType::Handshake => {
-                self.hs_reader.feed(&payload);
-                while let Some((typ, msg_body, frame)) = self.hs_reader.next_message()? {
-                    self.handle_handshake(typ, msg_body, frame, rng)?;
-                }
-                Ok(())
-            }
-            ContentType::ApplicationData => {
-                if !self.is_established() {
-                    return Err(TlsError::UnexpectedMessage("early application data"));
-                }
-                self.plaintext_in.extend_from_slice(&payload);
-                Ok(())
-            }
-            _ => Err(TlsError::Internal("content type handled in an earlier match arm")),
-        }
-    }
-
-    fn handle_alert(&mut self, payload: &[u8]) -> Result<(), TlsError> {
-        let alert = Alert::decode(payload)?;
-        if alert.description == AlertDescription::CloseNotify {
-            self.closed_by_peer = true;
-            return Ok(());
-        }
-        if alert.level == AlertLevel::Fatal {
-            return Err(TlsError::PeerAlert(alert.description));
-        }
-        Ok(())
+        shell::feed(self, data, rng)
     }
 
     /// Commit to the abbreviated handshake path: the server resumed
@@ -519,7 +390,7 @@ impl ClientConnection {
         Ok(())
     }
 
-    fn activate_read_cipher(&mut self) -> Result<(), TlsError> {
+    fn activate_read_cipher(&mut self) -> Result<DirectionState, TlsError> {
         // CCS right after ServerHello is the resumption signal when a
         // ticket/id was offered and no full-handshake flight arrived.
         if self.secrets.is_none()
@@ -534,14 +405,12 @@ impl ClientConnection {
             .as_ref()
             .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
         let kb = secrets.key_block();
-        self.read_cipher = Some(DirectionState::new(
+        DirectionState::new(
             secrets.suite.bulk(),
             &kb.server_write_key,
             &kb.server_write_iv,
             0,
-        )?);
-        self.peer_change_cipher_seen = true;
-        Ok(())
+        )
     }
 
     fn activate_write_cipher(&mut self) -> Result<(), TlsError> {
@@ -550,12 +419,37 @@ impl ClientConnection {
             .as_ref()
             .ok_or(TlsError::UnexpectedMessage("no secrets for write cipher"))?;
         let kb = secrets.key_block();
-        self.write_cipher = Some(DirectionState::new(
+        self.shell.write_cipher = Some(DirectionState::new(
             secrets.suite.bulk(),
             &kb.client_write_key,
             &kb.client_write_iv,
             0,
         )?);
+        Ok(())
+    }
+
+}
+
+impl ConnectionRole for ClientConnection {
+    fn shell(&mut self) -> &mut RecordShell {
+        &mut self.shell
+    }
+
+    fn enter_failed(&mut self) {
+        self.phase = Phase::Failed;
+    }
+
+    fn peer_cipher(&mut self) -> Result<DirectionState, TlsError> {
+        if self.shell.hs_reader.has_partial() {
+            return Err(TlsError::UnexpectedMessage("CCS mid-handshake-message"));
+        }
+        self.activate_read_cipher()
+    }
+
+    fn admit_application_data(&self) -> Result<(), TlsError> {
+        if !self.is_established() {
+            return Err(TlsError::UnexpectedMessage("early application data"));
+        }
         Ok(())
     }
 
@@ -668,33 +562,21 @@ impl ClientConnection {
                 self.verify_server_finished(&body, &frame)?;
                 // Abbreviated: now send our CCS + Finished.
                 self.activate_write_cipher()?;
-                self.out
-                    .extend_from_slice(&frame_plaintext(ContentType::ChangeCipherSpec, &[1]));
-                let secrets = self
-            .secrets
-            .as_ref()
-            .ok_or(TlsError::Internal("secrets derived before Finished"))?;
-                let vd = keyschedule::verify_data(
-                    secrets.suite,
-                    &secrets.master_secret,
+                self.shell.queue_plaintext(ContentType::ChangeCipherSpec, &[1]);
+                self.shell.send_finished(
+                    self.secrets.as_ref(),
                     b"client finished",
-                    self.transcript.bytes(),
-                );
-                let fin = frame_handshake(handshake_type::FINISHED, &vd);
-                self.transcript.add(&fin);
-                let rec = self
-                    .write_cipher
-                    .as_mut()
-                    .ok_or(TlsError::Internal("write cipher activated above"))?
-                    .seal_record(ContentType::Handshake, &fin)?;
-                self.out.extend_from_slice(&rec);
+                    &mut self.transcript,
+                )?;
                 self.phase = Phase::Established;
                 Ok(())
             }
             _ => Err(TlsError::UnexpectedMessage("handshake message out of order")),
         }
     }
+}
 
+impl ClientConnection {
     /// Process the complete server flight and send the client's
     /// second flight (CKE, CCS, Finished).
     fn finish_client_flight(&mut self, rng: &mut CryptoRng) -> Result<(), TlsError> {
@@ -863,51 +745,20 @@ impl ClientConnection {
         let cke = ClientKeyExchange { public: cke_public };
         let cke_frame = frame_handshake(handshake_type::CLIENT_KEY_EXCHANGE, &cke.encode_body());
         self.transcript.add(&cke_frame);
-        self.out
-            .extend_from_slice(&frame_plaintext(ContentType::Handshake, &cke_frame));
+        self.shell.queue_plaintext(ContentType::Handshake, &cke_frame);
 
-        self.out
-            .extend_from_slice(&frame_plaintext(ContentType::ChangeCipherSpec, &[1]));
+        self.shell.queue_plaintext(ContentType::ChangeCipherSpec, &[1]);
         self.activate_write_cipher()?;
 
-        let secrets = self
-            .secrets
-            .as_ref()
-            .ok_or(TlsError::Internal("secrets derived before Finished"))?;
-        let vd = keyschedule::verify_data(
-            suite,
-            &secrets.master_secret,
-            b"client finished",
-            self.transcript.bytes(),
-        );
-        let fin_frame = frame_handshake(handshake_type::FINISHED, &vd);
-        self.transcript.add(&fin_frame);
-        let rec = self
-            .write_cipher
-            .as_mut()
-            .ok_or(TlsError::Internal("write cipher activated above"))?
-            .seal_record(ContentType::Handshake, &fin_frame)?;
-        self.out.extend_from_slice(&rec);
+        self.shell
+            .send_finished(self.secrets.as_ref(), b"client finished", &mut self.transcript)?;
 
         self.phase = Phase::AwaitServerFinished;
         Ok(())
     }
 
     fn verify_server_finished(&mut self, body: &[u8], frame: &[u8]) -> Result<(), TlsError> {
-        let secrets = self
-            .secrets
-            .as_ref()
-            .ok_or(TlsError::UnexpectedMessage("Finished before keys"))?;
-        let expected = keyschedule::verify_data(
-            secrets.suite,
-            &secrets.master_secret,
-            b"server finished",
-            self.transcript.bytes(),
-        );
-        if !ct::eq(&expected, body) {
-            return Err(TlsError::Crypto(CryptoError::BadTag));
-        }
-        self.transcript.add(frame);
-        Ok(())
+        let secrets = self.secrets.as_ref();
+        shell::verify_finished(secrets, b"server finished", &mut self.transcript, body, frame)
     }
 }

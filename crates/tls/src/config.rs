@@ -56,6 +56,7 @@ pub struct DelegationPolicy {
 }
 
 /// Client-side configuration. Cheap to clone via `Arc`.
+#[derive(Clone)]
 pub struct ClientConfig {
     /// Trusted roots for server (and middlebox) certificates.
     pub trust_store: Arc<TrustStore>,
@@ -119,6 +120,7 @@ impl ClientConfig {
 pub type SessionIdCache = Arc<Mutex<HashMap<Vec<u8>, (CipherSuite, Vec<u8>)>>>;
 
 /// Server-side configuration. Cheap to clone via `Arc`.
+#[derive(Clone)]
 pub struct ServerConfig {
     /// The server's key and certificate chain.
     pub certified_key: Arc<CertifiedKey>,

@@ -42,6 +42,7 @@ pub mod messages;
 pub mod record;
 pub mod server;
 pub mod session;
+mod shell;
 pub mod suites;
 pub mod transcript;
 

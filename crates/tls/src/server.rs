@@ -6,18 +6,17 @@ use mbtls_crypto::dh::DhSecret;
 use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::x25519;
-use mbtls_crypto::{ct, CryptoError};
 
-use crate::alert::{Alert, AlertDescription, AlertLevel};
 use crate::config::ServerConfig;
 use crate::keyschedule::{self, strip_leading_zeros};
 use crate::messages::{
     choose_suite, extension_type, frame_handshake, handshake_type, ClientHello,
-    ClientKeyExchange, DelegatedCredentialMsg, Extension, HandshakeReader, NewSessionTicket,
-    ServerHello, ServerKeyExchange, ServerKeyExchangeParams, SgxAttestationMsg,
+    ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
+    ServerKeyExchange, ServerKeyExchangeParams, SgxAttestationMsg,
 };
-use crate::record::{ContentType, DirectionState, RecordReader, frame_plaintext, fragment};
+use crate::record::{ContentType, DirectionState};
 use crate::session::{ConnectionSecrets, SessionKeys, TicketPlaintext};
+use crate::shell::{self, ConnectionRole, RecordShell};
 use crate::suites::{CipherSuite, KeyExchange};
 use crate::transcript::Transcript;
 use crate::TlsError;
@@ -47,10 +46,7 @@ enum KexSecret {
 pub struct ServerConnection {
     config: Arc<ServerConfig>,
     phase: Phase,
-
-    record_reader: RecordReader,
-    hs_reader: HandshakeReader,
-    out: Vec<u8>,
+    shell: RecordShell,
 
     transcript: Transcript,
     client_random: [u8; 32],
@@ -61,10 +57,6 @@ pub struct ServerConnection {
     kex: Option<KexSecret>,
     secrets: Option<ConnectionSecrets>,
 
-    peer_change_cipher_seen: bool,
-    read_cipher: Option<DirectionState>,
-    write_cipher: Option<DirectionState>,
-
     resumed: bool,
     client_offered_ticket_ext: bool,
     /// Session id assigned in this full handshake (cached at
@@ -74,11 +66,7 @@ pub struct ServerConnection {
     /// the primary session keys — paper §3.5).
     pub ticket_embed_keys: Option<SessionKeys>,
 
-    nonstandard_in: Vec<(u8, Vec<u8>)>,
-    plaintext_in: Vec<u8>,
     early_plaintext_in: Vec<u8>,
-    error: Option<TlsError>,
-    closed_by_peer: bool,
 }
 
 impl ServerConnection {
@@ -87,9 +75,7 @@ impl ServerConnection {
         ServerConnection {
             config,
             phase: Phase::AwaitClientHello,
-            record_reader: RecordReader::new(),
-            hs_reader: HandshakeReader::new(),
-            out: Vec::new(),
+            shell: RecordShell::default(),
             transcript: Transcript::new(),
             client_random: [0; 32],
             server_random: [0; 32],
@@ -97,24 +83,17 @@ impl ServerConnection {
             suite: None,
             kex: None,
             secrets: None,
-            peer_change_cipher_seen: false,
-            read_cipher: None,
-            write_cipher: None,
             resumed: false,
             client_offered_ticket_ext: false,
             assigned_session_id: Vec::new(),
             ticket_embed_keys: None,
-            nonstandard_in: Vec::new(),
-            plaintext_in: Vec::new(),
             early_plaintext_in: Vec::new(),
-            error: None,
-            closed_by_peer: false,
         }
     }
 
     /// Bytes queued for the wire.
     pub fn take_outgoing(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out)
+        std::mem::take(&mut self.shell.out)
     }
 
     /// True once established.
@@ -129,7 +108,7 @@ impl ServerConnection {
 
     /// Failure cause.
     pub fn error(&self) -> Option<&TlsError> {
-        self.error.as_ref()
+        self.shell.error.as_ref()
     }
 
     /// Did this handshake resume?
@@ -151,8 +130,8 @@ impl ServerConnection {
     /// equivalent).
     pub fn export_session_keys(&self) -> Option<SessionKeys> {
         let secrets = self.secrets.as_ref()?;
-        let s2c = self.write_cipher.as_ref()?.seq();
-        let c2s = self.read_cipher.as_ref()?.seq();
+        let s2c = self.shell.write_cipher.as_ref()?.seq();
+        let c2s = self.shell.read_cipher.as_ref()?.seq();
         Some(SessionKeys::from_secrets(secrets, c2s, s2c))
     }
 
@@ -161,20 +140,12 @@ impl ServerConnection {
         if !self.is_established() {
             return Err(TlsError::HandshakeNotDone);
         }
-        for frag in fragment(data) {
-            let cipher = self
-                .write_cipher
-                .as_mut()
-                .ok_or(TlsError::Internal("write cipher active but missing"))?;
-            let rec = cipher.seal_record(ContentType::ApplicationData, frag)?;
-            self.out.extend_from_slice(&rec);
-        }
-        Ok(())
+        self.shell.seal_application_data(data)
     }
 
     /// Received application data.
     pub fn take_plaintext(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.plaintext_in)
+        std::mem::take(&mut self.shell.plaintext_in)
     }
 
     /// Application data that arrived encrypted *before* our Finished
@@ -186,137 +157,67 @@ impl ServerConnection {
 
     /// Non-standard records received.
     pub fn take_nonstandard_records(&mut self) -> Vec<(u8, Vec<u8>)> {
-        std::mem::take(&mut self.nonstandard_in)
+        std::mem::take(&mut self.shell.nonstandard_in)
     }
 
     /// Send a raw plaintext-framed record (mbTLS control records).
     pub fn send_raw_record(&mut self, content_type: ContentType, payload: &[u8]) {
-        self.out
-            .extend_from_slice(&frame_plaintext(content_type, payload));
+        self.shell.queue_plaintext(content_type, payload);
     }
 
     /// True if the peer sent close_notify.
     pub fn peer_closed(&self) -> bool {
-        self.closed_by_peer
+        self.shell.closed_by_peer
     }
 
     /// Feed wire bytes.
     pub fn feed_incoming(&mut self, data: &[u8], rng: &mut CryptoRng) -> Result<(), TlsError> {
-        if self.phase == Phase::Failed {
-            return Err(self.error.clone().unwrap_or(TlsError::Closed));
-        }
-        self.record_reader.feed(data);
-        loop {
-            match self.record_reader.next_record() {
-                Ok(Some(record)) => {
-                    if let Err(e) = self.process_record(record.content_type_byte, record.body, rng)
-                    {
-                        self.fail(e.clone());
-                        return Err(e);
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.fail(e.clone());
-                    return Err(e);
-                }
-            }
+        shell::feed(self, data, rng)
+    }
+}
+
+impl ConnectionRole for ServerConnection {
+    fn shell(&mut self) -> &mut RecordShell {
+        &mut self.shell
+    }
+
+    fn enter_failed(&mut self) {
+        self.phase = Phase::Failed;
+    }
+
+    fn admit_nonstandard(&self, content_type: Option<ContentType>) -> Result<(), TlsError> {
+        if self.config.strict_unknown_records {
+            return Err(TlsError::Decode(match content_type {
+                None => "unknown record content type",
+                Some(_) => "unexpected mbTLS record",
+            }));
         }
         Ok(())
     }
 
-    fn fail(&mut self, e: TlsError) {
-        if self.phase != Phase::Failed {
-            let alert = Alert::for_error(&e);
-            self.out
-                .extend_from_slice(&frame_plaintext(ContentType::Alert, &alert.encode()));
-            self.phase = Phase::Failed;
-            self.error = Some(e);
-        }
+    fn peer_cipher(&mut self) -> Result<DirectionState, TlsError> {
+        let secrets = self
+            .secrets
+            .as_ref()
+            .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
+        let kb = secrets.key_block();
+        DirectionState::new(
+            secrets.suite.bulk(),
+            &kb.client_write_key,
+            &kb.client_write_iv,
+            0,
+        )
     }
 
-    fn process_record(
-        &mut self,
-        ct_byte: u8,
-        body: Vec<u8>,
-        rng: &mut CryptoRng,
-    ) -> Result<(), TlsError> {
-        let Some(content_type) = ContentType::from_u8(ct_byte) else {
-            if self.config.strict_unknown_records {
-                return Err(TlsError::Decode("unknown record content type"));
+    fn admit_application_data(&self) -> Result<(), TlsError> {
+        match self.phase {
+            Phase::Established => Ok(()),
+            // False-Start data: client sent Finished and data
+            // in the same flight, before seeing ours.
+            Phase::AwaitClientFinished | Phase::AwaitClientFinishedResumed => {
+                Err(TlsError::UnexpectedMessage("data before client Finished"))
             }
-            self.nonstandard_in.push((ct_byte, body));
-            return Ok(());
-        };
-        if content_type.is_mbtls() {
-            if self.config.strict_unknown_records {
-                return Err(TlsError::Decode("unexpected mbTLS record"));
-            }
-            self.nonstandard_in.push((ct_byte, body));
-            return Ok(());
-        }
-        let payload = if self.peer_change_cipher_seen
-            && content_type != ContentType::ChangeCipherSpec
-        {
-            self.read_cipher
-                .as_mut()
-                .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?
-                .open_record(content_type, &body)?
-        } else {
-            body
-        };
-        match content_type {
-            ContentType::Alert => {
-                let alert = Alert::decode(&payload)?;
-                if alert.description == AlertDescription::CloseNotify {
-                    self.closed_by_peer = true;
-                    return Ok(());
-                }
-                if alert.level == AlertLevel::Fatal {
-                    return Err(TlsError::PeerAlert(alert.description));
-                }
-                Ok(())
-            }
-            ContentType::ChangeCipherSpec => {
-                if payload != [1] {
-                    return Err(TlsError::Decode("bad ChangeCipherSpec"));
-                }
-                let secrets = self
-                    .secrets
-                    .as_ref()
-                    .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
-                let kb = secrets.key_block();
-                self.read_cipher = Some(DirectionState::new(
-                    secrets.suite.bulk(),
-                    &kb.client_write_key,
-                    &kb.client_write_iv,
-                    0,
-                )?);
-                self.peer_change_cipher_seen = true;
-                Ok(())
-            }
-            ContentType::Handshake => {
-                self.hs_reader.feed(&payload);
-                while let Some((typ, msg_body, frame)) = self.hs_reader.next_message()? {
-                    self.handle_handshake(typ, msg_body, frame, rng)?;
-                }
-                Ok(())
-            }
-            ContentType::ApplicationData => {
-                match self.phase {
-                    Phase::Established => {
-                        self.plaintext_in.extend_from_slice(&payload);
-                        Ok(())
-                    }
-                    // False-Start data: client sent Finished and data
-                    // in the same flight, before seeing ours.
-                    Phase::AwaitClientFinished | Phase::AwaitClientFinishedResumed => {
-                        Err(TlsError::UnexpectedMessage("data before client Finished"))
-                    }
-                    _ => Err(TlsError::UnexpectedMessage("early application data")),
-                }
-            }
-            _ => Err(TlsError::Internal("content type handled in an earlier match arm")),
+            _ => Err(TlsError::UnexpectedMessage("early application data")),
         }
     }
 
@@ -422,8 +323,7 @@ impl ServerConnection {
                     let t_frame =
                         frame_handshake(handshake_type::NEW_SESSION_TICKET, &ticket.encode_body());
                     self.transcript.add(&t_frame);
-                    self.out
-                        .extend_from_slice(&frame_plaintext(ContentType::Handshake, &t_frame));
+                    self.shell.queue_plaintext(ContentType::Handshake, &t_frame);
                 }
                 self.send_ccs_and_finished()?;
                 if !self.assigned_session_id.is_empty() {
@@ -451,6 +351,9 @@ impl ServerConnection {
         }
     }
 
+}
+
+impl ServerConnection {
     /// Full handshake: ServerHello, Certificate, ServerKeyExchange,
     /// [SGXAttestation], ServerHelloDone — one flight.
     fn start_full(
@@ -593,8 +496,7 @@ impl ServerConnection {
             let t_frame =
                 frame_handshake(handshake_type::NEW_SESSION_TICKET, &ticket.encode_body());
             self.transcript.add(&t_frame);
-            self.out
-                .extend_from_slice(&frame_plaintext(ContentType::Handshake, &t_frame));
+            self.shell.queue_plaintext(ContentType::Handshake, &t_frame);
         }
         self.send_ccs_and_finished()?;
         self.phase = Phase::AwaitClientFinishedResumed;
@@ -604,57 +506,29 @@ impl ServerConnection {
     fn queue_handshake_plain(&mut self, typ: u8, body: &[u8]) {
         let frame = frame_handshake(typ, body);
         self.transcript.add(&frame);
-        self.out
-            .extend_from_slice(&frame_plaintext(ContentType::Handshake, &frame));
+        self.shell.queue_plaintext(ContentType::Handshake, &frame);
     }
 
     fn send_ccs_and_finished(&mut self) -> Result<(), TlsError> {
-        self.out
-            .extend_from_slice(&frame_plaintext(ContentType::ChangeCipherSpec, &[1]));
+        self.shell.queue_plaintext(ContentType::ChangeCipherSpec, &[1]);
         let secrets = self
             .secrets
             .as_ref()
             .ok_or(TlsError::Internal("secrets derived before Finished"))?;
         let kb = secrets.key_block();
-        self.write_cipher = Some(DirectionState::new(
+        self.shell.write_cipher = Some(DirectionState::new(
             secrets.suite.bulk(),
             &kb.server_write_key,
             &kb.server_write_iv,
             0,
         )?);
-        let vd = keyschedule::verify_data(
-            secrets.suite,
-            &secrets.master_secret,
-            b"server finished",
-            self.transcript.bytes(),
-        );
-        let frame = frame_handshake(handshake_type::FINISHED, &vd);
-        self.transcript.add(&frame);
-        let rec = self
-            .write_cipher
-            .as_mut()
-            .ok_or(TlsError::Internal("write cipher activated above"))?
-            .seal_record(ContentType::Handshake, &frame)?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+        self.shell
+            .send_finished(self.secrets.as_ref(), b"server finished", &mut self.transcript)
     }
 
     fn verify_client_finished(&mut self, body: &[u8], frame: &[u8]) -> Result<(), TlsError> {
-        let secrets = self
-            .secrets
-            .as_ref()
-            .ok_or(TlsError::UnexpectedMessage("Finished before keys"))?;
-        let expected = keyschedule::verify_data(
-            secrets.suite,
-            &secrets.master_secret,
-            b"client finished",
-            self.transcript.bytes(),
-        );
-        if !ct::eq(&expected, body) {
-            return Err(TlsError::Crypto(CryptoError::BadTag));
-        }
-        self.transcript.add(frame);
-        Ok(())
+        let secrets = self.secrets.as_ref();
+        shell::verify_finished(secrets, b"client finished", &mut self.transcript, body, frame)
     }
 
     fn ticket_gcm(&self) -> Result<AesGcm, TlsError> {

@@ -7,25 +7,22 @@
 //! unique per-hop keys, distributes them over the secondary sessions,
 //! and switches to the per-hop data plane (paper §3.4, Figures 3-4).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mbtls_crypto::rng::CryptoRng;
-use mbtls_pki::{KeyUsage, TrustStore};
+use mbtls_pki::{SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy};
 use mbtls_tls::messages::{extension_type, Extension};
-use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
-use mbtls_tls::session::SessionKeys;
+use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, TlsError};
 
-use crate::dataplane::{fresh_hop_keys, EndpointDataPlane};
+use crate::dataplane::{EndpointDataPlane, HopKeys};
 use crate::driver::PendingVerify;
-use crate::messages::{Encapsulated, KeyMaterial, MiddleboxSupport, SecondaryMessage};
+use crate::messages::{KeyMaterial, MiddleboxSupport};
+use crate::session::{Admission, Role, Session, SessionCore};
 use crate::MbError;
-
-use mbtls_pki::SignatureCheck;
 
 /// How the client decides whether a (verified) middlebox may join.
 #[derive(Clone)]
@@ -202,24 +199,6 @@ impl MbClientConfigBuilder {
     }
 }
 
-/// State of one secondary (client ↔ middlebox) session.
-struct Secondary {
-    conn: ClientConnection,
-    /// Subject name from the verified certificate.
-    verified_name: Option<String>,
-    /// Approved to receive keys.
-    approved: bool,
-    /// Explicitly rejected (alert sent).
-    rejected: bool,
-    /// Subject awaiting a deferred chain-signature verdict
-    /// (`defer_verify`); approval completes on resolution.
-    pending_subject: Option<String>,
-    /// Signature checks this secondary routed through the driver's
-    /// batch seam (0 = all checks discharged inline at the TLS
-    /// layer). Telemetry only.
-    deferred_checks: u64,
-}
-
 /// Information about a middlebox that joined (or tried to).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiddleboxInfo {
@@ -231,26 +210,190 @@ pub struct MiddleboxInfo {
     pub approved: bool,
 }
 
-/// The mbTLS client session.
-pub struct MbClientSession {
+/// The mbTLS client session: the shared [`SessionCore`] in the
+/// client role.
+pub struct MbClientSession(SessionCore<ClientRole>);
+
+/// What makes an endpoint the client end.
+pub(crate) struct ClientRole {
     config: Arc<MbClientConfig>,
-    rng: CryptoRng,
-
-    primary: ClientConnection,
-    secondaries: BTreeMap<u8, Secondary>,
-    reader: RecordReader,
-    out: Vec<u8>,
-
-    keys_distributed: bool,
-    dataplane: Option<EndpointDataPlane>,
-    error: Option<MbError>,
-
-    telemetry: Option<SharedSink>,
     hello_reported: bool,
-
     /// Deferred signature-check groups awaiting pickup by the driver
     /// (token 0 = primary connection, 1 + id = middlebox subchannel).
     pending_verifies: Vec<PendingVerify>,
+}
+
+impl Role for ClientRole {
+    type Primary = ClientConnection;
+    const PARTY: Party = Party::Client;
+
+    fn admission(&self) -> Admission<'_> {
+        Admission {
+            trust: &self.config.middlebox_trust,
+            delegation: &self.config.middlebox_delegation,
+            approval: &self.config.approval,
+            now: self.config.tls.current_time,
+        }
+    }
+
+    /// A middlebox announcing itself: its secondary ServerHello
+    /// responds to our (shared) primary ClientHello.
+    fn unknown_subchannel(core: &mut SessionCore<Self>, id: u8) -> Result<(), MbError> {
+        if core.keys_distributed {
+            return Err(MbError::unexpected_state("middlebox announced after key distribution"));
+        }
+        let config = &core.role.config;
+        let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
+        sec_cfg.suites = config.tls.suites.clone();
+        sec_cfg.current_time = config.tls.current_time;
+        // Name is unknown until the certificate arrives; chain and
+        // name policy are enforced post-handshake by the core's
+        // screening.
+        sec_cfg.danger_disable_cert_verify = true;
+        sec_cfg.attestation_policy = config.middlebox_attestation.clone();
+        // Delegated mode: the TLS layer verifies the credential
+        // (and its issuer chain) itself and sources the peer key
+        // from it; under `defer_verify` those checks surface via
+        // `take_pending_verify` and are routed to the driver.
+        sec_cfg.delegation_policy = config.middlebox_delegation.clone();
+        if config.middlebox_delegation.is_some() {
+            sec_cfg.defer_verify = config.tls.defer_verify;
+        }
+        sec_cfg.enable_tickets = config.tls.enable_tickets;
+        let conn = ClientConnection::with_reused_hello(
+            Arc::new(sec_cfg),
+            "",
+            core.primary.hello().clone(),
+        );
+        core.open_secondary(id, conn);
+        Ok(())
+    }
+
+    fn surface_deferred(core: &mut SessionCore<Self>) {
+        // Surface the primary connection's deferred checks.
+        if let Some(checks) = core.primary.take_pending_verify() {
+            core.role.pending_verifies.push(PendingVerify { token: 0, checks });
+        }
+        // Surface deferred checks raised *inside* secondary
+        // connections (delegated-credential mode under
+        // `defer_verify`): the connection withholds `is_established`
+        // until the driver resolves them, so these must reach the
+        // same batch seam as the primary's.
+        for (&id, sec) in core.secondaries.iter_mut() {
+            if let Some(checks) = sec.conn.take_pending_verify() {
+                sec.deferred_checks = checks.len() as u64;
+                core.role
+                    .pending_verifies
+                    .push(PendingVerify { token: 1 + u32::from(id), checks });
+            }
+        }
+    }
+
+    /// Verify inline (the default), or under `defer_verify` park the
+    /// checks for the driver to batch.
+    fn discharge(
+        core: &mut SessionCore<Self>,
+        id: u8,
+        checks: Vec<SignatureCheck>,
+    ) -> Option<bool> {
+        if !core.role.config.tls.defer_verify || checks.is_empty() {
+            return Some(checks.iter().all(|c| c.check()));
+        }
+        core.role
+            .pending_verifies
+            .push(PendingVerify { token: 1 + u32::from(id), checks });
+        None
+    }
+
+    /// Client outward: the middlebox nearest the client claimed the
+    /// *highest* subchannel ID (IDs are assigned nearest-server-first
+    /// as the ServerHello travels back — §3.4).
+    fn order_path(ids: &mut [u8]) {
+        ids.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// When the path is declared read-only, every hop aliases the
+    /// bridge keys so middleboxes can take the tag-verify-and-forward
+    /// fast path. Aliasing is a declaration with teeth: a middlebox
+    /// that actually modifies data on an aliased hop is refused by its
+    /// data plane (the session fails) instead of re-sealing —
+    /// different plaintext under an already-spent nonce would be
+    /// catastrophic GCM nonce reuse.
+    fn alias_hops(&self) -> bool {
+        self.config.read_only_middleboxes
+    }
+
+    fn key_material(near: &HopKeys, far: &HopKeys) -> KeyMaterial {
+        KeyMaterial {
+            toward_client_hop: near.clone(),
+            toward_server_hop: far.clone(),
+        }
+    }
+
+    fn data_plane(hop: &HopKeys) -> Result<EndpointDataPlane, TlsError> {
+        EndpointDataPlane::for_client(hop)
+    }
+
+    fn flushed(core: &mut SessionCore<Self>, bytes: u64) {
+        if !core.role.hello_reported {
+            core.role.hello_reported = true;
+            core.emit(EventKind::ClientHelloSent { bytes });
+        }
+    }
+
+    fn resumption(core: &SessionCore<Self>) -> Option<ResumptionData> {
+        core.primary.resumption_data()
+    }
+
+    fn resumed(core: &SessionCore<Self>) -> bool {
+        core.primary.resumed()
+    }
+
+    fn take_pending_verifies(core: &mut SessionCore<Self>, out: &mut Vec<PendingVerify>) {
+        out.append(&mut core.role.pending_verifies);
+    }
+
+    fn resolve_verify(core: &mut SessionCore<Self>, token: u32, valid: bool) {
+        if token == 0 {
+            core.primary.resolve_verify(valid);
+        } else {
+            let id = (token - 1) as u8;
+            let subject = core
+                .secondaries
+                .get_mut(&id)
+                .and_then(|sec| sec.pending_subject.take());
+            match (subject, valid) {
+                (Some(name), true) => core.approve(id, name),
+                (Some(_), false) => core.reject(id),
+                (None, valid) => {
+                    // No screening subject outstanding: the deferred
+                    // group came from inside the secondary connection
+                    // itself (delegated-credential checks under
+                    // `defer_verify`) — forward the verdict there.
+                    if let Some(sec) = core.secondaries.get_mut(&id) {
+                        sec.conn.resolve_verify(valid);
+                        if !valid {
+                            core.emit(EventKind::CredentialRejected {
+                                subchannel: id as u64,
+                            });
+                            core.reject(id);
+                        }
+                    }
+                }
+            }
+        }
+        core.pump();
+    }
+}
+
+impl Session for MbClientSession {
+    type Role = ClientRole;
+    fn core(&self) -> &SessionCore<ClientRole> {
+        &self.0
+    }
+    fn core_mut(&mut self) -> &mut SessionCore<ClientRole> {
+        &mut self.0
+    }
 }
 
 impl MbClientSession {
@@ -258,7 +401,7 @@ impl MbClientSession {
     /// MiddleboxSupport extension) is queued immediately.
     pub fn new(config: Arc<MbClientConfig>, server_name: &str, mut rng: CryptoRng) -> Self {
         // Primary TLS config plus the MiddleboxSupport extension.
-        let mut tls_config = clone_client_config(&config.tls);
+        let mut tls_config = config.tls.clone();
         if config.mbtls_enabled {
             tls_config.extra_extensions.push(Extension {
                 typ: extension_type::MIDDLEBOX_SUPPORT,
@@ -270,33 +413,17 @@ impl MbClientSession {
         }
         let primary = ClientConnection::new(Arc::new(tls_config), server_name, &mut rng);
         let telemetry = config.telemetry.clone();
-        MbClientSession {
+        let role = ClientRole {
             config,
-            rng,
-            primary,
-            secondaries: BTreeMap::new(),
-            reader: RecordReader::new(),
-            out: Vec::new(),
-            keys_distributed: false,
-            dataplane: None,
-            error: None,
-            telemetry,
             hello_reported: false,
             pending_verifies: Vec::new(),
-        }
-    }
-
-    fn emit(&self, kind: EventKind) {
-        if let Some(t) = &self.telemetry {
-            t.emit(Party::Client, kind);
-        }
+        };
+        MbClientSession(SessionCore::new(role, primary, rng, telemetry))
     }
 
     /// Wire bytes to send.
     pub fn take_outgoing(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.drain_outgoing_into(&mut out);
-        out
+        self.0.take_outgoing()
     }
 
     /// Append pending wire bytes to `dst`, keeping `dst`'s capacity —
@@ -304,586 +431,88 @@ impl MbClientSession {
     /// [`MbClientSession::take_outgoing`]: once the data plane is
     /// active and `dst` is warm, draining a record allocates nothing.
     pub fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
-        self.pump();
-        let start = dst.len();
-        // Primary-session records flush first (the paper's Fig. 3
-        // shows secondary flights following the primary ones within a
-        // flight), then mbTLS control records, then data-plane
-        // records. The primary produces nothing post-handshake, so
-        // its take is a free swap of empty vectors at steady state.
-        let primary = self.primary.take_outgoing();
-        dst.extend_from_slice(&primary);
-        dst.extend_from_slice(&self.out);
-        self.out.clear();
-        if let Some(dp) = &mut self.dataplane {
-            dp.drain_outgoing_into(dst);
-        }
-        let n = (dst.len() - start) as u64;
-        if n > 0 {
-            if !self.hello_reported {
-                self.hello_reported = true;
-                self.emit(EventKind::ClientHelloSent { bytes: n });
-            }
-            self.emit(EventKind::BytesOut { bytes: n });
-        }
+        self.0.drain_outgoing_into(dst)
     }
 
     /// Feed bytes from the wire.
     pub fn feed_incoming(&mut self, data: &[u8]) -> Result<(), MbError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        if !data.is_empty() {
-            self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
-        }
-        self.reader.feed(data);
-        // The reader moves aside so records borrowed from its buffer
-        // can be routed into the session's other fields.
-        let mut reader = std::mem::take(&mut self.reader);
-        let result = self.route_buffered(&mut reader);
-        self.reader = reader;
-        if let Err(e) = result {
-            self.error = Some(e.clone());
-            return Err(e);
-        }
-        self.pump();
-        Ok(())
-    }
-
-    /// Route every complete record `reader` holds. Post-handshake
-    /// data records are decrypted in place (zero-copy fast path);
-    /// control records are copied out once and take the slow path.
-    fn route_buffered(&mut self, reader: &mut RecordReader) -> Result<(), MbError> {
-        while let Some((ct_byte, _version, body)) = reader.next_record_inplace().map_err(MbError::Tls)? {
-            match ContentType::from_u8(ct_byte) {
-                Some(ContentType::ApplicationData | ContentType::Alert)
-                    if self.dataplane.is_some() =>
-                {
-                    let dp = self
-                        .dataplane
-                        .as_mut()
-                        .ok_or_else(|| MbError::unexpected_state("dataplane checked above"))?;
-                    dp.feed_record_in_place(ct_byte, body).map_err(MbError::Tls)?;
-                }
-                _ => self.route_record(ct_byte, body.to_vec())?,
-            }
-        }
-        Ok(())
-    }
-
-    fn route_record(&mut self, ct_byte: u8, body: Vec<u8>) -> Result<(), MbError> {
-        match ContentType::from_u8(ct_byte) {
-            Some(ContentType::MbtlsEncapsulated) => {
-                let enc = Encapsulated::decode(&body)?;
-                self.handle_encapsulated(enc)
-            }
-            Some(ContentType::ApplicationData | ContentType::Alert)
-                if self.dataplane.is_some() =>
-            {
-                // Post-handshake records (data and close alerts) are
-                // protected under the adjacent hop's keys.
-                let dp = self
-                    .dataplane
-                    .as_mut()
-                    .ok_or_else(|| MbError::unexpected_state("dataplane checked above"))?;
-                dp.feed(&reframe(ct_byte, &body)).map_err(MbError::Tls)
-            }
-            _ => {
-                // Primary-session record (handshake, CCS, alert, or
-                // pre-dataplane application data).
-                self.primary
-                    .feed_incoming(&reframe(ct_byte, &body), &mut self.rng)
-                    .map_err(MbError::Tls)?;
-                // Anything the primary surfaced as non-standard (e.g.
-                // a stray announcement) is ignored by clients.
-                let _ = self.primary.take_nonstandard_records();
-                Ok(())
-            }
-        }
-    }
-
-    fn handle_encapsulated(&mut self, enc: Encapsulated) -> Result<(), MbError> {
-        let id = enc.subchannel;
-        if !self.secondaries.contains_key(&id) {
-            if self.keys_distributed {
-                return Err(MbError::unexpected_state("middlebox announced after key distribution"));
-            }
-            // A middlebox announcing itself: its secondary ServerHello
-            // responds to our (shared) primary ClientHello.
-            let mut sec_cfg = ClientConfig::new(self.config.middlebox_trust.clone());
-            sec_cfg.suites = self.config.tls.suites.clone();
-            sec_cfg.current_time = self.config.tls.current_time;
-            // Name is unknown until the certificate arrives; chain and
-            // name policy are enforced post-handshake in
-            // `verify_and_approve`.
-            sec_cfg.danger_disable_cert_verify = true;
-            sec_cfg.attestation_policy = self.config.middlebox_attestation.clone();
-            // Delegated mode: the TLS layer verifies the credential
-            // (and its issuer chain) itself and sources the peer key
-            // from it; under `defer_verify` those checks surface via
-            // `take_pending_verify` and are routed to the driver.
-            sec_cfg.delegation_policy = self.config.middlebox_delegation.clone();
-            if self.config.middlebox_delegation.is_some() {
-                sec_cfg.defer_verify = self.config.tls.defer_verify;
-            }
-            sec_cfg.enable_tickets = self.config.tls.enable_tickets;
-            let conn = ClientConnection::with_reused_hello(
-                Arc::new(sec_cfg),
-                "",
-                self.primary.hello().clone(),
-            );
-            self.secondaries.insert(
-                id,
-                Secondary {
-                    conn,
-                    verified_name: None,
-                    approved: false,
-                    rejected: false,
-                    pending_subject: None,
-                    deferred_checks: 0,
-                },
-            );
-            self.emit(EventKind::MiddleboxAnnouncement {
-                count: self.secondaries.len() as u64,
-            });
-            self.emit(EventKind::SecondaryHandshakeStart { subchannel: id as u64 });
-        }
-        let sec = self
-            .secondaries
-            .get_mut(&id)
-            .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
-        if sec.rejected {
-            return Ok(());
-        }
-        if let Err(e) = sec.conn.feed_incoming(&enc.record, &mut self.rng) {
-            // A failed secondary demotes the middlebox to a relay; the
-            // session as a whole survives.
-            sec.rejected = true;
-            if matches!(e, TlsError::Credential(_)) {
-                self.emit(EventKind::CredentialRejected { subchannel: id as u64 });
-            }
-        }
-        Ok(())
-    }
-
-    /// Advance internal state: drain secondary outputs, verify and
-    /// approve established secondaries, distribute keys when ready.
-    fn pump(&mut self) {
-        // Wrap any secondary handshake bytes into Encapsulated records.
-        let mut wrapped = Vec::new();
-        for (&id, sec) in self.secondaries.iter_mut() {
-            let bytes = sec.conn.take_outgoing();
-            if !bytes.is_empty() {
-                wrap_records(id, &bytes, &mut wrapped);
-            }
-        }
-        self.out.extend(wrapped);
-
-        // Surface the primary connection's deferred checks.
-        if let Some(checks) = self.primary.take_pending_verify() {
-            self.pending_verifies.push(PendingVerify { token: 0, checks });
-        }
-
-        // Surface deferred checks raised *inside* secondary
-        // connections (delegated-credential mode under
-        // `defer_verify`): the connection withholds `is_established`
-        // until the driver resolves them, so these must reach the
-        // same batch seam as the primary's.
-        let mut sec_pending = Vec::new();
-        for (&id, sec) in self.secondaries.iter_mut() {
-            if let Some(checks) = sec.conn.take_pending_verify() {
-                sec.deferred_checks = checks.len() as u64;
-                sec_pending.push(PendingVerify { token: 1 + u32::from(id), checks });
-            }
-        }
-        self.pending_verifies.extend(sec_pending);
-
-        // Verification/approval for newly established secondaries.
-        let mut to_reject = Vec::new();
-        let ids: Vec<u8> = self.secondaries.keys().copied().collect();
-        for id in ids {
-            let (established, already) = {
-                let sec = &self.secondaries[&id];
-                (
-                    sec.conn.is_established(),
-                    sec.verified_name.is_some() || sec.rejected || sec.pending_subject.is_some(),
-                )
-            };
-            if established && !already {
-                match self.screen_middlebox(id) {
-                    Ok((name, checks)) if checks.is_empty() => {
-                        if let Some(sec) = self.secondaries.get_mut(&id) {
-                            sec.verified_name = Some(name);
-                            sec.approved = true;
-                        }
-                        self.emit(EventKind::SecondaryHandshakeFinish {
-                            subchannel: id as u64,
-                        });
-                    }
-                    Ok((name, checks)) => {
-                        // Deferred: approval completes when the driver
-                        // resolves the chain-signature checks.
-                        if let Some(sec) = self.secondaries.get_mut(&id) {
-                            sec.pending_subject = Some(name);
-                        }
-                        self.pending_verifies.push(PendingVerify {
-                            token: 1 + u32::from(id),
-                            checks,
-                        });
-                    }
-                    Err(_) => to_reject.push(id),
-                }
-            }
-        }
-        for id in to_reject {
-            self.reject(id);
-        }
-
-        // Key distribution once everything is established.
-        if !self.keys_distributed && self.primary.is_established() {
-            let all_done = self
-                .secondaries
-                .values()
-                .all(|s| s.rejected || (s.conn.is_established() && s.approved));
-            if all_done {
-                if let Err(e) = self.distribute_keys() {
-                    self.error = Some(e);
-                }
-            }
-        }
-    }
-
-    /// Structural chain checks + approval policy for an established
-    /// middlebox. Returns the subject and the signature checks still
-    /// owed: empty when they were discharged inline (the default), or
-    /// the deferred list under `defer_verify` for the driver to
-    /// batch.
-    fn screen_middlebox(&mut self, id: u8) -> Result<(String, Vec<SignatureCheck>), MbError> {
-        let sec = &self.secondaries[&id];
-        if self.config.middlebox_delegation.is_some() {
-            // Delegated mode: the TLS layer already verified the
-            // credential (window, session binding, issuer chain,
-            // signature) against the policy and keyed the handshake
-            // off `credential.middlebox_key` — an established
-            // connection implies a valid credential. Only the
-            // approval policy remains, applied to the credential
-            // subject instead of a certificate subject.
-            let cred = sec.conn.peer_credential().ok_or_else(|| {
-                MbError::unexpected_state("delegated middlebox presented no credential")
-            })?;
-            let subject = cred.subject.clone();
-            let approved = match &self.config.approval {
-                ApprovalPolicy::AllVerified => true,
-                ApprovalPolicy::AllowList(names) => names.iter().any(|n| n == &subject),
-                ApprovalPolicy::DenyAll => false,
-            };
-            if !approved {
-                self.emit(EventKind::CredentialRejected { subchannel: id as u64 });
-                return Err(MbError::MiddleboxRejected(subject));
-            }
-            self.emit(EventKind::CredentialVerified {
-                subchannel: id as u64,
-                checks: sec.deferred_checks,
-            });
-            return Ok((subject, Vec::new()));
-        }
-        let chain = sec.conn.peer_certificates();
-        if chain.is_empty() {
-            return Err(MbError::unexpected_state("middlebox sent no certificate"));
-        }
-        let subject = chain[0].payload.subject.clone();
-        let checks = self
-            .config
-            .middlebox_trust
-            .verify_chain_deferred(
-                chain,
-                &subject,
-                self.config.tls.current_time,
-                Some(KeyUsage::Middlebox),
-            )
-            .map_err(|e| MbError::Tls(TlsError::Certificate(e)))?;
-        let approved = match &self.config.approval {
-            ApprovalPolicy::AllVerified => true,
-            ApprovalPolicy::AllowList(names) => names.iter().any(|n| n == &subject),
-            ApprovalPolicy::DenyAll => false,
-        };
-        if !approved {
-            return Err(MbError::MiddleboxRejected(subject));
-        }
-        if self.config.tls.defer_verify {
-            Ok((subject, checks))
-        } else if checks.iter().all(|c| c.check()) {
-            Ok((subject, Vec::new()))
-        } else {
-            Err(MbError::Tls(TlsError::Certificate(
-                mbtls_pki::CertError::BadSignature,
-            )))
-        }
+        self.0.feed_incoming(data)
     }
 
     /// Drain deferred signature-check groups (token 0 = primary, 1 +
     /// subchannel id = middlebox approval); the caller must deliver
     /// each verdict through [`MbClientSession::resolve_verify`].
     pub fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        out.append(&mut self.pending_verifies);
+        ClientRole::take_pending_verifies(&mut self.0, out)
     }
 
     /// Deliver the verdict for a deferred group. A failed primary
     /// verdict fails the session; a failed middlebox verdict demotes
     /// that middlebox to a relay (same as an inline chain failure).
     pub fn resolve_verify(&mut self, token: u32, valid: bool) {
-        if token == 0 {
-            self.primary.resolve_verify(valid);
-        } else {
-            let id = (token - 1) as u8;
-            let subject = self
-                .secondaries
-                .get_mut(&id)
-                .and_then(|sec| sec.pending_subject.take());
-            match (subject, valid) {
-                (Some(name), true) => {
-                    if let Some(sec) = self.secondaries.get_mut(&id) {
-                        sec.verified_name = Some(name);
-                        sec.approved = true;
-                    }
-                    self.emit(EventKind::SecondaryHandshakeFinish {
-                        subchannel: id as u64,
-                    });
-                }
-                (Some(_), false) => self.reject(id),
-                (None, valid) => {
-                    // No screening subject outstanding: the deferred
-                    // group came from inside the secondary connection
-                    // itself (delegated-credential checks under
-                    // `defer_verify`) — forward the verdict there.
-                    if let Some(sec) = self.secondaries.get_mut(&id) {
-                        sec.conn.resolve_verify(valid);
-                        if !valid {
-                            self.emit(EventKind::CredentialRejected {
-                                subchannel: id as u64,
-                            });
-                            self.reject(id);
-                        }
-                    }
-                }
-            }
-        }
-        self.pump();
-    }
-
-    /// Send a fatal alert on the subchannel; the middlebox becomes a
-    /// pure relay.
-    fn reject(&mut self, id: u8) {
-        let alert = mbtls_tls::alert::Alert::fatal(
-            mbtls_tls::alert::AlertDescription::HandshakeFailure,
-        );
-        let alert_record = frame_plaintext(ContentType::Alert, &alert.encode());
-        let enc = Encapsulated {
-            subchannel: id,
-            record: alert_record,
-        };
-        self.out.extend(frame_plaintext(
-            ContentType::MbtlsEncapsulated,
-            &enc.encode(),
-        ));
-        if let Some(sec) = self.secondaries.get_mut(&id) {
-            sec.rejected = true;
-            sec.approved = false;
-        }
-    }
-
-    /// Generate per-hop keys, send KeyMaterial to each approved
-    /// middlebox, and activate the data plane (paper Fig. 4).
-    fn distribute_keys(&mut self) -> Result<(), MbError> {
-        let suite = self
-            .primary
-            .secrets()
-            .map(|s| s.suite)
-            .ok_or(MbError::NotReady)?;
-        let bridge = self
-            .primary
-            .export_session_keys()
-            .ok_or(MbError::NotReady)?;
-
-        // Approved middleboxes in path order, client outward: the
-        // middlebox nearest the client claimed the *highest*
-        // subchannel ID (IDs are assigned nearest-server-first as the
-        // ServerHello travels back — §3.4).
-        let mut order: Vec<u8> = self
-            .secondaries
-            .iter()
-            .filter(|(_, s)| s.approved)
-            .map(|(&id, _)| id)
-            .collect();
-        order.sort_unstable_by(|a, b| b.cmp(a));
-
-        // Hops: client↔c_1, c_1↔c_2, ..., c_j↔bridge. When the path
-        // is declared read-only, every hop aliases the bridge keys so
-        // middleboxes can take the tag-verify-and-forward fast path;
-        // otherwise each hop gets fresh keys (change secrecy, P1C).
-        // Aliasing is a declaration with teeth: a middlebox that
-        // actually modifies data on an aliased hop is refused by its
-        // data plane (the session fails) instead of re-sealing —
-        // different plaintext under an already-spent nonce would be
-        // catastrophic GCM nonce reuse.
-        let mut hops: Vec<SessionKeys> = Vec::with_capacity(order.len() + 1);
-        for _ in 0..order.len() {
-            if self.config.read_only_middleboxes {
-                hops.push(bridge.clone());
-            } else {
-                hops.push(fresh_hop_keys(suite, &mut self.rng));
-            }
-        }
-        hops.push(bridge);
-
-        for (i, &id) in order.iter().enumerate() {
-            let km = KeyMaterial {
-                toward_client_hop: hops[i].clone(),
-                toward_server_hop: hops[i + 1].clone(),
-            };
-            let msg = SecondaryMessage::Keys(km).encode();
-            let sec = self
-            .secondaries
-            .get_mut(&id)
-            .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
-            sec.conn.send_data(&msg).map_err(MbError::Tls)?;
-            let bytes = sec.conn.take_outgoing();
-            let mut wrapped = Vec::new();
-            wrap_records(id, &bytes, &mut wrapped);
-            self.out.extend(wrapped);
-            self.emit(EventKind::KeyDelivery { subchannel: id as u64 });
-        }
-
-        let mut dp = EndpointDataPlane::for_client(&hops[0]).map_err(MbError::Tls)?;
-        if let Some(t) = &self.telemetry {
-            dp.set_telemetry(t.clone(), Party::Client);
-        }
-        self.dataplane = Some(dp);
-        self.keys_distributed = true;
-        self.emit(EventKind::HandshakeComplete);
-        Ok(())
+        ClientRole::resolve_verify(&mut self.0, token, valid)
     }
 
     /// True once application data can flow.
     pub fn is_ready(&self) -> bool {
-        self.keys_distributed && self.dataplane.is_some()
+        self.0.is_ready()
     }
 
     /// True if the session failed.
     pub fn is_failed(&self) -> bool {
-        self.error.is_some() || self.primary.is_failed()
+        self.0.is_failed()
     }
 
     /// The failure, if any.
     pub fn error(&self) -> Option<MbError> {
-        self.error
-            .clone()
-            .or_else(|| self.primary.error().cloned().map(MbError::Tls))
+        self.0.error()
     }
 
     /// Did the primary handshake resume a cached session?
     pub fn resumed(&self) -> bool {
-        self.primary.resumed()
+        self.0.primary.resumed()
     }
 
     /// Resumption data for the server (cache under the server name).
-    pub fn resumption_data(&self) -> Option<mbtls_tls::session::ResumptionData> {
-        self.primary.resumption_data()
+    pub fn resumption_data(&self) -> Option<ResumptionData> {
+        self.0.primary.resumption_data()
     }
 
     /// Queue application data.
     pub fn send(&mut self, data: &[u8]) -> Result<(), MbError> {
-        let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
-        dp.send(data).map_err(MbError::Tls)
+        self.0.send(data)
     }
 
     /// Gracefully close the session (send close_notify under the
     /// adjacent hop's keys; middleboxes re-encrypt it hop by hop).
     pub fn close(&mut self) -> Result<(), MbError> {
-        let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
-        dp.send_close().map_err(MbError::Tls)
+        self.0.close()
     }
 
     /// True once the peer's close_notify arrived.
     pub fn peer_closed(&self) -> bool {
-        self.dataplane.as_ref().is_some_and(|dp| dp.peer_closed())
+        self.0.peer_closed()
     }
 
     /// Received application data.
     pub fn recv(&mut self) -> Vec<u8> {
-        self.dataplane
-            .as_mut()
-            .map(|dp| dp.take_plaintext())
-            .unwrap_or_default()
+        self.0.recv()
     }
 
     /// Append received application data to `dst`, keeping `dst`'s
     /// capacity (the steady-state alternative to
     /// [`MbClientSession::recv`]).
     pub fn recv_into(&mut self, dst: &mut Vec<u8>) {
-        if let Some(dp) = &mut self.dataplane {
-            dp.drain_plaintext_into(dst);
-        }
+        self.0.recv_into(dst)
     }
 
     /// Joined middleboxes.
     pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
-        self.secondaries
-            .iter()
-            .map(|(&id, s)| MiddleboxInfo {
-                subchannel: id,
-                name: s.verified_name.clone(),
-                approved: s.approved,
-            })
-            .collect()
+        self.0.middleboxes()
     }
 
     /// The primary connection's negotiated suite (once known).
     pub fn suite(&self) -> Option<CipherSuite> {
-        self.primary.secrets().map(|s| s.suite)
-    }
-}
-
-/// Rebuild a wire record from its parsed parts.
-pub(crate) fn reframe(ct_byte: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + body.len());
-    out.push(ct_byte);
-    out.push(3);
-    out.push(3);
-    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
-/// Wrap a byte stream of complete TLS records into Encapsulated
-/// records on `subchannel`, appending the framed bytes to `out`.
-pub(crate) fn wrap_records(subchannel: u8, stream: &[u8], out: &mut Vec<u8>) {
-    let mut reader = RecordReader::new();
-    reader.feed(stream);
-    while let Ok(Some(rec)) = reader.next_record() {
-        let inner = reframe(rec.content_type_byte, &rec.body);
-        let enc = Encapsulated {
-            subchannel,
-            record: inner,
-        };
-        out.extend(frame_plaintext(ContentType::MbtlsEncapsulated, &enc.encode()));
-    }
-}
-
-/// ClientConfig is not Clone (it holds an Arc'd trust store and plain
-/// data); copy the fields we need.
-fn clone_client_config(c: &ClientConfig) -> ClientConfig {
-    ClientConfig {
-        trust_store: c.trust_store.clone(),
-        suites: c.suites.clone(),
-        current_time: c.current_time,
-        extra_extensions: c.extra_extensions.clone(),
-        attestation_policy: c.attestation_policy.clone(),
-        delegation_policy: c.delegation_policy.clone(),
-        enable_tickets: c.enable_tickets,
-        enable_false_start: c.enable_false_start,
-        danger_disable_cert_verify: c.danger_disable_cert_verify,
-        defer_verify: c.defer_verify,
-        resumption_cache: c.resumption_cache.clone(),
+        self.0.primary.secrets().map(|s| s.suite)
     }
 }

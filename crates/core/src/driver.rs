@@ -15,9 +15,8 @@ use mbtls_netsim::FaultConfig;
 use mbtls_telemetry::{Event, EventKind, Party, SharedSink};
 use mbtls_tls::{ClientConnection, ServerConnection};
 
-use crate::client::MbClientSession;
 use crate::middlebox::Middlebox;
-use crate::server::MbServerSession;
+use crate::session::{Role, Session};
 use crate::MbError;
 
 /// A group of deferred signature checks from one sub-connection of
@@ -128,69 +127,44 @@ pub trait Relay {
     }
 }
 
-impl Endpoint for MbClientSession {
+/// Both mbTLS session types, through the core they share; what
+/// differs per end is behind [`Role`].
+impl<S: Session> Endpoint for S {
     fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.feed_incoming(data)
+        self.core_mut().feed_incoming(data)
     }
     fn take(&mut self) -> Vec<u8> {
-        self.take_outgoing()
+        self.core_mut().take_outgoing()
     }
     fn ready(&self) -> bool {
-        self.is_ready()
+        self.core().is_ready()
     }
     fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.send(data)
+        self.core_mut().send(data)
     }
     fn recv_app(&mut self) -> Vec<u8> {
-        self.recv()
+        self.core_mut().recv()
     }
     fn take_into(&mut self, dst: &mut Vec<u8>) {
-        self.drain_outgoing_into(dst)
+        self.core_mut().drain_outgoing_into(dst)
     }
     fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
-        self.recv_into(dst)
+        self.core_mut().recv_into(dst)
     }
     fn failed(&self) -> Option<MbError> {
-        self.error()
+        self.core().error()
     }
     fn resumption(&self) -> Option<mbtls_tls::session::ResumptionData> {
-        self.resumption_data()
+        S::Role::resumption(self.core())
     }
     fn resumed(&self) -> bool {
-        MbClientSession::resumed(self)
+        S::Role::resumed(self.core())
     }
     fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        MbClientSession::take_pending_verifies(self, out)
+        S::Role::take_pending_verifies(self.core_mut(), out)
     }
     fn resolve_verify(&mut self, token: u32, valid: bool) {
-        MbClientSession::resolve_verify(self, token, valid)
-    }
-}
-
-impl Endpoint for MbServerSession {
-    fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.feed_incoming(data)
-    }
-    fn take(&mut self) -> Vec<u8> {
-        self.take_outgoing()
-    }
-    fn ready(&self) -> bool {
-        self.is_ready()
-    }
-    fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.send(data)
-    }
-    fn recv_app(&mut self) -> Vec<u8> {
-        self.recv()
-    }
-    fn take_into(&mut self, dst: &mut Vec<u8>) {
-        self.drain_outgoing_into(dst)
-    }
-    fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
-        self.recv_into(dst)
-    }
-    fn failed(&self) -> Option<MbError> {
-        self.error()
+        S::Role::resolve_verify(self.core_mut(), token, valid)
     }
 }
 

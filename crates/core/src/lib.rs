@@ -55,6 +55,7 @@ pub mod driver;
 pub mod messages;
 pub mod middlebox;
 pub mod server;
+mod session;
 
 pub use client::{MbClientConfig, MbClientConfigBuilder, MbClientSession};
 pub use dataplane::HopKeys;

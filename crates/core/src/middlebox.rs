@@ -35,7 +35,7 @@ use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::ServerConnection;
 
-use crate::client::reframe;
+use crate::session::{reframe, wrap_records};
 use crate::dataplane::{FlowDirection, MiddleboxDataPlane};
 use crate::messages::{Encapsulated, KeyMaterial, SecondaryMessage};
 use crate::MbError;
@@ -542,7 +542,7 @@ impl Middlebox {
                             .map(|s| s.take_outgoing())
                             .unwrap_or_default();
                         let mut wrapped = Vec::new();
-                        crate::client::wrap_records(id, &flight, &mut wrapped);
+                        wrap_records(id, &flight, &mut wrapped);
                         self.out_left.extend(wrapped);
                         self.forward_left(ct, &body);
                         Ok(())
@@ -719,7 +719,7 @@ impl Middlebox {
             let bytes = sec.take_outgoing();
             if !bytes.is_empty() {
                 let mut wrapped = Vec::new();
-                crate::client::wrap_records(id, &bytes, &mut wrapped);
+                wrap_records(id, &bytes, &mut wrapped);
                 if client_side {
                     self.out_left.extend(wrapped);
                 } else {

@@ -8,20 +8,19 @@
 //! (~20% of a server handshake; paper §5.2). After all handshakes it
 //! distributes per-hop keys exactly like the client side.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mbtls_crypto::rng::CryptoRng;
-use mbtls_pki::{KeyUsage, TrustStore};
-use mbtls_telemetry::{EventKind, Party, SharedSink};
+use mbtls_pki::TrustStore;
+use mbtls_telemetry::{Party, SharedSink};
 use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy, ServerConfig};
-use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
-use mbtls_tls::session::SessionKeys;
+use mbtls_tls::record::ContentType;
 use mbtls_tls::{ClientConnection, ServerConnection, TlsError};
 
-use crate::client::{reframe, wrap_records, ApprovalPolicy, MiddleboxInfo};
-use crate::dataplane::{fresh_hop_keys, EndpointDataPlane};
-use crate::messages::{Encapsulated, KeyMaterial, SecondaryMessage};
+use crate::client::{ApprovalPolicy, MiddleboxInfo};
+use crate::dataplane::{EndpointDataPlane, HopKeys};
+use crate::messages::KeyMaterial;
+use crate::session::{Admission, Role, Session, SessionCore};
 use crate::MbError;
 
 /// mbTLS server configuration.
@@ -138,62 +137,117 @@ impl MbServerConfigBuilder {
     }
 }
 
-struct Secondary {
-    conn: ClientConnection,
-    verified_name: Option<String>,
-    approved: bool,
-    rejected: bool,
+/// The mbTLS server session: the shared [`SessionCore`] in the
+/// server role.
+pub struct MbServerSession(SessionCore<ServerRole>);
+
+/// What makes an endpoint the server end.
+pub(crate) struct ServerRole {
+    config: Arc<MbServerConfig>,
+    next_subchannel: u8,
 }
 
-/// The mbTLS server session.
-pub struct MbServerSession {
-    config: Arc<MbServerConfig>,
-    rng: CryptoRng,
+impl Role for ServerRole {
+    type Primary = ServerConnection;
+    const PARTY: Party = Party::Server;
 
-    primary: ServerConnection,
-    secondaries: BTreeMap<u8, Secondary>,
-    next_subchannel: u8,
-    reader: RecordReader,
-    out: Vec<u8>,
+    fn admission(&self) -> Admission<'_> {
+        Admission {
+            trust: &self.config.middlebox_trust,
+            delegation: &self.config.middlebox_delegation,
+            approval: &self.config.approval,
+            now: self.config.current_time,
+        }
+    }
 
-    keys_distributed: bool,
-    dataplane: Option<EndpointDataPlane>,
-    error: Option<MbError>,
+    /// A middlebox announced itself: start a secondary handshake with
+    /// the server in the TLS-client role.
+    fn claim_record(
+        core: &mut SessionCore<Self>,
+        content_type: Option<ContentType>,
+    ) -> Result<bool, MbError> {
+        let config = &core.role.config;
+        if content_type != Some(ContentType::MbtlsMiddleboxAnnouncement) || !config.mbtls_enabled {
+            return Ok(false);
+        }
+        if core.keys_distributed {
+            return Err(MbError::unexpected_state("announcement after key distribution"));
+        }
+        let id = core.role.next_subchannel;
+        let next = id.checked_add(1).ok_or(MbError::bad_hop("too many middleboxes"))?;
+        let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
+        sec_cfg.suites = config.tls.suites.clone();
+        sec_cfg.current_time = config.current_time;
+        sec_cfg.danger_disable_cert_verify = true;
+        sec_cfg.attestation_policy = config.middlebox_attestation.clone();
+        // Delegated mode: the TLS layer verifies the middlebox's
+        // endpoint-issued credential inline and keys the handshake
+        // off it (the middlebox presents no chain of its own).
+        sec_cfg.delegation_policy = config.middlebox_delegation.clone();
+        core.role.next_subchannel = next;
+        let conn = ClientConnection::new(Arc::new(sec_cfg), "", &mut core.rng);
+        core.open_secondary(id, conn);
+        // The secondary ClientHello travels toward the client wrapped
+        // in an Encapsulated record; the announcing middlebox claims
+        // it.
+        core.flush_secondary(id);
+        Ok(true)
+    }
 
-    telemetry: Option<SharedSink>,
+    fn unknown_subchannel(_core: &mut SessionCore<Self>, _id: u8) -> Result<(), MbError> {
+        Err(MbError::bad_hop("encapsulated record on unknown subchannel"))
+    }
+
+    /// Server outward: the middlebox at subchannel 1 is adjacent to
+    /// the server (it claimed the first Encapsulated ClientHello),
+    /// ascending IDs march toward the bridge.
+    fn order_path(ids: &mut [u8]) {
+        ids.sort_unstable();
+    }
+
+    fn key_material(near: &HopKeys, far: &HopKeys) -> KeyMaterial {
+        KeyMaterial {
+            toward_server_hop: near.clone(),
+            toward_client_hop: far.clone(),
+        }
+    }
+
+    fn data_plane(hop: &HopKeys) -> Result<EndpointDataPlane, TlsError> {
+        EndpointDataPlane::for_server(hop)
+    }
+
+    /// The primary connection receives nothing post-handshake, so its
+    /// take is a free swap at steady state.
+    fn primary_plaintext(core: &mut SessionCore<Self>) -> Vec<u8> {
+        core.primary.take_plaintext()
+    }
+}
+
+impl Session for MbServerSession {
+    type Role = ServerRole;
+    fn core(&self) -> &SessionCore<ServerRole> {
+        &self.0
+    }
+    fn core_mut(&mut self) -> &mut SessionCore<ServerRole> {
+        &mut self.0
+    }
 }
 
 impl MbServerSession {
     /// New session awaiting a ClientHello.
     pub fn new(config: Arc<MbServerConfig>, rng: CryptoRng) -> Self {
-        let primary = ServerConnection::new(Arc::new(clone_server_config(&config.tls)));
+        let primary = ServerConnection::new(Arc::new(config.tls.clone()));
         let telemetry = config.telemetry.clone();
-        MbServerSession {
+        let role = ServerRole {
             config,
-            rng,
-            primary,
-            secondaries: BTreeMap::new(),
             next_subchannel: 1,
-            reader: RecordReader::new(),
-            out: Vec::new(),
-            keys_distributed: false,
-            dataplane: None,
-            error: None,
-            telemetry,
-        }
-    }
-
-    fn emit(&self, kind: EventKind) {
-        if let Some(t) = &self.telemetry {
-            t.emit(Party::Server, kind);
-        }
+        };
+        MbServerSession(SessionCore::new(role, primary, rng, telemetry))
     }
 
     /// Wire bytes to send.
     pub fn take_outgoing(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.drain_outgoing_into(&mut out);
-        out
+        self.0.take_outgoing()
     }
 
     /// Append pending wire bytes to `dst`, keeping `dst`'s capacity —
@@ -201,420 +255,65 @@ impl MbServerSession {
     /// [`MbServerSession::take_outgoing`]: once the data plane is
     /// active and `dst` is warm, draining a record allocates nothing.
     pub fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
-        self.pump();
-        let start = dst.len();
-        // Primary-session records flush first (the paper's Fig. 3
-        // shows secondary flights following the primary ones within a
-        // flight), then mbTLS control records, then data-plane
-        // records. The primary produces nothing post-handshake, so
-        // its take is a free swap of empty vectors at steady state.
-        let primary = self.primary.take_outgoing();
-        dst.extend_from_slice(&primary);
-        dst.extend_from_slice(&self.out);
-        self.out.clear();
-        if let Some(dp) = &mut self.dataplane {
-            dp.drain_outgoing_into(dst);
-        }
-        let n = (dst.len() - start) as u64;
-        if n > 0 {
-            self.emit(EventKind::BytesOut { bytes: n });
-        }
+        self.0.drain_outgoing_into(dst)
     }
 
     /// Feed bytes from the wire.
     pub fn feed_incoming(&mut self, data: &[u8]) -> Result<(), MbError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        if !data.is_empty() {
-            self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
-        }
-        self.reader.feed(data);
-        // The reader moves aside so records borrowed from its buffer
-        // can be routed into the session's other fields.
-        let mut reader = std::mem::take(&mut self.reader);
-        let result = self.route_buffered(&mut reader);
-        self.reader = reader;
-        if let Err(e) = result {
-            self.error = Some(e.clone());
-            return Err(e);
-        }
-        self.pump();
-        Ok(())
-    }
-
-    /// Route every complete record `reader` holds. Post-handshake
-    /// data records are decrypted in place (zero-copy fast path);
-    /// control records are copied out once and take the slow path.
-    fn route_buffered(&mut self, reader: &mut RecordReader) -> Result<(), MbError> {
-        while let Some((ct_byte, _version, body)) = reader.next_record_inplace().map_err(MbError::Tls)? {
-            match ContentType::from_u8(ct_byte) {
-                Some(ContentType::ApplicationData | ContentType::Alert)
-                    if self.dataplane.is_some() =>
-                {
-                    let dp = self
-                        .dataplane
-                        .as_mut()
-                        .ok_or_else(|| MbError::unexpected_state("dataplane checked above"))?;
-                    dp.feed_record_in_place(ct_byte, body).map_err(MbError::Tls)?;
-                }
-                _ => self.route_record(ct_byte, body.to_vec())?,
-            }
-        }
-        Ok(())
-    }
-
-    fn route_record(&mut self, ct_byte: u8, body: Vec<u8>) -> Result<(), MbError> {
-        match ContentType::from_u8(ct_byte) {
-            Some(ContentType::MbtlsMiddleboxAnnouncement) if self.config.mbtls_enabled => {
-                self.handle_announcement()
-            }
-            Some(ContentType::MbtlsEncapsulated) => {
-                let enc = Encapsulated::decode(&body)?;
-                self.handle_encapsulated(enc)
-            }
-            Some(ContentType::ApplicationData | ContentType::Alert)
-                if self.dataplane.is_some() =>
-            {
-                let dp = self
-                    .dataplane
-                    .as_mut()
-                    .ok_or_else(|| MbError::unexpected_state("dataplane checked above"))?;
-                dp.feed(&reframe(ct_byte, &body)).map_err(MbError::Tls)
-            }
-            _ => {
-                self.primary
-                    .feed_incoming(&reframe(ct_byte, &body), &mut self.rng)
-                    .map_err(MbError::Tls)?;
-                let _ = self.primary.take_nonstandard_records();
-                Ok(())
-            }
-        }
-    }
-
-    /// A middlebox announced itself: start a secondary handshake with
-    /// the server in the TLS-client role.
-    fn handle_announcement(&mut self) -> Result<(), MbError> {
-        if self.keys_distributed {
-            return Err(MbError::unexpected_state("announcement after key distribution"));
-        }
-        let id = self.next_subchannel;
-        self.next_subchannel = self
-            .next_subchannel
-            .checked_add(1)
-            .ok_or(MbError::bad_hop("too many middleboxes"))?;
-        let mut sec_cfg = ClientConfig::new(self.config.middlebox_trust.clone());
-        sec_cfg.suites = self.config.tls.suites.clone();
-        sec_cfg.current_time = self.config.current_time;
-        sec_cfg.danger_disable_cert_verify = true;
-        sec_cfg.attestation_policy = self.config.middlebox_attestation.clone();
-        // Delegated mode: the TLS layer verifies the middlebox's
-        // endpoint-issued credential inline and keys the handshake
-        // off it (the middlebox presents no chain of its own).
-        sec_cfg.delegation_policy = self.config.middlebox_delegation.clone();
-        let mut conn = ClientConnection::new(Arc::new(sec_cfg), "", &mut self.rng);
-        // The secondary ClientHello travels toward the client wrapped
-        // in an Encapsulated record; the announcing middlebox claims
-        // it.
-        let bytes = conn.take_outgoing();
-        let mut wrapped = Vec::new();
-        wrap_records(id, &bytes, &mut wrapped);
-        self.out.extend(wrapped);
-        self.secondaries.insert(
-            id,
-            Secondary {
-                conn,
-                verified_name: None,
-                approved: false,
-                rejected: false,
-            },
-        );
-        self.emit(EventKind::MiddleboxAnnouncement { count: self.secondaries.len() as u64 });
-        self.emit(EventKind::SecondaryHandshakeStart { subchannel: id as u64 });
-        Ok(())
-    }
-
-    fn handle_encapsulated(&mut self, enc: Encapsulated) -> Result<(), MbError> {
-        let Some(sec) = self.secondaries.get_mut(&enc.subchannel) else {
-            return Err(MbError::bad_hop("encapsulated record on unknown subchannel"));
-        };
-        if sec.rejected {
-            return Ok(());
-        }
-        let id = enc.subchannel;
-        if let Err(e) = sec.conn.feed_incoming(&enc.record, &mut self.rng) {
-            sec.rejected = true;
-            if matches!(e, TlsError::Credential(_)) {
-                self.emit(EventKind::CredentialRejected { subchannel: id as u64 });
-            }
-        }
-        Ok(())
-    }
-
-    fn pump(&mut self) {
-        let mut wrapped = Vec::new();
-        for (&id, sec) in self.secondaries.iter_mut() {
-            let bytes = sec.conn.take_outgoing();
-            if !bytes.is_empty() {
-                wrap_records(id, &bytes, &mut wrapped);
-            }
-        }
-        self.out.extend(wrapped);
-
-        let mut to_reject = Vec::new();
-        let ids: Vec<u8> = self.secondaries.keys().copied().collect();
-        for id in ids {
-            let (established, already) = {
-                let sec = &self.secondaries[&id];
-                (sec.conn.is_established(), sec.verified_name.is_some() || sec.rejected)
-            };
-            if established && !already {
-                match self.verify_and_approve(id) {
-                    Ok(name) => {
-                        if let Some(sec) = self.secondaries.get_mut(&id) {
-                            sec.verified_name = Some(name);
-                            sec.approved = true;
-                        }
-                        self.emit(EventKind::SecondaryHandshakeFinish {
-                            subchannel: id as u64,
-                        });
-                    }
-                    Err(_) => to_reject.push(id),
-                }
-            }
-        }
-        for id in to_reject {
-            self.reject(id);
-        }
-
-        if !self.keys_distributed && self.primary.is_established() {
-            let all_done = self
-                .secondaries
-                .values()
-                .all(|s| s.rejected || (s.conn.is_established() && s.approved));
-            if all_done {
-                if let Err(e) = self.distribute_keys() {
-                    self.error = Some(e);
-                }
-            }
-        }
-    }
-
-    fn verify_and_approve(&mut self, id: u8) -> Result<String, MbError> {
-        let sec = &self.secondaries[&id];
-        if self.config.middlebox_delegation.is_some() {
-            // Delegated mode: an established connection implies the
-            // TLS layer accepted the credential (window, session
-            // binding, issuer chain, signature); only the approval
-            // policy remains, over the credential subject.
-            let cred = sec.conn.peer_credential().ok_or_else(|| {
-                MbError::unexpected_state("delegated middlebox presented no credential")
-            })?;
-            let subject = cred.subject.clone();
-            let approved = match &self.config.approval {
-                ApprovalPolicy::AllVerified => true,
-                ApprovalPolicy::AllowList(names) => names.iter().any(|n| n == &subject),
-                ApprovalPolicy::DenyAll => false,
-            };
-            return if approved {
-                self.emit(EventKind::CredentialVerified { subchannel: id as u64, checks: 0 });
-                Ok(subject)
-            } else {
-                self.emit(EventKind::CredentialRejected { subchannel: id as u64 });
-                Err(MbError::MiddleboxRejected(subject))
-            };
-        }
-        let chain = sec.conn.peer_certificates().to_vec();
-        if chain.is_empty() {
-            return Err(MbError::unexpected_state("middlebox sent no certificate"));
-        }
-        let subject = chain[0].payload.subject.clone();
-        self.config
-            .middlebox_trust
-            .verify_chain(
-                &chain,
-                &subject,
-                self.config.current_time,
-                Some(KeyUsage::Middlebox),
-            )
-            .map_err(|e| MbError::Tls(TlsError::Certificate(e)))?;
-        let approved = match &self.config.approval {
-            ApprovalPolicy::AllVerified => true,
-            ApprovalPolicy::AllowList(names) => names.iter().any(|n| n == &subject),
-            ApprovalPolicy::DenyAll => false,
-        };
-        if approved {
-            Ok(subject)
-        } else {
-            Err(MbError::MiddleboxRejected(subject))
-        }
-    }
-
-    fn reject(&mut self, id: u8) {
-        let alert = mbtls_tls::alert::Alert::fatal(
-            mbtls_tls::alert::AlertDescription::HandshakeFailure,
-        );
-        let alert_record = frame_plaintext(ContentType::Alert, &alert.encode());
-        let enc = Encapsulated {
-            subchannel: id,
-            record: alert_record,
-        };
-        self.out.extend(frame_plaintext(
-            ContentType::MbtlsEncapsulated,
-            &enc.encode(),
-        ));
-        if let Some(sec) = self.secondaries.get_mut(&id) {
-            sec.rejected = true;
-            sec.approved = false;
-        }
-    }
-
-    /// Distribute per-hop keys: middlebox at subchannel 1 is adjacent
-    /// to the server (it claimed the first Encapsulated ClientHello),
-    /// ascending IDs march toward the bridge.
-    fn distribute_keys(&mut self) -> Result<(), MbError> {
-        let suite = self
-            .primary
-            .secrets()
-            .map(|s| s.suite)
-            .ok_or(MbError::NotReady)?;
-        let bridge = self
-            .primary
-            .export_session_keys()
-            .ok_or(MbError::NotReady)?;
-
-        let mut order: Vec<u8> = self
-            .secondaries
-            .iter()
-            .filter(|(_, s)| s.approved)
-            .map(|(&id, _)| id)
-            .collect();
-        order.sort_unstable(); // ascending: nearest server first
-
-        // Hops: server↔m_1 = H_1, m_1↔m_2 = H_2, ..., m_k↔bridge.
-        let mut hops: Vec<SessionKeys> = Vec::with_capacity(order.len() + 1);
-        for _ in 0..order.len() {
-            hops.push(fresh_hop_keys(suite, &mut self.rng));
-        }
-        hops.push(bridge);
-
-        for (i, &id) in order.iter().enumerate() {
-            let km = KeyMaterial {
-                toward_server_hop: hops[i].clone(),
-                toward_client_hop: hops[i + 1].clone(),
-            };
-            let msg = SecondaryMessage::Keys(km).encode();
-            let sec = self
-                .secondaries
-                .get_mut(&id)
-                .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
-            sec.conn.send_data(&msg).map_err(MbError::Tls)?;
-            let bytes = sec.conn.take_outgoing();
-            let mut wrapped = Vec::new();
-            wrap_records(id, &bytes, &mut wrapped);
-            self.out.extend(wrapped);
-            self.emit(EventKind::KeyDelivery { subchannel: id as u64 });
-        }
-
-        let mut dp = EndpointDataPlane::for_server(&hops[0]).map_err(MbError::Tls)?;
-        if let Some(t) = &self.telemetry {
-            dp.set_telemetry(t.clone(), Party::Server);
-        }
-        self.dataplane = Some(dp);
-        self.keys_distributed = true;
-        self.emit(EventKind::HandshakeComplete);
-        Ok(())
+        self.0.feed_incoming(data)
     }
 
     /// True once application data can flow.
     pub fn is_ready(&self) -> bool {
-        self.keys_distributed && self.dataplane.is_some()
+        self.0.is_ready()
     }
 
     /// True if the session failed.
     pub fn is_failed(&self) -> bool {
-        self.error.is_some() || self.primary.is_failed()
+        self.0.is_failed()
     }
 
     /// The failure, if any.
     pub fn error(&self) -> Option<MbError> {
-        self.error
-            .clone()
-            .or_else(|| self.primary.error().cloned().map(MbError::Tls))
+        self.0.error()
     }
 
     /// Did the primary handshake resume?
     pub fn resumed(&self) -> bool {
-        self.primary.resumed()
+        self.0.primary.resumed()
     }
 
     /// Queue application data.
     pub fn send(&mut self, data: &[u8]) -> Result<(), MbError> {
-        let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
-        dp.send(data).map_err(MbError::Tls)
+        self.0.send(data)
     }
 
     /// Gracefully close the session (send close_notify under the
     /// adjacent hop's keys; middleboxes re-encrypt it hop by hop).
     pub fn close(&mut self) -> Result<(), MbError> {
-        let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
-        dp.send_close().map_err(MbError::Tls)
+        self.0.close()
     }
 
     /// True once the peer's close_notify arrived.
     pub fn peer_closed(&self) -> bool {
-        self.dataplane.as_ref().is_some_and(|dp| dp.peer_closed())
+        self.0.peer_closed()
     }
 
     /// Received application data (including any that arrived on the
     /// primary connection before the data plane activated).
     pub fn recv(&mut self) -> Vec<u8> {
-        let mut out = self.primary.take_plaintext();
-        if let Some(dp) = &mut self.dataplane {
-            out.extend(dp.take_plaintext());
-        }
-        out
+        self.0.recv()
     }
 
     /// Append received application data to `dst`, keeping `dst`'s
     /// capacity (the steady-state alternative to
-    /// [`MbServerSession::recv`]). The primary connection receives
-    /// nothing post-handshake, so its take is a free swap at steady
-    /// state.
+    /// [`MbServerSession::recv`]).
     pub fn recv_into(&mut self, dst: &mut Vec<u8>) {
-        let primary = self.primary.take_plaintext();
-        dst.extend_from_slice(&primary);
-        if let Some(dp) = &mut self.dataplane {
-            dp.drain_plaintext_into(dst);
-        }
+        self.0.recv_into(dst)
     }
 
     /// Joined middleboxes.
     pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
-        self.secondaries
-            .iter()
-            .map(|(&id, s)| MiddleboxInfo {
-                subchannel: id,
-                name: s.verified_name.clone(),
-                approved: s.approved,
-            })
-            .collect()
-    }
-}
-
-/// ServerConfig is not Clone; copy the fields.
-fn clone_server_config(c: &ServerConfig) -> ServerConfig {
-    ServerConfig {
-        certified_key: c.certified_key.clone(),
-        suites: c.suites.clone(),
-        ticket_key: c.ticket_key,
-        issue_tickets: c.issue_tickets,
-        attestor: c.attestor.clone(),
-        always_attest: c.always_attest,
-        credential_provider: c.credential_provider.clone(),
-        always_delegate: c.always_delegate,
-        session_cache: c.session_cache.clone(),
-        assign_session_ids: c.assign_session_ids,
-        strict_unknown_records: c.strict_unknown_records,
+        self.0.middleboxes()
     }
 }

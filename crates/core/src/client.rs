@@ -21,7 +21,7 @@ use mbtls_tls::{ClientConnection, TlsError};
 use crate::dataplane::{EndpointDataPlane, HopKeys};
 use crate::driver::PendingVerify;
 use crate::messages::{KeyMaterial, MiddleboxSupport};
-use crate::session::{Admission, Role, Session, SessionCore};
+use crate::session::{Admission, MbSession, Role};
 use crate::MbError;
 
 /// How the client decides whether a (verified) middlebox may join.
@@ -210,12 +210,11 @@ pub struct MiddleboxInfo {
     pub approved: bool,
 }
 
-/// The mbTLS client session: the shared [`SessionCore`] in the
-/// client role.
-pub struct MbClientSession(SessionCore<ClientRole>);
+/// The mbTLS client session: [`MbSession`] in the client role.
+pub type MbClientSession = MbSession<ClientRole>;
 
-/// What makes an endpoint the client end.
-pub(crate) struct ClientRole {
+/// What makes an [`MbSession`] the client end.
+pub struct ClientRole {
     config: Arc<MbClientConfig>,
     hello_reported: bool,
     /// Deferred signature-check groups awaiting pickup by the driver
@@ -227,22 +226,13 @@ impl Role for ClientRole {
     type Primary = ClientConnection;
     const PARTY: Party = Party::Client;
 
-    fn admission(&self) -> Admission<'_> {
-        Admission {
-            trust: &self.config.middlebox_trust,
-            delegation: &self.config.middlebox_delegation,
-            approval: &self.config.approval,
-            now: self.config.tls.current_time,
-        }
-    }
-
     /// A middlebox announcing itself: its secondary ServerHello
     /// responds to our (shared) primary ClientHello.
-    fn unknown_subchannel(core: &mut SessionCore<Self>, id: u8) -> Result<(), MbError> {
-        if core.keys_distributed {
+    fn unknown_subchannel(session: &mut MbSession<Self>, id: u8) -> Result<(), MbError> {
+        if session.keys_distributed {
             return Err(MbError::unexpected_state("middlebox announced after key distribution"));
         }
-        let config = &core.role.config;
+        let config = &session.role.config;
         let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
         sec_cfg.suites = config.tls.suites.clone();
         sec_cfg.current_time = config.tls.current_time;
@@ -263,26 +253,26 @@ impl Role for ClientRole {
         let conn = ClientConnection::with_reused_hello(
             Arc::new(sec_cfg),
             "",
-            core.primary.hello().clone(),
+            session.primary.hello().clone(),
         );
-        core.open_secondary(id, conn);
+        session.open_secondary(id, conn);
         Ok(())
     }
 
-    fn surface_deferred(core: &mut SessionCore<Self>) {
+    fn surface_deferred(session: &mut MbSession<Self>) {
         // Surface the primary connection's deferred checks.
-        if let Some(checks) = core.primary.take_pending_verify() {
-            core.role.pending_verifies.push(PendingVerify { token: 0, checks });
+        if let Some(checks) = session.primary.take_pending_verify() {
+            session.role.pending_verifies.push(PendingVerify { token: 0, checks });
         }
         // Surface deferred checks raised *inside* secondary
         // connections (delegated-credential mode under
         // `defer_verify`): the connection withholds `is_established`
         // until the driver resolves them, so these must reach the
         // same batch seam as the primary's.
-        for (&id, sec) in core.secondaries.iter_mut() {
+        for (&id, sec) in session.secondaries.iter_mut() {
             if let Some(checks) = sec.conn.take_pending_verify() {
                 sec.deferred_checks = checks.len() as u64;
-                core.role
+                session.role
                     .pending_verifies
                     .push(PendingVerify { token: 1 + u32::from(id), checks });
             }
@@ -292,14 +282,14 @@ impl Role for ClientRole {
     /// Verify inline (the default), or under `defer_verify` park the
     /// checks for the driver to batch.
     fn discharge(
-        core: &mut SessionCore<Self>,
+        session: &mut MbSession<Self>,
         id: u8,
         checks: Vec<SignatureCheck>,
     ) -> Option<bool> {
-        if !core.role.config.tls.defer_verify || checks.is_empty() {
+        if !session.role.config.tls.defer_verify || checks.is_empty() {
             return Some(checks.iter().all(|c| c.check()));
         }
-        core.role
+        session.role
             .pending_verifies
             .push(PendingVerify { token: 1 + u32::from(id), checks });
         None
@@ -334,69 +324,59 @@ impl Role for ClientRole {
         EndpointDataPlane::for_client(hop)
     }
 
-    fn flushed(core: &mut SessionCore<Self>, bytes: u64) {
-        if !core.role.hello_reported {
-            core.role.hello_reported = true;
-            core.emit(EventKind::ClientHelloSent { bytes });
+    fn flushed(session: &mut MbSession<Self>, bytes: u64) {
+        if !session.role.hello_reported {
+            session.role.hello_reported = true;
+            session.emit(EventKind::ClientHelloSent { bytes });
         }
     }
 
-    fn resumption(core: &SessionCore<Self>) -> Option<ResumptionData> {
-        core.primary.resumption_data()
+    fn resumption(session: &MbSession<Self>) -> Option<ResumptionData> {
+        session.primary.resumption_data()
     }
 
-    fn resumed(core: &SessionCore<Self>) -> bool {
-        core.primary.resumed()
+    fn resumed(session: &MbSession<Self>) -> bool {
+        session.primary.resumed()
     }
 
-    fn take_pending_verifies(core: &mut SessionCore<Self>, out: &mut Vec<PendingVerify>) {
-        out.append(&mut core.role.pending_verifies);
+    fn take_pending_verifies(session: &mut MbSession<Self>, out: &mut Vec<PendingVerify>) {
+        out.append(&mut session.role.pending_verifies);
     }
 
-    fn resolve_verify(core: &mut SessionCore<Self>, token: u32, valid: bool) {
+    fn resolve_verify(session: &mut MbSession<Self>, token: u32, valid: bool) {
         if token == 0 {
-            core.primary.resolve_verify(valid);
+            session.primary.resolve_verify(valid);
         } else {
             let id = (token - 1) as u8;
-            let subject = core
+            let subject = session
                 .secondaries
                 .get_mut(&id)
                 .and_then(|sec| sec.pending_subject.take());
             match (subject, valid) {
-                (Some(name), true) => core.approve(id, name),
-                (Some(_), false) => core.reject(id),
+                (Some(name), true) => session.approve(id, name),
+                (Some(_), false) => session.reject(id),
                 (None, valid) => {
                     // No screening subject outstanding: the deferred
                     // group came from inside the secondary connection
                     // itself (delegated-credential checks under
                     // `defer_verify`) — forward the verdict there.
-                    if let Some(sec) = core.secondaries.get_mut(&id) {
+                    if let Some(sec) = session.secondaries.get_mut(&id) {
                         sec.conn.resolve_verify(valid);
                         if !valid {
-                            core.emit(EventKind::CredentialRejected {
+                            session.emit(EventKind::CredentialRejected {
                                 subchannel: id as u64,
                             });
-                            core.reject(id);
+                            session.reject(id);
                         }
                     }
                 }
             }
         }
-        core.pump();
+        session.pump();
     }
 }
 
-impl Session for MbClientSession {
-    type Role = ClientRole;
-    fn core(&self) -> &SessionCore<ClientRole> {
-        &self.0
-    }
-    fn core_mut(&mut self) -> &mut SessionCore<ClientRole> {
-        &mut self.0
-    }
-}
-
-impl MbClientSession {
+impl MbSession<ClientRole> {
     /// Open a session toward `server_name`. The ClientHello (with the
     /// MiddleboxSupport extension) is queued immediately.
     pub fn new(config: Arc<MbClientConfig>, server_name: &str, mut rng: CryptoRng) -> Self {
@@ -413,106 +393,41 @@ impl MbClientSession {
         }
         let primary = ClientConnection::new(Arc::new(tls_config), server_name, &mut rng);
         let telemetry = config.telemetry.clone();
+        let admission = Admission {
+            trust: config.middlebox_trust.clone(),
+            delegated: config.middlebox_delegation.is_some(),
+            approval: config.approval.clone(),
+            now: config.tls.current_time,
+        };
         let role = ClientRole {
             config,
             hello_reported: false,
             pending_verifies: Vec::new(),
         };
-        MbClientSession(SessionCore::new(role, primary, rng, telemetry))
-    }
-
-    /// Wire bytes to send.
-    pub fn take_outgoing(&mut self) -> Vec<u8> {
-        self.0.take_outgoing()
-    }
-
-    /// Append pending wire bytes to `dst`, keeping `dst`'s capacity —
-    /// the steady-state alternative to
-    /// [`MbClientSession::take_outgoing`]: once the data plane is
-    /// active and `dst` is warm, draining a record allocates nothing.
-    pub fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
-        self.0.drain_outgoing_into(dst)
-    }
-
-    /// Feed bytes from the wire.
-    pub fn feed_incoming(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.0.feed_incoming(data)
+        MbSession::around(role, primary, rng, admission, telemetry)
     }
 
     /// Drain deferred signature-check groups (token 0 = primary, 1 +
     /// subchannel id = middlebox approval); the caller must deliver
     /// each verdict through [`MbClientSession::resolve_verify`].
     pub fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        ClientRole::take_pending_verifies(&mut self.0, out)
+        ClientRole::take_pending_verifies(self, out)
     }
 
     /// Deliver the verdict for a deferred group. A failed primary
     /// verdict fails the session; a failed middlebox verdict demotes
     /// that middlebox to a relay (same as an inline chain failure).
     pub fn resolve_verify(&mut self, token: u32, valid: bool) {
-        ClientRole::resolve_verify(&mut self.0, token, valid)
-    }
-
-    /// True once application data can flow.
-    pub fn is_ready(&self) -> bool {
-        self.0.is_ready()
-    }
-
-    /// True if the session failed.
-    pub fn is_failed(&self) -> bool {
-        self.0.is_failed()
-    }
-
-    /// The failure, if any.
-    pub fn error(&self) -> Option<MbError> {
-        self.0.error()
-    }
-
-    /// Did the primary handshake resume a cached session?
-    pub fn resumed(&self) -> bool {
-        self.0.primary.resumed()
+        ClientRole::resolve_verify(self, token, valid)
     }
 
     /// Resumption data for the server (cache under the server name).
     pub fn resumption_data(&self) -> Option<ResumptionData> {
-        self.0.primary.resumption_data()
-    }
-
-    /// Queue application data.
-    pub fn send(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.0.send(data)
-    }
-
-    /// Gracefully close the session (send close_notify under the
-    /// adjacent hop's keys; middleboxes re-encrypt it hop by hop).
-    pub fn close(&mut self) -> Result<(), MbError> {
-        self.0.close()
-    }
-
-    /// True once the peer's close_notify arrived.
-    pub fn peer_closed(&self) -> bool {
-        self.0.peer_closed()
-    }
-
-    /// Received application data.
-    pub fn recv(&mut self) -> Vec<u8> {
-        self.0.recv()
-    }
-
-    /// Append received application data to `dst`, keeping `dst`'s
-    /// capacity (the steady-state alternative to
-    /// [`MbClientSession::recv`]).
-    pub fn recv_into(&mut self, dst: &mut Vec<u8>) {
-        self.0.recv_into(dst)
-    }
-
-    /// Joined middleboxes.
-    pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
-        self.0.middleboxes()
+        self.primary.resumption_data()
     }
 
     /// The primary connection's negotiated suite (once known).
     pub fn suite(&self) -> Option<CipherSuite> {
-        self.0.primary.secrets().map(|s| s.suite)
+        self.primary.secrets().map(|s| s.suite)
     }
 }

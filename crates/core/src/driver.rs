@@ -16,7 +16,7 @@ use mbtls_telemetry::{Event, EventKind, Party, SharedSink};
 use mbtls_tls::{ClientConnection, ServerConnection};
 
 use crate::middlebox::Middlebox;
-use crate::session::{Role, Session};
+use crate::session::{MbSession, Role};
 use crate::MbError;
 
 /// A group of deferred signature checks from one sub-connection of
@@ -127,44 +127,43 @@ pub trait Relay {
     }
 }
 
-/// Both mbTLS session types, through the core they share; what
-/// differs per end is behind [`Role`].
-impl<S: Session> Endpoint for S {
+/// Both mbTLS session types; what differs per end is behind [`Role`].
+impl<R: Role> Endpoint for MbSession<R> {
     fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.core_mut().feed_incoming(data)
+        self.feed_incoming(data)
     }
     fn take(&mut self) -> Vec<u8> {
-        self.core_mut().take_outgoing()
+        self.take_outgoing()
     }
     fn ready(&self) -> bool {
-        self.core().is_ready()
+        self.is_ready()
     }
     fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.core_mut().send(data)
+        self.send(data)
     }
     fn recv_app(&mut self) -> Vec<u8> {
-        self.core_mut().recv()
+        self.recv()
     }
     fn take_into(&mut self, dst: &mut Vec<u8>) {
-        self.core_mut().drain_outgoing_into(dst)
+        self.drain_outgoing_into(dst)
     }
     fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
-        self.core_mut().recv_into(dst)
+        self.recv_into(dst)
     }
     fn failed(&self) -> Option<MbError> {
-        self.core().error()
+        self.error()
     }
     fn resumption(&self) -> Option<mbtls_tls::session::ResumptionData> {
-        S::Role::resumption(self.core())
+        R::resumption(self)
     }
     fn resumed(&self) -> bool {
-        S::Role::resumed(self.core())
+        R::resumed(self)
     }
     fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        S::Role::take_pending_verifies(self.core_mut(), out)
+        R::take_pending_verifies(self, out)
     }
     fn resolve_verify(&mut self, token: u32, valid: bool) {
-        S::Role::resolve_verify(self.core_mut(), token, valid)
+        R::resolve_verify(self, token, valid)
     }
 }
 

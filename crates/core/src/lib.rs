@@ -55,7 +55,7 @@ pub mod driver;
 pub mod messages;
 pub mod middlebox;
 pub mod server;
-mod session;
+pub mod session;
 
 pub use client::{MbClientConfig, MbClientConfigBuilder, MbClientSession};
 pub use dataplane::HopKeys;

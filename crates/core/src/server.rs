@@ -17,10 +17,10 @@ use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy, Serve
 use mbtls_tls::record::ContentType;
 use mbtls_tls::{ClientConnection, ServerConnection, TlsError};
 
-use crate::client::{ApprovalPolicy, MiddleboxInfo};
+use crate::client::ApprovalPolicy;
 use crate::dataplane::{EndpointDataPlane, HopKeys};
 use crate::messages::KeyMaterial;
-use crate::session::{Admission, Role, Session, SessionCore};
+use crate::session::{Admission, MbSession, Role};
 use crate::MbError;
 
 /// mbTLS server configuration.
@@ -137,12 +137,11 @@ impl MbServerConfigBuilder {
     }
 }
 
-/// The mbTLS server session: the shared [`SessionCore`] in the
-/// server role.
-pub struct MbServerSession(SessionCore<ServerRole>);
+/// The mbTLS server session: [`MbSession`] in the server role.
+pub type MbServerSession = MbSession<ServerRole>;
 
-/// What makes an endpoint the server end.
-pub(crate) struct ServerRole {
+/// What makes an [`MbSession`] the server end.
+pub struct ServerRole {
     config: Arc<MbServerConfig>,
     next_subchannel: u8,
 }
@@ -151,29 +150,20 @@ impl Role for ServerRole {
     type Primary = ServerConnection;
     const PARTY: Party = Party::Server;
 
-    fn admission(&self) -> Admission<'_> {
-        Admission {
-            trust: &self.config.middlebox_trust,
-            delegation: &self.config.middlebox_delegation,
-            approval: &self.config.approval,
-            now: self.config.current_time,
-        }
-    }
-
     /// A middlebox announced itself: start a secondary handshake with
     /// the server in the TLS-client role.
     fn claim_record(
-        core: &mut SessionCore<Self>,
+        session: &mut MbSession<Self>,
         content_type: Option<ContentType>,
     ) -> Result<bool, MbError> {
-        let config = &core.role.config;
+        let config = &session.role.config;
         if content_type != Some(ContentType::MbtlsMiddleboxAnnouncement) || !config.mbtls_enabled {
             return Ok(false);
         }
-        if core.keys_distributed {
+        if session.keys_distributed {
             return Err(MbError::unexpected_state("announcement after key distribution"));
         }
-        let id = core.role.next_subchannel;
+        let id = session.role.next_subchannel;
         let next = id.checked_add(1).ok_or(MbError::bad_hop("too many middleboxes"))?;
         let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
         sec_cfg.suites = config.tls.suites.clone();
@@ -184,17 +174,17 @@ impl Role for ServerRole {
         // endpoint-issued credential inline and keys the handshake
         // off it (the middlebox presents no chain of its own).
         sec_cfg.delegation_policy = config.middlebox_delegation.clone();
-        core.role.next_subchannel = next;
-        let conn = ClientConnection::new(Arc::new(sec_cfg), "", &mut core.rng);
-        core.open_secondary(id, conn);
+        session.role.next_subchannel = next;
+        let conn = ClientConnection::new(Arc::new(sec_cfg), "", &mut session.rng);
+        session.open_secondary(id, conn);
         // The secondary ClientHello travels toward the client wrapped
         // in an Encapsulated record; the announcing middlebox claims
         // it.
-        core.flush_secondary(id);
+        session.flush_secondary(id);
         Ok(true)
     }
 
-    fn unknown_subchannel(_core: &mut SessionCore<Self>, _id: u8) -> Result<(), MbError> {
+    fn unknown_subchannel(_: &mut MbSession<Self>, _id: u8) -> Result<(), MbError> {
         Err(MbError::bad_hop("encapsulated record on unknown subchannel"))
     }
 
@@ -218,102 +208,26 @@ impl Role for ServerRole {
 
     /// The primary connection receives nothing post-handshake, so its
     /// take is a free swap at steady state.
-    fn primary_plaintext(core: &mut SessionCore<Self>) -> Vec<u8> {
-        core.primary.take_plaintext()
+    fn primary_plaintext(session: &mut MbSession<Self>) -> Vec<u8> {
+        session.primary.take_plaintext()
     }
 }
 
-impl Session for MbServerSession {
-    type Role = ServerRole;
-    fn core(&self) -> &SessionCore<ServerRole> {
-        &self.0
-    }
-    fn core_mut(&mut self) -> &mut SessionCore<ServerRole> {
-        &mut self.0
-    }
-}
-
-impl MbServerSession {
+impl MbSession<ServerRole> {
     /// New session awaiting a ClientHello.
     pub fn new(config: Arc<MbServerConfig>, rng: CryptoRng) -> Self {
         let primary = ServerConnection::new(Arc::new(config.tls.clone()));
         let telemetry = config.telemetry.clone();
+        let admission = Admission {
+            trust: config.middlebox_trust.clone(),
+            delegated: config.middlebox_delegation.is_some(),
+            approval: config.approval.clone(),
+            now: config.current_time,
+        };
         let role = ServerRole {
             config,
             next_subchannel: 1,
         };
-        MbServerSession(SessionCore::new(role, primary, rng, telemetry))
-    }
-
-    /// Wire bytes to send.
-    pub fn take_outgoing(&mut self) -> Vec<u8> {
-        self.0.take_outgoing()
-    }
-
-    /// Append pending wire bytes to `dst`, keeping `dst`'s capacity —
-    /// the steady-state alternative to
-    /// [`MbServerSession::take_outgoing`]: once the data plane is
-    /// active and `dst` is warm, draining a record allocates nothing.
-    pub fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
-        self.0.drain_outgoing_into(dst)
-    }
-
-    /// Feed bytes from the wire.
-    pub fn feed_incoming(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.0.feed_incoming(data)
-    }
-
-    /// True once application data can flow.
-    pub fn is_ready(&self) -> bool {
-        self.0.is_ready()
-    }
-
-    /// True if the session failed.
-    pub fn is_failed(&self) -> bool {
-        self.0.is_failed()
-    }
-
-    /// The failure, if any.
-    pub fn error(&self) -> Option<MbError> {
-        self.0.error()
-    }
-
-    /// Did the primary handshake resume?
-    pub fn resumed(&self) -> bool {
-        self.0.primary.resumed()
-    }
-
-    /// Queue application data.
-    pub fn send(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.0.send(data)
-    }
-
-    /// Gracefully close the session (send close_notify under the
-    /// adjacent hop's keys; middleboxes re-encrypt it hop by hop).
-    pub fn close(&mut self) -> Result<(), MbError> {
-        self.0.close()
-    }
-
-    /// True once the peer's close_notify arrived.
-    pub fn peer_closed(&self) -> bool {
-        self.0.peer_closed()
-    }
-
-    /// Received application data (including any that arrived on the
-    /// primary connection before the data plane activated).
-    pub fn recv(&mut self) -> Vec<u8> {
-        self.0.recv()
-    }
-
-    /// Append received application data to `dst`, keeping `dst`'s
-    /// capacity (the steady-state alternative to
-    /// [`MbServerSession::recv`]).
-    pub fn recv_into(&mut self, dst: &mut Vec<u8>) {
-        self.0.recv_into(dst)
-    }
-
-    /// Joined middleboxes.
-    pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
-        self.0.middleboxes()
+        MbSession::around(role, primary, rng, admission, telemetry)
     }
 }

@@ -1,28 +1,30 @@
-//! The endpoint session core shared by the mbTLS client and server.
+//! The mbTLS endpoint session, written once for both ends.
 //!
 //! mbTLS is symmetric by construction (paper §3.4, Figures 3-4): each
 //! endpoint runs one primary handshake, one secondary handshake per
 //! middlebox on its own side — always in the TLS *client* role — and
-//! then hands per-hop keys to that side. [`SessionCore`] is that
-//! endpoint, once: it owns the primary connection, the secondary
-//! sessions, the record router, approval, rejection, key distribution
-//! and the data plane. What differs between the two ends is spelled
-//! out by [`Role`] and nothing else; the core never asks which end it
-//! is.
+//! then hands per-hop keys to that side. [`MbSession`] is that
+//! endpoint: it owns the primary connection, the secondary sessions,
+//! the record router, approval, rejection, key distribution and the
+//! data plane. What differs between the two ends is spelled out by
+//! [`Role`] and nothing else; the shared code never asks which end it
+//! is. [`crate::client::MbClientSession`] and
+//! [`crate::server::MbServerSession`] are `MbSession` in its two
+//! roles.
 //!
-//! The core is generic over the role (which names the primary
+//! The session is generic over the role (which names the primary
 //! connection type), so every call on the path from
-//! [`SessionCore::feed_incoming`] to the data plane's in-place open is
+//! [`MbSession::feed_incoming`] to the data plane's in-place open is
 //! statically dispatched and inlines exactly as the two hand-written
 //! copies did.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::alert::{Alert, AlertDescription};
-use mbtls_tls::config::DelegationPolicy;
 use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
 use mbtls_tls::session::{ConnectionSecrets, ResumptionData, SessionKeys};
 use mbtls_tls::{ClientConnection, ServerConnection, TlsError};
@@ -45,6 +47,8 @@ pub(crate) trait Primary {
     fn is_established(&self) -> bool;
     /// The error that failed the connection, if any.
     fn error(&self) -> Option<&TlsError>;
+    /// Was the handshake abbreviated?
+    fn resumed(&self) -> bool;
     /// The negotiated secrets.
     fn secrets(&self) -> Option<&ConnectionSecrets>;
     /// The bridge-hop keys and current sequence numbers.
@@ -66,6 +70,9 @@ impl Primary for ClientConnection {
     }
     fn error(&self) -> Option<&TlsError> {
         ClientConnection::error(self)
+    }
+    fn resumed(&self) -> bool {
+        ClientConnection::resumed(self)
     }
     fn secrets(&self) -> Option<&ConnectionSecrets> {
         ClientConnection::secrets(self)
@@ -91,6 +98,9 @@ impl Primary for ServerConnection {
     fn error(&self) -> Option<&TlsError> {
         ServerConnection::error(self)
     }
+    fn resumed(&self) -> bool {
+        ServerConnection::resumed(self)
+    }
     fn secrets(&self) -> Option<&ConnectionSecrets> {
         ServerConnection::secrets(self)
     }
@@ -99,16 +109,15 @@ impl Primary for ServerConnection {
     }
 }
 
-/// How an endpoint verifies and approves its middleboxes, borrowed
-/// from the role's configuration.
-pub(crate) struct Admission<'a> {
+/// How an endpoint verifies and approves its middleboxes.
+pub(crate) struct Admission {
     /// Trust roots for middlebox certificates.
-    pub(crate) trust: &'a TrustStore,
-    /// Set in delegated mode: the TLS layer has then already verified
-    /// the credential, and only the approval policy remains.
-    pub(crate) delegation: &'a Option<DelegationPolicy>,
+    pub(crate) trust: Arc<TrustStore>,
+    /// Delegated mode: the TLS layer verifies the middlebox's
+    /// credential itself, and only the approval policy remains.
+    pub(crate) delegated: bool,
     /// Approval policy applied after verification.
-    pub(crate) approval: &'a ApprovalPolicy,
+    pub(crate) approval: ApprovalPolicy,
     /// "Current time" for middlebox certificate validation.
     pub(crate) now: u64,
 }
@@ -124,45 +133,35 @@ impl ApprovalPolicy {
 }
 
 /// Everything that differs between the client and the server end of
-/// an mbTLS session. Hooks take the whole core; the role's own state
-/// is `core.role`.
+/// an mbTLS session. Hooks take the whole session; the role's own
+/// state is `session.role`.
 pub(crate) trait Role: Sized {
     /// The TLS connection type of the primary session.
     type Primary: Primary;
     /// The party this end reports telemetry as.
     const PARTY: Party;
 
-    /// How this end verifies and approves middleboxes.
-    fn admission(&self) -> Admission<'_>;
-
     /// A record arrived that is neither Encapsulated nor data-plane
     /// traffic. Returns true if the role consumed it; otherwise it
     /// belongs to the primary connection.
-    fn claim_record(
-        _core: &mut SessionCore<Self>,
-        _content_type: Option<ContentType>,
-    ) -> Result<bool, MbError> {
+    fn claim_record(_: &mut MbSession<Self>, _: Option<ContentType>) -> Result<bool, MbError> {
         Ok(false)
     }
 
     /// An Encapsulated record arrived on a subchannel no secondary
-    /// session owns: open one with [`SessionCore::open_secondary`],
-    /// or refuse.
-    fn unknown_subchannel(core: &mut SessionCore<Self>, id: u8) -> Result<(), MbError>;
+    /// session owns: open one with [`MbSession::open_secondary`], or
+    /// refuse.
+    fn unknown_subchannel(session: &mut MbSession<Self>, id: u8) -> Result<(), MbError>;
 
     /// Called on every pump before approvals: hand deferred signature
     /// checks raised inside the TLS connections to the driver.
-    fn surface_deferred(_core: &mut SessionCore<Self>) {}
+    fn surface_deferred(_: &mut MbSession<Self>) {}
 
     /// Discharge the chain-signature checks screening left owed for
     /// middlebox `id`: `Some(verdict)` when verified here, `None` when
     /// parked for the driver (the verdict then arrives through
     /// [`Role::resolve_verify`]).
-    fn discharge(
-        _core: &mut SessionCore<Self>,
-        _id: u8,
-        checks: Vec<SignatureCheck>,
-    ) -> Option<bool> {
+    fn discharge(_: &mut MbSession<Self>, _id: u8, checks: Vec<SignatureCheck>) -> Option<bool> {
         Some(checks.iter().all(|c| c.check()))
     }
 
@@ -182,43 +181,32 @@ pub(crate) trait Role: Sized {
     /// This end's data plane over its adjacent hop.
     fn data_plane(hop: &HopKeys) -> Result<EndpointDataPlane, TlsError>;
 
-    /// `bytes` wire bytes were just flushed (before `BytesOut` is
+    /// `bytes` wire bytes were just flushed (`BytesOut` not yet
     /// reported).
-    fn flushed(_core: &mut SessionCore<Self>, _bytes: u64) {}
+    fn flushed(_: &mut MbSession<Self>, _bytes: u64) {}
 
     /// Application data the primary connection received before the
     /// data plane took over.
-    fn primary_plaintext(_core: &mut SessionCore<Self>) -> Vec<u8> {
+    fn primary_plaintext(_: &mut MbSession<Self>) -> Vec<u8> {
         Vec::new()
     }
 
     /// [`crate::driver::Endpoint::resumption`] for this end.
-    fn resumption(_core: &SessionCore<Self>) -> Option<ResumptionData> {
+    fn resumption(_: &MbSession<Self>) -> Option<ResumptionData> {
         None
     }
 
     /// [`crate::driver::Endpoint::resumed`] for this end.
-    fn resumed(_core: &SessionCore<Self>) -> bool {
+    fn resumed(_: &MbSession<Self>) -> bool {
         false
     }
 
     /// [`crate::driver::Endpoint::take_pending_verifies`] for this
     /// end.
-    fn take_pending_verifies(_core: &mut SessionCore<Self>, _out: &mut Vec<PendingVerify>) {}
+    fn take_pending_verifies(_: &mut MbSession<Self>, _out: &mut Vec<PendingVerify>) {}
 
     /// [`crate::driver::Endpoint::resolve_verify`] for this end.
-    fn resolve_verify(_core: &mut SessionCore<Self>, _token: u32, _valid: bool) {}
-}
-
-/// A session type built on the core; [`crate::driver::Endpoint`] is
-/// implemented once over this.
-pub(crate) trait Session {
-    /// Which end of the session this is.
-    type Role: Role;
-    /// The core.
-    fn core(&self) -> &SessionCore<Self::Role>;
-    /// The core, mutably.
-    fn core_mut(&mut self) -> &mut SessionCore<Self::Role>;
+    fn resolve_verify(_: &mut MbSession<Self>, _token: u32, _valid: bool) {}
 }
 
 /// State of one secondary (endpoint ↔ middlebox) session.
@@ -239,11 +227,16 @@ pub(crate) struct Secondary {
     pub(crate) deferred_checks: u64,
 }
 
-/// One end of an mbTLS session.
-pub(crate) struct SessionCore<R: Role> {
+/// One end of an mbTLS session; which end is the role `R`
+/// ([`crate::client::ClientRole`] or [`crate::server::ServerRole`]).
+// `Role` is crate-private on purpose: a session has two ends and no
+// third can be added from outside.
+#[allow(private_bounds)]
+pub struct MbSession<R: Role> {
     /// The role's own state.
     pub(crate) role: R,
     pub(crate) rng: CryptoRng,
+    admission: Admission,
 
     pub(crate) primary: R::Primary,
     pub(crate) secondaries: BTreeMap<u8, Secondary>,
@@ -257,17 +250,20 @@ pub(crate) struct SessionCore<R: Role> {
     telemetry: Option<SharedSink>,
 }
 
-impl<R: Role> SessionCore<R> {
+#[allow(private_bounds)]
+impl<R: Role> MbSession<R> {
     /// A session around `primary`, no middleboxes yet.
-    pub(crate) fn new(
+    pub(crate) fn around(
         role: R,
         primary: R::Primary,
         rng: CryptoRng,
+        admission: Admission,
         telemetry: Option<SharedSink>,
     ) -> Self {
-        SessionCore {
+        MbSession {
             role,
             rng,
+            admission,
             primary,
             secondaries: BTreeMap::new(),
             reader: RecordReader::new(),
@@ -286,16 +282,17 @@ impl<R: Role> SessionCore<R> {
     }
 
     /// Wire bytes to send.
-    pub(crate) fn take_outgoing(&mut self) -> Vec<u8> {
+    pub fn take_outgoing(&mut self) -> Vec<u8> {
         let mut out = Vec::new();
         self.drain_outgoing_into(&mut out);
         out
     }
 
-    /// Append pending wire bytes to `dst`, keeping `dst`'s capacity:
+    /// Append pending wire bytes to `dst`, keeping `dst`'s capacity —
+    /// the steady-state alternative to [`MbSession::take_outgoing`]:
     /// once the data plane is active and `dst` is warm, draining a
     /// record allocates nothing.
-    pub(crate) fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
+    pub fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
         self.pump();
         let start = dst.len();
         // Primary-session records flush first (the paper's Fig. 3
@@ -318,7 +315,7 @@ impl<R: Role> SessionCore<R> {
     }
 
     /// Feed bytes from the wire.
-    pub(crate) fn feed_incoming(&mut self, data: &[u8]) -> Result<(), MbError> {
+    pub fn feed_incoming(&mut self, data: &[u8]) -> Result<(), MbError> {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
@@ -486,8 +483,8 @@ impl<R: Role> SessionCore<R> {
     /// still owed (none in delegated mode).
     fn screen(&self, id: u8) -> Result<(String, Vec<SignatureCheck>), MbError> {
         let sec = &self.secondaries[&id];
-        let admission = self.role.admission();
-        if admission.delegation.is_some() {
+        let admission = &self.admission;
+        if admission.delegated {
             // Delegated mode: the TLS layer already verified the
             // credential (window, session binding, issuer chain,
             // signature) against the policy and keyed the handshake
@@ -609,42 +606,48 @@ impl<R: Role> SessionCore<R> {
     }
 
     /// True once application data can flow.
-    pub(crate) fn is_ready(&self) -> bool {
+    pub fn is_ready(&self) -> bool {
         self.keys_distributed && self.dataplane.is_some()
     }
 
     /// True if the session failed.
-    pub(crate) fn is_failed(&self) -> bool {
+    pub fn is_failed(&self) -> bool {
         self.error.is_some() || self.primary.error().is_some()
     }
 
     /// The failure, if any.
-    pub(crate) fn error(&self) -> Option<MbError> {
+    pub fn error(&self) -> Option<MbError> {
         self.error
             .clone()
             .or_else(|| self.primary.error().cloned().map(MbError::Tls))
     }
 
+    /// Did the primary handshake resume a cached session?
+    pub fn resumed(&self) -> bool {
+        self.primary.resumed()
+    }
+
     /// Queue application data.
-    pub(crate) fn send(&mut self, data: &[u8]) -> Result<(), MbError> {
+    pub fn send(&mut self, data: &[u8]) -> Result<(), MbError> {
         let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
         dp.send(data).map_err(MbError::Tls)
     }
 
     /// Gracefully close the session (send close_notify under the
     /// adjacent hop's keys; middleboxes re-encrypt it hop by hop).
-    pub(crate) fn close(&mut self) -> Result<(), MbError> {
+    pub fn close(&mut self) -> Result<(), MbError> {
         let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
         dp.send_close().map_err(MbError::Tls)
     }
 
     /// True once the peer's close_notify arrived.
-    pub(crate) fn peer_closed(&self) -> bool {
+    pub fn peer_closed(&self) -> bool {
         self.dataplane.as_ref().is_some_and(|dp| dp.peer_closed())
     }
 
-    /// Received application data.
-    pub(crate) fn recv(&mut self) -> Vec<u8> {
+    /// Received application data (including any that arrived on the
+    /// primary connection before the data plane activated).
+    pub fn recv(&mut self) -> Vec<u8> {
         let early = R::primary_plaintext(self);
         let late = self
             .dataplane
@@ -659,9 +662,8 @@ impl<R: Role> SessionCore<R> {
     }
 
     /// Append received application data to `dst`, keeping `dst`'s
-    /// capacity (the steady-state alternative to
-    /// [`SessionCore::recv`]).
-    pub(crate) fn recv_into(&mut self, dst: &mut Vec<u8>) {
+    /// capacity (the steady-state alternative to [`MbSession::recv`]).
+    pub fn recv_into(&mut self, dst: &mut Vec<u8>) {
         let early = R::primary_plaintext(self);
         dst.extend_from_slice(&early);
         if let Some(dp) = &mut self.dataplane {
@@ -670,7 +672,7 @@ impl<R: Role> SessionCore<R> {
     }
 
     /// Joined middleboxes.
-    pub(crate) fn middleboxes(&self) -> Vec<MiddleboxInfo> {
+    pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
         self.secondaries
             .iter()
             .map(|(&id, s)| MiddleboxInfo {

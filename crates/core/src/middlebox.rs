@@ -213,15 +213,39 @@ pub enum MiddleboxPhase {
     Relay,
 }
 
+/// One of the middlebox's two sides: everything it keeps per
+/// neighbour.
+#[derive(Default)]
+struct Side {
+    /// Splits the bytes arriving from this side into records.
+    reader: RecordReader,
+    /// Bytes queued toward this side.
+    out: Vec<u8>,
+    /// Early application-data records (content type, body) that
+    /// arrived from this side before the keys.
+    early: Vec<(u8, Vec<u8>)>,
+}
+
+/// The side a direction of travel arrives on — 0 is the client's, 1
+/// the server's. It leaves through the other one.
+fn arrival(dir: FlowDirection) -> usize {
+    match dir {
+        FlowDirection::ClientToServer => 0,
+        FlowDirection::ServerToClient => 1,
+    }
+}
+
+/// Both directions of travel, in the order buffered records flush.
+const DIRECTIONS: [FlowDirection; 2] =
+    [FlowDirection::ClientToServer, FlowDirection::ServerToClient];
+
 /// The middlebox state machine.
 pub struct Middlebox {
     config: MiddleboxConfig,
     rng: CryptoRng,
 
-    left_reader: RecordReader,
-    right_reader: RecordReader,
-    out_left: Vec<u8>,
-    out_right: Vec<u8>,
+    /// Indexed by [`arrival`].
+    sides: [Side; 2],
 
     phase: MiddleboxPhase,
     secondary: Option<ServerConnection>,
@@ -230,10 +254,6 @@ pub struct Middlebox {
     max_subchannel_seen: u8,
     saw_primary_server_hello: bool,
     announced: bool,
-
-    /// Buffered early application-data records (content type, body).
-    early_left: Vec<(u8, Vec<u8>)>,
-    early_right: Vec<(u8, Vec<u8>)>,
 
     dataplane: Option<MiddleboxDataPlane>,
     processor: Box<dyn DataProcessor>,
@@ -265,18 +285,13 @@ impl Middlebox {
         Middlebox {
             config,
             rng,
-            left_reader: RecordReader::new(),
-            right_reader: RecordReader::new(),
-            out_left: Vec::new(),
-            out_right: Vec::new(),
+            sides: Default::default(),
             phase: MiddleboxPhase::AwaitClientHello,
             secondary: None,
             subchannel: None,
             max_subchannel_seen: 0,
             saw_primary_server_hello: false,
             announced: false,
-            early_left: Vec::new(),
-            early_right: Vec::new(),
             dataplane: None,
             processor: Box::new(ForwardProcessor),
             keys: None,
@@ -342,29 +357,28 @@ impl Middlebox {
     /// capacity — the steady-state alternative to
     /// [`Middlebox::take_toward_client`].
     pub fn drain_toward_client_into(&mut self, dst: &mut Vec<u8>) {
-        self.pump_secondary();
-        let start = dst.len();
-        dst.extend_from_slice(&self.out_left);
-        self.out_left.clear();
-        if let Some(dp) = &mut self.dataplane {
-            dp.drain_toward_client_into(dst);
-        }
-        let n = (dst.len() - start) as u64;
-        if n > 0 {
-            self.emit(EventKind::BytesOut { bytes: n });
-        }
+        self.drain(FlowDirection::ServerToClient, dst)
     }
 
     /// Append pending server-bound bytes to `dst`, keeping `dst`'s
     /// capacity — the steady-state alternative to
     /// [`Middlebox::take_toward_server`].
     pub fn drain_toward_server_into(&mut self, dst: &mut Vec<u8>) {
+        self.drain(FlowDirection::ClientToServer, dst)
+    }
+
+    /// Append everything travelling in `dir` that is ready to leave.
+    fn drain(&mut self, dir: FlowDirection, dst: &mut Vec<u8>) {
         self.pump_secondary();
         let start = dst.len();
-        dst.extend_from_slice(&self.out_right);
-        self.out_right.clear();
+        let out = &mut self.sides[1 - arrival(dir)].out;
+        dst.extend_from_slice(out);
+        out.clear();
         if let Some(dp) = &mut self.dataplane {
-            dp.drain_toward_server_into(dst);
+            match dir {
+                FlowDirection::ClientToServer => dp.drain_toward_server_into(dst),
+                FlowDirection::ServerToClient => dp.drain_toward_client_into(dst),
+            }
         }
         let n = (dst.len() - start) as u64;
         if n > 0 {
@@ -374,37 +388,29 @@ impl Middlebox {
 
     /// Feed bytes arriving from the client side.
     pub fn feed_from_client(&mut self, data: &[u8]) -> Result<(), MbError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        if !data.is_empty() {
-            self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
-        }
-        self.left_reader.feed(data);
-        // The reader moves aside so records borrowed from its buffer
-        // can be routed into the middlebox's other fields.
-        let mut reader = std::mem::take(&mut self.left_reader);
-        let result = self.route_side(&mut reader, FlowDirection::ClientToServer);
-        self.left_reader = reader;
-        if let Err(e) = result {
-            return self.fail(e);
-        }
-        self.pump_secondary();
-        Ok(())
+        self.feed(FlowDirection::ClientToServer, data)
     }
 
     /// Feed bytes arriving from the server side.
     pub fn feed_from_server(&mut self, data: &[u8]) -> Result<(), MbError> {
+        self.feed(FlowDirection::ServerToClient, data)
+    }
+
+    /// Feed bytes travelling in `dir`.
+    fn feed(&mut self, dir: FlowDirection, data: &[u8]) -> Result<(), MbError> {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
         if !data.is_empty() {
             self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
         }
-        self.right_reader.feed(data);
-        let mut reader = std::mem::take(&mut self.right_reader);
-        let result = self.route_side(&mut reader, FlowDirection::ServerToClient);
-        self.right_reader = reader;
+        let side = arrival(dir);
+        self.sides[side].reader.feed(data);
+        // The reader moves aside so records borrowed from its buffer
+        // can be routed into the middlebox's other fields.
+        let mut reader = std::mem::take(&mut self.sides[side].reader);
+        let result = self.route_side(&mut reader, dir);
+        self.sides[side].reader = reader;
         if let Err(e) = result {
             return self.fail(e);
         }
@@ -426,10 +432,7 @@ impl Middlebox {
             if self.phase == MiddleboxPhase::DataPlane && is_data {
                 self.dataplane_feed_in_place(dir, ct, version, body)?;
             } else {
-                match dir {
-                    FlowDirection::ClientToServer => self.on_record_from_left(ct, body.to_vec())?,
-                    FlowDirection::ServerToClient => self.on_record_from_right(ct, body.to_vec())?,
-                }
+                self.on_record(dir, ct, body.to_vec())?;
             }
         }
         Ok(())
@@ -440,210 +443,107 @@ impl Middlebox {
         Err(e)
     }
 
-    fn forward_left(&mut self, ct: u8, body: &[u8]) {
+    /// Relay a record travelling in `dir` unchanged.
+    fn forward(&mut self, dir: FlowDirection, ct: u8, body: &[u8]) {
         self.records_relayed += 1;
-        self.out_left.extend(reframe(ct, body));
+        self.sides[1 - arrival(dir)].out.extend(reframe(ct, body));
     }
 
-    fn forward_right(&mut self, ct: u8, body: &[u8]) {
-        self.records_relayed += 1;
-        self.out_right.extend(reframe(ct, body));
-    }
-
-    fn on_record_from_left(&mut self, ct: u8, body: Vec<u8>) -> Result<(), MbError> {
-        match self.phase {
-            MiddleboxPhase::AwaitClientHello => self.handle_first_record(ct, body),
-            MiddleboxPhase::ClientSideJoining => {
-                match ContentType::from_u8(ct) {
-                    Some(ContentType::MbtlsEncapsulated) => {
-                        let enc = Encapsulated::decode(&body)?;
-                        if Some(enc.subchannel) == self.subchannel {
-                            self.feed_secondary(&enc.record);
-                        } else {
-                            self.forward_right(ct, &body);
-                        }
-                        Ok(())
-                    }
-                    Some(ContentType::ApplicationData) => {
-                        // Keys should arrive first (in-order stream);
-                        // buffer defensively.
-                        self.early_left.push((ct, body));
-                        Ok(())
-                    }
-                    _ => {
-                        self.forward_right(ct, &body);
-                        Ok(())
-                    }
+    /// One record travelling in `dir` that the data plane did not
+    /// take. Whatever no arm below claims is relayed unchanged.
+    fn on_record(&mut self, dir: FlowDirection, ct: u8, body: Vec<u8>) -> Result<(), MbError> {
+        use MiddleboxPhase::{ClientSideJoining, ServerSideAwaitClaim, ServerSideJoining};
+        let from_server = dir == FlowDirection::ServerToClient;
+        match (self.phase, ContentType::from_u8(ct)) {
+            // (A server that speaks first is just relayed.)
+            (MiddleboxPhase::AwaitClientHello, _) if !from_server => {
+                return self.handle_first_record(ct, body);
+            }
+            (
+                ClientSideJoining | ServerSideAwaitClaim | ServerSideJoining,
+                Some(ContentType::ApplicationData),
+            ) => {
+                // Keys should arrive first (in-order stream), but
+                // early data from a False-Starting client can overtake
+                // them: hold it until our keys arrive (§3.5).
+                self.sides[arrival(dir)].early.push((ct, body));
+                return Ok(());
+            }
+            (ServerSideAwaitClaim, Some(ContentType::MbtlsEncapsulated)) if from_server => {
+                let enc = Encapsulated::decode(&body)?;
+                if self.subchannel.is_none() && is_client_hello_record(&enc.record) {
+                    // Claim it: this secondary ClientHello is
+                    // ours (first unclaimed one to reach us).
+                    self.subchannel = Some(enc.subchannel);
+                    self.secondary = Some(self.new_secondary());
+                    self.phase = ServerSideJoining;
+                    self.emit(EventKind::SecondaryHandshakeStart {
+                        subchannel: enc.subchannel as u64,
+                    });
+                    self.feed_secondary(&enc.record);
+                    return Ok(());
                 }
             }
-            MiddleboxPhase::ServerSideAwaitClaim | MiddleboxPhase::ServerSideJoining => {
-                match ContentType::from_u8(ct) {
-                    Some(ContentType::ApplicationData) => {
-                        // Early data from a False-Starting client: hold
-                        // until our keys arrive (§3.5).
-                        self.early_left.push((ct, body));
-                        Ok(())
-                    }
-                    _ => {
-                        self.forward_right(ct, &body);
-                        Ok(())
-                    }
+            // Our own subchannel can only be spoken to from the side
+            // we joined; a client-side join also watches the server
+            // side for the IDs other middleboxes claimed.
+            (ClientSideJoining | ServerSideJoining, Some(ContentType::MbtlsEncapsulated))
+                if from_server || self.phase == ClientSideJoining =>
+            {
+                let enc = Encapsulated::decode(&body)?;
+                if Some(enc.subchannel) == self.subchannel {
+                    self.feed_secondary(&enc.record);
+                    return Ok(());
+                }
+                if from_server && self.phase == ClientSideJoining {
+                    self.max_subchannel_seen = self.max_subchannel_seen.max(enc.subchannel);
                 }
             }
-            MiddleboxPhase::DataPlane => match ContentType::from_u8(ct) {
-                Some(ContentType::ApplicationData | ContentType::Alert) => {
-                    self.dataplane_feed(FlowDirection::ClientToServer, ct, &body)
-                }
-                _ => {
-                    self.forward_right(ct, &body);
-                    Ok(())
-                }
-            },
-            MiddleboxPhase::Relay => {
-                self.forward_right(ct, &body);
-                Ok(())
+            (ClientSideJoining, Some(ContentType::Handshake))
+                if from_server && !self.saw_primary_server_hello =>
+            {
+                // The primary ServerHello is passing: claim the
+                // next subchannel, inject our flight first
+                // (§3.4), then forward it.
+                self.saw_primary_server_hello = true;
+                let id = self.max_subchannel_seen + 1;
+                self.subchannel = Some(id);
+                self.emit(EventKind::SecondaryHandshakeStart {
+                    subchannel: id as u64,
+                });
+                let flight = self
+                    .secondary
+                    .as_mut()
+                    .map(|s| s.take_outgoing())
+                    .unwrap_or_default();
+                wrap_records(id, &flight, &mut self.sides[0].out);
             }
+            (ServerSideAwaitClaim, Some(ContentType::ChangeCipherSpec | ContentType::Alert))
+                if from_server =>
+            {
+                // CCS: the server is finishing the primary handshake
+                // without claiming us — it does not speak mbTLS.
+                // Alert: a strict legacy server aborted on our
+                // announcement. Either way, remember and relay.
+                self.give_up_to_relay();
+            }
+            _ => {}
         }
+        self.forward(dir, ct, &body);
+        Ok(())
     }
 
-    fn on_record_from_right(&mut self, ct: u8, body: Vec<u8>) -> Result<(), MbError> {
-        match self.phase {
-            MiddleboxPhase::AwaitClientHello => {
-                // Server spoke first? Just relay.
-                self.forward_left(ct, &body);
-                Ok(())
-            }
-            MiddleboxPhase::ClientSideJoining => {
-                match ContentType::from_u8(ct) {
-                    Some(ContentType::MbtlsEncapsulated) => {
-                        let enc = Encapsulated::decode(&body)?;
-                        if Some(enc.subchannel) == self.subchannel {
-                            self.feed_secondary(&enc.record);
-                        } else {
-                            self.max_subchannel_seen =
-                                self.max_subchannel_seen.max(enc.subchannel);
-                            self.forward_left(ct, &body);
-                        }
-                        Ok(())
-                    }
-                    Some(ContentType::Handshake) if !self.saw_primary_server_hello => {
-                        // The primary ServerHello is passing: claim the
-                        // next subchannel, inject our flight first
-                        // (§3.4), then forward it.
-                        self.saw_primary_server_hello = true;
-                        let id = self.max_subchannel_seen + 1;
-                        self.subchannel = Some(id);
-                        self.emit(EventKind::SecondaryHandshakeStart {
-                            subchannel: id as u64,
-                        });
-                        let flight = self
-                            .secondary
-                            .as_mut()
-                            .map(|s| s.take_outgoing())
-                            .unwrap_or_default();
-                        let mut wrapped = Vec::new();
-                        wrap_records(id, &flight, &mut wrapped);
-                        self.out_left.extend(wrapped);
-                        self.forward_left(ct, &body);
-                        Ok(())
-                    }
-                    Some(ContentType::ApplicationData) => {
-                        self.early_right.push((ct, body));
-                        Ok(())
-                    }
-                    _ => {
-                        self.forward_left(ct, &body);
-                        Ok(())
-                    }
-                }
-            }
-            MiddleboxPhase::ServerSideAwaitClaim => {
-                match ContentType::from_u8(ct) {
-                    Some(ContentType::MbtlsEncapsulated) => {
-                        let enc = Encapsulated::decode(&body)?;
-                        if self.subchannel.is_none() && is_client_hello_record(&enc.record) {
-                            // Claim it: this secondary ClientHello is
-                            // ours (first unclaimed one to reach us).
-                            self.subchannel = Some(enc.subchannel);
-                            let mut server_cfg =
-                                ServerConfig::new(self.config.certified_key.clone(), self.config.ticket_key);
-                            server_cfg.suites = self.config.suites.clone();
-                            server_cfg.attestor = self.config.attestor.clone();
-                            server_cfg.always_attest = self.config.attestor.is_some();
-                            server_cfg.credential_provider =
-                                self.config.credential_provider.clone();
-                            server_cfg.always_delegate =
-                                self.config.credential_provider.is_some();
-                            self.secondary = Some(ServerConnection::new(Arc::new(server_cfg)));
-                            self.phase = MiddleboxPhase::ServerSideJoining;
-                            self.emit(EventKind::SecondaryHandshakeStart {
-                                subchannel: enc.subchannel as u64,
-                            });
-                            self.feed_secondary(&enc.record);
-                        } else {
-                            self.forward_left(ct, &body);
-                        }
-                        Ok(())
-                    }
-                    Some(ContentType::ChangeCipherSpec) => {
-                        // The server is finishing the primary handshake
-                        // without claiming us: it does not speak mbTLS.
-                        self.give_up_to_relay();
-                        self.forward_left(ct, &body);
-                        Ok(())
-                    }
-                    Some(ContentType::Alert) => {
-                        // Strict legacy server aborted on our
-                        // announcement; remember and relay.
-                        self.give_up_to_relay();
-                        self.forward_left(ct, &body);
-                        Ok(())
-                    }
-                    Some(ContentType::ApplicationData) => {
-                        self.early_right.push((ct, body));
-                        Ok(())
-                    }
-                    _ => {
-                        self.forward_left(ct, &body);
-                        Ok(())
-                    }
-                }
-            }
-            MiddleboxPhase::ServerSideJoining => {
-                match ContentType::from_u8(ct) {
-                    Some(ContentType::MbtlsEncapsulated) => {
-                        let enc = Encapsulated::decode(&body)?;
-                        if Some(enc.subchannel) == self.subchannel {
-                            self.feed_secondary(&enc.record);
-                        } else {
-                            self.forward_left(ct, &body);
-                        }
-                        Ok(())
-                    }
-                    Some(ContentType::ApplicationData) => {
-                        self.early_right.push((ct, body));
-                        Ok(())
-                    }
-                    _ => {
-                        self.forward_left(ct, &body);
-                        Ok(())
-                    }
-                }
-            }
-            MiddleboxPhase::DataPlane => match ContentType::from_u8(ct) {
-                Some(ContentType::ApplicationData | ContentType::Alert) => {
-                    self.dataplane_feed(FlowDirection::ServerToClient, ct, &body)
-                }
-                _ => {
-                    self.forward_left(ct, &body);
-                    Ok(())
-                }
-            },
-            MiddleboxPhase::Relay => {
-                self.forward_left(ct, &body);
-                Ok(())
-            }
-        }
+    /// A fresh secondary session with this middlebox in the TLS
+    /// server role.
+    fn new_secondary(&self) -> ServerConnection {
+        let mut server_cfg =
+            ServerConfig::new(self.config.certified_key.clone(), self.config.ticket_key);
+        server_cfg.suites = self.config.suites.clone();
+        server_cfg.attestor = self.config.attestor.clone();
+        server_cfg.always_attest = self.config.attestor.is_some();
+        server_cfg.credential_provider = self.config.credential_provider.clone();
+        server_cfg.always_delegate = self.config.credential_provider.is_some();
+        ServerConnection::new(Arc::new(server_cfg))
     }
 
     /// The very first record from the client decides our role.
@@ -651,23 +551,16 @@ impl Middlebox {
         if ContentType::from_u8(ct) != Some(ContentType::Handshake) {
             // Not a TLS handshake start — relay everything.
             self.phase = MiddleboxPhase::Relay;
-            self.forward_right(ct, &body);
+            self.forward(FlowDirection::ClientToServer, ct, &body);
             return Ok(());
         }
         let client_supports_mbtls = parse_hello_for_mbtls_support(&body);
         // Forward the ClientHello onward in all cases.
-        self.forward_right(ct, &body);
+        self.forward(FlowDirection::ClientToServer, ct, &body);
         if client_supports_mbtls {
             // Join client-side: we play the TLS server; the primary
             // ClientHello is also our secondary ClientHello.
-            let mut server_cfg =
-                ServerConfig::new(self.config.certified_key.clone(), self.config.ticket_key);
-            server_cfg.suites = self.config.suites.clone();
-            server_cfg.attestor = self.config.attestor.clone();
-            server_cfg.always_attest = self.config.attestor.is_some();
-            server_cfg.credential_provider = self.config.credential_provider.clone();
-            server_cfg.always_delegate = self.config.credential_provider.is_some();
-            let mut conn = ServerConnection::new(Arc::new(server_cfg));
+            let mut conn = self.new_secondary();
             if conn.feed_incoming(&reframe(ct, &body), &mut self.rng).is_err() {
                 // Cannot serve this client (e.g. no common cipher
                 // suite in the shared ClientHello): stay out of the
@@ -679,7 +572,7 @@ impl Middlebox {
             self.phase = MiddleboxPhase::ClientSideJoining;
         } else if self.config.allow_server_side && !self.config.cached_no_support {
             // Announce toward the server (optimistically — §3.4).
-            self.out_right.extend(frame_plaintext(
+            self.sides[1].out.extend(frame_plaintext(
                 ContentType::MbtlsMiddleboxAnnouncement,
                 &[],
             ));
@@ -718,13 +611,9 @@ impl Middlebox {
         if !hold_flight {
             let bytes = sec.take_outgoing();
             if !bytes.is_empty() {
-                let mut wrapped = Vec::new();
-                wrap_records(id, &bytes, &mut wrapped);
-                if client_side {
-                    self.out_left.extend(wrapped);
-                } else {
-                    self.out_right.extend(wrapped);
-                }
+                // Toward whichever endpoint owns us.
+                let owner = if client_side { 0 } else { 1 };
+                wrap_records(id, &bytes, &mut self.sides[owner].out);
             }
         }
         // Key delivery over the secondary session.
@@ -769,13 +658,10 @@ impl Middlebox {
         self.emit(EventKind::HandshakeComplete);
         // Flush buffered early data through the data plane, in arrival
         // order.
-        let early_left = std::mem::take(&mut self.early_left);
-        for (ct, body) in early_left {
-            self.dataplane_feed(FlowDirection::ClientToServer, ct, &body)?;
-        }
-        let early_right = std::mem::take(&mut self.early_right);
-        for (ct, body) in early_right {
-            self.dataplane_feed(FlowDirection::ServerToClient, ct, &body)?;
+        for dir in DIRECTIONS {
+            for (ct, body) in std::mem::take(&mut self.sides[arrival(dir)].early) {
+                self.dataplane_feed(dir, ct, &body)?;
+            }
         }
         Ok(())
     }
@@ -816,13 +702,10 @@ impl Middlebox {
         self.phase = MiddleboxPhase::Relay;
         self.secondary = None;
         // Flush any buffered records as plain forwards.
-        let early_left = std::mem::take(&mut self.early_left);
-        for (ct, body) in early_left {
-            self.forward_right(ct, &body);
-        }
-        let early_right = std::mem::take(&mut self.early_right);
-        for (ct, body) in early_right {
-            self.forward_left(ct, &body);
+        for dir in DIRECTIONS {
+            for (ct, body) in std::mem::take(&mut self.sides[arrival(dir)].early) {
+                self.forward(dir, ct, &body);
+            }
         }
     }
 

@@ -659,28 +659,18 @@ impl Middlebox {
         // Flush buffered early data through the data plane, in arrival
         // order.
         for dir in DIRECTIONS {
-            for (ct, body) in std::mem::take(&mut self.sides[arrival(dir)].early) {
-                self.dataplane_feed(dir, ct, &body)?;
+            for (ct, mut body) in std::mem::take(&mut self.sides[arrival(dir)].early) {
+                // Buffering dropped the header; early records re-enter
+                // as TLS 1.2 (3.3), the version `reframe` writes.
+                self.dataplane_feed_in_place(dir, ct, [3, 3], &mut body)?;
             }
         }
         Ok(())
     }
 
-    fn dataplane_feed(&mut self, dir: FlowDirection, ct: u8, body: &[u8]) -> Result<(), MbError> {
-        let record = reframe(ct, body);
-        let dp = self
-            .dataplane
-            .as_mut()
-            .ok_or_else(|| MbError::unexpected_state("dataplane active but missing"))?;
-        let processor = &mut self.processor;
-        dp.feed(dir, &record, |d, plain| {
-            *plain = processor.process(d, std::mem::take(plain));
-        })
-    }
-
-    /// [`Middlebox::dataplane_feed`] without the reframe/refeed round
-    /// trip: the record body is opened, processed, and re-sealed where
-    /// it sits in the arrival reader's buffer.
+    /// Run one data-plane record through the processor: the body is
+    /// opened, processed, and re-sealed where it sits (normally in the
+    /// arrival reader's buffer).
     fn dataplane_feed_in_place(
         &mut self,
         dir: FlowDirection,

@@ -37,6 +37,25 @@ pub enum ApprovalPolicy {
     DenyAll,
 }
 
+impl ApprovalPolicy {
+    /// Reject empty allow-lists and duplicate allow-list entries.
+    pub(crate) fn validate(&self) -> Result<(), MbError> {
+        if let ApprovalPolicy::AllowList(names) = self {
+            if names.is_empty() {
+                return Err(MbError::Config(
+                    "approval allow-list is empty (use DenyAll to refuse all middleboxes)".into(),
+                ));
+            }
+            for (i, name) in names.iter().enumerate() {
+                if names[..i].contains(name) {
+                    return Err(MbError::Config(format!("duplicate allow-list entry `{name}`")));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// mbTLS client configuration.
 pub struct MbClientConfig {
     /// Configuration for the primary connection (server trust, suites,
@@ -183,18 +202,7 @@ impl MbClientConfigBuilder {
                 )));
             }
         }
-        if let ApprovalPolicy::AllowList(names) = &self.cfg.approval {
-            if names.is_empty() {
-                return Err(MbError::Config(
-                    "approval allow-list is empty (use DenyAll to refuse all middleboxes)".into(),
-                ));
-            }
-            for (i, name) in names.iter().enumerate() {
-                if names[..i].contains(name) {
-                    return Err(MbError::Config(format!("duplicate allow-list entry `{name}`")));
-                }
-            }
-        }
+        self.cfg.approval.validate()?;
         Ok(self.cfg)
     }
 }

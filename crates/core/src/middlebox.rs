@@ -293,25 +293,19 @@ impl Middlebox {
             saw_primary_server_hello: false,
             announced: false,
             dataplane: None,
-            processor: Box::new(ForwardProcessor),
+            processor,
             keys: None,
             records_relayed: 0,
             error: None,
             telemetry,
             telemetry_party,
         }
-        .install_processor(processor)
     }
 
     fn emit(&self, kind: EventKind) {
         if let Some(t) = &self.telemetry {
             t.emit(self.telemetry_party, kind);
         }
-    }
-
-    fn install_processor(mut self, processor: Box<dyn DataProcessor>) -> Self {
-        self.processor = processor;
-        self
     }
 
     /// The failure that wedged this middlebox, if any.
@@ -598,29 +592,28 @@ impl Middlebox {
 
     /// Drain secondary output and plaintext; handle key delivery.
     fn pump_secondary(&mut self) {
+        // A client-side join has no subchannel — and so holds its
+        // flight — until the primary ServerHello has passed.
         let Some(id) = self.subchannel else { return };
-        let (client_side, hold_flight) = match self.phase {
-            MiddleboxPhase::ClientSideJoining => (true, !self.saw_primary_server_hello),
-            MiddleboxPhase::ServerSideJoining => (false, false),
-            MiddleboxPhase::DataPlane => (self.keys_side_is_client(), false),
-            _ => return,
-        };
-        let Some(sec) = self.secondary.as_mut() else {
+        let joined = matches!(
+            self.phase,
+            MiddleboxPhase::ClientSideJoining
+                | MiddleboxPhase::ServerSideJoining
+                | MiddleboxPhase::DataPlane
+        );
+        let Some(sec) = self.secondary.as_mut().filter(|_| joined) else {
             return;
         };
-        if !hold_flight {
-            let bytes = sec.take_outgoing();
-            if !bytes.is_empty() {
-                // Toward whichever endpoint owns us.
-                let owner = if client_side { 0 } else { 1 };
-                wrap_records(id, &bytes, &mut self.sides[owner].out);
-            }
+        let bytes = sec.take_outgoing();
+        let plain = sec.take_plaintext();
+        if !bytes.is_empty() {
+            // Secondary traffic (the handshake; after DataPlane e.g.
+            // ticket renewal) goes toward whichever endpoint owns us.
+            // We joined the client side iff we never announced.
+            let owner = usize::from(self.announced);
+            wrap_records(id, &bytes, &mut self.sides[owner].out);
         }
         // Key delivery over the secondary session.
-        let plain = match self.secondary.as_mut() {
-            Some(sec) => sec.take_plaintext(),
-            None => return,
-        };
         if !plain.is_empty() {
             match SecondaryMessage::decode(&plain) {
                 Ok(SecondaryMessage::Keys(km)) => {
@@ -633,13 +626,6 @@ impl Middlebox {
                 }
             }
         }
-    }
-
-    fn keys_side_is_client(&self) -> bool {
-        // After DataPlane, remaining secondary traffic (e.g. ticket
-        // renewal) goes back toward whichever endpoint owns us. We
-        // joined the client side iff we never announced.
-        !self.announced
     }
 
     fn activate_dataplane(&mut self, km: KeyMaterial) -> Result<(), MbError> {

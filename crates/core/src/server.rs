@@ -121,18 +121,7 @@ impl MbServerConfigBuilder {
                 "middlebox attestation and delegation are mutually exclusive auth modes".into(),
             ));
         }
-        if let ApprovalPolicy::AllowList(names) = &self.cfg.approval {
-            if names.is_empty() {
-                return Err(MbError::Config(
-                    "approval allow-list is empty (use DenyAll to refuse all middleboxes)".into(),
-                ));
-            }
-            for (i, name) in names.iter().enumerate() {
-                if names[..i].contains(name) {
-                    return Err(MbError::Config(format!("duplicate allow-list entry `{name}`")));
-                }
-            }
-        }
+        self.cfg.approval.validate()?;
         Ok(self.cfg)
     }
 }

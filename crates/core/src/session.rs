@@ -26,7 +26,8 @@ use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::alert::{Alert, AlertDescription};
 use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
-use mbtls_tls::session::{ConnectionSecrets, ResumptionData, SessionKeys};
+use mbtls_tls::session::ResumptionData;
+use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, ServerConnection, TlsError};
 
 use crate::client::{ApprovalPolicy, MiddleboxInfo};
@@ -49,10 +50,9 @@ pub(crate) trait Primary {
     fn error(&self) -> Option<&TlsError>;
     /// Was the handshake abbreviated?
     fn resumed(&self) -> bool;
-    /// The negotiated secrets.
-    fn secrets(&self) -> Option<&ConnectionSecrets>;
-    /// The bridge-hop keys and current sequence numbers.
-    fn export_session_keys(&self) -> Option<SessionKeys>;
+    /// The negotiated suite, with the bridge-hop keys at their
+    /// current sequence numbers.
+    fn bridge(&self) -> Option<(CipherSuite, HopKeys)>;
 }
 
 impl Primary for ClientConnection {
@@ -74,11 +74,8 @@ impl Primary for ClientConnection {
     fn resumed(&self) -> bool {
         ClientConnection::resumed(self)
     }
-    fn secrets(&self) -> Option<&ConnectionSecrets> {
-        ClientConnection::secrets(self)
-    }
-    fn export_session_keys(&self) -> Option<SessionKeys> {
-        ClientConnection::export_session_keys(self)
+    fn bridge(&self) -> Option<(CipherSuite, HopKeys)> {
+        Some((self.secrets()?.suite, self.export_session_keys()?))
     }
 }
 
@@ -101,11 +98,8 @@ impl Primary for ServerConnection {
     fn resumed(&self) -> bool {
         ServerConnection::resumed(self)
     }
-    fn secrets(&self) -> Option<&ConnectionSecrets> {
-        ServerConnection::secrets(self)
-    }
-    fn export_session_keys(&self) -> Option<SessionKeys> {
-        ServerConnection::export_session_keys(self)
+    fn bridge(&self) -> Option<(CipherSuite, HopKeys)> {
+        Some((self.secrets()?.suite, self.export_session_keys()?))
     }
 }
 
@@ -553,15 +547,7 @@ impl<R: Role> MbSession<R> {
     /// Generate per-hop keys, send KeyMaterial to each approved
     /// middlebox, and activate the data plane (paper Fig. 4).
     fn distribute_keys(&mut self) -> Result<(), MbError> {
-        let suite = self
-            .primary
-            .secrets()
-            .map(|s| s.suite)
-            .ok_or(MbError::NotReady)?;
-        let bridge = self
-            .primary
-            .export_session_keys()
-            .ok_or(MbError::NotReady)?;
+        let (suite, bridge) = self.primary.bridge().ok_or(MbError::NotReady)?;
 
         let mut order: Vec<u8> = self
             .secondaries

@@ -404,13 +404,7 @@ impl ClientConnection {
             .secrets
             .as_ref()
             .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
-        let kb = secrets.key_block();
-        DirectionState::new(
-            secrets.suite.bulk(),
-            &kb.server_write_key,
-            &kb.server_write_iv,
-            0,
-        )
+        SessionKeys::from_secrets(secrets, 0, 0).open_server_to_client()
     }
 
     fn activate_write_cipher(&mut self) -> Result<(), TlsError> {
@@ -418,13 +412,8 @@ impl ClientConnection {
             .secrets
             .as_ref()
             .ok_or(TlsError::UnexpectedMessage("no secrets for write cipher"))?;
-        let kb = secrets.key_block();
-        self.shell.write_cipher = Some(DirectionState::new(
-            secrets.suite.bulk(),
-            &kb.client_write_key,
-            &kb.client_write_iv,
-            0,
-        )?);
+        let keys = SessionKeys::from_secrets(secrets, 0, 0);
+        self.shell.write_cipher = Some(keys.seal_client_to_server()?);
         Ok(())
     }
 

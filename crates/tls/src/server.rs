@@ -200,13 +200,7 @@ impl ConnectionRole for ServerConnection {
             .secrets
             .as_ref()
             .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
-        let kb = secrets.key_block();
-        DirectionState::new(
-            secrets.suite.bulk(),
-            &kb.client_write_key,
-            &kb.client_write_iv,
-            0,
-        )
+        SessionKeys::from_secrets(secrets, 0, 0).open_client_to_server()
     }
 
     fn admit_application_data(&self) -> Result<(), TlsError> {
@@ -515,13 +509,8 @@ impl ServerConnection {
             .secrets
             .as_ref()
             .ok_or(TlsError::Internal("secrets derived before Finished"))?;
-        let kb = secrets.key_block();
-        self.shell.write_cipher = Some(DirectionState::new(
-            secrets.suite.bulk(),
-            &kb.server_write_key,
-            &kb.server_write_iv,
-            0,
-        )?);
+        let keys = SessionKeys::from_secrets(secrets, 0, 0);
+        self.shell.write_cipher = Some(keys.seal_server_to_client()?);
         self.shell
             .send_finished(self.secrets.as_ref(), b"server finished", &mut self.transcript)
     }

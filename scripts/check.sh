@@ -10,6 +10,10 @@
 #   test        cargo test -q --workspace
 #   telemetry   scripts/telemetry_smoke.sh
 #   bench       scripts/bench_report.sh --smoke
+#   seam        benchmark/run.sh --smoke (builds the repo benchmark's
+#               own package --offline against ../crates/* first, so a
+#               change that reshapes a public seam it compiles against
+#               fails here, not in the driver)
 #
 # CI-equivalent; run before pushing.
 #
@@ -64,5 +68,6 @@ stage telemetry scripts/telemetry_smoke.sh
 # this run are noisy by design; the committed artifacts come from a
 # full `scripts/bench_report.sh` run.
 stage bench     scripts/bench_report.sh --smoke
+stage seam      bash benchmark/run.sh --smoke
 
 echo "all checks passed"

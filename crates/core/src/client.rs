@@ -234,10 +234,19 @@ impl Role for ClientRole {
     type Primary = ClientConnection;
     const PARTY: Party = Party::Client;
 
+    fn admission(&self) -> Admission<'_> {
+        Admission {
+            trust: &self.config.middlebox_trust,
+            delegated: self.config.middlebox_delegation.is_some(),
+            approval: &self.config.approval,
+            now: self.config.tls.current_time,
+        }
+    }
+
     /// A middlebox announcing itself: its secondary ServerHello
     /// responds to our (shared) primary ClientHello.
     fn unknown_subchannel(session: &mut MbSession<Self>, id: u8) -> Result<(), MbError> {
-        if session.keys_distributed {
+        if session.is_ready() {
             return Err(MbError::unexpected_state("middlebox announced after key distribution"));
         }
         let config = &session.role.config;
@@ -401,18 +410,12 @@ impl MbSession<ClientRole> {
         }
         let primary = ClientConnection::new(Arc::new(tls_config), server_name, &mut rng);
         let telemetry = config.telemetry.clone();
-        let admission = Admission {
-            trust: config.middlebox_trust.clone(),
-            delegated: config.middlebox_delegation.is_some(),
-            approval: config.approval.clone(),
-            now: config.tls.current_time,
-        };
         let role = ClientRole {
             config,
             hello_reported: false,
             pending_verifies: Vec::new(),
         };
-        MbSession::around(role, primary, rng, admission, telemetry)
+        MbSession::around(role, primary, rng, telemetry)
     }
 
     /// Drain deferred signature-check groups (token 0 = primary, 1 +

@@ -139,6 +139,15 @@ impl Role for ServerRole {
     type Primary = ServerConnection;
     const PARTY: Party = Party::Server;
 
+    fn admission(&self) -> Admission<'_> {
+        Admission {
+            trust: &self.config.middlebox_trust,
+            delegated: self.config.middlebox_delegation.is_some(),
+            approval: &self.config.approval,
+            now: self.config.current_time,
+        }
+    }
+
     /// A middlebox announced itself: start a secondary handshake with
     /// the server in the TLS-client role.
     fn claim_record(
@@ -149,7 +158,7 @@ impl Role for ServerRole {
         if content_type != Some(ContentType::MbtlsMiddleboxAnnouncement) || !config.mbtls_enabled {
             return Ok(false);
         }
-        if session.keys_distributed {
+        if session.is_ready() {
             return Err(MbError::unexpected_state("announcement after key distribution"));
         }
         let id = session.role.next_subchannel;
@@ -207,16 +216,10 @@ impl MbSession<ServerRole> {
     pub fn new(config: Arc<MbServerConfig>, rng: CryptoRng) -> Self {
         let primary = ServerConnection::new(Arc::new(config.tls.clone()));
         let telemetry = config.telemetry.clone();
-        let admission = Admission {
-            trust: config.middlebox_trust.clone(),
-            delegated: config.middlebox_delegation.is_some(),
-            approval: config.approval.clone(),
-            now: config.current_time,
-        };
         let role = ServerRole {
             config,
             next_subchannel: 1,
         };
-        MbSession::around(role, primary, rng, admission, telemetry)
+        MbSession::around(role, primary, rng, telemetry)
     }
 }

@@ -19,7 +19,6 @@
 //! copies did.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
@@ -103,15 +102,16 @@ impl Primary for ServerConnection {
     }
 }
 
-/// How an endpoint verifies and approves its middleboxes.
-pub(crate) struct Admission {
+/// How an endpoint verifies and approves its middleboxes, borrowed
+/// from the role's configuration.
+pub(crate) struct Admission<'a> {
     /// Trust roots for middlebox certificates.
-    pub(crate) trust: Arc<TrustStore>,
+    pub(crate) trust: &'a TrustStore,
     /// Delegated mode: the TLS layer verifies the middlebox's
     /// credential itself, and only the approval policy remains.
     pub(crate) delegated: bool,
     /// Approval policy applied after verification.
-    pub(crate) approval: ApprovalPolicy,
+    pub(crate) approval: &'a ApprovalPolicy,
     /// "Current time" for middlebox certificate validation.
     pub(crate) now: u64,
 }
@@ -134,6 +134,9 @@ pub(crate) trait Role: Sized {
     type Primary: Primary;
     /// The party this end reports telemetry as.
     const PARTY: Party;
+
+    /// How this end verifies and approves middleboxes.
+    fn admission(&self) -> Admission<'_>;
 
     /// A record arrived that is neither Encapsulated nor data-plane
     /// traffic. Returns true if the role consumed it; otherwise it
@@ -230,14 +233,13 @@ pub struct MbSession<R: Role> {
     /// The role's own state.
     pub(crate) role: R,
     pub(crate) rng: CryptoRng,
-    admission: Admission,
 
     pub(crate) primary: R::Primary,
     pub(crate) secondaries: BTreeMap<u8, Secondary>,
     reader: RecordReader,
     out: Vec<u8>,
 
-    pub(crate) keys_distributed: bool,
+    /// Present once keys are distributed.
     dataplane: Option<EndpointDataPlane>,
     error: Option<MbError>,
 
@@ -251,18 +253,15 @@ impl<R: Role> MbSession<R> {
         role: R,
         primary: R::Primary,
         rng: CryptoRng,
-        admission: Admission,
         telemetry: Option<SharedSink>,
     ) -> Self {
         MbSession {
             role,
             rng,
-            admission,
             primary,
             secondaries: BTreeMap::new(),
             reader: RecordReader::new(),
             out: Vec::new(),
-            keys_distributed: false,
             dataplane: None,
             error: None,
             telemetry,
@@ -459,7 +458,7 @@ impl<R: Role> MbSession<R> {
         }
 
         // Key distribution once everything is established.
-        if !self.keys_distributed && self.primary.is_established() {
+        if !self.is_ready() && self.primary.is_established() {
             let all_done = self
                 .secondaries
                 .values()
@@ -477,7 +476,7 @@ impl<R: Role> MbSession<R> {
     /// still owed (none in delegated mode).
     fn screen(&self, id: u8) -> Result<(String, Vec<SignatureCheck>), MbError> {
         let sec = &self.secondaries[&id];
-        let admission = &self.admission;
+        let admission = self.role.admission();
         if admission.delegated {
             // Delegated mode: the TLS layer already verified the
             // credential (window, session binding, issuer chain,
@@ -586,14 +585,14 @@ impl<R: Role> MbSession<R> {
             dp.set_telemetry(t.clone(), R::PARTY);
         }
         self.dataplane = Some(dp);
-        self.keys_distributed = true;
         self.emit(EventKind::HandshakeComplete);
         Ok(())
     }
 
-    /// True once application data can flow.
+    /// True once application data can flow: keys are distributed and
+    /// the data plane is up (no middlebox can join after this).
     pub fn is_ready(&self) -> bool {
-        self.keys_distributed && self.dataplane.is_some()
+        self.dataplane.is_some()
     }
 
     /// True if the session failed.
@@ -686,12 +685,15 @@ pub(crate) fn reframe(ct_byte: u8, body: &[u8]) -> Vec<u8> {
 pub(crate) fn wrap_records(subchannel: u8, stream: &[u8], out: &mut Vec<u8>) {
     let mut reader = RecordReader::new();
     reader.feed(stream);
+    // Staged so `out` grows once, by exactly what is appended.
+    let mut wrapped = Vec::new();
     while let Ok(Some(rec)) = reader.next_record() {
         let inner = reframe(rec.content_type_byte, &rec.body);
         let enc = Encapsulated {
             subchannel,
             record: inner,
         };
-        out.extend(frame_plaintext(ContentType::MbtlsEncapsulated, &enc.encode()));
+        wrapped.extend(frame_plaintext(ContentType::MbtlsEncapsulated, &enc.encode()));
     }
+    out.extend(wrapped);
 }

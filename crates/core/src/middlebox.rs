@@ -226,13 +226,20 @@ struct Side {
     early: Vec<(u8, Vec<u8>)>,
 }
 
-/// The side a direction of travel arrives on — 0 is the client's, 1
-/// the server's. It leaves through the other one.
+const CLIENT_SIDE: usize = 0;
+const SERVER_SIDE: usize = 1;
+
+/// The side a direction of travel arrives on.
 fn arrival(dir: FlowDirection) -> usize {
     match dir {
-        FlowDirection::ClientToServer => 0,
-        FlowDirection::ServerToClient => 1,
+        FlowDirection::ClientToServer => CLIENT_SIDE,
+        FlowDirection::ServerToClient => SERVER_SIDE,
     }
+}
+
+/// The side a direction of travel leaves through.
+fn departure(dir: FlowDirection) -> usize {
+    SERVER_SIDE - arrival(dir)
 }
 
 /// Both directions of travel, in the order buffered records flush.
@@ -365,7 +372,7 @@ impl Middlebox {
     fn drain(&mut self, dir: FlowDirection, dst: &mut Vec<u8>) {
         self.pump_secondary();
         let start = dst.len();
-        let out = &mut self.sides[1 - arrival(dir)].out;
+        let out = &mut self.sides[departure(dir)].out;
         dst.extend_from_slice(out);
         out.clear();
         if let Some(dp) = &mut self.dataplane {
@@ -440,7 +447,7 @@ impl Middlebox {
     /// Relay a record travelling in `dir` unchanged.
     fn forward(&mut self, dir: FlowDirection, ct: u8, body: &[u8]) {
         self.records_relayed += 1;
-        self.sides[1 - arrival(dir)].out.extend(reframe(ct, body));
+        self.sides[departure(dir)].out.extend(reframe(ct, body));
     }
 
     /// One record travelling in `dir` that the data plane did not
@@ -510,7 +517,7 @@ impl Middlebox {
                     .as_mut()
                     .map(|s| s.take_outgoing())
                     .unwrap_or_default();
-                wrap_records(id, &flight, &mut self.sides[0].out);
+                wrap_records(id, &flight, &mut self.sides[CLIENT_SIDE].out);
             }
             (ServerSideAwaitClaim, Some(ContentType::ChangeCipherSpec | ContentType::Alert))
                 if from_server =>
@@ -566,7 +573,7 @@ impl Middlebox {
             self.phase = MiddleboxPhase::ClientSideJoining;
         } else if self.config.allow_server_side && !self.config.cached_no_support {
             // Announce toward the server (optimistically — §3.4).
-            self.sides[1].out.extend(frame_plaintext(
+            self.sides[SERVER_SIDE].out.extend(frame_plaintext(
                 ContentType::MbtlsMiddleboxAnnouncement,
                 &[],
             ));
@@ -601,16 +608,17 @@ impl Middlebox {
                 | MiddleboxPhase::ServerSideJoining
                 | MiddleboxPhase::DataPlane
         );
-        let Some(sec) = self.secondary.as_mut().filter(|_| joined) else {
+        let Some(sec) = self.secondary.as_mut() else { return };
+        if !joined {
             return;
-        };
+        }
         let bytes = sec.take_outgoing();
         let plain = sec.take_plaintext();
         if !bytes.is_empty() {
             // Secondary traffic (the handshake; after DataPlane e.g.
             // ticket renewal) goes toward whichever endpoint owns us.
             // We joined the client side iff we never announced.
-            let owner = usize::from(self.announced);
+            let owner = if self.announced { SERVER_SIDE } else { CLIENT_SIDE };
             wrap_records(id, &bytes, &mut self.sides[owner].out);
         }
         // Key delivery over the secondary session.

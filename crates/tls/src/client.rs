@@ -390,23 +390,6 @@ impl ClientConnection {
         Ok(())
     }
 
-    fn activate_read_cipher(&mut self) -> Result<DirectionState, TlsError> {
-        // CCS right after ServerHello is the resumption signal when a
-        // ticket/id was offered and no full-handshake flight arrived.
-        if self.secrets.is_none()
-            && self.phase == Phase::AwaitServerFlight
-            && self.pending_resumption.is_some()
-        {
-            self.commit_resumption()?;
-            self.phase = Phase::AwaitServerFinishedResumed;
-        }
-        let secrets = self
-            .secrets
-            .as_ref()
-            .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
-        SessionKeys::from_secrets(secrets, 0, 0).open_server_to_client()
-    }
-
     fn activate_write_cipher(&mut self) -> Result<(), TlsError> {
         let secrets = self
             .secrets
@@ -432,7 +415,20 @@ impl ConnectionRole for ClientConnection {
         if self.shell.hs_reader.has_partial() {
             return Err(TlsError::UnexpectedMessage("CCS mid-handshake-message"));
         }
-        self.activate_read_cipher()
+        // CCS right after ServerHello is the resumption signal when a
+        // ticket/id was offered and no full-handshake flight arrived.
+        if self.secrets.is_none()
+            && self.phase == Phase::AwaitServerFlight
+            && self.pending_resumption.is_some()
+        {
+            self.commit_resumption()?;
+            self.phase = Phase::AwaitServerFinishedResumed;
+        }
+        let secrets = self
+            .secrets
+            .as_ref()
+            .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
+        SessionKeys::from_secrets(secrets, 0, 0).open_server_to_client()
     }
 
     fn admit_application_data(&self) -> Result<(), TlsError> {

@@ -127,7 +127,7 @@ pub trait Relay {
     }
 }
 
-/// Both mbTLS session types; what differs per end is behind [`Role`].
+/// Both mbTLS session types; what differs per end is behind `Role`.
 impl<R: Role> Endpoint for MbSession<R> {
     fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
         self.feed_incoming(data)

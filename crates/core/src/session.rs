@@ -7,8 +7,8 @@
 //! endpoint: it owns the primary connection, the secondary sessions,
 //! the record router, approval, rejection, key distribution and the
 //! data plane. What differs between the two ends is spelled out by
-//! [`Role`] and nothing else; the shared code never asks which end it
-//! is. [`crate::client::MbClientSession`] and
+//! the crate-private `Role` trait and nothing else; the shared code
+//! never asks which end it is. [`crate::client::MbClientSession`] and
 //! [`crate::server::MbServerSession`] are `MbSession` in its two
 //! roles.
 //!

@@ -275,6 +275,19 @@ impl Point {
     }
 }
 
+/// The Montgomery u-coordinate of `scalar · B`: X25519's fixed-base
+/// case (`scalar · 9`) on the constant-time comb instead of the
+/// variable-base ladder. Curve25519 and edwards25519 are birationally
+/// equivalent with B ↦ u = 9 and `u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y)`
+/// (RFC 7748 §4.1). [`Point::mul_base`] consumes all 64 nibbles of
+/// the scalar, so a clamped 255-bit scalar needs no reduction mod L.
+/// `Z − Y = 0` only at the identity, i.e. for multiples of L; a
+/// clamped scalar is 8m with 2^251 ≤ m < 2^252 < L, never one.
+pub(crate) fn mul_base_montgomery_u(scalar: &[u8; 32]) -> [u8; 32] {
+    let p = Point::mul_base(scalar);
+    p.z.add(p.y).mul(p.z.sub(p.y).invert()).to_bytes()
+}
+
 /// Number of byte-indexed windows in the fixed-base comb table.
 const COMB_WINDOWS: usize = 32;
 

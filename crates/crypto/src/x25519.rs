@@ -32,11 +32,11 @@ impl SecretKey {
         SecretKey(sk)
     }
 
-    /// Derive the corresponding public key: X25519(sk, 9).
+    /// Derive the corresponding public key: X25519(sk, 9), computed
+    /// on the Ed25519 fixed-base comb (same masked table fetches as
+    /// signing) rather than the ladder.
     pub fn public_key(&self) -> PublicKey {
-        let mut base = [0u8; 32];
-        base[0] = 9;
-        PublicKey(scalar_mult(&self.0, &base))
+        PublicKey(crate::ed25519::mul_base_montgomery_u(&self.0))
     }
 
     /// Compute the shared secret with the peer's public value.
@@ -167,6 +167,135 @@ mod tests {
             k1,
             unhex32("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742")
         );
+    }
+
+    const BASE_U: [u8; 32] = {
+        let mut u = [0u8; 32];
+        u[0] = 9;
+        u
+    };
+
+    /// RFC 7748 §5.2's iteration: `k, u ← X25519(k, u), k`, starting
+    /// from `k = u = 9`, with the scalar clamped on every round.
+    fn iterate(rounds: usize) -> [u8; 32] {
+        let (mut k, mut u) = (BASE_U, BASE_U);
+        for _ in 0..rounds {
+            let next = scalar_mult(SecretKey::from_bytes(k).as_bytes(), &u);
+            u = k;
+            k = next;
+        }
+        k
+    }
+
+    #[test]
+    fn rfc7748_iterated_1_and_1000() {
+        assert_eq!(
+            iterate(1),
+            unhex32("422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079")
+        );
+        assert_eq!(
+            iterate(1000),
+            unhex32("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51")
+        );
+    }
+
+    #[test]
+    #[ignore = "a million ladders: run with --release -- --ignored"]
+    fn rfc7748_iterated_1_000_000() {
+        assert_eq!(
+            iterate(1_000_000),
+            unhex32("7c3911e0ab2586fd864497297e575e6f3bc601c0883c30df5f4dd2d24f665424")
+        );
+    }
+
+    // Key generation runs on the Ed25519 comb, everything else on the
+    // Montgomery ladder: the two must name the same point.
+    #[test]
+    fn comb_public_key_matches_ladder() {
+        let mut two_254 = [0u8; 32];
+        two_254[31] = 0x40;
+        let mut cases = vec![
+            // The two RFC 7748 §6.1 secret keys.
+            unhex32("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"),
+            unhex32("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"),
+            // The extreme clamped scalars, 2^254 and 2^255 − 8.
+            two_254,
+            [0xff; 32],
+        ];
+        let mut rng = CryptoRng::from_seed(0xC0B1);
+        cases.resize_with(4 + 1000, || rng.gen_array());
+        for raw in cases {
+            let sk = SecretKey::from_bytes(raw);
+            assert_eq!(
+                sk.public_key().0,
+                scalar_mult(sk.as_bytes(), &BASE_U),
+                "scalar {:02x?}",
+                sk.as_bytes()
+            );
+        }
+        assert_eq!(SecretKey::from_bytes([0u8; 32]).as_bytes(), &two_254);
+        let mut top = [0xff; 32];
+        top[0] = 0xf8;
+        top[31] = 0x7f;
+        assert_eq!(SecretKey::from_bytes([0xff; 32]).as_bytes(), &top);
+    }
+
+    #[test]
+    fn small_order_peer_values_are_rejected() {
+        // p = 2^255 − 19, little-endian, then p − 1 and p + 1.
+        let mut p = [0xffu8; 32];
+        p[0] = 0xed;
+        p[31] = 0x7f;
+        let (mut p_minus_1, mut p_plus_1) = (p, p);
+        p_minus_1[0] = 0xec;
+        p_plus_1[0] = 0xee;
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let small_order = [
+            [0u8; 32],
+            one,
+            p_minus_1,
+            p,
+            p_plus_1,
+            // The two points of order 8.
+            unhex32("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+            unhex32("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+        ];
+        let mut rng = CryptoRng::from_seed(0x5A11);
+        for _ in 0..4 {
+            let sk = SecretKey::generate(&mut rng);
+            for u in &small_order {
+                assert_eq!(
+                    sk.diffie_hellman(&PublicKey(*u)),
+                    Err(CryptoError::BadPublicValue),
+                    "u = {u:02x?}"
+                );
+            }
+        }
+    }
+
+    // RFC 7748 §5: bit 255 of a received u is masked off, and a
+    // non-canonical u in [p, 2^255) is accepted and reduced.
+    #[test]
+    fn noncanonical_peer_values_reduce() {
+        let mut rng = CryptoRng::from_seed(0x0C11);
+        let sk = SecretKey::generate(&mut rng);
+        let peer = SecretKey::generate(&mut rng).public_key();
+        let expect = sk.diffie_hellman(&peer).unwrap();
+
+        let mut high_bit = peer;
+        high_bit.0[31] |= 0x80;
+        assert_eq!(sk.diffie_hellman(&high_bit).unwrap(), expect);
+
+        // p + 9 = 2^255 − 10 ≡ 9, with and without bit 255.
+        let mut p_plus_9 = [0xffu8; 32];
+        p_plus_9[0] = 0xf6;
+        p_plus_9[31] = 0x7f;
+        let via_base = sk.diffie_hellman(&PublicKey(BASE_U)).unwrap();
+        assert_eq!(via_base, sk.public_key().0);
+        assert_eq!(sk.diffie_hellman(&PublicKey(p_plus_9)).unwrap(), via_base);
+        p_plus_9[31] = 0xff;
+        assert_eq!(sk.diffie_hellman(&PublicKey(p_plus_9)).unwrap(), via_base);
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //! them safe-ish, but a `{:?}` on the wrong binding is exactly the
 //! leak this family exists to stop, so each use must be annotated.
 //!
+//! A local binding named for the key-exchange pre-master secret
+//! (`pre_master`, `premaster_secret`, …) must not be a bare buffer
+//! that leaves scope unwiped: its statement has to name a pre-master
+//! secret type (`PreMasterSecret`, which the rule above forces to
+//! zeroize on drop) or the binding has to be passed to
+//! `zeroize(&mut …)` by name in the same file.
+//!
 //! Two further sinks consult the dataflow pass
 //! ([`crate::dataflow`]), which follows secret values through local
 //! bindings:
@@ -37,7 +44,7 @@
 use super::Hit;
 use crate::dataflow::Taint;
 use crate::source::SourceFile;
-use crate::tokens::{matching_close, Token};
+use crate::tokens::{contains_seq, matching_close, Token};
 
 /// Built-in secret-bearing type-name patterns (in addition to
 /// explicit `// lint:secret` markers).
@@ -111,12 +118,74 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
         }
     }
 
+    pre_master_locals(file, &mut hits);
+
     // Dataflow sinks: formats and Debug-deriving carriers fed by
     // bindings that *carry* a secret without naming one.
     let taint = Taint::analyze(file);
     taint_format_sinks(file, &taint, &mut hits);
     taint_carrier_sinks(file, &taint, &decls, &mut hits);
     hits
+}
+
+/// Flag `let … pre_master … = <raw buffer>;`: the value every session
+/// key derives from, held in a plain `Vec<u8>`/array that nothing
+/// wipes when the function returns (early `?` returns included).
+fn pre_master_locals(file: &SourceFile, hits: &mut Vec<Hit>) {
+    let tokens = &file.tokens;
+    for i in 0..tokens.len() {
+        if tokens[i].text != "let" || file.is_test[tokens[i].line] {
+            continue;
+        }
+        // The statement runs to the `;` at bracket depth 0; the
+        // pattern (tuple patterns included) to the first `=` or `:`.
+        let mut depth = 0i32;
+        let mut pattern_end = None;
+        let mut end = tokens.len();
+        for (j, t) in tokens.iter().enumerate().skip(i + 1) {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "=" | ":" if depth == 0 && pattern_end.is_none() => pattern_end = Some(j),
+                ";" if depth == 0 => {
+                    end = j;
+                    break;
+                }
+                _ => {}
+            }
+            if depth < 0 {
+                end = j;
+                break;
+            }
+        }
+        let Some(pattern_end) = pattern_end else {
+            continue;
+        };
+        let names_pre_master = |t: &Token| {
+            let lower = t.text.to_ascii_lowercase();
+            t.is_word() && (lower.contains("pre_master") || lower.contains("premaster"))
+        };
+        let Some(name) = tokens[i + 1..pattern_end].iter().find(|t| names_pre_master(t)) else {
+            continue;
+        };
+        // Other secret types in the statement (`SecretKey::generate`,
+        // a `KexSecret` match arm) say nothing about what holds the
+        // result; only a pre-master secret type of its own does.
+        let typed = tokens[pattern_end..end]
+            .iter()
+            .any(|t| names_pre_master(t) && is_secret_name(&t.text));
+        let wiped = contains_seq(tokens, &["zeroize", "(", "&", "mut", name.text.as_str()]);
+        if !(typed || wiped) {
+            hits.push(Hit {
+                line: name.line,
+                message: format!(
+                    "pre-master secret `{}` is a bare buffer that leaves scope unwiped; hold it \
+                     in a zeroize-on-drop secret type or `ct::zeroize(&mut {})` it on every path",
+                    name.text, name.text
+                ),
+            });
+        }
+    }
 }
 
 /// Format/log macros whose arguments could reach a log line.

@@ -89,6 +89,28 @@ fn secret_hygiene_good_fixture_is_clean() {
     assert!(findings.is_empty(), "unexpected findings: {findings:?}");
 }
 
+// The bug class the key-exchange fix closed: a `pre_master` local
+// held as a bare `Vec<u8>` and dropped unwiped.
+#[test]
+fn secret_hygiene_unwiped_pre_master_local_is_caught() {
+    let src = fixture("secret_hygiene", "bad_pre_master.rs");
+    let findings = lint_source("crates/tls/src/fixture.rs", &src, &[RuleId::SecretHygiene]);
+    let lines: Vec<usize> = findings
+        .iter()
+        .filter(|f| f.message.contains("leaves scope unwiped"))
+        .map(|f| f.line)
+        .collect();
+    // The annotated binding and the one inside a tuple pattern.
+    assert_eq!(lines, vec![3, 6], "findings: {findings:?}");
+}
+
+#[test]
+fn secret_hygiene_wrapped_or_wiped_pre_master_is_clean() {
+    let src = fixture("secret_hygiene", "good_pre_master.rs");
+    let findings = lint_source("crates/tls/src/fixture.rs", &src, &[RuleId::SecretHygiene]);
+    assert!(findings.is_empty(), "unexpected findings: {findings:?}");
+}
+
 #[test]
 fn secret_hygiene_drop_required_in_all_scoped_crates() {
     let src = fixture("secret_hygiene", "bad.rs");

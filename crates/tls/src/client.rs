@@ -12,7 +12,7 @@ use mbtls_pki::SignatureCheck;
 use mbtls_sgx::Quote;
 
 use crate::config::ClientConfig;
-use crate::keyschedule::{self, strip_leading_zeros};
+use crate::keyschedule::{self, PreMasterSecret};
 use crate::messages::{
     choose_suite, extension_type, frame_handshake, handshake_type, ClientHello,
     ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
@@ -684,8 +684,7 @@ impl ClientConnection {
         self.peer_chain = chain;
 
         // 4. Key exchange.
-        let (cke_public, pre_master): (Vec<u8>, Vec<u8>) = match (&ske.params, suite.key_exchange())
-        {
+        let (cke_public, pre_master) = match (&ske.params, suite.key_exchange()) {
             (ServerKeyExchangeParams::Ecdhe { public }, KeyExchange::Ecdhe) => {
                 let server_pub = x25519::PublicKey(
                     public
@@ -694,9 +693,8 @@ impl ClientConnection {
                         .map_err(|_| TlsError::Decode("bad x25519 point"))?,
                 );
                 let secret = x25519::SecretKey::generate(rng);
-                let shared = secret.diffie_hellman(&server_pub)?;
-                let my_pub = secret.public_key().0.to_vec();
-                (my_pub, shared.to_vec())
+                let pre_master = PreMasterSecret::from_ecdhe(secret.diffie_hellman(&server_pub)?);
+                (secret.public_key().0.to_vec(), pre_master)
             }
             (ServerKeyExchangeParams::Dhe { p, g, ys }, KeyExchange::Dhe) => {
                 // Validate the group is the one we support.
@@ -710,15 +708,19 @@ impl ClientConnection {
                 let secret = DhSecret::generate(rng);
                 let mut ys_padded = vec![0u8; 256usize.saturating_sub(ys.len())];
                 ys_padded.extend_from_slice(ys);
-                let shared = secret.diffie_hellman(&DhPublic(ys_padded))?;
-                let my_pub = secret.public_value().0;
-                (my_pub, strip_leading_zeros(&shared).to_vec())
+                let pre_master =
+                    PreMasterSecret::from_dhe(secret.diffie_hellman(&DhPublic(ys_padded))?);
+                (secret.public_value().0, pre_master)
             }
             _ => return Err(TlsError::NegotiationFailed("kex/suite mismatch")),
         };
 
-        let master =
-            keyschedule::master_secret(suite, &pre_master, &self.client_random, &self.server_random);
+        let master = keyschedule::master_secret(
+            suite,
+            pre_master.as_bytes(),
+            &self.client_random,
+            &self.server_random,
+        );
         self.secrets = Some(ConnectionSecrets {
             suite,
             master_secret: master,

@@ -36,6 +36,45 @@ pub fn transcript_hash(suite: CipherSuite, transcript: &[u8]) -> Vec<u8> {
     }
 }
 
+/// The key-agreement output a full handshake derives its master
+/// secret from. It exists between the Diffie-Hellman call and
+/// [`master_secret`] only, and is wiped when it leaves scope on any
+/// path — as is the raw shared secret it is built from.
+pub struct PreMasterSecret(Vec<u8>);
+
+impl PreMasterSecret {
+    /// From an X25519 shared secret (used whole).
+    pub fn from_ecdhe(mut shared: [u8; 32]) -> Self {
+        let pre_master = PreMasterSecret(shared.to_vec());
+        ct::zeroize(&mut shared);
+        pre_master
+    }
+
+    /// From a finite-field DH shared secret, leading zeros stripped
+    /// (see [`strip_leading_zeros`]).
+    pub fn from_dhe(mut shared: Vec<u8>) -> Self {
+        let pre_master = PreMasterSecret(strip_leading_zeros(&shared).to_vec());
+        ct::zeroize(&mut shared);
+        pre_master
+    }
+
+    /// The bytes [`master_secret`] consumes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Zero the secret in place. This is the routine [`Drop`] runs.
+    pub fn wipe(&mut self) {
+        ct::zeroize(&mut self.0);
+    }
+}
+
+impl Drop for PreMasterSecret {
+    fn drop(&mut self) {
+        self.wipe();
+    }
+}
+
 /// master_secret = PRF(pre_master, "master secret",
 ///                     client_random || server_random)[0..48]
 pub fn master_secret(

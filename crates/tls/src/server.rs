@@ -8,7 +8,7 @@ use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::x25519;
 
 use crate::config::ServerConfig;
-use crate::keyschedule::{self, strip_leading_zeros};
+use crate::keyschedule::{self, PreMasterSecret};
 use crate::messages::{
     choose_suite, extension_type, frame_handshake, handshake_type, ClientHello,
     ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
@@ -275,7 +275,7 @@ impl ConnectionRole for ServerConnection {
                 self.transcript.add(&frame);
                 let cke = ClientKeyExchange::decode_body(&body)?;
                 let suite = self.suite.ok_or(TlsError::Internal("suite chosen"))?;
-                let pre_master: Vec<u8> = match self.kex.take() {
+                let pre_master = match self.kex.take() {
                     Some(KexSecret::Ecdhe(secret)) => {
                         let peer = x25519::PublicKey(
                             cke.public
@@ -283,20 +283,20 @@ impl ConnectionRole for ServerConnection {
                                 .try_into()
                                 .map_err(|_| TlsError::Decode("bad x25519 point"))?,
                         );
-                        secret.diffie_hellman(&peer)?.to_vec()
+                        PreMasterSecret::from_ecdhe(secret.diffie_hellman(&peer)?)
                     }
                     Some(KexSecret::Dhe(secret)) => {
                         let mut padded = vec![0u8; 256usize.saturating_sub(cke.public.len())];
                         padded.extend_from_slice(&cke.public);
-                        let shared =
-                            secret.diffie_hellman(&mbtls_crypto::dh::DhPublic(padded))?;
-                        strip_leading_zeros(&shared).to_vec()
+                        PreMasterSecret::from_dhe(
+                            secret.diffie_hellman(&mbtls_crypto::dh::DhPublic(padded))?,
+                        )
                     }
                     None => return Err(TlsError::UnexpectedMessage("no kex in progress")),
                 };
                 let master = keyschedule::master_secret(
                     suite,
-                    &pre_master,
+                    pre_master.as_bytes(),
                     &self.client_random,
                     &self.server_random,
                 );

@@ -11,7 +11,7 @@
 //! nor double-free on corrupted encodings.
 
 use mbtls_crypto::ct::assert_wipes;
-use mbtls_tls::keyschedule::{key_block, KeyBlock};
+use mbtls_tls::keyschedule::{key_block, KeyBlock, PreMasterSecret};
 use mbtls_tls::session::{ConnectionSecrets, ResumptionData, SessionKeys, TicketPlaintext};
 use mbtls_tls::suites::CipherSuite;
 use proptest::prelude::*;
@@ -56,6 +56,18 @@ fn key_block_zeroes_on_drop() {
             ]
         },
     );
+}
+
+#[test]
+fn pre_master_secret_zeroes_on_drop() {
+    assert_wipes(PreMasterSecret::from_ecdhe([0x5a; 32]), PreMasterSecret::wipe, |p| {
+        vec![p.as_bytes().to_vec()]
+    });
+    assert_wipes(PreMasterSecret::from_dhe(vec![0, 0, 7, 1]), PreMasterSecret::wipe, |p| {
+        vec![p.as_bytes().to_vec()]
+    });
+    // RFC 5246 §8.1.2: the DHE secret loses its leading zeros.
+    assert_eq!(PreMasterSecret::from_dhe(vec![0, 0, 7, 1]).as_bytes(), &[7, 1]);
 }
 
 #[test]

@@ -14,8 +14,8 @@
 //!
 //! * single-vs-batched Ed25519 verification throughput at batch
 //!   sizes 4/16/32/64 (floor: best batched rate ≥ 2× single);
-//! * CPU per full vs. ticket-resumed handshake (ceiling: resumed ≤
-//!   ¼ of full);
+//! * CPU per full vs. ticket-resumed handshake (ceilings: resumed
+//!   ≤ 0.40 of full and ≤ 1.2× the committed artifact's resumed µs);
 //! * the reconnect-storm curve at 1/2/4/8 shards against an
 //!   all-full-handshake baseline (floor: storm beats baseline at
 //!   every shard count);

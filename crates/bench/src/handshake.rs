@@ -11,8 +11,9 @@
 //!    transfer, two chain signature checks, one ServerKeyExchange
 //!    check, X25519) against an abbreviated ticket-resumption
 //!    handshake (no certificates, no signature checks) over
-//!    zero-latency in-memory pipes, where wall ≈ CPU. The floor:
-//!    resumed ≤ ¼ of full.
+//!    zero-latency in-memory pipes, where wall ≈ CPU. The floors
+//!    (`scripts/bench_report.sh`): resumed ≤ 0.40 of full, and
+//!    resumed µs within 20 % of the committed artifact's.
 //! 3. **Reconnect storm** — the sharded host under the load
 //!    generator's resumption-storm scenario (primed tickets, a stale
 //!    cadence degrading to full handshakes, deferred checks batched
@@ -62,7 +63,7 @@ pub struct HandshakeCpu {
     pub full_us: f64,
     /// Microseconds per abbreviated ticket-resumption handshake.
     pub resumed_us: f64,
-    /// `resumed / full` (acceptance ceiling 0.25).
+    /// `resumed / full` (acceptance ceiling 0.40).
     pub resumed_over_full: f64,
 }
 

@@ -124,15 +124,27 @@ echo "OK: wrote $OUT"
 # validate_handshake <file>: structural checks for BENCH_handshake.json
 # plus the regression floors — on full runs only, since smoke budgets
 # are too small for stable ratios — batched verification must beat
-# single by ≥2×, a resumed handshake must cost ≤¼ of a full one, and
-# the storm path must beat the all-full baseline at every shard count.
+# single by ≥2×, resumption must stay cheap, and the storm path must
+# beat the all-full baseline at every shard count.
+#
+# "Resumption stays cheap" means it still skips every certificate,
+# signature and key agreement. That is stated as two checks, neither
+# of which a faster *full* handshake can trip: resumed_us is at most
+# 20 % above the committed artifact's (read from HEAD, so the run
+# that regenerates the file is compared with the one before it), and
+# resumed_over_full ≤ 0.40. The old ceiling of 0.25 encoded "a full
+# handshake is slow": with the lazily-reduced field the same resumed
+# handshake (123–145 µs over four runs) sits beside a 495–530 µs full
+# one, ratio 0.244–0.277. One stray chain verification (~67 µs) or
+# key agreement (2 × ~37 µs) in the resumed path breaks the first
+# check; doing all of a full handshake's public-key work breaks both.
 validate_handshake() {
     local out="$1"
     if ! command -v python3 > /dev/null; then
         return 0
     fi
     python3 - "$out" <<'PY' || exit 1
-import json, sys
+import json, subprocess, sys
 
 report = json.load(open(sys.argv[1]))
 smoke = report["smoke"]
@@ -162,8 +174,14 @@ assert det["identical"] is True, "double-run determinism verdict is false"
 assert det["batching"] is True, "determinism probe must run with batching on"
 if not smoke:
     assert best >= 2.0, f"batched verify speedup regressed: {best}x < 2x floor"
-    assert cpu["resumed_over_full"] <= 0.25, \
+    assert cpu["resumed_over_full"] <= 0.40, \
         f"resumed handshake too costly: {cpu['resumed_over_full']} of full"
+    head = subprocess.run(["git", "show", "HEAD:BENCH_handshake.json"],
+                          capture_output=True, text=True)
+    if head.returncode == 0:
+        committed = json.loads(head.stdout)["handshake_cpu"]["resumed_us"]
+        assert cpu["resumed_us"] <= 1.2 * committed, \
+            f"resumed handshake regressed: {cpu['resumed_us']} us vs {committed} us committed"
     for run in storm:
         assert run["storm_handshakes_per_s"] > run["full_handshakes_per_s"], \
             f"storm loses to full baseline at {run['shards']} shard(s)"

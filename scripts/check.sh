@@ -8,6 +8,10 @@
 #   clippy      cargo clippy --workspace --all-targets -D warnings
 #   build       cargo build --release --workspace
 #   test        cargo test -q --workspace
+#   crypto-release  cargo test -q -p mbtls-crypto --release: the
+#               vectors again on the build that ships — field25519's
+#               limb contract is an overflow argument, and a debug
+#               build panics on u64 overflow where release wraps
 #   telemetry   scripts/telemetry_smoke.sh
 #   bench       scripts/bench_report.sh --smoke
 #   seam        benchmark/run.sh --smoke (builds the repo benchmark's
@@ -59,6 +63,7 @@ stage lint      cargo run -q -p mbtls-lint --release -- "${LINT_ARGS[@]}"
 stage clippy    cargo clippy --workspace --all-targets -- -D warnings
 stage build     cargo build --release --workspace
 stage test      cargo test -q --workspace
+stage crypto-release cargo test -q -p mbtls-crypto --release
 stage telemetry scripts/telemetry_smoke.sh
 # Bench-reporter smoke: proves BENCH_dataplane.json (data-plane),
 # BENCH_scale.json (session-host capacity), BENCH_handshake.json

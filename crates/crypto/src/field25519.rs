@@ -20,8 +20,9 @@
 //! is bounded by the sum of its operands' bounds: up to seven tight
 //! values may be summed before the result must go through one of the
 //! operations above. No formula in the two consumers stacks more
-//! than three. The loose-accepting operations `debug_assert!` the
-//! bound on entry, so every debug-built test run checks it.
+//! than three. The loose-accepting operations `debug_assert!` their
+//! bound on entry and the two carry routines the tight bound on exit,
+//! so every debug-built test run checks the contract.
 //!
 //! `to_bytes` (and `ct_eq`, `is_zero`, `is_negative` through it)
 //! accepts any limbs at all and reduces fully to the canonical

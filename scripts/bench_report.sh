@@ -129,15 +129,23 @@ echo "OK: wrote $OUT"
 #
 # "Resumption stays cheap" means it still skips every certificate,
 # signature and key agreement. That is stated as two checks, neither
-# of which a faster *full* handshake can trip: resumed_us is at most
-# 20 % above the committed artifact's (read from HEAD, so the run
-# that regenerates the file is compared with the one before it), and
-# resumed_over_full ≤ 0.40. The old ceiling of 0.25 encoded "a full
-# handshake is slow": with the lazily-reduced field the same resumed
-# handshake (123–145 µs over four runs) sits beside a 495–530 µs full
-# one, ratio 0.244–0.277. One stray chain verification (~67 µs) or
-# key agreement (2 × ~37 µs) in the resumed path breaks the first
-# check; doing all of a full handshake's public-key work breaks both.
+# of which a faster *full* handshake can trip:
+#   * resumed_over_full ≤ 0.40, and
+#   * resumed_us at most 20 % above the committed artifact's (read
+#     from HEAD, so the run that regenerates the file is compared with
+#     the one before it). This machine has slow phases that outlast a
+#     whole reporter run and scale both numbers alike (full/resumed
+#     457/117, 439/113, 760/171, 472/119, 466/124 µs over five runs),
+#     so the allowance is scaled by full_us over the committed full_us
+#     when that is above 1 — never when it is below, or a faster full
+#     handshake would tighten the bound.
+# The old ceiling of 0.25 encoded "a full handshake is slow": with the
+# lazily-reduced field the same resumed handshake sits beside a full
+# one of ~460 µs instead of ~1340, ratio 0.225–0.265 over those runs
+# (committed: 466.1 / 115.0 µs, 0.247).
+# One stray chain verification (~67 µs) or key agreement (2 × ~37 µs)
+# in the resumed path breaks the second check; doing all of a full
+# handshake's public-key work breaks both.
 validate_handshake() {
     local out="$1"
     if ! command -v python3 > /dev/null; then
@@ -179,9 +187,12 @@ if not smoke:
     head = subprocess.run(["git", "show", "HEAD:BENCH_handshake.json"],
                           capture_output=True, text=True)
     if head.returncode == 0:
-        committed = json.loads(head.stdout)["handshake_cpu"]["resumed_us"]
-        assert cpu["resumed_us"] <= 1.2 * committed, \
-            f"resumed handshake regressed: {cpu['resumed_us']} us vs {committed} us committed"
+        committed = json.loads(head.stdout)["handshake_cpu"]
+        slow_phase = max(1.0, cpu["full_us"] / committed["full_us"])
+        assert cpu["resumed_us"] <= 1.2 * slow_phase * committed["resumed_us"], \
+            f"resumed handshake regressed: {cpu['resumed_us']} us vs " \
+            f"{committed['resumed_us']} us committed (full {cpu['full_us']} vs " \
+            f"{committed['full_us']} us)"
     for run in storm:
         assert run["storm_handshakes_per_s"] > run["full_handshakes_per_s"], \
             f"storm loses to full baseline at {run['shards']} shard(s)"

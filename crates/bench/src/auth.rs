@@ -1,4 +1,5 @@
-//! The `BENCH_auth.json` middlebox-authorization comparison: the
+//! The `auth` suite (`BENCH_auth.json`), the middlebox-authorization
+//! comparison: the
 //! three [`MiddleboxAuthMode`]s head to head on one topology (client →
 //! one middlebox → server).
 //!
@@ -18,7 +19,7 @@
 //!   two Ed25519 operations, real EPID attestation is milliseconds,
 //!   and charging it is what makes the comparison honest.
 //!
-//! Expected shape (the `bench_report.sh` floors): delegated strictly
+//! Expected shape (the [`check`] floors): delegated strictly
 //! below SGX-attested on both axes — mdTLS's claim — and key-shared
 //! below both, because the naive baseline does no authorization work
 //! at all (the security matrix shows what that buys).
@@ -35,6 +36,9 @@ use mbtls_core::server::MbServerSession;
 use mbtls_core::{MbError, MiddleboxAuthMode};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_sgx::SgxCostModel;
+use mbtls_telemetry::json::Value;
+
+use crate::AllocCounter;
 
 /// The modes the report compares, in output order.
 pub const MODES: [MiddleboxAuthMode; 3] = [
@@ -62,56 +66,86 @@ pub struct AuthModeRow {
     pub cpu_us: f64,
 }
 
-/// Everything that goes into `BENCH_auth.json`.
-#[derive(Debug, Clone)]
-pub struct AuthReport {
-    /// True when produced by a `--smoke` run (tiny iteration counts;
-    /// numbers only prove the harness works).
-    pub smoke: bool,
-    /// One row per mode, [`MODES`] order.
-    pub rows: Vec<AuthModeRow>,
-    /// delegated ÷ sgx_attested handshake bytes (floor: < 1).
-    pub delegated_bytes_ratio: f64,
-    /// delegated ÷ sgx_attested cpu_us (floor: < 1).
-    pub delegated_cpu_ratio: f64,
-    /// `"identical"` when, for every mode, two same-seed handshakes
-    /// produced bit-identical wire traffic, else `"diverged"`.
-    pub determinism: String,
+/// Measure everything that goes into `BENCH_auth.json`. Full runs
+/// use enough handshakes per mode for stable CPU figures; byte counts
+/// are exact and deterministic at any budget.
+pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
+    let (rows, identical) = bench_auth_modes(if smoke { 2 } else { 48 }, 0xA07_2026);
+    let row = |name: &str| rows.iter().find(|r| r.mode == name).expect("all modes measured");
+    let (delegated, sgx) = (row("delegated"), row("sgx_attested"));
+    let modes = rows.iter().map(|r| {
+        let fields = Value::object([
+            ("handshake_bytes", r.handshake_bytes.into()),
+            ("artifact_bytes", r.artifact_bytes.into()),
+            ("measured_cpu_us", Value::Float(r.measured_cpu_us, 2)),
+            ("modeled_attestation_us", Value::Float(r.modeled_attestation_us, 2)),
+            ("cpu_us", Value::Float(r.cpu_us, 2)),
+        ]);
+        (r.mode, fields)
+    });
+    Value::object([
+        ("smoke", smoke.into()),
+        ("modes", Value::object(modes)),
+        (
+            "delegated_bytes_ratio",
+            Value::Float(delegated.handshake_bytes as f64 / sgx.handshake_bytes as f64, 4),
+        ),
+        ("delegated_cpu_ratio", Value::Float(delegated.cpu_us / sgx.cpu_us, 4)),
+        // Whether, for every mode, two same-seed handshakes produced
+        // bit-identical wire traffic.
+        ("determinism", if identical { "identical" } else { "diverged" }.into()),
+    ])
 }
 
-impl AuthReport {
-    /// Render as pretty-printed JSON. Hand-rolled (the workspace has
-    /// no serde) but round-trips through any JSON parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str("  \"modes\": {\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            out.push_str(&format!("    \"{}\": {{\n", r.mode));
-            out.push_str(&format!("      \"handshake_bytes\": {},\n", r.handshake_bytes));
-            out.push_str(&format!("      \"artifact_bytes\": {},\n", r.artifact_bytes));
-            out.push_str(&format!("      \"measured_cpu_us\": {:.2},\n", r.measured_cpu_us));
-            out.push_str(&format!(
-                "      \"modeled_attestation_us\": {:.2},\n",
-                r.modeled_attestation_us
-            ));
-            out.push_str(&format!("      \"cpu_us\": {:.2}\n", r.cpu_us));
-            out.push_str(&format!("    }}{comma}\n"));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"delegated_bytes_ratio\": {:.4},\n",
-            self.delegated_bytes_ratio
-        ));
-        out.push_str(&format!(
-            "  \"delegated_cpu_ratio\": {:.4},\n",
-            self.delegated_cpu_ratio
-        ));
-        out.push_str(&format!("  \"determinism\": \"{}\"\n", self.determinism));
-        out.push('}');
-        out
+/// Schema and floors of `BENCH_auth.json`: delegated credentials must
+/// stay strictly cheaper than SGX attestation on both handshake bytes
+/// and CPU. The byte floor is exact (deterministic handshake
+/// transcripts) and the CPU floor is dominated by the modeled
+/// attestation round-trip (~1.75 virtual ms charged only to the
+/// sgx_attested row), so both hold at smoke budgets.
+pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
+    let field = |mode: MiddleboxAuthMode, key: &str| {
+        report.num(&format!("modes.{}.{key}", mode.name()))
+    };
+    use MiddleboxAuthMode::{Delegated, KeyShared, SgxAttested};
+    for mode in MODES {
+        let name = mode.name();
+        floor!(field(mode, "handshake_bytes")? > 0.0, "{name}: no handshake bytes counted");
+        floor!(field(mode, "cpu_us")? > 0.0, "{name}: no CPU measured");
+        field(mode, "measured_cpu_us")?;
     }
+    floor!(
+        field(Delegated, "handshake_bytes")? < field(SgxAttested, "handshake_bytes")?,
+        "delegated handshake is not smaller than SGX-attested"
+    );
+    floor!(
+        field(Delegated, "cpu_us")? < field(SgxAttested, "cpu_us")?,
+        "delegated handshake is not cheaper than SGX-attested"
+    );
+    floor!(field(Delegated, "artifact_bytes")? > 0.0, "delegated credential has no encoding");
+    floor!(field(KeyShared, "artifact_bytes")? == 0.0, "key-shared mode should carry no artifact");
+    floor!(
+        field(SgxAttested, "modeled_attestation_us")? > 0.0,
+        "SGX row is missing the modeled attestation surcharge"
+    );
+    for mode in [Delegated, KeyShared] {
+        floor!(
+            field(mode, "modeled_attestation_us")? == 0.0,
+            "{}: attestation surcharge charged to a mode that does not attest",
+            mode.name()
+        );
+    }
+    let bytes_ratio = report.num("delegated_bytes_ratio")?;
+    floor!(0.0 < bytes_ratio && bytes_ratio < 1.0, "bytes ratio out of range: {bytes_ratio}");
+    let cpu_ratio = report.num("delegated_cpu_ratio")?;
+    floor!(0.0 < cpu_ratio && cpu_ratio < 1.0, "CPU ratio out of range: {cpu_ratio}");
+    floor!(
+        report.text("determinism")? == "identical",
+        "double-run auth handshake determinism verdict is not identical"
+    );
+    Ok(format!(
+        "auth OK: delegated/attested bytes {bytes_ratio}, cpu {cpu_ratio}, determinism identical"
+    ))
 }
 
 fn fnv1a(digest: &mut u64, bytes: &[u8]) {
@@ -234,19 +268,18 @@ pub fn artifact_bytes(tb: &Testbed, mode: MiddleboxAuthMode) -> u64 {
     }
 }
 
-/// Measure all three modes. `iters` handshakes back each CPU number;
-/// every mode's byte count is double-run digest-checked.
-pub fn bench_auth_modes(iters: usize, seed: u64) -> AuthReport {
+/// Measure all three modes, in [`MODES`] order. `iters` handshakes
+/// back each CPU number; every mode's byte count is double-run
+/// digest-checked, and the flag says whether all of them replayed.
+pub fn bench_auth_modes(iters: usize, seed: u64) -> (Vec<AuthModeRow>, bool) {
     let tb = Testbed::new(seed);
     let cost = SgxCostModel::default();
     let mut rows = Vec::new();
-    let mut determinism = String::from("identical");
+    let mut identical = true;
     for mode in MODES {
         let a = run_handshake_counted(&tb, mode, seed ^ 0x5EED).expect("counted handshake");
         let b = run_handshake_counted(&tb, mode, seed ^ 0x5EED).expect("counted handshake");
-        if a.digest != b.digest || a.bytes != b.bytes {
-            determinism = String::from("diverged");
-        }
+        identical &= a.digest == b.digest && a.bytes == b.bytes;
         let measured_cpu_us = bench_handshake_cpu(&tb, mode, iters);
         let modeled_attestation_us = match mode {
             MiddleboxAuthMode::SgxAttested => cost.attestation_round_ns() / 1e3,
@@ -261,20 +294,7 @@ pub fn bench_auth_modes(iters: usize, seed: u64) -> AuthReport {
             cpu_us: measured_cpu_us + modeled_attestation_us,
         });
     }
-    let get = |name: &str| {
-        rows.iter()
-            .find(|r| r.mode == name)
-            .expect("all modes measured")
-            .clone()
-    };
-    let (delegated, sgx) = (get("delegated"), get("sgx_attested"));
-    AuthReport {
-        smoke: false,
-        rows,
-        delegated_bytes_ratio: delegated.handshake_bytes as f64 / sgx.handshake_bytes as f64,
-        delegated_cpu_ratio: delegated.cpu_us / sgx.cpu_us,
-        determinism,
-    }
+    (rows, identical)
 }
 
 #[cfg(test)]
@@ -306,28 +326,38 @@ mod tests {
     }
 
     #[test]
-    fn report_json_shape() {
-        let mut report = bench_auth_modes(1, 0xA09);
-        report.smoke = true;
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for mode in MODES {
-            assert!(json.contains(&format!("\"{}\"", mode.name())));
+    fn smoke_run_passes_and_doctored_floors_fail() {
+        use crate::testing::doctored;
+        // The CPU floor leans on the modeled surcharge, which a debug
+        // build's measurement noise can swamp: pin the measured part.
+        let mut smoke = run(true, || 0);
+        for (key, cpu) in [
+            ("modes.delegated.cpu_us", "900.00"),
+            ("modes.sgx_attested.cpu_us", "2700.00"),
+            ("modes.key_shared.cpu_us", "500.00"),
+            ("delegated_cpu_ratio", "0.3333"),
+        ] {
+            smoke = doctored(&smoke, key, cpu);
         }
-        assert!(json.contains("\"determinism\": \"identical\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
-        assert!(report.delegated_bytes_ratio < 1.0);
-        // The CPU floor (delegated < sgx_attested) is enforced by the
-        // release-mode bench gate; under a debug build, measurement
-        // noise can swamp the modeled surcharge. Here we only assert
-        // the surcharge is charged to the right mode.
-        let sgx = report.rows.iter().find(|r| r.mode == "sgx_attested").unwrap();
-        assert!(sgx.modeled_attestation_us > 0.0);
-        assert!(report
-            .rows
-            .iter()
-            .filter(|r| r.mode != "sgx_attested")
-            .all(|r| r.modeled_attestation_us == 0.0));
+        let attested = smoke.at("modes.sgx_attested.handshake_bytes").unwrap().to_pretty();
+        crate::testing::assert_floors(
+            check,
+            &smoke,
+            &[
+                ("modes.delegated.handshake_bytes", &attested, "not smaller than SGX-attested"),
+                ("modes.delegated.cpu_us", "2700.00", "not cheaper than SGX-attested"),
+                ("modes.key_shared.handshake_bytes", "0", "key_shared: no handshake bytes"),
+                ("modes.key_shared.cpu_us", "0.00", "key_shared: no CPU"),
+                ("modes.delegated.artifact_bytes", "0", "no encoding"),
+                ("modes.key_shared.artifact_bytes", "64", "should carry no artifact"),
+                ("modes.sgx_attested.modeled_attestation_us", "0.00", "missing the modeled"),
+                ("modes.delegated.modeled_attestation_us", "5.00", "delegated: attestation"),
+                ("modes.key_shared.modeled_attestation_us", "5.00", "key_shared: attestation"),
+                ("delegated_bytes_ratio", "1.0000", "bytes ratio out of range"),
+                ("delegated_cpu_ratio", "0.0000", "CPU ratio out of range"),
+                ("determinism", "\"diverged\"", "not identical"),
+                ("modes", "{\"delegated\": {}}", "modes.delegated.handshake_bytes"),
+            ],
+        );
     }
 }

@@ -1,0 +1,146 @@
+//! Measure and check the `BENCH_*.json` regression artifacts — one
+//! binary for all five suites.
+//!
+//! ```text
+//! report <dataplane|scale|handshake|chain|auth|all> [--smoke] [--out PATH]
+//! report check <suite> <file>
+//! ```
+//!
+//! A suite run measures, writes the artifact (`--out`, default the
+//! suite's `BENCH_<suite>.json` in the current directory), prints it,
+//! and then runs the suite's schema and floor checks on what it
+//! wrote; `check` runs the same checks on an existing file without
+//! measuring. A failed floor exits 1.
+//!
+//! `--smoke` runs tiny budgets (seconds) so `scripts/check.sh` can
+//! gate on the harness working end to end; numbers from a smoke run
+//! are noisy and flagged `"smoke": true` in the JSON, and the floors
+//! that need stable timings are skipped. Full runs
+//! (`scripts/bench_report.sh`) produce the committed artifacts.
+//!
+//! The binary installs the counting global allocator the suites'
+//! steady-state allocation metrics read; the library crate stays
+//! allocator-agnostic.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+use mbtls_bench::{Suite, SUITES};
+use mbtls_telemetry::json::{parse, Value};
+
+/// `System` wrapped with an allocation counter. Only counts calls to
+/// `alloc`/`realloc` — frees are irrelevant to the "allocations per
+/// record" metric.
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates directly to `System`, which upholds the
+// `GlobalAlloc` contract; the counter has no effect on the returned
+// memory.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn alloc_count() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+const USAGE: &str =
+    "usage: report <dataplane|scale|handshake|chain|auth|all> [--smoke] [--out PATH]
+       report check <suite> <file>";
+
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn suite_named(name: &str) -> &'static Suite {
+    SUITES
+        .iter()
+        .find(|suite| suite.name == name)
+        .unwrap_or_else(|| usage_error(&format!("unknown suite: {name}")))
+}
+
+fn read_artifact(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
+    parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
+}
+
+/// Measure `suite`, write the artifact to `out`, and check what was
+/// written — the text on disk, read back, so `report check` on the
+/// file reaches the same verdict.
+fn run_suite(suite: &Suite, smoke: bool, out: &str) -> Result<(), String> {
+    // Some floors are relative to the artifact this run replaces.
+    let replaced = read_artifact(out).ok();
+    let started = Instant::now();
+    let text = (suite.run)(smoke, alloc_count).to_pretty();
+    std::fs::write(out, format!("{text}\n")).map_err(|e| format!("failed to write {out}: {e}"))?;
+    println!("{text}");
+    eprintln!(
+        "wrote {out} ({} suite, {:.1} s)",
+        suite.name,
+        started.elapsed().as_secs_f64()
+    );
+    let summary = (suite.check)(&parse(&text)?, replaced.as_ref())?;
+    eprintln!("{summary}");
+    Ok(())
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let command = args.next().unwrap_or_else(|| usage_error("missing suite"));
+    let result = if command == "check" {
+        let (Some(suite), Some(file), None) = (args.next(), args.next(), args.next()) else {
+            usage_error("check takes a suite and a file");
+        };
+        read_artifact(&file)
+            .and_then(|report| (suite_named(&suite).check)(&report, None))
+            .map(|summary| eprintln!("{summary}"))
+    } else {
+        let mut smoke = false;
+        let mut out = None;
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => smoke = true,
+                "--out" => {
+                    out = Some(
+                        args.next()
+                            .unwrap_or_else(|| usage_error("--out requires a path")),
+                    )
+                }
+                other => usage_error(&format!("unknown argument: {other}")),
+            }
+        }
+        match (command.as_str(), out) {
+            ("all", Some(_)) => usage_error("--out names one file; run one suite with it"),
+            ("all", None) => SUITES
+                .iter()
+                .try_for_each(|suite| run_suite(suite, smoke, suite.artifact)),
+            (name, out) => {
+                let suite = suite_named(name);
+                run_suite(suite, smoke, out.as_deref().unwrap_or(suite.artifact))
+            }
+        }
+    };
+    if let Err(failure) = result {
+        eprintln!("FAIL: {failure}");
+        std::process::exit(1);
+    }
+}

@@ -1,4 +1,5 @@
-//! The `BENCH_handshake.json` handshake fast-path reporter.
+//! The `handshake` suite (`BENCH_handshake.json`): the handshake fast
+//! path.
 //!
 //! Three measurements back the precomputed/batched Ed25519 work:
 //!
@@ -12,8 +13,8 @@
 //!    check, X25519) against an abbreviated ticket-resumption
 //!    handshake (no certificates, no signature checks) over
 //!    zero-latency in-memory pipes, where wall ≈ CPU. The floors
-//!    (`scripts/bench_report.sh`): resumed ≤ 0.40 of full, and
-//!    resumed µs within 20 % of the committed artifact's.
+//!    ([`check`]): resumed ≤ 0.40 of full, and resumed µs within
+//!    20 % of the artifact the run replaces.
 //! 3. **Reconnect storm** — the sharded host under the load
 //!    generator's resumption-storm scenario (primed tickets, a stale
 //!    cadence degrading to full handshakes, deferred checks batched
@@ -36,9 +37,11 @@ use mbtls_crypto::ed25519::{verify_batch, BatchItem, Signature, SigningKey, Veri
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_host::{Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, Shard, Workload};
 use mbtls_netsim::time::{Duration, SimTime};
+use mbtls_telemetry::json::Value;
 use mbtls_telemetry::merge_shard_traces;
 
 use crate::scale::trace_fingerprint;
+use crate::AllocCounter;
 
 /// Shard counts for the storm curve (matches `scale.rs`).
 pub const STORM_SHARD_CURVE: &[u16] = &[1, 2, 4, 8];
@@ -83,98 +86,155 @@ pub struct StormRun {
     pub storm_resumed_share: f64,
 }
 
-/// Everything that goes into `BENCH_handshake.json`.
-#[derive(Debug, Clone)]
-pub struct HandshakeReport {
-    /// True when produced by a `--smoke` run (tiny iteration counts;
-    /// numbers only prove the harness works).
-    pub smoke: bool,
-    /// Verification throughput, one row per batch size, ascending.
-    pub verify: Vec<VerifyRow>,
-    /// Full-vs-resumed handshake CPU.
-    pub cpu: HandshakeCpu,
-    /// Storm curve, one row per shard count, ascending.
-    pub storm: Vec<StormRun>,
-    /// Seed of the determinism replay.
-    pub determinism_seed: u64,
-    /// Fleet size of the determinism replay.
-    pub determinism_sessions: usize,
-    /// Shard count of the determinism replay.
-    pub determinism_shards: u16,
-    /// True iff two storm runs with batching enabled replayed a
-    /// bit-identical merged trace and identical counters.
-    pub determinism_identical: bool,
+/// Measure everything that goes into `BENCH_handshake.json`.
+pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
+    let batches: &[usize] = if smoke { &[4, 16] } else { &[4, 16, 32, 64] };
+    let min_verifies = if smoke { 16 } else { 1024 };
+    let cpu_iters = if smoke { 4 } else { 200 };
+    let storm_n = if smoke { 16 } else { 2_000 };
+    let storm_curve: &[u16] = if smoke { &[1, 2] } else { STORM_SHARD_CURVE };
+    let determinism_sessions = if smoke { 16 } else { 1_000 };
+    let determinism_shards: u16 = 4;
+    let seed = 0x5EED_CAFE;
+
+    eprintln!("verification throughput over batches {batches:?}...");
+    let verify: Vec<_> =
+        batches.iter().map(|&b| bench_verify_row(b, min_verifies, seed)).collect();
+    eprintln!("handshake CPU ({cpu_iters} iterations each)...");
+    let cpu = bench_handshake_cpu(cpu_iters, seed);
+    eprintln!("storm curve n={storm_n} over shards {storm_curve:?}...");
+    let storm = bench_storm_curve(storm_n, seed, storm_curve);
+    let (_, identical) = storm_determinism_probe(determinism_sessions, determinism_shards, seed);
+
+    let verify_rows = verify.iter().map(|row| {
+        Value::object([
+            ("batch", row.batch.into()),
+            ("single_verifies_per_s", Value::Float(row.single_verifies_per_s, 1)),
+            ("batched_verifies_per_s", Value::Float(row.batched_verifies_per_s, 1)),
+            ("speedup", Value::Float(row.speedup, 2)),
+        ])
+    });
+    let storm_rows = storm.iter().map(|run| {
+        Value::object([
+            ("shards", run.shards.into()),
+            ("full_handshakes_per_s", Value::Float(run.full_handshakes_per_s, 1)),
+            ("storm_handshakes_per_s", Value::Float(run.storm_handshakes_per_s, 1)),
+            ("storm_resumed_share", Value::Float(run.storm_resumed_share, 3)),
+        ])
+    });
+    let best = verify.iter().map(|r| r.speedup).fold(0.0, f64::max);
+    Value::object([
+        ("smoke", smoke.into()),
+        ("model", "max_shard_wall".into()),
+        ("verify", Value::Array(verify_rows.collect())),
+        ("best_batch_speedup", Value::Float(best, 2)),
+        (
+            "handshake_cpu",
+            Value::object([
+                ("full_us", Value::Float(cpu.full_us, 1)),
+                ("resumed_us", Value::Float(cpu.resumed_us, 1)),
+                ("resumed_over_full", Value::Float(cpu.resumed_over_full, 3)),
+            ]),
+        ),
+        ("storm", Value::Array(storm_rows.collect())),
+        (
+            "determinism",
+            Value::object([
+                ("seed", seed.into()),
+                ("sessions", determinism_sessions.into()),
+                ("shards", determinism_shards.into()),
+                ("batching", true.into()),
+                ("identical", identical.into()),
+            ]),
+        ),
+    ])
 }
 
-impl HandshakeReport {
-    /// Best batched-over-single speedup across the measured batch
-    /// sizes (the scalar the smoke gate checks against 2.0).
-    pub fn best_batch_speedup(&self) -> f64 {
-        self.verify.iter().map(|r| r.speedup).fold(0.0, f64::max)
-    }
-
-    /// Render as pretty-printed JSON (hand-rolled; the workspace has
-    /// no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str("  \"model\": \"max_shard_wall\",\n");
-        out.push_str("  \"verify\": [\n");
-        for (i, row) in self.verify.iter().enumerate() {
-            let comma = if i + 1 == self.verify.len() { "" } else { "," };
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"batch\": {},\n", row.batch));
-            out.push_str(&format!(
-                "      \"single_verifies_per_s\": {:.1},\n",
-                row.single_verifies_per_s
-            ));
-            out.push_str(&format!(
-                "      \"batched_verifies_per_s\": {:.1},\n",
-                row.batched_verifies_per_s
-            ));
-            out.push_str(&format!("      \"speedup\": {:.2}\n", row.speedup));
-            out.push_str(&format!("    }}{comma}\n"));
+/// Schema and floors of `BENCH_handshake.json`. On full runs only —
+/// smoke budgets are too small for stable ratios — batched
+/// verification must beat single by ≥2×, resumption must stay cheap,
+/// and the storm path must beat the all-full baseline at every shard
+/// count.
+///
+/// "Resumption stays cheap" means it still skips every certificate,
+/// signature and key agreement. That is stated as two checks, neither
+/// of which a faster *full* handshake can trip:
+///
+/// * `resumed_over_full` ≤ 0.40, and
+/// * `resumed_us` at most 20 % above that of `replaced`, the artifact
+///   at the output path before this run overwrote it, so the run that
+///   regenerates the file is compared with the one before it. This
+///   machine has slow phases that outlast a whole run and scale both
+///   numbers alike (full/resumed 457/117, 439/113, 760/171, 472/119,
+///   466/124 µs over five runs), so the allowance is scaled by
+///   `full_us` over the replaced `full_us` when that is above 1 —
+///   never when it is below, or a faster full handshake would tighten
+///   the bound.
+///
+/// An older ceiling of 0.25 encoded "a full handshake is slow": with
+/// the lazily-reduced field the same resumed handshake sits beside a
+/// full one of ~460 µs instead of ~1340, ratio 0.225–0.265 over those
+/// runs. One stray chain verification (~67 µs) or key agreement
+/// (2 × ~37 µs) in the resumed path breaks the second check; doing
+/// all of a full handshake's public-key work breaks both.
+pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String> {
+    let smoke = report.flag("smoke")?;
+    let verify = report.list("verify")?;
+    floor!(!verify.is_empty(), "no verification batch rows");
+    let mut batches = Vec::new();
+    let mut best_row = 0.0f64;
+    for row in verify {
+        let batch = row.num("batch")?;
+        floor!(batch >= 2.0, "batch sizes below 2 measure nothing");
+        for key in ["single_verifies_per_s", "batched_verifies_per_s"] {
+            floor!(row.num(key)? > 0.0, "batch {batch}: zero {key}");
         }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"best_batch_speedup\": {:.2},\n", self.best_batch_speedup()));
-        out.push_str("  \"handshake_cpu\": {\n");
-        out.push_str(&format!("    \"full_us\": {:.1},\n", self.cpu.full_us));
-        out.push_str(&format!("    \"resumed_us\": {:.1},\n", self.cpu.resumed_us));
-        out.push_str(&format!(
-            "    \"resumed_over_full\": {:.3}\n",
-            self.cpu.resumed_over_full
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"storm\": [\n");
-        for (i, run) in self.storm.iter().enumerate() {
-            let comma = if i + 1 == self.storm.len() { "" } else { "," };
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"shards\": {},\n", run.shards));
-            out.push_str(&format!(
-                "      \"full_handshakes_per_s\": {:.1},\n",
-                run.full_handshakes_per_s
-            ));
-            out.push_str(&format!(
-                "      \"storm_handshakes_per_s\": {:.1},\n",
-                run.storm_handshakes_per_s
-            ));
-            out.push_str(&format!(
-                "      \"storm_resumed_share\": {:.3}\n",
-                run.storm_resumed_share
-            ));
-            out.push_str(&format!("    }}{comma}\n"));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"determinism\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", self.determinism_seed));
-        out.push_str(&format!("    \"sessions\": {},\n", self.determinism_sessions));
-        out.push_str(&format!("    \"shards\": {},\n", self.determinism_shards));
-        out.push_str("    \"batching\": true,\n");
-        out.push_str(&format!("    \"identical\": {}\n", self.determinism_identical));
-        out.push_str("  }\n");
-        out.push('}');
-        out
+        best_row = best_row.max(row.num("speedup")?);
+        batches.push(batch as u64);
     }
+    floor!(batches.windows(2).all(|w| w[0] <= w[1]), "verify rows must ascend by batch size");
+    let best = report.num("best_batch_speedup")?;
+    floor!(best == best_row, "best_batch_speedup disagrees with the verify rows");
+    let full_us = report.num("handshake_cpu.full_us")?;
+    let resumed_us = report.num("handshake_cpu.resumed_us")?;
+    let ratio = report.num("handshake_cpu.resumed_over_full")?;
+    floor!(full_us > 0.0 && resumed_us > 0.0, "handshake CPU rows are zero");
+    let storm = report.list("storm")?;
+    floor!(!storm.is_empty(), "no storm curve rows");
+    let mut shard_counts = Vec::new();
+    for run in storm {
+        let shards = run.num("shards")?;
+        let (full, stormed) =
+            (run.num("full_handshakes_per_s")?, run.num("storm_handshakes_per_s")?);
+        floor!(full > 0.0 && stormed > 0.0, "storm row at {shards} shard(s) has a zero rate");
+        let share = run.num("storm_resumed_share")?;
+        floor!(0.0 < share && share <= 1.0, "storm_resumed_share out of range: {share}");
+        floor!(smoke || stormed > full, "storm loses to full baseline at {shards} shard(s)");
+        shard_counts.push(shards as u64);
+    }
+    floor!(shard_counts.windows(2).all(|w| w[0] <= w[1]), "storm rows must ascend");
+    floor!(report.flag("determinism.identical")?, "double-run determinism verdict is false");
+    floor!(report.flag("determinism.batching")?, "determinism probe must run with batching on");
+    if !smoke {
+        floor!(best >= 2.0, "batched verify speedup regressed: {best}x < 2x floor");
+        floor!(ratio <= 0.40, "resumed handshake too costly: {ratio} of full");
+        // A smoke artifact's four-iteration medians are no baseline.
+        if let Some(old) = replaced.filter(|old| old.flag("smoke") == Ok(false)) {
+            let old_full = old.num("handshake_cpu.full_us")?;
+            let old_resumed = old.num("handshake_cpu.resumed_us")?;
+            let slow_phase = (full_us / old_full).max(1.0);
+            floor!(
+                resumed_us <= 1.2 * slow_phase * old_resumed,
+                "resumed handshake regressed: {resumed_us} us vs {old_resumed} us before \
+                 (full {full_us} vs {old_full} us)"
+            );
+        }
+    }
+    Ok(format!(
+        "handshake OK: batches {batches:?}, best speedup {best}x, resumed/full {ratio}, \
+         storm shards {shard_counts:?}, determinism true{}",
+        if smoke { " (smoke: floors skipped)" } else { "" }
+    ))
 }
 
 /// Deterministic signature corpus: `n` distinct keys, messages, and
@@ -244,8 +304,7 @@ pub fn bench_verify_row(batch: usize, min_verifies: usize, seed: u64) -> VerifyR
 /// timed handshake is abbreviated. Returns the median microseconds
 /// per handshake: every iteration does the same work and interference
 /// only adds time, so the median ignores the spikes a mean absorbs —
-/// the 20 % resumed-cost floor in `scripts/bench_report.sh` rests on
-/// this number.
+/// the 20 % resumed-cost floor in [`check`] rests on this number.
 pub fn bench_handshake_us(iters: usize, resumed: bool, seed: u64) -> f64 {
     let testbed = Testbed::new(seed);
     let server_cfg = Arc::new(testbed.server_config());
@@ -450,36 +509,55 @@ mod tests {
     }
 
     #[test]
-    fn report_json_shape_is_valid() {
-        let report = HandshakeReport {
-            smoke: true,
-            verify: vec![bench_verify_row(4, 4, 1)],
-            cpu: HandshakeCpu { full_us: 100.0, resumed_us: 20.0, resumed_over_full: 0.2 },
-            storm: bench_storm_curve(8, 3, &[1]),
-            determinism_seed: 3,
-            determinism_sessions: 8,
-            determinism_shards: 2,
-            determinism_identical: true,
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"verify\"",
-            "\"batch\"",
-            "\"single_verifies_per_s\"",
-            "\"batched_verifies_per_s\"",
-            "\"best_batch_speedup\"",
-            "\"handshake_cpu\"",
-            "\"resumed_over_full\"",
-            "\"storm\"",
-            "\"full_handshakes_per_s\"",
-            "\"storm_handshakes_per_s\"",
-            "\"determinism\"",
-            "\"batching\": true",
-        ] {
-            assert!(json.contains(key), "missing {key}");
+    fn smoke_run_passes_and_doctored_floors_fail() {
+        let smoke = run(true, || 0);
+        let rows = smoke.list("verify").unwrap();
+        let descending = Value::Array(rows.iter().rev().cloned().collect()).to_pretty();
+        crate::testing::assert_floors(
+            check,
+            &smoke,
+            &[
+                ("verify", "[]", "no verification batch rows"),
+                ("verify", &descending, "ascend by batch size"),
+                ("verify.0.batch", "1", "below 2"),
+                ("verify.1.batched_verifies_per_s", "0.0", "zero batched_verifies_per_s"),
+                ("best_batch_speedup", "99.00", "disagrees with the verify rows"),
+                ("handshake_cpu.resumed_us", "0.0", "CPU rows are zero"),
+                ("storm", "[]", "no storm curve rows"),
+                ("storm.1.shards", "0", "storm rows must ascend"),
+                ("storm.0.storm_handshakes_per_s", "0.0", "zero rate"),
+                ("storm.0.storm_resumed_share", "1.500", "out of range"),
+                ("determinism.identical", "false", "determinism verdict is false"),
+                ("determinism.batching", "false", "batching on"),
+            ],
+        );
+    }
+
+    #[test]
+    fn full_run_floors_fail_on_doctored_committed_artifact() {
+        use crate::testing::doctored;
+        let full = crate::testing::committed("handshake");
+        let cases = [
+            ("handshake_cpu.resumed_over_full", "0.410", "too costly"),
+            ("storm.2.storm_handshakes_per_s", "1.0", "loses to full baseline at 4 shard"),
+        ];
+        crate::testing::assert_floors(check, &full, &cases);
+        // 1.99 in every row and in the summary key: only the floor trips.
+        let mut weak = doctored(&full, "best_batch_speedup", "1.99");
+        for i in 0..full.list("verify").unwrap().len() {
+            weak = doctored(&weak, &format!("verify.{i}.speedup"), "1.99");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
+        assert!(check(&weak, None).unwrap_err().contains("speedup regressed"));
+
+        // Against the artifact it replaces: 25 % more resumed µs fails,
+        // unless the full handshake slowed by as much (a slow phase).
+        let scaled = |key: &str| format!("{:.1}", full.num(key).unwrap() * 1.25);
+        let slow = doctored(&full, "handshake_cpu.resumed_us", &scaled("handshake_cpu.resumed_us"));
+        assert!(check(&slow, None).is_ok(), "no baseline, no comparison");
+        assert!(check(&slow, Some(&full)).unwrap_err().contains("resumed handshake regressed"));
+        let slow_phase = doctored(&slow, "handshake_cpu.full_us", &scaled("handshake_cpu.full_us"));
+        check(&slow_phase, Some(&full)).expect("both numbers scaled alike");
+        check(&slow, Some(&doctored(&full, "smoke", "true")))
+            .expect("a smoke artifact is not a baseline");
     }
 }

@@ -1,22 +1,24 @@
-//! The `BENCH_dataplane.json` regression reporter.
+//! The `dataplane` suite (`BENCH_dataplane.json`).
 //!
 //! Measures the data-plane fast path end to end — bulk AEAD
-//! throughput for the selected AES-GCM backend, the bitsliced one and
-//! the reference oracle, record-layer throughput per hop, and a
-//! steady-state loop the `bench_report` binary wraps with a counting
-//! allocator to prove the per-record path is allocation-free. The
-//! binary serialises a [`DataplaneReport`] to `BENCH_dataplane.json`;
-//! `scripts/check.sh` runs it in `--smoke` mode as a regression gate.
-//! See DESIGN.md §"Data-plane fast path" for how to read the numbers.
+//! throughput for the selected AES-GCM backend and the bitsliced one,
+//! record-layer throughput per hop, and two steady-state loops run
+//! under the `report` binary's allocation counter to prove the
+//! per-record path is allocation-free. `scripts/check.sh` runs it in
+//! `--smoke` mode as a regression gate. See DESIGN.md §"Data-plane
+//! fast path" for how to read the numbers.
 
 use std::time::Instant;
 
 use mbtls_core::dataplane::{
     fresh_hop_keys, EndpointDataPlane, FlowDirection, MiddleboxDataPlane,
 };
-use mbtls_crypto::gcm::{AesGcm, AesGcmRef};
+use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::rng::CryptoRng;
+use mbtls_telemetry::json::Value;
 use mbtls_tls::suites::CipherSuite;
+
+use crate::{allocs_per_op, AllocCounter};
 
 /// Message size for the bulk-primitive benchmarks. 16 KiB is the TLS
 /// maximum record payload and the size the ISSUE's speedup target is
@@ -32,58 +34,66 @@ pub const RECORD_LEN: usize = 16 * 1024 - 64;
 pub struct Throughput {
     /// Stable snake_case metric name (JSON key).
     pub name: &'static str,
-    /// Megabytes (1e6 bytes) of plaintext processed per second.
+    /// Megabytes (1e6 bytes) of plaintext processed per second (for
+    /// an end-to-end chain row: application bytes, both directions).
     pub mb_per_s: f64,
 }
 
-/// Everything that goes into `BENCH_dataplane.json`.
-#[derive(Debug, Clone)]
-pub struct DataplaneReport {
-    /// True when produced by a `--smoke` run (numbers are noisy and
-    /// only prove the harness works).
-    pub smoke: bool,
-    /// `gcm::backend_name()`: the AES-GCM backend every number except
-    /// the `bitsliced` and `reference` rows was measured on.
-    pub aead_backend: &'static str,
-    /// Bulk message size the primitive numbers were measured at.
-    pub bulk_len: usize,
-    /// Record payload size for the per-hop numbers.
-    pub record_len: usize,
-    /// Primitive and record-path throughputs.
-    pub throughputs: Vec<Throughput>,
-    /// Heap allocations per record on the endpoint seal path at
-    /// steady state (counted by the binary's global allocator).
-    pub allocs_per_record_endpoint: f64,
-    /// Heap allocations per record on the middlebox open+reseal path.
-    pub allocs_per_record_middlebox: f64,
+/// The `(name, MB/s)` rows as one JSON object.
+pub(crate) fn throughput_object(rows: &[Throughput], decimals: usize) -> Value {
+    Value::object(rows.iter().map(|t| (t.name, Value::Float(t.mb_per_s, decimals))))
 }
 
-impl DataplaneReport {
-    /// Render as pretty-printed JSON. Hand-rolled (the workspace has
-    /// no serde) but round-trips through any JSON parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str(&format!("  \"aead_backend\": \"{}\",\n", self.aead_backend));
-        out.push_str(&format!("  \"bulk_len\": {},\n", self.bulk_len));
-        out.push_str(&format!("  \"record_len\": {},\n", self.record_len));
-        out.push_str("  \"throughput_mb_s\": {\n");
-        for (i, t) in self.throughputs.iter().enumerate() {
-            let comma = if i + 1 == self.throughputs.len() { "" } else { "," };
-            out.push_str(&format!("    \"{}\": {:.2}{}\n", t.name, t.mb_per_s, comma));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"allocs_per_record_endpoint\": {:.3},\n",
-            self.allocs_per_record_endpoint
-        ));
-        out.push_str(&format!(
-            "  \"allocs_per_record_middlebox\": {:.3}\n",
-            self.allocs_per_record_middlebox
-        ));
-        out.push('}');
-        out
+/// Measure everything that goes into `BENCH_dataplane.json`.
+pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
+    // Measurement budgets: smoke proves the harness; full runs give
+    // stable numbers (~64 MiB per metric ≈ a few seconds total).
+    let budget = if smoke { 4 * BULK_LEN } else { 64 * 1024 * 1024 };
+    let alloc_records = if smoke { 4 } else { 64 };
+
+    let mut throughputs = bench_primitives(budget);
+    throughputs.extend(bench_record_path(budget));
+
+    // Allocations per record over the endpoint-only loop (client seal
+    // + server open) and the full loop through a middlebox; the
+    // middlebox's share is the difference.
+    let mut endpoint = SteadyStateEndpoint::warmed_up();
+    let allocs_endpoint = allocs_per_op(alloc_count, alloc_records, |n| endpoint.pump(n as usize));
+    let mut full = SteadyStatePipeline::warmed_up();
+    let allocs_full = allocs_per_op(alloc_count, alloc_records, |n| full.pump(n as usize));
+
+    Value::object([
+        ("smoke", smoke.into()),
+        // The backend every number except the `bitsliced` row was
+        // measured on.
+        ("aead_backend", mbtls_crypto::gcm::backend_name().into()),
+        ("bulk_len", BULK_LEN.into()),
+        ("record_len", RECORD_LEN.into()),
+        ("throughput_mb_s", throughput_object(&throughputs, 2)),
+        ("allocs_per_record_endpoint", Value::Float(allocs_endpoint, 3)),
+        ("allocs_per_record_middlebox", Value::Float((allocs_full - allocs_endpoint).max(0.0), 3)),
+    ])
+}
+
+/// Schema and floors of `BENCH_dataplane.json`: every throughput row
+/// present and positive, and both steady-state allocation rates
+/// exactly zero — a count, not a timing, so it holds at any budget.
+pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
+    let backend = report.text("aead_backend")?;
+    for key in [
+        "aes_gcm_seal",
+        "aes_gcm_bitsliced_seal",
+        "aes_gcm_open",
+        "endpoint_seal_record",
+        "middlebox_forward_record",
+    ] {
+        floor!(report.num(&format!("throughput_mb_s.{key}"))? > 0.0, "throughput {key} is zero");
     }
+    for key in ["allocs_per_record_endpoint", "allocs_per_record_middlebox"] {
+        let allocs = report.num(key)?;
+        floor!(allocs == 0.0, "steady state allocates: {key} is {allocs} allocs/record");
+    }
+    Ok(format!("dataplane OK: backend {backend}, 0 allocs/record on both paths"))
 }
 
 fn mb_per_s(bytes: usize, elapsed: std::time::Duration) -> f64 {
@@ -92,16 +102,14 @@ fn mb_per_s(bytes: usize, elapsed: std::time::Duration) -> f64 {
 
 /// Bulk AEAD throughput at `BULK_LEN`-byte messages: seal and open on
 /// the backend `AesGcm::new` selects on this machine (named by the
-/// report's `aead_backend`), seal on the bitsliced backend, and seal
-/// on the reference oracle. `total_bytes` is the measurement budget
-/// per metric.
+/// report's `aead_backend`) and seal on the bitsliced backend.
+/// `total_bytes` is the measurement budget per metric.
 pub fn bench_primitives(total_bytes: usize) -> Vec<Throughput> {
     let mut rng = CryptoRng::from_seed(0xBE9C);
     let mut key = [0u8; 32];
     rng.fill(&mut key);
     let selected = AesGcm::new(&key).expect("key");
     let bitsliced = AesGcm::portable(&key).expect("key");
-    let slow = AesGcmRef::new(&key).expect("key");
     let nonce = [0x24u8; 12];
     let aad = [0u8; 13];
     let iters = (total_bytes / BULK_LEN).max(1);
@@ -152,21 +160,6 @@ pub fn bench_primitives(total_bytes: usize) -> Vec<Throughput> {
     }
     out.push(Throughput {
         name: "aes_gcm_open",
-        mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
-    });
-
-    // Reference oracle seal, for the speedup ratio in the report.
-    let mut pt = vec![0u8; BULK_LEN];
-    rng.fill(&mut pt);
-    for _ in 0..warmup {
-        let _sealed = slow.seal(&nonce, &aad, &pt).expect("seal");
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let _sealed = slow.seal(&nonce, &aad, &pt).expect("seal");
-    }
-    out.push(Throughput {
-        name: "aes_gcm_reference_seal",
         mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
     });
 
@@ -236,9 +229,8 @@ pub fn bench_record_path(total_bytes: usize) -> Vec<Throughput> {
 }
 
 /// A warmed-up client → server pipeline (no middlebox) whose buffers
-/// have reached steady-state capacity. The `bench_report` binary
-/// snapshots its allocation counter around [`Self::pump`] to count
-/// endpoint allocations per record.
+/// have reached steady-state capacity. [`run`] counts allocations
+/// around [`Self::pump`] for the endpoint allocations per record.
 pub struct SteadyStateEndpoint {
     client: EndpointDataPlane,
     server: EndpointDataPlane,
@@ -282,9 +274,8 @@ impl SteadyStateEndpoint {
 }
 
 /// A warmed-up client → middlebox → server pipeline whose buffers
-/// have reached their steady-state capacities. The `bench_report`
-/// binary snapshots its allocation counter around [`Self::pump`] to
-/// count allocations per record.
+/// have reached their steady-state capacities. [`run`] counts
+/// allocations around [`Self::pump`].
 pub struct SteadyStatePipeline {
     client: EndpointDataPlane,
     mbox: MiddleboxDataPlane,
@@ -336,7 +327,6 @@ impl SteadyStatePipeline {
             assert_eq!(self.plain.len(), RECORD_LEN, "record did not round-trip");
         }
     }
-
 }
 
 #[cfg(test)]
@@ -344,28 +334,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_report_is_valid_json_shape() {
-        let mut throughputs = bench_primitives(BULK_LEN);
-        throughputs.extend(bench_record_path(RECORD_LEN));
-        let report = DataplaneReport {
-            smoke: true,
-            aead_backend: mbtls_crypto::gcm::backend_name(),
-            bulk_len: BULK_LEN,
-            record_len: RECORD_LEN,
-            throughputs,
-            allocs_per_record_endpoint: 0.0,
-            allocs_per_record_middlebox: 0.0,
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"aead_backend\": \""));
-        for key in ["aes_gcm_seal", "aes_gcm_open", "aes_gcm_bitsliced_seal", "aes_gcm_reference_seal"] {
-            assert!(json.contains(&format!("\"{key}\"")), "missing {key}");
-        }
-        assert!(json.contains("\"middlebox_forward_record\""));
-        // Balanced braces and no trailing commas before closers.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
+    fn smoke_run_passes_and_doctored_floors_fail() {
+        crate::testing::assert_floors(
+            check,
+            &run(true, || 0),
+            &[
+                ("allocs_per_record_endpoint", "0.016", "allocs_per_record_endpoint is 0.016"),
+                ("allocs_per_record_middlebox", "1.000", "allocs_per_record_middlebox is 1"),
+                ("throughput_mb_s.aes_gcm_open", "0.00", "aes_gcm_open is zero"),
+                ("throughput_mb_s", "{\"aes_gcm_seal\": 1.00}", "aes_gcm_bitsliced_seal"),
+                ("aead_backend", "3", "aead_backend"),
+            ],
+        );
     }
 
     #[test]

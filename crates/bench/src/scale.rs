@@ -1,11 +1,11 @@
-//! The `BENCH_scale.json` capacity reporter.
+//! The `scale` suite (`BENCH_scale.json`): session-host capacity.
 //!
 //! Where `report.rs` measures the data-plane fast path one record at
 //! a time, this module measures the *host*: how many full mbTLS
 //! sessions per second a sharded [`Host`] can admit, handshake,
-//! serve, and retire over the network simulator, at fleet sizes of
-//! 10 000, 100 000, and 1 000 000 sessions under open/close churn,
-//! with a cores-vs-throughput curve at 1/2/4/8 shards per fleet.
+//! serve, and retire over the network simulator, for a fleet of
+//! 10 000 sessions under open/close churn, with a
+//! cores-vs-throughput curve at 1/2/4/8 shards.
 //!
 //! # The max-shard-wall throughput model
 //!
@@ -13,20 +13,20 @@
 //! cannot come from real threads. Shards share *nothing* — each owns
 //! its slab, wheel, buffer pool, substrate, and clock — so an
 //! S-shard deployment's wall clock is the wall clock of its slowest
-//! shard. [`bench_scale_point`] therefore drives each shard's slice
+//! shard. [`bench_scale_point_over`] therefore drives each shard's slice
 //! of the fleet to completion *sequentially*, times each slice
 //! separately, and models S-core throughput as
 //! `N / max(per-shard wall)`. The per-shard walls are published in
 //! the artifact so the model is auditable, and the JSON names the
 //! model explicitly (`"model": "max_shard_wall"`).
 //!
-//! The `scale_report` binary wraps [`SteadyStateShard`] with a
-//! counting allocator to prove every shard's per-record steady state
-//! is allocation-free, and replays one seeded multi-shard run twice
-//! to prove the merged telemetry trace is bit-identical.
-//! `scripts/check.sh` runs the binary in `--smoke` mode as a
-//! regression gate; see DESIGN.md §6f–§6g for how to read the
-//! numbers.
+//! [`run`] also pumps a [`SteadyStateShard`] per shard index under
+//! the `report` binary's allocation counter to prove every shard's
+//! per-record steady state is allocation-free, and replays one
+//! seeded multi-shard run twice to prove the merged telemetry trace
+//! is bit-identical. `scripts/check.sh` runs the suite in `--smoke`
+//! mode as a regression gate; see DESIGN.md §6f–§6g for how to read
+//! the numbers.
 
 use std::time::Instant;
 
@@ -34,7 +34,10 @@ use mbtls_host::{
     Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, PipeSubstrate, Shard, Workload,
 };
 use mbtls_netsim::time::{Duration, SimTime};
+use mbtls_telemetry::json::Value;
 use mbtls_telemetry::{merge_shard_traces, to_json_line};
+
+use crate::{allocs_per_op, AllocCounter};
 
 /// Every load run in this module serves the same per-session
 /// workload: `exchanges` request/response round trips, so one session
@@ -45,8 +48,14 @@ pub const WORKLOAD: Workload = Workload { request_len: 256, response_len: 1024, 
 /// (each exchange is one request record plus one response record).
 pub const RECORDS_PER_SESSION: u64 = WORKLOAD.exchanges as u64 * 2;
 
-/// The shard counts measured at every fleet size.
+/// The shard counts a full run measures.
 pub const SHARD_CURVE: &[u16] = &[1, 2, 4, 8];
+
+/// The fleet sizes a full run measures. One tier, because the whole
+/// suite has to regenerate in minutes: each curve row drains the
+/// fleet once (~20 s at 10 000 sessions), and the cost is linear in
+/// the fleet, so a 1 000 000-session tier alone would take hours.
+pub const FLEETS: &[usize] = &[10_000];
 
 /// The churn profile measured at each fleet size: arrivals every 5 µs
 /// of virtual time (far faster than a session's ~3 ms lifetime, so
@@ -107,100 +116,125 @@ pub struct ScalePoint {
     pub bytes_per_session: f64,
 }
 
-/// Everything that goes into `BENCH_scale.json`.
-#[derive(Debug, Clone)]
-pub struct ScaleReport {
-    /// True when produced by a `--smoke` run (tiny fleets; numbers
-    /// only prove the harness works).
-    pub smoke: bool,
-    /// One entry per fleet size, ascending. Incomplete while a full
-    /// run is still appending tiers (the binary rewrites the artifact
-    /// after each fleet size).
-    pub points: Vec<ScalePoint>,
-    /// Heap allocations per application record in each shard's
-    /// established steady state, indexed by shard (counted by the
-    /// binary's global allocator; the acceptance target is 0.000 for
-    /// every shard).
-    pub allocs_per_record_per_shard: Vec<f64>,
-    /// Seed used for the determinism replay.
-    pub determinism_seed: u64,
-    /// Fleet size of the determinism replay.
-    pub determinism_sessions: usize,
-    /// Shard count of the determinism replay.
-    pub determinism_shards: u16,
-    /// True iff two multi-shard runs with the same seed and schedule
-    /// produced a bit-identical merged telemetry trace and identical
-    /// merged counters.
-    pub determinism_identical: bool,
+/// Measure everything that goes into `BENCH_scale.json`.
+pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
+    // Smoke proves the harness end to end on tiny fleets, over a
+    // shortened shard curve that still crosses the 4-shard point the
+    // speedup floor reads.
+    let fleets: &[usize] = if smoke { &[8, 24] } else { FLEETS };
+    let curve: &[u16] = if smoke { &[1, 2, 4] } else { SHARD_CURVE };
+    let determinism_sessions = if smoke { 16 } else { 10_000 };
+    let determinism_shards: u16 = 4;
+    let alloc_exchanges = if smoke { 8 } else { 256 };
+    let seed = 0xC0_FFEE;
+
+    // Allocations per application record in each shard's established
+    // steady state (an exchange is two records), once per shard index:
+    // the property has to hold for every worker, not just shard 0.
+    let allocs: Vec<f64> = (0..4)
+        .map(|k| {
+            let mut steady = SteadyStateShard::warmed_up(k, 8);
+            allocs_per_op(alloc_count, alloc_exchanges, |n| steady.pump_exchanges(n)) / 2.0
+        })
+        .collect();
+    let (_, identical) = determinism_probe(determinism_sessions, determinism_shards, seed);
+
+    let tiers = fleets.iter().map(|&n| {
+        eprintln!("measuring fleet n={n} over shard curve {curve:?}...");
+        let point = bench_scale_point_over(n, seed, curve);
+        let rows = point.curve.iter().map(|run| {
+            Value::object([
+                ("shards", run.shards.into()),
+                ("per_shard_wall_ms", Value::floats(&run.per_shard_wall_ms, 1)),
+                ("max_shard_wall_ms", Value::Float(run.max_shard_wall_ms, 1)),
+                ("handshakes_per_s", Value::Float(run.handshakes_per_s, 1)),
+                ("records_per_s", Value::Float(run.records_per_s, 1)),
+            ])
+        });
+        Value::object([
+            ("n", point.n.into()),
+            ("curve", Value::Array(rows.collect())),
+            ("speedup_4_over_1", Value::Float(point.speedup_4_over_1, 2)),
+            ("p50_handshake_ms", Value::Float(point.p50_handshake_ms, 3)),
+            ("p99_handshake_ms", Value::Float(point.p99_handshake_ms, 3)),
+            ("bytes_per_session", Value::Float(point.bytes_per_session, 1)),
+        ])
+    });
+    Value::object([
+        ("smoke", smoke.into()),
+        ("model", "max_shard_wall".into()),
+        ("sessions", Value::Array(tiers.collect())),
+        // The worst shard's rate, then every shard's.
+        ("allocs_per_record_steady", Value::Float(allocs.iter().copied().fold(0.0, f64::max), 3)),
+        ("allocs_per_record_per_shard", Value::floats(&allocs, 3)),
+        (
+            "determinism",
+            Value::object([
+                ("seed", seed.into()),
+                ("sessions", determinism_sessions.into()),
+                ("shards", determinism_shards.into()),
+                ("identical", identical.into()),
+            ]),
+        ),
+    ])
 }
 
-impl ScaleReport {
-    /// Worst per-shard steady-state allocation rate (the scalar the
-    /// smoke gate checks against 0.000).
-    pub fn allocs_per_record_steady(&self) -> f64 {
-        self.allocs_per_record_per_shard.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Render as pretty-printed JSON. Hand-rolled (the workspace has
-    /// no serde) but round-trips through any JSON parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str("  \"model\": \"max_shard_wall\",\n");
-        out.push_str("  \"sessions\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 == self.points.len() { "" } else { "," };
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"n\": {},\n", p.n));
-            out.push_str("      \"curve\": [\n");
-            for (j, run) in p.curve.iter().enumerate() {
-                let rc = if j + 1 == p.curve.len() { "" } else { "," };
-                let walls: Vec<String> =
-                    run.per_shard_wall_ms.iter().map(|w| format!("{w:.1}")).collect();
-                out.push_str("        {\n");
-                out.push_str(&format!("          \"shards\": {},\n", run.shards));
-                out.push_str(&format!(
-                    "          \"per_shard_wall_ms\": [{}],\n",
-                    walls.join(", ")
-                ));
-                out.push_str(&format!(
-                    "          \"max_shard_wall_ms\": {:.1},\n",
-                    run.max_shard_wall_ms
-                ));
-                out.push_str(&format!(
-                    "          \"handshakes_per_s\": {:.1},\n",
-                    run.handshakes_per_s
-                ));
-                out.push_str(&format!("          \"records_per_s\": {:.1}\n", run.records_per_s));
-                out.push_str(&format!("        }}{rc}\n"));
+/// Schema and floors of `BENCH_scale.json`: every fleet size carries
+/// an ascending cores-vs-throughput curve through the 4-shard row
+/// with per-shard walls, no shard allocates in steady state, and the
+/// double-run determinism verdict is true. On full runs only (smoke
+/// walls are too short for a stable ratio) the modeled 4-shard
+/// throughput is at least 2.5× the 1-shard figure.
+pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
+    let smoke = report.flag("smoke")?;
+    floor!(report.text("model")? == "max_shard_wall", "missing throughput model tag");
+    let tiers = report.list("sessions")?;
+    floor!(!tiers.is_empty(), "no fleet sizes measured");
+    let mut shard_counts = Vec::new();
+    for tier in tiers {
+        let n = tier.num("n")?;
+        let curve = tier.list("curve")?;
+        floor!(!curve.is_empty(), "fleet n={n} has no shard curve");
+        shard_counts.clear();
+        for run in curve {
+            let shards = run.num("shards")?;
+            floor!(shards >= 1.0, "n={n}: a curve row has no shards");
+            floor!(
+                run.list("per_shard_wall_ms")?.len() as f64 == shards,
+                "n={n}: shard {shards} row lacks per-shard walls"
+            );
+            for key in ["max_shard_wall_ms", "handshakes_per_s", "records_per_s"] {
+                floor!(run.num(key)? > 0.0, "n={n}: shard {shards} row has zero {key}");
             }
-            out.push_str("      ],\n");
-            out.push_str(&format!("      \"speedup_4_over_1\": {:.2},\n", p.speedup_4_over_1));
-            out.push_str(&format!("      \"p50_handshake_ms\": {:.3},\n", p.p50_handshake_ms));
-            out.push_str(&format!("      \"p99_handshake_ms\": {:.3},\n", p.p99_handshake_ms));
-            out.push_str(&format!("      \"bytes_per_session\": {:.1}\n", p.bytes_per_session));
-            out.push_str(&format!("    }}{comma}\n"));
+            shard_counts.push(shards as u64);
         }
-        out.push_str("  ],\n");
-        let allocs: Vec<String> =
-            self.allocs_per_record_per_shard.iter().map(|a| format!("{a:.3}")).collect();
-        out.push_str(&format!(
-            "  \"allocs_per_record_steady\": {:.3},\n",
-            self.allocs_per_record_steady()
-        ));
-        out.push_str(&format!(
-            "  \"allocs_per_record_per_shard\": [{}],\n",
-            allocs.join(", ")
-        ));
-        out.push_str("  \"determinism\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", self.determinism_seed));
-        out.push_str(&format!("    \"sessions\": {},\n", self.determinism_sessions));
-        out.push_str(&format!("    \"shards\": {},\n", self.determinism_shards));
-        out.push_str(&format!("    \"identical\": {}\n", self.determinism_identical));
-        out.push_str("  }\n");
-        out.push('}');
-        out
+        floor!(shard_counts.windows(2).all(|w| w[0] <= w[1]), "curve rows must ascend");
+        floor!(shard_counts.contains(&4), "n={n}: curve is missing the 4-shard row");
+        for key in ["p50_handshake_ms", "p99_handshake_ms", "bytes_per_session"] {
+            tier.num(key)?;
+        }
+        let speedup = tier.num("speedup_4_over_1")?;
+        floor!(
+            smoke || speedup >= 2.5,
+            "n={n}: speedup_4_over_1 regressed: {speedup}x < 2.5x floor"
+        );
     }
+    report.num("allocs_per_record_steady")?;
+    let allocs = report.list("allocs_per_record_per_shard")?;
+    floor!(
+        !allocs.is_empty() && allocs.iter().all(|a| matches!(a, Value::Float(v, _) if *v == 0.0)),
+        "steady state allocates: {allocs:?} allocs/record per shard"
+    );
+    floor!(report.flag("determinism.identical")?, "double-run determinism verdict is false");
+    floor!(
+        report.num("determinism.shards")? >= 2.0,
+        "determinism probe must cover multiple shards"
+    );
+    Ok(format!(
+        "scale OK: {} fleet size(s), curves {shard_counts:?}, determinism true{}",
+        tiers.len(),
+        if smoke { " (smoke: speedup floor skipped)" } else { "" }
+    ))
 }
 
 /// Virtual percentile (`p` in 0..=100) over handshake latencies,
@@ -260,15 +294,10 @@ fn drain_shard_slice(
     )
 }
 
-/// Run one fleet of `n` sessions at every [`SHARD_CURVE`] shard count
-/// and report the modeled cores-vs-throughput curve (see the module
-/// docs for the max-shard-wall model).
-pub fn bench_scale_point(n: usize, seed: u64) -> ScalePoint {
-    bench_scale_point_over(n, seed, SHARD_CURVE)
-}
-
-/// [`bench_scale_point`] with an explicit shard curve (smoke runs
-/// measure a shorter one).
+/// Run one fleet of `n` sessions at every shard count of `curve`
+/// ([`SHARD_CURVE`] on full runs, a shorter one on smoke runs) and
+/// report the modeled cores-vs-throughput curve (see the module docs
+/// for the max-shard-wall model).
 pub fn bench_scale_point_over(n: usize, seed: u64, curve: &[u16]) -> ScalePoint {
     let mut runs = Vec::with_capacity(curve.len());
     let mut latencies: Vec<u64> = Vec::new();
@@ -358,11 +387,9 @@ pub fn determinism_probe(sessions: usize, shards: u16, seed: u64) -> (u64, bool)
 
 /// A warmed-up single-session shard over in-memory pipes, parked in
 /// its established phase with a deep exchange quota. `max_pump_passes
-/// = 1` makes every [`Shard::step`] one bounded pump, so the
-/// `scale_report` binary can snapshot its allocation counter around
-/// [`Self::pump_exchanges`] and count event-loop allocations per
-/// record at steady state — once per shard index, proving the
-/// allocation-free property holds for every worker, not just shard 0.
+/// = 1` makes every [`Shard::step`] one bounded pump, so [`run`] can
+/// count allocations around [`Self::pump_exchanges`] and report
+/// event-loop allocations per record at steady state.
 pub struct SteadyStateShard {
     shard: Shard<PipeSubstrate>,
 }
@@ -406,34 +433,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_scale_report_is_valid_json_shape() {
-        let report = ScaleReport {
-            smoke: true,
-            points: vec![
-                bench_scale_point_over(8, 13, &[1, 2, 4]),
-                bench_scale_point_over(16, 13, &[1, 2, 4]),
+    fn smoke_run_passes_and_doctored_floors_fail() {
+        let smoke = run(true, || 0);
+        let rows = smoke.list("sessions.0.curve").unwrap();
+        let without_4 = Value::Array(rows[..2].to_vec()).to_pretty();
+        let descending = Value::Array(rows.iter().rev().cloned().collect()).to_pretty();
+        crate::testing::assert_floors(
+            check,
+            &smoke,
+            &[
+                ("sessions.0.curve", &without_4, "missing the 4-shard row"),
+                ("sessions.0.curve", &descending, "must ascend"),
+                ("sessions.0.curve", "[]", "no shard curve"),
+                ("sessions.1.curve.1.per_shard_wall_ms", "[1.0]", "lacks per-shard walls"),
+                ("sessions.1.curve.0.shards", "0", "has no shards"),
+                ("sessions.0.curve.2.records_per_s", "0.0", "zero records_per_s"),
+                ("sessions", "[]", "no fleet sizes"),
+                ("model", "\"threads\"", "model tag"),
+                ("allocs_per_record_per_shard", "[0.000, 0.004, 0.000]", "steady state allocates"),
+                ("allocs_per_record_per_shard", "[]", "steady state allocates"),
+                ("determinism.identical", "false", "determinism verdict is false"),
+                ("determinism.shards", "1", "multiple shards"),
             ],
-            allocs_per_record_per_shard: vec![0.0, 0.0],
-            determinism_seed: 13,
-            determinism_sessions: 8,
-            determinism_shards: 2,
-            determinism_identical: true,
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"model\": \"max_shard_wall\""));
-        assert!(json.contains("\"curve\""));
-        assert!(json.contains("\"per_shard_wall_ms\""));
-        assert!(json.contains("\"handshakes_per_s\""));
-        assert!(json.contains("\"records_per_s\""));
-        assert!(json.contains("\"speedup_4_over_1\""));
-        assert!(json.contains("\"p99_handshake_ms\""));
-        assert!(json.contains("\"allocs_per_record_per_shard\""));
-        assert!(json.contains("\"determinism\""));
-        assert!(json.contains("\"shards\": 2"));
-        // Balanced braces and no trailing commas before closers.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
+        );
+        // The speedup floor binds full runs only.
+        let speedup = "sessions.0.speedup_4_over_1";
+        let full = crate::testing::committed("scale");
+        crate::testing::assert_floors(check, &full, &[(speedup, "2.40", "speedup_4_over_1 regressed")]);
+        check(&crate::testing::doctored(&smoke, speedup, "2.40"), None).expect("smoke run exempt");
     }
 
     #[test]

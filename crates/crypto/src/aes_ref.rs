@@ -8,8 +8,8 @@
 //! That is exactly why this path is *reference-only*: it never
 //! protects live traffic, and the whole module is compiled out of
 //! production builds — it exists only under `cfg(test)` or the
-//! `reference-oracle` cargo feature (enabled by the bench harness and
-//! by this crate's own integration tests). The record layer and all
+//! `reference-oracle` cargo feature (enabled only by this crate's own
+//! integration tests). The record layer and all
 //! bulk benches run the constant-time bitsliced implementation; this
 //! module exists so tests can differentially validate it against an
 //! independent, easily-audited formulation of the cipher.

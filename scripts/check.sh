@@ -13,7 +13,9 @@
 #               limb contract is an overflow argument, and a debug
 #               build panics on u64 overflow where release wraps
 #   telemetry   scripts/telemetry_smoke.sh
-#   bench       scripts/bench_report.sh --smoke
+#   bench       scripts/bench_report.sh --smoke: every suite of the
+#               `report` binary at tiny budgets, each artifact
+#               checked against its schema and smoke-proof floors
 #   seam        benchmark/run.sh --smoke (builds the repo benchmark's
 #               own package --offline against ../crates/* first, so a
 #               change that reshapes a public seam it compiles against
@@ -65,13 +67,13 @@ stage build     cargo build --release --workspace
 stage test      cargo test -q --workspace
 stage crypto-release cargo test -q -p mbtls-crypto --release
 stage telemetry scripts/telemetry_smoke.sh
-# Bench-reporter smoke: proves BENCH_dataplane.json (data-plane),
-# BENCH_scale.json (session-host capacity), BENCH_handshake.json
-# (handshake fast path), BENCH_chain.json (read-only forward /
-# service chains), and BENCH_auth.json (middlebox-authorization
-# comparison) can be produced and are well-formed. Numbers from
-# this run are noisy by design; the committed artifacts come from a
-# full `scripts/bench_report.sh` run.
+# Bench smoke: `report <suite> --smoke` for the five suites
+# (dataplane, scale, handshake, chain, auth) proves each BENCH_*.json
+# can be produced and passes its suite's `check` — schema, exact
+# floors (zero allocations, determinism, byte counts) and the ratios
+# that hold at any budget. Numbers from this run are noisy by design;
+# the committed artifacts come from a full `scripts/bench_report.sh`
+# run, and a tier-1 test runs `check` on them.
 stage bench     scripts/bench_report.sh --smoke
 stage seam      bash benchmark/run.sh --smoke
 

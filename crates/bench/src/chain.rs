@@ -11,9 +11,10 @@
 //! client → [filter → cache → compression] → server — with the
 //! seeded HTTP mix from `mbtls_http::workload`, at 1/2/3
 //! middleboxes, plus a 3-tap read-only variant on aliased keys.
-//! [`run`] also pumps the read-only steady state under the `report`
-//! binary's allocation counter; `scripts/check.sh` runs the suite in
-//! `--smoke` mode as a regression gate.
+//! [`run`] also pumps the read-only steady state, and whole
+//! asymmetric exchanges through a three-middlebox [`Chain`], under
+//! the `report` binary's allocation counter; `scripts/check.sh` runs
+//! the suite in `--smoke` mode as a regression gate.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,7 +24,7 @@ use mbtls_core::client::MbClientSession;
 use mbtls_core::dataplane::{
     fresh_hop_keys, EndpointDataPlane, FlowDirection, MiddleboxDataPlane,
 };
-use mbtls_core::driver::{Chain, Relay};
+use mbtls_core::driver::{Chain, ChainLinks, PipeLinks, Relay};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
@@ -66,6 +67,20 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
     // The fast path touches only reused buffers, so this must be 0.
     let mut read_only = SteadyStateReadOnly::warmed_up();
     let allocs = allocs_per_op(alloc_count, alloc_records, |n| read_only.pump(n as usize));
+    // Whole exchanges through the chain driver: the parties and the
+    // links trade buffers, so once the ring is warm nothing allocates
+    // and no link is left holding the other direction's capacity.
+    // Counts, not timings: the same budget at smoke and full.
+    let mut ring_allocs: f64 = 0.0;
+    let mut request_capacity = 0;
+    for read_only_keys in [true, false] {
+        for lending in [true, false] {
+            let mut ring = SteadyStateRing::warmed_up(read_only_keys, lending);
+            let per_exchange = allocs_per_op(alloc_count, RING_EXCHANGES, |n| ring.exchange(n));
+            ring_allocs = ring_allocs.max(per_exchange);
+            request_capacity = request_capacity.max(ring.request_link_capacity());
+        }
+    }
 
     Value::object([
         ("smoke", smoke.into()),
@@ -76,6 +91,8 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
         ("chain_mb_s", throughput_object(&chains, 3)),
         ("amortized_mb_s", throughput_object(&amortized, 3)),
         ("allocs_per_record_read_only", Value::Float(allocs, 3)),
+        ("allocs_per_exchange_steady", Value::Float(ring_allocs, 3)),
+        ("request_link_capacity_bytes", request_capacity.into()),
         // Whether every same-seed double run produced bit-identical
         // application byte streams.
         (
@@ -124,6 +141,13 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
     );
     let allocs = report.num("allocs_per_record_read_only")?;
     floor!(allocs == 0.0, "read-only steady state allocates: {allocs} allocs/record");
+    let ring_allocs = report.num("allocs_per_exchange_steady")?;
+    floor!(ring_allocs == 0.0, "warm chain exchange allocates: {ring_allocs} allocs/exchange");
+    let parked = report.num("request_link_capacity_bytes")?;
+    floor!(
+        parked < RECORD_LEN as f64,
+        "request-direction links hold {parked} bytes of capacity: response buffers are circulating"
+    );
     floor!(
         report.text("determinism")? == "identical",
         "double-run chain determinism verdict is not identical"
@@ -257,16 +281,14 @@ fn fnv1a(digest: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Drive `exchanges` HTTP request/response pairs through a freshly
-/// handshaken mbTLS session with the given service functions on the
-/// path. `read_only_keys` distributes aliased (bridge) keys to every
-/// hop, as a client would for a declared-read-only path.
-pub fn run_chain(
+/// A freshly handshaken mbTLS session with the given service functions
+/// on the path. `read_only_keys` distributes aliased (bridge) keys to
+/// every hop, as a client would for a declared-read-only path.
+fn handshaken_chain(
     functions: &[ChainFunction],
-    exchanges: usize,
     seed: u64,
     read_only_keys: bool,
-) -> Result<ChainRunResult, MbError> {
+) -> Result<Chain, MbError> {
     let testbed = Testbed::new(seed);
     let mut rng = CryptoRng::from_seed(seed ^ 0xC11A);
     let mut client_cfg = testbed.client_config();
@@ -282,6 +304,18 @@ pub fn run_chain(
         .collect();
     let mut chain = Chain::new(Box::new(client), middles, Box::new(server));
     chain.run_handshake()?;
+    Ok(chain)
+}
+
+/// Drive `exchanges` HTTP request/response pairs through a
+/// [`handshaken_chain`].
+pub fn run_chain(
+    functions: &[ChainFunction],
+    exchanges: usize,
+    seed: u64,
+    read_only_keys: bool,
+) -> Result<ChainRunResult, MbError> {
+    let mut chain = handshaken_chain(functions, seed, read_only_keys)?;
 
     let mut mix = RequestMix::new(seed);
     let mut server_rx = RequestParser::new();
@@ -505,6 +539,102 @@ impl SteadyStateReadOnly {
     }
 }
 
+/// Exchanges [`run`] counts over on each [`SteadyStateRing`].
+const RING_EXCHANGES: u64 = 64;
+
+/// [`PipeLinks`] that keep their buffers to themselves, so [`Chain`]
+/// stages every transfer the way it does under the network simulator.
+struct OpaqueLinks(PipeLinks);
+
+impl ChainLinks for OpaqueLinks {
+    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
+        self.0.recv_rightward(link)
+    }
+    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
+        self.0.recv_leftward(link)
+    }
+    fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
+        self.0.send_rightward(link, from, data)
+    }
+    fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
+        self.0.send_leftward(link, from, data)
+    }
+    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
+        self.0.recv_rightward_into(link, dst)
+    }
+    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
+        self.0.recv_leftward_into(link, dst)
+    }
+}
+
+/// A handshaken client → three taps → server [`Chain`] moving one
+/// asymmetric exchange per turn (256 B up, 128 KiB down), either over
+/// the chain's own lending links or over [`OpaqueLinks`]. [`run`]
+/// counts allocations around [`Self::exchange`] and reads
+/// [`Self::request_link_capacity`] afterwards.
+pub struct SteadyStateRing {
+    chain: Chain,
+    /// `None`: [`Chain::pump`] over the chain's own links.
+    opaque: Option<OpaqueLinks>,
+    request: Vec<u8>,
+    response: Vec<u8>,
+    got_request: Vec<u8>,
+    got_response: Vec<u8>,
+}
+
+impl SteadyStateRing {
+    /// Handshake (over the chain's own links), then two exchanges so
+    /// every buffer of the ring has been around once. `read_only_keys`
+    /// puts the taps on aliased keys (tag-verify and forward);
+    /// otherwise they open and re-seal.
+    pub fn warmed_up(read_only_keys: bool, lending: bool) -> Self {
+        let taps = [ChainFunction::Tap; 3];
+        let chain = handshaken_chain(&taps, 0x51E4_D151, read_only_keys).expect("handshake");
+        let mut ring = SteadyStateRing {
+            opaque: (!lending).then(|| OpaqueLinks(PipeLinks::new(chain.middles.len() + 1))),
+            chain,
+            request: vec![0x42; 256],
+            response: (0..128 * 1024).map(|i| (i % 251) as u8).collect(),
+            got_request: Vec::new(),
+            got_response: Vec::new(),
+        };
+        ring.exchange(2);
+        ring
+    }
+
+    fn pump(&mut self) {
+        match &mut self.opaque {
+            None => {
+                self.chain.pump().expect("pump");
+            }
+            Some(links) => while self.chain.pump_with(links).expect("pump") {},
+        }
+    }
+
+    /// Run `exchanges` request/response turns, checking every byte.
+    pub fn exchange(&mut self, exchanges: u64) {
+        for _ in 0..exchanges {
+            self.chain.client.send_app(&self.request).expect("send request");
+            self.pump();
+            self.got_request.clear();
+            self.chain.server.recv_app_into(&mut self.got_request);
+            assert!(self.got_request == self.request, "request did not arrive intact");
+            self.chain.server.send_app(&self.response).expect("send response");
+            self.pump();
+            self.got_response.clear();
+            self.chain.client.recv_app_into(&mut self.got_response);
+            assert!(self.got_response == self.response, "response did not arrive intact");
+        }
+    }
+
+    /// Capacity parked on the request-direction (client→server) links:
+    /// the chain's own buffers, which it also stages through under
+    /// [`OpaqueLinks`], plus the opaque links' own.
+    pub fn request_link_capacity(&self) -> usize {
+        self.chain.link_capacity(true) + self.opaque.as_ref().map_or(0, |l| l.0.capacity(true))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +651,8 @@ mod tests {
             &[
                 ("read_only_speedup", "1.400", "read-only fast path regressed"),
                 ("allocs_per_record_read_only", "0.500", "read-only steady state allocates"),
+                ("allocs_per_exchange_steady", "0.016", "warm chain exchange allocates"),
+                ("request_link_capacity_bytes", "16320", "response buffers are circulating"),
                 ("determinism", "\"diverged\"", "not identical"),
                 ("per_hop_mb_s.raw_tag_verify", "0.00", "raw_tag_verify is zero"),
                 ("chain_mb_s.middleboxes_3_read_only", "0.000", "middleboxes_3_read_only is zero"),

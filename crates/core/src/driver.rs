@@ -44,16 +44,20 @@ pub trait Endpoint {
     /// Drain received application data.
     fn recv_app(&mut self) -> Vec<u8>;
 
-    /// Append pending wire bytes to `dst`, keeping its capacity. The
-    /// default goes through [`Endpoint::take`]; session types
-    /// override it with an allocation-free drain.
+    /// Move pending wire bytes to the end of `dst`. The default goes
+    /// through [`Endpoint::take`]; session types override it with a
+    /// drain that hands its buffer over to an empty `dst` instead of
+    /// copying (see [`MbSession::drain_outgoing_into`]), so drain each
+    /// direction into a buffer of its own.
     fn take_into(&mut self, dst: &mut Vec<u8>) {
         let out = self.take();
         dst.extend_from_slice(&out);
     }
 
-    /// Append received application data to `dst`, keeping its
-    /// capacity. Default goes through [`Endpoint::recv_app`].
+    /// Move received application data to the end of `dst`; an empty
+    /// `dst` may come back holding the endpoint's buffer, as with
+    /// [`Endpoint::take_into`]. Default goes through
+    /// [`Endpoint::recv_app`].
     fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
         let out = self.recv_app();
         dst.extend_from_slice(&out);
@@ -107,15 +111,18 @@ pub trait Relay {
     /// Drain bytes to send toward the server.
     fn take_right(&mut self) -> Vec<u8>;
 
-    /// Append client-bound bytes to `dst`, keeping its capacity.
-    /// Default goes through [`Relay::take_left`].
+    /// Move client-bound bytes to the end of `dst`; an empty `dst`
+    /// may come back holding the relay's buffer, as with
+    /// [`Endpoint::take_into`]. Default goes through
+    /// [`Relay::take_left`].
     fn take_left_into(&mut self, dst: &mut Vec<u8>) {
         let out = self.take_left();
         dst.extend_from_slice(&out);
     }
 
-    /// Append server-bound bytes to `dst`, keeping its capacity.
-    /// Default goes through [`Relay::take_right`].
+    /// Move server-bound bytes to the end of `dst`; see
+    /// [`Relay::take_left_into`]. Default goes through
+    /// [`Relay::take_right`].
     fn take_right_into(&mut self, dst: &mut Vec<u8>) {
         let out = self.take_right();
         dst.extend_from_slice(&out);
@@ -316,6 +323,25 @@ pub trait ChainLinks {
         dst.extend_from_slice(&data);
         Ok(!data.is_empty())
     }
+
+    /// Lend link `link`'s client→server buffer itself. `Some` is a
+    /// promise that the buffer *is* the link: bytes appended to it
+    /// are sent, bytes removed from it are received, and nothing else
+    /// needs to see them pass. [`Chain`] then drains the left party
+    /// straight into it and feeds the right party straight from it.
+    /// Default `None`: a link that must see each send as a `&[u8]` (a
+    /// network model, a byte meter) is staged through instead.
+    fn lend_rightward(&mut self, link: usize) -> Option<&mut Vec<u8>> {
+        let _ = link;
+        None
+    }
+
+    /// Lend link `link`'s server→client buffer itself; see
+    /// [`ChainLinks::lend_rightward`].
+    fn lend_leftward(&mut self, link: usize) -> Option<&mut Vec<u8>> {
+        let _ = link;
+        None
+    }
 }
 
 /// Zero-latency in-memory links: plain byte buffers per direction.
@@ -337,6 +363,27 @@ impl PipeLinks {
     fn ensure(&mut self, links: usize) {
         self.rightward.resize_with(links, Vec::new);
         self.leftward.resize_with(links, Vec::new);
+    }
+
+    /// Bytes sent and not yet received, over every link and both
+    /// directions.
+    pub fn buffered(&self) -> usize {
+        self.rightward.iter().chain(&self.leftward).map(Vec::len).sum()
+    }
+
+    /// Allocated capacity parked on the links in one direction
+    /// (`rightward`: client→server), summed over links.
+    pub fn capacity(&self, rightward: bool) -> usize {
+        let lanes = if rightward { &self.rightward } else { &self.leftward };
+        lanes.iter().map(Vec::capacity).sum()
+    }
+
+    fn lane(&mut self, link: usize, rightward: bool) -> &mut Vec<u8> {
+        if rightward {
+            &mut self.rightward[link]
+        } else {
+            &mut self.leftward[link]
+        }
     }
 }
 
@@ -369,6 +416,12 @@ impl ChainLinks for PipeLinks {
         src.clear();
         Ok(any)
     }
+    fn lend_rightward(&mut self, link: usize) -> Option<&mut Vec<u8>> {
+        Some(&mut self.rightward[link])
+    }
+    fn lend_leftward(&mut self, link: usize) -> Option<&mut Vec<u8>> {
+        Some(&mut self.leftward[link])
+    }
 }
 
 /// A chain of parties connected by zero-latency in-memory pipes.
@@ -379,11 +432,21 @@ pub struct Chain {
     pub middles: Vec<Box<dyn Relay>>,
     /// The server endpoint.
     pub server: Box<dyn Endpoint>,
-    /// The pipe driver's own links (used by [`Chain::pump`]).
+    /// The pipe driver's own links. [`Chain::pump`] pumps over them
+    /// and they lend their buffers, so a party's output is handed to
+    /// the link and the next party is fed from it with no copy in
+    /// between. Under links that do not lend ([`Chain::pump_with`]
+    /// over a network model) the same per-link, per-direction buffers
+    /// are what a party is drained into before the link sees the
+    /// bytes (party→buffer→link). Either way a party's drain only
+    /// ever meets the buffer of its own link and direction, so the
+    /// buffers a drain trades (see [`Endpoint::take_into`]) stay
+    /// sized for that direction's traffic.
     links: PipeLinks,
-    /// Reusable staging buffer for per-party pumping: bytes move
-    /// link→scratch→party and party→scratch→link without a fresh
-    /// allocation per transfer.
+    /// Where bytes received from a link that does not lend wait to be
+    /// fed to a party (link→scratch→party). Feeding only reads it, so
+    /// one buffer serves every link and direction; drains never see
+    /// it.
     scratch: Vec<u8>,
     /// When true, [`Chain::pump_with`] leaves deferred signature
     /// checks for the driver to collect (host batching); when false
@@ -459,6 +522,13 @@ impl Chain {
         any
     }
 
+    /// Capacity the chain's own link buffers hold in one direction
+    /// ([`PipeLinks::capacity`]). The hand-over rule keeps this at
+    /// that direction's traffic or less; the bench gate watches it.
+    pub fn link_capacity(&self, rightward: bool) -> usize {
+        self.links.capacity(rightward)
+    }
+
     /// Number of parties (client + middleboxes + server).
     pub fn parties(&self) -> usize {
         self.middles.len() + 2
@@ -500,71 +570,102 @@ impl Chain {
         }
     }
 
-    /// Deliver bytes waiting on party `i`'s adjacent links into the
-    /// party (left link first). Returns true if anything moved. One
-    /// half of a [`Chain::pump_with`] pass, exposed so multi-session
-    /// drivers can pump per party.
-    pub fn deliver_to_party(
+    /// Feed the party at the receiving end of `link` whatever the link
+    /// holds in one direction. Returns true if anything moved. The
+    /// link's bytes are consumed even when the party refuses them.
+    fn deliver(
         &mut self,
         links: &mut dyn ChainLinks,
-        i: usize,
+        link: usize,
+        rightward: bool,
     ) -> Result<bool, MbError> {
-        let n = self.middles.len() + 2;
+        let to = if rightward { link + 1 } else { link };
+        let lent = if rightward { links.lend_rightward(link) } else { links.lend_leftward(link) };
+        if let Some(buf) = lent {
+            if buf.is_empty() {
+                return Ok(false);
+            }
+            let fed = self.feed_party(to, rightward, buf);
+            buf.clear();
+            return fed.map(|()| true);
+        }
         let mut scratch = std::mem::take(&mut self.scratch);
-        let result = (|| {
-            let mut moved = false;
-            if i > 0 {
-                scratch.clear();
-                if links.recv_rightward_into(i - 1, &mut scratch)? {
-                    moved = true;
-                    self.feed_party(i, true, &scratch)?;
-                }
+        scratch.clear();
+        let arrived = if rightward {
+            links.recv_rightward_into(link, &mut scratch)
+        } else {
+            links.recv_leftward_into(link, &mut scratch)
+        };
+        let fed = arrived.and_then(|any| {
+            if any {
+                self.feed_party(to, rightward, &scratch)?;
             }
-            if i < n - 1 {
-                scratch.clear();
-                if links.recv_leftward_into(i, &mut scratch)? {
-                    moved = true;
-                    self.feed_party(i, false, &scratch)?;
-                }
-            }
-            Ok(moved)
-        })();
+            Ok(any)
+        });
         self.scratch = scratch;
-        result
+        fed
+    }
+
+    /// Hand the pending output of the party at the sending end of
+    /// `link` to the link, in one direction. Returns true if anything
+    /// moved.
+    fn collect(
+        &mut self,
+        links: &mut dyn ChainLinks,
+        link: usize,
+        rightward: bool,
+    ) -> Result<bool, MbError> {
+        let from = if rightward { link } else { link + 1 };
+        let lent = if rightward { links.lend_rightward(link) } else { links.lend_leftward(link) };
+        if let Some(buf) = lent {
+            let before = buf.len();
+            self.take_party_into(from, !rightward, buf);
+            return Ok(buf.len() > before);
+        }
+        // The chain's own buffer for this link and direction is idle
+        // under foreign links; it moves aside while the party fills it.
+        self.links.ensure(self.middles.len() + 1);
+        let mut staged = std::mem::take(self.links.lane(link, rightward));
+        staged.clear();
+        self.take_party_into(from, !rightward, &mut staged);
+        let sent = if staged.is_empty() {
+            Ok(false)
+        } else if rightward {
+            links.send_rightward(link, from, &staged).map(|()| true)
+        } else {
+            links.send_leftward(link, from, &staged).map(|()| true)
+        };
+        staged.clear();
+        *self.links.lane(link, rightward) = staged;
+        sent
+    }
+
+    /// Deliver bytes waiting on party `i`'s adjacent links into the
+    /// party (left link first). Returns true if anything moved. One
+    /// half of a [`Chain::pump_with`] pass.
+    fn deliver_to_party(&mut self, links: &mut dyn ChainLinks, i: usize) -> Result<bool, MbError> {
+        let mut moved = false;
+        if i > 0 {
+            moved |= self.deliver(links, i - 1, true)?;
+        }
+        if i < self.parties() - 1 {
+            moved |= self.deliver(links, i, false)?;
+        }
+        Ok(moved)
     }
 
     /// Collect party `i`'s pending output into its adjacent links
     /// (rightward first). Returns true if anything moved. The other
     /// half of a [`Chain::pump_with`] pass.
-    pub fn collect_from_party(
-        &mut self,
-        links: &mut dyn ChainLinks,
-        i: usize,
-    ) -> Result<bool, MbError> {
-        let n = self.middles.len() + 2;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = (|| {
-            let mut moved = false;
-            if i < n - 1 {
-                scratch.clear();
-                self.take_party_into(i, false, &mut scratch);
-                if !scratch.is_empty() {
-                    moved = true;
-                    links.send_rightward(i, i, &scratch)?;
-                }
-            }
-            if i > 0 {
-                scratch.clear();
-                self.take_party_into(i, true, &mut scratch);
-                if !scratch.is_empty() {
-                    moved = true;
-                    links.send_leftward(i - 1, i, &scratch)?;
-                }
-            }
-            Ok(moved)
-        })();
-        self.scratch = scratch;
-        result
+    fn collect_from_party(&mut self, links: &mut dyn ChainLinks, i: usize) -> Result<bool, MbError> {
+        let mut moved = false;
+        if i < self.parties() - 1 {
+            moved |= self.collect(links, i, true)?;
+        }
+        if i > 0 {
+            moved |= self.collect(links, i - 1, false)?;
+        }
+        Ok(moved)
     }
 
     /// One pass over every party: deliver whatever each link holds,
@@ -608,6 +709,9 @@ impl Chain {
         let result = (|| {
             for _ in 0..10_000 {
                 if !self.pump_with(&mut links)? {
+                    // Nothing moved, so nothing may be left waiting:
+                    // a byte stranded on a link would never arrive.
+                    debug_assert_eq!(links.buffered(), 0, "quiescent chain left bytes on a link");
                     break;
                 }
                 moved_any = true;
@@ -650,7 +754,7 @@ impl Chain {
         let mut received = Vec::new();
         for _ in 0..200 {
             self.pump()?;
-            received.extend(self.server.recv_app());
+            self.server.recv_app_into(&mut received);
             if received.len() >= expect_len {
                 break;
             }
@@ -665,7 +769,7 @@ impl Chain {
         let mut received = Vec::new();
         for _ in 0..200 {
             self.pump()?;
-            received.extend(self.client.recv_app());
+            self.client.recv_app_into(&mut received);
             if received.len() >= expect_len {
                 break;
             }
@@ -898,15 +1002,27 @@ impl<'n> NetChain<'n> {
         let mut got_req = 0usize;
         let mut responded = false;
         let mut got_resp = 0usize;
+        // One buffer for all three jobs: counting what the server
+        // received, holding the response, counting what the client
+        // received. (A drain may trade it for an endpoint's own; with
+        // one exchange per session there is no steady state for the
+        // mixed sizes to unsettle.)
+        let mut buf = Vec::new();
         loop {
             while self.exchange()? {}
-            got_req += self.chain.server.recv_app().len();
+            buf.clear();
+            self.chain.server.recv_app_into(&mut buf);
+            got_req += buf.len();
             if !responded && got_req >= request.len() {
-                self.chain.server.send_app(&vec![0x42u8; response_len])?;
+                buf.clear();
+                buf.resize(response_len, 0x42);
+                self.chain.server.send_app(&buf)?;
                 responded = true;
                 continue; // flush the fresh response bytes
             }
-            got_resp += self.chain.client.recv_app().len();
+            buf.clear();
+            self.chain.client.recv_app_into(&mut buf);
+            got_resp += buf.len();
             if responded && got_resp >= response_len {
                 self.emit_phase(self.net.now(), EventKind::SessionTransferDone);
                 return Ok(SessionTiming {

@@ -354,21 +354,25 @@ impl Middlebox {
         out
     }
 
-    /// Append pending client-bound bytes to `dst`, keeping `dst`'s
-    /// capacity — the steady-state alternative to
-    /// [`Middlebox::take_toward_client`].
+    /// Move pending client-bound bytes to the end of `dst` — the
+    /// steady-state alternative to [`Middlebox::take_toward_client`].
+    /// In the data-plane phase an empty `dst` takes the records by
+    /// trading buffers with the data plane instead of being copied
+    /// into.
     pub fn drain_toward_client_into(&mut self, dst: &mut Vec<u8>) {
         self.drain(FlowDirection::ServerToClient, dst)
     }
 
-    /// Append pending server-bound bytes to `dst`, keeping `dst`'s
-    /// capacity — the steady-state alternative to
-    /// [`Middlebox::take_toward_server`].
+    /// Move pending server-bound bytes to the end of `dst`; see
+    /// [`Middlebox::drain_toward_client_into`].
     pub fn drain_toward_server_into(&mut self, dst: &mut Vec<u8>) {
         self.drain(FlowDirection::ClientToServer, dst)
     }
 
-    /// Append everything travelling in `dir` that is ready to leave.
+    /// Move everything travelling in `dir` that is ready to leave to
+    /// the end of `dst`: relayed handshake records first (appended),
+    /// then the data plane's (handed over, see
+    /// [`MiddleboxDataPlane::drain_toward_server_into`]).
     fn drain(&mut self, dir: FlowDirection, dst: &mut Vec<u8>) {
         self.pump_secondary();
         let start = dst.len();

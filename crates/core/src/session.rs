@@ -224,6 +224,23 @@ pub(crate) struct Secondary {
     pub(crate) deferred_checks: u64,
 }
 
+impl Secondary {
+    /// Verification already ran (or is parked with the driver), or
+    /// the middlebox was refused: nothing left to screen.
+    fn settled(&self) -> bool {
+        self.verified_name.is_some() || self.rejected || self.pending_subject.is_some()
+    }
+
+    /// Wrap whatever this session has queued for the wire into
+    /// Encapsulated records on subchannel `id`, appended to `out`.
+    fn flush_wrapped(&mut self, id: u8, out: &mut Vec<u8>) {
+        let bytes = self.conn.take_outgoing();
+        if !bytes.is_empty() {
+            wrap_records(id, &bytes, out);
+        }
+    }
+}
+
 /// One end of an mbTLS session; which end is the role `R`
 /// ([`crate::client::ClientRole`] or [`crate::server::ServerRole`]).
 // `Role` is crate-private on purpose: a session has two ends and no
@@ -281,10 +298,12 @@ impl<R: Role> MbSession<R> {
         out
     }
 
-    /// Append pending wire bytes to `dst`, keeping `dst`'s capacity —
-    /// the steady-state alternative to [`MbSession::take_outgoing`]:
-    /// once the data plane is active and `dst` is warm, draining a
-    /// record allocates nothing.
+    /// Move pending wire bytes to the end of `dst` — the steady-state
+    /// alternative to [`MbSession::take_outgoing`]. Once the data
+    /// plane is active its records are all there is to drain, and an
+    /// empty `dst` takes them by trading buffers with the data plane
+    /// ([`EndpointDataPlane::drain_outgoing_into`]): no copy, and no
+    /// allocation once both buffers are warm.
     pub fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
         self.pump();
         let start = dst.len();
@@ -412,32 +431,30 @@ impl<R: Role> MbSession<R> {
     /// Encapsulated records.
     pub(crate) fn flush_secondary(&mut self, id: u8) {
         if let Some(sec) = self.secondaries.get_mut(&id) {
-            let bytes = sec.conn.take_outgoing();
-            if !bytes.is_empty() {
-                wrap_records(id, &bytes, &mut self.out);
-            }
+            sec.flush_wrapped(id, &mut self.out);
         }
     }
 
     /// Advance internal state: drain secondary outputs, verify and
     /// approve established secondaries, distribute keys when ready.
     pub(crate) fn pump(&mut self) {
-        let ids: Vec<u8> = self.secondaries.keys().copied().collect();
-        for &id in &ids {
-            self.flush_secondary(id);
+        for (&id, sec) in &mut self.secondaries {
+            sec.flush_wrapped(id, &mut self.out);
         }
 
         R::surface_deferred(self);
 
         // Verification/approval for newly established secondaries.
+        // Once every secondary is settled this collects nothing, so
+        // the per-record feeds and drains that pump allocate nothing.
+        let fresh: Vec<u8> = self
+            .secondaries
+            .iter()
+            .filter(|(_, sec)| sec.conn.is_established() && !sec.settled())
+            .map(|(&id, _)| id)
+            .collect();
         let mut to_reject = Vec::new();
-        for id in ids {
-            let sec = &self.secondaries[&id];
-            let settled =
-                sec.verified_name.is_some() || sec.rejected || sec.pending_subject.is_some();
-            if !sec.conn.is_established() || settled {
-                continue;
-            }
+        for id in fresh {
             match self.screen(id) {
                 Ok((name, checks)) => match R::discharge(self, id, checks) {
                     Some(true) => self.approve(id, name),
@@ -646,8 +663,10 @@ impl<R: Role> MbSession<R> {
         }
     }
 
-    /// Append received application data to `dst`, keeping `dst`'s
-    /// capacity (the steady-state alternative to [`MbSession::recv`]).
+    /// Move received application data to the end of `dst` (the
+    /// steady-state alternative to [`MbSession::recv`]); an empty
+    /// `dst` trades buffers with the data plane instead of being
+    /// copied into.
     pub fn recv_into(&mut self, dst: &mut Vec<u8>) {
         let early = R::primary_plaintext(self);
         dst.extend_from_slice(&early);

@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use mbtls_core::driver::PendingVerify;
+use mbtls_core::driver::{Endpoint, PendingVerify};
 use mbtls_core::MbError;
 use mbtls_crypto::ed25519::{self, BatchItem};
 use mbtls_netsim::time::SimTime;
@@ -67,6 +67,14 @@ pub struct Shard<S: Substrate> {
     /// Reused scratch for expired timers (no per-step allocation).
     fired: Vec<Timer>,
     pool: BufferPool,
+    /// Where drained application bytes land to be counted: one sink
+    /// for what servers received and one for what clients received.
+    /// A drain into an empty buffer trades buffers with the endpoint
+    /// (`Endpoint::recv_app_into`), so each sink only ever meets
+    /// buffers that held its own direction's payloads; draining
+    /// requests and responses through one staging buffer would walk
+    /// response-sized capacity into every session's request side.
+    rx: [Vec<u8>; 2],
     telemetry: Option<SharedSink>,
     /// Session-ticket cache ordered by expiry (pushes are monotonic
     /// in virtual time), capped at `config.ticket_cache_cap()`.
@@ -95,6 +103,7 @@ impl<S: Substrate> Shard<S> {
             delivery: EventRing::new(),
             fired: Vec::new(),
             pool: BufferPool::new(),
+            rx: Default::default(),
             telemetry: None,
             tickets: VecDeque::new(),
             verify_queue: Vec::new(),
@@ -438,6 +447,7 @@ impl<S: Substrate> Shard<S> {
                 Phase::Established => Self::drive_workload(
                     sess,
                     &mut self.pool,
+                    &mut self.rx,
                     &mut self.counters,
                     pump.moved,
                     pump.saturated,
@@ -542,9 +552,20 @@ impl<S: Substrate> Shard<S> {
     /// Queue one `request_len`-byte client request from a pooled
     /// buffer.
     fn send_request(sess: &mut HostedSession, pool: &mut BufferPool) -> Result<(), MbError> {
+        Self::send_filled(&mut *sess.chain.client, sess.workload.request_len, 0xA5, pool)
+    }
+
+    /// Queue `len` bytes of `fill` on `endpoint`, staged in a pooled
+    /// buffer.
+    fn send_filled(
+        endpoint: &mut dyn Endpoint,
+        len: usize,
+        fill: u8,
+        pool: &mut BufferPool,
+    ) -> Result<(), MbError> {
         let mut buf = pool.acquire();
-        buf.resize(sess.workload.request_len, 0xA5);
-        let result = sess.chain.client.send_app(&buf);
+        buf.resize(len, fill);
+        let result = endpoint.send_app(&buf);
         pool.release(buf);
         result
     }
@@ -555,35 +576,34 @@ impl<S: Substrate> Shard<S> {
     fn drive_workload(
         sess: &mut HostedSession,
         pool: &mut BufferPool,
+        rx: &mut [Vec<u8>; 2],
         counters: &mut HostCounters,
         moved: bool,
         saturated: bool,
     ) -> Verdict {
         let mut acted = false;
-        let mut buf = pool.acquire();
-        sess.chain.server.recv_app_into(&mut buf);
-        if !buf.is_empty() {
-            sess.server_got += buf.len();
+        let [server_rx, client_rx] = rx;
+        server_rx.clear();
+        sess.chain.server.recv_app_into(server_rx);
+        if !server_rx.is_empty() {
+            sess.server_got += server_rx.len();
             acted = true;
         }
         if !sess.responded && sess.server_got >= sess.workload.request_len {
             sess.server_got -= sess.workload.request_len;
-            buf.clear();
-            buf.resize(sess.workload.response_len, 0x5A);
-            if let Err(e) = sess.chain.server.send_app(&buf) {
-                pool.release(buf);
+            let response_len = sess.workload.response_len;
+            if let Err(e) = Self::send_filled(&mut *sess.chain.server, response_len, 0x5A, pool) {
                 return Verdict::Finish(SessionOutcome::Failed(e));
             }
             sess.responded = true;
             acted = true;
         }
-        buf.clear();
-        sess.chain.client.recv_app_into(&mut buf);
-        if !buf.is_empty() {
-            sess.client_got += buf.len();
+        client_rx.clear();
+        sess.chain.client.recv_app_into(client_rx);
+        if !client_rx.is_empty() {
+            sess.client_got += client_rx.len();
             acted = true;
         }
-        pool.release(buf);
         if sess.responded && sess.client_got >= sess.workload.response_len {
             sess.client_got -= sess.workload.response_len;
             sess.responded = false;

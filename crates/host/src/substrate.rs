@@ -244,37 +244,6 @@ impl PipeSubstrate {
     }
 }
 
-/// Metering wrapper: delegates to the session's [`PipeLinks`]
-/// (keeping its zero-allocation `_into` paths) while counting sent
-/// bytes.
-struct MeteredPipeLinks<'a> {
-    inner: &'a mut PipeLinks,
-    bytes: &'a mut u64,
-}
-
-impl ChainLinks for MeteredPipeLinks<'_> {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.inner.recv_rightward(link)
-    }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.inner.recv_leftward(link)
-    }
-    fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        *self.bytes += data.len() as u64;
-        self.inner.send_rightward(link, from, data)
-    }
-    fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        *self.bytes += data.len() as u64;
-        self.inner.send_leftward(link, from, data)
-    }
-    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        self.inner.recv_rightward_into(link, dst)
-    }
-    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        self.inner.recv_leftward_into(link, dst)
-    }
-}
-
 impl Substrate for PipeSubstrate {
     fn open(
         &mut self,
@@ -308,11 +277,16 @@ impl Substrate for PipeSubstrate {
             .and_then(Option::as_mut)
             .ok_or_else(|| MbError::unexpected_state("pump on closed substrate session"))?;
         let mut outcome = PumpOutcome::default();
-        let mut metered = MeteredPipeLinks { inner: links, bytes: &mut outcome.bytes };
         for pass in 0..max_passes {
-            if !chain.pump_with(&mut metered)? {
+            // The links lend their buffers, so the chain's parties
+            // write into them directly and no send call passes by to
+            // be metered. A pass delivers everything the links held
+            // before it collects, so what they hold afterwards is
+            // what this pass pushed.
+            if !chain.pump_with(links)? {
                 return Ok(outcome);
             }
+            outcome.bytes += links.buffered() as u64;
             outcome.moved = true;
             outcome.saturated = pass + 1 == max_passes;
         }

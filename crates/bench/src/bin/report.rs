@@ -1,16 +1,18 @@
-//! Measure and check the `BENCH_*.json` regression artifacts — one
-//! binary for all five suites.
+//! Measure and check the `BENCH_*.json` artifacts — one binary for
+//! all six suites.
 //!
 //! ```text
-//! report <dataplane|scale|handshake|chain|auth|all> [--smoke] [--out PATH]
+//! report <dataplane|scale|handshake|chain|auth|paper|all> [--smoke] [--out PATH]
 //! report check <suite> <file>
+//! report render <paper artifact> <document>
 //! ```
 //!
 //! A suite run measures, writes the artifact (`--out`, default the
 //! suite's `BENCH_<suite>.json` in the current directory), prints it,
 //! and then runs the suite's schema and floor checks on what it
 //! wrote; `check` runs the same checks on an existing file without
-//! measuring. A failed floor exits 1.
+//! measuring. A failed floor exits 1. `render` rewrites the generated
+//! blocks of a document (EXPERIMENTS.md) from a `paper` artifact.
 //!
 //! `--smoke` runs tiny budgets (seconds) so `scripts/check.sh` can
 //! gate on the harness working end to end; numbers from a smoke run
@@ -63,8 +65,9 @@ fn alloc_count() -> u64 {
 }
 
 const USAGE: &str =
-    "usage: report <dataplane|scale|handshake|chain|auth|all> [--smoke] [--out PATH]
-       report check <suite> <file>";
+    "usage: report <dataplane|scale|handshake|chain|auth|paper|all> [--smoke] [--out PATH]
+       report check <suite> <file>
+       report render <paper artifact> <document>";
 
 fn usage_error(problem: &str) -> ! {
     eprintln!("{problem}\n{USAGE}");
@@ -103,6 +106,15 @@ fn run_suite(suite: &Suite, smoke: bool, out: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Rewrite `document`'s generated blocks from the `paper` artifact.
+fn render(artifact: &str, document: &str) -> Result<(), String> {
+    let report = read_artifact(artifact)?;
+    let old = std::fs::read_to_string(document)
+        .map_err(|e| format!("failed to read {document}: {e}"))?;
+    let new = mbtls_bench::paper::render_into(&report, &old)?;
+    std::fs::write(document, new).map_err(|e| format!("failed to write {document}: {e}"))
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| usage_error("missing suite"));
@@ -113,6 +125,11 @@ fn main() {
         read_artifact(&file)
             .and_then(|report| (suite_named(&suite).check)(&report, None))
             .map(|summary| eprintln!("{summary}"))
+    } else if command == "render" {
+        let (Some(artifact), Some(document), None) = (args.next(), args.next(), args.next()) else {
+            usage_error("render takes a paper artifact and a document");
+        };
+        render(&artifact, &document)
     } else {
         let mut smoke = false;
         let mut out = None;

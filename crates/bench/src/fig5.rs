@@ -13,12 +13,12 @@ use std::time::Duration;
 use mbtls_core::attacks::Testbed;
 use mbtls_core::baseline::{PureRelay, SplitTlsMiddlebox};
 use mbtls_core::client::MbClientSession;
-use mbtls_core::driver::{Chain, LegacyClient, LegacyServer, Relay};
+use mbtls_core::driver::{Chain, Endpoint, LegacyClient, LegacyServer, Relay};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
-use mbtls_pki::KeyUsage;
+use mbtls_pki::{KeyUsage, TrustStore};
 use mbtls_tls::{ClientConnection, ServerConnection};
 
 use mbtls_telemetry::{Aggregates, Party, Recorder, TelemetrySink};
@@ -77,6 +77,46 @@ pub struct RoleTimes {
     pub server: Duration,
 }
 
+/// An mbTLS client for `server.example` on the testbed's defaults.
+pub(crate) fn mbtls_client(tb: &Testbed, seed: u64) -> MbClientSession {
+    let config = Arc::new(tb.client_config());
+    MbClientSession::new(config, "server.example", CryptoRng::from_seed(seed))
+}
+
+/// An mbTLS server on the testbed's defaults.
+pub(crate) fn mbtls_server(tb: &Testbed, seed: u64) -> MbServerSession {
+    MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(seed))
+}
+
+/// An attesting mbTLS middlebox running the testbed's code identity.
+pub(crate) fn mbtls_middlebox(tb: &Testbed, seed: u64) -> Middlebox {
+    Middlebox::new(tb.middlebox_config(&tb.mbox_code), CryptoRng::from_seed(seed))
+}
+
+/// A stock TLS 1.2 client for `server.example` trusting `trust`.
+pub(crate) fn legacy_client(trust: Arc<TrustStore>, rng: &mut CryptoRng) -> LegacyClient {
+    let config = Arc::new(mbtls_tls::config::ClientConfig::new(trust));
+    LegacyClient::new(ClientConnection::new(config, "server.example", rng), rng.fork())
+}
+
+/// A stock TLS 1.2 server presenting `key`.
+pub(crate) fn legacy_server(
+    key: Arc<CertifiedKey>,
+    ticket_key: [u8; 32],
+    rng: &mut CryptoRng,
+) -> LegacyServer {
+    let config = Arc::new(mbtls_tls::config::ServerConfig::new(key, ticket_key));
+    LegacyServer::new(ServerConnection::new(config), rng.fork())
+}
+
+fn timed(endpoint: impl Endpoint + 'static, meter: &CpuMeter) -> Box<dyn Endpoint> {
+    Box::new(TimedEndpoint::new(endpoint, meter.clone()))
+}
+
+fn timed_relay(relay: impl Relay + 'static, meter: &CpuMeter) -> Box<dyn Relay> {
+    Box::new(TimedRelay::new(relay, meter.clone()))
+}
+
 /// Run one handshake of the given config, returning per-role times.
 pub fn run_one(config: Config, seed: u64) -> RoleTimes {
     let tb = Testbed::new(seed);
@@ -85,49 +125,21 @@ pub fn run_one(config: Config, seed: u64) -> RoleTimes {
     let mbox_meter = CpuMeter::new(recorder.sink(), Party::Middlebox(0));
     let server_meter = CpuMeter::new(recorder.sink(), Party::Server);
 
-    let mut chain = match config {
-        Config::TlsNoMbox => {
-            let mut rng = CryptoRng::from_seed(seed + 1);
-            let client = LegacyClient::new(
-                ClientConnection::new(
-                    Arc::new(mbtls_tls::config::ClientConfig::new(tb.server_trust.clone())),
-                    "server.example",
-                    &mut rng,
-                ),
-                rng.fork(),
-            );
-            let server = LegacyServer::new(
-                ServerConnection::new(Arc::new(mbtls_tls::config::ServerConfig::new(
-                    tb.server_key.clone(),
-                    [1u8; 32],
-                ))),
-                rng.fork(),
-            );
-            Chain::new(
-                Box::new(TimedEndpoint::new(client, client_meter.clone())),
-                vec![Box::new(TimedRelay::new(PureRelay::new(), mbox_meter.clone()))],
-                Box::new(TimedEndpoint::new(server, server_meter.clone())),
-            )
-        }
-        Config::MbTlsNoMbox => {
-            let client = MbClientSession::new(
-                Arc::new(tb.client_config()),
-                "server.example",
-                CryptoRng::from_seed(seed + 1),
-            );
-            let server =
-                MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(seed + 2));
-            Chain::new(
-                Box::new(TimedEndpoint::new(client, client_meter.clone())),
-                vec![],
-                Box::new(TimedEndpoint::new(server, server_meter.clone())),
-            )
-        }
+    let mut rng = CryptoRng::from_seed(seed + 1);
+    let mb_client = || timed(mbtls_client(&tb, seed + 1), &client_meter);
+    let mb_server = || timed(mbtls_server(&tb, seed + 2), &server_meter);
+    let middlebox = |seed| timed_relay(mbtls_middlebox(&tb, seed), &mbox_meter);
+    let (client, middles, server) = match config {
+        Config::TlsNoMbox => (
+            timed(legacy_client(tb.server_trust.clone(), &mut rng), &client_meter),
+            vec![timed_relay(PureRelay::new(), &mbox_meter)],
+            timed(legacy_server(tb.server_key.clone(), [1u8; 32], &mut rng), &server_meter),
+        ),
+        Config::MbTlsNoMbox => (mb_client(), vec![], mb_server()),
         Config::SplitTls1Mbox => {
             // The interception deployment: the client trusts a custom
             // root whose key the middlebox holds; the middlebox forges
             // the server's certificate.
-            let mut rng = CryptoRng::from_seed(seed + 1);
             let mut corp_ca =
                 CertificateAuthority::new_root("Corp Interception Root", 0, 10_000_000, &mut rng);
             let forged = Arc::new(CertifiedKey::issue(
@@ -139,86 +151,33 @@ pub fn run_one(config: Config, seed: u64) -> RoleTimes {
                 KeyUsage::Endpoint,
                 &mut rng,
             ));
-            let mut client_trust = mbtls_pki::TrustStore::new();
+            let mut client_trust = TrustStore::new();
             client_trust.add_root(corp_ca.certificate().clone());
-            let client = LegacyClient::new(
-                ClientConnection::new(
-                    Arc::new(mbtls_tls::config::ClientConfig::new(Arc::new(client_trust))),
-                    "server.example",
-                    &mut rng,
-                ),
-                rng.fork(),
-            );
+            let client = legacy_client(Arc::new(client_trust), &mut rng);
             let split = SplitTlsMiddlebox::new(
                 Arc::new(mbtls_tls::config::ServerConfig::new(forged, [2u8; 32])),
                 Arc::new(mbtls_tls::config::ClientConfig::new(tb.server_trust.clone())),
                 "server.example",
                 rng.fork(),
             );
-            let server = LegacyServer::new(
-                ServerConnection::new(Arc::new(mbtls_tls::config::ServerConfig::new(
-                    tb.server_key.clone(),
-                    [1u8; 32],
-                ))),
-                rng.fork(),
-            );
-            Chain::new(
-                Box::new(TimedEndpoint::new(client, client_meter.clone())),
-                vec![Box::new(TimedRelay::new(split, mbox_meter.clone()))],
-                Box::new(TimedEndpoint::new(server, server_meter.clone())),
+            (
+                timed(client, &client_meter),
+                vec![timed_relay(split, &mbox_meter)],
+                timed(legacy_server(tb.server_key.clone(), [1u8; 32], &mut rng), &server_meter),
             )
         }
-        Config::MbTls1ClientMbox => {
-            let client = MbClientSession::new(
-                Arc::new(tb.client_config()),
-                "server.example",
-                CryptoRng::from_seed(seed + 1),
-            );
-            let server =
-                MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(seed + 2));
-            let mb = Middlebox::new(
-                tb.middlebox_config(&tb.mbox_code),
-                CryptoRng::from_seed(seed + 3),
-            );
-            Chain::new(
-                Box::new(TimedEndpoint::new(client, client_meter.clone())),
-                vec![Box::new(TimedRelay::new(mb, mbox_meter.clone()))],
-                Box::new(TimedEndpoint::new(server, server_meter.clone())),
-            )
-        }
-        Config::MbTlsServerMboxes(n) => {
-            // Server-side middleboxes join via announcement, which
-            // requires a legacy (non-mbTLS) ClientHello in this
-            // implementation; the client's cost is a plain TLS client
-            // handshake either way.
-            let mut rng = CryptoRng::from_seed(seed + 1);
-            let client = LegacyClient::new(
-                ClientConnection::new(
-                    Arc::new(mbtls_tls::config::ClientConfig::new(tb.server_trust.clone())),
-                    "server.example",
-                    &mut rng,
-                ),
-                rng.fork(),
-            );
-            let server =
-                MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(seed + 2));
-            let mut middles: Vec<Box<dyn Relay>> = Vec::new();
-            for i in 0..n {
-                middles.push(Box::new(TimedRelay::new(
-                    Middlebox::new(
-                        tb.middlebox_config(&tb.mbox_code),
-                        CryptoRng::from_seed(seed + 10 + i as u64),
-                    ),
-                    mbox_meter.clone(),
-                )));
-            }
-            Chain::new(
-                Box::new(TimedEndpoint::new(client, client_meter.clone())),
-                middles,
-                Box::new(TimedEndpoint::new(server, server_meter.clone())),
-            )
-        }
+        Config::MbTls1ClientMbox => (mb_client(), vec![middlebox(seed + 3)], mb_server()),
+        // Server-side middleboxes join via announcement, which
+        // requires a legacy (non-mbTLS) ClientHello in this
+        // implementation; the client's cost is a plain TLS client
+        // handshake either way.
+        Config::MbTlsServerMboxes(n) => (
+            timed(legacy_client(tb.server_trust.clone(), &mut rng), &client_meter),
+            (0..n as u64).map(|i| middlebox(seed + 10 + i)).collect(),
+            mb_server(),
+        ),
     };
+    let mut chain = Chain::new(client, middles, server);
 
     chain.run_handshake().expect("handshake completes");
     // Fold the trace's CpuTime samples into per-party aggregates.

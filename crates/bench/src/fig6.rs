@@ -10,26 +10,24 @@
 //! events (`SessionStart` / `SessionHandshakeDone` /
 //! `SessionTransferDone`), all stamped with virtual time.
 
-use std::sync::Arc;
-
 use mbtls_core::attacks::Testbed;
 use mbtls_core::baseline::PureRelay;
-use mbtls_core::client::MbClientSession;
-use mbtls_core::driver::{Chain, LegacyClient, LegacyServer, NetChain, SessionTiming};
-use mbtls_core::middlebox::Middlebox;
-use mbtls_core::server::MbServerSession;
+use mbtls_core::driver::{Chain, NetChain, SessionTiming};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_netsim::profiles::{figure6_paths, interdc_latency, Region};
 use mbtls_netsim::time::Duration;
 use mbtls_netsim::{FaultConfig, Network};
 use mbtls_telemetry::Recorder;
-use mbtls_tls::{ClientConnection, ServerConnection};
+
+use crate::fig5::{legacy_client, legacy_server, mbtls_client, mbtls_middlebox, mbtls_server};
 
 /// One measured path.
 #[derive(Debug, Clone)]
 pub struct PathResult {
     /// "client-mbox-server" label, e.g. `"usw-use-uk"`.
     pub path: String,
+    /// End-to-end round-trip time of the path (both links, both ways).
+    pub rtt: Duration,
     /// Plain-TLS timing (middlebox relays).
     pub tls: SessionTiming,
     /// mbTLS timing (middlebox joins).
@@ -53,40 +51,16 @@ fn one_session(
     let faults = [FaultConfig::none(), FaultConfig::none()];
     let mut net = Network::new(seed);
     let chain = if mbtls {
-        let client = MbClientSession::new(
-            Arc::new(tb.client_config()),
-            "server.example",
-            CryptoRng::from_seed(seed + 1),
-        );
-        let server =
-            MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(seed + 2));
-        let mb = Middlebox::new(
-            tb.middlebox_config(&tb.mbox_code),
-            CryptoRng::from_seed(seed + 3),
-        );
-        Chain::new(Box::new(client), vec![Box::new(mb)], Box::new(server))
+        Chain::new(
+            Box::new(mbtls_client(tb, seed + 1)),
+            vec![Box::new(mbtls_middlebox(tb, seed + 3))],
+            Box::new(mbtls_server(tb, seed + 2)),
+        )
     } else {
         let mut rng = CryptoRng::from_seed(seed + 1);
-        let client = LegacyClient::new(
-            ClientConnection::new(
-                Arc::new(mbtls_tls::config::ClientConfig::new(tb.server_trust.clone())),
-                "server.example",
-                &mut rng,
-            ),
-            rng.fork(),
-        );
-        let server = LegacyServer::new(
-            ServerConnection::new(Arc::new(mbtls_tls::config::ServerConfig::new(
-                tb.server_key.clone(),
-                [6u8; 32],
-            ))),
-            rng.fork(),
-        );
-        Chain::new(
-            Box::new(client),
-            vec![Box::new(PureRelay::new())],
-            Box::new(server),
-        )
+        let client = legacy_client(tb.server_trust.clone(), &mut rng);
+        let server = legacy_server(tb.server_key.clone(), [6u8; 32], &mut rng);
+        Chain::new(Box::new(client), vec![Box::new(PureRelay::new())], Box::new(server))
     };
     let recorder = Recorder::new();
     let mut nc = NetChain::new(&mut net, chain, &latencies, &faults);
@@ -117,6 +91,7 @@ pub fn run() -> Vec<PathResult> {
         .into_iter()
         .enumerate()
         .map(|(i, (path, c, m, s))| PathResult {
+            rtt: Duration(2 * (interdc_latency(c, m).0 + interdc_latency(m, s).0)),
             tls: one_session(&tb, false, c, m, s, 0x600 + i as u64 * 17),
             mbtls: one_session(&tb, true, c, m, s, 0x900 + i as u64 * 17),
             path,
@@ -124,17 +99,17 @@ pub fn run() -> Vec<PathResult> {
         .collect()
 }
 
+impl PathResult {
+    /// Relative handshake inflation of mbTLS over TLS on this path.
+    pub fn handshake_inflation(&self) -> f64 {
+        let tls = self.tls.handshake.0 as f64;
+        (self.mbtls.handshake.0 as f64 - tls) / tls
+    }
+}
+
 /// Mean relative handshake inflation of mbTLS over TLS across paths.
 pub fn mean_handshake_inflation(results: &[PathResult]) -> f64 {
-    let sum: f64 = results
-        .iter()
-        .map(|r| {
-            let tls = r.tls.handshake.0 as f64;
-            let mbtls = r.mbtls.handshake.0 as f64;
-            (mbtls - tls) / tls
-        })
-        .sum();
-    sum / results.len() as f64
+    results.iter().map(PathResult::handshake_inflation).sum::<f64>() / results.len() as f64
 }
 
 #[cfg(test)]

@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn measured_crypto_runs() {
-        // Tiny volume to keep tests fast; the binary uses more.
+        // Tiny volume to keep tests fast; the `paper` suite uses more.
         let gbps = measured_crypto_throughput(4096, 1 << 20);
         assert!(gbps > 0.0);
         let seal = measured_seal_throughput(4096, 1 << 20);

@@ -1,16 +1,16 @@
 //! # mbtls-bench
 //!
-//! The experiment harness: one module per paper table/figure, each
-//! exposing a library entry point used by both the printing binaries
-//! (`src/bin/*`) and the Criterion benches (`benches/*`). See
-//! DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results.
+//! The experiment harness. The six `BENCH_*.json` artifacts are
+//! [`SUITES`] of the one `report` binary: each suite module measures
+//! into a JSON [`Value`] (`run`) and states its schema and floors as
+//! a function over a parsed one (`check`), so an artifact on disk and
+//! a fresh measurement are judged by the same code.
 //!
-//! The five `BENCH_*.json` regression artifacts are [`SUITES`] of the
-//! one `report` binary: each suite module measures into a JSON
-//! [`Value`] (`run`) and states its schema and floors as a function
-//! over a parsed one (`check`), so an artifact on disk and a fresh
-//! measurement are judged by the same code.
+//! Five suites are regression gates on this implementation; the
+//! sixth, [`paper`], is the paper's own evaluation — one module per
+//! table or figure ([`fig5`], [`fig6`], [`fig7`], [`table2`],
+//! [`sites`]) behind it — and renders EXPERIMENTS.md's tables. See
+//! DESIGN.md §5 for the experiment index.
 
 use mbtls_telemetry::json::Value;
 
@@ -33,6 +33,7 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod handshake;
+pub mod paper;
 pub mod report;
 pub mod scale;
 pub mod sites;
@@ -60,7 +61,7 @@ pub struct Suite {
 }
 
 /// Every suite, in the order `report all` runs them.
-pub const SUITES: [Suite; 5] = [
+pub const SUITES: [Suite; 6] = [
     Suite {
         name: "dataplane",
         artifact: "BENCH_dataplane.json",
@@ -76,6 +77,7 @@ pub const SUITES: [Suite; 5] = [
     },
     Suite { name: "chain", artifact: "BENCH_chain.json", run: chain::run, check: chain::check },
     Suite { name: "auth", artifact: "BENCH_auth.json", run: auth::run, check: auth::check },
+    Suite { name: "paper", artifact: "BENCH_paper.json", run: paper::run, check: paper::check },
 ];
 
 /// Allocations per operation over `ops` steady-state operations of an

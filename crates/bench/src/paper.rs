@@ -1,0 +1,742 @@
+//! The `paper` suite (`BENCH_paper.json`): the paper's §4–§5
+//! evaluation — Table 1, Table 2, the §5.1 survey, Figures 5–7 and
+//! the design ablations — measured into one artifact.
+//!
+//! [`run`] calls the per-experiment modules ([`crate::fig5`],
+//! [`crate::fig6`], [`crate::fig7`], [`crate::table2`],
+//! [`crate::sites`], [`mbtls_core::attacks`]); [`check`] states the
+//! paper's shape claims as floors; [`render_into`] writes the
+//! artifact's numbers into the marked blocks of `EXPERIMENTS.md`, and
+//! a test holds the committed document to the committed artifact.
+//!
+//! The counting experiments (attacks, vantage networks, survey sites,
+//! virtual-time paths) are deterministic and run in full at every
+//! budget; `--smoke` only shortens the wall-clock measurements.
+
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
+
+use mbtls_core::attacks::{full_matrix, Protocol, Testbed};
+use mbtls_core::client::MbClientSession;
+use mbtls_core::dataplane::{fresh_hop_keys, FlowDirection, MiddleboxDataPlane};
+use mbtls_core::driver::{Chain, NetChain, Relay};
+use mbtls_core::middlebox::Middlebox;
+use mbtls_core::server::MbServerSession;
+use mbtls_crypto::dh::DhSecret;
+use mbtls_crypto::rng::CryptoRng;
+use mbtls_crypto::x25519::SecretKey;
+use mbtls_netsim::time::Duration;
+use mbtls_netsim::{FaultConfig, Network};
+use mbtls_telemetry::json::Value;
+use mbtls_tls::record::ContentType;
+use mbtls_tls::suites::CipherSuite;
+
+use crate::fig5::{self, Config};
+use crate::{fig6, fig7, sites, table2, AllocCounter};
+
+/// The §5.1 survey rows: artifact key, printed label, the paper's count.
+const SURVEY: [(&str, &str, u64); 6] = [
+    ("https_sites", "HTTPS-capable sites", 385),
+    ("successes", "successful fetches", 308),
+    ("bad_certs", "invalid/expired certificates", 19),
+    ("no_suite", "no AES-256-GCM support", 40),
+    ("redirects", "redirect-handling failures", 13),
+    ("unknown", "unknown failures", 5),
+];
+
+/// Rows of `figure5.rows` (the bar order of [`Config::all`]) that the
+/// floors compare.
+const MBTLS_NO_MBOX: usize = 1;
+const SPLIT_TLS: usize = 2;
+const MBTLS_CLIENT_MBOX: usize = 3;
+const MBTLS_SERVER_MBOXES: [usize; 3] = [4, 5, 6];
+
+/// One-way latency of every link in the subchannel ablation.
+const SUBCHANNEL_LINK_MS: u64 = 20;
+
+/// Measure everything that goes into `BENCH_paper.json`.
+pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
+    Value::object([
+        ("smoke", smoke.into()),
+        ("aead_backend", mbtls_crypto::gcm::backend_name().into()),
+        ("table1", table1()),
+        ("table2", table2()),
+        ("survey", survey()),
+        ("figure5", figure5(if smoke { 3 } else { 25 })),
+        ("figure6", figure6()),
+        ("figure7", figure7(if smoke { 1 << 20 } else { 16 << 20 })),
+        (
+            "ablations",
+            Value::object([
+                ("subchannel", subchannel()),
+                ("data_plane_keys_mb_s", data_plane_keys(if smoke { 64 } else { 4096 })),
+                ("attestation_setup_us", attestation_setup(if smoke { 2 } else { 24 })),
+                ("key_exchange_us", key_exchange(if smoke { 2 } else { 24 })),
+            ]),
+        ),
+    ])
+}
+
+fn rows<T>(items: &[T], row: impl Fn(&T) -> Value) -> Value {
+    Value::Array(items.iter().map(row).collect())
+}
+
+fn table1() -> Value {
+    let matrix = full_matrix().expect("attack harness runs");
+    rows(&matrix, |attack| {
+        let protocol = match attack.protocol {
+            Protocol::MbTls => "mbTLS",
+            Protocol::MbTlsDelegated => "mbTLS delegated",
+            Protocol::NaiveKeyShare => "naive key share",
+            Protocol::MbTlsNoEnclave => "mbTLS w/o enclave",
+        };
+        Value::object([
+            ("property", attack.property.into()),
+            ("threat", attack.threat.into()),
+            ("protocol", protocol.into()),
+            ("blocked", attack.blocked.into()),
+            ("defense", attack.defense.into()),
+            ("evidence", attack.detail.as_str().into()),
+        ])
+    })
+}
+
+fn table2() -> Value {
+    let table = table2::run(0x7AB1E2, None);
+    Value::object([
+        (
+            "rows",
+            rows(&table.rows, |(network, sites, succeeded)| {
+                Value::object([
+                    ("network_type", network.label().into()),
+                    ("sites", (*sites).into()),
+                    ("succeeded", (*succeeded).into()),
+                ])
+            }),
+        ),
+        ("total", table.total.into()),
+        ("succeeded", table.successes.into()),
+        ("strict_normalizer_blocks", table2::strict_filter_blocks(0x57121C7).into()),
+    ])
+}
+
+fn survey() -> Value {
+    let s = sites::run(0xA1E7A);
+    let counts = [s.https_sites, s.successes, s.bad_certs, s.no_suite, s.redirects, s.unknown];
+    Value::object(SURVEY.iter().zip(counts).map(|((key, _, _), count)| (*key, count.into())))
+}
+
+fn figure5(trials: u64) -> Value {
+    let bars: Vec<_> =
+        Config::all().into_iter().map(|config| (config, fig5::run_mean(config, trials))).collect();
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    // The increments come from the bars above, not from a second
+    // measurement, so the table and the increments cannot disagree.
+    let server_added: Vec<f64> = MBTLS_SERVER_MBOXES
+        .iter()
+        .map(|&row| ms(bars[row].1.server) - ms(bars[MBTLS_NO_MBOX].1.server))
+        .collect();
+    Value::object([
+        ("trials", trials.into()),
+        (
+            "rows",
+            rows(&bars, |(config, times)| {
+                Value::object([
+                    ("configuration", config.label().as_str().into()),
+                    ("client_ms", Value::Float(ms(times.client), 3)),
+                    ("mbox_ms", Value::Float(ms(times.middlebox), 3)),
+                    ("server_ms", Value::Float(ms(times.server), 3)),
+                ])
+            }),
+        ),
+        ("server_added_ms", Value::floats(&server_added, 3)),
+    ])
+}
+
+fn figure6() -> Value {
+    let paths = fig6::run();
+    Value::object([
+        ("response_bytes", fig6::RESPONSE_LEN.into()),
+        (
+            "paths",
+            rows(&paths, |p| {
+                let added = p.mbtls.handshake.0 as f64 - p.tls.handshake.0 as f64;
+                Value::object([
+                    ("path", p.path.as_str().into()),
+                    ("rtt_ms", Value::Float(p.rtt.as_millis_f64(), 1)),
+                    ("tls_handshake_ms", Value::Float(p.tls.handshake.as_millis_f64(), 1)),
+                    ("mbtls_handshake_ms", Value::Float(p.mbtls.handshake.as_millis_f64(), 1)),
+                    ("tls_transfer_ms", Value::Float(p.tls.transfer.as_millis_f64(), 1)),
+                    ("mbtls_transfer_ms", Value::Float(p.mbtls.transfer.as_millis_f64(), 1)),
+                    ("handshake_inflation_pct", Value::Float(p.handshake_inflation() * 100.0, 2)),
+                    ("added_round_trips", ((added / p.rtt.0 as f64).round() as u64).into()),
+                ])
+            }),
+        ),
+        (
+            "mean_handshake_inflation_pct",
+            Value::Float(fig6::mean_handshake_inflation(&paths) * 100.0, 2),
+        ),
+    ])
+}
+
+fn figure7(measured_bytes: usize) -> Value {
+    let (native, sync, asynch) = fig7::syscall_comparison(32);
+    Value::object([
+        // Modeled: the calibrated SGX cost model, not this machine.
+        (
+            "model_gbps",
+            rows(&fig7::model_sweep(), |row| {
+                Value::object([
+                    ("buffer", row.buffer.into()),
+                    ("fwd_native", Value::Float(row.fwd_native, 3)),
+                    ("fwd_enclave", Value::Float(row.fwd_enclave, 3)),
+                    ("enc_native", Value::Float(row.enc_native, 3)),
+                    ("enc_enclave", Value::Float(row.enc_enclave, 3)),
+                ])
+            }),
+        ),
+        // Measured: this machine's AES-GCM record path.
+        (
+            "measured_gbps",
+            rows(&fig7::BUFFER_SIZES, |&buffer| {
+                let reseal = fig7::measured_crypto_throughput(buffer, measured_bytes);
+                let seal = fig7::measured_seal_throughput(buffer, measured_bytes);
+                Value::object([
+                    ("buffer", buffer.into()),
+                    ("open_reseal", Value::Float(reseal, 3)),
+                    ("seal", Value::Float(seal, 3)),
+                ])
+            }),
+        ),
+        (
+            "syscall_ns",
+            Value::object([
+                ("payload_bytes", 32usize.into()),
+                ("native", Value::Float(native, 1)),
+                ("sync_enclave", Value::Float(sync, 1)),
+                ("async_enclave", Value::Float(asynch, 1)),
+            ]),
+        ),
+    ])
+}
+
+/// Encapsulated-record subchannels vs separate secondary TCP
+/// connections (the paper's §3.4 argument for P7). The multiplexed
+/// handshake is the real protocol in virtual time; the
+/// separate-connection variant is modeled: each client-side middlebox
+/// needs its own connection from the client before its secondary
+/// handshake can start, one client↔middlebox round trip and one more
+/// TCP connection per box.
+fn subchannel() -> Value {
+    let row = |&n: &usize| {
+        let seed = 0xAB1A + n as u64 * 101;
+        let tb = Testbed::new(seed);
+        let middles = (0..n as u64)
+            .map(|i| Box::new(fig5::mbtls_middlebox(&tb, seed + 10 + i)) as Box<dyn Relay>)
+            .collect();
+        let chain = Chain::new(
+            Box::new(fig5::mbtls_client(&tb, seed + 1)),
+            middles,
+            Box::new(fig5::mbtls_server(&tb, seed + 2)),
+        );
+        let mut net = Network::new(seed);
+        let latencies = vec![Duration::from_millis(SUBCHANNEL_LINK_MS); n + 1];
+        let faults = vec![FaultConfig::none(); n + 1];
+        let mut nc = NetChain::new(&mut net, chain, &latencies, &faults);
+        let timing = nc.run_session(b"x", 16, Duration::from_secs(60)).expect("session completes");
+        let multiplexed = timing.handshake.as_millis_f64();
+        let extra_rtts_ms = (2 * SUBCHANNEL_LINK_MS * n as u64) as f64;
+        Value::object([
+            ("middleboxes", n.into()),
+            ("multiplexed_ms", Value::Float(multiplexed, 1)),
+            ("separate_modeled_ms", Value::Float(multiplexed + extra_rtts_ms, 1)),
+            ("added_rtts", n.into()),
+            ("tcp_conns_multiplexed", (n + 1).into()),
+            ("tcp_conns_separate", (2 * n + 1).into()),
+        ])
+    };
+    rows(&[0, 1, 2, 3], row)
+}
+
+/// Mean microseconds of `op` over `iters` calls, after one warm-up
+/// call. `op` gets the call's index.
+fn mean_us(iters: u64, mut op: impl FnMut(u64)) -> f64 {
+    op(0);
+    let t0 = Instant::now();
+    for i in 1..=iters {
+        op(i);
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / iters as f64
+}
+
+/// Per-hop keys (mbTLS) vs one key shared by both hops (what the
+/// naive strawman's data plane is) on 4 KiB records: both open and
+/// re-seal once, so path integrity (P4) and change secrecy (P1C)
+/// should cost nothing at data time.
+fn data_plane_keys(records: u64) -> Value {
+    const CHUNK: usize = 4096;
+    let suite = CipherSuite::EcdheAes256GcmSha384;
+    let payload = vec![0x11u8; CHUNK];
+    let mut rng = CryptoRng::from_seed(1);
+    let (left, right) = (fresh_hop_keys(suite, &mut rng), fresh_hop_keys(suite, &mut rng));
+    let reseal_mb_s = |right| {
+        let mut sender = left.seal_client_to_server().expect("keys");
+        let mut mbox = MiddleboxDataPlane::new(&left, right).expect("dataplane");
+        let us = mean_us(records, |_| {
+            let record = sender.seal_record(ContentType::ApplicationData, &payload).expect("seal");
+            mbox.feed(FlowDirection::ClientToServer, &record, |_, _| {}).expect("process");
+            black_box(mbox.take_toward_server());
+        });
+        // Bytes per microsecond are megabytes per second.
+        Value::Float(CHUNK as f64 / us, 1)
+    };
+    Value::object([("per_hop", reseal_mb_s(&right)), ("shared", reseal_mb_s(&left))])
+}
+
+/// Session setup through one middlebox with and without remote
+/// attestation in the secondary handshake (the price of P3B).
+fn attestation_setup(iters: u64) -> Value {
+    let tb = Testbed::new(0xAB1A7E);
+    let setup_us = |attest: bool| {
+        mean_us(iters, |i| {
+            let mut client_cfg = tb.client_config();
+            let mut mbox_cfg = tb.middlebox_config(&tb.mbox_code);
+            if !attest {
+                client_cfg.middlebox_attestation = None;
+                mbox_cfg.attestor = None;
+            }
+            let mut rng = CryptoRng::from_seed(10_000 + i);
+            let client = MbClientSession::new(Arc::new(client_cfg), "server.example", rng.fork());
+            let server = MbServerSession::new(Arc::new(tb.server_config()), rng.fork());
+            let mbox = Middlebox::new(mbox_cfg, rng.fork());
+            let mut chain = Chain::new(Box::new(client), vec![Box::new(mbox)], Box::new(server));
+            chain.run_handshake().expect("handshake completes");
+        })
+    };
+    Value::object([
+        ("attested", Value::Float(setup_us(true), 1)),
+        ("unattested", Value::Float(setup_us(false), 1)),
+    ])
+}
+
+/// Key generation plus agreement: X25519 vs ffdhe2048, the two key
+/// exchanges under the supported suites.
+fn key_exchange(iters: u64) -> Value {
+    let mut rng = CryptoRng::from_seed(2);
+    let peer = SecretKey::generate(&mut rng).public_key();
+    let x25519_us = mean_us(iters, |_| {
+        let secret = SecretKey::generate(&mut rng);
+        black_box((secret.public_key(), secret.diffie_hellman(&peer).expect("agreement")));
+    });
+    let peer = DhSecret::generate(&mut rng).public_value();
+    let ffdhe2048_us = mean_us(iters, |_| {
+        let secret = DhSecret::generate(&mut rng);
+        black_box((secret.public_value(), secret.diffie_hellman(&peer).expect("agreement")));
+    });
+    Value::object([
+        ("x25519", Value::Float(x25519_us, 1)),
+        ("ffdhe2048", Value::Float(ffdhe2048_us, 1)),
+    ])
+}
+
+/// Largest relative shortfall of the enclave behind native over the
+/// Figure 7 model rows, forwarding and encrypting alike.
+fn worst_enclave_gap(report: &Value) -> Result<f64, String> {
+    let mut worst = 0f64;
+    for row in report.list("figure7.model_gbps")? {
+        for path in ["fwd", "enc"] {
+            let native = row.num(&format!("{path}_native"))?;
+            worst = worst.max((native - row.num(&format!("{path}_enclave"))?) / native);
+        }
+    }
+    Ok(worst)
+}
+
+/// Whether Table 1 claims the protocol variant stops its attack: the
+/// naive-key-share and no-enclave strawmen are there to lose.
+fn defends(protocol: &str) -> bool {
+    matches!(protocol, "mbTLS" | "mbTLS delegated")
+}
+
+/// Schema and floors of `BENCH_paper.json`: the paper's shape claims.
+/// Counts are exact; every timing floor is a ratio within the run.
+pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
+    report.flag("smoke")?;
+    report.text("aead_backend")?;
+
+    let attacks = report.list("table1")?;
+    floor!(attacks.len() == 20, "table1: expected 20 rows, found {}", attacks.len());
+    for (i, attack) in attacks.iter().enumerate() {
+        let protocol = attack.text("protocol")?;
+        let defended = defends(protocol);
+        floor!(
+            attack.flag("blocked")? == defended,
+            "table1 row {i} ({} / {protocol}): attack {}",
+            attack.text("property")?,
+            if defended { "was not blocked" } else { "should succeed against this strawman" }
+        );
+    }
+
+    let networks = report.list("table2.rows")?;
+    floor!(networks.len() == 9, "table2: expected 9 network types, found {}", networks.len());
+    let (sites, succeeded) = (report.num("table2.total")?, report.num("table2.succeeded")?);
+    floor!(
+        sites == 241.0 && succeeded == sites,
+        "table2: {succeeded}/{sites} handshakes, not 241/241"
+    );
+    floor!(
+        report.flag("table2.strict_normalizer_blocks")?,
+        "table2: the strict-normalizer control did not block mbTLS"
+    );
+
+    for (key, _, paper) in SURVEY {
+        let here = report.num(&format!("survey.{key}"))?;
+        floor!(here == paper as f64, "survey.{key}: {here}, the paper has {paper}");
+    }
+
+    let bars = report.list("figure5.rows")?;
+    floor!(bars.len() == 7, "figure5: expected 7 configurations, found {}", bars.len());
+    let split = bars[SPLIT_TLS].num("mbox_ms")?;
+    let mbtls = bars[MBTLS_CLIENT_MBOX].num("mbox_ms")?;
+    floor!(
+        mbtls < split,
+        "figure5: mbTLS middlebox ({mbtls} ms) is not cheaper than Split TLS ({split} ms)"
+    );
+    let no_mbox = bars[MBTLS_NO_MBOX].num("server_ms")?;
+    let mut server = no_mbox;
+    for (i, row) in MBTLS_SERVER_MBOXES.into_iter().enumerate() {
+        let with_box = bars[row].num("server_ms")?;
+        floor!(
+            with_box > server,
+            "figure5: server cost does not rise with server-side middlebox {}",
+            i + 1
+        );
+        let added = report.num(&format!("figure5.server_added_ms.{i}"))?;
+        floor!(
+            (added - (with_box - no_mbox)).abs() < 0.002,
+            "figure5: server_added_ms.{i} disagrees with the rows it is derived from"
+        );
+        server = with_box;
+    }
+
+    let paths = report.list("figure6.paths")?;
+    floor!(paths.len() == 12, "figure6: expected 12 paths, found {}", paths.len());
+    for path in paths {
+        floor!(
+            path.num("added_round_trips")? == 0.0,
+            "figure6: mbTLS adds a round trip on {}",
+            path.text("path")?
+        );
+    }
+    let inflation = report.num("figure6.mean_handshake_inflation_pct")?;
+    floor!(
+        0.0 < inflation && inflation < 2.0,
+        "figure6: mean handshake inflation {inflation} % is outside (0, 2)"
+    );
+
+    let model = report.list("figure7.model_gbps")?;
+    floor!(model.len() == 6, "figure7: expected 6 buffer sizes, found {}", model.len());
+    let plateau = &model[model.len() - 1];
+    for side in ["native", "enclave"] {
+        floor!(
+            plateau.num(&format!("enc_{side}"))? < plateau.num(&format!("fwd_{side}"))?,
+            "figure7: {side} encrypt plateau is not below the forward plateau"
+        );
+    }
+    let gap = worst_enclave_gap(report)?;
+    floor!(gap < 0.05, "figure7: enclave falls {:.1} % behind native", gap * 100.0);
+    for row in report.list("figure7.measured_gbps")? {
+        floor!(
+            row.num("open_reseal")? > 0.0 && row.num("seal")? > 0.0,
+            "figure7: no measured throughput at {} B",
+            row.num("buffer")?
+        );
+    }
+
+    let subchannel = report.list("ablations.subchannel")?;
+    floor!(subchannel.len() == 4, "subchannel: expected 4 rows, found {}", subchannel.len());
+    let link_ms = SUBCHANNEL_LINK_MS as f64;
+    for row in subchannel {
+        let n = row.num("middleboxes")?;
+        let multiplexed = row.num("multiplexed_ms")?;
+        // TCP setup on the first link, then TLS 1.2's two round trips
+        // end to end: subchannels add none.
+        floor!(
+            (multiplexed - (2.0 + 4.0 * (n + 1.0)) * link_ms).abs() < 1.0,
+            "subchannel: multiplexed handshake with {n} middleboxes left the TLS shape"
+        );
+        floor!(
+            row.num("added_rtts")? == n
+                && (row.num("separate_modeled_ms")? - multiplexed - 2.0 * link_ms * n).abs() < 0.1,
+            "subchannel: separate connections do not cost +1 RTT per middlebox at {n}"
+        );
+    }
+    for key in [
+        "data_plane_keys_mb_s.per_hop",
+        "data_plane_keys_mb_s.shared",
+        "attestation_setup_us.attested",
+        "attestation_setup_us.unattested",
+        "key_exchange_us.x25519",
+        "key_exchange_us.ffdhe2048",
+    ] {
+        let measured = report.num(&format!("ablations.{key}"))?;
+        floor!(measured > 0.0, "ablations.{key}: nothing measured");
+    }
+
+    Ok(format!(
+        "paper OK: table1 20/20, table2 241/241, survey 308/385, split/mbTLS middlebox {:.1}x, \
+         handshake inflation {inflation} %, enclave gap {:.1} %",
+        split / mbtls,
+        gap * 100.0
+    ))
+}
+
+/// One table cell: strings bare, booleans as yes/no, numbers with the
+/// artifact's own digits.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::Str(s) => s.clone(),
+        Value::Bool(v) => if *v { "yes" } else { "no" }.to_string(),
+        other => other.to_pretty(),
+    }
+}
+
+fn table_row(cells: impl IntoIterator<Item = String>) -> String {
+    format!("| {} |\n", cells.into_iter().collect::<Vec<_>>().join(" | "))
+}
+
+/// The array of objects at `path` as a markdown table: one row per
+/// object, one column per key, headed by the key — what the document
+/// calls a column is what the artifact calls it.
+fn table(report: &Value, path: &str) -> Result<String, String> {
+    let mut out = String::new();
+    for row in report.list(path)? {
+        let Value::Object(pairs) = row else {
+            return Err(format!("\"{path}\" holds a row that is not an object"));
+        };
+        if out.is_empty() {
+            out += &table_row(pairs.iter().map(|(key, _)| key.replace('_', " ")));
+            out += &format!("|{}\n", "---|".repeat(pairs.len()));
+        }
+        out += &table_row(pairs.iter().map(|(_, value)| cell(value)));
+    }
+    Ok(out)
+}
+
+/// The generated blocks of `EXPERIMENTS.md`, by marker name.
+fn render(report: &Value) -> Result<Vec<(&'static str, String)>, String> {
+    let num = |path: &str| report.at(path).map(cell);
+    let provenance = format!(
+        "Generated from `BENCH_paper.json` ({} run, AEAD backend `{}`).\n",
+        if report.flag("smoke")? { "smoke" } else { "full" },
+        report.text("aead_backend")?
+    );
+
+    let attacks = report.list("table1")?;
+    let mut matching = 0;
+    for attack in attacks {
+        matching += usize::from(attack.flag("blocked")? == defends(attack.text("protocol")?));
+    }
+    let table1 = table(report, "table1")?
+        + &format!("\n{matching}/{} verdicts match the paper's claims.\n", attacks.len());
+
+    let mut table2 = table(report, "table2.rows")?;
+    table2 +=
+        &table_row(["**Total**".to_string(), num("table2.total")?, num("table2.succeeded")?]);
+    table2 += &format!(
+        "\nControl: a strict content-type normalizer blocks mbTLS: {}.\n",
+        num("table2.strict_normalizer_blocks")?
+    );
+
+    let mut survey = table_row(["", "paper", "here"].map(str::to_string)) + "|---|---|---|\n";
+    for (key, label, paper) in SURVEY {
+        let here = num(&format!("survey.{key}"))?;
+        survey += &table_row([label.to_string(), paper.to_string(), here]);
+    }
+
+    let bar = |row: usize, role: &str| report.num(&format!("figure5.rows.{row}.{role}"));
+    let figure5 = table(report, "figure5.rows")?
+        + &format!(
+        "\nMean of {} handshakes per bar. Split TLS middlebox / mbTLS middlebox: {:.1}×. Server \
+         with a client-side middlebox: {:.3} ms ({:.3} ms with none). Server cost added by 1, 2 \
+         and 3 server-side middleboxes: +{}, +{} and +{} ms.\n",
+        num("figure5.trials")?,
+        bar(SPLIT_TLS, "mbox_ms")? / bar(MBTLS_CLIENT_MBOX, "mbox_ms")?,
+        bar(MBTLS_CLIENT_MBOX, "server_ms")?,
+        bar(MBTLS_NO_MBOX, "server_ms")?,
+        num("figure5.server_added_ms.0")?,
+        num("figure5.server_added_ms.1")?,
+        num("figure5.server_added_ms.2")?,
+    );
+
+    let paths = report.list("figure6.paths")?;
+    let column = |key: &str| paths.iter().map(|p| p.num(key)).collect::<Result<Vec<f64>, _>>();
+    let inflations = column("handshake_inflation_pct")?;
+    let added: f64 = column("added_round_trips")?.iter().sum();
+    let figure6 = table(report, "figure6.paths")?
+        + &format!(
+        "\nRound trips added by mbTLS over all {} paths: {added}. Mean handshake inflation {} % \
+         (per path {:.2}–{:.2} %).\n",
+        paths.len(),
+        num("figure6.mean_handshake_inflation_pct")?,
+        inflations.iter().copied().fold(f64::INFINITY, f64::min),
+        inflations.iter().copied().fold(0.0, f64::max),
+    );
+
+    let figure7 = format!(
+        "Modeled (calibrated SGX cost model), Gbit/s:\n\n{}\nLargest enclave shortfall behind \
+         native: {:.1} %.\n\nMeasured on this machine (AES-GCM record path), Gbit/s:\n\n{}\n\
+         Modeled {}-byte syscall: native {} ns, synchronous enclave exit {} ns, asynchronous \
+         {} ns.\n",
+        table(report, "figure7.model_gbps")?,
+        worst_enclave_gap(report)? * 100.0,
+        table(report, "figure7.measured_gbps")?,
+        num("figure7.syscall_ns.payload_bytes")?,
+        num("figure7.syscall_ns.native")?,
+        num("figure7.syscall_ns.sync_enclave")?,
+        num("figure7.syscall_ns.async_enclave")?,
+    );
+
+    let ablations = table(report, "ablations.subchannel")?
+        + &format!(
+        "\n* Middlebox data plane, 4 KiB records: per-hop keys {} MB/s, one shared key {} MB/s.\n\
+         * Session setup through one middlebox: {} µs attested, {} µs unattested.\n\
+         * Key generation + agreement: X25519 {} µs, ffdhe2048 {} µs.\n",
+        num("ablations.data_plane_keys_mb_s.per_hop")?,
+        num("ablations.data_plane_keys_mb_s.shared")?,
+        num("ablations.attestation_setup_us.attested")?,
+        num("ablations.attestation_setup_us.unattested")?,
+        num("ablations.key_exchange_us.x25519")?,
+        num("ablations.key_exchange_us.ffdhe2048")?,
+    );
+
+    Ok(vec![
+        ("provenance", provenance),
+        ("table1", table1),
+        ("table2", table2),
+        ("survey", survey),
+        ("figure5", figure5),
+        ("figure6", figure6),
+        ("figure7", figure7),
+        ("ablations", ablations),
+    ])
+}
+
+/// `document` with the text between each `<!-- paper:NAME -->` /
+/// `<!-- /paper:NAME -->` marker pair replaced by the render of
+/// `report`. Every block must have its markers.
+pub fn render_into(report: &Value, document: &str) -> Result<String, String> {
+    let mut out = document.to_string();
+    for (name, body) in render(report)? {
+        let open = format!("<!-- paper:{name} -->\n");
+        let close = format!("<!-- /paper:{name} -->");
+        let start = out.find(&open).ok_or_else(|| format!("no {open:?} marker"))? + open.len();
+        let end = start
+            + out[start..].find(&close).ok_or_else(|| format!("no {close:?} marker"))?;
+        out.replace_range(start..end, &body);
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::{assert_floors, committed, doctored};
+
+    /// A smoke run with Figure 5's wall-clock cells pinned, so tier-1
+    /// does not depend on the scheduler; the release-mode `bench`
+    /// stage checks the measured ones.
+    fn pinned_smoke() -> Value {
+        let mut smoke = run(true, || 0);
+        let server = ["0.150", "0.150", "0.150", "0.150", "0.550", "0.950", "1.350"];
+        for (row, server_ms) in server.iter().enumerate() {
+            smoke = doctored(&smoke, &format!("figure5.rows.{row}.server_ms"), server_ms);
+        }
+        smoke = doctored(&smoke, "figure5.rows.2.mbox_ms", "0.400");
+        smoke = doctored(&smoke, "figure5.rows.3.mbox_ms", "0.200");
+        doctored(&smoke, "figure5.server_added_ms", "[0.400, 0.800, 1.200]")
+    }
+
+    #[test]
+    fn smoke_run_passes_and_doctored_floors_fail() {
+        let smoke = pinned_smoke();
+        let one_attack = smoke.at("table1.0").unwrap().to_pretty();
+        assert_floors(
+            check,
+            &smoke,
+            &[
+                ("aead_backend", "true", "\"aead_backend\" is not a string"),
+                ("table1", &format!("[{one_attack}]"), "expected 20 rows, found 1"),
+                ("table1.0.blocked", "false", "row 0 (P1A / mbTLS): attack was not blocked"),
+                ("table1.16.blocked", "false", "row 16 (P3B / mbTLS delegated): attack was not"),
+                ("table1.2.blocked", "true", "row 2 (P1A / mbTLS w/o enclave): attack should"),
+                ("table1.5.blocked", "true", "row 5 (P1C / naive key share): attack should"),
+                ("table2.rows", "[]", "expected 9 network types"),
+                ("table2.total", "240", "241/240 handshakes, not 241/241"),
+                ("table2.succeeded", "240", "240/241 handshakes"),
+                ("table2.strict_normalizer_blocks", "false", "control did not block"),
+                ("survey.https_sites", "384", "survey.https_sites: 384, the paper has 385"),
+                ("survey.successes", "307", "survey.successes: 307, the paper has 308"),
+                ("survey.bad_certs", "20", "survey.bad_certs: 20, the paper has 19"),
+                ("survey.no_suite", "39", "survey.no_suite: 39, the paper has 40"),
+                ("survey.redirects", "14", "survey.redirects: 14, the paper has 13"),
+                ("survey.unknown", "6", "survey.unknown: 6, the paper has 5"),
+                ("figure5.rows", "[]", "expected 7 configurations, found 0"),
+                ("figure5.rows.3.mbox_ms", "0.400", "not cheaper than Split TLS"),
+                ("figure5.rows.4.server_ms", "0.150", "does not rise with server-side middlebox 1"),
+                ("figure5.rows.6.server_ms", "0.950", "does not rise with server-side middlebox 3"),
+                ("figure5.server_added_ms.1", "0.477", "server_added_ms.1 disagrees"),
+                ("figure6.paths.3.added_round_trips", "1", "adds a round trip on use-uk-usw"),
+                ("figure6.mean_handshake_inflation_pct", "2.00", "inflation 2 % is outside"),
+                ("figure6.mean_handshake_inflation_pct", "0.00", "inflation 0 % is outside"),
+                ("figure7.model_gbps.0.fwd_enclave", "1.470", "enclave falls 5.5 % behind"),
+                ("figure7.model_gbps.3.enc_enclave", "5.000", "enclave falls 5.5 % behind"),
+                ("figure7.model_gbps.5.fwd_native", "7.035", "native encrypt plateau is not below"),
+                ("figure7.model_gbps.5.fwd_enclave", "6.897", "enclave encrypt plateau is not"),
+                ("figure7.measured_gbps.2.seal", "0.000", "no measured throughput at 2048 B"),
+                ("ablations.subchannel.2.multiplexed_ms", "320.0", "2 middleboxes left the TLS"),
+                ("ablations.subchannel.3.separate_modeled_ms", "440.0", "+1 RTT per middlebox at 3"),
+                ("ablations.subchannel.1.added_rtts", "0", "+1 RTT per middlebox at 1"),
+                ("ablations.key_exchange_us.ffdhe2048", "0.0", "ffdhe2048: nothing measured"),
+                ("ablations.attestation_setup_us", "{}", "attestation_setup_us.attested"),
+            ],
+        );
+    }
+
+    #[test]
+    fn experiments_md_is_the_render_of_the_committed_artifact() {
+        let path = format!("{}/../../EXPERIMENTS.md", env!("CARGO_MANIFEST_DIR"));
+        let document = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let rendered = render_into(&committed("paper"), &document).expect("every block has markers");
+        assert!(
+            rendered == document,
+            "EXPERIMENTS.md has drifted from BENCH_paper.json; run \
+             `report render BENCH_paper.json EXPERIMENTS.md`"
+        );
+    }
+
+    #[test]
+    fn render_fills_every_block_and_needs_every_marker() {
+        let report = committed("paper");
+        let blocks = render(&report).unwrap();
+        let empty: String = blocks
+            .iter()
+            .map(|(name, _)| format!("<!-- paper:{name} -->\nstale\n<!-- /paper:{name} -->\nprose\n"))
+            .collect();
+        let filled = render_into(&report, &empty).unwrap();
+        assert!(!filled.contains("stale") && filled.matches("prose").count() == blocks.len());
+        for (name, body) in &blocks {
+            assert!(filled.contains(&format!("<!-- paper:{name} -->\n{body}<!-- /paper:{name} -->")));
+        }
+        // Rendering what is already rendered changes nothing.
+        assert_eq!(render_into(&report, &filled).unwrap(), filled);
+        assert!(filled.contains("20/20 verdicts") && filled.contains("(full run, AEAD backend"));
+
+        let unclosed = empty.replace("<!-- /paper:figure6 -->", "");
+        assert!(render_into(&report, &unclosed).unwrap_err().contains("/paper:figure6"));
+        assert!(render_into(&report, "no markers").unwrap_err().contains("paper:provenance"));
+        assert!(render(&doctored(&report, "survey", "{}")).unwrap_err().contains("survey.https_sites"));
+    }
+}

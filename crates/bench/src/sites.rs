@@ -216,13 +216,10 @@ pub struct Survey {
     pub unknown: usize,
 }
 
-/// Run the survey over `limit` sites (None = all 500).
-pub fn run(seed: u64, limit: Option<usize>) -> Survey {
+/// Run the survey over all 500 sites.
+pub fn run(seed: u64) -> Survey {
     let tb = Testbed::new(seed);
-    let mut sites = population();
-    if let Some(limit) = limit {
-        sites.truncate(limit);
-    }
+    let sites = population();
     let mut survey = Survey::default();
     for (i, site) in sites.iter().enumerate() {
         match fetch_site(&tb, site, seed + 31 * i as u64) {

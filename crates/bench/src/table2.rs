@@ -11,19 +11,17 @@
 //! demonstrates what *would* block it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use mbtls_core::attacks::Testbed;
-use mbtls_core::client::MbClientSession;
 use mbtls_core::driver::{Chain, NetChain, Relay};
-use mbtls_core::middlebox::Middlebox;
-use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_netsim::filter::{FilterAction, FilterPolicy, TlsStreamFilter};
 use mbtls_netsim::profiles::{table2_population, ClientNetworkProfile, NetworkType};
 use mbtls_netsim::time::Duration;
 use mbtls_netsim::Network;
+
+use crate::fig5::{mbtls_client, mbtls_middlebox, mbtls_server};
 
 /// An on-path filter device: inspects both directions with
 /// independent TLS stream filters and kills the connection on a Drop
@@ -78,29 +76,11 @@ impl Relay for FilterRelay {
     }
 }
 
-/// Result of one site's attempt.
-#[derive(Debug, Clone)]
-pub struct SiteResult {
-    /// The network category.
-    pub network_type: NetworkType,
-    /// Did the mbTLS handshake (and a small data exchange) succeed?
-    pub success: bool,
-    /// Filter policies on the path.
-    pub filters: Vec<FilterPolicy>,
-}
-
-/// Run one site's handshake attempt.
-pub fn run_site(tb: &Testbed, site: &ClientNetworkProfile, seed: u64) -> SiteResult {
-    let client = MbClientSession::new(
-        Arc::new(tb.client_config()),
-        "server.example",
-        CryptoRng::from_seed(seed + 1),
-    );
-    let server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(seed + 2));
-    let mb = Middlebox::new(
-        tb.middlebox_config(&tb.mbox_code),
-        CryptoRng::from_seed(seed + 3),
-    );
+/// Run one site's attempt: did the mbTLS handshake (and a small data
+/// exchange) succeed through the site's filters?
+pub fn run_site(tb: &Testbed, site: &ClientNetworkProfile, seed: u64) -> bool {
+    let (client, server) = (mbtls_client(tb, seed + 1), mbtls_server(tb, seed + 2));
+    let mb = mbtls_middlebox(tb, seed + 3);
     let mut middles: Vec<Box<dyn Relay>> = Vec::new();
     for policy in &site.filters {
         middles.push(Box::new(FilterRelay::new(*policy)));
@@ -119,12 +99,7 @@ pub fn run_site(tb: &Testbed, site: &ClientNetworkProfile, seed: u64) -> SiteRes
     let chain = Chain::new(Box::new(client), middles, Box::new(server));
     let mut net = Network::new(seed);
     let mut nc = NetChain::new(&mut net, chain, &latencies, &faults);
-    let outcome = nc.run_session(b"GET / HTTP/1.1\r\n\r\n", 2048, Duration::from_secs(120));
-    SiteResult {
-        network_type: site.network_type,
-        success: outcome.is_ok(),
-        filters: site.filters.clone(),
-    }
+    nc.run_session(b"GET / HTTP/1.1\r\n\r\n", 2048, Duration::from_secs(120)).is_ok()
 }
 
 /// Aggregated Table 2 output.
@@ -150,12 +125,12 @@ pub fn run(seed: u64, limit: Option<usize>) -> Table2 {
     let mut per_type: BTreeMap<&'static str, (NetworkType, usize, usize)> = BTreeMap::new();
     let mut successes = 0usize;
     for (i, site) in population.iter().enumerate() {
-        let result = run_site(&tb, site, seed + 1000 + i as u64 * 31);
+        let success = run_site(&tb, site, seed + 1000 + i as u64 * 31);
         let entry = per_type
             .entry(site.network_type.label())
             .or_insert((site.network_type, 0, 0));
         entry.1 += 1;
-        if result.success {
+        if success {
             entry.2 += 1;
             successes += 1;
         }
@@ -181,7 +156,7 @@ pub fn strict_filter_blocks(seed: u64) -> bool {
         faults: mbtls_netsim::FaultConfig::none(),
         filters: vec![FilterPolicy::StrictContentTypes],
     };
-    !run_site(&tb, &site, seed + 5).success
+    !run_site(&tb, &site, seed + 5)
 }
 
 #[cfg(test)]
@@ -190,7 +165,7 @@ mod tests {
 
     #[test]
     fn sample_sites_all_succeed() {
-        // A quick 12-site subset in tests; the binary runs all 241.
+        // A quick 12-site subset here; the `paper` suite runs all 241.
         let table = run(0x7AB1E, Some(12));
         assert_eq!(table.total, 12);
         assert_eq!(

@@ -5,9 +5,9 @@
 //! `Result<AttackReport, MbError>` — an `Err` means the experiment
 //! harness itself failed (a session would not pump, a data plane
 //! rejected its own keys), never that the attack succeeded; verdicts
-//! live in [`AttackReport::blocked`]. The Table 1 harness
-//! (`cargo run -p mbtls-bench --bin table1_security_matrix`) prints
-//! the full matrix and the security test-suite asserts every verdict.
+//! live in [`AttackReport::blocked`]. The `paper` suite of the bench
+//! crate's `report` binary records the full matrix as its `table1`
+//! and the security test-suite asserts every verdict.
 
 use std::sync::Arc;
 

@@ -831,14 +831,31 @@ pub struct NetChain<'n> {
     telemetry: Option<SharedSink>,
 }
 
-/// [`ChainLinks`] over the network simulator: sends charge the
-/// sender's compute delay; receives drain whatever is deliverable at
-/// the current virtual time.
-struct NetLinks<'a> {
-    net: &'a mut Network,
-    conns: &'a [ConnId],
-    nodes: &'a [NodeId],
-    compute_delays: &'a [Duration],
+/// [`ChainLinks`] over one chain's simulator connections — the one
+/// implementation under both [`NetChain`] and the session host's
+/// network substrate. Receives drain whatever is deliverable at the
+/// current virtual time; sends are metered and charge the sender's
+/// compute delay.
+pub struct NetLinks<'a> {
+    /// The simulator the connections live in.
+    pub net: &'a mut Network,
+    /// Party nodes, client first, server last.
+    pub nodes: &'a [NodeId],
+    /// Connections between adjacent parties.
+    pub conns: &'a [ConnId],
+    /// Virtual compute time charged per send, by sending party; a
+    /// party past the end of the slice is charged none.
+    pub compute_delays: &'a [Duration],
+    /// Bytes sent over these links so far.
+    pub bytes: u64,
+}
+
+impl NetLinks<'_> {
+    fn send(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
+        self.bytes += data.len() as u64;
+        let delay = self.compute_delays.get(from).copied().unwrap_or(Duration::ZERO);
+        Ok(self.net.send_with_delay(self.conns[link], self.nodes[from], data, delay)?)
+    }
 }
 
 impl ChainLinks for NetLinks<'_> {
@@ -849,14 +866,10 @@ impl ChainLinks for NetLinks<'_> {
         Ok(self.net.recv(self.conns[link], self.nodes[link])?)
     }
     fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        Ok(self
-            .net
-            .send_with_delay(self.conns[link], self.nodes[from], data, self.compute_delays[from])?)
+        self.send(link, from, data)
     }
     fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        Ok(self
-            .net
-            .send_with_delay(self.conns[link], self.nodes[from], data, self.compute_delays[from])?)
+        self.send(link, from, data)
     }
 }
 
@@ -932,9 +945,10 @@ impl<'n> NetChain<'n> {
     fn exchange(&mut self) -> Result<bool, MbError> {
         let mut links = NetLinks {
             net: &mut *self.net,
-            conns: &self.conns,
             nodes: &self.nodes,
+            conns: &self.conns,
             compute_delays: &self.compute_delays,
+            bytes: 0,
         };
         self.chain.pump_with(&mut links)
     }

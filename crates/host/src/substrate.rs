@@ -15,7 +15,7 @@
 //! Both meter bytes moved per session, which the host aggregates
 //! into its scale-report statistics.
 
-use mbtls_core::driver::{Chain, ChainLinks, PipeLinks};
+use mbtls_core::driver::{Chain, NetLinks, PipeLinks};
 use mbtls_core::MbError;
 use mbtls_netsim::net::{ConnId, Network, NodeId};
 use mbtls_netsim::time::{Duration, SimTime};
@@ -101,32 +101,6 @@ impl NetSubstrate {
     }
 }
 
-/// [`ChainLinks`] over one session's connections, metering sent
-/// bytes.
-struct NetChainLinks<'a> {
-    net: &'a mut Network,
-    nodes: &'a [NodeId],
-    conns: &'a [ConnId],
-    bytes: &'a mut u64,
-}
-
-impl ChainLinks for NetChainLinks<'_> {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        Ok(self.net.recv(self.conns[link], self.nodes[link + 1])?)
-    }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        Ok(self.net.recv(self.conns[link], self.nodes[link])?)
-    }
-    fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        *self.bytes += data.len() as u64;
-        Ok(self.net.send(self.conns[link], self.nodes[from], data)?)
-    }
-    fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        *self.bytes += data.len() as u64;
-        Ok(self.net.send(self.conns[link], self.nodes[from], data)?)
-    }
-}
-
 impl Substrate for NetSubstrate {
     fn open(
         &mut self,
@@ -182,19 +156,22 @@ impl Substrate for NetSubstrate {
             .and_then(Option::as_ref)
             .ok_or_else(|| MbError::unexpected_state("pump on closed substrate session"))?;
         let mut outcome = PumpOutcome::default();
-        let mut links = NetChainLinks {
+        // Hosted sessions charge no compute delay.
+        let mut links = NetLinks {
             net: &mut self.net,
             nodes: &sess.nodes,
             conns: &sess.conns,
-            bytes: &mut outcome.bytes,
+            compute_delays: &[],
+            bytes: 0,
         };
         for pass in 0..max_passes {
             if !chain.pump_with(&mut links)? {
-                return Ok(outcome);
+                break;
             }
             outcome.moved = true;
             outcome.saturated = pass + 1 == max_passes;
         }
+        outcome.bytes = links.bytes;
         Ok(outcome)
     }
 

@@ -379,7 +379,10 @@ impl Parser<'_> {
         } else if whole.len() == token.len() {
             token.parse().ok().map(Value::Int)
         } else if digits(fraction) {
-            token.parse().ok().map(|v| Value::Float(v, fraction.len()))
+            // A long enough digit string parses to infinity, which
+            // the writer could not say back.
+            let finite = token.parse().ok().filter(|v: &f64| v.is_finite());
+            finite.map(|v| Value::Float(v, fraction.len()))
         } else {
             None
         };
@@ -450,14 +453,61 @@ mod tests {
         }
     }
 
+    /// One byte-level mutation of a valid encoding: a truncation, a
+    /// byte flip, a span written twice, or a wrapping in more arrays
+    /// than [`MAX_DEPTH`] allows.
+    fn mutated(text: &str, state: &mut u64) -> Vec<u8> {
+        let mut next = |bound: usize| {
+            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (*state >> 33) as usize % bound
+        };
+        let mut bytes = text.as_bytes().to_vec();
+        match next(4) {
+            0 => bytes.truncate(next(bytes.len())),
+            1 => {
+                let at = next(bytes.len());
+                bytes[at] ^= 1 << next(8);
+            }
+            2 => {
+                let start = next(bytes.len());
+                let end = start + next(bytes.len() - start) + 1;
+                let span = bytes[start..end].to_vec();
+                bytes.splice(end..end, span);
+            }
+            _ => {
+                let depth = MAX_DEPTH - 8 + next(16);
+                bytes.splice(0..0, std::iter::repeat_n(b'[', depth));
+                bytes.extend(std::iter::repeat_n(b']', depth));
+            }
+        }
+        bytes
+    }
+
     #[test]
     fn seeded_values_round_trip_through_writer_and_parser() {
         let mut state = 0x5EED_1507;
+        let (mut accepted, mut rejected) = (0, 0);
         for _ in 0..200 {
             let value = Value::object([("root", seeded_value(&mut state, 4))]);
             let text = value.to_pretty();
             assert_eq!(parse(&text).unwrap_or_else(|e| panic!("{text}: {e}")), value, "{text}");
+            // Hostile bytes from the same encodings: the parser may
+            // refuse them, but must not panic, and whatever it
+            // accepts the writer must be able to say back.
+            for _ in 0..40 {
+                let bytes = mutated(&text, &mut state);
+                let mutant = String::from_utf8_lossy(&bytes);
+                match parse(&mutant) {
+                    Err(_) => rejected += 1,
+                    Ok(value) => {
+                        accepted += 1;
+                        assert_eq!(parse(&value.to_pretty()), Ok(value), "{mutant}");
+                    }
+                }
+            }
         }
+        // Both outcomes were exercised, not one of them 8000 times.
+        assert!(accepted > 500 && rejected > 500, "{accepted} accepted, {rejected} rejected");
     }
 
     #[test]
@@ -503,6 +553,8 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
+        let overflows = format!("[1{}.0]", "0".repeat(400));
+        assert!(parse(&overflows).is_err(), "an infinite float parsed");
     }
 
     #[test]

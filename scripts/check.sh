@@ -67,11 +67,12 @@ stage build     cargo build --release --workspace
 stage test      cargo test -q --workspace
 stage crypto-release cargo test -q -p mbtls-crypto --release
 stage telemetry scripts/telemetry_smoke.sh
-# Bench smoke: `report <suite> --smoke` for the five suites
-# (dataplane, scale, handshake, chain, auth) proves each BENCH_*.json
-# can be produced and passes its suite's `check` — schema, exact
-# floors (zero allocations, determinism, byte counts) and the ratios
-# that hold at any budget. Numbers from this run are noisy by design;
+# Bench smoke: `report <suite> --smoke` for the six suites
+# (dataplane, scale, handshake, chain, auth, paper) proves each
+# BENCH_*.json can be produced and passes its suite's `check` —
+# schema, exact floors (zero allocations, determinism, byte counts,
+# the paper's 20/20, 241/241 and survey counts) and the ratios that
+# hold at any budget. Numbers from this run are noisy by design;
 # the committed artifacts come from a full `scripts/bench_report.sh`
 # run, and a tier-1 test runs `check` on them.
 stage bench     scripts/bench_report.sh --smoke

@@ -90,11 +90,11 @@ pub fn measured_crypto_throughput(chunk: usize, total_bytes: usize) -> f64 {
     // Pre-encrypt the sender records so only middlebox work is timed.
     let mut records = Vec::with_capacity(n_chunks);
     for _ in 0..n_chunks {
-        records.push(
-            sender
-                .seal_record(ContentType::ApplicationData, &payload)
-                .expect("seal"),
-        );
+        let mut record = Vec::new();
+        sender
+            .seal_record_into(ContentType::ApplicationData, &payload, &mut record)
+            .expect("seal");
+        records.push(record);
     }
 
     let t0 = Instant::now();
@@ -115,10 +115,11 @@ pub fn measured_seal_throughput(chunk: usize, total_bytes: usize) -> f64 {
     let mut tx: DirectionState = keys.seal_client_to_server().expect("keys");
     let payload = vec![0x5Au8; chunk];
     let n_chunks = (total_bytes / chunk).max(1);
+    let mut record = Vec::new();
     let t0 = Instant::now();
     for _ in 0..n_chunks {
-        let _ = tx
-            .seal_record(ContentType::ApplicationData, &payload)
+        record.clear();
+        tx.seal_record_into(ContentType::ApplicationData, &payload, &mut record)
             .expect("seal");
     }
     let elapsed = t0.elapsed();

@@ -284,8 +284,10 @@ fn data_plane_keys(records: u64) -> Value {
     let reseal_mb_s = |right| {
         let mut sender = left.seal_client_to_server().expect("keys");
         let mut mbox = MiddleboxDataPlane::new(&left, right).expect("dataplane");
+        let mut record = Vec::new();
         let us = mean_us(records, |_| {
-            let record = sender.seal_record(ContentType::ApplicationData, &payload).expect("seal");
+            record.clear();
+            sender.seal_record_into(ContentType::ApplicationData, &payload, &mut record).expect("seal");
             mbox.feed(FlowDirection::ClientToServer, &record, |_, _| {}).expect("process");
             black_box(mbox.take_toward_server());
         });

@@ -107,9 +107,9 @@ pub fn app_data_records(stream: &[u8]) -> Vec<Vec<u8>> {
     let mut reader = RecordReader::new();
     reader.feed(stream);
     let mut out = Vec::new();
-    while let Ok(Some(rec)) = reader.next_record() {
-        if rec.content_type_byte == ContentType::ApplicationData.to_u8() {
-            out.push(rec.body);
+    while let Ok(Some(mut rec)) = reader.next_record_inplace() {
+        if rec.content_type() == Some(ContentType::ApplicationData) {
+            out.push(rec.body().to_vec());
         }
     }
     out
@@ -884,9 +884,9 @@ pub fn attack_forward_secrecy() -> Result<AttackReport, MbError> {
     let keys = mbtls_tls::session::SessionKeys::from_secrets(&fake_secrets, 0, 0);
     let mut opener = keys.open_client_to_server()?;
     let mut decrypted_any = false;
-    for body in app_data_records(&art.tap_right_c2s) {
+    for mut body in app_data_records(&art.tap_right_c2s) {
         if opener
-            .open_record(ContentType::ApplicationData, &body)
+            .open_record_in_place(ContentType::ApplicationData, &mut body)
             .is_ok()
         {
             decrypted_any = true;

@@ -3,6 +3,7 @@
 //! middlebox announcements.
 
 use mbtls_tls::codec::{Decoder, Encoder};
+use mbtls_tls::record::{frame_plaintext_into, ContentType};
 use mbtls_tls::session::SessionKeys;
 
 use crate::MbError;
@@ -72,13 +73,26 @@ impl Encapsulated {
 
     /// Decode an Encapsulated payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, MbError> {
-        let (&subchannel, record) = bytes
-            .split_first()
-            .ok_or_else(|| MbError::bad_length("empty Encapsulated record"))?;
+        let (subchannel, record) = Self::split(bytes)?;
         Ok(Encapsulated {
             subchannel,
             record: record.to_vec(),
         })
+    }
+
+    /// Decode an Encapsulated payload where it sits: the subchannel
+    /// and the inner record, borrowed.
+    pub fn split(bytes: &[u8]) -> Result<(u8, &[u8]), MbError> {
+        let (&subchannel, record) = bytes
+            .split_first()
+            .ok_or_else(|| MbError::bad_length("empty Encapsulated record"))?;
+        Ok((subchannel, record))
+    }
+
+    /// Append the Encapsulated record carrying `inner` (one complete
+    /// TLS record) on `subchannel` to `out`.
+    pub fn wrap_into(subchannel: u8, inner: &[u8], out: &mut Vec<u8>) {
+        frame_plaintext_into(ContentType::MbtlsEncapsulated, &[&[subchannel], inner], out);
     }
 }
 

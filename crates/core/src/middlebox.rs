@@ -31,13 +31,15 @@ use mbtls_sgx::EnclaveState;
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::config::{Attestor, CredentialProvider, ServerConfig};
 use mbtls_tls::messages::{extension_type, ClientHello, HandshakeReader};
-use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
+use mbtls_tls::record::{frame_plaintext_into, ContentType, Record, RecordReader};
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::ServerConnection;
 
-use crate::session::{reframe, wrap_records};
-use crate::dataplane::{FlowDirection, MiddleboxDataPlane};
+use crate::dataplane::{
+    arrival, departure, FlowDirection, MiddleboxDataPlane, CLIENT_SIDE, DIRECTIONS, SERVER_SIDE,
+};
 use crate::messages::{Encapsulated, KeyMaterial, SecondaryMessage};
+use crate::session::wrap_records;
 use crate::MbError;
 
 /// Application logic run over each record's plaintext.
@@ -221,30 +223,11 @@ struct Side {
     reader: RecordReader,
     /// Bytes queued toward this side.
     out: Vec<u8>,
-    /// Early application-data records (content type, body) that
-    /// arrived from this side before the keys.
-    early: Vec<(u8, Vec<u8>)>,
+    /// Early application-data records that arrived from this side
+    /// before the keys, whole — header and all — so they re-enter the
+    /// record path as they came.
+    early: RecordReader,
 }
-
-const CLIENT_SIDE: usize = 0;
-const SERVER_SIDE: usize = 1;
-
-/// The side a direction of travel arrives on.
-fn arrival(dir: FlowDirection) -> usize {
-    match dir {
-        FlowDirection::ClientToServer => CLIENT_SIDE,
-        FlowDirection::ServerToClient => SERVER_SIDE,
-    }
-}
-
-/// The side a direction of travel leaves through.
-fn departure(dir: FlowDirection) -> usize {
-    SERVER_SIDE - arrival(dir)
-}
-
-/// Both directions of travel, in the order buffered records flush.
-const DIRECTIONS: [FlowDirection; 2] =
-    [FlowDirection::ClientToServer, FlowDirection::ServerToClient];
 
 /// The middlebox state machine.
 pub struct Middlebox {
@@ -380,10 +363,7 @@ impl Middlebox {
         dst.extend_from_slice(out);
         out.clear();
         if let Some(dp) = &mut self.dataplane {
-            match dir {
-                FlowDirection::ClientToServer => dp.drain_toward_server_into(dst),
-                FlowDirection::ServerToClient => dp.drain_toward_client_into(dst),
-            }
+            dp.drain_into(dir, dst);
         }
         let n = (dst.len() - start) as u64;
         if n > 0 {
@@ -424,20 +404,19 @@ impl Middlebox {
     }
 
     /// Route every complete record `reader` holds for one arrival
-    /// side. In the data-plane phase, data records are opened,
-    /// processed, and re-sealed in place (zero-copy fast path);
-    /// everything else is copied out once and takes the phase state
-    /// machine.
+    /// side, each where it sits in the reader's buffer. In the
+    /// data-plane phase, data records are opened, processed, and
+    /// re-sealed; everything else takes the phase state machine.
     fn route_side(&mut self, reader: &mut RecordReader, dir: FlowDirection) -> Result<(), MbError> {
-        while let Some((ct, version, body)) = reader.next_record_inplace().map_err(MbError::Tls)? {
+        while let Some(record) = reader.next_record_inplace().map_err(MbError::Tls)? {
             let is_data = matches!(
-                ContentType::from_u8(ct),
+                record.content_type(),
                 Some(ContentType::ApplicationData | ContentType::Alert)
             );
             if self.phase == MiddleboxPhase::DataPlane && is_data {
-                self.dataplane_feed_in_place(dir, ct, version, body)?;
+                self.dataplane_feed_in_place(dir, record)?;
             } else {
-                self.on_record(dir, ct, body.to_vec())?;
+                self.on_record(dir, record)?;
             }
         }
         Ok(())
@@ -448,21 +427,21 @@ impl Middlebox {
         Err(e)
     }
 
-    /// Relay a record travelling in `dir` unchanged.
-    fn forward(&mut self, dir: FlowDirection, ct: u8, body: &[u8]) {
+    /// Relay a record travelling in `dir` exactly as it arrived.
+    fn forward(&mut self, dir: FlowDirection, record: &Record<'_>) {
         self.records_relayed += 1;
-        self.sides[departure(dir)].out.extend(reframe(ct, body));
+        self.sides[departure(dir)].out.extend_from_slice(record.wire());
     }
 
     /// One record travelling in `dir` that the data plane did not
     /// take. Whatever no arm below claims is relayed unchanged.
-    fn on_record(&mut self, dir: FlowDirection, ct: u8, body: Vec<u8>) -> Result<(), MbError> {
+    fn on_record(&mut self, dir: FlowDirection, mut record: Record<'_>) -> Result<(), MbError> {
         use MiddleboxPhase::{ClientSideJoining, ServerSideAwaitClaim, ServerSideJoining};
         let from_server = dir == FlowDirection::ServerToClient;
-        match (self.phase, ContentType::from_u8(ct)) {
+        match (self.phase, record.content_type()) {
             // (A server that speaks first is just relayed.)
             (MiddleboxPhase::AwaitClientHello, _) if !from_server => {
-                return self.handle_first_record(ct, body);
+                return self.handle_first_record(record);
             }
             (
                 ClientSideJoining | ServerSideAwaitClaim | ServerSideJoining,
@@ -471,21 +450,21 @@ impl Middlebox {
                 // Keys should arrive first (in-order stream), but
                 // early data from a False-Starting client can overtake
                 // them: hold it until our keys arrive (§3.5).
-                self.sides[arrival(dir)].early.push((ct, body));
+                self.sides[arrival(dir)].early.feed(record.wire());
                 return Ok(());
             }
             (ServerSideAwaitClaim, Some(ContentType::MbtlsEncapsulated)) if from_server => {
-                let enc = Encapsulated::decode(&body)?;
-                if self.subchannel.is_none() && is_client_hello_record(&enc.record) {
+                let (id, inner) = Encapsulated::split(record.body())?;
+                if self.subchannel.is_none() && is_client_hello_record(inner) {
                     // Claim it: this secondary ClientHello is
                     // ours (first unclaimed one to reach us).
-                    self.subchannel = Some(enc.subchannel);
+                    self.subchannel = Some(id);
                     self.secondary = Some(self.new_secondary());
                     self.phase = ServerSideJoining;
                     self.emit(EventKind::SecondaryHandshakeStart {
-                        subchannel: enc.subchannel as u64,
+                        subchannel: id as u64,
                     });
-                    self.feed_secondary(&enc.record);
+                    self.feed_secondary(inner);
                     return Ok(());
                 }
             }
@@ -495,13 +474,13 @@ impl Middlebox {
             (ClientSideJoining | ServerSideJoining, Some(ContentType::MbtlsEncapsulated))
                 if from_server || self.phase == ClientSideJoining =>
             {
-                let enc = Encapsulated::decode(&body)?;
-                if Some(enc.subchannel) == self.subchannel {
-                    self.feed_secondary(&enc.record);
+                let (id, inner) = Encapsulated::split(record.body())?;
+                if Some(id) == self.subchannel {
+                    self.feed_secondary(inner);
                     return Ok(());
                 }
                 if from_server && self.phase == ClientSideJoining {
-                    self.max_subchannel_seen = self.max_subchannel_seen.max(enc.subchannel);
+                    self.max_subchannel_seen = self.max_subchannel_seen.max(id);
                 }
             }
             (ClientSideJoining, Some(ContentType::Handshake))
@@ -534,7 +513,7 @@ impl Middlebox {
             }
             _ => {}
         }
-        self.forward(dir, ct, &body);
+        self.forward(dir, &record);
         Ok(())
     }
 
@@ -552,21 +531,19 @@ impl Middlebox {
     }
 
     /// The very first record from the client decides our role.
-    fn handle_first_record(&mut self, ct: u8, body: Vec<u8>) -> Result<(), MbError> {
-        if ContentType::from_u8(ct) != Some(ContentType::Handshake) {
+    fn handle_first_record(&mut self, mut record: Record<'_>) -> Result<(), MbError> {
+        // Forward it onward in all cases.
+        self.forward(FlowDirection::ClientToServer, &record);
+        if record.content_type() != Some(ContentType::Handshake) {
             // Not a TLS handshake start — relay everything.
             self.phase = MiddleboxPhase::Relay;
-            self.forward(FlowDirection::ClientToServer, ct, &body);
             return Ok(());
         }
-        let client_supports_mbtls = parse_hello_for_mbtls_support(&body);
-        // Forward the ClientHello onward in all cases.
-        self.forward(FlowDirection::ClientToServer, ct, &body);
-        if client_supports_mbtls {
+        if parse_hello_for_mbtls_support(record.body()) {
             // Join client-side: we play the TLS server; the primary
             // ClientHello is also our secondary ClientHello.
             let mut conn = self.new_secondary();
-            if conn.feed_incoming(&reframe(ct, &body), &mut self.rng).is_err() {
+            if conn.feed_incoming(record.wire(), &mut self.rng).is_err() {
                 // Cannot serve this client (e.g. no common cipher
                 // suite in the shared ClientHello): stay out of the
                 // session and relay instead of breaking it.
@@ -577,10 +554,11 @@ impl Middlebox {
             self.phase = MiddleboxPhase::ClientSideJoining;
         } else if self.config.allow_server_side && !self.config.cached_no_support {
             // Announce toward the server (optimistically — §3.4).
-            self.sides[SERVER_SIDE].out.extend(frame_plaintext(
+            frame_plaintext_into(
                 ContentType::MbtlsMiddleboxAnnouncement,
                 &[],
-            ));
+                &mut self.sides[SERVER_SIDE].out,
+            );
             self.announced = true;
             self.emit(EventKind::MiddleboxAnnouncement { count: 1 });
             self.phase = MiddleboxPhase::ServerSideAwaitClaim;
@@ -657,31 +635,28 @@ impl Middlebox {
         // Flush buffered early data through the data plane, in arrival
         // order.
         for dir in DIRECTIONS {
-            for (ct, mut body) in std::mem::take(&mut self.sides[arrival(dir)].early) {
-                // Buffering dropped the header; early records re-enter
-                // as TLS 1.2 (3.3), the version `reframe` writes.
-                self.dataplane_feed_in_place(dir, ct, [3, 3], &mut body)?;
+            let mut early = std::mem::take(&mut self.sides[arrival(dir)].early);
+            while let Some(record) = early.next_record_inplace().map_err(MbError::Tls)? {
+                self.dataplane_feed_in_place(dir, record)?;
             }
         }
         Ok(())
     }
 
-    /// Run one data-plane record through the processor: the body is
-    /// opened, processed, and re-sealed where it sits (normally in the
-    /// arrival reader's buffer).
+    /// Run one data-plane record through the processor: it is opened,
+    /// processed, and re-sealed where it sits (in the arrival reader's
+    /// buffer, or the early-data one).
     fn dataplane_feed_in_place(
         &mut self,
         dir: FlowDirection,
-        ct: u8,
-        version: [u8; 2],
-        body: &mut [u8],
+        record: Record<'_>,
     ) -> Result<(), MbError> {
         let dp = self
             .dataplane
             .as_mut()
             .ok_or_else(|| MbError::unexpected_state("dataplane active but missing"))?;
         let processor = &mut self.processor;
-        dp.feed_record_in_place(dir, ct, version, body, |d, plain| {
+        dp.feed_record_in_place(dir, record, |d, plain| {
             *plain = processor.process(d, std::mem::take(plain));
         })
     }
@@ -691,8 +666,9 @@ impl Middlebox {
         self.secondary = None;
         // Flush any buffered records as plain forwards.
         for dir in DIRECTIONS {
-            for (ct, body) in std::mem::take(&mut self.sides[arrival(dir)].early) {
-                self.forward(dir, ct, &body);
+            let mut early = std::mem::take(&mut self.sides[arrival(dir)].early);
+            while let Ok(Some(record)) = early.next_record_inplace() {
+                self.forward(dir, &record);
             }
         }
     }
@@ -734,13 +710,9 @@ fn is_client_hello_record(record: &[u8]) -> bool {
 fn parse_hello_for_mbtls_support(record_body: &[u8]) -> bool {
     let mut hs = HandshakeReader::new();
     hs.feed(record_body);
-    match hs.next_message() {
-        Ok(Some((1, body, _))) => match ClientHello::decode_body(&body) {
-            Ok(ch) => ch
-                .find_extension(extension_type::MIDDLEBOX_SUPPORT)
-                .is_some(),
-            Err(_) => false,
-        },
-        _ => false,
-    }
+    let Ok(Some((1, frame))) = hs.next_message() else {
+        return false;
+    };
+    ClientHello::decode_body(frame.get(4..).unwrap_or_default())
+        .is_ok_and(|ch| ch.find_extension(extension_type::MIDDLEBOX_SUPPORT).is_some())
 }

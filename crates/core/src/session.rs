@@ -24,7 +24,7 @@ use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::alert::{Alert, AlertDescription};
-use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
+use mbtls_tls::record::{frame_plaintext, ContentType, Record, RecordReader};
 use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, ServerConnection, TlsError};
@@ -348,28 +348,28 @@ impl<R: Role> MbSession<R> {
         Ok(())
     }
 
-    /// Route every complete record `reader` holds. Post-handshake
-    /// data records are decrypted in place (zero-copy fast path);
-    /// control records are copied out once and take the slow path.
+    /// Route every complete record `reader` holds, each where it sits
+    /// in the reader's buffer: post-handshake data records are opened
+    /// there, everything else is fed onward byte for byte.
     fn route_buffered(&mut self, reader: &mut RecordReader) -> Result<(), MbError> {
-        while let Some((ct_byte, _version, body)) = reader.next_record_inplace().map_err(MbError::Tls)? {
-            match (ContentType::from_u8(ct_byte), &mut self.dataplane) {
+        while let Some(record) = reader.next_record_inplace().map_err(MbError::Tls)? {
+            match (record.content_type(), &mut self.dataplane) {
                 // Post-handshake records (data and close alerts) are
                 // protected under the adjacent hop's keys.
                 (Some(ContentType::ApplicationData | ContentType::Alert), Some(dp)) => {
-                    dp.feed_record_in_place(ct_byte, body).map_err(MbError::Tls)?;
+                    dp.feed_record_in_place(record).map_err(MbError::Tls)?;
                 }
-                _ => self.route_record(ct_byte, body.to_vec())?,
+                _ => self.route_record(record)?,
             }
         }
         Ok(())
     }
 
-    fn route_record(&mut self, ct_byte: u8, body: Vec<u8>) -> Result<(), MbError> {
-        let content_type = ContentType::from_u8(ct_byte);
+    fn route_record(&mut self, mut record: Record<'_>) -> Result<(), MbError> {
+        let content_type = record.content_type();
         if content_type == Some(ContentType::MbtlsEncapsulated) {
-            let enc = Encapsulated::decode(&body)?;
-            return self.handle_encapsulated(enc);
+            let (id, inner) = Encapsulated::split(record.body())?;
+            return self.handle_encapsulated(id, inner);
         }
         if R::claim_record(self, content_type)? {
             return Ok(());
@@ -377,7 +377,7 @@ impl<R: Role> MbSession<R> {
         // Primary-session record (handshake, CCS, alert, or
         // pre-dataplane application data).
         self.primary
-            .feed_incoming(&reframe(ct_byte, &body), &mut self.rng)
+            .feed_incoming(record.wire(), &mut self.rng)
             .map_err(MbError::Tls)?;
         // Anything the primary surfaced as non-standard (e.g. a stray
         // announcement) is ignored.
@@ -385,8 +385,8 @@ impl<R: Role> MbSession<R> {
         Ok(())
     }
 
-    fn handle_encapsulated(&mut self, enc: Encapsulated) -> Result<(), MbError> {
-        let id = enc.subchannel;
+    /// One inner record for the secondary session on subchannel `id`.
+    fn handle_encapsulated(&mut self, id: u8, inner: &[u8]) -> Result<(), MbError> {
         if !self.secondaries.contains_key(&id) {
             R::unknown_subchannel(self, id)?;
         }
@@ -397,7 +397,7 @@ impl<R: Role> MbSession<R> {
         if sec.rejected {
             return Ok(());
         }
-        if let Err(e) = sec.conn.feed_incoming(&enc.record, &mut self.rng) {
+        if let Err(e) = sec.conn.feed_incoming(inner, &mut self.rng) {
             // A failed secondary demotes the middlebox to a relay; the
             // session as a whole survives.
             sec.rejected = true;
@@ -546,14 +546,8 @@ impl<R: Role> MbSession<R> {
     /// pure relay.
     pub(crate) fn reject(&mut self, id: u8) {
         let alert = Alert::fatal(AlertDescription::HandshakeFailure);
-        let enc = Encapsulated {
-            subchannel: id,
-            record: frame_plaintext(ContentType::Alert, &alert.encode()),
-        };
-        self.out.extend(frame_plaintext(
-            ContentType::MbtlsEncapsulated,
-            &enc.encode(),
-        ));
+        let inner = frame_plaintext(ContentType::Alert, &alert.encode());
+        Encapsulated::wrap_into(id, &inner, &mut self.out);
         if let Some(sec) = self.secondaries.get_mut(&id) {
             sec.rejected = true;
             sec.approved = false;
@@ -688,31 +682,12 @@ impl<R: Role> MbSession<R> {
     }
 }
 
-/// Rebuild a wire record from its parsed parts.
-pub(crate) fn reframe(ct_byte: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + body.len());
-    out.push(ct_byte);
-    out.push(3);
-    out.push(3);
-    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
 /// Wrap a byte stream of complete TLS records into Encapsulated
 /// records on `subchannel`, appending the framed bytes to `out`.
 pub(crate) fn wrap_records(subchannel: u8, stream: &[u8], out: &mut Vec<u8>) {
     let mut reader = RecordReader::new();
     reader.feed(stream);
-    // Staged so `out` grows once, by exactly what is appended.
-    let mut wrapped = Vec::new();
-    while let Ok(Some(rec)) = reader.next_record() {
-        let inner = reframe(rec.content_type_byte, &rec.body);
-        let enc = Encapsulated {
-            subchannel,
-            record: inner,
-        };
-        wrapped.extend(frame_plaintext(ContentType::MbtlsEncapsulated, &enc.encode()));
+    while let Ok(Some(record)) = reader.next_record_inplace() {
+        Encapsulated::wrap_into(subchannel, record.wire(), out);
     }
-    out.extend(wrapped);
 }

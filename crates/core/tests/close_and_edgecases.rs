@@ -5,7 +5,7 @@ use std::sync::Arc;
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
 use mbtls_core::messages::MiddleboxSupport;
-use mbtls_core::middlebox::Middlebox;
+use mbtls_core::middlebox::{Middlebox, MiddleboxPhase};
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::rng::CryptoRng;
 
@@ -194,4 +194,123 @@ fn middlebox_relays_non_tls_streams() {
     // than corrupting the stream.
     let result = mb.feed_from_client(b"SSH-2.0-OpenSSH_9.7\r\n");
     assert!(result.is_err(), "non-TLS bytes are a record-layer error");
+}
+
+/// A record-layer version no in-repo sender writes but every real TLS
+/// client puts on its ClientHello; the reader accepts any 3.x.
+const LEGACY_MINOR: u8 = 1;
+
+/// An application-data record framed `03 01`.
+fn legacy_framed_data() -> Vec<u8> {
+    vec![23, 3, LEGACY_MINOR, 0, 3, 9, 9, 9]
+}
+
+fn middlebox(tb: &Testbed, seed: u64) -> Middlebox {
+    Middlebox::new(tb.middlebox_config(&tb.mbox_code), CryptoRng::from_seed(seed))
+}
+
+/// (what the middlebox was fed, what it forwarded)
+type Relayed = (Vec<u8>, Vec<u8>);
+/// One row of the relay table: what it covers, and the scenario.
+type RelayRow = (&'static str, fn() -> Relayed);
+
+fn non_handshake_first_record() -> Relayed {
+    let tb = Testbed::new(0xC10B);
+    let mut mb = middlebox(&tb, 11);
+    let fed = legacy_framed_data();
+    mb.feed_from_client(&fed).unwrap();
+    assert_eq!(mb.phase(), MiddleboxPhase::Relay);
+    (fed, mb.take_toward_server())
+}
+
+fn client_hello_while_deciding() -> Relayed {
+    let tb = Testbed::new(0xC10C);
+    let mut client = MbClientSession::new(
+        Arc::new(tb.client_config()),
+        "server.example",
+        CryptoRng::from_seed(12),
+    );
+    let mut mb = middlebox(&tb, 13);
+    let mut fed = client.take_outgoing();
+    fed[2] = LEGACY_MINOR;
+    mb.feed_from_client(&fed).unwrap();
+    assert_eq!(mb.phase(), MiddleboxPhase::ClientSideJoining);
+    (fed, mb.take_toward_server())
+}
+
+fn early_data_flushed_on_give_up() -> Relayed {
+    let tb = Testbed::new(0xC10D);
+    let mut rng = CryptoRng::from_seed(14);
+    let tls_cfg = mbtls_tls::config::ClientConfig::new(tb.server_trust.clone());
+    let mut legacy =
+        mbtls_tls::ClientConnection::new(Arc::new(tls_cfg), "server.example", &mut rng);
+    let mut mb = middlebox(&tb, 15);
+    // No MiddleboxSupport extension: the middlebox announces itself
+    // and waits for the server to claim it.
+    mb.feed_from_client(&legacy.take_outgoing()).unwrap();
+    assert_eq!(mb.phase(), MiddleboxPhase::ServerSideAwaitClaim);
+    let _hello_and_announcement = mb.take_toward_server();
+    let fed = legacy_framed_data();
+    mb.feed_from_client(&fed).unwrap();
+    assert!(mb.take_toward_server().is_empty(), "held until the keys arrive");
+    // A ChangeCipherSpec from a server that never claimed us: give up.
+    mb.feed_from_server(&[20, 3, 3, 0, 1, 1]).unwrap();
+    assert_eq!(mb.phase(), MiddleboxPhase::Relay);
+    (fed, mb.take_toward_server())
+}
+
+fn early_data_reentering_a_read_only_hop() -> Relayed {
+    let tb = Testbed::new(0xC10E);
+    let mut client_cfg = tb.client_config();
+    client_cfg.read_only_middleboxes = true;
+    let mut client =
+        MbClientSession::new(Arc::new(client_cfg), "server.example", CryptoRng::from_seed(16));
+    let mut server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(17));
+    let mut mb = middlebox(&tb, 18);
+    let mut fed = Vec::new();
+    for _ in 0..60 {
+        mb.feed_from_client(&client.take_outgoing()).unwrap();
+        server.feed_incoming(&mb.take_toward_server()).unwrap();
+        mb.feed_from_server(&server.take_outgoing()).unwrap();
+        if server.is_ready() && fed.is_empty() {
+            // The server is done before the client has even seen its
+            // Finished, let alone keyed the middlebox: its first
+            // response overtakes the keys.
+            server.send(b"early response").unwrap();
+            fed = server.take_outgoing();
+            fed[2] = LEGACY_MINOR;
+            client.feed_incoming(&mb.take_toward_client()).unwrap();
+            mb.feed_from_server(&fed).unwrap();
+            assert!(!mb.has_keys());
+            assert!(mb.take_toward_client().is_empty(), "held until the keys arrive");
+        }
+        if mb.has_keys() {
+            break;
+        }
+        client.feed_incoming(&mb.take_toward_client()).unwrap();
+    }
+    assert!(!fed.is_empty() && mb.has_keys());
+    let forwarded = mb.take_toward_client();
+    // The hop is aliased and the processor read-only, so the record was
+    // verified, not re-sealed — and it still opens at the client.
+    client.feed_incoming(&forwarded).unwrap();
+    assert_eq!(client.recv(), b"early response");
+    (fed, forwarded)
+}
+
+#[test]
+fn a_relayed_record_leaves_byte_for_byte_as_it_arrived() {
+    // Whatever the middlebox does not open it passes on untouched,
+    // header included: a transparent relay must not rewrite the
+    // record-layer version (§3.5; the §5.1 legacy-interop survey).
+    let rows: [RelayRow; 4] = [
+        ("non-handshake first record, to Relay", non_handshake_first_record),
+        ("ClientHello framed 03 01, middlebox deciding", client_hello_while_deciding),
+        ("early data held before keys, flushed on give-up", early_data_flushed_on_give_up),
+        ("early data re-entering an aliased read-only hop", early_data_reentering_a_read_only_hop),
+    ];
+    for (name, row) in rows {
+        let (fed, forwarded) = row();
+        assert_eq!(forwarded, fed, "{name}");
+    }
 }

@@ -17,11 +17,11 @@ fn record_log(stream: &[u8]) -> Vec<String> {
     let mut reader = RecordReader::new();
     reader.feed(stream);
     let mut out = Vec::new();
-    while let Ok(Some(rec)) = reader.next_record() {
-        let label = match rec.content_type_byte {
+    while let Ok(Some(mut rec)) = reader.next_record_inplace() {
+        let label = match rec.content_type_byte() {
             20 => "CCS".to_string(),
             21 => "Alert".to_string(),
-            22 => match rec.body.first() {
+            22 => match rec.body().first() {
                 Some(1) => "HS:ClientHello".to_string(),
                 Some(2) => "HS:ServerHello".to_string(),
                 Some(4) => "HS:NewSessionTicket".to_string(),
@@ -34,7 +34,7 @@ fn record_log(stream: &[u8]) -> Vec<String> {
             },
             23 => "AppData".to_string(),
             30 => {
-                let enc = Encapsulated::decode(&rec.body).unwrap();
+                let enc = Encapsulated::decode(rec.body()).unwrap();
                 format!("Encap[{}]", enc.subchannel)
             }
             31 => "KeyMaterial".to_string(),

@@ -44,6 +44,10 @@ enum Poison {
     OversizedRecord,
     /// A valid data-plane record with its last tag byte flipped.
     BadTag,
+    /// Three valid data-plane records in one feed, the second with its
+    /// last tag byte flipped: the failure lands mid-loop, with the
+    /// first record already relayed and the third still buffered.
+    BadTagMidFeed,
     /// A middlebox trying to join after key distribution: an
     /// announcement (server) or an unknown subchannel (client).
     JoinAfterKeys,
@@ -63,6 +67,7 @@ const TABLE: &[(Victim, Setup, Poison)] = &[
     (Victim::MiddleboxFromClient, Setup::Established, Poison::BadTag),
     (Victim::MiddleboxFromServer, Setup::Established, Poison::OversizedRecord),
     (Victim::MiddleboxFromServer, Setup::Established, Poison::BadTag),
+    (Victim::MiddleboxFromClient, Setup::Established, Poison::BadTagMidFeed),
 ];
 
 fn chain(seed: u64, setup: Setup) -> Chain {
@@ -154,6 +159,11 @@ fn poison_bytes(chain: &mut Chain, victim: Victim, poison: Poison) -> Vec<u8> {
             let mut record = next_valid_record(chain, victim);
             *record.last_mut().expect("non-empty record") ^= 1;
             record
+        }
+        Poison::BadTagMidFeed => {
+            let mut records = [(); 3].map(|()| next_valid_record(chain, victim));
+            *records[1].last_mut().expect("non-empty record") ^= 1;
+            records.concat()
         }
         Poison::JoinAfterKeys if victim == Victim::Client => {
             let enc = Encapsulated {

@@ -441,14 +441,14 @@ impl ConnectionRole for ClientConnection {
     fn handle_handshake(
         &mut self,
         typ: u8,
-        body: Vec<u8>,
-        frame: Vec<u8>,
+        frame: &[u8],
         rng: &mut CryptoRng,
     ) -> Result<(), TlsError> {
+        let body = frame.get(4..).unwrap_or_default();
         match (self.phase, typ) {
             (Phase::AwaitServerHello, handshake_type::SERVER_HELLO) => {
-                self.transcript.add(&frame);
-                let sh = ServerHello::decode_body(&body)?;
+                self.transcript.add(frame);
+                let sh = ServerHello::decode_body(body)?;
                 let suite = CipherSuite::from_id(sh.cipher_suite)
                     .filter(|s| self.config.suites.contains(s))
                     .ok_or(TlsError::NegotiationFailed("server chose unknown suite"))?;
@@ -484,8 +484,8 @@ impl ConnectionRole for ClientConnection {
             (Phase::AwaitServerFlight, handshake_type::CERTIFICATE) => {
                 // The server chose a full handshake.
                 self.pending_resumption = None;
-                self.transcript.add(&frame);
-                let chain = mbtls_pki::cert::decode_chain(&body)
+                self.transcript.add(frame);
+                let chain = mbtls_pki::cert::decode_chain(body)
                     .map_err(|_| TlsError::Decode("bad certificate chain"))?;
                 self.server_flight.certificate_chain = Some(chain);
                 Ok(())
@@ -495,15 +495,15 @@ impl ConnectionRole for ClientConnection {
                 // renewing the ticket (abbreviated flight:
                 // ServerHello, NewSessionTicket, CCS, Finished).
                 self.commit_resumption()?;
-                self.transcript.add(&frame);
-                let ticket = NewSessionTicket::decode_body(&body)?;
+                self.transcript.add(frame);
+                let ticket = NewSessionTicket::decode_body(body)?;
                 self.new_ticket = Some(ticket);
                 self.phase = Phase::AwaitServerFinishedResumed;
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SERVER_KEY_EXCHANGE) => {
-                self.transcript.add(&frame);
-                let ske = ServerKeyExchange::decode_body(&body)?;
+                self.transcript.add(frame);
+                let ske = ServerKeyExchange::decode_body(body)?;
                 self.server_flight.key_exchange = Some(ske);
                 // Capture the binding the attestation must carry.
                 self.server_flight.attestation_binding =
@@ -511,14 +511,14 @@ impl ConnectionRole for ClientConnection {
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SGX_ATTESTATION) => {
-                self.transcript.add(&frame);
-                let msg = SgxAttestationMsg::decode_body(&body)?;
+                self.transcript.add(frame);
+                let msg = SgxAttestationMsg::decode_body(body)?;
                 self.server_flight.attestation = Some(msg);
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::DELEGATED_CREDENTIAL) => {
-                self.transcript.add(&frame);
-                let msg = DelegatedCredentialMsg::decode_body(&body)?;
+                self.transcript.add(frame);
+                let msg = DelegatedCredentialMsg::decode_body(body)?;
                 self.server_flight.credential = Some(msg);
                 Ok(())
             }
@@ -526,25 +526,25 @@ impl ConnectionRole for ClientConnection {
                 if !body.is_empty() {
                     return Err(TlsError::Decode("non-empty ServerHelloDone"));
                 }
-                self.transcript.add(&frame);
+                self.transcript.add(frame);
                 self.finish_client_flight(rng)
             }
             (
                 Phase::AwaitServerFinished | Phase::AwaitServerFinishedResumed,
                 handshake_type::NEW_SESSION_TICKET,
             ) => {
-                self.transcript.add(&frame);
-                let ticket = NewSessionTicket::decode_body(&body)?;
+                self.transcript.add(frame);
+                let ticket = NewSessionTicket::decode_body(body)?;
                 self.new_ticket = Some(ticket);
                 Ok(())
             }
             (Phase::AwaitServerFinished, handshake_type::FINISHED) => {
-                self.verify_server_finished(&body, &frame)?;
+                self.verify_server_finished(body, frame)?;
                 self.phase = Phase::Established;
                 Ok(())
             }
             (Phase::AwaitServerFinishedResumed, handshake_type::FINISHED) => {
-                self.verify_server_finished(&body, &frame)?;
+                self.verify_server_finished(body, frame)?;
                 // Abbreviated: now send our CCS + Finished.
                 self.activate_write_cipher()?;
                 self.shell.queue_plaintext(ContentType::ChangeCipherSpec, &[1]);

@@ -201,6 +201,53 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// The reassembly buffer under the record reader and the handshake
+/// reader: stream bytes are appended at the back and whole units are
+/// consumed from the front.
+///
+/// Consuming advances a read cursor instead of draining the buffer, so
+/// pulling N coalesced units out of one feed is O(total bytes), not
+/// O(N · total bytes). The consumed prefix is reclaimed lazily on the
+/// next [`StreamBuf::feed`] once it outgrows the unread remainder
+/// (amortized O(1) per byte).
+#[derive(Default)]
+pub(crate) struct StreamBuf {
+    buf: Vec<u8>,
+    /// Start of unread data in `buf`.
+    pos: usize,
+}
+
+impl StreamBuf {
+    /// Append stream bytes, lazily compacting the consumed prefix.
+    pub(crate) fn feed(&mut self, data: &[u8]) {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos > self.buf.len() - self.pos {
+            // The dead prefix outgrew the live remainder: one memmove
+            // now is amortized O(1) per fed byte.
+            self.buf.copy_within(self.pos.., 0);
+            self.buf.truncate(self.buf.len() - self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(data);
+    }
+
+    /// The bytes fed but not yet consumed.
+    pub(crate) fn unread(&self) -> &[u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
+    }
+
+    /// Consume the next `n` unread bytes and hand them out where they
+    /// sit (valid until the next call); `None` if fewer are buffered.
+    pub(crate) fn consume(&mut self, n: usize) -> Option<&mut [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let taken = self.buf.get_mut(self.pos..end)?;
+        self.pos = end;
+        Some(taken)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

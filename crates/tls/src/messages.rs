@@ -1,7 +1,7 @@
 //! Handshake message definitions and codecs (RFC 5246 §7.4, plus the
 //! mbTLS `sgx_attestation(17)` message from the paper's Appendix A.2).
 
-use crate::codec::{CodecError, Decoder, Encoder};
+use crate::codec::{CodecError, Decoder, Encoder, StreamBuf};
 use crate::suites::CipherSuite;
 use crate::TlsError;
 
@@ -451,7 +451,7 @@ pub fn frame_handshake(typ: u8, body: &[u8]) -> Vec<u8> {
 /// inside record payloads, with cross-record reassembly.
 #[derive(Default)]
 pub struct HandshakeReader {
-    buf: Vec<u8>,
+    stream: StreamBuf,
 }
 
 impl HandshakeReader {
@@ -462,32 +462,27 @@ impl HandshakeReader {
 
     /// Append a handshake-record payload.
     pub fn feed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.stream.feed(data);
     }
 
-    /// Pull the next complete message: (type, body, full frame bytes).
-    /// The frame bytes are what transcript hashing consumes.
-    #[allow(clippy::type_complexity)]
-    pub fn next_message(&mut self) -> Result<Option<(u8, Vec<u8>, Vec<u8>)>, TlsError> {
-        let Some(&[typ, len_hi, len_mid, len_lo]) = self.buf.first_chunk::<4>() else {
+    /// Pull the next complete message: its type and its full frame
+    /// (4-byte header, then the body). The frame is what transcript
+    /// hashing consumes; it is handed out owned because its handler
+    /// also owns this reader.
+    pub fn next_message(&mut self) -> Result<Option<(u8, Vec<u8>)>, TlsError> {
+        let Some(&[typ, len_hi, len_mid, len_lo]) = self.stream.unread().first_chunk::<4>() else {
             return Ok(None);
         };
         let len = usize::from(len_hi) << 16 | usize::from(len_mid) << 8 | usize::from(len_lo);
         if len > (1 << 20) {
             return Err(TlsError::Decode("handshake message too long"));
         }
-        let Some(frame) = self.buf.get(..4 + len) else {
-            return Ok(None);
-        };
-        let frame = frame.to_vec();
-        let body = frame.get(4..).unwrap_or(&[]).to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some((typ, body, frame)))
+        Ok(self.stream.consume(4 + len).map(|frame| (typ, frame.to_vec())))
     }
 
     /// True if partial data is buffered.
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        !self.stream.unread().is_empty()
     }
 }
 
@@ -592,12 +587,10 @@ mod tests {
         assert!(r.next_message().unwrap().is_none());
         assert!(r.has_partial());
         r.feed(&all[5..]);
-        let (t1, b1, f1) = r.next_message().unwrap().unwrap();
-        assert_eq!((t1, b1.as_slice()), (handshake_type::CLIENT_HELLO, &b"body-1"[..]));
-        assert_eq!(f1, m1);
-        let (t2, b2, _) = r.next_message().unwrap().unwrap();
-        assert_eq!((t2, b2.as_slice()), (handshake_type::FINISHED, &b"xy"[..]));
+        assert_eq!(r.next_message().unwrap(), Some((handshake_type::CLIENT_HELLO, m1)));
+        assert_eq!(r.next_message().unwrap(), Some((handshake_type::FINISHED, m2)));
         assert!(r.next_message().unwrap().is_none());
+        assert!(!r.has_partial());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! them to the caller instead of aborting — the hook mbTLS's
 //! subchannel multiplexing is built on.
 
-use crate::codec::{CodecError, Decoder, Encoder};
+use crate::codec::StreamBuf;
 use crate::TlsError;
 use mbtls_crypto::aead::{AeadKey, BulkAlgorithm, EXPLICIT_NONCE_LEN, TAG_LEN};
 
@@ -75,25 +75,41 @@ impl ContentType {
     }
 }
 
-/// A plaintext (decrypted or never-encrypted) record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlainRecord {
-    /// Content type.
-    pub content_type: ContentType,
-    /// Payload.
-    pub payload: Vec<u8>,
+/// Length of the record header: content type, version, body length.
+const HEADER_LEN: usize = 5;
+
+/// Append the header of a record whose body is `body_len` bytes. The
+/// header's layout is written here and parsed in
+/// [`RecordReader::next_record_inplace`], nowhere else.
+fn push_header(out: &mut Vec<u8>, content_type: ContentType, body_len: usize) {
+    debug_assert!(body_len <= MAX_WIRE_LEN);
+    out.extend_from_slice(&[
+        content_type.to_u8(),
+        VERSION_TLS12.0,
+        VERSION_TLS12.1,
+        (body_len >> 8) as u8,
+        body_len as u8,
+    ]);
 }
 
 /// Frame a plaintext record (no protection).
 pub fn frame_plaintext(content_type: ContentType, payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAGMENT_LEN);
-    let mut e = Encoder::new();
-    e.u8(content_type.to_u8());
-    e.u8(VERSION_TLS12.0);
-    e.u8(VERSION_TLS12.1);
-    e.u16(payload.len() as u16);
-    e.raw(payload);
-    e.into_bytes()
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame_plaintext_into(content_type, &[payload], &mut out);
+    out
+}
+
+/// Append one plaintext-framed record to `out`; its payload is
+/// `parts` back to back (so a caller with a prefix and a body need not
+/// join them first).
+pub fn frame_plaintext_into(content_type: ContentType, parts: &[&[u8]], out: &mut Vec<u8>) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    debug_assert!(len <= MAX_FRAGMENT_LEN);
+    out.reserve(HEADER_LEN + len);
+    push_header(out, content_type, len);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
 }
 
 /// One direction of record protection state.
@@ -131,25 +147,14 @@ impl DirectionState {
         aad
     }
 
-    /// Protect a fragment; returns the full wire record
-    /// (header || explicit_nonce || ciphertext || tag), RFC 5288.
-    pub fn seal_record(
-        &mut self,
-        content_type: ContentType,
-        payload: &[u8],
-    ) -> Result<Vec<u8>, TlsError> {
-        let mut out =
-            Vec::with_capacity(5 + EXPLICIT_NONCE_LEN + payload.len() + TAG_LEN);
-        self.seal_record_into(content_type, payload, &mut out)?;
-        Ok(out)
-    }
-
-    /// Protect a fragment, appending the full wire record to `out`.
+    /// Protect a fragment, appending the full wire record
+    /// (header || explicit_nonce || ciphertext || tag, RFC 5288) to
+    /// `out`.
     ///
-    /// This is the zero-copy data-plane path: the payload is written
-    /// into `out` once and encrypted there in place, so a caller that
-    /// reuses `out` across records does no per-record allocation once
-    /// the buffer has grown to its steady-state capacity.
+    /// The payload is written into `out` once and encrypted there in
+    /// place, so a caller that reuses `out` across records does no
+    /// per-record allocation once the buffer has grown to its
+    /// steady-state capacity.
     pub fn seal_record_into(
         &mut self,
         content_type: ContentType,
@@ -160,14 +165,8 @@ impl DirectionState {
         let explicit: [u8; EXPLICIT_NONCE_LEN] = self.seq.to_be_bytes();
         let aad = Self::aad(self.seq, content_type, payload.len());
         let wire_len = EXPLICIT_NONCE_LEN + payload.len() + TAG_LEN;
-        out.reserve(5 + wire_len);
-        out.extend_from_slice(&[
-            content_type.to_u8(),
-            VERSION_TLS12.0,
-            VERSION_TLS12.1,
-            (wire_len >> 8) as u8,
-            wire_len as u8,
-        ]);
+        out.reserve(HEADER_LEN + wire_len);
+        push_header(out, content_type, wire_len);
         out.extend_from_slice(&explicit);
         let ct_start = out.len();
         out.extend_from_slice(payload);
@@ -175,19 +174,6 @@ impl DirectionState {
         out.extend_from_slice(&tag);
         self.seq = self.seq.wrapping_add(1);
         Ok(())
-    }
-
-    /// Unprotect a record body (everything after the 5-byte header).
-    pub fn open_record(
-        &mut self,
-        content_type: ContentType,
-        body: &[u8],
-    ) -> Result<Vec<u8>, TlsError> {
-        let mut buf = body.to_vec();
-        let plain_len = self.open_record_in_place(content_type, &mut buf)?.len();
-        buf.copy_within(EXPLICIT_NONCE_LEN..EXPLICIT_NONCE_LEN + plain_len, 0);
-        buf.truncate(plain_len);
-        Ok(buf)
     }
 
     /// Authenticate a record body without decrypting it, returning
@@ -257,36 +243,52 @@ impl DirectionState {
     }
 }
 
-/// A reassembling record reader: feed raw stream bytes, pull whole
-/// records. Handles the plaintext/ciphertext distinction via the
-/// optional read state.
+/// One record as [`RecordReader::next_record_inplace`] frames it: the
+/// header and the body exactly as they sit in the reader's buffer,
+/// valid until the next call on that reader.
 ///
-/// Consumed records advance a read cursor instead of draining the
-/// buffer, so pulling N coalesced records out of one feed is O(total
-/// bytes), not O(N · total bytes). The consumed prefix is reclaimed
-/// lazily on the next [`RecordReader::feed`] once it outgrows the
-/// unread remainder (amortized O(1) per byte).
-#[derive(Default)]
-pub struct RecordReader {
-    buf: Vec<u8>,
-    /// Start of unread data in `buf`.
-    pos: usize,
+/// This is the only form a received record takes between the wire and
+/// whoever handles it. [`Record::wire`] is what a relay forwards (or a
+/// session feeds onward) byte for byte, header included, so a record
+/// nobody opened leaves as it arrived; [`Record::body`] is mutable so
+/// [`DirectionState::open_record_in_place`] decrypts it where it is.
+pub struct Record<'a> {
+    content_type_byte: u8,
+    /// Header and body; at least [`HEADER_LEN`] bytes.
+    wire: &'a mut [u8],
 }
 
-/// One record framed in place by [`RecordReader::next_record_inplace`]:
-/// the content-type byte, the header's version bytes, and the record
-/// body as a mutable view into the reassembly buffer.
-pub type InplaceRecord<'a> = (u8, [u8; 2], &'a mut [u8]);
-
-/// A raw record as pulled off the stream (body still protected if the
-/// sender had activated its cipher).
-#[derive(Debug, Clone)]
-pub struct RawRecord {
-    /// Content type byte (may be an unknown value — the caller
+impl Record<'_> {
+    /// The content-type byte (may be an unknown value — the caller
     /// decides whether that is fatal).
-    pub content_type_byte: u8,
-    /// Record body (excluding the 5-byte header).
-    pub body: Vec<u8>,
+    pub fn content_type_byte(&self) -> u8 {
+        self.content_type_byte
+    }
+
+    /// The content type, if it is one this crate knows.
+    pub fn content_type(&self) -> Option<ContentType> {
+        ContentType::from_u8(self.content_type_byte)
+    }
+
+    /// The whole record, header included, as it arrived (the reader
+    /// accepts any 3.x version, and this is where it survives).
+    pub fn wire(&self) -> &[u8] {
+        self.wire
+    }
+
+    /// Everything after the header: still protected if the sender had
+    /// activated its cipher.
+    pub fn body(&mut self) -> &mut [u8] {
+        self.wire.get_mut(HEADER_LEN..).unwrap_or_default()
+    }
+}
+
+/// A reassembling record reader: feed raw stream bytes, pull whole
+/// records in place. Consumed records advance a cursor and the buffer
+/// compacts lazily, so N coalesced records cost O(total bytes).
+#[derive(Default)]
+pub struct RecordReader {
+    stream: StreamBuf,
 }
 
 impl RecordReader {
@@ -295,31 +297,25 @@ impl RecordReader {
         Self::default()
     }
 
-    /// Append stream bytes, lazily compacting the consumed prefix.
+    /// Append stream bytes.
     pub fn feed(&mut self, data: &[u8]) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > self.buf.len() - self.pos {
-            // The dead prefix outgrew the live remainder: one memmove
-            // now is amortized O(1) per fed byte.
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(data);
+        self.stream.feed(data);
     }
 
     /// Bytes buffered but not yet framed.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.stream.unread().len()
     }
 
-    /// Parse the header at the cursor; `Ok(Some(len))` means a full
-    /// record of body length `len` is buffered.
-    fn peek_complete(&self) -> Result<Option<usize>, TlsError> {
-        let Some(&[_, ver_major, _ver_minor, len_hi, len_lo]) =
-            self.buf.get(self.pos..).and_then(|b| b.first_chunk::<5>())
+    /// Pull the next complete record, if any, without copying it (the
+    /// zero-copy receive path; see [`Record`]).
+    // Every party's per-record loop lives in another crate; without
+    // the hint each record pays an out-of-line call here.
+    #[inline]
+    pub fn next_record_inplace(&mut self) -> Result<Option<Record<'_>>, TlsError> {
+        let unread = self.stream.unread();
+        let Some(&[content_type_byte, ver_major, _ver_minor, len_hi, len_lo]) =
+            unread.first_chunk::<HEADER_LEN>()
         else {
             return Ok(None);
         };
@@ -331,63 +327,11 @@ impl RecordReader {
         if len > MAX_WIRE_LEN {
             return Err(TlsError::Decode("record too long"));
         }
-        if self.buf.len() - self.pos < 5 + len {
-            return Ok(None);
-        }
-        Ok(Some(len))
-    }
-
-    /// Pull the next complete record, if any.
-    pub fn next_record(&mut self) -> Result<Option<RawRecord>, TlsError> {
-        let Some(len) = self.peek_complete()? else {
-            return Ok(None);
-        };
-        let record = self
-            .buf
-            .get(self.pos..self.pos + 5 + len)
-            .ok_or(TlsError::Decode("record cursor out of range"))?;
-        let (&content_type_byte, header_rest) = record
-            .split_first()
-            .ok_or(TlsError::Decode("record cursor out of range"))?;
-        let body = header_rest
-            .get(4..)
-            .ok_or(TlsError::Decode("record cursor out of range"))?
-            .to_vec();
-        self.pos += 5 + len;
-        Ok(Some(RawRecord {
+        // `None` until the whole record is buffered.
+        Ok(self.stream.consume(HEADER_LEN + len).map(|wire| Record {
             content_type_byte,
-            body,
+            wire,
         }))
-    }
-
-    /// Pull the next complete record without copying: returns the
-    /// content-type byte, the header's version bytes, and the record
-    /// body as a mutable view into the reassembly buffer (valid until
-    /// the next call on this reader). The body is handed out mutable
-    /// so [`DirectionState::open_record_in_place`] can decrypt it
-    /// where it already is — the zero-copy receive path. The version
-    /// bytes are surfaced so a forwarder can echo the header exactly
-    /// as it arrived (the reader accepts any 3.x version).
-    pub fn next_record_inplace(&mut self) -> Result<Option<InplaceRecord<'_>>, TlsError> {
-        let Some(len) = self.peek_complete()? else {
-            return Ok(None);
-        };
-        let start = self.pos;
-        self.pos += 5 + len;
-        let record = self
-            .buf
-            .get_mut(start..start + 5 + len)
-            .ok_or(TlsError::Decode("record cursor out of range"))?;
-        let (header, body) = record.split_at_mut(5);
-        let content_type_byte = *header
-            .first()
-            .ok_or(TlsError::Decode("record cursor out of range"))?;
-        let version = header
-            .get(1..3)
-            .and_then(|v| v.first_chunk::<2>())
-            .copied()
-            .ok_or(TlsError::Decode("record cursor out of range"))?;
-        Ok(Some((content_type_byte, version, body)))
     }
 }
 
@@ -396,27 +340,11 @@ pub fn fragment(payload: &[u8]) -> impl Iterator<Item = &[u8]> {
     payload.chunks(MAX_FRAGMENT_LEN)
 }
 
-/// Decode a record header from the front of `data` without consuming:
-/// returns (content type byte, body length) if a full header is
-/// present.
-pub fn peek_header(data: &[u8]) -> Result<Option<(u8, usize)>, CodecError> {
-    let Some(header) = data.first_chunk::<5>() else {
-        return Ok(None);
-    };
-    let mut d = Decoder::new(header);
-    let ct = d.u8()?;
-    let major = d.u8()?;
-    let _minor = d.u8()?;
-    if major != 3 {
-        return Err(CodecError::Malformed);
-    }
-    let len = d.u16()? as usize;
-    Ok(Some((ct, len)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const APP: ContentType = ContentType::ApplicationData;
 
     fn pair() -> (DirectionState, DirectionState) {
         let key = [0x11u8; 32];
@@ -426,27 +354,55 @@ mod tests {
         (tx, rx)
     }
 
+    /// One sealed record's wire bytes.
+    fn seal(tx: &mut DirectionState, content_type: ContentType, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        tx.seal_record_into(content_type, payload, &mut wire).unwrap();
+        wire
+    }
+
+    /// Frame the next record `reader` holds and open it as `claimed`.
+    fn open_next(
+        reader: &mut RecordReader,
+        rx: &mut DirectionState,
+        claimed: ContentType,
+    ) -> Result<Vec<u8>, TlsError> {
+        let mut record = reader.next_record_inplace().unwrap().expect("a whole record");
+        rx.open_record_in_place(claimed, record.body()).map(|plain| plain.to_vec())
+    }
+
+    /// `open_next` over a reader holding exactly `wire`.
+    fn open(rx: &mut DirectionState, claimed: ContentType, wire: &[u8]) -> Result<Vec<u8>, TlsError> {
+        let mut reader = RecordReader::new();
+        reader.feed(wire);
+        open_next(&mut reader, rx, claimed)
+    }
+
+    /// The next record's (content-type byte, body), copied out.
+    fn next(reader: &mut RecordReader) -> Option<(u8, Vec<u8>)> {
+        let mut record = reader.next_record_inplace().unwrap()?;
+        Some((record.content_type_byte(), record.body().to_vec()))
+    }
+
     #[test]
     fn seal_open_roundtrip() {
         let (mut tx, mut rx) = pair();
-        let wire = tx.seal_record(ContentType::ApplicationData, b"hello world").unwrap();
+        let wire = seal(&mut tx, APP, b"hello world");
         let mut reader = RecordReader::new();
         reader.feed(&wire);
-        let rec = reader.next_record().unwrap().unwrap();
-        assert_eq!(rec.content_type_byte, 23);
-        let plain = rx.open_record(ContentType::ApplicationData, &rec.body).unwrap();
-        assert_eq!(plain, b"hello world");
+        let mut record = reader.next_record_inplace().unwrap().unwrap();
+        assert_eq!(record.content_type_byte(), 23);
+        assert_eq!(record.content_type(), Some(APP));
+        assert_eq!(record.wire(), wire);
+        assert_eq!(rx.open_record_in_place(APP, record.body()).unwrap(), b"hello world");
     }
 
     #[test]
     fn sequence_numbers_advance() {
         let (mut tx, mut rx) = pair();
         for i in 0..5u8 {
-            let wire = tx.seal_record(ContentType::ApplicationData, &[i]).unwrap();
-            let mut r = RecordReader::new();
-            r.feed(&wire);
-            let rec = r.next_record().unwrap().unwrap();
-            assert_eq!(rx.open_record(ContentType::ApplicationData, &rec.body).unwrap(), vec![i]);
+            let wire = seal(&mut tx, APP, &[i]);
+            assert_eq!(open(&mut rx, APP, &wire).unwrap(), vec![i]);
         }
         assert_eq!(tx.seq(), 5);
         assert_eq!(rx.seq(), 5);
@@ -455,50 +411,38 @@ mod tests {
     #[test]
     fn replay_detected() {
         let (mut tx, mut rx) = pair();
-        let wire = tx.seal_record(ContentType::ApplicationData, b"once").unwrap();
+        let wire = seal(&mut tx, APP, b"once");
         let mut r = RecordReader::new();
         r.feed(&wire);
         r.feed(&wire); // replayed copy
-        let rec1 = r.next_record().unwrap().unwrap();
-        assert!(rx.open_record(ContentType::ApplicationData, &rec1.body).is_ok());
-        let rec2 = r.next_record().unwrap().unwrap();
+        assert!(open_next(&mut r, &mut rx, APP).is_ok());
         // Receiver seq advanced; the replay fails authentication.
-        assert!(rx.open_record(ContentType::ApplicationData, &rec2.body).is_err());
+        assert!(open_next(&mut r, &mut rx, APP).is_err());
     }
 
     #[test]
     fn reorder_detected() {
         let (mut tx, mut rx) = pair();
-        let w1 = tx.seal_record(ContentType::ApplicationData, b"first").unwrap();
-        let w2 = tx.seal_record(ContentType::ApplicationData, b"second").unwrap();
-        let mut r = RecordReader::new();
-        r.feed(&w2);
-        r.feed(&w1);
-        let rec = r.next_record().unwrap().unwrap();
-        assert!(rx.open_record(ContentType::ApplicationData, &rec.body).is_err());
+        let _w1 = seal(&mut tx, APP, b"first");
+        let w2 = seal(&mut tx, APP, b"second");
+        assert!(open(&mut rx, APP, &w2).is_err());
     }
 
     #[test]
     fn content_type_is_authenticated() {
         let (mut tx, mut rx) = pair();
-        let wire = tx.seal_record(ContentType::ApplicationData, b"data").unwrap();
-        let mut r = RecordReader::new();
-        r.feed(&wire);
-        let rec = r.next_record().unwrap().unwrap();
+        let wire = seal(&mut tx, APP, b"data");
         // Claim it was a handshake record: AAD mismatch.
-        assert!(rx.open_record(ContentType::Handshake, &rec.body).is_err());
+        assert!(open(&mut rx, ContentType::Handshake, &wire).is_err());
     }
 
     #[test]
     fn tampered_ciphertext_detected() {
         let (mut tx, mut rx) = pair();
-        let mut wire = tx.seal_record(ContentType::ApplicationData, b"data").unwrap();
+        let mut wire = seal(&mut tx, APP, b"data");
         let n = wire.len();
         wire[n - 1] ^= 1;
-        let mut r = RecordReader::new();
-        r.feed(&wire);
-        let rec = r.next_record().unwrap().unwrap();
-        assert!(rx.open_record(ContentType::ApplicationData, &rec.body).is_err());
+        assert!(open(&mut rx, APP, &wire).is_err());
     }
 
     #[test]
@@ -509,15 +453,11 @@ mod tests {
         all.extend_from_slice(&r2);
         let mut reader = RecordReader::new();
         reader.feed(&all[..4]);
-        assert!(reader.next_record().unwrap().is_none());
+        assert!(next(&mut reader).is_none());
         reader.feed(&all[4..]);
-        let rec1 = reader.next_record().unwrap().unwrap();
-        assert_eq!(rec1.content_type_byte, 22);
-        assert_eq!(rec1.body, b"aaa");
-        let rec2 = reader.next_record().unwrap().unwrap();
-        assert_eq!(rec2.content_type_byte, 21);
-        assert_eq!(rec2.body, b"bb");
-        assert!(reader.next_record().unwrap().is_none());
+        assert_eq!(next(&mut reader), Some((22, b"aaa".to_vec())));
+        assert_eq!(next(&mut reader), Some((21, b"bb".to_vec())));
+        assert!(next(&mut reader).is_none());
     }
 
     #[test]
@@ -525,31 +465,35 @@ mod tests {
         let (mut tx, mut rx) = pair();
         let mut wire = Vec::new();
         let mut reader = RecordReader::new();
-        // Reuse the same output buffer across records, interleaving
-        // both in-place paths with the allocating ones.
+        // One output buffer and one reader reused across records.
         for i in 0..4u8 {
             wire.clear();
-            tx.seal_record_into(ContentType::ApplicationData, &[i; 100], &mut wire)
-                .unwrap();
+            tx.seal_record_into(APP, &[i; 100], &mut wire).unwrap();
             reader.feed(&wire);
-            let (ct_byte, version, body) = reader.next_record_inplace().unwrap().unwrap();
-            assert_eq!(ct_byte, 23);
-            assert_eq!(version, [VERSION_TLS12.0, VERSION_TLS12.1]);
-            let plain = rx
-                .open_record_in_place(ContentType::ApplicationData, body)
-                .unwrap();
-            assert_eq!(plain, &[i; 100]);
+            let mut record = reader.next_record_inplace().unwrap().unwrap();
+            assert_eq!(record.content_type_byte(), 23);
+            assert_eq!(record.wire()[1..3], [VERSION_TLS12.0, VERSION_TLS12.1]);
+            assert_eq!(rx.open_record_in_place(APP, record.body()).unwrap(), &[i; 100]);
         }
-        // The in-place paths must be wire- and state-compatible with
-        // the allocating ones.
-        let via_vec = tx.seal_record(ContentType::ApplicationData, b"tail").unwrap();
-        let mut r2 = RecordReader::new();
-        r2.feed(&via_vec);
-        let rec = r2.next_record().unwrap().unwrap();
-        assert_eq!(
-            rx.open_record(ContentType::ApplicationData, &rec.body).unwrap(),
-            b"tail"
-        );
+    }
+
+    #[test]
+    fn record_wire_keeps_the_version_that_arrived() {
+        // The reader accepts any 3.x version; `wire()` is what a relay
+        // forwards, so the bytes that came in are the bytes it holds.
+        let mut reader = RecordReader::new();
+        reader.feed(&[22, 3, 1, 0, 2, 0xAA, 0xBB]);
+        let mut record = reader.next_record_inplace().unwrap().unwrap();
+        assert_eq!(record.wire(), [22, 3, 1, 0, 2, 0xAA, 0xBB]);
+        assert_eq!(record.body(), [0xAA, 0xBB]);
+    }
+
+    #[test]
+    fn frame_plaintext_into_joins_parts_under_one_header() {
+        let mut out = vec![0xEE];
+        frame_plaintext_into(ContentType::MbtlsEncapsulated, &[&[7], b"abc"], &mut out);
+        assert_eq!(out, [0xEE, 30, 3, 3, 0, 4, 7, b'a', b'b', b'c']);
+        assert_eq!(out[1..], frame_plaintext(ContentType::MbtlsEncapsulated, &[7, b'a', b'b', b'c']));
     }
 
     #[test]
@@ -557,43 +501,35 @@ mod tests {
         let (mut tx, mut rx) = pair();
         // Verifier and opener must agree record-by-record: verify one,
         // open the next, with one shared sequence counter.
-        let w1 = tx.seal_record(ContentType::ApplicationData, b"first").unwrap();
-        let w2 = tx.seal_record(ContentType::ApplicationData, b"second!").unwrap();
+        let w1 = seal(&mut tx, APP, b"first");
+        let w2 = seal(&mut tx, APP, b"second!");
         let body1 = &w1[5..];
         let before = body1.to_vec();
-        assert_eq!(
-            rx.verify_record(ContentType::ApplicationData, body1).unwrap(),
-            5
-        );
+        assert_eq!(rx.verify_record(APP, body1).unwrap(), 5);
         assert_eq!(body1, before, "verify must leave the record untouched");
-        let mut body2 = w2[5..].to_vec();
-        assert_eq!(
-            rx.open_record_in_place(ContentType::ApplicationData, &mut body2)
-                .unwrap(),
-            b"second!"
-        );
+        assert_eq!(open(&mut rx, APP, &w2).unwrap(), b"second!");
         assert_eq!(rx.seq(), 2);
     }
 
     #[test]
     fn verify_record_rejects_tamper_replay_and_type_confusion() {
         let (mut tx, mut rx) = pair();
-        let wire = tx.seal_record(ContentType::ApplicationData, b"payload").unwrap();
+        let wire = seal(&mut tx, APP, b"payload");
         let body = &wire[5..];
         // Wrong claimed content type: AAD mismatch.
         assert!(rx.verify_record(ContentType::Handshake, body).is_err());
         // Tampered ciphertext.
         let mut bad = body.to_vec();
         bad[EXPLICIT_NONCE_LEN] ^= 1;
-        assert!(rx.verify_record(ContentType::ApplicationData, &bad).is_err());
+        assert!(rx.verify_record(APP, &bad).is_err());
         // Failed attempts must not advance the sequence number.
         assert_eq!(rx.seq(), 0);
-        assert!(rx.verify_record(ContentType::ApplicationData, body).is_ok());
+        assert!(rx.verify_record(APP, body).is_ok());
         // Replay: seq advanced, the same record no longer verifies.
-        assert!(rx.verify_record(ContentType::ApplicationData, body).is_err());
+        assert!(rx.verify_record(APP, body).is_err());
         // Short body.
         assert!(rx
-            .verify_record(ContentType::ApplicationData, &[0u8; EXPLICIT_NONCE_LEN + TAG_LEN - 1])
+            .verify_record(APP, &[0u8; EXPLICIT_NONCE_LEN + TAG_LEN - 1])
             .is_err());
     }
 
@@ -604,35 +540,25 @@ mod tests {
         // expects — the reseal-fallback invariant of the read-only
         // forward path.
         let (mut tx, mut rx) = pair();
-        let skipped = tx.seal_record(ContentType::ApplicationData, b"skipped").unwrap();
+        let skipped = seal(&mut tx, APP, b"skipped");
         let mut tx2 = DirectionState::new(BulkAlgorithm::Aes256Gcm, &[0x11u8; 32], &[0x22u8; 4], 0)
             .unwrap();
         tx2.advance_seq(); // forwarded the first record unchanged
-        let resealed = tx2.seal_record(ContentType::ApplicationData, b"resealed").unwrap();
-        assert_eq!(
-            rx.open_record(ContentType::ApplicationData, &skipped[5..]).unwrap(),
-            b"skipped"
-        );
-        assert_eq!(
-            rx.open_record(ContentType::ApplicationData, &resealed[5..]).unwrap(),
-            b"resealed"
-        );
+        let resealed = seal(&mut tx2, APP, b"resealed");
+        assert_eq!(open(&mut rx, APP, &skipped).unwrap(), b"skipped");
+        assert_eq!(open(&mut rx, APP, &resealed).unwrap(), b"resealed");
     }
 
     #[test]
     fn in_place_open_rejects_tamper_and_short_bodies() {
         let (mut tx, mut rx) = pair();
-        let wire = tx.seal_record(ContentType::ApplicationData, b"payload").unwrap();
+        let wire = seal(&mut tx, APP, b"payload");
         let mut body = wire[5..].to_vec();
         let n = body.len();
         body[n - 1] ^= 1;
-        assert!(rx
-            .open_record_in_place(ContentType::ApplicationData, &mut body)
-            .is_err());
+        assert!(rx.open_record_in_place(APP, &mut body).is_err());
         let mut short = vec![0u8; EXPLICIT_NONCE_LEN + TAG_LEN - 1];
-        assert!(rx
-            .open_record_in_place(ContentType::ApplicationData, &mut short)
-            .is_err());
+        assert!(rx.open_record_in_place(APP, &mut short).is_err());
     }
 
     #[test]
@@ -641,20 +567,19 @@ mod tests {
         // the consumed prefix must be reclaimed by later feeds.
         let mut stream = Vec::new();
         for i in 0..50u8 {
-            stream.extend_from_slice(&frame_plaintext(ContentType::ApplicationData, &[i; 32]));
+            stream.extend_from_slice(&frame_plaintext(APP, &[i; 32]));
         }
         let mut reader = RecordReader::new();
         reader.feed(&stream);
         for i in 0..50u8 {
-            let rec = reader.next_record().unwrap().unwrap();
-            assert_eq!(rec.body, vec![i; 32]);
+            assert_eq!(next(&mut reader), Some((23, vec![i; 32])));
         }
-        assert!(reader.next_record().unwrap().is_none());
+        assert!(next(&mut reader).is_none());
         assert_eq!(reader.buffered(), 0);
         // After full consumption a feed resets the buffer in place.
         reader.feed(&frame_plaintext(ContentType::Alert, b"zz"));
         assert_eq!(reader.buffered(), 7);
-        assert_eq!(reader.next_record().unwrap().unwrap().body, b"zz");
+        assert_eq!(next(&mut reader), Some((21, b"zz".to_vec())));
 
         // Partial-record boundary: consumed prefix + incomplete tail,
         // completed by a later feed (exercises the compaction memmove).
@@ -663,10 +588,10 @@ mod tests {
         let mut both = r1;
         both.extend_from_slice(&r2);
         reader.feed(&both[..both.len() - 10]);
-        assert_eq!(reader.next_record().unwrap().unwrap().body, vec![7; 200]);
-        assert!(reader.next_record().unwrap().is_none());
+        assert_eq!(next(&mut reader), Some((22, vec![7; 200])));
+        assert!(next(&mut reader).is_none());
         reader.feed(&both[both.len() - 10..]);
-        assert_eq!(reader.next_record().unwrap().unwrap().body, vec![8; 200]);
+        assert_eq!(next(&mut reader), Some((22, vec![8; 200])));
     }
 
     #[test]
@@ -689,14 +614,14 @@ mod tests {
         let mut bad = vec![23u8, 3, 3];
         bad.extend_from_slice(&(u16::MAX).to_be_bytes());
         reader.feed(&bad);
-        assert!(reader.next_record().is_err());
+        assert!(reader.next_record_inplace().is_err());
     }
 
     #[test]
     fn bad_version_rejected() {
         let mut reader = RecordReader::new();
         reader.feed(&[23, 9, 0, 0, 0]);
-        assert!(reader.next_record().is_err());
+        assert!(reader.next_record_inplace().is_err());
     }
 
     #[test]
@@ -706,13 +631,5 @@ mod tests {
         assert_eq!(frags.len(), 3);
         assert_eq!(frags[0].len(), MAX_FRAGMENT_LEN);
         assert_eq!(frags[2].len(), 5);
-    }
-
-    #[test]
-    fn peek_header_works() {
-        let rec = frame_plaintext(ContentType::Handshake, b"xyz");
-        assert_eq!(peek_header(&rec).unwrap(), Some((22, 3)));
-        assert_eq!(peek_header(&rec[..3]).unwrap(), None);
-        assert!(peek_header(&[22, 8, 8, 0, 0]).is_err());
     }
 }

@@ -218,14 +218,14 @@ impl ConnectionRole for ServerConnection {
     fn handle_handshake(
         &mut self,
         typ: u8,
-        body: Vec<u8>,
-        frame: Vec<u8>,
+        frame: &[u8],
         rng: &mut CryptoRng,
     ) -> Result<(), TlsError> {
+        let body = frame.get(4..).unwrap_or_default();
         match (self.phase, typ) {
             (Phase::AwaitClientHello, handshake_type::CLIENT_HELLO) => {
-                self.transcript.add(&frame);
-                let ch = ClientHello::decode_body(&body)?;
+                self.transcript.add(frame);
+                let ch = ClientHello::decode_body(body)?;
                 self.client_random = ch.random;
                 self.server_random = rng.gen_array();
                 self.client_offered_ticket_ext = ch
@@ -272,8 +272,8 @@ impl ConnectionRole for ServerConnection {
                 Ok(())
             }
             (Phase::AwaitClientKeyExchange, handshake_type::CLIENT_KEY_EXCHANGE) => {
-                self.transcript.add(&frame);
-                let cke = ClientKeyExchange::decode_body(&body)?;
+                self.transcript.add(frame);
+                let cke = ClientKeyExchange::decode_body(body)?;
                 let suite = self.suite.ok_or(TlsError::Internal("suite chosen"))?;
                 let pre_master = match self.kex.take() {
                     Some(KexSecret::Ecdhe(secret)) => {
@@ -310,7 +310,7 @@ impl ConnectionRole for ServerConnection {
                 Ok(())
             }
             (Phase::AwaitClientFinished, handshake_type::FINISHED) => {
-                self.verify_client_finished(&body, &frame)?;
+                self.verify_client_finished(body, frame)?;
                 // Send (optional ticket) + CCS + Finished.
                 if self.config.issue_tickets && self.client_offered_ticket_ext {
                     let ticket = self.issue_ticket(rng)?;
@@ -337,7 +337,7 @@ impl ConnectionRole for ServerConnection {
                 Ok(())
             }
             (Phase::AwaitClientFinishedResumed, handshake_type::FINISHED) => {
-                self.verify_client_finished(&body, &frame)?;
+                self.verify_client_finished(body, frame)?;
                 self.phase = Phase::Established;
                 Ok(())
             }

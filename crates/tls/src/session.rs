@@ -362,14 +362,14 @@ mod tests {
         let mut tx = keys.seal_client_to_server().unwrap();
         let mut rx = keys.open_client_to_server().unwrap();
         assert_eq!(tx.seq(), 5);
-        let wire = tx
-            .seal_record(crate::record::ContentType::ApplicationData, b"mid-session join")
+        let mut wire = Vec::new();
+        tx.seal_record_into(crate::record::ContentType::ApplicationData, b"mid-session join", &mut wire)
             .unwrap();
         let mut rr = crate::record::RecordReader::new();
         rr.feed(&wire);
-        let rec = rr.next_record().unwrap().unwrap();
+        let mut rec = rr.next_record_inplace().unwrap().unwrap();
         assert_eq!(
-            rx.open_record(crate::record::ContentType::ApplicationData, &rec.body)
+            rx.open_record_in_place(crate::record::ContentType::ApplicationData, rec.body())
                 .unwrap(),
             b"mid-session join"
         );
@@ -381,15 +381,16 @@ mod tests {
         assert_ne!(keys.client_write_key, keys.server_write_key);
         let mut c2s_tx = keys.seal_client_to_server().unwrap();
         let mut s2c_rx = keys.open_server_to_client().unwrap();
-        let wire = c2s_tx
-            .seal_record(crate::record::ContentType::ApplicationData, b"x")
+        let mut wire = Vec::new();
+        c2s_tx
+            .seal_record_into(crate::record::ContentType::ApplicationData, b"x", &mut wire)
             .unwrap();
         let mut rr = crate::record::RecordReader::new();
         rr.feed(&wire);
-        let rec = rr.next_record().unwrap().unwrap();
+        let mut rec = rr.next_record_inplace().unwrap().unwrap();
         // Opening client→server traffic with the server-write state fails.
         assert!(s2c_rx
-            .open_record(crate::record::ContentType::ApplicationData, &rec.body)
+            .open_record_in_place(crate::record::ContentType::ApplicationData, rec.body())
             .is_err());
     }
 

@@ -15,7 +15,9 @@ use mbtls_crypto::{ct, CryptoError};
 use crate::alert::{Alert, AlertDescription, AlertLevel};
 use crate::keyschedule;
 use crate::messages::{frame_handshake, handshake_type, HandshakeReader};
-use crate::record::{fragment, frame_plaintext, ContentType, DirectionState, RecordReader};
+use crate::record::{
+    fragment, frame_plaintext_into, ContentType, DirectionState, Record, RecordReader,
+};
 use crate::session::ConnectionSecrets;
 use crate::transcript::Transcript;
 use crate::TlsError;
@@ -59,12 +61,12 @@ pub(crate) trait ConnectionRole {
     /// opens its records from here on.
     fn peer_cipher(&mut self) -> Result<DirectionState, TlsError>;
 
-    /// One reassembled handshake message.
+    /// One reassembled handshake message: its type and whole frame
+    /// (the body follows the 4-byte header).
     fn handle_handshake(
         &mut self,
         typ: u8,
-        body: Vec<u8>,
-        frame: Vec<u8>,
+        frame: &[u8],
         rng: &mut CryptoRng,
     ) -> Result<(), TlsError>;
 
@@ -81,16 +83,14 @@ impl RecordShell {
                 .write_cipher
                 .as_mut()
                 .ok_or(TlsError::Internal("write cipher active but missing"))?;
-            let rec = cipher.seal_record(ContentType::ApplicationData, frag)?;
-            self.out.extend_from_slice(&rec);
+            cipher.seal_record_into(ContentType::ApplicationData, frag, &mut self.out)?;
         }
         Ok(())
     }
 
     /// Queue a plaintext-framed record.
     pub(crate) fn queue_plaintext(&mut self, content_type: ContentType, payload: &[u8]) {
-        self.out
-            .extend_from_slice(&frame_plaintext(content_type, payload));
+        frame_plaintext_into(content_type, &[payload], &mut self.out);
     }
 
     /// Queue this side's Finished (`label` over the transcript so
@@ -110,13 +110,10 @@ impl RecordShell {
         );
         let frame = frame_handshake(handshake_type::FINISHED, &vd);
         transcript.add(&frame);
-        let rec = self
-            .write_cipher
+        self.write_cipher
             .as_mut()
             .ok_or(TlsError::Internal("write cipher activated above"))?
-            .seal_record(ContentType::Handshake, &frame)?;
-        self.out.extend_from_slice(&rec);
-        Ok(())
+            .seal_record_into(ContentType::Handshake, &frame, &mut self.out)
     }
 
     fn handle_alert(&mut self, payload: &[u8]) -> Result<(), TlsError> {
@@ -166,17 +163,17 @@ pub(crate) fn feed<R: ConnectionRole>(
         return Err(e.clone());
     }
     conn.shell().record_reader.feed(data);
-    loop {
-        let step = match conn.shell().record_reader.next_record() {
-            Ok(Some(record)) => process_record(conn, record.content_type_byte, record.body, rng),
-            Ok(None) => return Ok(()),
-            Err(e) => Err(e),
-        };
-        if let Err(e) = step {
-            fail(conn, e.clone());
-            return Err(e);
-        }
+    // The reader moves aside so each record is opened where it sits in
+    // its buffer while the role and the shell's other fields take the
+    // result. It goes back on every path: a failed connection keeps
+    // whatever followed the record that failed it, unread.
+    let mut reader = std::mem::take(&mut conn.shell().record_reader);
+    let result = process_buffered(conn, &mut reader, rng);
+    conn.shell().record_reader = reader;
+    if let Err(e) = &result {
+        fail(conn, e.clone());
     }
+    result
 }
 
 /// Fail the connection (once): queue the fatal alert for `e` and
@@ -191,36 +188,49 @@ pub(crate) fn fail<R: ConnectionRole>(conn: &mut R, e: TlsError) {
     }
 }
 
-fn process_record<R: ConnectionRole>(
+/// Process every complete record `reader` holds.
+fn process_buffered<R: ConnectionRole>(
     conn: &mut R,
-    ct_byte: u8,
-    body: Vec<u8>,
+    reader: &mut RecordReader,
     rng: &mut CryptoRng,
 ) -> Result<(), TlsError> {
-    let known = ContentType::from_u8(ct_byte);
+    while let Some(record) = reader.next_record_inplace()? {
+        process_record(conn, record, rng)?;
+    }
+    Ok(())
+}
+
+fn process_record<R: ConnectionRole>(
+    conn: &mut R,
+    mut record: Record<'_>,
+    rng: &mut CryptoRng,
+) -> Result<(), TlsError> {
+    let known = record.content_type();
     let content_type = match known {
         Some(standard) if !standard.is_mbtls() => standard,
         _ => {
             conn.admit_nonstandard(known)?;
-            conn.shell().nonstandard_in.push((ct_byte, body));
+            let stored = (record.content_type_byte(), record.body().to_vec());
+            conn.shell().nonstandard_in.push(stored);
             return Ok(());
         }
     };
     let shell = conn.shell();
-    // Decrypt if the peer has activated its cipher.
-    let payload = if shell.peer_change_cipher_seen
+    // Decrypt, where the record sits, if the peer has activated its
+    // cipher.
+    let payload: &[u8] = if shell.peer_change_cipher_seen
         && content_type != ContentType::ChangeCipherSpec
     {
         shell
             .read_cipher
             .as_mut()
             .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?
-            .open_record(content_type, &body)?
+            .open_record_in_place(content_type, record.body())?
     } else {
-        body
+        record.body()
     };
     match content_type {
-        ContentType::Alert => shell.handle_alert(&payload),
+        ContentType::Alert => shell.handle_alert(payload),
         ContentType::ChangeCipherSpec => {
             if payload != [1] {
                 return Err(TlsError::Decode("bad ChangeCipherSpec"));
@@ -232,15 +242,15 @@ fn process_record<R: ConnectionRole>(
             Ok(())
         }
         ContentType::Handshake => {
-            shell.hs_reader.feed(&payload);
-            while let Some((typ, msg_body, frame)) = conn.shell().hs_reader.next_message()? {
-                conn.handle_handshake(typ, msg_body, frame, rng)?;
+            shell.hs_reader.feed(payload);
+            while let Some((typ, frame)) = conn.shell().hs_reader.next_message()? {
+                conn.handle_handshake(typ, &frame, rng)?;
             }
             Ok(())
         }
         ContentType::ApplicationData => {
             conn.admit_application_data()?;
-            conn.shell().plaintext_in.extend_from_slice(&payload);
+            conn.shell().plaintext_in.extend_from_slice(payload);
             Ok(())
         }
         _ => Err(TlsError::Internal("content type handled in an earlier match arm")),

@@ -69,30 +69,37 @@ proptest! {
     }
 
     /// The record reader reassembles any sequence of records from any
-    /// chunking, preserving payloads and types.
+    /// chunking, preserving payloads and types — and, header included,
+    /// every byte: the records' `wire()` views laid end to end are the
+    /// stream that was fed.
     #[test]
     fn record_reader_invariant(records in proptest::collection::vec(
                                    (20u8..33, proptest::collection::vec(any::<u8>(), 0..512)), 1..6),
+                               minor in 0u8..=4,
                                chunk in 1usize..128) {
         let mut stream = Vec::new();
         for (ct, payload) in &records {
-            // frame_plaintext requires a known ContentType; frame
-            // manually so unknown types are covered too.
+            // frame_plaintext requires a known ContentType and writes
+            // 3.3; frame manually so unknown types and the other 3.x
+            // versions are covered too.
             stream.push(*ct);
             stream.push(3);
-            stream.push(3);
+            stream.push(minor);
             stream.extend((payload.len() as u16).to_be_bytes());
             stream.extend(payload);
         }
         let mut reader = RecordReader::new();
         let mut got = Vec::new();
+        let mut rejoined = Vec::new();
         for piece in stream.chunks(chunk) {
             reader.feed(piece);
-            while let Some(rec) = reader.next_record().unwrap() {
-                got.push((rec.content_type_byte, rec.body));
+            while let Some(mut rec) = reader.next_record_inplace().unwrap() {
+                rejoined.extend_from_slice(rec.wire());
+                got.push((rec.content_type_byte(), rec.body().to_vec()));
             }
         }
         prop_assert_eq!(got, records);
+        prop_assert_eq!(rejoined, stream);
     }
 
     /// The handshake reader reassembles any sequence of handshake
@@ -109,8 +116,8 @@ proptest! {
         let mut got = Vec::new();
         for piece in stream.chunks(chunk) {
             reader.feed(piece);
-            while let Some((typ, body, _frame)) = reader.next_message().unwrap() {
-                got.push((typ, body));
+            while let Some((typ, frame)) = reader.next_message().unwrap() {
+                got.push((typ, frame[4..].to_vec()));
             }
         }
         prop_assert_eq!(got, messages);

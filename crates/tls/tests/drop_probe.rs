@@ -113,7 +113,7 @@ fn from_secrets_leaves_donor_key_block_droppable() {
     assert_eq!(keys.client_write_key.len(), 32);
     assert!(keys.client_write_key.iter().any(|&b| b != 0));
     let mut tx = keys.seal_client_to_server().expect("direction state");
-    tx.seal_record(mbtls_tls::ContentType::ApplicationData, b"probe")
+    tx.seal_record_into(mbtls_tls::ContentType::ApplicationData, b"probe", &mut Vec::new())
         .expect("sealing works with moved-out keys");
 }
 

@@ -7,7 +7,7 @@ use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
 use mbtls_pki::{KeyUsage, TrustStore};
 use mbtls_tls::config::{ClientConfig, ServerConfig};
-use mbtls_tls::record::{frame_plaintext, ContentType};
+use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
 use mbtls_tls::{ClientConnection, ServerConnection};
 use proptest::prelude::*;
 
@@ -124,4 +124,44 @@ fn failed_connection_stays_failed() {
     // An alert was queued for the peer.
     let out = server.take_outgoing();
     assert_eq!(out[0], 21, "fatal alert queued");
+}
+
+#[test]
+fn bad_tag_mid_flight_fails_at_that_record_and_stays_failed() {
+    // Three protected records in one feed, the second with a flipped
+    // tag byte: the shell opens records in its reader's buffer with the
+    // reader taken aside, so this is the state that must be left behind
+    // when the loop stops early.
+    let (cc, sc, mut rng) = fixture();
+    let mut client = ClientConnection::new(cc, "s", &mut rng);
+    let mut server = ServerConnection::new(sc);
+    for _ in 0..10 {
+        server.feed_incoming(&client.take_outgoing(), &mut rng).unwrap();
+        client.feed_incoming(&server.take_outgoing(), &mut rng).unwrap();
+    }
+    assert!(client.is_established() && server.is_established());
+
+    let mut records = [&b"one"[..], b"two", b"three"].map(|payload| {
+        client.send_data(payload).unwrap();
+        client.take_outgoing()
+    });
+    *records[1].last_mut().unwrap() ^= 1;
+
+    let error = server.feed_incoming(&records.concat(), &mut rng).unwrap_err();
+    assert!(server.is_failed());
+    // The record before the bad one was applied; nothing after it was.
+    assert_eq!(server.take_plaintext(), b"one");
+    // Exactly one fatal alert is queued.
+    let mut alerts = RecordReader::new();
+    alerts.feed(&server.take_outgoing());
+    assert_eq!(alerts.next_record_inplace().unwrap().unwrap().content_type_byte(), 21);
+    assert!(alerts.next_record_inplace().unwrap().is_none());
+    assert_eq!(alerts.buffered(), 0);
+    // Every later feed — empty, or the record that was never reached —
+    // returns the same error and interprets nothing.
+    for later in [&[][..], &records[2]] {
+        assert_eq!(server.feed_incoming(later, &mut rng), Err(error.clone()));
+        assert!(server.take_plaintext().is_empty());
+        assert!(server.take_outgoing().is_empty());
+    }
 }

@@ -6,6 +6,11 @@
 #               unsafe-confinement); JSON-lines report to
 #               target/lint-report.jsonl
 #   clippy      cargo clippy --workspace --all-targets -D warnings
+#   seam-build  cargo check of the repo benchmark's own package
+#               (benchmark/Cargo.toml, --offline, against ../crates/*):
+#               a reshaped public item that benchmark/src/seam.rs
+#               compiles against fails here, in seconds, not after the
+#               build, test and bench stages
 #   build       cargo build --release --workspace
 #   test        cargo test -q --workspace
 #   crypto-release  cargo test -q -p mbtls-crypto --release: the
@@ -16,10 +21,8 @@
 #   bench       scripts/bench_report.sh --smoke: every suite of the
 #               `report` binary at tiny budgets, each artifact
 #               checked against its schema and smoke-proof floors
-#   seam        benchmark/run.sh --smoke (builds the repo benchmark's
-#               own package --offline against ../crates/* first, so a
-#               change that reshapes a public seam it compiles against
-#               fails here, not in the driver)
+#   seam        benchmark/run.sh --smoke: the benchmark the driver
+#               gates on, built and run end to end at tiny budgets
 #
 # CI-equivalent; run before pushing.
 #
@@ -63,6 +66,7 @@ stage() {
 mkdir -p target
 stage lint      cargo run -q -p mbtls-lint --release -- "${LINT_ARGS[@]}"
 stage clippy    cargo clippy --workspace --all-targets -- -D warnings
+stage seam-build cargo check --offline --quiet --manifest-path benchmark/Cargo.toml
 stage build     cargo build --release --workspace
 stage test      cargo test -q --workspace
 stage crypto-release cargo test -q -p mbtls-crypto --release

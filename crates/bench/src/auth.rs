@@ -38,7 +38,7 @@ use mbtls_crypto::rng::CryptoRng;
 use mbtls_sgx::SgxCostModel;
 use mbtls_telemetry::json::Value;
 
-use crate::AllocCounter;
+use crate::{fnv1a, AllocCounter, FNV1A_BASIS};
 
 /// The modes the report compares, in output order.
 pub const MODES: [MiddleboxAuthMode; 3] = [
@@ -148,13 +148,6 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
     ))
 }
 
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(0x1000_0000_01B3);
-    }
-}
-
 /// One topology instance under `mode`: mbTLS endpoints plus either an
 /// mbTLS middlebox (attested / delegated) or a [`NaiveKeyShare`]
 /// relay (key-shared — no authorization handshake at all).
@@ -205,7 +198,7 @@ pub fn run_handshake_counted(
 ) -> Result<HandshakeRun, MbError> {
     let (mut client, mut mb, mut server) = build(tb, mode, seed);
     let mut bytes = 0u64;
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV1A_BASIS;
     let mut settled = 0;
     for _ in 0..200 {
         let b = client.take_outgoing();

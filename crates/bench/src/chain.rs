@@ -37,7 +37,7 @@ use mbtls_tls::record::ContentType;
 use mbtls_tls::suites::CipherSuite;
 
 use crate::report::{throughput_object, Throughput, RECORD_LEN};
-use crate::{allocs_per_op, AllocCounter};
+use crate::{allocs_per_op, fnv1a, AllocCounter, FNV1A_BASIS};
 
 /// The per-hop rows [`check`] requires.
 const PER_HOP_KEYS: [&str; 4] =
@@ -274,13 +274,6 @@ pub struct ChainRunResult {
     pub digest: u64,
 }
 
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(0x1000_0000_01B3);
-    }
-}
-
 /// A freshly handshaken mbTLS session with the given service functions
 /// on the path. `read_only_keys` distributes aliased (bridge) keys to
 /// every hop, as a client would for a declared-read-only path.
@@ -320,7 +313,7 @@ pub fn run_chain(
     let mut mix = RequestMix::new(seed);
     let mut server_rx = RequestParser::new();
     let mut client_rx = ResponseParser::new();
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV1A_BASIS;
     let mut app_bytes = 0usize;
     let t0 = Instant::now();
     for _ in 0..exchanges {
@@ -381,7 +374,7 @@ pub fn run_chain_sized(
     let testbed = Testbed::new(seed);
     let req = vec![0x42u8; 256];
     let resp: Vec<u8> = (0..response_len).map(|i| (i % 251) as u8).collect();
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV1A_BASIS;
     let mut app_bytes = 0usize;
     let t0 = Instant::now();
     for s in 0..sessions {

@@ -35,12 +35,11 @@ use mbtls_core::driver::Chain;
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::ed25519::{verify_batch, BatchItem, Signature, SigningKey, VerifyingKey};
 use mbtls_crypto::rng::CryptoRng;
-use mbtls_host::{Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, Shard, Workload};
-use mbtls_netsim::time::{Duration, SimTime};
+use mbtls_host::{LoadConfig, Workload};
+use mbtls_netsim::time::Duration;
 use mbtls_telemetry::json::Value;
-use mbtls_telemetry::merge_shard_traces;
 
-use crate::scale::trace_fingerprint;
+use crate::scale::{determinism_probe, drain_slice};
 use crate::AllocCounter;
 
 /// Shard counts for the storm curve (matches `scale.rs`).
@@ -104,7 +103,8 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
     let cpu = bench_handshake_cpu(cpu_iters, seed);
     eprintln!("storm curve n={storm_n} over shards {storm_curve:?}...");
     let storm = bench_storm_curve(storm_n, seed, storm_curve);
-    let (_, identical) = storm_determinism_probe(determinism_sessions, determinism_shards, seed);
+    let (_, identical) =
+        determinism_probe(&storm_load(determinism_sessions, seed, true), determinism_shards);
 
     let verify_rows = verify.iter().map(|row| {
         Value::object([
@@ -374,45 +374,11 @@ pub fn storm_load(sessions: usize, seed: u64, storm: bool) -> LoadConfig {
     }
 }
 
-/// Drain shard `k`'s residue-class slice of an `S`-shard storm (or
-/// baseline) fleet, returning `(wall, resumed, full)`.
-fn drain_storm_slice(
-    n: usize,
-    seed: u64,
-    k: u16,
-    shards: u16,
-    storm: bool,
-) -> (std::time::Duration, u64, u64) {
-    let config = HostConfig::builder().shards(1).build().expect("storm shard config is valid");
-    // Untimed warm-up, same rationale as `scale.rs`: every slice is
-    // measured from an equally warm process state.
-    {
-        let warm = storm_load(64.min(n), seed ^ 0x0D15_CA4D, storm);
-        let mut shard = Shard::new(k, NetSubstrate::new(seed ^ k as u64), config.clone());
-        let mut generator = LoadGenerator::slice(warm, k, shards);
-        generator
-            .drive(&mut shard, SimTime::ZERO.plus(Duration::from_secs(3_600)))
-            .expect("storm warm-up slice drains");
-    }
-    let mut shard = Shard::new(k, NetSubstrate::new(seed ^ k as u64), config);
-    let mut generator = LoadGenerator::slice(storm_load(n, seed, storm), k, shards);
-    let t0 = Instant::now();
-    generator
-        .drive(&mut shard, SimTime::ZERO.plus(Duration::from_secs(3_600)))
-        .expect("storm shard slice drains");
-    let wall = t0.elapsed();
-    let counters = shard.counters();
-    assert_eq!(
-        counters.completed(),
-        counters.opened(),
-        "every storm session must complete"
-    );
-    (wall, counters.handshakes_resumed(), counters.handshakes_full())
-}
-
 /// Measure the storm curve: at each shard count, the all-full
 /// baseline and the resumption storm under the max-shard-wall model.
 pub fn bench_storm_curve(n: usize, seed: u64, curve: &[u16]) -> Vec<StormRun> {
+    let baseline = |n, seed| storm_load(n, seed, false);
+    let storm = |n, seed| storm_load(n, seed, true);
     let mut runs = Vec::with_capacity(curve.len());
     for &shards in curve {
         let mut walls_full = Vec::with_capacity(shards as usize);
@@ -420,12 +386,12 @@ pub fn bench_storm_curve(n: usize, seed: u64, curve: &[u16]) -> Vec<StormRun> {
         let mut resumed = 0u64;
         let mut full = 0u64;
         for k in 0..shards {
-            let (wall, _, _) = drain_storm_slice(n, seed, k, shards, false);
+            let (wall, _) = drain_slice(baseline, n, seed, k, shards);
             walls_full.push(wall.as_secs_f64());
-            let (wall, res, f) = drain_storm_slice(n, seed, k, shards, true);
+            let (wall, counters) = drain_slice(storm, n, seed, k, shards);
             walls_storm.push(wall.as_secs_f64());
-            resumed += res;
-            full += f;
+            resumed += counters.handshakes_resumed();
+            full += counters.handshakes_full();
         }
         assert_eq!((resumed + full) as usize, n);
         let max_full = walls_full.iter().copied().fold(0.0, f64::max);
@@ -438,29 +404,6 @@ pub fn bench_storm_curve(n: usize, seed: u64, curve: &[u16]) -> Vec<StormRun> {
         });
     }
     runs
-}
-
-/// Replay one seeded storm fleet (batching enabled) twice through the
-/// sharded [`Host`] and check the merged traces are bit-identical and
-/// the merged counters equal.
-pub fn storm_determinism_probe(sessions: usize, shards: u16, seed: u64) -> (u64, bool) {
-    let run = || {
-        let config = HostConfig::builder()
-            .shards(shards as u32)
-            .build()
-            .expect("probe shard config is valid");
-        let mut host = Host::new(config, |k| NetSubstrate::new(seed ^ k as u64));
-        let recorders = host.record_telemetry();
-        let mut generator = LoadGenerator::new(storm_load(sessions, seed, true));
-        generator
-            .drive(&mut host, SimTime::ZERO.plus(Duration::from_secs(3_600)))
-            .expect("determinism storm drains");
-        let merged = merge_shard_traces(recorders.iter().map(|r| r.snapshot()).collect());
-        (trace_fingerprint(&merged), host.counters())
-    };
-    let (fingerprint_a, counters_a) = run();
-    let (fingerprint_b, counters_b) = run();
-    (fingerprint_a, fingerprint_a == fingerprint_b && counters_a == counters_b)
 }
 
 #[cfg(test)]
@@ -503,7 +446,7 @@ mod tests {
 
     #[test]
     fn storm_determinism_probe_is_identical() {
-        let (fingerprint, identical) = storm_determinism_probe(8, 2, 0x77);
+        let (fingerprint, identical) = determinism_probe(&storm_load(8, 0x77, true), 2);
         assert!(identical, "seeded storm replay must be bit-identical");
         assert_ne!(fingerprint, 0);
     }

@@ -91,6 +91,18 @@ pub fn allocs_per_op(count: AllocCounter, ops: u64, mut pump: impl FnMut(u64)) -
     (count() - before) as f64 / ops as f64
 }
 
+/// The offset basis [`fnv1a`] digests start from.
+pub(crate) const FNV1A_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Fold `bytes` into a running 64-bit FNV-1a `digest` — the suites'
+/// determinism fingerprint.
+pub(crate) fn fnv1a(digest: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *digest ^= b as u64;
+        *digest = digest.wrapping_mul(0x0100_0000_01B3);
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;

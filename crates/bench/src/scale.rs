@@ -31,13 +31,14 @@
 use std::time::Instant;
 
 use mbtls_host::{
-    Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, PipeSubstrate, Shard, Workload,
+    Host, HostConfig, HostCounters, LoadConfig, LoadGenerator, NetSubstrate, PipeSubstrate, Shard,
+    Workload,
 };
 use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_telemetry::json::Value;
 use mbtls_telemetry::{merge_shard_traces, to_json_line};
 
-use crate::{allocs_per_op, AllocCounter};
+use crate::{allocs_per_op, fnv1a, AllocCounter, FNV1A_BASIS};
 
 /// Every load run in this module serves the same per-session
 /// workload: `exchanges` request/response round trips, so one session
@@ -137,7 +138,8 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
             allocs_per_op(alloc_count, alloc_exchanges, |n| steady.pump_exchanges(n)) / 2.0
         })
         .collect();
-    let (_, identical) = determinism_probe(determinism_sessions, determinism_shards, seed);
+    let (_, identical) =
+        determinism_probe(&scale_load(determinism_sessions, seed), determinism_shards);
 
     let tiers = fleets.iter().map(|&n| {
         eprintln!("measuring fleet n={n} over shard curve {curve:?}...");
@@ -248,15 +250,16 @@ fn percentile_ms(sorted_ns: &[u64], p: usize) -> f64 {
 }
 
 /// Drain shard `k` of an `S`-shard deployment of the `n`-session
-/// fleet: a standalone [`Shard`] reactor over its own simulator,
-/// driven by the load generator's residue-class slice. Returns the
-/// shard's wall clock plus its counters for aggregation.
-fn drain_shard_slice(
+/// fleet `load(n, seed)`: a standalone [`Shard`] reactor over its own
+/// simulator, driven by the load generator's residue-class slice.
+/// Returns the shard's wall clock plus its counters for aggregation.
+pub(crate) fn drain_slice(
+    load: impl Fn(usize, u64) -> LoadConfig,
     n: usize,
     seed: u64,
     k: u16,
     shards: u16,
-) -> (std::time::Duration, u64, u64, u64, Vec<u64>) {
+) -> (std::time::Duration, HostCounters) {
     let config = HostConfig::builder()
         .shards(1)
         .build()
@@ -270,7 +273,7 @@ fn drain_shard_slice(
     // the architecture. A prior BENCH_scale.json 8-shard row showed
     // exactly that: [6010, 3421, 2947, …] decaying to a ~2950 plateau.
     {
-        let warm = scale_load(64.min(n), seed ^ 0x0D15_CA4D);
+        let warm = load(64.min(n), seed ^ 0x0D15_CA4D);
         let mut shard = Shard::new(k, NetSubstrate::new(seed ^ k as u64), config.clone());
         let mut generator = LoadGenerator::slice(warm, k, shards);
         generator
@@ -278,20 +281,15 @@ fn drain_shard_slice(
             .expect("warm-up slice drains");
     }
     let mut shard = Shard::new(k, NetSubstrate::new(seed ^ k as u64), config);
-    let mut generator = LoadGenerator::slice(scale_load(n, seed), k, shards);
+    let mut generator = LoadGenerator::slice(load(n, seed), k, shards);
     let t0 = Instant::now();
     generator
         .drive(&mut shard, SimTime::ZERO.plus(Duration::from_secs(3_600)))
-        .expect("scale shard slice drains");
+        .expect("shard slice drains");
     let wall = t0.elapsed();
-    let counters = shard.counters();
-    (
-        wall,
-        counters.completed(),
-        counters.exchanges_completed(),
-        counters.bytes_moved(),
-        counters.handshake_latencies_ns().to_vec(),
-    )
+    let counters = shard.counters().clone();
+    assert_eq!(counters.completed(), counters.opened(), "every session must complete");
+    (wall, counters)
 }
 
 /// Run one fleet of `n` sessions at every shard count of `curve`
@@ -309,12 +307,12 @@ pub fn bench_scale_point_over(n: usize, seed: u64, curve: &[u16]) -> ScalePoint 
         let mut bytes = 0u64;
         let mut curve_latencies: Vec<u64> = Vec::with_capacity(n);
         for k in 0..shards {
-            let (wall, done, ex, moved, lat) = drain_shard_slice(n, seed, k, shards);
+            let (wall, counters) = drain_slice(scale_load, n, seed, k, shards);
             walls.push(wall.as_secs_f64() * 1e3);
-            completed += done;
-            exchanges += ex;
-            bytes += moved;
-            curve_latencies.extend_from_slice(&lat);
+            completed += counters.completed();
+            exchanges += counters.exchanges_completed();
+            bytes += counters.bytes_moved();
+            curve_latencies.extend_from_slice(counters.handshake_latencies_ns());
         }
         assert_eq!(completed as usize, n, "every session must complete its workload");
         assert_eq!(curve_latencies.len(), n);
@@ -350,22 +348,20 @@ pub fn bench_scale_point_over(n: usize, seed: u64, curve: &[u16]) -> ScalePoint 
 
 /// FNV-1a over every telemetry event's JSON line — a trace
 /// fingerprint that is equal iff the traces are bit-identical.
-/// Shared with the handshake reporter's storm determinism probe.
-pub(crate) fn trace_fingerprint(events: &[mbtls_telemetry::Event]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+fn trace_fingerprint(events: &[mbtls_telemetry::Event]) -> u64 {
+    let mut hash = FNV1A_BASIS;
     for event in events {
-        for byte in to_json_line(event).bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        fnv1a(&mut hash, to_json_line(event).as_bytes());
     }
     hash
 }
 
-/// Replay one seeded multi-shard churn run twice and check that the
-/// merged telemetry traces are bit-identical and the merged counters
-/// equal. Returns the merged-trace fingerprint and the verdict.
-pub fn determinism_probe(sessions: usize, shards: u16, seed: u64) -> (u64, bool) {
+/// Replay the seeded fleet `load` twice through a `shards`-shard
+/// [`Host`] and check that the merged telemetry traces are
+/// bit-identical and the merged counters equal. Returns the
+/// merged-trace fingerprint and the verdict.
+pub fn determinism_probe(load: &LoadConfig, shards: u16) -> (u64, bool) {
+    let seed = load.seed;
     let run = || {
         let config = HostConfig::builder()
             .shards(shards as u32)
@@ -373,7 +369,7 @@ pub fn determinism_probe(sessions: usize, shards: u16, seed: u64) -> (u64, bool)
             .expect("probe shard config is valid");
         let mut host = Host::new(config, |k| NetSubstrate::new(seed ^ k as u64));
         let recorders = host.record_telemetry();
-        let mut generator = LoadGenerator::new(scale_load(sessions, seed));
+        let mut generator = LoadGenerator::new(load.clone());
         generator
             .drive(&mut host, SimTime::ZERO.plus(Duration::from_secs(3_600)))
             .expect("determinism fleet drains");
@@ -483,7 +479,7 @@ mod tests {
 
     #[test]
     fn determinism_probe_verdict_holds_multi_shard() {
-        let (fingerprint, identical) = determinism_probe(6, 2, 29);
+        let (fingerprint, identical) = determinism_probe(&scale_load(6, 29), 2);
         assert!(identical, "seeded sharded replay must be bit-identical");
         assert_ne!(fingerprint, 0);
     }

@@ -16,7 +16,7 @@ use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy};
 use mbtls_tls::messages::{extension_type, Extension};
 use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
-use mbtls_tls::{ClientConnection, TlsError};
+use mbtls_tls::{ClientConnection, ClientHandshake, TlsError};
 
 use crate::dataplane::{EndpointDataPlane, HopKeys};
 use crate::driver::PendingVerify;
@@ -231,7 +231,7 @@ pub struct ClientRole {
 }
 
 impl Role for ClientRole {
-    type Primary = ClientConnection;
+    type Handshake = ClientHandshake;
     const PARTY: Party = Party::Client;
 
     fn admission(&self) -> Admission<'_> {
@@ -346,14 +346,6 @@ impl Role for ClientRole {
             session.role.hello_reported = true;
             session.emit(EventKind::ClientHelloSent { bytes });
         }
-    }
-
-    fn resumption(session: &MbSession<Self>) -> Option<ResumptionData> {
-        session.primary.resumption_data()
-    }
-
-    fn resumed(session: &MbSession<Self>) -> bool {
-        session.primary.resumed()
     }
 
     fn take_pending_verifies(session: &mut MbSession<Self>, out: &mut Vec<PendingVerify>) {

@@ -13,7 +13,7 @@ use mbtls_pki::SignatureCheck;
 use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_netsim::FaultConfig;
 use mbtls_telemetry::{Event, EventKind, Party, SharedSink};
-use mbtls_tls::{ClientConnection, ServerConnection};
+use mbtls_tls::{ClientHandshake, Connection, Handshake, ServerHandshake};
 
 use crate::middlebox::Middlebox;
 use crate::session::{MbSession, Role};
@@ -77,8 +77,8 @@ pub trait Endpoint {
     }
 
     /// True if this endpoint's handshake was abbreviated (ticket or
-    /// session-id resumption) rather than full (client endpoints
-    /// only). The host splits its handshake counters on this.
+    /// session-id resumption) rather than full. The host splits its
+    /// handshake counters on the client's answer.
     fn resumed(&self) -> bool {
         false
     }
@@ -161,10 +161,10 @@ impl<R: Role> Endpoint for MbSession<R> {
         self.error()
     }
     fn resumption(&self) -> Option<mbtls_tls::session::ResumptionData> {
-        R::resumption(self)
+        self.primary.resumption_data()
     }
     fn resumed(&self) -> bool {
-        R::resumed(self)
+        MbSession::resumed(self)
     }
     fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
         R::take_pending_verifies(self, out)
@@ -174,25 +174,31 @@ impl<R: Role> Endpoint for MbSession<R> {
     }
 }
 
-/// A legacy (plain TLS 1.2) client endpoint.
-pub struct LegacyClient {
-    conn: ClientConnection,
+/// A legacy (plain TLS 1.2) endpoint in the TLS role `H`.
+pub struct Legacy<H: Handshake> {
+    conn: Connection<H>,
     rng: CryptoRng,
 }
 
-impl LegacyClient {
-    /// Wrap a TLS client connection.
-    pub fn new(conn: ClientConnection, rng: CryptoRng) -> Self {
-        LegacyClient { conn, rng }
+/// A legacy (plain TLS 1.2) client endpoint.
+pub type LegacyClient = Legacy<ClientHandshake>;
+
+/// A legacy (plain TLS 1.2) server endpoint.
+pub type LegacyServer = Legacy<ServerHandshake>;
+
+impl<H: Handshake> Legacy<H> {
+    /// Wrap a TLS connection.
+    pub fn new(conn: Connection<H>, rng: CryptoRng) -> Self {
+        Legacy { conn, rng }
     }
 
     /// Access the inner connection.
-    pub fn connection(&self) -> &ClientConnection {
+    pub fn connection(&self) -> &Connection<H> {
         &self.conn
     }
 }
 
-impl Endpoint for LegacyClient {
+impl<H: Handshake> Endpoint for Legacy<H> {
     fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
         self.conn
             .feed_incoming(data, &mut self.rng)
@@ -226,44 +232,6 @@ impl Endpoint for LegacyClient {
     }
     fn resolve_verify(&mut self, _token: u32, valid: bool) {
         self.conn.resolve_verify(valid);
-    }
-}
-
-/// A legacy (plain TLS 1.2) server endpoint.
-pub struct LegacyServer {
-    conn: ServerConnection,
-    rng: CryptoRng,
-}
-
-impl LegacyServer {
-    /// Wrap a TLS server connection.
-    pub fn new(conn: ServerConnection, rng: CryptoRng) -> Self {
-        LegacyServer { conn, rng }
-    }
-
-    /// Access the inner connection.
-    pub fn connection(&self) -> &ServerConnection {
-        &self.conn
-    }
-}
-
-impl Endpoint for LegacyServer {
-    fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.conn
-            .feed_incoming(data, &mut self.rng)
-            .map_err(MbError::Tls)
-    }
-    fn take(&mut self) -> Vec<u8> {
-        self.conn.take_outgoing()
-    }
-    fn ready(&self) -> bool {
-        self.conn.is_established()
-    }
-    fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.conn.send_data(data).map_err(MbError::Tls)
-    }
-    fn recv_app(&mut self) -> Vec<u8> {
-        self.conn.take_plaintext()
     }
 }
 

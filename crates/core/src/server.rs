@@ -15,7 +15,7 @@ use mbtls_pki::TrustStore;
 use mbtls_telemetry::{Party, SharedSink};
 use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy, ServerConfig};
 use mbtls_tls::record::ContentType;
-use mbtls_tls::{ClientConnection, ServerConnection, TlsError};
+use mbtls_tls::{ClientConnection, ServerConnection, ServerHandshake, TlsError};
 
 use crate::client::ApprovalPolicy;
 use crate::dataplane::{EndpointDataPlane, HopKeys};
@@ -136,7 +136,7 @@ pub struct ServerRole {
 }
 
 impl Role for ServerRole {
-    type Primary = ServerConnection;
+    type Handshake = ServerHandshake;
     const PARTY: Party = Party::Server;
 
     fn admission(&self) -> Admission<'_> {

@@ -13,7 +13,7 @@
 //! roles.
 //!
 //! The session is generic over the role (which names the primary
-//! connection type), so every call on the path from
+//! connection's TLS role), so every call on the path from
 //! [`MbSession::feed_incoming`] to the data plane's in-place open is
 //! statically dispatched and inlines exactly as the two hand-written
 //! copies did.
@@ -25,9 +25,8 @@ use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::alert::{Alert, AlertDescription};
 use mbtls_tls::record::{frame_plaintext, ContentType, Record, RecordReader};
-use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
-use mbtls_tls::{ClientConnection, ServerConnection, TlsError};
+use mbtls_tls::{ClientConnection, Connection, Handshake, TlsError};
 
 use crate::client::{ApprovalPolicy, MiddleboxInfo};
 use crate::dataplane::{fresh_hop_keys, EndpointDataPlane, HopKeys};
@@ -35,71 +34,10 @@ use crate::driver::PendingVerify;
 use crate::messages::{Encapsulated, KeyMaterial, SecondaryMessage};
 use crate::MbError;
 
-/// What the core needs of its primary connection.
-pub(crate) trait Primary {
-    /// Feed wire bytes.
-    fn feed_incoming(&mut self, data: &[u8], rng: &mut CryptoRng) -> Result<(), TlsError>;
-    /// Drain wire bytes.
-    fn take_outgoing(&mut self) -> Vec<u8>;
-    /// Drain records of non-TLS content types.
-    fn take_nonstandard_records(&mut self) -> Vec<(u8, Vec<u8>)>;
-    /// Handshake complete?
-    fn is_established(&self) -> bool;
-    /// The error that failed the connection, if any.
-    fn error(&self) -> Option<&TlsError>;
-    /// Was the handshake abbreviated?
-    fn resumed(&self) -> bool;
-    /// The negotiated suite, with the bridge-hop keys at their
-    /// current sequence numbers.
-    fn bridge(&self) -> Option<(CipherSuite, HopKeys)>;
-}
-
-impl Primary for ClientConnection {
-    fn feed_incoming(&mut self, data: &[u8], rng: &mut CryptoRng) -> Result<(), TlsError> {
-        ClientConnection::feed_incoming(self, data, rng)
-    }
-    fn take_outgoing(&mut self) -> Vec<u8> {
-        ClientConnection::take_outgoing(self)
-    }
-    fn take_nonstandard_records(&mut self) -> Vec<(u8, Vec<u8>)> {
-        ClientConnection::take_nonstandard_records(self)
-    }
-    fn is_established(&self) -> bool {
-        ClientConnection::is_established(self)
-    }
-    fn error(&self) -> Option<&TlsError> {
-        ClientConnection::error(self)
-    }
-    fn resumed(&self) -> bool {
-        ClientConnection::resumed(self)
-    }
-    fn bridge(&self) -> Option<(CipherSuite, HopKeys)> {
-        Some((self.secrets()?.suite, self.export_session_keys()?))
-    }
-}
-
-impl Primary for ServerConnection {
-    fn feed_incoming(&mut self, data: &[u8], rng: &mut CryptoRng) -> Result<(), TlsError> {
-        ServerConnection::feed_incoming(self, data, rng)
-    }
-    fn take_outgoing(&mut self) -> Vec<u8> {
-        ServerConnection::take_outgoing(self)
-    }
-    fn take_nonstandard_records(&mut self) -> Vec<(u8, Vec<u8>)> {
-        ServerConnection::take_nonstandard_records(self)
-    }
-    fn is_established(&self) -> bool {
-        ServerConnection::is_established(self)
-    }
-    fn error(&self) -> Option<&TlsError> {
-        ServerConnection::error(self)
-    }
-    fn resumed(&self) -> bool {
-        ServerConnection::resumed(self)
-    }
-    fn bridge(&self) -> Option<(CipherSuite, HopKeys)> {
-        Some((self.secrets()?.suite, self.export_session_keys()?))
-    }
+/// The negotiated suite, with the bridge-hop keys at their current
+/// sequence numbers.
+fn bridge<H: Handshake>(primary: &Connection<H>) -> Option<(CipherSuite, HopKeys)> {
+    Some((primary.secrets()?.suite, primary.export_session_keys()?))
 }
 
 /// How an endpoint verifies and approves its middleboxes, borrowed
@@ -130,8 +68,8 @@ impl ApprovalPolicy {
 /// an mbTLS session. Hooks take the whole session; the role's own
 /// state is `session.role`.
 pub(crate) trait Role: Sized {
-    /// The TLS connection type of the primary session.
-    type Primary: Primary;
+    /// The TLS role of the primary session.
+    type Handshake: Handshake;
     /// The party this end reports telemetry as.
     const PARTY: Party;
 
@@ -188,16 +126,6 @@ pub(crate) trait Role: Sized {
         Vec::new()
     }
 
-    /// [`crate::driver::Endpoint::resumption`] for this end.
-    fn resumption(_: &MbSession<Self>) -> Option<ResumptionData> {
-        None
-    }
-
-    /// [`crate::driver::Endpoint::resumed`] for this end.
-    fn resumed(_: &MbSession<Self>) -> bool {
-        false
-    }
-
     /// [`crate::driver::Endpoint::take_pending_verifies`] for this
     /// end.
     fn take_pending_verifies(_: &mut MbSession<Self>, _out: &mut Vec<PendingVerify>) {}
@@ -251,7 +179,7 @@ pub struct MbSession<R: Role> {
     pub(crate) role: R,
     pub(crate) rng: CryptoRng,
 
-    pub(crate) primary: R::Primary,
+    pub(crate) primary: Connection<R::Handshake>,
     pub(crate) secondaries: BTreeMap<u8, Secondary>,
     reader: RecordReader,
     out: Vec<u8>,
@@ -268,7 +196,7 @@ impl<R: Role> MbSession<R> {
     /// A session around `primary`, no middleboxes yet.
     pub(crate) fn around(
         role: R,
-        primary: R::Primary,
+        primary: Connection<R::Handshake>,
         rng: CryptoRng,
         telemetry: Option<SharedSink>,
     ) -> Self {
@@ -557,7 +485,7 @@ impl<R: Role> MbSession<R> {
     /// Generate per-hop keys, send KeyMaterial to each approved
     /// middlebox, and activate the data plane (paper Fig. 4).
     fn distribute_keys(&mut self) -> Result<(), MbError> {
-        let (suite, bridge) = self.primary.bridge().ok_or(MbError::NotReady)?;
+        let (suite, bridge) = bridge(&self.primary).ok_or(MbError::NotReady)?;
 
         let mut order: Vec<u8> = self
             .secondaries

@@ -1,7 +1,8 @@
-//! The sticky-error contract, stated once for all three parties: after
-//! a feed fails, every later feed returns the same error, `failed()`
-//! reports it, and the party produces nothing further — no wire bytes
-//! on any side, no application data.
+//! The sticky-error contract, stated once for all three mbTLS parties
+//! and both plain-TLS endpoints: after a feed fails, every later feed
+//! returns the same error, `failed()` reports it, and the party
+//! produces nothing further — no wire bytes on any side, no
+//! application data.
 //!
 //! Every row of the table runs through the same helper, whichever
 //! party it poisons and whatever it poisons it with.
@@ -10,13 +11,14 @@ use std::sync::Arc;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
-use mbtls_core::driver::{Chain, Endpoint, Relay};
+use mbtls_core::driver::{Chain, Endpoint, LegacyClient, LegacyServer, Relay};
 use mbtls_core::messages::Encapsulated;
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_tls::record::{frame_plaintext, ContentType};
+use mbtls_tls::{ClientConnection, ServerConnection};
 
 /// Which party is poisoned, and (for the middlebox) from which side.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,6 +36,9 @@ enum Setup {
     HelloOnly,
     /// Handshake complete, keys distributed, data plane active.
     Established,
+    /// Plain TLS 1.2, established: `LegacyClient` ↔ `LegacyServer`
+    /// with no middlebox between them.
+    PlainTls,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -68,21 +73,37 @@ const TABLE: &[(Victim, Setup, Poison)] = &[
     (Victim::MiddleboxFromServer, Setup::Established, Poison::OversizedRecord),
     (Victim::MiddleboxFromServer, Setup::Established, Poison::BadTag),
     (Victim::MiddleboxFromClient, Setup::Established, Poison::BadTagMidFeed),
+    (Victim::Client, Setup::PlainTls, Poison::OversizedRecord),
+    (Victim::Client, Setup::PlainTls, Poison::BadTag),
+    (Victim::Server, Setup::PlainTls, Poison::OversizedRecord),
+    (Victim::Server, Setup::PlainTls, Poison::BadTag),
 ];
 
 fn chain(seed: u64, setup: Setup) -> Chain {
     let tb = Testbed::new(seed);
     let mut rng = CryptoRng::from_seed(seed ^ 0x57);
-    let client = MbClientSession::new(Arc::new(tb.client_config()), "server.example", rng.fork());
-    let server = MbServerSession::new(Arc::new(tb.server_config()), rng.fork());
-    let mbox = Middlebox::new(tb.middlebox_config(&tb.mbox_code), rng.fork());
-    let mut chain = Chain::new(Box::new(client), vec![Box::new(mbox)], Box::new(server));
+    let mut chain = if let Setup::PlainTls = setup {
+        let client_tls = Arc::new(tb.client_config().tls);
+        let client = ClientConnection::new(client_tls, "server.example", &mut rng);
+        let server = ServerConnection::new(Arc::new(tb.server_config().tls));
+        Chain::new(
+            Box::new(LegacyClient::new(client, rng.fork())),
+            vec![],
+            Box::new(LegacyServer::new(server, rng.fork())),
+        )
+    } else {
+        let client =
+            MbClientSession::new(Arc::new(tb.client_config()), "server.example", rng.fork());
+        let server = MbServerSession::new(Arc::new(tb.server_config()), rng.fork());
+        let mbox = Middlebox::new(tb.middlebox_config(&tb.mbox_code), rng.fork());
+        Chain::new(Box::new(client), vec![Box::new(mbox)], Box::new(server))
+    };
     match setup {
         Setup::HelloOnly => {
             let hello = chain.client.take();
             chain.middles[0].feed_left(&hello).expect("ClientHello");
         }
-        Setup::Established => chain.run_handshake().expect("handshake"),
+        Setup::Established | Setup::PlainTls => chain.run_handshake().expect("handshake"),
     }
     chain
 }
@@ -131,8 +152,9 @@ fn next_valid_record(chain: &mut Chain, victim: Victim) -> Vec<u8> {
         Victim::Client => {
             chain.server.send_app(b"late").expect("send");
             let b = chain.server.take();
-            chain.middles[0].feed_right(&b).expect("healthy middlebox");
-            chain.middles[0].take_left()
+            let Some(mbox) = chain.middles.first_mut() else { return b };
+            mbox.feed_right(&b).expect("healthy middlebox");
+            mbox.take_left()
         }
         Victim::MiddleboxFromClient => {
             chain.client.send_app(b"late").expect("send");
@@ -145,8 +167,9 @@ fn next_valid_record(chain: &mut Chain, victim: Victim) -> Vec<u8> {
         Victim::Server => {
             chain.client.send_app(b"late").expect("send");
             let b = chain.client.take();
-            chain.middles[0].feed_left(&b).expect("healthy middlebox");
-            chain.middles[0].take_right()
+            let Some(mbox) = chain.middles.first_mut() else { return b };
+            mbox.feed_left(&b).expect("healthy middlebox");
+            mbox.take_right()
         }
     }
 }

@@ -32,11 +32,6 @@ impl BulkAlgorithm {
             BulkAlgorithm::Aes256Gcm => 32,
         }
     }
-
-    /// Implicit IV length in bytes (same for both GCM variants).
-    pub fn fixed_iv_len(self) -> usize {
-        FIXED_IV_LEN
-    }
 }
 
 /// One direction of record protection: an AEAD key plus its implicit

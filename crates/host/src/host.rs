@@ -264,11 +264,6 @@ impl<S: Substrate> Host<S> {
         HostCounters::merge(&per_shard)
     }
 
-    /// One shard's statistics.
-    pub fn shard_counters(&self, shard: u16) -> &HostCounters {
-        self.shards[shard as usize].counters()
-    }
-
     /// Finished-session outcomes, shard by shard in shard order
     /// (each shard's slice in its own finish order).
     pub fn take_results(&mut self) -> Vec<(SessionId, SessionOutcome)> {

@@ -171,11 +171,6 @@ impl<S: Substrate> Shard<S> {
         self.tickets.len()
     }
 
-    /// Delivery-ring statistics: `(events routed, peak occupancy)`.
-    pub fn delivery_ring_stats(&self) -> (u64, usize) {
-        (self.delivery.pushed(), self.delivery.high_water())
-    }
-
     /// The substrate (e.g. for adversary hooks in tests).
     pub fn substrate_mut(&mut self) -> &mut S {
         &mut self.substrate

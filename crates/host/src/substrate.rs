@@ -94,11 +94,6 @@ impl NetSubstrate {
     pub fn new(seed: u64) -> Self {
         NetSubstrate { net: Network::new(seed), sessions: Vec::new(), conn_owner: Vec::new() }
     }
-
-    /// The underlying network (e.g. for adversary hooks in tests).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
 }
 
 impl Substrate for NetSubstrate {

@@ -6,7 +6,7 @@
 //! format from [`crate::wire`] — see DESIGN.md for why this stands in
 //! for X.509.
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{CodecError, Decoder, Encoder};
 use mbtls_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use mbtls_crypto::rng::CryptoRng;
 
@@ -30,12 +30,12 @@ impl KeyUsage {
         }
     }
 
-    fn from_u8(v: u8) -> Result<Self, WireError> {
+    fn from_u8(v: u8) -> Result<Self, CodecError> {
         match v {
             0 => Ok(KeyUsage::Endpoint),
             1 => Ok(KeyUsage::Middlebox),
             2 => Ok(KeyUsage::CertSign),
-            _ => Err(WireError::Malformed),
+            _ => Err(CodecError::Malformed),
         }
     }
 }
@@ -67,7 +67,7 @@ pub struct CertificatePayload {
 impl CertificatePayload {
     /// Serialize the to-be-signed bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Encoder::new();
         w.u64(self.serial);
         w.string(&self.subject);
         w.u8(self.alt_names.len() as u8);
@@ -83,7 +83,7 @@ impl CertificatePayload {
         w.into_bytes()
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let serial = r.u64()?;
         let subject = r.string()?;
         let n_alt = r.u8()? as usize;
@@ -94,12 +94,11 @@ impl CertificatePayload {
         let issuer = r.string()?;
         let not_before = r.u64()?;
         let not_after = r.u64()?;
-        let pk_bytes: [u8; 32] = r.take(32)?.try_into().unwrap();
-        let public_key = VerifyingKey(pk_bytes);
+        let public_key = VerifyingKey(r.take_array()?);
         let is_ca = match r.u8()? {
             0 => false,
             1 => true,
-            _ => return Err(WireError::Malformed),
+            _ => return Err(CodecError::Malformed),
         };
         let usage = KeyUsage::from_u8(r.u8()?)?;
         Ok(CertificatePayload {
@@ -146,31 +145,30 @@ pub struct Certificate {
 impl Certificate {
     /// Serialize payload + signature.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Encoder::new();
         let payload = self.payload.encode();
-        w.bytes16(&payload);
+        w.vec16(&payload);
         w.raw(&self.signature.0);
         w.into_bytes()
     }
 
     /// Parse payload + signature. Does *not* verify the signature.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Decoder::new(bytes);
         let cert = Self::decode_from(&mut r)?;
         r.expect_end()?;
         Ok(cert)
     }
 
     /// Parse from a reader positioned at a certificate (for chains).
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let payload_bytes = r.bytes16()?;
-        let mut pr = Reader::new(payload_bytes);
+    pub fn decode_from(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let payload_bytes = r.vec16()?;
+        let mut pr = Decoder::new(payload_bytes);
         let payload = CertificatePayload::decode(&mut pr)?;
         pr.expect_end()?;
-        let sig_bytes: [u8; 64] = r.take(64)?.try_into().unwrap();
         Ok(Certificate {
             payload,
-            signature: Signature(sig_bytes),
+            signature: Signature(r.take_array()?),
         })
     }
 
@@ -189,22 +187,22 @@ impl Certificate {
 
 /// Serialize a leaf-first chain.
 pub fn encode_chain(chain: &[Certificate]) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Encoder::new();
     w.u8(chain.len() as u8);
     for cert in chain {
         let enc = cert.encode();
-        w.bytes16(&enc);
+        w.vec16(&enc);
     }
     w.into_bytes()
 }
 
 /// Parse a leaf-first chain.
-pub fn decode_chain(bytes: &[u8]) -> Result<Vec<Certificate>, WireError> {
-    let mut r = Reader::new(bytes);
+pub fn decode_chain(bytes: &[u8]) -> Result<Vec<Certificate>, CodecError> {
+    let mut r = Decoder::new(bytes);
     let n = r.u8()? as usize;
     let mut chain = Vec::with_capacity(n);
     for _ in 0..n {
-        let cert_bytes = r.bytes16()?;
+        let cert_bytes = r.vec16()?;
         chain.push(Certificate::decode(cert_bytes)?);
     }
     r.expect_end()?;

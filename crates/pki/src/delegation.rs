@@ -25,7 +25,7 @@ use mbtls_crypto::rng::CryptoRng;
 
 use crate::cert::{Certificate, KeyUsage};
 use crate::verify::{CertError, SignatureCheck, TrustStore};
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{CodecError, Decoder, Encoder};
 
 /// The only credential version this module issues or accepts.
 pub const CREDENTIAL_VERSION: u8 = 1;
@@ -129,7 +129,7 @@ pub enum CredentialError {
     /// inline) failed.
     BadSignature,
     /// The credential bytes did not parse.
-    Wire(WireError),
+    Wire(CodecError),
     /// The issuer's certificate chain was rejected.
     Chain(CertError),
 }
@@ -157,8 +157,8 @@ impl fmt::Display for CredentialError {
 
 impl std::error::Error for CredentialError {}
 
-impl From<WireError> for CredentialError {
-    fn from(e: WireError) -> Self {
+impl From<CodecError> for CredentialError {
+    fn from(e: CodecError) -> Self {
         CredentialError::Wire(e)
     }
 }
@@ -203,7 +203,7 @@ pub struct DelegatedCredential {
 }
 
 impl DelegatedCredential {
-    fn write_signed_fields(&self, w: &mut Writer) {
+    fn write_signed_fields(&self, w: &mut Encoder) {
         w.string(&self.subject);
         w.string(&self.issuer);
         w.raw(&self.middlebox_key.0);
@@ -217,7 +217,7 @@ impl DelegatedCredential {
     /// The domain-separated bytes the issuer signs: context prefix,
     /// version, then every field except the signature.
     pub fn signed_transcript(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Encoder::new();
         w.raw(CONTEXT_V1);
         w.u8(self.version);
         self.write_signed_fields(&mut w);
@@ -226,7 +226,7 @@ impl DelegatedCredential {
 
     /// Wire encoding (version, fields, signature).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Encoder::new();
         w.u8(self.version);
         self.write_signed_fields(&mut w);
         w.raw(&self.signature.0);
@@ -236,23 +236,20 @@ impl DelegatedCredential {
     /// Parse a wire encoding. Rejects unknown versions, truncated
     /// input, and trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, CredentialError> {
-        let mut r = Reader::new(bytes);
+        let mut r = Decoder::new(bytes);
         let version = r.u8()?;
         if version != CREDENTIAL_VERSION {
             return Err(CredentialError::BadVersion(version));
         }
         let subject = r.string()?;
         let issuer = r.string()?;
-        let mut key = [0u8; 32];
-        key.copy_from_slice(r.take(32)?);
+        let key = r.take_array()?;
         let not_before = r.u64()?;
         let not_after = r.u64()?;
-        let role = DelegatedRole::from_u8(r.u8()?).ok_or(WireError::Malformed)?;
-        let direction = DelegatedDirection::from_u8(r.u8()?).ok_or(WireError::Malformed)?;
-        let mut session_nonce = [0u8; 32];
-        session_nonce.copy_from_slice(r.take(32)?);
-        let mut sig = [0u8; 64];
-        sig.copy_from_slice(r.take(64)?);
+        let role = DelegatedRole::from_u8(r.u8()?).ok_or(CodecError::Malformed)?;
+        let direction = DelegatedDirection::from_u8(r.u8()?).ok_or(CodecError::Malformed)?;
+        let session_nonce = r.take_array()?;
+        let sig = r.take_array()?;
         r.expect_end()?;
         Ok(DelegatedCredential {
             version,
@@ -585,7 +582,7 @@ mod tests {
         overlong.push(0);
         assert_eq!(
             DelegatedCredential::decode(&overlong),
-            Err(CredentialError::Wire(WireError::TrailingBytes))
+            Err(CredentialError::Wire(CodecError::TrailingBytes))
         );
     }
 
@@ -602,7 +599,7 @@ mod tests {
         bytes[role_at] = 9;
         assert_eq!(
             DelegatedCredential::decode(&bytes),
-            Err(CredentialError::Wire(WireError::Malformed))
+            Err(CredentialError::Wire(CodecError::Malformed))
         );
     }
 

@@ -126,11 +126,6 @@ impl TrustStore {
         self.revocation = rl;
     }
 
-    /// Number of trusted roots.
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
-    }
-
     /// Verify a leaf-first chain for `expected_name` at time `now`,
     /// requiring the leaf's usage to be `usage` (or pass `None` to
     /// accept any usage).

@@ -1,155 +1,210 @@
-//! Tiny length-prefixed wire codec used by the certificate format.
+//! The workspace's wire codec: big-endian integers (including the
+//! 24-bit lengths TLS handshake messages use) and length-prefixed
+//! vectors with u8, u16 or u24 prefixes, following RFC 5246
+//! presentation-language conventions. Certificates, delegated
+//! credentials, TLS handshake messages and mbTLS records are all
+//! written with it (`mbtls_tls::codec` re-exports these names).
 //!
-//! All integers are big-endian; variable-length fields carry a u16
-//! length prefix. Decoding is strict: trailing bytes, truncated
-//! fields, and oversized lengths are errors — certificates cross trust
-//! boundaries, so the parser must be total.
+//! Decoding is strict: trailing bytes, truncated fields and oversized
+//! lengths are errors — everything decoded here crosses a trust
+//! boundary, so the parser must be total.
 
-/// Errors from decoding.
+/// Decoding failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// Input ended before the field did.
+pub enum CodecError {
+    /// Input ran out mid-field.
     Truncated,
-    /// Bytes remained after the outermost structure.
+    /// Trailing bytes after a complete structure.
     TrailingBytes,
-    /// A field violated a structural bound (e.g. string too long).
+    /// A value violated a structural constraint.
     Malformed,
 }
 
-impl std::fmt::Display for WireError {
+impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "truncated input"),
-            WireError::TrailingBytes => write!(f, "trailing bytes after structure"),
-            WireError::Malformed => write!(f, "malformed field"),
-        }
+        let s = match self {
+            CodecError::Truncated => "truncated",
+            CodecError::TrailingBytes => "trailing bytes",
+            CodecError::Malformed => "malformed",
+        };
+        write!(f, "{s}")
     }
 }
 
-impl std::error::Error for WireError {}
+impl std::error::Error for CodecError {}
 
-/// Append-only encoder.
+/// Encoder.
 #[derive(Default)]
-pub struct Writer {
+pub struct Encoder {
     buf: Vec<u8>,
 }
 
-impl Writer {
-    /// Fresh empty writer.
+impl Encoder {
+    /// Fresh encoder.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Finish, returning the encoded bytes.
+    /// Finish.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Write a single byte.
+    /// One byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Write a big-endian u16.
+    /// Big-endian u16.
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Write a big-endian u32.
+    /// Big-endian 24-bit integer. Panics if it does not fit (encoding
+    /// bug, not input-dependent).
+    pub fn u24(&mut self, v: usize) {
+        assert!(v < (1 << 24), "u24 overflow");
+        self.buf.push((v >> 16) as u8);
+        self.buf.push((v >> 8) as u8);
+        self.buf.push(v as u8);
+    }
+
+    /// Big-endian u32.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Write a big-endian u64.
+    /// Big-endian u64.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Write raw bytes with no length prefix.
+    /// Raw bytes.
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
-    /// Write a u16-length-prefixed byte string. Panics if longer than
-    /// 65535 bytes (a static encoding-size bug, not input-dependent).
-    pub fn bytes16(&mut self, v: &[u8]) {
-        assert!(v.len() <= u16::MAX as usize, "field too long for u16 prefix");
+    /// u8-length-prefixed vector.
+    pub fn vec8(&mut self, v: &[u8]) {
+        assert!(v.len() <= u8::MAX as usize);
+        self.u8(v.len() as u8);
+        self.raw(v);
+    }
+
+    /// u16-length-prefixed vector.
+    pub fn vec16(&mut self, v: &[u8]) {
+        assert!(v.len() <= u16::MAX as usize);
         self.u16(v.len() as u16);
         self.raw(v);
     }
 
-    /// Write a u16-length-prefixed UTF-8 string.
+    /// u24-length-prefixed vector.
+    pub fn vec24(&mut self, v: &[u8]) {
+        self.u24(v.len());
+        self.raw(v);
+    }
+
+    /// u16-length-prefixed UTF-8 string.
     pub fn string(&mut self, s: &str) {
-        self.bytes16(s.as_bytes());
+        self.vec16(s.as_bytes());
     }
 }
 
-/// Strict, cursor-based decoder.
-pub struct Reader<'a> {
+/// Decoder over a borrowed slice.
+pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    /// Wrap a byte slice.
+impl<'a> Decoder<'a> {
+    /// Wrap a slice.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Decoder { buf, pos: 0 }
     }
 
-    /// Bytes not yet consumed.
+    /// Unconsumed byte count.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// Error unless all input was consumed.
-    pub fn expect_end(&self) -> Result<(), WireError> {
+    /// Error unless fully consumed.
+    pub fn expect_end(&self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(WireError::TrailingBytes)
+            Err(CodecError::TrailingBytes)
         }
     }
 
     /// Take `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
+        let out = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
+        self.pos = end;
         Ok(out)
     }
 
-    /// Read a byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    /// Take exactly `N` bytes as a fixed array.
+    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let b = self.take(N)?;
+        b.try_into().map_err(|_| CodecError::Truncated)
     }
 
-    /// Read a big-endian u16.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+    /// Remaining bytes, consuming them.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let out = self.buf.get(self.pos..).unwrap_or(&[]);
+        self.pos = self.buf.len();
+        out
     }
 
-    /// Read a big-endian u32.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take_array::<1>()?[0])
     }
 
-    /// Read a big-endian u64.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+    /// Big-endian u16.
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        Ok(u16::from_be_bytes(self.take_array()?))
     }
 
-    /// Read a u16-length-prefixed byte string.
-    pub fn bytes16(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u16()? as usize;
-        self.take(len)
+    /// Big-endian 24-bit integer.
+    pub fn u24(&mut self) -> Result<usize, CodecError> {
+        let b = self.take_array::<3>()?;
+        Ok(usize::from(b[0]) << 16 | usize::from(b[1]) << 8 | usize::from(b[2]))
     }
 
-    /// Read a u16-length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, WireError> {
-        let raw = self.bytes16()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed)
+    /// Big-endian u32.
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_be_bytes(self.take_array()?))
+    }
+
+    /// Big-endian u64.
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_be_bytes(self.take_array()?))
+    }
+
+    /// u8-length-prefixed vector.
+    pub fn vec8(&mut self) -> Result<&'a [u8], CodecError> {
+        let n = self.u8()? as usize;
+        self.take(n)
+    }
+
+    /// u16-length-prefixed vector.
+    pub fn vec16(&mut self) -> Result<&'a [u8], CodecError> {
+        let n = self.u16()? as usize;
+        self.take(n)
+    }
+
+    /// u24-length-prefixed vector.
+    pub fn vec24(&mut self) -> Result<&'a [u8], CodecError> {
+        let n = self.u24()?;
+        self.take(n)
+    }
+
+    /// u16-length-prefixed UTF-8 string.
+    pub fn string(&mut self) -> Result<String, CodecError> {
+        let raw = self.vec16()?;
+        String::from_utf8(raw.to_vec()).map_err(|_| CodecError::Malformed)
     }
 }
 
@@ -159,56 +214,56 @@ mod tests {
 
     #[test]
     fn roundtrip_all_types() {
-        let mut w = Writer::new();
+        let mut w = Encoder::new();
         w.u8(7);
         w.u16(0x1234);
         w.u32(0xdeadbeef);
         w.u64(0x0123456789abcdef);
-        w.bytes16(b"hello");
+        w.vec16(b"hello");
         w.string("world");
         let bytes = w.into_bytes();
 
-        let mut r = Reader::new(&bytes);
+        let mut r = Decoder::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 0x1234);
         assert_eq!(r.u32().unwrap(), 0xdeadbeef);
         assert_eq!(r.u64().unwrap(), 0x0123456789abcdef);
-        assert_eq!(r.bytes16().unwrap(), b"hello");
+        assert_eq!(r.vec16().unwrap(), b"hello");
         assert_eq!(r.string().unwrap(), "world");
         assert!(r.expect_end().is_ok());
     }
 
     #[test]
     fn truncation_detected() {
-        let mut w = Writer::new();
-        w.bytes16(b"abc");
+        let mut w = Encoder::new();
+        w.vec16(b"abc");
         let mut bytes = w.into_bytes();
         bytes.pop();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.bytes16(), Err(WireError::Truncated));
+        let mut r = Decoder::new(&bytes);
+        assert_eq!(r.vec16(), Err(CodecError::Truncated));
     }
 
     #[test]
     fn trailing_bytes_detected() {
-        let mut r = Reader::new(&[1, 2]);
+        let mut r = Decoder::new(&[1, 2]);
         r.u8().unwrap();
-        assert_eq!(r.expect_end(), Err(WireError::TrailingBytes));
+        assert_eq!(r.expect_end(), Err(CodecError::TrailingBytes));
     }
 
     #[test]
     fn invalid_utf8_rejected() {
-        let mut w = Writer::new();
-        w.bytes16(&[0xff, 0xfe]);
+        let mut w = Encoder::new();
+        w.vec16(&[0xff, 0xfe]);
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.string(), Err(WireError::Malformed));
+        let mut r = Decoder::new(&bytes);
+        assert_eq!(r.string(), Err(CodecError::Malformed));
     }
 
     #[test]
     fn empty_read_fails_cleanly() {
-        let mut r = Reader::new(&[]);
-        assert_eq!(r.u8(), Err(WireError::Truncated));
-        assert_eq!(r.u64(), Err(WireError::Truncated));
+        let mut r = Decoder::new(&[]);
+        assert_eq!(r.u8(), Err(CodecError::Truncated));
+        assert_eq!(r.u64(), Err(CodecError::Truncated));
         assert!(r.expect_end().is_ok());
     }
 }

@@ -18,11 +18,10 @@ use crate::messages::{
     ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
     ServerKeyExchange, ServerKeyExchangeParams, SgxAttestationMsg,
 };
-use crate::record::{ContentType, DirectionState};
-use crate::session::{ConnectionSecrets, ResumptionData, SessionKeys};
-use crate::shell::{self, ConnectionRole, RecordShell};
+use crate::record::ContentType;
+use crate::session::ResumptionData;
+use crate::shell::{Connection, Flow, Handshake, Hooks};
 use crate::suites::{CipherSuite, KeyExchange};
-use crate::transcript::Transcript;
 use crate::TlsError;
 
 /// Client handshake phase.
@@ -38,24 +37,17 @@ enum Phase {
     AwaitServerFinishedResumed,
     /// Handshake complete.
     Established,
-    /// Fatal error occurred.
-    Failed,
 }
 
 /// A sans-IO TLS 1.2 client connection.
-pub struct ClientConnection {
+pub type ClientConnection = Connection<ClientHandshake>;
+
+/// What makes a [`Connection`] the client: its handshake state.
+pub struct ClientHandshake {
     config: Arc<ClientConfig>,
     server_name: String,
     phase: Phase,
-    shell: RecordShell,
-
-    transcript: Transcript,
     hello: ClientHello,
-    client_random: [u8; 32],
-    server_random: [u8; 32],
-
-    suite: Option<CipherSuite>,
-    secrets: Option<ConnectionSecrets>,
 
     peer_extensions: Vec<Extension>,
     peer_chain: Vec<Certificate>,
@@ -70,8 +62,6 @@ pub struct ClientConnection {
     /// Set after ServerHello when the server *might* be resuming;
     /// resolved by the next message (Certificate vs ticket/CCS).
     pending_resumption: Option<ResumptionData>,
-    resumed: bool,
-    false_started: bool,
 
     /// Deferred signature checks (`ClientConfig::defer_verify`)
     /// collected during the server flight, awaiting pickup.
@@ -95,7 +85,7 @@ struct ServerFlight {
     attestation_binding: Option<[u8; 64]>,
 }
 
-impl ClientConnection {
+impl Connection<ClientHandshake> {
     /// Start a connection to `server_name`; the ClientHello is queued
     /// for sending immediately.
     pub fn new(config: Arc<ClientConfig>, server_name: &str, rng: &mut CryptoRng) -> Self {
@@ -121,26 +111,14 @@ impl ClientConnection {
         hello: ClientHello,
         send: bool,
     ) -> Self {
+        let frame = frame_handshake(handshake_type::CLIENT_HELLO, &hello.encode_body());
         let client_random = hello.random;
         let offered_resumption = config.resumption_cache.get(server_name).cloned();
-        let frame = frame_handshake(handshake_type::CLIENT_HELLO, &hello.encode_body());
-        let mut transcript = Transcript::new();
-        transcript.add(&frame);
-        let mut shell = RecordShell::default();
-        if send {
-            shell.queue_plaintext(ContentType::Handshake, &frame);
-        }
-        ClientConnection {
+        let mut conn = Connection::starting(ClientHandshake {
             config,
             server_name: server_name.to_string(),
             phase: Phase::AwaitServerHello,
-            shell,
-            transcript,
             hello,
-            client_random,
-            server_random: [0; 32],
-            suite: None,
-            secrets: None,
             peer_extensions: Vec::new(),
             peer_chain: Vec::new(),
             peer_quote: None,
@@ -150,11 +128,15 @@ impl ClientConnection {
             assigned_session_id: Vec::new(),
             offered_resumption,
             pending_resumption: None,
-            resumed: false,
-            false_started: false,
             pending_checks: None,
             verify_outstanding: false,
+        });
+        conn.client_random = client_random;
+        conn.transcript.add(&frame);
+        if send {
+            conn.send_raw_record(ContentType::Handshake, &frame);
         }
+        conn
     }
 
     /// Build the ClientHello this config would send to `server_name`.
@@ -200,167 +182,38 @@ impl ClientConnection {
     /// The ClientHello this connection sent (mbTLS shares it with
     /// secondary connections).
     pub fn hello(&self) -> &ClientHello {
-        &self.hello
-    }
-
-    /// Bytes queued for the wire; call after every feed/send.
-    pub fn take_outgoing(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.shell.out)
-    }
-
-    /// True once the handshake completed — including resolution of
-    /// any deferred signature checks.
-    pub fn is_established(&self) -> bool {
-        self.phase == Phase::Established && !self.verify_outstanding
-    }
-
-    /// Deferred signature checks collected under
-    /// `ClientConfig::defer_verify` (certificate chain +
-    /// ServerKeyExchange signature). Taking them obliges the caller
-    /// to deliver a verdict via
-    /// [`ClientConnection::resolve_verify`]; until then the
-    /// connection does not report established.
-    pub fn take_pending_verify(&mut self) -> Option<Vec<SignatureCheck>> {
-        self.pending_checks.take()
-    }
-
-    /// Deliver the verdict for checks taken with
-    /// [`ClientConnection::take_pending_verify`]: `true` (every check
-    /// passed) unblocks establishment; `false` fails the connection
-    /// with a bad-signature error. A no-op when nothing is
-    /// outstanding.
-    pub fn resolve_verify(&mut self, valid: bool) {
-        if !self.verify_outstanding {
-            return;
-        }
-        self.verify_outstanding = false;
-        self.pending_checks = None;
-        if !valid {
-            shell::fail(self, TlsError::Crypto(CryptoError::BadSignature));
-        }
+        &self.hs.hello
     }
 
     /// True while deferred signature checks are unresolved.
     pub fn verify_outstanding(&self) -> bool {
-        self.verify_outstanding
-    }
-
-    /// True if the connection failed fatally.
-    pub fn is_failed(&self) -> bool {
-        self.phase == Phase::Failed
-    }
-
-    /// The error that failed the connection, if any.
-    pub fn error(&self) -> Option<&TlsError> {
-        self.shell.error.as_ref()
-    }
-
-    /// Did this handshake resume a cached session?
-    pub fn resumed(&self) -> bool {
-        self.resumed
+        self.hs.verify_outstanding
     }
 
     /// Extensions the server echoed in its ServerHello.
     pub fn peer_extensions(&self) -> &[Extension] {
-        &self.peer_extensions
+        &self.hs.peer_extensions
     }
 
     /// The server's certificate chain (empty until received).
     pub fn peer_certificates(&self) -> &[Certificate] {
-        &self.peer_chain
+        &self.hs.peer_chain
     }
 
     /// The verified attestation quote, if the server attested.
     pub fn peer_quote(&self) -> Option<&Quote> {
-        self.peer_quote.as_ref()
+        self.hs.peer_quote.as_ref()
     }
 
     /// The verified delegated credential, if the peer authorized via
     /// delegation (`ClientConfig::delegation_policy`).
     pub fn peer_credential(&self) -> Option<&DelegatedCredential> {
-        self.peer_credential.as_ref()
+        self.hs.peer_credential.as_ref()
     }
 
     /// Ticket issued this session (store for resumption).
     pub fn issued_ticket(&self) -> Option<&NewSessionTicket> {
-        self.new_ticket.as_ref()
-    }
-
-    /// Resumption data to cache for the next connection to this
-    /// server (available once established).
-    pub fn resumption_data(&self) -> Option<ResumptionData> {
-        let secrets = self.secrets.as_ref()?;
-        if !self.is_established() {
-            return None;
-        }
-        Some(ResumptionData {
-            suite: secrets.suite,
-            master_secret: secrets.master_secret.clone(),
-            ticket: self.new_ticket.as_ref().map(|t| t.ticket.clone()),
-            session_id: self.assigned_session_id.clone(),
-        })
-    }
-
-    /// The negotiated secrets (available once the key exchange is
-    /// done; mbTLS uses this to derive per-hop key material).
-    pub fn secrets(&self) -> Option<&ConnectionSecrets> {
-        self.secrets.as_ref()
-    }
-
-    /// Export the session keys and current sequence numbers — what an
-    /// mbTLS endpoint hands to its middleboxes for the bridge hop.
-    pub fn export_session_keys(&self) -> Option<SessionKeys> {
-        let secrets = self.secrets.as_ref()?;
-        let c2s = self.shell.write_cipher.as_ref()?.seq();
-        let s2c = self.shell.read_cipher.as_ref()?.seq();
-        Some(SessionKeys::from_secrets(secrets, c2s, s2c))
-    }
-
-    /// Queue application data (fragmenting as needed). Requires an
-    /// established session, or — with False Start enabled — a sent
-    /// client Finished.
-    pub fn send_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
-        let can_send = self.is_established()
-            || (self.config.enable_false_start
-                && matches!(self.phase, Phase::AwaitServerFinished)
-                && !self.verify_outstanding
-                && self.shell.write_cipher.is_some());
-        if !can_send {
-            return Err(TlsError::HandshakeNotDone);
-        }
-        if !self.is_established() {
-            self.false_started = true;
-        }
-        self.shell.seal_application_data(data)
-    }
-
-    /// Received application data.
-    pub fn take_plaintext(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.shell.plaintext_in)
-    }
-
-    /// Records with non-standard content types received (mbTLS
-    /// subchannel records land here).
-    pub fn take_nonstandard_records(&mut self) -> Vec<(u8, Vec<u8>)> {
-        std::mem::take(&mut self.shell.nonstandard_in)
-    }
-
-    /// Send a raw plaintext-framed record of the given content type
-    /// (mbTLS Encapsulated / KeyMaterial records).
-    pub fn send_raw_record(&mut self, content_type: ContentType, payload: &[u8]) {
-        self.shell.queue_plaintext(content_type, payload);
-    }
-
-    /// True if the peer sent close_notify.
-    pub fn peer_closed(&self) -> bool {
-        self.shell.closed_by_peer
-    }
-
-    /// Feed bytes from the wire; processes as many records as
-    /// possible. On error the connection moves to Failed and a fatal
-    /// alert is queued.
-    pub fn feed_incoming(&mut self, data: &[u8], rng: &mut CryptoRng) -> Result<(), TlsError> {
-        shell::feed(self, data, rng)
+        self.hs.new_ticket.as_ref()
     }
 
     /// Commit to the abbreviated handshake path: the server resumed
@@ -371,93 +224,112 @@ impl ClientConnection {
             return Ok(());
         }
         let mut res = self
+            .hs
             .pending_resumption
             .take()
             .ok_or(TlsError::UnexpectedMessage("abbreviated flight without offer"))?;
         let suite = self
             .suite
             .ok_or(TlsError::Internal("suite chosen with ServerHello"))?;
-        self.secrets = Some(ConnectionSecrets {
-            suite,
-            // `ResumptionData` zeroizes on drop, so the secret cannot
-            // be moved out of it; take-and-replace transfers the
-            // buffer and leaves an empty vec for `res` to wipe.
-            master_secret: std::mem::take(&mut res.master_secret),
-            client_random: self.client_random,
-            server_random: self.server_random,
-        });
+        // `ResumptionData` zeroizes on drop, so the secret cannot be
+        // moved out of it; take-and-replace transfers the buffer and
+        // leaves an empty vec for `res` to wipe.
+        self.install_secrets(suite, std::mem::take(&mut res.master_secret));
         self.resumed = true;
         Ok(())
     }
-
-    fn activate_write_cipher(&mut self) -> Result<(), TlsError> {
-        let secrets = self
-            .secrets
-            .as_ref()
-            .ok_or(TlsError::UnexpectedMessage("no secrets for write cipher"))?;
-        let keys = SessionKeys::from_secrets(secrets, 0, 0);
-        self.shell.write_cipher = Some(keys.seal_client_to_server()?);
-        Ok(())
-    }
-
 }
 
-impl ConnectionRole for ClientConnection {
-    fn shell(&mut self) -> &mut RecordShell {
-        &mut self.shell
-    }
+impl Handshake for ClientHandshake {}
 
-    fn enter_failed(&mut self) {
-        self.phase = Phase::Failed;
-    }
+impl Hooks for ClientHandshake {
+    const WRITES: Flow = Flow::ClientToServer;
 
-    fn peer_cipher(&mut self) -> Result<DirectionState, TlsError> {
-        if self.shell.hs_reader.has_partial() {
+    fn peer_change_cipher(conn: &mut Connection<Self>) -> Result<(), TlsError> {
+        if conn.shell.hs_reader.has_partial() {
             return Err(TlsError::UnexpectedMessage("CCS mid-handshake-message"));
         }
         // CCS right after ServerHello is the resumption signal when a
         // ticket/id was offered and no full-handshake flight arrived.
-        if self.secrets.is_none()
-            && self.phase == Phase::AwaitServerFlight
-            && self.pending_resumption.is_some()
+        if conn.secrets.is_none()
+            && conn.hs.phase == Phase::AwaitServerFlight
+            && conn.hs.pending_resumption.is_some()
         {
-            self.commit_resumption()?;
-            self.phase = Phase::AwaitServerFinishedResumed;
+            conn.commit_resumption()?;
+            conn.hs.phase = Phase::AwaitServerFinishedResumed;
         }
-        let secrets = self
-            .secrets
-            .as_ref()
-            .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
-        SessionKeys::from_secrets(secrets, 0, 0).open_server_to_client()
+        Ok(())
     }
 
-    fn admit_application_data(&self) -> Result<(), TlsError> {
-        if !self.is_established() {
+    /// The handshake ran to its end and any deferred signature checks
+    /// are resolved.
+    fn established(conn: &Connection<Self>) -> bool {
+        conn.hs.phase == Phase::Established && !conn.hs.verify_outstanding
+    }
+
+    /// False Start: with it enabled, once our Finished is sent.
+    fn may_send_early(conn: &Connection<Self>) -> bool {
+        conn.hs.config.enable_false_start
+            && conn.hs.phase == Phase::AwaitServerFinished
+            && !conn.hs.verify_outstanding
+            && conn.shell.write_cipher.is_some()
+    }
+
+    fn admit_application_data(conn: &Connection<Self>) -> Result<(), TlsError> {
+        if !conn.is_established() {
             return Err(TlsError::UnexpectedMessage("early application data"));
         }
         Ok(())
     }
 
+    fn resumption_data(conn: &Connection<Self>) -> Option<ResumptionData> {
+        let secrets = conn.secrets.as_ref()?;
+        if !conn.is_established() {
+            return None;
+        }
+        Some(ResumptionData {
+            suite: secrets.suite,
+            master_secret: secrets.master_secret.clone(),
+            ticket: conn.hs.new_ticket.as_ref().map(|t| t.ticket.clone()),
+            session_id: conn.hs.assigned_session_id.clone(),
+        })
+    }
+
+    fn take_pending_verify(conn: &mut Connection<Self>) -> Option<Vec<SignatureCheck>> {
+        conn.hs.pending_checks.take()
+    }
+
+    fn resolve_verify(conn: &mut Connection<Self>, valid: bool) {
+        if !conn.hs.verify_outstanding {
+            return;
+        }
+        conn.hs.verify_outstanding = false;
+        conn.hs.pending_checks = None;
+        if !valid {
+            conn.fail(TlsError::Crypto(CryptoError::BadSignature));
+        }
+    }
+
     fn handle_handshake(
-        &mut self,
+        conn: &mut Connection<Self>,
         typ: u8,
         frame: &[u8],
         rng: &mut CryptoRng,
     ) -> Result<(), TlsError> {
         let body = frame.get(4..).unwrap_or_default();
-        match (self.phase, typ) {
+        match (conn.hs.phase, typ) {
             (Phase::AwaitServerHello, handshake_type::SERVER_HELLO) => {
-                self.transcript.add(frame);
+                conn.transcript.add(frame);
                 let sh = ServerHello::decode_body(body)?;
                 let suite = CipherSuite::from_id(sh.cipher_suite)
-                    .filter(|s| self.config.suites.contains(s))
+                    .filter(|s| conn.hs.config.suites.contains(s))
                     .ok_or(TlsError::NegotiationFailed("server chose unknown suite"))?;
-                if choose_suite(&self.hello.cipher_suites, &[suite]).is_none() {
+                if choose_suite(&conn.hs.hello.cipher_suites, &[suite]).is_none() {
                     return Err(TlsError::NegotiationFailed("suite not offered"));
                 }
-                self.server_random = sh.random;
-                self.peer_extensions = sh.extensions.clone();
-                self.suite = Some(suite);
+                conn.server_random = sh.random;
+                conn.hs.peer_extensions = sh.extensions.clone();
+                conn.suite = Some(suite);
 
                 // Resumption: the server echoing our SessionTicket
                 // extension (or session id) is *not* a commitment to
@@ -466,94 +338,88 @@ impl ConnectionRole for ClientConnection {
                 // learns the server's choice from the next message:
                 // Certificate → full handshake; NewSessionTicket/CCS →
                 // abbreviated. Record the possibility and defer.
-                let offered = self.offered_resumption.clone();
-                let id_match = !self.hello.session_id.is_empty()
-                    && sh.session_id == self.hello.session_id;
+                let offered = conn.hs.offered_resumption.clone();
+                let id_match = !conn.hs.hello.session_id.is_empty()
+                    && sh.session_id == conn.hs.hello.session_id;
                 let ticket_offered = offered.as_ref().is_some_and(|r| r.ticket.is_some());
-                self.pending_resumption =
+                conn.hs.pending_resumption =
                     offered.filter(|r| (id_match || ticket_offered) && r.suite == suite);
                 // A *new* session id (not an echo of ours) is the
                 // server offering ID-based resumption for next time.
                 if !id_match {
-                    self.assigned_session_id = sh.session_id.clone();
+                    conn.hs.assigned_session_id = sh.session_id.clone();
                 }
-                self.server_flight.server_hello = Some(sh);
-                self.phase = Phase::AwaitServerFlight;
+                conn.hs.server_flight.server_hello = Some(sh);
+                conn.hs.phase = Phase::AwaitServerFlight;
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::CERTIFICATE) => {
                 // The server chose a full handshake.
-                self.pending_resumption = None;
-                self.transcript.add(frame);
+                conn.hs.pending_resumption = None;
+                conn.transcript.add(frame);
                 let chain = mbtls_pki::cert::decode_chain(body)
                     .map_err(|_| TlsError::Decode("bad certificate chain"))?;
-                self.server_flight.certificate_chain = Some(chain);
+                conn.hs.server_flight.certificate_chain = Some(chain);
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::NEW_SESSION_TICKET) => {
                 // A ticket this early means the server resumed and is
                 // renewing the ticket (abbreviated flight:
                 // ServerHello, NewSessionTicket, CCS, Finished).
-                self.commit_resumption()?;
-                self.transcript.add(frame);
+                conn.commit_resumption()?;
+                conn.transcript.add(frame);
                 let ticket = NewSessionTicket::decode_body(body)?;
-                self.new_ticket = Some(ticket);
-                self.phase = Phase::AwaitServerFinishedResumed;
+                conn.hs.new_ticket = Some(ticket);
+                conn.hs.phase = Phase::AwaitServerFinishedResumed;
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SERVER_KEY_EXCHANGE) => {
-                self.transcript.add(frame);
+                conn.transcript.add(frame);
                 let ske = ServerKeyExchange::decode_body(body)?;
-                self.server_flight.key_exchange = Some(ske);
+                conn.hs.server_flight.key_exchange = Some(ske);
                 // Capture the binding the attestation must carry.
-                self.server_flight.attestation_binding =
-                    Some(self.transcript.attestation_binding());
+                conn.hs.server_flight.attestation_binding =
+                    Some(conn.transcript.attestation_binding());
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SGX_ATTESTATION) => {
-                self.transcript.add(frame);
+                conn.transcript.add(frame);
                 let msg = SgxAttestationMsg::decode_body(body)?;
-                self.server_flight.attestation = Some(msg);
+                conn.hs.server_flight.attestation = Some(msg);
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::DELEGATED_CREDENTIAL) => {
-                self.transcript.add(frame);
+                conn.transcript.add(frame);
                 let msg = DelegatedCredentialMsg::decode_body(body)?;
-                self.server_flight.credential = Some(msg);
+                conn.hs.server_flight.credential = Some(msg);
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SERVER_HELLO_DONE) => {
                 if !body.is_empty() {
                     return Err(TlsError::Decode("non-empty ServerHelloDone"));
                 }
-                self.transcript.add(frame);
-                self.finish_client_flight(rng)
+                conn.transcript.add(frame);
+                conn.finish_client_flight(rng)
             }
             (
                 Phase::AwaitServerFinished | Phase::AwaitServerFinishedResumed,
                 handshake_type::NEW_SESSION_TICKET,
             ) => {
-                self.transcript.add(frame);
+                conn.transcript.add(frame);
                 let ticket = NewSessionTicket::decode_body(body)?;
-                self.new_ticket = Some(ticket);
+                conn.hs.new_ticket = Some(ticket);
                 Ok(())
             }
             (Phase::AwaitServerFinished, handshake_type::FINISHED) => {
-                self.verify_server_finished(body, frame)?;
-                self.phase = Phase::Established;
+                conn.verify_peer_finished(frame)?;
+                conn.hs.phase = Phase::Established;
                 Ok(())
             }
             (Phase::AwaitServerFinishedResumed, handshake_type::FINISHED) => {
-                self.verify_server_finished(body, frame)?;
+                conn.verify_peer_finished(frame)?;
                 // Abbreviated: now send our CCS + Finished.
-                self.activate_write_cipher()?;
-                self.shell.queue_plaintext(ContentType::ChangeCipherSpec, &[1]);
-                self.shell.send_finished(
-                    self.secrets.as_ref(),
-                    b"client finished",
-                    &mut self.transcript,
-                )?;
-                self.phase = Phase::Established;
+                conn.send_ccs_and_finished()?;
+                conn.hs.phase = Phase::Established;
                 Ok(())
             }
             _ => Err(TlsError::UnexpectedMessage("handshake message out of order")),
@@ -561,17 +427,19 @@ impl ConnectionRole for ClientConnection {
     }
 }
 
-impl ClientConnection {
+impl Connection<ClientHandshake> {
     /// Process the complete server flight and send the client's
     /// second flight (CKE, CCS, Finished).
     fn finish_client_flight(&mut self, rng: &mut CryptoRng) -> Result<(), TlsError> {
         let suite = self.suite.ok_or(TlsError::Internal("suite chosen"))?;
         let chain = self
+            .hs
             .server_flight
             .certificate_chain
             .take()
             .ok_or(TlsError::UnexpectedMessage("missing Certificate"))?;
         let ske = self
+            .hs
             .server_flight
             .key_exchange
             .take()
@@ -586,8 +454,9 @@ impl ClientConnection {
         // inline; only the Ed25519 signature work is collected for
         // the driver to discharge.
         let mut deferred: Vec<SignatureCheck> = Vec::new();
-        let server_key = if let Some(policy) = &self.config.delegation_policy {
+        let server_key = if let Some(policy) = &self.hs.config.delegation_policy {
             let msg = self
+                .hs
                 .server_flight
                 .credential
                 .take()
@@ -597,6 +466,7 @@ impl ClientConnection {
             let cred =
                 DelegatedCredential::decode(&msg.credential).map_err(TlsError::Credential)?;
             let binding = self
+                .hs
                 .server_flight
                 .attestation_binding
                 .ok_or(TlsError::UnexpectedMessage("credential before key exchange"))?;
@@ -605,35 +475,35 @@ impl ClientConnection {
             let verifier = CredentialVerifier {
                 trust: &policy.trust_store,
                 expected_issuer: &policy.issuer,
-                now: self.config.current_time,
+                now: self.hs.config.current_time,
                 session_nonce: nonce,
                 required_role: policy.required_role,
             };
             let checks = verifier
                 .verify_deferred(&issuer_chain, &cred)
                 .map_err(TlsError::Credential)?;
-            if self.config.defer_verify {
+            if self.hs.config.defer_verify {
                 deferred.extend(checks);
             } else if !checks.iter().all(|c| c.check()) {
                 return Err(TlsError::Credential(CredentialError::BadSignature));
             }
             let key = cred.middlebox_key;
-            self.peer_credential = Some(cred);
+            self.hs.peer_credential = Some(cred);
             key
         } else {
-            if !self.config.danger_disable_cert_verify {
-                if self.config.defer_verify {
-                    deferred = self.config.trust_store.verify_chain_deferred(
+            if !self.hs.config.danger_disable_cert_verify {
+                if self.hs.config.defer_verify {
+                    deferred = self.hs.config.trust_store.verify_chain_deferred(
                         &chain,
-                        &self.server_name,
-                        self.config.current_time,
+                        &self.hs.server_name,
+                        self.hs.config.current_time,
                         None,
                     )?;
                 } else {
-                    self.config.trust_store.verify_chain(
+                    self.hs.config.trust_store.verify_chain(
                         &chain,
-                        &self.server_name,
-                        self.config.current_time,
+                        &self.hs.server_name,
+                        self.hs.config.current_time,
                         None,
                     )?;
                 }
@@ -650,7 +520,7 @@ impl ClientConnection {
             ServerKeyExchange::signed_payload(&self.client_random, &self.server_random, &ske.params);
         let sig = mbtls_crypto::ed25519::Signature::from_bytes(&ske.signature)
             .map_err(|_| TlsError::Decode("bad signature encoding"))?;
-        if self.config.defer_verify {
+        if self.hs.config.defer_verify {
             deferred.push(SignatureCheck {
                 key: server_key,
                 msg: signed,
@@ -662,26 +532,28 @@ impl ClientConnection {
                 .map_err(|_| TlsError::Crypto(CryptoError::BadSignature))?;
         }
         if !deferred.is_empty() {
-            self.pending_checks = Some(deferred);
-            self.verify_outstanding = true;
+            self.hs.pending_checks = Some(deferred);
+            self.hs.verify_outstanding = true;
         }
 
         // 3. Attestation, if required.
-        if let Some(policy) = &self.config.attestation_policy {
+        if let Some(policy) = &self.hs.config.attestation_policy {
             let msg = self
+                .hs
                 .server_flight
                 .attestation
                 .take()
                 .ok_or(TlsError::UnexpectedMessage("attestation required but absent"))?;
             let quote = Quote::decode(&msg.quote).ok_or(TlsError::Decode("bad quote"))?;
             let binding = self
+                .hs
                 .server_flight
                 .attestation_binding
                 .ok_or(TlsError::UnexpectedMessage("attestation before key exchange"))?;
             quote.verify(&policy.root, &policy.acceptable, &binding)?;
-            self.peer_quote = Some(quote);
+            self.hs.peer_quote = Some(quote);
         }
-        self.peer_chain = chain;
+        self.hs.peer_chain = chain;
 
         // 4. Key exchange.
         let (cke_public, pre_master) = match (&ske.params, suite.key_exchange()) {
@@ -721,31 +593,13 @@ impl ClientConnection {
             &self.client_random,
             &self.server_random,
         );
-        self.secrets = Some(ConnectionSecrets {
-            suite,
-            master_secret: master,
-            client_random: self.client_random,
-            server_random: self.server_random,
-        });
+        self.install_secrets(suite, master);
 
         // 5. Send ClientKeyExchange + CCS + Finished.
         let cke = ClientKeyExchange { public: cke_public };
-        let cke_frame = frame_handshake(handshake_type::CLIENT_KEY_EXCHANGE, &cke.encode_body());
-        self.transcript.add(&cke_frame);
-        self.shell.queue_plaintext(ContentType::Handshake, &cke_frame);
-
-        self.shell.queue_plaintext(ContentType::ChangeCipherSpec, &[1]);
-        self.activate_write_cipher()?;
-
-        self.shell
-            .send_finished(self.secrets.as_ref(), b"client finished", &mut self.transcript)?;
-
-        self.phase = Phase::AwaitServerFinished;
+        self.queue_handshake(handshake_type::CLIENT_KEY_EXCHANGE, &cke.encode_body());
+        self.send_ccs_and_finished()?;
+        self.hs.phase = Phase::AwaitServerFinished;
         Ok(())
-    }
-
-    fn verify_server_finished(&mut self, body: &[u8], frame: &[u8]) -> Result<(), TlsError> {
-        let secrets = self.secrets.as_ref();
-        shell::verify_finished(secrets, b"server finished", &mut self.transcript, body, frame)
     }
 }

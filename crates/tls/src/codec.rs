@@ -1,205 +1,9 @@
-//! TLS wire codec: big-endian integers (including the 24-bit lengths
-//! TLS handshake messages use) and length-prefixed vectors with u8,
-//! u16, or u24 prefixes, following RFC 5246 presentation-language
-//! conventions. Strict: truncation and trailing bytes are errors.
+//! TLS wire codec. The encoder, decoder and their error are the
+//! workspace's one codec, [`mbtls_pki::wire`], re-exported under the
+//! names this crate and `mbtls-core` use; what lives here is
+//! `StreamBuf`, the reassembly buffer under both stream readers.
 
-/// Decoding failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
-    /// Input ran out mid-field.
-    Truncated,
-    /// Trailing bytes after a complete structure.
-    TrailingBytes,
-    /// A value violated a structural constraint.
-    Malformed,
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            CodecError::Truncated => "truncated",
-            CodecError::TrailingBytes => "trailing bytes",
-            CodecError::Malformed => "malformed",
-        };
-        write!(f, "{s}")
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// Encoder.
-#[derive(Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
-}
-
-impl Encoder {
-    /// Fresh encoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finish.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Current length (used for patching lengths).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// One byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Big-endian u16.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Big-endian 24-bit integer. Panics if it does not fit (encoding
-    /// bug, not input-dependent).
-    pub fn u24(&mut self, v: usize) {
-        assert!(v < (1 << 24), "u24 overflow");
-        self.buf.push((v >> 16) as u8);
-        self.buf.push((v >> 8) as u8);
-        self.buf.push(v as u8);
-    }
-
-    /// Big-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Big-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Raw bytes.
-    pub fn raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// u8-length-prefixed vector.
-    pub fn vec8(&mut self, v: &[u8]) {
-        assert!(v.len() <= u8::MAX as usize);
-        self.u8(v.len() as u8);
-        self.raw(v);
-    }
-
-    /// u16-length-prefixed vector.
-    pub fn vec16(&mut self, v: &[u8]) {
-        assert!(v.len() <= u16::MAX as usize);
-        self.u16(v.len() as u16);
-        self.raw(v);
-    }
-
-    /// u24-length-prefixed vector.
-    pub fn vec24(&mut self, v: &[u8]) {
-        self.u24(v.len());
-        self.raw(v);
-    }
-}
-
-/// Decoder over a borrowed slice.
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// Wrap a slice.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
-    }
-
-    /// Unconsumed byte count.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Error unless fully consumed.
-    pub fn expect_end(&self) -> Result<(), CodecError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes)
-        }
-    }
-
-    /// Take `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        let out = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Take exactly `N` bytes as a fixed array.
-    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        let b = self.take(N)?;
-        b.try_into().map_err(|_| CodecError::Truncated)
-    }
-
-    /// Remaining bytes, consuming them.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let out = self.buf.get(self.pos..).unwrap_or(&[]);
-        self.pos = self.buf.len();
-        out
-    }
-
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take_array::<1>()?[0])
-    }
-
-    /// Big-endian u16.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_be_bytes(self.take_array()?))
-    }
-
-    /// Big-endian 24-bit integer.
-    pub fn u24(&mut self) -> Result<usize, CodecError> {
-        let b = self.take_array::<3>()?;
-        Ok(usize::from(b[0]) << 16 | usize::from(b[1]) << 8 | usize::from(b[2]))
-    }
-
-    /// Big-endian u32.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_be_bytes(self.take_array()?))
-    }
-
-    /// Big-endian u64.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_be_bytes(self.take_array()?))
-    }
-
-    /// u8-length-prefixed vector.
-    pub fn vec8(&mut self) -> Result<&'a [u8], CodecError> {
-        let n = self.u8()? as usize;
-        self.take(n)
-    }
-
-    /// u16-length-prefixed vector.
-    pub fn vec16(&mut self) -> Result<&'a [u8], CodecError> {
-        let n = self.u16()? as usize;
-        self.take(n)
-    }
-
-    /// u24-length-prefixed vector.
-    pub fn vec24(&mut self) -> Result<&'a [u8], CodecError> {
-        let n = self.u24()?;
-        self.take(n)
-    }
-}
+pub use mbtls_pki::wire::{CodecError, Decoder, Encoder};
 
 /// The reassembly buffer under the record reader and the handshake
 /// reader: stream bytes are appended at the back and whole units are

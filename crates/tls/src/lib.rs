@@ -5,12 +5,20 @@
 //! paper's OpenSSL base.
 //!
 //! The design is deliberately sans-IO (per this session's Rust
-//! networking guides): a [`client::ClientConnection`] or
-//! [`server::ServerConnection`] consumes bytes via `feed_incoming`,
-//! produces bytes via `take_outgoing`, and never touches a socket.
-//! That makes the state machines directly drivable by in-memory pipes,
-//! the deterministic network simulator, and the mbTLS middlebox code
-//! that interleaves extra records into the stream.
+//! networking guides): a [`Connection`] consumes bytes via
+//! `feed_incoming`, produces bytes via `take_outgoing`, and never
+//! touches a socket. That makes the state machines directly drivable
+//! by in-memory pipes, the deterministic network simulator, and the
+//! mbTLS middlebox code that interleaves extra records into the
+//! stream.
+//!
+//! There is one connection type. [`ClientConnection`] and
+//! [`ServerConnection`] are aliases for `Connection<ClientHandshake>`
+//! and `Connection<ServerHandshake>`: everything but the handshake
+//! state machine — the record layer, the transcript, the secrets, the
+//! whole `feed_incoming` / `take_outgoing` / `send_data` surface — is
+//! written once on `Connection<H>`, and the sealed [`Handshake`] trait
+//! bounds what a role may add.
 //!
 //! ## Scope
 //!
@@ -47,11 +55,12 @@ pub mod suites;
 pub mod transcript;
 
 pub use alert::{AlertDescription, AlertLevel};
-pub use client::ClientConnection;
+pub use client::{ClientConnection, ClientHandshake};
 pub use config::{AttestationPolicy, Attestor, ClientConfig, ServerConfig};
 pub use record::ContentType;
-pub use server::ServerConnection;
+pub use server::{ServerConnection, ServerHandshake};
 pub use session::{ConnectionSecrets, SessionKeys};
+pub use shell::{Connection, Handshake};
 pub use suites::CipherSuite;
 
 /// Everything that can go wrong in a TLS connection.
@@ -73,8 +82,6 @@ pub enum TlsError {
     UnexpectedMessage(&'static str),
     /// No mutually acceptable cipher suite / parameters.
     NegotiationFailed(&'static str),
-    /// The connection was already closed or failed.
-    Closed,
     /// Data operations attempted before the handshake completed.
     HandshakeNotDone,
     /// An internal state-machine invariant was broken. Reaching this
@@ -94,7 +101,6 @@ impl std::fmt::Display for TlsError {
             TlsError::PeerAlert(d) => write!(f, "peer sent fatal alert: {d}"),
             TlsError::UnexpectedMessage(what) => write!(f, "unexpected message: {what}"),
             TlsError::NegotiationFailed(what) => write!(f, "negotiation failed: {what}"),
-            TlsError::Closed => write!(f, "connection closed"),
             TlsError::HandshakeNotDone => write!(f, "handshake not complete"),
             TlsError::Internal(what) => write!(f, "internal invariant broken: {what}"),
         }

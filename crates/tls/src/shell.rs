@@ -1,16 +1,22 @@
-//! The record shell both connection roles share.
+//! The one TLS connection under both roles.
 //!
 //! A TLS 1.2 client and server differ in their handshake — which
 //! messages they expect, in which phase, and what they send back —
-//! and in nothing below it: both split the byte stream into records,
-//! decrypt once the peer's ChangeCipherSpec has passed, dispatch
-//! alerts, reassemble handshake messages across records, seal
-//! application data, and fail by queueing one fatal alert. That
-//! common part lives here once; [`ConnectionRole`] is what a role
-//! adds to it.
+//! and in nothing below or around it: both split the byte stream into
+//! records, decrypt once the peer's ChangeCipherSpec has passed,
+//! dispatch alerts, reassemble handshake messages across records, keep
+//! a transcript, derive the same secrets, seal application data, and
+//! fail by queueing one fatal alert. [`Connection`] is that common
+//! part, written once; [`Handshake`] is what a role adds to it.
+//!
+//! The connection is generic over the handshake rather than holding a
+//! `dyn` one: every record a connection sees passes through
+//! [`Connection::feed_incoming`], and the compiler specialises that
+//! path per role exactly as it did the two hand-written copies.
 
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::{ct, CryptoError};
+use mbtls_pki::SignatureCheck;
 
 use crate::alert::{Alert, AlertDescription, AlertLevel};
 use crate::keyschedule;
@@ -18,104 +24,454 @@ use crate::messages::{frame_handshake, handshake_type, HandshakeReader};
 use crate::record::{
     fragment, frame_plaintext_into, ContentType, DirectionState, Record, RecordReader,
 };
-use crate::session::ConnectionSecrets;
+use crate::session::{ConnectionSecrets, ResumptionData, SessionKeys};
+use crate::suites::CipherSuite;
 use crate::transcript::Transcript;
 use crate::TlsError;
 
-/// The role-independent state of a connection.
+/// The record layer's state.
 #[derive(Default)]
 pub(crate) struct RecordShell {
     record_reader: RecordReader,
     pub(crate) hs_reader: HandshakeReader,
     /// Bytes queued for the wire.
-    pub(crate) out: Vec<u8>,
+    out: Vec<u8>,
     peer_change_cipher_seen: bool,
-    pub(crate) read_cipher: Option<DirectionState>,
+    read_cipher: Option<DirectionState>,
     pub(crate) write_cipher: Option<DirectionState>,
     /// Records of non-TLS content types, surfaced to the caller.
-    pub(crate) nonstandard_in: Vec<(u8, Vec<u8>)>,
-    pub(crate) plaintext_in: Vec<u8>,
-    /// The error that failed the connection; set together with the
-    /// role's failed phase.
-    pub(crate) error: Option<TlsError>,
-    pub(crate) closed_by_peer: bool,
+    nonstandard_in: Vec<(u8, Vec<u8>)>,
+    plaintext_in: Vec<u8>,
+    /// The error that failed the connection.
+    error: Option<TlsError>,
+    closed_by_peer: bool,
 }
 
-/// What a connection role adds to the shell: its handshake state
-/// machine and the few per-record decisions that depend on it.
-pub(crate) trait ConnectionRole {
-    /// The role's shell.
-    fn shell(&mut self) -> &mut RecordShell;
+/// One of a connection's two record flows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Records the client seals and the server opens.
+    ClientToServer,
+    /// Records the server seals and the client opens.
+    ServerToClient,
+}
 
-    /// Move the handshake to its failed phase.
-    fn enter_failed(&mut self);
-
-    /// Whether a record whose content type is unknown (`None`) or one
-    /// of mbTLS's may be surfaced to the caller. Tolerant by default
-    /// (mbTLS relies on this).
-    fn admit_nonstandard(&self, _content_type: Option<ContentType>) -> Result<(), TlsError> {
-        Ok(())
+impl Flow {
+    fn reverse(self) -> Flow {
+        match self {
+            Flow::ClientToServer => Flow::ServerToClient,
+            Flow::ServerToClient => Flow::ClientToServer,
+        }
     }
 
-    /// The peer's ChangeCipherSpec arrived: the cipher state that
-    /// opens its records from here on.
-    fn peer_cipher(&mut self) -> Result<DirectionState, TlsError>;
+    /// The Finished label of the side that writes this flow.
+    fn finished_label(self) -> &'static [u8] {
+        match self {
+            Flow::ClientToServer => b"client finished",
+            Flow::ServerToClient => b"server finished",
+        }
+    }
 
-    /// One reassembled handshake message: its type and whole frame
-    /// (the body follows the 4-byte header).
+    /// Record protection for this flow from sequence number zero.
+    fn cipher(self, secrets: &ConnectionSecrets) -> Result<DirectionState, TlsError> {
+        let keys = SessionKeys::from_secrets(secrets, 0, 0);
+        match self {
+            Flow::ClientToServer => keys.open_client_to_server(),
+            Flow::ServerToClient => keys.open_server_to_client(),
+        }
+    }
+}
+
+/// A TLS role — [`crate::ClientHandshake`] or
+/// [`crate::ServerHandshake`] — which is to say everything that
+/// differs between a TLS client and a TLS server:
+///
+/// 1. the handshake state machine: which message it expects in which
+///    phase, and the flights it sends back;
+/// 2. which way it writes: the client seals client→server records,
+///    opens server→client ones and signs off with `"client finished"`;
+///    the server the reverse;
+/// 3. the peer's ChangeCipherSpec: a client may commit a pending
+///    resumption on it;
+/// 4. when it is established: a client also waits for deferred
+///    signature verification;
+/// 5. when application data may be sent: the client's False Start
+///    window;
+/// 6. when application data may be received;
+/// 7. non-TLS record types: a server may be strict about them.
+///
+/// A client also has things to give a driver that a server does not —
+/// resumption data, deferred signature checks — which the server
+/// leaves at "nothing owed".
+///
+/// Public so that code above this crate can be written once over
+/// `H: Handshake`; sealed — each item above is a hook on `Hooks`, a
+/// supertrait this crate does not export — so there are two roles and
+/// no third can be added from outside.
+pub trait Handshake: Hooks {}
+
+/// The hooks behind [`Handshake`], numbered as in its list. Hooks take
+/// the whole connection; the role's own state is `conn.hs`.
+/// [`Connection`] never asks which role it is.
+pub trait Hooks: Sized {
+    /// (1) The handshake state machine: one reassembled message, its
+    /// type and whole frame (the body follows the 4-byte header).
     fn handle_handshake(
-        &mut self,
+        conn: &mut Connection<Self>,
         typ: u8,
         frame: &[u8],
         rng: &mut CryptoRng,
     ) -> Result<(), TlsError>;
 
-    /// Whether application data is legal in the current phase.
-    fn admit_application_data(&self) -> Result<(), TlsError>;
+    /// (2) The flow this role seals; it opens the reverse. Decides both
+    /// ciphers, both Finished labels and which sequence number is
+    /// which in [`Connection::export_session_keys`].
+    const WRITES: Flow;
+
+    /// (3) The peer's ChangeCipherSpec arrived, before its cipher is
+    /// derived.
+    fn peer_change_cipher(_: &mut Connection<Self>) -> Result<(), TlsError> {
+        Ok(())
+    }
+
+    /// (4) Whether the handshake is complete.
+    fn established(conn: &Connection<Self>) -> bool;
+
+    /// (5) Whether application data may be sent before the handshake
+    /// is established.
+    fn may_send_early(_: &Connection<Self>) -> bool {
+        false
+    }
+
+    /// (6) Whether application data may be received in the current
+    /// phase.
+    fn admit_application_data(conn: &Connection<Self>) -> Result<(), TlsError>;
+
+    /// (7) Whether a record whose content type is unknown (`None`) or
+    /// one of mbTLS's may be surfaced to the caller. Tolerant by
+    /// default (mbTLS relies on this).
+    fn admit_nonstandard(_: &Connection<Self>, _: Option<ContentType>) -> Result<(), TlsError> {
+        Ok(())
+    }
+
+    /// [`Connection::resumption_data`] for this role.
+    fn resumption_data(_: &Connection<Self>) -> Option<ResumptionData> {
+        None
+    }
+
+    /// [`Connection::take_pending_verify`] for this role.
+    fn take_pending_verify(_: &mut Connection<Self>) -> Option<Vec<SignatureCheck>> {
+        None
+    }
+
+    /// [`Connection::resolve_verify`] for this role.
+    fn resolve_verify(_: &mut Connection<Self>, _valid: bool) {}
 }
 
-impl RecordShell {
-    /// Seal `data` as application-data records (fragmenting as
-    /// needed) and queue them.
-    pub(crate) fn seal_application_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
+/// A sans-IO TLS 1.2 connection in the role `H`:
+/// [`crate::ClientConnection`] or [`crate::ServerConnection`].
+pub struct Connection<H> {
+    /// The role's handshake state.
+    pub(crate) hs: H,
+    pub(crate) shell: RecordShell,
+    pub(crate) transcript: Transcript,
+    pub(crate) client_random: [u8; 32],
+    pub(crate) server_random: [u8; 32],
+    pub(crate) suite: Option<CipherSuite>,
+    pub(crate) secrets: Option<ConnectionSecrets>,
+    pub(crate) resumed: bool,
+}
+
+impl<H: Handshake> Connection<H> {
+    /// A connection about to start the handshake `hs`.
+    pub(crate) fn starting(hs: H) -> Self {
+        Connection {
+            hs,
+            shell: RecordShell::default(),
+            transcript: Transcript::new(),
+            client_random: [0; 32],
+            server_random: [0; 32],
+            suite: None,
+            secrets: None,
+            resumed: false,
+        }
+    }
+
+    /// Bytes queued for the wire; call after every feed/send.
+    pub fn take_outgoing(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.shell.out)
+    }
+
+    /// True once the handshake completed — for a client, including
+    /// resolution of any deferred signature checks.
+    pub fn is_established(&self) -> bool {
+        !self.is_failed() && H::established(self)
+    }
+
+    /// True if the connection failed fatally.
+    pub fn is_failed(&self) -> bool {
+        self.shell.error.is_some()
+    }
+
+    /// The error that failed the connection, if any.
+    pub fn error(&self) -> Option<&TlsError> {
+        self.shell.error.as_ref()
+    }
+
+    /// Did this handshake resume a cached session?
+    pub fn resumed(&self) -> bool {
+        self.resumed
+    }
+
+    /// The negotiated secrets (available once the key exchange is
+    /// done; mbTLS uses this to derive per-hop key material).
+    pub fn secrets(&self) -> Option<&ConnectionSecrets> {
+        self.secrets.as_ref()
+    }
+
+    /// Export the session keys and current sequence numbers — what an
+    /// mbTLS endpoint hands to its middleboxes for the bridge hop. The
+    /// two ends of an established connection export equal keys.
+    pub fn export_session_keys(&self) -> Option<SessionKeys> {
+        let secrets = self.secrets.as_ref()?;
+        let written = self.shell.write_cipher.as_ref()?.seq();
+        let read = self.shell.read_cipher.as_ref()?.seq();
+        let (c2s, s2c) = match H::WRITES {
+            Flow::ClientToServer => (written, read),
+            Flow::ServerToClient => (read, written),
+        };
+        Some(SessionKeys::from_secrets(secrets, c2s, s2c))
+    }
+
+    /// Queue application data (fragmenting as needed). Requires an
+    /// established session, or — for a client with False Start
+    /// enabled — a sent Finished.
+    pub fn send_data(&mut self, data: &[u8]) -> Result<(), TlsError> {
+        if self.is_failed() || !(H::established(self) || H::may_send_early(self)) {
+            return Err(TlsError::HandshakeNotDone);
+        }
         for frag in fragment(data) {
             let cipher = self
+                .shell
                 .write_cipher
                 .as_mut()
                 .ok_or(TlsError::Internal("write cipher active but missing"))?;
-            cipher.seal_record_into(ContentType::ApplicationData, frag, &mut self.out)?;
+            cipher.seal_record_into(ContentType::ApplicationData, frag, &mut self.shell.out)?;
         }
         Ok(())
     }
 
-    /// Queue a plaintext-framed record.
-    pub(crate) fn queue_plaintext(&mut self, content_type: ContentType, payload: &[u8]) {
-        frame_plaintext_into(content_type, &[payload], &mut self.out);
+    /// Received application data.
+    pub fn take_plaintext(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.shell.plaintext_in)
     }
 
-    /// Queue this side's Finished (`label` over the transcript so
-    /// far), sealed under the already-activated write cipher.
-    pub(crate) fn send_finished(
-        &mut self,
-        secrets: Option<&ConnectionSecrets>,
-        label: &[u8],
-        transcript: &mut Transcript,
-    ) -> Result<(), TlsError> {
-        let secrets = secrets.ok_or(TlsError::Internal("secrets derived before Finished"))?;
+    /// Records with non-standard content types received (mbTLS
+    /// subchannel records land here).
+    pub fn take_nonstandard_records(&mut self) -> Vec<(u8, Vec<u8>)> {
+        std::mem::take(&mut self.shell.nonstandard_in)
+    }
+
+    /// Send a raw plaintext-framed record of the given content type
+    /// (mbTLS Encapsulated / KeyMaterial records).
+    pub fn send_raw_record(&mut self, content_type: ContentType, payload: &[u8]) {
+        frame_plaintext_into(content_type, &[payload], &mut self.shell.out);
+    }
+
+    /// True if the peer sent close_notify.
+    pub fn peer_closed(&self) -> bool {
+        self.shell.closed_by_peer
+    }
+
+    /// Resumption data to cache for the next connection to this peer,
+    /// once established. A client's to give; a server has none.
+    pub fn resumption_data(&self) -> Option<ResumptionData> {
+        H::resumption_data(self)
+    }
+
+    /// Deferred signature checks collected under
+    /// `ClientConfig::defer_verify` (certificate chain +
+    /// ServerKeyExchange signature). Taking them obliges the caller to
+    /// deliver a verdict via [`Connection::resolve_verify`]; until
+    /// then the connection does not report established. A server
+    /// defers nothing.
+    pub fn take_pending_verify(&mut self) -> Option<Vec<SignatureCheck>> {
+        H::take_pending_verify(self)
+    }
+
+    /// Deliver the verdict for checks taken with
+    /// [`Connection::take_pending_verify`]: `true` (every check
+    /// passed) unblocks establishment; `false` fails the connection
+    /// with a bad-signature error. A no-op when nothing is
+    /// outstanding.
+    pub fn resolve_verify(&mut self, valid: bool) {
+        H::resolve_verify(self, valid)
+    }
+
+    /// Feed bytes from the wire; processes as many records as
+    /// possible. On error the connection fails and a fatal alert is
+    /// queued.
+    pub fn feed_incoming(&mut self, data: &[u8], rng: &mut CryptoRng) -> Result<(), TlsError> {
+        if let Some(e) = &self.shell.error {
+            return Err(e.clone());
+        }
+        self.shell.record_reader.feed(data);
+        // The reader moves aside so each record is opened where it sits
+        // in its buffer while the handshake and the connection's other
+        // fields take the result. It goes back on every path: a failed
+        // connection keeps whatever followed the record that failed it,
+        // unread.
+        let mut reader = std::mem::take(&mut self.shell.record_reader);
+        let result = self.process_buffered(&mut reader, rng);
+        self.shell.record_reader = reader;
+        if let Err(e) = &result {
+            self.fail(e.clone());
+        }
+        result
+    }
+
+    /// Fail the connection (once): queue the fatal alert for `e` and
+    /// remember it.
+    pub(crate) fn fail(&mut self, e: TlsError) {
+        if self.shell.error.is_none() {
+            self.send_raw_record(ContentType::Alert, &Alert::for_error(&e).encode());
+            self.shell.error = Some(e);
+        }
+    }
+
+    /// Install the session's secrets: `master_secret` under `suite`
+    /// and this connection's randoms.
+    pub(crate) fn install_secrets(&mut self, suite: CipherSuite, master_secret: Vec<u8>) {
+        self.secrets = Some(ConnectionSecrets {
+            suite,
+            master_secret,
+            client_random: self.client_random,
+            server_random: self.server_random,
+        });
+    }
+
+    /// Absorb a handshake message of ours into the transcript and
+    /// queue it in the clear.
+    pub(crate) fn queue_handshake(&mut self, typ: u8, body: &[u8]) {
+        let frame = frame_handshake(typ, body);
+        self.transcript.add(&frame);
+        self.send_raw_record(ContentType::Handshake, &frame);
+    }
+
+    /// Queue ChangeCipherSpec, switch on the write cipher, and queue
+    /// our Finished under it.
+    pub(crate) fn send_ccs_and_finished(&mut self) -> Result<(), TlsError> {
+        self.send_raw_record(ContentType::ChangeCipherSpec, &[1]);
+        let secrets = self
+            .secrets
+            .as_ref()
+            .ok_or(TlsError::Internal("secrets derived before Finished"))?;
+        let cipher = self.shell.write_cipher.insert(H::WRITES.cipher(secrets)?);
         let vd = keyschedule::verify_data(
             secrets.suite,
             &secrets.master_secret,
-            label,
-            transcript.bytes(),
+            H::WRITES.finished_label(),
+            self.transcript.bytes(),
         );
         let frame = frame_handshake(handshake_type::FINISHED, &vd);
-        transcript.add(&frame);
-        self.write_cipher
-            .as_mut()
-            .ok_or(TlsError::Internal("write cipher activated above"))?
-            .seal_record_into(ContentType::Handshake, &frame, &mut self.out)
+        self.transcript.add(&frame);
+        cipher.seal_record_into(ContentType::Handshake, &frame, &mut self.shell.out)
     }
 
+    /// Check the peer's Finished `frame` against the transcript so far
+    /// in constant time, then absorb it.
+    pub(crate) fn verify_peer_finished(&mut self, frame: &[u8]) -> Result<(), TlsError> {
+        let secrets = self
+            .secrets
+            .as_ref()
+            .ok_or(TlsError::UnexpectedMessage("Finished before keys"))?;
+        let expected = keyschedule::verify_data(
+            secrets.suite,
+            &secrets.master_secret,
+            H::WRITES.reverse().finished_label(),
+            self.transcript.bytes(),
+        );
+        if !ct::eq(&expected, frame.get(4..).unwrap_or_default()) {
+            return Err(TlsError::Crypto(CryptoError::BadTag));
+        }
+        self.transcript.add(frame);
+        Ok(())
+    }
+
+    /// Process every complete record `reader` holds.
+    fn process_buffered(
+        &mut self,
+        reader: &mut RecordReader,
+        rng: &mut CryptoRng,
+    ) -> Result<(), TlsError> {
+        while let Some(record) = reader.next_record_inplace()? {
+            self.process_record(record, rng)?;
+        }
+        Ok(())
+    }
+
+    fn process_record(
+        &mut self,
+        mut record: Record<'_>,
+        rng: &mut CryptoRng,
+    ) -> Result<(), TlsError> {
+        let known = record.content_type();
+        let content_type = match known {
+            Some(standard) if !standard.is_mbtls() => standard,
+            _ => {
+                H::admit_nonstandard(self, known)?;
+                let stored = (record.content_type_byte(), record.body().to_vec());
+                self.shell.nonstandard_in.push(stored);
+                return Ok(());
+            }
+        };
+        let shell = &mut self.shell;
+        // Decrypt, where the record sits, if the peer has activated its
+        // cipher.
+        let payload: &[u8] = if shell.peer_change_cipher_seen
+            && content_type != ContentType::ChangeCipherSpec
+        {
+            shell
+                .read_cipher
+                .as_mut()
+                .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?
+                .open_record_in_place(content_type, record.body())?
+        } else {
+            record.body()
+        };
+        match content_type {
+            ContentType::Alert => shell.handle_alert(payload),
+            ContentType::ChangeCipherSpec => {
+                if payload != [1] {
+                    return Err(TlsError::Decode("bad ChangeCipherSpec"));
+                }
+                H::peer_change_cipher(self)?;
+                let secrets = self
+                    .secrets
+                    .as_ref()
+                    .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
+                self.shell.read_cipher = Some(H::WRITES.reverse().cipher(secrets)?);
+                self.shell.peer_change_cipher_seen = true;
+                Ok(())
+            }
+            ContentType::Handshake => {
+                shell.hs_reader.feed(payload);
+                while let Some((typ, frame)) = self.shell.hs_reader.next_message()? {
+                    H::handle_handshake(self, typ, &frame, rng)?;
+                }
+                Ok(())
+            }
+            ContentType::ApplicationData => {
+                H::admit_application_data(self)?;
+                self.shell.plaintext_in.extend_from_slice(payload);
+                Ok(())
+            }
+            _ => Err(TlsError::Internal("content type handled in an earlier match arm")),
+        }
+    }
+}
+
+impl RecordShell {
     fn handle_alert(&mut self, payload: &[u8]) -> Result<(), TlsError> {
         let alert = Alert::decode(payload)?;
         if alert.description == AlertDescription::CloseNotify {
@@ -126,133 +482,5 @@ impl RecordShell {
             return Err(TlsError::PeerAlert(alert.description));
         }
         Ok(())
-    }
-}
-
-/// Check the peer's Finished `body` (`label` over the transcript so
-/// far) in constant time, then absorb its `frame`.
-pub(crate) fn verify_finished(
-    secrets: Option<&ConnectionSecrets>,
-    label: &[u8],
-    transcript: &mut Transcript,
-    body: &[u8],
-    frame: &[u8],
-) -> Result<(), TlsError> {
-    let secrets = secrets.ok_or(TlsError::UnexpectedMessage("Finished before keys"))?;
-    let expected = keyschedule::verify_data(
-        secrets.suite,
-        &secrets.master_secret,
-        label,
-        transcript.bytes(),
-    );
-    if !ct::eq(&expected, body) {
-        return Err(TlsError::Crypto(CryptoError::BadTag));
-    }
-    transcript.add(frame);
-    Ok(())
-}
-
-/// Feed bytes from the wire; processes as many records as possible.
-/// On error the connection fails and a fatal alert is queued.
-pub(crate) fn feed<R: ConnectionRole>(
-    conn: &mut R,
-    data: &[u8],
-    rng: &mut CryptoRng,
-) -> Result<(), TlsError> {
-    if let Some(e) = &conn.shell().error {
-        return Err(e.clone());
-    }
-    conn.shell().record_reader.feed(data);
-    // The reader moves aside so each record is opened where it sits in
-    // its buffer while the role and the shell's other fields take the
-    // result. It goes back on every path: a failed connection keeps
-    // whatever followed the record that failed it, unread.
-    let mut reader = std::mem::take(&mut conn.shell().record_reader);
-    let result = process_buffered(conn, &mut reader, rng);
-    conn.shell().record_reader = reader;
-    if let Err(e) = &result {
-        fail(conn, e.clone());
-    }
-    result
-}
-
-/// Fail the connection (once): queue the fatal alert for `e` and
-/// remember it.
-pub(crate) fn fail<R: ConnectionRole>(conn: &mut R, e: TlsError) {
-    let shell = conn.shell();
-    if shell.error.is_none() {
-        let alert = Alert::for_error(&e);
-        shell.queue_plaintext(ContentType::Alert, &alert.encode());
-        shell.error = Some(e);
-        conn.enter_failed();
-    }
-}
-
-/// Process every complete record `reader` holds.
-fn process_buffered<R: ConnectionRole>(
-    conn: &mut R,
-    reader: &mut RecordReader,
-    rng: &mut CryptoRng,
-) -> Result<(), TlsError> {
-    while let Some(record) = reader.next_record_inplace()? {
-        process_record(conn, record, rng)?;
-    }
-    Ok(())
-}
-
-fn process_record<R: ConnectionRole>(
-    conn: &mut R,
-    mut record: Record<'_>,
-    rng: &mut CryptoRng,
-) -> Result<(), TlsError> {
-    let known = record.content_type();
-    let content_type = match known {
-        Some(standard) if !standard.is_mbtls() => standard,
-        _ => {
-            conn.admit_nonstandard(known)?;
-            let stored = (record.content_type_byte(), record.body().to_vec());
-            conn.shell().nonstandard_in.push(stored);
-            return Ok(());
-        }
-    };
-    let shell = conn.shell();
-    // Decrypt, where the record sits, if the peer has activated its
-    // cipher.
-    let payload: &[u8] = if shell.peer_change_cipher_seen
-        && content_type != ContentType::ChangeCipherSpec
-    {
-        shell
-            .read_cipher
-            .as_mut()
-            .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?
-            .open_record_in_place(content_type, record.body())?
-    } else {
-        record.body()
-    };
-    match content_type {
-        ContentType::Alert => shell.handle_alert(payload),
-        ContentType::ChangeCipherSpec => {
-            if payload != [1] {
-                return Err(TlsError::Decode("bad ChangeCipherSpec"));
-            }
-            let cipher = conn.peer_cipher()?;
-            let shell = conn.shell();
-            shell.read_cipher = Some(cipher);
-            shell.peer_change_cipher_seen = true;
-            Ok(())
-        }
-        ContentType::Handshake => {
-            shell.hs_reader.feed(payload);
-            while let Some((typ, frame)) = conn.shell().hs_reader.next_message()? {
-                conn.handle_handshake(typ, &frame, rng)?;
-            }
-            Ok(())
-        }
-        ContentType::ApplicationData => {
-            conn.admit_application_data()?;
-            conn.shell().plaintext_in.extend_from_slice(payload);
-            Ok(())
-        }
-        _ => Err(TlsError::Internal("content type handled in an earlier match arm")),
     }
 }

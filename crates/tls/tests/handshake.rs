@@ -418,18 +418,43 @@ fn false_start_disabled_blocks_early_send() {
 
 #[test]
 fn exported_keys_match_between_peers() {
-    let mut f = fixture(17);
-    let cc = Arc::new(ClientConfig::new(f.trust.clone()));
-    let sc = Arc::new(ServerConfig::new(f.server_key.clone(), [7u8; 32]));
-    let mut client = ClientConnection::new(cc, "server.example", &mut f.rng);
-    let mut server = ServerConnection::new(sc);
-    run_to_completion(&mut client, &mut server, &mut f.rng).unwrap();
-    let ck = client.export_session_keys().unwrap();
-    let sk = server.export_session_keys().unwrap();
-    assert_eq!(ck.client_write_key, sk.client_write_key);
-    assert_eq!(ck.server_write_key, sk.server_write_key);
-    assert_eq!(ck.client_to_server_seq, sk.client_to_server_seq);
-    assert_eq!(ck.server_to_client_seq, sk.server_to_client_seq);
+    // What `MbSession::bridge` relies on: the two ends of an
+    // established pair export the same keys at the same sequence
+    // numbers, however the handshake ran.
+    for (case, tickets, resume) in [
+        ("full", true, false),
+        ("ticket-resumed", true, true),
+        ("id-resumed", false, true),
+    ] {
+        let mut f = fixture(17);
+        let mut sc = ServerConfig::new(f.server_key.clone(), [7u8; 32]);
+        sc.issue_tickets = tickets;
+        sc.assign_session_ids = !tickets;
+        let sc = Arc::new(sc);
+        let mut cc = ClientConfig::new(f.trust.clone());
+        cc.enable_tickets = tickets;
+        let mut client = ClientConnection::new(Arc::new(cc.clone()), "server.example", &mut f.rng);
+        let mut server = ServerConnection::new(sc.clone());
+        run_to_completion(&mut client, &mut server, &mut f.rng).unwrap();
+        if resume {
+            let resumption = client.resumption_data().expect(case);
+            assert_eq!(resumption.ticket.is_some(), tickets, "{case}");
+            cc.resumption_cache.insert("server.example".to_string(), resumption);
+            client = ClientConnection::new(Arc::new(cc), "server.example", &mut f.rng);
+            server = ServerConnection::new(sc);
+            run_to_completion(&mut client, &mut server, &mut f.rng).unwrap();
+        }
+        assert!(client.is_established() && server.is_established(), "{case}");
+        assert_eq!((client.resumed(), server.resumed()), (resume, resume), "{case}");
+        // One record more in one direction, so that an end reporting
+        // its two sequence numbers the wrong way round shows.
+        client.send_data(b"ping").unwrap();
+        server.feed_incoming(&client.take_outgoing(), &mut f.rng).unwrap();
+
+        let ck = client.export_session_keys().expect(case);
+        assert_eq!(Some(&ck), server.export_session_keys().as_ref(), "{case}");
+        assert_eq!((ck.client_to_server_seq, ck.server_to_client_seq), (2, 1), "{case}");
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@ use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
 use mbtls_pki::{KeyUsage, TrustStore};
 use mbtls_tls::config::{ClientConfig, ServerConfig};
 use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
-use mbtls_tls::{ClientConnection, ServerConnection};
+use mbtls_tls::{ClientConnection, Connection, Handshake, ServerConnection, TlsError};
 use proptest::prelude::*;
 
 fn fixture() -> (Arc<ClientConfig>, Arc<ServerConfig>, CryptoRng) {
@@ -111,57 +111,84 @@ fn full_handshake_byte_by_byte() {
     assert!(client.is_established() && server.is_established());
 }
 
+/// The fail-closed contract, written once for both roles: `conn` has
+/// just failed a feed with `error`. `is_failed()` and `error()` agree
+/// with it, exactly one fatal alert is queued, and every later feed
+/// returns the same error and interprets nothing.
+fn stays_failed<H: Handshake>(
+    mut conn: Connection<H>,
+    error: TlsError,
+    later: &[&[u8]],
+    rng: &mut CryptoRng,
+) {
+    assert!(conn.is_failed() && !conn.is_established());
+    assert_eq!(conn.error(), Some(&error));
+    let mut alerts = RecordReader::new();
+    alerts.feed(&conn.take_outgoing());
+    assert_eq!(alerts.next_record_inplace().unwrap().unwrap().content_type_byte(), 21);
+    assert!(alerts.next_record_inplace().unwrap().is_none());
+    assert_eq!(alerts.buffered(), 0);
+    for bytes in later {
+        assert_eq!(conn.feed_incoming(bytes, rng), Err(error.clone()));
+        assert_eq!(conn.error(), Some(&error));
+        assert!(conn.take_plaintext().is_empty());
+        assert!(conn.take_outgoing().is_empty());
+        assert_eq!(conn.send_data(b"x"), Err(TlsError::HandshakeNotDone));
+    }
+}
+
 #[test]
 fn failed_connection_stays_failed() {
-    let (_, sc, mut rng) = fixture();
-    let mut server = ServerConnection::new(sc);
-    assert!(server.feed_incoming(&[22, 9, 9, 0, 0], &mut rng).is_err());
-    assert!(server.is_failed());
-    // Subsequent valid input still errors (fail-closed).
-    assert!(server
-        .feed_incoming(&frame_plaintext(ContentType::Handshake, b""), &mut rng)
-        .is_err());
-    // An alert was queued for the peer.
-    let out = server.take_outgoing();
-    assert_eq!(out[0], 21, "fatal alert queued");
+    fn poisoned<H: Handshake>(mut conn: Connection<H>, rng: &mut CryptoRng) {
+        let _ = conn.take_outgoing();
+        let bad_version = [22, 9, 9, 0, 0];
+        let error = conn.feed_incoming(&bad_version, rng).unwrap_err();
+        // Subsequent valid input still errors (fail-closed).
+        let valid = frame_plaintext(ContentType::Handshake, b"");
+        stays_failed(conn, error, &[&valid, &[], &bad_version], rng);
+    }
+    let (cc, sc, mut rng) = fixture();
+    poisoned(ClientConnection::new(cc, "s", &mut rng), &mut rng);
+    poisoned(ServerConnection::new(sc), &mut rng);
 }
 
 #[test]
 fn bad_tag_mid_flight_fails_at_that_record_and_stays_failed() {
     // Three protected records in one feed, the second with a flipped
-    // tag byte: the shell opens records in its reader's buffer with the
-    // reader taken aside, so this is the state that must be left behind
-    // when the loop stops early.
-    let (cc, sc, mut rng) = fixture();
-    let mut client = ClientConnection::new(cc, "s", &mut rng);
-    let mut server = ServerConnection::new(sc);
-    for _ in 0..10 {
-        server.feed_incoming(&client.take_outgoing(), &mut rng).unwrap();
-        client.feed_incoming(&server.take_outgoing(), &mut rng).unwrap();
-    }
-    assert!(client.is_established() && server.is_established());
+    // tag byte: the connection opens records in its reader's buffer
+    // with the reader taken aside, so this is the state that must be
+    // left behind when the loop stops early.
+    fn poisoned<S: Handshake, R: Handshake>(
+        sender: &mut Connection<S>,
+        mut receiver: Connection<R>,
+        rng: &mut CryptoRng,
+    ) {
+        let mut records = [&b"one"[..], b"two", b"three"].map(|payload| {
+            sender.send_data(payload).unwrap();
+            sender.take_outgoing()
+        });
+        *records[1].last_mut().unwrap() ^= 1;
 
-    let mut records = [&b"one"[..], b"two", b"three"].map(|payload| {
-        client.send_data(payload).unwrap();
-        client.take_outgoing()
-    });
-    *records[1].last_mut().unwrap() ^= 1;
-
-    let error = server.feed_incoming(&records.concat(), &mut rng).unwrap_err();
-    assert!(server.is_failed());
-    // The record before the bad one was applied; nothing after it was.
-    assert_eq!(server.take_plaintext(), b"one");
-    // Exactly one fatal alert is queued.
-    let mut alerts = RecordReader::new();
-    alerts.feed(&server.take_outgoing());
-    assert_eq!(alerts.next_record_inplace().unwrap().unwrap().content_type_byte(), 21);
-    assert!(alerts.next_record_inplace().unwrap().is_none());
-    assert_eq!(alerts.buffered(), 0);
-    // Every later feed — empty, or the record that was never reached —
-    // returns the same error and interprets nothing.
-    for later in [&[][..], &records[2]] {
-        assert_eq!(server.feed_incoming(later, &mut rng), Err(error.clone()));
-        assert!(server.take_plaintext().is_empty());
-        assert!(server.take_outgoing().is_empty());
+        let error = receiver.feed_incoming(&records.concat(), rng).unwrap_err();
+        // The record before the bad one was applied; nothing after it
+        // was, and the record that was never reached never will be.
+        assert_eq!(receiver.take_plaintext(), b"one");
+        stays_failed(receiver, error, &[&[], &records[2]], rng);
     }
+    let established = |rng: &mut CryptoRng| {
+        let (cc, sc, _) = fixture();
+        let mut client = ClientConnection::new(cc, "s", rng);
+        let mut server = ServerConnection::new(sc);
+        for _ in 0..10 {
+            server.feed_incoming(&client.take_outgoing(), rng).unwrap();
+            client.feed_incoming(&server.take_outgoing(), rng).unwrap();
+        }
+        assert!(client.is_established() && server.is_established());
+        (client, server)
+    };
+    let (_, _, mut rng) = fixture();
+    let (mut client, server) = established(&mut rng);
+    poisoned(&mut client, server, &mut rng);
+    let (client, mut server) = established(&mut rng);
+    poisoned(&mut server, client, &mut rng);
 }

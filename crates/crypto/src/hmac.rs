@@ -3,7 +3,18 @@
 use crate::ct;
 use crate::sha2::Hash;
 
+/// The largest [`Hash::BLOCK_LEN`] in the family (SHA-384/512), so the
+/// key pads fit one stack block whatever `H` is.
+const MAX_BLOCK_LEN: usize = 128;
+
 /// Incremental HMAC computation, generic over the hash.
+///
+/// Keying costs two compressions (one per pad); a keyed `Hmac` is
+/// reusable by `clone`, which is how [`crate::kdf`] pays for the key
+/// once per expansion instead of once per block. Both hashers hold
+/// the key in digested form from [`Hmac::new`] on, so every copy wipes
+/// them when it is dropped.
+// lint:secret
 #[derive(Clone)]
 pub struct Hmac<H: Hash> {
     inner: H,
@@ -14,26 +25,31 @@ impl<H: Hash> Hmac<H> {
     /// Start a new MAC with `key`. Keys longer than the hash block are
     /// hashed down first, per the RFC.
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = vec![0u8; H::BLOCK_LEN];
+        const { assert!(H::OUTPUT_LEN <= H::BLOCK_LEN && H::BLOCK_LEN <= MAX_BLOCK_LEN) };
+        // One stack block serves as the zero-padded key, then as
+        // key ^ ipad, then as key ^ opad; all three are the key.
+        let mut block = [0u8; MAX_BLOCK_LEN];
+        let pad = &mut block[..H::BLOCK_LEN];
         if key.len() > H::BLOCK_LEN {
             let mut h = H::new();
             h.update(key);
-            let d = h.finalize();
-            key_block[..d.len()].copy_from_slice(&d);
+            let mut digest = h.finalize();
+            pad[..H::OUTPUT_LEN].copy_from_slice(digest.as_ref());
+            ct::zeroize(digest.as_mut());
         } else {
-            key_block[..key.len()].copy_from_slice(key);
+            pad[..key.len()].copy_from_slice(key);
         }
 
-        let mut inner = H::new();
-        let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-        inner.update(&ipad);
-
-        let mut outer = H::new();
-        let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-        outer.update(&opad);
-
-        ct::zeroize(&mut key_block);
-        Hmac { inner, outer }
+        let mut mac = Hmac {
+            inner: H::new(),
+            outer: H::new(),
+        };
+        pad.iter_mut().for_each(|b| *b ^= 0x36);
+        mac.inner.update(pad);
+        pad.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        mac.outer.update(pad);
+        ct::zeroize(&mut block);
+        mac
     }
 
     /// Absorb message bytes.
@@ -42,14 +58,15 @@ impl<H: Hash> Hmac<H> {
     }
 
     /// Finish and produce the tag.
-    pub fn finalize(mut self) -> Vec<u8> {
-        let inner_digest = self.inner.finalize();
-        self.outer.update(&inner_digest);
+    pub fn finalize(mut self) -> H::Output {
+        let mut inner_digest = self.inner.finalize();
+        self.outer.update(inner_digest.as_ref());
+        ct::zeroize(inner_digest.as_mut());
         self.outer.finalize()
     }
 
     /// One-shot MAC.
-    pub fn mac(key: &[u8], data: &[u8]) -> Vec<u8> {
+    pub fn mac(key: &[u8], data: &[u8]) -> H::Output {
         let mut m = Self::new(key);
         m.update(data);
         m.finalize()
@@ -57,7 +74,19 @@ impl<H: Hash> Hmac<H> {
 
     /// One-shot verify in constant time.
     pub fn verify(key: &[u8], data: &[u8], tag: &[u8]) -> bool {
-        ct::eq(&Self::mac(key, data), tag)
+        ct::eq(Self::mac(key, data).as_ref(), tag)
+    }
+
+    /// Zero both hashers in place. This is the routine [`Drop`] runs.
+    pub fn wipe(&mut self) {
+        self.inner.wipe();
+        self.outer.wipe();
+    }
+}
+
+impl<H: Hash> Drop for Hmac<H> {
+    fn drop(&mut self) {
+        self.wipe();
     }
 }
 
@@ -122,6 +151,39 @@ mod tests {
         );
     }
 
+    // Cases 4 and 7 over the 128-byte-block hashes: a 25-byte key with
+    // a 50-byte message, and key and message both longer than a block
+    // (the key is hashed down first, the message spans two blocks).
+    #[test]
+    fn rfc4231_case4_and_case7_sha384_sha512() {
+        let key4: Vec<u8> = (1..=25).collect();
+        let data4 = [0xcd; 50];
+        assert_eq!(
+            hex(&Hmac::<Sha384>::mac(&key4, &data4)),
+            "3e8a69b7783c25851933ab6290af6ca77a9981480850009cc5577c6e1f573b4e\
+             6801dd23c4a7d679ccf8a386c674cffb"
+        );
+        assert_eq!(
+            hex(&Hmac::<Sha512>::mac(&key4, &data4)),
+            "b0ba465637458c6990e5a8c5f61d4af7e576d97ff94b872de76f8050361ee3db\
+             a91ca5c11aa25eb4d679275cc5788063a5f19741120c4f2de2adebeb10a298dd"
+        );
+        let key7 = [0xaa; 131];
+        let data7 = b"This is a test using a larger than block-size key and a larger \
+                      than block-size data. The key needs to be hashed before being \
+                      used by the HMAC algorithm.";
+        assert_eq!(
+            hex(&Hmac::<Sha384>::mac(&key7, data7)),
+            "6617178e941f020d351e2f254e8fd32c602420feb0b8fb9adccebb82461e99c5\
+             a678cc31e799176d3860e6110c46523e"
+        );
+        assert_eq!(
+            hex(&Hmac::<Sha512>::mac(&key7, data7)),
+            "e37b6a775dc87dbaa4dfa9f96e5e3ffddebd71f8867289865df5a32d20cdc944\
+             b6022cac3c4982b10d5eeb55c3e4de15134676fb6de0446065c97440fa8c6a58"
+        );
+    }
+
     #[test]
     fn incremental_matches_oneshot() {
         let key = b"key material";
@@ -136,10 +198,27 @@ mod tests {
     fn verify_rejects_wrong_tag() {
         let tag = Hmac::<Sha256>::mac(b"k", b"m");
         assert!(Hmac::<Sha256>::verify(b"k", b"m", &tag));
-        let mut bad = tag.clone();
+        let mut bad = tag;
         bad[0] ^= 1;
         assert!(!Hmac::<Sha256>::verify(b"k", b"m", &bad));
         assert!(!Hmac::<Sha256>::verify(b"k", b"x", &tag));
         assert!(!Hmac::<Sha256>::verify(b"k2", b"m", &tag));
+    }
+
+    // Both hashers hold the digested key from `new` on; the inner one
+    // also buffers the message tail.
+    #[test]
+    fn drop_wipes_both_hashers() {
+        fn keyed_with_tail<H: Hash>() -> Hmac<H> {
+            let mut m = Hmac::<H>::new(&[0x5a; 48]);
+            m.update(&[0xc3; 77]);
+            m
+        }
+        ct::assert_wipes(keyed_with_tail::<Sha256>(), Hmac::wipe, |m| {
+            [m.inner.secret_fields(), m.outer.secret_fields()].concat()
+        });
+        ct::assert_wipes(keyed_with_tail::<Sha384>(), Hmac::wipe, |m| {
+            [m.inner.secret_fields(), m.outer.secret_fields()].concat()
+        });
     }
 }

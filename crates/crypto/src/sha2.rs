@@ -3,20 +3,33 @@
 //! Implemented as incremental hashers so the TLS transcript hash can be
 //! forked mid-handshake (mbTLS attests the running transcript).
 
-/// Common interface over the SHA-2 family, object-safe so the TLS
-/// layer can pick the hash from the negotiated cipher suite.
+use crate::ct;
+
+/// Common interface over the SHA-2 family, so HMAC, the PRF and the
+/// TLS layer are written once over whichever hash the cipher suite
+/// negotiates.
 pub trait Hash: Clone {
     /// Digest length in bytes.
     const OUTPUT_LEN: usize;
     /// Internal block length in bytes (HMAC needs this).
     const BLOCK_LEN: usize;
+    /// The digest, a `[u8; OUTPUT_LEN]`: it leaves the hasher by
+    /// value, with no allocation.
+    type Output: AsRef<[u8]> + AsMut<[u8]> + Copy;
     /// Create a fresh hasher.
     fn new() -> Self;
     /// Absorb `data`.
     fn update(&mut self, data: &[u8]);
-    /// Finish and produce the digest. Consumes the hasher; clone first
-    /// to keep a running transcript.
-    fn finalize(self) -> Vec<u8>;
+    /// Finish and produce the digest, leaving the hasher as [`new`]
+    /// makes it (nothing of the message stays behind). Clone first to
+    /// keep a running transcript.
+    ///
+    /// [`new`]: Hash::new
+    fn finalize(&mut self) -> Self::Output;
+    /// Zero the chaining state and the buffered input in place. A
+    /// hasher that absorbed secret bytes (an HMAC pad, a PRF chain
+    /// value) holds them, or a value as good as them, until this runs.
+    fn wipe(&mut self);
 }
 
 const K256: [u32; 64] = [
@@ -44,14 +57,10 @@ impl Sha256 {
     pub fn digest(data: &[u8]) -> [u8; 32] {
         let mut h = Self::new();
         h.update(data);
-        let v = h.finalize();
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&v);
-        out
+        h.finalize()
     }
 
-    fn compress(&mut self, block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, c) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -64,7 +73,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -85,21 +94,16 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        let st = &mut self.state;
-        st[0] = st[0].wrapping_add(a);
-        st[1] = st[1].wrapping_add(b);
-        st[2] = st[2].wrapping_add(c);
-        st[3] = st[3].wrapping_add(d);
-        st[4] = st[4].wrapping_add(e);
-        st[5] = st[5].wrapping_add(f);
-        st[6] = st[6].wrapping_add(g);
-        st[7] = st[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
 impl Hash for Sha256 {
     const OUTPUT_LEN: usize = 32;
     const BLOCK_LEN: usize = 64;
+    type Output = [u8; 32];
 
     fn new() -> Self {
         Sha256 {
@@ -121,14 +125,12 @@ impl Hash for Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block);
+        while let Some((block, rest)) = data.split_first_chunk() {
+            Self::compress(&mut self.state, block);
             data = rest;
         }
         if !data.is_empty() {
@@ -137,23 +139,31 @@ impl Hash for Sha256 {
         }
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize(&mut self) -> [u8; 32] {
+        // Padding, written where it goes: 0x80, zeros to the length
+        // field, the 8-byte big-endian bit length. `buf_len < 64`
+        // always, so the 0x80 fits; the length may need a second block.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            Self::compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        // update() above mutated total_len; the length we write is the
-        // one captured before padding.
-        let block_start = self.buf_len;
-        self.buf[block_start..block_start + 8].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        self.state
-            .iter()
-            .flat_map(|w| w.to_be_bytes())
-            .collect()
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buf);
+        let mut out = [0u8; 32];
+        for (o, w) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&w.to_be_bytes());
+        }
+        *self = Self::new();
+        out
+    }
+
+    fn wipe(&mut self) {
+        ct::zeroize_u32(&mut self.state);
+        ct::zeroize(&mut self.buf);
+        self.buf_len = 0;
     }
 }
 
@@ -199,8 +209,7 @@ impl Sha512Core {
         }
     }
 
-    fn compress(&mut self, block: &[u8]) {
-        debug_assert_eq!(block.len(), 128);
+    fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
         let mut w = [0u64; 80];
         for (i, c) in block.chunks_exact(8).enumerate() {
             w[i] = u64::from_be_bytes(crate::fixed(c));
@@ -213,7 +222,7 @@ impl Sha512Core {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..80 {
             let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
             let ch = (e & f) ^ (!e & g);
@@ -234,15 +243,9 @@ impl Sha512Core {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        let st = &mut self.state;
-        st[0] = st[0].wrapping_add(a);
-        st[1] = st[1].wrapping_add(b);
-        st[2] = st[2].wrapping_add(c);
-        st[3] = st[3].wrapping_add(d);
-        st[4] = st[4].wrapping_add(e);
-        st[5] = st[5].wrapping_add(f);
-        st[6] = st[6].wrapping_add(g);
-        st[7] = st[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 
     fn update(&mut self, mut data: &[u8]) {
@@ -253,14 +256,12 @@ impl Sha512Core {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 128 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 128 {
-            let (block, rest) = data.split_at(128);
-            self.compress(block);
+        while let Some((block, rest)) = data.split_first_chunk() {
+            Self::compress(&mut self.state, block);
             data = rest;
         }
         if !data.is_empty() {
@@ -269,19 +270,31 @@ impl Sha512Core {
         }
     }
 
-    fn finalize(mut self, out_words: usize) -> Vec<u8> {
+    /// Pad in place (as [`Sha256::finalize`], with a 16-byte length at
+    /// 112) and return the first `N` bytes of the state: 64 for
+    /// SHA-512, 48 for SHA-384. The core is spent afterwards; both
+    /// wrappers replace it.
+    fn finish<const N: usize>(&mut self) -> [u8; N] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 112 {
+            Self::compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        self.state[..out_words]
-            .iter()
-            .flat_map(|w| w.to_be_bytes())
-            .collect()
+        self.buf[112..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buf);
+        let mut out = [0u8; N];
+        for (o, w) in out.chunks_exact_mut(8).zip(self.state) {
+            o.copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    fn wipe(&mut self) {
+        ct::zeroize_u64(&mut self.state);
+        ct::zeroize(&mut self.buf);
+        self.buf_len = 0;
     }
 }
 
@@ -294,16 +307,14 @@ impl Sha512 {
     pub fn digest(data: &[u8]) -> [u8; 64] {
         let mut h = Self::new();
         h.update(data);
-        let v = h.finalize();
-        let mut out = [0u8; 64];
-        out.copy_from_slice(&v);
-        out
+        h.finalize()
     }
 }
 
 impl Hash for Sha512 {
     const OUTPUT_LEN: usize = 64;
     const BLOCK_LEN: usize = 128;
+    type Output = [u8; 64];
 
     fn new() -> Self {
         Sha512(Sha512Core::with_iv([
@@ -316,8 +327,14 @@ impl Hash for Sha512 {
         self.0.update(data);
     }
 
-    fn finalize(self) -> Vec<u8> {
-        self.0.finalize(8)
+    fn finalize(&mut self) -> [u8; 64] {
+        let out = self.0.finish();
+        *self = Self::new();
+        out
+    }
+
+    fn wipe(&mut self) {
+        self.0.wipe();
     }
 }
 
@@ -330,16 +347,14 @@ impl Sha384 {
     pub fn digest(data: &[u8]) -> [u8; 48] {
         let mut h = Self::new();
         h.update(data);
-        let v = h.finalize();
-        let mut out = [0u8; 48];
-        out.copy_from_slice(&v);
-        out
+        h.finalize()
     }
 }
 
 impl Hash for Sha384 {
     const OUTPUT_LEN: usize = 48;
     const BLOCK_LEN: usize = 128;
+    type Output = [u8; 48];
 
     fn new() -> Self {
         Sha384(Sha512Core::with_iv([
@@ -352,8 +367,32 @@ impl Hash for Sha384 {
         self.0.update(data);
     }
 
-    fn finalize(self) -> Vec<u8> {
-        self.0.finalize(6)
+    fn finalize(&mut self) -> [u8; 48] {
+        let out = self.0.finish();
+        *self = Self::new();
+        out
+    }
+
+    fn wipe(&mut self) {
+        self.0.wipe();
+    }
+}
+
+/// What `wipe` must zero, for the drop probes of types that hold a
+/// hasher ([`crate::hmac::Hmac`]).
+#[cfg(test)]
+impl Sha256 {
+    pub(crate) fn secret_fields(&self) -> Vec<Vec<u8>> {
+        let state = self.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        vec![state, self.buf.to_vec()]
+    }
+}
+
+#[cfg(test)]
+impl Sha384 {
+    pub(crate) fn secret_fields(&self) -> Vec<Vec<u8>> {
+        let state = self.0.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        vec![state, self.0.buf.to_vec()]
     }
 }
 
@@ -412,7 +451,7 @@ mod tests {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
-            assert_eq!(h.finalize(), Sha256::digest(&data).to_vec(), "split {split}");
+            assert_eq!(h.finalize(), Sha256::digest(&data), "split {split}");
         }
     }
 
@@ -462,7 +501,90 @@ mod tests {
             let mut h = Sha512::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
-            assert_eq!(h.finalize(), Sha512::digest(&data).to_vec(), "split {split}");
+            assert_eq!(h.finalize(), Sha512::digest(&data), "split {split}");
         }
+    }
+
+    fn digest_of<H: Hash>(data: &[u8]) -> H::Output {
+        let mut h = H::new();
+        h.update(data);
+        h.finalize()
+    }
+
+    /// Every message length 0..=300 — across the one-block/two-block
+    /// padding boundaries at 55/56/63/64 (SHA-256) and 111/112/127/128
+    /// (SHA-384/512) — folded into one running digest.
+    fn length_sweep<H: Hash>() -> String {
+        let mut running = H::new();
+        for n in 0..=300usize {
+            let msg: Vec<u8> = (0..n).map(|i| ((7 * i + n) % 251) as u8).collect();
+            running.update(digest_of::<H>(&msg).as_ref());
+        }
+        hex(running.finalize().as_ref())
+    }
+
+    // The constants are this machine's Python hashlib, name in
+    // ("sha256", "sha384", "sha512"):
+    //
+    //   run = hashlib.new(name)
+    //   for n in range(301):
+    //       msg = bytes((7 * i + n) % 251 for i in range(n))
+    //       run.update(hashlib.new(name, msg).digest())
+    //   print(run.hexdigest())
+    #[test]
+    fn every_length_to_300_matches_hashlib() {
+        assert_eq!(
+            length_sweep::<Sha256>(),
+            "d2606c72e64eadacbe60c817c8a74d1c658cc446db20c6735634c2665c7d7cf6"
+        );
+        assert_eq!(
+            length_sweep::<Sha384>(),
+            "adb2df514e067156d397426ad83db629864f2b09ad5c097317a61616408b694e\
+             f2920b20983065f08b04a9f5eee47d9c"
+        );
+        assert_eq!(
+            length_sweep::<Sha512>(),
+            "2aa0968ab16975944406ccb412600eaa63db990b5c27cd067aaec2d4ad3a51d7\
+             94360c474ae14ce1c0143e5dede30aa44245426319a66e4ac3d7d23af1b25636"
+        );
+    }
+
+    fn every_split_matches_oneshot<H: Hash>() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
+        let whole = digest_of::<H>(&data);
+        for split in 0..=data.len() {
+            let mut h = H::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize().as_ref(), whole.as_ref(), "split {split}");
+        }
+    }
+
+    #[test]
+    fn every_split_of_300_bytes_matches_oneshot() {
+        every_split_matches_oneshot::<Sha256>();
+        every_split_matches_oneshot::<Sha384>();
+        every_split_matches_oneshot::<Sha512>();
+    }
+
+    #[test]
+    fn finalize_leaves_a_fresh_hasher() {
+        let mut h = Sha384::new();
+        h.update(b"first message");
+        h.finalize();
+        h.update(b"abc");
+        assert_eq!(h.finalize(), Sha384::digest(b"abc"));
+    }
+
+    #[test]
+    fn wipe_zeroes_state_and_buffer() {
+        let mut h = Sha256::new();
+        h.update(&[0xa5; 70]);
+        h.wipe();
+        assert!(h.secret_fields().concat().iter().all(|&b| b == 0));
+        let mut h = Sha384::new();
+        h.update(&[0xa5; 140]);
+        h.wipe();
+        assert!(h.secret_fields().concat().iter().all(|&b| b == 0));
     }
 }

@@ -5,7 +5,7 @@ use mbtls_crypto::bignum::BigUint;
 use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::hmac::Hmac;
 use mbtls_crypto::kdf::tls12_prf;
-use mbtls_crypto::sha2::{Hash, Sha256};
+use mbtls_crypto::sha2::{Hash, Sha256, Sha384};
 use proptest::prelude::*;
 
 proptest! {
@@ -22,7 +22,7 @@ proptest! {
             prev = p;
         }
         h.update(&data[prev..]);
-        prop_assert_eq!(h.finalize(), Sha256::digest(&data).to_vec());
+        prop_assert_eq!(h.finalize(), Sha256::digest(&data));
     }
 
     /// GCM seal/open are inverses for any key size, nonce, aad, and data.
@@ -65,6 +65,26 @@ proptest! {
             m2[i] ^= 1;
             prop_assert!(!Hmac::<Sha256>::verify(&key, &m2, &tag));
         }
+    }
+
+    /// A keyed HMAC is reusable by clone: every clone of one keying
+    /// gives the tag a fresh keying gives, whatever the other clones
+    /// absorbed. Keys run past the 128-byte block so the hashed-down
+    /// path is sampled too.
+    #[test]
+    fn hmac_clone_after_keying_equals_fresh_keying(
+        key in proptest::collection::vec(any::<u8>(), 0..200),
+        first in proptest::collection::vec(any::<u8>(), 0..200),
+        second in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let keyed = Hmac::<Sha384>::new(&key);
+        let mut a = keyed.clone();
+        a.update(&first);
+        let mut b = keyed.clone();
+        b.update(&second);
+        prop_assert_eq!(a.finalize(), Hmac::<Sha384>::mac(&key, &first));
+        prop_assert_eq!(b.finalize(), Hmac::<Sha384>::mac(&key, &second));
+        prop_assert_eq!(keyed.finalize(), Hmac::<Sha384>::mac(&key, &[]));
     }
 
     /// The TLS PRF is length-extensible: a longer output has the

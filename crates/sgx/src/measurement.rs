@@ -38,8 +38,7 @@ impl CodeIdentity {
         h.update(self.version.as_bytes());
         h.update(&(self.config.len() as u32).to_be_bytes());
         h.update(&self.config);
-        let digest = h.finalize();
-        Measurement(digest.try_into().unwrap())
+        Measurement(h.finalize())
     }
 }
 

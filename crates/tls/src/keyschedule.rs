@@ -5,7 +5,7 @@ use crate::suites::{CipherSuite, PrfHash};
 use mbtls_crypto::aead::FIXED_IV_LEN;
 use mbtls_crypto::ct;
 use mbtls_crypto::kdf::tls12_prf;
-use mbtls_crypto::sha2::{Hash, Sha256, Sha384};
+use mbtls_crypto::sha2::{Sha256, Sha384};
 
 /// Length of the master secret.
 pub const MASTER_SECRET_LEN: usize = 48;
@@ -17,22 +17,6 @@ pub fn prf(suite: CipherSuite, secret: &[u8], label: &[u8], seed: &[u8], out_len
     match suite.prf_hash() {
         PrfHash::Sha256 => tls12_prf::<Sha256>(secret, label, seed, out_len),
         PrfHash::Sha384 => tls12_prf::<Sha384>(secret, label, seed, out_len),
-    }
-}
-
-/// Hash a transcript with the suite's PRF hash.
-pub fn transcript_hash(suite: CipherSuite, transcript: &[u8]) -> Vec<u8> {
-    match suite.prf_hash() {
-        PrfHash::Sha256 => {
-            let mut h = Sha256::new();
-            h.update(transcript);
-            h.finalize()
-        }
-        PrfHash::Sha384 => {
-            let mut h = Sha384::new();
-            h.update(transcript);
-            h.finalize()
-        }
     }
 }
 
@@ -164,8 +148,15 @@ pub fn key_block(
 
 /// verify_data = PRF(master, label, Hash(handshake_messages))[0..12]
 pub fn verify_data(suite: CipherSuite, master: &[u8], label: &[u8], transcript: &[u8]) -> Vec<u8> {
-    let hash = transcript_hash(suite, transcript);
-    prf(suite, master, label, &hash, VERIFY_DATA_LEN)
+    // The transcript hash is the suite's PRF hash, by value.
+    match suite.prf_hash() {
+        PrfHash::Sha256 => {
+            tls12_prf::<Sha256>(master, label, &Sha256::digest(transcript), VERIFY_DATA_LEN)
+        }
+        PrfHash::Sha384 => {
+            tls12_prf::<Sha384>(master, label, &Sha384::digest(transcript), VERIFY_DATA_LEN)
+        }
+    }
 }
 
 /// Strip leading zero bytes from a DHE shared secret (RFC 5246

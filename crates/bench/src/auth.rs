@@ -91,6 +91,14 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
             Value::Float(delegated.handshake_bytes as f64 / sgx.handshake_bytes as f64, 4),
         ),
         ("delegated_cpu_ratio", Value::Float(delegated.cpu_us / sgx.cpu_us, 4)),
+        // mdTLS's question without the model's help: delegated over
+        // attested on measured CPU alone. Reported, not floored — since
+        // an endpoint verifies a middlebox's signatures as one batch,
+        // which side of 1 it falls on is within a run's noise.
+        (
+            "delegated_measured_cpu_ratio",
+            Value::Float(delegated.measured_cpu_us / sgx.measured_cpu_us, 4),
+        ),
         // Whether, for every mode, two same-seed handshakes produced
         // bit-identical wire traffic.
         ("determinism", if identical { "identical" } else { "diverged" }.into()),
@@ -139,12 +147,15 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
     floor!(0.0 < bytes_ratio && bytes_ratio < 1.0, "bytes ratio out of range: {bytes_ratio}");
     let cpu_ratio = report.num("delegated_cpu_ratio")?;
     floor!(0.0 < cpu_ratio && cpu_ratio < 1.0, "CPU ratio out of range: {cpu_ratio}");
+    let measured_ratio = report.num("delegated_measured_cpu_ratio")?;
+    floor!(measured_ratio > 0.0, "measured CPU ratio out of range: {measured_ratio}");
     floor!(
         report.text("determinism")? == "identical",
         "double-run auth handshake determinism verdict is not identical"
     );
     Ok(format!(
-        "auth OK: delegated/attested bytes {bytes_ratio}, cpu {cpu_ratio}, determinism identical"
+        "auth OK: delegated/attested bytes {bytes_ratio}, cpu {cpu_ratio} ({measured_ratio} \
+         measured alone), determinism identical"
     ))
 }
 
@@ -233,17 +244,28 @@ pub fn run_handshake_counted(
     Err(MbError::unexpected_state("counted handshake did not complete"))
 }
 
-/// Wall-clock microseconds per handshake under `mode`, averaged over
-/// `iters` fresh sessions (testbed built once; only session
-/// construction and the pump are timed).
-pub fn bench_handshake_cpu(tb: &Testbed, mode: MiddleboxAuthMode, iters: usize) -> f64 {
-    // One warmup run outside the clock.
-    run_handshake_counted(tb, mode, 0xA0).expect("warmup handshake");
-    let t0 = Instant::now();
-    for i in 0..iters {
-        run_handshake_counted(tb, mode, 0xA1 + i as u64).expect("timed handshake");
+/// Wall-clock microseconds per handshake under each of [`MODES`]: the
+/// median over `iters` fresh sessions per mode (testbed built once;
+/// only session construction and the pump are timed), the modes taking
+/// turns so that a slow phase of the machine lands on all three alike
+/// — the attested and delegated rows differ by a few percent, less
+/// than consecutive means of this machine do.
+pub fn bench_handshake_cpu(tb: &Testbed, iters: usize) -> [f64; MODES.len()] {
+    let mut times = [(); MODES.len()].map(|()| Vec::with_capacity(iters));
+    // One warmup round outside the clock.
+    for i in 0..=iters {
+        for (mode, times) in MODES.iter().zip(&mut times) {
+            let t0 = Instant::now();
+            run_handshake_counted(tb, *mode, 0xA0 + i as u64).expect("timed handshake");
+            if i > 0 {
+                times.push(t0.elapsed().as_secs_f64() * 1e6);
+            }
+        }
     }
-    t0.elapsed().as_secs_f64() * 1e6 / iters as f64
+    times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    })
 }
 
 /// Size of the authorization artifact the middlebox presents under
@@ -269,11 +291,11 @@ pub fn bench_auth_modes(iters: usize, seed: u64) -> (Vec<AuthModeRow>, bool) {
     let cost = SgxCostModel::default();
     let mut rows = Vec::new();
     let mut identical = true;
-    for mode in MODES {
+    let measured = bench_handshake_cpu(&tb, iters);
+    for (mode, measured_cpu_us) in MODES.into_iter().zip(measured) {
         let a = run_handshake_counted(&tb, mode, seed ^ 0x5EED).expect("counted handshake");
         let b = run_handshake_counted(&tb, mode, seed ^ 0x5EED).expect("counted handshake");
         identical &= a.digest == b.digest && a.bytes == b.bytes;
-        let measured_cpu_us = bench_handshake_cpu(&tb, mode, iters);
         let modeled_attestation_us = match mode {
             MiddleboxAuthMode::SgxAttested => cost.attestation_round_ns() / 1e3,
             _ => 0.0,
@@ -348,6 +370,7 @@ mod tests {
                 ("modes.key_shared.modeled_attestation_us", "5.00", "key_shared: attestation"),
                 ("delegated_bytes_ratio", "1.0000", "bytes ratio out of range"),
                 ("delegated_cpu_ratio", "0.0000", "CPU ratio out of range"),
+                ("delegated_measured_cpu_ratio", "0.0000", "measured CPU ratio out of range"),
                 ("determinism", "\"diverged\"", "not identical"),
                 ("modes", "{\"delegated\": {}}", "modes.delegated.handshake_bytes"),
             ],

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mbtls_crypto::rng::CryptoRng;
-use mbtls_pki::{SignatureCheck, TrustStore};
+use mbtls_pki::TrustStore;
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy};
 use mbtls_tls::messages::{extension_type, Extension};
@@ -19,7 +19,6 @@ use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, ClientHandshake, TlsError};
 
 use crate::dataplane::{EndpointDataPlane, HopKeys};
-use crate::driver::PendingVerify;
 use crate::messages::{KeyMaterial, MiddleboxSupport};
 use crate::session::{Admission, MbSession, Role};
 use crate::MbError;
@@ -225,9 +224,6 @@ pub type MbClientSession = MbSession<ClientRole>;
 pub struct ClientRole {
     config: Arc<MbClientConfig>,
     hello_reported: bool,
-    /// Deferred signature-check groups awaiting pickup by the driver
-    /// (token 0 = primary connection, 1 + id = middlebox subchannel).
-    pending_verifies: Vec<PendingVerify>,
 }
 
 impl Role for ClientRole {
@@ -238,6 +234,7 @@ impl Role for ClientRole {
         Admission {
             trust: &self.config.middlebox_trust,
             delegated: self.config.middlebox_delegation.is_some(),
+            deferred: self.config.tls.defer_verify,
             approval: &self.config.approval,
             now: self.config.tls.current_time,
         }
@@ -253,19 +250,16 @@ impl Role for ClientRole {
         let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
         sec_cfg.suites = config.tls.suites.clone();
         sec_cfg.current_time = config.tls.current_time;
-        // Name is unknown until the certificate arrives; chain and
-        // name policy are enforced post-handshake by the core's
-        // screening.
+        // Name is unknown until the certificate arrives; the chain
+        // is checked by the session, which is this connection's
+        // driver: the signature checks its server flight owes are
+        // parked for `MbSession::collect_owed` to add the chain's to.
         sec_cfg.danger_disable_cert_verify = true;
+        sec_cfg.defer_verify = true;
         sec_cfg.attestation_policy = config.middlebox_attestation.clone();
-        // Delegated mode: the TLS layer verifies the credential
-        // (and its issuer chain) itself and sources the peer key
-        // from it; under `defer_verify` those checks surface via
-        // `take_pending_verify` and are routed to the driver.
+        // Delegated mode: the TLS layer checks the credential (and
+        // its issuer chain) and sources the peer key from it.
         sec_cfg.delegation_policy = config.middlebox_delegation.clone();
-        if config.middlebox_delegation.is_some() {
-            sec_cfg.defer_verify = config.tls.defer_verify;
-        }
         sec_cfg.enable_tickets = config.tls.enable_tickets;
         let conn = ClientConnection::with_reused_hello(
             Arc::new(sec_cfg),
@@ -274,42 +268,6 @@ impl Role for ClientRole {
         );
         session.open_secondary(id, conn);
         Ok(())
-    }
-
-    fn surface_deferred(session: &mut MbSession<Self>) {
-        // Surface the primary connection's deferred checks.
-        if let Some(checks) = session.primary.take_pending_verify() {
-            session.role.pending_verifies.push(PendingVerify { token: 0, checks });
-        }
-        // Surface deferred checks raised *inside* secondary
-        // connections (delegated-credential mode under
-        // `defer_verify`): the connection withholds `is_established`
-        // until the driver resolves them, so these must reach the
-        // same batch seam as the primary's.
-        for (&id, sec) in session.secondaries.iter_mut() {
-            if let Some(checks) = sec.conn.take_pending_verify() {
-                sec.deferred_checks = checks.len() as u64;
-                session.role
-                    .pending_verifies
-                    .push(PendingVerify { token: 1 + u32::from(id), checks });
-            }
-        }
-    }
-
-    /// Verify inline (the default), or under `defer_verify` park the
-    /// checks for the driver to batch.
-    fn discharge(
-        session: &mut MbSession<Self>,
-        id: u8,
-        checks: Vec<SignatureCheck>,
-    ) -> Option<bool> {
-        if !session.role.config.tls.defer_verify || checks.is_empty() {
-            return Some(checks.iter().all(|c| c.check()));
-        }
-        session.role
-            .pending_verifies
-            .push(PendingVerify { token: 1 + u32::from(id), checks });
-        None
     }
 
     /// Client outward: the middlebox nearest the client claimed the
@@ -347,42 +305,6 @@ impl Role for ClientRole {
             session.emit(EventKind::ClientHelloSent { bytes });
         }
     }
-
-    fn take_pending_verifies(session: &mut MbSession<Self>, out: &mut Vec<PendingVerify>) {
-        out.append(&mut session.role.pending_verifies);
-    }
-
-    fn resolve_verify(session: &mut MbSession<Self>, token: u32, valid: bool) {
-        if token == 0 {
-            session.primary.resolve_verify(valid);
-        } else {
-            let id = (token - 1) as u8;
-            let subject = session
-                .secondaries
-                .get_mut(&id)
-                .and_then(|sec| sec.pending_subject.take());
-            match (subject, valid) {
-                (Some(name), true) => session.approve(id, name),
-                (Some(_), false) => session.reject(id),
-                (None, valid) => {
-                    // No screening subject outstanding: the deferred
-                    // group came from inside the secondary connection
-                    // itself (delegated-credential checks under
-                    // `defer_verify`) — forward the verdict there.
-                    if let Some(sec) = session.secondaries.get_mut(&id) {
-                        sec.conn.resolve_verify(valid);
-                        if !valid {
-                            session.emit(EventKind::CredentialRejected {
-                                subchannel: id as u64,
-                            });
-                            session.reject(id);
-                        }
-                    }
-                }
-            }
-        }
-        session.pump();
-    }
 }
 
 impl MbSession<ClientRole> {
@@ -402,26 +324,8 @@ impl MbSession<ClientRole> {
         }
         let primary = ClientConnection::new(Arc::new(tls_config), server_name, &mut rng);
         let telemetry = config.telemetry.clone();
-        let role = ClientRole {
-            config,
-            hello_reported: false,
-            pending_verifies: Vec::new(),
-        };
+        let role = ClientRole { config, hello_reported: false };
         MbSession::around(role, primary, rng, telemetry)
-    }
-
-    /// Drain deferred signature-check groups (token 0 = primary, 1 +
-    /// subchannel id = middlebox approval); the caller must deliver
-    /// each verdict through [`MbClientSession::resolve_verify`].
-    pub fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        ClientRole::take_pending_verifies(self, out)
-    }
-
-    /// Deliver the verdict for a deferred group. A failed primary
-    /// verdict fails the session; a failed middlebox verdict demotes
-    /// that middlebox to a relay (same as an inline chain failure).
-    pub fn resolve_verify(&mut self, token: u32, valid: bool) {
-        ClientRole::resolve_verify(self, token, valid)
     }
 
     /// Resumption data for the server (cache under the server name).

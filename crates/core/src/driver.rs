@@ -7,6 +7,7 @@
 //! carries virtual time and powers the Figure 6 / Table 2
 //! reproductions.
 
+use mbtls_crypto::ed25519::verify_checks;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_netsim::net::{ConnId, Network, NodeId};
 use mbtls_pki::SignatureCheck;
@@ -167,10 +168,10 @@ impl<R: Role> Endpoint for MbSession<R> {
         MbSession::resumed(self)
     }
     fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        R::take_pending_verifies(self, out)
+        MbSession::take_pending_verifies(self, out)
     }
     fn resolve_verify(&mut self, token: u32, valid: bool) {
-        R::resolve_verify(self, token, valid)
+        MbSession::resolve_verify(self, token, valid)
     }
 }
 
@@ -477,14 +478,14 @@ impl Chain {
         }
     }
 
-    /// Discharge any deferred checks inline (individual verifies).
+    /// Discharge any deferred checks here, one batch per group.
     /// Returns true if any group was resolved.
     fn discharge_pending_verifies(&mut self) -> bool {
         let mut pending = Vec::new();
         self.take_pending_verifies(&mut pending);
         let any = !pending.is_empty();
         for (party, pv) in pending {
-            let ok = pv.checks.iter().all(|c| c.check());
+            let ok = verify_checks(&pv.checks).all_valid();
             self.resolve_verify(party, pv.token, ok);
         }
         any

@@ -143,6 +143,7 @@ impl Role for ServerRole {
         Admission {
             trust: &self.config.middlebox_trust,
             delegated: self.config.middlebox_delegation.is_some(),
+            deferred: false,
             approval: &self.config.approval,
             now: self.config.current_time,
         }
@@ -166,11 +167,14 @@ impl Role for ServerRole {
         let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
         sec_cfg.suites = config.tls.suites.clone();
         sec_cfg.current_time = config.current_time;
+        // The session drives this connection and checks its chain
+        // (see the client end's `unknown_subchannel`).
         sec_cfg.danger_disable_cert_verify = true;
+        sec_cfg.defer_verify = true;
         sec_cfg.attestation_policy = config.middlebox_attestation.clone();
-        // Delegated mode: the TLS layer verifies the middlebox's
-        // endpoint-issued credential inline and keys the handshake
-        // off it (the middlebox presents no chain of its own).
+        // Delegated mode: the middlebox presents no chain of its own;
+        // the TLS layer checks its endpoint-issued credential and
+        // keys the handshake off it.
         sec_cfg.delegation_policy = config.middlebox_delegation.clone();
         session.role.next_subchannel = next;
         let conn = ClientConnection::new(Arc::new(sec_cfg), "", &mut session.rng);

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use mbtls_crypto::ed25519::verify_checks;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
@@ -45,9 +46,12 @@ fn bridge<H: Handshake>(primary: &Connection<H>) -> Option<(CipherSuite, HopKeys
 pub(crate) struct Admission<'a> {
     /// Trust roots for middlebox certificates.
     pub(crate) trust: &'a TrustStore,
-    /// Delegated mode: the TLS layer verifies the middlebox's
-    /// credential itself, and only the approval policy remains.
+    /// Delegated mode: the middlebox's identity is its credential,
+    /// whose checks the TLS layer owes; there is no chain to add.
     pub(crate) delegated: bool,
+    /// Park owed signature checks for the driver to batch across
+    /// sessions instead of verifying each group here.
+    pub(crate) deferred: bool,
     /// Approval policy applied after verification.
     pub(crate) approval: &'a ApprovalPolicy,
     /// "Current time" for middlebox certificate validation.
@@ -88,18 +92,6 @@ pub(crate) trait Role: Sized {
     /// refuse.
     fn unknown_subchannel(session: &mut MbSession<Self>, id: u8) -> Result<(), MbError>;
 
-    /// Called on every pump before approvals: hand deferred signature
-    /// checks raised inside the TLS connections to the driver.
-    fn surface_deferred(_: &mut MbSession<Self>) {}
-
-    /// Discharge the chain-signature checks screening left owed for
-    /// middlebox `id`: `Some(verdict)` when verified here, `None` when
-    /// parked for the driver (the verdict then arrives through
-    /// [`Role::resolve_verify`]).
-    fn discharge(_: &mut MbSession<Self>, _id: u8, checks: Vec<SignatureCheck>) -> Option<bool> {
-        Some(checks.iter().all(|c| c.check()))
-    }
-
     /// Put approved subchannel IDs in path order, this end outward.
     fn order_path(ids: &mut [u8]);
 
@@ -125,13 +117,6 @@ pub(crate) trait Role: Sized {
     fn primary_plaintext(_: &mut MbSession<Self>) -> Vec<u8> {
         Vec::new()
     }
-
-    /// [`crate::driver::Endpoint::take_pending_verifies`] for this
-    /// end.
-    fn take_pending_verifies(_: &mut MbSession<Self>, _out: &mut Vec<PendingVerify>) {}
-
-    /// [`crate::driver::Endpoint::resolve_verify`] for this end.
-    fn resolve_verify(_: &mut MbSession<Self>, _token: u32, _valid: bool) {}
 }
 
 /// State of one secondary (endpoint ↔ middlebox) session.
@@ -143,20 +128,18 @@ pub(crate) struct Secondary {
     approved: bool,
     /// Explicitly rejected (alert sent).
     rejected: bool,
-    /// Subject awaiting a deferred chain-signature verdict; approval
-    /// completes on resolution.
-    pub(crate) pending_subject: Option<String>,
+    /// The signature checks this session owes — its flight's and its
+    /// certificate chain's, one group — came back verified.
+    authenticated: bool,
     /// Signature checks this secondary routed through the driver's
-    /// batch seam (0 = all checks discharged inline at the TLS
-    /// layer). Telemetry only.
-    pub(crate) deferred_checks: u64,
+    /// batch seam (0 = the group was verified here). Telemetry only.
+    deferred_checks: u64,
 }
 
 impl Secondary {
-    /// Verification already ran (or is parked with the driver), or
-    /// the middlebox was refused: nothing left to screen.
+    /// Approved or refused: nothing left to screen.
     fn settled(&self) -> bool {
-        self.verified_name.is_some() || self.rejected || self.pending_subject.is_some()
+        self.verified_name.is_some() || self.rejected
     }
 
     /// Wrap whatever this session has queued for the wire into
@@ -184,6 +167,10 @@ pub struct MbSession<R: Role> {
     reader: RecordReader,
     out: Vec<u8>,
 
+    /// Signature-check groups parked for the driver (token 0 = the
+    /// primary connection, 1 + id = middlebox subchannel `id`).
+    pending_verifies: Vec<PendingVerify>,
+
     /// Present once keys are distributed.
     dataplane: Option<EndpointDataPlane>,
     error: Option<MbError>,
@@ -207,6 +194,7 @@ impl<R: Role> MbSession<R> {
             secondaries: BTreeMap::new(),
             reader: RecordReader::new(),
             out: Vec::new(),
+            pending_verifies: Vec::new(),
             dataplane: None,
             error: None,
             telemetry,
@@ -345,7 +333,7 @@ impl<R: Role> MbSession<R> {
                 verified_name: None,
                 approved: false,
                 rejected: false,
-                pending_subject: None,
+                authenticated: false,
                 deferred_checks: 0,
             },
         );
@@ -370,36 +358,20 @@ impl<R: Role> MbSession<R> {
             sec.flush_wrapped(id, &mut self.out);
         }
 
-        R::surface_deferred(self);
+        self.collect_owed();
 
-        // Verification/approval for newly established secondaries.
-        // Once every secondary is settled this collects nothing, so
-        // the per-record feeds and drains that pump allocate nothing.
-        let fresh: Vec<u8> = self
+        // Approval for newly established secondaries, lowest
+        // subchannel first; either outcome settles the one it found.
+        while let Some(id) = self
             .secondaries
             .iter()
-            .filter(|(_, sec)| sec.conn.is_established() && !sec.settled())
+            .find(|(_, sec)| sec.conn.is_established() && !sec.settled())
             .map(|(&id, _)| id)
-            .collect();
-        let mut to_reject = Vec::new();
-        for id in fresh {
+        {
             match self.screen(id) {
-                Ok((name, checks)) => match R::discharge(self, id, checks) {
-                    Some(true) => self.approve(id, name),
-                    Some(false) => to_reject.push(id),
-                    // Deferred: approval completes when the driver
-                    // resolves the chain-signature checks.
-                    None => {
-                        if let Some(sec) = self.secondaries.get_mut(&id) {
-                            sec.pending_subject = Some(name);
-                        }
-                    }
-                },
-                Err(_) => to_reject.push(id),
+                Ok(name) => self.approve(id, name),
+                Err(_) => self.reject(id),
             }
-        }
-        for id in to_reject {
-            self.reject(id);
         }
 
         // Key distribution once everything is established.
@@ -416,47 +388,145 @@ impl<R: Role> MbSession<R> {
         }
     }
 
-    /// Structural chain checks + approval policy for an established
-    /// middlebox. Returns the subject and the chain-signature checks
-    /// still owed (none in delegated mode).
-    fn screen(&self, id: u8) -> Result<(String, Vec<SignatureCheck>), MbError> {
-        let sec = &self.secondaries[&id];
+    /// Pick up the signature checks the TLS connections parked with
+    /// their server flights and discharge each group once: the
+    /// primary's as soon as it is parked, a secondary's when its
+    /// handshake has run to its end, with the checks its certificate
+    /// chain owes added. The session is the driver of its own
+    /// secondaries, so attested and delegated middleboxes, verified
+    /// here or deferred further, all take this one route.
+    fn collect_owed(&mut self) {
+        if let Some(checks) = self.primary.take_pending_verify() {
+            self.discharge(0, checks);
+        }
+        while let Some((id, mut checks)) = self
+            .secondaries
+            .iter_mut()
+            .filter(|(_, sec)| sec.conn.awaiting_verdict() && !sec.rejected)
+            .find_map(|(&id, sec)| Some((id, sec.conn.take_pending_verify()?)))
+        {
+            match self.chain_checks(id) {
+                Ok(chain) => {
+                    checks.extend(chain);
+                    self.discharge(1 + u32::from(id), checks);
+                }
+                Err(_) => self.reject(id),
+            }
+        }
+    }
+
+    /// The one discharge point: verify the group here as one batch,
+    /// or park it for the driver, whose verdict comes back through
+    /// [`MbSession::resolve_verify`].
+    fn discharge(&mut self, token: u32, checks: Vec<SignatureCheck>) {
+        if !self.role.admission().deferred {
+            let valid = verify_checks(&checks).all_valid();
+            return self.deliver(token, valid);
+        }
+        if let Some((_, sec)) = self.secondary_mut(token) {
+            sec.deferred_checks = checks.len() as u64;
+        }
+        self.pending_verifies.push(PendingVerify { token, checks });
+    }
+
+    /// The secondary session a middlebox token (1 + subchannel id)
+    /// names, with that id.
+    fn secondary_mut(&mut self, token: u32) -> Option<(u8, &mut Secondary)> {
+        let id = u8::try_from(token.checked_sub(1)?).ok()?;
+        Some((id, self.secondaries.get_mut(&id)?))
+    }
+
+    /// Hand group `token`'s verdict to the connection that parked it.
+    /// A failed primary fails the session; a failed secondary fails
+    /// alone — its fatal alert goes out on its subchannel and the
+    /// middlebox is left a relay.
+    fn deliver(&mut self, token: u32, valid: bool) {
+        if token == 0 {
+            return self.primary.resolve_verify(valid);
+        }
+        let Some((id, sec)) = self.secondary_mut(token) else { return };
+        sec.conn.resolve_verify(valid);
+        sec.authenticated = valid;
+        if !valid {
+            sec.rejected = true;
+            if self.role.admission().delegated {
+                self.emit(EventKind::CredentialRejected { subchannel: u64::from(id) });
+            }
+        }
+    }
+
+    /// Drain the signature-check groups parked for the driver (token
+    /// 0 = primary, 1 + subchannel id = middlebox); the caller must
+    /// deliver each verdict through [`MbSession::resolve_verify`].
+    pub fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
+        out.append(&mut self.pending_verifies);
+    }
+
+    /// Deliver the verdict for a parked group. A failed primary
+    /// verdict fails the session; a failed middlebox verdict demotes
+    /// that middlebox to a relay, as when the group is verified here.
+    pub fn resolve_verify(&mut self, token: u32, valid: bool) {
+        self.deliver(token, valid);
+        self.pump();
+    }
+
+    /// The signature checks middlebox `id`'s certificate chain owes,
+    /// its structural checks done (none in delegated mode, where the
+    /// credential stands in for the chain).
+    fn chain_checks(&self, id: u8) -> Result<Vec<SignatureCheck>, MbError> {
         let admission = self.role.admission();
         if admission.delegated {
-            // Delegated mode: the TLS layer already verified the
-            // credential (window, session binding, issuer chain,
-            // signature) against the policy and keyed the handshake
-            // off `credential.middlebox_key` — an established
-            // connection implies a valid credential. Only the
-            // approval policy remains, applied to the credential
-            // subject instead of a certificate subject.
+            return Ok(Vec::new());
+        }
+        let chain = self.secondaries[&id].conn.peer_certificates();
+        let leaf = chain
+            .first()
+            .ok_or_else(|| MbError::unexpected_state("middlebox sent no certificate"))?;
+        admission
+            .trust
+            .verify_chain_deferred(
+                chain,
+                &leaf.payload.subject,
+                admission.now,
+                Some(KeyUsage::Middlebox),
+            )
+            .map_err(|e| MbError::Tls(TlsError::Certificate(e)))
+    }
+
+    /// The approval policy for an established middlebox, whose
+    /// signatures [`MbSession::collect_owed`] has already seen
+    /// verified. Returns the subject it was approved under: the
+    /// credential's in delegated mode, the certificate's otherwise.
+    fn screen(&self, id: u8) -> Result<String, MbError> {
+        let sec = &self.secondaries[&id];
+        let admission = self.role.admission();
+        if !sec.authenticated {
+            return Err(MbError::unexpected_state("middlebox established unverified"));
+        }
+        let subject = if admission.delegated {
             let cred = sec.conn.peer_credential().ok_or_else(|| {
                 MbError::unexpected_state("delegated middlebox presented no credential")
             })?;
-            let subject = cred.subject.clone();
-            if !admission.approval.admits(&subject) {
+            cred.subject.clone()
+        } else {
+            let leaf = sec.conn.peer_certificates().first().ok_or_else(|| {
+                MbError::unexpected_state("middlebox sent no certificate")
+            })?;
+            leaf.payload.subject.clone()
+        };
+        if !admission.approval.admits(&subject) {
+            if admission.delegated {
                 self.emit(EventKind::CredentialRejected { subchannel: id as u64 });
-                return Err(MbError::MiddleboxRejected(subject));
             }
+            return Err(MbError::MiddleboxRejected(subject));
+        }
+        if admission.delegated {
             self.emit(EventKind::CredentialVerified {
                 subchannel: id as u64,
                 checks: sec.deferred_checks,
             });
-            return Ok((subject, Vec::new()));
         }
-        let chain = sec.conn.peer_certificates();
-        if chain.is_empty() {
-            return Err(MbError::unexpected_state("middlebox sent no certificate"));
-        }
-        let subject = chain[0].payload.subject.clone();
-        let checks = admission
-            .trust
-            .verify_chain_deferred(chain, &subject, admission.now, Some(KeyUsage::Middlebox))
-            .map_err(|e| MbError::Tls(TlsError::Certificate(e)))?;
-        if !admission.approval.admits(&subject) {
-            return Err(MbError::MiddleboxRejected(subject));
-        }
-        Ok((subject, checks))
+        Ok(subject)
     }
 
     /// Middlebox `id` passed verification and the approval policy.

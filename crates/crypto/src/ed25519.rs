@@ -2,8 +2,17 @@
 //! certificates and by middleboxes/servers to prove key possession.
 //!
 //! Points are handled in extended homogeneous coordinates
-//! (X : Y : Z : T) with the RFC's twisted-Edwards addition formulas.
-//! Scalar arithmetic mod the group order L reuses [`crate::bignum`].
+//! (X : Y : Z : T) with the RFC's twisted-Edwards addition formulas;
+//! table entries are kept in the precomputed forms those formulas
+//! consume ([`Affine`], [`Cached`]). Scalar arithmetic mod the group
+//! order L runs on 64-bit limbs with Barrett reduction.
+//!
+//! There are two scalar-multiplication paths and no third. Secrets
+//! (signing, key generation, fixed-base X25519) go through
+//! [`Point::mul_base`]: a fixed-base comb whose every table fetch is
+//! a masked scan. Verification touches public data only and goes
+//! through [`defect`]: one variable-time multi-scalar pass that a
+//! single signature and a batch share.
 
 #[cfg(test)]
 use crate::bignum::BigUint;
@@ -18,13 +27,16 @@ pub const PUBLIC_KEY_LEN: usize = 32;
 pub const SIGNATURE_LEN: usize = 64;
 
 /// d = -121665/121666 mod p (the curve constant), evaluated at
-/// compile time so the `const` point formulas (and the comb-table
-/// builder) can use it.
+/// compile time so the `const` point formulas (and the table
+/// builders) can use it.
 const CURVE_D: Fe = Fe::from_bytes(&[
     0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41, 0x41, 0x4d, 0x0a, 0x70,
     0x00, 0x98, 0xe8, 0x79, 0x77, 0x79, 0x40, 0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b, 0xee, 0x6c,
     0x03, 0x52,
 ]);
+
+/// 2d, the factor every table entry carries on its T coordinate.
+const CURVE_2D: Fe = CURVE_D.mul_small(2);
 
 /// The group order L = 2^252 + 27742317777372353535851937790883648493.
 /// Production scalar arithmetic runs on [`L_LIMBS`]/[`L_MU`]; this
@@ -38,13 +50,67 @@ fn order_l() -> BigUint {
     ])
 }
 
-/// A point in extended homogeneous coordinates.
+/// A point in extended homogeneous coordinates. Every coordinate is
+/// *tight* in `field25519`'s limb contract: the constructors below
+/// only store products, differences and parsed bytes.
 #[derive(Clone, Copy)]
 struct Point {
     x: Fe,
     y: Fe,
     z: Fe,
     t: Fe,
+}
+
+/// A table entry with Z = 1, in the form the mixed addition
+/// consumes: `(y+x, y−x, 2d·x·y)`. Precomputing the three saves the
+/// addition its multiplication by `d`, a multiplication by `Z`, and
+/// both small-constant multiplications.
+#[derive(Clone, Copy)]
+struct Affine {
+    ypx: Fe,
+    ymx: Fe,
+    xy2d: Fe,
+}
+
+/// A table entry built at runtime (no inversion to reach Z = 1):
+/// `(Y+X, Y−X, Z, 2d·T)`.
+#[derive(Clone, Copy)]
+struct Cached {
+    ypx: Fe,
+    ymx: Fe,
+    z: Fe,
+    t2d: Fe,
+}
+
+/// What a table of multiples holds: [`Affine`] or [`Cached`].
+trait Entry: Copy {
+    /// The entry for `−P`.
+    fn neg(self) -> Self;
+    /// `acc + P`.
+    fn add_to(&self, acc: &Point) -> Point;
+}
+
+impl Affine {
+    /// The neutral element.
+    const IDENTITY: Affine = Affine { ypx: Fe::ONE, ymx: Fe::ONE, xy2d: Fe::ZERO };
+}
+
+impl Entry for Affine {
+    fn neg(self) -> Affine {
+        Affine { ypx: self.ymx, ymx: self.ypx, xy2d: self.xy2d.neg() }
+    }
+    fn add_to(&self, acc: &Point) -> Point {
+        acc.add_affine(self)
+    }
+}
+
+impl Entry for Cached {
+    fn neg(self) -> Cached {
+        Cached { ypx: self.ymx, ymx: self.ypx, z: self.z, t2d: self.t2d.neg() }
+    }
+    fn add_to(&self, acc: &Point) -> Point {
+        acc.add_cached(self)
+    }
 }
 
 impl Point {
@@ -93,15 +159,23 @@ impl Point {
         }
     }
 
-    /// Point addition (RFC 8032 §5.1.4 / "add-2008-hwcd-3"). These
-    /// formulas are complete for Ed25519 (a = -1, d non-square), so
-    /// doubling and identity inputs need no special casing. `const`
-    /// so the fixed-base comb table evaluates at compile time.
-    const fn add(&self, other: &Point) -> Point {
-        let a = self.y.sub(self.x).mul(other.y.sub(other.x));
-        let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let c = self.t.mul(other.t).mul_small(2).mul(CURVE_D);
-        let d = self.z.mul(other.z).mul_small(2);
+    /// The tail every addition shares (RFC 8032 §5.1.4 /
+    /// "add-2008-hwcd-3", complete for Ed25519: a = −1, d non-square,
+    /// so doubling and identity inputs need no special casing), given
+    /// the other operand as `(Y₂+X₂, Y₂−X₂, 2d·T₂)` and the product
+    /// `zz = Z₁·Z₂`.
+    ///
+    /// Limb bounds: `self`'s coordinates are tight, so `Y₁+X₁` is
+    /// below 2·TIGHT; a stored `ypx` is a sum of two tight values
+    /// too. `d = zz + zz` is below 2·TIGHT and `g = d + c` below
+    /// 3·TIGHT < 2^53 — all *loose*, which is what `mul` and `sub`
+    /// accept; `a`, `b`, `c`, `e`, `f` are products or differences,
+    /// hence tight, and `h = b + a` is below 2·TIGHT.
+    const fn add_tail(&self, ypx: Fe, ymx: Fe, t2d: Fe, zz: Fe) -> Point {
+        let a = self.y.sub(self.x).mul(ymx);
+        let b = self.y.add(self.x).mul(ypx);
+        let c = self.t.mul(t2d);
+        let d = zz.add(zz);
         let e = b.sub(a);
         let f = d.sub(c);
         let g = d.add(c);
@@ -114,11 +188,40 @@ impl Point {
         }
     }
 
-    /// Point doubling ("dbl-2008-hwcd").
+    /// Mixed addition with a Z = 1 table entry: 7 multiplications.
+    const fn add_affine(&self, q: &Affine) -> Point {
+        self.add_tail(q.ypx, q.ymx, q.xy2d, self.z)
+    }
+
+    /// Addition with a runtime table entry: 8 multiplications.
+    const fn add_cached(&self, q: &Cached) -> Point {
+        self.add_tail(q.ypx, q.ymx, q.t2d, self.z.mul(q.z))
+    }
+
+    /// General point addition. `const` so the tables evaluate at
+    /// compile time.
+    const fn add(&self, other: &Point) -> Point {
+        self.add_cached(&other.cached())
+    }
+
+    /// This point as a table entry.
+    const fn cached(&self) -> Cached {
+        Cached {
+            ypx: self.y.add(self.x),
+            ymx: self.y.sub(self.x),
+            z: self.z,
+            t2d: self.t.mul(CURVE_2D),
+        }
+    }
+
+    /// Point doubling ("dbl-2008-hwcd"). `c = 2Z²` is formed by
+    /// addition (below 2·TIGHT), so `f = c + g` stays below 3·TIGHT —
+    /// loose, like `h` and `X+Y`.
     const fn double(&self) -> Point {
         let a = self.x.square();
         let b = self.y.square();
-        let c = self.z.square().mul_small(2);
+        let zz = self.z.square();
+        let c = zz.add(zz);
         // H = A + B
         let h = a.add(b);
         // E = H - (X+Y)^2
@@ -133,36 +236,6 @@ impl Point {
             z: f.mul(g),
             t: e.mul(h),
         }
-    }
-
-    /// Scalar multiplication, 4-bit fixed windows, constant sequence
-    /// of doubles/adds for a fixed scalar width. The window value is
-    /// a secret nibble, so the precomputed multiple is fetched with a
-    /// masked scan over the whole table rather than a direct index —
-    /// the memory access pattern never depends on the scalar.
-    ///
-    /// Since the fixed-base comb and the Strauss interleaving took
-    /// over every production path, this generic ladder survives only
-    /// as the reference oracle the comb/Strauss tests cross-check
-    /// against.
-    #[cfg(any(test, feature = "reference-oracle"))]
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn scalar_mul(&self, scalar: &[u8; 32]) -> Point {
-        // Precompute 0..15 multiples.
-        let mut table = [Point::identity(); 16];
-        for i in 1..16 {
-            table[i] = table[i - 1].add(self);
-        }
-        let mut acc = Point::identity();
-        for i in (0..64).rev() {
-            for _ in 0..4 {
-                acc = acc.double();
-            }
-            let byte = scalar[i / 2];
-            let nibble = if i % 2 == 1 { byte >> 4 } else { byte & 0xf };
-            acc = acc.add(&ct_lookup(&table, nibble));
-        }
-        acc
     }
 
     /// Compress to the 32-byte wire format (y with x-sign bit).
@@ -229,6 +302,12 @@ impl Point {
         }
     }
 
+    /// True for the eight points of small order — those the cofactor
+    /// annihilates.
+    fn is_small_order(&self) -> bool {
+        self.double().double().double().ct_eq(&Point::identity())
+    }
+
     /// Fixed-base scalar multiplication `scalar · B` through the
     /// precomputed comb table — no doubling chain over the base
     /// point, just 64 constant-time window fetches, 65 additions,
@@ -239,39 +318,20 @@ impl Point {
     /// accumulators share one table ([`BASE_COMB`]`[i][j] =
     /// j·256^i·B`) and the high-nibble sum is folded in with four
     /// doublings at the end. The scalar is secret (signing uses
-    /// this path), so every window value is fetched with the same
-    /// masked full-table scan `scalar_mul` uses.
+    /// this path), so every window value is fetched with a masked
+    /// full-table scan.
     fn mul_base(scalar: &[u8; 32]) -> Point {
         let mut lo = Point::identity();
         let mut hi = Point::identity();
         for (i, &byte) in scalar.iter().enumerate() {
-            lo = lo.add(&ct_lookup(&BASE_COMB[i], byte & 0xf));
-            hi = hi.add(&ct_lookup(&BASE_COMB[i], byte >> 4));
+            lo = lo.add_affine(&ct_lookup(&BASE_COMB[i], byte & 0xf));
+            hi = hi.add_affine(&ct_lookup(&BASE_COMB[i], byte >> 4));
         }
         let mut acc = hi;
         for _ in 0..4 {
             acc = acc.double();
         }
         acc.add(&lo)
-    }
-
-    /// Strauss/Shamir interleaved double-scalar multiplication:
-    /// `s·B − k·A` in one shared doubling chain. The base-point
-    /// windows come from the comb table's first row (`j·B`); the
-    /// `−A` windows are built on the fly. Both window values go
-    /// through the masked constant-time fetch, so the access
-    /// pattern is scalar-independent.
-    fn double_scalar_sub(s: &[u8; 32], k: &[u8; 32], a: &Point) -> Point {
-        let neg_a_table = window_table(&a.neg());
-        let mut acc = Point::identity();
-        for i in (0..64).rev() {
-            for _ in 0..4 {
-                acc = acc.double();
-            }
-            acc = acc.add(&ct_lookup(&BASE_COMB[0], nibble(s, i)));
-            acc = acc.add(&ct_lookup(&neg_a_table, nibble(k, i)));
-        }
-        acc
     }
 }
 
@@ -292,23 +352,54 @@ pub(crate) fn mul_base_montgomery_u(scalar: &[u8; 32]) -> [u8; 32] {
 const COMB_WINDOWS: usize = 32;
 
 /// Precomputed fixed-base comb table: `BASE_COMB[i][j] = j·256^i·B`
-/// in extended coordinates, evaluated entirely at compile time (the
-/// field and point formulas are `const fn`), so the 80 KiB table
-/// lives in read-only data with zero startup cost. Entry `[0][j]`
-/// doubles as the Strauss window table for the base point.
-static BASE_COMB: [[Point; 16]; COMB_WINDOWS] = build_base_comb();
+/// as [`Affine`] entries, evaluated entirely at compile time (the
+/// field and point formulas are `const fn`), so the 60 KiB table
+/// lives in read-only data with zero startup cost.
+static BASE_COMB: [[Affine; 16]; COMB_WINDOWS] = build_base_comb();
 
-const fn build_base_comb() -> [[Point; 16]; COMB_WINDOWS] {
-    let mut table = [[Point::identity(); 16]; COMB_WINDOWS];
+/// Odd multiples `[B, 3B, 5B, …, 127B]`: the base point's digit table
+/// for the width-8 wNAF of the verification pass.
+static BASE_ODDS: [Affine; 64] = build_base_odds();
+
+/// Bring `N` points to Z = 1 with one field inversion between them
+/// (Montgomery's trick: invert the product of all Z, then peel one
+/// factor off per point).
+const fn normalize<const N: usize>(points: &[Point; N]) -> [Affine; N] {
+    // prefix[i] = Z_0 · … · Z_{i−1}
+    let mut prefix = [Fe::ONE; N];
+    let mut product = Fe::ONE;
+    let mut i = 0;
+    while i < N {
+        prefix[i] = product;
+        product = product.mul(points[i].z);
+        i += 1;
+    }
+    // suffix_inv = 1 / (Z_0 · … · Z_i) as i counts down.
+    let mut suffix_inv = product.invert();
+    let mut out = [Affine::IDENTITY; N];
+    while i > 0 {
+        i -= 1;
+        let zinv = suffix_inv.mul(prefix[i]);
+        suffix_inv = suffix_inv.mul(points[i].z);
+        let x = points[i].x.mul(zinv);
+        let y = points[i].y.mul(zinv);
+        out[i] = Affine { ypx: y.add(x), ymx: y.sub(x), xy2d: x.mul(y).mul(CURVE_2D) };
+    }
+    out
+}
+
+const fn build_base_comb() -> [[Affine; 16]; COMB_WINDOWS] {
+    let mut table = [[Affine::IDENTITY; 16]; COMB_WINDOWS];
     let mut power = Point::base();
     let mut i = 0;
     while i < COMB_WINDOWS {
+        let mut row = [Point::identity(); 16];
         let mut j = 1;
         while j < 16 {
-            let prev = table[i][j - 1];
-            table[i][j] = prev.add(&power);
+            row[j] = row[j - 1].add(&power);
             j += 1;
         }
+        table[i] = normalize(&row);
         // power <- 256 · power for the next window.
         let mut k = 0;
         while k < 8 {
@@ -320,125 +411,104 @@ const fn build_base_comb() -> [[Point; 16]; COMB_WINDOWS] {
     table
 }
 
-/// The 16-entry window table `[identity, P, 2P, …, 15P]` used by the
-/// Strauss and batch paths for runtime points.
-fn window_table(p: &Point) -> [Point; 16] {
-    let mut table = [Point::identity(); 16];
-    for j in 1..16 {
-        table[j] = table[j - 1].add(p);
+const fn build_base_odds() -> [Affine; 64] {
+    let twice = Point::base().double();
+    let mut odds = [Point::base(); 64];
+    let mut j = 1;
+    while j < 64 {
+        odds[j] = odds[j - 1].add(&twice);
+        j += 1;
+    }
+    normalize(&odds)
+}
+
+/// Odd multiples `[P, 3P, 5P, …, 15P]` of a runtime point: its digit
+/// table for a width-5 wNAF.
+fn odd_multiples(p: &Point) -> [Cached; 8] {
+    let twice = p.double().cached();
+    let mut multiple = *p;
+    let mut table = [p.cached(); 8];
+    for entry in &mut table[1..] {
+        multiple = multiple.add_cached(&twice);
+        *entry = multiple.cached();
     }
     table
-}
-
-/// Window `i` (4 bits, little-endian window order) of a 32-byte
-/// scalar.
-fn nibble(scalar: &[u8; 32], i: usize) -> u8 {
-    let byte = scalar[i / 2];
-    if i % 2 == 1 {
-        byte >> 4
-    } else {
-        byte & 0xf
-    }
-}
-
-/// Digit count of a width-5 wNAF covering a 256-bit scalar, with
-/// headroom for the recoding carry to run past the top bit.
-const NAF_LEN: usize = 260;
-
-/// Width-5 non-adjacent form: recodes a little-endian scalar into
-/// signed digits in `{0, ±1, ±3, …, ±15}` where every nonzero digit
-/// is followed by at least four zeros, so a 256-bit scalar averages
-/// one point addition per ~6 bits instead of one per 4-bit window.
-/// Digit `i` has weight `2^i`. The recoding is deterministic, which
-/// the batch verifier's replay guarantee depends on.
-fn wnaf5(s: &[u8; 32]) -> [i8; NAF_LEN] {
-    let mut bits = [0u8; NAF_LEN + 5];
-    for (byte_idx, &byte) in s.iter().enumerate() {
-        for bit in 0..8 {
-            bits[byte_idx * 8 + bit] = (byte >> bit) & 1;
-        }
-    }
-    let mut naf = [0i8; NAF_LEN];
-    let mut i = 0;
-    while i < NAF_LEN {
-        if bits[i] == 0 {
-            i += 1;
-            continue;
-        }
-        let mut window = 0u8;
-        for (j, &b) in bits[i..i + 5].iter().enumerate() {
-            window |= b << j;
-        }
-        if window >= 16 {
-            // Digit is window − 32; repay the borrowed 32 by
-            // carrying a one into bit i+5 (and up through any run
-            // of ones — bounded by the array headroom because the
-            // scalar's top three bits are clear after mod-L
-            // reduction).
-            naf[i] = window as i8 - 32;
-            let mut k = i + 5;
-            while bits[k] == 1 {
-                bits[k] = 0;
-                k += 1;
-            }
-            bits[k] = 1;
-        } else {
-            naf[i] = window as i8;
-        }
-        bits[i..i + 5].fill(0);
-        i += 5;
-    }
-    naf
-}
-
-/// Odd multiples `[P, 3P, 5P, …, 15P]` backing the wNAF digit fetch.
-fn odd_multiples(p: &Point) -> [Point; 8] {
-    let p2 = p.double();
-    let mut table = [*p; 8];
-    for j in 1..8 {
-        table[j] = table[j - 1].add(&p2);
-    }
-    table
-}
-
-/// Variable-time fetch of `digit · P` from the odd-multiples table
-/// of `P`. The direct load (no masked scan) is sound because the
-/// batch verifier runs on public data only — signature points, hash
-/// scalars, and coefficients derived from them by hashing the batch
-/// — so there is no secret for the cache footprint to leak. Secret
-/// scalars (signing, the single-verify Strauss pass shared with the
-/// comb) never reach this path; they keep the [`ct_lookup`] scan.
-fn naf_entry(digit: i8, odds: &[Point; 8]) -> Point {
-    let slot = usize::from(digit.unsigned_abs() >> 1);
-    let entry = odds[slot];
-    if digit < 0 {
-        entry.neg()
-    } else {
-        entry
-    }
 }
 
 /// Constant-time window-table fetch: reads every entry and
 /// mask-accumulates the one whose position equals `index` (< 16), so
 /// the cache footprint is the whole table regardless of the secret
 /// window value.
-fn ct_lookup(table: &[Point; 16], index: u8) -> Point {
-    let mut out = Point {
-        x: Fe([0; 5]),
-        y: Fe([0; 5]),
-        z: Fe([0; 5]),
-        t: Fe([0; 5]),
-    };
+fn ct_lookup(table: &[Affine; 16], index: u8) -> Affine {
+    let mut out = Affine { ypx: Fe::ZERO, ymx: Fe::ZERO, xy2d: Fe::ZERO };
     for (j, entry) in table.iter().enumerate() {
         let mask = crate::ct::mask_eq_u64(j as u64, u64::from(index));
         for k in 0..5 {
-            out.x.0[k] |= entry.x.0[k] & mask;
-            out.y.0[k] |= entry.y.0[k] & mask;
-            out.z.0[k] |= entry.z.0[k] & mask;
-            out.t.0[k] |= entry.t.0[k] & mask;
+            out.ypx.0[k] |= entry.ypx.0[k] & mask;
+            out.ymx.0[k] |= entry.ymx.0[k] & mask;
+            out.xy2d.0[k] |= entry.xy2d.0[k] & mask;
         }
     }
     out
+}
+
+/// Digit count of a wNAF: one digit per bit position of the scalar.
+const NAF_LEN: usize = 256;
+
+/// Width-`w` non-adjacent form (`w` ≤ 8) of a little-endian scalar
+/// below 2^253 — which every scalar reduced mod L is: signed odd
+/// digits below `2^(w−1)` in magnitude, every nonzero digit followed
+/// by at least `w − 1` zeros, so a 253-bit scalar averages one point
+/// addition per `w + 1` bits. Digit `i` has weight `2^i`. The bound
+/// on the scalar keeps the last carry inside the array: a negative
+/// digit needs its window's top bit set, so it sits at least `w`
+/// places below bit 253 and the carry it leaves is taken up by a
+/// digit at position 253 at the latest. The recoding is
+/// deterministic, which the batch verifier's replay guarantee
+/// depends on.
+fn wnaf(s: &[u8; 32], w: usize) -> [i8; NAF_LEN] {
+    debug_assert!(s[31] < 0x20 && (2..=8).contains(&w));
+    let mut x = [0u64; 5];
+    x[..4].copy_from_slice(&limbs4_from_le(s));
+    let width = 1u64 << w;
+    let mut naf = [0i8; NAF_LEN];
+    let mut carry = 0;
+    let mut pos = 0;
+    while pos < NAF_LEN {
+        // The `w` bits at `pos`, plus what the digit below borrowed.
+        let (limb, bit) = (pos / 64, pos % 64);
+        let mut bits = x[limb] >> bit;
+        if bit + w > 64 {
+            bits |= x[limb + 1] << (64 - bit);
+        }
+        let window = carry + (bits & (width - 1));
+        if window & 1 == 0 {
+            // Digit 0. An even window under a carry means the bit at
+            // `pos` was set, so the carry moves up with it unchanged.
+            pos += 1;
+            continue;
+        }
+        // An odd window is the digit, or — past half the width — the
+        // digit `window − 2^w` and a carry of one into bit `pos + w`.
+        carry = u64::from(window >= width / 2);
+        naf[pos] = (window as i64 - (carry << w) as i64) as i8;
+        pos += w;
+    }
+    naf
+}
+
+/// `acc += digit·P`, where `odds[j] = (2j+1)·P` and `digit` is a wNAF
+/// digit. The fetch is a direct load and the sign a branch: this is
+/// the verifier's path, and everything a verifier touches — keys,
+/// signatures, the hashes of both — is public.
+fn add_digit<E: Entry>(acc: &mut Point, digit: i8, odds: &[E]) {
+    if digit == 0 {
+        return;
+    }
+    let slot = usize::from(digit.unsigned_abs() >> 1);
+    // lint:allow(const-time) -- public inputs: signatures under verification
+    let entry = odds[slot];
+    *acc = if digit < 0 { entry.neg().add_to(acc) } else { entry.add_to(acc) };
 }
 
 /// L as little-endian 64-bit limbs.
@@ -647,8 +717,7 @@ impl Drop for SigningKey {
 }
 
 /// A signature verification job, decoded and hashed but not yet
-/// checked: the shared front half of the single and batched verify
-/// paths.
+/// checked.
 struct DecodedSig {
     a: Point,
     r: Point,
@@ -681,33 +750,86 @@ fn decode_sig(key: &VerifyingKey, msg: &[u8], sig: &Signature) -> Option<Decoded
     Some(DecodedSig { a, r, s_enc, k })
 }
 
-impl DecodedSig {
-    /// Check `[8][s]B == [8]R + [8][k]A` (RFC 8032's cofactored
-    /// group equation), rearranged as `[8](s·B − k·A − R) ==
-    /// identity` so the left side is one Strauss double-scalar pass
-    /// plus three doublings.
-    ///
-    /// The cofactored form is chosen deliberately: multiplying the
-    /// defect by 8 annihilates small-order components *exactly*, so
-    /// the single-verify verdict and the random-linear-combination
-    /// batch verdict provably agree on every input, including
-    /// adversarial small-order points (the cofactor*less* equation
-    /// and an RLC batch disagree on those, because `z·k mod L`
-    /// scrambles the defect's mod-8 residue).
-    fn valid(&self) -> bool {
-        let diff = Point::double_scalar_sub(&self.s_enc, &self.k, &self.a).add(&self.r.neg());
-        mul8(diff).ct_eq(&Point::identity())
-    }
+/// Signatures per pass of [`defect`]: the scratch one pass needs
+/// (≈ 3 KiB a signature) lives on the stack, so a group of any width
+/// is verified without touching the heap.
+const CHUNK: usize = 16;
+
+/// One signature's share of a multi-scalar pass.
+struct Term {
+    /// wNAF digits of `z·k mod L`: drives the `−A` additions.
+    naf_zk: [i8; NAF_LEN],
+    /// wNAF digits of `z` (128 bits): drives the `−R` additions.
+    naf_z: [i8; NAF_LEN],
+    neg_a_odds: [Cached; 8],
+    neg_r_odds: [Cached; 8],
 }
 
-/// Multiply by the cofactor (three doublings).
-fn mul8(p: Point) -> Point {
-    p.double().double().double()
+/// The verification core: `Σ zᵢ·(sᵢ·B − Rᵢ − kᵢ·Aᵢ)` over at most
+/// `N` decoded signatures with their coefficients ([`CHUNK`] for a
+/// batch, 1 for a signature checked alone, which then needs a
+/// sixteenth of the stack), as
+/// `(Σ zᵢsᵢ)·B − Σ zᵢ·Rᵢ − Σ (zᵢkᵢ)·Aᵢ` on one doubling chain. Every
+/// signature satisfies RFC 8032's cofactored group equation
+/// `[8][s]B == [8]R + [8][k]A` exactly when its own term has small
+/// order, so the caller asks [`Point::is_small_order`] of the sum.
+///
+/// The cofactored form is chosen deliberately: multiplying the
+/// defect by 8 annihilates small-order components *exactly*, so a
+/// signature checked alone (`z = 1`) and the same signature inside a
+/// random linear combination provably agree on every input,
+/// including adversarial small-order points (the cofactor*less*
+/// equation and a linear combination disagree on those, because
+/// `z·k mod L` scrambles the defect's mod-8 residue).
+///
+/// Everything here is public, so the pass is variable-time
+/// throughout: width-5 wNAF over odd-multiple tables of `−Aᵢ` and
+/// `−Rᵢ` fetched by direct index (one addition per ~6 bits of the
+/// 253-bit `zᵢkᵢ` and the 128-bit `zᵢ`), width-8 wNAF over the static
+/// [`BASE_ODDS`] for the base-point term (~29 additions), and a
+/// chain that starts at the highest nonzero digit.
+fn defect<'a, const N: usize>(sigs: impl Iterator<Item = (&'a DecodedSig, [u8; 32])>) -> Point {
+    let mut s_tilde = [0u8; 32];
+    let mut terms: [Option<Term>; N] = [const { None }; N];
+    for (slot, (sig, z)) in terms.iter_mut().zip(sigs) {
+        s_tilde = muladd_mod_l(&z, &sig.s_enc, &s_tilde);
+        *slot = Some(Term {
+            naf_zk: wnaf(&muladd_mod_l(&z, &sig.k, &[0u8; 32]), 5),
+            naf_z: wnaf(&z, 5),
+            neg_a_odds: odd_multiples(&sig.a.neg()),
+            neg_r_odds: odd_multiples(&sig.r.neg()),
+        });
+    }
+    let naf_s = wnaf(&s_tilde, 8);
+    let idle = |i: &usize| {
+        naf_s[*i] == 0
+            && terms.iter().flatten().all(|t| t.naf_zk[*i] == 0 && t.naf_z[*i] == 0)
+    };
+    let mut acc = Point::identity();
+    for i in (0..NAF_LEN).rev().skip_while(idle) {
+        acc = acc.double();
+        add_digit(&mut acc, naf_s[i], &BASE_ODDS);
+        for term in terms.iter().flatten() {
+            add_digit(&mut acc, term.naf_zk[i], &term.neg_a_odds);
+            add_digit(&mut acc, term.naf_z[i], &term.neg_r_odds);
+        }
+    }
+    acc
+}
+
+impl DecodedSig {
+    /// The signature checked alone: the width-1 case of [`defect`]
+    /// with coefficient 1.
+    fn valid(&self) -> bool {
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        defect::<1>(std::iter::once((self, one))).is_small_order()
+    }
 }
 
 impl VerifyingKey {
     /// Verify a signature (RFC 8032 §5.1.7, cofactored group
-    /// equation — see [`DecodedSig::valid`] for why).
+    /// equation — see [`defect`] for why).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
         match decode_sig(self, msg, sig) {
             Some(d) if d.valid() => Ok(()),
@@ -730,10 +852,7 @@ impl VerifyingKey {
     /// bind an identity to a key (certificate issuance, delegated
     /// credentials) must refuse these encodings.
     pub fn is_weak(&self) -> bool {
-        match Point::decompress(&self.0) {
-            None => true,
-            Some(p) => mul8(p).ct_eq(&Point::identity()),
-        }
+        Point::decompress(&self.0).is_none_or(|p| p.is_small_order())
     }
 }
 
@@ -754,7 +873,7 @@ pub struct BatchOutcome {
     /// Per-item verdicts, index-aligned with the input slice.
     pub valid: Vec<bool>,
     /// True when the random-linear-combination equation was
-    /// evaluated (two or more decodable items).
+    /// evaluated (at least one item decoded).
     pub batched: bool,
     /// True when the batch equation failed and the items were
     /// re-checked individually to identify the culprits.
@@ -768,130 +887,114 @@ impl BatchOutcome {
     }
 }
 
-/// Batch-verify N signatures with one multi-scalar multiplication.
-///
-/// Checks `(Σ zᵢ·sᵢ)·B − Σ zᵢ·Rᵢ − Σ (zᵢ·kᵢ)·Aᵢ == identity` for
-/// deterministic pseudo-random 128-bit coefficients `zᵢ` derived by
-/// hashing the whole batch (so two runs over the same inputs take
-/// bit-identical paths — a host determinism requirement). A random
-/// linear combination of the per-signature equations vanishes for a
-/// batch containing an invalid signature with probability ≈ 2⁻¹²⁸,
-/// the standard batch-verification argument. Like the single-verify
-/// path, the combined equation is checked *cofactored* (the
-/// accumulator is multiplied by 8 before the identity comparison):
-/// reducing `zᵢ·kᵢ mod L` scrambles a defect's mod-8 residue, so a
-/// cofactorless batch would disagree with single verification on
-/// adversarial small-order points, while the cofactored pair
-/// provably agree — ×8 annihilates small-order defects exactly and
-/// large-order defects survive the linear combination except with
-/// negligible probability. When the combined equation fails, every
-/// item is re-checked individually ([`BatchOutcome::fell_back`]) so
-/// culprits are identified with exactly [`VerifyingKey::verify`]'s
-/// verdict.
-///
-/// Everything the batch touches is public (signatures under
-/// verification), so unlike the signing and single-verify paths the
-/// per-item terms use *variable-time* width-5 wNAF: odd-multiple
-/// tables of `−Aᵢ`/`−Rᵢ` fetched by direct index, one sparse
-/// addition per ~6 bits of `zᵢ·kᵢ mod L` (256 bits) and `zᵢ` (128
-/// bits) on a doubling chain shared by the whole batch. That is
-/// where the batch saves work over N separate dense-window Strauss
-/// passes, which pay a masked full-table scan per 4-bit window.
-pub fn verify_batch(items: &[BatchItem]) -> BatchOutcome {
-    // Decode every item (index-aligned); undecodable ones are invalid
-    // outright and excluded from the combined equation.
-    let decoded: Vec<Option<DecodedSig>> = items
-        .iter()
-        .map(|it| decode_sig(&it.pubkey, it.msg, &it.sig))
-        .collect();
-    let n_decoded = decoded.iter().flatten().count();
+/// One owed signature check that carries its own message: does `sig`
+/// verify `msg` under `key`? The layers above run every structural
+/// check of a certificate chain, a key exchange or an attestation
+/// quote eagerly and hand the Ed25519 work they still owe around as
+/// a list of these, to be discharged together by [`verify_checks`] —
+/// by the connection that collected them, or by a driver batching
+/// across many connections.
+#[derive(Clone)]
+pub struct SignatureCheck {
+    /// The signer's public key.
+    pub key: VerifyingKey,
+    /// The signed bytes.
+    pub msg: Vec<u8>,
+    /// The signature to verify.
+    pub sig: Signature,
+}
 
-    if n_decoded < 2 {
-        let valid = decoded
-            .iter()
-            .map(|d| d.as_ref().is_some_and(|d| d.valid()))
-            .collect();
-        return BatchOutcome { valid, batched: false, fell_back: false };
+impl SignatureCheck {
+    /// Discharge the check alone.
+    pub fn check(&self) -> bool {
+        self.key.verify(&self.msg, &self.sig).is_ok()
     }
+}
 
+/// Discharge a group of owed checks as one batch.
+pub fn verify_checks(checks: &[SignatureCheck]) -> BatchOutcome {
+    verify_indexed(checks.len(), |i| {
+        let c = &checks[i];
+        BatchItem { pubkey: c.key, msg: &c.msg, sig: c.sig }
+    })
+}
+
+/// Batch-verify N signatures with one multi-scalar multiplication
+/// per [`CHUNK`] of them.
+///
+/// Checks `Σ zᵢ·(sᵢ·B − Rᵢ − kᵢ·Aᵢ)` ([`defect`]) for small order,
+/// with `z₀ = 1` and deterministic pseudo-random 128-bit coefficients
+/// `zᵢ` for the rest, derived by hashing the whole batch (so two runs
+/// over the same inputs take bit-identical paths — a host determinism
+/// requirement). A random linear combination of the per-signature
+/// defects vanishes for a batch containing an invalid signature with
+/// probability ≈ 2⁻¹²⁸, the standard batch-verification argument;
+/// small-order defects are annihilated exactly and large-order ones
+/// survive the combination. One coefficient may be fixed: if only
+/// item 0 is bad its defect stands alone in the sum, and if any other
+/// item is bad that item's random `zᵢ` carries the argument. It spares
+/// every batch the 128-bit `−R₀` term, and makes a batch of one the
+/// same computation as [`VerifyingKey::verify`]. A batch wider than one chunk is the sum
+/// of its chunks' defects — the same combination, split so that no
+/// width needs heap scratch — and the sum is tested once. When it
+/// fails, every item is re-checked individually
+/// ([`BatchOutcome::fell_back`]) so culprits are identified with
+/// exactly [`VerifyingKey::verify`]'s verdict.
+pub fn verify_batch(items: &[BatchItem]) -> BatchOutcome {
+    verify_indexed(items.len(), |i| items[i])
+}
+
+/// [`verify_batch`] over `n` items fetched by index.
+fn verify_indexed<'a>(n: usize, item: impl Fn(usize) -> BatchItem<'a>) -> BatchOutcome {
     // Deterministic coefficient seed over the whole batch.
     let mut h = Sha512::new();
     h.update(b"mbtls-ed25519-batch-v1");
-    h.update(&(items.len() as u64).to_le_bytes());
-    for it in items {
+    h.update(&(n as u64).to_le_bytes());
+    for it in (0..n).map(&item) {
         h.update(&it.pubkey.0);
         h.update(&it.sig.0);
         h.update(&(it.msg.len() as u64).to_le_bytes());
         h.update(it.msg);
     }
     let seed = h.finalize();
-
-    struct BatchTerm {
-        /// wNAF digits of zᵢ (128 bits): drives the −Rᵢ additions.
-        naf_z: [i8; NAF_LEN],
-        /// wNAF digits of zᵢ·kᵢ mod L: drives the −Aᵢ additions.
-        naf_zk: [i8; NAF_LEN],
-        neg_a_odds: [Point; 8],
-        neg_r_odds: [Point; 8],
-    }
-
-    let zero = [0u8; 32];
-    let mut s_tilde = [0u8; 32];
-    let mut terms = Vec::with_capacity(n_decoded);
-    for (i, d) in decoded.iter().enumerate() {
-        let Some(d) = d else { continue };
+    let coefficient = |i: usize| {
+        let mut z = [0u8; 32];
+        if i == 0 {
+            z[0] = 1;
+            return z;
+        }
         let mut zh = Sha512::new();
         zh.update(&seed);
         zh.update(&(i as u64).to_le_bytes());
-        let z_bytes = zh.finalize();
-        let mut z = [0u8; 32];
-        z[..16].copy_from_slice(&z_bytes[..16]);
+        z[..16].copy_from_slice(&zh.finalize()[..16]);
+        z
+    };
 
-        s_tilde = muladd_mod_l(&z, &d.s_enc, &s_tilde);
-        terms.push(BatchTerm {
-            naf_z: wnaf5(&z),
-            naf_zk: wnaf5(&muladd_mod_l(&z, &d.k, &zero)),
-            neg_a_odds: odd_multiples(&d.a.neg()),
-            neg_r_odds: odd_multiples(&d.r.neg()),
+    // Undecodable items are invalid outright and contribute no term.
+    let mut valid = Vec::with_capacity(n);
+    let mut sum = Point::identity();
+    for start in (0..n).step_by(CHUNK) {
+        let decoded: [Option<DecodedSig>; CHUNK] = std::array::from_fn(|j| {
+            let it = (start + j < n).then(|| item(start + j))?;
+            decode_sig(&it.pubkey, it.msg, &it.sig)
         });
-    }
-
-    // One interleaved multi-scalar pass over the shared doubling
-    // chain. The base term reuses the comb table's first row (one
-    // window add every fourth bit position); each item contributes
-    // a sparse variable-time wNAF addition roughly every sixth bit
-    // — ~43 for the 256-bit zᵢ·kᵢ digit string, ~21 for the
-    // 128-bit zᵢ string — which is where the batch saves work over
-    // N separate dense-window Strauss passes.
-    let mut acc = Point::identity();
-    for i in (0..NAF_LEN).rev() {
-        acc = acc.double();
-        if i % 4 == 0 && i < 256 {
-            acc = acc.add(&ct_lookup(&BASE_COMB[0], nibble(&s_tilde, i / 4)));
-        }
-        for term in &terms {
-            let da = term.naf_zk[i];
-            if da != 0 {
-                acc = acc.add(&naf_entry(da, &term.neg_a_odds));
-            }
-            let dr = term.naf_z[i];
-            if dr != 0 {
-                acc = acc.add(&naf_entry(dr, &term.neg_r_odds));
-            }
-        }
-    }
-
-    if mul8(acc).ct_eq(&Point::identity()) {
-        let valid = decoded.iter().map(|d| d.is_some()).collect();
-        BatchOutcome { valid, batched: true, fell_back: false }
-    } else {
-        // At least one bad signature: identify culprits individually.
-        let valid = decoded
+        valid.extend(decoded.iter().take(n - start).map(Option::is_some));
+        let sigs = decoded
             .iter()
-            .map(|d| d.as_ref().is_some_and(|d| d.valid()))
-            .collect();
-        BatchOutcome { valid, batched: true, fell_back: true }
+            .enumerate()
+            .filter_map(|(j, d)| Some((d.as_ref()?, coefficient(start + j))));
+        sum = sum.add(&defect::<CHUNK>(sigs));
     }
+    let batched = valid.contains(&true);
+    if sum.is_small_order() {
+        return BatchOutcome { valid, batched, fell_back: false };
+    }
+    // At least one bad signature: identify culprits individually.
+    let valid = (0..n)
+        .map(item)
+        .map(|it| it.pubkey.verify(it.msg, &it.sig).is_ok())
+        .collect();
+    BatchOutcome { valid, batched, fell_back: true }
 }
 
 impl Signature {
@@ -905,6 +1008,28 @@ impl Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Point {
+        /// Scalar multiplication, 4-bit fixed windows: the plain
+        /// textbook ladder, the oracle the comb, the tables and the
+        /// multi-scalar pass are cross-checked against.
+        fn scalar_mul(&self, scalar: &[u8; 32]) -> Point {
+            let mut table = [Point::identity(); 16];
+            for i in 1..16 {
+                table[i] = table[i - 1].add(self);
+            }
+            let mut acc = Point::identity();
+            for i in (0..64).rev() {
+                for _ in 0..4 {
+                    acc = acc.double();
+                }
+                let byte = scalar[i / 2];
+                let nibble = if i % 2 == 1 { byte >> 4 } else { byte & 0xf };
+                acc = acc.add(&table[usize::from(nibble)]);
+            }
+            acc
+        }
+    }
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -1071,31 +1196,71 @@ mod tests {
 
     // --- fast-path cross-checks against the generic ladder ---
 
+    /// A table entry against the point it should hold: bring the
+    /// point to Z = 1 and compare the three precomputed coordinates.
+    fn assert_affine(entry: &Affine, expect: &Point, what: &str) {
+        let zinv = expect.z.invert();
+        let (x, y) = (expect.x.mul(zinv), expect.y.mul(zinv));
+        assert!(entry.ypx.ct_eq(y.add(x)), "{what}: y+x");
+        assert!(entry.ymx.ct_eq(y.sub(x)), "{what}: y-x");
+        assert!(entry.xy2d.ct_eq(x.mul(y).mul(CURVE_D).mul_small(2)), "{what}: 2dxy");
+    }
+
+    /// The point a runtime table entry stands for.
+    fn point_of(entry: &Cached) -> Point {
+        Point::identity().add_cached(entry)
+    }
+
     #[test]
     fn comb_table_matches_scalar_mul() {
-        // BASE_COMB[i][j] must equal j·256^i·B; sample across the
-        // table including both extremes of each axis.
-        for &(i, j) in &[
-            (0usize, 1u8),
-            (0, 15),
-            (1, 1),
-            (7, 9),
-            (15, 3),
-            (12, 8),
-            (31, 1),
-            (31, 15),
-        ] {
+        // BASE_COMB[i][j] must equal j·256^i·B, every entry: the
+        // window's generator comes from the oracle ladder, the row
+        // from repeated `Point::add`.
+        for (i, row) in BASE_COMB.iter().enumerate() {
             let mut scalar = [0u8; 32];
-            scalar[i] = j;
-            let expect = Point::base().scalar_mul(&scalar);
-            assert!(
-                BASE_COMB[i][j as usize].ct_eq(&expect),
-                "comb window {i} entry {j} mismatch"
-            );
+            scalar[i] = 1;
+            let generator = Point::base().scalar_mul(&scalar);
+            let mut expect = Point::identity();
+            for (j, entry) in row.iter().enumerate() {
+                assert_affine(entry, &expect, &format!("comb window {i} entry {j}"));
+                expect = expect.add(&generator);
+            }
         }
-        // Entry [i][0] is the identity for every window.
-        for i in [0usize, 16, 31] {
-            assert!(BASE_COMB[i][0].ct_eq(&Point::identity()));
+        // BASE_ODDS[j] must equal (2j+1)·B, every entry.
+        for (j, entry) in BASE_ODDS.iter().enumerate() {
+            let mut scalar = [0u8; 32];
+            scalar[0] = 2 * j as u8 + 1;
+            let expect = Point::base().scalar_mul(&scalar);
+            assert_affine(entry, &expect, &format!("odd multiple {j} of B"));
+        }
+        // A runtime table holds (2j+1)·P in cached form.
+        let mut rng = CryptoRng::from_seed(0x0DD5);
+        let p = Point::mul_base(&rng.gen_array());
+        for (j, entry) in odd_multiples(&p).iter().enumerate() {
+            let mut scalar = [0u8; 32];
+            scalar[0] = 2 * j as u8 + 1;
+            assert!(point_of(entry).ct_eq(&p.scalar_mul(&scalar)), "odd multiple {j}");
+            assert!(point_of(&entry.neg()).ct_eq(&p.scalar_mul(&scalar).neg()), "negated {j}");
+        }
+    }
+
+    // The three addition forms are one formula: each must agree with
+    // the others on the same operands, the identity included.
+    #[test]
+    fn addition_forms_agree() {
+        let mut rng = CryptoRng::from_seed(0xADD5);
+        for _ in 0..4 {
+            let p = Point::mul_base(&rng.gen_array());
+            let q = Point::mul_base(&rng.gen_array());
+            let [q_affine] = normalize(&[q]);
+            let sum = p.add(&q);
+            assert!(p.add_affine(&q_affine).ct_eq(&sum));
+            assert!(p.add_cached(&q.cached()).ct_eq(&sum));
+            assert!(p.add_affine(&q_affine.neg()).ct_eq(&p.add(&q.neg())));
+            assert!(p.add_affine(&Affine::IDENTITY).ct_eq(&p));
+            assert!(Point::identity().add_affine(&q_affine).ct_eq(&q));
+            // Doubling through the addition formula (complete).
+            assert!(p.add(&p).ct_eq(&p.double()));
         }
     }
 
@@ -1113,35 +1278,66 @@ mod tests {
         }
     }
 
+    // The double-scalar subtraction s·B − k·A (less R) that
+    // verification is, against its components computed with separate
+    // ladders: one multi-scalar pass Σ zᵢ·(sᵢ·B − Rᵢ − kᵢ·Aᵢ), at
+    // width 1 with coefficient 1 and at width 3 with 128-bit
+    // coefficients.
     #[test]
     fn double_scalar_sub_matches_components() {
         let mut rng = CryptoRng::from_seed(0x5172);
-        for _ in 0..3 {
-            let s: [u8; 32] = rng.gen_array();
-            let k: [u8; 32] = rng.gen_array();
-            let a_key = SigningKey::generate(&mut rng);
-            let a = Point::decompress(&a_key.verifying_key().0).unwrap();
-            // (s·B − k·A) + k·A == s·B
-            let got = Point::double_scalar_sub(&s, &k, &a);
-            assert!(got.add(&a.scalar_mul(&k)).ct_eq(&Point::base().scalar_mul(&s)));
-        }
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let sigs: Vec<DecodedSig> = (0..3)
+            .map(|_| DecodedSig {
+                a: Point::mul_base(&rng.gen_array()),
+                r: Point::mul_base(&rng.gen_array()),
+                s_enc: reduce_mod_l(&rng.gen_array::<32>()),
+                k: reduce_mod_l(&rng.gen_array::<32>()),
+            })
+            .collect();
+        let term = |d: &DecodedSig, z: &[u8; 32]| {
+            let inner = Point::base()
+                .scalar_mul(&d.s_enc)
+                .add(&d.r.neg())
+                .add(&d.a.scalar_mul(&d.k).neg());
+            inner.scalar_mul(z)
+        };
+        assert!(defect::<1>(std::iter::once((&sigs[0], one))).ct_eq(&term(&sigs[0], &one)));
+        let zs: Vec<[u8; 32]> = (0..3)
+            .map(|_| {
+                let mut z = [0u8; 32];
+                z[..16].copy_from_slice(&rng.gen_array::<16>());
+                z
+            })
+            .collect();
+        let expect = sigs
+            .iter()
+            .zip(&zs)
+            .fold(Point::identity(), |acc, (d, z)| acc.add(&term(d, z)));
+        assert!(defect::<CHUNK>(sigs.iter().zip(zs.iter().copied())).ct_eq(&expect));
+        // No terms at all: the empty sum.
+        assert!(defect::<CHUNK>(std::iter::empty()).ct_eq(&Point::identity()));
     }
 
     #[test]
     fn wnaf_digits_are_odd_sparse_and_bounded() {
         let mut rng = CryptoRng::from_seed(0x0AF5);
-        for _ in 0..8 {
-            let s = reduce_mod_l(&rng.gen_array::<32>());
-            let naf = wnaf5(&s);
-            for (i, &d) in naf.iter().enumerate() {
-                if d == 0 {
-                    continue;
-                }
-                assert!(d % 2 != 0, "digit {d} at {i} must be odd");
-                assert!((-15..=15).contains(&d), "digit {d} at {i} out of range");
-                // Width-5 recoding: the next four positions are zero.
-                for &next in naf[i + 1..(i + 5).min(NAF_LEN)].iter() {
-                    assert_eq!(next, 0, "digit run after position {i}");
+        for w in [5usize, 8] {
+            let bound = 1i16 << (w - 1);
+            for _ in 0..8 {
+                let s = reduce_mod_l(&rng.gen_array::<32>());
+                let naf = wnaf(&s, w);
+                for (i, &d) in naf.iter().enumerate() {
+                    if d == 0 {
+                        continue;
+                    }
+                    assert!(d % 2 != 0, "digit {d} at {i} must be odd");
+                    assert!(i16::from(d).abs() < bound, "digit {d} at {i} out of range");
+                    // Width-w recoding: the next w − 1 positions are zero.
+                    for &next in naf[i + 1..(i + w).min(NAF_LEN)].iter() {
+                        assert_eq!(next, 0, "digit run after position {i}");
+                    }
                 }
             }
         }
@@ -1153,16 +1349,17 @@ mod tests {
         let odds = odd_multiples(&Point::base());
         for _ in 0..4 {
             let s = reduce_mod_l(&rng.gen_array::<32>());
-            let naf = wnaf5(&s);
-            let mut acc = Point::identity();
+            let (narrow, wide) = (wnaf(&s, 5), wnaf(&s, 8));
+            let mut via_cached = Point::identity();
+            let mut via_affine = Point::identity();
             for i in (0..NAF_LEN).rev() {
-                acc = acc.double();
-                let d = naf[i];
-                if d != 0 {
-                    acc = acc.add(&naf_entry(d, &odds));
-                }
+                via_cached = via_cached.double();
+                add_digit(&mut via_cached, narrow[i], &odds);
+                via_affine = via_affine.double();
+                add_digit(&mut via_affine, wide[i], &BASE_ODDS);
             }
-            assert!(acc.ct_eq(&Point::mul_base(&s)));
+            assert!(via_cached.ct_eq(&Point::mul_base(&s)));
+            assert!(via_affine.ct_eq(&Point::mul_base(&s)));
         }
     }
 
@@ -1251,14 +1448,78 @@ mod tests {
         assert_eq!(out.valid, vec![true, true, false, true]);
     }
 
+    // Width 1 is the same equation (one chunk, one term); width 0
+    // is the empty sum.
     #[test]
-    fn verify_batch_small_batches_skip_the_equation() {
-        let (keys, msgs, sigs) = batch_fixture(1, 33);
+    fn verify_batch_width_one_and_empty() {
+        let (keys, msgs, mut sigs) = batch_fixture(1, 33);
         let out = verify_batch(&batch_items(&keys, &msgs, &sigs));
-        assert!(!out.batched && !out.fell_back);
+        assert!(out.batched && !out.fell_back);
         assert_eq!(out.valid, vec![true]);
+        sigs[0].0[32] ^= 1;
+        let out = verify_batch(&batch_items(&keys, &msgs, &sigs));
+        assert!(out.batched && out.fell_back);
+        assert_eq!(out.valid, vec![false]);
         let out = verify_batch(&[]);
-        assert!(!out.batched && out.valid.is_empty() && out.all_valid());
+        assert!(!out.batched && !out.fell_back && out.valid.is_empty() && out.all_valid());
+    }
+
+    // The first coefficient is 1, so no other may be: two signatures
+    // off by +δ and −δ in `s` have defects that cancel under equal
+    // coefficients, and must not under the batch's.
+    #[test]
+    fn verify_batch_catches_cancelling_defects() {
+        let (keys, msgs, mut sigs) = batch_fixture(2, 77);
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut delta = [0u8; 32];
+        delta[0] = 5;
+        let mut minus_one = [0u8; 32];
+        for (bytes, limb) in minus_one.chunks_exact_mut(8).zip(L_LIMBS) {
+            bytes.copy_from_slice(&limb.to_le_bytes());
+        }
+        minus_one[0] -= 1;
+        let s0: [u8; 32] = crate::fixed(&sigs[0].0[32..]);
+        let s1: [u8; 32] = crate::fixed(&sigs[1].0[32..]);
+        sigs[0].0[32..].copy_from_slice(&muladd_mod_l(&one, &delta, &s0));
+        sigs[1].0[32..].copy_from_slice(&muladd_mod_l(&minus_one, &delta, &s1));
+
+        let items = batch_items(&keys, &msgs, &sigs);
+        let decoded: Vec<DecodedSig> =
+            items.iter().map(|it| decode_sig(&it.pubkey, it.msg, &it.sig).unwrap()).collect();
+        assert!(defect::<CHUNK>(decoded.iter().map(|d| (d, one))).is_small_order());
+        let out = verify_batch(&items);
+        assert!(out.fell_back);
+        assert_eq!(out.valid, vec![false, false]);
+    }
+
+    // Widths 1‥8 (one chunk), then widths that spill into a second
+    // and third chunk: a bad item at every index is the only `false`
+    // in `valid`, and the owned-message entry point agrees.
+    #[test]
+    fn verify_batch_pins_a_single_culprit_at_every_index() {
+        for n in (1..=8).chain([9, 17]) {
+            let (keys, msgs, sigs) = batch_fixture(n, 40 + n as u64);
+            let good = verify_batch(&batch_items(&keys, &msgs, &sigs));
+            assert!(good.all_valid() && good.batched && !good.fell_back, "width {n}");
+            for bad in 0..n {
+                let mut sigs = sigs.clone();
+                sigs[bad].0[32] ^= 1;
+                let out = verify_batch(&batch_items(&keys, &msgs, &sigs));
+                let expect: Vec<bool> = (0..n).map(|i| i != bad).collect();
+                assert!(out.fell_back, "width {n}, bad item {bad}");
+                assert_eq!(out.valid, expect, "width {n}, bad item {bad}");
+                let checks: Vec<SignatureCheck> = (0..n)
+                    .map(|i| SignatureCheck {
+                        key: keys[i].verifying_key(),
+                        msg: msgs[i].clone(),
+                        sig: sigs[i],
+                    })
+                    .collect();
+                assert_eq!(verify_checks(&checks).valid, expect);
+                assert!(!checks[bad].check());
+            }
+        }
     }
 
     #[test]
@@ -1284,14 +1545,13 @@ mod tests {
         assert_eq!(out.valid, vec![true, false, true]);
     }
 
-    // --- Wycheproof-style edge vectors: the single-verify path, the
-    // --- reference (two separate ladders) path, and the batch path
-    // --- must agree on every vector.
+    // --- Wycheproof-style edge vectors: single verification, the
+    // --- reference (two separate ladders), a batch of one and a
+    // --- batch of two must agree on every vector.
 
     /// The agreement oracle: canonical-s check, then the cofactored
     /// equation `[8][s]B == [8](R + [k]A)` computed with two separate
-    /// scalar multiplications (no Strauss interleaving, no comb
-    /// table).
+    /// scalar multiplications (no interleaving, no tables).
     fn reference_verify(key: &VerifyingKey, msg: &[u8], sig: &Signature) -> bool {
         let r_enc: [u8; 32] = crate::fixed(&sig.0[..32]);
         let s_enc: [u8; 32] = crate::fixed(&sig.0[32..]);
@@ -1310,7 +1570,7 @@ mod tests {
         let k = reduce_mod_l(&h.finalize());
         let lhs = Point::base().scalar_mul(&s_enc);
         let rhs = r.add(&a.scalar_mul(&k));
-        mul8(lhs.add(&rhs.neg())).ct_eq(&Point::identity())
+        lhs.add(&rhs.neg()).is_small_order()
     }
 
     #[test]
@@ -1378,9 +1638,15 @@ mod tests {
             let via_reference = reference_verify(&key, msg, sig);
             assert_eq!(via_verify, via_reference, "verify vs reference on {name:?}");
 
-            // Pair the vector with a known-good item so the batch
-            // equation actually runs; the batch verdict (fallback
-            // included) must match the single-verify verdict.
+            // The same vector as a batch of one: the unified width-1
+            // path, reached through the batch entry point.
+            let alone = verify_batch(&[BatchItem { pubkey: key, msg, sig: *sig }]);
+            assert_eq!(alone.valid, vec![via_verify], "width-1 batch vs verify on {name:?}");
+
+            // Pair the vector with a known-good item so the linear
+            // combination actually mixes it; the batch verdict
+            // (fallback included) must match the single-verify
+            // verdict.
             let out = verify_batch(&[
                 BatchItem { pubkey: key, msg, sig: *sig },
                 BatchItem { pubkey: good_pk, msg: b"control", sig: good_sig },

@@ -268,10 +268,12 @@ impl Fe {
     }
 
     /// `self^(2^k)`: k squarings.
-    fn pow2k(self, k: u32) -> Fe {
+    const fn pow2k(self, k: u32) -> Fe {
         let mut acc = self;
-        for _ in 0..k {
+        let mut i = 0;
+        while i < k {
             acc = acc.square();
+            i += 1;
         }
         acc
     }
@@ -280,7 +282,7 @@ impl Fe {
     /// `(self^(2^250 − 1), self^11)` in 249 squarings and 10
     /// multiplications. The exponents are constants of the curve, so
     /// the schedule is public.
-    fn pow_2_250_minus_1(self) -> (Fe, Fe) {
+    const fn pow_2_250_minus_1(self) -> (Fe, Fe) {
         let x2 = self.square();
         let x9 = x2.pow2k(2).mul(self);
         let x11 = x9.mul(x2);
@@ -296,8 +298,10 @@ impl Fe {
     }
 
     /// Multiplicative inverse via Fermat: x^(p−2), and
-    /// p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11. Maps 0 to 0.
-    pub fn invert(self) -> Fe {
+    /// p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11. Maps 0 to 0. `const`
+    /// so `ed25519` can normalise its precomputed tables to affine
+    /// form at compile time.
+    pub const fn invert(self) -> Fe {
         let (e250, x11) = self.pow_2_250_minus_1();
         e250.pow2k(5).mul(x11)
     }

@@ -18,14 +18,8 @@
 //!   Those tables are keyed (derived from `H`), so indexing them is
 //!   a data-dependent memory access the hardware path does not have;
 //!   see DESIGN.md for why it is accepted here.
-//!
-//! The original one-block-at-a-time formulation survives as
-//! `AesGcmRef`, a cross-check oracle compiled only under `cfg(test)`
-//! or the `reference-oracle` feature and never used by live traffic.
 
 use crate::aes::Aes;
-#[cfg(any(test, feature = "reference-oracle"))]
-use crate::aes_ref::AesRef;
 #[cfg(target_arch = "x86_64")]
 use crate::aesni::AesNiGcm;
 use crate::{ct, CryptoError};
@@ -391,170 +385,6 @@ impl AesGcm {
     }
 }
 
-/// Reference AES-GCM: the original one-block-at-a-time formulation
-/// (table AES + 4-bit Shoup GHASH), kept as an independent oracle for
-/// the vector and differential tests. Never used for live traffic,
-/// and compiled only under `cfg(test)` or the `reference-oracle`
-/// feature.
-#[cfg(any(test, feature = "reference-oracle"))]
-pub struct AesGcmRef {
-    aes: AesRef,
-    table: [Block128; 16],
-}
-
-#[cfg(any(test, feature = "reference-oracle"))]
-impl AesGcmRef {
-    /// Create from a 16- or 32-byte AES key.
-    pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
-        let aes = AesRef::new(key)?;
-        let h = Block128::from_bytes(&aes.encrypt_block_copy(&[0u8; 16]));
-        // 4-bit Shoup table: t[8] = H (reflected convention),
-        // t[i>>1] = t[i]·x, remaining entries by XOR combination.
-        let mut table = [Block128::default(); 16];
-        table[8] = h;
-        let mut i = 8;
-        while i > 1 {
-            table[i >> 1] = table[i].mul_x();
-            i >>= 1;
-        }
-        let mut i = 2;
-        while i < 16 {
-            for j in 1..i {
-                table[i + j] = table[i].xor(table[j]);
-            }
-            i <<= 1;
-        }
-        Ok(AesGcmRef { aes, table })
-    }
-
-    /// Multiply `x` by H using 4-bit (nibble) steps.
-    fn mul(&self, x: Block128) -> Block128 {
-        // Reduction table for the 4 bits shifted out per nibble step.
-        const R: [u64; 16] = [
-            0x0000_0000_0000_0000,
-            0x1c20_0000_0000_0000,
-            0x3840_0000_0000_0000,
-            0x2460_0000_0000_0000,
-            0x7080_0000_0000_0000,
-            0x6ca0_0000_0000_0000,
-            0x48c0_0000_0000_0000,
-            0x54e0_0000_0000_0000,
-            0xe100_0000_0000_0000,
-            0xfd20_0000_0000_0000,
-            0xd940_0000_0000_0000,
-            0xc560_0000_0000_0000,
-            0x9180_0000_0000_0000,
-            0x8da0_0000_0000_0000,
-            0xa9c0_0000_0000_0000,
-            0xb5e0_0000_0000_0000,
-        ];
-        let bytes = x.to_bytes();
-        let mut z = Block128::default();
-        // Process nibbles from least significant byte to most.
-        for i in (0..16).rev() {
-            for shift in [0u32, 4] {
-                let nib = ((bytes[i] >> shift) & 0xf) as usize;
-                let rem = (z.lo & 0xf) as usize;
-                z = Block128 {
-                    hi: z.hi >> 4,
-                    lo: (z.lo >> 4) | (z.hi << 60),
-                };
-                z.hi ^= R[rem];
-                z = z.xor(self.table[nib]);
-            }
-        }
-        z
-    }
-
-    fn ghash(&self, aad: &[u8], ct_data: &[u8]) -> [u8; 16] {
-        let mut y = Block128::default();
-        let absorb = |data: &[u8], y: &mut Block128| {
-            for chunk in data.chunks(16) {
-                let mut block = [0u8; 16];
-                block[..chunk.len()].copy_from_slice(chunk);
-                *y = self.mul(y.xor(Block128::from_bytes(&block)));
-            }
-        };
-        absorb(aad, &mut y);
-        absorb(ct_data, &mut y);
-        let mut len_block = [0u8; 16];
-        len_block[0..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-        len_block[8..16].copy_from_slice(&((ct_data.len() as u64) * 8).to_be_bytes());
-        y = self.mul(y.xor(Block128::from_bytes(&len_block)));
-        y.to_bytes()
-    }
-
-    fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
-        let mut counter = 2u32;
-        for chunk in data.chunks_mut(16) {
-            let ks = self.aes.encrypt_block_copy(&counter_block(nonce, counter));
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            counter = counter.wrapping_add(1);
-        }
-    }
-
-    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let s = self.ghash(aad, ciphertext);
-        let e = self.aes.encrypt_block_copy(&counter_block(nonce, 1));
-        let mut tag = [0u8; 16];
-        for i in 0..16 {
-            tag[i] = s[i] ^ e[i];
-        }
-        tag
-    }
-
-    /// Encrypt `plaintext` in place and return the 16-byte tag.
-    pub fn seal_in_place(
-        &self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        data: &mut [u8],
-    ) -> Result<[u8; 16], CryptoError> {
-        check_len(data.len())?;
-        self.ctr_xor(nonce, data);
-        Ok(self.tag(nonce, aad, data))
-    }
-
-    /// Verify the tag and decrypt `ciphertext` in place.
-    pub fn open_in_place(
-        &self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        data: &mut [u8],
-        tag: &[u8],
-    ) -> Result<(), CryptoError> {
-        check_len(data.len())?;
-        let expected = self.tag(nonce, aad, data);
-        if !ct::eq(&expected, tag) {
-            return Err(CryptoError::BadTag);
-        }
-        self.ctr_xor(nonce, data);
-        Ok(())
-    }
-
-    /// Convenience: allocate-and-seal, returning ciphertext || tag.
-    pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        let tag = self.seal_in_place(nonce, aad, &mut out)?;
-        out.extend_from_slice(&tag);
-        Ok(out)
-    }
-
-    /// Convenience: split ciphertext || tag, verify and decrypt.
-    pub fn open(&self, nonce: &[u8; 12], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        if sealed.len() < TAG_LEN {
-            return Err(CryptoError::BadTag);
-        }
-        let (ct_part, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let mut out = ct_part.to_vec();
-        self.open_in_place(nonce, aad, &mut out, tag)?;
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,13 +514,14 @@ mod tests {
         assert_eq!(gcm.open(&[0; 12], &[], &[0u8; 15]), Err(CryptoError::BadTag));
     }
 
-    // The reference implementation must reproduce the same NIST
-    // vectors independently (it shares no cipher or GHASH code with
-    // the fast path).
+    // The reference implementation — the portable backend, whatever
+    // `new` selects on this machine — must reproduce the NIST vectors
+    // by itself (it shares no cipher or GHASH code with the hardware
+    // path it is the differential oracle for).
     #[test]
     fn reference_impl_matches_nist_vectors() {
         let key = unhex("feffe9928665731c6d6a8f9467308308");
-        let gcm = AesGcmRef::new(&key).unwrap();
+        let gcm = AesGcm::portable(&key).unwrap();
         let nonce: [u8; 12] = unhex("cafebabefacedbaddecaf888").try_into().unwrap();
         let aad = unhex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
         let mut data = unhex(
@@ -739,28 +570,28 @@ mod tests {
         assert_eq!(ct_part, before, "verification must not decrypt");
     }
 
-    // Both backends and the reference must agree across AAD/plaintext
-    // length combinations that exercise the aggregated absorbs (four
-    // blocks bitsliced, eight in hardware), their remainder paths, and
-    // padding (the full differential hammer lives in
-    // tests/gcm_vectors.rs).
+    // The selected backend must agree with its reference — the
+    // portable bitsliced backend, itself pinned by the NIST vectors —
+    // across AAD/plaintext length combinations that exercise the
+    // aggregated absorbs (four blocks bitsliced, eight in hardware),
+    // their remainder paths, and padding (the seeded differential
+    // hammer lives in tests/gcm_vectors.rs).
     #[test]
     fn fast_and_reference_agree_on_boundary_lengths() {
         let key = [0x42u8; 32];
-        let slow = AesGcmRef::new(&key).unwrap();
+        let fast = AesGcm::new(&key).unwrap();
+        let reference = AesGcm::portable(&key).unwrap();
         let nonce = [3u8; 12];
         let payload: Vec<u8> = (0u32..300).map(|i| (i * 7 + 1) as u8).collect();
-        for fast in [AesGcm::new(&key).unwrap(), AesGcm::portable(&key).unwrap()] {
-            for pt_len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 127, 128, 129, 200, 256, 257] {
-                for aad_len in [0usize, 1, 16, 64, 65, 128, 129] {
-                    let sealed_fast = fast
-                        .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
-                        .unwrap();
-                    let sealed_slow = slow
-                        .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
-                        .unwrap();
-                    assert_eq!(sealed_fast, sealed_slow, "pt {pt_len} aad {aad_len}");
-                }
+        for pt_len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 127, 128, 129, 200, 256, 257] {
+            for aad_len in [0usize, 1, 16, 64, 65, 128, 129] {
+                let sealed_fast = fast
+                    .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
+                    .unwrap();
+                let sealed_reference = reference
+                    .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
+                    .unwrap();
+                assert_eq!(sealed_fast, sealed_reference, "pt {pt_len} aad {aad_len}");
             }
         }
     }

@@ -21,8 +21,6 @@
 //! * [`hmac`] — HMAC over any [`sha2`] hash.
 //! * [`kdf`] — the TLS 1.2 PRF and HKDF.
 //! * [`aes`] — constant-time bitsliced AES (128/256-bit keys, 4-wide CTR).
-//! * `aes_ref` — reference table-lookup AES (cross-check oracle only;
-//!   compiled only under `cfg(test)` or the `reference-oracle` feature).
 //! * `aesni` — the x86_64 AES-NI + PCLMULQDQ AES-GCM backend, reachable
 //!   only through [`gcm::AesGcm`] after runtime detection.
 //! * [`gcm`] — AES-GCM AEAD (GHASH + CTR) over whichever of the two
@@ -39,7 +37,6 @@
 
 pub mod aead;
 pub mod aes;
-pub mod aes_ref;
 #[cfg(target_arch = "x86_64")]
 mod aesni;
 pub mod bignum;

@@ -1,12 +1,11 @@
 //! AES-GCM test vectors (NIST SP 800-38D / Wycheproof-style cases)
 //! run against the backend `AesGcm::new` selects on this machine
-//! (AES-NI + PCLMULQDQ where the CPU has them), the bitsliced backend
-//! (`AesGcm::portable`) and the reference oracle (`AesGcmRef`), plus
-//! seed-deterministic differential tests hammering random lengths
-//! across the implementations and the tamper cases on the selected
-//! backend.
+//! (AES-NI + PCLMULQDQ where the CPU has them) and the bitsliced
+//! backend (`AesGcm::portable`), plus seed-deterministic differential
+//! tests hammering random lengths across the two and the tamper cases
+//! on the selected backend.
 
-use mbtls_crypto::gcm::{AesGcm, AesGcmRef, TAG_LEN};
+use mbtls_crypto::gcm::{AesGcm, TAG_LEN};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::CryptoError;
 use proptest::prelude::*;
@@ -186,24 +185,12 @@ fn nist_vectors_portable_path() {
     }
 }
 
-#[test]
-fn nist_vectors_reference_path() {
-    for v in VECTORS {
-        let key = unhex(&strip_ws(v.key));
-        let gcm = AesGcmRef::new(&key).unwrap();
-        check_vector(
-            v,
-            |n, a, p| gcm.seal(n, a, p).unwrap(),
-            |n, a, s| gcm.open(n, a, s),
-        );
-    }
-}
-
 /// Differential hammer: random keys, nonces, AAD and plaintext
-/// lengths under a fixed seed. The implementations share no cipher or
-/// GHASH code, so agreement here is strong evidence all of them are
-/// computing GCM (and the run is bit-reproducible: any failure
-/// reports the iteration for replay).
+/// lengths under a fixed seed, the selected backend against its
+/// reference — the portable bitsliced backend, which the NIST vectors
+/// above pin. The two share no cipher or GHASH code, so agreement
+/// here is strong evidence both are computing GCM (and the run is
+/// bit-reproducible: any failure reports the iteration for replay).
 #[test]
 fn differential_fast_vs_reference() {
     let mut rng = CryptoRng::from_seed(0x6CB1_D1FF);
@@ -212,8 +199,7 @@ fn differential_fast_vs_reference() {
         let mut key = vec![0u8; key_len];
         rng.fill(&mut key);
         let fast = AesGcm::new(&key).unwrap();
-        let portable = AesGcm::portable(&key).unwrap();
-        let slow = AesGcmRef::new(&key).unwrap();
+        let reference = AesGcm::portable(&key).unwrap();
 
         let nonce: [u8; 12] = {
             let mut n = [0u8; 12];
@@ -233,20 +219,14 @@ fn differential_fast_vs_reference() {
         rng.fill(&mut aad);
 
         let sealed_fast = fast.seal(&nonce, &aad, &pt).unwrap();
-        let sealed_slow = slow.seal(&nonce, &aad, &pt).unwrap();
+        let sealed_reference = reference.seal(&nonce, &aad, &pt).unwrap();
         assert_eq!(
-            sealed_fast, sealed_slow,
+            sealed_fast, sealed_reference,
             "iter {iter}: seal divergence (pt {pt_len}, aad {aad_len})"
         );
-        assert_eq!(
-            portable.seal(&nonce, &aad, &pt).unwrap(),
-            sealed_slow,
-            "iter {iter}: bitsliced seal divergence (pt {pt_len}, aad {aad_len})"
-        );
         // Cross-open: each implementation must accept the other's output.
-        assert_eq!(fast.open(&nonce, &aad, &sealed_slow).unwrap(), pt);
-        assert_eq!(portable.open(&nonce, &aad, &sealed_slow).unwrap(), pt);
-        assert_eq!(slow.open(&nonce, &aad, &sealed_fast).unwrap(), pt);
+        assert_eq!(fast.open(&nonce, &aad, &sealed_reference).unwrap(), pt);
+        assert_eq!(reference.open(&nonce, &aad, &sealed_fast).unwrap(), pt);
 
         // And a random single-bit flip must be rejected by both.
         if !sealed_fast.is_empty() {
@@ -254,8 +234,7 @@ fn differential_fast_vs_reference() {
             let pos = rng.gen_range(bad.len() as u64) as usize;
             bad[pos] ^= 1 << rng.gen_range(8);
             assert_eq!(fast.open(&nonce, &aad, &bad), Err(CryptoError::BadTag));
-            assert_eq!(portable.open(&nonce, &aad, &bad), Err(CryptoError::BadTag));
-            assert_eq!(slow.open(&nonce, &aad, &bad), Err(CryptoError::BadTag));
+            assert_eq!(reference.open(&nonce, &aad, &bad), Err(CryptoError::BadTag));
         }
     }
 }

@@ -29,8 +29,8 @@
 //! over tokens, so an index continued on the next line is in reach.
 //! Loop counters (`w[i]`), ranges (`buf[4..8]`), and literal indices
 //! do not trip it. Paths that keep such lookups deliberately — the
-//! `aes_ref` oracle, the public-index GHASH tables — carry a
-//! `lint:allow` so the waiver is visible in the report, not silent.
+//! public-index GHASH tables — carry a `lint:allow` so the waiver is
+//! visible in the report, not silent.
 
 use super::Hit;
 use crate::dataflow::Taint;

@@ -240,20 +240,8 @@ fn parse_allow_body(body: &str, what: &str) -> Result<Allow, String> {
 }
 
 /// Mark the lines belonging to `#[cfg(test)]` items (in this
-/// workspace: `mod tests { ... }` blocks) by brace tracking. A
-/// file-level inner attribute gating the whole module on `test` —
-/// `#![cfg(test)]` or `#![cfg(any(test, feature = "..."))]` — compiles
-/// the file out of production builds entirely, so every line in it is
-/// treated as a test line (the reference-oracle modules rely on this
-/// instead of whole-file waivers).
+/// workspace: `mod tests { ... }` blocks) by brace tracking.
 fn mark_test_spans(lines: &[LexedLine]) -> Vec<bool> {
-    let file_is_test_gated = lines.iter().any(|l| {
-        let code = l.code.trim_start();
-        code.starts_with("#![cfg(") && code.contains("test")
-    });
-    if file_is_test_gated {
-        return vec![true; lines.len()];
-    }
     let mut out = vec![false; lines.len()];
     let mut i = 0;
     while i < lines.len() {
@@ -384,18 +372,6 @@ mod tests {
             what.contains("lint:allow-file(panic-freedom"),
             "message must quote the annotation, got {what:?}"
         );
-    }
-
-    #[test]
-    fn file_level_cfg_test_gate_marks_whole_file() {
-        let src = "//! Reference oracle.\n#![cfg(any(test, feature = \"reference-oracle\"))]\nfn lookup(b: u8) -> u8 { SBOX[b as usize] }\n";
-        let f = SourceFile::parse("t.rs", src);
-        assert!(f.is_test.iter().all(|&t| t), "every line is test-gated");
-        // A cfg_attr or non-test cfg must not blanket the file.
-        let f = SourceFile::parse("t.rs", "#![cfg_attr(test, allow(dead_code))]\nfn p() {}\n");
-        assert!(!f.is_test[1]);
-        let f = SourceFile::parse("t.rs", "#![cfg(feature = \"x\")]\nfn p() {}\n");
-        assert!(!f.is_test[1]);
     }
 
     #[test]

@@ -79,12 +79,10 @@ fn unsafe_is_confined_with_zero_findings() {
 }
 
 /// The file-level waiver budget is zero: the last `lint:allow-file`
-/// (the const-time opt-out for the reference AES oracle) went away
-/// when aes_ref.rs was gated behind `cfg(any(test, feature =
-/// "reference-oracle"))` — the linter now recognises the file-level
-/// cfg gate and skips the module like any other test code. Any new
-/// whole-file waiver must fail here (and in `scripts/check.sh
-/// --lint-strict`) — use per-line `lint:allow` annotations instead.
+/// (the const-time opt-out for the table-lookup reference AES) went
+/// away with the oracle itself. Any new whole-file waiver must fail
+/// here (and in `scripts/check.sh --lint-strict`) — use per-line
+/// `lint:allow` annotations instead.
 #[test]
 fn file_level_waivers_stay_at_baseline() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -410,8 +410,8 @@ impl fmt::Debug for DelegatedKeyPair {
 /// Structural scope checks (version, window, nonce, role, names,
 /// weak-key screen) run eagerly; the Ed25519 work — the issuer chain
 /// walk plus the credential signature — is returned as
-/// [`SignatureCheck`]s so callers can feed the existing
-/// deferred-verify / `verify_batch` seam, or discharge inline via
+/// [`SignatureCheck`]s so callers can discharge it with the rest of
+/// what their handshake flight owes, or inline via
 /// [`CredentialVerifier::verify`].
 pub struct CredentialVerifier<'a> {
     /// Roots the issuer chain must anchor to.
@@ -481,7 +481,7 @@ impl CredentialVerifier<'_> {
         cred: &DelegatedCredential,
     ) -> Result<(), CredentialError> {
         let checks = self.verify_deferred(issuer_chain, cred)?;
-        if checks.iter().all(|c| c.check()) {
+        if mbtls_crypto::ed25519::verify_checks(&checks).all_valid() {
             Ok(())
         } else {
             Err(CredentialError::BadSignature)

@@ -1,33 +1,17 @@
 //! Chain verification: trust stores, path building, revocation.
 
 use crate::cert::{Certificate, KeyUsage};
-use mbtls_crypto::ed25519::{Signature, VerifyingKey};
+use mbtls_crypto::ed25519::verify_checks;
 use std::collections::HashSet;
 
-/// One deferred signature check: does `sig` verify `msg` under `key`?
-///
+/// One deferred signature check, re-exported from where the batch
+/// verifier that discharges it lives.
 /// [`TrustStore::verify_chain_deferred`] performs every *structural*
 /// chain check eagerly and returns the expensive Ed25519
-/// verifications as a list of these, so a driver can discharge them
-/// later — individually via [`SignatureCheck::check`], or batched
-/// across many chains through `mbtls_crypto::ed25519::verify_batch`.
-#[derive(Clone)]
-pub struct SignatureCheck {
-    /// The issuer's public key.
-    pub key: VerifyingKey,
-    /// The signed bytes (an encoded certificate payload for chain
-    /// checks).
-    pub msg: Vec<u8>,
-    /// The signature to verify.
-    pub sig: Signature,
-}
-
-impl SignatureCheck {
-    /// Discharge the check inline.
-    pub fn check(&self) -> bool {
-        self.key.verify(&self.msg, &self.sig).is_ok()
-    }
-}
+/// verifications as a list of these, so they can be discharged
+/// together with whatever else the same handshake flight owes — by
+/// the connection itself, or by a driver batching across many.
+pub use mbtls_crypto::ed25519::SignatureCheck;
 
 /// Why a chain was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +125,7 @@ impl TrustStore {
         usage: Option<KeyUsage>,
     ) -> Result<(), CertError> {
         let checks = self.verify_chain_deferred(chain, expected_name, now, usage)?;
-        if checks.iter().all(|c| c.check()) {
+        if verify_checks(&checks).all_valid() {
             Ok(())
         } else {
             Err(CertError::BadSignature)

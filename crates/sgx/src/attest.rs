@@ -10,7 +10,9 @@
 //! the handshake transcript hash for freshness (paper §3.4).
 
 use crate::measurement::Measurement;
-use mbtls_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
+use mbtls_crypto::ed25519::{
+    verify_checks, Signature, SignatureCheck, SigningKey, VerifyingKey,
+};
 use mbtls_crypto::rng::CryptoRng;
 
 /// Report-data size (matches the SGX REPORTDATA field).
@@ -152,31 +154,67 @@ impl Quote {
     }
 
     /// Verify against the attestation root, an acceptable-measurement
-    /// set, and the expected report data.
+    /// set, and the expected report data: [`Quote::verify_deferred`]'s
+    /// two halves with the signatures discharged here — and first, so
+    /// a quote that is both mis-signed and mis-measured reports its
+    /// signature.
     pub fn verify(
         &self,
         root: &VerifyingKey,
         acceptable_measurements: &[Measurement],
         expected_report_data: &[u8; REPORT_DATA_LEN],
     ) -> Result<(), AttestationError> {
-        // 1. Platform key endorsed by the root?
-        root.verify(
-            &AttestationService::endorsement_message(self.platform_id, &self.platform_key),
-            &self.endorsement,
-        )
-        .map_err(|_| AttestationError::UntrustedPlatform)?;
-        // 2. Quote signed by that platform key?
-        self.platform_key
-            .verify(
-                &Self::signed_message(self.platform_id, &self.measurement, &self.report_data),
-                &self.signature,
-            )
-            .map_err(|_| AttestationError::BadQuoteSignature)?;
-        // 3. Measurement acceptable?
+        match verify_checks(&self.signature_checks(root)).valid[..] {
+            [true, true] => self.check_claims(acceptable_measurements, expected_report_data),
+            [false, _] => Err(AttestationError::UntrustedPlatform),
+            _ => Err(AttestationError::BadQuoteSignature),
+        }
+    }
+
+    /// The structural half of [`Quote::verify`]: compares measurement
+    /// and report data eagerly and returns the two Ed25519
+    /// verifications still owed — the root's endorsement of the
+    /// platform key (a failure there is
+    /// [`AttestationError::UntrustedPlatform`]), then the platform's
+    /// signature over the quote
+    /// ([`AttestationError::BadQuoteSignature`]) — for the caller to
+    /// discharge with whatever else its handshake flight owes. The
+    /// quote is valid iff this returns `Ok` *and* both checks pass.
+    pub fn verify_deferred(
+        &self,
+        root: &VerifyingKey,
+        acceptable_measurements: &[Measurement],
+        expected_report_data: &[u8; REPORT_DATA_LEN],
+    ) -> Result<[SignatureCheck; 2], AttestationError> {
+        self.check_claims(acceptable_measurements, expected_report_data)?;
+        Ok(self.signature_checks(root))
+    }
+
+    /// Platform key endorsed by the root; quote signed by that key.
+    fn signature_checks(&self, root: &VerifyingKey) -> [SignatureCheck; 2] {
+        [
+            SignatureCheck {
+                key: *root,
+                msg: AttestationService::endorsement_message(self.platform_id, &self.platform_key),
+                sig: self.endorsement,
+            },
+            SignatureCheck {
+                key: self.platform_key,
+                msg: Self::signed_message(self.platform_id, &self.measurement, &self.report_data),
+                sig: self.signature,
+            },
+        ]
+    }
+
+    /// Measurement acceptable; report data bound to this exchange.
+    fn check_claims(
+        &self,
+        acceptable_measurements: &[Measurement],
+        expected_report_data: &[u8; REPORT_DATA_LEN],
+    ) -> Result<(), AttestationError> {
         if !acceptable_measurements.contains(&self.measurement) {
             return Err(AttestationError::MeasurementMismatch);
         }
-        // 4. Report data bound to this exchange?
         if !mbtls_crypto::ct::eq(&self.report_data, expected_report_data) {
             return Err(AttestationError::ReportDataMismatch);
         }
@@ -314,6 +352,47 @@ mod tests {
             bad.verify(&svc.root_verifying_key(), &[m("proxy")], &bad.report_data.clone()),
             Err(AttestationError::BadQuoteSignature)
         );
+    }
+
+    // A quote that is wrong twice over reports its signature, whichever
+    // signature it is — today's answer, pinned; the deferred split
+    // reports the claim instead, because that half runs first there.
+    #[test]
+    fn mis_signed_and_mis_measured_quote_reports_the_signature() {
+        let (svc, platform, _) = setup();
+        let report = [5u8; 64];
+        let root = svc.root_verifying_key();
+        let good = platform.quote(m("evil-proxy"), report);
+        let mut bad_signature = good.clone();
+        bad_signature.signature.0[40] ^= 1;
+        let mut bad_endorsement = good.clone();
+        bad_endorsement.endorsement.0[40] ^= 1;
+        for (quote, expect) in [
+            (&bad_signature, AttestationError::BadQuoteSignature),
+            (&bad_endorsement, AttestationError::UntrustedPlatform),
+        ] {
+            assert_eq!(quote.verify(&root, &[m("proxy")], &report), Err(expect));
+            assert_eq!(quote.verify(&root, &[m("evil-proxy")], &[6u8; 64]), Err(expect));
+            assert_eq!(
+                quote.verify_deferred(&root, &[m("proxy")], &report).err(),
+                Some(AttestationError::MeasurementMismatch)
+            );
+        }
+        // Both signatures bad: the endorsement is checked first.
+        let mut both = bad_signature.clone();
+        both.endorsement = bad_endorsement.endorsement;
+        assert_eq!(
+            both.verify(&root, &[m("proxy")], &report),
+            Err(AttestationError::UntrustedPlatform)
+        );
+        // The split agrees with the whole on every single fault.
+        let honest = platform.quote(m("proxy"), report);
+        let owed = honest.verify_deferred(&root, &[m("proxy")], &report).unwrap();
+        assert!(owed.iter().all(SignatureCheck::check));
+        let mut forged = honest.clone();
+        forged.signature.0[40] ^= 1;
+        let owed = forged.verify_deferred(&root, &[m("proxy")], &report).unwrap();
+        assert!(owed[0].check() && !owed[1].check());
     }
 
     #[test]

@@ -3,13 +3,14 @@
 use std::sync::Arc;
 
 use mbtls_crypto::dh::{DhPublic, DhSecret};
+use mbtls_crypto::ed25519::verify_checks;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::x25519;
 use mbtls_crypto::CryptoError;
 use mbtls_pki::cert::Certificate;
 use mbtls_pki::delegation::{CredentialError, CredentialVerifier, DelegatedCredential};
-use mbtls_pki::SignatureCheck;
-use mbtls_sgx::Quote;
+use mbtls_pki::{CertError, SignatureCheck};
+use mbtls_sgx::{AttestationError, Quote};
 
 use crate::config::ClientConfig;
 use crate::keyschedule::{self, PreMasterSecret};
@@ -63,8 +64,8 @@ pub struct ClientHandshake {
     /// resolved by the next message (Certificate vs ticket/CCS).
     pending_resumption: Option<ResumptionData>,
 
-    /// Deferred signature checks (`ClientConfig::defer_verify`)
-    /// collected during the server flight, awaiting pickup.
+    /// The server flight's signature checks, parked under
+    /// `ClientConfig::defer_verify` and awaiting pickup.
     pending_checks: Option<Vec<SignatureCheck>>,
     /// True while deferred checks exist whose verdict has not been
     /// delivered; gates `is_established`.
@@ -74,7 +75,6 @@ pub struct ClientHandshake {
 /// Accumulates the server's first flight until ServerHelloDone.
 #[derive(Default)]
 struct ServerFlight {
-    server_hello: Option<ServerHello>,
     certificate_chain: Option<Vec<Certificate>>,
     key_exchange: Option<ServerKeyExchange>,
     attestation: Option<SgxAttestationMsg>,
@@ -185,9 +185,11 @@ impl Connection<ClientHandshake> {
         &self.hs.hello
     }
 
-    /// True while deferred signature checks are unresolved.
-    pub fn verify_outstanding(&self) -> bool {
-        self.hs.verify_outstanding
+    /// True once the handshake has run to its end with the verdict on
+    /// its parked signature checks still owed: `is_established` now
+    /// waits on [`Connection::resolve_verify`] alone.
+    pub fn awaiting_verdict(&self) -> bool {
+        self.hs.phase == Phase::Established && self.hs.verify_outstanding
     }
 
     /// Extensions the server echoed in its ServerHello.
@@ -328,7 +330,7 @@ impl Hooks for ClientHandshake {
                     return Err(TlsError::NegotiationFailed("suite not offered"));
                 }
                 conn.server_random = sh.random;
-                conn.hs.peer_extensions = sh.extensions.clone();
+                conn.hs.peer_extensions = sh.extensions;
                 conn.suite = Some(suite);
 
                 // Resumption: the server echoing our SessionTicket
@@ -347,9 +349,8 @@ impl Hooks for ClientHandshake {
                 // A *new* session id (not an echo of ours) is the
                 // server offering ID-based resumption for next time.
                 if !id_match {
-                    conn.hs.assigned_session_id = sh.session_id.clone();
+                    conn.hs.assigned_session_id = sh.session_id;
                 }
-                conn.hs.server_flight.server_hello = Some(sh);
                 conn.hs.phase = Phase::AwaitServerFlight;
                 Ok(())
             }
@@ -449,94 +450,69 @@ impl Connection<ClientHandshake> {
         // peer's own key (the default), or — under a delegation
         // policy — an endpoint-signed credential naming the peer's
         // key, in which case the presented chain may be empty and the
-        // credential *is* the identity (DESIGN.md §6j). Under
-        // `defer_verify` the structural checks still run (and fail)
-        // inline; only the Ed25519 signature work is collected for
-        // the driver to discharge.
-        let mut deferred: Vec<SignatureCheck> = Vec::new();
-        let server_key = if let Some(policy) = &self.hs.config.delegation_policy {
-            let msg = self
-                .hs
-                .server_flight
-                .credential
-                .take()
-                .ok_or(TlsError::UnexpectedMessage("delegated credential required but absent"))?;
-            let issuer_chain = mbtls_pki::cert::decode_chain(&msg.issuer_chain)
-                .map_err(|_| TlsError::Decode("bad credential issuer chain"))?;
-            let cred =
-                DelegatedCredential::decode(&msg.credential).map_err(TlsError::Credential)?;
-            let binding = self
-                .hs
-                .server_flight
-                .attestation_binding
-                .ok_or(TlsError::UnexpectedMessage("credential before key exchange"))?;
-            let mut nonce = [0u8; 32];
-            nonce.copy_from_slice(&binding[..32]);
-            let verifier = CredentialVerifier {
-                trust: &policy.trust_store,
-                expected_issuer: &policy.issuer,
-                now: self.hs.config.current_time,
-                session_nonce: nonce,
-                required_role: policy.required_role,
-            };
-            let checks = verifier
-                .verify_deferred(&issuer_chain, &cred)
-                .map_err(TlsError::Credential)?;
-            if self.hs.config.defer_verify {
-                deferred.extend(checks);
-            } else if !checks.iter().all(|c| c.check()) {
-                return Err(TlsError::Credential(CredentialError::BadSignature));
-            }
-            let key = cred.middlebox_key;
-            self.hs.peer_credential = Some(cred);
-            key
-        } else {
-            if !self.hs.config.danger_disable_cert_verify {
-                if self.hs.config.defer_verify {
-                    deferred = self.hs.config.trust_store.verify_chain_deferred(
-                        &chain,
-                        &self.hs.server_name,
-                        self.hs.config.current_time,
-                        None,
-                    )?;
+        // credential *is* the identity (DESIGN.md §6j). Here and in
+        // steps 2 and 3 every structural check runs (and fails) on
+        // the spot; the Ed25519 work each one still owes is collected
+        // in `owed`, identity checks first, and leaves this function
+        // as one group.
+        let (mut owed, identity_forged, server_key) =
+            if let Some(policy) = &self.hs.config.delegation_policy {
+                let msg = self.hs.server_flight.credential.take().ok_or(
+                    TlsError::UnexpectedMessage("delegated credential required but absent"),
+                )?;
+                let issuer_chain = mbtls_pki::cert::decode_chain(&msg.issuer_chain)
+                    .map_err(|_| TlsError::Decode("bad credential issuer chain"))?;
+                let cred =
+                    DelegatedCredential::decode(&msg.credential).map_err(TlsError::Credential)?;
+                let binding = self
+                    .hs
+                    .server_flight
+                    .attestation_binding
+                    .ok_or(TlsError::UnexpectedMessage("credential before key exchange"))?;
+                let mut nonce = [0u8; 32];
+                nonce.copy_from_slice(&binding[..32]);
+                let verifier = CredentialVerifier {
+                    trust: &policy.trust_store,
+                    expected_issuer: &policy.issuer,
+                    now: self.hs.config.current_time,
+                    session_nonce: nonce,
+                    required_role: policy.required_role,
+                };
+                let checks = verifier
+                    .verify_deferred(&issuer_chain, &cred)
+                    .map_err(TlsError::Credential)?;
+                let key = cred.middlebox_key;
+                self.hs.peer_credential = Some(cred);
+                (checks, TlsError::Credential(CredentialError::BadSignature), key)
+            } else {
+                let checks = if self.hs.config.danger_disable_cert_verify {
+                    Vec::new()
                 } else {
-                    self.hs.config.trust_store.verify_chain(
+                    self.hs.config.trust_store.verify_chain_deferred(
                         &chain,
                         &self.hs.server_name,
                         self.hs.config.current_time,
                         None,
-                    )?;
-                }
-            }
-            chain
-                .first()
-                .ok_or(TlsError::Certificate(mbtls_pki::CertError::EmptyChain))?
-                .payload
-                .public_key
-        };
+                    )?
+                };
+                let key = chain
+                    .first()
+                    .ok_or(TlsError::Certificate(CertError::EmptyChain))?
+                    .payload
+                    .public_key;
+                (checks, TlsError::Certificate(CertError::BadSignature), key)
+            };
+        let identity_checks = owed.len();
 
         // 2. ServerKeyExchange signature.
         let signed =
             ServerKeyExchange::signed_payload(&self.client_random, &self.server_random, &ske.params);
         let sig = mbtls_crypto::ed25519::Signature::from_bytes(&ske.signature)
             .map_err(|_| TlsError::Decode("bad signature encoding"))?;
-        if self.hs.config.defer_verify {
-            deferred.push(SignatureCheck {
-                key: server_key,
-                msg: signed,
-                sig,
-            });
-        } else {
-            server_key
-                .verify(&signed, &sig)
-                .map_err(|_| TlsError::Crypto(CryptoError::BadSignature))?;
-        }
-        if !deferred.is_empty() {
-            self.hs.pending_checks = Some(deferred);
-            self.hs.verify_outstanding = true;
-        }
+        owed.push(SignatureCheck { key: server_key, msg: signed, sig });
 
-        // 3. Attestation, if required.
+        // 3. Attestation, if required: the platform's endorsement,
+        // then the quote's own signature.
         if let Some(policy) = &self.hs.config.attestation_policy {
             let msg = self
                 .hs
@@ -550,10 +526,26 @@ impl Connection<ClientHandshake> {
                 .server_flight
                 .attestation_binding
                 .ok_or(TlsError::UnexpectedMessage("attestation before key exchange"))?;
-            quote.verify(&policy.root, &policy.acceptable, &binding)?;
+            owed.extend(quote.verify_deferred(&policy.root, &policy.acceptable, &binding)?);
             self.hs.peer_quote = Some(quote);
         }
         self.hs.peer_chain = chain;
+
+        // The one discharge of this flight: park the group for the
+        // driver, or verify it here as one batch — before anything of
+        // ours is computed or queued. A failure is reported as the
+        // first check that failed, in the order collected.
+        if self.hs.config.defer_verify {
+            self.hs.pending_checks = Some(owed);
+            self.hs.verify_outstanding = true;
+        } else if let Some(bad) = verify_checks(&owed).valid.iter().position(|ok| !ok) {
+            return Err(match bad.checked_sub(identity_checks) {
+                None => identity_forged,
+                Some(0) => TlsError::Crypto(CryptoError::BadSignature),
+                Some(1) => TlsError::Attestation(AttestationError::UntrustedPlatform),
+                Some(_) => TlsError::Attestation(AttestationError::BadQuoteSignature),
+            });
+        }
 
         // 4. Key exchange.
         let (cke_public, pre_master) = match (&ske.params, suite.key_exchange()) {

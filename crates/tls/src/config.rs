@@ -85,13 +85,16 @@ pub struct ClientConfig {
     /// broken "trust the proxy blindly" deployments §2.2 criticizes,
     /// and for tests).
     pub danger_disable_cert_verify: bool,
-    /// Collect certificate-chain and ServerKeyExchange signature
-    /// checks as a deferred [`mbtls_pki::SignatureCheck`] batch
-    /// instead of verifying inline. The driver must drain
-    /// `ClientConnection::take_pending_verify` and deliver the verdict
-    /// via `resolve_verify`; the connection does not report
-    /// established until it does. Lets a multi-session host batch
-    /// Ed25519 verification across concurrent handshakes.
+    /// Park the server flight's signature checks — certificate chain
+    /// or delegated credential, ServerKeyExchange, and an attestation
+    /// quote's two — as one [`mbtls_pki::SignatureCheck`] group
+    /// instead of verifying them as a batch on the spot. The driver
+    /// must drain `ClientConnection::take_pending_verify` and deliver
+    /// the verdict via `resolve_verify`; the connection does not
+    /// report established until it does. Lets a multi-session host
+    /// batch Ed25519 verification across concurrent handshakes, and
+    /// an mbTLS endpoint add a middlebox's chain checks to the group
+    /// its secondary connection owes.
     pub defer_verify: bool,
     /// Cached resumption state per server name.
     pub resumption_cache: HashMap<String, ResumptionData>,

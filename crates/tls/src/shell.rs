@@ -289,9 +289,9 @@ impl<H: Handshake> Connection<H> {
         H::resumption_data(self)
     }
 
-    /// Deferred signature checks collected under
-    /// `ClientConfig::defer_verify` (certificate chain +
-    /// ServerKeyExchange signature). Taking them obliges the caller to
+    /// The server flight's signature checks, parked under
+    /// `ClientConfig::defer_verify` (identity, ServerKeyExchange,
+    /// attestation quote). Taking them obliges the caller to
     /// deliver a verdict via [`Connection::resolve_verify`]; until
     /// then the connection does not report established. A server
     /// defers nothing.

@@ -347,6 +347,73 @@ fn attestation_with_wrong_measurement_rejected() {
     ));
 }
 
+// A quote's two signatures leave the server flight in the same group
+// as the chain and the ServerKeyExchange. Verified by the client
+// itself, a forged one is named: the endorsement as an untrusted
+// platform, the quote's own as a bad quote signature. Parked under
+// `defer_verify`, the quote's two are in the parked group — they no
+// longer bypass the seam — and the forged one is the check that fails.
+#[test]
+fn forged_quote_signatures_are_named_inline_and_parked_when_deferred() {
+    struct ForgingAttestor {
+        platform: Platform,
+        enclave: Enclave<Vec<u8>>,
+        forge_endorsement: bool,
+    }
+    impl Attestor for ForgingAttestor {
+        fn quote(&self, report_data: [u8; 64]) -> Quote {
+            let mut quote = self.enclave.quote(&self.platform, report_data);
+            if self.forge_endorsement {
+                quote.endorsement.0[40] ^= 1;
+            } else {
+                quote.signature.0[40] ^= 1;
+            }
+            quote
+        }
+    }
+
+    for (forge_endorsement, expect) in [
+        (true, mbtls_sgx::AttestationError::UntrustedPlatform),
+        (false, mbtls_sgx::AttestationError::BadQuoteSignature),
+    ] {
+        for defer in [false, true] {
+            let mut f = fixture(15);
+            let mut svc = AttestationService::new(&mut f.rng);
+            let pak = svc.provision_platform(&mut f.rng);
+            let mut platform = Platform::new(pak, &mut f.rng);
+            let code = CodeIdentity::new("mbtls-server", "1.0", b"strong-ciphers-only");
+            let enclave = Enclave::create(&mut platform, &code, Vec::new());
+            let mut sc = ServerConfig::new(f.server_key.clone(), [7u8; 32]);
+            sc.attestor = Some(Arc::new(ForgingAttestor { platform, enclave, forge_endorsement }));
+            let mut cc = ClientConfig::new(f.trust.clone());
+            cc.defer_verify = defer;
+            cc.attestation_policy = Some(AttestationPolicy {
+                root: svc.root_verifying_key(),
+                acceptable: vec![code.measure()],
+            });
+            let mut client = ClientConnection::new(Arc::new(cc), "server.example", &mut f.rng);
+            let mut server = ServerConnection::new(Arc::new(sc));
+            let result = run_to_completion(&mut client, &mut server, &mut f.rng);
+            if !defer {
+                assert_eq!(result, Err(TlsError::Attestation(expect)));
+                continue;
+            }
+            // The handshake ran on; the verdict is what is missing.
+            result.unwrap();
+            assert!(client.awaiting_verdict() && !client.is_established());
+            let checks = client.take_pending_verify().expect("parked group");
+            // Chain, ServerKeyExchange, endorsement, quote signature.
+            let verdicts: Vec<bool> = checks.iter().map(|c| c.check()).collect();
+            assert_eq!(verdicts, [true, true, !forge_endorsement, forge_endorsement]);
+            client.resolve_verify(false);
+            assert_eq!(
+                client.error(),
+                Some(&TlsError::Crypto(mbtls_crypto::CryptoError::BadSignature))
+            );
+        }
+    }
+}
+
 #[test]
 fn attestation_required_but_server_cannot_attest() {
     let mut f = fixture(14);

@@ -41,9 +41,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # No file-level waivers remain: the last one (the const-time opt-out
-# in crates/crypto/src/aes_ref.rs) was retired when the reference AES
-# oracle moved behind `cfg(any(test, feature = "reference-oracle"))`
-# and the linter learned to skip file-level test-gated modules.
+# for the table-lookup reference AES) went away with that oracle.
 FILE_WAIVER_BASELINE=0
 
 LINT_ARGS=(--json target/lint-report.jsonl)

@@ -876,7 +876,7 @@ pub fn attack_forward_secrecy() -> Result<AttackReport, MbError> {
         master_secret: {
             let mut m = stolen_longterm.to_vec();
             m.extend_from_slice(&stolen_longterm[..16]);
-            m
+            m.into()
         },
         client_random: [0; 32],
         server_random: [0; 32],

@@ -55,7 +55,9 @@ impl ApprovalPolicy {
     }
 }
 
-/// mbTLS client configuration.
+/// mbTLS client configuration. An mbTLS client always sends the
+/// MiddleboxSupport extension; one that should behave as a legacy TLS
+/// client is a [`crate::driver::LegacyClient`].
 pub struct MbClientConfig {
     /// Configuration for the primary connection (server trust, suites,
     /// server attestation policy, resumption cache, ...).
@@ -76,9 +78,6 @@ pub struct MbClientConfig {
     /// Names of middleboxes known a priori (sent in the
     /// MiddleboxSupport extension).
     pub preconfigured: Vec<String>,
-    /// Send the MiddleboxSupport extension at all (false = behave as
-    /// a legacy TLS client).
-    pub mbtls_enabled: bool,
     /// Declare every approved middlebox non-modifying and reuse the
     /// bridge (endpoint) keys for all hops instead of generating fresh
     /// per-hop keys (mbTLS §3.4 key reuse). With aliased keys a
@@ -105,7 +104,6 @@ impl MbClientConfig {
             middlebox_delegation: None,
             approval: ApprovalPolicy::AllVerified,
             preconfigured: Vec::new(),
-            mbtls_enabled: true,
             read_only_middleboxes: false,
             telemetry: None,
         }
@@ -157,12 +155,6 @@ impl MbClientConfigBuilder {
     /// Add a middlebox known a priori (sent in MiddleboxSupport).
     pub fn preconfigured(mut self, name: impl Into<String>) -> Self {
         self.cfg.preconfigured.push(name.into());
-        self
-    }
-
-    /// Enable or disable mbTLS (false = behave as legacy TLS client).
-    pub fn mbtls_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.mbtls_enabled = enabled;
         self
     }
 
@@ -313,15 +305,13 @@ impl MbSession<ClientRole> {
     pub fn new(config: Arc<MbClientConfig>, server_name: &str, mut rng: CryptoRng) -> Self {
         // Primary TLS config plus the MiddleboxSupport extension.
         let mut tls_config = config.tls.clone();
-        if config.mbtls_enabled {
-            tls_config.extra_extensions.push(Extension {
-                typ: extension_type::MIDDLEBOX_SUPPORT,
-                data: MiddleboxSupport {
-                    preconfigured: config.preconfigured.clone(),
-                }
-                .encode(),
-            });
-        }
+        tls_config.extra_extensions.push(Extension {
+            typ: extension_type::MIDDLEBOX_SUPPORT,
+            data: MiddleboxSupport {
+                preconfigured: config.preconfigured.clone(),
+            }
+            .encode(),
+        });
         let primary = ClientConnection::new(Arc::new(tls_config), server_name, &mut rng);
         let telemetry = config.telemetry.clone();
         let role = ClientRole { config, hello_reported: false };

@@ -2,6 +2,7 @@
 //! extension, Encapsulated records, key-material payloads, and
 //! middlebox announcements.
 
+use mbtls_crypto::secret::Secret;
 use mbtls_tls::codec::{Decoder, Encoder};
 use mbtls_tls::record::{frame_plaintext_into, ContentType};
 use mbtls_tls::session::SessionKeys;
@@ -109,13 +110,13 @@ pub struct KeyMaterial {
 
 impl KeyMaterial {
     /// Encode.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+    pub fn encode(&self) -> Secret {
         let left = self.toward_client_hop.encode();
         let right = self.toward_server_hop.encode();
+        let mut e = Encoder::with_capacity(4 + left.len() + right.len());
         e.vec16(&left);
         e.vec16(&right);
-        e.into_bytes()
+        e.into_bytes().into()
     }
 
     /// Decode.
@@ -135,19 +136,6 @@ impl KeyMaterial {
             toward_server_hop: SessionKeys::decode(right)
                 .map_err(|_| MbError::bad_length("bad hop keys"))?,
         })
-    }
-
-    /// Zero both hops' key material in place. This is the routine
-    /// [`Drop`] runs, exposed so callers can scrub early.
-    pub fn wipe(&mut self) {
-        self.toward_client_hop.wipe();
-        self.toward_server_hop.wipe();
-    }
-}
-
-impl Drop for KeyMaterial {
-    fn drop(&mut self) {
-        self.wipe();
     }
 }
 
@@ -170,12 +158,14 @@ pub enum SecondaryMessage {
 
 impl SecondaryMessage {
     /// Encode with a 1-byte tag.
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Secret {
         match self {
             SecondaryMessage::Keys(km) => {
-                let mut out = vec![1u8];
-                out.extend_from_slice(&km.encode());
-                out
+                let km = km.encode();
+                let mut out = Vec::with_capacity(1 + km.len());
+                out.push(1u8);
+                out.extend_from_slice(&km);
+                out.into()
             }
         }
     }
@@ -199,7 +189,7 @@ mod tests {
         SessionKeys::from_secrets(
             &ConnectionSecrets {
                 suite: CipherSuite::EcdheAes256GcmSha384,
-                master_secret: vec![tag; 48],
+                master_secret: vec![tag; 48].into(),
                 client_random: [tag; 32],
                 server_random: [tag.wrapping_add(1); 32],
             },
@@ -245,6 +235,7 @@ mod tests {
             toward_client_hop: keys(1),
             toward_server_hop: keys(2),
         };
+        assert_eq!(km.encode().len(), 4 + 2 * 100);
         assert_eq!(KeyMaterial::decode(&km.encode()).unwrap(), km);
     }
 
@@ -254,6 +245,7 @@ mod tests {
             toward_client_hop: keys(3),
             toward_server_hop: keys(4),
         });
+        assert_eq!(msg.encode().len(), 1 + 4 + 2 * 100);
         assert_eq!(SecondaryMessage::decode(&msg.encode()).unwrap(), msg);
         assert!(SecondaryMessage::decode(&[9, 1, 2]).is_err());
         assert!(SecondaryMessage::decode(&[]).is_err());

@@ -26,6 +26,7 @@
 use std::sync::Arc;
 
 use mbtls_crypto::rng::CryptoRng;
+use mbtls_crypto::secret::Secret;
 use mbtls_pki::cert::CertifiedKey;
 use mbtls_sgx::EnclaveState;
 use mbtls_telemetry::{EventKind, Party, SharedSink};
@@ -595,7 +596,7 @@ impl Middlebox {
             return;
         }
         let bytes = sec.take_outgoing();
-        let plain = sec.take_plaintext();
+        let plain = Secret::from(sec.take_plaintext());
         if !bytes.is_empty() {
             // Secondary traffic (the handshake; after DataPlane e.g.
             // ticket renewal) goes toward whichever endpoint owns us.
@@ -678,7 +679,7 @@ impl Middlebox {
     /// an enclave deployment keeps them inside (Table 1's "data read
     /// in MS application memory by MIP" row).
     pub fn sensitive_snapshot(&self) -> Vec<u8> {
-        self.keys.as_ref().map(|k| k.encode()).unwrap_or_default()
+        self.keys.as_ref().map(|k| k.encode().to_vec()).unwrap_or_default()
     }
 }
 
@@ -688,12 +689,9 @@ impl EnclaveState for Middlebox {
     }
 
     fn wipe(&mut self) {
-        // Zero the delivered hop keys in place, then release the
-        // key-bearing members; the data-plane AEAD states and the
-        // secondary session's secrets zeroize themselves on drop.
-        if let Some(keys) = self.keys.as_mut() {
-            keys.wipe();
-        }
+        // Release the key-bearing members: the delivered hop keys,
+        // the data-plane AEAD states and the secondary session's
+        // secrets all zero themselves on drop.
         self.keys = None;
         self.dataplane = None;
         self.secondary = None;

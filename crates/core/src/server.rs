@@ -23,7 +23,9 @@ use crate::messages::KeyMaterial;
 use crate::session::{Admission, MbSession, Role};
 use crate::MbError;
 
-/// mbTLS server configuration.
+/// mbTLS server configuration. An mbTLS server always accepts
+/// MiddleboxAnnouncements; one that should tolerate but ignore them,
+/// as a legacy TLS server does, is a [`crate::driver::LegacyServer`].
 pub struct MbServerConfig {
     /// Configuration for the primary connection (certificate, suites,
     /// tickets, attestor, ...).
@@ -40,9 +42,6 @@ pub struct MbServerConfig {
     pub approval: ApprovalPolicy,
     /// "Current time" for middlebox certificate validation.
     pub current_time: u64,
-    /// Accept MiddleboxAnnouncements at all (false = legacy-style
-    /// server that tolerates but ignores them).
-    pub mbtls_enabled: bool,
     /// Telemetry sink for structured events (None = telemetry off).
     pub telemetry: Option<SharedSink>,
 }
@@ -57,7 +56,6 @@ impl MbServerConfig {
             middlebox_delegation: None,
             approval: ApprovalPolicy::AllVerified,
             current_time: 0,
-            mbtls_enabled: true,
             telemetry: None,
         }
     }
@@ -98,12 +96,6 @@ impl MbServerConfigBuilder {
     /// Set the time used for middlebox certificate validation.
     pub fn current_time(mut self, time: u64) -> Self {
         self.cfg.current_time = time;
-        self
-    }
-
-    /// Accept MiddleboxAnnouncements at all.
-    pub fn mbtls_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.mbtls_enabled = enabled;
         self
     }
 
@@ -156,7 +148,7 @@ impl Role for ServerRole {
         content_type: Option<ContentType>,
     ) -> Result<bool, MbError> {
         let config = &session.role.config;
-        if content_type != Some(ContentType::MbtlsMiddleboxAnnouncement) || !config.mbtls_enabled {
+        if content_type != Some(ContentType::MbtlsMiddleboxAnnouncement) {
             return Ok(false);
         }
         if session.is_ready() {

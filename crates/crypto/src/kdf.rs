@@ -6,6 +6,7 @@
 
 use crate::ct;
 use crate::hmac::Hmac;
+use crate::secret::Secret;
 use crate::sha2::Hash;
 
 /// HMAC of the concatenation of `parts` under an already keyed MAC.
@@ -24,12 +25,12 @@ fn mac_parts<H: Hash>(keyed: &Hmac<H>, parts: &[&[u8]]) -> H::Output {
 /// suites, SHA-384 for *_SHA384 suites). The secret is keyed once and
 /// the keyed MAC cloned per HMAC, `label || seed` is never joined,
 /// the chain stops at the last A(i) an output block needs, and every
-/// A(i) and output block is wiped once used: the returned buffer is
-/// the call's only allocation and the only copy of its output.
-pub fn tls12_prf<H: Hash>(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
+/// A(i) and output block is wiped once used: the returned [`Secret`]
+/// is the call's only allocation and the only copy of its output.
+pub fn tls12_prf<H: Hash>(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Secret {
     let mut out = Vec::with_capacity(out_len);
     if out_len == 0 {
-        return out;
+        return out.into();
     }
     let keyed = Hmac::<H>::new(secret);
     // A(1) = HMAC(secret, label || seed); A(i) = HMAC(secret, A(i-1)).
@@ -47,7 +48,7 @@ pub fn tls12_prf<H: Hash>(secret: &[u8], label: &[u8], seed: &[u8], out_len: usi
         a = next;
     }
     ct::zeroize(a.as_mut());
-    out
+    out.into()
 }
 
 /// HKDF-Extract (RFC 5869 §2.2).
@@ -57,7 +58,7 @@ pub fn hkdf_extract<H: Hash>(salt: &[u8], ikm: &[u8]) -> H::Output {
 
 /// HKDF-Expand (RFC 5869 §2.3). Panics if `out_len > 255 * hash_len`
 /// (a static misuse, not an input-dependent condition).
-pub fn hkdf_expand<H: Hash>(prk: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
+pub fn hkdf_expand<H: Hash>(prk: &[u8], info: &[u8], out_len: usize) -> Secret {
     assert!(out_len <= 255 * H::OUTPUT_LEN, "HKDF output too long");
     let mut out = Vec::with_capacity(out_len);
     let keyed = Hmac::<H>::new(prk);
@@ -72,11 +73,11 @@ pub fn hkdf_expand<H: Hash>(prk: &[u8], info: &[u8], out_len: usize) -> Vec<u8> 
         ct::zeroize(t.as_mut());
         counter = counter.wrapping_add(1);
     }
-    out
+    out.into()
 }
 
 /// Convenience: HKDF extract-then-expand.
-pub fn hkdf<H: Hash>(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
+pub fn hkdf<H: Hash>(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Secret {
     let mut prk = hkdf_extract::<H>(salt, ikm);
     let out = hkdf_expand::<H>(prk.as_ref(), info, out_len);
     ct::zeroize(prk.as_mut());
@@ -207,9 +208,9 @@ mod tests {
         );
         for n in [0, 1, 31, 32, 33, 47, 48, 49, 64, 72, 96, 148] {
             let out = tls12_prf::<Sha256>(&secret, b"key expansion", &seed, n);
-            assert_eq!(out, p_sha256[..n], "P_SHA256 at {n}");
+            assert_eq!(*out, p_sha256[..n], "P_SHA256 at {n}");
             let out = tls12_prf::<Sha384>(&secret, b"key expansion", &seed, n);
-            assert_eq!(out, p_sha384[..n], "P_SHA384 at {n}");
+            assert_eq!(*out, p_sha384[..n], "P_SHA384 at {n}");
         }
     }
 
@@ -219,7 +220,7 @@ mod tests {
         assert!(hkdf_expand::<Sha256>(&prk, b"info", 0).is_empty());
         let long = hkdf_expand::<Sha256>(&prk, b"info", 96);
         for n in [1, 32, 33, 64] {
-            assert_eq!(hkdf_expand::<Sha256>(&prk, b"info", n), long[..n], "at {n}");
+            assert_eq!(*hkdf_expand::<Sha256>(&prk, b"info", n), long[..n], "at {n}");
         }
     }
 }

@@ -32,6 +32,7 @@
 //! * [`dh`] — classic finite-field DH over the RFC 7919 ffdhe2048 group.
 //! * [`ct`] — constant-time comparison and selection helpers.
 //! * [`rng`] — seedable CSPRNG handle used across the workspace.
+//! * [`secret`] — the self-wiping buffer key material is held in.
 
 #![warn(missing_docs)]
 
@@ -48,6 +49,7 @@ pub mod gcm;
 pub mod hmac;
 pub mod kdf;
 pub mod rng;
+pub mod secret;
 pub mod sha2;
 pub mod x25519;
 

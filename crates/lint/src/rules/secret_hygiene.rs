@@ -11,7 +11,10 @@
 //! * no manual `impl Display` (secrets have no display form);
 //! * in every scoped crate (`crypto`, `sgx`, `tls`, `core`): an
 //!   `impl Drop` in the same file, so key bytes are zeroized when the
-//!   value dies.
+//!   value dies — or nothing for one to do: the type names a
+//!   self-wiping secret type among its fields (`Secret`, `SessionKeys`,
+//!   `x25519::SecretKey`, …) and declares no raw byte buffer
+//!   (`Vec<u8>`, `[u8; N]`, `Box<[u8]>`) next to it.
 //!
 //! Declarations, attribute blocks, and `impl` headers are matched
 //! over the token stream, so a `#[derive(...)]` or `impl ... for ...`
@@ -21,13 +24,6 @@
 //! in non-test protocol/crypto code: the redacted `Debug` impls make
 //! them safe-ish, but a `{:?}` on the wrong binding is exactly the
 //! leak this family exists to stop, so each use must be annotated.
-//!
-//! A local binding named for the key-exchange pre-master secret
-//! (`pre_master`, `premaster_secret`, …) must not be a bare buffer
-//! that leaves scope unwiped: its statement has to name a pre-master
-//! secret type (`PreMasterSecret`, which the rule above forces to
-//! zeroize on drop) or the binding has to be passed to
-//! `zeroize(&mut …)` by name in the same file.
 //!
 //! Two further sinks consult the dataflow pass
 //! ([`crate::dataflow`]), which follows secret values through local
@@ -44,7 +40,7 @@
 use super::Hit;
 use crate::dataflow::Taint;
 use crate::source::SourceFile;
-use crate::tokens::{contains_seq, matching_close, Token};
+use crate::tokens::{matching_close, seq_at, Token};
 
 /// Built-in secret-bearing type-name patterns (in addition to
 /// explicit `// lint:secret` markers).
@@ -87,11 +83,15 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
                 });
             }
         }
-        if requires_drop(&file.path) && find_impl(file, "Drop", &decl.name).is_none() {
+        if requires_drop(&file.path)
+            && !decl.self_wiping
+            && find_impl(file, "Drop", &decl.name).is_none()
+        {
             hits.push(Hit {
                 line: decl.line,
                 message: format!(
-                    "secret type `{}` has no `impl Drop` in this file; zeroize key bytes on drop (ct::zeroize)",
+                    "secret type `{}` has no `impl Drop` in this file; zeroize key bytes on drop \
+                     (ct::zeroize), or hold them in self-wiping fields (`Secret`) and no raw buffer",
                     decl.name
                 ),
             });
@@ -118,74 +118,12 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
         }
     }
 
-    pre_master_locals(file, &mut hits);
-
     // Dataflow sinks: formats and Debug-deriving carriers fed by
     // bindings that *carry* a secret without naming one.
     let taint = Taint::analyze(file);
     taint_format_sinks(file, &taint, &mut hits);
     taint_carrier_sinks(file, &taint, &decls, &mut hits);
     hits
-}
-
-/// Flag `let … pre_master … = <raw buffer>;`: the value every session
-/// key derives from, held in a plain `Vec<u8>`/array that nothing
-/// wipes when the function returns (early `?` returns included).
-fn pre_master_locals(file: &SourceFile, hits: &mut Vec<Hit>) {
-    let tokens = &file.tokens;
-    for i in 0..tokens.len() {
-        if tokens[i].text != "let" || file.is_test[tokens[i].line] {
-            continue;
-        }
-        // The statement runs to the `;` at bracket depth 0; the
-        // pattern (tuple patterns included) to the first `=` or `:`.
-        let mut depth = 0i32;
-        let mut pattern_end = None;
-        let mut end = tokens.len();
-        for (j, t) in tokens.iter().enumerate().skip(i + 1) {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "=" | ":" if depth == 0 && pattern_end.is_none() => pattern_end = Some(j),
-                ";" if depth == 0 => {
-                    end = j;
-                    break;
-                }
-                _ => {}
-            }
-            if depth < 0 {
-                end = j;
-                break;
-            }
-        }
-        let Some(pattern_end) = pattern_end else {
-            continue;
-        };
-        let names_pre_master = |t: &Token| {
-            let lower = t.text.to_ascii_lowercase();
-            t.is_word() && (lower.contains("pre_master") || lower.contains("premaster"))
-        };
-        let Some(name) = tokens[i + 1..pattern_end].iter().find(|t| names_pre_master(t)) else {
-            continue;
-        };
-        // Other secret types in the statement (`SecretKey::generate`,
-        // a `KexSecret` match arm) say nothing about what holds the
-        // result; only a pre-master secret type of its own does.
-        let typed = tokens[pattern_end..end]
-            .iter()
-            .any(|t| names_pre_master(t) && is_secret_name(&t.text));
-        let wiped = contains_seq(tokens, &["zeroize", "(", "&", "mut", name.text.as_str()]);
-        if !(typed || wiped) {
-            hits.push(Hit {
-                line: name.line,
-                message: format!(
-                    "pre-master secret `{}` is a bare buffer that leaves scope unwiped; hold it \
-                     in a zeroize-on-drop secret type or `ct::zeroize(&mut {})` it on every path",
-                    name.text, name.text
-                ),
-            });
-        }
-    }
 }
 
 /// Format/log macros whose arguments could reach a log line.
@@ -339,6 +277,35 @@ struct TypeDecl {
     name: String,
     line: usize,
     derives: Vec<DeriveHit>,
+    /// The declaration is made of self-wiping parts: it names a secret
+    /// type among its fields and spells no raw byte buffer.
+    self_wiping: bool,
+}
+
+/// Is the declaration whose name sits at `name_idx` made of
+/// self-wiping parts? Its body — the `{…}` or `(…)` after the name —
+/// must name a secret type and must not spell a raw byte buffer:
+/// `Vec<u8>`, `[u8; N]`, `Box<[u8]>`.
+fn self_wiping(tokens: &[Token], name_idx: usize) -> bool {
+    let Some(open) = (name_idx + 1..tokens.len())
+        .find(|&j| matches!(tokens[j].text.as_str(), "{" | "(" | ";"))
+    else {
+        return false;
+    };
+    let close = match tokens[open].text.as_str() {
+        "{" => matching_close(tokens, open, "{", "}"),
+        "(" => matching_close(tokens, open, "(", ")"),
+        _ => None,
+    };
+    let Some(close) = close else {
+        return false;
+    };
+    let raw_buffer = (open..close).any(|j| {
+        seq_at(tokens, j, &["Vec", "<", "u8"])
+            || seq_at(tokens, j, &["[", "u8", ";"])
+            || seq_at(tokens, j, &["Box", "<", "[", "u8", "]"])
+    });
+    !raw_buffer && tokens[open..close].iter().any(|t| is_secret_name(&t.text))
 }
 
 /// Walk the token stream for `struct`/`enum` declarations, attaching
@@ -375,6 +342,7 @@ fn type_decls(file: &SourceFile) -> Vec<TypeDecl> {
                     name,
                     line: t.line,
                     derives: std::mem::take(&mut pending),
+                    self_wiping: self_wiping(tokens, i + 1),
                 });
             } else {
                 pending.clear();

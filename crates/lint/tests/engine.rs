@@ -89,24 +89,25 @@ fn secret_hygiene_good_fixture_is_clean() {
     assert!(findings.is_empty(), "unexpected findings: {findings:?}");
 }
 
-// The bug class the key-exchange fix closed: a `pre_master` local
-// held as a bare `Vec<u8>` and dropped unwiped.
+// Key bytes in a plain buffer inside a key-bearing struct, with no
+// destructor to wipe them.
 #[test]
-fn secret_hygiene_unwiped_pre_master_local_is_caught() {
-    let src = fixture("secret_hygiene", "bad_pre_master.rs");
+fn secret_hygiene_raw_buffer_field_without_drop_is_caught() {
+    let src = fixture("secret_hygiene", "bad_raw_field.rs");
     let findings = lint_source("crates/tls/src/fixture.rs", &src, &[RuleId::SecretHygiene]);
     let lines: Vec<usize> = findings
         .iter()
-        .filter(|f| f.message.contains("leaves scope unwiped"))
+        .filter(|f| f.message.contains("no `impl Drop`"))
         .map(|f| f.line)
         .collect();
-    // The annotated binding and the one inside a tuple pattern.
-    assert_eq!(lines, vec![3, 6], "findings: {findings:?}");
+    assert_eq!(lines, vec![1, 7, 13], "findings: {findings:?}");
 }
 
+// The same structs made of `Secret`s, and an enum of self-wiping
+// variants, need no destructor and no allow.
 #[test]
-fn secret_hygiene_wrapped_or_wiped_pre_master_is_clean() {
-    let src = fixture("secret_hygiene", "good_pre_master.rs");
+fn secret_hygiene_self_wiping_fields_need_no_drop() {
+    let src = fixture("secret_hygiene", "good_secret_fields.rs");
     let findings = lint_source("crates/tls/src/fixture.rs", &src, &[RuleId::SecretHygiene]);
     assert!(findings.is_empty(), "unexpected findings: {findings:?}");
 }

@@ -45,6 +45,13 @@ impl Encoder {
         Self::default()
     }
 
+    /// Fresh encoder with room for `n` bytes: an encoding that
+    /// reserves its whole length never reallocates, so the buffer it
+    /// finishes into is the only copy of it.
+    pub fn with_capacity(n: usize) -> Self {
+        Encoder { buf: Vec::with_capacity(n) }
+    }
+
     /// Finish.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -14,6 +14,7 @@ use mbtls_crypto::ct;
 use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::kdf::hkdf;
 use mbtls_crypto::rng::CryptoRng;
+use mbtls_crypto::secret::Secret;
 use mbtls_crypto::sha2::Sha256;
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use std::mem::ManuallyDrop;
@@ -248,14 +249,8 @@ impl<S: EnclaveState> Enclave<S> {
             .map_err(|_| SealError::BadBlob)
     }
 
-    fn sealing_key(&self, platform: &Platform) -> [u8; 32] {
-        let okm = hkdf::<Sha256>(
-            &platform.sealing_secret,
-            &self.measurement.0,
-            b"sgx-sealing-key",
-            32,
-        );
-        okm.try_into().unwrap()
+    fn sealing_key(&self, platform: &Platform) -> Secret {
+        hkdf::<Sha256>(&platform.sealing_secret, &self.measurement.0, b"sgx-sealing-key", 32)
     }
 
     /// Re-encrypt the state snapshot into the host-visible region.

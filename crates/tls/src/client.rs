@@ -5,6 +5,7 @@ use std::sync::Arc;
 use mbtls_crypto::dh::{DhPublic, DhSecret};
 use mbtls_crypto::ed25519::verify_checks;
 use mbtls_crypto::rng::CryptoRng;
+use mbtls_crypto::secret::Secret;
 use mbtls_crypto::x25519;
 use mbtls_crypto::CryptoError;
 use mbtls_pki::cert::Certificate;
@@ -13,7 +14,7 @@ use mbtls_pki::{CertError, SignatureCheck};
 use mbtls_sgx::{AttestationError, Quote};
 
 use crate::config::ClientConfig;
-use crate::keyschedule::{self, PreMasterSecret};
+use crate::keyschedule;
 use crate::messages::{
     choose_suite, extension_type, frame_handshake, handshake_type, ClientHello,
     ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
@@ -225,7 +226,7 @@ impl Connection<ClientHandshake> {
         if self.resumed {
             return Ok(());
         }
-        let mut res = self
+        let res = self
             .hs
             .pending_resumption
             .take()
@@ -233,10 +234,7 @@ impl Connection<ClientHandshake> {
         let suite = self
             .suite
             .ok_or(TlsError::Internal("suite chosen with ServerHello"))?;
-        // `ResumptionData` zeroizes on drop, so the secret cannot be
-        // moved out of it; take-and-replace transfers the buffer and
-        // leaves an empty vec for `res` to wipe.
-        self.install_secrets(suite, std::mem::take(&mut res.master_secret));
+        self.install_secrets(suite, res.master_secret);
         self.resumed = true;
         Ok(())
     }
@@ -321,7 +319,6 @@ impl Hooks for ClientHandshake {
         let body = frame.get(4..).unwrap_or_default();
         match (conn.hs.phase, typ) {
             (Phase::AwaitServerHello, handshake_type::SERVER_HELLO) => {
-                conn.transcript.add(frame);
                 let sh = ServerHello::decode_body(body)?;
                 let suite = CipherSuite::from_id(sh.cipher_suite)
                     .filter(|s| conn.hs.config.suites.contains(s))
@@ -357,7 +354,6 @@ impl Hooks for ClientHandshake {
             (Phase::AwaitServerFlight, handshake_type::CERTIFICATE) => {
                 // The server chose a full handshake.
                 conn.hs.pending_resumption = None;
-                conn.transcript.add(frame);
                 let chain = mbtls_pki::cert::decode_chain(body)
                     .map_err(|_| TlsError::Decode("bad certificate chain"))?;
                 conn.hs.server_flight.certificate_chain = Some(chain);
@@ -368,14 +364,12 @@ impl Hooks for ClientHandshake {
                 // renewing the ticket (abbreviated flight:
                 // ServerHello, NewSessionTicket, CCS, Finished).
                 conn.commit_resumption()?;
-                conn.transcript.add(frame);
                 let ticket = NewSessionTicket::decode_body(body)?;
                 conn.hs.new_ticket = Some(ticket);
                 conn.hs.phase = Phase::AwaitServerFinishedResumed;
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SERVER_KEY_EXCHANGE) => {
-                conn.transcript.add(frame);
                 let ske = ServerKeyExchange::decode_body(body)?;
                 conn.hs.server_flight.key_exchange = Some(ske);
                 // Capture the binding the attestation must carry.
@@ -384,13 +378,11 @@ impl Hooks for ClientHandshake {
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SGX_ATTESTATION) => {
-                conn.transcript.add(frame);
                 let msg = SgxAttestationMsg::decode_body(body)?;
                 conn.hs.server_flight.attestation = Some(msg);
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::DELEGATED_CREDENTIAL) => {
-                conn.transcript.add(frame);
                 let msg = DelegatedCredentialMsg::decode_body(body)?;
                 conn.hs.server_flight.credential = Some(msg);
                 Ok(())
@@ -399,14 +391,12 @@ impl Hooks for ClientHandshake {
                 if !body.is_empty() {
                     return Err(TlsError::Decode("non-empty ServerHelloDone"));
                 }
-                conn.transcript.add(frame);
                 conn.finish_client_flight(rng)
             }
             (
                 Phase::AwaitServerFinished | Phase::AwaitServerFinishedResumed,
                 handshake_type::NEW_SESSION_TICKET,
             ) => {
-                conn.transcript.add(frame);
                 let ticket = NewSessionTicket::decode_body(body)?;
                 conn.hs.new_ticket = Some(ticket);
                 Ok(())
@@ -557,7 +547,7 @@ impl Connection<ClientHandshake> {
                         .map_err(|_| TlsError::Decode("bad x25519 point"))?,
                 );
                 let secret = x25519::SecretKey::generate(rng);
-                let pre_master = PreMasterSecret::from_ecdhe(secret.diffie_hellman(&server_pub)?);
+                let pre_master = Secret::from(secret.diffie_hellman(&server_pub)?);
                 (secret.public_key().0.to_vec(), pre_master)
             }
             (ServerKeyExchangeParams::Dhe { p, g, ys }, KeyExchange::Dhe) => {
@@ -573,18 +563,14 @@ impl Connection<ClientHandshake> {
                 let mut ys_padded = vec![0u8; 256usize.saturating_sub(ys.len())];
                 ys_padded.extend_from_slice(ys);
                 let pre_master =
-                    PreMasterSecret::from_dhe(secret.diffie_hellman(&DhPublic(ys_padded))?);
+                    keyschedule::dhe_pre_master(secret.diffie_hellman(&DhPublic(ys_padded))?);
                 (secret.public_value().0, pre_master)
             }
             _ => return Err(TlsError::NegotiationFailed("kex/suite mismatch")),
         };
 
-        let master = keyschedule::master_secret(
-            suite,
-            pre_master.as_bytes(),
-            &self.client_random,
-            &self.server_random,
-        );
+        let master =
+            keyschedule::master_secret(suite, &pre_master, &self.client_random, &self.server_random);
         self.install_secrets(suite, master);
 
         // 5. Send ClientKeyExchange + CCS + Finished.

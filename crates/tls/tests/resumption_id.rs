@@ -91,7 +91,7 @@ fn unknown_session_id_falls_back_to_full() {
         "s.example".into(),
         mbtls_tls::session::ResumptionData {
             suite: mbtls_tls::suites::CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![1; 48],
+            master_secret: vec![1; 48].into(),
             ticket: None,
             session_id: vec![0xAB; 32], // the server has never seen this
         },

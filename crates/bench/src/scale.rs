@@ -11,7 +11,7 @@
 //!
 //! The container this harness runs in has one CPU core, so the curve
 //! cannot come from real threads. Shards share *nothing* — each owns
-//! its slab, wheel, buffer pool, substrate, and clock — so an
+//! its slab, timer queue, buffer pool, substrate, and clock — so an
 //! S-shard deployment's wall clock is the wall clock of its slowest
 //! shard. [`bench_scale_point_over`] therefore drives each shard's slice
 //! of the fleet to completion *sequentially*, times each slice
@@ -31,8 +31,8 @@
 use std::time::Instant;
 
 use mbtls_host::{
-    Host, HostConfig, HostCounters, LoadConfig, LoadGenerator, NetSubstrate, PipeSubstrate, Shard,
-    Workload,
+    Host, HostConfig, HostCounters, LoadConfig, LoadGenerator, NetSubstrate, PipeSubstrate,
+    Reactor, Shard, Workload,
 };
 use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_telemetry::json::Value;
@@ -393,7 +393,7 @@ pub struct SteadyStateShard {
 impl SteadyStateShard {
     /// Build a one-session shard `k` and drive it through the
     /// handshake plus `warm_exchanges` round trips, so the slab,
-    /// wheel, buffer pool, ready queue, and every party's record
+    /// timer queue, buffer pool, ready queue, and every party's record
     /// buffers reach their final capacities.
     pub fn warmed_up(k: u16, warm_exchanges: u64) -> Self {
         let mut generator = LoadGenerator::new(LoadConfig {

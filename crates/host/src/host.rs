@@ -2,13 +2,12 @@
 //! [`Shard`] reactors.
 //!
 //! [`Host`] is the front door. It owns `config.shards()` reactors,
-//! each with a private substrate, session table, timer wheel, ready
+//! each with a private substrate, session table, timer queue, ready
 //! queue, and buffer pool, and routes every operation by the shard
 //! index encoded in [`SessionId`]:
 //!
-//! * **admission** goes through the [`ShardMux`]'s per-shard inbox
-//!   rings — deterministic round-robin pinning (or explicit placement
-//!   via [`Host::open_on`]);
+//! * **admission** pins each new session to a shard by deterministic
+//!   round-robin (or explicit placement via [`Host::open_on`]);
 //! * **steering** after admission needs no table at all: the id *is*
 //!   the route;
 //! * **telemetry** is recorded per shard (each with its own virtual
@@ -19,7 +18,7 @@
 //! Because shards share nothing, any schedule that runs each shard's
 //! own events in order produces the same per-shard state and trace;
 //! [`Host::run`] drives shards to completion sequentially (the
-//! single-core stand-in for parallel workers), while [`Host::step`]
+//! single-core stand-in for parallel workers), while [`Reactor::step`]
 //! interleaves them in global virtual-time order for lock-step
 //! drivers. Both yield identical merged traces.
 
@@ -27,10 +26,9 @@ use mbtls_core::driver::Chain;
 use mbtls_core::MbError;
 use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_netsim::FaultConfig;
-use mbtls_telemetry::{Recorder, SharedSink};
+use mbtls_telemetry::{close_outcome, EventKind, Recorder, SharedSink};
 
 use crate::config::HostConfig;
-use crate::mux::ShardMux;
 use crate::session::{SessionOutcome, Workload};
 use crate::shard::Shard;
 use crate::slab::SessionId;
@@ -53,6 +51,12 @@ pub struct SessionSpec {
 /// compares these alongside the telemetry trace). Fields are private:
 /// read through the accessors, aggregate across shards with
 /// [`HostCounters::merge`].
+///
+/// Every lifecycle tally is a fold of the shard's own `Host*` events
+/// ([`HostCounters::observe`]), so replaying a trace from `default()`
+/// reproduces it. The two exceptions are the data-path tallies
+/// `bytes_moved` and `exchanges_completed`, which the shard bumps
+/// directly: an event per pump would put telemetry on the data path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostCounters {
     pub(crate) opened: u64,
@@ -148,6 +152,36 @@ impl HostCounters {
         &self.handshake_latencies_ns
     }
 
+    /// Fold one event into the tallies it stands for. `HostTimeout`
+    /// and `HostEvict` count nothing themselves: the retry or the
+    /// close that follows carries the fact.
+    pub fn observe(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::HostSessionOpen { .. } => self.opened += 1,
+            EventKind::HostHandshakeDone { elapsed_ns, resumed, .. } => {
+                self.handshake_latencies_ns.push(elapsed_ns);
+                if resumed != 0 {
+                    self.handshakes_resumed += 1;
+                } else {
+                    self.handshakes_full += 1;
+                }
+            }
+            EventKind::HostSessionClose { outcome, .. } => match outcome {
+                close_outcome::COMPLETED => self.completed += 1,
+                close_outcome::TIMED_OUT => self.timed_out += 1,
+                close_outcome::EVICTED => self.evicted += 1,
+                _ => self.failed += 1,
+            },
+            EventKind::HostRetryBackoff { .. } => self.retries += 1,
+            EventKind::HostTicketExpired { dropped, .. } => self.tickets_expired += dropped,
+            EventKind::HostVerifyBatch { checks, .. } => {
+                self.verify_batches += 1;
+                self.verify_checks += checks;
+            }
+            _ => {}
+        }
+    }
+
     /// Aggregate per-shard counters into fleet totals. Scalar
     /// counters sum; handshake latencies concatenate in shard order
     /// (deterministic, since each shard's list is in its own
@@ -196,7 +230,8 @@ pub trait Reactor {
 /// The sharded session host facade.
 pub struct Host<S: Substrate> {
     shards: Vec<Shard<S>>,
-    mux: ShardMux,
+    /// The shard the next round-robin admission lands on.
+    next: u16,
 }
 
 impl<S: Substrate> Host<S> {
@@ -205,9 +240,10 @@ impl<S: Substrate> Host<S> {
     /// substrate (give each its own seed for independent fault
     /// randomness).
     pub fn new(config: HostConfig, mut substrate_for: impl FnMut(u16) -> S) -> Self {
-        let n = config.shards();
-        let shards = (0..n).map(|k| Shard::new(k, substrate_for(k), config.clone())).collect();
-        Host { shards, mux: ShardMux::new(n) }
+        let shards = (0..config.shards())
+            .map(|k| Shard::new(k, substrate_for(k), config.clone()))
+            .collect();
+        Host { shards, next: 0 }
     }
 
     /// Number of worker shards.
@@ -226,35 +262,12 @@ impl<S: Substrate> Host<S> {
         &mut self.shards[shard as usize]
     }
 
-    /// Admit a session; the mux pins it to a shard by deterministic
-    /// round-robin and the returned [`SessionId`] encodes the choice.
-    pub fn open(&mut self, spec: SessionSpec) -> Result<SessionId, MbError> {
-        let shard = self.mux.route_open(spec);
-        self.drain_admissions(shard)
-    }
-
     /// Admit a session on an explicit shard (load slicing).
     pub fn open_on(&mut self, shard: u16, spec: SessionSpec) -> Result<SessionId, MbError> {
-        if shard >= self.shards() {
-            return Err(MbError::unexpected_state("open_on: no such shard"));
+        match self.shards.get_mut(shard as usize) {
+            Some(shard) => shard.open(spec),
+            None => Err(MbError::unexpected_state("open_on: no such shard")),
         }
-        self.mux.route_open_on(shard, spec);
-        self.drain_admissions(shard)
-    }
-
-    /// Drain `shard`'s inbox ring into the reactor; the id of the
-    /// last admission comes back to the caller.
-    fn drain_admissions(&mut self, shard: u16) -> Result<SessionId, MbError> {
-        let mut last = None;
-        while let Some(spec) = self.mux.take_admission(shard) {
-            last = Some(self.shards[shard as usize].open(spec)?);
-        }
-        last.ok_or_else(|| MbError::unexpected_state("admission ring drained empty"))
-    }
-
-    /// Live sessions across every shard.
-    pub fn live(&self) -> usize {
-        self.shards.iter().map(Shard::live).sum()
     }
 
     /// Fleet-wide statistics: every shard's counters merged.
@@ -327,14 +340,29 @@ impl<S: Substrate> Host<S> {
         }
         Ok(())
     }
+}
+
+impl<S: Substrate> Reactor for Host<S> {
+    /// Admit a session, pinned to a shard by deterministic
+    /// round-robin; the returned [`SessionId`] encodes the choice.
+    fn open(&mut self, spec: SessionSpec) -> Result<SessionId, MbError> {
+        let shard = self.next;
+        self.next = (self.next + 1) % self.shards();
+        self.shards[shard as usize].open(spec)
+    }
+
+    /// Live sessions across every shard.
+    fn live(&self) -> usize {
+        self.shards.iter().map(Shard::live).sum()
+    }
 
     /// The latest shard clock: the fleet's virtual-time frontier.
-    pub fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         self.shards.iter().map(Shard::now).max().unwrap_or(SimTime::ZERO)
     }
 
     /// True if any shard has sessions queued for service.
-    pub fn has_ready(&self) -> bool {
+    fn has_ready(&self) -> bool {
         self.shards.iter().any(Shard::has_ready)
     }
 
@@ -342,7 +370,7 @@ impl<S: Substrate> Host<S> {
     /// advance the shard with the earliest pending event (ties break
     /// by shard index). Interleaving in global virtual-time order
     /// keeps lock-step drivers (e.g. the load generator) exact.
-    pub fn step(&mut self) -> Result<bool, MbError> {
+    fn step(&mut self) -> Result<bool, MbError> {
         let mut serviced = false;
         for shard in &mut self.shards {
             if shard.has_ready() {
@@ -365,75 +393,15 @@ impl<S: Substrate> Host<S> {
     }
 
     /// The earliest pending instant across every shard.
-    pub fn next_event(&mut self) -> Option<SimTime> {
+    fn next_event(&mut self) -> Option<SimTime> {
         self.shards.iter_mut().filter_map(Shard::next_event).min()
     }
 
     /// Advance every shard's virtual time to `t`, firing whatever
     /// comes due on the way.
-    pub fn advance_clock(&mut self, t: SimTime) {
+    fn advance_clock(&mut self, t: SimTime) {
         for shard in &mut self.shards {
             shard.advance_clock(t);
         }
-    }
-}
-
-impl<S: Substrate> Reactor for Host<S> {
-    fn open(&mut self, spec: SessionSpec) -> Result<SessionId, MbError> {
-        Host::open(self, spec)
-    }
-
-    fn live(&self) -> usize {
-        Host::live(self)
-    }
-
-    fn now(&self) -> SimTime {
-        Host::now(self)
-    }
-
-    fn has_ready(&self) -> bool {
-        Host::has_ready(self)
-    }
-
-    fn step(&mut self) -> Result<bool, MbError> {
-        Host::step(self)
-    }
-
-    fn next_event(&mut self) -> Option<SimTime> {
-        Host::next_event(self)
-    }
-
-    fn advance_clock(&mut self, t: SimTime) {
-        Host::advance_clock(self, t)
-    }
-}
-
-impl<S: Substrate> Reactor for Shard<S> {
-    fn open(&mut self, spec: SessionSpec) -> Result<SessionId, MbError> {
-        Shard::open(self, spec)
-    }
-
-    fn live(&self) -> usize {
-        Shard::live(self)
-    }
-
-    fn now(&self) -> SimTime {
-        Shard::now(self)
-    }
-
-    fn has_ready(&self) -> bool {
-        Shard::has_ready(self)
-    }
-
-    fn step(&mut self) -> Result<bool, MbError> {
-        Shard::step(self)
-    }
-
-    fn next_event(&mut self) -> Option<SimTime> {
-        Shard::next_event(self)
-    }
-
-    fn advance_clock(&mut self, t: SimTime) {
-        Shard::advance_clock(self, t)
     }
 }

@@ -18,11 +18,12 @@
 //!   [`SessionId`]s dangle *detectably* after eviction instead of
 //!   aliasing recycled slots, and carry the owning shard in their
 //!   index bits so routing needs no lookup table.
-//! - [`wheel`] — a hierarchical timer wheel driven by virtual time:
-//!   handshake timeouts with telemetry-visible retry/backoff, idle
-//!   eviction, and session-ticket expiry. This is what turns a
-//!   silently dropped handshake flight into a surfaced
-//!   `MbError::Timeout` instead of a hung host.
+//! - [`wheel`] — the timer queue, an ordered map on `(deadline,
+//!   schedule order)` driven by virtual time: handshake timeouts with
+//!   telemetry-visible retry/backoff, idle eviction, and
+//!   session-ticket expiry. This is what turns a silently dropped
+//!   handshake flight into a surfaced `MbError::Timeout` instead of
+//!   a hung host.
 //! - [`substrate`] — the transport abstraction: one simulator (with
 //!   per-session latency and fault injection) or per-session pipes.
 //! - [`shard`] — the per-worker reactor: the event loop, one per
@@ -30,9 +31,6 @@
 //!   pumping with a per-session pass cap for backpressure, and a
 //!   per-shard [`pool::BufferPool`] keeps the steady state free of
 //!   per-record allocation.
-//! - [`mux`] — the routing seam: mpsc-shaped per-shard event rings
-//!   for admissions and transport deliveries — the single-thread
-//!   stand-in for a multi-core deployment's worker channels.
 //! - [`host`] — the opaque [`Host`] facade over the shard fleet:
 //!   round-robin admission, id-encoded steering, per-shard telemetry
 //!   with deterministic merging.
@@ -45,7 +43,6 @@
 pub mod config;
 pub mod host;
 pub mod loadgen;
-pub mod mux;
 pub mod pool;
 pub mod session;
 pub mod shard;
@@ -56,10 +53,9 @@ pub mod wheel;
 pub use config::{HostConfig, HostConfigBuilder, HostConfigError};
 pub use host::{Host, HostCounters, Reactor, SessionSpec};
 pub use loadgen::{ChainMix, LoadConfig, LoadGenerator};
-pub use mux::{EventRing, ShardMux};
 pub use pool::BufferPool;
 pub use session::{SessionOutcome, Workload};
 pub use shard::Shard;
 pub use slab::{SessionId, Slab};
 pub use substrate::{NetSubstrate, PipeSubstrate, PumpOutcome, Substrate};
-pub use wheel::{Timer, TimerKind, TimerWheel};
+pub use wheel::{Timer, TimerKind, TimerQueue};

@@ -1,10 +1,11 @@
-//! Seeded load generator: opens sessions against a [`Host`] (or a
-//! single [`Shard`](crate::shard::Shard)) on a deterministic arrival
+//! Seeded load generator: opens sessions against a
+//! [`Host`](crate::host::Host) (or a single
+//! [`Shard`](crate::shard::Shard)) on a deterministic arrival
 //! schedule and drives the event loop until the fleet drains.
 //!
 //! Sessions close as their workloads complete while later arrivals
 //! are still opening, so a run exercises exactly the open/close churn
-//! the slab and timer wheel exist for. Everything derives from one
+//! the slab and timer queue exist for. Everything derives from one
 //! seed — and, crucially for sharding, each session's randomness
 //! derives from the *global session index*, not from a sequential
 //! stream: session `i` is byte-identical whether the load is driven

@@ -3,6 +3,7 @@
 use mbtls_core::driver::Chain;
 use mbtls_core::MbError;
 use mbtls_netsim::time::SimTime;
+use mbtls_telemetry::close_outcome;
 
 /// The request/response workload a hosted session runs once its
 /// handshake completes: the client sends `request_len` bytes, the
@@ -81,6 +82,17 @@ impl SessionOutcome {
     /// True for [`SessionOutcome::Completed`].
     pub fn is_completed(&self) -> bool {
         matches!(self, SessionOutcome::Completed { .. })
+    }
+
+    /// This outcome as the `outcome` field of a `HostSessionClose`
+    /// event.
+    pub(crate) fn code(&self) -> u64 {
+        match self {
+            SessionOutcome::Completed { .. } => close_outcome::COMPLETED,
+            SessionOutcome::TimedOut => close_outcome::TIMED_OUT,
+            SessionOutcome::Evicted => close_outcome::EVICTED,
+            SessionOutcome::Failed(_) => close_outcome::FAILED,
+        }
     }
 
     /// The error this outcome surfaces, if it is a failure.

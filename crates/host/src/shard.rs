@@ -2,9 +2,9 @@
 //!
 //! A [`Shard`] is the event loop that used to be the whole host, now
 //! instantiated once per worker with strictly private state — its own
-//! [`Substrate`], generational [`Slab`], hierarchical [`TimerWheel`],
-//! ready queue, delivery [`EventRing`], [`BufferPool`], ticket cache,
-//! and counters. Shards share *nothing*: on a multi-core deployment
+//! [`Substrate`], generational [`Slab`], [`TimerQueue`], ready queue,
+//! [`BufferPool`], ticket cache, and counters. Shards share
+//! *nothing*: on a multi-core deployment
 //! each would run on its own core against its own NIC queue, and in
 //! this sans-IO build they are driven sequentially with bit-identical
 //! results (the determinism argument in DESIGN.md §6g rests on
@@ -12,11 +12,12 @@
 //!
 //! Sessions are pinned: the shard index is encoded in every
 //! [`SessionId`] the shard mints, the shard's slab rejects foreign
-//! ids, and substrate tokens are shard-local slot indices. Transport
-//! delivery notifications are routed through the shard's own
-//! [`EventRing`] — the single-thread stand-in for the worker's mpsc
-//! channel — so the order session logic observes events is the ring
-//! order, not an artifact of heap layout.
+//! ids, and substrate tokens are shard-local slot indices.
+//!
+//! Every lifecycle fact — open, handshake done, timeout, retry,
+//! eviction, ticket expiry, verify batch, close — is said once, as a
+//! `Host*` event handed to `Bookkeeping::note`, which folds it into
+//! the shard's [`HostCounters`] and emits it if a sink is attached.
 
 use std::collections::VecDeque;
 
@@ -28,13 +29,12 @@ use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::session::ResumptionData;
 
 use crate::config::HostConfig;
-use crate::host::{HostCounters, SessionSpec};
-use crate::mux::EventRing;
+use crate::host::{HostCounters, Reactor, SessionSpec};
 use crate::pool::BufferPool;
 use crate::session::{HostedSession, Phase, SessionOutcome};
 use crate::slab::{SessionId, Slab};
 use crate::substrate::Substrate;
-use crate::wheel::{Timer, TimerKind, TimerWheel};
+use crate::wheel::{Timer, TimerKind, TimerQueue};
 
 /// What one service pass decided about a session.
 enum Verdict {
@@ -48,6 +48,24 @@ enum Verdict {
     Progress,
 }
 
+/// The shard's bookkeeping: its counters and, when attached, its
+/// telemetry sink.
+struct Bookkeeping {
+    counters: HostCounters,
+    telemetry: Option<SharedSink>,
+}
+
+impl Bookkeeping {
+    /// Record one lifecycle fact: fold it into the counters and emit
+    /// it. The only place a `Host*` event is counted or emitted.
+    fn note(&mut self, kind: EventKind) {
+        self.counters.observe(&kind);
+        if let Some(t) = &self.telemetry {
+            t.emit(Party::Host, kind);
+        }
+    }
+}
+
 /// One worker reactor: a sans-IO event loop multiplexing the
 /// sessions pinned to this shard over its private substrate.
 ///
@@ -59,11 +77,8 @@ pub struct Shard<S: Substrate> {
     substrate: S,
     config: HostConfig,
     sessions: Slab<HostedSession>,
-    wheel: TimerWheel,
+    timers: TimerQueue,
     ready: VecDeque<SessionId>,
-    /// Due-now transport notifications, routed ring-first so event
-    /// order is the channel order a real worker would observe.
-    delivery: EventRing<usize>,
     /// Reused scratch for expired timers (no per-step allocation).
     fired: Vec<Timer>,
     pool: BufferPool,
@@ -75,7 +90,6 @@ pub struct Shard<S: Substrate> {
     /// requests and responses through one staging buffer would walk
     /// response-sized capacity into every session's request side.
     rx: [Vec<u8>; 2],
-    telemetry: Option<SharedSink>,
     /// Session-ticket cache ordered by expiry (pushes are monotonic
     /// in virtual time), capped at `config.ticket_cache_cap()`.
     tickets: VecDeque<(SimTime, ResumptionData)>,
@@ -87,7 +101,7 @@ pub struct Shard<S: Substrate> {
     /// allocation).
     verify_scratch: Vec<(usize, PendingVerify)>,
     results: Vec<(SessionId, SessionOutcome)>,
-    counters: HostCounters,
+    books: Bookkeeping,
 }
 
 impl<S: Substrate> Shard<S> {
@@ -98,18 +112,16 @@ impl<S: Substrate> Shard<S> {
             substrate,
             config,
             sessions: Slab::for_shard(shard),
-            wheel: TimerWheel::new(),
+            timers: TimerQueue::new(),
             ready: VecDeque::new(),
-            delivery: EventRing::new(),
             fired: Vec::new(),
             pool: BufferPool::new(),
             rx: Default::default(),
-            telemetry: None,
             tickets: VecDeque::new(),
             verify_queue: Vec::new(),
             verify_scratch: Vec::new(),
             results: Vec::new(),
-            counters: HostCounters::default(),
+            books: Bookkeeping { counters: HostCounters::default(), telemetry: None },
         }
     }
 
@@ -126,17 +138,7 @@ impl<S: Substrate> Shard<S> {
     pub fn set_telemetry(&mut self, sink: SharedSink) {
         let tagged = sink.tagged(self.shard);
         self.substrate.set_telemetry(tagged.clone());
-        self.telemetry = Some(tagged);
-    }
-
-    /// Current virtual time on this shard.
-    pub fn now(&self) -> SimTime {
-        self.substrate.now()
-    }
-
-    /// Live sessions pinned to this shard.
-    pub fn live(&self) -> usize {
-        self.sessions.len()
+        self.books.telemetry = Some(tagged);
     }
 
     /// True if `id` names a session this shard currently hosts.
@@ -147,7 +149,7 @@ impl<S: Substrate> Shard<S> {
 
     /// Deterministic run statistics so far.
     pub fn counters(&self) -> &HostCounters {
-        &self.counters
+        &self.books.counters
     }
 
     /// Outcomes of finished sessions, in finish order.
@@ -176,55 +178,6 @@ impl<S: Substrate> Shard<S> {
         &mut self.substrate
     }
 
-    /// Admit a session: allocate a slab slot, provision transport,
-    /// arm the handshake timer, and queue the first service.
-    pub fn open(&mut self, mut spec: SessionSpec) -> Result<SessionId, MbError> {
-        let now = self.substrate.now();
-        let links = spec.chain.parties() - 1;
-        // This shard claims deferred signature checks: sessions whose
-        // endpoints defer (`ClientConfig::defer_verify`) park until
-        // the end-of-turn batched flush resolves them. Chains that
-        // verify inline are unaffected.
-        spec.chain.set_defer_verify_to_driver(true);
-        let id = self
-            .sessions
-            .try_insert(HostedSession {
-                chain: spec.chain,
-                workload: spec.workload,
-                phase: Phase::Handshaking,
-                opened_at: now,
-                last_activity: now,
-                attempt: 1,
-                handshake_ns: 0,
-                exchanges_done: 0,
-                responded: false,
-                server_got: 0,
-                client_got: 0,
-                bytes_moved: 0,
-                queued: false,
-            })
-            .ok_or_else(|| MbError::unexpected_state("shard session table full"))?;
-        if let Err(e) =
-            self.substrate.open(id.local() as usize, links, spec.latency, &spec.faults)
-        {
-            self.sessions.remove(id);
-            return Err(e);
-        }
-        self.counters.opened += 1;
-        if let Some(t) = &self.telemetry {
-            t.emit(
-                Party::Host,
-                EventKind::HostSessionOpen {
-                    session: id.index() as u64,
-                    generation: id.generation() as u64,
-                },
-            );
-        }
-        self.wheel.schedule(now.plus(self.config.handshake_timeout()), id, TimerKind::Handshake);
-        self.enqueue(id);
-        Ok(id)
-    }
-
     fn enqueue(&mut self, id: SessionId) {
         if let Some(sess) = self.sessions.get_mut(id) {
             if !sess.queued {
@@ -234,100 +187,18 @@ impl<S: Substrate> Shard<S> {
         }
     }
 
-    /// Route every due transport notification through the delivery
-    /// ring, then drain the ring into the ready queue.
+    /// Queue the owner of every due transport notification.
     fn route_deliveries(&mut self) {
         while let Some(token) = self.substrate.pop_due() {
-            self.delivery.push(token);
-        }
-        while let Some(token) = self.delivery.pop() {
             if let Some(id) = self.sessions.id_at(token as u32) {
                 self.enqueue(id);
             }
         }
     }
 
-    /// One event-loop turn. Services the current ready batch; if the
-    /// queue drains, advances virtual time to the next transport
-    /// event or timer deadline and dispatches it. Returns false when
-    /// there is nothing left to do (no live sessions, or — the error
-    /// case for callers — live sessions but no future event).
-    pub fn step(&mut self) -> Result<bool, MbError> {
-        // Service a bounded batch: exactly the sessions queued now,
-        // so a saturated session requeues behind this turn's peers.
-        let batch = self.ready.len();
-        for _ in 0..batch {
-            let Some(id) = self.ready.pop_front() else { break };
-            match self.sessions.get_mut(id) {
-                Some(sess) => sess.queued = false,
-                None => continue,
-            }
-            self.service(id);
-        }
-        self.flush_verify_batch();
-        if !self.ready.is_empty() {
-            return Ok(true);
-        }
-        if self.sessions.is_empty() {
-            return Ok(false);
-        }
-        // Quiet: advance to the next instant anything happens.
-        let target = match (self.substrate.next_event_time(), self.wheel.next_wake()) {
-            (Some(net), Some(timer)) => net.min(timer),
-            (Some(net), None) => net,
-            (None, Some(timer)) => timer,
-            (None, None) => return Ok(false),
-        };
-        self.substrate.advance_to(target);
-        let now = self.substrate.now();
-        // Timers first (deterministic (deadline, seq) order), then
-        // transport deliveries in ring order.
-        let mut fired = std::mem::take(&mut self.fired);
-        fired.clear();
-        self.wheel.expire_into(now, &mut fired);
-        for timer in &fired {
-            self.handle_timer(timer);
-        }
-        self.fired = fired;
-        self.route_deliveries();
-        Ok(true)
-    }
-
-    /// True if sessions are queued for service without any need to
-    /// advance virtual time.
-    pub fn has_ready(&self) -> bool {
-        !self.ready.is_empty()
-    }
-
-    /// The next instant anything is scheduled to happen (transport
-    /// delivery or timer), ignoring the ready queue.
-    pub fn next_event(&mut self) -> Option<SimTime> {
-        match (self.substrate.next_event_time(), self.wheel.next_wake()) {
-            (Some(net), Some(timer)) => Some(net.min(timer)),
-            (net, None) => net,
-            (None, timer) => timer,
-        }
-    }
-
-    /// Advance virtual time to `t` (for externally scheduled work,
-    /// e.g. a load generator's next arrival), firing any timers and
-    /// transport deliveries that come due on the way.
-    pub fn advance_clock(&mut self, t: SimTime) {
-        self.substrate.advance_to(t);
-        let now = self.substrate.now();
-        let mut fired = std::mem::take(&mut self.fired);
-        fired.clear();
-        self.wheel.expire_into(now, &mut fired);
-        for timer in &fired {
-            self.handle_timer(timer);
-        }
-        self.fired = fired;
-        self.route_deliveries();
-    }
-
     /// Run the event loop until every session finishes. Errors if
     /// virtual time passes `deadline`, or if the shard goes quiescent
-    /// with live sessions (which the timer wheel should make
+    /// with live sessions (which the timer queue should make
     /// impossible: every session always has a pending timer).
     pub fn run(&mut self, deadline: SimTime) -> Result<(), MbError> {
         while !self.sessions.is_empty() {
@@ -361,17 +232,10 @@ impl<S: Substrate> Shard<S> {
             .map(|c| BatchItem { pubkey: c.key, msg: &c.msg, sig: c.sig })
             .collect();
         let outcome = ed25519::verify_batch(&items);
-        self.counters.verify_batches += 1;
-        self.counters.verify_checks += items.len() as u64;
-        if let Some(t) = &self.telemetry {
-            t.emit(
-                Party::Host,
-                EventKind::HostVerifyBatch {
-                    groups: queue.len() as u64,
-                    checks: items.len() as u64,
-                },
-            );
-        }
+        self.books.note(EventKind::HostVerifyBatch {
+            groups: queue.len() as u64,
+            checks: items.len() as u64,
+        });
         // Verdict per group: AND over its slice of the flat batch. A
         // failing group fails its session's endpoint (alert path);
         // passing groups unblock establishment. Either way the
@@ -407,7 +271,8 @@ impl<S: Substrate> Shard<S> {
                     }
                 };
             sess.bytes_moved += pump.bytes;
-            self.counters.bytes_moved += pump.bytes;
+            // Data-path tally, bumped directly: no event per pump.
+            self.books.counters.bytes_moved += pump.bytes;
             // Harvest deferred signature checks surfaced by this pump
             // for the end-of-turn batched verification flush; the
             // session parks until the flush resolves them.
@@ -431,11 +296,10 @@ impl<S: Substrate> Shard<S> {
                     id,
                     now,
                     &self.config,
-                    &mut self.wheel,
+                    &mut self.timers,
                     &mut self.pool,
                     &mut self.tickets,
-                    &mut self.counters,
-                    self.telemetry.as_ref(),
+                    &mut self.books,
                     pump.moved,
                     pump.saturated,
                 ),
@@ -443,7 +307,7 @@ impl<S: Substrate> Shard<S> {
                     sess,
                     &mut self.pool,
                     &mut self.rx,
-                    &mut self.counters,
+                    &mut self.books.counters,
                     pump.moved,
                     pump.saturated,
                 ),
@@ -471,11 +335,10 @@ impl<S: Substrate> Shard<S> {
         id: SessionId,
         now: SimTime,
         config: &HostConfig,
-        wheel: &mut TimerWheel,
+        timers: &mut TimerQueue,
         pool: &mut BufferPool,
         tickets: &mut VecDeque<(SimTime, ResumptionData)>,
-        counters: &mut HostCounters,
-        telemetry: Option<&SharedSink>,
+        books: &mut Bookkeeping,
         moved: bool,
         saturated: bool,
     ) -> Verdict {
@@ -492,45 +355,32 @@ impl<S: Substrate> Shard<S> {
         sess.last_activity = now;
         let handshake_ns = now.since(sess.opened_at).0;
         sess.handshake_ns = handshake_ns;
-        counters.handshake_latencies_ns.push(handshake_ns);
-        // Split the handshake tally: abbreviated (ticket/session-id)
-        // resumptions skipped certificate transfer and signature
-        // checks entirely; rejected or absent tickets degrade to the
-        // full flight and count there.
-        if sess.chain.client.resumed() {
-            counters.handshakes_resumed += 1;
-        } else {
-            counters.handshakes_full += 1;
-        }
-        if let Some(t) = telemetry {
-            t.emit(
-                Party::Host,
-                EventKind::HostHandshakeDone {
-                    session: id.index() as u64,
-                    attempt: sess.attempt as u64,
-                    elapsed_ns: handshake_ns,
-                },
-            );
-        }
+        // `resumed` splits the handshake tally: abbreviated
+        // (ticket/session-id) resumptions skipped certificate transfer
+        // and signature checks entirely; rejected or absent tickets
+        // degrade to the full flight and count there.
+        books.note(EventKind::HostHandshakeDone {
+            session: id.index() as u64,
+            attempt: sess.attempt as u64,
+            elapsed_ns: handshake_ns,
+            resumed: sess.chain.client.resumed() as u64,
+        });
         if let Some(res) = sess.chain.client.resumption() {
             // Capacity first: the cache never exceeds its cap, and
             // the displaced ticket (always the oldest — the deque is
             // expiry-ordered) counts as expired.
             if tickets.len() >= config.ticket_cache_cap() {
                 tickets.pop_front();
-                counters.tickets_expired += 1;
-                if let Some(t) = telemetry {
-                    t.emit(
-                        Party::Host,
-                        EventKind::HostTicketExpired { remaining: tickets.len() as u64 },
-                    );
-                }
+                books.note(EventKind::HostTicketExpired {
+                    remaining: tickets.len() as u64,
+                    dropped: 1,
+                });
             }
             let expiry = now.plus(config.ticket_ttl());
             tickets.push_back((expiry, res));
-            wheel.schedule(expiry, id, TimerKind::TicketExpiry);
+            timers.schedule(expiry, id, TimerKind::TicketExpiry);
         }
-        wheel.schedule(now.plus(config.idle_timeout()), id, TimerKind::Idle);
+        timers.schedule(now.plus(config.idle_timeout()), id, TimerKind::Idle);
         if sess.workload.exchanges == 0 {
             return Verdict::Finish(SessionOutcome::Completed {
                 exchanges: 0,
@@ -603,6 +453,7 @@ impl<S: Substrate> Shard<S> {
             sess.client_got -= sess.workload.response_len;
             sess.responded = false;
             sess.exchanges_done += 1;
+            // Data-path tally, bumped directly: no event per exchange.
             counters.exchanges_completed += 1;
             acted = true;
             if sess.exchanges_done >= sess.workload.exchanges {
@@ -637,15 +488,10 @@ impl<S: Substrate> Shard<S> {
                     return;
                 }
                 let attempt = sess.attempt;
-                if let Some(t) = &self.telemetry {
-                    t.emit(
-                        Party::Host,
-                        EventKind::HostTimeout {
-                            session: id.index() as u64,
-                            attempt: attempt as u64,
-                        },
-                    );
-                }
+                self.books.note(EventKind::HostTimeout {
+                    session: id.index() as u64,
+                    attempt: attempt as u64,
+                });
                 if attempt < self.config.handshake_attempts() {
                     // Exponential backoff: 2^attempt × base backoff
                     // (overflow ruled out by config validation).
@@ -653,19 +499,13 @@ impl<S: Substrate> Shard<S> {
                     if let Some(sess) = self.sessions.get_mut(id) {
                         sess.attempt += 1;
                     }
-                    self.counters.retries += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.emit(
-                            Party::Host,
-                            EventKind::HostRetryBackoff {
-                                session: id.index() as u64,
-                                attempt: (attempt + 1) as u64,
-                                backoff_ns: backoff.0,
-                            },
-                        );
-                    }
+                    self.books.note(EventKind::HostRetryBackoff {
+                        session: id.index() as u64,
+                        attempt: (attempt + 1) as u64,
+                        backoff_ns: backoff.0,
+                    });
                     let now = self.substrate.now();
-                    self.wheel.schedule(now.plus(backoff), id, TimerKind::Retry);
+                    self.timers.schedule(now.plus(backoff), id, TimerKind::Retry);
                     // Poke the session: bytes may be waiting that a
                     // pump can still deliver.
                     self.enqueue(id);
@@ -678,21 +518,16 @@ impl<S: Substrate> Shard<S> {
                 let now = self.substrate.now();
                 let idle = now.since(sess.last_activity);
                 if idle >= self.config.idle_timeout() {
-                    if let Some(t) = &self.telemetry {
-                        t.emit(
-                            Party::Host,
-                            EventKind::HostEvict {
-                                session: id.index() as u64,
-                                idle_ns: idle.0,
-                            },
-                        );
-                    }
+                    self.books.note(EventKind::HostEvict {
+                        session: id.index() as u64,
+                        idle_ns: idle.0,
+                    });
                     self.finish(id, SessionOutcome::Evicted);
                 } else {
                     // Activity since arming: re-arm from the last
                     // activity instant.
                     let next = sess.last_activity.plus(self.config.idle_timeout());
-                    self.wheel.schedule(next, id, TimerKind::Idle);
+                    self.timers.schedule(next, id, TimerKind::Idle);
                 }
             }
             TimerKind::TicketExpiry => {
@@ -706,15 +541,10 @@ impl<S: Substrate> Shard<S> {
                     dropped += 1;
                 }
                 if dropped > 0 {
-                    self.counters.tickets_expired += dropped;
-                    if let Some(t) = &self.telemetry {
-                        t.emit(
-                            Party::Host,
-                            EventKind::HostTicketExpired {
-                                remaining: self.tickets.len() as u64,
-                            },
-                        );
-                    }
+                    self.books.note(EventKind::HostTicketExpired {
+                        remaining: self.tickets.len() as u64,
+                        dropped,
+                    });
                 }
             }
         }
@@ -728,15 +558,128 @@ impl<S: Substrate> Shard<S> {
             return;
         }
         self.substrate.close(id.local() as usize);
-        match &outcome {
-            SessionOutcome::Completed { .. } => self.counters.completed += 1,
-            SessionOutcome::TimedOut => self.counters.timed_out += 1,
-            SessionOutcome::Evicted => self.counters.evicted += 1,
-            SessionOutcome::Failed(_) => self.counters.failed += 1,
-        }
-        if let Some(t) = &self.telemetry {
-            t.emit(Party::Host, EventKind::HostSessionClose { session: id.index() as u64 });
-        }
+        self.books.note(EventKind::HostSessionClose {
+            session: id.index() as u64,
+            outcome: outcome.code(),
+        });
         self.results.push((id, outcome));
+    }
+}
+
+impl<S: Substrate> Reactor for Shard<S> {
+    /// Admit a session: allocate a slab slot, provision transport,
+    /// arm the handshake timer, and queue the first service.
+    fn open(&mut self, mut spec: SessionSpec) -> Result<SessionId, MbError> {
+        let now = self.substrate.now();
+        let links = spec.chain.parties() - 1;
+        // This shard claims deferred signature checks: sessions whose
+        // endpoints defer (`ClientConfig::defer_verify`) park until
+        // the end-of-turn batched flush resolves them. Chains that
+        // verify inline are unaffected.
+        spec.chain.set_defer_verify_to_driver(true);
+        let id = self
+            .sessions
+            .try_insert(HostedSession {
+                chain: spec.chain,
+                workload: spec.workload,
+                phase: Phase::Handshaking,
+                opened_at: now,
+                last_activity: now,
+                attempt: 1,
+                handshake_ns: 0,
+                exchanges_done: 0,
+                responded: false,
+                server_got: 0,
+                client_got: 0,
+                bytes_moved: 0,
+                queued: false,
+            })
+            .ok_or_else(|| MbError::unexpected_state("shard session table full"))?;
+        if let Err(e) =
+            self.substrate.open(id.local() as usize, links, spec.latency, &spec.faults)
+        {
+            self.sessions.remove(id);
+            return Err(e);
+        }
+        self.books.note(EventKind::HostSessionOpen {
+            session: id.index() as u64,
+            generation: id.generation() as u64,
+        });
+        self.timers.schedule(now.plus(self.config.handshake_timeout()), id, TimerKind::Handshake);
+        self.enqueue(id);
+        Ok(id)
+    }
+
+    /// Live sessions pinned to this shard.
+    fn live(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Current virtual time on this shard.
+    fn now(&self) -> SimTime {
+        self.substrate.now()
+    }
+
+    /// True if sessions are queued for service without any need to
+    /// advance virtual time.
+    fn has_ready(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
+    /// One event-loop turn. Services the current ready batch; if the
+    /// queue drains, advances virtual time to the next transport
+    /// event or timer deadline and dispatches it. Returns false when
+    /// there is nothing left to do (no live sessions, or — the error
+    /// case for callers — live sessions but no future event).
+    fn step(&mut self) -> Result<bool, MbError> {
+        // Service a bounded batch: exactly the sessions queued now,
+        // so a saturated session requeues behind this turn's peers.
+        let batch = self.ready.len();
+        for _ in 0..batch {
+            let Some(id) = self.ready.pop_front() else { break };
+            match self.sessions.get_mut(id) {
+                Some(sess) => sess.queued = false,
+                None => continue,
+            }
+            self.service(id);
+        }
+        self.flush_verify_batch();
+        if !self.ready.is_empty() {
+            return Ok(true);
+        }
+        // Quiet: advance to the next instant anything happens.
+        let Some(target) = self.next_event() else { return Ok(false) };
+        self.advance_clock(target);
+        Ok(true)
+    }
+
+    /// The next instant anything is scheduled to happen (transport
+    /// delivery or timer), ignoring the ready queue. `None` once no
+    /// session is live: what is left then is stale timers and ticket
+    /// sweeps, which fire when a later session moves the clock, and
+    /// reporting them would have a fleet-wide `step` pick this shard
+    /// for a turn that cannot advance it.
+    fn next_event(&mut self) -> Option<SimTime> {
+        if self.sessions.is_empty() {
+            return None;
+        }
+        [self.substrate.next_event_time(), self.timers.next_wake()].into_iter().flatten().min()
+    }
+
+    /// Advance virtual time to `t` (for externally scheduled work,
+    /// e.g. a load generator's next arrival), firing any timers and
+    /// transport deliveries that come due on the way: timers first,
+    /// in deterministic (deadline, seq) order, then deliveries.
+    fn advance_clock(&mut self, t: SimTime) {
+        self.substrate.advance_to(t);
+        let now = self.substrate.now();
+        let mut fired = std::mem::take(&mut self.fired);
+        fired.clear();
+        self.timers.expire_into(now, &mut fired);
+        for timer in &fired {
+            self.handle_timer(timer);
+        }
+        self.fired = fired;
+        self.route_deliveries();
     }
 }

@@ -94,6 +94,13 @@ impl NetSubstrate {
     pub fn new(seed: u64) -> Self {
         NetSubstrate { net: Network::new(seed), sessions: Vec::new(), conn_owner: Vec::new() }
     }
+
+    /// The simulator and session `token`'s connections (client side
+    /// first), for adversary hooks such as [`Network::tamper_next`].
+    pub fn adversary(&mut self, token: usize) -> Option<(&mut Network, &[ConnId])> {
+        let sess = self.sessions.get(token)?.as_ref()?;
+        Some((&mut self.net, &sess.conns))
+    }
 }
 
 impl Substrate for NetSubstrate {
@@ -187,9 +194,8 @@ impl Substrate for NetSubstrate {
             if let Some(&Some(token)) = self.conn_owner.get(conn.0) {
                 return Some(token);
             }
-            // Orphaned conn (session already closed): drain so the
-            // entry doesn't resurface, then keep looking.
-            let _ = conn;
+            // Orphaned conn (session already closed): `Network::pop_due`
+            // has consumed the entry, so just keep looking.
         }
         None
     }

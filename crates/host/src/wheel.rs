@@ -1,17 +1,12 @@
-//! Hierarchical timer wheel driven by virtual time.
-//!
-//! Four levels of 64 slots each, with a ~1 ms base tick (2^20 ns —
-//! power-of-two so slot math is shifts and masks). Level `l` spans
-//! `64^(l+1)` ticks, so the wheel covers ~4.8 virtual hours before
-//! spilling into an overflow list. Each level keeps a 64-bit
-//! occupancy bitmap so finding the next armed slot is a couple of
-//! bit scans, not a walk over 256 buckets.
+//! The timer queue: pending timers in an ordered map keyed on
+//! `(deadline, schedule order)`, driven by virtual time.
 //!
 //! Cancellation is *lazy*: the host never removes a timer, it just
 //! lets it fire and discards it if the [`SessionId`] it names has
 //! gone stale (the generational slab makes that check O(1)). That
-//! keeps `schedule` allocation-free in steady state and avoids
-//! per-timer handles entirely.
+//! avoids per-timer handles entirely.
+
+use std::collections::BTreeMap;
 
 use mbtls_netsim::time::SimTime;
 
@@ -30,7 +25,7 @@ pub enum TimerKind {
     TicketExpiry,
 }
 
-/// One scheduled timer.
+/// One expired timer.
 #[derive(Debug, Clone, Copy)]
 pub struct Timer {
     /// Absolute virtual deadline.
@@ -39,201 +34,62 @@ pub struct Timer {
     pub session: SessionId,
     /// What to do when it fires.
     pub kind: TimerKind,
-    /// Insertion sequence — tie-breaker so equal-deadline timers fire
-    /// in schedule order, keeping runs bit-for-bit reproducible.
-    seq: u64,
 }
 
-/// Base tick: 2^20 ns ≈ 1.05 ms.
-const SLOT0_BITS: u32 = 20;
-/// log2(slots per level).
-const LEVEL_BITS: u32 = 6;
-const SLOTS: usize = 1 << LEVEL_BITS;
-const LEVELS: usize = 4;
-/// Deadlines further out than this go to the overflow list.
-const HORIZON_BITS: u32 = SLOT0_BITS + LEVEL_BITS * LEVELS as u32;
-
-fn level_shift(level: usize) -> u32 {
-    SLOT0_BITS + LEVEL_BITS * level as u32
-}
-
-/// The wheel.
-pub struct TimerWheel {
-    /// `slots[level][slot]` — timers keyed by their deadline's slot
-    /// index at that level's granularity.
-    slots: Vec<Vec<Vec<Timer>>>,
-    /// One occupancy bit per slot, per level.
-    occupancy: [u64; LEVELS],
-    /// Timers beyond the wheel horizon (redistributed as time nears).
-    overflow: Vec<Timer>,
+/// The queue. The key's second half is the insertion sequence, so
+/// equal-deadline timers fire in schedule order and runs stay
+/// bit-for-bit reproducible.
+#[derive(Default)]
+pub struct TimerQueue {
+    pending: BTreeMap<(SimTime, u64), (SessionId, TimerKind)>,
     /// Last instant `expire_into` ran at.
     current: u64,
-    /// Live timer count.
-    count: usize,
     /// Next insertion sequence number.
     next_seq: u64,
-    /// Reusable drain buffer (capacity circulates with slot vecs).
-    scratch: Vec<Timer>,
 }
 
-impl Default for TimerWheel {
-    fn default() -> Self {
-        TimerWheel::new()
-    }
-}
-
-impl TimerWheel {
-    /// An empty wheel at time zero.
+impl TimerQueue {
+    /// An empty queue at time zero.
     pub fn new() -> Self {
-        TimerWheel {
-            slots: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
-            occupancy: [0; LEVELS],
-            overflow: Vec::new(),
-            current: 0,
-            count: 0,
-            next_seq: 0,
-            scratch: Vec::new(),
-        }
+        TimerQueue::default()
     }
 
     /// Number of pending timers (including lazily-cancelled ones).
     pub fn len(&self) -> usize {
-        self.count
+        self.pending.len()
     }
 
     /// True when no timers are pending.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.pending.is_empty()
     }
 
     /// Arm a timer. Past deadlines are legal and fire on the next
-    /// [`TimerWheel::expire_into`] call.
+    /// [`TimerQueue::expire_into`] call.
     pub fn schedule(&mut self, deadline: SimTime, session: SessionId, kind: TimerKind) {
-        let timer = Timer { deadline, session, kind, seq: self.next_seq };
+        self.pending.insert((deadline, self.next_seq), (session, kind));
         self.next_seq += 1;
-        self.count += 1;
-        self.place(timer);
     }
 
-    fn place(&mut self, timer: Timer) {
-        // A deadline already due slots into the current tick so it
-        // cannot land "behind" the cursor and wait for a full wrap.
-        let d = timer.deadline.0.max(self.current);
-        let delta = d - self.current;
-        let mut level = LEVELS;
-        for l in 0..LEVELS {
-            if delta < 1u64 << (level_shift(l) + LEVEL_BITS) {
-                level = l;
+    /// The earliest pending deadline, or the last expiry instant if
+    /// that deadline is already behind it.
+    pub fn next_wake(&self) -> Option<SimTime> {
+        let (&(deadline, _), _) = self.pending.first_key_value()?;
+        Some(SimTime(deadline.0.max(self.current)))
+    }
+
+    /// Advance to `now`, appending every timer whose deadline has
+    /// passed to `fired` in deterministic `(deadline, schedule-order)`
+    /// order.
+    pub fn expire_into(&mut self, now: SimTime, fired: &mut Vec<Timer>) {
+        self.current = now.0.max(self.current);
+        while let Some(entry) = self.pending.first_entry() {
+            if entry.key().0 .0 > self.current {
                 break;
             }
+            let ((deadline, _), (session, kind)) = entry.remove_entry();
+            fired.push(Timer { deadline, session, kind });
         }
-        if level == LEVELS {
-            self.overflow.push(timer);
-            return;
-        }
-        let slot = ((d >> level_shift(level)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level][slot].push(timer);
-        self.occupancy[level] |= 1 << slot;
-    }
-
-    /// The earliest instant at which the wheel wants to run. For a
-    /// timer sitting in a higher level this is its slot boundary (the
-    /// cascade point), not the exact deadline — waking there re-files
-    /// the timer into a finer level, so each timer costs at most
-    /// [`LEVELS`] wakeups. Timers in the cursor's own slot are
-    /// reported exactly.
-    pub fn next_wake(&self) -> Option<SimTime> {
-        if self.count == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        let mut consider = |t: u64| {
-            best = Some(match best {
-                Some(b) => b.min(t),
-                None => t,
-            });
-        };
-        for level in 0..LEVELS {
-            let occ = self.occupancy[level];
-            if occ == 0 {
-                continue;
-            }
-            let shift = level_shift(level);
-            let cur_tick = self.current >> shift;
-            let cur_slot = (cur_tick & (SLOTS as u64 - 1)) as usize;
-            if occ & (1 << cur_slot) != 0 {
-                // The cursor's slot: deadlines here are within one
-                // slot width of `current`, scan them exactly.
-                for timer in &self.slots[level][cur_slot] {
-                    consider(timer.deadline.0.max(self.current));
-                }
-            }
-            let mut bits = occ & !(1 << cur_slot);
-            while bits != 0 {
-                let s = bits.trailing_zeros() as u64;
-                bits &= bits - 1;
-                // Next absolute tick whose slot index is `s`.
-                let ahead = (s + SLOTS as u64 - (cur_tick & (SLOTS as u64 - 1))) % SLOTS as u64;
-                consider((cur_tick + ahead) << shift);
-            }
-        }
-        for timer in &self.overflow {
-            consider(timer.deadline.0);
-        }
-        best.map(SimTime)
-    }
-
-    /// Advance the wheel to `now`, appending every timer whose
-    /// deadline has passed to `fired` in deterministic `(deadline,
-    /// schedule-order)` order. Not-yet-due timers crossed by the
-    /// advance cascade down to finer levels.
-    pub fn expire_into(&mut self, now: SimTime, fired: &mut Vec<Timer>) {
-        let now = now.0.max(self.current);
-        let prev = self.current;
-        // The cursor moves first so re-filed timers cascade relative
-        // to the new instant.
-        self.current = now;
-        let start = fired.len();
-        for level in 0..LEVELS {
-            let shift = level_shift(level);
-            let old_tick = prev >> shift;
-            let new_tick = now >> shift;
-            let steps = (new_tick - old_tick).min(SLOTS as u64 - 1);
-            for tick in old_tick..=old_tick + steps {
-                let slot = (tick & (SLOTS as u64 - 1)) as usize;
-                if self.occupancy[level] & (1 << slot) == 0 {
-                    continue;
-                }
-                let mut batch = std::mem::take(&mut self.scratch);
-                std::mem::swap(&mut self.slots[level][slot], &mut batch);
-                self.occupancy[level] &= !(1 << slot);
-                for timer in batch.drain(..) {
-                    if timer.deadline.0 <= now {
-                        self.count -= 1;
-                        fired.push(timer);
-                    } else {
-                        self.place(timer);
-                    }
-                }
-                self.scratch = batch;
-            }
-        }
-        // Overflow: fire what's due, re-file what came within the
-        // horizon. Usually empty, so this scan is rarely taken.
-        if !self.overflow.is_empty() {
-            let mut pending = std::mem::take(&mut self.overflow);
-            for timer in pending.drain(..) {
-                if timer.deadline.0 <= now {
-                    self.count -= 1;
-                    fired.push(timer);
-                } else if timer.deadline.0 - now < 1 << HORIZON_BITS {
-                    self.place(timer);
-                } else {
-                    self.overflow.push(timer);
-                }
-            }
-        }
-        fired[start..].sort_by_key(|t| (t.deadline, t.seq));
     }
 }
 
@@ -252,7 +108,7 @@ mod tests {
         last
     }
 
-    fn fire_all(wheel: &mut TimerWheel, now: u64) -> Vec<Timer> {
+    fn fire_all(wheel: &mut TimerQueue, now: u64) -> Vec<Timer> {
         let mut fired = Vec::new();
         wheel.expire_into(SimTime(now), &mut fired);
         fired
@@ -260,7 +116,7 @@ mod tests {
 
     #[test]
     fn fires_at_deadline_not_before() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         w.schedule(SimTime(5_000_000), sid(0), TimerKind::Handshake);
         assert!(fire_all(&mut w, 4_000_000).is_empty());
         let fired = fire_all(&mut w, 5_000_000);
@@ -271,7 +127,7 @@ mod tests {
 
     #[test]
     fn next_wake_guides_to_each_deadline() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         let deadlines = [3_000_000u64, 700_000_000, 90_000_000_000];
         for (i, &d) in deadlines.iter().enumerate() {
             w.schedule(SimTime(d), sid(i as u32), TimerKind::Idle);
@@ -290,7 +146,7 @@ mod tests {
 
     #[test]
     fn equal_deadlines_fire_in_schedule_order() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         w.schedule(SimTime(1_000), sid(7), TimerKind::Idle);
         w.schedule(SimTime(1_000), sid(3), TimerKind::Handshake);
         let fired = fire_all(&mut w, 2_000);
@@ -303,7 +159,7 @@ mod tests {
     fn long_deadline_cascades_down_correctly() {
         // 10 virtual minutes: starts at level 2-3, must cascade and
         // still fire at the exact tick-granularity instant.
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         let deadline = 600_000_000_000u64;
         w.schedule(SimTime(deadline), sid(1), TimerKind::TicketExpiry);
         let mut fired = Vec::new();
@@ -319,7 +175,7 @@ mod tests {
 
     #[test]
     fn past_deadline_fires_immediately() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         let _ = fire_all(&mut w, 50_000_000);
         w.schedule(SimTime(1_000), sid(0), TimerKind::Retry);
         assert_eq!(w.next_wake(), Some(SimTime(50_000_000)));
@@ -329,7 +185,7 @@ mod tests {
 
     #[test]
     fn beyond_horizon_goes_to_overflow_and_returns() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         // ~6 virtual hours: beyond the 4.8 h wheel horizon.
         let deadline = 6 * 3600 * 1_000_000_000u64;
         w.schedule(SimTime(deadline), sid(2), TimerKind::TicketExpiry);
@@ -347,7 +203,7 @@ mod tests {
 
     #[test]
     fn interleaved_schedules_and_expiries_stay_sorted() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         let mut fired = Vec::new();
         for i in 0..100u64 {
             w.schedule(SimTime((i * 7 % 50) * 1_000_000 + 1), sid(i as u32), TimerKind::Idle);

@@ -5,8 +5,8 @@
 
 use mbtls_core::MbError;
 use mbtls_host::{
-    Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, PipeSubstrate, SessionOutcome,
-    Workload,
+    Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, PipeSubstrate, Reactor,
+    SessionOutcome, Workload,
 };
 use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_netsim::FaultConfig;

@@ -4,7 +4,7 @@
 //! index bits — and every stale or shard-foreign id is rejected by
 //! every table.
 
-use mbtls_host::{SessionId, ShardMux, Slab};
+use mbtls_host::{SessionId, Slab};
 use proptest::prelude::*;
 
 /// One step of churn, interpreted against the current fleet state.
@@ -71,8 +71,7 @@ proptest! {
 
             // The invariant holds at every step, not just at the end.
             for &id in &live {
-                let owner = ShardMux::shard_of(id);
-                prop_assert_eq!(owner, id.shard(), "mux routes by the id's shard bits");
+                let owner = id.shard();
                 let holders = fleet
                     .iter()
                     .filter(|slab| slab.contains(id))

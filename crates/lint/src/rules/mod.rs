@@ -26,8 +26,7 @@ pub enum RuleId {
     ConstTime,
     /// Sharded host/netsim code must stay shared-nothing and
     /// iteration-order deterministic: no shared statics, no
-    /// `Rc`/`RefCell`/locks, only owned data across the `ShardMux`
-    /// seam, no hash-container iteration.
+    /// `Rc`/`RefCell`/locks, no hash-container iteration.
     ShardIsolation,
     /// `unsafe` may appear only in the few crypto files that wrap CPU
     /// intrinsics and volatile wipes behind safe interfaces.

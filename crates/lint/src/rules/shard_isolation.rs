@@ -3,11 +3,12 @@
 //! under the shards.
 //!
 //! PR 6 split the host into per-worker `Shard` reactors that own all
-//! of their state, with the `ShardMux` event rings as the only seam
-//! between them; the ROADMAP's "real threads under the shards" item
-//! upgrades those rings to SPSC channels. That only works if nothing
-//! in `crates/host` or `crates/netsim` quietly shares mutable state or
-//! introduces nondeterminism. Four shapes are forbidden:
+//! of their state; the ROADMAP's "real threads under the shards" item
+//! puts each on its own thread behind an `std::sync::mpsc` channel
+//! (whose `Send` bound keeps borrows from crossing). That only works
+//! if nothing in `crates/host` or `crates/netsim` quietly shares
+//! mutable state or introduces nondeterminism. Three shapes are
+//! forbidden:
 //!
 //! * **shared statics** — `static mut` or any `static` item: global
 //!   state is visible to every shard at once. Per-shard state lives in
@@ -18,10 +19,6 @@
 //!   catches): a lock or shared cell in shard-owned state is exactly
 //!   the cross-shard coupling the split removed. Plain `Arc` of
 //!   immutable data is tolerated (read-only sharing is benign).
-//! * **borrowed ring elements** — an `EventRing<T>` whose element
-//!   type contains `&`, `*`, or a lifetime: everything crossing the
-//!   mux seam must be owned, or the SPSC upgrade would send
-//!   references between threads.
 //! * **hash-container iteration** — iterating a `HashMap`/`HashSet`
 //!   (directly, via `.iter()`/`.keys()`/`.values()`/`.drain()`/
 //!   `.retain()`/`.into_iter()`, or `for _ in map`): iteration order
@@ -44,8 +41,8 @@ const BANNED_TYPES: &[(&str, &str)] = &[
     ("RefCell", "interior mutability defeats the shared-nothing audit; use &mut through the owner"),
     ("Cell", "interior mutability defeats the shared-nothing audit; use &mut through the owner"),
     ("UnsafeCell", "interior mutability defeats the shared-nothing audit; use &mut through the owner"),
-    ("Mutex", "a lock in shard state is cross-shard coupling; route data through the ShardMux rings"),
-    ("RwLock", "a lock in shard state is cross-shard coupling; route data through the ShardMux rings"),
+    ("Mutex", "a lock in shard state is cross-shard coupling; hand owned data to the owning shard"),
+    ("RwLock", "a lock in shard state is cross-shard coupling; hand owned data to the owning shard"),
     ("Condvar", "blocking synchronization couples shards; the reactor loop is the only scheduler"),
 ];
 
@@ -85,21 +82,6 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
                     });
                 }
             }
-            "EventRing"
-                if tokens.get(i + 1).is_some_and(|n| n.text == "<") => {
-                    if let Some(end) = angle_close(tokens, i + 1) {
-                        let elem = &tokens[i + 2..end];
-                        if elem.iter().any(|t| matches!(t.text.as_str(), "&" | "*" | "'")) {
-                            hits.push(Hit {
-                                line: tok.line,
-                                message: "EventRing element type borrows across the mux seam; \
-                                          everything crossing shard boundaries must be owned \
-                                          (the SPSC upgrade sends these between threads)"
-                                    .into(),
-                            });
-                        }
-                    }
-                }
             "for" => {
                 // `for pat in <iterable> {` over a hash container.
                 if let Some(range) = for_iterable(tokens, i) {
@@ -181,33 +163,6 @@ fn for_iterable(tokens: &[Token], i: usize) -> Option<std::ops::Range<usize>> {
             "(" | "[" => depth += 1,
             ")" | "]" => depth -= 1,
             "{" if depth == 0 => return Some(in_kw + 1..j),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Index of the `>` closing the `<` at `open` (token text `<`),
-/// treating `>>` as two closes.
-fn angle_close(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "<" => depth += 1,
-            "<<" => depth += 2,
-            ">" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            ">>" => {
-                depth -= 2;
-                if depth <= 0 {
-                    return Some(j);
-                }
-            }
-            ";" | "{" => return None, // ran off the type
             _ => {}
         }
     }

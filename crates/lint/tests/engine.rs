@@ -332,9 +332,9 @@ fn shard_isolation_bad_fixture_is_caught() {
     let findings = lint_source("crates/host/src/fixture.rs", &src, &[RuleId::ShardIsolation]);
     let lines = lines_of(&findings, RuleId::ShardIsolation);
     // 1: static mut, 2: static item, 5: Rc, 6: RefCell, 7: Mutex
-    // (inside Arc), 8: borrowed EventRing element, 14: iteration over
-    // a HashMap reached through a rebind.
-    for expected in [1, 2, 5, 6, 7, 8, 14] {
+    // (inside Arc), 13: iteration over a HashMap reached through a
+    // rebind.
+    for expected in [1, 2, 5, 6, 7, 13] {
         assert!(lines.contains(&expected), "expected shard-isolation finding on line {expected}, got {lines:?}");
     }
     let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
@@ -343,15 +343,13 @@ fn shard_isolation_bad_fixture_is_caught() {
     assert!(msgs.iter().any(|m| m.contains("`Rc`")));
     assert!(msgs.iter().any(|m| m.contains("`RefCell`")));
     assert!(msgs.iter().any(|m| m.contains("`Mutex`")));
-    assert!(msgs.iter().any(|m| m.contains("borrows across the mux seam")));
     assert!(msgs.iter().any(|m| m.contains("order is randomized")));
     assert!(findings.iter().all(|f| f.is_blocking()));
 }
 
 #[test]
 fn shard_isolation_good_fixture_is_clean() {
-    // BTreeMap iteration, owned ring elements, plain `Arc` of
-    // immutable data, `const` tables, and keyed HashMap *lookup* are
+    // BTreeMap iteration, plain `Arc` of immutable data, `const` tables, and keyed HashMap *lookup* are
     // all within the shared-nothing discipline.
     let src = fixture("shard_isolation", "good.rs");
     let findings = lint_source("crates/host/src/fixture.rs", &src, &[RuleId::ShardIsolation]);
@@ -361,7 +359,7 @@ fn shard_isolation_good_fixture_is_clean() {
 #[test]
 fn shard_isolation_scope_is_host_and_netsim_only() {
     use mbtls_lint::config::families_for;
-    for path in ["crates/host/src/shard.rs", "crates/host/src/mux.rs", "crates/netsim/src/lib.rs"] {
+    for path in ["crates/host/src/shard.rs", "crates/host/src/host.rs", "crates/netsim/src/lib.rs"] {
         assert!(
             families_for(path).contains(&RuleId::ShardIsolation),
             "{path} must be in the shard-isolation scope"
@@ -482,13 +480,12 @@ fn file_allow_waives_whole_file_with_reason() {
 #[test]
 fn sans_io_scope_covers_sharded_host_modules() {
     // The host crate's sharding split added modules under
-    // crates/host/src (shard.rs, mux.rs, config.rs, host.rs); the
+    // crates/host/src (shard.rs, config.rs, host.rs); the
     // directory-prefix scope must keep every one of them — and any
     // future sibling — under the sans-IO family.
     use mbtls_lint::config::families_for;
     for path in [
         "crates/host/src/shard.rs",
-        "crates/host/src/mux.rs",
         "crates/host/src/config.rs",
         "crates/host/src/host.rs",
         "crates/host/src/slab.rs",

@@ -5,7 +5,6 @@ pub struct BadShard {
     cache: Rc<SessionCache>,
     scratch: RefCell<Vec<u8>>,
     shared: Arc<Mutex<Vec<Event>>>,
-    ring: EventRing<&'static Event>,
 }
 
 fn drain_trace(sessions: HashMap<u64, Session>) -> Vec<u64> {

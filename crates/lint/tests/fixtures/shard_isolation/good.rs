@@ -2,7 +2,6 @@ const MAX_SHARDS: usize = 64;
 
 pub struct GoodShard {
     sessions: BTreeMap<u64, Session>,
-    ring: EventRing<OwnedEvent>,
     routes: Arc<RoutingTable>,
 }
 

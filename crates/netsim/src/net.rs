@@ -494,8 +494,8 @@ impl Network {
     /// stale heap entries behind, which are discarded on pop, so the
     /// amortized cost is O(log writes) rather than O(connections).
     /// Takes `&mut self` only to prune those stale entries — the
-    /// answer is the same one [`Network::next_event_time_scan`] would
-    /// compute by walking every pipe.
+    /// answer is the same one the test-only `next_event_time_scan`
+    /// oracle computes by walking every pipe.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((t, seq, idx))) = self.event_heap.peek() {
             let actual = self.conns.get(idx).filter(|c| !c.retired).and_then(|c| {

@@ -16,7 +16,7 @@ pub enum Party {
     Network,
     /// A simulated SGX enclave, by platform-local id.
     Enclave(u64),
-    /// The concurrent session host (`mbtls-host`): slab, timer wheel
+    /// The concurrent session host (`mbtls-host`): slab, timer
     /// and event-loop events that are not attributable to any single
     /// in-session party.
     Host,
@@ -196,11 +196,17 @@ pub enum EventKind {
         attempt: u64,
         /// Virtual nanoseconds from open to handshake completion.
         elapsed_ns: u64,
+        /// 1 if the client's handshake was abbreviated by ticket or
+        /// session-id resumption, 0 for the full flight.
+        resumed: u64,
     },
-    /// A hosted session closed cleanly and left the slab.
+    /// A hosted session left the slab — completed or not; `outcome`
+    /// says which.
     HostSessionClose {
         /// Slab index of the generational session id.
         session: u64,
+        /// How it ended: one of the [`close_outcome`] values.
+        outcome: u64,
     },
     /// A hosted session's handshake timer fired with no progress; the
     /// host will either retry (see [`EventKind::HostRetryBackoff`]) or
@@ -228,11 +234,14 @@ pub enum EventKind {
         /// Idle time at eviction, in virtual nanoseconds.
         idle_ns: u64,
     },
-    /// A cached session ticket passed its lifetime and was dropped
-    /// from the host's resumption cache.
+    /// Cached session tickets left the host's resumption cache: one
+    /// expiry sweep's worth past their lifetime, or the oldest one
+    /// displaced by the cache cap.
     HostTicketExpired {
-        /// Number of tickets remaining in the cache after expiry.
+        /// Number of tickets remaining in the cache afterwards.
         remaining: u64,
+        /// Tickets dropped by this sweep or displacement.
+        dropped: u64,
     },
     /// The host flushed one batched signature-verification turn:
     /// every deferred check collected from this turn's serviced
@@ -354,10 +363,15 @@ impl EventKind {
             EventKind::HostSessionOpen { session, generation } => {
                 vec![("session", session), ("generation", generation)]
             }
-            EventKind::HostHandshakeDone { session, attempt, elapsed_ns } => {
-                vec![("session", session), ("attempt", attempt), ("elapsed_ns", elapsed_ns)]
+            EventKind::HostHandshakeDone { session, attempt, elapsed_ns, resumed } => vec![
+                ("session", session),
+                ("attempt", attempt),
+                ("elapsed_ns", elapsed_ns),
+                ("resumed", resumed),
+            ],
+            EventKind::HostSessionClose { session, outcome } => {
+                vec![("session", session), ("outcome", outcome)]
             }
-            EventKind::HostSessionClose { session } => vec![("session", session)],
             EventKind::HostTimeout { session, attempt } => {
                 vec![("session", session), ("attempt", attempt)]
             }
@@ -367,7 +381,9 @@ impl EventKind {
             EventKind::HostEvict { session, idle_ns } => {
                 vec![("session", session), ("idle_ns", idle_ns)]
             }
-            EventKind::HostTicketExpired { remaining } => vec![("remaining", remaining)],
+            EventKind::HostTicketExpired { remaining, dropped } => {
+                vec![("remaining", remaining), ("dropped", dropped)]
+            }
             EventKind::HostVerifyBatch { groups, checks } => {
                 vec![("groups", groups), ("checks", checks)]
             }
@@ -381,6 +397,18 @@ impl EventKind {
             EventKind::CpuTime { dur_ns } => vec![("dur_ns", dur_ns)],
         }
     }
+}
+
+/// The values of [`EventKind::HostSessionClose`]'s `outcome` field.
+pub mod close_outcome {
+    /// Handshake and full workload completed.
+    pub const COMPLETED: u64 = 0;
+    /// The handshake retry budget ran out.
+    pub const TIMED_OUT: u64 = 1;
+    /// Idle past the eviction deadline.
+    pub const EVICTED: u64 = 2;
+    /// A party reported a fatal error.
+    pub const FAILED: u64 = 3;
 }
 
 /// One telemetry event: when, who, where, what.

@@ -180,49 +180,12 @@ impl Default for HopStats {
     }
 }
 
-/// Rolled-up statistics for the concurrent session host.
-#[derive(Debug, Clone)]
-pub struct HostStats {
-    /// Sessions admitted into the slab.
-    pub sessions_opened: Counter,
-    /// Sessions whose end-to-end handshake completed.
-    pub handshakes_done: Counter,
-    /// Sessions that closed cleanly.
-    pub sessions_closed: Counter,
-    /// Handshake timer expiries (each precedes a retry or a failure).
-    pub timeouts: Counter,
-    /// Retries scheduled after a timeout.
-    pub retries: Counter,
-    /// Idle sessions evicted from the slab.
-    pub evictions: Counter,
-    /// Session tickets dropped from the resumption cache on expiry.
-    pub tickets_expired: Counter,
-    /// Distribution of open→handshake-done times (virtual ns).
-    pub handshake_ns: Histogram,
-}
-
-impl Default for HostStats {
-    fn default() -> Self {
-        HostStats {
-            sessions_opened: Counter::new(),
-            handshakes_done: Counter::new(),
-            sessions_closed: Counter::new(),
-            timeouts: Counter::new(),
-            retries: Counter::new(),
-            evictions: Counter::new(),
-            tickets_expired: Counter::new(),
-            handshake_ns: Histogram::durations_ns(),
-        }
-    }
-}
-
 /// A sink that folds events into per-party and per-hop aggregates —
 /// the live-counters view of a trace.
 #[derive(Debug, Default)]
 pub struct Aggregates {
     per_party: BTreeMap<Party, PartyStats>,
     per_hop: BTreeMap<u64, HopStats>,
-    host: HostStats,
 }
 
 impl Aggregates {
@@ -249,12 +212,6 @@ impl Aggregates {
     /// All hops seen, in order.
     pub fn hops(&self) -> impl Iterator<Item = (&u64, &HopStats)> {
         self.per_hop.iter()
-    }
-
-    /// Host-level lifecycle counters (zeroed when no `Host*` events
-    /// were emitted).
-    pub fn host(&self) -> &HostStats {
-        &self.host
     }
 }
 
@@ -290,16 +247,6 @@ impl TelemetrySink for Aggregates {
                 h.bytes.add(bytes);
                 h.record_sizes.observe(bytes);
             }
-            EventKind::HostSessionOpen { .. } => self.host.sessions_opened.inc(),
-            EventKind::HostHandshakeDone { elapsed_ns, .. } => {
-                self.host.handshakes_done.inc();
-                self.host.handshake_ns.observe(elapsed_ns);
-            }
-            EventKind::HostSessionClose { .. } => self.host.sessions_closed.inc(),
-            EventKind::HostTimeout { .. } => self.host.timeouts.inc(),
-            EventKind::HostRetryBackoff { .. } => self.host.retries.inc(),
-            EventKind::HostEvict { .. } => self.host.evictions.inc(),
-            EventKind::HostTicketExpired { .. } => self.host.tickets_expired.inc(),
             _ => {}
         }
     }

@@ -2,8 +2,11 @@
 //!
 //! The application-layer substrate for mbTLS middlebox workloads:
 //!
-//! * [`message`] — HTTP/1.1 requests/responses with incremental
-//!   parsers (middleboxes see data in record-sized chunks).
+//! * [`message`] — HTTP/1.1 requests/responses over one incremental
+//!   parser and one encoder (middleboxes see data in record-sized
+//!   chunks). The parser reads a peer's bytes: heads are bounded to
+//!   64 KiB, `Content-Length` must be decimal and at most 16 MiB, and
+//!   nothing in it indexes or adds unchecked (DESIGN.md §6m).
 //! * [`compress`] — a self-contained LZSS codec, the compression
 //!   workload behind the Flywheel-style proxy (see DESIGN.md for why
 //!   this substitutes for zlib).
@@ -22,6 +25,6 @@ pub mod patterns;
 pub mod workload;
 
 pub use compress::{lzss_compress, lzss_decompress};
-pub use message::{Request, RequestParser, Response, ResponseParser};
+pub use message::{Parser, Request, RequestParser, Response, ResponseParser};
 pub use patterns::PatternMatcher;
 pub use workload::{response_for, RequestMix};

@@ -40,9 +40,17 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
     ),
     (
         // Protocol state machines, record parsing, and the crypto
-        // they call into.
+        // they call into — and the application-layer decoder with the
+        // middlebox processors that run it on a peer's bytes inside a
+        // shard's sessions.
         RuleId::PanicFreedom,
-        &["crates/core/src", "crates/crypto/src", "crates/tls/src"],
+        &[
+            "crates/core/src",
+            "crates/crypto/src",
+            "crates/tls/src",
+            "crates/http/src/message.rs",
+            "crates/mboxes/src",
+        ],
     ),
     (
         // Constant-time discipline is enforced where the primitives
@@ -90,6 +98,7 @@ pub const WIRE_INDEX_FILES: &[&str] = &[
     "crates/tls/src/messages.rs",
     "crates/core/src/messages.rs",
     "crates/core/src/dataplane.rs",
+    "crates/http/src/message.rs",
 ];
 
 /// The rule families that apply to a workspace-relative path.

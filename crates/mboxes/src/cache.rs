@@ -12,11 +12,9 @@ use std::collections::{HashMap, VecDeque};
 
 use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::middlebox::DataProcessor;
-use mbtls_http::message::{
-    looks_like_http_request, looks_like_http_response, RequestParser, Response, ResponseParser,
-};
+use mbtls_http::message::Response;
 
-use crate::sniff::Sniffer;
+use crate::rewrite::{HttpStream, REQUESTS, RESPONSES};
 
 /// A cached entry.
 #[derive(Debug, Clone)]
@@ -27,53 +25,20 @@ pub struct CacheEntry {
     pub hits: u64,
 }
 
-/// The cache middlebox.
-pub struct WebCache {
+/// The cached objects: a map bounded to `max_entries`, oldest
+/// insertion evicted first.
+struct Shelf {
     entries: HashMap<String, CacheEntry>,
     /// Insertion order of `entries` keys, oldest first — the FIFO
     /// eviction queue. Kept in lockstep with `entries` so eviction is
     /// deterministic (HashMap iteration order is randomized per
     /// process and must never pick the victim).
     insertion_order: VecDeque<String>,
-    requests: RequestParser,
-    responses: ResponseParser,
-    c2s_sniff: Sniffer,
-    s2c_sniff: Sniffer,
-    /// Targets awaiting responses, FIFO.
-    outstanding: Vec<String>,
-    /// Total lookups.
-    pub lookups: u64,
-    /// Total hits.
-    pub hits: u64,
     max_entries: usize,
 }
 
-impl WebCache {
-    /// New cache bounded to `max_entries` objects.
-    pub fn new(max_entries: usize) -> Self {
-        WebCache {
-            entries: HashMap::new(),
-            insertion_order: VecDeque::new(),
-            requests: RequestParser::new(),
-            responses: ResponseParser::new(),
-            c2s_sniff: Sniffer::new(),
-            s2c_sniff: Sniffer::new(),
-            outstanding: Vec::new(),
-            lookups: 0,
-            hits: 0,
-            max_entries,
-        }
-    }
-
-    /// Look up an entry (tests and poisoning scenarios).
-    pub fn entry(&self, target: &str) -> Option<&CacheEntry> {
-        self.entries.get(target)
-    }
-
-    /// Directly store an entry — used by the §4.2 poisoning scenario,
-    /// where a malicious client injects a response on the
-    /// cache↔server hop.
-    pub fn store(&mut self, target: &str, response: Response) {
+impl Shelf {
+    fn store(&mut self, target: &str, response: Response) {
         // Re-storing an existing key replaces the entry in place and
         // keeps its original queue position — no eviction needed.
         if let Some(entry) = self.entries.get_mut(target) {
@@ -98,85 +63,87 @@ impl WebCache {
         );
         self.insertion_order.push_back(target.to_string());
     }
+}
+
+/// The cache middlebox.
+pub struct WebCache {
+    shelf: Shelf,
+    requests: HttpStream,
+    responses: HttpStream,
+    /// Targets awaiting responses, FIFO.
+    outstanding: VecDeque<String>,
+    /// Total lookups.
+    pub lookups: u64,
+    /// Total hits.
+    pub hits: u64,
+}
+
+impl WebCache {
+    /// New cache bounded to `max_entries` objects.
+    pub fn new(max_entries: usize) -> Self {
+        WebCache {
+            shelf: Shelf {
+                entries: HashMap::new(),
+                insertion_order: VecDeque::new(),
+                max_entries,
+            },
+            requests: HttpStream::default(),
+            responses: HttpStream::default(),
+            outstanding: VecDeque::new(),
+            lookups: 0,
+            hits: 0,
+        }
+    }
+
+    /// Look up an entry (tests and poisoning scenarios).
+    pub fn entry(&self, target: &str) -> Option<&CacheEntry> {
+        self.shelf.entries.get(target)
+    }
+
+    /// Directly store an entry — used by the §4.2 poisoning scenario,
+    /// where a malicious client injects a response on the
+    /// cache↔server hop.
+    pub fn store(&mut self, target: &str, response: Response) {
+        self.shelf.store(target, response);
+    }
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.shelf.entries.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.shelf.entries.is_empty()
     }
 }
 
 impl DataProcessor for WebCache {
     fn process(&mut self, dir: FlowDirection, data: Vec<u8>) -> Vec<u8> {
         match dir {
-            FlowDirection::ClientToServer => {
-                if !self.c2s_sniff.is_http(&data, looks_like_http_request) {
-                    return data;
+            FlowDirection::ClientToServer => self.requests.rewrite(&REQUESTS, data, |req| {
+                if req.method == "GET" {
+                    self.lookups += 1;
+                    if let Some(entry) = self.shelf.entries.get_mut(&req.target) {
+                        entry.hits += 1;
+                        self.hits += 1;
+                    }
+                    self.outstanding.push_back(req.target.clone());
                 }
-                self.requests.feed(&data);
-                let mut out = Vec::new();
-                loop {
-                    match self.requests.next_request() {
-                        Ok(Some(req)) => {
-                            if req.method == "GET" {
-                                self.lookups += 1;
-                                if let Some(entry) = self.entries.get_mut(&req.target) {
-                                    entry.hits += 1;
-                                    self.hits += 1;
-                                }
-                                self.outstanding.push(req.target.clone());
-                            }
-                            out.extend(req.encode());
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            out.extend(data.clone());
-                            return out;
-                        }
+            }),
+            FlowDirection::ServerToClient => self.responses.rewrite(&RESPONSES, data, |resp| {
+                let Some(target) = self.outstanding.pop_front() else {
+                    return;
+                };
+                if resp.status == 200 {
+                    if self.shelf.entries.contains_key(&target) {
+                        resp.set_header("X-Cache", "HIT");
+                    } else {
+                        resp.set_header("X-Cache", "MISS");
+                        self.shelf.store(&target, resp.clone());
                     }
                 }
-                out
-            }
-            FlowDirection::ServerToClient => {
-                if !self.s2c_sniff.is_http(&data, looks_like_http_response) {
-                    return data;
-                }
-                self.responses.feed(&data);
-                let mut out = Vec::new();
-                loop {
-                    match self.responses.next_response() {
-                        Ok(Some(mut resp)) => {
-                            let target = if self.outstanding.is_empty() {
-                                None
-                            } else {
-                                Some(self.outstanding.remove(0))
-                            };
-                            if let Some(target) = target {
-                                let was_cached = self.entries.contains_key(&target);
-                                if resp.status == 200 {
-                                    if was_cached {
-                                        resp.set_header("X-Cache", "HIT");
-                                    } else {
-                                        resp.set_header("X-Cache", "MISS");
-                                        self.store(&target, resp.clone());
-                                    }
-                                }
-                            }
-                            out.extend(resp.encode());
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            out.extend(data.clone());
-                            return out;
-                        }
-                    }
-                }
-                out
-            }
+            }),
         }
     }
 }
@@ -184,7 +151,7 @@ impl DataProcessor for WebCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbtls_http::message::Request;
+    use mbtls_http::message::{Request, ResponseParser};
 
     fn roundtrip(cache: &mut WebCache, target: &str) -> Response {
         let req = Request::get(target, "h").encode();

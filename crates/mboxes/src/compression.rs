@@ -6,17 +6,16 @@
 use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::middlebox::DataProcessor;
 use mbtls_http::compress::{lzss_compress, lzss_decompress};
-use mbtls_http::message::{looks_like_http_response, Response, ResponseParser};
+use mbtls_http::message::Response;
 
-use crate::sniff::Sniffer;
+use crate::rewrite::{HttpStream, RESPONSES};
 
 /// The content-encoding token this proxy uses.
 pub const ENCODING: &str = "x-lzss";
 
 /// Compresses HTTP response bodies above a size threshold.
 pub struct CompressionProxy {
-    responses: ResponseParser,
-    s2c_sniff: Sniffer,
+    responses: HttpStream,
     min_size: usize,
     /// Total plaintext body bytes seen.
     pub bytes_in: u64,
@@ -30,8 +29,7 @@ impl CompressionProxy {
     /// Compress bodies of at least `min_size` bytes.
     pub fn new(min_size: usize) -> Self {
         CompressionProxy {
-            responses: ResponseParser::new(),
-            s2c_sniff: Sniffer::new(),
+            responses: HttpStream::default(),
             min_size,
             bytes_in: 0,
             bytes_out: 0,
@@ -51,39 +49,24 @@ impl CompressionProxy {
 
 impl DataProcessor for CompressionProxy {
     fn process(&mut self, dir: FlowDirection, data: Vec<u8>) -> Vec<u8> {
-        if dir == FlowDirection::ClientToServer
-            || !self.s2c_sniff.is_http(&data, looks_like_http_response)
-        {
+        if dir == FlowDirection::ClientToServer {
             return data;
         }
-        self.responses.feed(&data);
-        let mut out = Vec::new();
-        loop {
-            match self.responses.next_response() {
-                Ok(Some(mut resp)) => {
-                    let already_encoded = resp.header("Content-Encoding").is_some();
-                    if resp.body.len() >= self.min_size && !already_encoded {
-                        self.bytes_in += resp.body.len() as u64;
-                        let compressed = lzss_compress(&resp.body);
-                        if compressed.len() < resp.body.len() {
-                            self.bytes_out += compressed.len() as u64;
-                            resp.body = compressed;
-                            resp.set_header("Content-Encoding", ENCODING);
-                            self.compressed_count += 1;
-                        } else {
-                            self.bytes_out += resp.body.len() as u64;
-                        }
-                    }
-                    out.extend(resp.encode());
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    out.extend(data.clone());
-                    return out;
+        self.responses.rewrite(&RESPONSES, data, |resp| {
+            let already_encoded = resp.header("Content-Encoding").is_some();
+            if resp.body.len() >= self.min_size && !already_encoded {
+                self.bytes_in += resp.body.len() as u64;
+                let compressed = lzss_compress(&resp.body);
+                if compressed.len() < resp.body.len() {
+                    self.bytes_out += compressed.len() as u64;
+                    resp.body = compressed;
+                    resp.set_header("Content-Encoding", ENCODING);
+                    self.compressed_count += 1;
+                } else {
+                    self.bytes_out += resp.body.len() as u64;
                 }
             }
-        }
-        out
+        })
     }
 }
 
@@ -91,7 +74,7 @@ impl DataProcessor for CompressionProxy {
 /// Flywheel-aware browser does.
 #[derive(Default)]
 pub struct DecompressingClient {
-    parser: ResponseParser,
+    responses: HttpStream,
 }
 
 impl DecompressingClient {
@@ -102,9 +85,8 @@ impl DecompressingClient {
 
     /// Feed response bytes; returns fully decoded responses.
     pub fn feed(&mut self, data: &[u8]) -> Vec<Response> {
-        self.parser.feed(data);
         let mut out = Vec::new();
-        while let Ok(Some(mut resp)) = self.parser.next_response() {
+        self.responses.messages(&RESPONSES, data, |mut resp| {
             if resp.header("Content-Encoding") == Some(ENCODING) {
                 if let Ok(body) = lzss_decompress(&resp.body) {
                     resp.body = body;
@@ -113,7 +95,7 @@ impl DecompressingClient {
                 }
             }
             out.push(resp);
-        }
+        });
         out
     }
 }
@@ -121,6 +103,7 @@ impl DecompressingClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbtls_http::message::ResponseParser;
 
     fn html_page() -> Vec<u8> {
         (0..100)

@@ -5,15 +5,14 @@
 
 use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::middlebox::DataProcessor;
-use mbtls_http::message::{looks_like_http_request, Request, RequestParser, Response};
+use mbtls_http::message::Request;
 
-use crate::sniff::Sniffer;
+use crate::rewrite::{HttpStream, REQUESTS};
 
 /// The filter middlebox.
 pub struct ParentalFilter {
     blocked_substrings: Vec<String>,
-    requests: RequestParser,
-    c2s_sniff: Sniffer,
+    requests: HttpStream,
     /// Requests blocked.
     pub blocked_count: u64,
     /// Requests allowed.
@@ -27,71 +26,43 @@ impl ParentalFilter {
     pub fn new(blocked: &[&str]) -> Self {
         ParentalFilter {
             blocked_substrings: blocked.iter().map(|s| s.to_string()).collect(),
-            requests: RequestParser::new(),
-            c2s_sniff: Sniffer::new(),
+            requests: HttpStream::default(),
             blocked_count: 0,
             allowed_count: 0,
             audit_log: Vec::new(),
         }
     }
-
-    fn is_blocked(&self, req: &Request) -> bool {
-        self.blocked_substrings
-            .iter()
-            .any(|s| req.target.contains(s.as_str()))
-    }
 }
 
 impl DataProcessor for ParentalFilter {
     fn process(&mut self, dir: FlowDirection, data: Vec<u8>) -> Vec<u8> {
-        if dir == FlowDirection::ServerToClient
-            || !self.c2s_sniff.is_http(&data, looks_like_http_request)
-        {
+        if dir == FlowDirection::ServerToClient {
             return data;
         }
-        self.requests.feed(&data);
-        let mut out = Vec::new();
-        loop {
-            match self.requests.next_request() {
-                Ok(Some(req)) => {
-                    if self.is_blocked(&req) {
-                        self.blocked_count += 1;
-                        self.audit_log.push(req.target.clone());
-                        // Rewrite the request into a harmless probe of
-                        // the block page; the origin never sees the
-                        // original target.
-                        let mut blocked = Request::get("/blocked", "filter.local");
-                        blocked.set_header("X-Filtered-By", "parental-filter");
-                        out.extend(blocked.encode());
-                    } else {
-                        self.allowed_count += 1;
-                        out.extend(req.encode());
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    out.extend(data.clone());
-                    return out;
-                }
+        self.requests.rewrite(&REQUESTS, data, |req| {
+            let blocked = self
+                .blocked_substrings
+                .iter()
+                .any(|s| req.target.contains(s.as_str()));
+            if blocked {
+                self.blocked_count += 1;
+                self.audit_log.push(req.target.clone());
+                // Rewrite the request into a harmless probe of the
+                // block page; the origin never sees the original
+                // target.
+                *req = Request::get("/blocked", "filter.local");
+                req.set_header("X-Filtered-By", "parental-filter");
+            } else {
+                self.allowed_count += 1;
             }
-        }
-        out
-    }
-}
-
-/// The block page a cooperating server returns for `/blocked`.
-pub fn block_page() -> Response {
-    Response {
-        status: 451,
-        reason: "Unavailable For Legal Reasons".into(),
-        headers: vec![("Content-Type".into(), "text/html".into())],
-        body: b"<html>blocked by policy</html>".to_vec(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbtls_http::message::Response;
 
     #[test]
     fn blocks_matching_targets() {
@@ -133,12 +104,5 @@ mod tests {
         filter.process(FlowDirection::ClientToServer, wire);
         assert_eq!(filter.allowed_count, 2);
         assert_eq!(filter.blocked_count, 1);
-    }
-
-    #[test]
-    fn block_page_shape() {
-        let page = block_page();
-        assert_eq!(page.status, 451);
-        assert!(!page.body.is_empty());
     }
 }

@@ -5,11 +5,8 @@
 
 use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::middlebox::DataProcessor;
-use mbtls_http::message::{
-    looks_like_http_request, looks_like_http_response, RequestParser, ResponseParser,
-};
 
-use crate::sniff::Sniffer;
+use crate::rewrite::{HttpStream, REQUESTS, RESPONSES};
 
 /// Inserts a configurable header into every client→server request
 /// and (optionally) a marker header into every response.
@@ -17,10 +14,8 @@ pub struct HeaderInsertionProxy {
     header_name: String,
     header_value: String,
     tag_responses: bool,
-    requests: RequestParser,
-    responses: ResponseParser,
-    c2s_sniff: Sniffer,
-    s2c_sniff: Sniffer,
+    requests: HttpStream,
+    responses: HttpStream,
     /// Requests processed.
     pub requests_seen: u64,
     /// Responses processed.
@@ -34,10 +29,8 @@ impl HeaderInsertionProxy {
             header_name: name.to_string(),
             header_value: value.to_string(),
             tag_responses: false,
-            requests: RequestParser::new(),
-            responses: ResponseParser::new(),
-            c2s_sniff: Sniffer::new(),
-            s2c_sniff: Sniffer::new(),
+            requests: HttpStream::default(),
+            responses: HttpStream::default(),
             requests_seen: 0,
             responses_seen: 0,
         }
@@ -53,55 +46,17 @@ impl HeaderInsertionProxy {
 impl DataProcessor for HeaderInsertionProxy {
     fn process(&mut self, dir: FlowDirection, data: Vec<u8>) -> Vec<u8> {
         match dir {
-            FlowDirection::ClientToServer => {
-                if !self.c2s_sniff.is_http(&data, looks_like_http_request) {
-                    return data;
-                }
-                self.requests.feed(&data);
-                let mut out = Vec::new();
-                loop {
-                    match self.requests.next_request() {
-                        Ok(Some(mut req)) => {
-                            req.set_header(&self.header_name, &self.header_value);
-                            self.requests_seen += 1;
-                            out.extend(req.encode());
-                        }
-                        // Partial message: wait for more bytes.
-                        Ok(None) => break,
-                        // Not parseable as HTTP: pass the raw bytes
-                        // through untouched (plus anything buffered).
-                        Err(_) => {
-                            out.extend(data.clone());
-                            return out;
-                        }
-                    }
-                }
-                out
+            FlowDirection::ClientToServer => self.requests.rewrite(&REQUESTS, data, |req| {
+                req.set_header(&self.header_name, &self.header_value);
+                self.requests_seen += 1;
+            }),
+            FlowDirection::ServerToClient if self.tag_responses => {
+                self.responses.rewrite(&RESPONSES, data, |resp| {
+                    resp.set_header("X-Proxied", "1");
+                    self.responses_seen += 1;
+                })
             }
-            FlowDirection::ServerToClient => {
-                if !self.tag_responses
-                    || !self.s2c_sniff.is_http(&data, looks_like_http_response)
-                {
-                    return data;
-                }
-                self.responses.feed(&data);
-                let mut out = Vec::new();
-                loop {
-                    match self.responses.next_response() {
-                        Ok(Some(mut resp)) => {
-                            resp.set_header("X-Proxied", "1");
-                            self.responses_seen += 1;
-                            out.extend(resp.encode());
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            out.extend(data.clone());
-                            return out;
-                        }
-                    }
-                }
-                out
-            }
+            FlowDirection::ServerToClient => data,
         }
     }
 }

@@ -21,8 +21,15 @@
 //!   composing the above into ordered multi-middlebox paths.
 //!
 //! Each processor is sans-IO and stream-oriented: it receives record
-//! payloads, buffers partial HTTP messages internally, and emits
-//! rewritten bytes.
+//! payloads and emits the bytes to forward in their place. The four
+//! that speak HTTP (header proxy, cache, compression proxy, filter)
+//! and [`compression::DecompressingClient`] are policies over one
+//! loop (`rewrite.rs`), which owns what a middlebox on a byte stream
+//! must get right: a stream that is not HTTP is forwarded untouched
+//! (the caller's buffer, uncopied), a partial message is held until
+//! the rest arrives, and a stream that stops parsing has every byte
+//! not yet forwarded emitted once, in order, after which that
+//! direction is pass-through (DESIGN.md §6m).
 
 #![warn(missing_docs)]
 
@@ -32,6 +39,7 @@ pub mod compression;
 pub mod filter;
 pub mod header_proxy;
 pub mod ids;
+mod rewrite;
 pub mod sniff;
 
 pub use cache::WebCache;

@@ -1,4 +1,4 @@
-//! First-bytes protocol sniffing shared by the HTTP processors: a
+//! First-bytes protocol sniffing for the HTTP rewrite loop: a
 //! middlebox facing a non-HTTP stream falls back to raw forwarding
 //! instead of buffering bytes it will never be able to parse.
 
@@ -26,6 +26,12 @@ impl Sniffer {
         let verdict = probe(data);
         self.decided = Some(verdict);
         verdict
+    }
+
+    /// Fix the verdict at "not HTTP": what looked like HTTP stopped
+    /// parsing as it.
+    pub fn give_up(&mut self) {
+        self.decided = Some(false);
     }
 }
 

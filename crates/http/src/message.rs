@@ -194,16 +194,15 @@ fn set_header(headers: &mut Headers, name: &str, value: &str) {
 }
 
 /// Everything after the start line: header block, blank line, body.
-/// `Content-Length` belongs to the encoder: `with_length` writes the
-/// body's length over the first such header, where it stands, or
-/// appends one when there is none.
+/// `Content-Length` belongs to the encoder: while `length_due`, the
+/// body's length is written over the first such header, where it
+/// stands, or appended when there is none.
 fn encode_after_start_line(
     out: &mut Vec<u8>,
     headers: &[(String, String)],
     body: &[u8],
-    with_length: bool,
+    mut length_due: bool,
 ) {
-    let mut length_due = with_length;
     for (name, value) in headers {
         if length_due && name.eq_ignore_ascii_case("Content-Length") {
             length_due = false;

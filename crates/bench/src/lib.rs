@@ -8,10 +8,14 @@
 //!
 //! Five suites are regression gates on this implementation; the
 //! sixth, [`paper`], is the paper's own evaluation — one module per
-//! table or figure ([`fig5`], [`fig6`], [`fig7`], [`table2`],
-//! [`sites`]) behind it — and renders EXPERIMENTS.md's tables. See
-//! DESIGN.md §5 for the experiment index.
+//! table or figure ([`table1`], [`table2`], [`fig5`], [`fig6`],
+//! [`fig7`], [`sites`]) behind it — and renders EXPERIMENTS.md's
+//! tables. See DESIGN.md §5 for the experiment index.
 
+use mbtls_core::client::MbClientSession;
+use mbtls_core::driver::Relay;
+use mbtls_core::server::MbServerSession;
+use mbtls_core::MbError;
 use mbtls_telemetry::json::Value;
 
 /// `Err(format!(..))` out of a `check` function unless the condition
@@ -37,6 +41,7 @@ pub mod paper;
 pub mod report;
 pub mod scale;
 pub mod sites;
+pub mod table1;
 pub mod table2;
 pub mod timing;
 
@@ -101,6 +106,31 @@ pub(crate) fn fnv1a(digest: &mut u64, bytes: &[u8]) {
         *digest ^= b as u64;
         *digest = digest.wrapping_mul(0x0100_0000_01B3);
     }
+}
+
+/// One hand-driven pass over a client → middlebox → server session:
+/// each hop's bytes go to `hop` and then on to the next party, in the
+/// order 0 client → middlebox, 1 middlebox → server, 2 server →
+/// middlebox, 3 middlebox → client. The parties stay the caller's, so
+/// their state can be read between passes.
+pub(crate) fn pass(
+    client: &mut MbClientSession,
+    mbox: &mut dyn Relay,
+    server: &mut MbServerSession,
+    mut hop: impl FnMut(usize, &[u8]),
+) -> Result<(), MbError> {
+    let bytes = client.take_outgoing();
+    hop(0, &bytes);
+    mbox.feed_left(&bytes)?;
+    let bytes = mbox.take_right();
+    hop(1, &bytes);
+    server.feed_incoming(&bytes)?;
+    let bytes = server.take_outgoing();
+    hop(2, &bytes);
+    mbox.feed_right(&bytes)?;
+    let bytes = mbox.take_left();
+    hop(3, &bytes);
+    client.feed_incoming(&bytes)
 }
 
 #[cfg(test)]

@@ -42,7 +42,9 @@
 //! [`driver`] wires sessions together over in-memory pipes or the
 //! deterministic network simulator; [`baseline`] implements the
 //! comparison points (plain TLS relay, Split TLS, naive end-to-end key
-//! sharing); [`attacks`] contains the executable Table 1 adversaries.
+//! sharing); [`attacks`] holds [`attacks::Testbed`], the seeded
+//! fixture tests, examples and benchmarks build sessions from. The
+//! executable Table 1 adversaries live in `mbtls_bench::table1`.
 
 #![warn(missing_docs)]
 

@@ -542,16 +542,16 @@ fn delegated_client_side_middlebox_session() {
     // the server's endpoint key.
     let tb = Testbed::new(40);
     let mut client = MbClientSession::new(
-        Arc::new(tb.client_config_delegated().unwrap()),
+        Arc::new(tb.client_config_delegated()),
         "server.example",
         mbtls_crypto::rng::CryptoRng::from_seed(401),
     );
     let mut server = MbServerSession::new(
-        Arc::new(tb.server_config_delegated().unwrap()),
+        Arc::new(tb.server_config_delegated()),
         mbtls_crypto::rng::CryptoRng::from_seed(402),
     );
     let mut mb = Middlebox::new(
-        tb.middlebox_config_delegated().unwrap(),
+        tb.middlebox_config_delegated(),
         mbtls_crypto::rng::CryptoRng::from_seed(403),
     );
 
@@ -591,16 +591,16 @@ fn delegated_client_side_middlebox_session() {
 fn delegated_chain_full_exchange() {
     let tb = Testbed::new(41);
     let client = MbClientSession::new(
-        Arc::new(tb.client_config_delegated().unwrap()),
+        Arc::new(tb.client_config_delegated()),
         "server.example",
         mbtls_crypto::rng::CryptoRng::from_seed(411),
     );
     let server = MbServerSession::new(
-        Arc::new(tb.server_config_delegated().unwrap()),
+        Arc::new(tb.server_config_delegated()),
         mbtls_crypto::rng::CryptoRng::from_seed(412),
     );
     let mb = Middlebox::new(
-        tb.middlebox_config_delegated().unwrap(),
+        tb.middlebox_config_delegated(),
         mbtls_crypto::rng::CryptoRng::from_seed(413),
     );
     let mut chain = Chain::new(Box::new(client), vec![Box::new(mb)], Box::new(server));
@@ -619,11 +619,11 @@ fn delegated_server_side_middlebox_session() {
         rng,
     );
     let mut server = MbServerSession::new(
-        Arc::new(tb.server_config_delegated().unwrap()),
+        Arc::new(tb.server_config_delegated()),
         mbtls_crypto::rng::CryptoRng::from_seed(422),
     );
     let mut mb = Middlebox::new(
-        tb.middlebox_config_delegated().unwrap(),
+        tb.middlebox_config_delegated(),
         mbtls_crypto::rng::CryptoRng::from_seed(423),
     );
 
@@ -668,7 +668,7 @@ fn delegated_middlebox_denied_falls_back_to_relay() {
     // Valid credential, but the client's approval policy says no:
     // the box is demoted to a blind relay and the session survives.
     let tb = Testbed::new(43);
-    let mut cfg = tb.client_config_delegated().unwrap();
+    let mut cfg = tb.client_config_delegated();
     cfg.approval = ApprovalPolicy::DenyAll;
     let mut client = MbClientSession::new(
         Arc::new(cfg),
@@ -676,11 +676,11 @@ fn delegated_middlebox_denied_falls_back_to_relay() {
         mbtls_crypto::rng::CryptoRng::from_seed(431),
     );
     let mut server = MbServerSession::new(
-        Arc::new(tb.server_config_delegated().unwrap()),
+        Arc::new(tb.server_config_delegated()),
         mbtls_crypto::rng::CryptoRng::from_seed(432),
     );
     let mut mb = Middlebox::new(
-        tb.middlebox_config_delegated().unwrap(),
+        tb.middlebox_config_delegated(),
         mbtls_crypto::rng::CryptoRng::from_seed(433),
     );
     for _ in 0..60 {

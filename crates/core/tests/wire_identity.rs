@@ -219,10 +219,10 @@ impl Parties {
 
     fn delegated(tb: &Testbed, middleboxes: usize) -> Self {
         Parties {
-            client: tb.client_config_delegated().expect("client config"),
-            server: tb.server_config_delegated().expect("server config"),
+            client: tb.client_config_delegated(),
+            server: tb.server_config_delegated(),
             middles: (0..middleboxes)
-                .map(|_| tb.middlebox_config_delegated().expect("middlebox config"))
+                .map(|_| tb.middlebox_config_delegated())
                 .collect(),
         }
     }

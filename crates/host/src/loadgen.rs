@@ -199,13 +199,13 @@ impl LoadGenerator {
         // key-shared baseline keeps plain endpoint configs — its
         // middleboxes never run a secondary handshake to authorize.
         let server_cfg = Arc::new(match config.auth_mode {
-            MiddleboxAuthMode::Delegated => testbed.server_config_delegated().expect("testbed delegated config"),
+            MiddleboxAuthMode::Delegated => testbed.server_config_delegated(),
             MiddleboxAuthMode::SgxAttested | MiddleboxAuthMode::KeyShared => {
                 testbed.server_config()
             }
         });
         let mut client_cfg = match config.auth_mode {
-            MiddleboxAuthMode::Delegated => testbed.client_config_delegated().expect("testbed delegated config"),
+            MiddleboxAuthMode::Delegated => testbed.client_config_delegated(),
             MiddleboxAuthMode::SgxAttested | MiddleboxAuthMode::KeyShared => {
                 testbed.client_config()
             }
@@ -281,7 +281,7 @@ impl LoadGenerator {
     /// The middlebox config matching the run's auth mode.
     fn middlebox_config(&self) -> MiddleboxConfig {
         match self.config.auth_mode {
-            MiddleboxAuthMode::Delegated => self.testbed.middlebox_config_delegated().expect("testbed delegated config"),
+            MiddleboxAuthMode::Delegated => self.testbed.middlebox_config_delegated(),
             MiddleboxAuthMode::SgxAttested | MiddleboxAuthMode::KeyShared => {
                 self.testbed.middlebox_config(&self.testbed.mbox_code)
             }

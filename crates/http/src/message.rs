@@ -40,8 +40,8 @@ const MAX_HEAD: usize = 64 * 1024;
 
 /// Largest `Content-Length` accepted. A parser buffers a whole body,
 /// so this bounds what one peer can make a middlebox hold per
-/// direction.
-const MAX_BODY: usize = 16 * 1024 * 1024;
+/// direction. `lzss_decompress` holds its output to the same bound.
+pub const MAX_BODY: usize = 16 * 1024 * 1024;
 
 const HEAD_END: &[u8] = b"\r\n\r\n";
 

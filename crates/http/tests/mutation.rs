@@ -9,11 +9,18 @@
 //! head, edits of the `Content-Length` digits (each digit replaced,
 //! dropped, doubled, plus hostile values), every two-way split, and a
 //! fixed budget of seeded compound mutations.
+//!
+//! The LZSS decoder gets the same treatment: `DecompressingClient`
+//! runs it on bodies a middlebox chose, so from every truncation,
+//! every bit flip and seeded compound mutations of valid compressed
+//! bodies it must return without panicking, and never more than
+//! `MAX_BODY` bytes.
 
 use std::fmt::Debug;
 
-use mbtls_http::message::{HttpError, Parser, Request, Response};
-use mbtls_http::workload::{response_for, splitmix64, RequestMix};
+use mbtls_http::compress::{lzss_compress, lzss_decompress, LzssError};
+use mbtls_http::message::{HttpError, Parser, Request, Response, MAX_BODY};
+use mbtls_http::workload::{html_body, response_for, splitmix64, RequestMix};
 
 const SEED: u64 = 0x4854_5450_2F31_2E31;
 const COMPOUND_MUTANTS_PER_MESSAGE: usize = 300;
@@ -263,6 +270,63 @@ fn mutated_responses_never_panic_overfill_or_desync() {
         let (a, r) = mutate(response, &mut state);
         accepted += a;
         refused += r;
+    }
+    assert!(accepted > 500 && refused > 500, "{accepted} accepted, {refused} refused");
+}
+
+/// Decode one mutant: no panic, and no more output than the bound and
+/// the format allow (a 17-byte group of eight 18-byte references is
+/// the most a stream expands).
+fn decompress_bounded(stream: &[u8]) -> Result<Vec<u8>, LzssError> {
+    let result = lzss_decompress(stream);
+    if let Ok(out) = &result {
+        assert!(out.len() <= MAX_BODY, "{} bytes out", out.len());
+        assert!(out.len() * 17 <= stream.len() * 144, "{} from {}", out.len(), stream.len());
+    }
+    result
+}
+
+#[test]
+fn mutated_lzss_streams_never_panic_or_overflow() {
+    let mut state = SEED ^ 2;
+    let small = response_for(&Request::get("/api/session", "chain.example")).body;
+    let corpus: [Vec<u8>; 5] = [
+        b"abcabcabcabc, abcabc!".to_vec(),
+        html_body(7, 900),
+        small,
+        vec![b'z'; 300],
+        (0..200).map(|_| splitmix64(&mut state) as u8).collect(),
+    ];
+    let (mut accepted, mut refused) = (0, 0);
+    for input in &corpus {
+        let stream = lzss_compress(input);
+        assert_eq!(&decompress_bounded(&stream).unwrap(), input);
+        let mut mutants: Vec<Vec<u8>> = Vec::new();
+        // Every truncation: a cut between tokens decodes to a prefix
+        // of the input, a cut inside a reference is refused.
+        for cut in 0..stream.len() {
+            match decompress_bounded(&stream[..cut]) {
+                Ok(out) => assert!(input.starts_with(&out), "cut at {cut}"),
+                Err(e) => assert_eq!(e, LzssError::Truncated, "cut at {cut}"),
+            }
+        }
+        // Every single-bit flip.
+        for at in 0..stream.len() {
+            for bit in 0..8 {
+                let mut flipped = stream.clone();
+                flipped[at] ^= 1 << bit;
+                mutants.push(flipped);
+            }
+        }
+        for _ in 0..COMPOUND_MUTANTS_PER_MESSAGE {
+            mutants.push(compound(&stream, &mut state));
+        }
+        for mutant in &mutants {
+            match decompress_bounded(mutant) {
+                Ok(_) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+        }
     }
     assert!(accepted > 500 && refused > 500, "{accepted} accepted, {refused} refused");
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the HTTP substrate.
 
-use mbtls_http::compress::{lzss_compress, lzss_decompress};
+use mbtls_http::compress::{lzss_compress, lzss_decompress, Lzss};
 use mbtls_http::message::{Request, RequestParser, Response, ResponseParser};
 use mbtls_http::patterns::PatternMatcher;
 use proptest::prelude::*;
@@ -28,6 +28,21 @@ proptest! {
         let data: Vec<u8> = unit.iter().cycle().take(unit.len() * reps).copied().collect();
         let compressed = lzss_compress(&data);
         prop_assert_eq!(lzss_decompress(&compressed).unwrap(), data);
+    }
+
+    /// One match finder reused over a run of bodies emits what a fresh
+    /// one emits for each: nothing an earlier body left in its tables
+    /// is ever taken as a candidate. Small alphabets make every body's
+    /// prefixes collide with the last one's.
+    #[test]
+    fn lzss_reuse_matches_fresh(bodies in proptest::collection::vec(
+                                    (proptest::collection::vec(any::<u8>(), 0..3000), 1u8..=255),
+                                    1..8)) {
+        let mut lzss = Lzss::default();
+        for (bytes, alphabet) in &bodies {
+            let body: Vec<u8> = bytes.iter().map(|b| b % alphabet).collect();
+            prop_assert_eq!(lzss.compress(&body), lzss_compress(&body));
+        }
     }
 
     /// Decompression never panics on arbitrary (usually invalid) input.

@@ -40,15 +40,16 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
     ),
     (
         // Protocol state machines, record parsing, and the crypto
-        // they call into — and the application-layer decoder with the
-        // middlebox processors that run it on a peer's bytes inside a
-        // shard's sessions.
+        // they call into — and the application-layer decoders (HTTP,
+        // LZSS) with the middlebox processors that run them on a
+        // peer's bytes inside a shard's sessions.
         RuleId::PanicFreedom,
         &[
             "crates/core/src",
             "crates/crypto/src",
             "crates/tls/src",
             "crates/http/src/message.rs",
+            "crates/http/src/compress.rs",
             "crates/mboxes/src",
         ],
     ),

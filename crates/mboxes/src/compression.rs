@@ -5,7 +5,7 @@
 
 use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::middlebox::DataProcessor;
-use mbtls_http::compress::{lzss_compress, lzss_decompress};
+use mbtls_http::compress::{lzss_decompress, Lzss};
 use mbtls_http::message::Response;
 
 use crate::rewrite::{HttpStream, RESPONSES};
@@ -17,6 +17,8 @@ pub const ENCODING: &str = "x-lzss";
 pub struct CompressionProxy {
     responses: HttpStream,
     min_size: usize,
+    /// The match finder, reused for every body this proxy compresses.
+    lzss: Lzss,
     /// Total plaintext body bytes seen.
     pub bytes_in: u64,
     /// Total compressed body bytes emitted.
@@ -31,6 +33,7 @@ impl CompressionProxy {
         CompressionProxy {
             responses: HttpStream::default(),
             min_size,
+            lzss: Lzss::default(),
             bytes_in: 0,
             bytes_out: 0,
             compressed_count: 0,
@@ -56,7 +59,7 @@ impl DataProcessor for CompressionProxy {
             let already_encoded = resp.header("Content-Encoding").is_some();
             if resp.body.len() >= self.min_size && !already_encoded {
                 self.bytes_in += resp.body.len() as u64;
-                let compressed = lzss_compress(&resp.body);
+                let compressed = self.lzss.compress(&resp.body);
                 if compressed.len() < resp.body.len() {
                     self.bytes_out += compressed.len() as u64;
                     resp.body = compressed;

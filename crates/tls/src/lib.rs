@@ -84,6 +84,9 @@ pub enum TlsError {
     NegotiationFailed(&'static str),
     /// Data operations attempted before the handshake completed.
     HandshakeNotDone,
+    /// A direction's record sequence number would wrap (RFC 5246
+    /// §6.1): the connection must end rather than reuse a nonce.
+    SequenceExhausted,
     /// An internal state-machine invariant was broken. Reaching this
     /// is a bug, but it surfaces as an error rather than a panic so a
     /// malformed connection can never take the process down.
@@ -102,6 +105,7 @@ impl std::fmt::Display for TlsError {
             TlsError::UnexpectedMessage(what) => write!(f, "unexpected message: {what}"),
             TlsError::NegotiationFailed(what) => write!(f, "negotiation failed: {what}"),
             TlsError::HandshakeNotDone => write!(f, "handshake not complete"),
+            TlsError::SequenceExhausted => write!(f, "record sequence number exhausted"),
             TlsError::Internal(what) => write!(f, "internal invariant broken: {what}"),
         }
     }

@@ -162,6 +162,7 @@ impl DirectionState {
         out: &mut Vec<u8>,
     ) -> Result<(), TlsError> {
         debug_assert!(payload.len() <= MAX_FRAGMENT_LEN);
+        let next = self.next_seq()?;
         let explicit: [u8; EXPLICIT_NONCE_LEN] = self.seq.to_be_bytes();
         let aad = Self::aad(self.seq, content_type, payload.len());
         let wire_len = EXPLICIT_NONCE_LEN + payload.len() + TAG_LEN;
@@ -172,7 +173,7 @@ impl DirectionState {
         out.extend_from_slice(payload);
         let tag = self.key.seal_in_place(&explicit, &aad, &mut out[ct_start..])?;
         out.extend_from_slice(&tag);
-        self.seq = self.seq.wrapping_add(1);
+        self.seq = next;
         Ok(())
     }
 
@@ -195,6 +196,7 @@ impl DirectionState {
         if body.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
             return Err(TlsError::Decode("record too short for AEAD"));
         }
+        let next = self.next_seq()?;
         let (explicit_part, sealed) = body.split_at(EXPLICIT_NONCE_LEN);
         let explicit: [u8; EXPLICIT_NONCE_LEN] = explicit_part
             .first_chunk::<EXPLICIT_NONCE_LEN>()
@@ -204,7 +206,7 @@ impl DirectionState {
         let (ciphertext, tag) = sealed.split_at(plain_len);
         let aad = Self::aad(self.seq, content_type, plain_len);
         self.key.verify(&explicit, &aad, ciphertext, tag)?;
-        self.seq = self.seq.wrapping_add(1);
+        self.seq = next;
         Ok(plain_len)
     }
 
@@ -213,8 +215,17 @@ impl DirectionState {
     /// keep its (aliased-key) write state in lockstep with the read
     /// state, so a later fallback to open-and-reseal still seals under
     /// the sequence number the next hop expects.
-    pub fn advance_seq(&mut self) {
-        self.seq = self.seq.wrapping_add(1);
+    pub fn advance_seq(&mut self) -> Result<(), TlsError> {
+        self.seq = self.next_seq()?;
+        Ok(())
+    }
+
+    /// The sequence number after this record's. TLS sequence numbers
+    /// never wrap (RFC 5246 §6.1): a record at 2^64 − 1, which has no
+    /// successor, is refused before it is sealed, opened or counted,
+    /// so no nonce repeats.
+    fn next_seq(&self) -> Result<u64, TlsError> {
+        self.seq.checked_add(1).ok_or(TlsError::SequenceExhausted)
     }
 
     /// Unprotect a record body in place and return the plaintext as a
@@ -229,6 +240,7 @@ impl DirectionState {
         if body.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
             return Err(TlsError::Decode("record too short for AEAD"));
         }
+        let next = self.next_seq()?;
         let (explicit_part, sealed) = body.split_at_mut(EXPLICIT_NONCE_LEN);
         let explicit: [u8; EXPLICIT_NONCE_LEN] = explicit_part
             .first_chunk::<EXPLICIT_NONCE_LEN>()
@@ -238,7 +250,7 @@ impl DirectionState {
         let (ciphertext, tag) = sealed.split_at_mut(plain_len);
         let aad = Self::aad(self.seq, content_type, plain_len);
         self.key.open_in_place(&explicit, &aad, ciphertext, tag)?;
-        self.seq = self.seq.wrapping_add(1);
+        self.seq = next;
         Ok(ciphertext)
     }
 }
@@ -543,10 +555,38 @@ mod tests {
         let skipped = seal(&mut tx, APP, b"skipped");
         let mut tx2 = DirectionState::new(BulkAlgorithm::Aes256Gcm, &[0x11u8; 32], &[0x22u8; 4], 0)
             .unwrap();
-        tx2.advance_seq(); // forwarded the first record unchanged
+        tx2.advance_seq().unwrap(); // forwarded the first record unchanged
         let resealed = seal(&mut tx2, APP, b"resealed");
         assert_eq!(open(&mut rx, APP, &skipped).unwrap(), b"skipped");
         assert_eq!(open(&mut rx, APP, &resealed).unwrap(), b"resealed");
+    }
+
+    #[test]
+    fn sequence_number_never_wraps() {
+        // Wrapping would seal the next records under nonces 2^64 − 1,
+        // then 0, 1, … — the ones this key's first records used.
+        let state = || {
+            DirectionState::new(BulkAlgorithm::Aes256Gcm, &[0x11; 32], &[0x22; 4], u64::MAX - 1)
+                .unwrap()
+        };
+        let (mut tx, mut rx) = (state(), state());
+        let wire = seal(&mut tx, APP, b"last");
+        assert_eq!(wire[5..13], (u64::MAX - 1).to_be_bytes(), "explicit nonce");
+        let mut out = Vec::new();
+        assert_eq!(tx.seal_record_into(APP, b"next", &mut out), Err(TlsError::SequenceExhausted));
+        assert!(out.is_empty(), "a refused record writes nothing");
+        assert_eq!(tx.advance_seq(), Err(TlsError::SequenceExhausted));
+        assert_eq!(tx.seq(), u64::MAX);
+
+        assert_eq!(open(&mut rx, APP, &wire).unwrap(), b"last");
+        // The reader is spent too: the next record is refused before
+        // its tag is looked at, even this record replayed.
+        assert_eq!(open(&mut rx, APP, &wire), Err(TlsError::SequenceExhausted));
+        assert_eq!(rx.verify_record(APP, &wire[5..]), Err(TlsError::SequenceExhausted));
+        assert_eq!(rx.seq(), u64::MAX);
+        // A session that hits it fails closed with a fatal alert.
+        let alert = crate::alert::Alert::for_error(&TlsError::SequenceExhausted);
+        assert_eq!(alert.level, crate::alert::AlertLevel::Fatal);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use mbtls_netsim::time::Duration;
 use mbtls_netsim::{FaultConfig, Network};
 use mbtls_sgx::SgxCostModel;
 use mbtls_telemetry::json::Value;
+use mbtls_tls::config::{PeerProof, Proof};
 use mbtls_tls::record::ContentType;
 use mbtls_tls::suites::CipherSuite;
 
@@ -322,8 +323,8 @@ fn attestation_setup(iters: u64) -> Value {
     };
     let unattested = || {
         let (mut client_cfg, mut mbox_cfg, server_cfg) = attested();
-        client_cfg.middlebox_attestation = None;
-        mbox_cfg.attestor = None;
+        client_cfg.middlebox_proof = PeerProof::Certificate;
+        mbox_cfg.proof = Proof::None;
         (client_cfg, mbox_cfg, server_cfg)
     };
     let modeled_round_us = SgxCostModel::default().attestation_round_ns() / 1e3;

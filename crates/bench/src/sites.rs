@@ -13,12 +13,13 @@ use std::sync::Arc;
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
 use mbtls_core::driver::{Chain, LegacyServer};
-use mbtls_core::middlebox::Middlebox;
+use mbtls_core::middlebox::{Middlebox, MiddleboxConfig};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_http::message::{Request, RequestParser, Response};
 use mbtls_mboxes::HeaderInsertionProxy;
 use mbtls_pki::cert::CertifiedKey;
 use mbtls_pki::KeyUsage;
+use mbtls_tls::config::{PeerProof, Proof};
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::ServerConnection;
 
@@ -141,14 +142,10 @@ pub fn fetch_site(tb: &Testbed, site: &Site, seed: u64) -> Outcome {
         CipherSuite::DheAes256GcmSha384,
     ];
     client_cfg.tls.current_time = 1_000_000;
-    client_cfg.middlebox_attestation = None; // in-house proxy
+    client_cfg.middlebox_proof = PeerProof::Certificate; // in-house proxy
     let client = MbClientSession::new(Arc::new(client_cfg), &site.name, rng.fork());
     let proxy = Middlebox::with_processor(
-        {
-            let mut c = tb.middlebox_config(&tb.mbox_code);
-            c.attestor = None;
-            c
-        },
+        MiddleboxConfig { proof: Proof::None, ..tb.middlebox_config(&tb.mbox_code) },
         rng.fork(),
         Box::new(HeaderInsertionProxy::new("Via", "1.1 mbtls-survey-proxy")),
     );

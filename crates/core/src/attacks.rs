@@ -15,7 +15,7 @@ use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
 use mbtls_pki::delegation::{CredentialIssuer, DelegatedDirection, DelegatedKeyPair, DelegatedRole};
 use mbtls_pki::{KeyUsage, TrustStore};
 use mbtls_sgx::{AttestationService, CodeIdentity, Platform, Quote};
-use mbtls_tls::config::{AttestationPolicy, Attestor, DelegationPolicy};
+use mbtls_tls::config::{AttestationPolicy, Attestor, DelegationPolicy, PeerProof, Proof};
 
 use crate::client::MbClientConfig;
 use crate::delegation::EndpointCredentialProvider;
@@ -146,7 +146,7 @@ impl Testbed {
     /// Client config with middlebox attestation required.
     pub fn client_config(&self) -> MbClientConfig {
         MbClientConfig {
-            middlebox_attestation: Some(self.attestation_policy()),
+            middlebox_proof: PeerProof::Attestation(self.attestation_policy()),
             ..MbClientConfig::new(self.server_trust.clone(), self.middlebox_trust.clone())
         }
     }
@@ -154,7 +154,7 @@ impl Testbed {
     /// Server config with middlebox attestation required.
     pub fn server_config(&self) -> MbServerConfig {
         MbServerConfig {
-            middlebox_attestation: Some(self.attestation_policy()),
+            middlebox_proof: PeerProof::Attestation(self.attestation_policy()),
             ..MbServerConfig::new(self.server_tls(), self.middlebox_trust.clone())
         }
     }
@@ -163,8 +163,8 @@ impl Testbed {
     pub fn middlebox_config(&self, code: &CodeIdentity) -> MiddleboxConfig {
         let attestor = PakAttestor { pak: self.pak.clone(), measurement: code.measure() };
         MiddleboxConfig {
-            attestor: Some(Arc::new(attestor)),
-            ..MiddleboxConfig::new("proxy.msp.example", self.mbox_key.clone())
+            proof: Proof::Attestor(Arc::new(attestor)),
+            ..MiddleboxConfig::new(self.mbox_key.clone())
         }
     }
 
@@ -213,7 +213,7 @@ impl Testbed {
     /// (instead of attestation).
     pub fn client_config_delegated(&self) -> MbClientConfig {
         MbClientConfig {
-            middlebox_delegation: Some(self.delegation_policy()),
+            middlebox_proof: PeerProof::Delegation(self.delegation_policy()),
             ..MbClientConfig::new(self.server_trust.clone(), self.middlebox_trust.clone())
         }
     }
@@ -221,7 +221,7 @@ impl Testbed {
     /// Server config requiring delegated credentials from middleboxes.
     pub fn server_config_delegated(&self) -> MbServerConfig {
         MbServerConfig {
-            middlebox_delegation: Some(self.delegation_policy()),
+            middlebox_proof: PeerProof::Delegation(self.delegation_policy()),
             ..MbServerConfig::new(self.server_tls(), self.middlebox_trust.clone())
         }
     }
@@ -235,8 +235,8 @@ impl Testbed {
             chain: vec![],
         });
         MiddleboxConfig {
-            credential_provider: Some(self.credential_provider()),
-            ..MiddleboxConfig::new("proxy.msp.example", identity)
+            proof: Proof::Credential(self.credential_provider()),
+            ..MiddleboxConfig::new(identity)
         }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::TrustStore;
 use mbtls_telemetry::{EventKind, Party, SharedSink};
-use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy};
+use mbtls_tls::config::{ClientConfig, PeerProof};
 use mbtls_tls::messages::{extension_type, Extension};
 use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
@@ -36,43 +36,20 @@ pub enum ApprovalPolicy {
     DenyAll,
 }
 
-impl ApprovalPolicy {
-    /// Reject empty allow-lists and duplicate allow-list entries.
-    pub(crate) fn validate(&self) -> Result<(), MbError> {
-        if let ApprovalPolicy::AllowList(names) = self {
-            if names.is_empty() {
-                return Err(MbError::Config(
-                    "approval allow-list is empty (use DenyAll to refuse all middleboxes)".into(),
-                ));
-            }
-            for (i, name) in names.iter().enumerate() {
-                if names[..i].contains(name) {
-                    return Err(MbError::Config(format!("duplicate allow-list entry `{name}`")));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// mbTLS client configuration. An mbTLS client always sends the
 /// MiddleboxSupport extension; one that should behave as a legacy TLS
 /// client is a [`crate::driver::LegacyClient`].
 pub struct MbClientConfig {
     /// Configuration for the primary connection (server trust, suites,
-    /// server attestation policy, resumption cache, ...).
+    /// the server's `peer_proof`, resumption cache, ...).
     pub tls: ClientConfig,
     /// Trust roots for middlebox certificates.
     pub middlebox_trust: Arc<TrustStore>,
-    /// Attestation policy middleboxes must satisfy (None = attestation
-    /// not required — e.g. middleboxes on trusted in-house hardware).
-    pub middlebox_attestation: Option<AttestationPolicy>,
-    /// Delegated-credential policy middleboxes must satisfy (the
-    /// mdTLS-style alternative to attestation, DESIGN.md §6j). When
-    /// set, middleboxes present an endpoint-issued session-bound
-    /// credential instead of a certificate chain; mutually exclusive
-    /// with `middlebox_attestation`.
-    pub middlebox_delegation: Option<DelegationPolicy>,
+    /// What middleboxes must prove: an attestation on top of their
+    /// certificate, or an endpoint-issued session-bound credential in
+    /// its place (the mdTLS-style mode, DESIGN.md §6j), or neither —
+    /// e.g. middleboxes on trusted in-house hardware.
+    pub middlebox_proof: PeerProof,
     /// Approval policy applied after verification.
     pub approval: ApprovalPolicy,
     /// Names of middleboxes known a priori (sent in the
@@ -100,101 +77,12 @@ impl MbClientConfig {
         MbClientConfig {
             tls: ClientConfig::new(server_trust),
             middlebox_trust,
-            middlebox_attestation: None,
-            middlebox_delegation: None,
+            middlebox_proof: PeerProof::Certificate,
             approval: ApprovalPolicy::AllVerified,
             preconfigured: Vec::new(),
             read_only_middleboxes: false,
             telemetry: None,
         }
-    }
-
-    /// Start a validating builder over the given trust stores —
-    /// the preferred construction path (struct-literal construction
-    /// skips validation).
-    pub fn builder(
-        server_trust: Arc<TrustStore>,
-        middlebox_trust: Arc<TrustStore>,
-    ) -> MbClientConfigBuilder {
-        MbClientConfigBuilder { cfg: MbClientConfig::new(server_trust, middlebox_trust) }
-    }
-}
-
-/// Validating builder for [`MbClientConfig`].
-pub struct MbClientConfigBuilder {
-    cfg: MbClientConfig,
-}
-
-impl MbClientConfigBuilder {
-    /// Replace the primary-connection TLS configuration.
-    pub fn tls(mut self, tls: ClientConfig) -> Self {
-        self.cfg.tls = tls;
-        self
-    }
-
-    /// Require middleboxes to satisfy this attestation policy.
-    pub fn middlebox_attestation(mut self, policy: AttestationPolicy) -> Self {
-        self.cfg.middlebox_attestation = Some(policy);
-        self
-    }
-
-    /// Require middleboxes to present a delegated credential under
-    /// this policy instead of a certificate chain (mutually exclusive
-    /// with [`MbClientConfigBuilder::middlebox_attestation`]).
-    pub fn middlebox_delegation(mut self, policy: DelegationPolicy) -> Self {
-        self.cfg.middlebox_delegation = Some(policy);
-        self
-    }
-
-    /// Set the post-verification approval policy.
-    pub fn approval(mut self, approval: ApprovalPolicy) -> Self {
-        self.cfg.approval = approval;
-        self
-    }
-
-    /// Add a middlebox known a priori (sent in MiddleboxSupport).
-    pub fn preconfigured(mut self, name: impl Into<String>) -> Self {
-        self.cfg.preconfigured.push(name.into());
-        self
-    }
-
-    /// Reuse the bridge keys for every hop so read-only middleboxes
-    /// can forward records without re-encryption (mbTLS §3.4). Only
-    /// safe when no middlebox on the path modifies application data:
-    /// a modification on aliased keys is rejected by the middlebox
-    /// data plane (the session errors) rather than re-sealed.
-    pub fn read_only_middleboxes(mut self, read_only: bool) -> Self {
-        self.cfg.read_only_middleboxes = read_only;
-        self
-    }
-
-    /// Attach a telemetry sink.
-    pub fn telemetry(mut self, sink: SharedSink) -> Self {
-        self.cfg.telemetry = Some(sink);
-        self
-    }
-
-    /// Validate and build. Rejects empty or duplicate middlebox names
-    /// and empty allow-lists (use [`ApprovalPolicy::DenyAll`] to
-    /// refuse every middlebox explicitly).
-    pub fn build(self) -> Result<MbClientConfig, MbError> {
-        if self.cfg.middlebox_attestation.is_some() && self.cfg.middlebox_delegation.is_some() {
-            return Err(MbError::Config(
-                "middlebox attestation and delegation are mutually exclusive auth modes".into(),
-            ));
-        }
-        for (i, name) in self.cfg.preconfigured.iter().enumerate() {
-            if name.is_empty() {
-                return Err(MbError::Config("preconfigured middlebox name is empty".into()));
-            }
-            if self.cfg.preconfigured[..i].contains(name) {
-                return Err(MbError::Config(format!(
-                    "duplicate preconfigured middlebox `{name}`"
-                )));
-            }
-        }
-        self.cfg.approval.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -225,7 +113,7 @@ impl Role for ClientRole {
     fn admission(&self) -> Admission<'_> {
         Admission {
             trust: &self.config.middlebox_trust,
-            delegated: self.config.middlebox_delegation.is_some(),
+            delegated: matches!(self.config.middlebox_proof, PeerProof::Delegation(_)),
             deferred: self.config.tls.defer_verify,
             approval: &self.config.approval,
             now: self.config.tls.current_time,
@@ -248,10 +136,9 @@ impl Role for ClientRole {
         // parked for `MbSession::collect_owed` to add the chain's to.
         sec_cfg.danger_disable_cert_verify = true;
         sec_cfg.defer_verify = true;
-        sec_cfg.attestation_policy = config.middlebox_attestation.clone();
         // Delegated mode: the TLS layer checks the credential (and
         // its issuer chain) and sources the peer key from it.
-        sec_cfg.delegation_policy = config.middlebox_delegation.clone();
+        sec_cfg.peer_proof = config.middlebox_proof.clone();
         sec_cfg.enable_tickets = config.tls.enable_tickets;
         let conn = ClientConnection::with_reused_hello(
             Arc::new(sec_cfg),

@@ -59,14 +59,12 @@ pub mod middlebox;
 pub mod server;
 pub mod session;
 
-pub use client::{MbClientConfig, MbClientConfigBuilder, MbClientSession};
+pub use client::{MbClientConfig, MbClientSession};
 pub use dataplane::HopKeys;
 pub use delegation::EndpointCredentialProvider;
 pub use driver::{Chain, ChainLinks, Endpoint, NetChain, Relay, SessionTiming};
-pub use middlebox::{
-    DataProcessor, ForwardProcessor, Middlebox, MiddleboxConfig, MiddleboxConfigBuilder,
-};
-pub use server::{MbServerConfig, MbServerConfigBuilder, MbServerSession};
+pub use middlebox::{DataProcessor, ForwardProcessor, Middlebox, MiddleboxConfig};
+pub use server::{MbServerConfig, MbServerSession};
 
 /// How an endpoint authenticates the middleboxes it admits to a
 /// session — the axis the security matrix and `BENCH_auth.json`
@@ -149,8 +147,6 @@ pub enum MbError {
     NotReady,
     /// The network connection died.
     Network(mbtls_netsim::net::NetError),
-    /// A configuration builder rejected its inputs.
-    Config(String),
     /// A deadline passed with no progress (e.g. the session host's
     /// handshake timer fired after exhausting its retry budget).
     Timeout(String),
@@ -186,7 +182,6 @@ impl std::fmt::Display for MbError {
             MbError::MiddleboxRejected(name) => write!(f, "middlebox rejected: {name}"),
             MbError::NotReady => write!(f, "session not ready"),
             MbError::Network(e) => write!(f, "network: {e}"),
-            MbError::Config(what) => write!(f, "invalid configuration: {what}"),
             MbError::Timeout(what) => write!(f, "timed out: {what}"),
         }
     }

@@ -30,7 +30,7 @@ use mbtls_crypto::secret::Secret;
 use mbtls_pki::cert::CertifiedKey;
 use mbtls_sgx::EnclaveState;
 use mbtls_telemetry::{EventKind, Party, SharedSink};
-use mbtls_tls::config::{Attestor, CredentialProvider, ServerConfig};
+use mbtls_tls::config::{Proof, ServerConfig};
 use mbtls_tls::messages::{extension_type, ClientHello, HandshakeReader};
 use mbtls_tls::record::{frame_plaintext_into, ContentType, Record, RecordReader};
 use mbtls_tls::suites::CipherSuite;
@@ -78,22 +78,16 @@ impl DataProcessor for ForwardProcessor {
 
 /// Middlebox configuration.
 pub struct MiddleboxConfig {
-    /// The MSP identity (certificate subject should match).
-    pub name: String,
     /// The middlebox service's certified key.
     pub certified_key: Arc<CertifiedKey>,
-    /// Quote provider when running in a (simulated) enclave.
-    pub attestor: Option<Arc<dyn Attestor>>,
-    /// Delegated-credential provider (mdTLS-style, DESIGN.md §6j).
-    /// When set, secondary handshakes present an endpoint-issued
-    /// credential instead of attesting; `certified_key` should then
-    /// hold the delegated key with an *empty* chain — the credential
-    /// is the middlebox's identity.
-    pub credential_provider: Option<Arc<dyn CredentialProvider>>,
+    /// What every secondary handshake presents: a quote when running
+    /// in a (simulated) enclave, or an endpoint-issued delegated
+    /// credential (mdTLS-style, DESIGN.md §6j) — `certified_key` then
+    /// holds the delegated key with an *empty* chain, the credential
+    /// being the middlebox's identity.
+    pub proof: Proof,
     /// Suites acceptable in the secondary handshake.
     pub suites: Vec<CipherSuite>,
-    /// Announce to the server when the client is legacy.
-    pub allow_server_side: bool,
     /// Cached knowledge that this server does not speak mbTLS (the
     /// paper's announcement-failure cache): skip announcing.
     pub cached_no_support: bool,
@@ -108,94 +102,16 @@ pub struct MiddleboxConfig {
 
 impl MiddleboxConfig {
     /// Defaults for the given identity.
-    pub fn new(name: &str, certified_key: Arc<CertifiedKey>) -> Self {
+    pub fn new(certified_key: Arc<CertifiedKey>) -> Self {
         MiddleboxConfig {
-            name: name.to_string(),
             certified_key,
-            attestor: None,
-            credential_provider: None,
+            proof: Proof::None,
             suites: CipherSuite::ALL.to_vec(),
-            allow_server_side: true,
             cached_no_support: false,
             ticket_key: [0x5B; 32],
             telemetry: None,
             telemetry_party: Party::Middlebox(0),
         }
-    }
-
-    /// Start a validating builder for the given identity — the
-    /// preferred construction path.
-    pub fn builder(name: &str, certified_key: Arc<CertifiedKey>) -> MiddleboxConfigBuilder {
-        MiddleboxConfigBuilder { cfg: MiddleboxConfig::new(name, certified_key) }
-    }
-}
-
-/// Validating builder for [`MiddleboxConfig`].
-pub struct MiddleboxConfigBuilder {
-    cfg: MiddleboxConfig,
-}
-
-impl MiddleboxConfigBuilder {
-    /// Provide quotes from a (simulated) enclave.
-    pub fn attestor(mut self, attestor: Arc<dyn Attestor>) -> Self {
-        self.cfg.attestor = Some(attestor);
-        self
-    }
-
-    /// Present endpoint-issued delegated credentials in secondary
-    /// handshakes (mutually exclusive with
-    /// [`MiddleboxConfigBuilder::attestor`]).
-    pub fn credential_provider(mut self, provider: Arc<dyn CredentialProvider>) -> Self {
-        self.cfg.credential_provider = Some(provider);
-        self
-    }
-
-    /// Restrict the suites acceptable in the secondary handshake.
-    pub fn suites(mut self, suites: Vec<CipherSuite>) -> Self {
-        self.cfg.suites = suites;
-        self
-    }
-
-    /// Allow announcing to the server when the client is legacy.
-    pub fn allow_server_side(mut self, allow: bool) -> Self {
-        self.cfg.allow_server_side = allow;
-        self
-    }
-
-    /// Record cached knowledge that the server lacks mbTLS support.
-    pub fn cached_no_support(mut self, cached: bool) -> Self {
-        self.cfg.cached_no_support = cached;
-        self
-    }
-
-    /// Set the ticket key for secondary-session resumption.
-    pub fn ticket_key(mut self, key: [u8; 32]) -> Self {
-        self.cfg.ticket_key = key;
-        self
-    }
-
-    /// Attach a telemetry sink, labelling events with the middlebox's
-    /// chain position (0 = nearest the client).
-    pub fn telemetry(mut self, sink: SharedSink, position: u8) -> Self {
-        self.cfg.telemetry = Some(sink);
-        self.cfg.telemetry_party = Party::Middlebox(position);
-        self
-    }
-
-    /// Validate and build. Rejects empty names and empty suite lists.
-    pub fn build(self) -> Result<MiddleboxConfig, MbError> {
-        if self.cfg.name.is_empty() {
-            return Err(MbError::Config("middlebox name is empty".into()));
-        }
-        if self.cfg.attestor.is_some() && self.cfg.credential_provider.is_some() {
-            return Err(MbError::Config(
-                "middlebox attestation and delegation are mutually exclusive auth modes".into(),
-            ));
-        }
-        if self.cfg.suites.is_empty() {
-            return Err(MbError::Config("middlebox suite list is empty".into()));
-        }
-        Ok(self.cfg)
     }
 }
 
@@ -524,10 +440,7 @@ impl Middlebox {
         let mut server_cfg =
             ServerConfig::new(self.config.certified_key.clone(), self.config.ticket_key);
         server_cfg.suites = self.config.suites.clone();
-        server_cfg.attestor = self.config.attestor.clone();
-        server_cfg.always_attest = self.config.attestor.is_some();
-        server_cfg.credential_provider = self.config.credential_provider.clone();
-        server_cfg.always_delegate = self.config.credential_provider.is_some();
+        server_cfg.proof = self.config.proof.clone();
         ServerConnection::new(Arc::new(server_cfg))
     }
 
@@ -553,7 +466,7 @@ impl Middlebox {
             }
             self.secondary = Some(conn);
             self.phase = MiddleboxPhase::ClientSideJoining;
-        } else if self.config.allow_server_side && !self.config.cached_no_support {
+        } else if !self.config.cached_no_support {
             // Announce toward the server (optimistically — §3.4).
             frame_plaintext_into(
                 ContentType::MbtlsMiddleboxAnnouncement,

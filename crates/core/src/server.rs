@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::TrustStore;
 use mbtls_telemetry::{Party, SharedSink};
-use mbtls_tls::config::{AttestationPolicy, ClientConfig, DelegationPolicy, ServerConfig};
+use mbtls_tls::config::{ClientConfig, PeerProof, ServerConfig};
 use mbtls_tls::record::ContentType;
 use mbtls_tls::{ClientConnection, ServerConnection, ServerHandshake, TlsError};
 
@@ -28,16 +28,13 @@ use crate::MbError;
 /// as a legacy TLS server does, is a [`crate::driver::LegacyServer`].
 pub struct MbServerConfig {
     /// Configuration for the primary connection (certificate, suites,
-    /// tickets, attestor, ...).
+    /// tickets, proof, ...).
     pub tls: ServerConfig,
     /// Trust roots for middlebox certificates.
     pub middlebox_trust: Arc<TrustStore>,
-    /// Attestation policy middleboxes must satisfy.
-    pub middlebox_attestation: Option<AttestationPolicy>,
-    /// Delegated-credential policy middleboxes must satisfy (the
-    /// mdTLS-style alternative to attestation, DESIGN.md §6j);
-    /// mutually exclusive with `middlebox_attestation`.
-    pub middlebox_delegation: Option<DelegationPolicy>,
+    /// What middleboxes must prove (see
+    /// [`crate::client::MbClientConfig::middlebox_proof`]).
+    pub middlebox_proof: PeerProof,
     /// Approval policy for announced middleboxes.
     pub approval: ApprovalPolicy,
     /// "Current time" for middlebox certificate validation.
@@ -52,69 +49,11 @@ impl MbServerConfig {
         MbServerConfig {
             tls,
             middlebox_trust,
-            middlebox_attestation: None,
-            middlebox_delegation: None,
+            middlebox_proof: PeerProof::Certificate,
             approval: ApprovalPolicy::AllVerified,
             current_time: 0,
             telemetry: None,
         }
-    }
-
-    /// Start a validating builder over the given identity and
-    /// middlebox trust store — the preferred construction path.
-    pub fn builder(tls: ServerConfig, middlebox_trust: Arc<TrustStore>) -> MbServerConfigBuilder {
-        MbServerConfigBuilder { cfg: MbServerConfig::new(tls, middlebox_trust) }
-    }
-}
-
-/// Validating builder for [`MbServerConfig`].
-pub struct MbServerConfigBuilder {
-    cfg: MbServerConfig,
-}
-
-impl MbServerConfigBuilder {
-    /// Require middleboxes to satisfy this attestation policy.
-    pub fn middlebox_attestation(mut self, policy: AttestationPolicy) -> Self {
-        self.cfg.middlebox_attestation = Some(policy);
-        self
-    }
-
-    /// Require middleboxes to present a delegated credential under
-    /// this policy instead of a certificate chain (mutually exclusive
-    /// with [`MbServerConfigBuilder::middlebox_attestation`]).
-    pub fn middlebox_delegation(mut self, policy: DelegationPolicy) -> Self {
-        self.cfg.middlebox_delegation = Some(policy);
-        self
-    }
-
-    /// Set the post-verification approval policy.
-    pub fn approval(mut self, approval: ApprovalPolicy) -> Self {
-        self.cfg.approval = approval;
-        self
-    }
-
-    /// Set the time used for middlebox certificate validation.
-    pub fn current_time(mut self, time: u64) -> Self {
-        self.cfg.current_time = time;
-        self
-    }
-
-    /// Attach a telemetry sink.
-    pub fn telemetry(mut self, sink: SharedSink) -> Self {
-        self.cfg.telemetry = Some(sink);
-        self
-    }
-
-    /// Validate and build. Rejects empty allow-lists and duplicate
-    /// allow-list entries.
-    pub fn build(self) -> Result<MbServerConfig, MbError> {
-        if self.cfg.middlebox_attestation.is_some() && self.cfg.middlebox_delegation.is_some() {
-            return Err(MbError::Config(
-                "middlebox attestation and delegation are mutually exclusive auth modes".into(),
-            ));
-        }
-        self.cfg.approval.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -134,7 +73,7 @@ impl Role for ServerRole {
     fn admission(&self) -> Admission<'_> {
         Admission {
             trust: &self.config.middlebox_trust,
-            delegated: self.config.middlebox_delegation.is_some(),
+            delegated: matches!(self.config.middlebox_proof, PeerProof::Delegation(_)),
             deferred: false,
             approval: &self.config.approval,
             now: self.config.current_time,
@@ -163,11 +102,10 @@ impl Role for ServerRole {
         // (see the client end's `unknown_subchannel`).
         sec_cfg.danger_disable_cert_verify = true;
         sec_cfg.defer_verify = true;
-        sec_cfg.attestation_policy = config.middlebox_attestation.clone();
         // Delegated mode: the middlebox presents no chain of its own;
         // the TLS layer checks its endpoint-issued credential and
         // keys the handshake off it.
-        sec_cfg.delegation_policy = config.middlebox_delegation.clone();
+        sec_cfg.peer_proof = config.middlebox_proof.clone();
         session.role.next_subchannel = next;
         let conn = ClientConnection::new(Arc::new(sec_cfg), "", &mut session.rng);
         session.open_secondary(id, conn);

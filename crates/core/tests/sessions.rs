@@ -240,17 +240,12 @@ fn two_server_side_middleboxes() {
 
 #[test]
 fn both_sides_have_middleboxes() {
-    // mbTLS client with one client-side middlebox; mbTLS server with
-    // one server-side middlebox. The server-side middlebox only joins
-    // if the ClientHello lacks MiddleboxSupport — with an mbTLS
-    // client, on-path boxes prefer the client side. To force a
-    // server-side box here, configure it to skip client-side joining
-    // by disabling... (the paper's deployments put server-side boxes
-    // under the server's control, typically off-path or configured).
-    // We emulate the configured case: the second middlebox has
-    // `allow_server_side` and the client-side join disabled via a
-    // cached flag is not available, so this test uses a legacy client
-    // with two boxes where the first is told not to announce.
+    // A middlebox joins the server's side only when the ClientHello
+    // lacks MiddleboxSupport: behind an mbTLS client every on-path box
+    // joins the client's. So this drives a legacy client through two
+    // boxes: the first has the server cached as not speaking mbTLS
+    // (`cached_no_support`) and relays without announcing, the second
+    // announces itself and joins the mbTLS server's side.
     let tb = Testbed::new(8);
     let mut rng = mbtls_crypto::rng::CryptoRng::from_seed(81);
     let tls_cfg = mbtls_tls::config::ClientConfig::new(tb.server_trust.clone());

@@ -1,7 +1,7 @@
 //! Validated host configuration.
 //!
-//! [`HostConfig`] follows the builder convention mbtls-core's config
-//! types established: a chainable [`HostConfigBuilder`] whose
+//! [`HostConfig`] is built through a chainable [`HostConfigBuilder`]
+//! whose
 //! [`build`](HostConfigBuilder::build) rejects zero and overflowing
 //! values with a typed [`HostConfigError`] instead of letting a bad
 //! knob surface later as a hung event loop or a panicking shift. The

@@ -13,7 +13,7 @@ use mbtls_pki::delegation::{CredentialError, CredentialVerifier, DelegatedCreden
 use mbtls_pki::{CertError, SignatureCheck};
 use mbtls_sgx::{AttestationError, Quote};
 
-use crate::config::ClientConfig;
+use crate::config::{ClientConfig, PeerProof};
 use crate::keyschedule;
 use crate::messages::{
     choose_suite, extension_type, frame_handshake, handshake_type, ClientHello,
@@ -159,17 +159,13 @@ impl Connection<ClientHandshake> {
                 data: ticket_bytes,
             });
         }
-        if config.attestation_policy.is_some() {
-            extensions.push(Extension {
-                typ: extension_type::ATTESTATION_REQUEST,
-                data: vec![1],
-            });
-        }
-        if config.delegation_policy.is_some() {
-            extensions.push(Extension {
-                typ: extension_type::DELEGATION_REQUEST,
-                data: vec![1],
-            });
+        let request = match config.peer_proof {
+            PeerProof::Certificate => None,
+            PeerProof::Attestation(_) => Some(extension_type::ATTESTATION_REQUEST),
+            PeerProof::Delegation(_) => Some(extension_type::DELEGATION_REQUEST),
+        };
+        if let Some(typ) = request {
+            extensions.push(Extension { typ, data: vec![1] });
         }
         let session_id = cached.map(|r| r.session_id.clone()).unwrap_or_default();
         ClientHello {
@@ -209,7 +205,7 @@ impl Connection<ClientHandshake> {
     }
 
     /// The verified delegated credential, if the peer authorized via
-    /// delegation (`ClientConfig::delegation_policy`).
+    /// delegation ([`PeerProof::Delegation`]).
     pub fn peer_credential(&self) -> Option<&DelegatedCredential> {
         self.hs.peer_credential.as_ref()
     }
@@ -446,7 +442,7 @@ impl Connection<ClientHandshake> {
         // in `owed`, identity checks first, and leaves this function
         // as one group.
         let (mut owed, identity_forged, server_key) =
-            if let Some(policy) = &self.hs.config.delegation_policy {
+            if let PeerProof::Delegation(policy) = &self.hs.config.peer_proof {
                 let msg = self.hs.server_flight.credential.take().ok_or(
                     TlsError::UnexpectedMessage("delegated credential required but absent"),
                 )?;
@@ -503,7 +499,7 @@ impl Connection<ClientHandshake> {
 
         // 3. Attestation, if required: the platform's endorsement,
         // then the quote's own signature.
-        if let Some(policy) = &self.hs.config.attestation_policy {
+        if let PeerProof::Attestation(policy) = &self.hs.config.peer_proof {
             let msg = self
                 .hs
                 .server_flight

@@ -56,6 +56,36 @@ pub struct DelegationPolicy {
     pub required_role: Option<DelegatedRole>,
 }
 
+/// What a verifier demands of its peer: the certificate chain alone,
+/// or that plus an attestation, or a delegated credential in its place.
+/// One value, so no verifier can demand both.
+#[derive(Clone)]
+pub enum PeerProof {
+    /// The certificate chain alone.
+    Certificate,
+    /// An SGX quote over the transcript, verified against this policy
+    /// (paper §3.3).
+    Attestation(AttestationPolicy),
+    /// A delegated credential, verified against this policy, in place
+    /// of a certificate chain: the peer may present an empty chain,
+    /// and its identity is the credential (DESIGN.md §6j).
+    Delegation(DelegationPolicy),
+}
+
+/// What a server presents beyond its certificate chain. A configured
+/// proof goes into every full handshake's flight whether or not the
+/// client asked: a middlebox's secondary ClientHello is the client's
+/// primary one, which carries no request (DESIGN.md §6j).
+#[derive(Clone)]
+pub enum Proof {
+    /// Nothing beyond the certificate chain.
+    None,
+    /// An SGXAttestation message with a quote from this attestor.
+    Attestor(Arc<dyn Attestor>),
+    /// A DelegatedCredential message from this provider.
+    Credential(Arc<dyn CredentialProvider>),
+}
+
 /// Client-side configuration. Cheap to clone via `Arc`.
 #[derive(Clone)]
 pub struct ClientConfig {
@@ -68,13 +98,9 @@ pub struct ClientConfig {
     /// Extra extensions appended to the ClientHello (mbTLS adds
     /// MiddleboxSupport here).
     pub extra_extensions: Vec<Extension>,
-    /// If set, require the peer to attest and verify against this
-    /// policy.
-    pub attestation_policy: Option<AttestationPolicy>,
-    /// If set, require the peer to present a delegated credential and
-    /// verify it against this policy (the peer may then present an
-    /// empty certificate chain; its identity is the credential).
-    pub delegation_policy: Option<DelegationPolicy>,
+    /// What the peer must prove beyond its certificate chain, if
+    /// anything; the ClientHello requests it.
+    pub peer_proof: PeerProof,
     /// Offer a SessionTicket extension (empty or cached) to signal
     /// RFC 5077 support.
     pub enable_tickets: bool,
@@ -109,8 +135,7 @@ impl ClientConfig {
             suites: CipherSuite::ALL.to_vec(),
             current_time: 0,
             extra_extensions: Vec::new(),
-            attestation_policy: None,
-            delegation_policy: None,
+            peer_proof: PeerProof::Certificate,
             enable_tickets: true,
             enable_false_start: false,
             danger_disable_cert_verify: false,
@@ -134,18 +159,9 @@ pub struct ServerConfig {
     pub ticket_key: [u8; 32],
     /// Issue RFC 5077 tickets to clients that offer the extension.
     pub issue_tickets: bool,
-    /// Attestation provider: if present and the client requests (or
-    /// `always_attest`), include an SGXAttestation message.
-    pub attestor: Option<Arc<dyn Attestor>>,
-    /// Attest even if the client did not explicitly ask (middleboxes
-    /// in the paper always attest to their endpoint).
-    pub always_attest: bool,
-    /// Credential provider: if present and the client requests (or
-    /// `always_delegate`), include a DelegatedCredential message.
-    pub credential_provider: Option<Arc<dyn CredentialProvider>>,
-    /// Present a credential even if the client did not explicitly ask
-    /// (delegated middleboxes always do).
-    pub always_delegate: bool,
+    /// What this server proves beyond its certificate chain, in
+    /// every full handshake.
+    pub proof: Proof,
     /// Session-ID resumption cache (id → (suite, master secret)),
     /// shared across all connections of this server.
     pub session_cache: SessionIdCache,
@@ -167,10 +183,7 @@ impl ServerConfig {
             suites: CipherSuite::ALL.to_vec(),
             ticket_key,
             issue_tickets: true,
-            attestor: None,
-            always_attest: false,
-            credential_provider: None,
-            always_delegate: false,
+            proof: Proof::None,
             session_cache: Arc::new(Mutex::new(HashMap::new())),
             assign_session_ids: false,
             strict_unknown_records: false,
@@ -199,7 +212,7 @@ mod tests {
 
         let sc = ServerConfig::new(Arc::new(ck), [0u8; 32]);
         assert!(sc.issue_tickets);
-        assert!(!sc.always_attest);
+        assert!(matches!(sc.proof, Proof::None));
         assert!(!sc.strict_unknown_records);
     }
 }

@@ -8,7 +8,7 @@ use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::secret::Secret;
 use mbtls_crypto::x25519;
 
-use crate::config::ServerConfig;
+use crate::config::{Proof, ServerConfig};
 use crate::keyschedule;
 use crate::messages::{
     choose_suite, extension_type, handshake_type, ClientHello,
@@ -145,7 +145,7 @@ impl Hooks for ServerHandshake {
                 } else if let Some(master) = id_master {
                     conn.start_abbreviated(suite, master, &ch, rng)
                 } else {
-                    conn.start_full(suite, &ch, rng)
+                    conn.start_full(suite, rng)
                 }
             }
             (Phase::AwaitClientKeyExchange, handshake_type::CLIENT_KEY_EXCHANGE) => {
@@ -213,13 +213,9 @@ impl Hooks for ServerHandshake {
 
 impl Connection<ServerHandshake> {
     /// Full handshake: ServerHello, Certificate, ServerKeyExchange,
-    /// [SGXAttestation], ServerHelloDone — one flight.
-    fn start_full(
-        &mut self,
-        suite: CipherSuite,
-        ch: &ClientHello,
-        rng: &mut CryptoRng,
-    ) -> Result<(), TlsError> {
+    /// [SGXAttestation | DelegatedCredential], ServerHelloDone — one
+    /// flight.
+    fn start_full(&mut self, suite: CipherSuite, rng: &mut CryptoRng) -> Result<(), TlsError> {
         let mut extensions = Vec::new();
         // Per RFC 5246 the server may only echo extensions the client
         // offered (the reason server-side mbTLS discovery cannot use
@@ -275,32 +271,20 @@ impl Connection<ServerHandshake> {
         };
         self.queue_handshake(handshake_type::SERVER_KEY_EXCHANGE, &ske.encode_body());
 
-        // Attestation: if we have an attestor and the client asked
-        // (or we always attest). Binds the transcript through SKE.
-        let client_asked = ch
-            .find_extension(extension_type::ATTESTATION_REQUEST)
-            .is_some();
-        if let Some(attestor) = &self.hs.config.attestor {
-            if client_asked || self.hs.config.always_attest {
-                let binding = self.transcript.attestation_binding();
-                let quote = attestor.quote(binding);
+        // The configured proof, asked for or not (see [`Proof`]): a
+        // quote, or the mdTLS-style delegated credential, each bound
+        // to this session through the transcript up to SKE.
+        match &self.hs.config.proof {
+            Proof::None => {}
+            Proof::Attestor(attestor) => {
+                let quote = attestor.quote(self.transcript.attestation_binding());
                 let msg = SgxAttestationMsg {
                     quote: quote.encode(),
                 };
                 self.queue_handshake(handshake_type::SGX_ATTESTATION, &msg.encode_body());
             }
-        }
-
-        // Delegated credential: the mdTLS-style alternative to
-        // attestation, bound to this session through the same
-        // transcript binding.
-        let client_asked_delegation = ch
-            .find_extension(extension_type::DELEGATION_REQUEST)
-            .is_some();
-        if let Some(provider) = &self.hs.config.credential_provider {
-            if client_asked_delegation || self.hs.config.always_delegate {
-                let binding = self.transcript.attestation_binding();
-                let cred = provider.credential(binding);
+            Proof::Credential(provider) => {
+                let cred = provider.credential(self.transcript.attestation_binding());
                 let msg = DelegatedCredentialMsg {
                     issuer_chain: mbtls_pki::cert::encode_chain(&provider.issuer_chain()),
                     credential: cred.encode(),

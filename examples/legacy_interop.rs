@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use mbtls_core::attacks::{PakAttestor, Testbed};
+use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
 use mbtls_core::driver::{Chain, LegacyServer};
 use mbtls_core::middlebox::{Middlebox, MiddleboxConfig};
@@ -98,14 +98,10 @@ fn main() {
         ),
         CryptoRng::from_seed(63),
     );
-    let cached_cfg = MiddleboxConfig::builder("proxy.msp.example", tb.mbox_key.clone())
-        .attestor(Arc::new(PakAttestor {
-            pak: tb.pak.clone(),
-            measurement: tb.mbox_code.measure(),
-        }))
-        .cached_no_support(true) // the middlebox remembers
-        .build()
-        .expect("middlebox config");
+    let cached_cfg = MiddleboxConfig {
+        cached_no_support: true, // the middlebox remembers
+        ..tb.middlebox_config(&tb.mbox_code)
+    };
     let quiet = Middlebox::new(cached_cfg, CryptoRng::from_seed(64));
     let mut strict_cfg =
         mbtls_tls::config::ServerConfig::new(tb.server_key.clone(), [5u8; 32]);

@@ -14,7 +14,7 @@ use mbtls_core::server::MbServerSession;
 use mbtls_core::{MbClientConfig, MbServerConfig, MiddleboxConfig};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_telemetry::{EventKind, Recorder};
-use mbtls_tls::config::AttestationPolicy;
+use mbtls_tls::config::{AttestationPolicy, PeerProof, Proof};
 
 fn main() {
     // 1. Environment: a web PKI, a middlebox-service PKI, and a
@@ -27,33 +27,33 @@ fn main() {
     let recorder = Recorder::new();
     let sink = recorder.sink();
 
-    // 2. The three parties, configured through the validating
-    //    builders. The client requires middleboxes to attest the
-    //    published "mbtls-proxy v1.0" enclave measurement.
+    // 2. The three parties, each configured by struct update over its
+    //    `new` defaults. The client and server require middleboxes to
+    //    attest the published "mbtls-proxy v1.0" enclave measurement;
+    //    the middlebox presents a quote from its enclave.
     let attestation = AttestationPolicy {
         root: tb.attestation_root,
         acceptable: vec![tb.mbox_code.measure()],
     };
-    let client_cfg =
-        MbClientConfig::builder(tb.server_trust.clone(), tb.middlebox_trust.clone())
-            .middlebox_attestation(attestation.clone())
-            .telemetry(sink.clone())
-            .build()
-            .expect("client config");
+    let client_cfg = MbClientConfig {
+        middlebox_proof: PeerProof::Attestation(attestation.clone()),
+        telemetry: Some(sink.clone()),
+        ..MbClientConfig::new(tb.server_trust.clone(), tb.middlebox_trust.clone())
+    };
     let server_tls = mbtls_tls::config::ServerConfig::new(tb.server_key.clone(), [0x7E; 32]);
-    let server_cfg = MbServerConfig::builder(server_tls, tb.middlebox_trust.clone())
-        .middlebox_attestation(attestation)
-        .telemetry(sink.clone())
-        .build()
-        .expect("server config");
-    let mbox_cfg = MiddleboxConfig::builder("proxy.msp.example", tb.mbox_key.clone())
-        .attestor(Arc::new(PakAttestor {
+    let server_cfg = MbServerConfig {
+        middlebox_proof: PeerProof::Attestation(attestation),
+        telemetry: Some(sink.clone()),
+        ..MbServerConfig::new(server_tls, tb.middlebox_trust.clone())
+    };
+    let mbox_cfg = MiddleboxConfig {
+        proof: Proof::Attestor(Arc::new(PakAttestor {
             pak: tb.pak.clone(),
             measurement: tb.mbox_code.measure(),
-        }))
-        .telemetry(sink, 0)
-        .build()
-        .expect("middlebox config");
+        })),
+        telemetry: Some(sink),
+        ..MiddleboxConfig::new(tb.mbox_key.clone())
+    };
 
     let client = MbClientSession::new(Arc::new(client_cfg), "server.example", CryptoRng::from_seed(1));
     let server = MbServerSession::new(Arc::new(server_cfg), CryptoRng::from_seed(2));

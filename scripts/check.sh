@@ -19,6 +19,10 @@
 #               build, test and bench stages
 #   build       cargo build --release --workspace
 #   test        cargo test -q --workspace
+#   examples    every examples/*.rs, run once in release: each step in
+#               them `expect`s, so a construction path or flow they
+#               show that stops working fails here (a file without its
+#               [[example]] entry in crates/bench/Cargo.toml fails too)
 #   crypto-release  cargo test -q -p mbtls-crypto --release: the
 #               vectors again on the build that ships — field25519's
 #               limb contract is an overflow argument, and a debug
@@ -75,6 +79,14 @@ stage doc       env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 stage seam-build cargo check --offline --quiet --manifest-path benchmark/Cargo.toml
 stage build     cargo build --release --workspace
 stage test      cargo test -q --workspace
+
+run_examples() {
+    local src
+    for src in examples/*.rs; do
+        cargo run -q --release -p mbtls-bench --example "$(basename "$src" .rs)" > /dev/null
+    done
+}
+stage examples  run_examples
 stage crypto-release cargo test -q -p mbtls-crypto --release
 stage telemetry scripts/telemetry_smoke.sh
 # Bench smoke: `report <suite> --smoke` for the six suites

@@ -196,10 +196,12 @@ impl Relay for SplitTlsMiddlebox {
 
 /// The naive key-sharing middlebox (paper Fig. 1): after the
 /// end-to-end handshake, the endpoint hands it the *primary session
-/// keys*; the middlebox decrypts and re-encrypts with the *same* keys
-/// on both hops. Secure delivery of the keys is modelled as an
-/// already-established secondary channel (its security is not what is
-/// under test — the shared-key data plane is).
+/// keys*, the *same* keys on both hops. It decrypts every record, and
+/// one it leaves unchanged goes out as the very ciphertext that came
+/// in (its data plane has no key of its own to seal with). Secure
+/// delivery of the keys is modelled as an already-established
+/// secondary channel (its security is not what is under test — the
+/// shared-key data plane is).
 pub struct NaiveKeyShare {
     /// Relaying until keys arrive.
     relay: PureRelay,

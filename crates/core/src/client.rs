@@ -61,11 +61,10 @@ pub struct MbClientConfig {
     /// middlebox whose processor declares itself read-only can verify
     /// tags and forward records unchanged — the fast path. Only
     /// enable when *every* middlebox on the path leaves application
-    /// data untouched: on aliased keys the data plane permits a
-    /// reseal only when it is byte-identical to the inbound record,
-    /// and errors out (failing the session) on any actual
-    /// modification — re-sealing different plaintext there would
-    /// reuse an AES-GCM nonce the endpoint already spent.
+    /// data untouched: an aliased hop gives a middlebox no key to seal
+    /// with, so every record leaves as it arrived, and a modification
+    /// is an error that fails the middlebox — sealing it would reuse an
+    /// AES-GCM nonce the endpoint already spent.
     pub read_only_middleboxes: bool,
     /// Telemetry sink for structured events (None = telemetry off).
     pub telemetry: Option<SharedSink>,
@@ -158,11 +157,10 @@ impl Role for ClientRole {
 
     /// When the path is declared read-only, every hop aliases the
     /// bridge keys so middleboxes can take the tag-verify-and-forward
-    /// fast path. Aliasing is a declaration with teeth: a middlebox
-    /// that actually modifies data on an aliased hop is refused by its
-    /// data plane (the session fails) instead of re-sealing —
-    /// different plaintext under an already-spent nonce would be
-    /// catastrophic GCM nonce reuse.
+    /// fast path. Aliasing is a declaration with teeth: an aliased hop
+    /// leaves a middlebox no key to seal with, so one that actually
+    /// modifies data there fails instead — different plaintext under
+    /// an already-spent nonce would be catastrophic GCM nonce reuse.
     fn alias_hops(&self) -> bool {
         self.config.read_only_middleboxes
     }

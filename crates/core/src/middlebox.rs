@@ -557,9 +557,9 @@ impl Middlebox {
         Ok(())
     }
 
-    /// Run one data-plane record through the processor: it is opened,
-    /// processed, and re-sealed where it sits (in the arrival reader's
-    /// buffer, or the early-data one).
+    /// Run one data-plane record through the data plane and the
+    /// processor where it sits (in the arrival reader's buffer, or the
+    /// early-data one).
     fn dataplane_feed_in_place(
         &mut self,
         dir: FlowDirection,

@@ -138,8 +138,8 @@ fn naive_key_share_full_flow() {
     mbox.install_keys(&delivered).unwrap();
     assert!(mbox.has_keys());
 
-    // After: the middlebox decrypts and re-encrypts — with the same
-    // key, so the bytes are identical when unmodified.
+    // After: the middlebox decrypts under the key both hops share, so
+    // an unmodified record leaves with identical bytes.
     client.send(b"post-keys record").unwrap();
     let wire_in = client.take_outgoing();
     mbox.feed_left(&wire_in).unwrap();

@@ -4,8 +4,9 @@ use std::sync::Arc;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
+use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::messages::MiddleboxSupport;
-use mbtls_core::middlebox::{Middlebox, MiddleboxPhase};
+use mbtls_core::middlebox::{DataProcessor, Middlebox, MiddleboxPhase};
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::rng::CryptoRng;
 
@@ -291,10 +292,46 @@ fn early_data_reentering_a_read_only_hop() -> Relayed {
     }
     assert!(!fed.is_empty() && mb.has_keys());
     let forwarded = mb.take_toward_client();
-    // The hop is aliased and the processor read-only, so the record was
-    // verified, not re-sealed — and it still opens at the client.
+    // The hop is aliased, so the middlebox holds no key to re-seal it
+    // under: the record left as it arrived, and it still opens at the
+    // client.
     client.feed_incoming(&forwarded).unwrap();
     assert_eq!(client.recv(), b"early response");
+    (fed, forwarded)
+}
+
+/// Reads every record and declares nothing, so it is handed the
+/// plaintext even on an aliased hop.
+struct Inspector;
+
+impl DataProcessor for Inspector {
+    fn process(&mut self, _dir: FlowDirection, data: Vec<u8>) -> Vec<u8> {
+        data
+    }
+}
+
+fn data_through_an_aliased_inspecting_hop() -> Relayed {
+    let tb = Testbed::new(0xC10F);
+    let mut client_cfg = tb.client_config();
+    client_cfg.read_only_middleboxes = true;
+    let mut client =
+        MbClientSession::new(Arc::new(client_cfg), "server.example", CryptoRng::from_seed(19));
+    let mut server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(20));
+    let cfg = tb.middlebox_config(&tb.mbox_code);
+    let mut mb = Middlebox::with_processor(cfg, CryptoRng::from_seed(21), Box::new(Inspector));
+    for _ in 0..60 {
+        pump3(&mut client, &mut mb, &mut server);
+        if client.is_ready() && server.is_ready() && mb.has_keys() {
+            break;
+        }
+    }
+    client.send(b"inspected").unwrap();
+    let mut fed = client.take_outgoing();
+    fed[2] = LEGACY_MINOR;
+    mb.feed_from_client(&fed).unwrap();
+    let forwarded = mb.take_toward_server();
+    server.feed_incoming(&forwarded).unwrap();
+    assert_eq!(server.recv(), b"inspected");
     (fed, forwarded)
 }
 
@@ -303,11 +340,12 @@ fn a_relayed_record_leaves_byte_for_byte_as_it_arrived() {
     // Whatever the middlebox does not open it passes on untouched,
     // header included: a transparent relay must not rewrite the
     // record-layer version (§3.5; the §5.1 legacy-interop survey).
-    let rows: [RelayRow; 4] = [
+    let rows: [RelayRow; 5] = [
         ("non-handshake first record, to Relay", non_handshake_first_record),
         ("ClientHello framed 03 01, middlebox deciding", client_hello_while_deciding),
         ("early data held before keys, flushed on give-up", early_data_flushed_on_give_up),
         ("early data re-entering an aliased read-only hop", early_data_reentering_a_read_only_hop),
+        ("data framed 03 01, aliased hop, undeclared processor", data_through_an_aliased_inspecting_hop),
     ];
     for (name, row) in rows {
         let (fed, forwarded) = row();

@@ -11,9 +11,10 @@ use std::sync::Arc;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
+use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::driver::{Chain, Endpoint, LegacyClient, LegacyServer, Relay};
 use mbtls_core::messages::Encapsulated;
-use mbtls_core::middlebox::Middlebox;
+use mbtls_core::middlebox::{DataProcessor, Middlebox};
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
 use mbtls_crypto::rng::CryptoRng;
@@ -39,6 +40,9 @@ enum Setup {
     /// Plain TLS 1.2, established: `LegacyClient` ↔ `LegacyServer`
     /// with no middlebox between them.
     PlainTls,
+    /// Established on aliased hop keys (`read_only_middleboxes`),
+    /// through a middlebox whose processor appends to every record.
+    AliasedAppender,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -56,6 +60,20 @@ enum Poison {
     /// A middlebox trying to join after key distribution: an
     /// announcement (server) or an unknown subchannel (client).
     JoinAfterKeys,
+    /// A valid data-plane record: the fault is what the victim would
+    /// do with it.
+    ValidRecord,
+}
+
+/// Appends to every record: a modification, which on aliased hop keys
+/// has no key of its own to be sealed under.
+struct Appender;
+
+impl DataProcessor for Appender {
+    fn process(&mut self, _dir: FlowDirection, mut data: Vec<u8>) -> Vec<u8> {
+        data.extend_from_slice(b"+mbox");
+        data
+    }
 }
 
 const TABLE: &[(Victim, Setup, Poison)] = &[
@@ -73,6 +91,7 @@ const TABLE: &[(Victim, Setup, Poison)] = &[
     (Victim::MiddleboxFromServer, Setup::Established, Poison::OversizedRecord),
     (Victim::MiddleboxFromServer, Setup::Established, Poison::BadTag),
     (Victim::MiddleboxFromClient, Setup::Established, Poison::BadTagMidFeed),
+    (Victim::MiddleboxFromClient, Setup::AliasedAppender, Poison::ValidRecord),
     (Victim::Client, Setup::PlainTls, Poison::OversizedRecord),
     (Victim::Client, Setup::PlainTls, Poison::BadTag),
     (Victim::Server, Setup::PlainTls, Poison::OversizedRecord),
@@ -92,10 +111,17 @@ fn chain(seed: u64, setup: Setup) -> Chain {
             Box::new(LegacyServer::new(server, rng.fork())),
         )
     } else {
-        let client =
-            MbClientSession::new(Arc::new(tb.client_config()), "server.example", rng.fork());
+        let aliased = matches!(setup, Setup::AliasedAppender);
+        let mut client_cfg = tb.client_config();
+        client_cfg.read_only_middleboxes = aliased;
+        let client = MbClientSession::new(Arc::new(client_cfg), "server.example", rng.fork());
         let server = MbServerSession::new(Arc::new(tb.server_config()), rng.fork());
-        let mbox = Middlebox::new(tb.middlebox_config(&tb.mbox_code), rng.fork());
+        let mbox_cfg = tb.middlebox_config(&tb.mbox_code);
+        let mbox = if aliased {
+            Middlebox::with_processor(mbox_cfg, rng.fork(), Box::new(Appender))
+        } else {
+            Middlebox::new(mbox_cfg, rng.fork())
+        };
         Chain::new(Box::new(client), vec![Box::new(mbox)], Box::new(server))
     };
     match setup {
@@ -103,7 +129,9 @@ fn chain(seed: u64, setup: Setup) -> Chain {
             let hello = chain.client.take();
             chain.middles[0].feed_left(&hello).expect("ClientHello");
         }
-        Setup::Established | Setup::PlainTls => chain.run_handshake().expect("handshake"),
+        Setup::Established | Setup::PlainTls | Setup::AliasedAppender => {
+            chain.run_handshake().expect("handshake")
+        }
     }
     chain
 }
@@ -196,6 +224,7 @@ fn poison_bytes(chain: &mut Chain, victim: Victim, poison: Poison) -> Vec<u8> {
             frame_plaintext(ContentType::MbtlsEncapsulated, &enc.encode())
         }
         Poison::JoinAfterKeys => frame_plaintext(ContentType::MbtlsMiddleboxAnnouncement, &[]),
+        Poison::ValidRecord => next_valid_record(chain, victim),
     }
 }
 

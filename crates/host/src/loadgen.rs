@@ -111,11 +111,10 @@ pub struct LoadConfig {
     /// so pass-through middleboxes take the tag-verify forward fast
     /// path. Combining this with a non-trivial `chain_mix` works only
     /// because the chain's processors leave this workload's raw
-    /// (non-HTTP) bytes untouched, so their undeclared reseals are
-    /// byte-identical; a middlebox that actually modified a record
-    /// on aliased keys would fail its session — the data plane
-    /// refuses to re-seal different plaintext under an already-spent
-    /// AES-GCM nonce.
+    /// (non-HTTP) bytes untouched: an aliased hop holds no key to seal
+    /// with, so their records leave as they arrived, and a middlebox
+    /// that actually modified a record there would fail its session
+    /// rather than reuse an AES-GCM nonce.
     pub read_only_path: bool,
     /// How endpoints authenticate the middleboxes in generated
     /// sessions: SGX-attested (paper mbTLS), delegated credentials

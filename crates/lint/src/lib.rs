@@ -40,14 +40,9 @@
 //! itself a blocking `allow-syntax` finding, so a typo cannot
 //! silently disable a rule.
 //!
-//! Two more markers:
-//!
-//! * `// lint:allow-file(rule) -- reason` (one line, anywhere in the
-//!   file) waives a whole file for one rule — the `#![allow]`
-//!   equivalent, for harness/tooling files where per-line
-//!   annotations would drown the code;
-//! * `// lint:secret` above a type declaration tags it secret-bearing
-//!   even when its name does not match the built-in patterns.
+//! There is no whole-file waiver. One more marker, `// lint:secret`
+//! above a type declaration, tags it secret-bearing even when its name
+//! does not match the built-in patterns.
 
 #![warn(missing_docs)]
 
@@ -71,43 +66,11 @@ pub fn lint_source(path_label: &str, src: &str, families: &[RuleId]) -> Vec<Find
     check_file(&SourceFile::parse(path_label, src), families)
 }
 
-/// One `// lint:allow-file(rule)` waiver found during a workspace
-/// walk: which file, which rule, and the stated reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileWaiver {
-    /// Workspace-relative path of the waived file.
-    pub path: String,
-    /// The rule family the waiver disables for the whole file.
-    pub rule: RuleId,
-    /// The mandatory justification after `--`.
-    pub reason: String,
-}
-
-/// Everything a workspace lint produces: the findings plus the
-/// file-level waivers encountered along the way. The waiver list is
-/// what `--max-file-waivers` (and the `--lint-strict` stage of
-/// `scripts/check.sh`) budgets against, so whole-file opt-outs can
-/// only shrink over time.
-#[derive(Debug, Clone)]
-pub struct WorkspaceReport {
-    /// All findings (allowed ones included), sorted by path and line.
-    pub findings: Vec<Finding>,
-    /// Every file-level waiver, sorted by path then rule.
-    pub file_waivers: Vec<FileWaiver>,
-}
-
 /// Lint the workspace rooted at `root`: walk every scoped `src/`
 /// tree, apply each file's applicable rule families, and return all
 /// findings (allowed ones included) sorted by path and line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    Ok(lint_workspace_report(root)?.findings)
-}
-
-/// [`lint_workspace`], but also returning the file-level waivers seen
-/// during the walk.
-pub fn lint_workspace_report(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut findings = Vec::new();
-    let mut file_waivers = Vec::new();
     let mut roots: Vec<&str> = config::SCOPES.iter().flat_map(|(_, p)| p.iter().copied()).collect();
     roots.sort_unstable();
     roots.dedup();
@@ -130,23 +93,11 @@ pub fn lint_workspace_report(root: &Path) -> std::io::Result<WorkspaceReport> {
                 continue;
             }
             let src = std::fs::read_to_string(&abs)?;
-            let file = SourceFile::parse(&rel, &src);
-            for (rule, reason) in &file.file_allows {
-                file_waivers.push(FileWaiver {
-                    path: rel.clone(),
-                    rule: *rule,
-                    reason: reason.clone(),
-                });
-            }
-            findings.extend(check_file(&file, &families));
+            findings.extend(check_file(&SourceFile::parse(&rel, &src), &families));
         }
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    file_waivers.sort_by(|a, b| (&a.path, a.rule).cmp(&(&b.path, b.rule)));
-    Ok(WorkspaceReport {
-        findings,
-        file_waivers,
-    })
+    Ok(findings)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {

@@ -3,30 +3,25 @@
 //! when any unannotated finding remains.
 //!
 //! ```text
-//! mbtls-lint [--root <dir>] [--json <file>] [--quiet-allowed]
-//!            [--max-file-waivers <n>] [--baseline <file>]
+//! mbtls-lint [--root <dir>] [--json <file>] [--quiet-allowed] [--baseline <file>]
 //! ```
 //!
 //! `--root` defaults to the nearest ancestor of the current directory
 //! that contains a `Cargo.toml` with `[workspace]` (so the binary
 //! works from any crate directory). `--json` writes one JSON object
 //! per finding — allowed ones included, so dashboards can watch the
-//! annotation debt shrink. `--max-file-waivers` caps how many
-//! `lint:allow-file` whole-file waivers the workspace may carry:
-//! the count may only shrink over time, so `scripts/check.sh
-//! --lint-strict` pins it to the current baseline and any *new*
-//! file-level opt-out fails the build (per-line allows stay fine).
+//! annotation debt shrink. `--baseline` fails the run on any finding,
+//! allowed or not, that the committed baseline does not account for.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mbtls_lint::{baseline, lint_workspace_report, report};
+use mbtls_lint::{baseline, lint_workspace, report};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
     let mut quiet_allowed = false;
-    let mut max_file_waivers: Option<usize> = None;
     let mut baseline_path: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -35,15 +30,6 @@ fn main() -> ExitCode {
             "--root" => root = args.next().map(PathBuf::from),
             "--json" => json_path = args.next().map(PathBuf::from),
             "--quiet-allowed" => quiet_allowed = true,
-            "--max-file-waivers" => {
-                max_file_waivers = match args.next().as_deref().map(str::parse) {
-                    Some(Ok(n)) => Some(n),
-                    _ => {
-                        eprintln!("mbtls-lint: --max-file-waivers needs a number");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
             "--baseline" => {
                 baseline_path = args.next().map(PathBuf::from);
                 if baseline_path.is_none() {
@@ -52,7 +38,7 @@ fn main() -> ExitCode {
                 }
             }
             "--help" | "-h" => {
-                eprintln!("usage: mbtls-lint [--root <dir>] [--json <file>] [--quiet-allowed] [--max-file-waivers <n>] [--baseline <file>]");
+                eprintln!("usage: mbtls-lint [--root <dir>] [--json <file>] [--quiet-allowed] [--baseline <file>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -70,14 +56,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let workspace = match lint_workspace_report(&root) {
-        Ok(r) => r,
+    let findings = match lint_workspace(&root) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("mbtls-lint: io error: {e}");
             return ExitCode::from(2);
         }
     };
-    let findings = workspace.findings;
 
     if let Some(path) = json_path {
         let mut out = String::new();
@@ -104,22 +89,6 @@ fn main() -> ExitCode {
         }
     }
     println!("{}", report::summary(&findings));
-
-    let mut over_budget = false;
-    if let Some(cap) = max_file_waivers {
-        let waivers = &workspace.file_waivers;
-        if waivers.len() > cap {
-            over_budget = true;
-            eprintln!(
-                "mbtls-lint: {} file-level waiver(s), budget is {cap}; \
-                 file-level waivers may only shrink — use per-line `lint:allow` instead:",
-                waivers.len()
-            );
-            for w in waivers {
-                eprintln!("  {}: lint:allow-file({}) -- {}", w.path, w.rule.as_str(), w.reason);
-            }
-        }
-    }
 
     // Finding-level ratchet: anything the committed baseline does not
     // account for fails, waived or not.
@@ -157,7 +126,7 @@ fn main() -> ExitCode {
     if blocking > 0 {
         eprintln!("mbtls-lint: {blocking} blocking finding(s); fix them or add `// lint:allow(<rule>) -- reason`");
         ExitCode::FAILURE
-    } else if over_budget || ratchet_failed {
+    } else if ratchet_failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -47,11 +47,6 @@ pub struct SourceFile {
     /// 0-based lines carrying a `lint:secret` type marker; the marker
     /// applies to the next type declaration.
     pub secret_markers: Vec<usize>,
-    /// File-scoped allows: `// lint:allow-file(rule) -- reason`
-    /// suppresses every finding of that rule in the file (the
-    /// equivalent of `#![allow]`). For harness/tooling files where
-    /// per-line annotations would drown the code.
-    pub file_allows: Vec<(RuleId, String)>,
 }
 
 impl SourceFile {
@@ -66,7 +61,6 @@ impl SourceFile {
             allows: BTreeMap::new(),
             bad_allows: Vec::new(),
             secret_markers: Vec::new(),
-            file_allows: Vec::new(),
             lines,
             tokens,
         };
@@ -80,22 +74,13 @@ impl SourceFile {
     }
 
     /// Is the finding at 0-based line `i` covered by an allow for
-    /// `rule`? Returns the reason when it is. Line annotations win
-    /// over a file-scoped allow (their reason is more specific).
+    /// `rule`? Returns the reason when it is.
     pub fn allow_reason(&self, i: usize, rule: RuleId) -> Option<&str> {
-        self.allows
-            .get(&i)
-            .and_then(|list| {
-                list.iter()
-                    .find(|a| a.rules.contains(&rule))
-                    .map(|a| a.reason.as_str())
-            })
-            .or_else(|| {
-                self.file_allows
-                    .iter()
-                    .find(|(r, _)| *r == rule)
-                    .map(|(_, reason)| reason.as_str())
-            })
+        self.allows.get(&i).and_then(|list| {
+            list.iter()
+                .find(|a| a.rules.contains(&rule))
+                .map(|a| a.reason.as_str())
+        })
     }
 
     fn collect_annotations(&mut self) {
@@ -130,17 +115,6 @@ impl SourceFile {
 
             if comment.contains("lint:secret") {
                 self.secret_markers.push(i);
-            }
-            if comment.contains("lint:allow-file") {
-                match parse_allow_file(&comment, &self.path, i + 1) {
-                    Ok(allow) => {
-                        for rule in allow.rules {
-                            self.file_allows.push((rule, allow.reason.clone()));
-                        }
-                    }
-                    Err(what) => self.bad_allows.push(BadAllow { line: i + 1, what }),
-                }
-                continue;
             }
             let parsed = parse_allow(&comment);
             match parsed {
@@ -177,26 +151,6 @@ impl SourceFile {
     }
 }
 
-/// Parse a `lint:allow-file(...)` file-scoped annotation. The caller
-/// has already established the marker is present. A file-scoped
-/// waiver silences a whole rule, so its parse errors carry the file,
-/// 1-based line, and annotation text in the message itself — the
-/// JSON-lines report must be diagnosable without the source at hand.
-fn parse_allow_file(comment: &str, path: &str, line: usize) -> Result<Allow, String> {
-    let start = comment
-        .find("lint:allow-file")
-        .ok_or_else(|| format!("lint:allow-file marker vanished at {path}:{line}"))?;
-    let annotation = comment[start..].trim_end();
-    let context = format!("`{annotation}` at {path}:{line}");
-    let rest = comment[start + "lint:allow-file".len()..].trim_start();
-    let Some(body) = rest.strip_prefix('(') else {
-        return Err(format!(
-            "lint:allow-file must be followed by (rule, ...): {context}"
-        ));
-    };
-    parse_allow_body(body, "lint:allow-file").map_err(|what| format!("{what}: {context}"))
-}
-
 /// Parse one comment's `lint:allow(...)` annotation, if present.
 /// `Some(Err(_))` means the annotation is there but malformed.
 fn parse_allow(comment: &str) -> Option<Result<Allow, String>> {
@@ -206,13 +160,13 @@ fn parse_allow(comment: &str) -> Option<Result<Allow, String>> {
     let Some(body) = rest.strip_prefix('(') else {
         return Some(Err("lint:allow must be followed by (rule, ...)".into()));
     };
-    Some(parse_allow_body(body, "lint:allow"))
+    Some(parse_allow_body(body))
 }
 
-/// Shared tail parser: `rule, rule) -- reason`.
-fn parse_allow_body(body: &str, what: &str) -> Result<Allow, String> {
+/// The annotation after its `(`: `rule, rule) -- reason`.
+fn parse_allow_body(body: &str) -> Result<Allow, String> {
     let Some(close) = body.find(')') else {
-        return Err(format!("unclosed {what}("));
+        return Err("unclosed lint:allow(".into());
     };
     let mut rules = Vec::new();
     for name in body[..close].split(',') {
@@ -223,15 +177,15 @@ fn parse_allow_body(body: &str, what: &str) -> Result<Allow, String> {
         }
     }
     if rules.is_empty() {
-        return Err(format!("{what}() names no rules"));
+        return Err("lint:allow() names no rules".into());
     }
     let tail = body[close + 1..].trim_start();
     let Some(reason) = tail.strip_prefix("--") else {
-        return Err(format!("{what} requires a reason: `{what}(rule) -- why`"));
+        return Err("lint:allow requires a reason: `lint:allow(rule) -- why`".into());
     };
     let reason = reason.trim();
     if reason.is_empty() {
-        return Err(format!("{what} reason is empty"));
+        return Err("lint:allow reason is empty".into());
     }
     Ok(Allow {
         rules,
@@ -342,12 +296,16 @@ mod tests {
     }
 
     #[test]
-    fn file_allow_covers_every_line() {
+    fn leftover_file_allow_is_a_malformed_allow() {
+        // There are no file-scoped waivers: the marker reads as a
+        // `lint:allow` not followed by `(`, and covers nothing.
         let src = "// lint:allow-file(panic-freedom) -- deterministic harness\nx.unwrap();\ny.unwrap();\n";
         let f = SourceFile::parse("t.rs", src);
-        assert!(f.allow_reason(1, RuleId::PanicFreedom).is_some());
-        assert!(f.allow_reason(2, RuleId::PanicFreedom).is_some());
-        assert!(f.allow_reason(1, RuleId::SansIo).is_none());
+        assert!(f.allow_reason(1, RuleId::PanicFreedom).is_none());
+        assert!(f.allow_reason(2, RuleId::PanicFreedom).is_none());
+        assert_eq!(f.bad_allows.len(), 1);
+        assert_eq!(f.bad_allows[0].line, 1);
+        assert!(f.bad_allows[0].what.contains("must be followed by (rule, ...)"));
     }
 
     #[test]
@@ -361,17 +319,12 @@ mod tests {
     fn malformed_file_allow_reports_file_and_line() {
         let src = "fn f() {}\n// lint:allow-file(panic-freedom\nx.unwrap();\n";
         let f = SourceFile::parse("crates/core/src/t.rs", src);
-        assert_eq!(f.bad_allows.len(), 1);
-        assert_eq!(f.bad_allows[0].line, 2);
-        let what = &f.bad_allows[0].what;
-        assert!(
-            what.contains("crates/core/src/t.rs:2"),
-            "message must carry file:line, got {what:?}"
-        );
-        assert!(
-            what.contains("lint:allow-file(panic-freedom"),
-            "message must quote the annotation, got {what:?}"
-        );
+        let findings = crate::check_file(&f, &[]);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, RuleId::AllowSyntax);
+        assert_eq!(findings[0].path, "crates/core/src/t.rs");
+        assert_eq!(findings[0].line, 2);
+        assert!(findings[0].is_blocking());
     }
 
     #[test]

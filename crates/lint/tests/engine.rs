@@ -469,15 +469,6 @@ fn malformed_allow_is_a_blocking_finding() {
 }
 
 #[test]
-fn file_allow_waives_whole_file_with_reason() {
-    let src = "// lint:allow-file(panic-freedom) -- harness code\nfn f(v: Option<u8>) -> u8 { v.unwrap() }\nfn g(v: Option<u8>) -> u8 { v.unwrap() }\n";
-    let findings = lint_source("crates/core/src/x.rs", src, &[RuleId::PanicFreedom]);
-    assert_eq!(findings.len(), 2);
-    assert!(findings.iter().all(|f| !f.is_blocking()));
-    assert!(findings.iter().all(|f| f.allowed.as_deref() == Some("harness code")));
-}
-
-#[test]
 fn sans_io_scope_covers_sharded_host_modules() {
     // The host crate's sharding split added modules under
     // crates/host/src (shard.rs, config.rs, host.rs); the

@@ -77,27 +77,3 @@ fn unsafe_is_confined_with_zero_findings() {
         assert!(root.join(path).is_file(), "confinement list names a missing file: {path}");
     }
 }
-
-/// The file-level waiver budget is zero: the last `lint:allow-file`
-/// (the const-time opt-out for the table-lookup reference AES) went
-/// away with the oracle itself. Any new whole-file waiver must fail
-/// here (and in `scripts/check.sh --lint-strict`) — use per-line
-/// `lint:allow` annotations instead.
-#[test]
-fn file_level_waivers_stay_at_baseline() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("lint crate sits two levels under the workspace root");
-    let report = mbtls_lint::lint_workspace_report(root).expect("workspace walk");
-    let waivers: Vec<String> = report
-        .file_waivers
-        .iter()
-        .map(|w| format!("{} [{}]", w.path, w.rule.as_str()))
-        .collect();
-    assert_eq!(
-        waivers,
-        Vec::<String>::new(),
-        "file-level lint waivers introduced; the set may only shrink"
-    );
-}

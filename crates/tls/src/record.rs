@@ -210,16 +210,6 @@ impl DirectionState {
         Ok(plain_len)
     }
 
-    /// Advance the sequence number without protecting a record. A
-    /// read-only forwarder that emits a verified record unchanged must
-    /// keep its (aliased-key) write state in lockstep with the read
-    /// state, so a later fallback to open-and-reseal still seals under
-    /// the sequence number the next hop expects.
-    pub fn advance_seq(&mut self) -> Result<(), TlsError> {
-        self.seq = self.next_seq()?;
-        Ok(())
-    }
-
     /// The sequence number after this record's. TLS sequence numbers
     /// never wrap (RFC 5246 §6.1): a record at 2^64 − 1, which has no
     /// successor, is refused before it is sealed, opened or counted,
@@ -546,22 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn advance_seq_keeps_writer_in_lockstep() {
-        // A writer that skips a record via advance_seq seals the next
-        // record under the sequence number a steadily-advancing reader
-        // expects — the reseal-fallback invariant of the read-only
-        // forward path.
-        let (mut tx, mut rx) = pair();
-        let skipped = seal(&mut tx, APP, b"skipped");
-        let mut tx2 = DirectionState::new(BulkAlgorithm::Aes256Gcm, &[0x11u8; 32], &[0x22u8; 4], 0)
-            .unwrap();
-        tx2.advance_seq().unwrap(); // forwarded the first record unchanged
-        let resealed = seal(&mut tx2, APP, b"resealed");
-        assert_eq!(open(&mut rx, APP, &skipped).unwrap(), b"skipped");
-        assert_eq!(open(&mut rx, APP, &resealed).unwrap(), b"resealed");
-    }
-
-    #[test]
     fn sequence_number_never_wraps() {
         // Wrapping would seal the next records under nonces 2^64 − 1,
         // then 0, 1, … — the ones this key's first records used.
@@ -575,7 +549,6 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(tx.seal_record_into(APP, b"next", &mut out), Err(TlsError::SequenceExhausted));
         assert!(out.is_empty(), "a refused record writes nothing");
-        assert_eq!(tx.advance_seq(), Err(TlsError::SequenceExhausted));
         assert_eq!(tx.seq(), u64::MAX);
 
         assert_eq!(open(&mut rx, APP, &wire).unwrap(), b"last");

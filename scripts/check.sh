@@ -4,7 +4,12 @@
 #   lint        mbtls-lint workspace invariants (sans-IO, secret
 #               hygiene, panic-freedom, const-time, shard-isolation,
 #               unsafe-confinement); JSON-lines report to
-#               target/lint-report.jsonl
+#               target/lint-report.jsonl. Findings are ratcheted
+#               against lint-baseline.jsonl, so a *new* finding fails
+#               even when it lands annotated with `lint:allow`. After
+#               a deliberate, reviewed addition, regenerate the
+#               baseline by copying target/lint-report.jsonl over
+#               lint-baseline.jsonl in the same change
 #   clippy      cargo clippy --workspace --all-targets -D warnings
 #   doc         cargo doc --no-deps --workspace with
 #               rustdoc::broken_intra_doc_links denied: a doc link to a
@@ -34,31 +39,10 @@
 #   seam        benchmark/run.sh --smoke: the benchmark the driver
 #               gates on, built and run end to end at tiny budgets
 #
-# CI-equivalent; run before pushing.
-#
-#   --lint-strict   additionally (a) cap whole-file lint waivers at the
-#                   committed baseline below and (b) ratchet findings
-#                   against lint-baseline.jsonl, so a *new* finding
-#                   fails even when it lands pre-annotated in a file
-#                   that already carries allowances. Per-line
-#                   `lint:allow` annotations are always permitted for
-#                   findings already in the baseline; file-level
-#                   `lint:allow-file` opt-outs may only shrink. After a
-#                   deliberate, reviewed addition, regenerate the
-#                   baseline by copying target/lint-report.jsonl over
-#                   lint-baseline.jsonl in the same change.
+# CI-equivalent; run before pushing. Reads no arguments: the lint
+# ratchet is always on, so a `--lint-strict` call runs the same gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# No file-level waivers remain: the last one (the const-time opt-out
-# for the table-lookup reference AES) went away with that oracle.
-FILE_WAIVER_BASELINE=0
-
-LINT_ARGS=(--json target/lint-report.jsonl)
-if [[ "${1:-}" == "--lint-strict" ]]; then
-    LINT_ARGS+=(--max-file-waivers "$FILE_WAIVER_BASELINE" --baseline lint-baseline.jsonl)
-    shift
-fi
 
 # Run one named stage, timing it so slow stages are visible in CI
 # logs without profiling runs.
@@ -72,7 +56,8 @@ stage() {
 }
 
 mkdir -p target
-stage lint      cargo run -q -p mbtls-lint --release -- "${LINT_ARGS[@]}"
+stage lint      cargo run -q -p mbtls-lint --release -- \
+                --json target/lint-report.jsonl --baseline lint-baseline.jsonl
 stage clippy    cargo clippy --workspace --all-targets -- -D warnings
 stage doc       env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
                 cargo doc --no-deps --workspace --offline -q

@@ -104,9 +104,10 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
 
 /// Schema and floors of `BENCH_chain.json`: the read-only forward
 /// must beat open+reseal by ≥1.5× (the whole point of the fast path;
-/// measured 3.6× on the aesni-pclmul backend, ~10× on the bitsliced
-/// one), its steady state must be allocation-free, and two same-seed
-/// chain runs must produce bit-identical byte streams.
+/// measured ≈ 3.6× on the vaes-vpclmul loops, 3.3–4.3× on the
+/// aesni-pclmul ones, ~10× on the bitsliced backend), its steady state
+/// must be allocation-free, and two same-seed chain runs must produce
+/// bit-identical byte streams.
 ///
 /// Unlike the throughput-ratio floors elsewhere, these hold even at
 /// smoke budgets: skipping a body decrypt wins at any record count,

@@ -5,6 +5,10 @@
 //!
 //! * **AES-NI + PCLMULQDQ** (`crate::aesni`) wherever x86_64 has
 //!   them: hardware AES rounds, carry-less-multiply GHASH, no tables.
+//!   Its bulk loops run sixteen blocks per pass on 256-bit VAES and
+//!   VPCLMULQDQ where the CPU also reports those and AVX2, eight on
+//!   128-bit registers otherwise; the choice is made per key, inside
+//!   the backend, and nothing here sees it.
 //! * **Bitsliced**, everywhere else and as the differential oracle
 //!   for the hardware path ([`AesGcm::portable`]). CTR runs through
 //!   the bitsliced [`Aes`] eight counter blocks per invocation
@@ -232,12 +236,16 @@ fn check_len(len: usize) -> Result<(), CryptoError> {
     Ok(())
 }
 
-/// Which backend [`AesGcm::new`] selects on this machine:
-/// `"aesni-pclmul"` or `"bitsliced"`. For labelling measurements.
+/// Which backend, and which loops of it, [`AesGcm::new`] selects on
+/// this machine: `"vaes-vpclmul"` (the hardware backend's 256-bit
+/// loops), `"aesni-pclmul"` (its 128-bit ones) or `"bitsliced"`. For
+/// labelling measurements.
 pub fn backend_name() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if crate::aesni::available() {
-        return "aesni-pclmul";
+    match crate::aesni::detect() {
+        Some(crate::aesni::Width::Sixteen) => return "vaes-vpclmul",
+        Some(crate::aesni::Width::Eight) => return "aesni-pclmul",
+        None => {}
     }
     "bitsliced"
 }
@@ -259,7 +267,8 @@ pub struct AesGcm {
 impl AesGcm {
     /// Create from a 16- or 32-byte AES key, on the AES-NI +
     /// PCLMULQDQ backend when the CPU reports `aes`, `pclmulqdq` and
-    /// `ssse3`, on the bitsliced one otherwise.
+    /// `ssse3` (on its 256-bit loops when it also reports `vaes`,
+    /// `vpclmulqdq` and `avx2`), on the bitsliced one otherwise.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
         #[cfg(target_arch = "x86_64")]
         if let Some(hw) = AesNiGcm::new(key) {
@@ -573,18 +582,22 @@ mod tests {
     // The selected backend must agree with its reference — the
     // portable bitsliced backend, itself pinned by the NIST vectors —
     // across AAD/plaintext length combinations that exercise the
-    // aggregated absorbs (four blocks bitsliced, eight in hardware),
-    // their remainder paths, and padding (the seeded differential
-    // hammer lives in tests/gcm_vectors.rs).
+    // aggregated absorbs (four blocks bitsliced, eight or sixteen in
+    // hardware), several wide passes, their remainder paths, and
+    // padding (the seeded differential hammer lives in
+    // tests/gcm_vectors.rs).
     #[test]
     fn fast_and_reference_agree_on_boundary_lengths() {
         let key = [0x42u8; 32];
         let fast = AesGcm::new(&key).unwrap();
         let reference = AesGcm::portable(&key).unwrap();
         let nonce = [3u8; 12];
-        let payload: Vec<u8> = (0u32..300).map(|i| (i * 7 + 1) as u8).collect();
-        for pt_len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 127, 128, 129, 200, 256, 257] {
-            for aad_len in [0usize, 1, 16, 64, 65, 128, 129] {
+        let payload: Vec<u8> = (0u32..1100).map(|i| (i * 7 + 1) as u8).collect();
+        for pt_len in [
+            0usize, 1, 15, 16, 17, 48, 63, 64, 65, 127, 128, 129, 200, 256, 257, 383, 511, 512,
+            513, 767, 768, 769, 1024 + 17,
+        ] {
+            for aad_len in [0usize, 1, 16, 64, 65, 128, 129, 255, 256, 257] {
                 let sealed_fast = fast
                     .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
                     .unwrap();
@@ -597,18 +610,29 @@ mod tests {
     }
 
     // `new` must land on the hardware backend exactly when the CPU
-    // reports the three features, and `portable` never.
+    // reports the three features, and `portable` never; the label
+    // names the 256-bit loops exactly when it reports three more.
     #[test]
     fn backend_selection_follows_detection() {
         let key = [1u8; 16];
         let selected = AesGcm::new(&key).unwrap();
         #[cfg(target_arch = "x86_64")]
         {
-            let detected = std::arch::is_x86_feature_detected!("aes")
-                && std::arch::is_x86_feature_detected!("pclmulqdq")
-                && std::arch::is_x86_feature_detected!("ssse3");
-            assert_eq!(matches!(selected.backend, Backend::AesNi(_)), detected);
-            assert_eq!(backend_name() == "aesni-pclmul", detected);
+            use std::arch::is_x86_feature_detected;
+            let aesni = is_x86_feature_detected!("aes")
+                && is_x86_feature_detected!("pclmulqdq")
+                && is_x86_feature_detected!("ssse3");
+            let wide = aesni
+                && is_x86_feature_detected!("vaes")
+                && is_x86_feature_detected!("vpclmulqdq")
+                && is_x86_feature_detected!("avx2");
+            assert_eq!(matches!(selected.backend, Backend::AesNi(_)), aesni);
+            let expected = match (aesni, wide) {
+                (_, true) => "vaes-vpclmul",
+                (true, false) => "aesni-pclmul",
+                (false, false) => "bitsliced",
+            };
+            assert_eq!(backend_name(), expected);
         }
         #[cfg(not(target_arch = "x86_64"))]
         {

@@ -21,6 +21,8 @@ pub enum AlertDescription {
     UnexpectedMessage,
     /// bad_record_mac(20)
     BadRecordMac,
+    /// record_overflow(22)
+    RecordOverflow,
     /// handshake_failure(40)
     HandshakeFailure,
     /// bad_certificate(42)
@@ -68,6 +70,7 @@ impl AlertDescription {
             AlertDescription::CloseNotify => 0,
             AlertDescription::UnexpectedMessage => 10,
             AlertDescription::BadRecordMac => 20,
+            AlertDescription::RecordOverflow => 22,
             AlertDescription::HandshakeFailure => 40,
             AlertDescription::BadCertificate => 42,
             AlertDescription::CertificateExpired => 45,
@@ -87,6 +90,7 @@ impl AlertDescription {
             0 => AlertDescription::CloseNotify,
             10 => AlertDescription::UnexpectedMessage,
             20 => AlertDescription::BadRecordMac,
+            22 => AlertDescription::RecordOverflow,
             40 => AlertDescription::HandshakeFailure,
             42 => AlertDescription::BadCertificate,
             45 => AlertDescription::CertificateExpired,
@@ -108,6 +112,7 @@ impl std::fmt::Display for AlertDescription {
             AlertDescription::CloseNotify => "close_notify",
             AlertDescription::UnexpectedMessage => "unexpected_message",
             AlertDescription::BadRecordMac => "bad_record_mac",
+            AlertDescription::RecordOverflow => "record_overflow",
             AlertDescription::HandshakeFailure => "handshake_failure",
             AlertDescription::BadCertificate => "bad_certificate",
             AlertDescription::CertificateExpired => "certificate_expired",
@@ -173,6 +178,7 @@ impl Alert {
         let description = match err {
             TlsError::Decode(_) => AlertDescription::DecodeError,
             TlsError::Crypto(mbtls_crypto::CryptoError::BadTag) => AlertDescription::BadRecordMac,
+            TlsError::RecordOverflow => AlertDescription::RecordOverflow,
             TlsError::Crypto(_) => AlertDescription::DecryptError,
             TlsError::Certificate(mbtls_pki::CertError::Expired) => {
                 AlertDescription::CertificateExpired
@@ -223,6 +229,9 @@ mod tests {
             Alert::for_error(&TlsError::Crypto(mbtls_crypto::CryptoError::BadTag)).description,
             AlertDescription::BadRecordMac
         );
+        let overflow = Alert::for_error(&TlsError::RecordOverflow);
+        assert_eq!(overflow, Alert::fatal(AlertDescription::RecordOverflow));
+        assert_eq!(overflow.encode(), [2, 22]);
         assert_eq!(
             Alert::for_error(&TlsError::Certificate(mbtls_pki::CertError::Expired)).description,
             AlertDescription::CertificateExpired

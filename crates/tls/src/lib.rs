@@ -68,6 +68,10 @@ pub use suites::CipherSuite;
 pub enum TlsError {
     /// Wire-format decoding failed.
     Decode(&'static str),
+    /// A record is longer than TLS allows: a protected plaintext past
+    /// 2^14 bytes, or a ciphertext past 2^14 + 2048 (RFC 5246
+    /// §6.2.1, §6.2.3).
+    RecordOverflow,
     /// A cryptographic operation failed (bad MAC, bad signature...).
     Crypto(mbtls_crypto::CryptoError),
     /// Certificate validation failed.
@@ -97,6 +101,7 @@ impl std::fmt::Display for TlsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TlsError::Decode(what) => write!(f, "decode error: {what}"),
+            TlsError::RecordOverflow => write!(f, "record too long"),
             TlsError::Crypto(e) => write!(f, "crypto error: {e}"),
             TlsError::Certificate(e) => write!(f, "certificate error: {e}"),
             TlsError::Attestation(e) => write!(f, "attestation error: {e}"),

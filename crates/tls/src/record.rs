@@ -12,7 +12,8 @@ use mbtls_crypto::aead::{AeadKey, BulkAlgorithm, EXPLICIT_NONCE_LEN, TAG_LEN};
 
 /// Maximum plaintext fragment length (RFC 5246 §6.2.1).
 pub const MAX_FRAGMENT_LEN: usize = 1 << 14;
-/// Maximum ciphertext length we accept (plaintext + AEAD expansion).
+/// Maximum ciphertext length we accept (plaintext + AEAD expansion,
+/// RFC 5246 §6.2.3).
 pub const MAX_WIRE_LEN: usize = MAX_FRAGMENT_LEN + 2048;
 /// TLS 1.2 wire version.
 pub const VERSION_TLS12: (u8, u8) = (3, 3);
@@ -193,9 +194,7 @@ impl DirectionState {
         content_type: ContentType,
         body: &[u8],
     ) -> Result<usize, TlsError> {
-        if body.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
-            return Err(TlsError::Decode("record too short for AEAD"));
-        }
+        Self::check_sealed_len(body.len())?;
         let next = self.next_seq()?;
         let (explicit_part, sealed) = body.split_at(EXPLICIT_NONCE_LEN);
         let explicit: [u8; EXPLICIT_NONCE_LEN] = explicit_part
@@ -208,6 +207,21 @@ impl DirectionState {
         self.key.verify(&explicit, &aad, ciphertext, tag)?;
         self.seq = next;
         Ok(plain_len)
+    }
+
+    /// Refuse a protected body by its length before its tag is
+    /// computed, so a malformed record costs no GHASH: too short to
+    /// hold the explicit nonce and the tag, or carrying more than
+    /// [`MAX_FRAGMENT_LEN`] bytes of plaintext (RFC 5246 §6.2.1), which
+    /// no honest sender produces ([`fragment`] caps it).
+    fn check_sealed_len(len: usize) -> Result<(), TlsError> {
+        if len < EXPLICIT_NONCE_LEN + TAG_LEN {
+            return Err(TlsError::Decode("record too short for AEAD"));
+        }
+        if len > EXPLICIT_NONCE_LEN + MAX_FRAGMENT_LEN + TAG_LEN {
+            return Err(TlsError::RecordOverflow);
+        }
+        Ok(())
     }
 
     /// The sequence number after this record's. TLS sequence numbers
@@ -227,9 +241,7 @@ impl DirectionState {
         content_type: ContentType,
         body: &'a mut [u8],
     ) -> Result<&'a mut [u8], TlsError> {
-        if body.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
-            return Err(TlsError::Decode("record too short for AEAD"));
-        }
+        Self::check_sealed_len(body.len())?;
         let next = self.next_seq()?;
         let (explicit_part, sealed) = body.split_at_mut(EXPLICIT_NONCE_LEN);
         let explicit: [u8; EXPLICIT_NONCE_LEN] = explicit_part
@@ -327,7 +339,7 @@ impl RecordReader {
         }
         let len = usize::from(u16::from_be_bytes([len_hi, len_lo]));
         if len > MAX_WIRE_LEN {
-            return Err(TlsError::Decode("record too long"));
+            return Err(TlsError::RecordOverflow);
         }
         // `None` until the whole record is buffered.
         Ok(self.stream.consume(HEADER_LEN + len).map(|wire| Record {
@@ -623,11 +635,17 @@ mod tests {
 
     #[test]
     fn oversized_record_rejected() {
-        let mut reader = RecordReader::new();
-        let mut bad = vec![23u8, 3, 3];
-        bad.extend_from_slice(&(u16::MAX).to_be_bytes());
-        reader.feed(&bad);
-        assert!(reader.next_record_inplace().is_err());
+        // A header announcing more than 2^14 + 2048 bytes is
+        // record_overflow (RFC 5246 §6.2.3) before its body arrives; at
+        // the limit the reader waits for the rest.
+        let header = |len: usize| {
+            let mut reader = RecordReader::new();
+            reader.feed(&[23, 3, 3, (len >> 8) as u8, len as u8]);
+            reader.next_record_inplace().map(|r| r.is_some())
+        };
+        assert_eq!(header(MAX_WIRE_LEN), Ok(false));
+        assert_eq!(header(MAX_WIRE_LEN + 1), Err(TlsError::RecordOverflow));
+        assert_eq!(header(usize::from(u16::MAX)), Err(TlsError::RecordOverflow));
     }
 
     #[test]

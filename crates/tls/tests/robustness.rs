@@ -3,11 +3,13 @@
 
 use std::sync::Arc;
 
+use mbtls_crypto::aead::AeadKey;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
 use mbtls_pki::{KeyUsage, TrustStore};
+use mbtls_tls::alert::Alert;
 use mbtls_tls::config::{ClientConfig, ServerConfig};
-use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
+use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader, MAX_FRAGMENT_LEN};
 use mbtls_tls::{ClientConnection, Connection, Handshake, ServerConnection, TlsError};
 use proptest::prelude::*;
 
@@ -111,10 +113,23 @@ fn full_handshake_byte_by_byte() {
     assert!(client.is_established() && server.is_established());
 }
 
+/// A client and server that finished their handshake.
+fn established(rng: &mut CryptoRng) -> (ClientConnection, ServerConnection) {
+    let (cc, sc, _) = fixture();
+    let mut client = ClientConnection::new(cc, "s", rng);
+    let mut server = ServerConnection::new(sc);
+    for _ in 0..10 {
+        server.feed_incoming(&client.take_outgoing(), rng).unwrap();
+        client.feed_incoming(&server.take_outgoing(), rng).unwrap();
+    }
+    assert!(client.is_established() && server.is_established());
+    (client, server)
+}
+
 /// The fail-closed contract, written once for both roles: `conn` has
 /// just failed a feed with `error`. `is_failed()` and `error()` agree
-/// with it, exactly one fatal alert is queued, and every later feed
-/// returns the same error and interprets nothing.
+/// with it, exactly one alert is queued — the one `error` maps to —
+/// and every later feed returns the same error and interprets nothing.
 fn stays_failed<H: Handshake>(
     mut conn: Connection<H>,
     error: TlsError,
@@ -125,7 +140,9 @@ fn stays_failed<H: Handshake>(
     assert_eq!(conn.error(), Some(&error));
     let mut alerts = RecordReader::new();
     alerts.feed(&conn.take_outgoing());
-    assert_eq!(alerts.next_record_inplace().unwrap().unwrap().content_type_byte(), 21);
+    let mut alert = alerts.next_record_inplace().unwrap().unwrap();
+    assert_eq!(alert.content_type_byte(), 21);
+    assert_eq!(Alert::decode(alert.body()), Ok(Alert::for_error(&error)));
     assert!(alerts.next_record_inplace().unwrap().is_none());
     assert_eq!(alerts.buffered(), 0);
     for bytes in later {
@@ -175,20 +192,33 @@ fn bad_tag_mid_flight_fails_at_that_record_and_stays_failed() {
         assert_eq!(receiver.take_plaintext(), b"one");
         stays_failed(receiver, error, &[&[], &records[2]], rng);
     }
-    let established = |rng: &mut CryptoRng| {
-        let (cc, sc, _) = fixture();
-        let mut client = ClientConnection::new(cc, "s", rng);
-        let mut server = ServerConnection::new(sc);
-        for _ in 0..10 {
-            server.feed_incoming(&client.take_outgoing(), rng).unwrap();
-            client.feed_incoming(&server.take_outgoing(), rng).unwrap();
-        }
-        assert!(client.is_established() && server.is_established());
-        (client, server)
-    };
     let (_, _, mut rng) = fixture();
     let (mut client, server) = established(&mut rng);
     poisoned(&mut client, server, &mut rng);
     let (client, mut server) = established(&mut rng);
     poisoned(&mut server, client, &mut rng);
+}
+
+#[test]
+fn oversized_record_fails_with_record_overflow() {
+    // One byte of plaintext past 2^14 (RFC 5246 §6.2.1) under a valid
+    // tag, sealed by hand with the client's live write key because
+    // `fragment` never builds such a record: the server refuses it by
+    // its length and sends record_overflow.
+    let (_, _, mut rng) = fixture();
+    let (client, mut server) = established(&mut rng);
+    let keys = client.export_session_keys().unwrap();
+    let key = AeadKey::new(keys.suite.bulk(), &keys.client_write_key, &keys.client_write_iv).unwrap();
+    let explicit = keys.client_to_server_seq.to_be_bytes();
+    let len = MAX_FRAGMENT_LEN + 1;
+    let aad = [&explicit[..], &[23, 3, 3], &(len as u16).to_be_bytes()].concat();
+    let mut body = vec![0x61; len];
+    let tag = key.seal_in_place(&explicit, &aad, &mut body).unwrap();
+    let wire_len = (explicit.len() + len + tag.len()) as u16;
+    let record = [&[23, 3, 3][..], &wire_len.to_be_bytes(), &explicit, &body, &tag].concat();
+
+    let error = server.feed_incoming(&record, &mut rng).unwrap_err();
+    assert_eq!(error, TlsError::RecordOverflow);
+    assert!(server.take_plaintext().is_empty());
+    stays_failed(server, error, &[&[], &record], &mut rng);
 }

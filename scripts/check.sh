@@ -35,7 +35,8 @@
 #   telemetry   scripts/telemetry_smoke.sh
 #   bench       scripts/bench_report.sh --smoke: every suite of the
 #               `report` binary at tiny budgets, each artifact
-#               checked against its schema and smoke-proof floors
+#               checked against its schema and smoke-proof floors;
+#               then one line naming the `aead_backend` they ran on
 #   seam        benchmark/run.sh --smoke: the benchmark the driver
 #               gates on, built and run end to end at tiny budgets
 #
@@ -83,6 +84,10 @@ stage telemetry scripts/telemetry_smoke.sh
 # the committed artifacts come from a full `scripts/bench_report.sh`
 # run, and a tier-1 test runs `check` on them.
 stage bench     scripts/bench_report.sh --smoke
+# Which AES-GCM loops `crypto-release` and the bench floors ran on
+# this machine (`vaes-vpclmul`, `aesni-pclmul` or `bitsliced`), as the
+# smoke dataplane artifact recorded them.
+grep -o '"aead_backend": *"[^"]*"' target/BENCH_dataplane.json
 stage seam      bash benchmark/run.sh --smoke
 
 echo "all checks passed"

@@ -29,10 +29,10 @@ use std::time::Instant;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::baseline::NaiveKeyShare;
-use mbtls_core::client::MbClientSession;
+use mbtls_core::client::{MbClientConfig, MbClientSession};
 use mbtls_core::driver::Relay;
-use mbtls_core::middlebox::Middlebox;
-use mbtls_core::server::MbServerSession;
+use mbtls_core::middlebox::{Middlebox, MiddleboxConfig};
+use mbtls_core::server::{MbServerConfig, MbServerSession};
 use mbtls_core::{MbError, MiddleboxAuthMode};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_sgx::SgxCostModel;
@@ -159,35 +159,45 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
     ))
 }
 
+/// One client → middlebox → server session, not yet started.
+pub type Parties = (MbClientSession, Box<dyn Relay>, MbServerSession);
+
+/// The parties of one session from their configs and a seed; a
+/// missing middlebox config puts a [`NaiveKeyShare`] relay in the
+/// middle (key-shared: no authorization handshake at all).
+pub fn parties(
+    seed: u64,
+    client: MbClientConfig,
+    middlebox: Option<MiddleboxConfig>,
+    server: MbServerConfig,
+) -> Parties {
+    let mut rng = CryptoRng::from_seed(seed);
+    let client = MbClientSession::new(Arc::new(client), "server.example", rng.fork());
+    let middlebox: Box<dyn Relay> = match middlebox {
+        Some(config) => Box::new(Middlebox::new(config, rng.fork())),
+        None => Box::new(NaiveKeyShare::new()),
+    };
+    (client, middlebox, MbServerSession::new(Arc::new(server), rng.fork()))
+}
+
 /// One topology instance under `mode`: mbTLS endpoints plus either an
 /// mbTLS middlebox (attested / delegated) or a [`NaiveKeyShare`]
-/// relay (key-shared — no authorization handshake at all).
-fn build(
-    tb: &Testbed,
-    mode: MiddleboxAuthMode,
-    seed: u64,
-) -> (MbClientSession, Box<dyn Relay>, MbServerSession) {
-    let mut rng = CryptoRng::from_seed(seed);
+/// relay (key-shared).
+fn build(tb: &Testbed, mode: MiddleboxAuthMode, seed: u64) -> Parties {
     match mode {
-        MiddleboxAuthMode::SgxAttested => (
-            MbClientSession::new(Arc::new(tb.client_config()), "server.example", rng.fork()),
-            Box::new(Middlebox::new(tb.middlebox_config(&tb.mbox_code), rng.fork())),
-            MbServerSession::new(Arc::new(tb.server_config()), rng.fork()),
+        MiddleboxAuthMode::SgxAttested => parties(
+            seed,
+            tb.client_config(),
+            Some(tb.middlebox_config(&tb.mbox_code)),
+            tb.server_config(),
         ),
-        MiddleboxAuthMode::Delegated => (
-            MbClientSession::new(
-                Arc::new(tb.client_config_delegated()),
-                "server.example",
-                rng.fork(),
-            ),
-            Box::new(Middlebox::new(tb.middlebox_config_delegated(), rng.fork())),
-            MbServerSession::new(Arc::new(tb.server_config_delegated()), rng.fork()),
+        MiddleboxAuthMode::Delegated => parties(
+            seed,
+            tb.client_config_delegated(),
+            Some(tb.middlebox_config_delegated()),
+            tb.server_config_delegated(),
         ),
-        MiddleboxAuthMode::KeyShared => (
-            MbClientSession::new(Arc::new(tb.client_config()), "server.example", rng.fork()),
-            Box::new(NaiveKeyShare::new()),
-            MbServerSession::new(Arc::new(tb.server_config()), rng.fork()),
-        ),
+        MiddleboxAuthMode::KeyShared => parties(seed, tb.client_config(), None, tb.server_config()),
     }
 }
 
@@ -203,11 +213,8 @@ pub struct HandshakeRun {
 /// Run one handshake to completion, counting and digesting every
 /// byte on both links.
 pub fn run_handshake_counted(
-    tb: &Testbed,
-    mode: MiddleboxAuthMode,
-    seed: u64,
+    (mut client, mut mb, mut server): Parties,
 ) -> Result<HandshakeRun, MbError> {
-    let (mut client, mut mb, mut server) = build(tb, mode, seed);
     let mut bytes = 0u64;
     let mut digest = FNV1A_BASIS;
     let mut settled = 0;
@@ -230,19 +237,23 @@ pub fn run_handshake_counted(
     Err(MbError::unexpected_state("counted handshake did not complete"))
 }
 
-/// Wall-clock microseconds per handshake under each of [`MODES`]: the
-/// median over `iters` fresh sessions per mode (testbed built once;
-/// only session construction and the pump are timed), the modes taking
-/// turns so that a slow phase of the machine lands on all three alike
-/// — the attested and delegated rows differ by a few percent, less
-/// than consecutive means of this machine do.
-pub fn bench_handshake_cpu(tb: &Testbed, iters: usize) -> [f64; MODES.len()] {
-    let mut times = [(); MODES.len()].map(|()| Vec::with_capacity(iters));
+/// Wall-clock microseconds per handshake for each of `builders`, which
+/// make one session's parties from a seed: the median over `iters`
+/// fresh sessions each (only session construction and the handshake
+/// are timed), the builders taking turns so that a slow phase of the
+/// machine lands on all of them alike — the attested and delegated
+/// rows differ by a few percent, less than consecutive means of this
+/// machine do.
+pub fn bench_handshake_cpu<const N: usize>(
+    iters: usize,
+    builders: [impl Fn(u64) -> Parties; N],
+) -> [f64; N] {
+    let mut times = [(); N].map(|()| Vec::with_capacity(iters));
     // One warmup round outside the clock.
     for i in 0..=iters {
-        for (mode, times) in MODES.iter().zip(&mut times) {
+        for (build, times) in builders.iter().zip(&mut times) {
             let t0 = Instant::now();
-            run_handshake_counted(tb, *mode, 0xA0 + i as u64).expect("timed handshake");
+            run_handshake_counted(build(0xA0 + i as u64)).expect("timed handshake");
             if i > 0 {
                 times.push(t0.elapsed().as_secs_f64() * 1e6);
             }
@@ -273,14 +284,14 @@ pub fn artifact_bytes(tb: &Testbed, mode: MiddleboxAuthMode) -> u64 {
 /// back each CPU number; every mode's byte count is double-run
 /// digest-checked, and the flag says whether all of them replayed.
 pub fn bench_auth_modes(iters: usize, seed: u64) -> (Vec<AuthModeRow>, bool) {
-    let tb = Testbed::new(seed);
+    let tb = &Testbed::new(seed);
     let cost = SgxCostModel::default();
     let mut rows = Vec::new();
     let mut identical = true;
-    let measured = bench_handshake_cpu(&tb, iters);
+    let measured = bench_handshake_cpu(iters, MODES.map(|mode| move |seed| build(tb, mode, seed)));
     for (mode, measured_cpu_us) in MODES.into_iter().zip(measured) {
-        let a = run_handshake_counted(&tb, mode, seed ^ 0x5EED).expect("counted handshake");
-        let b = run_handshake_counted(&tb, mode, seed ^ 0x5EED).expect("counted handshake");
+        let a = run_handshake_counted(build(tb, mode, seed ^ 0x5EED)).expect("counted handshake");
+        let b = run_handshake_counted(build(tb, mode, seed ^ 0x5EED)).expect("counted handshake");
         identical &= a.digest == b.digest && a.bytes == b.bytes;
         let modeled_attestation_us = match mode {
             MiddleboxAuthMode::SgxAttested => cost.attestation_round_ns() / 1e3,
@@ -289,7 +300,7 @@ pub fn bench_auth_modes(iters: usize, seed: u64) -> (Vec<AuthModeRow>, bool) {
         rows.push(AuthModeRow {
             mode: mode.name(),
             handshake_bytes: a.bytes,
-            artifact_bytes: artifact_bytes(&tb, mode),
+            artifact_bytes: artifact_bytes(tb, mode),
             measured_cpu_us,
             modeled_attestation_us,
             cpu_us: measured_cpu_us + modeled_attestation_us,
@@ -306,8 +317,8 @@ mod tests {
     fn all_modes_handshake_and_replay() {
         let tb = Testbed::new(0xA07);
         for mode in MODES {
-            let a = run_handshake_counted(&tb, mode, 1).expect("handshake");
-            let b = run_handshake_counted(&tb, mode, 1).expect("handshake");
+            let a = run_handshake_counted(build(&tb, mode, 1)).expect("handshake");
+            let b = run_handshake_counted(build(&tb, mode, 1)).expect("handshake");
             assert!(a.bytes > 0);
             assert_eq!(a.digest, b.digest, "{} must replay", mode.name());
         }
@@ -318,7 +329,8 @@ mod tests {
         let artifact = crate::testing::committed("auth");
         let tb = Testbed::new(0xA07_2026);
         for mode in MODES {
-            let run = run_handshake_counted(&tb, mode, 0xA07_2026 ^ 0x5EED).expect("handshake");
+            let run =
+                run_handshake_counted(build(&tb, mode, 0xA07_2026 ^ 0x5EED)).expect("handshake");
             let committed = artifact.num(&format!("modes.{}.handshake_bytes", mode.name())).unwrap();
             assert_eq!(run.bytes as f64, committed, "{}", mode.name());
         }
@@ -327,8 +339,9 @@ mod tests {
     #[test]
     fn delegated_handshake_is_smaller_than_attested() {
         let tb = Testbed::new(0xA08);
-        let d = run_handshake_counted(&tb, MiddleboxAuthMode::Delegated, 2).expect("handshake");
-        let s = run_handshake_counted(&tb, MiddleboxAuthMode::SgxAttested, 2).expect("handshake");
+        let counted = |mode| run_handshake_counted(build(&tb, mode, 2)).expect("handshake");
+        let d = counted(MiddleboxAuthMode::Delegated);
+        let s = counted(MiddleboxAuthMode::SgxAttested);
         assert!(
             d.bytes < s.bytes,
             "delegated {} !< sgx_attested {}",

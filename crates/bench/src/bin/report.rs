@@ -1,23 +1,25 @@
 //! Measure and check the `BENCH_*.json` artifacts — one binary for
-//! all six suites.
+//! all five suites.
 //!
 //! ```text
-//! report <dataplane|scale|handshake|chain|auth|paper|all> [--smoke] [--out PATH]
+//! report <scale|handshake|chain|auth|paper|all> [--smoke] [--out PATH]
 //! report check <suite> <file>
 //! report render <paper artifact> <document>
 //! ```
 //!
 //! A suite run measures, writes the artifact (`--out`, default the
-//! suite's `BENCH_<suite>.json` in the current directory), prints it,
-//! and then runs the suite's schema and floor checks on what it
-//! wrote; `check` runs the same checks on an existing file without
-//! measuring. A failed floor exits 1. `render` rewrites the generated
-//! blocks of a document (EXPERIMENTS.md) from a `paper` artifact.
+//! suite's `BENCH_<suite>.json` in the current directory, or under
+//! `target/` with `--smoke`), prints it, and then runs the suite's
+//! schema and floor checks on what it wrote; `check` runs the same
+//! checks on an existing file without measuring. A failed floor
+//! exits 1. `render` rewrites the generated blocks of a document
+//! (EXPERIMENTS.md) from a `paper` artifact.
 //!
 //! `--smoke` runs tiny budgets (seconds) so `scripts/check.sh` can
 //! gate on the harness working end to end; numbers from a smoke run
-//! are noisy and flagged `"smoke": true` in the JSON, and the floors
-//! that need stable timings are skipped. Full runs
+//! are noisy and flagged `"smoke": true` in the JSON, the floors that
+//! need stable timings are skipped, and the file never lands on a
+//! committed artifact unless `--out` names one. Full runs
 //! (`scripts/bench_report.sh`) produce the committed artifacts.
 //!
 //! The binary installs the counting global allocator the suites'
@@ -28,7 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use mbtls_bench::{Suite, SUITES};
+use mbtls_bench::{artifact_path, Suite, SUITES};
 use mbtls_telemetry::json::{parse, Value};
 
 /// `System` wrapped with an allocation counter. Only counts calls to
@@ -64,13 +66,14 @@ fn alloc_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-const USAGE: &str =
-    "usage: report <dataplane|scale|handshake|chain|auth|paper|all> [--smoke] [--out PATH]
-       report check <suite> <file>
-       report render <paper artifact> <document>";
-
 fn usage_error(problem: &str) -> ! {
-    eprintln!("{problem}\n{USAGE}");
+    let suites: Vec<&str> = SUITES.iter().map(|suite| suite.name).collect();
+    eprintln!(
+        "{problem}\nusage: report <{}|all> [--smoke] [--out PATH]
+       report check <suite> <file>
+       report render <paper artifact> <document>",
+        suites.join("|")
+    );
     std::process::exit(2);
 }
 
@@ -94,7 +97,12 @@ fn run_suite(suite: &Suite, smoke: bool, out: &str) -> Result<(), String> {
     let replaced = read_artifact(out).ok();
     let started = Instant::now();
     let text = (suite.run)(smoke, alloc_count).to_pretty();
-    std::fs::write(out, format!("{text}\n")).map_err(|e| format!("failed to write {out}: {e}"))?;
+    // A smoke run's default path is under `target/`, which a fresh
+    // checkout does not have yet.
+    let dir = std::path::Path::new(out).parent().unwrap_or(std::path::Path::new(""));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(out, format!("{text}\n")))
+        .map_err(|e| format!("failed to write {out}: {e}"))?;
     println!("{text}");
     eprintln!(
         "wrote {out} ({} suite, {:.1} s)",
@@ -145,16 +153,14 @@ fn main() {
                 other => usage_error(&format!("unknown argument: {other}")),
             }
         }
-        match (command.as_str(), out) {
-            ("all", Some(_)) => usage_error("--out names one file; run one suite with it"),
-            ("all", None) => SUITES
-                .iter()
-                .try_for_each(|suite| run_suite(suite, smoke, suite.artifact)),
-            (name, out) => {
-                let suite = suite_named(name);
-                run_suite(suite, smoke, out.as_deref().unwrap_or(suite.artifact))
-            }
-        }
+        let suites = match command.as_str() {
+            "all" if out.is_some() => usage_error("--out names one file; run one suite with it"),
+            "all" => &SUITES[..],
+            name => std::slice::from_ref(suite_named(name)),
+        };
+        suites.iter().try_for_each(|suite| {
+            run_suite(suite, smoke, &artifact_path(suite, smoke, out.as_deref()))
+        })
     };
     if let Err(failure) = result {
         eprintln!("FAIL: {failure}");

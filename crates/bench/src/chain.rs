@@ -1,33 +1,38 @@
-//! The `chain` suite (`BENCH_chain.json`): read-only forward fast
-//! path vs open+reseal per hop, and Slick-style
-//! service-function-chain throughput end to end.
+//! The `chain` suite (`BENCH_chain.json`): what the record path costs
+//! per hop, and Slick-style service-function-chain throughput end to
+//! end.
 //!
-//! Per-hop numbers isolate the record relay cost at one middlebox:
-//! `endpoint_seal` (the producer baseline), `middlebox_open_reseal`
-//! (the classic double-AEAD forward), `middlebox_read_only_forward`
-//! (aliased keys + read-only declaration: tag verify only), and
-//! `raw_tag_verify` (the record-layer primitive the fast path should
-//! collapse toward). Chain numbers drive real mbTLS sessions —
-//! client → [filter → cache → compression] → server — with the
-//! seeded HTTP mix from `mbtls_http::workload`, at 1/2/3
-//! middleboxes, plus a 3-tap read-only variant on aliased keys.
-//! [`run`] also pumps the read-only steady state, and whole
-//! asymmetric exchanges through a three-middlebox [`Chain`], under
-//! the `report` binary's allocation counter; `scripts/check.sh` runs
-//! the suite in `--smoke` mode as a regression gate.
+//! Every per-hop number comes from one of two meters over batches of
+//! records: [`seal_mb_s`] (an endpoint sealing) and [`relay_mb_s`] (a
+//! middlebox relaying, keyed as one of the three [`KeyShape`]s);
+//! `paper`'s Figure 7 and data-plane ablation call the same two. The
+//! rows: `endpoint_seal`, `middlebox_open_reseal` (per-hop keys),
+//! `middlebox_read_only_forward` (one shared key and a read-only
+//! declaration: tag verify only), `raw_tag_verify` (the record-layer
+//! primitive the fast path should collapse toward), and bulk AES-GCM
+//! on the selected backend and the bitsliced one (`aead_mb_s`). Chain
+//! numbers drive real mbTLS sessions — client → [filter → cache →
+//! compression] → server — with the seeded HTTP mix from
+//! `mbtls_http::workload`, at 1/2/3 middleboxes, plus a 3-tap
+//! read-only variant on aliased keys. [`run`] also pumps a
+//! [`SteadyState`] pipeline per gated key shape, and whole asymmetric
+//! exchanges through a three-middlebox [`Chain`], under the `report`
+//! binary's allocation counter; `scripts/check.sh` runs the suite in
+//! `--smoke` mode as a regression gate.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
 use mbtls_core::dataplane::{
-    fresh_hop_keys, EndpointDataPlane, FlowDirection, MiddleboxDataPlane,
+    fresh_hop_keys, EndpointDataPlane, FlowDirection, HopKeys, MiddleboxDataPlane,
 };
 use mbtls_core::driver::{Chain, ChainLinks, PipeLinks, Relay};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
+use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_http::message::{RequestParser, ResponseParser};
 use mbtls_http::workload::{response_for, RequestMix};
@@ -36,37 +41,59 @@ use mbtls_telemetry::json::Value;
 use mbtls_tls::record::ContentType;
 use mbtls_tls::suites::CipherSuite;
 
-use crate::report::{throughput_object, Throughput, RECORD_LEN};
 use crate::{allocs_per_op, fnv1a, AllocCounter, FNV1A_BASIS};
 
-/// The per-hop rows [`check`] requires.
-const PER_HOP_KEYS: [&str; 4] =
-    ["endpoint_seal", "middlebox_open_reseal", "middlebox_read_only_forward", "raw_tag_verify"];
+/// Record payload of the per-hop rows: just under the TLS fragment
+/// ceiling, so one send is one record.
+pub const RECORD_LEN: usize = 16 * 1024 - 64;
+
+/// Message size of the bulk AES-GCM rows: the TLS maximum record
+/// payload.
+pub const AEAD_LEN: usize = 16 * 1024;
+
+/// Bytes per timed batch of the meters: a TCP receive window's worth,
+/// which stays in cache.
+const BATCH_BYTES: usize = 64 * 1024;
+
+/// A named rate, one JSON key of an `*_mb_s` object.
+pub type Rate = (&'static str, f64);
+
+fn rates_object(rows: &[Rate], decimals: usize) -> Value {
+    Value::object(rows.iter().map(|&(name, mb_s)| (name, Value::Float(mb_s, decimals))))
+}
 
 /// Measure everything that goes into `BENCH_chain.json`.
 pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
     // Measurement budgets: smoke proves the harness; full runs give
     // stable numbers. Chain runs are bounded by handshake cost, so
     // the exchange count stays modest even in full mode.
-    let per_hop_budget = if smoke { 4 * RECORD_LEN } else { 48 * 1024 * 1024 };
+    let budget = if smoke { 4 * RECORD_LEN } else { 48 * 1024 * 1024 };
     let exchanges = if smoke { 2 } else { 64 };
     let alloc_records = if smoke { 4 } else { 64 };
 
-    let per_hop = bench_per_hop(per_hop_budget);
-    let rate = |name: &str| per_hop.iter().find(|t| t.name == name).map_or(0.0, |t| t.mb_per_s);
-    // The fast-path win: tag verify only, against open + reseal.
-    let read_only_speedup = match rate("middlebox_open_reseal") {
-        reseal if reseal > 0.0 => rate("middlebox_read_only_forward") / reseal,
-        _ => 0.0,
-    };
+    let aead = aead_rates(budget);
+    let reseal = relay_mb_s(KeyShape::PerHop, RECORD_LEN, budget);
+    let read_only = relay_mb_s(KeyShape::SharedReadOnly, RECORD_LEN, budget);
+    let per_hop = [
+        ("endpoint_seal", seal_mb_s(RECORD_LEN, budget)),
+        ("middlebox_open_reseal", reseal),
+        ("middlebox_read_only_forward", read_only),
+        ("raw_tag_verify", tag_verify_mb_s(RECORD_LEN, budget)),
+    ];
     let (chains, chains_identical) = bench_chains(exchanges, 0xC8A1_2026);
     // Handshake-amortization rows: large-response size classes and
     // session-reuse configurations, all on the full 3-middlebox
     // chain, timed *including* handshakes.
     let (amortized, amortized_identical) = bench_amortized(smoke, 0xC8A1_2027);
-    // The fast path touches only reused buffers, so this must be 0.
-    let mut read_only = SteadyStateReadOnly::warmed_up();
-    let allocs = allocs_per_op(alloc_count, alloc_records, |n| read_only.pump(n as usize));
+    // Both relays touch only reused buffers, so these must be 0. A
+    // pipeline includes the endpoints' seal and open, so 0 here is
+    // 0 for every party on the record path.
+    let allocs_per_record = |shape| {
+        let mut pipeline = SteadyState::warmed_up(shape);
+        Value::Float(allocs_per_op(alloc_count, alloc_records, |n| pipeline.pump(n as usize)), 3)
+    };
+    let allocs_reseal = allocs_per_record(KeyShape::PerHop);
+    let allocs_read_only = allocs_per_record(KeyShape::SharedReadOnly);
     // Whole exchanges through the chain driver: the parties and the
     // links trade buffers, so once the ring is warm nothing allocates
     // and no link is left holding the other direction's capacity.
@@ -84,13 +111,18 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
 
     Value::object([
         ("smoke", smoke.into()),
+        // The backend every AES number except `bitsliced_seal` ran on.
         ("aead_backend", mbtls_crypto::gcm::backend_name().into()),
+        ("aead_len", AEAD_LEN.into()),
         ("record_len", RECORD_LEN.into()),
-        ("per_hop_mb_s", throughput_object(&per_hop, 2)),
-        ("read_only_speedup", Value::Float(read_only_speedup, 3)),
-        ("chain_mb_s", throughput_object(&chains, 3)),
-        ("amortized_mb_s", throughput_object(&amortized, 3)),
-        ("allocs_per_record_read_only", Value::Float(allocs, 3)),
+        ("aead_mb_s", rates_object(&aead, 2)),
+        ("per_hop_mb_s", rates_object(&per_hop, 2)),
+        // The fast-path win: tag verify only, against open + reseal.
+        ("read_only_speedup", Value::Float(read_only / reseal, 3)),
+        ("chain_mb_s", rates_object(&chains, 3)),
+        ("amortized_mb_s", rates_object(&amortized, 3)),
+        ("allocs_per_record_reseal", allocs_reseal),
+        ("allocs_per_record_read_only", allocs_read_only),
         ("allocs_per_exchange_steady", Value::Float(ring_allocs, 3)),
         ("request_link_capacity_bytes", request_capacity.into()),
         // Whether every same-seed double run produced bit-identical
@@ -102,19 +134,24 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
     ])
 }
 
-/// Schema and floors of `BENCH_chain.json`: the read-only forward
-/// must beat open+reseal by ≥1.5× (the whole point of the fast path;
-/// measured ≈ 3.6× on the vaes-vpclmul loops, 3.3–4.3× on the
-/// aesni-pclmul ones, ~10× on the bitsliced backend), its steady state
-/// must be allocation-free, and two same-seed chain runs must produce
-/// bit-identical byte streams.
+/// Schema and floors of `BENCH_chain.json`: every rate positive, the
+/// read-only forward ≥1.5× open+reseal (the whole point of the fast
+/// path; measured ≈ 3.3× on the vaes-vpclmul loops, more on backends
+/// whose CTR pass is dearer against GHASH), both relays'
+/// steady state allocation-free, and two same-seed chain runs
+/// bit-identical.
 ///
 /// Unlike the throughput-ratio floors elsewhere, these hold even at
 /// smoke budgets: skipping a body decrypt wins at any record count,
 /// and allocs/determinism are exact, not statistical.
 pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
-    report.text("aead_backend")?;
-    for key in PER_HOP_KEYS {
+    let backend = report.text("aead_backend")?;
+    for key in ["seal", "open", "bitsliced_seal"] {
+        floor!(report.num(&format!("aead_mb_s.{key}"))? > 0.0, "AEAD rate {key} is zero");
+    }
+    let per_hop =
+        ["endpoint_seal", "middlebox_open_reseal", "middlebox_read_only_forward", "raw_tag_verify"];
+    for key in per_hop {
         floor!(report.num(&format!("per_hop_mb_s.{key}"))? > 0.0, "per-hop metric {key} is zero");
     }
     let speedup = report.num("read_only_speedup")?;
@@ -140,8 +177,10 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
         amortized("middleboxes_3_resp_256k")? > amortized("middleboxes_3_resp_4k")?,
         "large responses do not amortize per-record overhead"
     );
-    let allocs = report.num("allocs_per_record_read_only")?;
-    floor!(allocs == 0.0, "read-only steady state allocates: {allocs} allocs/record");
+    for key in ["allocs_per_record_reseal", "allocs_per_record_read_only"] {
+        let allocs = report.num(key)?;
+        floor!(allocs == 0.0, "steady state allocates: {key} is {allocs} allocs/record");
+    }
     let ring_allocs = report.num("allocs_per_exchange_steady")?;
     floor!(ring_allocs == 0.0, "warm chain exchange allocates: {ring_allocs} allocs/exchange");
     let parked = report.num("request_link_capacity_bytes")?;
@@ -154,115 +193,173 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
         "double-run chain determinism verdict is not identical"
     );
     Ok(format!(
-        "chain OK: read-only {speedup}x over reseal, {allocs} allocs/record, determinism identical"
+        "chain OK: backend {backend}, read-only {speedup}x over reseal, 0 allocs/record on both \
+         relays, determinism identical"
     ))
 }
 
-fn mb_per_s(bytes: usize, elapsed: std::time::Duration) -> f64 {
+fn mb_per_s(bytes: usize, elapsed: Duration) -> f64 {
     bytes as f64 / 1e6 / elapsed.as_secs_f64()
 }
 
-/// Per-hop relay throughput at `RECORD_LEN`-byte records:
-/// `endpoint_seal`, `middlebox_open_reseal` (unique hop keys, the
-/// default data plane), `middlebox_read_only_forward` (aliased keys,
-/// read-only declaration), and `raw_tag_verify` (the bare
-/// record-layer primitive). `total_bytes` is the plaintext budget
-/// per metric.
-pub fn bench_per_hop(total_bytes: usize) -> Vec<Throughput> {
-    let mut rng = CryptoRng::from_seed(0xC4A1);
-    let suite = CipherSuite::EcdheAes256GcmSha384;
-    let left = fresh_hop_keys(suite, &mut rng);
-    let right = fresh_hop_keys(suite, &mut rng);
-    let shared = fresh_hop_keys(suite, &mut rng);
-    let payload = vec![0xA5u8; RECORD_LEN];
-    let iters = (total_bytes / RECORD_LEN).max(1);
-    let warmup = (iters / 16).max(1);
+/// How a middlebox's two hops are keyed, which picks the data plane's
+/// behaviour for every record it relays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyShape {
+    /// Fresh keys on each hop (mbTLS): open, process, re-seal.
+    PerHop,
+    /// One key shared by both hops: the lane has no write key, so it
+    /// opens, checks the processor changed nothing, and forwards the
+    /// record as it arrived.
+    Shared,
+    /// One shared key and a read-only processor: verify the tag and
+    /// forward, no decrypt.
+    SharedReadOnly,
+}
 
-    let mut out = Vec::new();
-    let mut wire = Vec::new();
-    let mut fwd = Vec::new();
-
-    // Endpoint seal baseline.
-    let mut client = EndpointDataPlane::for_client(&left).expect("keys");
-    for _ in 0..warmup {
-        client.send(&payload).expect("send");
-        wire.clear();
-        client.drain_outgoing_into(&mut wire);
+impl KeyShape {
+    /// The client-side hop's keys, a middlebox data plane keyed this
+    /// way, and the server-side hop's keys.
+    fn path(self) -> (HopKeys, MiddleboxDataPlane, HopKeys) {
+        let mut rng = CryptoRng::from_seed(0xC4A1);
+        let suite = CipherSuite::EcdheAes256GcmSha384;
+        let left = fresh_hop_keys(suite, &mut rng);
+        let right = match self {
+            KeyShape::PerHop => fresh_hop_keys(suite, &mut rng),
+            KeyShape::Shared | KeyShape::SharedReadOnly => left.clone(),
+        };
+        let mut mbox = MiddleboxDataPlane::new(&left, &right).expect("keys");
+        mbox.set_read_only(self == KeyShape::SharedReadOnly);
+        (left, mbox, right)
     }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        client.send(&payload).expect("send");
-        wire.clear();
-        client.drain_outgoing_into(&mut wire);
-    }
-    out.push(Throughput {
-        name: "endpoint_seal",
-        mb_per_s: mb_per_s(iters * RECORD_LEN, t0.elapsed()),
-    });
 
-    // Open + reseal: unique per-hop keys, the default relay cost.
-    // Records are sealed fresh each iteration (sequence numbers);
-    // only the middlebox's work is timed.
-    let mut sender = EndpointDataPlane::for_client(&left).expect("keys");
-    let mut mbox = MiddleboxDataPlane::new(&left, &right).expect("keys");
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters + warmup {
-        sender.send(&payload).expect("send");
-        wire.clear();
-        sender.drain_outgoing_into(&mut wire);
+    /// How many of `records` relayed records take the tag-verify fast
+    /// path on this shape.
+    fn fast_forwarded(self, records: u64) -> u64 {
+        if self == KeyShape::SharedReadOnly {
+            records
+        } else {
+            0
+        }
+    }
+}
+
+/// MB/s over a `budget` of `len`-byte items, where `timed(n)` handles
+/// one batch of `n` items and returns the time to count. A batch is
+/// [`BATCH_BYTES`] (or the budget, if smaller); a sixteenth as many
+/// untimed batches go first, so the rate does not absorb cold caches
+/// and frequency ramp-up.
+fn rate(len: usize, budget: usize, mut timed: impl FnMut(usize) -> Duration) -> f64 {
+    let per_batch = (BATCH_BYTES.min(budget) / len).max(1);
+    let batches = (budget / (per_batch * len)).max(1);
+    for _ in 0..(batches / 16).max(1) {
+        timed(per_batch);
+    }
+    let elapsed: Duration = (0..batches).map(|_| timed(per_batch)).sum();
+    mb_per_s(batches * per_batch * len, elapsed)
+}
+
+/// `client` seals `records` records of `payload` into `batch`, which
+/// held the previous batch; reused, neither buffer allocates.
+fn seal_batch(client: &mut EndpointDataPlane, payload: &[u8], records: usize, batch: &mut Vec<u8>) {
+    for _ in 0..records {
+        client.send(payload).expect("seal");
+    }
+    batch.clear();
+    client.drain_outgoing_into(batch);
+}
+
+/// An endpoint's seal MB/s on `len`-byte records: the one seal meter.
+pub fn seal_mb_s(len: usize, budget: usize) -> f64 {
+    let (hop, ..) = KeyShape::PerHop.path();
+    let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
+    let (payload, mut batch) = (vec![0xA5u8; len], Vec::new());
+    rate(len, budget, |records| {
         let t0 = Instant::now();
-        mbox.feed(FlowDirection::ClientToServer, &wire, |_, _p| {}).expect("forward");
-        fwd.clear();
-        mbox.drain_toward_server_into(&mut fwd);
-        total += t0.elapsed();
-    }
-    out.push(Throughput {
-        name: "middlebox_open_reseal",
-        mb_per_s: mb_per_s((iters + warmup) * RECORD_LEN, total),
-    });
+        seal_batch(&mut client, &payload, records, &mut batch);
+        t0.elapsed()
+    })
+}
 
-    // Read-only forward: both hops share `shared`'s keys and the
-    // processor declares itself non-modifying — tag verify only.
-    let mut sender = EndpointDataPlane::for_client(&shared).expect("keys");
-    let mut mbox = MiddleboxDataPlane::new(&shared, &shared).expect("keys");
-    mbox.set_read_only(true);
-    assert!(mbox.fast_path_active(FlowDirection::ClientToServer));
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters + warmup {
-        sender.send(&payload).expect("send");
-        wire.clear();
-        sender.drain_outgoing_into(&mut wire);
+/// A middlebox's relay MB/s on `len`-byte client → server records
+/// keyed as `shape`: the one relay meter. Each batch is sealed outside
+/// the clock; only [`MiddleboxDataPlane::feed`] over it is timed, and
+/// the relayed records drain into a reused buffer. Panics if a record
+/// left `shape`'s path, so a re-seal row cannot time the fast path.
+pub fn relay_mb_s(shape: KeyShape, len: usize, budget: usize) -> f64 {
+    let (hop, mut mbox, _) = shape.path();
+    let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
+    let (payload, mut batch, mut relayed) = (vec![0xA5u8; len], Vec::new(), Vec::new());
+    let mut records = 0;
+    let mb_s = rate(len, budget, |n| {
+        seal_batch(&mut client, &payload, n, &mut batch);
         let t0 = Instant::now();
-        mbox.feed(FlowDirection::ClientToServer, &wire, |_, _p| {}).expect("forward");
-        fwd.clear();
-        mbox.drain_toward_server_into(&mut fwd);
-        total += t0.elapsed();
-    }
-    assert_eq!(mbox.records_fast_forwarded, (iters + warmup) as u64);
-    out.push(Throughput {
-        name: "middlebox_read_only_forward",
-        mb_per_s: mb_per_s((iters + warmup) * RECORD_LEN, total),
+        mbox.feed(FlowDirection::ClientToServer, &batch, |_, _| {}).expect("relay");
+        let elapsed = t0.elapsed();
+        relayed.clear();
+        mbox.drain_toward_server_into(&mut relayed);
+        records += n as u64;
+        elapsed
     });
+    assert_eq!(mbox.records_fast_forwarded, shape.fast_forwarded(records), "{shape:?}");
+    mb_s
+}
 
-    // Raw tag verify: the record-layer primitive alone, no framing,
-    // no buffer management — the ceiling the fast path approaches.
-    let mut writer = shared.seal_client_to_server().expect("keys");
-    let mut reader = shared.open_client_to_server().expect("keys");
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters + warmup {
-        wire.clear();
-        writer.seal_record_into(ContentType::ApplicationData, &payload, &mut wire).expect("seal");
-        let body = &wire[5..];
+/// The record layer's tag check alone, no framing or buffers: the
+/// ceiling the read-only forward approaches.
+fn tag_verify_mb_s(len: usize, budget: usize) -> f64 {
+    let (hop, ..) = KeyShape::SharedReadOnly.path();
+    let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
+    let mut reader = hop.open_client_to_server().expect("keys");
+    let (payload, mut batch) = (vec![0xA5u8; len], Vec::new());
+    rate(len, budget, |records| {
+        seal_batch(&mut client, &payload, records, &mut batch);
         let t0 = Instant::now();
-        reader.verify_record(ContentType::ApplicationData, body).expect("verify");
-        total += t0.elapsed();
-    }
-    out.push(Throughput {
-        name: "raw_tag_verify",
-        mb_per_s: mb_per_s((iters + warmup) * RECORD_LEN, total),
-    });
+        // Equal records; each body starts past the 5-byte header.
+        for record in batch.chunks(batch.len() / records) {
+            reader.verify_record(ContentType::ApplicationData, &record[5..]).expect("verify");
+        }
+        t0.elapsed()
+    })
+}
 
-    out
+/// Bulk AES-GCM on [`AEAD_LEN`]-byte messages: seal and open on the
+/// backend `AesGcm::new` selects here (the report's `aead_backend`),
+/// and seal on `AesGcm::portable`, the bitsliced backend a CPU without
+/// AES-NI runs, which nothing else times.
+fn aead_rates(budget: usize) -> [Rate; 3] {
+    let mut rng = CryptoRng::from_seed(0xBE9C);
+    let mut key = [0u8; 32];
+    rng.fill(&mut key);
+    let selected = AesGcm::new(&key).expect("key");
+    let (nonce, aad) = ([0x24u8; 12], [0u8; 13]);
+    let mut buf = vec![0u8; AEAD_LEN];
+    rng.fill(&mut buf);
+    // Seal in place over a reused buffer, like the record layer.
+    let mut seal_mb_s = |gcm: &AesGcm| {
+        rate(AEAD_LEN, budget, |messages| {
+            let t0 = Instant::now();
+            for _ in 0..messages {
+                gcm.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
+            }
+            t0.elapsed()
+        })
+    };
+    let seal = seal_mb_s(&selected);
+    let bitsliced_seal = seal_mb_s(&AesGcm::portable(&key).expect("key"));
+    // Opening restores the plaintext, so each message is a fresh copy
+    // of one ciphertext: a memcpy against two cipher passes.
+    let mut sealed = buf.clone();
+    let tag = selected.seal_in_place(&nonce, &aad, &mut sealed).expect("seal");
+    let open = rate(AEAD_LEN, budget, |messages| {
+        let t0 = Instant::now();
+        for _ in 0..messages {
+            buf.copy_from_slice(&sealed);
+            selected.open_in_place(&nonce, &aad, &mut buf, &tag).expect("open");
+        }
+        t0.elapsed()
+    });
+    [("seal", seal), ("open", open), ("bitsliced_seal", bitsliced_seal)]
 }
 
 /// Outcome of one end-to-end chain run.
@@ -423,7 +520,7 @@ pub fn amortization_configs(smoke: bool) -> Vec<(&'static str, usize, usize, usi
 
 /// Measure every amortization configuration on the full Slick chain,
 /// double-running each for the shared determinism verdict.
-pub fn bench_amortized(smoke: bool, seed: u64) -> (Vec<Throughput>, bool) {
+pub fn bench_amortized(smoke: bool, seed: u64) -> (Vec<Rate>, bool) {
     let slick = ServiceChain::slick_web();
     let mut out = Vec::new();
     let mut identical = true;
@@ -433,7 +530,7 @@ pub fn bench_amortized(smoke: bool, seed: u64) -> (Vec<Throughput>, bool) {
         let b = run_chain_sized(slick.functions(), sessions, exchanges, resp, seed)
             .expect("amortized chain run completes");
         identical &= a.digest == b.digest;
-        out.push(Throughput { name, mb_per_s: a.mb_per_s.max(b.mb_per_s) });
+        out.push((name, a.mb_per_s.max(b.mb_per_s)));
     }
     (out, identical)
 }
@@ -456,7 +553,7 @@ pub fn chain_configs() -> Vec<(&'static str, ServiceChain, bool)> {
 
 /// Measure every chain configuration and double-run the full Slick
 /// chain for the determinism verdict.
-pub fn bench_chains(exchanges: usize, seed: u64) -> (Vec<Throughput>, bool) {
+pub fn bench_chains(exchanges: usize, seed: u64) -> (Vec<Rate>, bool) {
     let mut out = Vec::new();
     let mut identical = true;
     for (name, chain, read_only) in chain_configs() {
@@ -465,71 +562,64 @@ pub fn bench_chains(exchanges: usize, seed: u64) -> (Vec<Throughput>, bool) {
         let b = run_chain(chain.functions(), exchanges, seed, read_only)
             .expect("chain run completes");
         identical &= a.digest == b.digest;
-        out.push(Throughput { name, mb_per_s: a.mb_per_s.max(b.mb_per_s) });
+        out.push((name, a.mb_per_s.max(b.mb_per_s)));
     }
     (out, identical)
 }
 
-/// A warmed-up client → read-only middlebox → server pipeline on
-/// aliased keys. [`run`] counts allocations around [`Self::pump`] to
-/// prove the fast path is allocation-free at steady state.
-pub struct SteadyStateReadOnly {
+/// A warmed-up client → middlebox → server pipeline keyed as a
+/// [`KeyShape`], whose buffers have reached their steady-state
+/// capacities. [`run`] counts allocations around [`Self::pump`].
+pub struct SteadyState {
+    shape: KeyShape,
     client: EndpointDataPlane,
     mbox: MiddleboxDataPlane,
     server: EndpointDataPlane,
     payload: Vec<u8>,
     wire: Vec<u8>,
-    fwd: Vec<u8>,
+    relayed: Vec<u8>,
     plain: Vec<u8>,
 }
 
-impl SteadyStateReadOnly {
+impl SteadyState {
     /// Build the pipeline and run enough records through it for every
     /// internal buffer to reach its final capacity.
-    pub fn warmed_up() -> Self {
-        let mut rng = CryptoRng::from_seed(0xFA57);
-        let suite = CipherSuite::EcdheAes256GcmSha384;
-        let hop = fresh_hop_keys(suite, &mut rng);
-        let mut mbox = MiddleboxDataPlane::new(&hop, &hop).expect("keys");
-        mbox.set_read_only(true);
-        let mut pipeline = SteadyStateReadOnly {
-            client: EndpointDataPlane::for_client(&hop).expect("keys"),
+    pub fn warmed_up(shape: KeyShape) -> Self {
+        let (left, mbox, right) = shape.path();
+        let mut pipeline = SteadyState {
+            shape,
+            client: EndpointDataPlane::for_client(&left).expect("keys"),
             mbox,
-            server: EndpointDataPlane::for_server(&hop).expect("keys"),
+            server: EndpointDataPlane::for_server(&right).expect("keys"),
             payload: vec![0x5Au8; RECORD_LEN],
             wire: Vec::new(),
-            fwd: Vec::new(),
+            relayed: Vec::new(),
             plain: Vec::new(),
         };
-        for _ in 0..8 {
-            pipeline.pump(1);
-        }
+        pipeline.pump(8);
         pipeline
     }
 
     /// Push `records` full-size records client → middlebox → server
-    /// through the fast path, all in reused buffers.
+    /// and drain the server's plaintext, all through reused buffers.
+    /// Panics if a record does not round-trip or leaves the shape's
+    /// path.
     pub fn pump(&mut self, records: usize) {
         let before = self.mbox.records_fast_forwarded;
         for _ in 0..records {
-            self.client.send(&self.payload).expect("send");
-            self.wire.clear();
-            self.client.drain_outgoing_into(&mut self.wire);
+            seal_batch(&mut self.client, &self.payload, 1, &mut self.wire);
             self.mbox
-                .feed(FlowDirection::ClientToServer, &self.wire, |_, _p| {})
-                .expect("forward");
-            self.fwd.clear();
-            self.mbox.drain_toward_server_into(&mut self.fwd);
-            self.server.feed(&self.fwd).expect("deliver");
+                .feed(FlowDirection::ClientToServer, &self.wire, |_, _| {})
+                .expect("relay");
+            self.relayed.clear();
+            self.mbox.drain_toward_server_into(&mut self.relayed);
+            self.server.feed(&self.relayed).expect("deliver");
             self.plain.clear();
             self.server.drain_plaintext_into(&mut self.plain);
-            assert_eq!(self.plain.len(), RECORD_LEN, "record did not round-trip");
+            assert!(self.plain == self.payload, "record did not round-trip");
         }
-        assert_eq!(
-            self.mbox.records_fast_forwarded - before,
-            records as u64,
-            "steady-state pump must stay on the fast path"
-        );
+        let fast = self.mbox.records_fast_forwarded - before;
+        assert_eq!(fast, self.shape.fast_forwarded(records as u64), "{:?}", self.shape);
     }
 }
 
@@ -644,10 +734,15 @@ mod tests {
             &smoke,
             &[
                 ("read_only_speedup", "1.400", "read-only fast path regressed"),
-                ("allocs_per_record_read_only", "0.500", "read-only steady state allocates"),
+                ("allocs_per_record_reseal", "1.000", "allocs_per_record_reseal is 1"),
+                ("allocs_per_record_read_only", "0.016", "allocs_per_record_read_only is 0.016"),
                 ("allocs_per_exchange_steady", "0.016", "warm chain exchange allocates"),
                 ("request_link_capacity_bytes", "16320", "response buffers are circulating"),
                 ("determinism", "\"diverged\"", "not identical"),
+                ("aead_mb_s.seal", "0.00", "AEAD rate seal is zero"),
+                ("aead_mb_s.open", "0.00", "AEAD rate open is zero"),
+                ("aead_mb_s", "{\"seal\": 1.00, \"open\": 1.00}", "aead_mb_s.bitsliced_seal"),
+                ("per_hop_mb_s.endpoint_seal", "0.00", "endpoint_seal is zero"),
                 ("per_hop_mb_s.raw_tag_verify", "0.00", "raw_tag_verify is zero"),
                 ("chain_mb_s.middleboxes_3_read_only", "0.000", "middleboxes_3_read_only is zero"),
                 ("amortized_mb_s.middleboxes_3_resp_64k", "0.000", "resp_64k is zero"),
@@ -656,6 +751,32 @@ mod tests {
                 ("aead_backend", "false", "aead_backend"),
             ],
         );
+    }
+
+    #[test]
+    fn each_key_shape_takes_its_path() {
+        // Exact counts, not the shape's own rule: a re-seal row that
+        // slipped onto the fast path would gate the wrong cost.
+        let shapes = [(KeyShape::PerHop, 0), (KeyShape::Shared, 0), (KeyShape::SharedReadOnly, 3)];
+        for (shape, fast) in shapes {
+            let mut pipeline = SteadyState::warmed_up(shape);
+            let before = pipeline.mbox.records_fast_forwarded;
+            pipeline.pump(3);
+            assert_eq!(pipeline.mbox.records_fast_forwarded - before, fast, "{shape:?}");
+            assert!(relay_mb_s(shape, 4096, 1 << 16) > 0.0, "{shape:?}");
+        }
+        assert!(seal_mb_s(4096, 1 << 16) > 0.0);
+    }
+
+    #[test]
+    fn read_only_steady_state_round_trips() {
+        // A lane on one shared key has no write key: every record
+        // leaves byte for byte as it arrived, read-only processor or not.
+        for shape in [KeyShape::Shared, KeyShape::SharedReadOnly] {
+            let mut pipeline = SteadyState::warmed_up(shape);
+            pipeline.pump(3);
+            assert!(pipeline.relayed == pipeline.wire, "{shape:?} re-sealed a record");
+        }
     }
 
     #[test]
@@ -672,12 +793,6 @@ mod tests {
             reused.mb_per_s,
             per_exchange.mb_per_s
         );
-    }
-
-    #[test]
-    fn read_only_steady_state_round_trips() {
-        let mut p = SteadyStateReadOnly::warmed_up();
-        p.pump(3);
     }
 
     #[test]

@@ -7,17 +7,15 @@
 //!   ([`mbtls_sgx::SgxCostModel`]) evaluated over the paper's buffer
 //!   sizes; this reproduces the figure's absolute shape (plateaus,
 //!   crossovers, enclave-vs-native deltas).
-//! * [`measured_crypto_throughput`] — real AES-GCM open+seal
-//!   throughput of this workspace's data plane at each buffer size,
-//!   showing the record-crypto cost component with actual cycles.
+//! * [`measured_sweep`] — this workspace's data plane at each buffer
+//!   size, open + re-seal and seal alone, showing the record-crypto
+//!   cost component with actual cycles. It calls the record path's
+//!   one pair of meters, [`crate::chain::relay_mb_s`] and
+//!   [`crate::chain::seal_mb_s`].
 
-use std::time::Instant;
-
-use mbtls_core::dataplane::{fresh_hop_keys, FlowDirection, MiddleboxDataPlane};
-use mbtls_crypto::rng::CryptoRng;
 use mbtls_sgx::cost::{DataPathConfig, SgxCostModel, SyscallMode};
-use mbtls_tls::record::{ContentType, DirectionState};
-use mbtls_tls::suites::CipherSuite;
+
+use crate::chain::{relay_mb_s, seal_mb_s, KeyShape};
 
 /// The paper's buffer-size sweep.
 pub const BUFFER_SIZES: [usize; 6] = [512, 1024, 2048, 4096, 8192, 12 * 1024];
@@ -64,6 +62,30 @@ pub fn model_sweep() -> Vec<ModelRow> {
         .collect()
 }
 
+/// One row of the measured sweep, in Gbit/s (MB/s × 0.008).
+#[derive(Debug, Clone, Copy)]
+pub struct MeasuredRow {
+    /// Record payload in bytes.
+    pub buffer: usize,
+    /// A middlebox opening and re-sealing on per-hop keys.
+    pub open_reseal: f64,
+    /// An endpoint sealing.
+    pub seal: f64,
+}
+
+/// Measure this machine's record path over the sweep, `budget` bytes
+/// per cell.
+pub fn measured_sweep(budget: usize) -> Vec<MeasuredRow> {
+    BUFFER_SIZES
+        .iter()
+        .map(|&buffer| MeasuredRow {
+            buffer,
+            open_reseal: relay_mb_s(KeyShape::PerHop, buffer, budget) * 0.008,
+            seal: seal_mb_s(buffer, budget) * 0.008,
+        })
+        .collect()
+}
+
 /// The SCONE-style syscall micro-comparison the paper discusses
 /// (§5.3): latency of a small-payload syscall under each strategy.
 pub fn syscall_comparison(payload: usize) -> (f64, f64, f64) {
@@ -73,57 +95,6 @@ pub fn syscall_comparison(payload: usize) -> (f64, f64, f64) {
         model.syscall_latency_ns(payload, SyscallMode::SyncEnclave),
         model.syscall_latency_ns(payload, SyscallMode::AsyncEnclave),
     )
-}
-
-/// Measure the real record decrypt+re-encrypt throughput of this
-/// workspace's middlebox data plane for one chunk size, in Gbit/s.
-/// `total_bytes` controls the measurement length.
-pub fn measured_crypto_throughput(chunk: usize, total_bytes: usize) -> f64 {
-    let mut rng = CryptoRng::from_seed(0xF17);
-    let left = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
-    let right = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
-    let mut sender = left.seal_client_to_server().expect("keys");
-    let mut mbox = MiddleboxDataPlane::new(&left, &right).expect("dataplane");
-
-    let payload = vec![0xA5u8; chunk];
-    let n_chunks = (total_bytes / chunk).max(1);
-    // Pre-encrypt the sender records so only middlebox work is timed.
-    let mut records = Vec::with_capacity(n_chunks);
-    for _ in 0..n_chunks {
-        let mut record = Vec::new();
-        sender
-            .seal_record_into(ContentType::ApplicationData, &payload, &mut record)
-            .expect("seal");
-        records.push(record);
-    }
-
-    let t0 = Instant::now();
-    for rec in &records {
-        mbox.feed(FlowDirection::ClientToServer, rec, |_, _p| {})
-            .expect("process");
-        let _ = mbox.take_toward_server();
-    }
-    let elapsed = t0.elapsed();
-    (n_chunks * chunk) as f64 * 8.0 / elapsed.as_nanos() as f64
-}
-
-/// Measure raw one-directional AES-GCM record sealing throughput
-/// (Gbit/s) — the encryption cost floor.
-pub fn measured_seal_throughput(chunk: usize, total_bytes: usize) -> f64 {
-    let mut rng = CryptoRng::from_seed(0xF18);
-    let keys = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
-    let mut tx: DirectionState = keys.seal_client_to_server().expect("keys");
-    let payload = vec![0x5Au8; chunk];
-    let n_chunks = (total_bytes / chunk).max(1);
-    let mut record = Vec::new();
-    let t0 = Instant::now();
-    for _ in 0..n_chunks {
-        record.clear();
-        tx.seal_record_into(ContentType::ApplicationData, &payload, &mut record)
-            .expect("seal");
-    }
-    let elapsed = t0.elapsed();
-    (n_chunks * chunk) as f64 * 8.0 / elapsed.as_nanos() as f64
 }
 
 #[cfg(test)]
@@ -151,10 +122,11 @@ mod tests {
     #[test]
     fn measured_crypto_runs() {
         // Tiny volume to keep tests fast; the `paper` suite uses more.
-        let gbps = measured_crypto_throughput(4096, 1 << 20);
-        assert!(gbps > 0.0);
-        let seal = measured_seal_throughput(4096, 1 << 20);
-        assert!(seal > 0.0);
+        let rows = measured_sweep(1 << 16);
+        assert_eq!(rows.len(), BUFFER_SIZES.len());
+        for row in rows {
+            assert!(row.open_reseal > 0.0 && row.seal > 0.0, "{row:?}");
+        }
     }
 
     #[test]

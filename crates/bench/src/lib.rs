@@ -1,13 +1,13 @@
 //! # mbtls-bench
 //!
-//! The experiment harness. The six `BENCH_*.json` artifacts are
+//! The experiment harness. The five `BENCH_*.json` artifacts are
 //! [`SUITES`] of the one `report` binary: each suite module measures
 //! into a JSON [`Value`] (`run`) and states its schema and floors as
 //! a function over a parsed one (`check`), so an artifact on disk and
 //! a fresh measurement are judged by the same code.
 //!
-//! Five suites are regression gates on this implementation; the
-//! sixth, [`paper`], is the paper's own evaluation — one module per
+//! Four suites are regression gates on this implementation; the
+//! fifth, [`paper`], is the paper's own evaluation — one module per
 //! table or figure ([`table1`], [`table2`], [`fig5`], [`fig6`],
 //! [`fig7`], [`sites`]) behind it — and renders EXPERIMENTS.md's
 //! tables. See DESIGN.md §5 for the experiment index.
@@ -38,7 +38,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod handshake;
 pub mod paper;
-pub mod report;
 pub mod scale;
 pub mod sites;
 pub mod table1;
@@ -66,13 +65,7 @@ pub struct Suite {
 }
 
 /// Every suite, in the order `report all` runs them.
-pub const SUITES: [Suite; 6] = [
-    Suite {
-        name: "dataplane",
-        artifact: "BENCH_dataplane.json",
-        run: report::run,
-        check: report::check,
-    },
+pub const SUITES: [Suite; 5] = [
     Suite { name: "scale", artifact: "BENCH_scale.json", run: scale::run, check: scale::check },
     Suite {
         name: "handshake",
@@ -84,6 +77,17 @@ pub const SUITES: [Suite; 6] = [
     Suite { name: "auth", artifact: "BENCH_auth.json", run: auth::run, check: auth::check },
     Suite { name: "paper", artifact: "BENCH_paper.json", run: paper::run, check: paper::check },
 ];
+
+/// Where `report` writes `suite`'s artifact: `out` if given, else the
+/// committed file's name — under `target/` for a smoke run, so smoke
+/// numbers never overwrite a committed artifact.
+pub fn artifact_path(suite: &Suite, smoke: bool, out: Option<&str>) -> String {
+    match out {
+        Some(out) => out.to_string(),
+        None if smoke => format!("target/{}", suite.artifact),
+        None => suite.artifact.to_string(),
+    }
+}
 
 /// Allocations per operation over `ops` steady-state operations of an
 /// already warmed-up `pump`. Two extra operations run first so any
@@ -179,6 +183,15 @@ pub(crate) mod testing {
                 .expect_err(&format!("{path} = {new} passed"));
             assert!(error.contains(expected), "{path}: {error:?} does not name {expected:?}");
         }
+    }
+
+    #[test]
+    fn smoke_artifacts_default_under_target() {
+        let chain = SUITES.iter().find(|suite| suite.name == "chain").expect("suite exists");
+        assert_eq!(artifact_path(chain, false, None), "BENCH_chain.json");
+        assert_eq!(artifact_path(chain, true, None), "target/BENCH_chain.json");
+        assert_eq!(artifact_path(chain, true, Some("x.json")), "x.json");
+        assert_eq!(artifact_path(chain, false, Some("x.json")), "x.json");
     }
 
     #[test]

@@ -14,15 +14,10 @@
 //! budget; `--smoke` only shortens the wall-clock measurements.
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 use mbtls_core::attacks::Testbed;
-use mbtls_core::client::{MbClientConfig, MbClientSession};
-use mbtls_core::dataplane::{fresh_hop_keys, FlowDirection, MiddleboxDataPlane};
 use mbtls_core::driver::{Chain, NetChain, Relay};
-use mbtls_core::middlebox::{Middlebox, MiddleboxConfig};
-use mbtls_core::server::{MbServerConfig, MbServerSession};
 use mbtls_crypto::dh::DhSecret;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::x25519::SecretKey;
@@ -31,9 +26,9 @@ use mbtls_netsim::{FaultConfig, Network};
 use mbtls_sgx::SgxCostModel;
 use mbtls_telemetry::json::Value;
 use mbtls_tls::config::{PeerProof, Proof};
-use mbtls_tls::record::ContentType;
-use mbtls_tls::suites::CipherSuite;
 
+use crate::auth::{self, parties};
+use crate::chain::{relay_mb_s, KeyShape};
 use crate::fig5::{self, Config};
 use crate::table1::{full_matrix, Protocol};
 use crate::{fig6, fig7, sites, table2, AllocCounter};
@@ -73,8 +68,8 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
             "ablations",
             Value::object([
                 ("subchannel", subchannel()),
-                ("data_plane_keys_mb_s", data_plane_keys(if smoke { 64 } else { 4096 })),
-                ("attestation_setup_us", attestation_setup(if smoke { 2 } else { 24 })),
+                ("data_plane_keys_mb_s", data_plane_keys(if smoke { 1 << 18 } else { 16 << 20 })),
+                ("attestation_setup_us", attestation_setup(if smoke { 2 } else { 48 })),
                 ("key_exchange_us", key_exchange(if smoke { 2 } else { 24 })),
             ]),
         ),
@@ -197,13 +192,11 @@ fn figure7(measured_bytes: usize) -> Value {
         // Measured: this machine's AES-GCM record path.
         (
             "measured_gbps",
-            rows(&fig7::BUFFER_SIZES, |&buffer| {
-                let reseal = fig7::measured_crypto_throughput(buffer, measured_bytes);
-                let seal = fig7::measured_seal_throughput(buffer, measured_bytes);
+            rows(&fig7::measured_sweep(measured_bytes), |row| {
                 Value::object([
-                    ("buffer", buffer.into()),
-                    ("open_reseal", Value::Float(reseal, 3)),
-                    ("seal", Value::Float(seal, 3)),
+                    ("buffer", row.buffer.into()),
+                    ("open_reseal", Value::Float(row.open_reseal, 3)),
+                    ("seal", Value::Float(row.seal, 3)),
                 ])
             }),
         ),
@@ -258,81 +251,58 @@ fn subchannel() -> Value {
 }
 
 /// Mean microseconds of `op` over `iters` calls, after one warm-up
-/// call. `op` gets the call's index.
-fn mean_us(iters: u64, mut op: impl FnMut(u64)) -> f64 {
-    op(0);
+/// call.
+fn mean_us(iters: u64, mut op: impl FnMut()) -> f64 {
+    op();
     let t0 = Instant::now();
-    for i in 1..=iters {
-        op(i);
+    for _ in 0..iters {
+        op();
     }
     t0.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
 /// Per-hop keys (mbTLS) vs one key shared by both hops (what the
-/// naive strawman's data plane is) on 4 KiB records: both open and
-/// re-seal once, so path integrity (P4) and change secrecy (P1C)
-/// should cost nothing at data time.
-fn data_plane_keys(records: u64) -> Value {
-    const CHUNK: usize = 4096;
-    let suite = CipherSuite::EcdheAes256GcmSha384;
-    let payload = vec![0x11u8; CHUNK];
-    let mut rng = CryptoRng::from_seed(1);
-    let (left, right) = (fresh_hop_keys(suite, &mut rng), fresh_hop_keys(suite, &mut rng));
-    let reseal_mb_s = |right| {
-        let mut sender = left.seal_client_to_server().expect("keys");
-        let mut mbox = MiddleboxDataPlane::new(&left, right).expect("dataplane");
-        let mut record = Vec::new();
-        let us = mean_us(records, |_| {
-            record.clear();
-            sender.seal_record_into(ContentType::ApplicationData, &payload, &mut record).expect("seal");
-            mbox.feed(FlowDirection::ClientToServer, &record, |_, _| {}).expect("process");
-            black_box(mbox.take_toward_server());
-        });
-        // Bytes per microsecond are megabytes per second.
-        Value::Float(CHUNK as f64 / us, 1)
-    };
-    Value::object([("per_hop", reseal_mb_s(&right)), ("shared", reseal_mb_s(&left))])
+/// naive strawman's data plane is) on 4 KiB records. On per-hop keys
+/// the middlebox opens and re-seals each record; on the shared key it
+/// has no write key, so it opens, checks that nothing changed, and
+/// forwards the record as it arrived. The per-hop row's extra cost is
+/// one seal per hop: the data-time price of path integrity (P4) and
+/// change secrecy (P1C).
+fn data_plane_keys(budget: usize) -> Value {
+    let mb_s = |shape| Value::Float(relay_mb_s(shape, 4096, budget), 1);
+    Value::object([("per_hop", mb_s(KeyShape::PerHop)), ("shared", mb_s(KeyShape::Shared))])
 }
 
 /// Session setup through one middlebox by how the middlebox is
 /// authorized: SGX-attested (the price of P3B), by a delegated
-/// credential (mdTLS's alternative), or not at all. The attestation
-/// service round an attested deployment also pays is the cost model's
-/// number, kept in its own cell: nothing here measures it.
-fn attestation_setup(iters: u64) -> Value {
+/// credential (mdTLS's alternative), or not at all, timed by `auth`'s
+/// handshake timer. The attestation service round an attested
+/// deployment also pays is the cost model's number, kept in its own
+/// cell: nothing here measures it.
+fn attestation_setup(iters: usize) -> Value {
     let tb = Testbed::new(0xAB1A7E);
-    let setup_us = |parties: &dyn Fn() -> (MbClientConfig, MiddleboxConfig, MbServerConfig)| {
-        mean_us(iters, |i| {
-            let (client_cfg, mbox_cfg, server_cfg) = parties();
-            let mut rng = CryptoRng::from_seed(10_000 + i);
-            let client = MbClientSession::new(Arc::new(client_cfg), "server.example", rng.fork());
-            let server = MbServerSession::new(Arc::new(server_cfg), rng.fork());
-            let mbox = Middlebox::new(mbox_cfg, rng.fork());
-            let mut chain = Chain::new(Box::new(client), vec![Box::new(mbox)], Box::new(server));
-            chain.run_handshake().expect("handshake completes");
-        })
+    let attested = |seed| {
+        let mbox = Some(tb.middlebox_config(&tb.mbox_code));
+        parties(seed, tb.client_config(), mbox, tb.server_config())
     };
-    let attested =
-        || (tb.client_config(), tb.middlebox_config(&tb.mbox_code), tb.server_config());
-    let delegated = || {
-        (
-            tb.client_config_delegated(),
-            tb.middlebox_config_delegated(),
-            tb.server_config_delegated(),
-        )
+    let delegated = |seed| {
+        let mbox = Some(tb.middlebox_config_delegated());
+        parties(seed, tb.client_config_delegated(), mbox, tb.server_config_delegated())
     };
-    let unattested = || {
-        let (mut client_cfg, mut mbox_cfg, server_cfg) = attested();
-        client_cfg.middlebox_proof = PeerProof::Certificate;
-        mbox_cfg.proof = Proof::None;
-        (client_cfg, mbox_cfg, server_cfg)
+    let unattested = |seed| {
+        let (mut client, mut mbox) = (tb.client_config(), tb.middlebox_config(&tb.mbox_code));
+        client.middlebox_proof = PeerProof::Certificate;
+        mbox.proof = Proof::None;
+        parties(seed, client, Some(mbox), tb.server_config())
     };
+    let builders: [&dyn Fn(u64) -> auth::Parties; 3] = [&attested, &delegated, &unattested];
+    let [attested, delegated, unattested] = auth::bench_handshake_cpu(iters, builders);
     let modeled_round_us = SgxCostModel::default().attestation_round_ns() / 1e3;
     Value::object([
-        ("attested", Value::Float(setup_us(&attested), 1)),
+        ("attested", Value::Float(attested, 1)),
         ("attestation_round_modeled", Value::Float(modeled_round_us, 1)),
-        ("delegated", Value::Float(setup_us(&delegated), 1)),
-        ("unattested", Value::Float(setup_us(&unattested), 1)),
+        ("delegated", Value::Float(delegated, 1)),
+        ("unattested", Value::Float(unattested, 1)),
     ])
 }
 
@@ -341,12 +311,12 @@ fn attestation_setup(iters: u64) -> Value {
 fn key_exchange(iters: u64) -> Value {
     let mut rng = CryptoRng::from_seed(2);
     let peer = SecretKey::generate(&mut rng).public_key();
-    let x25519_us = mean_us(iters, |_| {
+    let x25519_us = mean_us(iters, || {
         let secret = SecretKey::generate(&mut rng);
         black_box((secret.public_key(), secret.diffie_hellman(&peer).expect("agreement")));
     });
     let peer = DhSecret::generate(&mut rng).public_value();
-    let ffdhe2048_us = mean_us(iters, |_| {
+    let ffdhe2048_us = mean_us(iters, || {
         let secret = DhSecret::generate(&mut rng);
         black_box((secret.public_value(), secret.diffie_hellman(&peer).expect("agreement")));
     });

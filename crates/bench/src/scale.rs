@@ -1,7 +1,7 @@
 //! The `scale` suite (`BENCH_scale.json`): session-host capacity.
 //!
-//! Where `report.rs` measures the data-plane fast path one record at
-//! a time, this module measures the *host*: how many full mbTLS
+//! Where the `chain` suite's per-hop rows measure the record path one
+//! middlebox at a time, this module measures the *host*: how many full mbTLS
 //! sessions per second a sharded [`Host`] can admit, handshake,
 //! serve, and retire over the network simulator, for a fleet of
 //! 10 000 sessions under open/close churn, with a

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Regenerate and check the six BENCH_*.json artifacts, one `report`
-# suite each (README lists them; `paper` is the paper's own
-# evaluation). The binary checks each artifact's schema and floors
-# after writing it and exits non-zero on the first one that fails;
-# `report check <suite> <file>` reruns the checks alone.
+# Regenerate and check the five BENCH_*.json artifacts: one `report all`
+# call over every suite of the binary (README lists them; `paper` is
+# the paper's own evaluation). The binary checks each artifact's schema
+# and floors after writing it and exits non-zero on the first one that
+# fails; `report check <suite> <file>` reruns the checks alone.
 #
 #   scripts/bench_report.sh           full run, ~1 min (scale ~45 s,
 #                                     handshake ~7 s, the rest about a
@@ -24,16 +24,7 @@ report() {
     cargo run -q --release -p mbtls-bench --bin report -- "$@"
 }
 
-for suite in dataplane scale handshake chain auth paper; do
-    ARGS=("$suite")
-    if [[ "${1:-}" == "--smoke" ]]; then
-        mkdir -p target
-        ARGS+=(--smoke --out "target/BENCH_$suite.json")
-    fi
-    start=$SECONDS
-    report "${ARGS[@]}" > /dev/null
-    echo "OK: $suite ($((SECONDS - start))s)"
-done
+report all "$@" > /dev/null
 if [[ "${1:-}" != "--smoke" ]]; then
     report render BENCH_paper.json EXPERIMENTS.md
     echo "OK: EXPERIMENTS.md rendered from BENCH_paper.json"

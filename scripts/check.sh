@@ -75,8 +75,8 @@ run_examples() {
 stage examples  run_examples
 stage crypto-release cargo test -q -p mbtls-crypto --release
 stage telemetry scripts/telemetry_smoke.sh
-# Bench smoke: `report <suite> --smoke` for the six suites
-# (dataplane, scale, handshake, chain, auth, paper) proves each
+# Bench smoke: `report all --smoke` over the five suites (scale,
+# handshake, chain, auth, paper) proves each
 # BENCH_*.json can be produced and passes its suite's `check` —
 # schema, exact floors (zero allocations, determinism, byte counts,
 # the paper's 20/20, 241/241 and survey counts) and the ratios that
@@ -86,8 +86,8 @@ stage telemetry scripts/telemetry_smoke.sh
 stage bench     scripts/bench_report.sh --smoke
 # Which AES-GCM loops `crypto-release` and the bench floors ran on
 # this machine (`vaes-vpclmul`, `aesni-pclmul` or `bitsliced`), as the
-# smoke dataplane artifact recorded them.
-grep -o '"aead_backend": *"[^"]*"' target/BENCH_dataplane.json
+# smoke chain artifact recorded them.
+grep -o '"aead_backend": *"[^"]*"' target/BENCH_chain.json
 stage seam      bash benchmark/run.sh --smoke
 
 echo "all checks passed"

@@ -71,14 +71,30 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
     let exchanges = if smoke { 2 } else { 64 };
     let alloc_records = if smoke { 4 } else { 64 };
 
-    let aead = aead_rates(budget);
-    let reseal = relay_mb_s(KeyShape::PerHop, RECORD_LEN, budget);
-    let read_only = relay_mb_s(KeyShape::SharedReadOnly, RECORD_LEN, budget);
+    // Each row is timed beside the primitive it is held to (see
+    // `rates`): the seal and the relay against seal and open, the
+    // forward against the tag check.
+    let [seal, open, bitsliced_seal] = aead_meters();
+    let [seal, open, endpoint_seal, reseal] = rates(
+        budget,
+        [seal, open, seal_meter(RECORD_LEN), relay_meter(KeyShape::PerHop, RECORD_LEN)],
+    );
+    let [read_only, tag_verify] = rates(
+        budget,
+        [relay_meter(KeyShape::SharedReadOnly, RECORD_LEN), tag_verify_meter(RECORD_LEN)],
+    );
+    let [bitsliced_seal] = rates(budget, [bitsliced_seal]);
+    let aead = [("seal", seal), ("open", open), ("bitsliced_seal", bitsliced_seal)];
     let per_hop = [
-        ("endpoint_seal", seal_mb_s(RECORD_LEN, budget)),
+        ("endpoint_seal", endpoint_seal),
         ("middlebox_open_reseal", reseal),
         ("middlebox_read_only_forward", read_only),
-        ("raw_tag_verify", tag_verify_mb_s(RECORD_LEN, budget)),
+        ("raw_tag_verify", tag_verify),
+    ];
+    let over_crypto = [
+        ("read_only_over_tag_verify", read_only / tag_verify),
+        ("reseal_over_pair_bound", reseal / pair_bound(seal, open)),
+        ("seal_over_aead_seal", endpoint_seal / seal),
     ];
     let (chains, chains_identical) = bench_chains(exchanges, 0xC8A1_2026);
     // Handshake-amortization rows: large-response size classes and
@@ -117,6 +133,9 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
         ("record_len", RECORD_LEN.into()),
         ("aead_mb_s", rates_object(&aead, 2)),
         ("per_hop_mb_s", rates_object(&per_hop, 2)),
+        // Each party's record path against the AES-GCM it has to do,
+        // from the same run: what framing and buffers cost on top.
+        ("per_hop_over_crypto", rates_object(&over_crypto, 3)),
         // The fast-path win: tag verify only, against open + reseal.
         ("read_only_speedup", Value::Float(read_only / reseal, 3)),
         ("chain_mb_s", rates_object(&chains, 3)),
@@ -134,6 +153,28 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
     ])
 }
 
+/// The seal/open pair bound: MB/s of one seal plus one open of every
+/// byte, the AES-GCM a re-sealing middlebox cannot avoid.
+fn pair_bound(seal_mb_s: f64, open_mb_s: f64) -> f64 {
+    1.0 / (1.0 / seal_mb_s + 1.0 / open_mb_s)
+}
+
+/// Floors of `per_hop_over_crypto` on full runs: each party's record
+/// path against the primitive it runs, timed side by side. Since
+/// records are framed from the caller's bytes and sealed and opened
+/// out of place, a hop copies nothing but a read-only forward's one
+/// copy of each record to its output. That copy is most of what the
+/// forward pays over its tag check: it reads 0.76–0.82 on
+/// `vaes-vpclmul`, lower when the machine runs fast (the hash speeds up
+/// and the copy does not), so its floor sits under that and above
+/// where a second copy would put it (0.61–0.70). The re-seal and the
+/// endpoint seal read 0.95–0.98.
+const OVER_CRYPTO_FLOORS: [(&str, f64); 3] = [
+    ("read_only_over_tag_verify", 0.70),
+    ("reseal_over_pair_bound", 0.90),
+    ("seal_over_aead_seal", 0.90),
+];
+
 /// Schema and floors of `BENCH_chain.json`: every rate positive, the
 /// read-only forward ≥1.5× open+reseal (the whole point of the fast
 /// path; measured ≈ 3.3× on the vaes-vpclmul loops, more on backends
@@ -143,7 +184,9 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
 ///
 /// Unlike the throughput-ratio floors elsewhere, these hold even at
 /// smoke budgets: skipping a body decrypt wins at any record count,
-/// and allocs/determinism are exact, not statistical.
+/// and allocs/determinism are exact, not statistical. The exception is
+/// `per_hop_over_crypto`'s floors, which a smoke run's few records cannot
+/// measure, so they bind on full runs only.
 pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
     let backend = report.text("aead_backend")?;
     for key in ["seal", "open", "bitsliced_seal"] {
@@ -153,6 +196,24 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
         ["endpoint_seal", "middlebox_open_reseal", "middlebox_read_only_forward", "raw_tag_verify"];
     for key in per_hop {
         floor!(report.num(&format!("per_hop_mb_s.{key}"))? > 0.0, "per-hop metric {key} is zero");
+    }
+    let aead = |key: &str| report.num(&format!("aead_mb_s.{key}"));
+    let hop = |key: &str| report.num(&format!("per_hop_mb_s.{key}"));
+    let over_crypto = [
+        hop("middlebox_read_only_forward")? / hop("raw_tag_verify")?,
+        hop("middlebox_open_reseal")? / pair_bound(aead("seal")?, aead("open")?),
+        hop("endpoint_seal")? / aead("seal")?,
+    ];
+    for ((key, floor), ratio) in OVER_CRYPTO_FLOORS.into_iter().zip(over_crypto) {
+        let reported = report.num(&format!("per_hop_over_crypto.{key}"))?;
+        floor!(
+            (reported - ratio).abs() < 0.002,
+            "{key} {reported} disagrees with the rates ({ratio:.3})"
+        );
+        floor!(
+            report.flag("smoke")? || ratio >= floor,
+            "{key} is {ratio:.3}, below {floor}: the record path costs more than its AES-GCM"
+        );
     }
     let speedup = report.num("read_only_speedup")?;
     floor!(
@@ -244,19 +305,47 @@ impl KeyShape {
     }
 }
 
-/// MB/s over a `budget` of `len`-byte items, where `timed(n)` handles
-/// one batch of `n` items and returns the time to count. A batch is
+/// One thing [`rates`] times: items of `len` bytes, and `timed(n)`,
+/// which handles one batch of `n` items and returns the time to count.
+struct Meter {
+    len: usize,
+    timed: Box<dyn FnMut(usize) -> Duration>,
+}
+
+/// MB/s of each meter over a `budget` of its items. A batch is
 /// [`BATCH_BYTES`] (or the budget, if smaller); a sixteenth as many
-/// untimed batches go first, so the rate does not absorb cold caches
-/// and frequency ramp-up.
-fn rate(len: usize, budget: usize, mut timed: impl FnMut(usize) -> Duration) -> f64 {
-    let per_batch = (BATCH_BYTES.min(budget) / len).max(1);
-    let batches = (budget / (per_batch * len)).max(1);
-    for _ in 0..(batches / 16).max(1) {
-        timed(per_batch);
+/// untimed batches go first, and at least two, so that both buffers a
+/// relay drains by trading have grown and no rate absorbs cold caches,
+/// first-touch page faults or frequency ramp-up. The meters' batches
+/// then run interleaved, one
+/// of each per round, and each rate is that of its median batch: the
+/// `per_hop_over_crypto` ratios divide rates of one call, and on a
+/// shared machine only rates taken side by side, with preempted
+/// batches outvoted, divide to the same ratio from run to run. Keep a
+/// call's meters few: their working sets share the caches.
+fn rates<const N: usize>(budget: usize, mut meters: [Meter; N]) -> [f64; N] {
+    let plan = meters.each_ref().map(|meter| {
+        let per_batch = (BATCH_BYTES.min(budget) / meter.len).max(1);
+        (per_batch, (budget / (per_batch * meter.len)).max(1))
+    });
+    for (meter, &(per_batch, batches)) in meters.iter_mut().zip(&plan) {
+        for _ in 0..(batches / 16).max(2) {
+            (meter.timed)(per_batch);
+        }
     }
-    let elapsed: Duration = (0..batches).map(|_| timed(per_batch)).sum();
-    mb_per_s(batches * per_batch * len, elapsed)
+    let mut elapsed: [Vec<Duration>; N] = std::array::from_fn(|_| Vec::new());
+    let rounds = plan.iter().map(|&(_, batches)| batches).max().unwrap_or(0);
+    for round in 0..rounds {
+        for ((meter, &(per_batch, batches)), times) in meters.iter_mut().zip(&plan).zip(&mut elapsed) {
+            if round < batches {
+                times.push((meter.timed)(per_batch));
+            }
+        }
+    }
+    std::array::from_fn(|i| {
+        elapsed[i].sort_unstable();
+        mb_per_s(plan[i].0 * meters[i].len, elapsed[i][elapsed[i].len() / 2])
+    })
 }
 
 /// `client` seals `records` records of `payload` into `batch`, which
@@ -269,50 +358,63 @@ fn seal_batch(client: &mut EndpointDataPlane, payload: &[u8], records: usize, ba
     client.drain_outgoing_into(batch);
 }
 
-/// An endpoint's seal MB/s on `len`-byte records: the one seal meter.
-pub fn seal_mb_s(len: usize, budget: usize) -> f64 {
+/// An endpoint sealing `len`-byte records: the one seal meter.
+fn seal_meter(len: usize) -> Meter {
     let (hop, ..) = KeyShape::PerHop.path();
     let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
     let (payload, mut batch) = (vec![0xA5u8; len], Vec::new());
-    rate(len, budget, |records| {
+    let timed = move |records| {
         let t0 = Instant::now();
         seal_batch(&mut client, &payload, records, &mut batch);
         t0.elapsed()
-    })
+    };
+    Meter { len, timed: Box::new(timed) }
 }
 
-/// A middlebox's relay MB/s on `len`-byte client → server records
-/// keyed as `shape`: the one relay meter. Each batch is sealed outside
-/// the clock; only [`MiddleboxDataPlane::feed`] over it is timed, and
-/// the relayed records drain into a reused buffer. Panics if a record
-/// left `shape`'s path, so a re-seal row cannot time the fast path.
-pub fn relay_mb_s(shape: KeyShape, len: usize, budget: usize) -> f64 {
+/// An endpoint's seal MB/s on `len`-byte records.
+pub fn seal_mb_s(len: usize, budget: usize) -> f64 {
+    let [mb_s] = rates(budget, [seal_meter(len)]);
+    mb_s
+}
+
+/// A middlebox relaying `len`-byte client → server records keyed as
+/// `shape`: the one relay meter. Each batch is sealed outside the
+/// clock; only [`MiddleboxDataPlane::feed`] over it is timed, and the
+/// relayed records drain into a reused buffer. Panics if a record left
+/// `shape`'s path, so a re-seal row cannot time the fast path.
+fn relay_meter(shape: KeyShape, len: usize) -> Meter {
     let (hop, mut mbox, _) = shape.path();
     let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
     let (payload, mut batch, mut relayed) = (vec![0xA5u8; len], Vec::new(), Vec::new());
-    let mut records = 0;
-    let mb_s = rate(len, budget, |n| {
+    let timed = move |n| {
         seal_batch(&mut client, &payload, n, &mut batch);
+        let fast_before = mbox.records_fast_forwarded;
         let t0 = Instant::now();
         mbox.feed(FlowDirection::ClientToServer, &batch, |_, _| {}).expect("relay");
         let elapsed = t0.elapsed();
         relayed.clear();
         mbox.drain_toward_server_into(&mut relayed);
-        records += n as u64;
+        let fast = mbox.records_fast_forwarded - fast_before;
+        assert_eq!(fast, shape.fast_forwarded(n as u64), "{shape:?}");
         elapsed
-    });
-    assert_eq!(mbox.records_fast_forwarded, shape.fast_forwarded(records), "{shape:?}");
+    };
+    Meter { len, timed: Box::new(timed) }
+}
+
+/// A middlebox's relay MB/s on `len`-byte records keyed as `shape`.
+pub fn relay_mb_s(shape: KeyShape, len: usize, budget: usize) -> f64 {
+    let [mb_s] = rates(budget, [relay_meter(shape, len)]);
     mb_s
 }
 
 /// The record layer's tag check alone, no framing or buffers: the
 /// ceiling the read-only forward approaches.
-fn tag_verify_mb_s(len: usize, budget: usize) -> f64 {
+fn tag_verify_meter(len: usize) -> Meter {
     let (hop, ..) = KeyShape::SharedReadOnly.path();
     let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
     let mut reader = hop.open_client_to_server().expect("keys");
     let (payload, mut batch) = (vec![0xA5u8; len], Vec::new());
-    rate(len, budget, |records| {
+    let timed = move |records| {
         seal_batch(&mut client, &payload, records, &mut batch);
         let t0 = Instant::now();
         // Equal records; each body starts past the 5-byte header.
@@ -320,46 +422,52 @@ fn tag_verify_mb_s(len: usize, budget: usize) -> f64 {
             reader.verify_record(ContentType::ApplicationData, &record[5..]).expect("verify");
         }
         t0.elapsed()
-    })
+    };
+    Meter { len, timed: Box::new(timed) }
 }
 
-/// Bulk AES-GCM on [`AEAD_LEN`]-byte messages: seal and open on the
-/// backend `AesGcm::new` selects here (the report's `aead_backend`),
-/// and seal on `AesGcm::portable`, the bitsliced backend a CPU without
-/// AES-NI runs, which nothing else times.
-fn aead_rates(budget: usize) -> [Rate; 3] {
+/// Bulk AES-GCM on [`AEAD_LEN`]-byte messages through the append
+/// forms, into a reused buffer as the record layer does: seal and open
+/// on the backend `AesGcm::new` selects here (the report's
+/// `aead_backend`), and seal on `AesGcm::portable`, the bitsliced
+/// backend a CPU without AES-NI runs, which nothing else times.
+fn aead_meters() -> [Meter; 3] {
     let mut rng = CryptoRng::from_seed(0xBE9C);
     let mut key = [0u8; 32];
     rng.fill(&mut key);
-    let selected = AesGcm::new(&key).expect("key");
     let (nonce, aad) = ([0x24u8; 12], [0u8; 13]);
-    let mut buf = vec![0u8; AEAD_LEN];
-    rng.fill(&mut buf);
-    // Seal in place over a reused buffer, like the record layer.
-    let mut seal_mb_s = |gcm: &AesGcm| {
-        rate(AEAD_LEN, budget, |messages| {
+    let mut plaintext = vec![0u8; AEAD_LEN];
+    rng.fill(&mut plaintext);
+    let seal = |gcm: AesGcm| {
+        let (plaintext, mut buf) = (plaintext.clone(), Vec::with_capacity(AEAD_LEN + 16));
+        let timed = move |messages| {
             let t0 = Instant::now();
             for _ in 0..messages {
-                gcm.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
+                buf.clear();
+                gcm.seal_into(&nonce, &aad, &plaintext, &mut buf).expect("seal");
             }
             t0.elapsed()
-        })
+        };
+        Meter { len: AEAD_LEN, timed: Box::new(timed) }
     };
-    let seal = seal_mb_s(&selected);
-    let bitsliced_seal = seal_mb_s(&AesGcm::portable(&key).expect("key"));
-    // Opening restores the plaintext, so each message is a fresh copy
-    // of one ciphertext: a memcpy against two cipher passes.
-    let mut sealed = buf.clone();
+    let selected = AesGcm::new(&key).expect("key");
+    let mut sealed = plaintext.clone();
     let tag = selected.seal_in_place(&nonce, &aad, &mut sealed).expect("seal");
-    let open = rate(AEAD_LEN, budget, |messages| {
+    let mut buf = Vec::with_capacity(AEAD_LEN);
+    let opener = AesGcm::new(&key).expect("key");
+    let open = move |messages| {
         let t0 = Instant::now();
         for _ in 0..messages {
-            buf.copy_from_slice(&sealed);
-            selected.open_in_place(&nonce, &aad, &mut buf, &tag).expect("open");
+            buf.clear();
+            opener.open_into(&nonce, &aad, &sealed, &tag, &mut buf).expect("open");
         }
         t0.elapsed()
-    });
-    [("seal", seal), ("open", open), ("bitsliced_seal", bitsliced_seal)]
+    };
+    [
+        seal(selected),
+        Meter { len: AEAD_LEN, timed: Box::new(open) },
+        seal(AesGcm::portable(&key).expect("key")),
+    ]
 }
 
 /// Outcome of one end-to-end chain run.
@@ -751,6 +859,48 @@ mod tests {
                 ("aead_backend", "false", "aead_backend"),
             ],
         );
+
+        // A full run holds each party's record path to the AES-GCM it
+        // runs; the same numbers in a smoke run are not held to it.
+        let with_rates = |smoke_flag: &str, read_only: f64, reseal: f64, seal: f64| {
+            use crate::testing::doctored;
+            let report = doctored(&smoke, "smoke", smoke_flag);
+            let report = doctored(
+                &report,
+                "aead_mb_s",
+                r#"{"seal": 1000.00, "open": 1000.00, "bitsliced_seal": 100.00}"#,
+            );
+            let hops = format!(
+                r#"{{"endpoint_seal": {seal:.2}, "middlebox_open_reseal": {reseal:.2},
+                    "middlebox_read_only_forward": {read_only:.2}, "raw_tag_verify": 1000.00}}"#
+            );
+            let ratios = format!(
+                r#"{{"read_only_over_tag_verify": {:.3}, "reseal_over_pair_bound": {:.3},
+                    "seal_over_aead_seal": {:.3}}}"#,
+                read_only / 1000.0,
+                reseal / 500.0,
+                seal / 1000.0
+            );
+            doctored(&doctored(&report, "per_hop_mb_s", &hops), "per_hop_over_crypto", &ratios)
+        };
+        check(&with_rates("false", 850.0, 470.0, 950.0), None).expect("rates above the floors");
+        let below = [
+            ((690.0, 470.0, 950.0), "read_only_over_tag_verify is 0.690, below 0.7"),
+            ((850.0, 440.0, 950.0), "reseal_over_pair_bound is 0.880, below 0.9"),
+            ((850.0, 470.0, 890.0), "seal_over_aead_seal is 0.890, below 0.9"),
+        ];
+        for ((read_only, reseal, seal), expected) in below {
+            let error = check(&with_rates("false", read_only, reseal, seal), None).unwrap_err();
+            assert!(error.contains(expected), "{error:?} does not name {expected:?}");
+            let smoke_run = with_rates("true", read_only, reseal, seal);
+            check(&smoke_run, None).expect("smoke runs are not held to them");
+        }
+        let lying = crate::testing::doctored(
+            &with_rates("false", 850.0, 470.0, 950.0),
+            "per_hop_over_crypto.reseal_over_pair_bound",
+            "0.990",
+        );
+        assert!(check(&lying, None).unwrap_err().contains("disagrees with the rates"));
     }
 
     #[test]

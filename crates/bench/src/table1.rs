@@ -100,7 +100,7 @@ pub fn app_data_records(stream: &[u8]) -> Vec<Vec<u8>> {
     let mut reader = RecordReader::new();
     reader.feed(stream);
     let mut out = Vec::new();
-    while let Ok(Some(mut rec)) = reader.next_record_inplace() {
+    while let Ok(Some(rec)) = reader.next_record_inplace() {
         if rec.content_type() == Some(ContentType::ApplicationData) {
             out.push(rec.body().to_vec());
         }

@@ -75,16 +75,16 @@ impl Flow {
         self.records += 1;
     }
 
-    /// Open an application-data record body in place.
-    fn open<'a>(
+    /// Open an application-data record body onto the end of `out`.
+    fn open_into(
         &mut self,
-        body: &'a mut [u8],
+        body: &[u8],
+        out: &mut Vec<u8>,
         telemetry: Option<&PlaneTelemetry>,
-    ) -> Result<&'a mut [u8], TlsError> {
-        let plain = self.state.open_record_in_place(ContentType::ApplicationData, body)?;
-        let bytes = plain.len() as u64;
+    ) -> Result<(), TlsError> {
+        let bytes = self.state.open_record_into(ContentType::ApplicationData, body, out)? as u64;
         self.count(telemetry, |hop, seq| EventKind::RecordDecrypt { hop, bytes, seq });
-        Ok(plain)
+        Ok(())
     }
 
     /// Seal `data` onto `out` as application-data records, one per
@@ -227,40 +227,34 @@ impl EndpointDataPlane {
             .seal_record_into(ContentType::Alert, &alert.encode(), &mut self.outgoing_wire)
     }
 
-    /// Queue application data. Records are sealed in place directly
-    /// into the outgoing buffer — no per-record allocation once that
-    /// buffer reaches steady-state capacity.
+    /// Queue application data. Records are sealed from `data` straight
+    /// into the outgoing buffer — no copy, and no per-record allocation
+    /// once that buffer reaches steady-state capacity.
     pub fn send(&mut self, data: &[u8]) -> Result<(), TlsError> {
         self.write.seal(data, &mut self.outgoing_wire, self.telemetry.as_ref())
     }
 
-    /// Feed wire bytes from the adjacent hop. Records are decrypted in
-    /// place inside the reassembly buffer.
+    /// Feed wire bytes from the adjacent hop. Each whole record is
+    /// opened from `data` straight onto the received plaintext; only a
+    /// record split across feeds is buffered.
     pub fn feed(&mut self, data: &[u8]) -> Result<(), TlsError> {
-        self.reader.feed(data);
-        // The reader moves aside so each record is opened where it
-        // sits in its buffer while the other fields take the result.
+        // The reader moves aside so the records it frames can be
+        // opened into the other fields.
         let mut reader = std::mem::take(&mut self.reader);
-        let result = (|| {
-            while let Some(record) = reader.next_record_inplace()? {
-                self.feed_record_in_place(record)?;
-            }
-            Ok(())
-        })();
+        let result = reader.for_each_record(data, |record| self.feed_record(record));
         self.reader = reader;
         result
     }
 
-    /// Decrypt one already-framed record where it sits and apply it
-    /// (append plaintext / mark close / raise alert), bypassing the
-    /// internal reassembly reader: the entry the session layer uses
-    /// once it has split the wire stream with its own
-    /// [`RecordReader`].
-    pub fn feed_record_in_place(&mut self, mut record: Record<'_>) -> Result<(), TlsError> {
+    /// Open one already-framed record and apply it (append plaintext /
+    /// mark close / raise alert), bypassing the internal reassembly
+    /// reader: the entry the session layer uses once it has split the
+    /// wire stream with its own [`RecordReader`].
+    pub fn feed_record(&mut self, record: Record<'_>) -> Result<(), TlsError> {
         match record.content_type() {
             Some(ContentType::ApplicationData) => {
-                let plain = self.read.open(record.body(), self.telemetry.as_ref())?;
-                self.incoming_plain.extend_from_slice(plain);
+                let telemetry = self.telemetry.as_ref();
+                self.read.open_into(record.body(), &mut self.incoming_plain, telemetry)?;
             }
             Some(ContentType::Alert) => {
                 // Decode the alert and dispatch on its *description*: only
@@ -270,8 +264,15 @@ impl EndpointDataPlane {
                 // close.) Non-close alerts surface to the caller whatever
                 // their level; on this data plane nothing else is
                 // recoverable.
-                let plain = self.read.state.open_record_in_place(ContentType::Alert, record.body())?;
-                let alert = mbtls_tls::alert::Alert::decode(plain)?;
+                // Opened onto the end of the received plaintext and taken
+                // back off once decoded.
+                let plain = &mut self.incoming_plain;
+                let received = plain.len();
+                self.read.state.open_record_into(ContentType::Alert, record.body(), plain)?;
+                let alert =
+                    mbtls_tls::alert::Alert::decode(plain.get(received..).unwrap_or_default());
+                plain.truncate(received);
+                let alert = alert?;
                 if alert.description == mbtls_tls::alert::AlertDescription::CloseNotify {
                     self.peer_closed = true;
                 } else {
@@ -341,6 +342,9 @@ pub struct MiddleboxDataPlane {
     /// Reusable scratch buffer handed to the record processor; holds
     /// one record's plaintext at a time.
     plain_buf: Vec<u8>,
+    /// What an aliased lane opened into `plain_buf` before its
+    /// processor ran, to check it came back unchanged.
+    opened: Vec<u8>,
     /// Records processed (for accounting).
     pub records_forwarded: u64,
     /// Of those, records forwarded unchanged via the read-only fast
@@ -445,6 +449,7 @@ impl MiddleboxDataPlane {
         Ok(MiddleboxDataPlane {
             lanes: [lane(FlowDirection::ClientToServer)?, lane(FlowDirection::ServerToClient)?],
             plain_buf: Vec::new(),
+            opened: Vec::new(),
             records_forwarded: 0,
             records_fast_forwarded: 0,
             read_only: false,
@@ -479,11 +484,13 @@ impl MiddleboxDataPlane {
     /// record's plaintext in a reusable scratch buffer and mutates it
     /// in place to change what is forwarded.
     ///
-    /// The whole per-record path is allocation-free at steady state:
-    /// the record is decrypted in place inside the reassembly buffer,
-    /// copied once into the scratch buffer for the processor, and
-    /// re-encrypted in place inside the (reused) output buffer (see
-    /// [`MiddleboxDataPlane::feed_record_in_place`] for aliased keys).
+    /// The whole per-record path is allocation-free at steady state
+    /// and copies nothing on a re-sealing lane: each whole record is
+    /// read where it sits in `data`, decrypted straight into the
+    /// scratch buffer for the processor, and re-encrypted straight
+    /// into the (reused) output buffer. Only a record split across
+    /// feeds is buffered first (see
+    /// [`MiddleboxDataPlane::feed_record`] for aliased keys).
     pub fn feed(
         &mut self,
         dir: FlowDirection,
@@ -491,23 +498,18 @@ impl MiddleboxDataPlane {
         mut process: impl FnMut(FlowDirection, &mut Vec<u8>),
     ) -> Result<(), MbError> {
         let lane = arrival(dir);
-        self.lanes[lane].reader.feed(data);
-        // The reader moves aside so each record is relayed where it
-        // sits in its buffer while the other fields do the work.
+        // The reader moves aside so the records it frames can be
+        // relayed through the other fields.
         let mut reader = std::mem::take(&mut self.lanes[lane].reader);
-        let result = (|| {
-            while let Some(record) = reader.next_record_inplace().map_err(MbError::Tls)? {
-                self.feed_record_in_place(dir, record, &mut process)?;
-            }
-            Ok(())
-        })();
+        let result =
+            reader.for_each_record(data, |record| self.feed_record(dir, record, &mut process));
         self.lanes[lane].reader = reader;
         result
     }
 
     /// Relay one already-framed record travelling in `dir`, bypassing
     /// the internal reassembly readers — the counterpart of
-    /// [`EndpointDataPlane::feed_record_in_place`], used by the
+    /// [`EndpointDataPlane::feed_record`], used by the
     /// middlebox once it splits the wire stream with its own
     /// [`RecordReader`].
     ///
@@ -525,10 +527,10 @@ impl MiddleboxDataPlane {
     ///   sealed under the nonce its sender already spent on the
     ///   original, which is catastrophic GCM nonce reuse (keystream
     ///   reuse plus GHASH-key recovery).
-    pub fn feed_record_in_place(
+    pub fn feed_record(
         &mut self,
         dir: FlowDirection,
-        mut record: Record<'_>,
+        record: Record<'_>,
         mut process: impl FnMut(FlowDirection, &mut Vec<u8>),
     ) -> Result<(), MbError> {
         let telemetry = self.telemetry.as_ref();
@@ -537,61 +539,41 @@ impl MiddleboxDataPlane {
             .content_type()
             .ok_or(MbError::unknown_message("unknown record type on data plane"))?;
         match (content_type, lane.write.as_mut()) {
-            (ContentType::ApplicationData, Some(write)) => {
-                let plain = lane.read.open(record.body(), telemetry).map_err(MbError::Tls)?;
+            (ContentType::ApplicationData, write) if write.is_some() || !self.read_only => {
                 self.plain_buf.clear();
-                self.plain_buf.extend_from_slice(plain);
-                process(dir, &mut self.plain_buf);
-                write.seal(&self.plain_buf, &mut lane.out, telemetry).map_err(MbError::Tls)?;
+                lane.read.open_into(record.body(), &mut self.plain_buf, telemetry)?;
+                match write {
+                    Some(write) => {
+                        process(dir, &mut self.plain_buf);
+                        write.seal(&self.plain_buf, &mut lane.out, telemetry)?;
+                    }
+                    None => {
+                        // No key to seal with: the record can only leave
+                        // as it arrived, so it must come back from
+                        // `process` as it was.
+                        self.opened.clone_from(&self.plain_buf);
+                        process(dir, &mut self.plain_buf);
+                        if self.plain_buf != self.opened {
+                            return Err(MbError::unexpected_state(
+                                "record modified on aliased hop keys, which have no key to seal it under",
+                            ));
+                        }
+                        lane.out.extend_from_slice(record.wire());
+                    }
+                }
                 self.records_forwarded += 1;
             }
             (ContentType::Alert, Some(write)) => {
                 // Alerts are never handed to the processor.
-                let plain = lane
-                    .read
-                    .state
-                    .open_record_in_place(ContentType::Alert, record.body())
-                    .map_err(MbError::Tls)?;
-                write
-                    .state
-                    .seal_record_into(ContentType::Alert, plain, &mut lane.out)
-                    .map_err(MbError::Tls)?;
-            }
-            (ContentType::ApplicationData, None) if !self.read_only => {
-                // Opening in place overwrites the ciphertext that is to
-                // leave, so the record is queued first and withdrawn
-                // unless it opens and comes back from `process` as it was.
-                let queued = lane.out.len();
-                lane.out.extend_from_slice(record.wire());
-                let checked = match lane.read.open(record.body(), telemetry) {
-                    Ok(plain) => {
-                        self.plain_buf.clear();
-                        self.plain_buf.extend_from_slice(plain);
-                        process(dir, &mut self.plain_buf);
-                        if self.plain_buf[..] == plain[..] {
-                            Ok(())
-                        } else {
-                            Err(MbError::unexpected_state(
-                                "record modified on aliased hop keys, which have no key to seal it under",
-                            ))
-                        }
-                    }
-                    Err(e) => Err(MbError::Tls(e)),
-                };
-                if checked.is_err() {
-                    lane.out.truncate(queued);
-                }
-                checked?;
-                self.records_forwarded += 1;
+                self.plain_buf.clear();
+                let plain = &mut self.plain_buf;
+                lane.read.state.open_record_into(ContentType::Alert, record.body(), plain)?;
+                write.state.seal_record_into(ContentType::Alert, &self.plain_buf, &mut lane.out)?;
             }
             (ContentType::ApplicationData | ContentType::Alert, None) => {
                 // Verify the tag, then forward: copying first costs the
                 // fast path its throughput.
-                let bytes = lane
-                    .read
-                    .state
-                    .verify_record(content_type, record.body())
-                    .map_err(MbError::Tls)? as u64;
+                let bytes = lane.read.state.verify_record(content_type, record.body())? as u64;
                 lane.out.extend_from_slice(record.wire());
                 if content_type == ContentType::ApplicationData {
                     lane.read.count(telemetry, |hop, seq| EventKind::RecordForwardedReadOnly {

@@ -307,11 +307,10 @@ impl Middlebox {
             self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
         }
         let side = arrival(dir);
-        self.sides[side].reader.feed(data);
-        // The reader moves aside so records borrowed from its buffer
+        // The reader moves aside so the records it frames out of `data`
         // can be routed into the middlebox's other fields.
         let mut reader = std::mem::take(&mut self.sides[side].reader);
-        let result = self.route_side(&mut reader, dir);
+        let result = reader.for_each_record(data, |record| self.route(dir, record));
         self.sides[side].reader = reader;
         if let Err(e) = result {
             return self.fail(e);
@@ -320,23 +319,19 @@ impl Middlebox {
         Ok(())
     }
 
-    /// Route every complete record `reader` holds for one arrival
-    /// side, each where it sits in the reader's buffer. In the
-    /// data-plane phase, data records are opened, processed, and
-    /// re-sealed; everything else takes the phase state machine.
-    fn route_side(&mut self, reader: &mut RecordReader, dir: FlowDirection) -> Result<(), MbError> {
-        while let Some(record) = reader.next_record_inplace().map_err(MbError::Tls)? {
-            let is_data = matches!(
-                record.content_type(),
-                Some(ContentType::ApplicationData | ContentType::Alert)
-            );
-            if self.phase == MiddleboxPhase::DataPlane && is_data {
-                self.dataplane_feed_in_place(dir, record)?;
-            } else {
-                self.on_record(dir, record)?;
-            }
+    /// Route one record arriving in `dir`. In the data-plane phase,
+    /// data records are opened, processed, and re-sealed; everything
+    /// else takes the phase state machine.
+    fn route(&mut self, dir: FlowDirection, record: Record<'_>) -> Result<(), MbError> {
+        let is_data = matches!(
+            record.content_type(),
+            Some(ContentType::ApplicationData | ContentType::Alert)
+        );
+        if self.phase == MiddleboxPhase::DataPlane && is_data {
+            self.dataplane_feed(dir, record)
+        } else {
+            self.on_record(dir, record)
         }
-        Ok(())
     }
 
     fn fail(&mut self, e: MbError) -> Result<(), MbError> {
@@ -352,7 +347,7 @@ impl Middlebox {
 
     /// One record travelling in `dir` that the data plane did not
     /// take. Whatever no arm below claims is relayed unchanged.
-    fn on_record(&mut self, dir: FlowDirection, mut record: Record<'_>) -> Result<(), MbError> {
+    fn on_record(&mut self, dir: FlowDirection, record: Record<'_>) -> Result<(), MbError> {
         use MiddleboxPhase::{ClientSideJoining, ServerSideAwaitClaim, ServerSideJoining};
         let from_server = dir == FlowDirection::ServerToClient;
         match (self.phase, record.content_type()) {
@@ -445,7 +440,7 @@ impl Middlebox {
     }
 
     /// The very first record from the client decides our role.
-    fn handle_first_record(&mut self, mut record: Record<'_>) -> Result<(), MbError> {
+    fn handle_first_record(&mut self, record: Record<'_>) -> Result<(), MbError> {
         // Forward it onward in all cases.
         self.forward(FlowDirection::ClientToServer, &record);
         if record.content_type() != Some(ContentType::Handshake) {
@@ -551,16 +546,16 @@ impl Middlebox {
         for dir in DIRECTIONS {
             let mut early = std::mem::take(&mut self.sides[arrival(dir)].early);
             while let Some(record) = early.next_record_inplace().map_err(MbError::Tls)? {
-                self.dataplane_feed_in_place(dir, record)?;
+                self.dataplane_feed(dir, record)?;
             }
         }
         Ok(())
     }
 
     /// Run one data-plane record through the data plane and the
-    /// processor where it sits (in the arrival reader's buffer, or the
-    /// early-data one).
-    fn dataplane_feed_in_place(
+    /// processor, from where it sits (the arriving bytes, the arrival
+    /// reader's buffer, or the early-data one).
+    fn dataplane_feed(
         &mut self,
         dir: FlowDirection,
         record: Record<'_>,
@@ -570,7 +565,7 @@ impl Middlebox {
             .as_mut()
             .ok_or_else(|| MbError::unexpected_state("dataplane active but missing"))?;
         let processor = &mut self.processor;
-        dp.feed_record_in_place(dir, record, |d, plain| {
+        dp.feed_record(dir, record, |d, plain| {
             *plain = processor.process(d, std::mem::take(plain));
         })
     }

@@ -14,7 +14,7 @@
 //!
 //! The session is generic over the role (which names the primary
 //! connection's TLS role), so every call on the path from
-//! [`MbSession::feed_incoming`] to the data plane's in-place open is
+//! [`MbSession::feed_incoming`] to the data plane's open is
 //! statically dispatched and inlines exactly as the two hand-written
 //! copies did.
 
@@ -250,11 +250,10 @@ impl<R: Role> MbSession<R> {
         if !data.is_empty() {
             self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
         }
-        self.reader.feed(data);
-        // The reader moves aside so records borrowed from its buffer
+        // The reader moves aside so the records it frames out of `data`
         // can be routed into the session's other fields.
         let mut reader = std::mem::take(&mut self.reader);
-        let result = self.route_buffered(&mut reader);
+        let result = reader.for_each_record(data, |record| self.route(record));
         self.reader = reader;
         if let Err(e) = result {
             self.error = Some(e.clone());
@@ -264,24 +263,21 @@ impl<R: Role> MbSession<R> {
         Ok(())
     }
 
-    /// Route every complete record `reader` holds, each where it sits
-    /// in the reader's buffer: post-handshake data records are opened
-    /// there, everything else is fed onward byte for byte.
-    fn route_buffered(&mut self, reader: &mut RecordReader) -> Result<(), MbError> {
-        while let Some(record) = reader.next_record_inplace().map_err(MbError::Tls)? {
-            match (record.content_type(), &mut self.dataplane) {
-                // Post-handshake records (data and close alerts) are
-                // protected under the adjacent hop's keys.
-                (Some(ContentType::ApplicationData | ContentType::Alert), Some(dp)) => {
-                    dp.feed_record_in_place(record).map_err(MbError::Tls)?;
-                }
-                _ => self.route_record(record)?,
+    /// Route one record: a post-handshake data record is opened from
+    /// where it sits onto the received plaintext, anything else is fed
+    /// onward byte for byte.
+    fn route(&mut self, record: Record<'_>) -> Result<(), MbError> {
+        match (record.content_type(), &mut self.dataplane) {
+            // Post-handshake records (data and close alerts) are
+            // protected under the adjacent hop's keys.
+            (Some(ContentType::ApplicationData | ContentType::Alert), Some(dp)) => {
+                Ok(dp.feed_record(record)?)
             }
+            _ => self.route_record(record),
         }
-        Ok(())
     }
 
-    fn route_record(&mut self, mut record: Record<'_>) -> Result<(), MbError> {
+    fn route_record(&mut self, record: Record<'_>) -> Result<(), MbError> {
         let content_type = record.content_type();
         if content_type == Some(ContentType::MbtlsEncapsulated) {
             let (id, inner) = Encapsulated::split(record.body())?;
@@ -683,9 +679,10 @@ impl<R: Role> MbSession<R> {
 /// Wrap a byte stream of complete TLS records into Encapsulated
 /// records on `subchannel`, appending the framed bytes to `out`.
 pub(crate) fn wrap_records(subchannel: u8, stream: &[u8], out: &mut Vec<u8>) {
-    let mut reader = RecordReader::new();
-    reader.feed(stream);
-    while let Ok(Some(record)) = reader.next_record_inplace() {
+    // A party's own output: whole records, so nothing is buffered, and
+    // a malformed tail is dropped rather than wrapped.
+    let _ = RecordReader::new().for_each_record(stream, |record| {
         Encapsulated::wrap_into(subchannel, record.wire(), out);
-    }
+        Ok::<_, mbtls_tls::TlsError>(())
+    });
 }

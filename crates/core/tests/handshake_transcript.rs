@@ -17,7 +17,7 @@ fn record_log(stream: &[u8]) -> Vec<String> {
     let mut reader = RecordReader::new();
     reader.feed(stream);
     let mut out = Vec::new();
-    while let Ok(Some(mut rec)) = reader.next_record_inplace() {
+    while let Ok(Some(rec)) = reader.next_record_inplace() {
         let label = match rec.content_type_byte() {
             20 => "CCS".to_string(),
             21 => "Alert".to_string(),

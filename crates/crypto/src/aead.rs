@@ -103,6 +103,33 @@ impl AeadKey {
         self.gcm.seal_in_place(&self.nonce(explicit_nonce), aad, data)
     }
 
+    /// Seal `plaintext` onto the end of `out` (ciphertext, then tag),
+    /// encrypting straight into its spare capacity: the append form of
+    /// [`AeadKey::seal`], with nothing copied first.
+    pub fn seal_into(
+        &self,
+        explicit_nonce: &[u8; EXPLICIT_NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        self.gcm.seal_into(&self.nonce(explicit_nonce), aad, plaintext, out)
+    }
+
+    /// Verify `tag` over `ciphertext`, then append the plaintext to
+    /// `out`, decrypted straight into its spare capacity. On failure
+    /// `out` is untouched.
+    pub fn open_into(
+        &self,
+        explicit_nonce: &[u8; EXPLICIT_NONCE_LEN],
+        aad: &[u8],
+        ciphertext: &[u8],
+        tag: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        self.gcm.open_into(&self.nonce(explicit_nonce), aad, ciphertext, tag, out)
+    }
+
     /// Verify `tag` over `ciphertext` without decrypting — the
     /// authentication half of [`AeadKey::open_in_place`]. Used by the
     /// read-only middlebox forward path, where the record bytes pass

@@ -29,6 +29,7 @@
 
 use std::ops::{BitAnd, BitOr, BitXor, Not};
 
+use crate::gcm::{Blocks, InPlace};
 use crate::CryptoError;
 
 /// Round constants for key expansion (enough for AES-128 and
@@ -292,22 +293,23 @@ impl Aes {
     /// SP 800-38D inc32). Eight counter blocks are generated per pass
     /// through the cipher circuit.
     pub fn ctr_xor(&self, nonce: &[u8; 12], counter0: u32, data: &mut [u8]) {
+        self.ctr(nonce, counter0, &mut InPlace(data));
+    }
+
+    /// The one CTR loop: [`Aes::ctr_xor`]'s keystream over `blocks`,
+    /// in place or from a source into a destination.
+    pub(crate) fn ctr(&self, nonce: &[u8; 12], counter0: u32, blocks: &mut impl Blocks) {
         let mut counter = counter0;
-        let mut chunks = data.chunks_exact_mut(128);
-        for chunk in &mut chunks {
+        let whole = blocks.len() - blocks.len() % 128;
+        for at in (0..whole).step_by(128) {
             let ks = self.ctr_keystream(nonce, counter);
             counter = counter.wrapping_add(8);
-            for (seg, k) in chunk.chunks_exact_mut(16).zip(ks.iter()) {
-                let v = u128::from_ne_bytes(crate::fixed(seg)) ^ u128::from_ne_bytes(*k);
-                seg.copy_from_slice(&v.to_ne_bytes());
-            }
+            blocks.pass::<128, 16>(at, |i, block| {
+                (u128::from_ne_bytes(*block) ^ u128::from_ne_bytes(ks[i])).to_ne_bytes()
+            });
         }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let ks = self.ctr_keystream(nonce, counter);
-            for (b, k) in tail.iter_mut().zip(ks.iter().flatten()) {
-                *b ^= k;
-            }
+        if whole < blocks.len() {
+            blocks.xor_tail(whole, self.ctr_keystream(nonce, counter).as_flattened());
         }
     }
 

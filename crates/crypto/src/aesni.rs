@@ -13,6 +13,9 @@
 //!   counter lives little-endian in the top lane of one register so
 //!   `inc32` is a single `PADDD` (wrapping inside its lane, exactly
 //!   the SP 800-38D semantics) and `PSHUFB` puts it in wire order.
+//!   Each pass reads its blocks from a source and stores them XOR
+//!   keystream to a destination ([`crate::gcm::Blocks`]); in place
+//!   the two are one buffer, so each width has one CTR loop.
 //! * **GHASH** multiplies with `PCLMULQDQ` over precomputed H¹..H⁸:
 //!
 //!   ```text
@@ -70,6 +73,7 @@ use core::arch::x86_64::{
 };
 
 use crate::ct;
+use crate::gcm::Blocks;
 
 /// Round keys AES-256 needs (14 rounds plus the whitening key);
 /// AES-128 uses the first 11 slots.
@@ -157,26 +161,26 @@ impl AesNiGcm {
         Some(this)
     }
 
-    /// XOR the GCM CTR keystream into `data`; same contract as
-    /// [`crate::aes::Aes::ctr_xor`].
-    pub(crate) fn ctr_xor(&self, nonce: &[u8; 12], counter0: u32, data: &mut [u8]) {
+    /// The GCM CTR keystream from `counter0` over `blocks`, in place or
+    /// from a source into a destination: whole wide passes first on a
+    /// [`Width::Sixteen`] key, the rest on the eight-wide loop.
+    pub(crate) fn ctr(&self, nonce: &[u8; 12], counter0: u32, blocks: &mut impl Blocks) {
         let wide_len = match self.width {
-            Width::Sixteen => data.len() - data.len() % WIDE_PASS,
+            Width::Sixteen => blocks.len() - blocks.len() % WIDE_PASS,
             Width::Eight => 0,
         };
-        let (wide, tail) = data.split_at_mut(wide_len);
-        if matches!(self.width, Width::Sixteen) && !wide.is_empty() {
+        if wide_len > 0 {
             // SAFETY: `with_width` builds a `Width::Sixteen` key only
             // after `detect()` reported VAES, VPCLMULQDQ and AVX2 on
-            // this CPU.
-            unsafe { self.ctr_xor_wide(nonce, counter0, wide) }
+            // this CPU, and only such a key has a nonzero `wide_len`.
+            unsafe { self.ctr_wide(nonce, counter0, blocks, wide_len) }
         }
         // inc32 counts modulo 2³², so truncating the block count is
         // exactly the counter the tail starts from.
         let counter = counter0.wrapping_add((wide_len / 16) as u32);
         // SAFETY: `self` exists, so `with_width` saw `detect()` report
         // AES-NI on this CPU (see the module's soundness note).
-        unsafe { self.ctr_xor_hw(nonce, counter, tail) }
+        unsafe { self.ctr_hw(nonce, counter, blocks, wide_len) }
     }
 
     /// The GCM tag over `aad` and `ciphertext`:
@@ -319,35 +323,37 @@ impl AesNiGcm {
         b
     }
 
+    /// The eight-wide CTR loop over `blocks` from byte `from` to the
+    /// end, eight blocks per pass.
     #[target_feature(enable = "aes,ssse3")]
-    fn ctr_xor_hw(&self, nonce: &[u8; 12], counter0: u32, data: &mut [u8]) {
+    fn ctr_hw(&self, nonce: &[u8; 12], counter0: u32, blocks: &mut impl Blocks, from: usize) {
         let mut ctr = load(&counter_block(nonce, counter0));
-        let mut chunks = data.chunks_exact_mut(16 * WIDE);
-        for chunk in &mut chunks {
+        let whole = from + (blocks.len() - from) / (16 * WIDE) * (16 * WIDE);
+        for pass in (from..whole).step_by(16 * WIDE) {
             let ks = self.keystream8(&mut ctr);
-            for (seg, k) in chunk.as_chunks_mut::<16>().0.iter_mut().zip(ks) {
-                store(seg, _mm_xor_si128(load(seg), k));
-            }
+            blocks.pass::<{ 16 * WIDE }, 16>(pass, |i, block| {
+                let mut out = [0u8; 16];
+                store(&mut out, _mm_xor_si128(load(block), ks[i]));
+                out
+            });
         }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
+        if whole < blocks.len() {
             // A full eight-wide pass costs about one block's latency,
             // so the tail takes it too instead of a serial loop.
             let mut ks = [[0u8; 16]; WIDE];
             for (slot, k) in ks.iter_mut().zip(self.keystream8(&mut ctr)) {
                 store(slot, k);
             }
-            for (b, k) in tail.iter_mut().zip(ks.as_flattened()) {
-                *b ^= k;
-            }
+            blocks.xor_tail(whole, ks.as_flattened());
         }
     }
 
-    /// CTR over `data`, a whole number of [`WIDE_PASS`]-byte passes,
-    /// sixteen counter blocks per pass: eight registers of two
-    /// consecutive counters, each an independent `VAESENC` chain.
+    /// The sixteen-wide CTR loop over the first `len` bytes of `blocks`,
+    /// a whole number of [`WIDE_PASS`]-byte passes, sixteen counter
+    /// blocks per pass: eight registers of two consecutive counters,
+    /// each an independent `VAESENC` chain.
     #[target_feature(enable = "aes,ssse3,avx2,vaes")]
-    fn ctr_xor_wide(&self, nonce: &[u8; 12], counter0: u32, data: &mut [u8]) {
+    fn ctr_wide(&self, nonce: &[u8; 12], counter0: u32, blocks: &mut impl Blocks, len: usize) {
         let to_wire = _mm256_broadcastsi128_si256(to_wire());
         // The upper lane runs one counter ahead of the lower one, and
         // both step by two: `inc32` wraps inside each lane's top word.
@@ -357,7 +363,7 @@ impl AesNiGcm {
         );
         let step = _mm256_set_epi32(2, 0, 0, 0, 2, 0, 0, 0);
         let round_key = |i: usize| _mm256_broadcastsi128_si256(load(&self.round_keys[i]));
-        for pass in data.as_chunks_mut::<WIDE_PASS>().0 {
+        for pass in (0..len).step_by(WIDE_PASS) {
             let mut b = [_mm256_setzero_si256(); WIDE];
             let rk0 = round_key(0);
             for x in b.iter_mut() {
@@ -371,10 +377,12 @@ impl AesNiGcm {
                 }
             }
             let last = round_key(self.rounds());
-            for (seg, x) in pass.as_chunks_mut::<32>().0.iter_mut().zip(b) {
-                let ks = _mm256_aesenclast_epi128(x, last);
-                store256(seg, _mm256_xor_si256(load256(seg), ks));
-            }
+            blocks.pass::<WIDE_PASS, 32>(pass, |i, pair| {
+                let ks = _mm256_aesenclast_epi128(b[i], last);
+                let mut out = [0u8; 32];
+                store256(&mut out, _mm256_xor_si256(load256(pair), ks));
+                out
+            });
         }
     }
 
@@ -632,6 +640,15 @@ mod tests {
     use crate::gcm::AesGcm;
 
     const WIDTHS: [Width; 2] = [Width::Eight, Width::Sixteen];
+
+    impl AesNiGcm {
+        /// XOR the GCM CTR keystream into `data`, in place; same
+        /// contract as [`Aes::ctr_xor`], which these tests hold it
+        /// against.
+        fn ctr_xor(&self, nonce: &[u8; 12], counter0: u32, data: &mut [u8]) {
+            self.ctr(nonce, counter0, &mut crate::gcm::InPlace(data));
+        }
+    }
 
     /// The backend under test on the loops of `width`, or `None` (test
     /// passes vacuously, with a note) on a CPU without the

@@ -22,6 +22,16 @@
 //!   Those tables are keyed (derived from `H`), so indexing them is
 //!   a data-dependent memory access the hardware path does not have;
 //!   see DESIGN.md for why it is accepted here.
+//!
+//! Each backend has one CTR loop per width, written over `Blocks`: it
+//! reads a block of a source and stores that block XOR keystream at
+//! the same offset of a destination. In place (`InPlace`) the two are
+//! one buffer; the append forms ([`AesGcm::seal_into`],
+//! [`AesGcm::open_into`]) read the caller's bytes and write straight
+//! into a `Vec`'s spare capacity (`Apart`), so nothing is copied
+//! before it is encrypted or decrypted.
+
+use std::mem::MaybeUninit;
 
 use crate::aes::Aes;
 #[cfg(target_arch = "x86_64")]
@@ -30,6 +40,103 @@ use crate::{ct, CryptoError};
 
 /// GCM tag length used by TLS (full 16 bytes).
 pub const TAG_LEN: usize = 16;
+
+/// What one CTR pass runs over. The pass reads each block of a source
+/// and writes it, XORed with keystream, at the same offset of a
+/// destination, front to back; both backends' CTR loops are written
+/// once over this trait.
+pub(crate) trait Blocks {
+    /// Bytes in the source (the destination is as long).
+    fn len(&self) -> usize;
+    /// Run the `P`-byte pass at `at`: each `N`-byte block of the
+    /// source, with its index in the pass, goes through `f`, and what
+    /// `f` returns lands at the same offset of the destination.
+    fn pass<const P: usize, const N: usize>(
+        &mut self,
+        at: usize,
+        f: impl FnMut(usize, &[u8; N]) -> [u8; N],
+    );
+    /// Store the source's bytes from `at` to its end, XORed with as
+    /// much of `keystream`, at the same offsets of the destination.
+    fn xor_tail(&mut self, at: usize, keystream: &[u8]);
+}
+
+/// A CTR pass whose source and destination are one buffer.
+pub(crate) struct InPlace<'a>(pub(crate) &'a mut [u8]);
+
+impl Blocks for InPlace<'_> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn pass<const P: usize, const N: usize>(
+        &mut self,
+        at: usize,
+        mut f: impl FnMut(usize, &[u8; N]) -> [u8; N],
+    ) {
+        for (i, block) in self.0[at..at + P].as_chunks_mut::<N>().0.iter_mut().enumerate() {
+            *block = f(i, block);
+        }
+    }
+
+    fn xor_tail(&mut self, at: usize, keystream: &[u8]) {
+        for (b, k) in self.0[at..].iter_mut().zip(keystream) {
+            *b ^= k;
+        }
+    }
+}
+
+/// A CTR pass that reads `src` and initialises the front of `dst`,
+/// uninitialised memory at least as long (a `Vec`'s spare capacity).
+pub(crate) struct Apart<'a> {
+    src: &'a [u8],
+    dst: &'a mut [MaybeUninit<u8>],
+    /// How many bytes at the front of `dst` have been written. Writes
+    /// land exactly there, so every byte below it is initialised.
+    filled: usize,
+}
+
+impl<'a> Apart<'a> {
+    fn new(src: &'a [u8], dst: &'a mut [MaybeUninit<u8>]) -> Self {
+        Apart { src, dst, filled: 0 }
+    }
+}
+
+impl Blocks for Apart<'_> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.src.len()
+    }
+
+    #[inline(always)]
+    fn pass<const P: usize, const N: usize>(
+        &mut self,
+        at: usize,
+        mut f: impl FnMut(usize, &[u8; N]) -> [u8; N],
+    ) {
+        // The loops write front to back; `filled`, not `at`, says where,
+        // so a loop that skipped a pass could not leave a hole below it.
+        debug_assert_eq!(at, self.filled, "CTR writes out of order");
+        const { assert!(P.is_multiple_of(N), "a pass is whole blocks") };
+        let src = self.src[at..at + P].as_chunks::<N>().0;
+        let dst = self.dst[self.filled..self.filled + P].as_chunks_mut::<N>().0;
+        for (i, (s, d)) in src.iter().zip(dst).enumerate() {
+            *d = f(i, s).map(MaybeUninit::new);
+        }
+        self.filled += P;
+    }
+
+    fn xor_tail(&mut self, at: usize, keystream: &[u8]) {
+        debug_assert_eq!(at, self.filled, "CTR writes out of order");
+        let dst = &mut self.dst[self.filled..self.src.len()];
+        for ((d, s), k) in dst.iter_mut().zip(&self.src[at..]).zip(keystream) {
+            d.write(s ^ k);
+            self.filled += 1;
+        }
+    }
+}
 
 /// A 128-bit GHASH element, kept as two big-endian u64 halves.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -292,14 +399,31 @@ impl AesGcm {
         })
     }
 
-    /// XOR the CTR keystream for the message body (counter 2 on;
-    /// counter 1 masks the tag) into `data`.
-    fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
+    /// Run the CTR keystream for the message body (counter 2 on;
+    /// counter 1 masks the tag) over `blocks`.
+    fn ctr(&self, nonce: &[u8; 12], blocks: &mut impl Blocks) {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(hw) => hw.ctr_xor(nonce, 2, data),
-            Backend::Bitsliced { aes, .. } => aes.ctr_xor(nonce, 2, data),
+            Backend::AesNi(hw) => hw.ctr(nonce, 2, blocks),
+            Backend::Bitsliced { aes, .. } => aes.ctr(nonce, 2, blocks),
         }
+    }
+
+    /// Append `src` XOR the message keystream to `out`, written
+    /// straight into its spare capacity.
+    fn ctr_append(&self, nonce: &[u8; 12], src: &[u8], out: &mut Vec<u8>) {
+        out.reserve(src.len());
+        let start = out.len();
+        let mut blocks = Apart::new(src, out.spare_capacity_mut());
+        self.ctr(nonce, &mut blocks);
+        let filled = blocks.filled;
+        debug_assert_eq!(filled, src.len());
+        // SAFETY: `Apart` writes only at `filled` and advances it by what
+        // it wrote, so the first `filled` bytes of the spare capacity
+        // (which starts at `start`) are initialised, and `filled` is at
+        // most that capacity because every write is a bounds-checked
+        // slice of it.
+        unsafe { out.set_len(start + filled) }
     }
 
     fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
@@ -326,8 +450,28 @@ impl AesGcm {
         data: &mut [u8],
     ) -> Result<[u8; 16], CryptoError> {
         check_len(data.len())?;
-        self.ctr_xor(nonce, data);
+        self.ctr(nonce, &mut InPlace(data));
         Ok(self.tag(nonce, aad, data))
+    }
+
+    /// Seal `plaintext` onto the end of `out`: its ciphertext, then the
+    /// 16-byte tag. The ciphertext is written straight into `out`'s
+    /// spare capacity (reserved here), so the plaintext is read once
+    /// and never copied first. Appends nothing on error.
+    pub fn seal_into(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        check_len(plaintext.len())?;
+        out.reserve(plaintext.len() + TAG_LEN);
+        let start = out.len();
+        self.ctr_append(nonce, plaintext, out);
+        let tag = self.tag(nonce, aad, out.get(start..).unwrap_or_default());
+        out.extend_from_slice(&tag);
+        Ok(())
     }
 
     /// Verify the tag over `ciphertext` without decrypting it.
@@ -364,21 +508,31 @@ impl AesGcm {
         data: &mut [u8],
         tag: &[u8],
     ) -> Result<(), CryptoError> {
-        check_len(data.len())?;
-        let expected = self.tag(nonce, aad, data);
-        if !ct::eq(&expected, tag) {
-            return Err(CryptoError::BadTag);
-        }
-        self.ctr_xor(nonce, data);
+        self.verify_tag(nonce, aad, data, tag)?;
+        self.ctr(nonce, &mut InPlace(data));
+        Ok(())
+    }
+
+    /// Verify `tag` over `ciphertext`, then append the plaintext to
+    /// `out`, decrypted straight into its spare capacity. On a tag
+    /// mismatch `out` is left exactly as it was.
+    pub fn open_into(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        ciphertext: &[u8],
+        tag: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        self.verify_tag(nonce, aad, ciphertext, tag)?;
+        self.ctr_append(nonce, ciphertext, out);
         Ok(())
     }
 
     /// Convenience: allocate-and-seal, returning ciphertext || tag.
     pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Result<Vec<u8>, CryptoError> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        let tag = self.seal_in_place(nonce, aad, &mut out)?;
-        out.extend_from_slice(&tag);
+        self.seal_into(nonce, aad, plaintext, &mut out)?;
         Ok(out)
     }
 
@@ -388,8 +542,8 @@ impl AesGcm {
             return Err(CryptoError::BadTag);
         }
         let (ct_part, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let mut out = ct_part.to_vec();
-        self.open_in_place(nonce, aad, &mut out, tag)?;
+        let mut out = Vec::with_capacity(ct_part.len());
+        self.open_into(nonce, aad, ct_part, tag, &mut out)?;
         Ok(out)
     }
 }
@@ -605,6 +759,73 @@ mod tests {
                     .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
                     .unwrap();
                 assert_eq!(sealed_fast, sealed_reference, "pt {pt_len} aad {aad_len}");
+            }
+        }
+    }
+
+    // The append forms run the same CTR loops as the in-place ones,
+    // from a source into a `Vec`'s spare capacity: on every backend
+    // this CPU runs, and at every length around one and two wide
+    // passes, they must produce the same bytes, append after what the
+    // `Vec` already held, and append nothing when the tag fails.
+    #[test]
+    fn out_of_place_equals_in_place_and_a_failed_open_appends_nothing() {
+        let mut rng = crate::rng::CryptoRng::from_seed(0x0A9E_D0C5);
+        let nonce = [0x3cu8; 12];
+        let aad = [0x17u8; 13];
+        for key_len in [16usize, 32] {
+            let mut key = vec![0u8; key_len];
+            rng.fill(&mut key);
+            let mut backends = vec![
+                ("new".to_string(), AesGcm::new(&key).unwrap()),
+                ("portable".to_string(), AesGcm::portable(&key).unwrap()),
+            ];
+            #[cfg(target_arch = "x86_64")]
+            for width in [crate::aesni::Width::Eight, crate::aesni::Width::Sixteen] {
+                match AesNiGcm::with_width(&key, width) {
+                    Some(hw) => {
+                        let gcm = AesGcm { backend: Backend::AesNi(hw) };
+                        backends.push((format!("{width:?}"), gcm));
+                    }
+                    None => eprintln!("skipped: this CPU cannot run the {width:?} loops"),
+                }
+            }
+            for (name, gcm) in &backends {
+                for len in (0..=2 * 256 + 17).chain([16_384]) {
+                    let case = format!("{name} AES-{} len {len}", key_len * 8);
+                    let mut plaintext = vec![0u8; len];
+                    rng.fill(&mut plaintext);
+                    let mut in_place = plaintext.clone();
+                    let tag = gcm.seal_in_place(&nonce, &aad, &mut in_place).unwrap();
+
+                    let prefix = [0xEEu8; 3];
+                    let mut sealed = prefix.to_vec();
+                    gcm.seal_into(&nonce, &aad, &plaintext, &mut sealed).unwrap();
+                    assert_eq!(sealed[..3], prefix, "{case}: seal kept the prefix");
+                    assert_eq!(sealed[3..3 + len], in_place[..], "{case}: ciphertext");
+                    assert_eq!(sealed[3 + len..], tag, "{case}: tag");
+
+                    let mut opened = prefix.to_vec();
+                    gcm.open_into(&nonce, &aad, &in_place, &tag, &mut opened).unwrap();
+                    assert_eq!(opened[3..], plaintext[..], "{case}: open");
+                    let mut back = in_place.clone();
+                    gcm.open_in_place(&nonce, &aad, &mut back, &tag).unwrap();
+                    assert_eq!(back, plaintext, "{case}: open in place");
+
+                    let mut bad_tag = tag;
+                    bad_tag[rng.gen_range(16) as usize] ^= 1 << rng.gen_range(8);
+                    let mut bad_ct = in_place.clone();
+                    if len > 0 {
+                        bad_ct[rng.gen_range(len as u64) as usize] ^= 1 << rng.gen_range(8);
+                    }
+                    let tampered: [(&[u8], &[u8]); 2] = [(&in_place, &bad_tag), (&bad_ct, &tag)];
+                    for (ciphertext, tag) in tampered.into_iter().take(1 + usize::from(len > 0)) {
+                        let mut out = opened.clone();
+                        let err = gcm.open_into(&nonce, &aad, ciphertext, tag, &mut out);
+                        assert_eq!(err, Err(CryptoError::BadTag), "{case}");
+                        assert_eq!(out, opened, "{case}: a failed open appended");
+                    }
+                }
             }
         }
     }

@@ -44,9 +44,9 @@ impl StreamBuf {
 
     /// Consume the next `n` unread bytes and hand them out where they
     /// sit (valid until the next call); `None` if fewer are buffered.
-    pub(crate) fn consume(&mut self, n: usize) -> Option<&mut [u8]> {
+    pub(crate) fn consume(&mut self, n: usize) -> Option<&[u8]> {
         let end = self.pos.checked_add(n)?;
-        let taken = self.buf.get_mut(self.pos..end)?;
+        let taken = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(taken)
     }

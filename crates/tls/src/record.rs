@@ -80,8 +80,8 @@ impl ContentType {
 const HEADER_LEN: usize = 5;
 
 /// Append the header of a record whose body is `body_len` bytes. The
-/// header's layout is written here and parsed in
-/// [`RecordReader::next_record_inplace`], nowhere else.
+/// header's layout is written here and parsed in [`record_len`],
+/// nowhere else.
 fn push_header(out: &mut Vec<u8>, content_type: ContentType, body_len: usize) {
     debug_assert!(body_len <= MAX_WIRE_LEN);
     out.extend_from_slice(&[
@@ -152,28 +152,35 @@ impl DirectionState {
     /// (header || explicit_nonce || ciphertext || tag, RFC 5288) to
     /// `out`.
     ///
-    /// The payload is written into `out` once and encrypted there in
-    /// place, so a caller that reuses `out` across records does no
-    /// per-record allocation once the buffer has grown to its
-    /// steady-state capacity.
+    /// The payload is read where the caller holds it and encrypted
+    /// straight into `out`'s spare capacity — never copied first — so
+    /// a caller that reuses `out` across records does no per-record
+    /// allocation once the buffer has grown to its steady-state
+    /// capacity. A payload over [`MAX_FRAGMENT_LEN`] bytes, whose
+    /// lengths the header and AAD could not carry, is refused as
+    /// [`TlsError::RecordOverflow`]; a refused record writes nothing
+    /// and leaves the sequence number where it was.
     pub fn seal_record_into(
         &mut self,
         content_type: ContentType,
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), TlsError> {
-        debug_assert!(payload.len() <= MAX_FRAGMENT_LEN);
+        if payload.len() > MAX_FRAGMENT_LEN {
+            return Err(TlsError::RecordOverflow);
+        }
         let next = self.next_seq()?;
         let explicit: [u8; EXPLICIT_NONCE_LEN] = self.seq.to_be_bytes();
         let aad = Self::aad(self.seq, content_type, payload.len());
         let wire_len = EXPLICIT_NONCE_LEN + payload.len() + TAG_LEN;
+        let start = out.len();
         out.reserve(HEADER_LEN + wire_len);
         push_header(out, content_type, wire_len);
         out.extend_from_slice(&explicit);
-        let ct_start = out.len();
-        out.extend_from_slice(payload);
-        let tag = self.key.seal_in_place(&explicit, &aad, &mut out[ct_start..])?;
-        out.extend_from_slice(&tag);
+        if let Err(e) = self.key.seal_into(&explicit, &aad, payload, out) {
+            out.truncate(start);
+            return Err(e.into());
+        }
         self.seq = next;
         Ok(())
     }
@@ -182,8 +189,8 @@ impl DirectionState {
     /// the plaintext length. `body` holds `explicit_nonce ||
     /// ciphertext || tag` and is left untouched — the record can be
     /// forwarded on the wire exactly as it arrived. Advances the
-    /// sequence number like [`DirectionState::open_record_in_place`],
-    /// so the two are interchangeable per record.
+    /// sequence number like [`DirectionState::open_record_into`], so
+    /// the two are interchangeable per record.
     ///
     /// This is the read-only middlebox fast path: a hop whose inbound
     /// and outbound keys are identical verifies the tag (GHASH plus
@@ -194,34 +201,55 @@ impl DirectionState {
         content_type: ContentType,
         body: &[u8],
     ) -> Result<usize, TlsError> {
-        Self::check_sealed_len(body.len())?;
+        let sealed = self.sealed(content_type, body)?;
+        self.key.verify(&sealed.explicit, &sealed.aad, sealed.ciphertext(body), sealed.tag(body))?;
+        self.seq = sealed.next;
+        Ok(sealed.plain_len)
+    }
+
+    /// Unprotect a record body onto the end of `out` and return the
+    /// plaintext length. `body` holds `explicit_nonce || ciphertext ||
+    /// tag` and is only read: the plaintext is decrypted straight into
+    /// `out`'s spare capacity, after the tag has verified. On any
+    /// error `out` is left exactly as it was.
+    pub fn open_record_into(
+        &mut self,
+        content_type: ContentType,
+        body: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<usize, TlsError> {
+        let sealed = self.sealed(content_type, body)?;
+        let (ciphertext, tag) = (sealed.ciphertext(body), sealed.tag(body));
+        self.key.open_into(&sealed.explicit, &sealed.aad, ciphertext, tag, out)?;
+        self.seq = sealed.next;
+        Ok(sealed.plain_len)
+    }
+
+    /// What opening or verifying `body` needs, or why it is refused:
+    /// by its length, before its tag is computed, so a malformed record
+    /// costs no GHASH — too short to hold the explicit nonce and the
+    /// tag, or carrying more than [`MAX_FRAGMENT_LEN`] bytes of
+    /// plaintext (RFC 5246 §6.2.1), which no honest sender produces
+    /// ([`fragment`] caps it) — or by the sequence number.
+    fn sealed(&self, content_type: ContentType, body: &[u8]) -> Result<Sealed, TlsError> {
+        if body.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
+            return Err(TlsError::Decode("record too short for AEAD"));
+        }
+        if body.len() > EXPLICIT_NONCE_LEN + MAX_FRAGMENT_LEN + TAG_LEN {
+            return Err(TlsError::RecordOverflow);
+        }
         let next = self.next_seq()?;
-        let (explicit_part, sealed) = body.split_at(EXPLICIT_NONCE_LEN);
-        let explicit: [u8; EXPLICIT_NONCE_LEN] = explicit_part
+        let explicit = body
             .first_chunk::<EXPLICIT_NONCE_LEN>()
             .copied()
             .ok_or(TlsError::Decode("record too short for AEAD"))?;
-        let plain_len = sealed.len() - TAG_LEN;
-        let (ciphertext, tag) = sealed.split_at(plain_len);
-        let aad = Self::aad(self.seq, content_type, plain_len);
-        self.key.verify(&explicit, &aad, ciphertext, tag)?;
-        self.seq = next;
-        Ok(plain_len)
-    }
-
-    /// Refuse a protected body by its length before its tag is
-    /// computed, so a malformed record costs no GHASH: too short to
-    /// hold the explicit nonce and the tag, or carrying more than
-    /// [`MAX_FRAGMENT_LEN`] bytes of plaintext (RFC 5246 §6.2.1), which
-    /// no honest sender produces ([`fragment`] caps it).
-    fn check_sealed_len(len: usize) -> Result<(), TlsError> {
-        if len < EXPLICIT_NONCE_LEN + TAG_LEN {
-            return Err(TlsError::Decode("record too short for AEAD"));
-        }
-        if len > EXPLICIT_NONCE_LEN + MAX_FRAGMENT_LEN + TAG_LEN {
-            return Err(TlsError::RecordOverflow);
-        }
-        Ok(())
+        let plain_len = body.len() - EXPLICIT_NONCE_LEN - TAG_LEN;
+        Ok(Sealed {
+            next,
+            explicit,
+            aad: Self::aad(self.seq, content_type, plain_len),
+            plain_len,
+        })
     }
 
     /// The sequence number after this record's. TLS sequence numbers
@@ -241,35 +269,62 @@ impl DirectionState {
         content_type: ContentType,
         body: &'a mut [u8],
     ) -> Result<&'a mut [u8], TlsError> {
-        Self::check_sealed_len(body.len())?;
-        let next = self.next_seq()?;
-        let (explicit_part, sealed) = body.split_at_mut(EXPLICIT_NONCE_LEN);
-        let explicit: [u8; EXPLICIT_NONCE_LEN] = explicit_part
-            .first_chunk::<EXPLICIT_NONCE_LEN>()
-            .copied()
-            .ok_or(TlsError::Decode("record too short for AEAD"))?;
-        let plain_len = sealed.len() - TAG_LEN;
-        let (ciphertext, tag) = sealed.split_at_mut(plain_len);
-        let aad = Self::aad(self.seq, content_type, plain_len);
-        self.key.open_in_place(&explicit, &aad, ciphertext, tag)?;
-        self.seq = next;
+        let sealed = self.sealed(content_type, body)?;
+        let (ciphertext, tag) = body
+            .get_mut(EXPLICIT_NONCE_LEN..)
+            .unwrap_or_default()
+            .split_at_mut(sealed.plain_len);
+        self.key.open_in_place(&sealed.explicit, &sealed.aad, ciphertext, tag)?;
+        self.seq = sealed.next;
         Ok(ciphertext)
     }
 }
 
-/// One record as [`RecordReader::next_record_inplace`] frames it: the
-/// header and the body exactly as they sit in the reader's buffer,
-/// valid until the next call on that reader.
+/// A protected record body that passed [`DirectionState::sealed`]'s
+/// length and sequence checks: its nonce, AAD and split, and the
+/// sequence number to advance to once its tag verifies.
+struct Sealed {
+    next: u64,
+    explicit: [u8; EXPLICIT_NONCE_LEN],
+    aad: [u8; 13],
+    plain_len: usize,
+}
+
+impl Sealed {
+    fn ciphertext<'a>(&self, body: &'a [u8]) -> &'a [u8] {
+        body.get(EXPLICIT_NONCE_LEN..EXPLICIT_NONCE_LEN + self.plain_len).unwrap_or_default()
+    }
+
+    fn tag<'a>(&self, body: &'a [u8]) -> &'a [u8] {
+        body.get(EXPLICIT_NONCE_LEN + self.plain_len..).unwrap_or_default()
+    }
+}
+
+/// One framed record: the header and the body exactly as they arrived,
+/// borrowed from wherever the reader found them — the caller's bytes
+/// ([`RecordReader::for_each_record`]) or the reader's buffer.
 ///
 /// This is the only form a received record takes between the wire and
-/// whoever handles it. [`Record::wire`] is what a relay forwards (or a
-/// session feeds onward) byte for byte, header included, so a record
-/// nobody opened leaves as it arrived; [`Record::body`] is mutable so
-/// [`DirectionState::open_record_in_place`] decrypts it where it is.
+/// whoever handles it, and it is read-only. [`Record::wire`] is what a
+/// relay forwards (or a session feeds onward) byte for byte, header
+/// included, so a record nobody opened leaves as it arrived;
+/// [`Record::body`] is what [`DirectionState::open_record_into`] reads
+/// to append the plaintext wherever the caller wants it.
 pub struct Record<'a> {
     content_type_byte: u8,
     /// Header and body; at least [`HEADER_LEN`] bytes.
-    wire: &'a mut [u8],
+    wire: &'a [u8],
+}
+
+impl<'a> Record<'a> {
+    /// A record over `wire`, whose header [`record_len`] has checked
+    /// and whose length it announced.
+    fn framed(wire: &'a [u8]) -> Self {
+        Record {
+            content_type_byte: wire.first().copied().unwrap_or_default(),
+            wire,
+        }
+    }
 }
 
 impl Record<'_> {
@@ -292,14 +347,39 @@ impl Record<'_> {
 
     /// Everything after the header: still protected if the sender had
     /// activated its cipher.
-    pub fn body(&mut self) -> &mut [u8] {
-        self.wire.get_mut(HEADER_LEN..).unwrap_or_default()
+    pub fn body(&self) -> &[u8] {
+        self.wire.get(HEADER_LEN..).unwrap_or_default()
     }
 }
 
-/// A reassembling record reader: feed raw stream bytes, pull whole
-/// records in place. Consumed records advance a cursor and the buffer
-/// compacts lazily, so N coalesced records cost O(total bytes).
+/// The whole length of the record `bytes` starts with, header
+/// included, once its header is there (`None` before): the one place a
+/// record header is parsed. A header with a version other than 3.x, or
+/// announcing more than [`MAX_WIRE_LEN`] bytes, is refused before its
+/// body arrives.
+fn record_len(bytes: &[u8]) -> Result<Option<usize>, TlsError> {
+    let Some(&[_content_type, ver_major, _ver_minor, len_hi, len_lo]) =
+        bytes.first_chunk::<HEADER_LEN>()
+    else {
+        return Ok(None);
+    };
+    // Accept 3.x for the ClientHello's legacy version field.
+    if ver_major != 3 {
+        return Err(TlsError::Decode("bad record version"));
+    }
+    let len = usize::from(u16::from_be_bytes([len_hi, len_lo]));
+    if len > MAX_WIRE_LEN {
+        return Err(TlsError::RecordOverflow);
+    }
+    Ok(Some(HEADER_LEN + len))
+}
+
+/// A reassembling record reader. [`RecordReader::for_each_record`]
+/// frames whole records straight from the caller's bytes and buffers
+/// only a record split across calls; [`RecordReader::feed`] and
+/// [`RecordReader::next_record_inplace`] buffer everything and pull
+/// records from the buffer. Consumed records advance a cursor and the
+/// buffer compacts lazily, so N coalesced records cost O(total bytes).
 #[derive(Default)]
 pub struct RecordReader {
     stream: StreamBuf,
@@ -321,31 +401,62 @@ impl RecordReader {
         self.stream.unread().len()
     }
 
-    /// Pull the next complete record, if any, without copying it (the
-    /// zero-copy receive path; see [`Record`]).
+    /// Pull the next complete buffered record, if any, where it sits
+    /// (see [`Record`]).
     // Every party's per-record loop lives in another crate; without
     // the hint each record pays an out-of-line call here.
     #[inline]
     pub fn next_record_inplace(&mut self) -> Result<Option<Record<'_>>, TlsError> {
-        let unread = self.stream.unread();
-        let Some(&[content_type_byte, ver_major, _ver_minor, len_hi, len_lo]) =
-            unread.first_chunk::<HEADER_LEN>()
-        else {
+        let Some(len) = record_len(self.stream.unread())? else {
             return Ok(None);
         };
-        // Accept 3.x for the ClientHello's legacy version field.
-        if ver_major != 3 {
-            return Err(TlsError::Decode("bad record version"));
-        }
-        let len = usize::from(u16::from_be_bytes([len_hi, len_lo]));
-        if len > MAX_WIRE_LEN {
-            return Err(TlsError::RecordOverflow);
-        }
         // `None` until the whole record is buffered.
-        Ok(self.stream.consume(HEADER_LEN + len).map(|wire| Record {
-            content_type_byte,
-            wire,
-        }))
+        Ok(self.stream.consume(len).map(Record::framed))
+    }
+
+    /// Hand `f` every whole record of the stream so far followed by
+    /// `data`, in order, copying only what spans calls:
+    ///
+    /// 1. records already buffered go first, and a partial one is
+    ///    completed by copying only its missing bytes out of `data`;
+    /// 2. every whole record after that is borrowed straight from
+    ///    `data`;
+    /// 3. only the trailing partial record is buffered.
+    ///
+    /// Stops at the first error, from framing or from `f`; the party
+    /// that gets it fails closed, so what the reader holds afterwards
+    /// is never read again.
+    #[inline]
+    pub fn for_each_record<E: From<TlsError>>(
+        &mut self,
+        mut data: &[u8],
+        mut f: impl FnMut(Record<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        while !self.stream.unread().is_empty() {
+            if let Some(record) = self.next_record_inplace()? {
+                f(record)?;
+                continue;
+            }
+            // A partial record: its header's missing bytes first, then
+            // (next time round) its body's.
+            let buffered = self.stream.unread();
+            let want = record_len(buffered)?.unwrap_or(HEADER_LEN);
+            let (missing, rest) = data.split_at((want - buffered.len()).min(data.len()));
+            self.stream.feed(missing);
+            data = rest;
+            if self.stream.unread().len() < want {
+                return Ok(());
+            }
+        }
+        while let Some(len) = record_len(data)? {
+            let Some((wire, rest)) = data.split_at_checked(len) else {
+                break;
+            };
+            f(Record::framed(wire))?;
+            data = rest;
+        }
+        self.stream.feed(data);
+        Ok(())
     }
 }
 
@@ -381,8 +492,9 @@ mod tests {
         rx: &mut DirectionState,
         claimed: ContentType,
     ) -> Result<Vec<u8>, TlsError> {
-        let mut record = reader.next_record_inplace().unwrap().expect("a whole record");
-        rx.open_record_in_place(claimed, record.body()).map(|plain| plain.to_vec())
+        let record = reader.next_record_inplace().unwrap().expect("a whole record");
+        let mut plain = Vec::new();
+        rx.open_record_into(claimed, record.body(), &mut plain).map(|_| plain)
     }
 
     /// `open_next` over a reader holding exactly `wire`.
@@ -394,7 +506,7 @@ mod tests {
 
     /// The next record's (content-type byte, body), copied out.
     fn next(reader: &mut RecordReader) -> Option<(u8, Vec<u8>)> {
-        let mut record = reader.next_record_inplace().unwrap()?;
+        let record = reader.next_record_inplace().unwrap()?;
         Some((record.content_type_byte(), record.body().to_vec()))
     }
 
@@ -404,11 +516,13 @@ mod tests {
         let wire = seal(&mut tx, APP, b"hello world");
         let mut reader = RecordReader::new();
         reader.feed(&wire);
-        let mut record = reader.next_record_inplace().unwrap().unwrap();
+        let record = reader.next_record_inplace().unwrap().unwrap();
         assert_eq!(record.content_type_byte(), 23);
         assert_eq!(record.content_type(), Some(APP));
         assert_eq!(record.wire(), wire);
-        assert_eq!(rx.open_record_in_place(APP, record.body()).unwrap(), b"hello world");
+        let mut plain = b"kept".to_vec();
+        assert_eq!(rx.open_record_into(APP, record.body(), &mut plain), Ok(11));
+        assert_eq!(plain, b"kepthello world");
     }
 
     #[test]
@@ -477,17 +591,26 @@ mod tests {
     #[test]
     fn in_place_seal_open_roundtrip() {
         let (mut tx, mut rx) = pair();
-        let mut wire = Vec::new();
+        let (mut wire, mut plain) = (Vec::new(), Vec::new());
         let mut reader = RecordReader::new();
-        // One output buffer and one reader reused across records.
+        // One output buffer, one plaintext buffer and one reader reused
+        // across records.
         for i in 0..4u8 {
             wire.clear();
             tx.seal_record_into(APP, &[i; 100], &mut wire).unwrap();
             reader.feed(&wire);
-            let mut record = reader.next_record_inplace().unwrap().unwrap();
+            let record = reader.next_record_inplace().unwrap().unwrap();
             assert_eq!(record.content_type_byte(), 23);
             assert_eq!(record.wire()[1..3], [VERSION_TLS12.0, VERSION_TLS12.1]);
-            assert_eq!(rx.open_record_in_place(APP, record.body()).unwrap(), &[i; 100]);
+            plain.clear();
+            rx.open_record_into(APP, record.body(), &mut plain).unwrap();
+            assert_eq!(plain, [i; 100]);
+            // The in-place form opens the same record the same way.
+            let mut body = wire[HEADER_LEN..].to_vec();
+            let mut again =
+                DirectionState::new(BulkAlgorithm::Aes256Gcm, &[0x11; 32], &[0x22; 4], i.into())
+                    .unwrap();
+            assert_eq!(again.open_record_in_place(APP, &mut body).unwrap(), &[i; 100]);
         }
     }
 
@@ -497,7 +620,7 @@ mod tests {
         // forwards, so the bytes that came in are the bytes it holds.
         let mut reader = RecordReader::new();
         reader.feed(&[22, 3, 1, 0, 2, 0xAA, 0xBB]);
-        let mut record = reader.next_record_inplace().unwrap().unwrap();
+        let record = reader.next_record_inplace().unwrap().unwrap();
         assert_eq!(record.wire(), [22, 3, 1, 0, 2, 0xAA, 0xBB]);
         assert_eq!(record.body(), [0xAA, 0xBB]);
     }
@@ -572,6 +695,100 @@ mod tests {
         // A session that hits it fails closed with a fatal alert.
         let alert = crate::alert::Alert::for_error(&TlsError::SequenceExhausted);
         assert_eq!(alert.level, crate::alert::AlertLevel::Fatal);
+    }
+
+    #[test]
+    fn oversized_payload_refused_before_anything_is_written() {
+        // The header and the AAD carry the length in 16 bits and the
+        // fragment limit is 2^14: one byte more is refused outright, in
+        // release as in debug, rather than sealed under truncated
+        // lengths. Nothing is written and the nonce is not spent.
+        let (mut tx, mut rx) = pair();
+        let mut out = vec![0xEE];
+        let refused = tx.seal_record_into(APP, &[0x61; MAX_FRAGMENT_LEN + 1], &mut out);
+        assert_eq!(refused, Err(TlsError::RecordOverflow));
+        assert_eq!(out, [0xEE], "a refused record writes nothing");
+        assert_eq!(tx.seq(), 0, "a refused record spends no sequence number");
+        // The limit itself seals, under the sequence number the refused
+        // record did not take, and opens.
+        tx.seal_record_into(APP, &[0x62; MAX_FRAGMENT_LEN], &mut out).unwrap();
+        assert_eq!(out[1..6], [23, 3, 3, 0x40, 0x18]);
+        assert_eq!(open(&mut rx, APP, &out[1..]).unwrap(), [0x62; MAX_FRAGMENT_LEN]);
+        let alert = crate::alert::Alert::for_error(&TlsError::RecordOverflow);
+        assert_eq!(alert.level, crate::alert::AlertLevel::Fatal);
+    }
+
+    #[test]
+    fn failed_open_into_appends_nothing() {
+        let (mut tx, mut rx) = pair();
+        let wire = seal(&mut tx, APP, b"payload");
+        let mut out = b"before".to_vec();
+        for at in [HEADER_LEN, HEADER_LEN + EXPLICIT_NONCE_LEN, wire.len() - 1] {
+            let mut bad = wire[HEADER_LEN..].to_vec();
+            bad[at - HEADER_LEN] ^= 0x10;
+            assert!(rx.open_record_into(APP, &bad, &mut out).is_err());
+            assert_eq!(out, b"before");
+        }
+        let short = [0; EXPLICIT_NONCE_LEN + TAG_LEN - 1];
+        let refused = rx.open_record_into(APP, &short, &mut out);
+        assert_eq!(refused, Err(TlsError::Decode("record too short for AEAD")));
+        assert_eq!(rx.seq(), 0, "failed opens spend no sequence number");
+        assert_eq!(rx.open_record_into(APP, &wire[HEADER_LEN..], &mut out), Ok(7));
+        assert_eq!(out, b"beforepayload");
+    }
+
+    #[test]
+    fn for_each_record_frames_every_split_alike() {
+        // Whole records come straight from the caller's bytes; only a
+        // record that spans calls is buffered, and only until it is
+        // whole, so the reader never holds more than one record.
+        let records: Vec<Vec<u8>> = (0..6u8)
+            .map(|i| frame_plaintext(ContentType::Handshake, &vec![i; 37 * usize::from(i)]))
+            .collect();
+        let stream = records.concat();
+        let collect = |cuts: &[usize]| {
+            let mut reader = RecordReader::new();
+            let mut got = Vec::new();
+            let bounds: Vec<usize> =
+                [0].into_iter().chain(cuts.iter().copied()).chain([stream.len()]).collect();
+            for piece in bounds.windows(2).map(|w| &stream[w[0]..w[1]]) {
+                reader
+                    .for_each_record(piece, |record| {
+                        got.push(record.wire().to_vec());
+                        Ok::<_, TlsError>(())
+                    })
+                    .unwrap();
+                assert!(reader.buffered() < HEADER_LEN + 37 * 5, "more than one partial record");
+            }
+            assert_eq!(reader.buffered(), 0);
+            got
+        };
+        assert_eq!(collect(&[]), records);
+        assert_eq!(collect(&(1..stream.len()).collect::<Vec<_>>()), records);
+        for cut in 1..stream.len() {
+            assert_eq!(collect(&[cut]), records, "cut at {cut}");
+        }
+
+        // Records fed earlier go first; a bad header stops the walk
+        // before its body arrives.
+        let mut reader = RecordReader::new();
+        reader.feed(&records[1]);
+        let mut seen = Vec::new();
+        let then_bad_header = [&records[2][..], &[23, 9, 9, 0, 1]].concat();
+        let result = reader.for_each_record(&then_bad_header, |record| {
+            seen.push(record.content_type_byte());
+            Ok::<_, TlsError>(())
+        });
+        assert_eq!(result, Err(TlsError::Decode("bad record version")));
+        assert_eq!(seen, [22, 22]);
+        // `f`'s error stops the walk too.
+        let mut reader = RecordReader::new();
+        let mut calls = 0;
+        let result = reader.for_each_record(&stream, |_| {
+            calls += 1;
+            Err(TlsError::Decode("stop"))
+        });
+        assert_eq!((result, calls), (Err(TlsError::Decode("stop")), 1));
     }
 
     #[test]

@@ -43,6 +43,9 @@ pub(crate) struct RecordShell {
     /// Records of non-TLS content types, surfaced to the caller.
     nonstandard_in: Vec<(u8, Vec<u8>)>,
     plaintext_in: Vec<u8>,
+    /// The plaintext of the protected alert or handshake record being
+    /// processed (application data opens straight into `plaintext_in`).
+    opened: Vec<u8>,
     /// The error that failed the connection.
     error: Option<TlsError>,
     closed_by_peer: bool,
@@ -317,14 +320,11 @@ impl<H: Handshake> Connection<H> {
         if let Some(e) = &self.shell.error {
             return Err(e.clone());
         }
-        self.shell.record_reader.feed(data);
-        // The reader moves aside so each record is opened where it sits
-        // in its buffer while the handshake and the connection's other
-        // fields take the result. It goes back on every path: a failed
-        // connection keeps whatever followed the record that failed it,
-        // unread.
+        // The reader moves aside so the records it frames out of `data`
+        // can be handed to the handshake and the connection's other
+        // fields. It goes back on every path.
         let mut reader = std::mem::take(&mut self.shell.record_reader);
-        let result = self.process_buffered(&mut reader, rng);
+        let result = reader.for_each_record(data, |record| self.process_record(record, rng));
         self.shell.record_reader = reader;
         if let Err(e) = &result {
             self.fail(e.clone());
@@ -400,23 +400,7 @@ impl<H: Handshake> Connection<H> {
         Ok(())
     }
 
-    /// Process every complete record `reader` holds.
-    fn process_buffered(
-        &mut self,
-        reader: &mut RecordReader,
-        rng: &mut CryptoRng,
-    ) -> Result<(), TlsError> {
-        while let Some(record) = reader.next_record_inplace()? {
-            self.process_record(record, rng)?;
-        }
-        Ok(())
-    }
-
-    fn process_record(
-        &mut self,
-        mut record: Record<'_>,
-        rng: &mut CryptoRng,
-    ) -> Result<(), TlsError> {
+    fn process_record(&mut self, record: Record<'_>, rng: &mut CryptoRng) -> Result<(), TlsError> {
         let known = record.content_type();
         let content_type = match known {
             Some(standard) if !standard.is_mbtls() => standard,
@@ -428,21 +412,33 @@ impl<H: Handshake> Connection<H> {
             }
         };
         let shell = &mut self.shell;
-        // Decrypt, where the record sits, if the peer has activated its
-        // cipher.
-        let payload: &[u8] = if shell.peer_change_cipher_seen
-            && content_type != ContentType::ChangeCipherSpec
-        {
-            shell
+        // Open the record if the peer has activated its cipher:
+        // application data straight onto the received plaintext,
+        // anything else into `opened`.
+        let received = shell.plaintext_in.len();
+        let protected =
+            shell.peer_change_cipher_seen && content_type != ContentType::ChangeCipherSpec;
+        if protected {
+            let cipher = shell
                 .read_cipher
                 .as_mut()
-                .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?
-                .open_record_in_place(content_type, record.body())?
-        } else {
-            record.body()
-        };
+                .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?;
+            let plain = if content_type == ContentType::ApplicationData {
+                &mut shell.plaintext_in
+            } else {
+                shell.opened.clear();
+                &mut shell.opened
+            };
+            cipher.open_record_into(content_type, record.body(), plain)?;
+        } else if content_type == ContentType::ApplicationData {
+            shell.plaintext_in.extend_from_slice(record.body());
+        }
+        let payload: &[u8] = if protected { &shell.opened } else { record.body() };
         match content_type {
-            ContentType::Alert => shell.handle_alert(payload),
+            ContentType::Alert => {
+                shell.closed_by_peer |= peer_alert(payload)?;
+                Ok(())
+            }
             ContentType::ChangeCipherSpec => {
                 if payload != [1] {
                     return Err(TlsError::Decode("bad ChangeCipherSpec"));
@@ -471,25 +467,25 @@ impl<H: Handshake> Connection<H> {
                 Ok(())
             }
             ContentType::ApplicationData => {
-                H::admit_application_data(self)?;
-                self.shell.plaintext_in.extend_from_slice(payload);
-                Ok(())
+                // Already appended; taken back if it may not be received.
+                H::admit_application_data(self).inspect_err(|_| {
+                    self.shell.plaintext_in.truncate(received);
+                })
             }
             _ => Err(TlsError::Internal("content type handled in an earlier match arm")),
         }
     }
 }
 
-impl RecordShell {
-    fn handle_alert(&mut self, payload: &[u8]) -> Result<(), TlsError> {
-        let alert = Alert::decode(payload)?;
-        if alert.description == AlertDescription::CloseNotify {
-            self.closed_by_peer = true;
-            return Ok(());
-        }
-        if alert.level == AlertLevel::Fatal {
-            return Err(TlsError::PeerAlert(alert.description));
-        }
-        Ok(())
+/// Act on a peer's alert: `true` for close_notify, an error for a
+/// fatal alert, `false` (ignored) for any other warning.
+fn peer_alert(payload: &[u8]) -> Result<bool, TlsError> {
+    let alert = Alert::decode(payload)?;
+    if alert.description == AlertDescription::CloseNotify {
+        return Ok(true);
     }
+    if alert.level == AlertLevel::Fatal {
+        return Err(TlsError::PeerAlert(alert.description));
+    }
+    Ok(false)
 }

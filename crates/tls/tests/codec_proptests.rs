@@ -93,7 +93,7 @@ proptest! {
         let mut rejoined = Vec::new();
         for piece in stream.chunks(chunk) {
             reader.feed(piece);
-            while let Some(mut rec) = reader.next_record_inplace().unwrap() {
+            while let Some(rec) = reader.next_record_inplace().unwrap() {
                 rejoined.extend_from_slice(rec.wire());
                 got.push((rec.content_type_byte(), rec.body().to_vec()));
             }

@@ -292,7 +292,7 @@ fn flight_types(flight: &[u8]) -> Vec<u8> {
     records.feed(flight);
     let mut messages = HandshakeReader::new();
     let mut types = Vec::new();
-    while let Some(mut record) = records.next_record_inplace().unwrap() {
+    while let Some(record) = records.next_record_inplace().unwrap() {
         if record.content_type() == Some(ContentType::Handshake) {
             messages.feed(record.body());
             while let Some((typ, _)) = messages.next_message().unwrap() {

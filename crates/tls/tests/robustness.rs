@@ -140,7 +140,7 @@ fn stays_failed<H: Handshake>(
     assert_eq!(conn.error(), Some(&error));
     let mut alerts = RecordReader::new();
     alerts.feed(&conn.take_outgoing());
-    let mut alert = alerts.next_record_inplace().unwrap().unwrap();
+    let alert = alerts.next_record_inplace().unwrap().unwrap();
     assert_eq!(alert.content_type_byte(), 21);
     assert_eq!(Alert::decode(alert.body()), Ok(Alert::for_error(&error)));
     assert!(alerts.next_record_inplace().unwrap().is_none());

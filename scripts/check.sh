@@ -37,6 +37,7 @@
 #               `report` binary at tiny budgets, each artifact
 #               checked against its schema and smoke-proof floors;
 #               then one line naming the `aead_backend` they ran on
+#               and the three per-hop ratios over it
 #   seam        benchmark/run.sh --smoke: the benchmark the driver
 #               gates on, built and run end to end at tiny budgets
 #
@@ -86,8 +87,13 @@ stage telemetry scripts/telemetry_smoke.sh
 stage bench     scripts/bench_report.sh --smoke
 # Which AES-GCM loops `crypto-release` and the bench floors ran on
 # this machine (`vaes-vpclmul`, `aesni-pclmul` or `bitsliced`), as the
-# smoke chain artifact recorded them.
-grep -o '"aead_backend": *"[^"]*"' target/BENCH_chain.json
+# smoke chain artifact recorded them, and beside it each party's record
+# path over the AES-GCM it runs (`per_hop_over_crypto`): a copy back on
+# the record path shows here as a ratio falling. A smoke run times one
+# batch per meter, so one preemption can move a ratio; the floors
+# (0.70, 0.90, 0.90) bind on full runs.
+grep -oE '"(aead_backend|read_only_over_tag_verify|reseal_over_pair_bound|seal_over_aead_seal)": *[^,]*' \
+    target/BENCH_chain.json | paste -sd ' ' -
 stage seam      bash benchmark/run.sh --smoke
 
 echo "all checks passed"

@@ -165,10 +165,10 @@ fn pair_bound(seal_mb_s: f64, open_mb_s: f64) -> f64 {
 /// out of place, a hop copies nothing but a read-only forward's one
 /// copy of each record to its output. That copy is most of what the
 /// forward pays over its tag check: it reads 0.76–0.82 on
-/// `vaes-vpclmul`, lower when the machine runs fast (the hash speeds up
-/// and the copy does not), so its floor sits under that and above
-/// where a second copy would put it (0.61–0.70). The re-seal and the
-/// endpoint seal read 0.95–0.98.
+/// `vaes-vpclmul` and `vaes512-vpclmul`, lower when the machine runs
+/// fast (the hash speeds up and the copy does not), so its floor sits
+/// under that and above where a second copy would put it (0.61–0.70).
+/// The re-seal and the endpoint seal read 0.95–0.99.
 const OVER_CRYPTO_FLOORS: [(&str, f64); 3] = [
     ("read_only_over_tag_verify", 0.70),
     ("reseal_over_pair_bound", 0.90),
@@ -177,8 +177,9 @@ const OVER_CRYPTO_FLOORS: [(&str, f64); 3] = [
 
 /// Schema and floors of `BENCH_chain.json`: every rate positive, the
 /// read-only forward ≥1.5× open+reseal (the whole point of the fast
-/// path; measured ≈ 3.3× on the vaes-vpclmul loops, more on backends
-/// whose CTR pass is dearer against GHASH), both relays'
+/// path; measured ≈ 3.3× on the vaes-vpclmul loops, ≈ 2.8–3.0× on the
+/// stitched vaes512-vpclmul one, whose re-seal hashes as it encrypts,
+/// more on backends whose CTR pass is dearer against GHASH), both relays'
 /// steady state allocation-free, and two same-seed chain runs
 /// bit-identical.
 ///

@@ -5,10 +5,12 @@
 //!
 //! * **AES-NI + PCLMULQDQ** (`crate::aesni`) wherever x86_64 has
 //!   them: hardware AES rounds, carry-less-multiply GHASH, no tables.
-//!   Its bulk loops run sixteen blocks per pass on 256-bit VAES and
-//!   VPCLMULQDQ where the CPU also reports those and AVX2, eight on
-//!   128-bit registers otherwise; the choice is made per key, inside
-//!   the backend, and nothing here sees it.
+//!   Its bulk loops run thirty-two blocks per pass on 512-bit VAES and
+//!   VPCLMULQDQ, CTR and GHASH stitched into one loop, where the CPU
+//!   also reports those, AVX2, AVX-512F and AVX-512BW; sixteen blocks
+//!   per pass on 256-bit registers without the AVX-512 pair; eight on
+//!   128-bit registers without VAES. The choice is made per key,
+//!   inside the backend, and nothing here sees it.
 //! * **Bitsliced**, everywhere else and as the differential oracle
 //!   for the hardware path ([`AesGcm::portable`]). CTR runs through
 //!   the bitsliced [`Aes`] eight counter blocks per invocation
@@ -19,17 +21,27 @@
 //!   Y' = (Y ^ C1)·H⁴  ^  C2·H³  ^  C3·H²  ^  C4·H
 //!   ```
 //!
-//!   Those tables are keyed (derived from `H`), so indexing them is
-//!   a data-dependent memory access the hardware path does not have;
-//!   see DESIGN.md for why it is accepted here.
+//!   This GHASH is **not constant-time**. Each table index is a byte
+//!   of `Y ^ C`, and the accumulator `Y` is a function of the secret
+//!   `H` (the tables are built by indexing with bytes of `H` itself),
+//!   so which cache lines are touched depends on the key. It is the
+//!   classic cache-timing leak of table GHASH, confined to CPUs
+//!   without PCLMULQDQ; ROADMAP item 11 replaces it with a
+//!   constant-time multiply.
 //!
-//! Each backend has one CTR loop per width, written over `Blocks`: it
-//! reads a block of a source and stores that block XOR keystream at
-//! the same offset of a destination. In place (`InPlace`) the two are
-//! one buffer; the append forms ([`AesGcm::seal_into`],
-//! [`AesGcm::open_into`]) read the caller's bytes and write straight
-//! into a `Vec`'s spare capacity (`Apart`), so nothing is copied
-//! before it is encrypted or decrypted.
+//! A seal or an open is one backend call over `Blocks`, the CTR pass
+//! with the tag over the ciphertext (`AesGcm::crypt`): the hardware
+//! backend's 512-bit loop hashes each pass as it encrypts it, the
+//! others run a CTR pass and a GHASH pass. Each CTR loop reads a block
+//! of a source and stores that block XOR keystream at the same offset
+//! of a destination. In place (`InPlace`) the two are one buffer; the
+//! append forms ([`AesGcm::seal_into`], [`AesGcm::open_into`]) read
+//! the caller's bytes and write straight into a `Vec`'s spare capacity
+//! (`Apart`), so nothing is copied before it is encrypted or
+//! decrypted. An open therefore decrypts before its tag is known, and
+//! a failed one undoes that: `open_into` zeroes what it wrote and
+//! appends nothing, `open_in_place` runs the keystream over the buffer
+//! again. [`AesGcm::verify_tag`] alone decrypts nothing.
 
 use std::mem::MaybeUninit;
 
@@ -40,6 +52,15 @@ use crate::{ct, CryptoError};
 
 /// GCM tag length used by TLS (full 16 bytes).
 pub const TAG_LEN: usize = 16;
+
+/// Which way a pass over [`Blocks`] runs, and so which of its sides is
+/// the ciphertext GHASH reads: the destination when sealing, the
+/// source when opening.
+#[derive(Clone, Copy)]
+pub(crate) enum Direction {
+    Seal,
+    Open,
+}
 
 /// What one CTR pass runs over. The pass reads each block of a source
 /// and writes it, XORed with keystream, at the same offset of a
@@ -59,6 +80,33 @@ pub(crate) trait Blocks {
     /// Store the source's bytes from `at` to its end, XORed with as
     /// much of `keystream`, at the same offsets of the destination.
     fn xor_tail(&mut self, at: usize, keystream: &[u8]);
+    /// The ciphertext side, as far as it holds bytes: the source when
+    /// opening, the destination's bytes written so far when sealing.
+    fn ciphertext(&self, dir: Direction) -> &[u8];
+
+    /// The two-pass form of a seal or open from byte `from` on: the
+    /// CTR pass `ctr`, and `hash` over the ciphertext — the source,
+    /// before the pass, when opening; the destination, after it, when
+    /// sealing.
+    fn ctr_then_hash<T>(
+        &mut self,
+        dir: Direction,
+        from: usize,
+        ctr: impl FnOnce(&mut Self),
+        hash: impl FnOnce(&[u8]) -> T,
+    ) -> T {
+        match dir {
+            Direction::Seal => {
+                ctr(self);
+                hash(&self.ciphertext(dir)[from..])
+            }
+            Direction::Open => {
+                let digest = hash(&self.ciphertext(dir)[from..]);
+                ctr(self);
+                digest
+            }
+        }
+    }
 }
 
 /// A CTR pass whose source and destination are one buffer.
@@ -85,6 +133,10 @@ impl Blocks for InPlace<'_> {
         for (b, k) in self.0[at..].iter_mut().zip(keystream) {
             *b ^= k;
         }
+    }
+
+    fn ciphertext(&self, _: Direction) -> &[u8] {
+        self.0
     }
 }
 
@@ -130,10 +182,20 @@ impl Blocks for Apart<'_> {
 
     fn xor_tail(&mut self, at: usize, keystream: &[u8]) {
         debug_assert_eq!(at, self.filled, "CTR writes out of order");
-        let dst = &mut self.dst[self.filled..self.src.len()];
-        for ((d, s), k) in dst.iter_mut().zip(&self.src[at..]).zip(keystream) {
+        let len = keystream.len().min(self.src.len() - at);
+        let dst = &mut self.dst[self.filled..self.filled + len];
+        for ((d, s), k) in dst.iter_mut().zip(&self.src[at..at + len]).zip(keystream) {
             d.write(s ^ k);
-            self.filled += 1;
+        }
+        self.filled += len;
+    }
+
+    fn ciphertext(&self, dir: Direction) -> &[u8] {
+        match dir {
+            Direction::Open => self.src,
+            // SAFETY: every byte of `dst` below `filled` has been
+            // written (see the field).
+            Direction::Seal => unsafe { self.dst[..self.filled].assume_init_ref() },
         }
     }
 }
@@ -251,7 +313,7 @@ fn mul_table(table: &[Block128; 256], x: Block128) -> Block128 {
             lo: (z.lo >> 8) | (z.hi << 56),
         };
         z.hi ^= R8[rem];
-        // lint:allow(const-time) -- GHASH 8-bit-table index is a byte of the ciphertext/AAD (public on the record path); the keyed content is the table values, not which entry is read. Trade-off documented in DESIGN.md §data-plane fast path.
+        // lint:allow(const-time) -- NOT constant-time: the index is a byte of the running GHASH accumulator (or of H itself while the tables are built), a function of the secret H, not a public ciphertext/AAD byte. A known cache-timing leak of the portable backend only (CPUs without PCLMULQDQ); the constant-time replacement is ROADMAP item 11. See DESIGN.md §6e.
         z = z.xor(table[bytes[i] as usize]);
     }
     z
@@ -344,12 +406,14 @@ fn check_len(len: usize) -> Result<(), CryptoError> {
 }
 
 /// Which backend, and which loops of it, [`AesGcm::new`] selects on
-/// this machine: `"vaes-vpclmul"` (the hardware backend's 256-bit
-/// loops), `"aesni-pclmul"` (its 128-bit ones) or `"bitsliced"`. For
+/// this machine: `"vaes512-vpclmul"` (the hardware backend's stitched
+/// 512-bit loop), `"vaes-vpclmul"` (its 256-bit loops),
+/// `"aesni-pclmul"` (its 128-bit ones) or `"bitsliced"`. For
 /// labelling measurements.
 pub fn backend_name() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     match crate::aesni::detect() {
+        Some(crate::aesni::Width::ThirtyTwo) => return "vaes512-vpclmul",
         Some(crate::aesni::Width::Sixteen) => return "vaes-vpclmul",
         Some(crate::aesni::Width::Eight) => return "aesni-pclmul",
         None => {}
@@ -375,7 +439,9 @@ impl AesGcm {
     /// Create from a 16- or 32-byte AES key, on the AES-NI +
     /// PCLMULQDQ backend when the CPU reports `aes`, `pclmulqdq` and
     /// `ssse3` (on its 256-bit loops when it also reports `vaes`,
-    /// `vpclmulqdq` and `avx2`), on the bitsliced one otherwise.
+    /// `vpclmulqdq` and `avx2`, on its stitched 512-bit loop when it
+    /// reports `avx512f` and `avx512bw` on top), on the bitsliced one
+    /// otherwise.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
         #[cfg(target_arch = "x86_64")]
         if let Some(hw) = AesNiGcm::new(key) {
@@ -400,7 +466,8 @@ impl AesGcm {
     }
 
     /// Run the CTR keystream for the message body (counter 2 on;
-    /// counter 1 masks the tag) over `blocks`.
+    /// counter 1 masks the tag) over `blocks`, alone: what a failed
+    /// [`AesGcm::open_in_place`] runs to restore the ciphertext.
     fn ctr(&self, nonce: &[u8; 12], blocks: &mut impl Blocks) {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
@@ -409,13 +476,37 @@ impl AesGcm {
         }
     }
 
-    /// Append `src` XOR the message keystream to `out`, written
-    /// straight into its spare capacity.
-    fn ctr_append(&self, nonce: &[u8; 12], src: &[u8], out: &mut Vec<u8>) {
+    /// Seal or open `blocks` — the keystream from counter 2 — and
+    /// return the tag over `aad` and the ciphertext: one pass over the
+    /// bytes on the hardware backend's 512-bit loops, a CTR pass and a
+    /// GHASH pass on the others.
+    fn crypt(&self, nonce: &[u8; 12], aad: &[u8], blocks: &mut impl Blocks, dir: Direction) -> [u8; 16] {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.crypt(nonce, 2, aad, blocks, dir),
+            Backend::Bitsliced { aes, .. } => blocks.ctr_then_hash(
+                dir,
+                0,
+                |all| aes.ctr(nonce, 2, all),
+                |ciphertext| self.tag(nonce, aad, ciphertext),
+            ),
+        }
+    }
+
+    /// [`AesGcm::crypt`] from `src` into `out`'s spare capacity,
+    /// appended: returns the tag.
+    fn crypt_append(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        src: &[u8],
+        out: &mut Vec<u8>,
+        dir: Direction,
+    ) -> [u8; 16] {
         out.reserve(src.len());
         let start = out.len();
         let mut blocks = Apart::new(src, out.spare_capacity_mut());
-        self.ctr(nonce, &mut blocks);
+        let tag = self.crypt(nonce, aad, &mut blocks, dir);
         let filled = blocks.filled;
         debug_assert_eq!(filled, src.len());
         // SAFETY: `Apart` writes only at `filled` and advances it by what
@@ -424,6 +515,7 @@ impl AesGcm {
         // most that capacity because every write is a bounds-checked
         // slice of it.
         unsafe { out.set_len(start + filled) }
+        tag
     }
 
     fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
@@ -450,8 +542,7 @@ impl AesGcm {
         data: &mut [u8],
     ) -> Result<[u8; 16], CryptoError> {
         check_len(data.len())?;
-        self.ctr(nonce, &mut InPlace(data));
-        Ok(self.tag(nonce, aad, data))
+        Ok(self.crypt(nonce, aad, &mut InPlace(data), Direction::Seal))
     }
 
     /// Seal `plaintext` onto the end of `out`: its ciphertext, then the
@@ -467,9 +558,7 @@ impl AesGcm {
     ) -> Result<(), CryptoError> {
         check_len(plaintext.len())?;
         out.reserve(plaintext.len() + TAG_LEN);
-        let start = out.len();
-        self.ctr_append(nonce, plaintext, out);
-        let tag = self.tag(nonce, aad, out.get(start..).unwrap_or_default());
+        let tag = self.crypt_append(nonce, aad, plaintext, out, Direction::Seal);
         out.extend_from_slice(&tag);
         Ok(())
     }
@@ -497,10 +586,11 @@ impl AesGcm {
         Ok(())
     }
 
-    /// Verify the tag and decrypt `ciphertext` in place.
+    /// Decrypt `data` in place and verify the tag.
     ///
-    /// On tag mismatch the buffer is left as (untouched) ciphertext and
-    /// `BadTag` is returned — callers must not use the contents.
+    /// On tag mismatch the buffer holds the ciphertext again (the pass
+    /// that hashed it also decrypted it, so the keystream is run over
+    /// it a second time) and `BadTag` is returned.
     pub fn open_in_place(
         &self,
         nonce: &[u8; 12],
@@ -508,14 +598,19 @@ impl AesGcm {
         data: &mut [u8],
         tag: &[u8],
     ) -> Result<(), CryptoError> {
-        self.verify_tag(nonce, aad, data, tag)?;
-        self.ctr(nonce, &mut InPlace(data));
+        check_len(data.len())?;
+        let expected = self.crypt(nonce, aad, &mut InPlace(data), Direction::Open);
+        if !ct::eq(&expected, tag) {
+            self.ctr(nonce, &mut InPlace(data));
+            return Err(CryptoError::BadTag);
+        }
         Ok(())
     }
 
-    /// Verify `tag` over `ciphertext`, then append the plaintext to
-    /// `out`, decrypted straight into its spare capacity. On a tag
-    /// mismatch `out` is left exactly as it was.
+    /// Decrypt `ciphertext` straight into `out`'s spare capacity and
+    /// verify `tag`; append the plaintext only if it holds. On a tag
+    /// mismatch `out` is left exactly as it was, and the unverified
+    /// plaintext written past its end is zeroed.
     pub fn open_into(
         &self,
         nonce: &[u8; 12],
@@ -524,8 +619,14 @@ impl AesGcm {
         tag: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CryptoError> {
-        self.verify_tag(nonce, aad, ciphertext, tag)?;
-        self.ctr_append(nonce, ciphertext, out);
+        check_len(ciphertext.len())?;
+        let start = out.len();
+        let expected = self.crypt_append(nonce, aad, ciphertext, out, Direction::Open);
+        if !ct::eq(&expected, tag) {
+            ct::zeroize(out.get_mut(start..).unwrap_or_default());
+            out.truncate(start);
+            return Err(CryptoError::BadTag);
+        }
         Ok(())
     }
 
@@ -763,11 +864,35 @@ mod tests {
         }
     }
 
-    // The append forms run the same CTR loops as the in-place ones,
-    // from a source into a `Vec`'s spare capacity: on every backend
-    // this CPU runs, and at every length around one and two wide
-    // passes, they must produce the same bytes, append after what the
-    // `Vec` already held, and append nothing when the tag fails.
+    /// Every backend this CPU runs under `key`, named: the one `new`
+    /// selects, the portable one, and the hardware one at each width.
+    fn every_backend(key: &[u8]) -> Vec<(String, AesGcm)> {
+        let mut backends = vec![
+            ("new".to_string(), AesGcm::new(key).unwrap()),
+            ("portable".to_string(), AesGcm::portable(key).unwrap()),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        for width in [
+            crate::aesni::Width::Eight,
+            crate::aesni::Width::Sixteen,
+            crate::aesni::Width::ThirtyTwo,
+        ] {
+            match AesNiGcm::with_width(key, width) {
+                Some(hw) => {
+                    let gcm = AesGcm { backend: Backend::AesNi(hw) };
+                    backends.push((format!("{width:?}"), gcm));
+                }
+                None => eprintln!("skipped: this CPU cannot run the {width:?} loops"),
+            }
+        }
+        backends
+    }
+
+    // The append forms run the same loops as the in-place ones, from a
+    // source into a `Vec`'s spare capacity: on every backend this CPU
+    // runs, and at every length up to one 512-byte pass and a bit,
+    // they must produce the same bytes, append after what the `Vec`
+    // already held, and append nothing when the tag fails.
     #[test]
     fn out_of_place_equals_in_place_and_a_failed_open_appends_nothing() {
         let mut rng = crate::rng::CryptoRng::from_seed(0x0A9E_D0C5);
@@ -776,21 +901,7 @@ mod tests {
         for key_len in [16usize, 32] {
             let mut key = vec![0u8; key_len];
             rng.fill(&mut key);
-            let mut backends = vec![
-                ("new".to_string(), AesGcm::new(&key).unwrap()),
-                ("portable".to_string(), AesGcm::portable(&key).unwrap()),
-            ];
-            #[cfg(target_arch = "x86_64")]
-            for width in [crate::aesni::Width::Eight, crate::aesni::Width::Sixteen] {
-                match AesNiGcm::with_width(&key, width) {
-                    Some(hw) => {
-                        let gcm = AesGcm { backend: Backend::AesNi(hw) };
-                        backends.push((format!("{width:?}"), gcm));
-                    }
-                    None => eprintln!("skipped: this CPU cannot run the {width:?} loops"),
-                }
-            }
-            for (name, gcm) in &backends {
+            for (name, gcm) in &every_backend(&key) {
                 for len in (0..=2 * 256 + 17).chain([16_384]) {
                     let case = format!("{name} AES-{} len {len}", key_len * 8);
                     let mut plaintext = vec![0u8; len];
@@ -830,9 +941,66 @@ mod tests {
         }
     }
 
+    // An open decrypts as it hashes, before its tag is known, so a
+    // failed one must undo that: `open_into` zeroes what it wrote past
+    // `out`'s end and appends nothing, and `open_in_place` runs the
+    // keystream again, so the buffer holds the ciphertext. One bit
+    // flipped in the first block, in a block in the middle of the
+    // second 512-byte pass, in the tail, in the tag or in the AAD, on
+    // every backend and both key sizes: `BadTag`, and both buffers as
+    // they were before the call.
+    #[test]
+    fn a_failed_open_leaves_both_buffers_as_they_were() {
+        let mut rng = crate::rng::CryptoRng::from_seed(0xBAD7_A600);
+        let nonce = [0x0fu8; 12];
+        // Two 512-byte passes, one 256-byte pass and a ragged tail.
+        let len = 2 * 512 + 256 + 40;
+        let mut aad = [0u8; 13];
+        let mut plaintext = vec![0u8; len];
+        rng.fill(&mut aad);
+        rng.fill(&mut plaintext);
+        for key_len in [16usize, 32] {
+            let mut key = vec![0u8; key_len];
+            rng.fill(&mut key);
+            for (name, gcm) in &every_backend(&key) {
+                let mut sealed = plaintext.clone();
+                let tag = gcm.seal_in_place(&nonce, &aad, &mut sealed).unwrap();
+                let mut cases = Vec::new();
+                for (place, byte) in [("first block", 3), ("mid-pass", 512 + 300), ("tail", len - 5)] {
+                    let mut ciphertext = sealed.clone();
+                    ciphertext[byte] ^= 0x10;
+                    cases.push((place, ciphertext, tag, aad));
+                }
+                let (mut bad_tag, mut bad_aad) = (tag, aad);
+                bad_tag[7] ^= 0x01;
+                bad_aad[2] ^= 0x01;
+                cases.push(("tag", sealed.clone(), bad_tag, aad));
+                cases.push(("aad", sealed.clone(), tag, bad_aad));
+                for (place, ciphertext, tag, aad) in &cases {
+                    let case = format!("{name} AES-{} flip in the {place}", key_len * 8);
+                    let mut out = vec![0xEEu8; 3];
+                    let before = out.clone();
+                    let err = gcm.open_into(&nonce, aad, ciphertext, tag, &mut out);
+                    assert_eq!(err, Err(CryptoError::BadTag), "{case}");
+                    assert_eq!(out, before, "{case}: open_into appended");
+                    // SAFETY: the failed open wrote these bytes, then
+                    // zeroed them, and nothing has reallocated since.
+                    let spare = unsafe { out.spare_capacity_mut()[..len].assume_init_ref() };
+                    assert!(spare.iter().all(|&b| b == 0), "{case}: plaintext left behind");
+
+                    let mut buffer = ciphertext.clone();
+                    let err = gcm.open_in_place(&nonce, aad, &mut buffer, tag);
+                    assert_eq!(err, Err(CryptoError::BadTag), "{case}");
+                    assert_eq!(&buffer, ciphertext, "{case}: open_in_place left plaintext");
+                }
+            }
+        }
+    }
+
     // `new` must land on the hardware backend exactly when the CPU
     // reports the three features, and `portable` never; the label
-    // names the 256-bit loops exactly when it reports three more.
+    // names the 256-bit loops exactly when it reports three more, and
+    // the stitched 512-bit loop when it reports two more on top.
     #[test]
     fn backend_selection_follows_detection() {
         let key = [1u8; 16];
@@ -847,11 +1015,15 @@ mod tests {
                 && is_x86_feature_detected!("vaes")
                 && is_x86_feature_detected!("vpclmulqdq")
                 && is_x86_feature_detected!("avx2");
+            let stitched = wide
+                && is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw");
             assert_eq!(matches!(selected.backend, Backend::AesNi(_)), aesni);
-            let expected = match (aesni, wide) {
-                (_, true) => "vaes-vpclmul",
-                (true, false) => "aesni-pclmul",
-                (false, false) => "bitsliced",
+            let expected = match (aesni, wide, stitched) {
+                (_, _, true) => "vaes512-vpclmul",
+                (_, true, false) => "vaes-vpclmul",
+                (true, false, false) => "aesni-pclmul",
+                (false, false, false) => "bitsliced",
             };
             assert_eq!(backend_name(), expected);
         }

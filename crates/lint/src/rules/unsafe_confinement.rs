@@ -27,9 +27,11 @@ pub const ALLOWED_FILES: &[&str] = &[
     "crates/crypto/src/aes.rs",
     // Volatile zeroization primitives.
     "crates/crypto/src/ct.rs",
-    // The volatile wipe of the bitsliced GHASH tables, and the one
+    // The volatile wipe of the bitsliced GHASH tables, the one
     // `Vec::set_len` after a CTR pass has filled a `Vec`'s spare
-    // capacity (`ctr_append`, under the append seal and open).
+    // capacity (`crypt_append`, under the append seal and open), and
+    // `Apart::ciphertext`, the bytes of that capacity the pass has
+    // written, for GHASH to read.
     "crates/crypto/src/gcm.rs",
 ];
 

@@ -37,10 +37,17 @@ pub fn master_secret(
     client_random: &[u8; 32],
     server_random: &[u8; 32],
 ) -> Secret {
-    let mut seed = Vec::with_capacity(64);
-    seed.extend_from_slice(client_random);
-    seed.extend_from_slice(server_random);
+    let seed = concat(client_random, server_random);
     prf(suite, pre_master, b"master secret", &seed, MASTER_SECRET_LEN)
+}
+
+/// `first || second`: a derivation's seed of two randoms, on the
+/// stack.
+fn concat(first: &[u8; 32], second: &[u8; 32]) -> [u8; 64] {
+    let mut seed = [0; 64];
+    seed[..32].copy_from_slice(first);
+    seed[32..].copy_from_slice(second);
+    seed
 }
 
 /// The expanded key block for an AEAD suite: write keys and implicit
@@ -78,24 +85,39 @@ pub fn key_block(
     client_random: &[u8; 32],
     server_random: &[u8; 32],
 ) -> KeyBlock {
-    let key_len = suite.bulk().key_len();
-    let needed = 2 * key_len + 2 * FIXED_IV_LEN;
-    let mut seed = Vec::with_capacity(64);
-    seed.extend_from_slice(server_random);
-    seed.extend_from_slice(client_random);
-    let block = prf(suite, master, b"key expansion", &seed, needed);
-    let mut at = 0usize;
-    let mut take = |n: usize| {
-        let out = Secret::from(&block[at..at + n]);
-        at += n;
-        out
-    };
+    let block = expand_key_block(suite, master, client_random, server_random);
+    let [client_key, server_key, client_iv, server_iv] = split_key_block(&block);
     KeyBlock {
-        client_write_key: take(key_len),
-        server_write_key: take(key_len),
-        client_write_iv: take(FIXED_IV_LEN),
-        server_write_iv: take(FIXED_IV_LEN),
+        client_write_key: client_key.into(),
+        server_write_key: server_key.into(),
+        client_write_iv: client_iv.into(),
+        server_write_iv: server_iv.into(),
     }
+}
+
+/// The key block's bytes in one allocation, as [`split_key_block`]
+/// reads them: what a connection expands once and keeps.
+pub(crate) fn expand_key_block(
+    suite: CipherSuite,
+    master: &[u8],
+    client_random: &[u8; 32],
+    server_random: &[u8; 32],
+) -> Secret {
+    let needed = 2 * suite.bulk().key_len() + 2 * FIXED_IV_LEN;
+    let seed = concat(server_random, client_random);
+    prf(suite, master, b"key expansion", &seed, needed)
+}
+
+/// An expanded key block's four parts in RFC 5246 §6.3 order:
+/// client-write key, server-write key, client-write IV, server-write
+/// IV. The key length is what the two IVs leave; a block too short
+/// for them yields parts no cipher accepts, not a panic.
+pub(crate) fn split_key_block(block: &[u8]) -> [&[u8]; 4] {
+    let key_len = block.len().saturating_sub(2 * FIXED_IV_LEN) / 2;
+    let (keys, ivs) = block.split_at(2 * key_len);
+    let (client_key, server_key) = keys.split_at(key_len);
+    let (client_iv, server_iv) = ivs.split_at(ivs.len().min(FIXED_IV_LEN));
+    [client_key, server_key, client_iv, server_iv]
 }
 
 /// verify_data = PRF(master, label, Hash(handshake_messages))[0..12]

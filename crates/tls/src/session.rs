@@ -8,7 +8,7 @@
 //! receives one can join an existing record stream mid-flight.
 
 use crate::codec::{Decoder, Encoder};
-use crate::keyschedule::{self, KeyBlock};
+use crate::keyschedule;
 use crate::record::DirectionState;
 use crate::suites::CipherSuite;
 use crate::TlsError;
@@ -41,18 +41,6 @@ pub struct ConnectionSecrets {
     pub server_random: Random,
 }
 
-impl ConnectionSecrets {
-    /// Expand the key block for this session.
-    pub fn key_block(&self) -> KeyBlock {
-        keyschedule::key_block(
-            self.suite,
-            &self.master_secret,
-            &self.client_random,
-            &self.server_random,
-        )
-    }
-}
-
 impl std::fmt::Debug for ConnectionSecrets {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ConnectionSecrets(suite=0x{:04x}, ..)", self.suite.id())
@@ -83,13 +71,30 @@ impl SessionKeys {
     /// Derive from connection secrets and the current record-layer
     /// sequence numbers.
     pub fn from_secrets(secrets: &ConnectionSecrets, c2s_seq: u64, s2c_seq: u64) -> Self {
-        let kb = secrets.key_block();
+        let block = keyschedule::expand_key_block(
+            secrets.suite,
+            &secrets.master_secret,
+            &secrets.client_random,
+            &secrets.server_random,
+        );
+        Self::from_key_block(secrets.suite, &block, c2s_seq, s2c_seq)
+    }
+
+    /// The keys of an expanded key `block` under `suite`, at these
+    /// sequence numbers.
+    pub(crate) fn from_key_block(
+        suite: CipherSuite,
+        block: &[u8],
+        c2s_seq: u64,
+        s2c_seq: u64,
+    ) -> Self {
+        let [client_key, server_key, client_iv, server_iv] = keyschedule::split_key_block(block);
         SessionKeys {
-            suite: secrets.suite,
-            client_write_key: kb.client_write_key,
-            client_write_iv: kb.client_write_iv,
-            server_write_key: kb.server_write_key,
-            server_write_iv: kb.server_write_iv,
+            suite,
+            client_write_key: client_key.into(),
+            client_write_iv: client_iv.into(),
+            server_write_key: server_key.into(),
+            server_write_iv: server_iv.into(),
             client_to_server_seq: c2s_seq,
             server_to_client_seq: s2c_seq,
         }

@@ -76,13 +76,15 @@ impl Flow {
         }
     }
 
-    /// Record protection for this flow from sequence number zero.
-    fn cipher(self, secrets: &ConnectionSecrets) -> Result<DirectionState, TlsError> {
-        let keys = SessionKeys::from_secrets(secrets, 0, 0);
-        match self {
-            Flow::ClientToServer => keys.open_client_to_server(),
-            Flow::ServerToClient => keys.open_server_to_client(),
-        }
+    /// Record protection for this flow from sequence number zero,
+    /// out of the connection's expanded key `block`.
+    fn cipher(self, suite: CipherSuite, block: &[u8]) -> Result<DirectionState, TlsError> {
+        let [client_key, server_key, client_iv, server_iv] = keyschedule::split_key_block(block);
+        let (key, iv) = match self {
+            Flow::ClientToServer => (client_key, client_iv),
+            Flow::ServerToClient => (server_key, server_iv),
+        };
+        DirectionState::new(suite.bulk(), key, iv, 0)
     }
 }
 
@@ -184,6 +186,10 @@ pub struct Connection<H> {
     pub(crate) server_random: [u8; 32],
     pub(crate) suite: Option<CipherSuite>,
     pub(crate) secrets: Option<ConnectionSecrets>,
+    /// `secrets`' key block, expanded once by
+    /// [`Connection::install_secrets`] for both ciphers and
+    /// [`Connection::export_session_keys`]; empty until then.
+    key_block: Secret,
     pub(crate) resumed: bool,
 }
 
@@ -198,6 +204,7 @@ impl<H: Handshake> Connection<H> {
             server_random: [0; 32],
             suite: None,
             secrets: None,
+            key_block: Secret::from(Vec::new()),
             resumed: false,
         }
     }
@@ -245,7 +252,7 @@ impl<H: Handshake> Connection<H> {
             Flow::ClientToServer => (written, read),
             Flow::ServerToClient => (read, written),
         };
-        Some(SessionKeys::from_secrets(secrets, c2s, s2c))
+        Some(SessionKeys::from_key_block(secrets.suite, &self.key_block, c2s, s2c))
     }
 
     /// Queue application data (fragmenting as needed). Requires an
@@ -342,8 +349,15 @@ impl<H: Handshake> Connection<H> {
     }
 
     /// Install the session's secrets: `master_secret` under `suite`
-    /// and this connection's randoms.
+    /// and this connection's randoms, with the key block they expand
+    /// to.
     pub(crate) fn install_secrets(&mut self, suite: CipherSuite, master_secret: Secret) {
+        self.key_block = keyschedule::expand_key_block(
+            suite,
+            &master_secret,
+            &self.client_random,
+            &self.server_random,
+        );
         self.secrets = Some(ConnectionSecrets {
             suite,
             master_secret,
@@ -368,7 +382,8 @@ impl<H: Handshake> Connection<H> {
             .secrets
             .as_ref()
             .ok_or(TlsError::Internal("secrets derived before Finished"))?;
-        let cipher = self.shell.write_cipher.insert(H::WRITES.cipher(secrets)?);
+        let cipher = H::WRITES.cipher(secrets.suite, &self.key_block)?;
+        let cipher = self.shell.write_cipher.insert(cipher);
         let vd = keyschedule::verify_data(
             secrets.suite,
             &secrets.master_secret,
@@ -448,7 +463,8 @@ impl<H: Handshake> Connection<H> {
                     .secrets
                     .as_ref()
                     .ok_or(TlsError::UnexpectedMessage("CCS before key exchange"))?;
-                self.shell.read_cipher = Some(H::WRITES.reverse().cipher(secrets)?);
+                let cipher = H::WRITES.reverse().cipher(secrets.suite, &self.key_block)?;
+                self.shell.read_cipher = Some(cipher);
                 self.shell.peer_change_cipher_seen = true;
                 Ok(())
             }

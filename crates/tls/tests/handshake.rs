@@ -9,6 +9,7 @@ use mbtls_sgx::{AttestationService, CodeIdentity, Enclave, Platform, Quote};
 use mbtls_tls::config::{AttestationPolicy, Attestor, ClientConfig, PeerProof, Proof, ServerConfig};
 use mbtls_tls::messages::{handshake_type, HandshakeReader};
 use mbtls_tls::record::RecordReader;
+use mbtls_tls::session::SessionKeys;
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, ContentType, ServerConnection, TlsError};
 
@@ -534,40 +535,76 @@ fn false_start_disabled_blocks_early_send() {
 fn exported_keys_match_between_peers() {
     // What `MbSession::bridge` relies on: the two ends of an
     // established pair export the same keys at the same sequence
-    // numbers, however the handshake ran.
-    for (case, tickets, resume) in [
-        ("full", true, false),
-        ("ticket-resumed", true, true),
-        ("id-resumed", false, true),
-    ] {
-        let mut f = fixture(17);
-        let mut sc = ServerConfig::new(f.server_key.clone(), [7u8; 32]);
-        sc.issue_tickets = tickets;
-        sc.assign_session_ids = !tickets;
-        let sc = Arc::new(sc);
-        let mut cc = ClientConfig::new(f.trust.clone());
-        cc.enable_tickets = tickets;
-        let mut client = ClientConnection::new(Arc::new(cc.clone()), "server.example", &mut f.rng);
-        let mut server = ServerConnection::new(sc.clone());
-        run_to_completion(&mut client, &mut server, &mut f.rng).unwrap();
-        if resume {
-            let resumption = client.resumption_data().expect(case);
-            assert_eq!(resumption.ticket.is_some(), tickets, "{case}");
-            cc.resumption_cache.insert("server.example".to_string(), resumption);
-            client = ClientConnection::new(Arc::new(cc), "server.example", &mut f.rng);
-            server = ServerConnection::new(sc);
+    // numbers, however the handshake ran and under either suite; those
+    // are the keys the secrets expand to; and nothing is exported
+    // before the handshake is done.
+    for suite in [CipherSuite::EcdheAes128GcmSha256, CipherSuite::EcdheAes256GcmSha384] {
+        for (case, tickets, resume, ticket_key) in [
+            ("full", true, false, 7),
+            ("ticket-resumed", true, true, 7),
+            ("id-resumed", false, true, 7),
+            // The server's ticket key changed since the ticket was
+            // issued: it does not open, and both ends run a full
+            // handshake instead.
+            ("stale ticket", true, true, 8),
+        ] {
+            let case = format!("{suite:?} {case}");
+            let mut f = fixture(17);
+            let mut sc = ServerConfig::new(f.server_key.clone(), [7u8; 32]);
+            sc.issue_tickets = tickets;
+            sc.assign_session_ids = !tickets;
+            let mut cc = ClientConfig::new(f.trust.clone());
+            cc.enable_tickets = tickets;
+            cc.suites = vec![suite];
+            let mut client =
+                ClientConnection::new(Arc::new(cc.clone()), "server.example", &mut f.rng);
+            let mut server = ServerConnection::new(Arc::new(sc.clone()));
             run_to_completion(&mut client, &mut server, &mut f.rng).unwrap();
-        }
-        assert!(client.is_established() && server.is_established(), "{case}");
-        assert_eq!((client.resumed(), server.resumed()), (resume, resume), "{case}");
-        // One record more in one direction, so that an end reporting
-        // its two sequence numbers the wrong way round shows.
-        client.send_data(b"ping").unwrap();
-        server.feed_incoming(&client.take_outgoing(), &mut f.rng).unwrap();
+            if resume {
+                let resumption = client.resumption_data().expect(&case);
+                assert_eq!(resumption.ticket.is_some(), tickets, "{case}");
+                cc.resumption_cache.insert("server.example".to_string(), resumption);
+                sc.ticket_key = [ticket_key; 32];
+                client = ClientConnection::new(Arc::new(cc), "server.example", &mut f.rng);
+                server = ServerConnection::new(Arc::new(sc));
+                // Flight by flight, checking each end in between.
+                for _ in 0..3 {
+                    server.feed_incoming(&client.take_outgoing(), &mut f.rng).unwrap();
+                    client.feed_incoming(&server.take_outgoing(), &mut f.rng).unwrap();
+                    for (established, exported) in [
+                        (client.is_established(), client.export_session_keys()),
+                        (server.is_established(), server.export_session_keys()),
+                    ] {
+                        assert!(established || exported.is_none(), "{case}: exported too early");
+                    }
+                }
+            }
+            assert!(client.is_established() && server.is_established(), "{case}");
+            let resumed = resume && ticket_key == 7;
+            assert_eq!((client.resumed(), server.resumed()), (resumed, resumed), "{case}");
+            // Three records client → server and two back, so that an
+            // end reporting its two sequence numbers the wrong way
+            // round shows.
+            for n in 1..=3u8 {
+                client.send_data(&vec![n; 100 * n as usize]).unwrap();
+                server.feed_incoming(&client.take_outgoing(), &mut f.rng).unwrap();
+                assert_eq!(server.take_plaintext(), vec![n; 100 * n as usize], "{case}");
+            }
+            for n in 1..=2u8 {
+                server.send_data(&vec![n; 700 * n as usize]).unwrap();
+                client.feed_incoming(&server.take_outgoing(), &mut f.rng).unwrap();
+                assert_eq!(client.take_plaintext(), vec![n; 700 * n as usize], "{case}");
+            }
 
-        let ck = client.export_session_keys().expect(case);
-        assert_eq!(Some(&ck), server.export_session_keys().as_ref(), "{case}");
-        assert_eq!((ck.client_to_server_seq, ck.server_to_client_seq), (2, 1), "{case}");
+            // Each direction's Finished was its record zero.
+            let ck = client.export_session_keys().expect(&case);
+            assert_eq!((ck.client_to_server_seq, ck.server_to_client_seq), (4, 3), "{case}");
+            let expanded = SessionKeys::from_secrets(client.secrets().unwrap(), 4, 3);
+            assert_eq!(ck, expanded, "{case}: client");
+            let expanded = SessionKeys::from_secrets(server.secrets().unwrap(), 4, 3);
+            assert_eq!(server.export_session_keys().as_ref(), Some(&expanded), "{case}: server");
+            assert_eq!(Some(&ck), server.export_session_keys().as_ref(), "{case}");
+        }
     }
 }
 

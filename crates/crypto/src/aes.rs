@@ -233,7 +233,7 @@ impl Aes {
             // `add_round_key` consumes for an eight-block batch.
             skey[8 * round..8 * round + 8].copy_from_slice(&q);
         }
-        crate::ct::zeroize_u32(&mut w);
+        crate::ct::zeroize(&mut w);
         Ok(Aes { skey, rounds })
     }
 
@@ -341,7 +341,7 @@ impl Aes {
 
 impl Drop for Aes {
     fn drop(&mut self) {
-        crate::ct::zeroize_u128(&mut self.skey);
+        crate::ct::zeroize(&mut self.skey);
     }
 }
 

@@ -36,7 +36,7 @@ impl BigUint {
     /// Volatile-wipe the limb storage (for secret exponents whose
     /// containers zeroize on drop). The value becomes zero.
     pub fn zeroize(&mut self) {
-        crate::ct::zeroize_u64(&mut self.limbs);
+        crate::ct::zeroize(&mut self.limbs);
         self.limbs.clear();
     }
 

@@ -1,9 +1,11 @@
-//! Constant-time helpers.
+//! Constant-time helpers and the volatile wipe.
 //!
 //! The comparison primitives here avoid data-dependent branches so MAC
 //! and tag checks in the record layer do not leak match prefixes. The
 //! `black_box` hints keep the optimizer from re-introducing early
-//! exits.
+//! exits. [`zeroize`] is the one volatile write loop every key-bearing
+//! type wipes through, over bytes and integer words alike (SHA-2
+//! state, bignum limbs, the AES key schedules, the GHASH powers of H).
 
 use std::hint::black_box;
 
@@ -52,41 +54,17 @@ pub fn cond_swap(choice: u8, a: &mut [u8], b: &mut [u8]) {
     }
 }
 
-/// Best-effort zeroization of key material.
+/// Best-effort zeroization of key material: bytes, or the words of an
+/// expanded key schedule or a GHASH key (any integer type, whose
+/// `Default` is zero).
 ///
 /// Uses a volatile write loop so the compiler cannot elide the wipes
-/// of buffers that are about to be dropped.
-pub fn zeroize(buf: &mut [u8]) {
-    for b in buf.iter_mut() {
-        // Safety: writing a valid u8 through a valid &mut reference.
-        unsafe { std::ptr::write_volatile(b, 0) };
-    }
-    std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
-}
-
-/// [`zeroize`] for `u32` words (expanded key schedules).
-pub fn zeroize_u32(buf: &mut [u32]) {
+/// of buffers that are about to be dropped. This is the crate's one
+/// volatile write.
+pub fn zeroize<T: Copy + Default>(buf: &mut [T]) {
     for w in buf.iter_mut() {
-        // Safety: writing a valid u32 through a valid &mut reference.
-        unsafe { std::ptr::write_volatile(w, 0) };
-    }
-    std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
-}
-
-/// [`zeroize`] for `u64` words (bitsliced key schedules, GHASH tables).
-pub fn zeroize_u64(buf: &mut [u64]) {
-    for w in buf.iter_mut() {
-        // Safety: writing a valid u64 through a valid &mut reference.
-        unsafe { std::ptr::write_volatile(w, 0) };
-    }
-    std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
-}
-
-/// [`zeroize`] for `u128` words (wide bitsliced key schedules).
-pub fn zeroize_u128(buf: &mut [u128]) {
-    for w in buf.iter_mut() {
-        // Safety: writing a valid u128 through a valid &mut reference.
-        unsafe { std::ptr::write_volatile(w, 0) };
+        // Safety: writing a valid `T` through a valid &mut reference.
+        unsafe { std::ptr::write_volatile(w, T::default()) };
     }
     std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
 }
@@ -182,13 +160,13 @@ mod tests {
     #[test]
     fn zeroize_words_wipe() {
         let mut w32 = vec![0xdead_beefu32; 8];
-        zeroize_u32(&mut w32);
+        zeroize(&mut w32);
         assert!(w32.iter().all(|&w| w == 0));
         let mut w64 = vec![0xdead_beef_dead_beefu64; 8];
-        zeroize_u64(&mut w64);
+        zeroize(&mut w64);
         assert!(w64.iter().all(|&w| w == 0));
         let mut w128 = vec![u128::MAX; 8];
-        zeroize_u128(&mut w128);
+        zeroize(&mut w128);
         assert!(w128.iter().all(|&w| w == 0));
     }
 }

@@ -506,7 +506,6 @@ fn add_digit<E: Entry>(acc: &mut Point, digit: i8, odds: &[E]) {
         return;
     }
     let slot = usize::from(digit.unsigned_abs() >> 1);
-    // lint:allow(const-time) -- public inputs: signatures under verification
     let entry = odds[slot];
     *acc = if digit < 0 { entry.neg().add_to(acc) } else { entry.add_to(acc) };
 }

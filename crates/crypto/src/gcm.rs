@@ -14,20 +14,21 @@
 //! * **Bitsliced**, everywhere else and as the differential oracle
 //!   for the hardware path ([`AesGcm::portable`]). CTR runs through
 //!   the bitsliced [`Aes`] eight counter blocks per invocation
-//!   ([`Aes::ctr_xor`]); GHASH uses 8-bit Shoup tables over H¹..H⁴
-//!   of the hash subkey, four blocks per aggregated reduction:
+//!   ([`Aes::ctr_xor`]); GHASH multiplies by the stored powers
+//!   H¹..H⁴ of the hash subkey (64 bytes per key, wiped through
+//!   [`ct::zeroize`]), four blocks per aggregated reduction:
 //!
 //!   ```text
 //!   Y' = (Y ^ C1)·H⁴  ^  C2·H³  ^  C3·H²  ^  C4·H
 //!   ```
 //!
-//!   This GHASH is **not constant-time**. Each table index is a byte
-//!   of `Y ^ C`, and the accumulator `Y` is a function of the secret
-//!   `H` (the tables are built by indexing with bytes of `H` itself),
-//!   so which cache lines are touched depends on the key. It is the
-//!   classic cache-timing leak of table GHASH, confined to CPUs
-//!   without PCLMULQDQ; ROADMAP item 11 replaces it with a
-//!   constant-time multiply.
+//!   Each product is three 64-bit carry-less multiplies (Karatsuba),
+//!   each built from integer multiplies of operands whose bits sit
+//!   five apart, holes masked out (`clmul`), so GHASH is constant-time
+//!   like the AES beside it: no table, and no index or branch that
+//!   depends on H or the accumulator. That rests on the CPU's integer
+//!   multiply taking the same time for every operand, as it does on
+//!   the x86_64 and AArch64 cores this runs on.
 //!
 //! A seal or an open is one backend call over `Blocks`, the CTR pass
 //! with the tag over the ciphertext (`AesGcm::crypt`): the hardware
@@ -200,192 +201,153 @@ impl Blocks for Apart<'_> {
     }
 }
 
-/// A 128-bit GHASH element, kept as two big-endian u64 halves.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-struct Block128 {
-    hi: u64,
-    lo: u64,
-}
-
-impl Block128 {
-    fn from_bytes(b: &[u8; 16]) -> Self {
-        Block128 {
-            hi: u64::from_be_bytes(crate::fixed(&b[0..8])),
-            lo: u64::from_be_bytes(crate::fixed(&b[8..16])),
-        }
+/// `CLASSES[r]` has bit `k` set for each `k ≡ r (mod 5)`: the five
+/// classes of bit positions [`clmul`] splits operands and products into.
+const CLASSES: [u128; 5] = {
+    let mut masks = [0u128; 5];
+    let mut k = 0;
+    while k < 128 {
+        masks[k % 5] |= 1 << k;
+        k += 1;
     }
-
-    fn to_bytes(self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[0..8].copy_from_slice(&self.hi.to_be_bytes());
-        out[8..16].copy_from_slice(&self.lo.to_be_bytes());
-        out
-    }
-
-    fn xor(self, other: Block128) -> Block128 {
-        Block128 {
-            hi: self.hi ^ other.hi,
-            lo: self.lo ^ other.lo,
-        }
-    }
-
-    /// Right shift by one bit (toward the least significant bit in the
-    /// GCM reflected-bit convention).
-    fn shr1(self) -> Block128 {
-        Block128 {
-            hi: self.hi >> 1,
-            lo: (self.lo >> 1) | (self.hi << 63),
-        }
-    }
-
-    /// Multiply by x in GF(2^128): shift right with the GCM reduction
-    /// polynomial folded back in on carry.
-    fn mul_x(self) -> Block128 {
-        let carry = self.lo & 1;
-        let mut next = self.shr1();
-        if carry == 1 {
-            next.hi ^= 0xe100_0000_0000_0000;
-        }
-        next
-    }
-}
-
-/// Reduction constants for one whole byte shifted out of the
-/// accumulator: `R8[b]` is the value XORed into the high half after
-/// shifting right by 8 with low byte `b`. Built at compile time by
-/// replaying eight single-bit reduction steps; the shifted-out bits
-/// never propagate into the low half (the reduction polynomial only
-/// touches the top 16 bits, which eight right-shifts cannot carry past
-/// bit 40), so a single `u64` per entry is exact.
-const R8: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        let mut hi = 0u64;
-        let mut lo = b as u64;
-        let mut i = 0;
-        while i < 8 {
-            let carry = lo & 1;
-            lo = (lo >> 1) | (hi << 63);
-            hi >>= 1;
-            if carry == 1 {
-                hi ^= 0xe100_0000_0000_0000;
-            }
-            i += 1;
-        }
-        table[b] = hi;
-        b += 1;
-    }
-    table
+    masks
 };
 
-/// One 8-bit Shoup table: `t[b] = b · H` with the byte's MSB mapping
-/// to the lowest-degree coefficient (GCM's reflected convention, so
-/// `t[0x80] = H`).
-fn build_table(h: Block128) -> [Block128; 256] {
-    let mut t = [Block128::default(); 256];
-    t[0x80] = h;
-    let mut i = 0x80;
-    while i > 1 {
-        t[i >> 1] = t[i].mul_x();
-        i >>= 1;
-    }
-    let mut i = 2;
-    while i < 256 {
-        for j in 1..i {
-            t[i + j] = t[i].xor(t[j]);
+/// Carry-less product of two 64-bit words from integer multiplies.
+///
+/// Each operand is split by [`CLASSES`] into five words whose set bits
+/// are five positions apart. An integer product of class `i` of `x` and
+/// class `j` of `y` puts every partial product at a position of class
+/// `i + j`, at most 13 of them on any one position (no class of a
+/// 64-bit word has more bits), and 13 < 2⁵: read in five-bit digits
+/// from that class, no digit carries into the next. So the product's bit at each position
+/// of its class is the XOR of the partial products there, and the five
+/// products of one class XORed and masked to it are that class of the
+/// carry-less product. (Bits four apart would let a digit reach 16 and
+/// carry.) Memory access and control flow are the same for every input.
+#[inline(always)]
+fn clmul(x: u64, y: u64) -> u128 {
+    let xs = CLASSES.map(|m| u128::from(x) & m);
+    let ys = CLASSES.map(|m| u128::from(y) & m);
+    let mut z = 0;
+    for r in 0..5 {
+        let mut class = 0;
+        for i in 0..5 {
+            class ^= xs[i] * ys[(5 + r - i) % 5];
         }
-        i <<= 1;
-    }
-    t
-}
-
-/// Multiply `x` by the table's key using byte-wide steps.
-#[inline]
-fn mul_table(table: &[Block128; 256], x: Block128) -> Block128 {
-    let bytes = x.to_bytes();
-    let mut z = Block128::default();
-    for i in (0..16).rev() {
-        // Multiply accumulated z by x^8 (no-op on the first step).
-        let rem = (z.lo & 0xff) as usize;
-        z = Block128 {
-            hi: z.hi >> 8,
-            lo: (z.lo >> 8) | (z.hi << 56),
-        };
-        z.hi ^= R8[rem];
-        // lint:allow(const-time) -- NOT constant-time: the index is a byte of the running GHASH accumulator (or of H itself while the tables are built), a function of the secret H, not a public ciphertext/AAD byte. A known cache-timing leak of the portable backend only (CPUs without PCLMULQDQ); the constant-time replacement is ROADMAP item 11. See DESIGN.md §6e.
-        z = z.xor(table[bytes[i] as usize]);
+        z |= class & CLASSES[r];
     }
     z
 }
 
-/// Precomputed GHASH state for one key: 8-bit tables for H¹..H⁴.
+/// The unreduced product, or XOR of products, of GHASH elements, as
+/// the three Karatsuba parts over 64-bit halves. Elements are
+/// big-endian `u128`s: GCM's reflected bit order puts the coefficient
+/// of `x^k` at bit `127 - k`.
+#[derive(Default)]
+struct Wide {
+    lo: u128,
+    mid: u128,
+    hi: u128,
+}
+
+impl Wide {
+    /// XOR `a · b` in, unreduced.
+    #[inline(always)]
+    fn add_mul(&mut self, a: u128, b: u128) {
+        let (a1, a0) = ((a >> 64) as u64, a as u64);
+        let (b1, b0) = ((b >> 64) as u64, b as u64);
+        self.lo ^= clmul(a0, b0);
+        self.hi ^= clmul(a1, b1);
+        self.mid ^= clmul(a0 ^ a1, b0 ^ b1);
+    }
+
+    /// Reduce modulo `x¹²⁸ + x⁷ + x² + x + 1`.
+    #[inline(always)]
+    fn reduce(self) -> u128 {
+        let mid = self.mid ^ self.lo ^ self.hi;
+        // Reflected operands put the coefficient of `x^k` in the product
+        // at bit 254 - k; shifted left once, at 255 - k, so `hi` holds
+        // x⁰..x¹²⁷ and `lo` x¹²⁸..x²⁵⁵, each in the element layout.
+        let hi = self.hi ^ (mid >> 64);
+        let lo = self.lo ^ (mid << 64);
+        let (hi, lo) = ((hi << 1) | (lo >> 127), lo << 1);
+        // x¹²⁸ = 1 + x + x² + x⁷, and a right shift by `s` multiplies by
+        // `x^s`: fold `lo` into `hi` as `lo ^ lo>>1 ^ lo>>2 ^ lo>>7`. The
+        // bits those shifts push past x¹²⁷ (x¹²⁸..x¹³⁴, the left shifts
+        // below) are folded with them; their own fold stays below x¹²⁸.
+        let d = lo ^ (lo << 127) ^ (lo << 126) ^ (lo << 121);
+        hi ^ d ^ (d >> 1) ^ (d >> 2) ^ (d >> 7)
+    }
+}
+
+/// `a · b` in GHASH's field.
+fn gf_mul(a: u128, b: u128) -> u128 {
+    let mut product = Wide::default();
+    product.add_mul(a, b);
+    product.reduce()
+}
+
+/// GHASH state for one key: the powers H¹..H⁴ of the hash subkey.
 struct GhashKey {
-    /// `tables[k]` multiplies by `H^(k+1)`.
-    tables: Box<[[Block128; 256]; 4]>,
+    /// `powers[k]` is `H^(k+1)`, big-endian. Bytes, not `u128`s: a
+    /// 16-byte-aligned field would pad every `AesGcm`, hardware ones
+    /// included.
+    powers: [[u8; 16]; 4],
 }
 
 impl GhashKey {
     fn new(h: &[u8; 16]) -> Self {
-        let h1 = Block128::from_bytes(h);
-        let t1 = build_table(h1);
-        let h2 = mul_table(&t1, h1);
-        let h3 = mul_table(&t1, h2);
-        let h4 = mul_table(&t1, h3);
+        let h1 = u128::from_be_bytes(*h);
+        let h2 = gf_mul(h1, h1);
+        let h3 = gf_mul(h2, h1);
         GhashKey {
-            tables: Box::new([t1, build_table(h2), build_table(h3), build_table(h4)]),
+            powers: [h1, h2, h3, gf_mul(h3, h1)].map(u128::to_be_bytes),
         }
     }
 
     /// Fold `data` (zero-padded to a block boundary) into `y`,
     /// four blocks per aggregated reduction.
-    fn absorb(&self, mut y: Block128, data: &[u8]) -> Block128 {
-        let [t1, t2, t3, t4] = &*self.tables;
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            let c1 = Block128::from_bytes(&crate::fixed(&chunk[0..16]));
-            let c2 = Block128::from_bytes(&crate::fixed(&chunk[16..32]));
-            let c3 = Block128::from_bytes(&crate::fixed(&chunk[32..48]));
-            let c4 = Block128::from_bytes(&crate::fixed(&chunk[48..64]));
-            // Four independent multiplications — the regrouped form of
-            // ((((y^c1)·H ^ c2)·H ^ c3)·H ^ c4)·H.
-            y = mul_table(t4, y.xor(c1))
-                .xor(mul_table(t3, c2))
-                .xor(mul_table(t2, c3))
-                .xor(mul_table(t1, c4));
+    fn absorb(&self, mut y: u128, data: &[u8]) -> u128 {
+        let [h1, h2, h3, h4] = self.powers.map(u128::from_be_bytes);
+        let mut quads = data.chunks_exact(64);
+        for quad in &mut quads {
+            let c = |i: usize| u128::from_be_bytes(crate::fixed(&quad[16 * i..16 * i + 16]));
+            // The regrouped form of ((((y^c1)·H ^ c2)·H ^ c3)·H ^ c4)·H:
+            // four products, one reduction.
+            let mut sum = Wide::default();
+            sum.add_mul(y ^ c(0), h4);
+            sum.add_mul(c(1), h3);
+            sum.add_mul(c(2), h2);
+            sum.add_mul(c(3), h1);
+            y = sum.reduce();
         }
-        for chunk in chunks.remainder().chunks(16) {
+        for chunk in quads.remainder().chunks(16) {
             let mut block = [0u8; 16];
             block[..chunk.len()].copy_from_slice(chunk);
-            y = mul_table(t1, y.xor(Block128::from_bytes(&block)));
+            y = gf_mul(y ^ u128::from_be_bytes(block), h1);
         }
         y
+    }
+
+    fn wipe(&mut self) {
+        ct::zeroize(self.powers.as_flattened_mut());
     }
 }
 
 impl Drop for GhashKey {
     fn drop(&mut self) {
-        for table in self.tables.iter_mut() {
-            for entry in table.iter_mut() {
-                // Safety: writing a valid Block128 through a valid
-                // &mut reference (volatile so the wipe is not elided).
-                unsafe { std::ptr::write_volatile(entry, Block128::default()) };
-            }
-        }
-        std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
+        self.wipe();
     }
 }
 
 /// GHASH over padded AAD and ciphertext, per SP 800-38D §6.4.
 fn ghash(key: &GhashKey, aad: &[u8], ct_data: &[u8]) -> [u8; 16] {
-    let mut y = Block128::default();
-    y = key.absorb(y, aad);
-    y = key.absorb(y, ct_data);
-    let mut len_block = [0u8; 16];
-    len_block[0..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-    len_block[8..16].copy_from_slice(&((ct_data.len() as u64) * 8).to_be_bytes());
-    y = key.absorb(y, &len_block);
-    y.to_bytes()
+    let y = key.absorb(0, aad);
+    let y = key.absorb(y, ct_data);
+    let bits = |len: usize| u128::from(len as u64 * 8);
+    let lengths = bits(aad.len()) << 64 | bits(ct_data.len());
+    key.absorb(y, &lengths.to_be_bytes()).to_be_bytes()
 }
 
 fn counter_block(nonce: &[u8; 12], counter: u32) -> [u8; 16] {
@@ -995,6 +957,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// SP 800-38D Algorithm 1, bit by bit: the multiply GHASH is
+    /// defined by, with the branches and shifts the constant-time one
+    /// does without.
+    fn algorithm_1(x: u128, y: u128) -> u128 {
+        let (mut z, mut v) = (0u128, y);
+        for i in 0..128 {
+            if x >> (127 - i) & 1 == 1 {
+                z ^= v;
+            }
+            v = if v & 1 == 0 { v >> 1 } else { (v >> 1) ^ (0xe1 << 120) };
+        }
+        z
+    }
+
+    // The multiply against its definition: the zero element, the one
+    // (`0x80…`), x¹²⁷ (the last bit), all-ones, and seeded random
+    // elements, every pair both ways round.
+    #[test]
+    fn gf_mul_matches_sp800_38d_algorithm_1() {
+        let mut rng = crate::rng::CryptoRng::from_seed(0x6A5E_0001);
+        let mut operands = vec![0, 1 << 127, 1, u128::MAX];
+        for _ in 0..24 {
+            let mut bytes = [0u8; 16];
+            rng.fill(&mut bytes);
+            operands.push(u128::from_be_bytes(bytes));
+        }
+        for &a in &operands {
+            for &b in &operands {
+                assert_eq!(gf_mul(a, b), algorithm_1(a, b), "{a:032x} · {b:032x}");
+            }
+        }
+    }
+
+    // The four-block aggregated absorb against Algorithm 1 one block at
+    // a time, at every length through three aggregated groups, a
+    // ragged tail and a nonzero starting accumulator.
+    #[test]
+    fn aggregated_absorb_matches_algorithm_1_block_by_block() {
+        let mut rng = crate::rng::CryptoRng::from_seed(0x6A5E_0002);
+        for _ in 0..4 {
+            let mut h = [0u8; 16];
+            let mut y0 = [0u8; 16];
+            rng.fill(&mut h);
+            rng.fill(&mut y0);
+            let key = GhashKey::new(&h);
+            let (h, y0) = (u128::from_be_bytes(h), u128::from_be_bytes(y0));
+            let mut data = vec![0u8; 3 * 64 + 17];
+            rng.fill(&mut data);
+            for len in 0..=data.len() {
+                let mut expected = y0;
+                for chunk in data[..len].chunks(16) {
+                    let mut block = [0u8; 16];
+                    block[..chunk.len()].copy_from_slice(chunk);
+                    expected = algorithm_1(expected ^ u128::from_be_bytes(block), h);
+                }
+                assert_eq!(key.absorb(y0, &data[..len]), expected, "len {len}");
+            }
+        }
+    }
+
+    // The portable key's H powers are wiped in place when it drops.
+    #[test]
+    fn ghash_key_wipe_zeroes_the_powers_of_h() {
+        let key = GhashKey::new(&[0x5au8; 16]);
+        ct::assert_wipes(key, GhashKey::wipe, |k| {
+            vec![k.powers.as_flattened().to_vec()]
+        });
     }
 
     // `new` must land on the hardware backend exactly when the CPU

@@ -161,7 +161,7 @@ impl Hash for Sha256 {
     }
 
     fn wipe(&mut self) {
-        ct::zeroize_u32(&mut self.state);
+        ct::zeroize(&mut self.state);
         ct::zeroize(&mut self.buf);
         self.buf_len = 0;
     }
@@ -292,7 +292,7 @@ impl Sha512Core {
     }
 
     fn wipe(&mut self) {
-        ct::zeroize_u64(&mut self.state);
+        ct::zeroize(&mut self.state);
         ct::zeroize(&mut self.buf);
         self.buf_len = 0;
     }

@@ -28,9 +28,10 @@
 //! whose cache footprint depends on the data. Brackets are matched
 //! over tokens, so an index continued on the next line is in reach.
 //! Loop counters (`w[i]`), ranges (`buf[4..8]`), and literal indices
-//! do not trip it. Paths that keep such lookups deliberately — the
-//! public-index GHASH tables — carry a `lint:allow` so the waiver is
-//! visible in the report, not silent.
+//! do not trip it. An index cast in a `let` and used through the
+//! local, or a keyed value reaching the lookup through a function's
+//! parameters, is not seen (`fixtures/const_time/keyed_accumulator.rs`
+//! pins that blind spot).
 
 use super::Hit;
 use crate::dataflow::Taint;

@@ -91,7 +91,8 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Annotated findings do not fail the gate.
+    /// No annotation covers it. The workspace gate fails on every
+    /// finding; the split is for the report.
     pub fn is_blocking(&self) -> bool {
         self.allowed.is_none()
     }

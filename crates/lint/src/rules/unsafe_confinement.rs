@@ -2,7 +2,7 @@
 //!
 //! The protocol crates need `unsafe` for exactly three things: CPU
 //! intrinsics (the SSE2 lanes of the bitsliced AES, the AES-NI +
-//! PCLMULQDQ backend), volatile key wipes, and telling a `Vec` how
+//! PCLMULQDQ backend), the one volatile key wipe, and telling a `Vec` how
 //! much of its spare capacity the AEAD has written. All are in
 //! `crates/crypto`, each behind a safe interface, and each block
 //! carries a `// SAFETY:` argument a reviewer can check in one
@@ -27,11 +27,11 @@ pub const ALLOWED_FILES: &[&str] = &[
     "crates/crypto/src/aes.rs",
     // Volatile zeroization primitives.
     "crates/crypto/src/ct.rs",
-    // The volatile wipe of the bitsliced GHASH tables, the one
-    // `Vec::set_len` after a CTR pass has filled a `Vec`'s spare
-    // capacity (`crypt_append`, under the append seal and open), and
-    // `Apart::ciphertext`, the bytes of that capacity the pass has
-    // written, for GHASH to read.
+    // The one `Vec::set_len` after a CTR pass has filled a `Vec`'s
+    // spare capacity (`crypt_append`, under the append seal and open),
+    // and `Apart::ciphertext`, the bytes of that capacity the pass has
+    // written, for GHASH to read. Its GHASH key wipes through
+    // `ct::zeroize`.
     "crates/crypto/src/gcm.rs",
 ];
 

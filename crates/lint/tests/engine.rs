@@ -300,6 +300,21 @@ fn const_time_alias_negative_fixture_is_clean() {
 }
 
 #[test]
+fn const_time_keyed_accumulator_fixture_pins_a_blind_spot() {
+    // The table GHASH shape: each lookup index is a byte of an
+    // accumulator that depends on the key. Only the Shoup-table
+    // lookup (line 26) fires, and for the `as usize` inside its
+    // brackets, not for the key behind it. `R8[rem]` (line 25) is
+    // missed: its cast sits in a `let`, and taint does not follow the
+    // key through `mul_table`'s parameters. DESIGN.md §6d lists this
+    // blind spot; a rule change that closes it updates this pin.
+    let src = fixture("const_time", "keyed_accumulator.rs");
+    let findings = lint_source("crates/crypto/src/fixture.rs", &src, &[RuleId::ConstTime]);
+    assert_eq!(lines_of(&findings, RuleId::ConstTime), vec![26]);
+    assert!(findings[0].message.contains("table[bytes[i]as usize]"), "{findings:?}");
+}
+
+#[test]
 fn secret_hygiene_alias_fixture_is_caught() {
     let src = fixture("secret_hygiene", "bad_alias.rs");
     let findings = lint_source("crates/crypto/src/fixture.rs", &src, &[RuleId::SecretHygiene]);

@@ -4,12 +4,9 @@
 #   lint        mbtls-lint workspace invariants (sans-IO, secret
 #               hygiene, panic-freedom, const-time, shard-isolation,
 #               unsafe-confinement); JSON-lines report to
-#               target/lint-report.jsonl. Findings are ratcheted
-#               against lint-baseline.jsonl, so a *new* finding fails
-#               even when it lands annotated with `lint:allow`. After
-#               a deliberate, reviewed addition, regenerate the
-#               baseline by copying target/lint-report.jsonl over
-#               lint-baseline.jsonl in the same change
+#               target/lint-report.jsonl. Any finding fails, one
+#               annotated with `lint:allow` included: the tree holds
+#               zero
 #   clippy      cargo clippy --workspace --all-targets -D warnings
 #   doc         cargo doc --no-deps --workspace with
 #               rustdoc::broken_intra_doc_links denied: a doc link to a
@@ -41,8 +38,7 @@
 #   seam        benchmark/run.sh --smoke: the benchmark the driver
 #               gates on, built and run end to end at tiny budgets
 #
-# CI-equivalent; run before pushing. Reads no arguments: the lint
-# ratchet is always on, so a `--lint-strict` call runs the same gate.
+# CI-equivalent; run before pushing. Reads no arguments.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,8 +54,7 @@ stage() {
 }
 
 mkdir -p target
-stage lint      cargo run -q -p mbtls-lint --release -- \
-                --json target/lint-report.jsonl --baseline lint-baseline.jsonl
+stage lint      cargo run -q -p mbtls-lint --release -- --json target/lint-report.jsonl
 stage clippy    cargo clippy --workspace --all-targets -- -D warnings
 stage doc       env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
                 cargo doc --no-deps --workspace --offline -q

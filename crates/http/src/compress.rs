@@ -216,44 +216,94 @@ impl std::fmt::Display for LzssError {
 
 impl std::error::Error for LzssError {}
 
+/// One token of a stream.
+enum Token {
+    Literal(u8),
+    /// Repeat the `len` bytes that start `offset` bytes back.
+    Copy { offset: usize, len: usize },
+}
+
+/// The one reader of the format: a stream's tokens, in order. A
+/// stream that ends inside a reference yields `Truncated` once and
+/// stops; one that ends between tokens (a trailing flag byte
+/// included) just stops.
+struct Reader<'a> {
+    rest: &'a [u8],
+    /// The current group's flag bits not yet used, lowest next.
+    flags: u8,
+    /// Tokens left in the current group.
+    left: u8,
+}
+
+impl<'a> Reader<'a> {
+    fn new(stream: &'a [u8]) -> Self {
+        Reader {
+            rest: stream,
+            flags: 0,
+            left: 0,
+        }
+    }
+}
+
+impl Iterator for Reader<'_> {
+    type Item = Result<Token, LzssError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            let (&flags, rest) = self.rest.split_first()?;
+            (self.flags, self.left, self.rest) = (flags, 8, rest);
+        }
+        let literal = self.flags & 1 != 0;
+        self.flags >>= 1;
+        self.left -= 1;
+        if literal {
+            let (&byte, rest) = self.rest.split_first()?;
+            self.rest = rest;
+            return Some(Ok(Token::Literal(byte)));
+        }
+        match self.rest.split_first_chunk::<2>() {
+            Some((&token, rest)) => {
+                self.rest = rest;
+                let token = u16::from_be_bytes(token);
+                Some(Ok(Token::Copy {
+                    offset: usize::from(token >> 4) + 1,
+                    len: usize::from(token & 0xF) + MIN_MATCH,
+                }))
+            }
+            None if self.rest.is_empty() => None,
+            None => {
+                self.rest = &[];
+                Some(Err(LzssError::Truncated))
+            }
+        }
+    }
+}
+
 /// Decompress an LZSS stream. The stream is a peer's choice, so the
 /// output is bounded: past [`MAX_BODY`] bytes it is refused.
 pub fn lzss_decompress(input: &[u8]) -> Result<Vec<u8>, LzssError> {
     let mut out = Vec::with_capacity((input.len() * 2).min(MAX_BODY));
-    let mut pos = 0usize;
-    while pos < input.len() {
-        let flags = input[pos];
-        pos += 1;
-        for bit in 0..8 {
-            if pos >= input.len() {
-                break;
-            }
-            if flags & (1 << bit) != 0 {
+    for token in Reader::new(input) {
+        match token? {
+            Token::Literal(byte) => {
                 if out.len() == MAX_BODY {
                     return Err(LzssError::TooLarge);
                 }
-                out.push(input[pos]);
-                pos += 1;
-            } else {
-                if pos + 2 > input.len() {
-                    return Err(LzssError::Truncated);
-                }
-                let token = u16::from_be_bytes([input[pos], input[pos + 1]]);
-                pos += 2;
-                let offset = usize::from(token >> 4) + 1;
-                let length = usize::from(token & 0xF) + MIN_MATCH;
+                out.push(byte);
+            }
+            Token::Copy { offset, len } => {
                 if offset > out.len() {
                     return Err(LzssError::BadReference);
                 }
-                if out.len() + length > MAX_BODY {
+                if out.len() + len > MAX_BODY {
                     return Err(LzssError::TooLarge);
                 }
                 let start = out.len() - offset;
-                if offset >= length {
-                    out.extend_from_within(start..start + length);
+                if offset >= len {
+                    out.extend_from_within(start..start + len);
                 } else {
                     // Overlapping: the copy reads bytes it has just written.
-                    for i in 0..length {
+                    for i in 0..len {
                         let byte = out[start + i];
                         out.push(byte);
                     }
@@ -262,6 +312,41 @@ pub fn lzss_decompress(input: &[u8]) -> Result<Vec<u8>, LzssError> {
         }
     }
     Ok(out)
+}
+
+/// Whether `stream` decompresses to exactly `body`:
+/// `lzss_decompress(stream) == Ok(body)`, decided without allocating.
+/// The stream is decoded against `body` itself and the walk stops at
+/// the first byte that differs.
+pub fn lzss_expands_to(stream: &[u8], body: &[u8]) -> bool {
+    if body.len() > MAX_BODY {
+        return false;
+    }
+    // `body[..done]` is what the stream has decoded to so far.
+    let mut done = 0;
+    for token in Reader::new(stream) {
+        match token {
+            Ok(Token::Literal(byte)) => {
+                if body.get(done) != Some(&byte) {
+                    return false;
+                }
+                done += 1;
+            }
+            Ok(Token::Copy { offset, len }) => {
+                let Some(start) = done.checked_sub(offset) else {
+                    return false;
+                };
+                // The copy reads decoded bytes, which equal `body`'s,
+                // an overlapping copy's own output included.
+                match body.get(done..done + len) {
+                    Some(want) if *want == body[start..start + len] => done += len,
+                    _ => return false,
+                }
+            }
+            Err(_) => return false,
+        }
+    }
+    done == body.len()
 }
 
 #[cfg(test)]

@@ -14,11 +14,14 @@
 //! runs it on bodies a middlebox chose, so from every truncation,
 //! every bit flip and seeded compound mutations of valid compressed
 //! bodies it must return without panicking, and never more than
-//! `MAX_BODY` bytes.
+//! `MAX_BODY` bytes. The compression proxy's verifying decoder reads
+//! the same format, so on every mutant it must agree with it:
+//! `lzss_expands_to(m, body)` exactly when `lzss_decompress(m)` is
+//! `Ok(body)`.
 
 use std::fmt::Debug;
 
-use mbtls_http::compress::{lzss_compress, lzss_decompress, LzssError};
+use mbtls_http::compress::{lzss_compress, lzss_decompress, lzss_expands_to, LzssError};
 use mbtls_http::message::{HttpError, Parser, Request, Response, MAX_BODY};
 use mbtls_http::workload::{html_body, response_for, splitmix64, RequestMix};
 
@@ -274,15 +277,18 @@ fn mutated_responses_never_panic_overfill_or_desync() {
     assert!(accepted > 500 && refused > 500, "{accepted} accepted, {refused} refused");
 }
 
-/// Decode one mutant: no panic, and no more output than the bound and
-/// the format allow (a 17-byte group of eight 18-byte references is
-/// the most a stream expands).
-fn decompress_bounded(stream: &[u8]) -> Result<Vec<u8>, LzssError> {
+/// Decode one mutant of `body`'s stream: no panic, no more output than
+/// the bound and the format allow (a 17-byte group of eight 18-byte
+/// references is the most a stream expands), and the verifying decoder
+/// accepts it as `body` exactly when it decodes to `body`.
+fn decompress_bounded(stream: &[u8], body: &[u8]) -> Result<Vec<u8>, LzssError> {
     let result = lzss_decompress(stream);
     if let Ok(out) = &result {
         assert!(out.len() <= MAX_BODY, "{} bytes out", out.len());
         assert!(out.len() * 17 <= stream.len() * 144, "{} from {}", out.len(), stream.len());
     }
+    let decodes_to_body = result.as_deref() == Ok(body);
+    assert_eq!(lzss_expands_to(stream, body), decodes_to_body, "{stream:?}");
     result
 }
 
@@ -300,12 +306,12 @@ fn mutated_lzss_streams_never_panic_or_overflow() {
     let (mut accepted, mut refused) = (0, 0);
     for input in &corpus {
         let stream = lzss_compress(input);
-        assert_eq!(&decompress_bounded(&stream).unwrap(), input);
+        assert_eq!(&decompress_bounded(&stream, input).unwrap(), input);
         let mut mutants: Vec<Vec<u8>> = Vec::new();
         // Every truncation: a cut between tokens decodes to a prefix
         // of the input, a cut inside a reference is refused.
         for cut in 0..stream.len() {
-            match decompress_bounded(&stream[..cut]) {
+            match decompress_bounded(&stream[..cut], input) {
                 Ok(out) => assert!(input.starts_with(&out), "cut at {cut}"),
                 Err(e) => assert_eq!(e, LzssError::Truncated, "cut at {cut}"),
             }
@@ -322,7 +328,7 @@ fn mutated_lzss_streams_never_panic_or_overflow() {
             mutants.push(compound(&stream, &mut state));
         }
         for mutant in &mutants {
-            match decompress_bounded(mutant) {
+            match decompress_bounded(mutant, input) {
                 Ok(_) => accepted += 1,
                 Err(_) => refused += 1,
             }

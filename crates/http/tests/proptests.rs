@@ -1,6 +1,6 @@
 //! Property-based tests for the HTTP substrate.
 
-use mbtls_http::compress::{lzss_compress, lzss_decompress, Lzss};
+use mbtls_http::compress::{lzss_compress, lzss_decompress, lzss_expands_to, Lzss};
 use mbtls_http::message::{Request, RequestParser, Response, ResponseParser};
 use mbtls_http::patterns::PatternMatcher;
 use proptest::prelude::*;
@@ -43,6 +43,28 @@ proptest! {
             let body: Vec<u8> = bytes.iter().map(|b| b % alphabet).collect();
             prop_assert_eq!(lzss.compress(&body), lzss_compress(&body));
         }
+    }
+
+    /// The verifying decoder accepts a stream as the expansion of its
+    /// own input and of nothing one edit away from it: one byte
+    /// flipped, the input cut short, or bytes appended.
+    #[test]
+    fn lzss_expands_to_exactly_its_input(bytes in proptest::collection::vec(any::<u8>(), 0..3000),
+                                         alphabet in 1u8..=255,
+                                         at in any::<prop::sample::Index>(),
+                                         edit in 0u8..3,
+                                         mask in 1u8..=255,
+                                         tail in proptest::collection::vec(any::<u8>(), 1..20)) {
+        let x: Vec<u8> = bytes.iter().map(|b| b % alphabet).collect();
+        let stream = lzss_compress(&x);
+        prop_assert!(lzss_expands_to(&stream, &x));
+        let mut y = x.clone();
+        match edit {
+            0 if !y.is_empty() => y[at.index(x.len())] ^= mask,
+            1 if !y.is_empty() => y.truncate(at.index(x.len())),
+            _ => y.extend_from_slice(&tail),
+        }
+        prop_assert_eq!(lzss_expands_to(&stream, &y), x == y);
     }
 
     /// Decompression never panics on arbitrary (usually invalid) input.

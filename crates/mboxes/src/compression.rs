@@ -5,7 +5,7 @@
 
 use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::middlebox::DataProcessor;
-use mbtls_http::compress::{lzss_decompress, Lzss};
+use mbtls_http::compress::{lzss_decompress, lzss_expands_to, Lzss};
 use mbtls_http::message::Response;
 
 use crate::rewrite::{HttpStream, RESPONSES};
@@ -19,12 +19,17 @@ pub struct CompressionProxy {
     min_size: usize,
     /// The match finder, reused for every body this proxy compresses.
     lzss: Lzss,
+    /// Streams this proxy has emitted, so a body is compressed once.
+    memo: Memo,
     /// Total plaintext body bytes seen.
     pub bytes_in: u64,
     /// Total compressed body bytes emitted.
     pub bytes_out: u64,
     /// Responses compressed.
     pub compressed_count: u64,
+    /// Responses among `compressed_count` whose stream came from the
+    /// memo instead of the match finder.
+    pub memo_hits: u64,
 }
 
 impl CompressionProxy {
@@ -34,9 +39,11 @@ impl CompressionProxy {
             responses: HttpStream::default(),
             min_size,
             lzss: Lzss::default(),
+            memo: Memo::default(),
             bytes_in: 0,
             bytes_out: 0,
             compressed_count: 0,
+            memo_hits: 0,
         }
     }
 
@@ -57,19 +64,118 @@ impl DataProcessor for CompressionProxy {
         }
         self.responses.rewrite(&RESPONSES, data, |resp| {
             let already_encoded = resp.header("Content-Encoding").is_some();
-            if resp.body.len() >= self.min_size && !already_encoded {
-                self.bytes_in += resp.body.len() as u64;
-                let compressed = self.lzss.compress(&resp.body);
-                if compressed.len() < resp.body.len() {
-                    self.bytes_out += compressed.len() as u64;
-                    resp.body = compressed;
-                    resp.set_header("Content-Encoding", ENCODING);
-                    self.compressed_count += 1;
-                } else {
-                    self.bytes_out += resp.body.len() as u64;
-                }
+            if resp.body.len() < self.min_size || already_encoded {
+                return;
             }
+            self.bytes_in += resp.body.len() as u64;
+            let key = Key::of(&resp.body);
+            let compressed = match self.memo.get(key, &resp.body) {
+                Some(stream) => {
+                    // Shorter than the body, so it fits its allocation.
+                    resp.body.clear();
+                    resp.body.extend_from_slice(stream);
+                    self.memo_hits += 1;
+                    true
+                }
+                None => {
+                    let stream = self.lzss.compress(&resp.body);
+                    let shorter = stream.len() < resp.body.len();
+                    if shorter {
+                        self.memo.insert(key, &stream);
+                        resp.body = stream;
+                    }
+                    shorter
+                }
+            };
+            if compressed {
+                resp.set_header("Content-Encoding", ENCODING);
+                self.compressed_count += 1;
+            }
+            self.bytes_out += resp.body.len() as u64;
         })
+    }
+}
+
+/// Bytes of streams, plus their entries, the memo may hold.
+const MEMO_BUDGET: usize = 16 * 1024;
+
+/// What an entry holding `stream` costs against [`MEMO_BUDGET`].
+fn cost(stream: &[u8]) -> usize {
+    std::mem::size_of::<Entry>() + stream.len()
+}
+
+/// The compressed streams a proxy has emitted, least recently used
+/// first, held to [`MEMO_BUDGET`].
+///
+/// A stream is reused only after [`lzss_expands_to`] has decoded it
+/// against the body at hand, and LZSS output is a pure function of
+/// its input (see [`Lzss`]), so a reused stream is exactly the one
+/// the match finder would emit: no wire byte depends on the memo.
+/// [`Key`] only picks the candidate. The memo belongs to one proxy,
+/// i.e. one session: shared between sessions, the time a response
+/// takes would tell one user whether another fetched the same body.
+#[derive(Default)]
+struct Memo {
+    entries: Vec<Entry>,
+    /// What `entries` costs against the budget.
+    bytes: usize,
+}
+
+struct Entry {
+    key: Key,
+    stream: Box<[u8]>,
+}
+
+/// A body's memo key: its length and eight bytes sampled across it,
+/// so a miss costs the same whatever the body's length. Bodies that
+/// share a key are told apart by verification.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
+    len: usize,
+    sample: [u8; 8],
+}
+
+impl Key {
+    fn of(body: &[u8]) -> Self {
+        let len = body.len();
+        let mut sample = [0; 8];
+        for (k, byte) in sample.iter_mut().enumerate() {
+            *byte = body.get((2 * k + 1) * len / 16).copied().unwrap_or(0);
+        }
+        Key { len, sample }
+    }
+}
+
+impl Memo {
+    /// The stream for `body` under `key`, made most recently used. An
+    /// entry under `key` that does not expand to `body` is dropped.
+    fn get(&mut self, key: Key, body: &[u8]) -> Option<&[u8]> {
+        let at = self.entries.iter().position(|e| e.key == key)?;
+        let entry = self.entries.remove(at);
+        if !lzss_expands_to(&entry.stream, body) {
+            self.bytes -= cost(&entry.stream);
+            return None;
+        }
+        self.entries.push(entry);
+        self.entries.last().map(|e| &*e.stream)
+    }
+
+    /// Remember `stream` under `key` if it fits the budget, evicting
+    /// the least recently used entries to make room.
+    fn insert(&mut self, key: Key, stream: &[u8]) {
+        let added = cost(stream);
+        if added > MEMO_BUDGET {
+            return;
+        }
+        while self.bytes + added > MEMO_BUDGET && !self.entries.is_empty() {
+            let evicted = self.entries.remove(0);
+            self.bytes -= cost(&evicted.stream);
+        }
+        self.bytes += added;
+        self.entries.push(Entry {
+            key,
+            stream: stream.into(),
+        });
     }
 }
 
@@ -106,7 +212,9 @@ impl DecompressingClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbtls_http::compress::lzss_compress;
     use mbtls_http::message::ResponseParser;
+    use mbtls_http::workload::html_body;
 
     fn html_page() -> Vec<u8> {
         (0..100)
@@ -183,5 +291,66 @@ mod tests {
         let parsed = parser.next_response().unwrap().unwrap();
         assert_eq!(parsed.body, noise, "incompressible body must be unchanged");
         assert!(parsed.header("Content-Encoding").is_none());
+    }
+
+    /// The body of one response through `proxy`.
+    fn body_out(proxy: &mut CompressionProxy, body: &[u8]) -> Vec<u8> {
+        let out = proxy.process(FlowDirection::ServerToClient, Response::ok(body).encode());
+        let mut parser = ResponseParser::new();
+        parser.feed(&out);
+        parser.next_response().unwrap().unwrap().body
+    }
+
+    #[test]
+    fn a_repeated_body_is_served_from_the_memo() {
+        let mut proxy = CompressionProxy::new(0);
+        let body = html_page();
+        let first = body_out(&mut proxy, &body);
+        assert_eq!(first, lzss_compress(&body));
+        assert_eq!(body_out(&mut proxy, &body), first);
+        assert_eq!((proxy.compressed_count, proxy.memo_hits), (2, 1));
+        assert_eq!(proxy.bytes_out, 2 * first.len() as u64);
+    }
+
+    #[test]
+    fn an_entry_that_expands_to_another_body_is_replaced() {
+        let mut proxy = CompressionProxy::new(0);
+        let body = html_page();
+        // Same length, different text, planted under `body`'s key.
+        let other = String::from_utf8(body.clone()).unwrap().replace("number 1", "number 7");
+        assert_eq!(other.len(), body.len());
+        assert!(other.as_bytes() != body);
+        let key = Key::of(&body);
+        proxy.memo.insert(key, &lzss_compress(other.as_bytes()));
+
+        assert_eq!(body_out(&mut proxy, &body), lzss_compress(&body));
+        assert_eq!((proxy.compressed_count, proxy.memo_hits), (1, 0));
+        let [entry] = proxy.memo.entries.as_slice() else {
+            panic!("{} entries", proxy.memo.entries.len());
+        };
+        assert!(entry.key == key && *entry.stream == *lzss_compress(&body));
+        assert_eq!(proxy.memo.bytes, cost(&entry.stream));
+    }
+
+    #[test]
+    fn the_memo_holds_at_most_its_budget() {
+        let mut proxy = CompressionProxy::new(0);
+        for i in 0..10_000 {
+            let mut body = html_body(i, 500);
+            body.extend_from_slice(&i.to_le_bytes());
+            body_out(&mut proxy, &body);
+            let held: usize = proxy.memo.entries.iter().map(|e| cost(&e.stream)).sum();
+            assert_eq!(proxy.memo.bytes, held);
+            assert!(held <= MEMO_BUDGET, "{held} bytes held after {i} bodies");
+        }
+        assert_eq!((proxy.compressed_count, proxy.memo_hits), (10_000, 0));
+        assert!(proxy.memo.entries.len() > 10, "{} entries", proxy.memo.entries.len());
+
+        // A stream the budget cannot hold is not kept, and evicts nothing.
+        let entries = proxy.memo.entries.len();
+        let large = html_body(1, 256 * 1024);
+        assert!(lzss_compress(&large).len() > MEMO_BUDGET);
+        body_out(&mut proxy, &large);
+        assert_eq!(proxy.memo.entries.len(), entries);
     }
 }

@@ -32,7 +32,9 @@
 //!    per A(i) and three per output block, twice), so the floor is a
 //!    count of block times, ≤ 16, which no slow phase of the machine
 //!    moves. A resumed handshake, which expands one key block per
-//!    side, may cost at most 7.7 of them.
+//!    side, may cost at most 7.7 of them. `sha512_backend` names the
+//!    SHA-512 core the run hashed on ([`mbtls_crypto::sha2::backend_name`]),
+//!    so a `sha384_block_us` reading can be traced to a core.
 //!
 //! A double-run determinism probe (storm config, batching on) proves
 //! the merged telemetry trace stays bit-identical — batching changes
@@ -185,6 +187,7 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
                 ("keyblock_over_block", Value::Float(prf.keyblock_over_block, 2)),
             ]),
         ),
+        ("sha512_backend", mbtls_crypto::sha2::backend_name().into()),
         ("storm", Value::Array(storm_rows.collect())),
         (
             "determinism",
@@ -204,6 +207,7 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
 /// verification must beat single by ≥2×, resumption must stay cheap,
 /// the key block must cost at most 16 SHA-384 block times, and the
 /// storm path must beat the all-full baseline at every shard count.
+/// On every run, `sha512_backend` names one of the two SHA-512 cores.
 ///
 /// "Resumption stays cheap" means it still skips every certificate,
 /// signature and key agreement. That is stated as two checks, neither
@@ -229,7 +233,10 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
 /// The PRF floor is the same-run ratio `keyblock_over_block` ≤ 16:
 /// twelve compressions plus the HMAC clones and wipes around them. A
 /// P_hash that keys per block (22 compressions) or pads through
-/// `update` measures ≈ 36.
+/// `update` measures ≈ 36. It read 13.4–14.8 on the scalar SHA-512
+/// core; on the AVX-512VL one, whose blocks cost two thirds as much,
+/// the clones and wipes weigh more: 10.7–14.8 in 14 of 15 runs, once
+/// 16.8.
 ///
 /// `resumed_over_keyblock`, `resumed_us` over `prf_floor.keyblock_us`
 /// (computed here, not stored), is at most 7.7. Each side of a resumed
@@ -237,11 +244,15 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
 /// bridge-hop export; beside those two blocks' 24 compressions there
 /// are only the four Finished computations (36). It read 10.2 when
 /// each side expanded the block for each cipher and again for the
-/// export (six blocks), and reads 5.4–7.0 now; one block more per side
-/// reads ≈ 8.4. The ceiling is a tenth above the worst of those runs.
-/// The two numbers come from different meters (a median, a fastest
-/// batch), so a slow phase that catches the handshakes and spares the
-/// key blocks reads high (7.8–9.2 in four runs of 36): re-run.
+/// export (six blocks), and read 5.4–7.0 with one on the scalar
+/// SHA-512 core; one block more per side reads ≈ 8.4. The ceiling is a
+/// tenth above the worst of those runs. The AVX-512VL core made the
+/// key block cheaper and left the rest of the handshake as it was, so
+/// the ratio reads 6.7–7.7 on it (12 runs of 16). The two numbers come
+/// from different meters (a median, a fastest batch), so a slow phase
+/// that catches the handshakes and spares the key blocks reads high
+/// (7.8–9.2 in four runs of 36 on the scalar core, 7.85–12.5 in four
+/// of 16 on the vector one): re-run.
 ///
 /// The batching floors are same-run ratios too, of fastest-of-rounds
 /// times. A signature costs its own decode, tables and additions
@@ -294,6 +305,11 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
     let keyblock_us = report.num("prf_floor.keyblock_us")?;
     let prf_ratio = report.num("prf_floor.keyblock_over_block")?;
     floor!(block_us > 0.0 && keyblock_us > 0.0, "PRF floor rows are zero");
+    let sha512_backend = report.text("sha512_backend")?;
+    floor!(
+        matches!(sha512_backend, "avx512vl-bmi2" | "portable"),
+        "sha512_backend {sha512_backend:?} names no SHA-512 core"
+    );
     let resumed_over_keyblock = resumed_us / keyblock_us;
     let storm = report.list("storm")?;
     floor!(!storm.is_empty(), "no storm curve rows");
@@ -646,6 +662,8 @@ mod tests {
                 ("verify_batch_us_by_width.w2", "9999.0", "wider batch must cost more"),
                 ("handshake_cpu.resumed_us", "0.0", "CPU rows are zero"),
                 ("prf_floor.sha384_block_us", "0.000", "PRF floor rows are zero"),
+                ("sha512_backend", "\"sha-ni\"", "names no SHA-512 core"),
+                ("sha512_backend", "false", "sha512_backend"),
                 ("storm", "[]", "no storm curve rows"),
                 ("storm.1.shards", "0", "storm rows must ascend"),
                 ("storm.0.storm_handshakes_per_s", "0.0", "zero rate"),

@@ -3,9 +3,11 @@
 //! The comparison primitives here avoid data-dependent branches so MAC
 //! and tag checks in the record layer do not leak match prefixes. The
 //! `black_box` hints keep the optimizer from re-introducing early
-//! exits. [`zeroize`] is the one volatile write loop every key-bearing
-//! type wipes through, over bytes and integer words alike (SHA-2
-//! state, bignum limbs, the AES key schedules, the GHASH powers of H).
+//! exits. [`zeroize`] is the one volatile wipe every key-bearing type
+//! goes through, over bytes and integer words alike (SHA-2 state,
+//! bignum limbs, the AES key schedules, the GHASH powers of H): it
+//! stores eight bytes at a time wherever the slice is 8-byte aligned,
+//! and bytes only at its ends.
 
 use std::hint::black_box;
 
@@ -54,17 +56,51 @@ pub fn cond_swap(choice: u8, a: &mut [u8], b: &mut [u8]) {
     }
 }
 
+/// A primitive unsigned integer: no padding bytes, and every byte
+/// pattern, all-zero included, is a valid value. That is what lets
+/// [`zeroize`] wipe a slice of one through a byte view of its memory.
+/// Sealed: the impls below, one per width the crate wipes, are the
+/// whole list.
+pub trait Integer: Copy + sealed::Sealed {}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! integers {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Integer for $t {}
+    )*};
+}
+integers!(u8, u32, u64, u128);
+
 /// Best-effort zeroization of key material: bytes, or the words of an
-/// expanded key schedule or a GHASH key (any integer type, whose
-/// `Default` is zero).
+/// expanded key schedule or a GHASH key.
 ///
-/// Uses a volatile write loop so the compiler cannot elide the wipes
-/// of buffers that are about to be dropped. This is the crate's one
-/// volatile write.
-pub fn zeroize<T: Copy + Default>(buf: &mut [T]) {
-    for w in buf.iter_mut() {
-        // Safety: writing a valid `T` through a valid &mut reference.
-        unsafe { std::ptr::write_volatile(w, T::default()) };
+/// Every store is volatile, so the compiler cannot elide the wipe of a
+/// buffer that is about to be dropped, and the fence after them keeps
+/// later code from being moved above them. The slice is wiped as bytes
+/// up to its first 8-byte boundary, as 8-byte words from there, and as
+/// bytes after its last whole word: a 256-byte key schedule is 32
+/// stores, not 256. This is the crate's one volatile write.
+pub fn zeroize<T: Integer>(buf: &mut [T]) {
+    let len = std::mem::size_of_val(buf);
+    // SAFETY: `T: Integer` is a primitive integer, so the `len` bytes
+    // behind `buf` are initialised, belong to it alone for the
+    // lifetime of the `&mut`, and any bytes written through the view
+    // leave valid `T`s behind.
+    let bytes = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), len) };
+    // SAFETY: every bit pattern is a valid `u64`, and `align_to_mut`
+    // hands out only whole, aligned words inside `bytes`.
+    let (head, words, tail) = unsafe { bytes.align_to_mut::<u64>() };
+    for b in head.iter_mut().chain(tail) {
+        // SAFETY: a volatile write of a valid `u8` through a `&mut`.
+        unsafe { std::ptr::write_volatile(b, 0) };
+    }
+    for w in words {
+        // SAFETY: a volatile write of a valid `u64` through a `&mut`.
+        unsafe { std::ptr::write_volatile(w, 0) };
     }
     std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
 }
@@ -155,6 +191,28 @@ mod tests {
         let mut buf = vec![0xffu8; 32];
         zeroize(&mut buf);
         assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    // Every length to 300 at every offset from an 8-byte boundary, so
+    // each split into leading bytes, words and trailing bytes occurs:
+    // the slice reads zero and the canaries on both sides are intact.
+    #[test]
+    fn zeroize_wipes_exactly_the_slice_at_every_length_and_offset() {
+        #[repr(align(8))]
+        struct Aligned([u8; 8 + 300 + 8]);
+        for offset in 0..8 {
+            for len in 0..=300 {
+                let mut buf = Aligned([0xA5; 8 + 300 + 8]);
+                zeroize(&mut buf.0[offset..offset + len]);
+                let (before, rest) = buf.0.split_at(offset);
+                let (wiped, after) = rest.split_at(len);
+                assert!(wiped.iter().all(|&b| b == 0), "offset {offset} len {len}");
+                assert!(
+                    before.iter().chain(after).all(|&b| b == 0xA5),
+                    "canary hit at offset {offset} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! ## Module map
 //!
 //! * [`sha2`] — SHA-256 / SHA-384 / SHA-512.
+//! * `sha512_x86` — SHA-512's compression with an AVX-512VL message
+//!   schedule and BMI2 rounds, reachable only through [`sha2`] after
+//!   runtime detection.
 //! * [`hmac`] — HMAC over any [`sha2`] hash.
 //! * [`kdf`] — the TLS 1.2 PRF and HKDF.
 //! * [`aes`] — constant-time bitsliced AES (128/256-bit keys, 4-wide CTR).
@@ -51,6 +54,8 @@ pub mod kdf;
 pub mod rng;
 pub mod secret;
 pub mod sha2;
+#[cfg(target_arch = "x86_64")]
+mod sha512_x86;
 pub mod x25519;
 
 /// Errors produced by cryptographic operations.

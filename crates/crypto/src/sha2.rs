@@ -2,6 +2,13 @@
 //!
 //! Implemented as incremental hashers so the TLS transcript hash can be
 //! forked mid-handshake (mbTLS attests the running transcript).
+//!
+//! SHA-384 and SHA-512 share one compression function with two cores
+//! behind it, chosen at run time ([`backend_name`] says which): the
+//! x86_64 kernel in `sha512_x86` (AVX-512VL message schedule, BMI2
+//! rounds) where the CPU has it, and a portable core in safe Rust
+//! everywhere else. Both run the same eight-round unroll and agree
+//! bit for bit.
 
 use crate::ct;
 
@@ -167,7 +174,7 @@ impl Hash for Sha256 {
     }
 }
 
-const K512: [u64; 80] = [
+pub(crate) const K512: [u64; 80] = [
     0x428a2f98d728ae22, 0x7137449123ef65cd, 0xb5c0fbcfec4d3b2f, 0xe9b5dba58189dbbc,
     0x3956c25bf348b538, 0x59f111f1b605d019, 0x923f82a4af194f9b, 0xab1c5ed5da6d8118,
     0xd807aa98a3030242, 0x12835b0145706fbe, 0x243185be4ee4b28c, 0x550c7dc3d5ffb4e2,
@@ -190,6 +197,140 @@ const K512: [u64; 80] = [
     0x4cc5d4becb3e42b6, 0x597f299cfc657e2a, 0x5fcb6fab3ad6faec, 0x6c44198c4a475817,
 ];
 
+/// The SHA-512 compression cores. Each computes the same function of
+/// `(state, block)`, bit for bit.
+#[derive(Clone, Copy)]
+enum Core {
+    /// [`compress_portable`], in safe Rust, on any CPU.
+    Portable,
+    /// The AVX-512VL message schedule with BMI2 rounds
+    /// (`sha512_x86`), where the CPU has them.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(crate::sha512_x86::Kernel),
+}
+
+impl Core {
+    /// The fastest core this CPU runs. The feature tests read the
+    /// standard library's cached detection, so this costs a few loads.
+    fn detect() -> Core {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = crate::sha512_x86::Kernel::detect() {
+            return Core::Avx512(kernel);
+        }
+        Core::Portable
+    }
+
+    /// The core every compression runs: [`Core::detect`]'s, or in a
+    /// test the one it pinned.
+    fn selected() -> Core {
+        #[cfg(test)]
+        if let Some(core) = tests::PINNED.get() {
+            return core;
+        }
+        Core::detect()
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Core::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Core::Avx512(_) => "avx512vl-bmi2",
+        }
+    }
+
+    #[inline(always)]
+    fn compress(self, state: &mut [u64; 8], block: &[u8; 128]) {
+        match self {
+            Core::Portable => compress_portable(state, block),
+            #[cfg(target_arch = "x86_64")]
+            Core::Avx512(kernel) => kernel.compress(state, block),
+        }
+    }
+}
+
+/// Which SHA-512 compression core SHA-384 and SHA-512 run on this
+/// machine: `"avx512vl-bmi2"` (AVX-512F, AVX-512VL, BMI2 and SSSE3
+/// detected) or `"portable"`. For labelling measurements, as
+/// [`crate::gcm::backend_name`] does for AES-GCM.
+pub fn backend_name() -> &'static str {
+    Core::detect().name()
+}
+
+/// One SHA-512 compression in safe Rust. The message schedule is a
+/// ring of sixteen words: from round 16 on, each group of eight rounds
+/// first overwrites its eight words with the ones sixteen rounds on,
+/// so no 80-word schedule is filled ahead of the rounds.
+fn compress_portable(state: &mut [u64; 8], block: &[u8; 128]) {
+    let mut w = [0u64; 16];
+    for (w, bytes) in w.iter_mut().zip(block.as_chunks().0) {
+        *w = u64::from_be_bytes(*bytes);
+    }
+    let mut v = *state;
+    let (k, _) = K512.as_chunks::<8>();
+    eight_rounds(&mut v, &plus_constants(&w, 0, &k[0]));
+    eight_rounds(&mut v, &plus_constants(&w, 8, &k[1]));
+    for k in k[2..].as_chunks::<2>().0 {
+        next_words(&mut w, 0);
+        eight_rounds(&mut v, &plus_constants(&w, 0, &k[0]));
+        next_words(&mut w, 8);
+        eight_rounds(&mut v, &plus_constants(&w, 8, &k[1]));
+    }
+    for (s, v) in state.iter_mut().zip(v) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// Schedule words `w[first..first + 8]`, each plus its round constant.
+#[inline(always)]
+fn plus_constants(w: &[u64; 16], first: usize, k: &[u64; 8]) -> [u64; 8] {
+    std::array::from_fn(|i| w[first + i].wrapping_add(k[i]))
+}
+
+/// Overwrite `w[first..first + 8]`, words W[t - 16], with words W[t]:
+/// W[t] = W[t - 16] + σ0(W[t - 15]) + W[t - 7] + σ1(W[t - 2]), the
+/// ring's indices taken modulo 16.
+#[inline(always)]
+fn next_words(w: &mut [u64; 16], first: usize) {
+    for t in first..first + 8 {
+        let w15 = w[(t + 1) % 16];
+        let w2 = w[(t + 14) % 16];
+        let s0 = w15.rotate_right(1) ^ w15.rotate_right(8) ^ (w15 >> 7);
+        let s1 = w2.rotate_right(19) ^ w2.rotate_right(61) ^ (w2 >> 6);
+        w[t] = w[t].wrapping_add(s0).wrapping_add(w[(t + 9) % 16]).wrapping_add(s1);
+    }
+}
+
+/// Eight SHA-512 rounds over the working variables `v`, round `i`
+/// adding `wk[i]` (its schedule word plus its round constant). The
+/// variables are renamed from round to round instead of shifted, so
+/// each round writes two of them (`d` and `h`) and no value moves;
+/// after eight renamings every name is back in its place. Both cores
+/// inline this: compiled with BMI2 every rotate is a `RORX`.
+#[inline(always)]
+pub(crate) fn eight_rounds(v: &mut [u64; 8], wk: &[u64; 8]) {
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $wk:expr) => {
+            let s1 = $e.rotate_right(14) ^ $e.rotate_right(18) ^ $e.rotate_right(41);
+            let ch = $g ^ ($e & ($f ^ $g));
+            let t1 = $h.wrapping_add(s1).wrapping_add(ch).wrapping_add($wk);
+            let s0 = $a.rotate_right(28) ^ $a.rotate_right(34) ^ $a.rotate_right(39);
+            let maj = $b ^ (($a ^ $b) & ($b ^ $c));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0).wrapping_add(maj);
+        };
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *v;
+    round!(a, b, c, d, e, f, g, h, wk[0]);
+    round!(h, a, b, c, d, e, f, g, wk[1]);
+    round!(g, h, a, b, c, d, e, f, wk[2]);
+    round!(f, g, h, a, b, c, d, e, wk[3]);
+    round!(e, f, g, h, a, b, c, d, wk[4]);
+    round!(d, e, f, g, h, a, b, c, wk[5]);
+    round!(c, d, e, f, g, h, a, b, wk[6]);
+    round!(b, c, d, e, f, g, h, a, wk[7]);
+    *v = [a, b, c, d, e, f, g, h];
+}
+
 /// Incremental SHA-512 core, reused for SHA-384 via different IV.
 #[derive(Clone)]
 struct Sha512Core {
@@ -209,43 +350,12 @@ impl Sha512Core {
         }
     }
 
+    /// One compression, on the core [`Core::selected`] names. Kept out
+    /// of line: inlining the unrolled rounds into every `update` and
+    /// `finish` moved the layout of unrelated hot code.
+    #[inline(never)]
     fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
-        let mut w = [0u64; 80];
-        for (i, c) in block.chunks_exact(8).enumerate() {
-            w[i] = u64::from_be_bytes(crate::fixed(c));
-        }
-        for i in 16..80 {
-            let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
-            let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        for i in 0..80 {
-            let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K512[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+        Core::selected().compress(state, block);
     }
 
     fn update(&mut self, mut data: &[u8]) {
@@ -399,6 +509,35 @@ impl Sha384 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The core [`Core::selected`] returns on this test's thread,
+        /// when set.
+        pub(super) static PINNED: Cell<Option<Core>> = const { Cell::new(None) };
+    }
+
+    /// Every SHA-512 core this CPU runs.
+    fn every_core() -> Vec<Core> {
+        let mut cores = vec![Core::Portable];
+        #[cfg(target_arch = "x86_64")]
+        match crate::sha512_x86::Kernel::detect() {
+            Some(kernel) => cores.push(Core::Avx512(kernel)),
+            None => eprintln!("skipped: this CPU cannot run the avx512vl-bmi2 core"),
+        }
+        cores
+    }
+
+    /// Run `test` once per core, with every SHA-384/512 compression on
+    /// this thread pinned to it, and lift the pin afterwards. `test`
+    /// gets the core's name for its messages.
+    fn on_every_core(test: impl Fn(&str)) {
+        for core in every_core() {
+            PINNED.set(Some(core));
+            test(core.name());
+        }
+        PINNED.set(None);
+    }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -457,41 +596,53 @@ mod tests {
 
     #[test]
     fn sha512_abc() {
-        assert_eq!(
-            hex(&Sha512::digest(b"abc")),
-            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
-             2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
-        );
+        on_every_core(|core| {
+            assert_eq!(
+                hex(&Sha512::digest(b"abc")),
+                "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
+                 2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f",
+                "{core}"
+            );
+        });
     }
 
     #[test]
     fn sha512_empty() {
-        assert_eq!(
-            hex(&Sha512::digest(b"")),
-            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
-             47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
-        );
+        on_every_core(|core| {
+            assert_eq!(
+                hex(&Sha512::digest(b"")),
+                "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
+                 47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e",
+                "{core}"
+            );
+        });
     }
 
     #[test]
     fn sha384_abc() {
-        assert_eq!(
-            hex(&Sha384::digest(b"abc")),
-            "cb00753f45a35e8bb5a03d699ac65007272c32ab0eded1631a8b605a43ff5bed\
-             8086072ba1e7cc2358baeca134c825a7"
-        );
+        on_every_core(|core| {
+            assert_eq!(
+                hex(&Sha384::digest(b"abc")),
+                "cb00753f45a35e8bb5a03d699ac65007272c32ab0eded1631a8b605a43ff5bed\
+                 8086072ba1e7cc2358baeca134c825a7",
+                "{core}"
+            );
+        });
     }
 
     #[test]
     fn sha384_two_block() {
-        assert_eq!(
-            hex(&Sha384::digest(
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
-            )),
-            "09330c33f71147e83d192fc782cd1b4753111b173b3b05d22fa08086e3b0f712\
-             fcc7c71a557e2db966c3e9fa91746039"
-        );
+        on_every_core(|core| {
+            assert_eq!(
+                hex(&Sha384::digest(
+                    b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                      hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+                )),
+                "09330c33f71147e83d192fc782cd1b4753111b173b3b05d22fa08086e3b0f712\
+                 fcc7c71a557e2db966c3e9fa91746039",
+                "{core}"
+            );
+        });
     }
 
     #[test]
@@ -537,16 +688,20 @@ mod tests {
             length_sweep::<Sha256>(),
             "d2606c72e64eadacbe60c817c8a74d1c658cc446db20c6735634c2665c7d7cf6"
         );
-        assert_eq!(
-            length_sweep::<Sha384>(),
-            "adb2df514e067156d397426ad83db629864f2b09ad5c097317a61616408b694e\
-             f2920b20983065f08b04a9f5eee47d9c"
-        );
-        assert_eq!(
-            length_sweep::<Sha512>(),
-            "2aa0968ab16975944406ccb412600eaa63db990b5c27cd067aaec2d4ad3a51d7\
-             94360c474ae14ce1c0143e5dede30aa44245426319a66e4ac3d7d23af1b25636"
-        );
+        on_every_core(|core| {
+            assert_eq!(
+                length_sweep::<Sha384>(),
+                "adb2df514e067156d397426ad83db629864f2b09ad5c097317a61616408b694e\
+                 f2920b20983065f08b04a9f5eee47d9c",
+                "{core}"
+            );
+            assert_eq!(
+                length_sweep::<Sha512>(),
+                "2aa0968ab16975944406ccb412600eaa63db990b5c27cd067aaec2d4ad3a51d7\
+                 94360c474ae14ce1c0143e5dede30aa44245426319a66e4ac3d7d23af1b25636",
+                "{core}"
+            );
+        });
     }
 
     fn every_split_matches_oneshot<H: Hash>() {
@@ -563,8 +718,47 @@ mod tests {
     #[test]
     fn every_split_of_300_bytes_matches_oneshot() {
         every_split_matches_oneshot::<Sha256>();
-        every_split_matches_oneshot::<Sha384>();
-        every_split_matches_oneshot::<Sha512>();
+        on_every_core(|_| {
+            every_split_matches_oneshot::<Sha384>();
+            every_split_matches_oneshot::<Sha512>();
+        });
+    }
+
+    // The x86 core against the portable one on seeded random chaining
+    // states and blocks: any state, not only those a message reaches.
+    #[test]
+    fn every_core_matches_portable_on_random_states_and_blocks() {
+        let mut rng = crate::rng::CryptoRng::from_seed(0x5A51_2C0D);
+        let cores = every_core();
+        for pair in 0..10_000 {
+            let state: [u64; 8] = std::array::from_fn(|_| rng.next_u64());
+            let block: [u8; 128] = rng.gen_array();
+            let mut expected = state;
+            compress_portable(&mut expected, &block);
+            for core in &cores {
+                let mut got = state;
+                core.compress(&mut got, &block);
+                assert_eq!(got, expected, "{} on pair {pair}", core.name());
+            }
+        }
+    }
+
+    // `compress` must run the x86 core exactly when the CPU reports
+    // all four of its features, and the label must say which ran.
+    #[test]
+    fn backend_selection_follows_detection() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected;
+            let x86 = is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("bmi2")
+                && is_x86_feature_detected!("ssse3");
+            assert_eq!(matches!(Core::selected(), Core::Avx512(_)), x86);
+            assert_eq!(backend_name(), if x86 { "avx512vl-bmi2" } else { "portable" });
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(backend_name(), "portable");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | `panic-freedom` | core, crypto, tls | `unwrap`/`expect`/`panic!` and wire-buffer indexing in parsing files |
 //! | `const-time` | crypto, tls, core | `==`/`!=` on secret-tagged *or secret-tainted* operands outside `ct.rs` |
 //! | `shard-isolation` | host, netsim | shared statics, `Rc`/`RefCell`/locks, borrowed ring elements, hash-container iteration |
-//! | `unsafe-confinement` | crypto, tls, core, pki, host, netsim, http, mboxes, telemetry | the `unsafe` keyword outside the four crypto files the rule lists |
+//! | `unsafe-confinement` | crypto, tls, core, pki, host, netsim, http, mboxes, telemetry | the `unsafe` keyword outside the five crypto files the rule lists |
 //!
 //! Rules are token-sequence matchers over a line-tagged token stream,
 //! sharpened by an intra-item dataflow pass ([`dataflow`]) that

@@ -1,8 +1,8 @@
 //! Measure and check the `BENCH_*.json` artifacts — one binary for
-//! all five suites.
+//! all four suites.
 //!
 //! ```text
-//! report <scale|handshake|chain|auth|paper|all> [--smoke] [--out PATH]
+//! report <scale|handshake|chain|paper|all> [--smoke] [--out PATH]
 //! report check <suite> <file>
 //! report render <paper artifact> <document>
 //! ```

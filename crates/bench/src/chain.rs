@@ -28,7 +28,7 @@ use mbtls_core::client::MbClientSession;
 use mbtls_core::dataplane::{
     fresh_hop_keys, EndpointDataPlane, FlowDirection, HopKeys, MiddleboxDataPlane,
 };
-use mbtls_core::driver::{Chain, ChainLinks, PipeLinks, Relay};
+use mbtls_core::driver::{Chain, Relay};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
@@ -41,7 +41,7 @@ use mbtls_telemetry::json::Value;
 use mbtls_tls::record::ContentType;
 use mbtls_tls::suites::CipherSuite;
 
-use crate::{allocs_per_op, fnv1a, AllocCounter, FNV1A_BASIS};
+use crate::{allocs_per_op, fnv1a, AllocCounter, OpaqueLinks, FNV1A_BASIS};
 
 /// Record payload of the per-hop rows: just under the TLS fragment
 /// ceiling, so one send is one record.
@@ -735,31 +735,6 @@ impl SteadyState {
 /// Exchanges [`run`] counts over on each [`SteadyStateRing`].
 const RING_EXCHANGES: u64 = 64;
 
-/// [`PipeLinks`] that keep their buffers to themselves, so [`Chain`]
-/// stages every transfer the way it does under the network simulator.
-struct OpaqueLinks(PipeLinks);
-
-impl ChainLinks for OpaqueLinks {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.0.recv_rightward(link)
-    }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.0.recv_leftward(link)
-    }
-    fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        self.0.send_rightward(link, from, data)
-    }
-    fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        self.0.send_leftward(link, from, data)
-    }
-    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        self.0.recv_rightward_into(link, dst)
-    }
-    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        self.0.recv_leftward_into(link, dst)
-    }
-}
-
 /// A handshaken client → three taps → server [`Chain`] moving one
 /// asymmetric exchange per turn (256 B up, 128 KiB down), either over
 /// the chain's own lending links or over [`OpaqueLinks`]. [`run`]
@@ -784,7 +759,7 @@ impl SteadyStateRing {
         let taps = [ChainFunction::Tap; 3];
         let chain = handshaken_chain(&taps, 0x51E4_D151, read_only_keys).expect("handshake");
         let mut ring = SteadyStateRing {
-            opaque: (!lending).then(|| OpaqueLinks(PipeLinks::new(chain.middles.len() + 1))),
+            opaque: (!lending).then(|| OpaqueLinks::new(chain.middles.len() + 1)),
             chain,
             request: vec![0x42; 256],
             response: (0..128 * 1024).map(|i| (i % 251) as u8).collect(),
@@ -824,7 +799,7 @@ impl SteadyStateRing {
     /// the chain's own buffers, which it also stages through under
     /// [`OpaqueLinks`], plus the opaque links' own.
     pub fn request_link_capacity(&self) -> usize {
-        self.chain.link_capacity(true) + self.opaque.as_ref().map_or(0, |l| l.0.capacity(true))
+        self.chain.link_capacity(true) + self.opaque.as_ref().map_or(0, |l| l.pipes.capacity(true))
     }
 }
 

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mbtls_core::attacks::Testbed;
-use mbtls_core::client::MbClientSession;
+use mbtls_core::client::{MbClientConfig, MbClientSession};
 use mbtls_core::driver::Chain;
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::ed25519::{verify_batch, BatchItem, Signature, SigningKey, VerifyingKey};
@@ -57,7 +57,7 @@ use mbtls_tls::keyschedule::key_block;
 use mbtls_tls::suites::CipherSuite;
 
 use crate::scale::{determinism_probe, drain_slice};
-use crate::AllocCounter;
+use crate::{time_handshakes, AllocCounter};
 
 /// Shard counts for the storm curve (matches `scale.rs`).
 pub const STORM_SHARD_CURVE: &[u16] = &[1, 2, 4, 8];
@@ -456,54 +456,33 @@ pub fn bench_group_widths(rounds: usize, seed: u64) -> (f64, Vec<f64>) {
     (single, fastest)
 }
 
-/// Time `iters` handshakes over zero-latency in-memory pipes;
-/// `resumed` primes the client's resumption cache first so every
-/// timed handshake is abbreviated. Returns the median microseconds
-/// per handshake: every iteration does the same work and interference
-/// only adds time, so the median ignores the spikes a mean absorbs —
-/// the 20 % resumed-cost floor in [`check`] rests on this number.
-pub fn bench_handshake_us(iters: usize, resumed: bool, seed: u64) -> f64 {
-    let testbed = Testbed::new(seed);
-    let server_cfg = Arc::new(testbed.server_config());
-    let mut client_cfg = testbed.client_config();
-    if resumed {
-        let mut rng = CryptoRng::from_seed(seed ^ 0x9D1E);
-        let primer = MbClientSession::new(
-            Arc::new(testbed.client_config()),
-            "server.example",
-            rng.fork(),
-        );
-        let prime_server = MbServerSession::new(server_cfg.clone(), rng.fork());
-        let mut chain = Chain::new(Box::new(primer), Vec::new(), Box::new(prime_server));
-        chain.run_handshake().expect("priming handshake completes");
-        let ticket = chain.client.resumption().expect("priming handshake yields a ticket");
-        client_cfg.tls.resumption_cache.insert("server.example".to_string(), ticket);
-    }
-    let client_cfg = Arc::new(client_cfg);
-
-    let mut rng = CryptoRng::from_seed(seed ^ 0xBEEF);
-    let mut times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let client = MbClientSession::new(client_cfg.clone(), "server.example", rng.fork());
-        let server = MbServerSession::new(server_cfg.clone(), rng.fork());
-        let mut chain = Chain::new(Box::new(client), Vec::new(), Box::new(server));
-        let t0 = Instant::now();
-        chain.run_handshake().expect("timed handshake completes");
-        times.push(t0.elapsed());
-        assert_eq!(
-            chain.client.resumed(),
-            resumed,
-            "timed handshake must take the intended path"
-        );
-    }
-    times.sort_unstable();
-    times[iters / 2].as_secs_f64() * 1e6
-}
-
-/// Full-vs-resumed handshake CPU over `iters` handshakes each.
+/// Full-vs-resumed handshake CPU over `iters` handshakes each, client
+/// and server over zero-latency in-memory pipes, timed by
+/// [`time_handshakes`]: once for full handshakes and once for
+/// resumed ones, whose client config holds a ticket from a priming
+/// handshake. The two runs do not take turns, because a resumed
+/// handshake timed between full ones reads slower. The 20 %
+/// resumed-cost floor in [`check`] rests on these medians.
 pub fn bench_handshake_cpu(iters: usize, seed: u64) -> HandshakeCpu {
-    let full_us = bench_handshake_us(iters, false, seed);
-    let resumed_us = bench_handshake_us(iters, true, seed);
+    let testbed = Testbed::new(seed);
+    let server = Arc::new(testbed.server_config());
+    let chain = |client: Arc<MbClientConfig>| {
+        let server = server.clone();
+        move |i| {
+            let mut rng = CryptoRng::from_seed(seed ^ i);
+            let client = MbClientSession::new(client.clone(), "server.example", rng.fork());
+            let server = MbServerSession::new(server.clone(), rng.fork());
+            Chain::new(Box::new(client), Vec::new(), Box::new(server))
+        }
+    };
+    let full = chain(Arc::new(testbed.client_config()));
+    let mut primer = full(0x9D1E);
+    primer.run_handshake().expect("priming handshake completes");
+    let mut resuming = testbed.client_config();
+    let ticket = primer.client.resumption().expect("priming handshake yields a ticket");
+    resuming.tls.resumption_cache.insert("server.example".to_string(), ticket);
+    let [full_us] = time_handshakes(iters, false, [full]);
+    let [resumed_us] = time_handshakes(iters, true, [chain(Arc::new(resuming))]);
     HandshakeCpu { full_us, resumed_us, resumed_over_full: resumed_us / full_us }
 }
 

@@ -1,19 +1,26 @@
 //! # mbtls-bench
 //!
-//! The experiment harness. The five `BENCH_*.json` artifacts are
+//! The experiment harness. The four `BENCH_*.json` artifacts are
 //! [`SUITES`] of the one `report` binary: each suite module measures
 //! into a JSON [`Value`] (`run`) and states its schema and floors as
 //! a function over a parsed one (`check`), so an artifact on disk and
 //! a fresh measurement are judged by the same code.
 //!
-//! Four suites are regression gates on this implementation; the
-//! fifth, [`paper`], is the paper's own evaluation — one module per
+//! Three suites are regression gates on this implementation; the
+//! fourth, [`paper`], is the paper's own evaluation — one module per
 //! table or figure ([`table1`], [`table2`], [`fig5`], [`fig6`],
-//! [`fig7`], [`sites`]) behind it — and renders EXPERIMENTS.md's
+//! [`fig7`], [`sites`]) behind it, the middlebox-authorization
+//! comparison among its ablations — and renders EXPERIMENTS.md's
 //! tables. See DESIGN.md §5 for the experiment index.
+//!
+//! Every handshake a suite times goes through [`time_handshakes`],
+//! and every handshake whose wire bytes it counts through
+//! [`counted_handshake`]; both drive a [`Chain`].
+
+use std::time::Instant;
 
 use mbtls_core::client::MbClientSession;
-use mbtls_core::driver::Relay;
+use mbtls_core::driver::{Chain, ChainLinks, PipeLinks, Relay};
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
 use mbtls_telemetry::json::Value;
@@ -31,7 +38,6 @@ macro_rules! floor {
     };
 }
 
-pub mod auth;
 pub mod chain;
 pub mod fig5;
 pub mod fig6;
@@ -65,7 +71,7 @@ pub struct Suite {
 }
 
 /// Every suite, in the order `report all` runs them.
-pub const SUITES: [Suite; 5] = [
+pub const SUITES: [Suite; 4] = [
     Suite { name: "scale", artifact: "BENCH_scale.json", run: scale::run, check: scale::check },
     Suite {
         name: "handshake",
@@ -74,7 +80,6 @@ pub const SUITES: [Suite; 5] = [
         check: handshake::check,
     },
     Suite { name: "chain", artifact: "BENCH_chain.json", run: chain::run, check: chain::check },
-    Suite { name: "auth", artifact: "BENCH_auth.json", run: auth::run, check: auth::check },
     Suite { name: "paper", artifact: "BENCH_paper.json", run: paper::run, check: paper::check },
 ];
 
@@ -112,11 +117,105 @@ pub(crate) fn fnv1a(digest: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// Wall-clock microseconds per handshake for each of `builders`, the
+/// median over `iters` chains each. A builder makes one chain, not yet
+/// started, from a seed; only [`Chain::run_handshake`] is timed, and
+/// every timed handshake must come out `resumed` or not as asked. The
+/// builders take turns, after one untimed round, so that a slow phase
+/// of the machine lands on all of them alike: every handshake does the
+/// same work and interference only adds time, so the median ignores
+/// the spikes a mean absorbs.
+pub fn time_handshakes<const N: usize>(
+    iters: usize,
+    resumed: bool,
+    builders: [impl Fn(u64) -> Chain; N],
+) -> [f64; N] {
+    let mut times = [(); N].map(|()| Vec::with_capacity(iters));
+    for i in 0..=iters {
+        for (build, times) in builders.iter().zip(&mut times) {
+            let mut chain = build(i as u64);
+            let t0 = Instant::now();
+            chain.run_handshake().expect("timed handshake completes");
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            assert_eq!(chain.client.resumed(), resumed, "timed handshake took the other path");
+            if i > 0 {
+                times.push(us);
+            }
+        }
+    }
+    times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    })
+}
+
+/// [`PipeLinks`] that keep their buffers to themselves, so [`Chain`]
+/// stages every transfer the way it does under the network simulator,
+/// and that count and digest every byte sent over them.
+pub(crate) struct OpaqueLinks {
+    pub(crate) pipes: PipeLinks,
+    /// Bytes sent, over every link and both directions.
+    bytes: u64,
+    /// FNV-1a digest of every byte sent, in send order.
+    digest: u64,
+}
+
+impl OpaqueLinks {
+    /// Links for a chain of `links` links.
+    pub(crate) fn new(links: usize) -> Self {
+        OpaqueLinks { pipes: PipeLinks::new(links), bytes: 0, digest: FNV1A_BASIS }
+    }
+
+    fn count(&mut self, data: &[u8]) {
+        self.bytes += data.len() as u64;
+        fnv1a(&mut self.digest, data);
+    }
+}
+
+impl ChainLinks for OpaqueLinks {
+    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
+        self.pipes.recv_rightward(link)
+    }
+    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
+        self.pipes.recv_leftward(link)
+    }
+    fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
+        self.count(data);
+        self.pipes.send_rightward(link, from, data)
+    }
+    fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
+        self.count(data);
+        self.pipes.send_leftward(link, from, data)
+    }
+    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
+        self.pipes.recv_rightward_into(link, dst)
+    }
+    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
+        self.pipes.recv_leftward_into(link, dst)
+    }
+}
+
+/// Run `chain`'s handshake over `OpaqueLinks` until both endpoints
+/// are ready and nothing moves, so trailing control records (key
+/// delivery to the middleboxes) land in the count. Returns the wire
+/// bytes across every link and their digest, the determinism
+/// fingerprint.
+pub fn counted_handshake(mut chain: Chain) -> Result<(u64, u64), MbError> {
+    let mut links = OpaqueLinks::new(chain.middles.len() + 1);
+    for _ in 0..1_000 {
+        if !chain.pump_with(&mut links)? && chain.client.ready() && chain.server.ready() {
+            return Ok((links.bytes, links.digest));
+        }
+    }
+    Err(MbError::unexpected_state("counted handshake did not complete"))
+}
+
 /// One hand-driven pass over a client → middlebox → server session:
 /// each hop's bytes go to `hop` and then on to the next party, in the
 /// order 0 client → middlebox, 1 middlebox → server, 2 server →
 /// middlebox, 3 middlebox → client. The parties stay the caller's, so
-/// their state can be read between passes.
+/// their state can be read between passes: Table 1's attacks capture
+/// each hop this way. Every other handshake drives a [`Chain`].
 pub(crate) fn pass(
     client: &mut MbClientSession,
     mbox: &mut dyn Relay,

@@ -7,6 +7,11 @@
 //! events rather than accumulated in bespoke cells, so the same trace
 //! that carries protocol events also carries the CPU attribution and
 //! any [`mbtls_telemetry::TelemetrySink`] can consume it.
+//!
+//! The wrappers forward every drain a [`mbtls_core::driver::Chain`]
+//! calls — the `_into` forms, which hand buffers over instead of
+//! copying — so the meters time the code path a session runs, not the
+//! traits' copying defaults.
 
 use std::time::{Duration, Instant};
 
@@ -27,6 +32,14 @@ impl CpuMeter {
     /// through `sink`.
     pub fn new(sink: SharedSink, party: Party) -> Self {
         CpuMeter { sink, party }
+    }
+
+    /// Run `op`, charging its wall-clock time to this meter.
+    fn time<T>(&self, op: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let r = op();
+        self.add(t0.elapsed());
+        r
     }
 
     fn add(&self, d: Duration) {
@@ -54,28 +67,28 @@ impl<E: Endpoint> TimedEndpoint<E> {
 
 impl<E: Endpoint> Endpoint for TimedEndpoint<E> {
     fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
-        let t0 = Instant::now();
-        let r = self.inner.feed(data);
-        self.meter.add(t0.elapsed());
-        r
+        self.meter.time(|| self.inner.feed(data))
     }
     fn take(&mut self) -> Vec<u8> {
-        let t0 = Instant::now();
-        let r = self.inner.take();
-        self.meter.add(t0.elapsed());
-        r
+        self.meter.time(|| self.inner.take())
     }
     fn ready(&self) -> bool {
         self.inner.ready()
     }
     fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
-        let t0 = Instant::now();
-        let r = self.inner.send_app(data);
-        self.meter.add(t0.elapsed());
-        r
+        self.meter.time(|| self.inner.send_app(data))
     }
     fn recv_app(&mut self) -> Vec<u8> {
         self.inner.recv_app()
+    }
+    fn take_into(&mut self, dst: &mut Vec<u8>) {
+        self.meter.time(|| self.inner.take_into(dst))
+    }
+    fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
+        self.meter.time(|| self.inner.recv_app_into(dst))
+    }
+    fn failed(&self) -> Option<MbError> {
+        self.inner.failed()
     }
 }
 
@@ -94,28 +107,25 @@ impl<R: Relay> TimedRelay<R> {
 
 impl<R: Relay> Relay for TimedRelay<R> {
     fn feed_left(&mut self, data: &[u8]) -> Result<(), MbError> {
-        let t0 = Instant::now();
-        let r = self.inner.feed_left(data);
-        self.meter.add(t0.elapsed());
-        r
+        self.meter.time(|| self.inner.feed_left(data))
     }
     fn feed_right(&mut self, data: &[u8]) -> Result<(), MbError> {
-        let t0 = Instant::now();
-        let r = self.inner.feed_right(data);
-        self.meter.add(t0.elapsed());
-        r
+        self.meter.time(|| self.inner.feed_right(data))
     }
     fn take_left(&mut self) -> Vec<u8> {
-        let t0 = Instant::now();
-        let r = self.inner.take_left();
-        self.meter.add(t0.elapsed());
-        r
+        self.meter.time(|| self.inner.take_left())
     }
     fn take_right(&mut self) -> Vec<u8> {
-        let t0 = Instant::now();
-        let r = self.inner.take_right();
-        self.meter.add(t0.elapsed());
-        r
+        self.meter.time(|| self.inner.take_right())
+    }
+    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
+        self.meter.time(|| self.inner.take_left_into(dst))
+    }
+    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
+        self.meter.time(|| self.inner.take_right_into(dst))
+    }
+    fn failed(&self) -> Option<MbError> {
+        self.inner.failed()
     }
 }
 
@@ -125,15 +135,82 @@ mod tests {
     use mbtls_core::baseline::PureRelay;
     use mbtls_telemetry::Recorder;
 
+    /// A party that drains only through the `_into` forms: its
+    /// `Vec`-returning drains panic, so a wrapper that falls back to
+    /// the traits' copying defaults fails the test.
+    struct IntoOnly;
+
+    impl Endpoint for IntoOnly {
+        fn feed(&mut self, _: &[u8]) -> Result<(), MbError> {
+            Ok(())
+        }
+        fn take(&mut self) -> Vec<u8> {
+            panic!("take: the wrapper did not forward take_into")
+        }
+        fn ready(&self) -> bool {
+            true
+        }
+        fn send_app(&mut self, _: &[u8]) -> Result<(), MbError> {
+            Ok(())
+        }
+        fn recv_app(&mut self) -> Vec<u8> {
+            panic!("recv_app: the wrapper did not forward recv_app_into")
+        }
+        fn take_into(&mut self, dst: &mut Vec<u8>) {
+            dst.push(1);
+        }
+        fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
+            dst.push(2);
+        }
+        fn failed(&self) -> Option<MbError> {
+            Some(MbError::unexpected_state("stub failed"))
+        }
+    }
+
+    impl Relay for IntoOnly {
+        fn feed_left(&mut self, _: &[u8]) -> Result<(), MbError> {
+            Ok(())
+        }
+        fn feed_right(&mut self, _: &[u8]) -> Result<(), MbError> {
+            Ok(())
+        }
+        fn take_left(&mut self) -> Vec<u8> {
+            panic!("take_left: the wrapper did not forward take_left_into")
+        }
+        fn take_right(&mut self) -> Vec<u8> {
+            panic!("take_right: the wrapper did not forward take_right_into")
+        }
+        fn take_left_into(&mut self, dst: &mut Vec<u8>) {
+            dst.push(3);
+        }
+        fn take_right_into(&mut self, dst: &mut Vec<u8>) {
+            dst.push(4);
+        }
+        fn failed(&self) -> Option<MbError> {
+            Some(MbError::unexpected_state("stub failed"))
+        }
+    }
+
     #[test]
     fn meter_emits_cpu_time_events() {
         let rec = Recorder::new();
         let meter = CpuMeter::new(rec.sink(), Party::Middlebox(0));
-        let mut relay = TimedRelay::new(PureRelay::new(), meter);
+        let mut relay = TimedRelay::new(PureRelay::new(), meter.clone());
         for _ in 0..100 {
             relay.feed_left(&[0u8; 1024]).unwrap();
             let _ = relay.take_right();
         }
+        // The `_into` drains reach the wrapped party's own, timed;
+        // `failed` is forwarded untimed.
+        let mut endpoint = TimedEndpoint::new(IntoOnly, meter.clone());
+        let mut into_relay = TimedRelay::new(IntoOnly, meter);
+        let mut dst = Vec::new();
+        endpoint.take_into(&mut dst);
+        endpoint.recv_app_into(&mut dst);
+        into_relay.take_left_into(&mut dst);
+        into_relay.take_right_into(&mut dst);
+        assert_eq!(dst, [1, 2, 3, 4]);
+        assert!(Endpoint::failed(&endpoint).is_some() && Relay::failed(&into_relay).is_some());
         let events = rec.snapshot();
         let total: u64 = events
             .iter()
@@ -144,7 +221,7 @@ mod tests {
             .sum();
         // Every wrapped call emitted a sample, and some nonzero time
         // was recorded overall.
-        assert_eq!(events.len(), 200);
+        assert_eq!(events.len(), 204);
         assert!(total > 0);
         assert!(events.iter().all(|e| e.party == Party::Middlebox(0)));
     }

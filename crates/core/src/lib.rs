@@ -67,8 +67,8 @@ pub use middlebox::{DataProcessor, ForwardProcessor, Middlebox, MiddleboxConfig}
 pub use server::{MbServerConfig, MbServerSession};
 
 /// How an endpoint authenticates the middleboxes it admits to a
-/// session — the axis the security matrix and `BENCH_auth.json`
-/// compare head to head.
+/// session — the axis the security matrix and the paper suite's
+/// authorization ablation (`BENCH_paper.json`) compare head to head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MiddleboxAuthMode {
     /// Paper mbTLS: certificate chain for operator identity plus an

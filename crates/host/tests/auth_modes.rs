@@ -2,8 +2,8 @@
 //! (`MiddleboxAuthMode`): SGX-attested (paper mbTLS), delegated
 //! credentials (mdTLS-style, DESIGN.md §6j), and the naive key-shared
 //! baseline. Same seed, same arrival schedule, same workload — only
-//! the trust mechanism changes, which is exactly the axis
-//! `BENCH_auth.json` measures.
+//! the trust mechanism changes, which is exactly the axis the paper
+//! suite's authorization ablation (`BENCH_paper.json`) measures.
 
 use mbtls_core::MiddleboxAuthMode;
 use mbtls_host::{Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, Workload};

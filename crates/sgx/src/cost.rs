@@ -128,10 +128,10 @@ impl SgxCostModel {
 
     /// Virtual cost of one complete remote-attestation round for one
     /// middlebox join: quote generation in the enclave plus the
-    /// endpoint's verification. This is the CPU surcharge the
-    /// `BENCH_auth.json` comparison charges the SGX-attested mode
-    /// over what the in-process simulation measures (the simulated
-    /// quote is two Ed25519 operations; real EPID attestation is not).
+    /// endpoint's verification. The paper suite's authorization
+    /// ablation reports it beside the measured handshakes, in a cell
+    /// of its own and added to none of them: the simulated quote is
+    /// two Ed25519 operations, and real EPID attestation is not.
     pub fn attestation_round_ns(&self) -> f64 {
         self.quote_generate_ns + self.quote_verify_ns
     }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Regenerate and check the five BENCH_*.json artifacts: one `report all`
-# call over every suite of the binary (README lists them; `paper` is
-# the paper's own evaluation). The binary checks each artifact's schema
-# and floors after writing it and exits non-zero on the first one that
-# fails; `report check <suite> <file>` reruns the checks alone.
+# Regenerate and check the four BENCH_*.json artifacts: one `report all`
+# call over every suite of the binary (scale, handshake, chain, paper;
+# `paper` is the paper's own evaluation). The binary checks each
+# artifact's schema and floors after writing it and exits non-zero on
+# the first one that fails; `report check <suite> <file>` reruns the
+# checks alone.
 #
 #   scripts/bench_report.sh           full run, ~1 min (scale ~45 s,
 #                                     handshake ~7 s, the rest about a

@@ -72,8 +72,8 @@ run_examples() {
 stage examples  run_examples
 stage crypto-release cargo test -q -p mbtls-crypto --release
 stage telemetry scripts/telemetry_smoke.sh
-# Bench smoke: `report all --smoke` over the five suites (scale,
-# handshake, chain, auth, paper) proves each
+# Bench smoke: `report all --smoke` over the four suites (scale,
+# handshake, chain, paper) proves each
 # BENCH_*.json can be produced and passes its suite's `check` —
 # schema, exact floors (zero allocations, determinism, byte counts,
 # the paper's 20/20, 241/241 and survey counts) and the ratios that

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Non-test line count per crate: the lines of crates/<crate>/src/**.rs
-# before each file's first `#[cfg(test)]`, raw and code-only (neither
-# blank nor a `//` comment) — what a PR reports against ROADMAP aim 2.
+# before each file's first top-level `#[cfg(test)]` (one in column 0;
+# an indented one, on an item inside a function or impl, does not end
+# the count), raw and code-only (neither blank nor a `//` comment) —
+# what a PR reports against ROADMAP aim 2.
 # With a git revision, also that revision's counts and the difference.
 #
 #   scripts/loc.sh [<git-rev>]
@@ -15,7 +17,7 @@ tally() {
     if [[ -n $rev ]]; then git ls-tree -r --name-only "$rev" -- "$dir"; else find "$dir" -type f; fi |
         grep '\.rs$' | while IFS= read -r f; do
             if [[ -n $rev ]]; then git show "$rev:$f"; else cat "$f"; fi |
-                awk '/^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 } !test'
+                awk '/^#\[cfg\(test\)\]/ { test = 1 } !test'
         done | awk '{ raw++ } !/^[[:space:]]*(\/\/|$)/ { code++ } END { print raw + 0, code + 0 }'
 }
 

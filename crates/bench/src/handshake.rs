@@ -1,8 +1,9 @@
 //! The `handshake` suite (`BENCH_handshake.json`): the handshake fast
 //! path.
 //!
-//! Four measurements back the precomputed/batched Ed25519 work and
-//! the hash floor under the key schedule:
+//! Three measurements back the precomputed/batched Ed25519 work and
+//! the hash floor under the key schedule. The reconnect storm, which
+//! exercises the host's batching, is a load of the `scale` suite.
 //!
 //! 1. **Verification throughput** — single [`VerifyingKey::verify`]
 //!    calls against [`verify_batch`]'s random-linear-combination
@@ -19,13 +20,7 @@
 //!    zero-latency in-memory pipes, where wall ≈ CPU. The floors
 //!    ([`check`]): resumed ≤ 0.25 of full, and resumed µs within
 //!    20 % of the artifact the run replaces.
-//! 3. **Reconnect storm** — the sharded host under the load
-//!    generator's resumption-storm scenario (primed tickets, a stale
-//!    cadence degrading to full handshakes, deferred checks batched
-//!    per shard turn), measured with the same max-shard-wall model as
-//!    `scale.rs`, against an all-full-handshake baseline at every
-//!    shard count.
-//! 4. **PRF floor** — the suite's 72-byte key block
+//! 3. **PRF floor** — the suite's 72-byte key block
 //!    (`PRF(master, "key expansion", randoms)` over SHA-384) against
 //!    one SHA-384 compression timed in the same run. P_SHA384 needs
 //!    twelve compressions for it (two to key the HMAC once, then two
@@ -35,10 +30,6 @@
 //!    side, may cost at most 7.7 of them. `sha512_backend` names the
 //!    SHA-512 core the run hashed on ([`mbtls_crypto::sha2::backend_name`]),
 //!    so a `sha384_block_us` reading can be traced to a core.
-//!
-//! A double-run determinism probe (storm config, batching on) proves
-//! the merged telemetry trace stays bit-identical — batching changes
-//! *when* checks are paid, never the outcome or the schedule.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,17 +41,11 @@ use mbtls_core::server::MbServerSession;
 use mbtls_crypto::ed25519::{verify_batch, BatchItem, Signature, SigningKey, VerifyingKey};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::sha2::Sha384;
-use mbtls_host::{LoadConfig, Workload};
-use mbtls_netsim::time::Duration;
 use mbtls_telemetry::json::Value;
 use mbtls_tls::keyschedule::key_block;
 use mbtls_tls::suites::CipherSuite;
 
-use crate::scale::{determinism_probe, drain_slice};
 use crate::{time_handshakes, AllocCounter};
-
-/// Shard counts for the storm curve (matches `scale.rs`).
-pub const STORM_SHARD_CURVE: &[u16] = &[1, 2, 4, 8];
 
 /// One verification-throughput row at one batch size.
 #[derive(Debug, Clone)]
@@ -102,31 +87,11 @@ pub struct PrfFloor {
     pub keyblock_over_block: f64,
 }
 
-/// One storm-vs-baseline row at one shard count.
-#[derive(Debug, Clone)]
-pub struct StormRun {
-    /// Shards in this configuration.
-    pub shards: u16,
-    /// Modeled handshakes/s with every session doing a full
-    /// handshake (max-shard-wall model).
-    pub full_handshakes_per_s: f64,
-    /// Modeled handshakes/s under the resumption storm (primed
-    /// tickets, stale cadence, batched deferred checks).
-    pub storm_handshakes_per_s: f64,
-    /// Fraction of storm handshakes that actually resumed (the rest
-    /// hit the stale cadence and degraded to full flights).
-    pub storm_resumed_share: f64,
-}
-
 /// Measure everything that goes into `BENCH_handshake.json`.
 pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
     let batches: &[usize] = if smoke { &[4, 16] } else { &[4, 16, 32, 64] };
     let min_verifies = if smoke { 16 } else { 4096 };
     let cpu_iters = if smoke { 4 } else { 200 };
-    let storm_n = if smoke { 16 } else { 2_000 };
-    let storm_curve: &[u16] = if smoke { &[1, 2] } else { STORM_SHARD_CURVE };
-    let determinism_sessions = if smoke { 16 } else { 1_000 };
-    let determinism_shards: u16 = 4;
     let seed = 0x5EED_CAFE;
 
     eprintln!("verification throughput over batches {batches:?}...");
@@ -136,10 +101,6 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
     eprintln!("handshake CPU ({cpu_iters} iterations each)...");
     let cpu = bench_handshake_cpu(cpu_iters, seed);
     let prf = bench_prf_floor();
-    eprintln!("storm curve n={storm_n} over shards {storm_curve:?}...");
-    let storm = bench_storm_curve(storm_n, seed, storm_curve);
-    let (_, identical) =
-        determinism_probe(&storm_load(determinism_sessions, seed, true), determinism_shards);
 
     let verify_rows = verify.iter().map(|row| {
         Value::object([
@@ -149,18 +110,9 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
             ("speedup", Value::Float(row.speedup, 2)),
         ])
     });
-    let storm_rows = storm.iter().map(|run| {
-        Value::object([
-            ("shards", run.shards.into()),
-            ("full_handshakes_per_s", Value::Float(run.full_handshakes_per_s, 1)),
-            ("storm_handshakes_per_s", Value::Float(run.storm_handshakes_per_s, 1)),
-            ("storm_resumed_share", Value::Float(run.storm_resumed_share, 3)),
-        ])
-    });
     let best = verify.iter().map(|r| r.speedup).fold(0.0, f64::max);
     Value::object([
         ("smoke", smoke.into()),
-        ("model", "max_shard_wall".into()),
         ("verify", Value::Array(verify_rows.collect())),
         ("best_batch_speedup", Value::Float(best, 2)),
         (
@@ -188,26 +140,14 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
             ]),
         ),
         ("sha512_backend", mbtls_crypto::sha2::backend_name().into()),
-        ("storm", Value::Array(storm_rows.collect())),
-        (
-            "determinism",
-            Value::object([
-                ("seed", seed.into()),
-                ("sessions", determinism_sessions.into()),
-                ("shards", determinism_shards.into()),
-                ("batching", true.into()),
-                ("identical", identical.into()),
-            ]),
-        ),
     ])
 }
 
 /// Schema and floors of `BENCH_handshake.json`. On full runs only —
 /// smoke budgets are too small for stable ratios — batched
-/// verification must beat single by ≥2×, resumption must stay cheap,
-/// the key block must cost at most 16 SHA-384 block times, and the
-/// storm path must beat the all-full baseline at every shard count.
-/// On every run, `sha512_backend` names one of the two SHA-512 cores.
+/// verification must beat single by ≥2×, a width-4 batch must cost at
+/// most 2.5 single verifications, resumption must stay cheap, and the
+/// key block must cost at most 16 SHA-384 block times. On every run, `sha512_backend` names one of the two SHA-512 cores.
 ///
 /// "Resumption stays cheap" means it still skips every certificate,
 /// signature and key agreement. That is stated as two checks, neither
@@ -311,22 +251,6 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
         "sha512_backend {sha512_backend:?} names no SHA-512 core"
     );
     let resumed_over_keyblock = resumed_us / keyblock_us;
-    let storm = report.list("storm")?;
-    floor!(!storm.is_empty(), "no storm curve rows");
-    let mut shard_counts = Vec::new();
-    for run in storm {
-        let shards = run.num("shards")?;
-        let (full, stormed) =
-            (run.num("full_handshakes_per_s")?, run.num("storm_handshakes_per_s")?);
-        floor!(full > 0.0 && stormed > 0.0, "storm row at {shards} shard(s) has a zero rate");
-        let share = run.num("storm_resumed_share")?;
-        floor!(0.0 < share && share <= 1.0, "storm_resumed_share out of range: {share}");
-        floor!(smoke || stormed > full, "storm loses to full baseline at {shards} shard(s)");
-        shard_counts.push(shards as u64);
-    }
-    floor!(shard_counts.windows(2).all(|w| w[0] <= w[1]), "storm rows must ascend");
-    floor!(report.flag("determinism.identical")?, "double-run determinism verdict is false");
-    floor!(report.flag("determinism.batching")?, "determinism probe must run with batching on");
     if !smoke {
         floor!(best >= 2.0, "batched verify speedup regressed: {best}x < 2x floor");
         floor!(
@@ -361,7 +285,7 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
     Ok(format!(
         "handshake OK: batches {batches:?}, best speedup {best}x, width 4 / verify \
          {width_ratio}, resumed/full {ratio}, key block {prf_ratio} block times, resumed/key \
-         block {resumed_over_keyblock:.2}, storm shards {shard_counts:?}, determinism true{}",
+         block {resumed_over_keyblock:.2}{}",
         if smoke { " (smoke: floors skipped)" } else { "" }
     ))
 }
@@ -521,62 +445,6 @@ pub fn bench_prf_floor() -> PrfFloor {
     PrfFloor { sha384_block_us, keyblock_us, keyblock_over_block: keyblock_us / sha384_block_us }
 }
 
-/// The storm scenario's load shape: handshake-dominated (one
-/// exchange), no middleboxes, arrivals every 5 µs. `storm` switches
-/// between the all-full baseline and the primed-ticket storm; both
-/// defer signature checks so the host's batch seam is on the
-/// measured path whenever checks exist.
-pub fn storm_load(sessions: usize, seed: u64, storm: bool) -> LoadConfig {
-    LoadConfig {
-        sessions,
-        arrival_spacing: Duration::from_micros(5),
-        middlebox_every: 0,
-        latency: Duration::from_micros(200),
-        workload: Workload { request_len: 256, response_len: 1024, exchanges: 1 },
-        seed,
-        resumption_storm: storm,
-        // Every 16th reconnect arrives with a ticket the server no
-        // longer honors and degrades to a full handshake.
-        stale_every: if storm { 16 } else { 0 },
-        defer_verify: true,
-        chain_mix: mbtls_host::ChainMix::PassThrough,
-        read_only_path: false,
-        auth_mode: mbtls_core::MiddleboxAuthMode::SgxAttested,
-    }
-}
-
-/// Measure the storm curve: at each shard count, the all-full
-/// baseline and the resumption storm under the max-shard-wall model.
-pub fn bench_storm_curve(n: usize, seed: u64, curve: &[u16]) -> Vec<StormRun> {
-    let baseline = |n, seed| storm_load(n, seed, false);
-    let storm = |n, seed| storm_load(n, seed, true);
-    let mut runs = Vec::with_capacity(curve.len());
-    for &shards in curve {
-        let mut walls_full = Vec::with_capacity(shards as usize);
-        let mut walls_storm = Vec::with_capacity(shards as usize);
-        let mut resumed = 0u64;
-        let mut full = 0u64;
-        for k in 0..shards {
-            let (wall, _) = drain_slice(baseline, n, seed, k, shards);
-            walls_full.push(wall.as_secs_f64());
-            let (wall, counters) = drain_slice(storm, n, seed, k, shards);
-            walls_storm.push(wall.as_secs_f64());
-            resumed += counters.handshakes_resumed();
-            full += counters.handshakes_full();
-        }
-        assert_eq!((resumed + full) as usize, n);
-        let max_full = walls_full.iter().copied().fold(0.0, f64::max);
-        let max_storm = walls_storm.iter().copied().fold(0.0, f64::max);
-        runs.push(StormRun {
-            shards,
-            full_handshakes_per_s: n as f64 / max_full,
-            storm_handshakes_per_s: n as f64 / max_storm,
-            storm_resumed_share: resumed as f64 / n as f64,
-        });
-    }
-    runs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,24 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn storm_curve_smoke_beats_baseline() {
-        let runs = bench_storm_curve(16, 0x57, &[1, 2]);
-        assert_eq!(runs.len(), 2);
-        for run in &runs {
-            assert!(run.full_handshakes_per_s > 0.0);
-            assert!(run.storm_handshakes_per_s > 0.0);
-            assert!(run.storm_resumed_share > 0.5, "most storm sessions resume");
-        }
-    }
-
-    #[test]
-    fn storm_determinism_probe_is_identical() {
-        let (fingerprint, identical) = determinism_probe(&storm_load(8, 0x77, true), 2);
-        assert!(identical, "seeded storm replay must be bit-identical");
-        assert_ne!(fingerprint, 0);
-    }
-
-    #[test]
     fn smoke_run_passes_and_doctored_floors_fail() {
         let smoke = run(true, || 0);
         let rows = smoke.list("verify").unwrap();
@@ -643,12 +493,6 @@ mod tests {
                 ("prf_floor.sha384_block_us", "0.000", "PRF floor rows are zero"),
                 ("sha512_backend", "\"sha-ni\"", "names no SHA-512 core"),
                 ("sha512_backend", "false", "sha512_backend"),
-                ("storm", "[]", "no storm curve rows"),
-                ("storm.1.shards", "0", "storm rows must ascend"),
-                ("storm.0.storm_handshakes_per_s", "0.0", "zero rate"),
-                ("storm.0.storm_resumed_share", "1.500", "out of range"),
-                ("determinism.identical", "false", "determinism verdict is false"),
-                ("determinism.batching", "false", "batching on"),
             ],
         );
     }
@@ -666,7 +510,6 @@ mod tests {
             ("prf_floor.keyblock_over_block", "16.10", "above the 16"),
             ("handshake_cpu.resumed_us", &rederived, "above the 7.7"),
             ("width4_over_verify", "2.51", "above the 2.5"),
-            ("storm.2.storm_handshakes_per_s", "1.0", "loses to full baseline at 4 shard"),
         ];
         crate::testing::assert_floors(check, &full, &cases);
         // 1.99 in every row and in the summary key: only the floor trips.

@@ -3,14 +3,17 @@
 //! Where the `chain` suite's per-hop rows measure the record path one
 //! middlebox at a time, this module measures the *host*: how many full mbTLS
 //! sessions per second a sharded [`Host`] can admit, handshake,
-//! serve, and retire over the network simulator, for a fleet of
-//! 10 000 sessions under open/close churn, with a
-//! cores-vs-throughput curve at 1/2/4/8 shards.
+//! serve, and retire over the network simulator, with a
+//! cores-vs-throughput curve at 1/2/4/8 shards for three loads: a fleet
+//! of 10 000 sessions under open/close churn ([`scale_load`]), and a
+//! reconnect storm of primed tickets ([`storm_load`]) beside the same
+//! fleet doing only full handshakes ([`full_load`]).
 //!
 //! # The max-shard-wall throughput model
 //!
-//! The container this harness runs in has one CPU core, so the curve
-//! cannot come from real threads. Shards share *nothing* — each owns
+//! Eight shards need eight cores to run at once, and the machines this
+//! harness runs on have one or two, so the curve is modeled rather than
+//! measured with threads. Shards share *nothing* — each owns
 //! its slab, timer queue, buffer pool, substrate, and clock — so an
 //! S-shard deployment's wall clock is the wall clock of its slowest
 //! shard. [`bench_scale_point_over`] therefore drives each shard's slice
@@ -18,15 +21,20 @@
 //! separately, and models S-core throughput as
 //! `N / max(per-shard wall)`. The per-shard walls are published in
 //! the artifact so the model is auditable, and the JSON names the
-//! model explicitly (`"model": "max_shard_wall"`).
+//! model explicitly (`"model": "max_shard_wall"`). The 2-shard point is
+//! checked against real threads: [`measured_speedup_2_over_1`] drains
+//! the churn fleet's two slices on two threads at once and is
+//! published beside the modeled curve.
 //!
 //! [`run`] also pumps a [`SteadyStateShard`] per shard index under
 //! the `report` binary's allocation counter to prove every shard's
-//! per-record steady state is allocation-free, and replays one
-//! seeded multi-shard run twice to prove the merged telemetry trace
-//! is bit-identical. `scripts/check.sh` runs the suite in `--smoke`
-//! mode as a regression gate; see DESIGN.md §6f–§6g for how to read
-//! the numbers.
+//! per-record steady state is allocation-free, and replays the churn
+//! fleet and the storm (whose deferred signature checks the host
+//! batches per shard turn) twice each to prove the merged telemetry
+//! trace is bit-identical: batching changes *when* checks are paid,
+//! never the outcome or the schedule. `scripts/check.sh` runs the
+//! suite in `--smoke` mode as a regression gate; see DESIGN.md
+//! §6f–§6g for how to read the numbers.
 
 use std::time::Instant;
 
@@ -58,6 +66,9 @@ pub const SHARD_CURVE: &[u16] = &[1, 2, 4, 8];
 /// the fleet, so a 1 000 000-session tier alone would take hours.
 pub const FLEETS: &[usize] = &[10_000];
 
+/// The seed of every load [`run`] measures.
+const SEED: u64 = 0xC0_FFEE;
+
 /// The churn profile measured at each fleet size: arrivals every 5 µs
 /// of virtual time (far faster than a session's ~3 ms lifetime, so
 /// hundreds of sessions are live at once per shard), one middlebox on
@@ -81,6 +92,36 @@ pub fn scale_load(sessions: usize, seed: u64) -> LoadConfig {
     }
 }
 
+/// The reconnect-storm baseline: a handshake-dominated fleet (one
+/// exchange), no middleboxes, arrivals every 5 µs, every session a
+/// full handshake. Signature checks are deferred, so the host's batch
+/// seam is on the measured path.
+pub fn full_load(sessions: usize, seed: u64) -> LoadConfig {
+    LoadConfig {
+        sessions,
+        arrival_spacing: Duration::from_micros(5),
+        middlebox_every: 0,
+        latency: Duration::from_micros(200),
+        workload: Workload { request_len: 256, response_len: 1024, exchanges: 1 },
+        seed,
+        defer_verify: true,
+        ..LoadConfig::default()
+    }
+}
+
+/// The reconnect storm: [`full_load`] with tickets primed out of band,
+/// and every 17th reconnect arriving with a ticket the server no
+/// longer honors, so it degrades to a full handshake.
+///
+/// The stale cadence is prime and above every shard count in
+/// [`SHARD_CURVE`], for the reason [`scale_load`]'s middlebox cadence
+/// is 3: a cadence of 16 would put all 125 full handshakes of a
+/// 2000-session storm on shard 0 at 2, 4 and 8 shards, and the curve
+/// would measure that shard instead of the storm.
+pub fn storm_load(sessions: usize, seed: u64) -> LoadConfig {
+    LoadConfig { resumption_storm: true, stale_every: 17, ..full_load(sessions, seed) }
+}
+
 /// One shard-count configuration of one fleet size.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
@@ -98,7 +139,7 @@ pub struct ShardRun {
     pub records_per_s: f64,
 }
 
-/// Capacity numbers for one fleet size.
+/// Capacity numbers for one load at one fleet size.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Sessions opened (and required to complete) in this run.
@@ -115,6 +156,9 @@ pub struct ScalePoint {
     pub p99_handshake_ms: f64,
     /// Wire bytes pushed into the substrate per session.
     pub bytes_per_session: f64,
+    /// Fraction of handshakes that resumed a session (the storm's
+    /// reconnects less its stale ones; 0 for the other loads).
+    pub resumed_share: f64,
 }
 
 /// Measure everything that goes into `BENCH_scale.json`.
@@ -124,10 +168,13 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
     // speedup floor reads.
     let fleets: &[usize] = if smoke { &[8, 24] } else { FLEETS };
     let curve: &[u16] = if smoke { &[1, 2, 4] } else { SHARD_CURVE };
-    let determinism_sessions = if smoke { 16 } else { 10_000 };
-    let determinism_shards: u16 = 4;
+    let storm_n = if smoke { 16 } else { 2_000 };
+    let probes = [
+        ("churn", scale_load(if smoke { 16 } else { 10_000 }, SEED)),
+        ("storm", storm_load(if smoke { 16 } else { 1_000 }, SEED)),
+    ];
+    let probe_shards: u16 = 4;
     let alloc_exchanges = if smoke { 8 } else { 256 };
-    let seed = 0xC0_FFEE;
 
     // Allocations per application record in each shard's established
     // steady state (an exchange is two records), once per shard index:
@@ -138,87 +185,106 @@ pub fn run(smoke: bool, alloc_count: AllocCounter) -> Value {
             allocs_per_op(alloc_count, alloc_exchanges, |n| steady.pump_exchanges(n)) / 2.0
         })
         .collect();
-    let (_, identical) =
-        determinism_probe(&scale_load(determinism_sessions, seed), determinism_shards);
+    let determinism = probes.iter().map(|(name, load)| {
+        let (_, identical) = determinism_probe(load, probe_shards);
+        Value::object([
+            ("load", (*name).into()),
+            ("seed", load.seed.into()),
+            ("sessions", load.sessions.into()),
+            ("shards", probe_shards.into()),
+            ("batching", load.defer_verify.into()),
+            ("identical", identical.into()),
+        ])
+    });
+    let determinism = Value::Array(determinism.collect());
 
     let tiers = fleets.iter().map(|&n| {
         eprintln!("measuring fleet n={n} over shard curve {curve:?}...");
-        let point = bench_scale_point_over(n, seed, curve);
-        let rows = point.curve.iter().map(|run| {
-            Value::object([
-                ("shards", run.shards.into()),
-                ("per_shard_wall_ms", Value::floats(&run.per_shard_wall_ms, 1)),
-                ("max_shard_wall_ms", Value::Float(run.max_shard_wall_ms, 1)),
-                ("handshakes_per_s", Value::Float(run.handshakes_per_s, 1)),
-                ("records_per_s", Value::Float(run.records_per_s, 1)),
-            ])
-        });
-        Value::object([
-            ("n", point.n.into()),
-            ("curve", Value::Array(rows.collect())),
-            ("speedup_4_over_1", Value::Float(point.speedup_4_over_1, 2)),
-            ("p50_handshake_ms", Value::Float(point.p50_handshake_ms, 3)),
-            ("p99_handshake_ms", Value::Float(point.p99_handshake_ms, 3)),
-            ("bytes_per_session", Value::Float(point.bytes_per_session, 1)),
-        ])
+        let point = bench_scale_point_over(scale_load, n, SEED, curve);
+        let measured = measured_speedup_2_over_1(n, SEED, point.curve[0].max_shard_wall_ms);
+        let mut fields = point_fields(&point);
+        // Beside the modeled `speedup_4_over_1`.
+        fields.insert(3, ("measured_speedup_2_over_1", Value::Float(measured, 2)));
+        Value::object(fields)
     });
+    let tiers = Value::Array(tiers.collect());
+    eprintln!("measuring the reconnect storm n={storm_n} and its full baseline...");
+    let full = bench_scale_point_over(full_load, storm_n, SEED, curve);
+    let storm = bench_scale_point_over(storm_load, storm_n, SEED, curve);
     Value::object([
         ("smoke", smoke.into()),
         ("model", "max_shard_wall".into()),
-        ("sessions", Value::Array(tiers.collect())),
+        ("sessions", tiers),
+        ("full_baseline", Value::object(point_fields(&full))),
+        ("storm", Value::object(point_fields(&storm))),
         // The worst shard's rate, then every shard's.
         ("allocs_per_record_steady", Value::Float(allocs.iter().copied().fold(0.0, f64::max), 3)),
         ("allocs_per_record_per_shard", Value::floats(&allocs, 3)),
-        (
-            "determinism",
-            Value::object([
-                ("seed", seed.into()),
-                ("sessions", determinism_sessions.into()),
-                ("shards", determinism_shards.into()),
-                ("identical", identical.into()),
-            ]),
-        ),
+        ("determinism", determinism),
     ])
 }
 
-/// Schema and floors of `BENCH_scale.json`: every fleet size carries
-/// an ascending cores-vs-throughput curve through the 4-shard row
-/// with per-shard walls, no shard allocates in steady state, and the
-/// double-run determinism verdict is true. On full runs only (smoke
-/// walls are too short for a stable ratio) the modeled 4-shard
-/// throughput is at least 2.5× the 1-shard figure.
+/// One load's curve point as artifact fields.
+fn point_fields(point: &ScalePoint) -> Vec<(&'static str, Value)> {
+    let rows = point.curve.iter().map(|run| {
+        Value::object([
+            ("shards", run.shards.into()),
+            ("per_shard_wall_ms", Value::floats(&run.per_shard_wall_ms, 1)),
+            ("max_shard_wall_ms", Value::Float(run.max_shard_wall_ms, 1)),
+            ("handshakes_per_s", Value::Float(run.handshakes_per_s, 1)),
+            ("records_per_s", Value::Float(run.records_per_s, 1)),
+        ])
+    });
+    vec![
+        ("n", point.n.into()),
+        ("curve", Value::Array(rows.collect())),
+        ("speedup_4_over_1", Value::Float(point.speedup_4_over_1, 2)),
+        ("p50_handshake_ms", Value::Float(point.p50_handshake_ms, 3)),
+        ("p99_handshake_ms", Value::Float(point.p99_handshake_ms, 3)),
+        ("bytes_per_session", Value::Float(point.bytes_per_session, 1)),
+        ("resumed_share", Value::Float(point.resumed_share, 3)),
+    ]
+}
+
+/// Schema and floors of `BENCH_scale.json`. Every load's curve
+/// (`check_curve`) ascends through the 4-shard row with per-shard
+/// walls and positive rates; the churn fleet publishes a positive
+/// measured 2-shard speedup (a wall-clock reading, so no floor); the
+/// storm resumes a share in (0, 1]; no shard allocates in steady state;
+/// and both double-run determinism probes, the storm's with batching
+/// on, read identical. On full runs only (smoke walls are too short for
+/// a stable ratio) the churn fleet's modeled 4-shard throughput is at
+/// least 2.5× the 1-shard figure and the storm beats its full baseline
+/// at every shard count.
 pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
     let smoke = report.flag("smoke")?;
     floor!(report.text("model")? == "max_shard_wall", "missing throughput model tag");
     let tiers = report.list("sessions")?;
     floor!(!tiers.is_empty(), "no fleet sizes measured");
     let mut shard_counts = Vec::new();
-    for tier in tiers {
+    for (i, tier) in tiers.iter().enumerate() {
+        shard_counts = check_curve(&format!("sessions.{i}"), tier)?;
         let n = tier.num("n")?;
-        let curve = tier.list("curve")?;
-        floor!(!curve.is_empty(), "fleet n={n} has no shard curve");
-        shard_counts.clear();
-        for run in curve {
-            let shards = run.num("shards")?;
-            floor!(shards >= 1.0, "n={n}: a curve row has no shards");
-            floor!(
-                run.list("per_shard_wall_ms")?.len() as f64 == shards,
-                "n={n}: shard {shards} row lacks per-shard walls"
-            );
-            for key in ["max_shard_wall_ms", "handshakes_per_s", "records_per_s"] {
-                floor!(run.num(key)? > 0.0, "n={n}: shard {shards} row has zero {key}");
-            }
-            shard_counts.push(shards as u64);
-        }
-        floor!(shard_counts.windows(2).all(|w| w[0] <= w[1]), "curve rows must ascend");
-        floor!(shard_counts.contains(&4), "n={n}: curve is missing the 4-shard row");
-        for key in ["p50_handshake_ms", "p99_handshake_ms", "bytes_per_session"] {
-            tier.num(key)?;
-        }
         let speedup = tier.num("speedup_4_over_1")?;
         floor!(
             smoke || speedup >= 2.5,
             "n={n}: speedup_4_over_1 regressed: {speedup}x < 2.5x floor"
+        );
+        let measured = tier.num("measured_speedup_2_over_1")?;
+        floor!(measured > 0.0, "n={n}: measured_speedup_2_over_1 is {measured}");
+    }
+    let (full, storm) = (report.at("full_baseline")?, report.at("storm")?);
+    floor!(
+        check_curve("full_baseline", full)? == check_curve("storm", storm)?,
+        "the storm and its full baseline cover different shard counts"
+    );
+    let share = storm.num("resumed_share")?;
+    floor!(0.0 < share && share <= 1.0, "storm resumed_share out of range: {share}");
+    for (full_row, storm_row) in full.list("curve")?.iter().zip(storm.list("curve")?) {
+        let shards = storm_row.num("shards")?;
+        floor!(
+            smoke || storm_row.num("handshakes_per_s")? > full_row.num("handshakes_per_s")?,
+            "storm loses to full baseline at {shards} shard(s)"
         );
     }
     report.num("allocs_per_record_steady")?;
@@ -227,16 +293,53 @@ pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String
         !allocs.is_empty() && allocs.iter().all(|a| matches!(a, Value::Float(v, _) if *v == 0.0)),
         "steady state allocates: {allocs:?} allocs/record per shard"
     );
-    floor!(report.flag("determinism.identical")?, "double-run determinism verdict is false");
+    let probes = report.list("determinism")?;
+    let loads = probes.iter().map(|probe| probe.text("load")).collect::<Result<Vec<_>, _>>()?;
+    floor!(loads == ["churn", "storm"], "determinism probes cover {loads:?}, not churn and storm");
+    for (load, probe) in loads.iter().zip(probes) {
+        floor!(probe.flag("identical")?, "{load}: double-run determinism verdict is false");
+        floor!(probe.num("shards")? >= 2.0, "{load}: determinism probe must cover multiple shards");
+    }
     floor!(
-        report.num("determinism.shards")? >= 2.0,
-        "determinism probe must cover multiple shards"
+        report.flag("determinism.1.batching")?,
+        "the storm's determinism probe must run with batching on"
     );
     Ok(format!(
-        "scale OK: {} fleet size(s), curves {shard_counts:?}, determinism true{}",
+        "scale OK: {} fleet size(s), curves {shard_counts:?}, storm resumed share {share}, \
+         determinism true{}",
         tiers.len(),
-        if smoke { " (smoke: speedup floor skipped)" } else { "" }
+        if smoke { " (smoke: speedup floors skipped)" } else { "" }
     ))
+}
+
+/// Schema of one load's curve point at `path`: rows with per-shard
+/// walls of length `shards` and positive rates, ascending through the
+/// 4-shard row. Returns the shard counts.
+fn check_curve(path: &str, point: &Value) -> Result<Vec<u64>, String> {
+    let n = point.num("n")?;
+    let curve = point.list("curve")?;
+    floor!(!curve.is_empty(), "{path} (n={n}) has no shard curve");
+    let mut shard_counts = Vec::new();
+    for run in curve {
+        let shards = run.num("shards")?;
+        floor!(shards >= 1.0, "{path}: a curve row has no shards");
+        floor!(
+            run.list("per_shard_wall_ms")?.len() as f64 == shards,
+            "{path}: shard {shards} row lacks per-shard walls"
+        );
+        for key in ["max_shard_wall_ms", "handshakes_per_s", "records_per_s"] {
+            floor!(run.num(key)? > 0.0, "{path}: shard {shards} row has zero {key}");
+        }
+        shard_counts.push(shards as u64);
+    }
+    floor!(shard_counts.windows(2).all(|w| w[0] <= w[1]), "{path}: curve rows must ascend");
+    floor!(shard_counts.contains(&4), "{path}: curve is missing the 4-shard row");
+    for key in
+        ["speedup_4_over_1", "p50_handshake_ms", "p99_handshake_ms", "bytes_per_session", "resumed_share"]
+    {
+        point.num(key)?;
+    }
+    Ok(shard_counts)
 }
 
 /// Virtual percentile (`p` in 0..=100) over handshake latencies,
@@ -253,7 +356,7 @@ fn percentile_ms(sorted_ns: &[u64], p: usize) -> f64 {
 /// fleet `load(n, seed)`: a standalone [`Shard`] reactor over its own
 /// simulator, driven by the load generator's residue-class slice.
 /// Returns the shard's wall clock plus its counters for aggregation.
-pub(crate) fn drain_slice(
+fn drain_slice(
     load: impl Fn(usize, u64) -> LoadConfig,
     n: usize,
     seed: u64,
@@ -292,26 +395,34 @@ pub(crate) fn drain_slice(
     (wall, counters)
 }
 
-/// Run one fleet of `n` sessions at every shard count of `curve`
-/// ([`SHARD_CURVE`] on full runs, a shorter one on smoke runs) and
-/// report the modeled cores-vs-throughput curve (see the module docs
-/// for the max-shard-wall model).
-pub fn bench_scale_point_over(n: usize, seed: u64, curve: &[u16]) -> ScalePoint {
+/// Run the `n`-session fleet `load(n, seed)` at every shard count of
+/// `curve` ([`SHARD_CURVE`] on full runs, a shorter one on smoke runs)
+/// and report the modeled cores-vs-throughput curve (see the module
+/// docs for the max-shard-wall model).
+pub fn bench_scale_point_over(
+    load: impl Fn(usize, u64) -> LoadConfig,
+    n: usize,
+    seed: u64,
+    curve: &[u16],
+) -> ScalePoint {
     let mut runs = Vec::with_capacity(curve.len());
     let mut latencies: Vec<u64> = Vec::new();
     let mut bytes_per_session = 0.0;
+    let mut resumed = 0;
     for &shards in curve {
         let mut walls = Vec::with_capacity(shards as usize);
         let mut completed = 0u64;
         let mut exchanges = 0u64;
         let mut bytes = 0u64;
+        let mut curve_resumed = 0u64;
         let mut curve_latencies: Vec<u64> = Vec::with_capacity(n);
         for k in 0..shards {
-            let (wall, counters) = drain_slice(scale_load, n, seed, k, shards);
+            let (wall, counters) = drain_slice(&load, n, seed, k, shards);
             walls.push(wall.as_secs_f64() * 1e3);
             completed += counters.completed();
             exchanges += counters.exchanges_completed();
             bytes += counters.bytes_moved();
+            curve_resumed += counters.handshakes_resumed();
             curve_latencies.extend_from_slice(counters.handshake_latencies_ns());
         }
         assert_eq!(completed as usize, n, "every session must complete its workload");
@@ -329,6 +440,7 @@ pub fn bench_scale_point_over(n: usize, seed: u64, curve: &[u16]) -> ScalePoint 
             curve_latencies.sort_unstable();
             latencies = curve_latencies;
             bytes_per_session = bytes as f64 / n as f64;
+            resumed = curve_resumed;
         }
     }
     let rate_at = |s: u16| {
@@ -343,7 +455,20 @@ pub fn bench_scale_point_over(n: usize, seed: u64, curve: &[u16]) -> ScalePoint 
         p50_handshake_ms: percentile_ms(&latencies, 50),
         p99_handshake_ms: percentile_ms(&latencies, 99),
         bytes_per_session,
+        resumed_share: resumed as f64 / n as f64,
     }
+}
+
+/// The model's 2-shard point, measured: the churn fleet's two 2-shard
+/// slices drained on two threads at once, the slower thread's wall
+/// against `one_shard_wall_ms`, the 1-shard row of the modeled curve.
+pub fn measured_speedup_2_over_1(n: usize, seed: u64, one_shard_wall_ms: f64) -> f64 {
+    let slowest = std::thread::scope(|scope| {
+        let threads: Vec<_> =
+            (0..2).map(|k| scope.spawn(move || drain_slice(scale_load, n, seed, k, 2).0)).collect();
+        threads.into_iter().map(|t| t.join().expect("slice thread drains")).max()
+    });
+    one_shard_wall_ms / (slowest.expect("two slices").as_secs_f64() * 1e3)
 }
 
 /// FNV-1a over every telemetry event's JSON line — a trace
@@ -431,9 +556,15 @@ mod tests {
     #[test]
     fn smoke_run_passes_and_doctored_floors_fail() {
         let smoke = run(true, || 0);
+        let reversed = |path| {
+            let rows = smoke.list(path).unwrap();
+            Value::Array(rows.iter().rev().cloned().collect()).to_pretty()
+        };
         let rows = smoke.list("sessions.0.curve").unwrap();
         let without_4 = Value::Array(rows[..2].to_vec()).to_pretty();
-        let descending = Value::Array(rows.iter().rev().cloned().collect()).to_pretty();
+        let (descending, storm_descending) = (reversed("sessions.0.curve"), reversed("storm.curve"));
+        let no_walls = r#"{"shards": 2, "max_shard_wall_ms": 1.0, "handshakes_per_s": 1.0,
+            "records_per_s": 1.0}"#;
         crate::testing::assert_floors(
             check,
             &smoke,
@@ -444,36 +575,91 @@ mod tests {
                 ("sessions.1.curve.1.per_shard_wall_ms", "[1.0]", "lacks per-shard walls"),
                 ("sessions.1.curve.0.shards", "0", "has no shards"),
                 ("sessions.0.curve.2.records_per_s", "0.0", "zero records_per_s"),
+                ("sessions.0.measured_speedup_2_over_1", "0.00", "measured_speedup_2_over_1 is 0"),
                 ("sessions", "[]", "no fleet sizes"),
                 ("model", "\"threads\"", "model tag"),
+                ("storm.curve", "[]", "storm (n=16) has no shard curve"),
+                ("storm.curve", &storm_descending, "storm: curve rows must ascend"),
+                ("storm.curve.0.handshakes_per_s", "0.0", "zero handshakes_per_s"),
+                ("storm.curve.1", no_walls, "per_shard_wall_ms\" is missing"),
+                ("full_baseline.curve.2.per_shard_wall_ms", "[1.0]", "lacks per-shard walls"),
+                ("storm.resumed_share", "1.500", "out of range"),
+                ("storm.resumed_share", "0.000", "out of range"),
                 ("allocs_per_record_per_shard", "[0.000, 0.004, 0.000]", "steady state allocates"),
                 ("allocs_per_record_per_shard", "[]", "steady state allocates"),
-                ("determinism.identical", "false", "determinism verdict is false"),
-                ("determinism.shards", "1", "multiple shards"),
+                ("determinism.0.identical", "false", "churn: double-run determinism verdict is false"),
+                ("determinism.1.identical", "false", "storm: double-run determinism verdict is false"),
+                ("determinism.0.shards", "1", "multiple shards"),
+                ("determinism.1.batching", "false", "batching on"),
+                ("determinism", "[]", "not churn and storm"),
             ],
         );
-        // The speedup floor binds full runs only.
+        // The speedup floors bind full runs only.
         let speedup = "sessions.0.speedup_4_over_1";
+        let storm_at_4 = "storm.curve.2.handshakes_per_s";
         let full = crate::testing::committed("scale");
-        crate::testing::assert_floors(check, &full, &[(speedup, "2.40", "speedup_4_over_1 regressed")]);
-        check(&crate::testing::doctored(&smoke, speedup, "2.40"), None).expect("smoke run exempt");
+        crate::testing::assert_floors(
+            check,
+            &full,
+            &[
+                (speedup, "2.40", "speedup_4_over_1 regressed"),
+                (storm_at_4, "1.0", "loses to full baseline at 4 shard"),
+            ],
+        );
+        for (path, value) in [(speedup, "2.40"), (storm_at_4, "1.0")] {
+            check(&crate::testing::doctored(&smoke, path, value), None).expect("smoke run exempt");
+        }
     }
 
     #[test]
     fn scale_point_curve_covers_every_shard_count() {
-        let point = bench_scale_point_over(6, 17, &[1, 2]);
-        assert_eq!(point.curve.len(), 2);
-        assert_eq!(point.curve[0].shards, 1);
-        assert_eq!(point.curve[0].per_shard_wall_ms.len(), 1);
-        assert_eq!(point.curve[1].shards, 2);
-        assert_eq!(point.curve[1].per_shard_wall_ms.len(), 2);
-        for run in &point.curve {
-            assert!(run.max_shard_wall_ms > 0.0);
-            assert!(run.handshakes_per_s > 0.0);
-            assert!(
-                run.per_shard_wall_ms.iter().all(|&w| w <= run.max_shard_wall_ms),
-                "max wall dominates every shard"
-            );
+        for load in [scale_load, storm_load] {
+            let point = bench_scale_point_over(load, 6, 17, &[1, 2]);
+            assert_eq!(point.curve.len(), 2);
+            assert_eq!(point.curve[0].shards, 1);
+            assert_eq!(point.curve[0].per_shard_wall_ms.len(), 1);
+            assert_eq!(point.curve[1].shards, 2);
+            assert_eq!(point.curve[1].per_shard_wall_ms.len(), 2);
+            for run in &point.curve {
+                assert!(run.max_shard_wall_ms > 0.0);
+                assert!(run.handshakes_per_s > 0.0);
+                assert!(
+                    run.per_shard_wall_ms.iter().all(|&w| w <= run.max_shard_wall_ms),
+                    "max wall dominates every shard"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn storm_curve_smoke_beats_baseline() {
+        let full = bench_scale_point_over(full_load, 16, 0x57, &[1, 2]);
+        let storm = bench_scale_point_over(storm_load, 16, 0x57, &[1, 2]);
+        for point in [&full, &storm] {
+            assert_eq!(point.curve.len(), 2);
+            assert!(point.curve.iter().all(|run| run.handshakes_per_s > 0.0));
+        }
+        assert_eq!(full.resumed_share, 0.0, "the baseline never resumes");
+        assert!(storm.resumed_share > 0.5, "most storm sessions resume");
+    }
+
+    #[test]
+    fn every_curve_load_cadence_is_coprime_to_every_shard_count() {
+        fn gcd(a: usize, b: usize) -> usize {
+            if b == 0 { a } else { gcd(b, a % b) }
+        }
+        for load in [scale_load, full_load, storm_load] {
+            let config = load(1, 0);
+            // A cadence of 0 is off: nothing to pin to a shard.
+            for cadence in [config.middlebox_every, config.stale_every].into_iter().filter(|&c| c > 0) {
+                for &shards in SHARD_CURVE {
+                    assert_eq!(
+                        gcd(cadence, shards as usize),
+                        1,
+                        "cadence {cadence} pins its sessions to a subset of {shards} shards"
+                    );
+                }
+            }
         }
     }
 
@@ -485,6 +671,13 @@ mod tests {
     }
 
     #[test]
+    fn storm_determinism_probe_is_identical() {
+        let (fingerprint, identical) = determinism_probe(&storm_load(8, 0x77), 2);
+        assert!(identical, "seeded storm replay must be bit-identical");
+        assert_ne!(fingerprint, 0);
+    }
+
+    #[test]
     fn steady_state_shard_keeps_exchanging_on_any_worker() {
         for k in [0u16, 3] {
             let mut steady = SteadyStateShard::warmed_up(k, 4);
@@ -492,4 +685,3 @@ mod tests {
         }
     }
 }
-

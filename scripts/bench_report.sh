@@ -7,7 +7,7 @@
 # checks alone.
 #
 #   scripts/bench_report.sh           full run, ~1 min (scale ~45 s,
-#                                     handshake ~7 s, the rest about a
+#                                     handshake ~3 s, the rest about a
 #                                     second each, plus the first
 #                                     build): writes the committed
 #                                     artifacts at the repo root and

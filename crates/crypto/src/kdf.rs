@@ -19,35 +19,42 @@ fn mac_parts<H: Hash>(keyed: &Hmac<H>, parts: &[&[u8]]) -> H::Output {
 }
 
 /// The TLS 1.2 PRF: `PRF(secret, label, seed) = P_hash(secret, label || seed)`,
-/// the HMAC-based expansion of RFC 5246 §5.
+/// the HMAC-based expansion of RFC 5246 §5, over a MAC already keyed
+/// on the secret, filling `out`.
 ///
 /// The hash is the cipher suite's PRF hash (SHA-256 for *_SHA256
-/// suites, SHA-384 for *_SHA384 suites). The secret is keyed once and
-/// the keyed MAC cloned per HMAC, `label || seed` is never joined,
-/// the chain stops at the last A(i) an output block needs, and every
-/// A(i) and output block is wiped once used: the returned [`Secret`]
-/// is the call's only allocation and the only copy of its output.
-pub fn tls12_prf<H: Hash>(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Secret {
-    let mut out = Vec::with_capacity(out_len);
-    if out_len == 0 {
-        return out.into();
+/// suites, SHA-384 for *_SHA384 suites). Every HMAC of the expansion
+/// is keyed with the same secret, so a caller that runs several
+/// expansions over one secret (a TLS connection: its key block and
+/// both Finished messages over the master secret) keys once and
+/// passes the same `keyed` to each; it is cloned per HMAC. `label ||
+/// seed` is never joined, the chain stops at the last A(i) an output
+/// block needs, and every A(i) and output block is wiped once used:
+/// nothing is allocated and `out` is the only copy of the output.
+pub fn tls12_prf_keyed<H: Hash>(keyed: &Hmac<H>, label: &[u8], seed: &[u8], out: &mut [u8]) {
+    if out.is_empty() {
+        return;
     }
-    let keyed = Hmac::<H>::new(secret);
     // A(1) = HMAC(secret, label || seed); A(i) = HMAC(secret, A(i-1)).
-    let mut a = mac_parts(&keyed, &[label, seed]);
-    loop {
-        let mut block = mac_parts(&keyed, &[a.as_ref(), label, seed]);
-        let take = H::OUTPUT_LEN.min(out_len - out.len());
-        out.extend_from_slice(&block.as_ref()[..take]);
-        ct::zeroize(block.as_mut());
-        if out.len() == out_len {
-            break;
+    let mut a = mac_parts(keyed, &[label, seed]);
+    for (i, chunk) in out.chunks_mut(H::OUTPUT_LEN).enumerate() {
+        if i > 0 {
+            let next = mac_parts(keyed, &[a.as_ref()]);
+            ct::zeroize(a.as_mut());
+            a = next;
         }
-        let next = mac_parts(&keyed, &[a.as_ref()]);
-        ct::zeroize(a.as_mut());
-        a = next;
+        let mut block = mac_parts(keyed, &[a.as_ref(), label, seed]);
+        chunk.copy_from_slice(&block.as_ref()[..chunk.len()]);
+        ct::zeroize(block.as_mut());
     }
     ct::zeroize(a.as_mut());
+}
+
+/// [`tls12_prf_keyed`] keyed on `secret` for this one call, into a
+/// [`Secret`] of `out_len` bytes (the call's only allocation).
+pub fn tls12_prf<H: Hash>(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Secret {
+    let mut out = vec![0; out_len];
+    tls12_prf_keyed(&Hmac::<H>::new(secret), label, seed, &mut out);
     out.into()
 }
 
@@ -211,6 +218,20 @@ mod tests {
             assert_eq!(*out, p_sha256[..n], "P_SHA256 at {n}");
             let out = tls12_prf::<Sha384>(&secret, b"key expansion", &seed, n);
             assert_eq!(*out, p_sha384[..n], "P_SHA384 at {n}");
+        }
+    }
+
+    // One keyed MAC serves every expansion over its secret: each call
+    // clones it, so a second call (another label, another length)
+    // reads as if it had keyed afresh.
+    #[test]
+    fn keyed_form_is_the_prf_and_reuses_its_key() {
+        let secret = [0x3c; 48];
+        let keyed = Hmac::<Sha384>::new(&secret);
+        for (label, n) in [(&b"key expansion"[..], 72), (b"client finished", 12), (b"x", 0)] {
+            let mut out = vec![0xee; n];
+            tls12_prf_keyed(&keyed, label, b"seed", &mut out);
+            assert_eq!(out, *tls12_prf::<Sha384>(&secret, label, b"seed", n), "{n}");
         }
     }
 

@@ -16,11 +16,10 @@ use mbtls_sgx::{AttestationError, Quote};
 use crate::config::{ClientConfig, PeerProof};
 use crate::keyschedule;
 use crate::messages::{
-    choose_suite, extension_type, frame_handshake, handshake_type, ClientHello,
+    choose_suite, extension_type, handshake_header, handshake_type, ClientHello,
     ClientKeyExchange, DelegatedCredentialMsg, Extension, NewSessionTicket, ServerHello,
     ServerKeyExchange, ServerKeyExchangeParams, SgxAttestationMsg,
 };
-use crate::record::ContentType;
 use crate::session::ResumptionData;
 use crate::shell::{Connection, Flow, Handshake, Hooks};
 use crate::suites::{CipherSuite, KeyExchange};
@@ -112,7 +111,7 @@ impl Connection<ClientHandshake> {
         hello: ClientHello,
         send: bool,
     ) -> Self {
-        let frame = frame_handshake(handshake_type::CLIENT_HELLO, &hello.encode_body());
+        let body = hello.encode_body();
         let client_random = hello.random;
         let offered_resumption = config.resumption_cache.get(server_name).cloned();
         let mut conn = Connection::starting(ClientHandshake {
@@ -133,9 +132,11 @@ impl Connection<ClientHandshake> {
             verify_outstanding: false,
         });
         conn.client_random = client_random;
-        conn.transcript.add(&frame);
         if send {
-            conn.send_raw_record(ContentType::Handshake, &frame);
+            conn.queue_handshake(handshake_type::CLIENT_HELLO, &body);
+        } else {
+            let header = handshake_header(handshake_type::CLIENT_HELLO, body.len());
+            conn.transcript.add(&[&header, &body]);
         }
         conn
     }
@@ -232,7 +233,16 @@ impl Connection<ClientHandshake> {
             .ok_or(TlsError::Internal("suite chosen with ServerHello"))?;
         self.install_secrets(suite, res.master_secret);
         self.resumed = true;
+        // No ServerKeyExchange follows, so nothing binds the bytes.
+        self.transcript.drop_bytes();
         Ok(())
+    }
+
+    /// Whether the peer's proof binds the transcript up to
+    /// ServerKeyExchange: an attestation quote or a delegated
+    /// credential does, a certificate alone does not.
+    fn binds_transcript(&self) -> bool {
+        !matches!(self.hs.config.peer_proof, PeerProof::Certificate)
     }
 }
 
@@ -325,6 +335,10 @@ impl Hooks for ClientHandshake {
                 conn.server_random = sh.random;
                 conn.hs.peer_extensions = sh.extensions;
                 conn.suite = Some(suite);
+                // Hash from here on. The raw bytes stay until the
+                // binding is taken at ServerKeyExchange or the
+                // server resumes, if the peer's proof needs them.
+                conn.transcript.start(suite.prf_hash(), conn.binds_transcript());
 
                 // Resumption: the server echoing our SessionTicket
                 // extension (or session id) is *not* a commitment to
@@ -333,7 +347,7 @@ impl Hooks for ClientHandshake {
                 // learns the server's choice from the next message:
                 // Certificate → full handshake; NewSessionTicket/CCS →
                 // abbreviated. Record the possibility and defer.
-                let offered = conn.hs.offered_resumption.clone();
+                let offered = conn.hs.offered_resumption.take();
                 let id_match = !conn.hs.hello.session_id.is_empty()
                     && sh.session_id == conn.hs.hello.session_id;
                 let ticket_offered = offered.as_ref().is_some_and(|r| r.ticket.is_some());
@@ -368,9 +382,13 @@ impl Hooks for ClientHandshake {
             (Phase::AwaitServerFlight, handshake_type::SERVER_KEY_EXCHANGE) => {
                 let ske = ServerKeyExchange::decode_body(body)?;
                 conn.hs.server_flight.key_exchange = Some(ske);
-                // Capture the binding the attestation must carry.
-                conn.hs.server_flight.attestation_binding =
-                    Some(conn.transcript.attestation_binding());
+                // Capture the binding the proof must carry; nothing
+                // binds a later state, so the bytes go.
+                if conn.binds_transcript() {
+                    conn.hs.server_flight.attestation_binding =
+                        Some(conn.transcript.attestation_binding()?);
+                }
+                conn.transcript.drop_bytes();
                 Ok(())
             }
             (Phase::AwaitServerFlight, handshake_type::SGX_ATTESTATION) => {

@@ -3,7 +3,8 @@
 
 use crate::suites::{CipherSuite, PrfHash};
 use mbtls_crypto::aead::FIXED_IV_LEN;
-use mbtls_crypto::kdf::tls12_prf;
+use mbtls_crypto::hmac::Hmac;
+use mbtls_crypto::kdf::{tls12_prf, tls12_prf_keyed};
 use mbtls_crypto::secret::Secret;
 use mbtls_crypto::sha2::{Sha256, Sha384};
 
@@ -12,7 +13,62 @@ pub const MASTER_SECRET_LEN: usize = 48;
 /// Length of Finished verify_data.
 pub const VERIFY_DATA_LEN: usize = 12;
 
-/// Run the suite's PRF.
+/// The suite's PRF keyed on one secret: the HMAC every block of every
+/// expansion over that secret runs under (RFC 5246 §5), keyed once.
+/// A connection keys one on its master secret and runs its key block
+/// and both Finished messages over it, until its handshake ends. Out
+/// of line, as an `Hmac<Sha384>` is 448 bytes; like every `Hmac` it
+/// wipes itself on drop.
+pub(crate) enum KeyedPrf {
+    /// The PRF of a *_SHA256 suite.
+    Sha256(Box<Hmac<Sha256>>),
+    /// The PRF of a *_SHA384 suite.
+    Sha384(Box<Hmac<Sha384>>),
+}
+
+impl KeyedPrf {
+    /// The PRF of `suite`, keyed on `secret`.
+    pub(crate) fn new(suite: CipherSuite, secret: &[u8]) -> Self {
+        match suite.prf_hash() {
+            PrfHash::Sha256 => KeyedPrf::Sha256(Box::new(Hmac::new(secret))),
+            PrfHash::Sha384 => KeyedPrf::Sha384(Box::new(Hmac::new(secret))),
+        }
+    }
+
+    /// `PRF(secret, label, seed)`, filling `out`.
+    fn fill(&self, label: &[u8], seed: &[u8], out: &mut [u8]) {
+        match self {
+            KeyedPrf::Sha256(keyed) => tls12_prf_keyed(keyed, label, seed, out),
+            KeyedPrf::Sha384(keyed) => tls12_prf_keyed(keyed, label, seed, out),
+        }
+    }
+
+    /// [`expand_key_block`] over this keyed PRF.
+    pub(crate) fn key_block(
+        &self,
+        suite: CipherSuite,
+        client_random: &[u8; 32],
+        server_random: &[u8; 32],
+    ) -> Secret {
+        let mut block = vec![0; key_block_len(suite)];
+        self.fill(b"key expansion", &concat(server_random, client_random), &mut block);
+        block.into()
+    }
+
+    /// verify_data = PRF(master, label, Hash(handshake_messages))[0..12],
+    /// on the stack: the caller wipes it once used.
+    pub(crate) fn verify_data(
+        &self,
+        label: &[u8],
+        transcript_hash: &[u8],
+    ) -> [u8; VERIFY_DATA_LEN] {
+        let mut out = [0; VERIFY_DATA_LEN];
+        self.fill(label, transcript_hash, &mut out);
+        out
+    }
+}
+
+/// Run the suite's PRF, keyed for this one call.
 pub fn prf(suite: CipherSuite, secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Secret {
     match suite.prf_hash() {
         PrfHash::Sha256 => tls12_prf::<Sha256>(secret, label, seed, out_len),
@@ -96,16 +152,22 @@ pub fn key_block(
 }
 
 /// The key block's bytes in one allocation, as [`split_key_block`]
-/// reads them: what a connection expands once and keeps.
+/// reads them, keyed for this one expansion (a connection expands its
+/// own over its [`KeyedPrf`]).
 pub(crate) fn expand_key_block(
     suite: CipherSuite,
     master: &[u8],
     client_random: &[u8; 32],
     server_random: &[u8; 32],
 ) -> Secret {
-    let needed = 2 * suite.bulk().key_len() + 2 * FIXED_IV_LEN;
     let seed = concat(server_random, client_random);
-    prf(suite, master, b"key expansion", &seed, needed)
+    prf(suite, master, b"key expansion", &seed, key_block_len(suite))
+}
+
+/// The key block's length under `suite`: both write keys and both
+/// implicit IVs.
+fn key_block_len(suite: CipherSuite) -> usize {
+    2 * suite.bulk().key_len() + 2 * FIXED_IV_LEN
 }
 
 /// An expanded key block's four parts in RFC 5246 §6.3 order:
@@ -118,19 +180,6 @@ pub(crate) fn split_key_block(block: &[u8]) -> [&[u8]; 4] {
     let (client_key, server_key) = keys.split_at(key_len);
     let (client_iv, server_iv) = ivs.split_at(ivs.len().min(FIXED_IV_LEN));
     [client_key, server_key, client_iv, server_iv]
-}
-
-/// verify_data = PRF(master, label, Hash(handshake_messages))[0..12]
-pub fn verify_data(suite: CipherSuite, master: &[u8], label: &[u8], transcript: &[u8]) -> Secret {
-    // The transcript hash is the suite's PRF hash, by value.
-    match suite.prf_hash() {
-        PrfHash::Sha256 => {
-            tls12_prf::<Sha256>(master, label, &Sha256::digest(transcript), VERIFY_DATA_LEN)
-        }
-        PrfHash::Sha384 => {
-            tls12_prf::<Sha384>(master, label, &Sha384::digest(transcript), VERIFY_DATA_LEN)
-        }
-    }
 }
 
 /// Strip leading zero bytes from a DHE shared secret (RFC 5246
@@ -174,13 +223,17 @@ mod tests {
 
     #[test]
     fn verify_data_binds_transcript_and_label() {
-        let master = [9u8; 48];
-        let v1 = verify_data(SUITE, &master, b"client finished", b"transcript");
-        let v2 = verify_data(SUITE, &master, b"server finished", b"transcript");
-        let v3 = verify_data(SUITE, &master, b"client finished", b"transcript2");
-        assert_eq!(v1.len(), VERIFY_DATA_LEN);
+        let keyed = KeyedPrf::new(SUITE, &[9u8; 48]);
+        let v1 = keyed.verify_data(b"client finished", b"transcript hash");
+        let v2 = keyed.verify_data(b"server finished", b"transcript hash");
+        let v3 = keyed.verify_data(b"client finished", b"transcript hash2");
         assert_ne!(v1, v2);
         assert_ne!(v1, v3);
+        // The keyed form is the PRF over the master secret, for the
+        // Finished and for the key block after it.
+        assert_eq!(*prf(SUITE, &[9u8; 48], b"client finished", b"transcript hash", 12), v1);
+        let block = prf(SUITE, &[9u8; 48], b"key expansion", &concat(&[2; 32], &[1; 32]), 72);
+        assert_eq!(keyed.key_block(SUITE, &[1; 32], &[2; 32]), block);
     }
 
     #[test]

@@ -53,16 +53,25 @@ pub struct Extension {
     pub data: Vec<u8>,
 }
 
-fn encode_extensions(e: &mut Encoder, exts: &[Extension]) {
+/// The encoded length of an extension block: a u16 length, then each
+/// (type, u16 length, data); nothing at all without extensions.
+fn extensions_len(exts: &[Extension]) -> usize {
+    let len: usize = exts.iter().map(|ext| 4 + ext.data.len()).sum();
     if exts.is_empty() {
-        return;
+        0
+    } else {
+        2 + len
     }
-    let mut inner = Encoder::new();
-    for ext in exts {
-        inner.u16(ext.typ);
-        inner.vec16(&ext.data);
+}
+
+fn encode_extensions(e: &mut Encoder, exts: &[Extension]) {
+    if let Some(len) = extensions_len(exts).checked_sub(2) {
+        e.u16(len as u16);
+        for ext in exts {
+            e.u16(ext.typ);
+            e.vec16(&ext.data);
+        }
     }
-    e.vec16(&inner.into_bytes());
 }
 
 fn decode_extensions(d: &mut Decoder<'_>) -> Result<Vec<Extension>, CodecError> {
@@ -96,16 +105,16 @@ pub struct ClientHello {
 impl ClientHello {
     /// Encode the handshake body (without the 4-byte header).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        // Version, random, two length prefixes, null compression.
+        let suites_len = 2 * self.cipher_suites.len();
+        let len = 2 + 32 + 1 + 2 + 2 + self.session_id.len() + suites_len;
+        let mut e = Encoder::with_capacity(len + extensions_len(&self.extensions));
         e.u8(3);
         e.u8(3); // client_version = TLS 1.2
         e.raw(&self.random);
         e.vec8(&self.session_id);
-        let mut suites = Encoder::new();
-        for s in &self.cipher_suites {
-            suites.u16(*s);
-        }
-        e.vec16(&suites.into_bytes());
+        e.u16(suites_len as u16);
+        self.cipher_suites.iter().for_each(|s| e.u16(*s));
         e.vec8(&[0]); // null compression only
         encode_extensions(&mut e, &self.extensions);
         e.into_bytes()
@@ -168,7 +177,9 @@ pub struct ServerHello {
 impl ServerHello {
     /// Encode the handshake body.
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        // Version, random, a length prefix, the suite, no compression.
+        let len = 2 + 32 + 1 + 2 + 1 + self.session_id.len();
+        let mut e = Encoder::with_capacity(len + extensions_len(&self.extensions));
         e.u8(3);
         e.u8(3);
         e.raw(&self.random);
@@ -202,11 +213,6 @@ impl ServerHello {
             cipher_suite,
             extensions,
         })
-    }
-
-    /// Find an extension by type.
-    pub fn find_extension(&self, typ: u16) -> Option<&Extension> {
-        self.extensions.iter().find(|e| e.typ == typ)
     }
 }
 
@@ -321,11 +327,7 @@ impl ServerKeyExchange {
         server_random: &[u8; 32],
         params: &ServerKeyExchangeParams,
     ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 64);
-        out.extend_from_slice(client_random);
-        out.extend_from_slice(server_random);
-        out.extend_from_slice(&params.encode());
-        out
+        [&client_random[..], server_random, &params.encode()].concat()
     }
 }
 
@@ -365,7 +367,7 @@ pub struct NewSessionTicket {
 impl NewSessionTicket {
     /// Encode the handshake body.
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(4 + 2 + self.ticket.len());
         e.u32(self.lifetime_hint);
         e.vec16(&self.ticket);
         e.into_bytes()
@@ -438,13 +440,11 @@ impl DelegatedCredentialMsg {
     }
 }
 
-/// Wrap a handshake body with its 4-byte header.
-pub fn frame_handshake(typ: u8, body: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(typ);
-    e.u24(body.len());
-    e.raw(body);
-    e.into_bytes()
+/// A handshake message's 4-byte header: its type, its body's u24 length.
+pub fn handshake_header(typ: u8, body_len: usize) -> [u8; 4] {
+    debug_assert!(body_len < 1 << 24);
+    let [_, hi, mid, lo] = (body_len as u32).to_be_bytes();
+    [typ, hi, mid, lo]
 }
 
 /// An iterator-style splitter for concatenated handshake messages
@@ -466,10 +466,9 @@ impl HandshakeReader {
     }
 
     /// Pull the next complete message: its type and its full frame
-    /// (4-byte header, then the body). The frame is what transcript
-    /// hashing consumes; it is handed out owned because its handler
-    /// also owns this reader.
-    pub fn next_message(&mut self) -> Result<Option<(u8, Vec<u8>)>, TlsError> {
+    /// (4-byte header, then the body), borrowed from this reader's
+    /// buffer. The frame is what transcript hashing consumes.
+    pub fn next_message(&mut self) -> Result<Option<(u8, &[u8])>, TlsError> {
         let Some(&[typ, len_hi, len_mid, len_lo]) = self.stream.unread().first_chunk::<4>() else {
             return Ok(None);
         };
@@ -477,7 +476,7 @@ impl HandshakeReader {
         if len > (1 << 20) {
             return Err(TlsError::Decode("handshake message too long"));
         }
-        Ok(self.stream.consume(4 + len).map(|frame| (typ, frame.to_vec())))
+        Ok(self.stream.consume(4 + len).map(|frame| (typ, frame)))
     }
 
     /// True if partial data is buffered.
@@ -578,8 +577,8 @@ mod tests {
 
     #[test]
     fn handshake_reader_reassembles() {
-        let m1 = frame_handshake(handshake_type::CLIENT_HELLO, b"body-1");
-        let m2 = frame_handshake(handshake_type::FINISHED, b"xy");
+        let m1 = [&handshake_header(handshake_type::CLIENT_HELLO, 6), &b"body-1"[..]].concat();
+        let m2 = [&handshake_header(handshake_type::FINISHED, 2), &b"xy"[..]].concat();
         let mut all = m1.clone();
         all.extend_from_slice(&m2);
         let mut r = HandshakeReader::new();
@@ -587,8 +586,8 @@ mod tests {
         assert!(r.next_message().unwrap().is_none());
         assert!(r.has_partial());
         r.feed(&all[5..]);
-        assert_eq!(r.next_message().unwrap(), Some((handshake_type::CLIENT_HELLO, m1)));
-        assert_eq!(r.next_message().unwrap(), Some((handshake_type::FINISHED, m2)));
+        assert_eq!(r.next_message().unwrap(), Some((handshake_type::CLIENT_HELLO, &m1[..])));
+        assert_eq!(r.next_message().unwrap(), Some((handshake_type::FINISHED, &m2[..])));
         assert!(r.next_message().unwrap().is_none());
         assert!(!r.has_partial());
     }

@@ -216,6 +216,10 @@ impl Connection<ServerHandshake> {
     /// [SGXAttestation | DelegatedCredential], ServerHelloDone — one
     /// flight.
     fn start_full(&mut self, suite: CipherSuite, rng: &mut CryptoRng) -> Result<(), TlsError> {
+        // Hash from here on; keep the raw bytes only for the proof's
+        // binding, until it is taken.
+        let binds = !matches!(self.hs.config.proof, Proof::None);
+        self.transcript.start(suite.prf_hash(), binds);
         let mut extensions = Vec::new();
         // Per RFC 5246 the server may only echo extensions the client
         // offered (the reason server-side mbTLS discovery cannot use
@@ -277,14 +281,14 @@ impl Connection<ServerHandshake> {
         match &self.hs.config.proof {
             Proof::None => {}
             Proof::Attestor(attestor) => {
-                let quote = attestor.quote(self.transcript.attestation_binding());
+                let quote = attestor.quote(self.transcript.attestation_binding()?);
                 let msg = SgxAttestationMsg {
                     quote: quote.encode(),
                 };
                 self.queue_handshake(handshake_type::SGX_ATTESTATION, &msg.encode_body());
             }
             Proof::Credential(provider) => {
-                let cred = provider.credential(self.transcript.attestation_binding());
+                let cred = provider.credential(self.transcript.attestation_binding()?);
                 let msg = DelegatedCredentialMsg {
                     issuer_chain: mbtls_pki::cert::encode_chain(&provider.issuer_chain()),
                     credential: cred.encode(),
@@ -292,6 +296,7 @@ impl Connection<ServerHandshake> {
                 self.queue_handshake(handshake_type::DELEGATED_CREDENTIAL, &msg.encode_body());
             }
         }
+        self.transcript.drop_bytes();
 
         self.queue_handshake(handshake_type::SERVER_HELLO_DONE, &[]);
         self.hs.phase = Phase::AwaitClientKeyExchange;
@@ -307,6 +312,7 @@ impl Connection<ServerHandshake> {
         rng: &mut CryptoRng,
     ) -> Result<(), TlsError> {
         self.resumed = true;
+        self.transcript.start(suite.prf_hash(), false);
         self.install_secrets(suite, master_secret);
         let mut extensions = Vec::new();
         if self.hs.client_offered_ticket_ext {
@@ -348,8 +354,7 @@ impl Connection<ServerHandshake> {
         };
         let nonce: [u8; 12] = rng.gen_array();
         let sealed = ticket_gcm(&self.hs.config)?.seal(&nonce, b"ticket", &plain.encode())?;
-        let mut ticket = nonce.to_vec();
-        ticket.extend_from_slice(&sealed);
+        let ticket = [&nonce[..], &sealed].concat();
         let msg = NewSessionTicket {
             lifetime_hint: 3600,
             ticket,

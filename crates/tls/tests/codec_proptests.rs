@@ -1,7 +1,7 @@
 //! Property-based tests over the TLS message codecs and record layer.
 
 use mbtls_tls::messages::{
-    frame_handshake, ClientHello, Extension, HandshakeReader, NewSessionTicket, ServerHello,
+    handshake_header, ClientHello, Extension, HandshakeReader, NewSessionTicket, ServerHello,
     ServerKeyExchange, ServerKeyExchangeParams,
 };
 use mbtls_tls::record::{frame_plaintext, ContentType, RecordReader};
@@ -17,24 +17,28 @@ fn arb_extensions() -> impl Strategy<Value = Vec<Extension>> {
 
 proptest! {
     /// ClientHello round-trips with arbitrary extensions, session ids,
-    /// and suite lists.
+    /// and suite lists, and its encoder reserves exactly its length.
     #[test]
     fn client_hello_roundtrip(random in proptest::array::uniform32(any::<u8>()),
                               session_id in proptest::collection::vec(any::<u8>(), 0..33),
                               suites in proptest::collection::vec(any::<u16>(), 1..16),
                               extensions in arb_extensions()) {
         let ch = ClientHello { random, session_id, cipher_suites: suites, extensions };
-        prop_assert_eq!(ClientHello::decode_body(&ch.encode_body()).unwrap(), ch);
+        let body = ch.encode_body();
+        prop_assert_eq!(body.capacity(), body.len());
+        prop_assert_eq!(ClientHello::decode_body(&body).unwrap(), ch);
     }
 
-    /// ServerHello round-trips.
+    /// ServerHello round-trips, its length reserved exactly.
     #[test]
     fn server_hello_roundtrip(random in proptest::array::uniform32(any::<u8>()),
                               session_id in proptest::collection::vec(any::<u8>(), 0..33),
                               suite in any::<u16>(),
                               extensions in arb_extensions()) {
         let sh = ServerHello { random, session_id, cipher_suite: suite, extensions };
-        prop_assert_eq!(ServerHello::decode_body(&sh.encode_body()).unwrap(), sh);
+        let body = sh.encode_body();
+        prop_assert_eq!(body.capacity(), body.len());
+        prop_assert_eq!(ServerHello::decode_body(&body).unwrap(), sh);
     }
 
     /// ServerKeyExchange round-trips for both kex families.
@@ -51,11 +55,13 @@ proptest! {
         prop_assert_eq!(ServerKeyExchange::decode_body(&ske.encode_body()).unwrap(), ske);
     }
 
-    /// Ticket round-trips.
+    /// Ticket round-trips, its length reserved exactly.
     #[test]
     fn ticket_roundtrip(hint in any::<u32>(), ticket in proptest::collection::vec(any::<u8>(), 0..512)) {
         let t = NewSessionTicket { lifetime_hint: hint, ticket };
-        prop_assert_eq!(NewSessionTicket::decode_body(&t.encode_body()).unwrap(), t);
+        let body = t.encode_body();
+        prop_assert_eq!(body.capacity(), body.len());
+        prop_assert_eq!(NewSessionTicket::decode_body(&body).unwrap(), t);
     }
 
     /// Decoding arbitrary bytes as any message type never panics.
@@ -110,7 +116,8 @@ proptest! {
                                   chunk in 1usize..64) {
         let mut stream = Vec::new();
         for (typ, body) in &messages {
-            stream.extend(frame_handshake(*typ, body));
+            stream.extend(handshake_header(*typ, body.len()));
+            stream.extend(body);
         }
         let mut reader = HandshakeReader::new();
         let mut got = Vec::new();

@@ -287,13 +287,17 @@ impl Attestor for EnclaveAttestor {
     }
 }
 
-/// The handshake message types in a plaintext flight, in order.
+/// The handshake message types in a flight, in order, up to its
+/// ChangeCipherSpec (what follows that is encrypted).
 fn flight_types(flight: &[u8]) -> Vec<u8> {
     let mut records = RecordReader::new();
     records.feed(flight);
     let mut messages = HandshakeReader::new();
     let mut types = Vec::new();
     while let Some(record) = records.next_record_inplace().unwrap() {
+        if record.content_type() == Some(ContentType::ChangeCipherSpec) {
+            break;
+        }
         if record.content_type() == Some(ContentType::Handshake) {
             messages.feed(record.body());
             while let Some((typ, _)) = messages.next_message().unwrap() {
@@ -609,6 +613,74 @@ fn exported_keys_match_between_peers() {
 }
 
 #[test]
+fn ticket_offered_with_a_proof_configured() {
+    // A client that offers a ticket hashes from ServerHello on, before
+    // it knows whether the server resumes; the raw bytes a proof binds
+    // must outlive that. With a stale ticket the server falls back to
+    // a full handshake and presents its proof, bound to the transcript
+    // up to ServerKeyExchange, which the client must verify. With a
+    // fresh one it resumes and sends no proof. Both proof kinds.
+    for proof in ["attestation", "credential"] {
+        for (case, ticket_key) in [("stale ticket", 8), ("ticket-resumed", 7)] {
+            let case = format!("{proof} {case}");
+            let (mut cc, mut sc, name, mut rng) = proof_configs(proof);
+            let mut client = ClientConnection::new(Arc::new(cc.clone()), name, &mut rng);
+            let mut server = ServerConnection::new(Arc::new(sc.clone()));
+            run_to_completion(&mut client, &mut server, &mut rng).unwrap();
+            let resumption = client.resumption_data().expect(&case);
+            assert!(resumption.ticket.is_some(), "{case}");
+            cc.resumption_cache.insert(name.to_string(), resumption);
+            sc.ticket_key = [ticket_key; 32];
+
+            let mut client = ClientConnection::new(Arc::new(cc), name, &mut rng);
+            let mut server = ServerConnection::new(Arc::new(sc));
+            server.feed_incoming(&client.take_outgoing(), &mut rng).unwrap();
+            let flight = server.take_outgoing();
+            client.feed_incoming(&flight, &mut rng).unwrap();
+            run_to_completion(&mut client, &mut server, &mut rng).unwrap();
+            assert!(client.is_established() && server.is_established(), "{case}");
+            let resumed = ticket_key == 7;
+            assert_eq!((client.resumed(), server.resumed()), (resumed, resumed), "{case}");
+            let verified = client.peer_quote().is_some() || client.peer_credential().is_some();
+            assert_eq!(verified, !resumed, "{case}: proof verified");
+            let types = flight_types(&flight);
+            let proof_sent = types.contains(&handshake_type::SGX_ATTESTATION)
+                || types.contains(&handshake_type::DELEGATED_CREDENTIAL);
+            assert_eq!(proof_sent, !resumed, "{case}: {types:?}");
+        }
+    }
+}
+
+/// Configs of a client that asks for `proof` ("attestation" or
+/// "credential") and a server that presents it, the name the client
+/// connects to, and the rng the fixture left.
+fn proof_configs(proof: &str) -> (ClientConfig, ServerConfig, &'static str, CryptoRng) {
+    if proof == "attestation" {
+        let mut f = fixture(22);
+        let mut svc = AttestationService::new(&mut f.rng);
+        let pak = svc.provision_platform(&mut f.rng);
+        let mut platform = Platform::new(pak, &mut f.rng);
+        let code = CodeIdentity::new("mbtls-server", "1.0", b"strong-ciphers-only");
+        let enclave = Enclave::create(&mut platform, &code, Vec::new());
+        let mut sc = ServerConfig::new(f.server_key.clone(), [7u8; 32]);
+        sc.proof = Proof::Attestor(Arc::new(EnclaveAttestor { platform, enclave }));
+        let mut cc = ClientConfig::new(f.trust.clone());
+        cc.peer_proof = PeerProof::Attestation(AttestationPolicy {
+            root: svc.root_verifying_key(),
+            acceptable: vec![code.measure()],
+        });
+        (cc, sc, "server.example", f.rng)
+    } else {
+        let f = delegation_fixture(72);
+        let mut cc = ClientConfig::new(f.trust.clone());
+        cc.peer_proof = PeerProof::Delegation(f.policy(None));
+        let mut sc = ServerConfig::new(f.mbox_identity(), [7u8; 32]);
+        sc.proof = Proof::Credential(f.provider(DelegatedRole::ReadWrite, None));
+        (cc, sc, "proxy.msp.example", f.rng)
+    }
+}
+
+#[test]
 fn nonstandard_records_surfaced_not_fatal() {
     let mut f = fixture(18);
     let cc = Arc::new(ClientConfig::new(f.trust.clone()));
@@ -691,12 +763,11 @@ fn reused_hello_transcripts_agree() {
         [9u8; 32],
     )));
     // Deliver the shared CH bytes to the middlebox's server side.
+    let body = hello.encode_body();
+    let header = mbtls_tls::messages::handshake_header(handshake_type::CLIENT_HELLO, body.len());
     let ch_record = mbtls_tls::record::frame_plaintext(
         mbtls_tls::ContentType::Handshake,
-        &mbtls_tls::messages::frame_handshake(
-            mbtls_tls::messages::handshake_type::CLIENT_HELLO,
-            &hello.encode_body(),
-        ),
+        &[&header[..], &body].concat(),
     );
     mbox_server.feed_incoming(&ch_record, &mut f.rng).unwrap();
     run_to_completion(&mut secondary, &mut mbox_server, &mut f.rng).unwrap();

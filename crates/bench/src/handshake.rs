@@ -19,7 +19,10 @@
 //!    handshake (no certificates, no signature checks) over
 //!    zero-latency in-memory pipes, where wall ≈ CPU. The floors
 //!    ([`check`]): resumed ≤ 0.25 of full, and resumed µs within
-//!    20 % of the artifact the run replaces.
+//!    20 % of the artifact the run replaces. A third cell prices a
+//!    reconnect through one attested middlebox: the primary resumes
+//!    from its ticket, and the middlebox, which issues none, joins
+//!    with a full secondary handshake.
 //! 3. **PRF floor** — the suite's 72-byte key block
 //!    (`PRF(master, "key expansion", randoms)` over SHA-384) against
 //!    one SHA-384 compression timed in the same run. P_SHA384 needs
@@ -36,7 +39,8 @@ use std::time::Instant;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::{MbClientConfig, MbClientSession};
-use mbtls_core::driver::Chain;
+use mbtls_core::driver::{Chain, Relay};
+use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::ed25519::{verify_batch, BatchItem, Signature, SigningKey, VerifyingKey};
 use mbtls_crypto::rng::CryptoRng;
@@ -74,6 +78,9 @@ pub struct HandshakeCpu {
     pub resumed_us: f64,
     /// `resumed / full` (acceptance ceiling 0.25).
     pub resumed_over_full: f64,
+    /// Microseconds per ticket-resumed session through one attested
+    /// middlebox (the middlebox joins with a full handshake).
+    pub resumed_1mbox_us: f64,
 }
 
 /// The key-schedule PRF against the hash it is built from.
@@ -129,6 +136,11 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
                 ("full_us", Value::Float(cpu.full_us, 1)),
                 ("resumed_us", Value::Float(cpu.resumed_us, 1)),
                 ("resumed_over_full", Value::Float(cpu.resumed_over_full, 3)),
+                ("resumed_1mbox_us", Value::Float(cpu.resumed_1mbox_us, 1)),
+                (
+                    "resumed_1mbox_over_resumed",
+                    Value::Float(cpu.resumed_1mbox_us / cpu.resumed_us, 2),
+                ),
             ]),
         ),
         (
@@ -243,6 +255,13 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
     let resumed_us = report.num("handshake_cpu.resumed_us")?;
     let ratio = report.num("handshake_cpu.resumed_over_full")?;
     floor!(full_us > 0.0 && resumed_us > 0.0, "handshake CPU rows are zero");
+    let resumed_1mbox_us = report.num("handshake_cpu.resumed_1mbox_us")?;
+    let mbox_ratio = report.num("handshake_cpu.resumed_1mbox_over_resumed")?;
+    floor!(
+        resumed_1mbox_us > resumed_us,
+        "a resumed session through a middlebox ({resumed_1mbox_us} us) is no dearer than one \
+         without ({resumed_us} us): the middlebox's secondary handshake went untimed"
+    );
     let block_us = report.num("prf_floor.sha384_block_us")?;
     let keyblock_us = report.num("prf_floor.keyblock_us")?;
     let prf_ratio = report.num("prf_floor.keyblock_over_block")?;
@@ -287,7 +306,8 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
     Ok(format!(
         "handshake OK: batches {batches:?}, best speedup {best}x, width 4 / verify \
          {width_ratio}, resumed/full {ratio}, key block {prf_ratio} block times, resumed/key \
-         block {resumed_over_keyblock:.2}{}",
+         block {resumed_over_keyblock:.2}, resumed through a middlebox / resumed \
+         {mbox_ratio}{}",
         if smoke { " (smoke: floors skipped)" } else { "" }
     ))
 }
@@ -384,32 +404,42 @@ pub fn bench_group_widths(rounds: usize, seed: u64) -> (f64, Vec<f64>) {
 
 /// Full-vs-resumed handshake CPU over `iters` handshakes each, client
 /// and server over zero-latency in-memory pipes, timed by
-/// [`time_handshakes`]: once for full handshakes and once for
-/// resumed ones, whose client config holds a ticket from a priming
-/// handshake. The two runs do not take turns, because a resumed
-/// handshake timed between full ones reads slower. The 20 %
-/// resumed-cost floor in [`check`] rests on these medians.
+/// [`time_handshakes`]: once for full handshakes, once for resumed
+/// ones, whose client config holds a ticket from a priming handshake,
+/// and once for resumed ones through one attested middlebox. The runs
+/// do not take turns, because a resumed handshake timed between
+/// dearer ones reads slower. The 20 % resumed-cost floor and the 6.56
+/// key-block ceiling in [`check`] rest on `resumed_us`'s own run.
 pub fn bench_handshake_cpu(iters: usize, seed: u64) -> HandshakeCpu {
     let testbed = Testbed::new(seed);
     let server = Arc::new(testbed.server_config());
-    let chain = |client: Arc<MbClientConfig>| {
+    let chain = |client: Arc<MbClientConfig>, middleboxes: usize| {
         let server = server.clone();
+        let testbed = &testbed;
         move |i| {
             let mut rng = CryptoRng::from_seed(seed ^ i);
             let client = MbClientSession::new(client.clone(), "server.example", rng.fork());
             let server = MbServerSession::new(server.clone(), rng.fork());
-            Chain::new(Box::new(client), Vec::new(), Box::new(server))
+            let middles = (0..middleboxes)
+                .map(|_| {
+                    let config = testbed.middlebox_config(&testbed.mbox_code);
+                    Box::new(Middlebox::new(config, rng.fork())) as Box<dyn Relay>
+                })
+                .collect();
+            Chain::new(Box::new(client), middles, Box::new(server))
         }
     };
-    let full = chain(Arc::new(testbed.client_config()));
+    let full = chain(Arc::new(testbed.client_config()), 0);
     let mut primer = full(0x9D1E);
     primer.run_handshake().expect("priming handshake completes");
     let mut resuming = testbed.client_config();
     let ticket = primer.client.resumption().expect("priming handshake yields a ticket");
     resuming.tls.resumption_cache.insert("server.example".to_string(), ticket);
+    let resuming = Arc::new(resuming);
     let [full_us] = time_handshakes(iters, false, [full]);
-    let [resumed_us] = time_handshakes(iters, true, [chain(Arc::new(resuming))]);
-    HandshakeCpu { full_us, resumed_us, resumed_over_full: resumed_us / full_us }
+    let [resumed_us] = time_handshakes(iters, true, [chain(resuming.clone(), 0)]);
+    let [resumed_1mbox_us] = time_handshakes(iters, true, [chain(resuming, 1)]);
+    HandshakeCpu { full_us, resumed_us, resumed_over_full: resumed_us / full_us, resumed_1mbox_us }
 }
 
 /// Time one SHA-384 compression and one 72-byte key block, each as
@@ -492,6 +522,7 @@ mod tests {
                 ("verify_batch_us_by_width.w3", "0.0", "width 3 measured nothing"),
                 ("verify_batch_us_by_width.w2", "9999.0", "wider batch must cost more"),
                 ("handshake_cpu.resumed_us", "0.0", "CPU rows are zero"),
+                ("handshake_cpu.resumed_1mbox_us", "0.0", "went untimed"),
                 ("prf_floor.sha384_block_us", "0.000", "PRF floor rows are zero"),
                 ("sha512_backend", "\"sha-ni\"", "names no SHA-512 core"),
                 ("sha512_backend", "false", "sha512_backend"),

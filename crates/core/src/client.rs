@@ -112,7 +112,7 @@ impl Role for ClientRole {
     fn admission(&self) -> Admission<'_> {
         Admission {
             trust: &self.config.middlebox_trust,
-            delegated: matches!(self.config.middlebox_proof, PeerProof::Delegation(_)),
+            proof: &self.config.middlebox_proof,
             deferred: self.config.tls.defer_verify,
             approval: &self.config.approval,
             now: self.config.tls.current_time,
@@ -122,28 +122,8 @@ impl Role for ClientRole {
     /// A middlebox announcing itself: its secondary ServerHello
     /// responds to our (shared) primary ClientHello.
     fn unknown_subchannel(session: &mut MbSession<Self>, id: u8) -> Result<(), MbError> {
-        if session.is_ready() {
-            return Err(MbError::unexpected_state("middlebox announced after key distribution"));
-        }
-        let config = &session.role.config;
-        let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
-        sec_cfg.suites = config.tls.suites.clone();
-        sec_cfg.current_time = config.tls.current_time;
-        // Name is unknown until the certificate arrives; the chain
-        // is checked by the session, which is this connection's
-        // driver: the signature checks its server flight owes are
-        // parked for `MbSession::collect_owed` to add the chain's to.
-        sec_cfg.danger_disable_cert_verify = true;
-        sec_cfg.defer_verify = true;
-        // Delegated mode: the TLS layer checks the credential (and
-        // its issuer chain) and sources the peer key from it.
-        sec_cfg.peer_proof = config.middlebox_proof.clone();
-        sec_cfg.enable_tickets = config.tls.enable_tickets;
-        let conn = ClientConnection::with_reused_hello(
-            Arc::new(sec_cfg),
-            "",
-            session.primary.hello().clone(),
-        );
+        let sec_cfg = session.secondary_config(session.role.config.tls.suites.clone());
+        let conn = ClientConnection::with_reused_hello(sec_cfg, "", session.primary.hello().clone());
         session.open_secondary(id, conn);
         Ok(())
     }

@@ -91,8 +91,6 @@ pub struct MiddleboxConfig {
     /// Cached knowledge that this server does not speak mbTLS (the
     /// paper's announcement-failure cache): skip announcing.
     pub cached_no_support: bool,
-    /// Ticket key for secondary-session resumption.
-    pub ticket_key: [u8; 32],
     /// Telemetry sink for structured events (None = telemetry off).
     pub telemetry: Option<SharedSink>,
     /// The party label this middlebox emits telemetry under (its
@@ -108,7 +106,6 @@ impl MiddleboxConfig {
             proof: Proof::None,
             suites: CipherSuite::ALL.to_vec(),
             cached_no_support: false,
-            ticket_key: [0x5B; 32],
             telemetry: None,
             telemetry_party: Party::Middlebox(0),
         }
@@ -155,6 +152,8 @@ pub struct Middlebox {
     sides: [Side; 2],
 
     phase: MiddleboxPhase,
+    /// The secondary session with the owning endpoint, from the join
+    /// until key delivery.
     secondary: Option<ServerConnection>,
     /// Our subchannel ID once assigned/claimed.
     pub subchannel: Option<u8>,
@@ -430,10 +429,11 @@ impl Middlebox {
     }
 
     /// A fresh secondary session with this middlebox in the TLS
-    /// server role.
+    /// server role. It has no ticket key: it issues no ticket, and the
+    /// primary's ticket in a shared ClientHello is not its to open.
+    /// Every session delivers keys anew (DESIGN.md §6b).
     fn new_secondary(&self) -> ServerConnection {
-        let mut server_cfg =
-            ServerConfig::new(self.config.certified_key.clone(), self.config.ticket_key);
+        let mut server_cfg = ServerConfig::new(self.config.certified_key.clone(), None);
         server_cfg.suites = self.config.suites.clone();
         server_cfg.proof = self.config.proof.clone();
         ServerConnection::new(Arc::new(server_cfg))
@@ -493,21 +493,12 @@ impl Middlebox {
         // A client-side join has no subchannel — and so holds its
         // flight — until the primary ServerHello has passed.
         let Some(id) = self.subchannel else { return };
-        let joined = matches!(
-            self.phase,
-            MiddleboxPhase::ClientSideJoining
-                | MiddleboxPhase::ServerSideJoining
-                | MiddleboxPhase::DataPlane
-        );
         let Some(sec) = self.secondary.as_mut() else { return };
-        if !joined {
-            return;
-        }
         let bytes = sec.take_outgoing();
         let plain = Secret::from(sec.take_plaintext());
         if !bytes.is_empty() {
-            // Secondary traffic (the handshake; after DataPlane e.g.
-            // ticket renewal) goes toward whichever endpoint owns us.
+            // Secondary traffic (the handshake, which ends before the
+            // keys arrive) goes toward whichever endpoint owns us.
             // We joined the client side iff we never announced.
             let owner = if self.announced { SERVER_SIDE } else { CLIENT_SIDE };
             wrap_records(id, &bytes, &mut self.sides[owner].out);
@@ -536,6 +527,9 @@ impl Middlebox {
         dp.set_read_only(self.processor.is_read_only());
         self.dataplane = Some(dp);
         self.keys = Some(km);
+        // Key delivery was the secondary session's one job: in this
+        // phase Encapsulated records are relayed, never fed to it.
+        self.secondary = None;
         self.phase = MiddleboxPhase::DataPlane;
         let sub = self.subchannel.unwrap_or_default() as u64;
         self.emit(EventKind::SecondaryHandshakeFinish { subchannel: sub });

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::TrustStore;
 use mbtls_telemetry::{Party, SharedSink};
-use mbtls_tls::config::{ClientConfig, PeerProof, ServerConfig};
+use mbtls_tls::config::{PeerProof, ServerConfig};
 use mbtls_tls::record::ContentType;
 use mbtls_tls::{ClientConnection, ServerConnection, ServerHandshake, TlsError};
 
@@ -73,7 +73,7 @@ impl Role for ServerRole {
     fn admission(&self) -> Admission<'_> {
         Admission {
             trust: &self.config.middlebox_trust,
-            delegated: matches!(self.config.middlebox_proof, PeerProof::Delegation(_)),
+            proof: &self.config.middlebox_proof,
             deferred: false,
             approval: &self.config.approval,
             now: self.config.current_time,
@@ -95,24 +95,10 @@ impl Role for ServerRole {
         }
         let id = session.role.next_subchannel;
         let next = id.checked_add(1).ok_or(MbError::bad_hop("too many middleboxes"))?;
-        let mut sec_cfg = ClientConfig::new(config.middlebox_trust.clone());
-        sec_cfg.suites = config.tls.suites.clone();
-        sec_cfg.current_time = config.current_time;
-        // The session drives this connection and checks its chain
-        // (see the client end's `unknown_subchannel`).
-        sec_cfg.danger_disable_cert_verify = true;
-        sec_cfg.defer_verify = true;
-        // Delegated mode: the middlebox presents no chain of its own;
-        // the TLS layer checks its endpoint-issued credential and
-        // keys the handshake off it.
-        sec_cfg.peer_proof = config.middlebox_proof.clone();
+        let sec_cfg = session.secondary_config(config.tls.suites.clone());
         session.role.next_subchannel = next;
-        let conn = ClientConnection::new(Arc::new(sec_cfg), "", &mut session.rng);
+        let conn = ClientConnection::new(sec_cfg, "", &mut session.rng);
         session.open_secondary(id, conn);
-        // The secondary ClientHello travels toward the client wrapped
-        // in an Encapsulated record; the announcing middlebox claims
-        // it.
-        session.flush_secondary(id);
         Ok(true)
     }
 

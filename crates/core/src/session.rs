@@ -4,10 +4,11 @@
 //! endpoint runs one primary handshake, one secondary handshake per
 //! middlebox on its own side — always in the TLS *client* role — and
 //! then hands per-hop keys to that side. [`MbSession`] is that
-//! endpoint: it owns the primary connection, the secondary sessions,
-//! the record router, approval, rejection, key distribution and the
-//! data plane. What differs between the two ends is spelled out by
-//! the crate-private `Role` trait and nothing else; the shared code
+//! endpoint: it owns the primary connection, the secondary sessions
+//! (each only until key delivery), the record router, approval,
+//! rejection, key distribution and the data plane. What differs
+//! between the two ends is spelled out by the crate-private `Role`
+//! trait and nothing else; the shared code
 //! never asks which end it is. [`crate::client::MbClientSession`] and
 //! [`crate::server::MbServerSession`] are `MbSession` in its two
 //! roles.
@@ -18,13 +19,14 @@
 //! statically dispatched and inlines exactly as the two hand-written
 //! copies did.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use mbtls_crypto::ed25519::verify_checks;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::alert::{Alert, AlertDescription};
+use mbtls_tls::config::{ClientConfig, PeerProof};
 use mbtls_tls::record::{frame_plaintext, ContentType, Record, RecordReader};
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, Connection, Handshake, TlsError};
@@ -45,10 +47,10 @@ fn bridge<H: Handshake>(primary: &Connection<H>) -> Option<(CipherSuite, HopKeys
 /// from the role's configuration.
 pub(crate) struct Admission<'a> {
     /// Trust roots for middlebox certificates.
-    pub(crate) trust: &'a TrustStore,
-    /// Delegated mode: the middlebox's identity is its credential,
-    /// whose checks the TLS layer owes; there is no chain to add.
-    pub(crate) delegated: bool,
+    pub(crate) trust: &'a Arc<TrustStore>,
+    /// What middleboxes must prove beyond their certificate, if
+    /// anything.
+    pub(crate) proof: &'a PeerProof,
     /// Park owed signature checks for the driver to batch across
     /// sessions instead of verifying each group here.
     pub(crate) deferred: bool,
@@ -56,6 +58,14 @@ pub(crate) struct Admission<'a> {
     pub(crate) approval: &'a ApprovalPolicy,
     /// "Current time" for middlebox certificate validation.
     pub(crate) now: u64,
+}
+
+impl Admission<'_> {
+    /// Delegated mode: the middlebox's identity is its credential,
+    /// whose checks the TLS layer owes; there is no chain to add.
+    fn delegated(&self) -> bool {
+        matches!(self.proof, PeerProof::Delegation(_))
+    }
 }
 
 impl ApprovalPolicy {
@@ -119,13 +129,12 @@ pub(crate) trait Role: Sized {
     }
 }
 
-/// State of one secondary (endpoint ↔ middlebox) session.
-pub(crate) struct Secondary {
-    pub(crate) conn: ClientConnection,
-    /// Subject name from the verified certificate.
-    verified_name: Option<String>,
-    /// Approved to receive keys.
-    approved: bool,
+/// State of one running secondary (endpoint ↔ middlebox) session.
+struct Secondary {
+    conn: ClientConnection,
+    /// What [`MbSession::middleboxes`] reports: the subchannel, the
+    /// subject once verified, and whether it is approved for keys.
+    info: MiddleboxInfo,
     /// Explicitly rejected (alert sent).
     rejected: bool,
     /// The signature checks this session owes — its flight's and its
@@ -139,17 +148,65 @@ pub(crate) struct Secondary {
 impl Secondary {
     /// Approved or refused: nothing left to screen.
     fn settled(&self) -> bool {
-        self.verified_name.is_some() || self.rejected
+        self.info.name.is_some() || self.rejected
     }
 
     /// Wrap whatever this session has queued for the wire into
-    /// Encapsulated records on subchannel `id`, appended to `out`.
-    fn flush_wrapped(&mut self, id: u8, out: &mut Vec<u8>) {
+    /// Encapsulated records on its subchannel, appended to `out`.
+    fn flush_wrapped(&mut self, out: &mut Vec<u8>) {
         let bytes = self.conn.take_outgoing();
         if !bytes.is_empty() {
-            wrap_records(id, &bytes, out);
+            wrap_records(self.info.subchannel, &bytes, out);
         }
     }
+}
+
+/// One middlebox's subchannel at this end. Its secondary session
+/// exists only to deliver the middlebox's keys, so it lives until key
+/// delivery and no longer. While it runs it is boxed: a
+/// `ClientConnection` is ~2.4 KB, and a session holds one small slot
+/// per middlebox rather than a connection-sized one.
+enum Subchannel {
+    /// The secondary handshake is running, or its keys are not yet
+    /// sent.
+    Running(Box<Secondary>),
+    /// Keys delivered; the connection is gone.
+    Done(MiddleboxInfo),
+}
+
+impl Subchannel {
+    fn info(&self) -> &MiddleboxInfo {
+        match self {
+            Subchannel::Running(sec) => &sec.info,
+            Subchannel::Done(info) => info,
+        }
+    }
+
+    fn running(&self) -> Option<&Secondary> {
+        match self {
+            Subchannel::Running(sec) => Some(sec),
+            Subchannel::Done(_) => None,
+        }
+    }
+
+    fn running_mut(&mut self) -> Option<&mut Secondary> {
+        match self {
+            Subchannel::Running(sec) => Some(sec),
+            Subchannel::Done(_) => None,
+        }
+    }
+}
+
+/// The running secondary session on subchannel `id`.
+fn find(secondaries: &[Subchannel], id: u8) -> Option<&Secondary> {
+    secondaries.iter().filter_map(Subchannel::running).find(|sec| sec.info.subchannel == id)
+}
+
+fn find_mut(secondaries: &mut [Subchannel], id: u8) -> Option<&mut Secondary> {
+    secondaries
+        .iter_mut()
+        .filter_map(Subchannel::running_mut)
+        .find(|sec| sec.info.subchannel == id)
 }
 
 /// One end of an mbTLS session; which end is the role `R`
@@ -163,7 +220,8 @@ pub struct MbSession<R: Role> {
     pub(crate) rng: CryptoRng,
 
     pub(crate) primary: Connection<R::Handshake>,
-    pub(crate) secondaries: BTreeMap<u8, Secondary>,
+    /// One entry per middlebox, in ascending subchannel order.
+    secondaries: Vec<Subchannel>,
     reader: RecordReader,
     out: Vec<u8>,
 
@@ -191,7 +249,7 @@ impl<R: Role> MbSession<R> {
             role,
             rng,
             primary,
-            secondaries: BTreeMap::new(),
+            secondaries: Vec::new(),
             reader: RecordReader::new(),
             out: Vec::new(),
             pending_verifies: Vec::new(),
@@ -298,13 +356,16 @@ impl<R: Role> MbSession<R> {
     }
 
     /// One inner record for the secondary session on subchannel `id`.
+    /// Key delivery ended every secondary session, so after it an
+    /// Encapsulated record is a protocol violation, on any subchannel.
     fn handle_encapsulated(&mut self, id: u8, inner: &[u8]) -> Result<(), MbError> {
-        if !self.secondaries.contains_key(&id) {
+        if self.is_ready() {
+            return Err(MbError::bad_hop("encapsulated record after key delivery"));
+        }
+        if find(&self.secondaries, id).is_none() {
             R::unknown_subchannel(self, id)?;
         }
-        let sec = self
-            .secondaries
-            .get_mut(&id)
+        let sec = find_mut(&mut self.secondaries, id)
             .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
         if sec.rejected {
             return Ok(());
@@ -320,38 +381,55 @@ impl<R: Role> MbSession<R> {
         Ok(())
     }
 
-    /// Start tracking a secondary session on subchannel `id`.
+    /// The TLS config of a secondary session, in the client role,
+    /// offering `suites`. The session is the connection's driver: it
+    /// checks the middlebox's chain itself and discharges the
+    /// signature checks the server flight owes together with the
+    /// chain's ([`MbSession::collect_owed`]), so the connection skips
+    /// the chain and parks its checks. In delegated mode the TLS layer
+    /// checks the credential (and its issuer chain) and keys the
+    /// handshake off it. Middleboxes issue no tickets, so the
+    /// connection offers none. The name is unknown until the
+    /// certificate arrives.
+    pub(crate) fn secondary_config(&self, suites: Vec<CipherSuite>) -> Arc<ClientConfig> {
+        let admission = self.role.admission();
+        Arc::new(ClientConfig {
+            suites,
+            current_time: admission.now,
+            peer_proof: admission.proof.clone(),
+            enable_tickets: false,
+            danger_disable_cert_verify: true,
+            defer_verify: true,
+            ..ClientConfig::new(admission.trust.clone())
+        })
+    }
+
+    /// Start tracking a secondary session on subchannel `id`, and
+    /// wrap whatever it has queued at once (a server end's fresh
+    /// ClientHello, which the announcing middlebox claims).
     pub(crate) fn open_secondary(&mut self, id: u8, conn: ClientConnection) {
-        self.secondaries.insert(
-            id,
-            Secondary {
-                conn,
-                verified_name: None,
-                approved: false,
-                rejected: false,
-                authenticated: false,
-                deferred_checks: 0,
-            },
-        );
+        let at = self.secondaries.partition_point(|sub| sub.info().subchannel < id);
+        let info = MiddleboxInfo { subchannel: id, name: None, approved: false };
+        let mut sec = Secondary {
+            conn,
+            info,
+            rejected: false,
+            authenticated: false,
+            deferred_checks: 0,
+        };
+        sec.flush_wrapped(&mut self.out);
+        self.secondaries.insert(at, Subchannel::Running(Box::new(sec)));
         self.emit(EventKind::MiddleboxAnnouncement {
             count: self.secondaries.len() as u64,
         });
         self.emit(EventKind::SecondaryHandshakeStart { subchannel: id as u64 });
     }
 
-    /// Wrap whatever secondary `id` has queued for the wire into
-    /// Encapsulated records.
-    pub(crate) fn flush_secondary(&mut self, id: u8) {
-        if let Some(sec) = self.secondaries.get_mut(&id) {
-            sec.flush_wrapped(id, &mut self.out);
-        }
-    }
-
     /// Advance internal state: drain secondary outputs, verify and
     /// approve established secondaries, distribute keys when ready.
     pub(crate) fn pump(&mut self) {
-        for (&id, sec) in &mut self.secondaries {
-            sec.flush_wrapped(id, &mut self.out);
+        for sec in self.secondaries.iter_mut().filter_map(Subchannel::running_mut) {
+            sec.flush_wrapped(&mut self.out);
         }
 
         self.collect_owed();
@@ -361,8 +439,9 @@ impl<R: Role> MbSession<R> {
         while let Some(id) = self
             .secondaries
             .iter()
-            .find(|(_, sec)| sec.conn.is_established() && !sec.settled())
-            .map(|(&id, _)| id)
+            .filter_map(Subchannel::running)
+            .find(|sec| sec.conn.is_established() && !sec.settled())
+            .map(|sec| sec.info.subchannel)
         {
             match self.screen(id) {
                 Ok(name) => self.approve(id, name),
@@ -374,8 +453,9 @@ impl<R: Role> MbSession<R> {
         if !self.is_ready() && self.primary.is_established() {
             let all_done = self
                 .secondaries
-                .values()
-                .all(|s| s.rejected || (s.conn.is_established() && s.approved));
+                .iter()
+                .filter_map(Subchannel::running)
+                .all(|s| s.rejected || (s.conn.is_established() && s.info.approved));
             if all_done {
                 if let Err(e) = self.distribute_keys() {
                     self.error = Some(e);
@@ -398,8 +478,9 @@ impl<R: Role> MbSession<R> {
         while let Some((id, mut checks)) = self
             .secondaries
             .iter_mut()
-            .filter(|(_, sec)| sec.conn.awaiting_verdict() && !sec.rejected)
-            .find_map(|(&id, sec)| Some((id, sec.conn.take_pending_verify()?)))
+            .filter_map(Subchannel::running_mut)
+            .filter(|sec| sec.conn.awaiting_verdict() && !sec.rejected)
+            .find_map(|sec| Some((sec.info.subchannel, sec.conn.take_pending_verify()?)))
         {
             match self.chain_checks(id) {
                 Ok(chain) => {
@@ -419,7 +500,7 @@ impl<R: Role> MbSession<R> {
             let valid = verify_checks(&checks).all_valid();
             return self.deliver(token, valid);
         }
-        if let Some((_, sec)) = self.secondary_mut(token) {
+        if let Some((_, sec)) = self.by_token(token) {
             sec.deferred_checks = checks.len() as u64;
         }
         self.pending_verifies.push(PendingVerify { token, checks });
@@ -427,9 +508,9 @@ impl<R: Role> MbSession<R> {
 
     /// The secondary session a middlebox token (1 + subchannel id)
     /// names, with that id.
-    fn secondary_mut(&mut self, token: u32) -> Option<(u8, &mut Secondary)> {
+    fn by_token(&mut self, token: u32) -> Option<(u8, &mut Secondary)> {
         let id = u8::try_from(token.checked_sub(1)?).ok()?;
-        Some((id, self.secondaries.get_mut(&id)?))
+        Some((id, find_mut(&mut self.secondaries, id)?))
     }
 
     /// Hand group `token`'s verdict to the connection that parked it.
@@ -440,12 +521,12 @@ impl<R: Role> MbSession<R> {
         if token == 0 {
             return self.primary.resolve_verify(valid);
         }
-        let Some((id, sec)) = self.secondary_mut(token) else { return };
+        let Some((id, sec)) = self.by_token(token) else { return };
         sec.conn.resolve_verify(valid);
         sec.authenticated = valid;
         if !valid {
             sec.rejected = true;
-            if self.role.admission().delegated {
+            if self.role.admission().delegated() {
                 self.emit(EventKind::CredentialRejected { subchannel: u64::from(id) });
             }
         }
@@ -471,10 +552,13 @@ impl<R: Role> MbSession<R> {
     /// credential stands in for the chain).
     fn chain_checks(&self, id: u8) -> Result<Vec<SignatureCheck>, MbError> {
         let admission = self.role.admission();
-        if admission.delegated {
+        if admission.delegated() {
             return Ok(Vec::new());
         }
-        let chain = self.secondaries[&id].conn.peer_certificates();
+        let chain = find(&self.secondaries, id)
+            .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?
+            .conn
+            .peer_certificates();
         let leaf = chain
             .first()
             .ok_or_else(|| MbError::unexpected_state("middlebox sent no certificate"))?;
@@ -494,12 +578,13 @@ impl<R: Role> MbSession<R> {
     /// verified. Returns the subject it was approved under: the
     /// credential's in delegated mode, the certificate's otherwise.
     fn screen(&self, id: u8) -> Result<String, MbError> {
-        let sec = &self.secondaries[&id];
+        let sec = find(&self.secondaries, id)
+            .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
         let admission = self.role.admission();
         if !sec.authenticated {
             return Err(MbError::unexpected_state("middlebox established unverified"));
         }
-        let subject = if admission.delegated {
+        let subject = if admission.delegated() {
             let cred = sec.conn.peer_credential().ok_or_else(|| {
                 MbError::unexpected_state("delegated middlebox presented no credential")
             })?;
@@ -511,12 +596,12 @@ impl<R: Role> MbSession<R> {
             leaf.payload.subject.clone()
         };
         if !admission.approval.admits(&subject) {
-            if admission.delegated {
+            if admission.delegated() {
                 self.emit(EventKind::CredentialRejected { subchannel: id as u64 });
             }
             return Err(MbError::MiddleboxRejected(subject));
         }
-        if admission.delegated {
+        if admission.delegated() {
             self.emit(EventKind::CredentialVerified {
                 subchannel: id as u64,
                 checks: sec.deferred_checks,
@@ -527,9 +612,9 @@ impl<R: Role> MbSession<R> {
 
     /// Middlebox `id` passed verification and the approval policy.
     pub(crate) fn approve(&mut self, id: u8, name: String) {
-        if let Some(sec) = self.secondaries.get_mut(&id) {
-            sec.verified_name = Some(name);
-            sec.approved = true;
+        if let Some(sec) = find_mut(&mut self.secondaries, id) {
+            sec.info.name = Some(name);
+            sec.info.approved = true;
         }
         self.emit(EventKind::SecondaryHandshakeFinish {
             subchannel: id as u64,
@@ -542,22 +627,24 @@ impl<R: Role> MbSession<R> {
         let alert = Alert::fatal(AlertDescription::HandshakeFailure);
         let inner = frame_plaintext(ContentType::Alert, &alert.encode());
         Encapsulated::wrap_into(id, &inner, &mut self.out);
-        if let Some(sec) = self.secondaries.get_mut(&id) {
+        if let Some(sec) = find_mut(&mut self.secondaries, id) {
             sec.rejected = true;
-            sec.approved = false;
+            sec.info.approved = false;
         }
     }
 
     /// Generate per-hop keys, send KeyMaterial to each approved
-    /// middlebox, and activate the data plane (paper Fig. 4).
+    /// middlebox, end every secondary session, and activate the data
+    /// plane (paper Fig. 4).
     fn distribute_keys(&mut self) -> Result<(), MbError> {
         let (suite, bridge) = bridge(&self.primary).ok_or(MbError::NotReady)?;
 
         let mut order: Vec<u8> = self
             .secondaries
             .iter()
-            .filter(|(_, s)| s.approved)
-            .map(|(&id, _)| id)
+            .filter_map(Subchannel::running)
+            .filter(|s| s.info.approved)
+            .map(|s| s.info.subchannel)
             .collect();
         R::order_path(&mut order);
 
@@ -576,13 +663,22 @@ impl<R: Role> MbSession<R> {
 
         for (i, &id) in order.iter().enumerate() {
             let msg = SecondaryMessage::Keys(R::key_material(&hops[i], &hops[i + 1])).encode();
-            let sec = self
-                .secondaries
-                .get_mut(&id)
+            let sec = find_mut(&mut self.secondaries, id)
                 .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
             sec.conn.send_data(&msg).map_err(MbError::Tls)?;
-            self.flush_secondary(id);
+            sec.flush_wrapped(&mut self.out);
             self.emit(EventKind::KeyDelivery { subchannel: id as u64 });
+        }
+
+        // Every secondary session has done its job: send what each
+        // still holds (a refused one's fatal alert), lowest subchannel
+        // first, then keep only what `middleboxes()` reports.
+        for sub in &mut self.secondaries {
+            if let Subchannel::Running(sec) = sub {
+                sec.flush_wrapped(&mut self.out);
+                let info = MiddleboxInfo { name: sec.info.name.take(), ..sec.info };
+                *sub = Subchannel::Done(info);
+            }
         }
 
         let mut dp = R::data_plane(&hops[0]).map_err(MbError::Tls)?;
@@ -663,16 +759,9 @@ impl<R: Role> MbSession<R> {
         }
     }
 
-    /// Joined middleboxes.
+    /// Joined middleboxes, in ascending subchannel order.
     pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
-        self.secondaries
-            .iter()
-            .map(|(&id, s)| MiddleboxInfo {
-                subchannel: id,
-                name: s.verified_name.clone(),
-                approved: s.approved,
-            })
-            .collect()
+        self.secondaries.iter().map(|sub| sub.info().clone()).collect()
     }
 }
 

@@ -5,24 +5,36 @@ use std::sync::Arc;
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
 use mbtls_core::dataplane::FlowDirection;
-use mbtls_core::messages::MiddleboxSupport;
+use mbtls_core::driver::{Endpoint, LegacyClient};
+use mbtls_core::messages::{Encapsulated, MiddleboxSupport};
 use mbtls_core::middlebox::{DataProcessor, Middlebox, MiddleboxPhase};
 use mbtls_core::server::MbServerSession;
+use mbtls_core::{MbError, ProtocolViolation};
 use mbtls_crypto::rng::CryptoRng;
+use mbtls_tls::config::ClientConfig;
+use mbtls_tls::record::{frame_plaintext, ContentType};
+use mbtls_tls::ClientConnection;
 
-fn pump3(
-    client: &mut MbClientSession,
-    mb: &mut Middlebox,
-    server: &mut MbServerSession,
-) {
-    let b = client.take_outgoing();
+fn pump3(client: &mut dyn Endpoint, mb: &mut Middlebox, server: &mut dyn Endpoint) {
+    let b = client.take();
     mb.feed_from_client(&b).unwrap();
     let b = mb.take_toward_server();
-    server.feed_incoming(&b).unwrap();
-    let b = server.take_outgoing();
+    server.feed(&b).unwrap();
+    let b = server.take();
     mb.feed_from_server(&b).unwrap();
     let b = mb.take_toward_client();
-    client.feed_incoming(&b).unwrap();
+    client.feed(&b).unwrap();
+}
+
+/// Pump until both ends are ready and the middlebox holds its keys.
+fn establish(client: &mut dyn Endpoint, mb: &mut Middlebox, server: &mut dyn Endpoint) {
+    for _ in 0..60 {
+        pump3(client, mb, server);
+        if client.ready() && server.ready() && mb.has_keys() {
+            return;
+        }
+    }
+    panic!("handshake did not complete");
 }
 
 #[test]
@@ -35,13 +47,7 @@ fn close_notify_traverses_middlebox() {
     );
     let mut server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(2));
     let mut mb = Middlebox::new(tb.middlebox_config(&tb.mbox_code), CryptoRng::from_seed(3));
-    for _ in 0..60 {
-        pump3(&mut client, &mut mb, &mut server);
-        if client.is_ready() && server.is_ready() && mb.has_keys() {
-            break;
-        }
-    }
-    assert!(client.is_ready() && server.is_ready());
+    establish(&mut client, &mut mb, &mut server);
 
     // Interleave data and close in the same flush: the close arrives
     // after the data, re-encrypted at each hop.
@@ -83,6 +89,60 @@ fn close_notify_direct_session() {
     server.feed_incoming(&client.take_outgoing()).unwrap();
     assert!(server.peer_closed());
     assert!(!client.peer_closed());
+}
+
+/// An Encapsulated record on `subchannel` carrying one handshake
+/// record (a HelloRequest).
+fn late_encapsulated(subchannel: u8) -> Vec<u8> {
+    let record = frame_plaintext(ContentType::Handshake, &[0, 0, 0, 0]);
+    frame_plaintext(ContentType::MbtlsEncapsulated, &Encapsulated { subchannel, record }.encode())
+}
+
+#[test]
+fn encapsulated_records_after_key_delivery_fail_the_session() {
+    // Key delivery ends every secondary session, so a later
+    // Encapsulated record has no session to go to: one on the approved
+    // middlebox's own subchannel fails the session as surely as one
+    // on a subchannel nobody owns, at either end.
+    let tb = Testbed::new(0xC10B);
+    let bad_hop = |e: &MbError| matches!(e, MbError::Protocol(ProtocolViolation::BadHopId(_)));
+    for (case, own) in [("approved subchannel", true), ("unknown subchannel", false)] {
+        // Client end, one client-side middlebox.
+        let mut client = MbClientSession::new(
+            Arc::new(tb.client_config()),
+            "server.example",
+            CryptoRng::from_seed(11),
+        );
+        let mut server =
+            MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(12));
+        let mut mb = Middlebox::new(tb.middlebox_config(&tb.mbox_code), CryptoRng::from_seed(13));
+        establish(&mut client, &mut mb, &mut server);
+        let joined = client.middleboxes();
+        assert!(joined.len() == 1 && joined[0].approved, "{case}: {joined:?}");
+        let id = if own { joined[0].subchannel } else { 200 };
+        let error = client.feed_incoming(&late_encapsulated(id)).expect_err(case);
+        assert!(bad_hop(&error), "client, {case}: {error:?}");
+        assert_eq!(client.error(), Some(error), "client, {case}");
+        assert_eq!(client.middleboxes(), joined, "client, {case}");
+
+        // Server end, one server-side middlebox (a legacy client, so
+        // the middlebox announces itself to the server).
+        let mut rng = CryptoRng::from_seed(14);
+        let tls = Arc::new(ClientConfig::new(tb.server_trust.clone()));
+        let conn = ClientConnection::new(tls, "server.example", &mut rng);
+        let mut client = LegacyClient::new(conn, rng);
+        let mut server =
+            MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(15));
+        let mut mb = Middlebox::new(tb.middlebox_config(&tb.mbox_code), CryptoRng::from_seed(16));
+        establish(&mut client, &mut mb, &mut server);
+        let joined = server.middleboxes();
+        assert!(joined.len() == 1 && joined[0].approved, "{case}: {joined:?}");
+        let id = if own { joined[0].subchannel } else { 200 };
+        let error = server.feed_incoming(&late_encapsulated(id)).expect_err(case);
+        assert!(bad_hop(&error), "server, {case}: {error:?}");
+        assert_eq!(server.error(), Some(error), "server, {case}");
+        assert_eq!(server.middleboxes(), joined, "server, {case}");
+    }
 }
 
 #[test]

@@ -155,10 +155,9 @@ pub struct ServerConfig {
     pub certified_key: Arc<CertifiedKey>,
     /// Acceptable suites, preference order.
     pub suites: Vec<CipherSuite>,
-    /// Key under which session tickets are sealed.
-    pub ticket_key: [u8; 32],
-    /// Issue RFC 5077 tickets to clients that offer the extension.
-    pub issue_tickets: bool,
+    /// Key under which RFC 5077 session tickets are sealed and opened.
+    /// `None`: the server issues no ticket and opens none offered.
+    pub ticket_key: Option<[u8; 32]>,
     /// What this server proves beyond its certificate chain, in
     /// every full handshake.
     pub proof: Proof,
@@ -176,13 +175,13 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A sane default config for the given identity.
-    pub fn new(certified_key: Arc<CertifiedKey>, ticket_key: [u8; 32]) -> Self {
+    /// A sane default config for the given identity; tickets are on
+    /// when `ticket_key` is a key.
+    pub fn new(certified_key: Arc<CertifiedKey>, ticket_key: impl Into<Option<[u8; 32]>>) -> Self {
         ServerConfig {
             certified_key,
             suites: CipherSuite::ALL.to_vec(),
-            ticket_key,
-            issue_tickets: true,
+            ticket_key: ticket_key.into(),
             proof: Proof::None,
             session_cache: Arc::new(Mutex::new(HashMap::new())),
             assign_session_ids: false,
@@ -211,7 +210,7 @@ mod tests {
         assert!(cc.extra_extensions.is_empty());
 
         let sc = ServerConfig::new(Arc::new(ck), [0u8; 32]);
-        assert!(sc.issue_tickets);
+        assert!(sc.ticket_key.is_some());
         assert!(matches!(sc.proof, Proof::None));
         assert!(!sc.strict_unknown_records);
     }

@@ -49,7 +49,9 @@ pub struct ServerHandshake {
     config: Arc<ServerConfig>,
     phase: Phase,
     kex: Option<KexSecret>,
-    client_offered_ticket_ext: bool,
+    /// The client offered the SessionTicket extension and this server
+    /// has a ticket key: echo the extension and issue a ticket.
+    tickets: bool,
     /// Session id assigned in this full handshake (cached at
     /// establishment when `assign_session_ids` is on).
     assigned_session_id: Vec<u8>,
@@ -62,7 +64,7 @@ impl Connection<ServerHandshake> {
             config,
             phase: Phase::AwaitClientHello,
             kex: None,
-            client_offered_ticket_ext: false,
+            tickets: false,
             assigned_session_id: Vec::new(),
         })
     }
@@ -114,17 +116,15 @@ impl Hooks for ServerHandshake {
                 let ch = ClientHello::decode_body(body)?;
                 conn.client_random = ch.random;
                 conn.server_random = rng.gen_array();
-                conn.hs.client_offered_ticket_ext = ch
-                    .find_extension(extension_type::SESSION_TICKET)
-                    .is_some();
                 let config = &conn.hs.config;
+                let offered = ch.find_extension(extension_type::SESSION_TICKET);
+                conn.hs.tickets = offered.is_some() && config.ticket_key.is_some();
                 let suite = choose_suite(&ch.cipher_suites, &config.suites)
                     .ok_or(TlsError::NegotiationFailed("no common cipher suite"))?;
                 conn.suite = Some(suite);
 
                 // Try ticket resumption first, then session-id.
-                let ticket_master = ch
-                    .find_extension(extension_type::SESSION_TICKET)
+                let ticket_master = offered
                     .filter(|e| !e.data.is_empty())
                     .and_then(|e| open_ticket(config, &e.data))
                     .filter(|t| t.suite == suite);
@@ -224,7 +224,7 @@ impl Connection<ServerHandshake> {
         // Per RFC 5246 the server may only echo extensions the client
         // offered (the reason server-side mbTLS discovery cannot use
         // the MiddleboxSupport extension — paper §3.4).
-        if self.hs.config.issue_tickets && self.hs.client_offered_ticket_ext {
+        if self.hs.tickets {
             extensions.push(Extension {
                 typ: extension_type::SESSION_TICKET,
                 data: vec![],
@@ -315,7 +315,7 @@ impl Connection<ServerHandshake> {
         self.transcript.start(suite.prf_hash(), false);
         self.install_secrets(suite, master_secret);
         let mut extensions = Vec::new();
-        if self.hs.client_offered_ticket_ext {
+        if self.hs.tickets {
             extensions.push(Extension {
                 typ: extension_type::SESSION_TICKET,
                 data: vec![],
@@ -337,10 +337,10 @@ impl Connection<ServerHandshake> {
         Ok(())
     }
 
-    /// Issue a NewSessionTicket if tickets are on and the client
-    /// offered the extension.
+    /// Issue a NewSessionTicket if this server has a ticket key and
+    /// the client offered the extension.
     fn queue_ticket_if_wanted(&mut self, rng: &mut CryptoRng) -> Result<(), TlsError> {
-        if !(self.hs.config.issue_tickets && self.hs.client_offered_ticket_ext) {
+        if !self.hs.tickets {
             return Ok(());
         }
         let secrets = self
@@ -350,10 +350,11 @@ impl Connection<ServerHandshake> {
         let plain = TicketPlaintext {
             suite: secrets.suite,
             master_secret: secrets.master_secret.clone(),
-            primary_keys: None,
         };
         let nonce: [u8; 12] = rng.gen_array();
-        let sealed = ticket_gcm(&self.hs.config)?.seal(&nonce, b"ticket", &plain.encode())?;
+        let gcm = ticket_gcm(&self.hs.config)
+            .ok_or(TlsError::Internal("tickets are on only under a ticket key"))?;
+        let sealed = gcm.seal(&nonce, b"ticket", &plain.encode())?;
         let ticket = [&nonce[..], &sealed].concat();
         let msg = NewSessionTicket {
             lifetime_hint: 3600,
@@ -364,13 +365,13 @@ impl Connection<ServerHandshake> {
     }
 }
 
-fn ticket_gcm(config: &ServerConfig) -> Result<AesGcm, TlsError> {
-    AesGcm::new(&config.ticket_key)
-        .map_err(|_| TlsError::Internal("ticket key is 32 bytes by construction"))
+/// The AEAD tickets are sealed under; none without a ticket key.
+fn ticket_gcm(config: &ServerConfig) -> Option<AesGcm> {
+    AesGcm::new(config.ticket_key.as_ref()?).ok()
 }
 
 fn open_ticket(config: &ServerConfig, ticket: &[u8]) -> Option<TicketPlaintext> {
     let (nonce, sealed) = ticket.split_first_chunk::<12>()?;
-    let plain = Secret::from(ticket_gcm(config).ok()?.open(nonce, b"ticket", sealed).ok()?);
+    let plain = Secret::from(ticket_gcm(config)?.open(nonce, b"ticket", sealed).ok()?);
     TicketPlaintext::decode(&plain).ok()
 }

@@ -197,36 +197,24 @@ pub struct ResumptionData {
     pub session_id: SessionId,
 }
 
-/// Server-side plaintext content of a session ticket. The server
-/// seals this under its ticket key; the mbTLS variant additionally
-/// carries the primary session's keys for middlebox resumption
-/// (paper §3.5).
+/// Server-side plaintext content of a session ticket, sealed under
+/// the server's ticket key: what an abbreviated handshake needs to
+/// resume the session. Middleboxes issue no tickets (DESIGN.md §6b),
+/// so no ticket carries anything beyond this.
 #[derive(Clone, PartialEq, Eq)]
 pub struct TicketPlaintext {
     /// Suite of the ticketed session.
     pub suite: CipherSuite,
     /// Master secret of the ticketed session.
     pub master_secret: Secret,
-    /// Optional embedded primary-session keys (mbTLS middlebox
-    /// tickets; empty for ordinary tickets).
-    pub primary_keys: Option<SessionKeys>,
 }
 
 impl TicketPlaintext {
     /// Encode for sealing.
     pub fn encode(&self) -> Secret {
-        let keys = self.primary_keys.as_ref().map(SessionKeys::encode);
-        let keys_len = keys.as_ref().map_or(0, |k| 2 + k.len());
-        let mut e = Encoder::with_capacity(5 + self.master_secret.len() + keys_len);
+        let mut e = Encoder::with_capacity(4 + self.master_secret.len());
         e.u16(self.suite.id());
         e.vec16(&self.master_secret);
-        match &keys {
-            Some(keys) => {
-                e.u8(1);
-                e.vec16(keys);
-            }
-            None => e.u8(0),
-        }
         e.into_bytes().into()
     }
 
@@ -236,17 +224,8 @@ impl TicketPlaintext {
         let suite =
             CipherSuite::from_id(d.u16()?).ok_or(TlsError::Decode("unknown suite in ticket"))?;
         let master_secret = d.vec16()?.into();
-        let primary_keys = match d.u8()? {
-            0 => None,
-            1 => Some(SessionKeys::decode(d.vec16()?)?),
-            _ => return Err(TlsError::Decode("bad ticket flag")),
-        };
         d.expect_end()?;
-        Ok(TicketPlaintext {
-            suite,
-            master_secret,
-            primary_keys,
-        })
+        Ok(TicketPlaintext { suite, master_secret })
     }
 }
 
@@ -280,12 +259,7 @@ impl std::fmt::Debug for ResumptionData {
 
 impl std::fmt::Debug for TicketPlaintext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "TicketPlaintext(suite=0x{:04x}, primary_keys={}, ..)",
-            self.suite.id(),
-            self.primary_keys.is_some()
-        )
+        write!(f, "TicketPlaintext(suite=0x{:04x}, ..)", self.suite.id())
     }
 }
 
@@ -352,21 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn ticket_roundtrip_with_and_without_primary_keys() {
+    fn ticket_roundtrip() {
         let plain = TicketPlaintext {
             suite: CipherSuite::EcdheAes256GcmSha384,
             master_secret: vec![7; 48].into(),
-            primary_keys: None,
         };
-        assert_eq!(plain.encode().len(), 5 + 48);
+        assert_eq!(plain.encode().len(), 4 + 48);
         assert_eq!(TicketPlaintext::decode(&plain.encode()).unwrap(), plain);
-
-        let with_keys = TicketPlaintext {
-            suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![7; 48].into(),
-            primary_keys: Some(SessionKeys::from_secrets(&sample_secrets(), 3, 4)),
-        };
-        assert_eq!(with_keys.encode().len(), 5 + 48 + 2 + 100);
-        assert_eq!(TicketPlaintext::decode(&with_keys.encode()).unwrap(), with_keys);
     }
 }

@@ -93,7 +93,7 @@ proptest! {
         let keys = SessionKeys::from_secrets(
             &ConnectionSecrets {
                 suite: CipherSuite::EcdheAes256GcmSha384,
-                master_secret: master.into(),
+                master_secret: master.clone().into(),
                 client_random: [3; 32],
                 server_random: [4; 32],
             },
@@ -113,12 +113,11 @@ proptest! {
             // cleanly like any other value.
             drop(decoded);
         }
-        // Ticket wrapping of the same material exercises the nested
-        // decode error path.
+        // A ticket over the same master secret takes the same flip
+        // through its own decode.
         let ticket = TicketPlaintext {
             suite: CipherSuite::EcdheAes256GcmSha384,
-            master_secret: vec![0xAB; 48].into(),
-            primary_keys: Some(keys),
+            master_secret: master.into(),
         };
         let mut tw = ticket.encode().to_vec();
         let j = flip_at.index(tw.len());

@@ -554,8 +554,7 @@ fn exported_keys_match_between_peers() {
         ] {
             let case = format!("{suite:?} {case}");
             let mut f = fixture(17);
-            let mut sc = ServerConfig::new(f.server_key.clone(), [7u8; 32]);
-            sc.issue_tickets = tickets;
+            let mut sc = ServerConfig::new(f.server_key.clone(), tickets.then_some([7u8; 32]));
             sc.assign_session_ids = !tickets;
             let mut cc = ClientConfig::new(f.trust.clone());
             cc.enable_tickets = tickets;
@@ -568,7 +567,7 @@ fn exported_keys_match_between_peers() {
                 let resumption = client.resumption_data().expect(&case);
                 assert_eq!(resumption.ticket.is_some(), tickets, "{case}");
                 cc.resumption_cache.insert("server.example".to_string(), resumption);
-                sc.ticket_key = [ticket_key; 32];
+                sc.ticket_key = sc.ticket_key.map(|_| [ticket_key; 32]);
                 client = ClientConnection::new(Arc::new(cc), "server.example", &mut f.rng);
                 server = ServerConnection::new(Arc::new(sc));
                 // Flight by flight, checking each end in between.
@@ -630,7 +629,7 @@ fn ticket_offered_with_a_proof_configured() {
             let resumption = client.resumption_data().expect(&case);
             assert!(resumption.ticket.is_some(), "{case}");
             cc.resumption_cache.insert(name.to_string(), resumption);
-            sc.ticket_key = [ticket_key; 32];
+            sc.ticket_key = Some([ticket_key; 32]);
 
             let mut client = ClientConnection::new(Arc::new(cc), name, &mut rng);
             let mut server = ServerConnection::new(Arc::new(sc));

@@ -39,8 +39,7 @@ fn pump(client: &mut ClientConnection, server: &mut ServerConnection, rng: &mut 
 fn session_id_resumption_roundtrip() {
     let (trust, key, mut rng) = fixture();
     // Tickets off on both sides; IDs on.
-    let mut server_config = ServerConfig::new(key, [9u8; 32]);
-    server_config.issue_tickets = false;
+    let mut server_config = ServerConfig::new(key, None);
     server_config.assign_session_ids = true;
     let server_config = Arc::new(server_config);
 
@@ -80,8 +79,7 @@ fn session_id_resumption_roundtrip() {
 #[test]
 fn unknown_session_id_falls_back_to_full() {
     let (trust, key, mut rng) = fixture();
-    let mut server_config = ServerConfig::new(key, [9u8; 32]);
-    server_config.issue_tickets = false;
+    let mut server_config = ServerConfig::new(key, None);
     server_config.assign_session_ids = true;
     let server_config = Arc::new(server_config);
 
@@ -106,8 +104,7 @@ fn unknown_session_id_falls_back_to_full() {
 #[test]
 fn cache_is_shared_across_connections() {
     let (trust, key, mut rng) = fixture();
-    let mut server_config = ServerConfig::new(key, [9u8; 32]);
-    server_config.issue_tickets = false;
+    let mut server_config = ServerConfig::new(key, None);
     server_config.assign_session_ids = true;
     let server_config = Arc::new(server_config);
     let mut client_config = ClientConfig::new(trust.clone());

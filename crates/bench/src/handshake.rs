@@ -22,7 +22,10 @@
 //!    20 % of the artifact the run replaces. A third cell prices a
 //!    reconnect through one attested middlebox: the primary resumes
 //!    from its ticket, and the middlebox, which issues none, joins
-//!    with a full secondary handshake.
+//!    with a full secondary handshake. A fourth holds mbTLS with no
+//!    middlebox to what plain TLS costs: resumed mbTLS endpoints
+//!    against `Legacy` ones built from the same configs, timed
+//!    turn about, at most 1.05× (`mbtls_over_tls_resumed`).
 //! 3. **PRF floor** — the suite's 72-byte key block
 //!    (`PRF(master, "key expansion", randoms)` over SHA-384) against
 //!    one SHA-384 compression timed in the same run. P_SHA384 needs
@@ -39,7 +42,7 @@ use std::time::Instant;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::{MbClientConfig, MbClientSession};
-use mbtls_core::driver::{Chain, Relay};
+use mbtls_core::driver::{Chain, LegacyClient, LegacyServer, Relay};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::ed25519::{verify_batch, BatchItem, Signature, SigningKey, VerifyingKey};
@@ -48,6 +51,7 @@ use mbtls_crypto::sha2::Sha384;
 use mbtls_telemetry::json::Value;
 use mbtls_tls::keyschedule::key_block;
 use mbtls_tls::suites::CipherSuite;
+use mbtls_tls::{ClientConnection, ServerConnection};
 
 use crate::{time_handshakes, AllocCounter};
 
@@ -81,6 +85,12 @@ pub struct HandshakeCpu {
     /// Microseconds per ticket-resumed session through one attested
     /// middlebox (the middlebox joins with a full handshake).
     pub resumed_1mbox_us: f64,
+    /// Microseconds per ticket-resumed plain TLS session, `Legacy`
+    /// endpoints over the mbTLS endpoints' own TLS configs.
+    pub tls_resumed_us: f64,
+    /// Resumed mbTLS with no middlebox over `tls_resumed_us`, timed
+    /// turn about with it (acceptance ceiling 1.05).
+    pub mbtls_over_tls_resumed: f64,
 }
 
 /// The key-schedule PRF against the hash it is built from.
@@ -93,6 +103,10 @@ pub struct PrfFloor {
     /// `keyblock_us / sha384_block_us` (acceptance ceiling 16).
     pub keyblock_over_block: f64,
 }
+
+/// Most a resumed mbTLS session with no middlebox may cost against
+/// plain TLS on the same configs (`mbtls_over_tls_resumed`, [`check`]).
+pub const MBTLS_OVER_TLS_CEILING: f64 = 1.05;
 
 /// Measure everything that goes into `BENCH_handshake.json`.
 pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
@@ -141,6 +155,8 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
                     "resumed_1mbox_over_resumed",
                     Value::Float(cpu.resumed_1mbox_us / cpu.resumed_us, 2),
                 ),
+                ("tls_resumed_us", Value::Float(cpu.tls_resumed_us, 1)),
+                ("mbtls_over_tls_resumed", Value::Float(cpu.mbtls_over_tls_resumed, 3)),
             ]),
         ),
         (
@@ -208,6 +224,16 @@ pub fn run(smoke: bool, _alloc_count: AllocCounter) -> Value {
 /// runs of 36 on the scalar core, 7.85–12.5 in four of 16 on the
 /// vector one, 8.1–8.6 in two of 16 now): re-run.
 ///
+/// `mbtls_over_tls_resumed` is at most [`MBTLS_OVER_TLS_CEILING`]:
+/// with no middlebox an mbTLS session is a TLS session plus the
+/// MiddleboxSupport extension, a record router and a data plane that
+/// runs on the primary connection's own ciphers. It reads 1.030–1.047
+/// (25 of 26 runs; once 1.051 in a slow phase that tripped other
+/// floors too: re-run). It read 1.081–1.093 (five runs) while each
+/// session copied its endpoint config's TLS configs and expanded the
+/// bridge keys a second time for its data plane, and the server
+/// expanded its ticket key for every ticket it sealed or opened.
+///
 /// The batching floors are same-run ratios too, of fastest-of-rounds
 /// times. A signature costs its own decode, tables and additions
 /// (p ≈ 25 µs) plus a doubling chain, base-point term and final test
@@ -262,6 +288,9 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
         "a resumed session through a middlebox ({resumed_1mbox_us} us) is no dearer than one \
          without ({resumed_us} us): the middlebox's secondary handshake went untimed"
     );
+    let tls_resumed_us = report.num("handshake_cpu.tls_resumed_us")?;
+    floor!(tls_resumed_us > 0.0, "plain TLS resumed handshake measured nothing");
+    let over_tls = report.num("handshake_cpu.mbtls_over_tls_resumed")?;
     let block_us = report.num("prf_floor.sha384_block_us")?;
     let keyblock_us = report.num("prf_floor.keyblock_us")?;
     let prf_ratio = report.num("prf_floor.keyblock_over_block")?;
@@ -281,6 +310,12 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
             width_us[3]
         );
         floor!(ratio <= 0.25, "resumed handshake too costly: {ratio} of full");
+        floor!(
+            over_tls <= MBTLS_OVER_TLS_CEILING,
+            "resumed mbTLS with no middlebox costs {over_tls} of plain TLS, above the \
+             {MBTLS_OVER_TLS_CEILING} a session that inherits its primary's ciphers and config \
+             allows"
+        );
         floor!(
             prf_ratio <= 16.0,
             "key block costs {prf_ratio} SHA-384 block times ({keyblock_us} / {block_us} us), \
@@ -307,7 +342,7 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
         "handshake OK: batches {batches:?}, best speedup {best}x, width 4 / verify \
          {width_ratio}, resumed/full {ratio}, key block {prf_ratio} block times, resumed/key \
          block {resumed_over_keyblock:.2}, resumed through a middlebox / resumed \
-         {mbox_ratio}{}",
+         {mbox_ratio}, resumed mbTLS / TLS {over_tls}{}",
         if smoke { " (smoke: floors skipped)" } else { "" }
     ))
 }
@@ -410,6 +445,9 @@ pub fn bench_group_widths(rounds: usize, seed: u64) -> (f64, Vec<f64>) {
 /// do not take turns, because a resumed handshake timed between
 /// dearer ones reads slower. The 20 % resumed-cost floor and the 6.56
 /// key-block ceiling in [`check`] rest on `resumed_us`'s own run.
+/// A fourth run times resumed mbTLS and plain TLS endpoints turn
+/// about, both over the same TLS configs, each shared by every
+/// session, for `mbtls_over_tls_resumed`.
 pub fn bench_handshake_cpu(iters: usize, seed: u64) -> HandshakeCpu {
     let testbed = Testbed::new(seed);
     let server = Arc::new(testbed.server_config());
@@ -435,11 +473,37 @@ pub fn bench_handshake_cpu(iters: usize, seed: u64) -> HandshakeCpu {
     let mut resuming = testbed.client_config();
     let ticket = primer.client.resumption().expect("priming handshake yields a ticket");
     resuming.tls.resumption_cache.insert("server.example".to_string(), ticket);
+    let client_tls = Arc::new(resuming.tls.clone());
+    let server_tls = Arc::new(server.tls.clone());
     let resuming = Arc::new(resuming);
+    let no_middlebox = chain(resuming.clone(), 0);
+    let plain_or_mbtls = |plain: bool| {
+        let (client_tls, server_tls) = (client_tls.clone(), server_tls.clone());
+        let no_middlebox = &no_middlebox;
+        move |i| {
+            if !plain {
+                return no_middlebox(i);
+            }
+            let mut rng = CryptoRng::from_seed(seed ^ i);
+            let conn = ClientConnection::new(client_tls.clone(), "server.example", &mut rng);
+            let client = LegacyClient::new(conn, rng.fork());
+            let server = LegacyServer::new(ServerConnection::new(server_tls.clone()), rng.fork());
+            Chain::new(Box::new(client), Vec::new(), Box::new(server))
+        }
+    };
     let [full_us] = time_handshakes(iters, false, [full]);
     let [resumed_us] = time_handshakes(iters, true, [chain(resuming.clone(), 0)]);
     let [resumed_1mbox_us] = time_handshakes(iters, true, [chain(resuming, 1)]);
-    HandshakeCpu { full_us, resumed_us, resumed_over_full: resumed_us / full_us, resumed_1mbox_us }
+    let [mbtls_us, tls_resumed_us] =
+        time_handshakes(iters, true, [plain_or_mbtls(false), plain_or_mbtls(true)]);
+    HandshakeCpu {
+        full_us,
+        resumed_us,
+        resumed_over_full: resumed_us / full_us,
+        resumed_1mbox_us,
+        tls_resumed_us,
+        mbtls_over_tls_resumed: mbtls_us / tls_resumed_us,
+    }
 }
 
 /// Time one SHA-384 compression and one 72-byte key block, each as
@@ -523,6 +587,7 @@ mod tests {
                 ("verify_batch_us_by_width.w2", "9999.0", "wider batch must cost more"),
                 ("handshake_cpu.resumed_us", "0.0", "CPU rows are zero"),
                 ("handshake_cpu.resumed_1mbox_us", "0.0", "went untimed"),
+                ("handshake_cpu.tls_resumed_us", "0.0", "plain TLS resumed handshake"),
                 ("prf_floor.sha384_block_us", "0.000", "PRF floor rows are zero"),
                 ("sha512_backend", "\"sha-ni\"", "names no SHA-512 core"),
                 ("sha512_backend", "false", "sha512_backend"),
@@ -543,6 +608,7 @@ mod tests {
             ("prf_floor.keyblock_over_block", "16.10", "above the 16"),
             ("handshake_cpu.resumed_us", &rederived, "above the 6.56"),
             ("width4_over_verify", "2.51", "above the 2.5"),
+            ("handshake_cpu.mbtls_over_tls_resumed", "1.100", "costs 1.1 of plain TLS"),
         ];
         crate::testing::assert_floors(check, &full, &cases);
         // 1.99 in every row and in the summary key: only the floor trips.

@@ -14,13 +14,14 @@ use mbtls_pki::TrustStore;
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::config::{ClientConfig, PeerProof};
 use mbtls_tls::messages::{extension_type, Extension};
+use mbtls_tls::record::DirectionState;
 use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, ClientHandshake, TlsError};
 
 use crate::dataplane::{EndpointDataPlane, HopKeys};
 use crate::messages::{KeyMaterial, MiddleboxSupport};
-use crate::session::{Admission, MbSession, Role};
+use crate::session::{Admission, MbSession, Role, SharedTls};
 use crate::MbError;
 
 /// How the client decides whether a (verified) middlebox may join.
@@ -38,11 +39,14 @@ pub enum ApprovalPolicy {
 
 /// mbTLS client configuration. An mbTLS client always sends the
 /// MiddleboxSupport extension; one that should behave as a legacy TLS
-/// client is a [`crate::driver::LegacyClient`].
+/// client is a [`crate::driver::LegacyClient`]. Every session built
+/// from one config shares its TLS configs ([`SharedTls`]), so set its
+/// fields before building the first.
 pub struct MbClientConfig {
     /// Configuration for the primary connection (server trust, suites,
-    /// the server's `peer_proof`, resumption cache, ...).
-    pub tls: ClientConfig,
+    /// the server's `peer_proof`, resumption cache, ...), read and
+    /// written as a [`ClientConfig`].
+    pub tls: SharedTls<ClientConfig>,
     /// Trust roots for middlebox certificates.
     pub middlebox_trust: Arc<TrustStore>,
     /// What middleboxes must prove: an attestation on top of their
@@ -74,7 +78,7 @@ impl MbClientConfig {
     /// Defaults over the given server and middlebox trust stores.
     pub fn new(server_trust: Arc<TrustStore>, middlebox_trust: Arc<TrustStore>) -> Self {
         MbClientConfig {
-            tls: ClientConfig::new(server_trust),
+            tls: ClientConfig::new(server_trust).into(),
             middlebox_trust,
             middlebox_proof: PeerProof::Certificate,
             approval: ApprovalPolicy::AllVerified,
@@ -119,10 +123,15 @@ impl Role for ClientRole {
         }
     }
 
+    fn secondary_config(&self) -> Arc<ClientConfig> {
+        let suites = &self.config.tls.suites;
+        self.config.tls.secondary(|| self.admission().secondary_config(suites))
+    }
+
     /// A middlebox announcing itself: its secondary ServerHello
     /// responds to our (shared) primary ClientHello.
     fn unknown_subchannel(session: &mut MbSession<Self>, id: u8) -> Result<(), MbError> {
-        let sec_cfg = session.secondary_config(session.role.config.tls.suites.clone());
+        let sec_cfg = session.role.secondary_config();
         let conn = ClientConnection::with_reused_hello(sec_cfg, "", session.primary.hello().clone());
         session.open_secondary(id, conn);
         Ok(())
@@ -156,6 +165,10 @@ impl Role for ClientRole {
         EndpointDataPlane::for_client(hop)
     }
 
+    fn inherit(write: DirectionState, read: DirectionState) -> EndpointDataPlane {
+        EndpointDataPlane::client(write, read)
+    }
+
     fn flushed(session: &mut MbSession<Self>, bytes: u64) {
         if !session.role.hello_reported {
             session.role.hello_reported = true;
@@ -168,16 +181,15 @@ impl MbSession<ClientRole> {
     /// Open a session toward `server_name`. The ClientHello (with the
     /// MiddleboxSupport extension) is queued immediately.
     pub fn new(config: Arc<MbClientConfig>, server_name: &str, mut rng: CryptoRng) -> Self {
-        // Primary TLS config plus the MiddleboxSupport extension.
-        let mut tls_config = config.tls.clone();
-        tls_config.extra_extensions.push(Extension {
+        let support = Extension {
             typ: extension_type::MIDDLEBOX_SUPPORT,
             data: MiddleboxSupport {
                 preconfigured: config.preconfigured.clone(),
             }
             .encode(),
-        });
-        let primary = ClientConnection::new(Arc::new(tls_config), server_name, &mut rng);
+        };
+        let primary =
+            ClientConnection::with_extension(config.tls.shared(), server_name, support, &mut rng);
         let telemetry = config.telemetry.clone();
         let role = ClientRole { config, hello_reported: false };
         MbSession::around(role, primary, rng, telemetry)

@@ -13,23 +13,25 @@ use std::sync::Arc;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::TrustStore;
 use mbtls_telemetry::{Party, SharedSink};
-use mbtls_tls::config::{PeerProof, ServerConfig};
-use mbtls_tls::record::ContentType;
+use mbtls_tls::config::{ClientConfig, PeerProof, ServerConfig};
+use mbtls_tls::record::{ContentType, DirectionState};
 use mbtls_tls::{ClientConnection, ServerConnection, ServerHandshake, TlsError};
 
 use crate::client::ApprovalPolicy;
 use crate::dataplane::{EndpointDataPlane, HopKeys};
 use crate::messages::KeyMaterial;
-use crate::session::{Admission, MbSession, Role};
+use crate::session::{Admission, MbSession, Role, SharedTls};
 use crate::MbError;
 
 /// mbTLS server configuration. An mbTLS server always accepts
 /// MiddleboxAnnouncements; one that should tolerate but ignore them,
 /// as a legacy TLS server does, is a [`crate::driver::LegacyServer`].
+/// Every session built from one config shares its TLS configs
+/// ([`SharedTls`]), so set its fields before building the first.
 pub struct MbServerConfig {
     /// Configuration for the primary connection (certificate, suites,
-    /// tickets, proof, ...).
-    pub tls: ServerConfig,
+    /// tickets, proof, ...), read and written as a [`ServerConfig`].
+    pub tls: SharedTls<ServerConfig>,
     /// Trust roots for middlebox certificates.
     pub middlebox_trust: Arc<TrustStore>,
     /// What middleboxes must prove (see
@@ -47,7 +49,7 @@ impl MbServerConfig {
     /// Defaults over the given identity and middlebox trust store.
     pub fn new(tls: ServerConfig, middlebox_trust: Arc<TrustStore>) -> Self {
         MbServerConfig {
-            tls,
+            tls: tls.into(),
             middlebox_trust,
             middlebox_proof: PeerProof::Certificate,
             approval: ApprovalPolicy::AllVerified,
@@ -80,13 +82,17 @@ impl Role for ServerRole {
         }
     }
 
+    fn secondary_config(&self) -> Arc<ClientConfig> {
+        let suites = &self.config.tls.suites;
+        self.config.tls.secondary(|| self.admission().secondary_config(suites))
+    }
+
     /// A middlebox announced itself: start a secondary handshake with
     /// the server in the TLS-client role.
     fn claim_record(
         session: &mut MbSession<Self>,
         content_type: Option<ContentType>,
     ) -> Result<bool, MbError> {
-        let config = &session.role.config;
         if content_type != Some(ContentType::MbtlsMiddleboxAnnouncement) {
             return Ok(false);
         }
@@ -95,7 +101,7 @@ impl Role for ServerRole {
         }
         let id = session.role.next_subchannel;
         let next = id.checked_add(1).ok_or(MbError::bad_hop("too many middleboxes"))?;
-        let sec_cfg = session.secondary_config(config.tls.suites.clone());
+        let sec_cfg = session.role.secondary_config();
         session.role.next_subchannel = next;
         let conn = ClientConnection::new(sec_cfg, "", &mut session.rng);
         session.open_secondary(id, conn);
@@ -124,6 +130,10 @@ impl Role for ServerRole {
         EndpointDataPlane::for_server(hop)
     }
 
+    fn inherit(write: DirectionState, read: DirectionState) -> EndpointDataPlane {
+        EndpointDataPlane::server(write, read)
+    }
+
     /// The primary connection receives nothing post-handshake, so its
     /// take is a free swap at steady state.
     fn primary_plaintext(session: &mut MbSession<Self>) -> Vec<u8> {
@@ -134,7 +144,7 @@ impl Role for ServerRole {
 impl MbSession<ServerRole> {
     /// New session awaiting a ClientHello.
     pub fn new(config: Arc<MbServerConfig>, rng: CryptoRng) -> Self {
-        let primary = ServerConnection::new(Arc::new(config.tls.clone()));
+        let primary = ServerConnection::new(config.tls.shared());
         let telemetry = config.telemetry.clone();
         let role = ServerRole {
             config,

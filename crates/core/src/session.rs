@@ -19,7 +19,8 @@
 //! statically dispatched and inlines exactly as the two hand-written
 //! copies did.
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 use mbtls_crypto::ed25519::verify_checks;
 use mbtls_crypto::rng::CryptoRng;
@@ -27,7 +28,7 @@ use mbtls_pki::{KeyUsage, SignatureCheck, TrustStore};
 use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::alert::{Alert, AlertDescription};
 use mbtls_tls::config::{ClientConfig, PeerProof};
-use mbtls_tls::record::{frame_plaintext, ContentType, Record, RecordReader};
+use mbtls_tls::record::{frame_plaintext, ContentType, DirectionState, Record, RecordReader};
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, Connection, Handshake, TlsError};
 
@@ -37,10 +38,58 @@ use crate::driver::PendingVerify;
 use crate::messages::{Encapsulated, KeyMaterial, SecondaryMessage};
 use crate::MbError;
 
-/// The negotiated suite, with the bridge-hop keys at their current
-/// sequence numbers.
-fn bridge<H: Handshake>(primary: &Connection<H>) -> Option<(CipherSuite, HopKeys)> {
-    Some((primary.secrets()?.suite, primary.export_session_keys()?))
+/// An endpoint config's primary TLS config
+/// ([`crate::client::MbClientConfig::tls`],
+/// [`crate::server::MbServerConfig::tls`]), read and written as the
+/// config itself and held behind an `Arc` that every primary
+/// connection built from the endpoint config shares. A write while
+/// connections share it copies it first, so they keep what they were
+/// built with. Beside it is the config every secondary connection of
+/// the endpoint config shares, built by the first session that needs
+/// one from the whole endpoint config. A write through this wrapper
+/// drops that one, but the endpoint config's other fields are read by
+/// that build only: set them before building sessions.
+pub struct SharedTls<T> {
+    config: Arc<T>,
+    secondary: OnceLock<Arc<ClientConfig>>,
+}
+
+impl<T: Clone> SharedTls<T> {
+    /// The config itself, copied if primary connections still share it.
+    pub fn into_inner(self) -> T {
+        Arc::unwrap_or_clone(self.config)
+    }
+
+    /// The primary connections' config.
+    pub(crate) fn shared(&self) -> Arc<T> {
+        self.config.clone()
+    }
+
+    /// The secondary connections' config: `build`'s, on first use.
+    pub(crate) fn secondary(&self, build: impl FnOnce() -> ClientConfig) -> Arc<ClientConfig> {
+        self.secondary.get_or_init(|| Arc::new(build())).clone()
+    }
+}
+
+impl<T> From<T> for SharedTls<T> {
+    fn from(config: T) -> Self {
+        SharedTls { config: Arc::new(config), secondary: OnceLock::new() }
+    }
+}
+
+impl<T> Deref for SharedTls<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.config
+    }
+}
+
+impl<T: Clone> DerefMut for SharedTls<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.secondary.take();
+        Arc::make_mut(&mut self.config)
+    }
 }
 
 /// How an endpoint verifies and approves its middleboxes, borrowed
@@ -66,6 +115,28 @@ impl Admission<'_> {
     fn delegated(&self) -> bool {
         matches!(self.proof, PeerProof::Delegation(_))
     }
+
+    /// The TLS config of a secondary session, in the client role,
+    /// offering `suites`. The session is the connection's driver: it
+    /// checks the middlebox's chain itself and discharges the
+    /// signature checks the server flight owes together with the
+    /// chain's ([`MbSession::collect_owed`]), so the connection skips
+    /// the chain and parks its checks. In delegated mode the TLS layer
+    /// checks the credential (and its issuer chain) and keys the
+    /// handshake off it. Middleboxes issue no tickets, so the
+    /// connection offers none. The name is unknown until the
+    /// certificate arrives.
+    pub(crate) fn secondary_config(&self, suites: &[CipherSuite]) -> ClientConfig {
+        ClientConfig {
+            suites: suites.to_vec(),
+            current_time: self.now,
+            peer_proof: self.proof.clone(),
+            enable_tickets: false,
+            danger_disable_cert_verify: true,
+            defer_verify: true,
+            ..ClientConfig::new(self.trust.clone())
+        }
+    }
 }
 
 impl ApprovalPolicy {
@@ -89,6 +160,10 @@ pub(crate) trait Role: Sized {
 
     /// How this end verifies and approves middleboxes.
     fn admission(&self) -> Admission<'_>;
+
+    /// The TLS config every secondary session of this endpoint config
+    /// runs under ([`Admission::secondary_config`]), built once.
+    fn secondary_config(&self) -> Arc<ClientConfig>;
 
     /// A record arrived that is neither Encapsulated nor data-plane
     /// traffic. Returns true if the role consumed it; otherwise it
@@ -115,8 +190,13 @@ pub(crate) trait Role: Sized {
     /// this end) and `far` (the hop toward the bridge).
     fn key_material(near: &HopKeys, far: &HopKeys) -> KeyMaterial;
 
-    /// This end's data plane over its adjacent hop.
+    /// This end's data plane over fresh adjacent-hop keys.
     fn data_plane(hop: &HopKeys) -> Result<EndpointDataPlane, TlsError>;
+
+    /// This end's data plane over the bridge hop, on the ciphers the
+    /// primary connection gave up: `write` seals what this end sends,
+    /// `read` opens what it receives.
+    fn inherit(write: DirectionState, read: DirectionState) -> EndpointDataPlane;
 
     /// `bytes` wire bytes were just flushed (`BytesOut` not yet
     /// reported).
@@ -381,29 +461,6 @@ impl<R: Role> MbSession<R> {
         Ok(())
     }
 
-    /// The TLS config of a secondary session, in the client role,
-    /// offering `suites`. The session is the connection's driver: it
-    /// checks the middlebox's chain itself and discharges the
-    /// signature checks the server flight owes together with the
-    /// chain's ([`MbSession::collect_owed`]), so the connection skips
-    /// the chain and parks its checks. In delegated mode the TLS layer
-    /// checks the credential (and its issuer chain) and keys the
-    /// handshake off it. Middleboxes issue no tickets, so the
-    /// connection offers none. The name is unknown until the
-    /// certificate arrives.
-    pub(crate) fn secondary_config(&self, suites: Vec<CipherSuite>) -> Arc<ClientConfig> {
-        let admission = self.role.admission();
-        Arc::new(ClientConfig {
-            suites,
-            current_time: admission.now,
-            peer_proof: admission.proof.clone(),
-            enable_tickets: false,
-            danger_disable_cert_verify: true,
-            defer_verify: true,
-            ..ClientConfig::new(admission.trust.clone())
-        })
-    }
-
     /// Start tracking a secondary session on subchannel `id`, and
     /// wrap whatever it has queued at once (a server end's fresh
     /// ClientHello, which the announcing middlebox claims).
@@ -635,10 +692,14 @@ impl<R: Role> MbSession<R> {
 
     /// Generate per-hop keys, send KeyMaterial to each approved
     /// middlebox, end every secondary session, and activate the data
-    /// plane (paper Fig. 4).
+    /// plane (paper Fig. 4). The primary connection's part ends here
+    /// too: it gives up its ciphers and its key block. When this end's
+    /// adjacent hop is the bridge hop — no middlebox on this side, or
+    /// every hop aliased — the data plane runs on those ciphers, so
+    /// each bridge key is expanded once at each end. Middleboxes are
+    /// sent the bridge keys as bytes, exported before the primary lets
+    /// them go.
     fn distribute_keys(&mut self) -> Result<(), MbError> {
-        let (suite, bridge) = bridge(&self.primary).ok_or(MbError::NotReady)?;
-
         let mut order: Vec<u8> = self
             .secondaries
             .iter()
@@ -648,27 +709,16 @@ impl<R: Role> MbSession<R> {
             .collect();
         R::order_path(&mut order);
 
-        // Hops: this end ↔ m_1, m_1 ↔ m_2, ..., m_k ↔ bridge, each
-        // under fresh keys (change secrecy, P1C) unless the role
-        // aliases them to the bridge keys.
-        let mut hops: Vec<HopKeys> = Vec::with_capacity(order.len() + 1);
-        for _ in 0..order.len() {
-            if self.role.alias_hops() {
-                hops.push(bridge.clone());
-            } else {
-                hops.push(fresh_hop_keys(suite, &mut self.rng));
-            }
-        }
-        hops.push(bridge);
-
-        for (i, &id) in order.iter().enumerate() {
-            let msg = SecondaryMessage::Keys(R::key_material(&hops[i], &hops[i + 1])).encode();
-            let sec = find_mut(&mut self.secondaries, id)
-                .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
-            sec.conn.send_data(&msg).map_err(MbError::Tls)?;
-            sec.flush_wrapped(&mut self.out);
-            self.emit(EventKind::KeyDelivery { subchannel: id as u64 });
-        }
+        let bridge = if order.is_empty() {
+            None
+        } else {
+            Some(self.primary.export_session_keys().ok_or(MbError::NotReady)?)
+        };
+        let (write, read) = self.primary.take_ciphers().ok_or(MbError::NotReady)?;
+        let fresh = match bridge {
+            Some(bridge) => self.send_hop_keys(&order, bridge)?,
+            None => None,
+        };
 
         // Every secondary session has done its job: send what each
         // still holds (a refused one's fatal alert), lowest subchannel
@@ -681,13 +731,44 @@ impl<R: Role> MbSession<R> {
             }
         }
 
-        let mut dp = R::data_plane(&hops[0]).map_err(MbError::Tls)?;
+        let mut dp = match fresh {
+            Some(hop) => R::data_plane(&hop).map_err(MbError::Tls)?,
+            None => R::inherit(write, read),
+        };
         if let Some(t) = &self.telemetry {
             dp.set_telemetry(t.clone(), R::PARTY);
         }
         self.dataplane = Some(dp);
         self.emit(EventKind::HandshakeComplete);
         Ok(())
+    }
+
+    /// Send each middlebox in path `order` the keys of its two hops:
+    /// this end ↔ m_1, m_1 ↔ m_2, ..., m_k ↔ `bridge`, each under fresh
+    /// keys (change secrecy, P1C) unless the role aliases them to the
+    /// bridge keys. Returns the adjacent hop's keys when they are
+    /// fresh; `None` when it is the bridge hop.
+    fn send_hop_keys(&mut self, order: &[u8], bridge: HopKeys) -> Result<Option<HopKeys>, MbError> {
+        let alias = self.role.alias_hops();
+        let mut hops: Vec<HopKeys> = Vec::with_capacity(order.len() + 1);
+        for _ in order {
+            if alias {
+                hops.push(bridge.clone());
+            } else {
+                hops.push(fresh_hop_keys(bridge.suite, &mut self.rng));
+            }
+        }
+        hops.push(bridge);
+
+        for (i, &id) in order.iter().enumerate() {
+            let msg = SecondaryMessage::Keys(R::key_material(&hops[i], &hops[i + 1])).encode();
+            let sec = find_mut(&mut self.secondaries, id)
+                .ok_or_else(|| MbError::unexpected_state("secondary session vanished"))?;
+            sec.conn.send_data(&msg).map_err(MbError::Tls)?;
+            sec.flush_wrapped(&mut self.out);
+            self.emit(EventKind::KeyDelivery { subchannel: id as u64 });
+        }
+        Ok((!alias).then(|| hops.swap_remove(0)))
     }
 
     /// True once application data can flow: keys are distributed and
@@ -774,4 +855,70 @@ pub(crate) fn wrap_records(subchannel: u8, stream: &[u8], out: &mut Vec<u8>) {
         Encapsulated::wrap_into(subchannel, record.wire(), out);
         Ok::<_, mbtls_tls::TlsError>(())
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::Arc;
+
+    use mbtls_crypto::rng::CryptoRng;
+
+    use crate::attacks::Testbed;
+    use crate::driver::{Chain, Endpoint, Relay};
+    use crate::middlebox::Middlebox;
+    use crate::{MbClientSession, MbError, MbServerSession};
+
+    /// An endpoint a chain drives while the test keeps a handle on it.
+    struct Held<E>(Rc<RefCell<E>>);
+
+    impl<E: Endpoint> Endpoint for Held<E> {
+        fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
+            self.0.borrow_mut().feed(data)
+        }
+        fn take(&mut self) -> Vec<u8> {
+            self.0.borrow_mut().take()
+        }
+        fn ready(&self) -> bool {
+            self.0.borrow().ready()
+        }
+        fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
+            self.0.borrow_mut().send_app(data)
+        }
+        fn recv_app(&mut self) -> Vec<u8> {
+            self.0.borrow_mut().recv_app()
+        }
+    }
+
+    // Key delivery ends the primary connection's part: it keeps no
+    // cipher and no key block, whether the data plane took its ciphers
+    // over (no middlebox) or runs on fresh hop keys (one).
+    #[test]
+    fn key_delivery_leaves_the_primary_no_keys() {
+        for middleboxes in [0, 1] {
+            let tb = Testbed::new(0x4A0D);
+            let mut rng = CryptoRng::from_seed(0x4A0D);
+            let client_config = Arc::new(tb.client_config());
+            let client = MbClientSession::new(client_config, "server.example", rng.fork());
+            let server = MbServerSession::new(Arc::new(tb.server_config()), rng.fork());
+            let (client, server) = (Rc::new(RefCell::new(client)), Rc::new(RefCell::new(server)));
+            let middles = (0..middleboxes)
+                .map(|_| {
+                    let config = tb.middlebox_config(&tb.mbox_code);
+                    Box::new(Middlebox::new(config, rng.fork())) as Box<dyn Relay>
+                })
+                .collect();
+            let mut chain =
+                Chain::new(Box::new(Held(client.clone())), middles, Box::new(Held(server.clone())));
+            chain.run_handshake().expect("handshake");
+            let exported = (
+                client.borrow().primary.export_session_keys(),
+                server.borrow().primary.export_session_keys(),
+            );
+            assert!(exported == (None, None), "{middleboxes} middleboxes");
+            assert_eq!(chain.client_to_server(b"ping", 4).expect("request"), b"ping");
+            assert_eq!(chain.server_to_client(b"pong", 4).expect("response"), b"pong");
+        }
+    }
 }

@@ -14,8 +14,12 @@
 //! 4973 / 33 399 / 35 383 / 36 823 bytes at 0 / 1 / 2 / 3 client-side
 //! middleboxes, 28 426 more at one than at none, and the server
 //! 3199 / 31 792 bytes at 0 / 1 server-side middleboxes. With each
-//! secondary dropped at key delivery the client holds
-//! 4972 / 5639 / 6424 / 6665 bytes and the server 3199 / 3953.
+//! secondary dropped at key delivery the client held
+//! 4972 / 5639 / 6424 / 6665 bytes and the server 3199 / 3953. Since
+//! sessions share their endpoint config's TLS configs instead of each
+//! copying them, and the primary connection gives up its ciphers and
+//! key block at key delivery, the client holds
+//! 4576 / 5243 / 6028 / 6269 bytes and the server 3004 / 3758.
 //!
 //! The counting allocator is this test binary's, and the binary has
 //! one test, so nothing else allocates while it counts.

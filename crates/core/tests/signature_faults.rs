@@ -244,8 +244,8 @@ impl Session {
             // MiddleboxSupport extension and announces itself to the
             // server instead.
             let mut client_rng = rng.fork();
-            let conn =
-                ClientConnection::new(Arc::new(client_cfg.tls), "server.example", &mut client_rng);
+            let tls = Arc::new(client_cfg.tls.into_inner());
+            let conn = ClientConnection::new(tls, "server.example", &mut client_rng);
             Client::Plain(Box::new(conn), client_rng)
         } else {
             let session = MbClientSession::new(Arc::new(client_cfg), "server.example", rng.fork());

@@ -37,6 +37,9 @@ enum Setup {
     HelloOnly,
     /// Handshake complete, keys distributed, data plane active.
     Established,
+    /// The same with no middlebox: the two mbTLS endpoints are each
+    /// other's adjacent hop.
+    Direct,
     /// Plain TLS 1.2, established: `LegacyClient` ↔ `LegacyServer`
     /// with no middlebox between them.
     PlainTls,
@@ -63,6 +66,9 @@ enum Poison {
     /// A valid data-plane record: the fault is what the victim would
     /// do with it.
     ValidRecord,
+    /// A handshake record after key delivery, for the primary
+    /// connection, whose handshake is over.
+    HandshakeAfterKeys,
 }
 
 /// Appends to every record: a modification, which on aliased hop keys
@@ -96,15 +102,19 @@ const TABLE: &[(Victim, Setup, Poison)] = &[
     (Victim::Client, Setup::PlainTls, Poison::BadTag),
     (Victim::Server, Setup::PlainTls, Poison::OversizedRecord),
     (Victim::Server, Setup::PlainTls, Poison::BadTag),
+    (Victim::Client, Setup::Direct, Poison::HandshakeAfterKeys),
+    (Victim::Server, Setup::Direct, Poison::HandshakeAfterKeys),
+    (Victim::Client, Setup::Established, Poison::HandshakeAfterKeys),
+    (Victim::Server, Setup::Established, Poison::HandshakeAfterKeys),
 ];
 
 fn chain(seed: u64, setup: Setup) -> Chain {
     let tb = Testbed::new(seed);
     let mut rng = CryptoRng::from_seed(seed ^ 0x57);
     let mut chain = if let Setup::PlainTls = setup {
-        let client_tls = Arc::new(tb.client_config().tls);
+        let client_tls = Arc::new(tb.client_config().tls.into_inner());
         let client = ClientConnection::new(client_tls, "server.example", &mut rng);
-        let server = ServerConnection::new(Arc::new(tb.server_config().tls));
+        let server = ServerConnection::new(Arc::new(tb.server_config().tls.into_inner()));
         Chain::new(
             Box::new(LegacyClient::new(client, rng.fork())),
             vec![],
@@ -122,14 +132,16 @@ fn chain(seed: u64, setup: Setup) -> Chain {
         } else {
             Middlebox::new(mbox_cfg, rng.fork())
         };
-        Chain::new(Box::new(client), vec![Box::new(mbox)], Box::new(server))
+        let middles: Vec<Box<dyn Relay>> =
+            if let Setup::Direct = setup { vec![] } else { vec![Box::new(mbox)] };
+        Chain::new(Box::new(client), middles, Box::new(server))
     };
     match setup {
         Setup::HelloOnly => {
             let hello = chain.client.take();
             chain.middles[0].feed_left(&hello).expect("ClientHello");
         }
-        Setup::Established | Setup::PlainTls | Setup::AliasedAppender => {
+        Setup::Established | Setup::Direct | Setup::PlainTls | Setup::AliasedAppender => {
             chain.run_handshake().expect("handshake")
         }
     }
@@ -225,6 +237,7 @@ fn poison_bytes(chain: &mut Chain, victim: Victim, poison: Poison) -> Vec<u8> {
         }
         Poison::JoinAfterKeys => frame_plaintext(ContentType::MbtlsMiddleboxAnnouncement, &[]),
         Poison::ValidRecord => next_valid_record(chain, victim),
+        Poison::HandshakeAfterKeys => frame_plaintext(ContentType::Handshake, &[0, 0, 0, 0]),
     }
 }
 

@@ -93,6 +93,20 @@ impl Connection<ClientHandshake> {
         Self::with_hello(config, server_name, hello, true)
     }
 
+    /// Start a connection whose ClientHello carries `extension` right
+    /// after the config's own extra extensions (mbTLS's
+    /// MiddleboxSupport), queued for sending immediately.
+    pub fn with_extension(
+        config: Arc<ClientConfig>,
+        server_name: &str,
+        extension: Extension,
+        rng: &mut CryptoRng,
+    ) -> Self {
+        let mut hello = Self::build_hello(&config, server_name, rng);
+        hello.extensions.insert(config.extra_extensions.len(), extension);
+        Self::with_hello(config, server_name, hello, true)
+    }
+
     /// Start a connection that *reuses* an existing ClientHello (the
     /// mbTLS secondary-handshake trick: the primary ClientHello serves
     /// double duty, so the secondary connection must treat those exact

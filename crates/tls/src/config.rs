@@ -3,7 +3,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use mbtls_crypto::ct;
 use mbtls_crypto::ed25519::VerifyingKey;
+use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::secret::Secret;
 use mbtls_pki::cert::{Certificate, CertifiedKey};
 use mbtls_pki::delegation::{DelegatedCredential, DelegatedRole};
@@ -148,6 +150,22 @@ impl ClientConfig {
 /// Shared session-ID resumption cache: id → (suite, master secret).
 pub type SessionIdCache = Arc<Mutex<HashMap<Vec<u8>, (CipherSuite, Secret)>>>;
 
+/// The key RFC 5077 session tickets are sealed and opened under: an
+/// AES-256-GCM key, expanded once when it is made, which every clone
+/// of the config shares. The expansion is the only form kept; it wipes
+/// itself when the last clone drops.
+#[derive(Clone)]
+pub struct TicketKey(pub(crate) Arc<AesGcm>);
+
+impl TicketKey {
+    /// Expand `key`, wiping the array once it is expanded.
+    pub fn new(mut key: [u8; 32]) -> Result<Self, crate::TlsError> {
+        let gcm = AesGcm::new(&key);
+        ct::zeroize(&mut key);
+        Ok(TicketKey(Arc::new(gcm?)))
+    }
+}
+
 /// Server-side configuration. Cheap to clone via `Arc`.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -157,7 +175,7 @@ pub struct ServerConfig {
     pub suites: Vec<CipherSuite>,
     /// Key under which RFC 5077 session tickets are sealed and opened.
     /// `None`: the server issues no ticket and opens none offered.
-    pub ticket_key: Option<[u8; 32]>,
+    pub ticket_key: Option<TicketKey>,
     /// What this server proves beyond its certificate chain, in
     /// every full handshake.
     pub proof: Proof,
@@ -176,12 +194,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A sane default config for the given identity; tickets are on
-    /// when `ticket_key` is a key.
+    /// when `ticket_key` is a key, which is expanded here, once.
     pub fn new(certified_key: Arc<CertifiedKey>, ticket_key: impl Into<Option<[u8; 32]>>) -> Self {
         ServerConfig {
             certified_key,
             suites: CipherSuite::ALL.to_vec(),
-            ticket_key: ticket_key.into(),
+            // A 32-byte key always expands.
+            ticket_key: ticket_key.into().and_then(|key| TicketKey::new(key).ok()),
             proof: Proof::None,
             session_cache: Arc::new(Mutex::new(HashMap::new())),
             assign_session_ids: false,

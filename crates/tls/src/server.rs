@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use mbtls_crypto::dh::DhSecret;
-use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::secret::Secret;
 use mbtls_crypto::x25519;
@@ -352,9 +351,13 @@ impl Connection<ServerHandshake> {
             master_secret: secrets.master_secret.clone(),
         };
         let nonce: [u8; 12] = rng.gen_array();
-        let gcm = ticket_gcm(&self.hs.config)
+        let key = self
+            .hs
+            .config
+            .ticket_key
+            .as_ref()
             .ok_or(TlsError::Internal("tickets are on only under a ticket key"))?;
-        let sealed = gcm.seal(&nonce, b"ticket", &plain.encode())?;
+        let sealed = key.0.seal(&nonce, b"ticket", &plain.encode())?;
         let ticket = [&nonce[..], &sealed].concat();
         let msg = NewSessionTicket {
             lifetime_hint: 3600,
@@ -365,13 +368,10 @@ impl Connection<ServerHandshake> {
     }
 }
 
-/// The AEAD tickets are sealed under; none without a ticket key.
-fn ticket_gcm(config: &ServerConfig) -> Option<AesGcm> {
-    AesGcm::new(config.ticket_key.as_ref()?).ok()
-}
-
+/// The ticket's plaintext, if it opens under this server's ticket key.
 fn open_ticket(config: &ServerConfig, ticket: &[u8]) -> Option<TicketPlaintext> {
     let (nonce, sealed) = ticket.split_first_chunk::<12>()?;
-    let plain = Secret::from(ticket_gcm(config)?.open(nonce, b"ticket", sealed).ok()?);
+    let key = config.ticket_key.as_ref()?;
+    let plain = Secret::from(key.0.open(nonce, b"ticket", sealed).ok()?);
     TicketPlaintext::decode(&plain).ok()
 }

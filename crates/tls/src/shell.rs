@@ -262,6 +262,20 @@ impl<H: Handshake> Connection<H> {
         Some(SessionKeys::from_key_block(secrets.suite, &self.key_block, c2s, s2c))
     }
 
+    /// Give up record protection: the write and read ciphers, at their
+    /// current sequence numbers, leave the connection, and the key
+    /// block they came from is wiped — what an mbTLS endpoint does at
+    /// key delivery, when its data plane takes the record stream over.
+    /// From then on the connection seals and opens nothing, and
+    /// [`Connection::export_session_keys`] is `None`. `None` unless
+    /// both ciphers were installed; the key block goes either way.
+    pub fn take_ciphers(&mut self) -> Option<(DirectionState, DirectionState)> {
+        self.key_block = Secret::from(Vec::new());
+        let write = self.shell.write_cipher.take();
+        let read = self.shell.read_cipher.take();
+        Some((write?, read?))
+    }
+
     /// Queue application data (fragmenting as needed). Requires an
     /// established session, or — for a client with False Start
     /// enabled — a sent Finished.
@@ -480,7 +494,7 @@ impl<H: Handshake> Connection<H> {
             let cipher = shell
                 .read_cipher
                 .as_mut()
-                .ok_or(TlsError::UnexpectedMessage("ciphertext before keys"))?;
+                .ok_or(TlsError::UnexpectedMessage("protected record with no read cipher"))?;
             let plain = if content_type == ContentType::ApplicationData {
                 &mut shell.plaintext_in
             } else {

@@ -6,7 +6,9 @@ use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
 use mbtls_pki::{KeyUsage, TrustStore};
 use mbtls_sgx::{AttestationService, CodeIdentity, Enclave, Platform, Quote};
-use mbtls_tls::config::{AttestationPolicy, Attestor, ClientConfig, PeerProof, Proof, ServerConfig};
+use mbtls_tls::config::{
+    AttestationPolicy, Attestor, ClientConfig, PeerProof, Proof, ServerConfig, TicketKey,
+};
 use mbtls_tls::messages::{handshake_type, HandshakeReader};
 use mbtls_tls::record::RecordReader;
 use mbtls_tls::session::SessionKeys;
@@ -567,7 +569,7 @@ fn exported_keys_match_between_peers() {
                 let resumption = client.resumption_data().expect(&case);
                 assert_eq!(resumption.ticket.is_some(), tickets, "{case}");
                 cc.resumption_cache.insert("server.example".to_string(), resumption);
-                sc.ticket_key = sc.ticket_key.map(|_| [ticket_key; 32]);
+                sc.ticket_key = sc.ticket_key.map(|_| TicketKey::new([ticket_key; 32]).unwrap());
                 client = ClientConnection::new(Arc::new(cc), "server.example", &mut f.rng);
                 server = ServerConnection::new(Arc::new(sc));
                 // Flight by flight, checking each end in between.
@@ -629,7 +631,7 @@ fn ticket_offered_with_a_proof_configured() {
             let resumption = client.resumption_data().expect(&case);
             assert!(resumption.ticket.is_some(), "{case}");
             cc.resumption_cache.insert(name.to_string(), resumption);
-            sc.ticket_key = Some([ticket_key; 32]);
+            sc.ticket_key = Some(TicketKey::new([ticket_key; 32]).unwrap());
 
             let mut client = ClientConnection::new(Arc::new(cc), name, &mut rng);
             let mut server = ServerConnection::new(Arc::new(sc));

@@ -1,37 +1,57 @@
 #!/usr/bin/env bash
 # Paired comparison of the repo benchmark between a parent revision and
-# the working tree, on one workload, by the rule a claimed gain must
-# meet.
+# the working tree, on one or more workloads, by the rule a claimed
+# gain must meet.
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs] [seconds]
+#   scripts/bench_pairs.sh <parent-rev> <workloads> [pairs] [seconds]
+#
+# <workloads> is one workload name, a comma-separated list of them, or
+# `all` (every workload BENCHMARK.json declares, in its order).
 #
 # Builds the benchmark package (benchmark/Cargo.toml) twice, each into
 # a target directory of its own: once from <parent-rev>, unpacked into
 # a temporary directory with `git archive` (so an interrupted run
 # leaves nothing registered in the repository), and once from the
-# working tree. Then runs <pairs> pairs (default 10) of `--trace 0`
-# runs of <seconds> each (default 15), every pair on a fresh seed
-# (time-based, printed), alternating which side runs first.
+# working tree. Then, workload by workload, runs <pairs> pairs
+# (default 10) of `--trace 0` runs of <seconds> each (default 15),
+# every pair on a fresh seed (time-based, printed), alternating which
+# side runs first.
 #
-# For every end-to-end metric BENCHMARK.json declares it prints each
-# side's median and quartiles and the number of pairs the change won
-# (ties count for neither side), and calls a metric a gain only when
-# the change won at least nine tenths of the pairs and the medians
-# differ by more than the parent's interquartile range. Every run's
-# numbers are kept in the temporary directory, whose path it prints.
-# The benchmark's own files are not touched. The statistics need
-# python3.
+# Once a workload's pairs are done it prints that workload's table:
+# for every end-to-end metric BENCHMARK.json declares, each side's
+# median and quartiles and the number of pairs the change won (ties
+# count for neither side). A metric is called a gain only when the
+# change won at least nine tenths of the pairs and the medians differ
+# by more than the parent's interquartile range. Every run's numbers
+# are kept in the temporary directory, whose path it prints. The
+# benchmark's own files are not touched. The workload list and the
+# statistics need python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: scripts/bench_pairs.sh <parent-rev> <workload> [pairs] [seconds]" >&2
+    echo "usage: scripts/bench_pairs.sh <parent-rev> <workload>[,<workload>...]|all [pairs] [seconds]" >&2
     exit 2
 fi
-rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-15}
+rev=$1 pairs=${3:-10} seconds=${4:-15}
 case "$pairs" in '' | *[!0-9]* | 0) echo "bench_pairs: bad pair count '$pairs'" >&2; exit 2 ;; esac
 git rev-parse --verify --quiet "$rev^{commit}" > /dev/null ||
     { echo "bench_pairs: no such revision '$rev'" >&2; exit 2; }
+
+# The workloads asked for, one per line, each one BENCHMARK.json declares.
+workloads=$(python3 - "$2" BENCHMARK.json <<'EOF'
+import json, sys
+
+asked, manifest = sys.argv[1], sys.argv[2]
+known = [w["name"] for w in json.load(open(manifest))["workloads"]]
+names = known if asked == "all" else asked.split(",")
+unknown = [n for n in names if n not in known]
+if unknown:
+    sys.exit(f"bench_pairs: no workload {', '.join(map(repr, unknown))}; "
+             f"BENCHMARK.json declares {', '.join(known)}")
+print("\n".join(names))
+EOF
+)
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 echo "bench_pairs: runs kept in $tmp"
@@ -47,35 +67,25 @@ build() {
 parent_bin=$(build "$tmp/parent" "$tmp/target-parent")
 change_bin=$(build "$PWD" "$tmp/target-change")
 
-# run <side> <binary> <pair> <seed>: one untraced run, its last line
-# (the JSON summary) saved as runs/<side>-<pair>.json.
+# run <workload> <side> <binary> <pair> <seed>: one untraced run, its
+# last line (the JSON summary) saved as runs/<workload>/<side>-<pair>.json.
 run() {
-    "$2" --results-dir "$tmp/results" --workload "$workload" --seed "$4" \
-        --seconds "$seconds" --trace 0 | tail -n 1 > "$tmp/runs/$1-$3.json"
+    "$3" --results-dir "$tmp/results" --workload "$1" --seed "$5" \
+        --seconds "$seconds" --trace 0 | tail -n 1 > "$tmp/runs/$1/$2-$4.json"
 }
-base_seed=$(date +%s)
-for ((i = 0; i < pairs; i++)); do
-    seed=$((base_seed + i))
-    echo "pair $((i + 1))/$pairs, seed $seed"
-    if ((i % 2 == 0)); then
-        run parent "$parent_bin" "$i" "$seed"
-        run change "$change_bin" "$i" "$seed"
-    else
-        run change "$change_bin" "$i" "$seed"
-        run parent "$parent_bin" "$i" "$seed"
-    fi
-done
 
-python3 - "$tmp/runs" "$pairs" BENCHMARK.json <<'EOF'
+# table <workload>: each end-to-end metric's verdict over its pairs.
+table() {
+    python3 - "$tmp/runs/$1" "$pairs" BENCHMARK.json "$1" <<'EOF'
 import json, statistics, sys
 
-runs, pairs, manifest = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+runs, pairs, manifest, workload = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
 metrics = json.load(open(manifest))["end_to_end"]
 
 def load(side, i):
     summary = json.load(open(f"{runs}/{side}-{i}.json"))
     if not summary["correct"]:
-        sys.exit(f"bench_pairs: {side} run {i} delivered wrong bytes")
+        sys.exit(f"bench_pairs: {workload}: {side} run {i} delivered wrong bytes")
     return summary["metrics"]
 
 parent = [load("parent", i) for i in range(pairs)]
@@ -87,6 +97,7 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
+print(f"\n{workload} ({pairs} pairs)")
 print(f"{'metric':<18} {'parent q1/med/q3':>32} {'change q1/med/q3':>32} {'wins':>6}  verdict")
 for m in metrics:
     name, higher = m["name"], m["better"] == "higher"
@@ -102,3 +113,21 @@ for m in metrics:
     print(f"{name:<18} {fmt(pq):>32} {fmt(cq):>32} {wins:>3}/{pairs:<2}  "
           + ("gain" if gain else "no claim"))
 EOF
+}
+
+base_seed=$(date +%s)
+for workload in $workloads; do
+    mkdir -p "$tmp/runs/$workload"
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((base_seed + i))
+        echo "$workload: pair $((i + 1))/$pairs, seed $seed"
+        if ((i % 2 == 0)); then
+            run "$workload" parent "$parent_bin" "$i" "$seed"
+            run "$workload" change "$change_bin" "$i" "$seed"
+        else
+            run "$workload" change "$change_bin" "$i" "$seed"
+            run "$workload" parent "$parent_bin" "$i" "$seed"
+        fi
+    done
+    table "$workload"
+done

@@ -23,12 +23,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mbtls_core::attacks::Testbed;
+use mbtls_core::attacks::{settle, Testbed};
 use mbtls_core::client::MbClientSession;
 use mbtls_core::dataplane::{
     fresh_hop_keys, EndpointDataPlane, FlowDirection, HopKeys, MiddleboxDataPlane,
 };
-use mbtls_core::driver::{Chain, Relay};
+use mbtls_core::driver::{Chain, Relay, TapLinks};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
@@ -41,7 +41,7 @@ use mbtls_telemetry::json::Value;
 use mbtls_tls::record::ContentType;
 use mbtls_tls::suites::CipherSuite;
 
-use crate::{allocs_per_op, fnv1a, AllocCounter, OpaqueLinks, FNV1A_BASIS};
+use crate::{allocs_per_op, fnv1a, AllocCounter, FNV1A_BASIS};
 
 /// Record payload of the per-hop rows: just under the TLS fragment
 /// ceiling, so one send is one record.
@@ -585,18 +585,7 @@ pub fn run_chain_sized(
     let mut app_bytes = 0usize;
     let t0 = Instant::now();
     for s in 0..sessions {
-        let mut rng = CryptoRng::from_seed(seed ^ 0xA3_013 ^ ((s as u64) << 32));
-        let client =
-            MbClientSession::new(Arc::new(testbed.client_config()), "server.example", rng.fork());
-        let server = MbServerSession::new(Arc::new(testbed.server_config()), rng.fork());
-        let middles: Vec<Box<dyn Relay>> = functions
-            .iter()
-            .map(|f| {
-                let cfg = testbed.middlebox_config(&testbed.mbox_code);
-                Box::new(Middlebox::with_processor(cfg, rng.fork(), f.build())) as Box<dyn Relay>
-            })
-            .collect();
-        let mut chain = Chain::new(Box::new(client), middles, Box::new(server));
+        let mut chain = sized_session(&testbed, functions, seed, s);
         chain.run_handshake()?;
         for _ in 0..exchanges_per_session {
             let got = chain.client_to_server(&req, req.len())?;
@@ -608,6 +597,22 @@ pub fn run_chain_sized(
         }
     }
     Ok(ChainRunResult { mb_per_s: mb_per_s(app_bytes, t0.elapsed()), digest })
+}
+
+/// Session `s` of a [`run_chain_sized`] run on `seed`, not yet started.
+fn sized_session(testbed: &Testbed, functions: &[ChainFunction], seed: u64, s: usize) -> Chain {
+    let mut rng = CryptoRng::from_seed(seed ^ 0xA3_013 ^ ((s as u64) << 32));
+    let client =
+        MbClientSession::new(Arc::new(testbed.client_config()), "server.example", rng.fork());
+    let server = MbServerSession::new(Arc::new(testbed.server_config()), rng.fork());
+    let middles: Vec<Box<dyn Relay>> = functions
+        .iter()
+        .map(|f| {
+            let cfg = testbed.middlebox_config(&testbed.mbox_code);
+            Box::new(Middlebox::with_processor(cfg, rng.fork(), f.build())) as Box<dyn Relay>
+        })
+        .collect();
+    Chain::new(Box::new(client), middles, Box::new(server))
 }
 
 /// The amortization configurations: `(name, sessions,
@@ -735,15 +740,19 @@ impl SteadyState {
 /// Exchanges [`run`] counts over on each [`SteadyStateRing`].
 const RING_EXCHANGES: u64 = 64;
 
+/// A tap that watches nothing.
+type Blind = fn(usize, bool, &[u8]);
+
 /// A handshaken client → three taps → server [`Chain`] moving one
 /// asymmetric exchange per turn (256 B up, 128 KiB down), either over
-/// the chain's own lending links or over [`OpaqueLinks`]. [`run`]
-/// counts allocations around [`Self::exchange`] and reads
-/// [`Self::request_link_capacity`] afterwards.
+/// the chain's own lending links or over [`TapLinks`] that lend
+/// nothing. [`run`] counts allocations around [`Self::exchange`] and
+/// reads [`Self::request_link_capacity`] afterwards.
 pub struct SteadyStateRing {
     chain: Chain,
-    /// `None`: [`Chain::pump`] over the chain's own links.
-    opaque: Option<OpaqueLinks>,
+    /// `None`: [`Chain::pump`] over the chain's own links. `Some`:
+    /// links that watch nothing, so only their not lending counts.
+    opaque: Option<TapLinks<Blind>>,
     request: Vec<u8>,
     response: Vec<u8>,
     got_request: Vec<u8>,
@@ -758,8 +767,9 @@ impl SteadyStateRing {
     pub fn warmed_up(read_only_keys: bool, lending: bool) -> Self {
         let taps = [ChainFunction::Tap; 3];
         let chain = handshaken_chain(&taps, 0x51E4_D151, read_only_keys).expect("handshake");
+        let watch_nothing: Blind = |_, _, _| {};
         let mut ring = SteadyStateRing {
-            opaque: (!lending).then(|| OpaqueLinks::new(chain.middles.len() + 1)),
+            opaque: (!lending).then(|| TapLinks::new(chain.parties() - 1, watch_nothing)),
             chain,
             request: vec![0x42; 256],
             response: (0..128 * 1024).map(|i| (i % 251) as u8).collect(),
@@ -775,7 +785,9 @@ impl SteadyStateRing {
             None => {
                 self.chain.pump().expect("pump");
             }
-            Some(links) => while self.chain.pump_with(links).expect("pump") {},
+            Some(links) => {
+                settle(&mut self.chain, links).expect("pump");
+            }
         }
     }
 
@@ -797,9 +809,9 @@ impl SteadyStateRing {
 
     /// Capacity parked on the request-direction (client→server) links:
     /// the chain's own buffers, which it also stages through under
-    /// [`OpaqueLinks`], plus the opaque links' own.
+    /// links that lend nothing, plus those links' own.
     pub fn request_link_capacity(&self) -> usize {
-        self.chain.link_capacity(true) + self.opaque.as_ref().map_or(0, |l| l.pipes.capacity(true))
+        self.chain.link_capacity(true) + self.opaque.as_ref().map_or(0, |l| l.capacity(true))
     }
 }
 
@@ -905,19 +917,44 @@ mod tests {
         }
     }
 
+    /// The sessions of a [`run_chain_sized`] run with 16 KiB responses,
+    /// driven over [`TapLinks`] instead of timed: the bytes they put on
+    /// every link, and the digest of the application bytes delivered.
+    fn sized_link_bytes(sessions: usize, exchanges: usize) -> (u64, u64) {
+        let (slick, seed) = (ServiceChain::slick_web(), 7);
+        let testbed = Testbed::new(seed);
+        let req = vec![0x42u8; 256];
+        let resp: Vec<u8> = (0..16 * 1024).map(|i| (i % 251) as u8).collect();
+        let (mut link_bytes, mut digest) = (0, FNV1A_BASIS);
+        for s in 0..sessions {
+            let mut chain = sized_session(&testbed, slick.functions(), seed, s);
+            let count = |_, _, data: &[u8]| link_bytes += data.len() as u64;
+            let mut links = TapLinks::new(chain.parties() - 1, count);
+            settle(&mut chain, &mut links).expect("handshake");
+            for _ in 0..exchanges {
+                chain.client.send_app(&req).expect("send request");
+                settle(&mut chain, &mut links).expect("request");
+                fnv1a(&mut digest, &chain.server.recv_app());
+                chain.server.send_app(&resp).expect("send response");
+                settle(&mut chain, &mut links).expect("response");
+                fnv1a(&mut digest, &chain.client.recv_app());
+            }
+        }
+        (link_bytes, digest)
+    }
+
     #[test]
     fn session_reuse_amortizes_handshakes() {
-        // Same exchange budget, same bytes: one handshake for all
-        // exchanges must beat one handshake per exchange — the floor
-        // is structural, not statistical.
-        let slick = ServiceChain::slick_web();
-        let per_exchange = run_chain_sized(slick.functions(), 3, 1, 16 * 1024, 7).expect("run");
-        let reused = run_chain_sized(slick.functions(), 1, 3, 16 * 1024, 7).expect("run");
+        // Same exchanges, same application bytes: one handshake for
+        // all of them puts strictly fewer bytes on the links than one
+        // handshake per exchange. Counted, not timed, so the floor is
+        // structural, not statistical.
+        let (per_exchange, per_exchange_digest) = sized_link_bytes(3, 1);
+        let (reused, reused_digest) = sized_link_bytes(1, 3);
+        assert_eq!(reused_digest, per_exchange_digest, "the runs delivered different bytes");
         assert!(
-            reused.mb_per_s > per_exchange.mb_per_s,
-            "reuse {} !> per-exchange {}",
-            reused.mb_per_s,
-            per_exchange.mb_per_s
+            reused < per_exchange,
+            "reuse moved {reused} link bytes, one session per exchange {per_exchange}"
         );
     }
 

@@ -15,13 +15,14 @@
 //!
 //! Every handshake a suite times goes through [`time_handshakes`],
 //! and every handshake whose wire bytes it counts through
-//! [`counted_handshake`]; both drive a [`Chain`].
+//! [`counted_handshake`]; both drive a [`Chain`], the latter over
+//! [`TapLinks`]. So do Table 1's captures: nothing here pumps parties
+//! by hand.
 
 use std::time::Instant;
 
-use mbtls_core::client::MbClientSession;
-use mbtls_core::driver::{Chain, ChainLinks, PipeLinks, Relay};
-use mbtls_core::server::MbServerSession;
+use mbtls_core::attacks::settle;
+use mbtls_core::driver::{Chain, TapLinks};
 use mbtls_core::MbError;
 use mbtls_telemetry::json::Value;
 
@@ -149,91 +150,22 @@ pub fn time_handshakes<const N: usize>(
     })
 }
 
-/// [`PipeLinks`] that keep their buffers to themselves, so [`Chain`]
-/// stages every transfer the way it does under the network simulator,
-/// and that count and digest every byte sent over them.
-pub(crate) struct OpaqueLinks {
-    pub(crate) pipes: PipeLinks,
-    /// Bytes sent, over every link and both directions.
-    bytes: u64,
-    /// FNV-1a digest of every byte sent, in send order.
-    digest: u64,
-}
-
-impl OpaqueLinks {
-    /// Links for a chain of `links` links.
-    pub(crate) fn new(links: usize) -> Self {
-        OpaqueLinks { pipes: PipeLinks::new(links), bytes: 0, digest: FNV1A_BASIS }
-    }
-
-    fn count(&mut self, data: &[u8]) {
-        self.bytes += data.len() as u64;
-        fnv1a(&mut self.digest, data);
-    }
-}
-
-impl ChainLinks for OpaqueLinks {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.pipes.recv_rightward(link)
-    }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.pipes.recv_leftward(link)
-    }
-    fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        self.count(data);
-        self.pipes.send_rightward(link, from, data)
-    }
-    fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        self.count(data);
-        self.pipes.send_leftward(link, from, data)
-    }
-    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        self.pipes.recv_rightward_into(link, dst)
-    }
-    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        self.pipes.recv_leftward_into(link, dst)
-    }
-}
-
-/// Run `chain`'s handshake over `OpaqueLinks` until both endpoints
-/// are ready and nothing moves, so trailing control records (key
-/// delivery to the middleboxes) land in the count. Returns the wire
+/// Run `chain`'s handshake over [`TapLinks`] until both endpoints are
+/// ready and nothing moves ([`settle`]), so trailing control records
+/// (key delivery to the middleboxes) land in the count. Returns the wire
 /// bytes across every link and their digest, the determinism
 /// fingerprint.
 pub fn counted_handshake(mut chain: Chain) -> Result<(u64, u64), MbError> {
-    let mut links = OpaqueLinks::new(chain.middles.len() + 1);
-    for _ in 0..1_000 {
-        if !chain.pump_with(&mut links)? && chain.client.ready() && chain.server.ready() {
-            return Ok((links.bytes, links.digest));
-        }
+    let (mut bytes, mut digest) = (0, FNV1A_BASIS);
+    let mut links = TapLinks::new(chain.parties() - 1, |_, _, data: &[u8]| {
+        bytes += data.len() as u64;
+        fnv1a(&mut digest, data);
+    });
+    settle(&mut chain, &mut links)?;
+    if !(chain.client.ready() && chain.server.ready()) {
+        return Err(MbError::unexpected_state("counted handshake did not complete"));
     }
-    Err(MbError::unexpected_state("counted handshake did not complete"))
-}
-
-/// One hand-driven pass over a client → middlebox → server session:
-/// each hop's bytes go to `hop` and then on to the next party, in the
-/// order 0 client → middlebox, 1 middlebox → server, 2 server →
-/// middlebox, 3 middlebox → client. The parties stay the caller's, so
-/// their state can be read between passes: Table 1's attacks capture
-/// each hop this way. Every other handshake drives a [`Chain`].
-pub(crate) fn pass(
-    client: &mut MbClientSession,
-    mbox: &mut dyn Relay,
-    server: &mut MbServerSession,
-    mut hop: impl FnMut(usize, &[u8]),
-) -> Result<(), MbError> {
-    let bytes = client.take_outgoing();
-    hop(0, &bytes);
-    mbox.feed_left(&bytes)?;
-    let bytes = mbox.take_right();
-    hop(1, &bytes);
-    server.feed_incoming(&bytes)?;
-    let bytes = server.take_outgoing();
-    hop(2, &bytes);
-    mbox.feed_right(&bytes)?;
-    let bytes = mbox.take_left();
-    hop(3, &bytes);
-    client.feed_incoming(&bytes)
+    Ok((bytes, digest))
 }
 
 #[cfg(test)]

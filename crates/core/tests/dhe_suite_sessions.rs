@@ -54,36 +54,23 @@ fn suite_mismatch_between_client_and_middlebox_demotes_to_relay() {
     let tb = Testbed::new(0x5111);
     let mut ccfg = tb.client_config();
     ccfg.tls.suites = vec![CipherSuite::EcdheAes256GcmSha384];
-    let mut client = MbClientSession::new(
+    let client = MbClientSession::new(
         Arc::new(ccfg),
         "server.example",
         CryptoRng::from_seed(1),
     );
-    let mut server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(2));
+    let server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(2));
     let mut mcfg = tb.middlebox_config(&tb.mbox_code);
     mcfg.suites = vec![CipherSuite::DheAes256GcmSha384];
-    let mut mb = Middlebox::new(mcfg, CryptoRng::from_seed(3));
+    let mb = Middlebox::new(mcfg, CryptoRng::from_seed(3));
+    let mut chain = Chain::new(Box::new(client), vec![Box::new(mb)], Box::new(server));
 
-    for _ in 0..60 {
-        let b = client.take_outgoing();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed_incoming(&b).unwrap();
-        if client.is_ready() && server.is_ready() {
-            break;
-        }
-    }
-    assert!(client.is_ready() && server.is_ready());
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready() && chain.server.ready());
+    let mb = chain.party::<Middlebox>(1).unwrap();
     assert!(!mb.has_keys(), "negotiation failure demotes the middlebox");
     // Data still flows end to end.
-    client.send(b"direct anyway").unwrap();
-    let b = client.take_outgoing();
-    mb.feed_from_client(&b).unwrap();
-    let b = mb.take_toward_server();
-    server.feed_incoming(&b).unwrap();
-    assert_eq!(server.recv(), b"direct anyway");
+    chain.client.send_app(b"direct anyway").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"direct anyway");
 }

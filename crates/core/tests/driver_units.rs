@@ -5,12 +5,15 @@ use std::sync::Arc;
 use mbtls_core::attacks::Testbed;
 use mbtls_core::baseline::PureRelay;
 use mbtls_core::client::MbClientSession;
-use mbtls_core::driver::{Chain, NetChain, Relay};
+use mbtls_core::driver::{Chain, LegacyClient, LegacyServer, NetChain, Relay};
+use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_core::MbError;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_netsim::time::Duration;
 use mbtls_netsim::{FaultConfig, Network};
+use mbtls_tls::config::{ClientConfig, ServerConfig};
+use mbtls_tls::{ClientConnection, ServerConnection};
 
 fn endpoints(seed: u64) -> (MbClientSession, MbServerSession) {
     let tb = Testbed::new(seed);
@@ -35,6 +38,40 @@ fn chain_through_stacked_relays() {
     chain.run_handshake().unwrap();
     let got = chain.client_to_server(b"through relays", 14).unwrap();
     assert_eq!(got, b"through relays");
+}
+
+#[test]
+fn chain_hands_each_party_back_as_its_type() {
+    // No middlebox: mbTLS endpoints at 0 and 1.
+    let (client, server) = endpoints(0xD6);
+    let mut chain = Chain::new(Box::new(client), vec![], Box::new(server));
+    assert!(chain.party::<MbClientSession>(0).is_some());
+    assert!(chain.party::<MbServerSession>(1).is_some());
+    assert!(chain.party::<MbServerSession>(0).is_none(), "the client is no server");
+    assert!(chain.party::<MbClientSession>(1).is_none(), "the server is no client");
+    assert!(chain.party::<MbServerSession>(2).is_none(), "past the server");
+
+    // Two middleboxes, of two types, between legacy endpoints.
+    let tb = Testbed::new(0xD7);
+    let mut rng = CryptoRng::from_seed(0xD7);
+    let tls = Arc::new(ClientConfig::new(tb.server_trust.clone()));
+    let conn = ClientConnection::new(tls, "server.example", &mut rng);
+    let client = LegacyClient::new(conn, rng.fork());
+    let tls = Arc::new(ServerConfig::new(tb.server_key.clone(), [7u8; 32]));
+    let server = LegacyServer::new(ServerConnection::new(tls), rng.fork());
+    let mbox = Middlebox::new(tb.middlebox_config(&tb.mbox_code), rng.fork());
+    let middles: Vec<Box<dyn Relay>> = vec![Box::new(mbox), Box::new(PureRelay::new())];
+    let mut chain = Chain::new(Box::new(client), middles, Box::new(server));
+    assert_eq!(chain.parties(), 4);
+    assert!(chain.party::<LegacyClient>(0).is_some());
+    assert!(chain.party::<Middlebox>(1).is_some());
+    assert!(chain.party::<PureRelay>(2).is_some());
+    assert!(chain.party::<LegacyServer>(3).is_some());
+    assert!(chain.party::<Middlebox>(2).is_none(), "a PureRelay is no Middlebox");
+    assert!(chain.party::<PureRelay>(1).is_none(), "a Middlebox is no PureRelay");
+    assert!(chain.party::<LegacyServer>(0).is_none(), "a legacy client is no legacy server");
+    assert!(chain.party::<MbClientSession>(0).is_none(), "a legacy client is no mbTLS one");
+    assert!(chain.party::<LegacyServer>(4).is_none(), "past the server");
 }
 
 #[test]

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
 use mbtls_core::dataplane::{fresh_hop_keys, HopKeys};
+use mbtls_core::driver::Chain;
 use mbtls_core::messages::{KeyMaterial, SecondaryMessage};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
@@ -49,34 +50,25 @@ fn hop_keys_zero_on_drop() {
 #[test]
 fn middlebox_enclave_wipe_clears_delivered_keys() {
     let tb = Testbed::new(0xD20BE);
-    let mut client = MbClientSession::new(
+    let client = MbClientSession::new(
         Arc::new(tb.client_config()),
         "server.example",
         CryptoRng::from_seed(1),
     );
-    let mut server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(2));
-    let mut mb = Middlebox::new(tb.middlebox_config(&tb.mbox_code), CryptoRng::from_seed(3));
-    for _ in 0..60 {
-        let b = client.take_outgoing();
-        mb.feed_from_client(&b).expect("client->mb");
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).expect("mb->server");
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).expect("server->mb");
-        let b = mb.take_toward_client();
-        client.feed_incoming(&b).expect("mb->client");
-        if client.is_ready() && server.is_ready() && mb.has_keys() {
-            break;
-        }
-    }
-    assert!(client.is_ready() && server.is_ready() && mb.has_keys());
+    let server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(2));
+    let mb = Middlebox::new(tb.middlebox_config(&tb.mbox_code), CryptoRng::from_seed(3));
+    let mut chain = Chain::new(Box::new(client), vec![Box::new(mb)], Box::new(server));
+    chain.run_handshake().expect("handshake");
+    let ready = chain.client.ready() && chain.server.ready();
+    let mb = chain.party::<Middlebox>(1).expect("middlebox");
+    assert!(ready && mb.has_keys());
     let snapshot = mb.sensitive_snapshot();
     assert!(
         snapshot.iter().any(|&b| b != 0),
         "established middlebox must hold real key material"
     );
 
-    EnclaveState::wipe(&mut mb);
+    EnclaveState::wipe(mb);
 
     assert!(
         mb.sensitive_snapshot().is_empty(),

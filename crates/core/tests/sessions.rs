@@ -36,6 +36,16 @@ fn mbox(tb: &Testbed, seed: u64) -> Middlebox {
     )
 }
 
+/// The one middlebox of a client → middlebox → server chain.
+fn middlebox(chain: &mut Chain) -> &mut Middlebox {
+    chain.party(1).expect("party 1 is a middlebox")
+}
+
+/// The server of a chain through one middlebox, as an mbTLS server.
+fn server_of(chain: &mut Chain) -> &mut MbServerSession {
+    chain.party(2).expect("party 2 is an mbTLS server")
+}
+
 fn exchange(chain: &mut Chain) {
     chain.run_handshake().expect("handshake completes");
     let got = chain
@@ -89,27 +99,17 @@ fn three_client_side_middleboxes() {
 #[test]
 fn middlebox_gets_keys_and_processes_records() {
     let tb = Testbed::new(4);
-    let mut client = mb_client(&tb, 41);
-    let mut server = mb_server(&tb, 42);
-    let mut mb = mbox(&tb, 43);
-
-    // Manual pump to inspect the middlebox afterwards.
-    for _ in 0..60 {
-        let b = client.take_outgoing();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed_incoming(&b).unwrap();
-        if client.is_ready() && server.is_ready() && mb.has_keys() {
-            break;
-        }
-    }
-    assert!(client.is_ready() && server.is_ready());
+    let mut chain = Chain::new(
+        Box::new(mb_client(&tb, 41)),
+        vec![Box::new(mbox(&tb, 43))],
+        Box::new(mb_server(&tb, 42)),
+    );
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready() && chain.server.ready());
+    let mb = middlebox(&mut chain);
     assert_eq!(mb.phase(), MiddleboxPhase::DataPlane);
     assert!(mb.has_keys());
+    let client = chain.party::<MbClientSession>(0).unwrap();
     assert_eq!(client.middleboxes().len(), 1);
     assert!(client.middleboxes()[0].approved);
     assert_eq!(
@@ -117,13 +117,10 @@ fn middlebox_gets_keys_and_processes_records() {
         Some("proxy.msp.example")
     );
 
-    client.send(b"probe").unwrap();
-    let b = client.take_outgoing();
-    mb.feed_from_client(&b).unwrap();
-    let b = mb.take_toward_server();
-    server.feed_incoming(&b).unwrap();
-    assert_eq!(server.recv(), b"probe");
-    assert_eq!(mb.records_processed(), 1);
+    chain.client.send_app(b"probe").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"probe");
+    assert_eq!(middlebox(&mut chain).records_processed(), 1);
 }
 
 /// A processor that rewrites request/response payloads.
@@ -173,48 +170,28 @@ fn one_server_side_middlebox() {
         ClientConnection::new(Arc::new(tls_cfg), "server.example", &mut rng),
         rng,
     );
-    let mut server = mb_server(&tb, 62);
-    let mut mb = mbox(&tb, 63);
-
-    let mut client = legacy;
-    use mbtls_core::driver::Endpoint;
-    for _ in 0..60 {
-        let b = client.take();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed(&b).unwrap();
-        if client.ready() && server.is_ready() {
-            break;
-        }
-    }
-    assert!(client.ready(), "legacy client established");
-    assert!(server.is_ready(), "mbTLS server ready");
+    let mut chain = Chain::new(
+        Box::new(legacy),
+        vec![Box::new(mbox(&tb, 63))],
+        Box::new(mb_server(&tb, 62)),
+    );
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready(), "legacy client established");
+    assert!(chain.server.ready(), "mbTLS server ready");
+    let mb = middlebox(&mut chain);
     assert!(mb.announced());
     assert_eq!(mb.phase(), MiddleboxPhase::DataPlane);
+    let server = server_of(&mut chain);
     assert_eq!(server.middleboxes().len(), 1);
     assert!(server.middleboxes()[0].approved);
 
     // Data both ways.
-    client.send_app(b"from legacy client").unwrap();
-    for _ in 0..10 {
-        let b = client.take();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-    }
-    assert_eq!(server.recv(), b"from legacy client");
-    server.send(b"from mbtls server").unwrap();
-    for _ in 0..10 {
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed(&b).unwrap();
-    }
-    assert_eq!(client.recv_app(), b"from mbtls server");
+    chain.client.send_app(b"from legacy client").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"from legacy client");
+    chain.server.send_app(b"from mbtls server").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.client.recv_app(), b"from mbtls server");
 }
 
 #[test]
@@ -328,32 +305,20 @@ fn denied_middlebox_falls_back_to_relay() {
         "server.example",
         mbtls_crypto::rng::CryptoRng::from_seed(111),
     );
-    let mut client = client;
-    let mut server = mb_server(&tb, 112);
-    let mut mb = mbox(&tb, 113);
-    for _ in 0..60 {
-        let b = client.take_outgoing();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed_incoming(&b).unwrap();
-        if client.is_ready() && server.is_ready() && mb.phase() == MiddleboxPhase::Relay {
-            break;
-        }
-    }
-    assert!(client.is_ready() && server.is_ready());
+    let mut chain = Chain::new(
+        Box::new(client),
+        vec![Box::new(mbox(&tb, 113))],
+        Box::new(mb_server(&tb, 112)),
+    );
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready() && chain.server.ready());
+    let mb = middlebox(&mut chain);
     assert_eq!(mb.phase(), MiddleboxPhase::Relay, "denied box relays");
     assert!(!mb.has_keys());
     // Data still flows end to end.
-    client.send(b"direct").unwrap();
-    let b = client.take_outgoing();
-    mb.feed_from_client(&b).unwrap();
-    let b = mb.take_toward_server();
-    server.feed_incoming(&b).unwrap();
-    assert_eq!(server.recv(), b"direct");
+    chain.client.send_app(b"direct").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"direct");
 }
 
 #[test]
@@ -384,25 +349,16 @@ fn wrong_code_middlebox_rejected_by_attestation() {
         tb.middlebox_config(&evil_code),
         mbtls_crypto::rng::CryptoRng::from_seed(133),
     );
-    let mut client = mb_client(&tb, 131);
-    let mut server = mb_server(&tb, 132);
-    let mut mb = mb;
-    for _ in 0..60 {
-        let b = client.take_outgoing();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed_incoming(&b).unwrap();
-        if client.is_ready() && server.is_ready() {
-            break;
-        }
-    }
+    let mut chain = Chain::new(
+        Box::new(mb_client(&tb, 131)),
+        vec![Box::new(mb)],
+        Box::new(mb_server(&tb, 132)),
+    );
+    chain.run_handshake().unwrap();
     // The session completes but the middlebox was demoted to a relay
     // and received no keys.
-    assert!(client.is_ready() && server.is_ready());
+    assert!(chain.client.ready() && chain.server.ready());
+    let mb = middlebox(&mut chain);
     assert!(!mb.has_keys(), "unattested middlebox must not get keys");
     assert_eq!(mb.phase(), MiddleboxPhase::Relay);
 }
@@ -451,33 +407,20 @@ fn tolerant_legacy_server_ignores_announcement() {
         ),
         rng.fork(),
     );
-    let mut mb = mbox(&tb, 153);
-    let mut client = legacy_client;
-    let mut server = legacy_server;
-    use mbtls_core::driver::Endpoint;
-    for _ in 0..60 {
-        let b = client.take();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed(&b).unwrap();
-        let b = server.take();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed(&b).unwrap();
-        if client.ready() && server.ready() {
-            break;
-        }
-    }
-    assert!(client.ready() && server.ready());
+    let mut chain = Chain::new(
+        Box::new(legacy_client),
+        vec![Box::new(mbox(&tb, 153))],
+        Box::new(legacy_server),
+    );
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready() && chain.server.ready());
+    let mb = middlebox(&mut chain);
     assert!(mb.announced());
     assert_eq!(mb.phase(), MiddleboxPhase::Relay);
     // Data flows as plain TLS through the relay.
-    client.send_app(b"vanilla").unwrap();
-    let b = client.take();
-    mb.feed_from_client(&b).unwrap();
-    let b = mb.take_toward_server();
-    server.feed(&b).unwrap();
-    assert_eq!(server.recv_app(), b"vanilla");
+    chain.client.send_app(b"vanilla").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"vanilla");
 }
 
 #[test]
@@ -536,36 +479,26 @@ fn delegated_client_side_middlebox_session() {
     // identity is a short-lived, session-bound credential signed by
     // the server's endpoint key.
     let tb = Testbed::new(40);
-    let mut client = MbClientSession::new(
+    let client = MbClientSession::new(
         Arc::new(tb.client_config_delegated()),
         "server.example",
         mbtls_crypto::rng::CryptoRng::from_seed(401),
     );
-    let mut server = MbServerSession::new(
+    let server = MbServerSession::new(
         Arc::new(tb.server_config_delegated()),
         mbtls_crypto::rng::CryptoRng::from_seed(402),
     );
-    let mut mb = Middlebox::new(
+    let mb = Middlebox::new(
         tb.middlebox_config_delegated(),
         mbtls_crypto::rng::CryptoRng::from_seed(403),
     );
-
-    for _ in 0..60 {
-        let b = client.take_outgoing();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed_incoming(&b).unwrap();
-        if client.is_ready() && server.is_ready() && mb.has_keys() {
-            break;
-        }
-    }
-    assert!(client.is_ready() && server.is_ready());
+    let mut chain = Chain::new(Box::new(client), vec![Box::new(mb)], Box::new(server));
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready() && chain.server.ready());
+    let mb = middlebox(&mut chain);
     assert_eq!(mb.phase(), MiddleboxPhase::DataPlane);
     assert!(mb.has_keys());
+    let client = chain.party::<MbClientSession>(0).unwrap();
     assert_eq!(client.middleboxes().len(), 1);
     assert!(client.middleboxes()[0].approved);
     assert_eq!(
@@ -573,13 +506,10 @@ fn delegated_client_side_middlebox_session() {
         Some("proxy.msp.example")
     );
 
-    client.send(b"delegated probe").unwrap();
-    let b = client.take_outgoing();
-    mb.feed_from_client(&b).unwrap();
-    let b = mb.take_toward_server();
-    server.feed_incoming(&b).unwrap();
-    assert_eq!(server.recv(), b"delegated probe");
-    assert_eq!(mb.records_processed(), 1);
+    chain.client.send_app(b"delegated probe").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"delegated probe");
+    assert_eq!(middlebox(&mut chain).records_processed(), 1);
 }
 
 #[test]
@@ -613,34 +543,22 @@ fn delegated_server_side_middlebox_session() {
         ClientConnection::new(Arc::new(tls_cfg), "server.example", &mut rng),
         rng,
     );
-    let mut server = MbServerSession::new(
+    let server = MbServerSession::new(
         Arc::new(tb.server_config_delegated()),
         mbtls_crypto::rng::CryptoRng::from_seed(422),
     );
-    let mut mb = Middlebox::new(
+    let mb = Middlebox::new(
         tb.middlebox_config_delegated(),
         mbtls_crypto::rng::CryptoRng::from_seed(423),
     );
-
-    let mut client = legacy;
-    use mbtls_core::driver::Endpoint;
-    for _ in 0..60 {
-        let b = client.take();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed(&b).unwrap();
-        if client.ready() && server.is_ready() {
-            break;
-        }
-    }
-    assert!(client.ready(), "legacy client established");
-    assert!(server.is_ready(), "mbTLS server ready");
+    let mut chain = Chain::new(Box::new(legacy), vec![Box::new(mb)], Box::new(server));
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready(), "legacy client established");
+    assert!(chain.server.ready(), "mbTLS server ready");
+    let mb = middlebox(&mut chain);
     assert!(mb.announced());
     assert_eq!(mb.phase(), MiddleboxPhase::DataPlane);
+    let server = server_of(&mut chain);
     assert_eq!(server.middleboxes().len(), 1);
     assert!(server.middleboxes()[0].approved);
     assert_eq!(
@@ -648,14 +566,9 @@ fn delegated_server_side_middlebox_session() {
         Some("proxy.msp.example")
     );
 
-    client.send_app(b"via delegated box").unwrap();
-    for _ in 0..10 {
-        let b = client.take();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-    }
-    assert_eq!(server.recv(), b"via delegated box");
+    chain.client.send_app(b"via delegated box").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"via delegated box");
 }
 
 #[test]
@@ -665,39 +578,26 @@ fn delegated_middlebox_denied_falls_back_to_relay() {
     let tb = Testbed::new(43);
     let mut cfg = tb.client_config_delegated();
     cfg.approval = ApprovalPolicy::DenyAll;
-    let mut client = MbClientSession::new(
+    let client = MbClientSession::new(
         Arc::new(cfg),
         "server.example",
         mbtls_crypto::rng::CryptoRng::from_seed(431),
     );
-    let mut server = MbServerSession::new(
+    let server = MbServerSession::new(
         Arc::new(tb.server_config_delegated()),
         mbtls_crypto::rng::CryptoRng::from_seed(432),
     );
-    let mut mb = Middlebox::new(
+    let mb = Middlebox::new(
         tb.middlebox_config_delegated(),
         mbtls_crypto::rng::CryptoRng::from_seed(433),
     );
-    for _ in 0..60 {
-        let b = client.take_outgoing();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed_incoming(&b).unwrap();
-        if client.is_ready() && server.is_ready() && mb.phase() == MiddleboxPhase::Relay {
-            break;
-        }
-    }
-    assert!(client.is_ready() && server.is_ready());
+    let mut chain = Chain::new(Box::new(client), vec![Box::new(mb)], Box::new(server));
+    chain.run_handshake().unwrap();
+    assert!(chain.client.ready() && chain.server.ready());
+    let mb = middlebox(&mut chain);
     assert_eq!(mb.phase(), MiddleboxPhase::Relay, "denied box relays");
     assert!(!mb.has_keys());
-    client.send(b"direct").unwrap();
-    let b = client.take_outgoing();
-    mb.feed_from_client(&b).unwrap();
-    let b = mb.take_toward_server();
-    server.feed_incoming(&b).unwrap();
-    assert_eq!(server.recv(), b"direct");
+    chain.client.send_app(b"direct").unwrap();
+    chain.pump().unwrap();
+    assert_eq!(chain.server.recv_app(), b"direct");
 }

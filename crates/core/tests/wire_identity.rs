@@ -28,12 +28,11 @@
 
 use std::sync::Arc;
 
-use mbtls_core::attacks::Testbed;
+use mbtls_core::attacks::{settle, Testbed};
 use mbtls_core::client::{ApprovalPolicy, MbClientConfig, MbClientSession};
-use mbtls_core::driver::{Chain, ChainLinks, Endpoint, LegacyClient, PipeLinks, Relay};
+use mbtls_core::driver::{Chain, Endpoint, LegacyClient, Relay, TapLinks};
 use mbtls_core::middlebox::{Middlebox, MiddleboxConfig};
 use mbtls_core::server::{MbServerConfig, MbServerSession};
-use mbtls_core::MbError;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_telemetry::{Event, Party, Recorder, SharedSink};
 use mbtls_tls::config::ClientConfig;
@@ -48,9 +47,8 @@ const MIDDLEBOXES: usize = 3;
 const RESEAL_DIGEST: u64 = 0x802c_3862_a8ca_57ab;
 const READ_ONLY_DIGEST: u64 = 0x1038_e783_6ffa_3e44;
 
-/// In-memory links that digest everything placed on them.
-struct DigestLinks {
-    inner: PipeLinks,
+/// A running digest of everything placed on a chain's links.
+struct Wire {
     digest: u64,
     bytes: usize,
     /// Deferred-verification verdicts delivered while playing the
@@ -58,14 +56,9 @@ struct DigestLinks {
     verdicts: usize,
 }
 
-impl DigestLinks {
-    fn new(links: usize) -> Self {
-        DigestLinks {
-            inner: PipeLinks::new(links),
-            digest: 0xCBF2_9CE4_8422_2325,
-            bytes: 0,
-            verdicts: 0,
-        }
+impl Wire {
+    fn new() -> Self {
+        Wire { digest: 0xCBF2_9CE4_8422_2325, bytes: 0, verdicts: 0 }
     }
 
     fn absorb(&mut self, rightward: bool, link: usize, data: &[u8]) {
@@ -76,81 +69,39 @@ impl DigestLinks {
         }
         self.bytes += data.len();
     }
-}
 
-impl ChainLinks for DigestLinks {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.inner.recv_rightward(link)
-    }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.inner.recv_leftward(link)
-    }
-    fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        self.absorb(true, link, data);
-        self.inner.send_rightward(link, from, data)
-    }
-    fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
-        self.absorb(false, link, data);
-        self.inner.send_leftward(link, from, data)
-    }
-}
-
-fn pump(chain: &mut Chain, links: &mut DigestLinks) {
-    for _ in 0..10_000 {
-        if !chain.pump_with(links).expect("pump") {
-            return;
-        }
-    }
-    panic!("chain never went quiet");
-}
-
-/// Pump to a fixpoint; when the chain leaves deferred signature
-/// checks to its driver, play that driver: collect every group,
-/// verify it, deliver the verdict, and pump again.
-fn settle(chain: &mut Chain, links: &mut DigestLinks) {
-    loop {
-        pump(chain, links);
-        let mut pending = Vec::new();
-        chain.take_pending_verifies(&mut pending);
-        if pending.is_empty() {
-            return;
-        }
-        for (party, group) in pending {
-            let valid = group.checks.iter().all(|c| c.check());
-            chain.resolve_verify(party, group.token, valid);
-            links.verdicts += 1;
-        }
+    /// Settle `chain` over links that fold every send into this digest.
+    fn settle(&mut self, chain: &mut Chain) {
+        let mut links = TapLinks::new(chain.parties() - 1, |link, rightward, data: &[u8]| {
+            self.absorb(rightward, link, data)
+        });
+        let verdicts = settle(chain, &mut links).expect("pump");
+        self.verdicts += verdicts;
     }
 }
 
 /// Handshake, one 300-byte request, one 40 000-byte response (three
 /// records, the last one partial, so the eight-block, single-block
 /// and partial-block paths of the cipher all put bytes on the wire).
-fn exchange(chain: &mut Chain, links: &mut DigestLinks) {
-    for _ in 0..200 {
-        settle(chain, links);
-        if chain.client.ready() && chain.server.ready() {
-            break;
-        }
-    }
+fn exchange(chain: &mut Chain, wire: &mut Wire) {
+    wire.settle(chain);
     assert!(
         chain.client.ready() && chain.server.ready(),
         "handshake did not complete"
     );
-    settle(chain, links);
-    let handshake_bytes = links.bytes;
+    let handshake_bytes = wire.bytes;
 
     let request: Vec<u8> = (0..300u32).map(|i| (i * 31 + 7) as u8).collect();
     let response: Vec<u8> = (0..40_000u32).map(|i| (i * 13 + 5) as u8).collect();
     chain.client.send_app(&request).expect("send request");
-    settle(chain, links);
+    wire.settle(chain);
     assert_eq!(chain.server.recv_app(), request);
     chain.server.send_app(&response).expect("send response");
-    settle(chain, links);
+    wire.settle(chain);
     assert_eq!(chain.client.recv_app(), response);
 
     // Every link carried both payloads, plus record overhead.
-    let data_bytes = links.bytes - handshake_bytes;
+    let data_bytes = wire.bytes - handshake_bytes;
     assert!(data_bytes > chain.parties().saturating_sub(1) * (request.len() + response.len()));
 }
 
@@ -169,9 +120,9 @@ fn run(read_only: bool) -> (u64, usize) {
         })
         .collect();
     let mut chain = Chain::new(Box::new(client), middles, Box::new(server));
-    let mut links = DigestLinks::new(MIDDLEBOXES + 1);
-    exchange(&mut chain, &mut links);
-    (links.digest, links.bytes)
+    let mut wire = Wire::new();
+    exchange(&mut chain, &mut wire);
+    (wire.digest, wire.bytes)
 }
 
 #[test]
@@ -311,11 +262,11 @@ fn run_scenario(
         .collect();
     let mut chain = Chain::new(client, middles, Box::new(server));
     chain.set_defer_verify_to_driver(defer_to_driver);
-    let mut links = DigestLinks::new(n + 1);
+    let mut wire = Wire::new();
     if let Some(d) = digest {
-        links.digest = d;
+        wire.digest = d;
     }
-    exchange(&mut chain, &mut links);
+    exchange(&mut chain, &mut wire);
 
     // Each party's event sequence, client first, server last.
     let events = recorder.take();
@@ -327,13 +278,13 @@ fn run_scenario(
         let label = party.label();
         for e in events.iter().filter(|e| e.party == party) {
             let line = format!("{label} {:?}", e.kind);
-            links.absorb(true, 0xFF, line.as_bytes());
+            wire.absorb(true, 0xFF, line.as_bytes());
         }
     }
     Outcome {
-        digest: links.digest,
+        digest: wire.digest,
         events,
-        verdicts: links.verdicts,
+        verdicts: wire.verdicts,
         resumed: chain.client.resumed(),
         resumption: chain.client.resumption(),
     }

@@ -26,6 +26,11 @@
 # are kept in the temporary directory, whose path it prints. The
 # benchmark's own files are not touched. The workload list and the
 # statistics need python3.
+#
+# On a clean checkout (no uncommitted edits), `scripts/bench_pairs.sh
+# HEAD <workloads>` is an A/A run: both sides are built from one
+# source, so its table shows the gap this machine makes by itself,
+# the noise any real comparison's medians and win counts sit in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

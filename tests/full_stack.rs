@@ -101,10 +101,10 @@ fn enterprise_chain_over_lossy_network() {
 /// HTTP request/response cycle with body rewriting on the way back.
 #[test]
 fn mixed_http_roundtrip() {
-    use mbtls_core::driver::{Endpoint, LegacyClient};
+    use mbtls_core::driver::LegacyClient;
     let tb = Testbed::new(0x111);
     let mut rng = CryptoRng::from_seed(5);
-    let mut client = LegacyClient::new(
+    let client = LegacyClient::new(
         mbtls_tls::ClientConnection::new(
             Arc::new(mbtls_tls::config::ClientConfig::new(tb.server_trust.clone())),
             "server.example",
@@ -112,62 +112,36 @@ fn mixed_http_roundtrip() {
         ),
         rng.fork(),
     );
-    let mut server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(6));
-    let mut mb = Middlebox::with_processor(
+    let server = MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(6));
+    let mb = Middlebox::with_processor(
         tb.middlebox_config(&tb.mbox_code),
         CryptoRng::from_seed(7),
         Box::new(HeaderInsertionProxy::new("X-Edge", "pop-syd").tagging_responses()),
     );
+    let mut chain = Chain::new(Box::new(client), vec![Box::new(mb)], Box::new(server));
 
-    for _ in 0..60 {
-        let b = client.take();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed(&b).unwrap();
-        if client.ready() && server.is_ready() && mb.has_keys() {
-            break;
-        }
-    }
+    chain.run_handshake().unwrap();
+    let mb = chain.party::<Middlebox>(1).unwrap();
     assert!(mb.has_keys(), "server-side middlebox joined");
 
     // Request gains X-Edge; response gains X-Proxied.
-    client
+    chain
+        .client
         .send_app(&Request::get("/asset.js", "server.example").encode())
         .unwrap();
-    let mut got = Vec::new();
-    for _ in 0..20 {
-        let b = client.take();
-        mb.feed_from_client(&b).unwrap();
-        let b = mb.take_toward_server();
-        server.feed_incoming(&b).unwrap();
-        got.extend(server.recv());
-        if got.windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
-    }
+    chain.pump().unwrap();
+    let got = chain.server.recv_app();
     let mut parser = RequestParser::new();
     parser.feed(&got);
     let req = parser.next_request().unwrap().expect("request");
     assert_eq!(req.header("X-Edge"), Some("pop-syd"));
 
-    server
-        .send(&Response::ok(b"console.log('hi')").encode())
+    chain
+        .server
+        .send_app(&Response::ok(b"console.log('hi')").encode())
         .unwrap();
-    let mut got = Vec::new();
-    for _ in 0..20 {
-        let b = server.take_outgoing();
-        mb.feed_from_server(&b).unwrap();
-        let b = mb.take_toward_client();
-        client.feed(&b).unwrap();
-        got.extend(client.recv_app());
-        if !got.is_empty() {
-            break;
-        }
-    }
+    chain.pump().unwrap();
+    let got = chain.client.recv_app();
     let mut parser = ResponseParser::new();
     parser.feed(&got);
     let resp = parser.next_response().unwrap().expect("response");

@@ -7,13 +7,14 @@
 //! report render <paper artifact> <document>
 //! ```
 //!
-//! A suite run measures, writes the artifact (`--out`, default the
-//! suite's `BENCH_<suite>.json` in the current directory, or under
-//! `target/` with `--smoke`), prints it, and then runs the suite's
-//! schema and floor checks on what it wrote; `check` runs the same
-//! checks on an existing file without measuring. A failed floor
-//! exits 1. `render` rewrites the generated blocks of a document
-//! (EXPERIMENTS.md) from a `paper` artifact.
+//! A suite run measures, prints the artifact, runs the suite's schema
+//! and floor checks on it, and only if they pass writes it (`--out`,
+//! default the suite's `BENCH_<suite>.json` in the current directory,
+//! or under `target/` with `--smoke`); `check` runs the same checks on
+//! an existing file without measuring. A failed floor exits 1 and
+//! leaves the file it would have replaced as it was. `render`
+//! rewrites the generated blocks of a document (EXPERIMENTS.md) from a
+//! `paper` artifact.
 //!
 //! `--smoke` runs tiny budgets (seconds) so `scripts/check.sh` can
 //! gate on the harness working end to end; numbers from a smoke run
@@ -89,27 +90,29 @@ fn read_artifact(path: &str) -> Result<Value, String> {
     parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
 }
 
-/// Measure `suite`, write the artifact to `out`, and check what was
-/// written — the text on disk, read back, so `report check` on the
-/// file reaches the same verdict.
+/// Measure `suite`, print the artifact, check it — the exact text it
+/// would write, parsed, so `report check` on the file reaches the same
+/// verdict — and write it to `out` only if it passes: a failed run
+/// leaves the file it would have replaced as it was.
 fn run_suite(suite: &Suite, smoke: bool, out: &str) -> Result<(), String> {
     // Some floors are relative to the artifact this run replaces.
     let replaced = read_artifact(out).ok();
     let started = Instant::now();
-    let text = (suite.run)(smoke, alloc_count).to_pretty();
+    let text = format!("{}\n", (suite.run)(smoke, alloc_count).to_pretty());
+    print!("{text}");
+    let summary = (suite.check)(&parse(&text)?, replaced.as_ref())
+        .map_err(|failure| format!("{failure} ({out} left as it was)"))?;
     // A smoke run's default path is under `target/`, which a fresh
     // checkout does not have yet.
     let dir = std::path::Path::new(out).parent().unwrap_or(std::path::Path::new(""));
     std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(out, format!("{text}\n")))
+        .and_then(|()| std::fs::write(out, text))
         .map_err(|e| format!("failed to write {out}: {e}"))?;
-    println!("{text}");
     eprintln!(
         "wrote {out} ({} suite, {:.1} s)",
         suite.name,
         started.elapsed().as_secs_f64()
     );
-    let summary = (suite.check)(&parse(&text)?, replaced.as_ref())?;
     eprintln!("{summary}");
     Ok(())
 }
@@ -165,5 +168,26 @@ fn main() {
     if let Err(failure) = result {
         eprintln!("FAIL: {failure}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_check_leaves_the_artifact_as_it_was() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/report_failed_check.json");
+        let before = "{\"smoke\": false}\n";
+        std::fs::write(path, before).expect("write the old artifact");
+        // A run whose AEAD rate is zero fails the chain suite's first row.
+        let zeros = Suite {
+            run: |_, _| parse(r#"{"smoke": false, "aead_mb_s": {"seal": 0.0}}"#).expect("JSON"),
+            ..*suite_named("chain")
+        };
+        let error = run_suite(&zeros, false, path).expect_err("a zero rate fails its row");
+        assert!(error.contains("aead_mb_s.seal is 0") && error.contains("left as it was"), "{error}");
+        assert_eq!(std::fs::read_to_string(path).expect("the old artifact"), before);
+        std::fs::remove_file(path).expect("remove the old artifact");
     }
 }

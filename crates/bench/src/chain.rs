@@ -41,7 +41,9 @@ use mbtls_telemetry::json::Value;
 use mbtls_tls::record::ContentType;
 use mbtls_tls::suites::CipherSuite;
 
-use crate::{allocs_per_op, fnv1a, AllocCounter, FNV1A_BASIS};
+use crate::Bound::{Key, Num, Text};
+use crate::Rel::{Equal, Ge, Gt, Lt};
+use crate::{allocs_per_op, check_floors, fnv1a, full_row, row, AllocCounter, Floor, FNV1A_BASIS};
 
 /// Record payload of the per-hop rows: just under the TLS fragment
 /// ceiling, so one send is one record.
@@ -159,101 +161,83 @@ fn pair_bound(seal_mb_s: f64, open_mb_s: f64) -> f64 {
     1.0 / (1.0 / seal_mb_s + 1.0 / open_mb_s)
 }
 
-/// Floors of `per_hop_over_crypto` on full runs: each party's record
-/// path against the primitive it runs, timed side by side. Since
-/// records are framed from the caller's bytes and sealed and opened
-/// out of place, a hop copies nothing but a read-only forward's one
-/// copy of each record to its output. That copy is most of what the
-/// forward pays over its tag check: it reads 0.76–0.82 on
-/// `vaes-vpclmul` and `vaes512-vpclmul`, lower when the machine runs
-/// fast (the hash speeds up and the copy does not), so its floor sits
-/// under that and above where a second copy would put it (0.61–0.70).
-/// The re-seal and the endpoint seal read 0.95–0.99.
-const OVER_CRYPTO_FLOORS: [(&str, f64); 3] = [
-    ("read_only_over_tag_verify", 0.70),
-    ("reseal_over_pair_bound", 0.90),
-    ("seal_over_aead_seal", 0.90),
-];
-
-/// Schema and floors of `BENCH_chain.json`: every rate positive, the
-/// read-only forward ≥1.5× open+reseal (the whole point of the fast
-/// path; measured ≈ 3.3× on the vaes-vpclmul loops, ≈ 2.8–3.0× on the
-/// stitched vaes512-vpclmul one, whose re-seal hashes as it encrypts,
-/// more on backends whose CTR pass is dearer against GHASH), both relays'
-/// steady state allocation-free, and two same-seed chain runs
+/// The rows of `BENCH_chain.json`: every rate positive, the read-only
+/// forward ≥1.5× open+reseal (the whole point of the fast path), both
+/// relays' steady state allocation-free, and two same-seed chain runs
 /// bit-identical.
 ///
 /// Unlike the throughput-ratio floors elsewhere, these hold even at
 /// smoke budgets: skipping a body decrypt wins at any record count,
 /// and allocs/determinism are exact, not statistical. The exception is
-/// `per_hop_over_crypto`'s floors, which a smoke run's few records cannot
-/// measure, so they bind on full runs only.
+/// `per_hop_over_crypto`'s floors, which a smoke run's few records
+/// cannot measure.
+pub const FLOORS: &[Floor] = &[
+    row("aead_mb_s.seal", Gt, Num(0.0), "AEAD rate is zero"),
+    row("aead_mb_s.open", Gt, Num(0.0), "AEAD rate is zero"),
+    row("aead_mb_s.bitsliced_seal", Gt, Num(0.0), "AEAD rate is zero"),
+    row("per_hop_mb_s.endpoint_seal", Gt, Num(0.0), "per-hop metric is zero"),
+    row("per_hop_mb_s.middlebox_open_reseal", Gt, Num(0.0), "per-hop metric is zero"),
+    row("per_hop_mb_s.middlebox_read_only_forward", Gt, Num(0.0), "per-hop metric is zero"),
+    row("per_hop_mb_s.raw_tag_verify", Gt, Num(0.0), "per-hop metric is zero"),
+    // Each party's record path against the primitive it runs, timed
+    // side by side. Since records are framed from the caller's bytes
+    // and sealed and opened out of place, a hop copies nothing but a
+    // read-only forward's one copy of each record to its output. That
+    // copy is most of what the forward pays over its tag check: it
+    // reads 0.76–0.82 on `vaes-vpclmul` and `vaes512-vpclmul`, lower
+    // when the machine runs fast (the hash speeds up and the copy does
+    // not), so its floor sits under that and above where a second copy
+    // would put it (0.61–0.70). The re-seal and the endpoint seal read
+    // 0.95–0.99.
+    full_row("per_hop_over_crypto.read_only_over_tag_verify", Ge, Num(0.70), "little over AES-GCM"),
+    full_row("per_hop_over_crypto.reseal_over_pair_bound", Ge, Num(0.90), "little over AES-GCM"),
+    full_row("per_hop_over_crypto.seal_over_aead_seal", Ge, Num(0.90), "little over AES-GCM"),
+    // ≈ 3.3× on the vaes-vpclmul loops, ≈ 2.8–3.0× on the stitched
+    // vaes512-vpclmul one, whose re-seal hashes as it encrypts, more on
+    // backends whose CTR pass is dearer against GHASH.
+    row("read_only_speedup", Ge, Num(1.5), "the read-only fast path regressed"),
+    // Every name of `chain_configs()` and `amortization_configs(true)`.
+    row("chain_mb_s.middleboxes_1", Gt, Num(0.0), "chain config is zero"),
+    row("chain_mb_s.middleboxes_2", Gt, Num(0.0), "chain config is zero"),
+    row("chain_mb_s.middleboxes_3", Gt, Num(0.0), "chain config is zero"),
+    row("chain_mb_s.middleboxes_3_read_only", Gt, Num(0.0), "chain config is zero"),
+    row("amortized_mb_s.middleboxes_3_resp_4k", Gt, Num(0.0), "amortized config is zero"),
+    row("amortized_mb_s.middleboxes_3_resp_64k", Gt, Num(0.0), "amortized config is zero"),
+    row("amortized_mb_s.middleboxes_3_reuse_x1", Gt, Num(0.0), "amortized config is zero"),
+    // Structural (they hold at smoke budgets too): the same exchange
+    // budget on one reused session strictly beats one handshake per
+    // exchange, and a 256k response strictly beats 4k per byte moved.
+    // So `reuse_x16` and `resp_256k` are above zero too.
+    row("amortized_mb_s.middleboxes_3_reuse_x16", Gt, Key("amortized_mb_s.middleboxes_3_reuse_x1"), "reuse amortizes the handshake"),
+    row("amortized_mb_s.middleboxes_3_resp_256k", Gt, Key("amortized_mb_s.middleboxes_3_resp_4k"), "big responses amortize records"),
+    row("allocs_per_record_reseal", Equal, Num(0.0), "steady state allocates"),
+    row("allocs_per_record_read_only", Equal, Num(0.0), "steady state allocates"),
+    row("allocs_per_exchange_steady", Equal, Num(0.0), "warm chain exchange allocates"),
+    row("request_link_capacity_bytes", Lt, Num(RECORD_LEN as f64), "response buffers circulate"),
+    row("determinism", Equal, Text("identical"), "double-run chain determinism diverged"),
+];
+
+/// Schema and floors of `BENCH_chain.json`: [`FLOORS`], then what no
+/// row expresses, that each `per_hop_over_crypto` ratio agrees with
+/// the rates it is derived from.
 pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
+    check_floors(report, FLOORS)?;
     let backend = report.text("aead_backend")?;
-    for key in ["seal", "open", "bitsliced_seal"] {
-        floor!(report.num(&format!("aead_mb_s.{key}"))? > 0.0, "AEAD rate {key} is zero");
-    }
-    let per_hop =
-        ["endpoint_seal", "middlebox_open_reseal", "middlebox_read_only_forward", "raw_tag_verify"];
-    for key in per_hop {
-        floor!(report.num(&format!("per_hop_mb_s.{key}"))? > 0.0, "per-hop metric {key} is zero");
-    }
     let aead = |key: &str| report.num(&format!("aead_mb_s.{key}"));
     let hop = |key: &str| report.num(&format!("per_hop_mb_s.{key}"));
     let over_crypto = [
-        hop("middlebox_read_only_forward")? / hop("raw_tag_verify")?,
-        hop("middlebox_open_reseal")? / pair_bound(aead("seal")?, aead("open")?),
-        hop("endpoint_seal")? / aead("seal")?,
+        ("read_only_over_tag_verify", hop("middlebox_read_only_forward")? / hop("raw_tag_verify")?),
+        ("reseal_over_pair_bound", hop("middlebox_open_reseal")? / pair_bound(aead("seal")?, aead("open")?)),
+        ("seal_over_aead_seal", hop("endpoint_seal")? / aead("seal")?),
     ];
-    for ((key, floor), ratio) in OVER_CRYPTO_FLOORS.into_iter().zip(over_crypto) {
+    for (key, ratio) in over_crypto {
         let reported = report.num(&format!("per_hop_over_crypto.{key}"))?;
         floor!(
             (reported - ratio).abs() < 0.002,
             "{key} {reported} disagrees with the rates ({ratio:.3})"
         );
-        floor!(
-            report.flag("smoke")? || ratio >= floor,
-            "{key} is {ratio:.3}, below {floor}: the record path costs more than its AES-GCM"
-        );
     }
     let speedup = report.num("read_only_speedup")?;
-    floor!(
-        speedup >= 1.5,
-        "read-only fast path regressed: {speedup}x < 1.5x over open+reseal"
-    );
-    for (config, ..) in chain_configs() {
-        floor!(report.num(&format!("chain_mb_s.{config}"))? > 0.0, "chain config {config} is zero");
-    }
-    let amortized = |key: &str| report.num(&format!("amortized_mb_s.{key}"));
-    for (config, ..) in amortization_configs(true) {
-        floor!(amortized(config)? > 0.0, "amortized config {config} is zero");
-    }
-    // Structural floors (hold at smoke budgets too): the same exchange
-    // budget on one reused session strictly beats one handshake per
-    // exchange, and a 256k response strictly beats 4k per byte moved.
-    floor!(
-        amortized("middleboxes_3_reuse_x16")? > amortized("middleboxes_3_reuse_x1")?,
-        "session reuse does not amortize the handshake"
-    );
-    floor!(
-        amortized("middleboxes_3_resp_256k")? > amortized("middleboxes_3_resp_4k")?,
-        "large responses do not amortize per-record overhead"
-    );
-    for key in ["allocs_per_record_reseal", "allocs_per_record_read_only"] {
-        let allocs = report.num(key)?;
-        floor!(allocs == 0.0, "steady state allocates: {key} is {allocs} allocs/record");
-    }
-    let ring_allocs = report.num("allocs_per_exchange_steady")?;
-    floor!(ring_allocs == 0.0, "warm chain exchange allocates: {ring_allocs} allocs/exchange");
-    let parked = report.num("request_link_capacity_bytes")?;
-    floor!(
-        parked < RECORD_LEN as f64,
-        "request-direction links hold {parked} bytes of capacity: response buffers are circulating"
-    );
-    floor!(
-        report.text("determinism")? == "identical",
-        "double-run chain determinism verdict is not identical"
-    );
     Ok(format!(
         "chain OK: backend {backend}, read-only {speedup}x over reseal, 0 allocs/record on both \
          relays, determinism identical"
@@ -829,66 +813,20 @@ mod tests {
             check,
             &smoke,
             &[
-                ("read_only_speedup", "1.400", "read-only fast path regressed"),
-                ("allocs_per_record_reseal", "1.000", "allocs_per_record_reseal is 1"),
-                ("allocs_per_record_read_only", "0.016", "allocs_per_record_read_only is 0.016"),
-                ("allocs_per_exchange_steady", "0.016", "warm chain exchange allocates"),
-                ("request_link_capacity_bytes", "16320", "response buffers are circulating"),
-                ("determinism", "\"diverged\"", "not identical"),
-                ("aead_mb_s.seal", "0.00", "AEAD rate seal is zero"),
-                ("aead_mb_s.open", "0.00", "AEAD rate open is zero"),
-                ("aead_mb_s", "{\"seal\": 1.00, \"open\": 1.00}", "aead_mb_s.bitsliced_seal"),
-                ("per_hop_mb_s.endpoint_seal", "0.00", "endpoint_seal is zero"),
-                ("per_hop_mb_s.raw_tag_verify", "0.00", "raw_tag_verify is zero"),
-                ("chain_mb_s.middleboxes_3_read_only", "0.000", "middleboxes_3_read_only is zero"),
-                ("amortized_mb_s.middleboxes_3_resp_64k", "0.000", "resp_64k is zero"),
-                ("amortized_mb_s.middleboxes_3_reuse_x1", "1000000.000", "session reuse does not"),
-                ("amortized_mb_s.middleboxes_3_resp_4k", "1000000.000", "large responses do not"),
                 ("aead_backend", "false", "aead_backend"),
+                (
+                    "per_hop_over_crypto.reseal_over_pair_bound",
+                    "99.000",
+                    "reseal_over_pair_bound 99 disagrees with the rates",
+                ),
             ],
         );
-
-        // A full run holds each party's record path to the AES-GCM it
-        // runs; the same numbers in a smoke run are not held to it.
-        let with_rates = |smoke_flag: &str, read_only: f64, reseal: f64, seal: f64| {
-            use crate::testing::doctored;
-            let report = doctored(&smoke, "smoke", smoke_flag);
-            let report = doctored(
-                &report,
-                "aead_mb_s",
-                r#"{"seal": 1000.00, "open": 1000.00, "bitsliced_seal": 100.00}"#,
-            );
-            let hops = format!(
-                r#"{{"endpoint_seal": {seal:.2}, "middlebox_open_reseal": {reseal:.2},
-                    "middlebox_read_only_forward": {read_only:.2}, "raw_tag_verify": 1000.00}}"#
-            );
-            let ratios = format!(
-                r#"{{"read_only_over_tag_verify": {:.3}, "reseal_over_pair_bound": {:.3},
-                    "seal_over_aead_seal": {:.3}}}"#,
-                read_only / 1000.0,
-                reseal / 500.0,
-                seal / 1000.0
-            );
-            doctored(&doctored(&report, "per_hop_mb_s", &hops), "per_hop_over_crypto", &ratios)
-        };
-        check(&with_rates("false", 850.0, 470.0, 950.0), None).expect("rates above the floors");
-        let below = [
-            ((690.0, 470.0, 950.0), "read_only_over_tag_verify is 0.690, below 0.7"),
-            ((850.0, 440.0, 950.0), "reseal_over_pair_bound is 0.880, below 0.9"),
-            ((850.0, 470.0, 890.0), "seal_over_aead_seal is 0.890, below 0.9"),
-        ];
-        for ((read_only, reseal, seal), expected) in below {
-            let error = check(&with_rates("false", read_only, reseal, seal), None).unwrap_err();
-            assert!(error.contains(expected), "{error:?} does not name {expected:?}");
-            let smoke_run = with_rates("true", read_only, reseal, seal);
-            check(&smoke_run, None).expect("smoke runs are not held to them");
+        // The rows name every configuration the suite runs.
+        let configs = chain_configs().into_iter().map(|(name, ..)| format!("chain_mb_s.{name}"));
+        let amortized = amortization_configs(true).into_iter().map(|(name, ..)| format!("amortized_mb_s.{name}"));
+        for key in configs.chain(amortized) {
+            assert!(FLOORS.iter().any(|floor| floor.key == key), "no row for {key}");
         }
-        let lying = crate::testing::doctored(
-            &with_rates("false", 850.0, 470.0, 950.0),
-            "per_hop_over_crypto.reseal_over_pair_bound",
-            "0.990",
-        );
-        assert!(check(&lying, None).unwrap_err().contains("disagrees with the rates"));
     }
 
     #[test]

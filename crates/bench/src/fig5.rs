@@ -224,9 +224,9 @@ mod tests {
         }
     }
 
-    /// The cheapest of 5 seeded handshakes in `role`: as in
-    /// `bench_prf_floor`, interference only adds time, so the minimum
-    /// is the cost (a mean of 3 lost to parallel test threads).
+    /// The cheapest of 5 seeded handshakes in `role`: interference
+    /// only adds time, so the minimum is the cost (a mean of 3 lost to
+    /// parallel test threads).
     fn cheapest(config: Config, role: fn(RoleTimes) -> Duration) -> Duration {
         (0..5).map(|t| role(run_one(config, 0xF16_5000 + t * 7919))).min().unwrap_or_default()
     }

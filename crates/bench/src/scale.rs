@@ -46,7 +46,9 @@ use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_telemetry::json::Value;
 use mbtls_telemetry::{merge_shard_traces, to_json_line};
 
-use crate::{allocs_per_op, fnv1a, AllocCounter, FNV1A_BASIS};
+use crate::Bound::{Flag, Key, Num, Text};
+use crate::Rel::{Equal, Ge, Gt, Le};
+use crate::{allocs_per_op, check_floors, fnv1a, full_row, row, AllocCounter, Floor, FNV1A_BASIS};
 
 /// Every load run in this module serves the same per-session
 /// workload: `exchanges` request/response round trips, so one session
@@ -246,96 +248,83 @@ fn point_fields(point: &ScalePoint) -> Vec<(&'static str, Value)> {
     ]
 }
 
-/// Schema and floors of `BENCH_scale.json`. Every load's curve
-/// (`check_curve`) ascends through the 4-shard row with per-shard
-/// walls and positive rates; the churn fleet publishes a positive
-/// measured 2-shard speedup (a wall-clock reading, so no floor); the
-/// storm resumes a share in (0, 1]; no shard allocates in steady state;
-/// and both double-run determinism probes, the storm's with batching
-/// on, read identical. On full runs only (smoke walls are too short for
-/// a stable ratio) the churn fleet's modeled 4-shard throughput is at
-/// least 2.5× the 1-shard figure and the storm beats its full baseline
-/// at every shard count.
+/// The rows of `BENCH_scale.json`: every load's curve rows carry
+/// per-shard walls, one per shard, and positive rates; the churn fleet
+/// publishes a positive measured 2-shard speedup (a wall-clock
+/// reading, so no floor); the storm resumes a share in (0, 1]; no
+/// shard allocates in steady state; and both double-run determinism
+/// probes, the storm's with batching on, read identical. On full runs
+/// only (smoke walls are too short for a stable ratio) the churn
+/// fleet's modeled 4-shard throughput is at least 2.5× the 1-shard
+/// figure and the storm beats its full baseline at every shard count.
+pub const FLOORS: &[Floor] = &[
+    row("model", Equal, Text("max_shard_wall"), "the throughput model tag is missing"),
+    full_row("sessions.*.speedup_4_over_1", Ge, Num(2.5), "4-shard speedup regressed"),
+    row("sessions.*.measured_speedup_2_over_1", Gt, Num(0.0), "two real threads measured nothing"),
+    row("sessions.*.curve.*.shards", Ge, Num(1.0), "a curve row has no shards"),
+    row("sessions.*.curve.*.per_shard_wall_ms.#", Equal, Key("sessions.*.curve.*.shards"), "a curve row lacks per-shard walls"),
+    row("sessions.*.curve.*.max_shard_wall_ms", Gt, Num(0.0), "a curve row measured nothing"),
+    row("sessions.*.curve.*.handshakes_per_s", Gt, Num(0.0), "a curve row measured nothing"),
+    row("sessions.*.curve.*.records_per_s", Gt, Num(0.0), "a curve row measured nothing"),
+    row("full_baseline.curve.*.shards", Ge, Num(1.0), "a curve row has no shards"),
+    row("full_baseline.curve.*.per_shard_wall_ms.#", Equal, Key("full_baseline.curve.*.shards"), "a curve row lacks per-shard walls"),
+    row("full_baseline.curve.*.max_shard_wall_ms", Gt, Num(0.0), "a curve row measured nothing"),
+    row("full_baseline.curve.*.handshakes_per_s", Gt, Num(0.0), "a curve row measured nothing"),
+    row("full_baseline.curve.*.records_per_s", Gt, Num(0.0), "a curve row measured nothing"),
+    row("storm.curve.*.shards", Ge, Num(1.0), "a curve row has no shards"),
+    row("storm.curve.*.per_shard_wall_ms.#", Equal, Key("storm.curve.*.shards"), "a curve row lacks per-shard walls"),
+    row("storm.curve.*.max_shard_wall_ms", Gt, Num(0.0), "a curve row measured nothing"),
+    row("storm.curve.*.handshakes_per_s", Gt, Num(0.0), "a curve row measured nothing"),
+    row("storm.curve.*.records_per_s", Gt, Num(0.0), "a curve row measured nothing"),
+    row("storm.resumed_share", Gt, Num(0.0), "the storm resumed nothing"),
+    row("storm.resumed_share", Le, Num(1.0), "a share is at most 1"),
+    full_row("storm.curve.*.handshakes_per_s", Gt, Key("full_baseline.curve.*.handshakes_per_s"), "the storm loses to its full baseline"),
+    row("allocs_per_record_per_shard.*", Equal, Num(0.0), "steady state allocates"),
+    row("determinism.#", Equal, Num(2.0), "determinism probes cover churn and storm"),
+    row("determinism.0.load", Equal, Text("churn"), "determinism probes cover churn and storm"),
+    row("determinism.1.load", Equal, Text("storm"), "determinism probes cover churn and storm"),
+    row("determinism.*.identical", Equal, Flag(true), "double-run determinism verdict is false"),
+    row("determinism.*.shards", Ge, Num(2.0), "a determinism probe must cover multiple shards"),
+    row("determinism.1.batching", Equal, Flag(true), "the storm's probe must run with batching on"),
+];
+
+/// Schema and floors of `BENCH_scale.json`: [`FLOORS`], then what no
+/// row expresses — every load's curve ascends through the 4-shard row
+/// (`check_curve`), and the storm and its full baseline cover the same
+/// shard counts.
 pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
+    check_floors(report, FLOORS)?;
     let smoke = report.flag("smoke")?;
-    floor!(report.text("model")? == "max_shard_wall", "missing throughput model tag");
     let tiers = report.list("sessions")?;
-    floor!(!tiers.is_empty(), "no fleet sizes measured");
     let mut shard_counts = Vec::new();
     for (i, tier) in tiers.iter().enumerate() {
         shard_counts = check_curve(&format!("sessions.{i}"), tier)?;
-        let n = tier.num("n")?;
-        let speedup = tier.num("speedup_4_over_1")?;
-        floor!(
-            smoke || speedup >= 2.5,
-            "n={n}: speedup_4_over_1 regressed: {speedup}x < 2.5x floor"
-        );
-        let measured = tier.num("measured_speedup_2_over_1")?;
-        floor!(measured > 0.0, "n={n}: measured_speedup_2_over_1 is {measured}");
     }
     let (full, storm) = (report.at("full_baseline")?, report.at("storm")?);
     floor!(
         check_curve("full_baseline", full)? == check_curve("storm", storm)?,
         "the storm and its full baseline cover different shard counts"
     );
-    let share = storm.num("resumed_share")?;
-    floor!(0.0 < share && share <= 1.0, "storm resumed_share out of range: {share}");
-    for (full_row, storm_row) in full.list("curve")?.iter().zip(storm.list("curve")?) {
-        let shards = storm_row.num("shards")?;
-        floor!(
-            smoke || storm_row.num("handshakes_per_s")? > full_row.num("handshakes_per_s")?,
-            "storm loses to full baseline at {shards} shard(s)"
-        );
-    }
     report.num("allocs_per_record_steady")?;
-    let allocs = report.list("allocs_per_record_per_shard")?;
-    floor!(
-        !allocs.is_empty() && allocs.iter().all(|a| matches!(a, Value::Float(v, _) if *v == 0.0)),
-        "steady state allocates: {allocs:?} allocs/record per shard"
-    );
-    let probes = report.list("determinism")?;
-    let loads = probes.iter().map(|probe| probe.text("load")).collect::<Result<Vec<_>, _>>()?;
-    floor!(loads == ["churn", "storm"], "determinism probes cover {loads:?}, not churn and storm");
-    for (load, probe) in loads.iter().zip(probes) {
-        floor!(probe.flag("identical")?, "{load}: double-run determinism verdict is false");
-        floor!(probe.num("shards")? >= 2.0, "{load}: determinism probe must cover multiple shards");
-    }
-    floor!(
-        report.flag("determinism.1.batching")?,
-        "the storm's determinism probe must run with batching on"
-    );
     Ok(format!(
-        "scale OK: {} fleet size(s), curves {shard_counts:?}, storm resumed share {share}, \
+        "scale OK: {} fleet size(s), curves {shard_counts:?}, storm resumed share {}, \
          determinism true{}",
         tiers.len(),
+        storm.num("resumed_share")?,
         if smoke { " (smoke: speedup floors skipped)" } else { "" }
     ))
 }
 
-/// Schema of one load's curve point at `path`: rows with per-shard
-/// walls of length `shards` and positive rates, ascending through the
-/// 4-shard row. Returns the shard counts.
+/// The shard counts of one load's curve point at `path`, which must
+/// ascend through the 4-shard row.
 fn check_curve(path: &str, point: &Value) -> Result<Vec<u64>, String> {
-    let n = point.num("n")?;
     let curve = point.list("curve")?;
-    floor!(!curve.is_empty(), "{path} (n={n}) has no shard curve");
-    let mut shard_counts = Vec::new();
-    for run in curve {
-        let shards = run.num("shards")?;
-        floor!(shards >= 1.0, "{path}: a curve row has no shards");
-        floor!(
-            run.list("per_shard_wall_ms")?.len() as f64 == shards,
-            "{path}: shard {shards} row lacks per-shard walls"
-        );
-        for key in ["max_shard_wall_ms", "handshakes_per_s", "records_per_s"] {
-            floor!(run.num(key)? > 0.0, "{path}: shard {shards} row has zero {key}");
-        }
-        shard_counts.push(shards as u64);
-    }
+    let shard_counts =
+        curve.iter().map(|run| run.num("shards").map(|s| s as u64)).collect::<Result<Vec<_>, _>>()?;
     floor!(shard_counts.windows(2).all(|w| w[0] <= w[1]), "{path}: curve rows must ascend");
     floor!(shard_counts.contains(&4), "{path}: curve is missing the 4-shard row");
     for key in
-        ["speedup_4_over_1", "p50_handshake_ms", "p99_handshake_ms", "bytes_per_session", "resumed_share"]
+        ["n", "speedup_4_over_1", "p50_handshake_ms", "p99_handshake_ms", "bytes_per_session", "resumed_share"]
     {
         point.num(key)?;
     }
@@ -563,52 +552,15 @@ mod tests {
         let rows = smoke.list("sessions.0.curve").unwrap();
         let without_4 = Value::Array(rows[..2].to_vec()).to_pretty();
         let (descending, storm_descending) = (reversed("sessions.0.curve"), reversed("storm.curve"));
-        let no_walls = r#"{"shards": 2, "max_shard_wall_ms": 1.0, "handshakes_per_s": 1.0,
-            "records_per_s": 1.0}"#;
         crate::testing::assert_floors(
             check,
             &smoke,
             &[
                 ("sessions.0.curve", &without_4, "missing the 4-shard row"),
                 ("sessions.0.curve", &descending, "must ascend"),
-                ("sessions.0.curve", "[]", "no shard curve"),
-                ("sessions.1.curve.1.per_shard_wall_ms", "[1.0]", "lacks per-shard walls"),
-                ("sessions.1.curve.0.shards", "0", "has no shards"),
-                ("sessions.0.curve.2.records_per_s", "0.0", "zero records_per_s"),
-                ("sessions.0.measured_speedup_2_over_1", "0.00", "measured_speedup_2_over_1 is 0"),
-                ("sessions", "[]", "no fleet sizes"),
-                ("model", "\"threads\"", "model tag"),
-                ("storm.curve", "[]", "storm (n=16) has no shard curve"),
                 ("storm.curve", &storm_descending, "storm: curve rows must ascend"),
-                ("storm.curve.0.handshakes_per_s", "0.0", "zero handshakes_per_s"),
-                ("storm.curve.1", no_walls, "per_shard_wall_ms\" is missing"),
-                ("full_baseline.curve.2.per_shard_wall_ms", "[1.0]", "lacks per-shard walls"),
-                ("storm.resumed_share", "1.500", "out of range"),
-                ("storm.resumed_share", "0.000", "out of range"),
-                ("allocs_per_record_per_shard", "[0.000, 0.004, 0.000]", "steady state allocates"),
-                ("allocs_per_record_per_shard", "[]", "steady state allocates"),
-                ("determinism.0.identical", "false", "churn: double-run determinism verdict is false"),
-                ("determinism.1.identical", "false", "storm: double-run determinism verdict is false"),
-                ("determinism.0.shards", "1", "multiple shards"),
-                ("determinism.1.batching", "false", "batching on"),
-                ("determinism", "[]", "not churn and storm"),
             ],
         );
-        // The speedup floors bind full runs only.
-        let speedup = "sessions.0.speedup_4_over_1";
-        let storm_at_4 = "storm.curve.2.handshakes_per_s";
-        let full = crate::testing::committed("scale");
-        crate::testing::assert_floors(
-            check,
-            &full,
-            &[
-                (speedup, "2.40", "speedup_4_over_1 regressed"),
-                (storm_at_4, "1.0", "loses to full baseline at 4 shard"),
-            ],
-        );
-        for (path, value) in [(speedup, "2.40"), (storm_at_4, "1.0")] {
-            check(&crate::testing::doctored(&smoke, path, value), None).expect("smoke run exempt");
-        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 # Regenerate and check the four BENCH_*.json artifacts: one `report all`
 # call over every suite of the binary (scale, handshake, chain, paper;
 # `paper` is the paper's own evaluation). The binary checks each
-# artifact's schema and floors after writing it and exits non-zero on
-# the first one that fails; `report check <suite> <file>` reruns the
-# checks alone.
+# artifact's schema and floors (each suite's row table, then the few
+# floors no row can express) before writing it, writes only an
+# artifact that passes, and exits non-zero on the first one that
+# fails, leaving that file as it was; `report check <suite> <file>`
+# reruns the checks alone.
 #
 #   scripts/bench_report.sh           full run, ~1 min (scale ~45 s,
 #                                     handshake ~3 s, the rest about a

@@ -492,7 +492,7 @@ fn handshaken_chain(
 }
 
 /// Drive `exchanges` HTTP request/response pairs through a
-/// [`handshaken_chain`].
+/// chain built by `handshaken_chain`.
 pub fn run_chain(
     functions: &[ChainFunction],
     exchanges: usize,

@@ -243,15 +243,19 @@ pub const FLOORS: &[Floor] = &[
 /// no row expresses — `verify` rows ascending by batch size,
 /// `best_batch_speedup` the best of their speedups, a wider
 /// `verify_batch` costing more, `sha512_backend` naming one of the two
-/// SHA-512 cores, and, on full runs, `resumed_us` at most 20 % above
-/// that of `replaced`, the artifact at the output path before this
-/// run overwrote it, so the run that regenerates the file is compared
-/// with the one before it. This machine has slow phases that outlast
-/// a whole run and scale both handshakes alike (full/resumed 457/117,
-/// 439/113, 760/171, 472/119, 466/124 µs over five runs), so the
-/// allowance is scaled by `full_us` over the replaced `full_us` when
-/// that is above 1 — never when it is below, or a faster full
-/// handshake would tighten the bound.
+/// SHA-512 cores, and, on full runs, a resumed handshake at most 20 %
+/// dearer than in `replaced`, the artifact at the output path before
+/// this run overwrote it, so the run that regenerates the file is
+/// compared with the one before it. Both sides of that comparison come
+/// from one meter, [`bench_prf_floor`]: a resumed handshake is
+/// `resumed_over_keyblock × keyblock_us`, and the allowance is scaled
+/// by `keyblock_us` over the replaced `keyblock_us` when that is above
+/// 1, so a slow phase, which slows the key blocks timed in the same
+/// rounds as much, moves both sides alike. Never scaled below 1, or a
+/// faster key block would tighten the bound. (`handshake_cpu.resumed_us`,
+/// the median of a run of its own, once served here: it jumped by half
+/// in about one full run of eight while `full_us`, its scale then,
+/// stayed put.)
 pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String> {
     check_floors(report, FLOORS)?;
     let smoke = report.flag("smoke")?;
@@ -271,17 +275,17 @@ pub fn check(report: &Value, replaced: Option<&Value>) -> Result<String, String>
         matches!(sha512_backend, "avx512vl-bmi2" | "portable"),
         "sha512_backend {sha512_backend:?} names no SHA-512 core"
     );
-    let (full_us, resumed_us) =
-        (report.num("handshake_cpu.full_us")?, report.num("handshake_cpu.resumed_us")?);
     // A smoke artifact's four-iteration medians are no baseline.
     if let Some(old) = replaced.filter(|old| !smoke && old.flag("smoke") == Ok(false)) {
-        let old_full = old.num("handshake_cpu.full_us")?;
-        let old_resumed = old.num("handshake_cpu.resumed_us")?;
-        let slow_phase = (full_us / old_full).max(1.0);
+        let keyblock = |v: &Value| v.num("prf_floor.keyblock_us");
+        let per_keyblock = |v: &Value| v.num("prf_floor.resumed_over_keyblock");
+        let resumed = |v: &Value| Ok::<_, String>(per_keyblock(v)? * keyblock(v)?);
+        let (resumed_us, old_resumed) = (resumed(report)?, resumed(old)?);
+        let slow_phase = (keyblock(report)? / keyblock(old)?).max(1.0);
         floor!(
             resumed_us <= 1.2 * slow_phase * old_resumed,
-            "resumed handshake regressed: {resumed_us} us vs {old_resumed} us before \
-             (full {full_us} vs {old_full} us)"
+            "resumed handshake regressed: {resumed_us:.1} us vs {old_resumed:.1} us before \
+             (key blocks {slow_phase:.2}x as dear)"
         );
     }
     let num = |key: &str| report.num(key);
@@ -395,12 +399,12 @@ pub fn bench_group_widths(rounds: usize, seed: u64) -> (f64, Vec<f64>) {
 /// ones, whose client config holds a ticket from a priming handshake,
 /// and once for resumed ones through one attested middlebox. The runs
 /// do not take turns, because a resumed handshake timed between
-/// dearer ones reads slower. The 20 % resumed-cost floor in [`check`]
-/// rests on `resumed_us`'s own run. A fourth run times resumed mbTLS
+/// dearer ones reads slower. A fourth run times resumed mbTLS
 /// and plain TLS endpoints turn about, both over the same TLS configs,
 /// each shared by every session, for `mbtls_over_tls_resumed`. Last,
 /// [`bench_prf_floor`] runs `4 * iters` rounds over the resumed
-/// sessions with no middlebox.
+/// sessions with no middlebox; [`check`]'s comparison with the
+/// replaced artifact reads those rounds.
 pub fn bench_handshake_cpu(iters: usize, seed: u64) -> (HandshakeCpu, Value) {
     let testbed = Testbed::new(seed);
     let server = Arc::new(testbed.server_config());
@@ -558,15 +562,20 @@ mod tests {
     fn full_run_floors_fail_on_doctored_committed_artifact() {
         use crate::testing::doctored;
         let full = crate::testing::committed("handshake");
-        // Against the artifact it replaces: 25 % more resumed µs fails,
-        // unless the full handshake slowed by as much (a slow phase).
-        let scaled = |key: &str| format!("{:.1}", full.num(key).unwrap() * 1.25);
-        let slow = doctored(&full, "handshake_cpu.resumed_us", &scaled("handshake_cpu.resumed_us"));
-        assert!(check(&slow, None).is_ok(), "no baseline, no comparison");
-        assert!(check(&slow, Some(&full)).unwrap_err().contains("resumed handshake regressed"));
-        let slow_phase = doctored(&slow, "handshake_cpu.full_us", &scaled("handshake_cpu.full_us"));
+        let times = |v: &Value, key: &str, by: f64| {
+            doctored(v, key, &format!("{:.3}", v.num(key).unwrap() * by))
+        };
+        // Against the artifact it replaces: a resumed handshake 25 %
+        // dearer in key blocks of its own rounds fails ...
+        let cheaper_before = times(&full, "prf_floor.resumed_over_keyblock", 0.8);
+        assert!(check(&full, None).is_ok(), "no baseline, no comparison");
+        let regressed = check(&full, Some(&cheaper_before)).unwrap_err();
+        assert!(regressed.contains("resumed handshake regressed"), "{regressed}");
+        // ... and 25 % more resumed µs passes when the key blocks timed
+        // beside it slowed by as much (a slow phase).
+        let slow_phase = times(&full, "prf_floor.keyblock_us", 1.25);
         check(&slow_phase, Some(&full)).expect("both numbers scaled alike");
-        check(&slow, Some(&doctored(&full, "smoke", "true")))
+        check(&full, Some(&doctored(&cheaper_before, "smoke", "true")))
             .expect("a smoke artifact is not a baseline");
     }
 }

@@ -240,10 +240,10 @@ pub fn attack_change_secrecy(naive: bool) -> Result<AttackReport, MbError> {
     let mut client = EndpointDataPlane::for_client(&shared)?;
     let mut naive_mbox = NaiveKeyShare::new();
     naive_mbox.install_keys(&shared)?;
-    client.send(b"unchanged payload....")?;
-    let wire_in = client.take_outgoing();
+    let wire_in = sealed(&mut client, b"unchanged payload....")?;
     naive_mbox.feed_left(&wire_in)?;
-    let wire_out = naive_mbox.take_right();
+    let mut wire_out = Vec::new();
+    naive_mbox.take_right_into(&mut wire_out);
     let identical = ct::eq(&wire_in, &wire_out);
     Ok(AttackReport {
         threat: "TP compares records entering/leaving MS to detect modification",
@@ -255,14 +255,21 @@ pub fn attack_change_secrecy(naive: bool) -> Result<AttackReport, MbError> {
     })
 }
 
+/// The records `plane` puts on the wire for `data`.
+fn sealed(plane: &mut EndpointDataPlane, data: &[u8]) -> Result<Vec<u8>, MbError> {
+    plane.send(data)?;
+    let mut wire = Vec::new();
+    plane.drain_outgoing_into(&mut wire);
+    Ok(wire)
+}
+
 /// P2: in-flight bit flip on a data record.
 pub fn attack_record_tamper() -> Result<AttackReport, MbError> {
     let mut rng = CryptoRng::from_seed(0xA4);
     let hop = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
     let mut client = EndpointDataPlane::for_client(&hop)?;
     let mut server = EndpointDataPlane::for_server(&hop)?;
-    client.send(b"transfer $10 to alice")?;
-    let mut wire = client.take_outgoing();
+    let mut wire = sealed(&mut client, b"transfer $10 to alice")?;
     let n = wire.len();
     wire[n - 5] ^= 0x80;
     let blocked = server.feed(&wire).is_err();
@@ -284,8 +291,7 @@ pub fn attack_record_inject() -> Result<AttackReport, MbError> {
     // Forge with a key the adversary made up.
     let forged_hop = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
     let mut forger = EndpointDataPlane::for_client(&forged_hop)?;
-    forger.send(b"evil injected data")?;
-    let blocked = server.feed(&forger.take_outgoing()).is_err();
+    let blocked = server.feed(&sealed(&mut forger, b"evil injected data")?).is_err();
     Ok(AttackReport {
         threat: "Records injected on-the-wire",
         property: "P2",
@@ -302,10 +308,10 @@ pub fn attack_record_replay() -> Result<AttackReport, MbError> {
     let hop = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
     let mut client = EndpointDataPlane::for_client(&hop)?;
     let mut server = EndpointDataPlane::for_server(&hop)?;
-    client.send(b"pay $1")?;
-    let wire = client.take_outgoing();
+    let (wire, mut plain) = (sealed(&mut client, b"pay $1")?, Vec::new());
     server.feed(&wire)?;
-    let first_ok = ct::eq(&server.take_plaintext(), b"pay $1");
+    server.drain_plaintext_into(&mut plain);
+    let first_ok = ct::eq(&plain, b"pay $1");
     let blocked = server.feed(&wire).is_err();
     Ok(AttackReport {
         threat: "Records replayed on-the-wire",
@@ -443,10 +449,12 @@ pub fn attack_path_skip(naive: bool) -> Result<AttackReport, MbError> {
         let shared = fresh_hop_keys(suite, &mut rng);
         let mut client = EndpointDataPlane::for_client(&shared)?;
         let mut server = EndpointDataPlane::for_server(&shared)?;
-        client.send(b"bypass the filter")?;
         // Adversary delivers the hop-1 record directly on hop 2.
-        let spliced_ok = server.feed(&client.take_outgoing()).is_ok()
-            && ct::eq(&server.take_plaintext(), b"bypass the filter");
+        let (wire, mut plain) = (sealed(&mut client, b"bypass the filter")?, Vec::new());
+        let spliced_ok = server.feed(&wire).is_ok() && {
+            server.drain_plaintext_into(&mut plain);
+            ct::eq(&plain, b"bypass the filter")
+        };
         Ok(AttackReport {
             threat: "Records skip a middlebox (path violation)",
             property: "P4",
@@ -461,8 +469,7 @@ pub fn attack_path_skip(naive: bool) -> Result<AttackReport, MbError> {
         let mut client = EndpointDataPlane::for_client(&hop1)?;
         let mut server = EndpointDataPlane::for_server(&hop2)?;
         let _mbox = MiddleboxDataPlane::new(&hop1, &hop2)?;
-        client.send(b"bypass the filter")?;
-        let blocked = server.feed(&client.take_outgoing()).is_err();
+        let blocked = server.feed(&sealed(&mut client, b"bypass the filter")?).is_err();
         Ok(AttackReport {
             threat: "Records skip a middlebox (path violation)",
             property: "P4",
@@ -485,10 +492,10 @@ pub fn attack_path_reorder() -> Result<AttackReport, MbError> {
     let mut client = EndpointDataPlane::for_client(&hop1)?;
     let mut mbox2 = MiddleboxDataPlane::new(&hop2, &hop3)?;
     let _mbox1 = MiddleboxDataPlane::new(&hop1, &hop2)?;
-    client.send(b"must visit mbox1 first")?;
+    let wire = sealed(&mut client, b"must visit mbox1 first")?;
     // Deliver the client's hop-1 record directly to mbox2 (as if it
     // arrived on hop 2).
-    let result = mbox2.feed(FlowDirection::ClientToServer, &client.take_outgoing(), |_, _p| {});
+    let result = mbox2.feed(FlowDirection::ClientToServer, &wire, |_, _p| {});
     Ok(AttackReport {
         threat: "Records passed to middleboxes in the wrong order",
         property: "P4",

@@ -68,11 +68,11 @@ impl Relay for FilterRelay {
             )),
         }
     }
-    fn take_left(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out_left)
+    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
+        dst.extend_from_slice(&std::mem::take(&mut self.out_left));
     }
-    fn take_right(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out_right)
+    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
+        dst.extend_from_slice(&std::mem::take(&mut self.out_right));
     }
 }
 

@@ -8,10 +8,8 @@
 //! that carries protocol events also carries the CPU attribution and
 //! any [`mbtls_telemetry::TelemetrySink`] can consume it.
 //!
-//! The wrappers forward every drain a [`mbtls_core::driver::Chain`]
-//! calls — the `_into` forms, which hand buffers over instead of
-//! copying — so the meters time the code path a session runs, not the
-//! traits' copying defaults.
+//! The wrappers forward the `_into` drains, the only ones a party
+//! implements, so the meters time the code path a session runs.
 
 use std::time::{Duration, Instant};
 
@@ -69,17 +67,11 @@ impl<E: Endpoint> Endpoint for TimedEndpoint<E> {
     fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
         self.meter.time(|| self.inner.feed(data))
     }
-    fn take(&mut self) -> Vec<u8> {
-        self.meter.time(|| self.inner.take())
-    }
     fn ready(&self) -> bool {
         self.inner.ready()
     }
     fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
         self.meter.time(|| self.inner.send_app(data))
-    }
-    fn recv_app(&mut self) -> Vec<u8> {
-        self.inner.recv_app()
     }
     fn take_into(&mut self, dst: &mut Vec<u8>) {
         self.meter.time(|| self.inner.take_into(dst))
@@ -112,12 +104,6 @@ impl<R: Relay> Relay for TimedRelay<R> {
     fn feed_right(&mut self, data: &[u8]) -> Result<(), MbError> {
         self.meter.time(|| self.inner.feed_right(data))
     }
-    fn take_left(&mut self) -> Vec<u8> {
-        self.meter.time(|| self.inner.take_left())
-    }
-    fn take_right(&mut self) -> Vec<u8> {
-        self.meter.time(|| self.inner.take_right())
-    }
     fn take_left_into(&mut self, dst: &mut Vec<u8>) {
         self.meter.time(|| self.inner.take_left_into(dst))
     }
@@ -135,26 +121,19 @@ mod tests {
     use mbtls_core::baseline::PureRelay;
     use mbtls_telemetry::Recorder;
 
-    /// A party that drains only through the `_into` forms: its
-    /// `Vec`-returning drains panic, so a wrapper that falls back to
-    /// the traits' copying defaults fails the test.
+    /// A party whose drains push a marker byte, so the test sees each
+    /// one reach the wrapped party.
     struct IntoOnly;
 
     impl Endpoint for IntoOnly {
         fn feed(&mut self, _: &[u8]) -> Result<(), MbError> {
             Ok(())
         }
-        fn take(&mut self) -> Vec<u8> {
-            panic!("take: the wrapper did not forward take_into")
-        }
         fn ready(&self) -> bool {
             true
         }
         fn send_app(&mut self, _: &[u8]) -> Result<(), MbError> {
             Ok(())
-        }
-        fn recv_app(&mut self) -> Vec<u8> {
-            panic!("recv_app: the wrapper did not forward recv_app_into")
         }
         fn take_into(&mut self, dst: &mut Vec<u8>) {
             dst.push(1);
@@ -173,12 +152,6 @@ mod tests {
         }
         fn feed_right(&mut self, _: &[u8]) -> Result<(), MbError> {
             Ok(())
-        }
-        fn take_left(&mut self) -> Vec<u8> {
-            panic!("take_left: the wrapper did not forward take_left_into")
-        }
-        fn take_right(&mut self) -> Vec<u8> {
-            panic!("take_right: the wrapper did not forward take_right_into")
         }
         fn take_left_into(&mut self, dst: &mut Vec<u8>) {
             dst.push(3);

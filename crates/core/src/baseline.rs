@@ -87,13 +87,13 @@ impl Relay for PureRelay {
         self.left.extend_from_slice(data);
         Ok(())
     }
-    fn take_left(&mut self) -> Vec<u8> {
+    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
         RelayTelemetry::bytes_out(&self.telemetry, self.left.len());
-        std::mem::take(&mut self.left)
+        dst.extend_from_slice(&std::mem::take(&mut self.left));
     }
-    fn take_right(&mut self) -> Vec<u8> {
+    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
         RelayTelemetry::bytes_out(&self.telemetry, self.right.len());
-        std::mem::take(&mut self.right)
+        dst.extend_from_slice(&std::mem::take(&mut self.right));
     }
 }
 
@@ -182,15 +182,15 @@ impl Relay for SplitTlsMiddlebox {
             .map_err(MbError::Tls)?;
         self.shuttle()
     }
-    fn take_left(&mut self) -> Vec<u8> {
+    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
         let out = self.client_facing.take_outgoing();
         RelayTelemetry::bytes_out(&self.telemetry, out.len());
-        out
+        dst.extend_from_slice(&out);
     }
-    fn take_right(&mut self) -> Vec<u8> {
+    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
         let out = self.server_facing.take_outgoing();
         RelayTelemetry::bytes_out(&self.telemetry, out.len());
-        out
+        dst.extend_from_slice(&out);
     }
 }
 
@@ -285,18 +285,16 @@ impl Relay for NaiveKeyShare {
             None => self.relay.feed_right(data),
         }
     }
-    fn take_left(&mut self) -> Vec<u8> {
-        let mut out = self.relay.take_left();
+    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
+        self.relay.take_left_into(dst);
         if let Some(dp) = &mut self.dataplane {
-            out.extend(dp.take_toward_client());
+            dp.drain_toward_client_into(dst);
         }
-        out
     }
-    fn take_right(&mut self) -> Vec<u8> {
-        let mut out = self.relay.take_right();
+    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
+        self.relay.take_right_into(dst);
         if let Some(dp) = &mut self.dataplane {
-            out.extend(dp.take_toward_server());
+            dp.drain_toward_server_into(dst);
         }
-        out
     }
 }

@@ -15,7 +15,6 @@ use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::config::{ClientConfig, PeerProof};
 use mbtls_tls::messages::{extension_type, Extension};
 use mbtls_tls::record::DirectionState;
-use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, ClientHandshake, TlsError};
 
@@ -193,11 +192,6 @@ impl MbSession<ClientRole> {
         let telemetry = config.telemetry.clone();
         let role = ClientRole { config, hello_reported: false };
         MbSession::around(role, primary, rng, telemetry)
-    }
-
-    /// Resumption data for the server (cache under the server name).
-    pub fn resumption_data(&self) -> Option<ResumptionData> {
-        self.primary.resumption_data()
     }
 
     /// The primary connection's negotiated suite (once known).

@@ -300,25 +300,12 @@ impl EndpointDataPlane {
         Ok(())
     }
 
-    /// Received plaintext.
-    pub fn take_plaintext(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.incoming_plain)
-    }
-
     /// Move received plaintext to the end of `dst`, leaving the
     /// internal buffer empty. An empty `dst` trades buffers with it
     /// instead of being copied into, so a caller that drains into the
-    /// same cleared buffer every turn copies and allocates nothing
-    /// (the steady-state alternative to
-    /// [`EndpointDataPlane::take_plaintext`], which surrenders the
-    /// allocation).
+    /// same cleared buffer every turn copies and allocates nothing.
     pub fn drain_plaintext_into(&mut self, dst: &mut Vec<u8>) {
         hand_over(&mut self.incoming_plain, dst);
-    }
-
-    /// Bytes to put on the wire.
-    pub fn take_outgoing(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.outgoing_wire)
     }
 
     /// Move pending wire bytes to the end of `dst`, leaving the
@@ -606,20 +593,9 @@ impl MiddleboxDataPlane {
         Ok(())
     }
 
-    /// Bytes to forward toward the server.
-    pub fn take_toward_server(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.lanes[CLIENT_SIDE].out)
-    }
-
-    /// Bytes to forward toward the client.
-    pub fn take_toward_client(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.lanes[SERVER_SIDE].out)
-    }
-
     /// Move pending server-bound bytes to the end of `dst`, leaving
     /// the internal buffer empty; an empty `dst` trades buffers with
-    /// it (steady-state alternative to
-    /// [`MiddleboxDataPlane::take_toward_server`]).
+    /// it.
     pub fn drain_toward_server_into(&mut self, dst: &mut Vec<u8>) {
         self.drain_into(FlowDirection::ClientToServer, dst);
     }
@@ -651,13 +627,19 @@ mod tests {
         let mut client = EndpointDataPlane::for_client(&hop).unwrap();
         let mut server = EndpointDataPlane::for_server(&hop).unwrap();
 
+        let (mut wire, mut plain) = (Vec::new(), Vec::new());
         client.send(b"request").unwrap();
-        server.feed(&client.take_outgoing()).unwrap();
-        assert_eq!(server.take_plaintext(), b"request");
+        client.drain_outgoing_into(&mut wire);
+        server.feed(&wire).unwrap();
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"request");
 
+        let (mut wire, mut plain) = (Vec::new(), Vec::new());
         server.send(b"response").unwrap();
-        client.feed(&server.take_outgoing()).unwrap();
-        assert_eq!(client.take_plaintext(), b"response");
+        server.drain_outgoing_into(&mut wire);
+        client.feed(&wire).unwrap();
+        client.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"response");
     }
 
     #[test]
@@ -669,29 +651,31 @@ mod tests {
         let mut server = EndpointDataPlane::for_server(&right).unwrap();
         let mut mbox = MiddleboxDataPlane::new(&left, &right).unwrap();
 
+        let (mut wire1, mut wire2, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         client.send(b"hello via mbox").unwrap();
-        let wire1 = client.take_outgoing();
+        client.drain_outgoing_into(&mut wire1);
         mbox.feed(FlowDirection::ClientToServer, &wire1, |_, _p| {})
             .unwrap();
-        let wire2 = mbox.take_toward_server();
+        mbox.drain_toward_server_into(&mut wire2);
         // Unique per-hop keys: ciphertexts differ (P1C building block).
         assert_ne!(wire1, wire2);
         server.feed(&wire2).unwrap();
-        assert_eq!(server.take_plaintext(), b"hello via mbox");
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"hello via mbox");
 
         // Reverse direction with modification.
+        let (mut back1, mut back2, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         server.send(b"data-v1").unwrap();
-        mbox.feed(
-            FlowDirection::ServerToClient,
-            &server.take_outgoing(),
-            |_, p| {
-                // Header-insertion-style modification.
-                p.extend_from_slice(b"+mbox");
-            },
-        )
+        server.drain_outgoing_into(&mut back1);
+        mbox.feed(FlowDirection::ServerToClient, &back1, |_, p| {
+            // Header-insertion-style modification.
+            p.extend_from_slice(b"+mbox");
+        })
         .unwrap();
-        client.feed(&mbox.take_toward_client()).unwrap();
-        assert_eq!(client.take_plaintext(), b"data-v1+mbox");
+        mbox.drain_toward_client_into(&mut back2);
+        client.feed(&back2).unwrap();
+        client.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"data-v1+mbox");
         assert_eq!(mbox.records_forwarded, 2);
     }
 
@@ -706,7 +690,9 @@ mod tests {
 
         client.send(b"skip the middlebox").unwrap();
         // Adversary splices client bytes directly to the server.
-        let result = server.feed(&client.take_outgoing());
+        let mut wire = Vec::new();
+        client.drain_outgoing_into(&mut wire);
+        let result = server.feed(&wire);
         assert!(result.is_err(), "skipped-hop record must not authenticate");
     }
 
@@ -720,9 +706,12 @@ mod tests {
         bridge.server_to_client_seq = 1;
         let mut client = EndpointDataPlane::for_client(&bridge).unwrap();
         let mut server = EndpointDataPlane::for_server(&bridge).unwrap();
+        let (mut wire, mut plain) = (Vec::new(), Vec::new());
         client.send(b"post-handshake").unwrap();
-        server.feed(&client.take_outgoing()).unwrap();
-        assert_eq!(server.take_plaintext(), b"post-handshake");
+        client.drain_outgoing_into(&mut wire);
+        server.feed(&wire).unwrap();
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"post-handshake");
     }
 
     #[test]
@@ -740,10 +729,12 @@ mod tests {
         let hop = fresh_hop_keys(SUITE, &mut rng);
         let mut client = EndpointDataPlane::for_client(&hop).unwrap();
         let mut server = EndpointDataPlane::for_server(&hop).unwrap();
+        let (mut wire, mut plain) = (Vec::new(), Vec::new());
         client.send(b"pay $1").unwrap();
-        let wire = client.take_outgoing();
+        client.drain_outgoing_into(&mut wire);
         server.feed(&wire).unwrap();
-        assert_eq!(server.take_plaintext(), b"pay $1");
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"pay $1");
         // Replaying the same record fails (sequence number advanced).
         assert!(server.feed(&wire).is_err());
     }
@@ -761,27 +752,31 @@ mod tests {
         assert!(mbox.fast_path_active(FlowDirection::ClientToServer));
         assert!(mbox.fast_path_active(FlowDirection::ServerToClient));
 
+        let (mut wire1, mut wire2, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         client.send(b"GET /index.html").unwrap();
-        let wire1 = client.take_outgoing();
+        client.drain_outgoing_into(&mut wire1);
         mbox.feed(FlowDirection::ClientToServer, &wire1, |_, _| {
             panic!("processor must not run on the fast path")
         })
         .unwrap();
-        let wire2 = mbox.take_toward_server();
+        mbox.drain_toward_server_into(&mut wire2);
         assert_eq!(wire1, wire2, "fast path must not rewrite the record");
         server.feed(&wire2).unwrap();
-        assert_eq!(server.take_plaintext(), b"GET /index.html");
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"GET /index.html");
 
+        let (mut back1, mut back2, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         server.send(b"200 OK").unwrap();
-        let back1 = server.take_outgoing();
+        server.drain_outgoing_into(&mut back1);
         mbox.feed(FlowDirection::ServerToClient, &back1, |_, _| {
             panic!("processor must not run on the fast path")
         })
         .unwrap();
-        let back2 = mbox.take_toward_client();
+        mbox.drain_toward_client_into(&mut back2);
         assert_eq!(back1, back2);
         client.feed(&back2).unwrap();
-        assert_eq!(client.take_plaintext(), b"200 OK");
+        client.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"200 OK");
 
         assert_eq!(mbox.records_forwarded, 2);
         assert_eq!(mbox.records_fast_forwarded, 2);
@@ -801,16 +796,18 @@ mod tests {
         // Default: read_only is false — the fast path stays off.
         assert!(!mbox.fast_path_active(FlowDirection::ClientToServer));
 
+        let (mut wire, mut forwarded, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         client.send(b"value=1").unwrap();
-        let wire = client.take_outgoing();
+        client.drain_outgoing_into(&mut wire);
         let mut ran = false;
         mbox.feed(FlowDirection::ClientToServer, &wire, |_, _| ran = true)
             .unwrap();
         assert!(ran, "slow path must invoke the processor");
-        let forwarded = mbox.take_toward_server();
+        mbox.drain_toward_server_into(&mut forwarded);
         assert_eq!(wire, forwarded, "the record leaves as it arrived");
         server.feed(&forwarded).unwrap();
-        assert_eq!(server.take_plaintext(), b"value=1");
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"value=1");
         assert_eq!(mbox.records_forwarded, 1);
         assert_eq!(mbox.records_fast_forwarded, 0);
     }
@@ -826,14 +823,17 @@ mod tests {
         let mut client = EndpointDataPlane::for_client(&hop).unwrap();
         let mut mbox = MiddleboxDataPlane::new(&hop, &hop).unwrap();
 
+        let (mut wire, mut forwarded) = (Vec::new(), Vec::new());
         client.send(b"value=1").unwrap();
+        client.drain_outgoing_into(&mut wire);
         let err = mbox
-            .feed(FlowDirection::ClientToServer, &client.take_outgoing(), |_, p| {
+            .feed(FlowDirection::ClientToServer, &wire, |_, p| {
                 p.extend_from_slice(b"&mbox=2");
             })
             .unwrap_err();
         assert!(matches!(err, MbError::Protocol(_)), "got {err:?}");
-        assert!(mbox.take_toward_server().is_empty(), "nothing may be forwarded");
+        mbox.drain_toward_server_into(&mut forwarded);
+        assert!(forwarded.is_empty(), "nothing may be forwarded");
         assert_eq!(mbox.records_forwarded, 0);
     }
 
@@ -847,12 +847,14 @@ mod tests {
         let mut mbox = MiddleboxDataPlane::new(&hop, &hop).unwrap();
         mbox.set_read_only(true);
 
+        let (mut wire, mut forwarded) = (Vec::new(), Vec::new());
         client.send(b"authentic").unwrap();
-        let mut wire = client.take_outgoing();
+        client.drain_outgoing_into(&mut wire);
         let last = wire.len() - 1;
         wire[last] ^= 0x01;
         assert!(mbox.feed(FlowDirection::ClientToServer, &wire, |_, _| {}).is_err());
-        assert!(mbox.take_toward_server().is_empty());
+        mbox.drain_toward_server_into(&mut forwarded);
+        assert!(forwarded.is_empty());
         assert_eq!(mbox.records_fast_forwarded, 0);
     }
 
@@ -867,21 +869,27 @@ mod tests {
         let mut client = EndpointDataPlane::for_client(&hop).unwrap();
         let mut mbox = MiddleboxDataPlane::new(&hop, &hop).unwrap();
 
+        let (mut wire, mut forwarded) = (Vec::new(), Vec::new());
         client.send(b"grow me").unwrap();
+        client.drain_outgoing_into(&mut wire);
         assert!(mbox
-            .feed(FlowDirection::ClientToServer, &client.take_outgoing(), |_, p| {
+            .feed(FlowDirection::ClientToServer, &wire, |_, p| {
                 p.resize(mbtls_tls::record::MAX_FRAGMENT_LEN + 1, 0x61);
             })
             .is_err());
-        assert!(mbox.take_toward_server().is_empty());
+        mbox.drain_toward_server_into(&mut forwarded);
+        assert!(forwarded.is_empty());
         assert_eq!(mbox.records_forwarded, 0);
 
         // The other direction is untouched and keeps working.
+        let (mut back, mut returned) = (Vec::new(), Vec::new());
         let mut server = EndpointDataPlane::for_server(&hop).unwrap();
         server.send(b"unaffected").unwrap();
-        mbox.feed(FlowDirection::ServerToClient, &server.take_outgoing(), |_, _| {})
+        server.drain_outgoing_into(&mut back);
+        mbox.feed(FlowDirection::ServerToClient, &back, |_, _| {})
             .unwrap();
-        assert!(!mbox.take_toward_client().is_empty());
+        mbox.drain_toward_client_into(&mut returned);
+        assert!(!returned.is_empty());
     }
 
     #[test]
@@ -919,7 +927,9 @@ mod tests {
                     })
                     .unwrap_err();
                 assert!(matches!(err, MbError::Tls(TlsError::RecordOverflow)), "got {err:?}");
-                assert!(mbox.take_toward_server().is_empty(), "nothing may be forwarded");
+                let mut forwarded = Vec::new();
+                mbox.drain_toward_server_into(&mut forwarded);
+                assert!(forwarded.is_empty(), "nothing may be forwarded");
                 assert_eq!(mbox.records_forwarded, 0);
             }
         }
@@ -959,14 +969,18 @@ mod tests {
         let mut server = EndpointDataPlane::for_server(&right).unwrap();
         let mut mbox = MiddleboxDataPlane::new(&left, &right).unwrap();
 
+        let (mut wire, mut forwarded, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         client.send(b"first").unwrap();
         client.send(b"second").unwrap();
+        client.drain_outgoing_into(&mut wire);
         let err = mbox
-            .feed(FlowDirection::ClientToServer, &client.take_outgoing(), |_, _| {})
+            .feed(FlowDirection::ClientToServer, &wire, |_, _| {})
             .unwrap_err();
         assert!(matches!(err, MbError::Tls(TlsError::SequenceExhausted)), "got {err:?}");
-        server.feed(&mbox.take_toward_server()).unwrap();
-        assert_eq!(server.take_plaintext(), b"first");
+        mbox.drain_toward_server_into(&mut forwarded);
+        server.feed(&forwarded).unwrap();
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"first");
 
         // An endpoint on the same keys stops at the same record.
         let mut sender = EndpointDataPlane::for_client(&right).unwrap();
@@ -987,17 +1001,19 @@ mod tests {
         let mut mbox = MiddleboxDataPlane::new(&hop, &hop).unwrap();
         mbox.set_read_only(true);
 
+        let (mut wire, mut forwarded, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         client.send(b"legacy version").unwrap();
-        let mut wire = client.take_outgoing();
+        client.drain_outgoing_into(&mut wire);
         wire[2] = 0x01; // version 3.1 on the wire
         mbox.feed(FlowDirection::ClientToServer, &wire, |_, _| {
             panic!("processor must not run on the fast path")
         })
         .unwrap();
-        let forwarded = mbox.take_toward_server();
+        mbox.drain_toward_server_into(&mut forwarded);
         assert_eq!(wire, forwarded, "header must be echoed verbatim");
         server.feed(&forwarded).unwrap();
-        assert_eq!(server.take_plaintext(), b"legacy version");
+        server.drain_plaintext_into(&mut plain);
+        assert_eq!(plain, b"legacy version");
         assert_eq!(mbox.records_fast_forwarded, 1);
     }
 
@@ -1066,13 +1082,14 @@ mod tests {
         let mut mbox = MiddleboxDataPlane::new(&hop, &hop).unwrap();
         mbox.set_read_only(true);
 
+        let (mut wire, mut forwarded) = (Vec::new(), Vec::new());
         client.send_close().unwrap();
-        let wire = client.take_outgoing();
+        client.drain_outgoing_into(&mut wire);
         mbox.feed(FlowDirection::ClientToServer, &wire, |_, _| {
             panic!("processor must not see alerts")
         })
         .unwrap();
-        let forwarded = mbox.take_toward_server();
+        mbox.drain_toward_server_into(&mut forwarded);
         assert_eq!(wire, forwarded);
         server.feed(&forwarded).unwrap();
         assert!(server.peer_closed());

@@ -18,8 +18,6 @@ use mbtls_netsim::FaultConfig;
 use mbtls_telemetry::{Event, EventKind, Party, SharedSink};
 use mbtls_tls::{ClientHandshake, Connection, Handshake, ServerHandshake};
 
-use crate::middlebox::Middlebox;
-use crate::session::{MbSession, Role};
 use crate::MbError;
 
 /// A group of deferred signature checks from one sub-connection of
@@ -36,35 +34,39 @@ pub struct PendingVerify {
 
 /// A single-sided party (client or server endpoint). `Any` lets
 /// [`Chain::party`] hand a party back as the type it was built as.
+///
+/// Bytes leave a party only through the `_into` drains. Session types
+/// follow the data plane's hand-over rule (`dataplane::hand_over`): a
+/// `dst` holding bytes is appended to, and an empty one takes the
+/// party's buffer whole, so drain each direction into a buffer of its
+/// own.
 pub trait Endpoint: Any {
     /// Feed wire bytes.
     fn feed(&mut self, data: &[u8]) -> Result<(), MbError>;
-    /// Drain wire bytes.
-    fn take(&mut self) -> Vec<u8>;
+    /// Move pending wire bytes to the end of `dst`.
+    fn take_into(&mut self, dst: &mut Vec<u8>);
     /// Ready for application data?
     fn ready(&self) -> bool;
     /// Queue application data.
     fn send_app(&mut self, data: &[u8]) -> Result<(), MbError>;
-    /// Drain received application data.
-    fn recv_app(&mut self) -> Vec<u8>;
+    /// Move received application data to the end of `dst`.
+    fn recv_app_into(&mut self, dst: &mut Vec<u8>);
 
-    /// Move pending wire bytes to the end of `dst`. The default goes
-    /// through [`Endpoint::take`]; session types override it with a
-    /// drain that hands its buffer over to an empty `dst` instead of
-    /// copying (see [`MbSession::drain_outgoing_into`]), so drain each
-    /// direction into a buffer of its own.
-    fn take_into(&mut self, dst: &mut Vec<u8>) {
-        let out = self.take();
-        dst.extend_from_slice(&out);
+    /// [`Endpoint::take_into`] into a new buffer. Kept while the repo
+    /// benchmark's adapters (`benchmark/src/seam.rs`) override and call
+    /// it; ROADMAP item 7 deletes it.
+    fn take(&mut self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.take_into(&mut out);
+        out
     }
 
-    /// Move received application data to the end of `dst`; an empty
-    /// `dst` may come back holding the endpoint's buffer, as with
-    /// [`Endpoint::take_into`]. Default goes through
-    /// [`Endpoint::recv_app`].
-    fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
-        let out = self.recv_app();
-        dst.extend_from_slice(&out);
+    /// [`Endpoint::recv_app_into`] into a new buffer; kept as
+    /// [`Endpoint::take`] is.
+    fn recv_app(&mut self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.recv_app_into(&mut out);
+        out
     }
 
     /// The fatal error that failed this endpoint, if any. Drivers
@@ -104,77 +106,37 @@ pub trait Endpoint: Any {
     }
 }
 
-/// A two-sided party (middlebox or relay); `Any` as for [`Endpoint`].
+/// A two-sided party (middlebox or relay); `Any`, and the drains'
+/// hand-over, as for [`Endpoint`].
 pub trait Relay: Any {
     /// Feed bytes arriving from the client side.
     fn feed_left(&mut self, data: &[u8]) -> Result<(), MbError>;
     /// Feed bytes arriving from the server side.
     fn feed_right(&mut self, data: &[u8]) -> Result<(), MbError>;
-    /// Drain bytes to send toward the client.
-    fn take_left(&mut self) -> Vec<u8>;
-    /// Drain bytes to send toward the server.
-    fn take_right(&mut self) -> Vec<u8>;
+    /// Move client-bound bytes to the end of `dst`.
+    fn take_left_into(&mut self, dst: &mut Vec<u8>);
+    /// Move server-bound bytes to the end of `dst`.
+    fn take_right_into(&mut self, dst: &mut Vec<u8>);
 
-    /// Move client-bound bytes to the end of `dst`; an empty `dst`
-    /// may come back holding the relay's buffer, as with
-    /// [`Endpoint::take_into`]. Default goes through
-    /// [`Relay::take_left`].
-    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
-        let out = self.take_left();
-        dst.extend_from_slice(&out);
+    /// [`Relay::take_left_into`] into a new buffer; kept as
+    /// [`Endpoint::take`] is.
+    fn take_left(&mut self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.take_left_into(&mut out);
+        out
     }
 
-    /// Move server-bound bytes to the end of `dst`; see
-    /// [`Relay::take_left_into`]. Default goes through
-    /// [`Relay::take_right`].
-    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
-        let out = self.take_right();
-        dst.extend_from_slice(&out);
+    /// [`Relay::take_right_into`] into a new buffer; kept as
+    /// [`Endpoint::take`] is.
+    fn take_right(&mut self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.take_right_into(&mut out);
+        out
     }
 
     /// The fatal error that failed this relay, if any.
     fn failed(&self) -> Option<MbError> {
         None
-    }
-}
-
-/// Both mbTLS session types; what differs per end is behind `Role`.
-impl<R: Role + 'static> Endpoint for MbSession<R> {
-    fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.feed_incoming(data)
-    }
-    fn take(&mut self) -> Vec<u8> {
-        self.take_outgoing()
-    }
-    fn ready(&self) -> bool {
-        self.is_ready()
-    }
-    fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.send(data)
-    }
-    fn recv_app(&mut self) -> Vec<u8> {
-        self.recv()
-    }
-    fn take_into(&mut self, dst: &mut Vec<u8>) {
-        self.drain_outgoing_into(dst)
-    }
-    fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
-        self.recv_into(dst)
-    }
-    fn failed(&self) -> Option<MbError> {
-        self.error()
-    }
-    fn resumption(&self) -> Option<mbtls_tls::session::ResumptionData> {
-        self.primary.resumption_data()
-    }
-    fn resumed(&self) -> bool {
-        MbSession::resumed(self)
-    }
-    fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        MbSession::take_pending_verifies(self, out)
-    }
-    fn resolve_verify(&mut self, token: u32, valid: bool) {
-        MbSession::resolve_verify(self, token, valid)
     }
 }
 
@@ -208,8 +170,8 @@ impl<H: Handshake + 'static> Endpoint for Legacy<H> {
             .feed_incoming(data, &mut self.rng)
             .map_err(MbError::Tls)
     }
-    fn take(&mut self) -> Vec<u8> {
-        self.conn.take_outgoing()
+    fn take_into(&mut self, dst: &mut Vec<u8>) {
+        dst.extend_from_slice(&self.conn.take_outgoing());
     }
     fn ready(&self) -> bool {
         self.conn.is_established()
@@ -217,8 +179,8 @@ impl<H: Handshake + 'static> Endpoint for Legacy<H> {
     fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
         self.conn.send_data(data).map_err(MbError::Tls)
     }
-    fn recv_app(&mut self) -> Vec<u8> {
-        self.conn.take_plaintext()
+    fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
+        dst.extend_from_slice(&self.conn.take_plaintext());
     }
     fn failed(&self) -> Option<MbError> {
         self.conn.error().cloned().map(MbError::Tls)
@@ -239,30 +201,6 @@ impl<H: Handshake + 'static> Endpoint for Legacy<H> {
     }
 }
 
-impl Relay for Middlebox {
-    fn feed_left(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.feed_from_client(data)
-    }
-    fn feed_right(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.feed_from_server(data)
-    }
-    fn take_left(&mut self) -> Vec<u8> {
-        self.take_toward_client()
-    }
-    fn take_right(&mut self) -> Vec<u8> {
-        self.take_toward_server()
-    }
-    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
-        self.drain_toward_client_into(dst)
-    }
-    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
-        self.drain_toward_server_into(dst)
-    }
-    fn failed(&self) -> Option<MbError> {
-        self.error()
-    }
-}
-
 /// The byte-moving substrate connecting adjacent parties in a
 /// [`Chain`]: link `i` joins party `i` (left end) to party `i + 1`
 /// (right end). "Rightward" bytes travel client→server.
@@ -270,30 +208,31 @@ impl Relay for Middlebox {
 /// [`Chain::pump_with`] is generic over this trait, so the in-memory
 /// pipe driver and the netsim driver share one pump loop.
 pub trait ChainLinks {
-    /// Drain bytes that arrived at link `link`'s right end.
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError>;
-    /// Drain bytes that arrived at link `link`'s left end.
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError>;
+    /// Append link `link`'s right-end bytes to `dst`; returns true if
+    /// any bytes arrived.
+    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError>;
+    /// Append link `link`'s left-end bytes to `dst`; returns true if
+    /// any bytes arrived.
+    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError>;
     /// Party `from` (the link's left party) sends toward the server.
     fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError>;
     /// Party `from` (the link's right party) sends toward the client.
     fn send_leftward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError>;
 
-    /// Append link `link`'s right-end bytes to `dst`, keeping its
-    /// capacity; returns true if any bytes arrived. Default goes
-    /// through the allocating recv; buffer-backed links override.
-    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        let data = self.recv_rightward(link)?;
-        dst.extend_from_slice(&data);
-        Ok(!data.is_empty())
+    /// [`ChainLinks::recv_rightward_into`] into a new buffer; kept as
+    /// [`Endpoint::take`] is.
+    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
+        let mut out = Vec::new();
+        self.recv_rightward_into(link, &mut out)?;
+        Ok(out)
     }
 
-    /// Append link `link`'s left-end bytes to `dst`, keeping its
-    /// capacity; returns true if any bytes arrived.
-    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
-        let data = self.recv_leftward(link)?;
-        dst.extend_from_slice(&data);
-        Ok(!data.is_empty())
+    /// [`ChainLinks::recv_leftward_into`] into a new buffer; kept as
+    /// [`Endpoint::take`] is.
+    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
+        let mut out = Vec::new();
+        self.recv_leftward_into(link, &mut out)?;
+        Ok(out)
     }
 
     /// Lend link `link`'s client→server buffer itself. `Some` is a
@@ -360,12 +299,6 @@ impl PipeLinks {
 }
 
 impl ChainLinks for PipeLinks {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        Ok(std::mem::take(&mut self.rightward[link]))
-    }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        Ok(std::mem::take(&mut self.leftward[link]))
-    }
     fn send_rightward(&mut self, link: usize, _from: usize, data: &[u8]) -> Result<(), MbError> {
         self.rightward[link].extend_from_slice(data);
         Ok(())
@@ -425,12 +358,6 @@ impl<F: FnMut(usize, bool, &[u8])> TapLinks<F> {
 }
 
 impl<F: FnMut(usize, bool, &[u8])> ChainLinks for TapLinks<F> {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.pipes.recv_rightward(link)
-    }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        self.pipes.recv_leftward(link)
-    }
     fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
         (self.tap)(link, true, data);
         self.pipes.send_rightward(link, from, data)
@@ -863,8 +790,9 @@ pub struct NetChain<'n> {
     /// The chain itself.
     pub chain: Chain,
     /// Virtual compute time charged per output flush, per party
-    /// (models handshake computation; zero by default).
-    pub compute_delays: Vec<Duration>,
+    /// (models handshake computation; zero by default, set by
+    /// [`NetChain::set_compute_delay`]).
+    compute_delays: Vec<Duration>,
     telemetry: Option<SharedSink>,
 }
 
@@ -888,6 +816,12 @@ pub struct NetLinks<'a> {
 }
 
 impl NetLinks<'_> {
+    fn recv_into(&mut self, link: usize, to: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
+        let data = self.net.recv(self.conns[link], self.nodes[to])?;
+        dst.extend_from_slice(&data);
+        Ok(!data.is_empty())
+    }
+
     fn send(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
         self.bytes += data.len() as u64;
         let delay = self.compute_delays.get(from).copied().unwrap_or(Duration::ZERO);
@@ -896,11 +830,11 @@ impl NetLinks<'_> {
 }
 
 impl ChainLinks for NetLinks<'_> {
-    fn recv_rightward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        Ok(self.net.recv(self.conns[link], self.nodes[link + 1])?)
+    fn recv_rightward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
+        self.recv_into(link, link + 1, dst)
     }
-    fn recv_leftward(&mut self, link: usize) -> Result<Vec<u8>, MbError> {
-        Ok(self.net.recv(self.conns[link], self.nodes[link])?)
+    fn recv_leftward_into(&mut self, link: usize, dst: &mut Vec<u8>) -> Result<bool, MbError> {
+        self.recv_into(link, link, dst)
     }
     fn send_rightward(&mut self, link: usize, from: usize, data: &[u8]) -> Result<(), MbError> {
         self.send(link, from, data)

@@ -39,6 +39,7 @@ use mbtls_tls::ServerConnection;
 use crate::dataplane::{
     arrival, departure, FlowDirection, MiddleboxDataPlane, CLIENT_SIDE, DIRECTIONS, SERVER_SIDE,
 };
+use crate::driver::Relay;
 use crate::messages::{Encapsulated, KeyMaterial, SecondaryMessage};
 use crate::session::wrap_records;
 use crate::MbError;
@@ -214,11 +215,6 @@ impl Middlebox {
         }
     }
 
-    /// The failure that wedged this middlebox, if any.
-    pub fn error(&self) -> Option<MbError> {
-        self.error.clone()
-    }
-
     /// Current lifecycle phase.
     pub fn phase(&self) -> MiddleboxPhase {
         self.phase
@@ -239,35 +235,6 @@ impl Middlebox {
         self.dataplane.as_ref().map(|d| d.records_forwarded).unwrap_or(0)
     }
 
-    /// Bytes to send toward the client.
-    pub fn take_toward_client(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.drain_toward_client_into(&mut out);
-        out
-    }
-
-    /// Bytes to send toward the server.
-    pub fn take_toward_server(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.drain_toward_server_into(&mut out);
-        out
-    }
-
-    /// Move pending client-bound bytes to the end of `dst` — the
-    /// steady-state alternative to [`Middlebox::take_toward_client`].
-    /// In the data-plane phase an empty `dst` takes the records by
-    /// trading buffers with the data plane instead of being copied
-    /// into.
-    pub fn drain_toward_client_into(&mut self, dst: &mut Vec<u8>) {
-        self.drain(FlowDirection::ServerToClient, dst)
-    }
-
-    /// Move pending server-bound bytes to the end of `dst`; see
-    /// [`Middlebox::drain_toward_client_into`].
-    pub fn drain_toward_server_into(&mut self, dst: &mut Vec<u8>) {
-        self.drain(FlowDirection::ClientToServer, dst)
-    }
-
     /// Move everything travelling in `dir` that is ready to leave to
     /// the end of `dst`: relayed handshake records first (appended),
     /// then the data plane's (handed over, see
@@ -285,16 +252,6 @@ impl Middlebox {
         if n > 0 {
             self.emit(EventKind::BytesOut { bytes: n });
         }
-    }
-
-    /// Feed bytes arriving from the client side.
-    pub fn feed_from_client(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.feed(FlowDirection::ClientToServer, data)
-    }
-
-    /// Feed bytes arriving from the server side.
-    pub fn feed_from_server(&mut self, data: &[u8]) -> Result<(), MbError> {
-        self.feed(FlowDirection::ServerToClient, data)
     }
 
     /// Feed bytes travelling in `dir`.
@@ -597,6 +554,31 @@ impl EnclaveState for Middlebox {
         self.keys = None;
         self.dataplane = None;
         self.secondary = None;
+    }
+}
+
+/// "Left" is toward the client, "right" toward the server; each side
+/// is one direction of travel through `feed` and `drain`.
+impl Relay for Middlebox {
+    fn feed_left(&mut self, data: &[u8]) -> Result<(), MbError> {
+        self.feed(FlowDirection::ClientToServer, data)
+    }
+    fn feed_right(&mut self, data: &[u8]) -> Result<(), MbError> {
+        self.feed(FlowDirection::ServerToClient, data)
+    }
+    /// Relayed handshake records are appended to `dst`; in the
+    /// data-plane phase an empty `dst` takes the records by trading
+    /// buffers with the data plane instead of being copied into.
+    fn take_left_into(&mut self, dst: &mut Vec<u8>) {
+        self.drain(FlowDirection::ServerToClient, dst)
+    }
+    /// As [`Relay::take_left_into`], toward the server.
+    fn take_right_into(&mut self, dst: &mut Vec<u8>) {
+        self.drain(FlowDirection::ClientToServer, dst)
+    }
+    /// The failure that wedged this middlebox, if any.
+    fn failed(&self) -> Option<MbError> {
+        self.error.clone()
     }
 }
 

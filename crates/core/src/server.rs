@@ -19,6 +19,7 @@ use mbtls_tls::{ClientConnection, ServerConnection, ServerHandshake, TlsError};
 
 use crate::client::ApprovalPolicy;
 use crate::dataplane::{EndpointDataPlane, HopKeys};
+use crate::driver::Endpoint;
 use crate::messages::KeyMaterial;
 use crate::session::{Admission, MbSession, Role, SharedTls};
 use crate::MbError;
@@ -96,7 +97,7 @@ impl Role for ServerRole {
         if content_type != Some(ContentType::MbtlsMiddleboxAnnouncement) {
             return Ok(false);
         }
-        if session.is_ready() {
+        if session.ready() {
             return Err(MbError::unexpected_state("announcement after key distribution"));
         }
         let id = session.role.next_subchannel;

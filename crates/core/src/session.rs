@@ -15,7 +15,7 @@
 //!
 //! The session is generic over the role (which names the primary
 //! connection's TLS role), so every call on the path from
-//! [`MbSession::feed_incoming`] to the data plane's open is
+//! [`Endpoint::feed`] to the data plane's open is
 //! statically dispatched and inlines exactly as the two hand-written
 //! copies did.
 
@@ -29,12 +29,13 @@ use mbtls_telemetry::{EventKind, Party, SharedSink};
 use mbtls_tls::alert::{Alert, AlertDescription};
 use mbtls_tls::config::{ClientConfig, PeerProof};
 use mbtls_tls::record::{frame_plaintext, ContentType, DirectionState, Record, RecordReader};
+use mbtls_tls::session::ResumptionData;
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::{ClientConnection, Connection, Handshake, TlsError};
 
 use crate::client::{ApprovalPolicy, MiddleboxInfo};
 use crate::dataplane::{fresh_hop_keys, EndpointDataPlane, HopKeys};
-use crate::driver::PendingVerify;
+use crate::driver::{Endpoint, PendingVerify};
 use crate::messages::{Encapsulated, KeyMaterial, SecondaryMessage};
 use crate::MbError;
 
@@ -152,7 +153,7 @@ impl ApprovalPolicy {
 /// Everything that differs between the client and the server end of
 /// an mbTLS session. Hooks take the whole session; the role's own
 /// state is `session.role`.
-pub(crate) trait Role: Sized {
+pub(crate) trait Role: Sized + 'static {
     /// The TLS role of the primary session.
     type Handshake: Handshake;
     /// The party this end reports telemetry as.
@@ -345,62 +346,6 @@ impl<R: Role> MbSession<R> {
         }
     }
 
-    /// Wire bytes to send.
-    pub fn take_outgoing(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.drain_outgoing_into(&mut out);
-        out
-    }
-
-    /// Move pending wire bytes to the end of `dst` — the steady-state
-    /// alternative to [`MbSession::take_outgoing`]. Once the data
-    /// plane is active its records are all there is to drain, and an
-    /// empty `dst` takes them by trading buffers with the data plane
-    /// ([`EndpointDataPlane::drain_outgoing_into`]): no copy, and no
-    /// allocation once both buffers are warm.
-    pub fn drain_outgoing_into(&mut self, dst: &mut Vec<u8>) {
-        self.pump();
-        let start = dst.len();
-        // Primary-session records flush first (the paper's Fig. 3
-        // shows secondary flights following the primary ones within a
-        // flight), then mbTLS control records, then data-plane
-        // records. The primary produces nothing post-handshake, so
-        // its take is a free swap of empty vectors at steady state.
-        let primary = self.primary.take_outgoing();
-        dst.extend_from_slice(&primary);
-        dst.extend_from_slice(&self.out);
-        self.out.clear();
-        if let Some(dp) = &mut self.dataplane {
-            dp.drain_outgoing_into(dst);
-        }
-        let n = (dst.len() - start) as u64;
-        if n > 0 {
-            R::flushed(self, n);
-            self.emit(EventKind::BytesOut { bytes: n });
-        }
-    }
-
-    /// Feed bytes from the wire.
-    pub fn feed_incoming(&mut self, data: &[u8]) -> Result<(), MbError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        if !data.is_empty() {
-            self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
-        }
-        // The reader moves aside so the records it frames out of `data`
-        // can be routed into the session's other fields.
-        let mut reader = std::mem::take(&mut self.reader);
-        let result = reader.for_each_record(data, |record| self.route(record));
-        self.reader = reader;
-        if let Err(e) = result {
-            self.error = Some(e.clone());
-            return Err(e);
-        }
-        self.pump();
-        Ok(())
-    }
-
     /// Route one record: a post-handshake data record is opened from
     /// where it sits onto the received plaintext, anything else is fed
     /// onward byte for byte.
@@ -439,7 +384,7 @@ impl<R: Role> MbSession<R> {
     /// Key delivery ended every secondary session, so after it an
     /// Encapsulated record is a protocol violation, on any subchannel.
     fn handle_encapsulated(&mut self, id: u8, inner: &[u8]) -> Result<(), MbError> {
-        if self.is_ready() {
+        if self.ready() {
             return Err(MbError::bad_hop("encapsulated record after key delivery"));
         }
         if find(&self.secondaries, id).is_none() {
@@ -507,7 +452,7 @@ impl<R: Role> MbSession<R> {
         }
 
         // Key distribution once everything is established.
-        if !self.is_ready() && self.primary.is_established() {
+        if !self.ready() && self.primary.is_established() {
             let all_done = self
                 .secondaries
                 .iter()
@@ -551,7 +496,7 @@ impl<R: Role> MbSession<R> {
 
     /// The one discharge point: verify the group here as one batch,
     /// or park it for the driver, whose verdict comes back through
-    /// [`MbSession::resolve_verify`].
+    /// [`Endpoint::resolve_verify`].
     fn discharge(&mut self, token: u32, checks: Vec<SignatureCheck>) {
         if !self.role.admission().deferred {
             let valid = verify_checks(&checks).all_valid();
@@ -587,21 +532,6 @@ impl<R: Role> MbSession<R> {
                 self.emit(EventKind::CredentialRejected { subchannel: u64::from(id) });
             }
         }
-    }
-
-    /// Drain the signature-check groups parked for the driver (token
-    /// 0 = primary, 1 + subchannel id = middlebox); the caller must
-    /// deliver each verdict through [`MbSession::resolve_verify`].
-    pub fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
-        out.append(&mut self.pending_verifies);
-    }
-
-    /// Deliver the verdict for a parked group. A failed primary
-    /// verdict fails the session; a failed middlebox verdict demotes
-    /// that middlebox to a relay, as when the group is verified here.
-    pub fn resolve_verify(&mut self, token: u32, valid: bool) {
-        self.deliver(token, valid);
-        self.pump();
     }
 
     /// The signature checks middlebox `id`'s certificate chain owes,
@@ -771,35 +701,6 @@ impl<R: Role> MbSession<R> {
         Ok((!alias).then(|| hops.swap_remove(0)))
     }
 
-    /// True once application data can flow: keys are distributed and
-    /// the data plane is up (no middlebox can join after this).
-    pub fn is_ready(&self) -> bool {
-        self.dataplane.is_some()
-    }
-
-    /// True if the session failed.
-    pub fn is_failed(&self) -> bool {
-        self.error.is_some() || self.primary.error().is_some()
-    }
-
-    /// The failure, if any.
-    pub fn error(&self) -> Option<MbError> {
-        self.error
-            .clone()
-            .or_else(|| self.primary.error().cloned().map(MbError::Tls))
-    }
-
-    /// Did the primary handshake resume a cached session?
-    pub fn resumed(&self) -> bool {
-        self.primary.resumed()
-    }
-
-    /// Queue application data.
-    pub fn send(&mut self, data: &[u8]) -> Result<(), MbError> {
-        let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
-        dp.send(data).map_err(MbError::Tls)
-    }
-
     /// Gracefully close the session (send close_notify under the
     /// adjacent hop's keys; middleboxes re-encrypt it hop by hop).
     pub fn close(&mut self) -> Result<(), MbError> {
@@ -812,27 +713,76 @@ impl<R: Role> MbSession<R> {
         self.dataplane.as_ref().is_some_and(|dp| dp.peer_closed())
     }
 
-    /// Received application data (including any that arrived on the
-    /// primary connection before the data plane activated).
-    pub fn recv(&mut self) -> Vec<u8> {
-        let early = R::primary_plaintext(self);
-        let late = self
-            .dataplane
-            .as_mut()
-            .map(|dp| dp.take_plaintext())
-            .unwrap_or_default();
-        if early.is_empty() {
-            late
-        } else {
-            [early, late].concat()
+    /// Joined middleboxes, in ascending subchannel order.
+    pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
+        self.secondaries.iter().map(|sub| sub.info().clone()).collect()
+    }
+}
+
+/// Both ends drive the same way; what differs per end is behind
+/// `Role`.
+impl<R: Role> Endpoint for MbSession<R> {
+    fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        if !data.is_empty() {
+            self.emit(EventKind::BytesIn { bytes: data.len() as u64 });
+        }
+        // The reader moves aside so the records it frames out of `data`
+        // can be routed into the session's other fields.
+        let mut reader = std::mem::take(&mut self.reader);
+        let result = reader.for_each_record(data, |record| self.route(record));
+        self.reader = reader;
+        if let Err(e) = result {
+            self.error = Some(e.clone());
+            return Err(e);
+        }
+        self.pump();
+        Ok(())
+    }
+
+    /// Once the data plane is active its records are all there is to
+    /// drain, and an empty `dst` takes them by trading buffers with
+    /// the data plane ([`EndpointDataPlane::drain_outgoing_into`]): no
+    /// copy, and no allocation once both buffers are warm.
+    fn take_into(&mut self, dst: &mut Vec<u8>) {
+        self.pump();
+        let start = dst.len();
+        // Primary-session records flush first (the paper's Fig. 3
+        // shows secondary flights following the primary ones within a
+        // flight), then mbTLS control records, then data-plane
+        // records. The primary produces nothing post-handshake, so
+        // its take is a free swap of empty vectors at steady state.
+        let primary = self.primary.take_outgoing();
+        dst.extend_from_slice(&primary);
+        dst.extend_from_slice(&self.out);
+        self.out.clear();
+        if let Some(dp) = &mut self.dataplane {
+            dp.drain_outgoing_into(dst);
+        }
+        let n = (dst.len() - start) as u64;
+        if n > 0 {
+            R::flushed(self, n);
+            self.emit(EventKind::BytesOut { bytes: n });
         }
     }
 
-    /// Move received application data to the end of `dst` (the
-    /// steady-state alternative to [`MbSession::recv`]); an empty
-    /// `dst` trades buffers with the data plane instead of being
-    /// copied into.
-    pub fn recv_into(&mut self, dst: &mut Vec<u8>) {
+    /// True once application data can flow: keys are distributed and
+    /// the data plane is up (no middlebox can join after this).
+    fn ready(&self) -> bool {
+        self.dataplane.is_some()
+    }
+
+    fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
+        let dp = self.dataplane.as_mut().ok_or(MbError::NotReady)?;
+        dp.send(data).map_err(MbError::Tls)
+    }
+
+    /// Received application data, including any that arrived on the
+    /// primary connection before the data plane activated; an empty
+    /// `dst` trades buffers with the data plane.
+    fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
         let early = R::primary_plaintext(self);
         dst.extend_from_slice(&early);
         if let Some(dp) = &mut self.dataplane {
@@ -840,9 +790,32 @@ impl<R: Role> MbSession<R> {
         }
     }
 
-    /// Joined middleboxes, in ascending subchannel order.
-    pub fn middleboxes(&self) -> Vec<MiddleboxInfo> {
-        self.secondaries.iter().map(|sub| sub.info().clone()).collect()
+    fn failed(&self) -> Option<MbError> {
+        self.error
+            .clone()
+            .or_else(|| self.primary.error().cloned().map(MbError::Tls))
+    }
+
+    fn resumption(&self) -> Option<ResumptionData> {
+        self.primary.resumption_data()
+    }
+
+    /// Did the primary handshake resume a cached session?
+    fn resumed(&self) -> bool {
+        self.primary.resumed()
+    }
+
+    /// Token 0 is the primary, 1 + subchannel id a middlebox.
+    fn take_pending_verifies(&mut self, out: &mut Vec<PendingVerify>) {
+        out.append(&mut self.pending_verifies);
+    }
+
+    /// A failed primary verdict fails the session; a failed middlebox
+    /// verdict demotes that middlebox to a relay, as when the group is
+    /// verified here.
+    fn resolve_verify(&mut self, token: u32, valid: bool) {
+        self.deliver(token, valid);
+        self.pump();
     }
 }
 
@@ -877,8 +850,8 @@ mod tests {
         fn feed(&mut self, data: &[u8]) -> Result<(), MbError> {
             self.0.borrow_mut().feed(data)
         }
-        fn take(&mut self) -> Vec<u8> {
-            self.0.borrow_mut().take()
+        fn take_into(&mut self, dst: &mut Vec<u8>) {
+            self.0.borrow_mut().take_into(dst)
         }
         fn ready(&self) -> bool {
             self.0.borrow().ready()
@@ -886,8 +859,8 @@ mod tests {
         fn send_app(&mut self, data: &[u8]) -> Result<(), MbError> {
             self.0.borrow_mut().send_app(data)
         }
-        fn recv_app(&mut self) -> Vec<u8> {
-            self.0.borrow_mut().recv_app()
+        fn recv_app_into(&mut self, dst: &mut Vec<u8>) {
+            self.0.borrow_mut().recv_app_into(dst)
         }
     }
 

@@ -124,10 +124,14 @@ fn naive_key_share_full_flow() {
     let mut mbox = NaiveKeyShare::new();
 
     // Before key delivery: pure relay.
+    let (mut wire_in, mut wire_out, mut plain) = (Vec::new(), Vec::new(), Vec::new());
     client.send(b"pre-keys record").unwrap();
-    mbox.feed_left(&client.take_outgoing()).unwrap();
-    server.feed(&mbox.take_right()).unwrap();
-    assert_eq!(server.take_plaintext(), b"pre-keys record");
+    client.drain_outgoing_into(&mut wire_in);
+    mbox.feed_left(&wire_in).unwrap();
+    mbox.take_right_into(&mut wire_out);
+    server.feed(&wire_out).unwrap();
+    server.drain_plaintext_into(&mut plain);
+    assert_eq!(plain, b"pre-keys record");
     assert!(!mbox.has_keys());
 
     // Key delivery (the out-of-band TLS channel of Fig. 1). Like the
@@ -140,13 +144,15 @@ fn naive_key_share_full_flow() {
 
     // After: the middlebox decrypts under the key both hops share, so
     // an unmodified record leaves with identical bytes.
+    let (mut wire_in, mut wire_out, mut plain) = (Vec::new(), Vec::new(), Vec::new());
     client.send(b"post-keys record").unwrap();
-    let wire_in = client.take_outgoing();
+    client.drain_outgoing_into(&mut wire_in);
     mbox.feed_left(&wire_in).unwrap();
-    let wire_out = mbox.take_right();
+    mbox.take_right_into(&mut wire_out);
     assert_eq!(wire_in, wire_out, "shared key ⇒ identical ciphertext (the P1C leak)");
     server.feed(&wire_out).unwrap();
-    assert_eq!(server.take_plaintext(), b"post-keys record");
+    server.drain_plaintext_into(&mut plain);
+    assert_eq!(plain, b"post-keys record");
 }
 
 /// PureRelay accounting.
@@ -156,6 +162,8 @@ fn pure_relay_counts_bytes() {
     relay.feed_left(&[0u8; 100]).unwrap();
     relay.feed_right(&[0u8; 50]).unwrap();
     assert_eq!(relay.bytes_forwarded, 150);
-    assert_eq!(relay.take_right().len(), 100);
-    assert_eq!(relay.take_left().len(), 50);
+    let (mut rightward, mut leftward) = (Vec::new(), Vec::new());
+    relay.take_right_into(&mut rightward);
+    relay.take_left_into(&mut leftward);
+    assert_eq!((rightward.len(), leftward.len()), (100, 50));
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
 use mbtls_core::dataplane::FlowDirection;
-use mbtls_core::driver::{Chain, LegacyClient, Relay};
+use mbtls_core::driver::{Chain, Endpoint, LegacyClient, Relay};
 use mbtls_core::messages::{Encapsulated, MiddleboxSupport};
 use mbtls_core::middlebox::{DataProcessor, Middlebox, MiddleboxPhase};
 use mbtls_core::server::MbServerSession;
@@ -14,6 +14,14 @@ use mbtls_crypto::rng::CryptoRng;
 use mbtls_tls::config::ClientConfig;
 use mbtls_tls::record::{frame_plaintext, ContentType};
 use mbtls_tls::ClientConnection;
+
+/// Everything one `_into` drain moves, in a buffer of its own: the
+/// tests below carry one hop at a time by hand.
+fn drained(drain: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    drain(&mut out);
+    out
+}
 
 #[test]
 fn close_notify_traverses_middlebox() {
@@ -32,11 +40,11 @@ fn close_notify_traverses_middlebox() {
     // Interleave data and close in the same flush: the close arrives
     // after the data, re-encrypted at each hop.
     let client = chain.party::<MbClientSession>(0).unwrap();
-    client.send(b"last words").unwrap();
+    client.send_app(b"last words").unwrap();
     client.close().unwrap();
     chain.pump().unwrap();
     let server = chain.party::<MbServerSession>(2).unwrap();
-    assert_eq!(server.recv(), b"last words");
+    assert_eq!(drained(|d| server.recv_app_into(d)), b"last words");
     assert!(server.peer_closed(), "close_notify delivered through the hop chain");
 
     // The server can close back.
@@ -60,9 +68,9 @@ fn close_notify_direct_session() {
     client.close().unwrap();
     // One hop by hand: the close reaches the server and nothing comes
     // back, so the client has not seen a close of its own.
-    let close = client.take_outgoing();
+    let close = drained(|d| client.take_into(d));
     let server = chain.party::<MbServerSession>(1).unwrap();
-    server.feed_incoming(&close).unwrap();
+    server.feed(&close).unwrap();
     assert!(server.peer_closed());
     assert!(!chain.party::<MbClientSession>(0).unwrap().peer_closed());
 }
@@ -99,9 +107,9 @@ fn encapsulated_records_after_key_delivery_fail_the_session() {
         let joined = client.middleboxes();
         assert!(joined.len() == 1 && joined[0].approved, "{case}: {joined:?}");
         let id = if own { joined[0].subchannel } else { 200 };
-        let error = client.feed_incoming(&late_encapsulated(id)).expect_err(case);
+        let error = client.feed(&late_encapsulated(id)).expect_err(case);
         assert!(bad_hop(&error), "client, {case}: {error:?}");
-        assert_eq!(client.error(), Some(error), "client, {case}");
+        assert_eq!(client.failed(), Some(error), "client, {case}");
         assert_eq!(client.middleboxes(), joined, "client, {case}");
 
         // Server end, one server-side middlebox (a legacy client, so
@@ -119,9 +127,9 @@ fn encapsulated_records_after_key_delivery_fail_the_session() {
         let joined = server.middleboxes();
         assert!(joined.len() == 1 && joined[0].approved, "{case}: {joined:?}");
         let id = if own { joined[0].subchannel } else { 200 };
-        let error = server.feed_incoming(&late_encapsulated(id)).expect_err(case);
+        let error = server.feed(&late_encapsulated(id)).expect_err(case);
         assert!(bad_hop(&error), "server, {case}: {error:?}");
-        assert_eq!(server.error(), Some(error), "server, {case}");
+        assert_eq!(server.failed(), Some(error), "server, {case}");
         assert_eq!(server.middleboxes(), joined, "server, {case}");
     }
 }
@@ -135,7 +143,7 @@ fn preconfigured_names_travel_in_extension() {
     cfg.preconfigured = vec!["proxy.msp.example".into(), "ids.corp.example".into()];
     let mut client =
         MbClientSession::new(Arc::new(cfg), "server.example", CryptoRng::from_seed(6));
-    let hello_bytes = client.take_outgoing();
+    let hello_bytes = drained(|d| client.take_into(d));
 
     // Find the extension payload on the wire.
     let needle = [0xFFu8, 0x77];
@@ -160,9 +168,9 @@ fn send_before_ready_is_rejected() {
         "server.example",
         CryptoRng::from_seed(7),
     );
-    assert!(client.send(b"too early").is_err());
+    assert!(client.send_app(b"too early").is_err());
     assert!(client.close().is_err());
-    assert!(client.recv().is_empty());
+    assert!(drained(|d| client.recv_app_into(d)).is_empty());
 }
 
 #[test]
@@ -211,7 +219,7 @@ fn middlebox_relays_non_tls_streams() {
     // SSH banner, definitely not a TLS record (version byte wrong) —
     // record parsing fails, the middlebox reports an error rather
     // than corrupting the stream.
-    let result = mb.feed_from_client(b"SSH-2.0-OpenSSH_9.7\r\n");
+    let result = mb.feed_left(b"SSH-2.0-OpenSSH_9.7\r\n");
     assert!(result.is_err(), "non-TLS bytes are a record-layer error");
 }
 
@@ -239,9 +247,9 @@ fn non_handshake_first_record() -> Relayed {
     let tb = Testbed::new(0xC10B);
     let mut mb = middlebox(&tb, 11);
     let fed = legacy_framed_data();
-    mb.feed_from_client(&fed).unwrap();
+    mb.feed_left(&fed).unwrap();
     assert_eq!(mb.phase(), MiddleboxPhase::Relay);
-    (fed, mb.take_toward_server())
+    (fed, drained(|d| mb.take_right_into(d)))
 }
 
 fn client_hello_while_deciding() -> Relayed {
@@ -252,11 +260,11 @@ fn client_hello_while_deciding() -> Relayed {
         CryptoRng::from_seed(12),
     );
     let mut mb = middlebox(&tb, 13);
-    let mut fed = client.take_outgoing();
+    let mut fed = drained(|d| client.take_into(d));
     fed[2] = LEGACY_MINOR;
-    mb.feed_from_client(&fed).unwrap();
+    mb.feed_left(&fed).unwrap();
     assert_eq!(mb.phase(), MiddleboxPhase::ClientSideJoining);
-    (fed, mb.take_toward_server())
+    (fed, drained(|d| mb.take_right_into(d)))
 }
 
 fn early_data_flushed_on_give_up() -> Relayed {
@@ -268,16 +276,16 @@ fn early_data_flushed_on_give_up() -> Relayed {
     let mut mb = middlebox(&tb, 15);
     // No MiddleboxSupport extension: the middlebox announces itself
     // and waits for the server to claim it.
-    mb.feed_from_client(&legacy.take_outgoing()).unwrap();
+    mb.feed_left(&legacy.take_outgoing()).unwrap();
     assert_eq!(mb.phase(), MiddleboxPhase::ServerSideAwaitClaim);
-    let _hello_and_announcement = mb.take_toward_server();
+    let _hello_and_announcement = drained(|d| mb.take_right_into(d));
     let fed = legacy_framed_data();
-    mb.feed_from_client(&fed).unwrap();
-    assert!(mb.take_toward_server().is_empty(), "held until the keys arrive");
+    mb.feed_left(&fed).unwrap();
+    assert!(drained(|d| mb.take_right_into(d)).is_empty(), "held until the keys arrive");
     // A ChangeCipherSpec from a server that never claimed us: give up.
-    mb.feed_from_server(&[20, 3, 3, 0, 1, 1]).unwrap();
+    mb.feed_right(&[20, 3, 3, 0, 1, 1]).unwrap();
     assert_eq!(mb.phase(), MiddleboxPhase::Relay);
-    (fed, mb.take_toward_server())
+    (fed, drained(|d| mb.take_right_into(d)))
 }
 
 fn early_data_reentering_a_read_only_hop() -> Relayed {
@@ -292,33 +300,33 @@ fn early_data_reentering_a_read_only_hop() -> Relayed {
     // Driven by hand: the response has its header rewritten on its
     // hop and must reach the middlebox before the keys do.
     for _ in 0..60 {
-        mb.feed_from_client(&client.take_outgoing()).unwrap();
-        server.feed_incoming(&mb.take_toward_server()).unwrap();
-        mb.feed_from_server(&server.take_outgoing()).unwrap();
-        if server.is_ready() && fed.is_empty() {
+        mb.feed_left(&drained(|d| client.take_into(d))).unwrap();
+        server.feed(&drained(|d| mb.take_right_into(d))).unwrap();
+        mb.feed_right(&drained(|d| server.take_into(d))).unwrap();
+        if server.ready() && fed.is_empty() {
             // The server is done before the client has even seen its
             // Finished, let alone keyed the middlebox: its first
             // response overtakes the keys.
-            server.send(b"early response").unwrap();
-            fed = server.take_outgoing();
+            server.send_app(b"early response").unwrap();
+            fed = drained(|d| server.take_into(d));
             fed[2] = LEGACY_MINOR;
-            client.feed_incoming(&mb.take_toward_client()).unwrap();
-            mb.feed_from_server(&fed).unwrap();
+            client.feed(&drained(|d| mb.take_left_into(d))).unwrap();
+            mb.feed_right(&fed).unwrap();
             assert!(!mb.has_keys());
-            assert!(mb.take_toward_client().is_empty(), "held until the keys arrive");
+            assert!(drained(|d| mb.take_left_into(d)).is_empty(), "held until the keys arrive");
         }
         if mb.has_keys() {
             break;
         }
-        client.feed_incoming(&mb.take_toward_client()).unwrap();
+        client.feed(&drained(|d| mb.take_left_into(d))).unwrap();
     }
     assert!(!fed.is_empty() && mb.has_keys());
-    let forwarded = mb.take_toward_client();
+    let forwarded = drained(|d| mb.take_left_into(d));
     // The hop is aliased, so the middlebox holds no key to re-seal it
     // under: the record left as it arrived, and it still opens at the
     // client.
-    client.feed_incoming(&forwarded).unwrap();
-    assert_eq!(client.recv(), b"early response");
+    client.feed(&forwarded).unwrap();
+    assert_eq!(drained(|d| client.recv_app_into(d)), b"early response");
     (fed, forwarded)
 }
 
@@ -347,15 +355,15 @@ fn data_through_an_aliased_inspecting_hop() -> Relayed {
     // The record goes hop by hop: its header is rewritten on the way
     // in, and both sides of the middlebox are kept for the row.
     let client = chain.party::<MbClientSession>(0).unwrap();
-    client.send(b"inspected").unwrap();
-    let mut fed = client.take_outgoing();
+    client.send_app(b"inspected").unwrap();
+    let mut fed = drained(|d| client.take_into(d));
     fed[2] = LEGACY_MINOR;
     let mb = chain.party::<Middlebox>(1).unwrap();
-    mb.feed_from_client(&fed).unwrap();
-    let forwarded = mb.take_toward_server();
+    mb.feed_left(&fed).unwrap();
+    let forwarded = drained(|d| mb.take_right_into(d));
     let server = chain.party::<MbServerSession>(2).unwrap();
-    server.feed_incoming(&forwarded).unwrap();
-    assert_eq!(server.recv(), b"inspected");
+    server.feed(&forwarded).unwrap();
+    assert_eq!(drained(|d| server.recv_app_into(d)), b"inspected");
     (fed, forwarded)
 }
 

@@ -1,8 +1,8 @@
 //! The `*_into` drain contract, stated once for every drain: whatever
 //! `dst` held before, afterwards it holds that followed by exactly
-//! the bytes the `Vec`-returning take of an identical source yields,
-//! the source is empty (a second drain appends nothing), and a party
-//! reports the same `BytesOut` count either way.
+//! the bytes the same drain of an identical source moves into an
+//! empty buffer, the source is empty (a second drain appends nothing),
+//! and a party reports the same `BytesOut` count either way.
 //!
 //! An empty `dst` is handed the source's buffer and a pre-filled one
 //! is appended to; this table is what says the two are
@@ -27,8 +27,8 @@ fn payload() -> Vec<u8> {
     (0..40_000u32).map(|i| (i * 13 + 5) as u8).collect()
 }
 
-/// A source with bytes pending, the drain under test, and what an
-/// identical source's `Vec`-returning take yields.
+/// A source with bytes pending, the drain under test, and what the
+/// same drain of an identical source moves into an empty buffer.
 struct Pending {
     drain: Drain,
     expected: Vec<u8>,
@@ -41,6 +41,15 @@ type Drain = Box<dyn FnMut(&mut Vec<u8>)>;
 type BytesOut = Box<dyn Fn() -> Vec<u64>>;
 type Build = fn() -> Pending;
 
+/// What one drain moves into an empty buffer: the hand-over branch
+/// that trades buffers, against which a pre-filled `dst` (the branch
+/// that appends) is compared.
+fn drained(drain: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    drain(&mut out);
+    out
+}
+
 fn endpoint_wire() -> Pending {
     let hop = fresh_hop_keys(SUITE, &mut CryptoRng::from_seed(1));
     let sender = || {
@@ -51,7 +60,7 @@ fn endpoint_wire() -> Pending {
     let mut plane = sender();
     Pending {
         drain: Box::new(move |dst| plane.drain_outgoing_into(dst)),
-        expected: sender().take_outgoing(),
+        expected: drained(|dst| sender().drain_outgoing_into(dst)),
         bytes_out: None,
     }
 }
@@ -61,7 +70,7 @@ fn endpoint_plaintext() -> Pending {
     let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
     client.send(&payload()).expect("send");
     let mut server = EndpointDataPlane::for_server(&hop).expect("keys");
-    server.feed(&client.take_outgoing()).expect("feed");
+    server.feed(&drained(|dst| client.drain_outgoing_into(dst))).expect("feed");
     Pending {
         drain: Box::new(move |dst| server.drain_plaintext_into(dst)),
         expected: payload(),
@@ -81,19 +90,20 @@ fn middlebox_plane(dir: FlowDirection) -> Pending {
         .expect("keys");
         sender.send(&payload()).expect("send");
         let mut mbox = MiddleboxDataPlane::new(&left, &right).expect("keys");
-        mbox.feed(dir, &sender.take_outgoing(), |_, _| {}).expect("relay");
+        let wire = drained(|dst| sender.drain_outgoing_into(dst));
+        mbox.feed(dir, &wire, |_, _| {}).expect("relay");
         mbox
     };
     let (mut mbox, mut twin) = (relayed(), relayed());
     match dir {
         FlowDirection::ClientToServer => Pending {
             drain: Box::new(move |dst| mbox.drain_toward_server_into(dst)),
-            expected: twin.take_toward_server(),
+            expected: drained(|dst| twin.drain_toward_server_into(dst)),
             bytes_out: None,
         },
         FlowDirection::ServerToClient => Pending {
             drain: Box::new(move |dst| mbox.drain_toward_client_into(dst)),
-            expected: twin.take_toward_client(),
+            expected: drained(|dst| twin.drain_toward_client_into(dst)),
             bytes_out: None,
         },
     }
@@ -143,7 +153,7 @@ fn session_wire() -> Pending {
     let mut chain = sending(&recorder);
     Pending {
         drain: Box::new(move |dst| chain.client.take_into(dst)),
-        expected: sending(&Recorder::new()).client.take(),
+        expected: drained(|dst| sending(&Recorder::new()).client.take_into(dst)),
         bytes_out: bytes_out_of(recorder, Party::Client),
     }
 }
@@ -164,7 +174,7 @@ fn middlebox_wire() -> Pending {
     let relaying = |recorder: &Recorder| {
         let mut chain = established(recorder);
         chain.client.send_app(&payload()).expect("send");
-        let wire = chain.client.take();
+        let wire = drained(|dst| chain.client.take_into(dst));
         chain.middles[0].feed_left(&wire).expect("relay");
         recorder.take();
         chain
@@ -173,7 +183,7 @@ fn middlebox_wire() -> Pending {
     let mut chain = relaying(&recorder);
     Pending {
         drain: Box::new(move |dst| chain.middles[0].take_right_into(dst)),
-        expected: relaying(&Recorder::new()).middles[0].take_right(),
+        expected: drained(|dst| relaying(&Recorder::new()).middles[0].take_right_into(dst)),
         bytes_out: bytes_out_of(recorder, Party::Middlebox(0)),
     }
 }
@@ -187,9 +197,9 @@ const DRAINS: &[(&str, Build)] = &[
     ("MiddleboxDataPlane::drain_toward_client_into", || {
         middlebox_plane(FlowDirection::ServerToClient)
     }),
-    ("MbSession::drain_outgoing_into", session_wire),
-    ("MbSession::recv_into", session_plaintext),
-    ("Middlebox::drain", middlebox_wire),
+    ("MbSession::take_into", session_wire),
+    ("MbSession::recv_app_into", session_plaintext),
+    ("Middlebox::take_right_into", middlebox_wire),
 ];
 
 #[test]

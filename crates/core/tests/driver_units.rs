@@ -90,12 +90,10 @@ fn handshake_stall_is_reported_not_hung() {
             self.toward_client.extend_from_slice(data);
             Ok(())
         }
-        fn take_left(&mut self) -> Vec<u8> {
-            std::mem::take(&mut self.toward_client)
+        fn take_left_into(&mut self, dst: &mut Vec<u8>) {
+            dst.extend_from_slice(&std::mem::take(&mut self.toward_client));
         }
-        fn take_right(&mut self) -> Vec<u8> {
-            Vec::new()
-        }
+        fn take_right_into(&mut self, _dst: &mut Vec<u8>) {}
     }
     let (client, server) = endpoints(0xD2);
     let mut chain = Chain::new(

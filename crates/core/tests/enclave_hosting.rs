@@ -8,10 +8,19 @@ use std::sync::Arc;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
+use mbtls_core::driver::{Endpoint, Relay};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_sgx::{Enclave, HostInspector};
+
+/// Everything one `_into` drain moves, in a buffer of its own: every
+/// hop is carried by hand, through an ECALL on the middlebox's side.
+fn drained(drain: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    drain(&mut out);
+    out
+}
 
 #[test]
 fn middlebox_runs_inside_enclave_end_to_end() {
@@ -31,29 +40,29 @@ fn middlebox_runs_inside_enclave_end_to_end() {
 
     // Handshake, entirely through ECALLs.
     for _ in 0..60 {
-        let b = client.take_outgoing();
-        enclave.ecall(&mut tb.platform, |mb| mb.feed_from_client(&b).unwrap());
-        let b = enclave.ecall(&mut tb.platform, |mb| mb.take_toward_server());
-        server.feed_incoming(&b).unwrap();
-        let b = server.take_outgoing();
-        enclave.ecall(&mut tb.platform, |mb| mb.feed_from_server(&b).unwrap());
-        let b = enclave.ecall(&mut tb.platform, |mb| mb.take_toward_client());
-        client.feed_incoming(&b).unwrap();
+        let b = drained(|d| client.take_into(d));
+        enclave.ecall(&mut tb.platform, |mb| mb.feed_left(&b).unwrap());
+        let b = enclave.ecall(&mut tb.platform, |mb| drained(|d| mb.take_right_into(d)));
+        server.feed(&b).unwrap();
+        let b = drained(|d| server.take_into(d));
+        enclave.ecall(&mut tb.platform, |mb| mb.feed_right(&b).unwrap());
+        let b = enclave.ecall(&mut tb.platform, |mb| drained(|d| mb.take_left_into(d)));
+        client.feed(&b).unwrap();
         let keyed = enclave.ecall_ref(&tb.platform, |mb| mb.has_keys());
-        if client.is_ready() && server.is_ready() && keyed {
+        if client.ready() && server.ready() && keyed {
             break;
         }
     }
-    assert!(client.is_ready() && server.is_ready());
+    assert!(client.ready() && server.ready());
     assert!(enclave.ecall_ref(&tb.platform, |mb| mb.has_keys()));
 
     // Data through the enclave-hosted middlebox.
-    client.send(b"processed inside the enclave").unwrap();
-    let b = client.take_outgoing();
-    enclave.ecall(&mut tb.platform, |mb| mb.feed_from_client(&b).unwrap());
-    let b = enclave.ecall(&mut tb.platform, |mb| mb.take_toward_server());
-    server.feed_incoming(&b).unwrap();
-    assert_eq!(server.recv(), b"processed inside the enclave");
+    client.send_app(b"processed inside the enclave").unwrap();
+    let b = drained(|d| client.take_into(d));
+    enclave.ecall(&mut tb.platform, |mb| mb.feed_left(&b).unwrap());
+    let b = enclave.ecall(&mut tb.platform, |mb| drained(|d| mb.take_right_into(d)));
+    server.feed(&b).unwrap();
+    assert_eq!(drained(|d| server.recv_app_into(d)), b"processed inside the enclave");
 
     // The MIP's view: scan every host-visible byte for the actual hop
     // keys the middlebox holds.
@@ -86,7 +95,7 @@ fn host_tampering_with_hosted_middlebox_is_fatal() {
         inspector.tamper(&enclave_region, 0, 0xFF);
     }
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        enclave.ecall(&mut tb.platform, |mb| mb.take_toward_server())
+        enclave.ecall(&mut tb.platform, |mb| drained(|d| mb.take_right_into(d)))
     }));
     assert!(result.is_err(), "integrity violation must abort the enclave");
 }

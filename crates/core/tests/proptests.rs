@@ -64,16 +64,19 @@ proptest! {
             client.send(msg).unwrap();
             expected.extend_from_slice(msg);
         }
-        let mut wire = client.take_outgoing();
+        let mut wire = Vec::new();
+        client.drain_outgoing_into(&mut wire);
         for mb in boxes.iter_mut() {
-            let prev = wire.clone();
-            mb.feed(FlowDirection::ClientToServer, &wire, |_, _p| {}).unwrap();
-            wire = mb.take_toward_server();
+            let prev = std::mem::take(&mut wire);
+            mb.feed(FlowDirection::ClientToServer, &prev, |_, _p| {}).unwrap();
+            mb.drain_toward_server_into(&mut wire);
             prop_assert_ne!(&prev, &wire, "per-hop ciphertexts must differ");
             prop_assert_eq!(prev.len(), wire.len(), "unchanged data keeps record sizes");
         }
         server.feed(&wire).unwrap();
-        prop_assert_eq!(server.take_plaintext(), expected);
+        let mut plain = Vec::new();
+        server.drain_plaintext_into(&mut plain);
+        prop_assert_eq!(plain, expected);
     }
 
     /// Path-integrity invariant: a record from hop i never
@@ -86,6 +89,8 @@ proptest! {
         let mut sender = EndpointDataPlane::for_client(&hop_a).unwrap();
         let mut wrong_receiver = EndpointDataPlane::for_server(&hop_b).unwrap();
         sender.send(&msg).unwrap();
-        prop_assert!(wrong_receiver.feed(&sender.take_outgoing()).is_err());
+        let mut wire = Vec::new();
+        sender.drain_outgoing_into(&mut wire);
+        prop_assert!(wrong_receiver.feed(&wire).is_err());
     }
 }

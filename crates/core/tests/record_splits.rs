@@ -106,9 +106,12 @@ fn run(party: Party, left: &HopKeys, right: &HopKeys, pieces: &[&[u8]]) -> Outco
                 break;
             }
         }
+        let (mut wire, mut plain) = (Vec::new(), Vec::new());
+        plane.drain_outgoing_into(&mut wire);
+        plane.drain_plaintext_into(&mut plain);
         return Outcome {
-            wire: plane.take_outgoing(),
-            plain: plane.take_plaintext(),
+            wire,
+            plain,
             forwarded: 0,
             fast_forwarded: 0,
             closed: plane.peer_closed(),
@@ -121,7 +124,7 @@ fn run(party: Party, left: &HopKeys, right: &HopKeys, pieces: &[&[u8]]) -> Outco
     let (mut wire, mut plain) = (Vec::new(), Vec::new());
     for piece in pieces {
         let fed = plane.feed(FlowDirection::ClientToServer, piece, |_, p| plain.extend_from_slice(p));
-        wire.extend(plane.take_toward_server());
+        plane.drain_toward_server_into(&mut wire);
         if let Err(e) = fed {
             assert!(matches!(e, MbError::Tls(TlsError::Crypto(_))), "{party:?}: {e:?}");
             failed = true;
@@ -156,7 +159,9 @@ fn every_split_gives_the_same_records() {
             Party::PerHop => {
                 let mut server = EndpointDataPlane::for_server(&right).expect("keys");
                 server.feed(&whole.wire).expect("the resealed stream opens");
-                assert_eq!(server.take_plaintext(), everything);
+                let mut plain = Vec::new();
+                server.drain_plaintext_into(&mut plain);
+                assert_eq!(plain, everything);
                 assert!(server.peer_closed(), "the alert is relayed");
             }
         }

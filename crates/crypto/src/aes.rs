@@ -14,7 +14,7 @@
 //!   keystream generator for GCM, which is where the bulk throughput
 //!   of the record layer comes from.
 //! * **One circuit, two word types.** The round functions are generic
-//!   over [`Word`], whose only exotic requirement is per-64-bit-lane
+//!   over a `Word` trait, whose only exotic requirement is per-64-bit-lane
 //!   shifts. On x86_64 the word is an SSE2 `__m128i` (the planes live
 //!   in XMM registers and `PSLLQ`/`PSRLQ` give the lane-local shifts
 //!   directly); elsewhere it is a plain `u128` with masked shifts.

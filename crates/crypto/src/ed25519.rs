@@ -4,14 +4,14 @@
 //! Points are handled in extended homogeneous coordinates
 //! (X : Y : Z : T) with the RFC's twisted-Edwards addition formulas;
 //! table entries are kept in the precomputed forms those formulas
-//! consume ([`Affine`], [`Cached`]). Scalar arithmetic mod the group
+//! consume (`Affine`, `Cached`). Scalar arithmetic mod the group
 //! order L runs on 64-bit limbs with Barrett reduction.
 //!
 //! There are two scalar-multiplication paths and no third. Secrets
 //! (signing, key generation, fixed-base X25519) go through
-//! [`Point::mul_base`]: a fixed-base comb whose every table fetch is
+//! `Point::mul_base`: a fixed-base comb whose every table fetch is
 //! a masked scan. Verification touches public data only and goes
-//! through [`defect`]: one variable-time multi-scalar pass that a
+//! through `defect`: one variable-time multi-scalar pass that a
 //! single signature and a batch share.
 
 #[cfg(test)]
@@ -828,7 +828,8 @@ impl DecodedSig {
 
 impl VerifyingKey {
     /// Verify a signature (RFC 8032 §5.1.7, cofactored group
-    /// equation — see [`defect`] for why).
+    /// equation: multiplying by 8 annihilates small-order components,
+    /// so this verdict and [`verify_batch`]'s agree on every input).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
         match decode_sig(self, msg, sig) {
             Some(d) if d.valid() => Ok(()),
@@ -919,9 +920,9 @@ pub fn verify_checks(checks: &[SignatureCheck]) -> BatchOutcome {
 }
 
 /// Batch-verify N signatures with one multi-scalar multiplication
-/// per [`CHUNK`] of them.
+/// per chunk of `CHUNK` (16) of them.
 ///
-/// Checks `Σ zᵢ·(sᵢ·B − Rᵢ − kᵢ·Aᵢ)` ([`defect`]) for small order,
+/// Checks `Σ zᵢ·(sᵢ·B − Rᵢ − kᵢ·Aᵢ)` for small order,
 /// with `z₀ = 1` and deterministic pseudo-random 128-bit coefficients
 /// `zᵢ` for the rest, derived by hashing the whole batch (so two runs
 /// over the same inputs take bit-identical paths — a host determinism

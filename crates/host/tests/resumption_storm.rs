@@ -144,3 +144,33 @@ fn batched_verification_covers_middlebox_screening() {
     // middlebox sessions owe their screening checks on top.
     assert!(counters.verify_checks() > 6);
 }
+
+/// Cross-session batching pays where full handshakes arrive close
+/// together: 100 fresh sessions (no tickets, no middlebox) 5 µs apart,
+/// the spacing of the scale suite's full-handshake load, over 200 µs
+/// links on one shard. Their deferred groups meet in the shard's
+/// end-of-turn flushes, so the sessions finish with fewer batches than
+/// full handshakes; one batch per session would mean the queue only
+/// re-labels inline verification.
+#[test]
+fn close_full_handshakes_share_verify_batches() {
+    let config = LoadConfig {
+        sessions: 100,
+        arrival_spacing: Duration::from_micros(5),
+        middlebox_every: 0,
+        latency: Duration::from_micros(200),
+        workload: Workload { request_len: 256, response_len: 1024, exchanges: 1 },
+        seed: 0x16A,
+        defer_verify: true,
+        ..LoadConfig::default()
+    };
+    let (_, counters) = drive(config, 1);
+    assert_eq!(counters.completed(), 100);
+    assert_eq!(counters.handshakes_full(), 100);
+    assert!(
+        counters.verify_batches() < counters.handshakes_full(),
+        "{} batches for {} full handshakes",
+        counters.verify_batches(),
+        counters.handshakes_full()
+    );
+}

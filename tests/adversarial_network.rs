@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
+use mbtls_core::driver::Endpoint;
 use mbtls_core::server::MbServerSession;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_netsim::net::{Dir, Network};
@@ -44,11 +45,13 @@ fn establish(seed: u64) -> LiveSession {
         MbServerSession::new(Arc::new(tb.server_config()), CryptoRng::from_seed(seed + 2));
 
     for _ in 0..100 {
-        let b = client.take_outgoing();
+        let mut b = Vec::new();
+        client.take_into(&mut b);
         if !b.is_empty() {
             net.send(conn, client_node, &b).unwrap();
         }
-        let b = server.take_outgoing();
+        let mut b = Vec::new();
+        server.take_into(&mut b);
         if !b.is_empty() {
             net.send(conn, server_node, &b).unwrap();
         }
@@ -57,17 +60,17 @@ fn establish(seed: u64) -> LiveSession {
         }
         let b = net.recv(conn, server_node).unwrap();
         if !b.is_empty() {
-            server.feed_incoming(&b).unwrap();
+            server.feed(&b).unwrap();
         }
         let b = net.recv(conn, client_node).unwrap();
         if !b.is_empty() {
-            client.feed_incoming(&b).unwrap();
+            client.feed(&b).unwrap();
         }
-        if client.is_ready() && server.is_ready() {
+        if client.ready() && server.ready() {
             break;
         }
     }
-    assert!(client.is_ready() && server.is_ready(), "session established");
+    assert!(client.ready() && server.ready(), "session established");
     LiveSession {
         net,
         client,
@@ -82,13 +85,16 @@ fn establish(seed: u64) -> LiveSession {
 fn tap_sees_only_ciphertext() {
     let mut s = establish(0xAD01);
     s.net.tap(s.conn, Dir::AtoB);
-    s.client.send(b"SECRET-SESSION-PAYLOAD").unwrap();
-    let b = s.client.take_outgoing();
+    s.client.send_app(b"SECRET-SESSION-PAYLOAD").unwrap();
+    let mut b = Vec::new();
+    s.client.take_into(&mut b);
     s.net.send(s.conn, s.client_node, &b).unwrap();
     s.net.advance_to(SimTime(10_000_000_000));
     let b = s.net.recv(s.conn, s.server_node).unwrap();
-    s.server.feed_incoming(&b).unwrap();
-    assert_eq!(s.server.recv(), b"SECRET-SESSION-PAYLOAD");
+    s.server.feed(&b).unwrap();
+    let mut plain = Vec::new();
+    s.server.recv_app_into(&mut plain);
+    assert_eq!(plain, b"SECRET-SESSION-PAYLOAD");
     // The adversary's capture never contains the plaintext.
     for (_, chunk) in s.net.tap_contents(s.conn, Dir::AtoB) {
         assert!(
@@ -105,12 +111,13 @@ fn in_flight_tamper_detected_by_receiver() {
         let n = data.len();
         data[n - 2] ^= 0x01;
     });
-    s.client.send(b"integrity matters").unwrap();
-    let b = s.client.take_outgoing();
+    s.client.send_app(b"integrity matters").unwrap();
+    let mut b = Vec::new();
+    s.client.take_into(&mut b);
     s.net.send(s.conn, s.client_node, &b).unwrap();
     s.net.advance_to(SimTime(10_000_000_000));
     let b = s.net.recv(s.conn, s.server_node).unwrap();
-    let result = s.server.feed_incoming(&b);
+    let result = s.server.feed(&b);
     assert!(result.is_err(), "tampered record must fail authentication");
 }
 
@@ -124,25 +131,27 @@ fn injected_garbage_kills_session_not_process() {
     s.net.inject(s.conn, Dir::AtoB, &forged).unwrap();
     s.net.advance_to(SimTime(10_000_000_000));
     let b = s.net.recv(s.conn, s.server_node).unwrap();
-    let result = s.server.feed_incoming(&b);
+    let result = s.server.feed(&b);
     assert!(result.is_err(), "forged record rejected");
     // Subsequent legitimate client data is also rejected (the session
     // is dead — fail-closed, no silent recovery that could mask the
     // injection).
-    s.client.send(b"after the attack").unwrap();
-    let b = s.client.take_outgoing();
+    s.client.send_app(b"after the attack").unwrap();
+    let mut b = Vec::new();
+    s.client.take_into(&mut b);
     s.net.send(s.conn, s.client_node, &b).unwrap();
     s.net.advance_to(SimTime(20_000_000_000));
     let b = s.net.recv(s.conn, s.server_node).unwrap();
-    assert!(s.server.feed_incoming(&b).is_err());
+    assert!(s.server.feed(&b).is_err());
 }
 
 #[test]
 fn connection_reset_surfaces_cleanly() {
     let mut s = establish(0xAD04);
     s.net.reset(s.conn);
-    s.client.send(b"into the void").unwrap();
-    let b = s.client.take_outgoing();
+    s.client.send_app(b"into the void").unwrap();
+    let mut b = Vec::new();
+    s.client.take_into(&mut b);
     let send_result = s.net.send(s.conn, s.client_node, &b);
     assert!(send_result.is_err(), "writes to a reset connection fail");
 }
@@ -163,7 +172,8 @@ fn observed_handshake_reveals_middlebox_support_but_not_keys() {
         "server.example",
         CryptoRng::from_seed(0xAD06),
     );
-    let hello_bytes = client.take_outgoing();
+    let mut hello_bytes = Vec::new();
+    client.take_into(&mut hello_bytes);
     net.send(conn, c, &hello_bytes).unwrap();
     let tapped = net.tap_contents(conn, Dir::AtoB);
     let all: Vec<u8> = tapped.into_iter().flat_map(|(_, d)| d).collect();

@@ -144,6 +144,20 @@ impl AeadKey {
         self.gcm.verify_tag(&self.nonce(explicit_nonce), aad, ciphertext, tag)
     }
 
+    /// [`AeadKey::verify`], appending `ciphertext || tag` to `out` in
+    /// the same pass once the tag holds: the read-only forward. On
+    /// failure `out` is untouched.
+    pub fn verify_into(
+        &self,
+        explicit_nonce: &[u8; EXPLICIT_NONCE_LEN],
+        aad: &[u8],
+        ciphertext: &[u8],
+        tag: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        self.gcm.verify_tag_into(&self.nonce(explicit_nonce), aad, ciphertext, tag, out)
+    }
+
     /// Verify `tag` and decrypt `data` (ciphertext without the tag) in
     /// place. On failure the buffer keeps the untouched ciphertext and
     /// must not be used.

@@ -58,9 +58,18 @@
 //!   zero-padded sixteen-block groups: falling through to the
 //!   narrower loops instead cost a 16 KiB record a sixth of its time.
 //!   An input shorter than one pass takes the sixteen-wide loops, as
-//!   two passes, so a short record never wakes the 512-bit units; so
-//!   does a tag check without decryption ([`AesNiGcm::tag`]), which
-//!   has no CTR to stitch with.
+//!   two passes, so a short record never wakes the 512-bit units.
+//! * **The tag-only loop** ([`Width::ThirtyTwo`]) hashes a tag check
+//!   without decryption ([`AesNiGcm::tag`]) on 512-bit registers, four
+//!   blocks to a register: each 512-byte group of thirty-two blocks
+//!   meets H³²..H¹ and is reduced once, so the digest → reduction
+//!   chain, which bounds a GHASH with nothing to stitch it to, runs
+//!   once per 512 bytes. H⁹..H³² are derived per call on 512-bit
+//!   registers and wiped. Given a destination ([`Apart`]), the loop
+//!   stores each register it loads there, so a verified record is
+//!   forwarded in the pass that hashes it. AAD, an input shorter than
+//!   one group and the tail after the last whole group take the
+//!   sixteen- and eight-wide GHASH loops.
 //!
 //! # Soundness
 //!
@@ -77,7 +86,8 @@
 //! only if the CPU reported VAES, VPCLMULQDQ and AVX2 (the `unsafe`
 //! blocks entering `ctr_wide` and `absorb_wide` rely on that), and
 //! [`Width::ThirtyTwo`] only if it also reported AVX-512F and
-//! AVX-512BW (the one entering `crypt_stitched` relies on that). The
+//! AVX-512BW (the ones entering `crypt_stitched` and `absorb_groups`
+//! rely on that). The
 //! other blocks that enter feature-gated functions (`with_width`,
 //! `ctr`, `crypt`, `tag`) rely only on the key existing; the remaining
 //! six are unaligned SSE2, AVX and AVX-512 loads/stores through 16-,
@@ -89,9 +99,10 @@ use core::arch::x86_64::{
     _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_set_epi32, _mm256_setzero_si256,
     _mm256_shuffle_epi8, _mm256_storeu_si256, _mm256_xor_si256, _mm256_zextsi128_si256,
     _mm512_add_epi32, _mm512_aesenc_epi128, _mm512_aesenclast_epi128, _mm512_broadcast_i32x4,
-    _mm512_castsi512_si256, _mm512_clmulepi64_epi128, _mm512_extracti64x4_epi64,
-    _mm512_loadu_si512, _mm512_set_epi32, _mm512_setzero_si512, _mm512_shuffle_epi8,
-    _mm512_storeu_si512, _mm512_xor_si512, _mm512_zextsi128_si512, _mm_add_epi32,
+    _mm512_bslli_epi128, _mm512_bsrli_epi128, _mm512_castsi512_si128, _mm512_castsi512_si256,
+    _mm512_clmulepi64_epi128, _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_set_epi32,
+    _mm512_setzero_si512, _mm512_shuffle_epi32, _mm512_shuffle_epi8, _mm512_storeu_si512,
+    _mm512_xor_si512, _mm512_zextsi128_si512, _mm_add_epi32,
     _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128, _mm_clmulepi64_si128,
     _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_set_epi8, _mm_setzero_si128,
     _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_si128, _mm_srli_si128, _mm_storeu_si128,
@@ -99,7 +110,7 @@ use core::arch::x86_64::{
 };
 
 use crate::ct;
-use crate::gcm::{Blocks, Direction};
+use crate::gcm::{Apart, Blocks, Direction};
 
 /// Round keys AES-256 needs (14 rounds plus the whitening key);
 /// AES-128 uses the first 11 slots.
@@ -113,7 +124,8 @@ const WIDE: usize = 8;
 /// Bytes per pass of the 256-bit loops.
 const WIDE_PASS: usize = 2 * WIDE * 16;
 
-/// Bytes per pass of the 512-bit stitched loop.
+/// Bytes per pass of the 512-bit stitched loop, and per group (one
+/// reduction) of the 512-bit tag-only loop.
 const STITCHED_PASS: usize = 4 * WIDE * 16;
 
 /// Which bulk loops (CTR and GHASH) a key runs.
@@ -125,8 +137,9 @@ pub(crate) enum Width {
     Sixteen,
     /// 512-bit `VAESENC` and `VPCLMULQDQ` stitched into one loop,
     /// thirty-two blocks per pass, for seals and opens of at least one
-    /// pass; shorter ones, CTR alone and tag checks as
-    /// [`Width::Sixteen`].
+    /// pass, and 512-bit `VPCLMULQDQ` alone, thirty-two blocks per
+    /// reduction, for tag checks of at least one pass; shorter ones and
+    /// CTR alone as [`Width::Sixteen`].
     ThirtyTwo,
 }
 
@@ -244,11 +257,20 @@ impl AesNiGcm {
     }
 
     /// The GCM tag over `aad` and `ciphertext`:
-    /// `GHASH(aad, ciphertext) ^ E(nonce || 1)`.
-    pub(crate) fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+    /// `GHASH(aad, ciphertext) ^ E(nonce || 1)`. With `copy`, an
+    /// [`Apart`] from `ciphertext`, also write `ciphertext` through it:
+    /// on a [`Width::ThirtyTwo`] key, each whole 512-byte group as the
+    /// hash loads it.
+    pub(crate) fn tag(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        ciphertext: &[u8],
+        copy: Option<&mut Apart>,
+    ) -> [u8; 16] {
         // SAFETY: `self` exists, so `with_width` saw `detect()` report
         // AES-NI on this CPU (see the module's soundness note).
-        unsafe { self.tag_hw(nonce, aad, ciphertext) }
+        unsafe { self.tag_hw(nonce, aad, ciphertext, copy) }
     }
 
     fn wipe(&mut self) {
@@ -360,6 +382,24 @@ impl AesNiGcm {
             store(high, product.reduce());
             *low = *h;
         }
+    }
+
+    /// H³² down to H¹ into `rows`, four to a row, for the tag-only
+    /// loop: H¹..H⁸ copied from the key, then H⁹..H¹⁶ as H⁸·Hᵏ and
+    /// H¹⁷..H³² as H¹⁶·Hᵏ, four products to a 512-bit multiply. The
+    /// caller wipes them when it is done.
+    #[target_feature(enable = "pclmulqdq,avx2,avx512f,avx512bw,vpclmulqdq")]
+    fn powers32(&self, rows: &mut [[u8; 64]; WIDE]) {
+        // Rows 0..4 take H³²..H¹⁷, rows 4..6 H¹⁶..H⁹, rows 6..8 H⁸..H¹.
+        let (upper, stored) = rows.split_at_mut(WIDE - 2);
+        let (slots, _) = stored.as_flattened_mut().as_chunks_mut::<16>();
+        for (slot, h) in slots.iter_mut().zip(self.h_pow.iter().rev()) {
+            *slot = *h;
+        }
+        mul_rows(load(&self.h_pow[WIDE - 1]), stored, &mut upper[WIDE - 4..]);
+        let (upper, lower) = rows.split_at_mut(WIDE - 4);
+        let h16 = _mm512_castsi512_si128(load512(&lower[0]));
+        mul_rows(h16, lower, upper);
     }
 
     /// Encrypt one block (H and the tag mask; bulk work goes through
@@ -511,7 +551,7 @@ impl AesNiGcm {
                 }
                 let half = FOLD_AFTER_ROUND.iter().position(|&round| round == i);
                 if let (Some(ciphertext), Some(half)) = (&pending, half) {
-                    y = fold16(y, &ciphertext[4 * half..4 * half + 4], h);
+                    y = fold_quads(y, &ciphertext[4 * half..4 * half + 4], h);
                 }
             }
             let last = round_key(self.rounds());
@@ -537,7 +577,7 @@ impl AesNiGcm {
             pending = Some(ciphertext);
         }
         for half in pending.iter().flat_map(|last| last.chunks(4)) {
-            y = fold16(y, half, h);
+            y = fold_quads(y, half, h);
         }
         let y = blocks.ctr_then_hash(
             dir,
@@ -615,6 +655,41 @@ impl AesNiGcm {
         y
     }
 
+    /// Fold whole [`STITCHED_PASS`]-byte groups into `y`, thirty-two
+    /// blocks per reduction: `(y ^ B1)·H³² ^ B2·H³¹ ^ … ^ B32·H`, four
+    /// blocks to a register. With `copy`, an [`Apart`] from these same
+    /// bytes, each register loaded is also stored through it. H⁹..H³²
+    /// are derived for this call only and wiped before it returns.
+    #[target_feature(enable = "pclmulqdq,ssse3,avx2,avx512f,avx512bw,vpclmulqdq")]
+    fn absorb_groups(
+        &self,
+        mut y: __m128i,
+        groups: &[[u8; STITCHED_PASS]],
+        mut copy: Option<&mut Apart>,
+    ) -> __m128i {
+        let mut powers = [[0u8; 64]; WIDE];
+        self.powers32(&mut powers);
+        for (at, group) in (0..).step_by(STITCHED_PASS).zip(groups) {
+            let mut quads = [_mm512_setzero_si512(); WIDE];
+            match copy.as_deref_mut() {
+                Some(copy) => copy.pass::<STITCHED_PASS, 64>(at, |i, quad| {
+                    quads[i] = load512(quad);
+                    let mut out = [0u8; 64];
+                    store512(&mut out, quads[i]);
+                    out
+                }),
+                None => {
+                    for (x, quad) in quads.iter_mut().zip(group.as_chunks::<64>().0) {
+                        *x = load512(quad);
+                    }
+                }
+            }
+            y = fold_quads(y, &quads, &powers);
+        }
+        ct::zeroize(powers.as_flattened_mut());
+        y
+    }
+
     #[target_feature(enable = "aes,pclmulqdq,ssse3")]
     fn crypt_hw(
         &self,
@@ -643,8 +718,29 @@ impl AesNiGcm {
     }
 
     #[target_feature(enable = "aes,pclmulqdq,ssse3")]
-    fn tag_hw(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let y = self.absorb(self.absorb(_mm_setzero_si128(), aad), ciphertext);
+    fn tag_hw(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        ciphertext: &[u8],
+        mut copy: Option<&mut Apart>,
+    ) -> [u8; 16] {
+        let mut y = self.absorb(_mm_setzero_si128(), aad);
+        let (groups, rest) = match self.width {
+            Width::ThirtyTwo => ciphertext.as_chunks::<STITCHED_PASS>(),
+            Width::Eight | Width::Sixteen => (&[][..], ciphertext),
+        };
+        if !groups.is_empty() {
+            // SAFETY: only a `Width::ThirtyTwo` key has whole groups
+            // here, and `with_width` builds one only after `detect()`
+            // reported AVX-512F, AVX-512BW, VPCLMULQDQ and AVX2 on this
+            // CPU.
+            y = unsafe { self.absorb_groups(y, groups, copy.as_deref_mut()) };
+        }
+        let y = self.absorb(y, rest);
+        if let Some(copy) = copy {
+            copy.copy_rest();
+        }
         self.finish(nonce, y, aad.len(), ciphertext.len())
     }
 
@@ -683,12 +779,13 @@ impl Drop for AesNiGcm {
 /// register's multiply per round, 1.28×; split like this, 1.35–1.47×.)
 const FOLD_AFTER_ROUND: [usize; 2] = [4, 9];
 
-/// Fold sixteen blocks, four to a register, into `y`:
-/// `(y ^ B1)·H¹⁶ ^ B2·H¹⁵ ^ … ^ B16·H`, reduced once. `h` holds H¹⁶
-/// down to H¹, four to a 64-byte row, so register `j` meets its four
-/// powers in the same lanes.
+/// Fold n = 4·`quads.len()` blocks, four to a register, into `y`:
+/// `(y ^ B1)·Hⁿ ^ B2·Hⁿ⁻¹ ^ … ^ Bn·H`, reduced once. `h` holds Hⁿ down
+/// to H¹, four to a 64-byte row, so register `j` meets its four powers
+/// in the same lanes: sixteen blocks for the stitched loop, thirty-two
+/// for the tag-only one.
 #[target_feature(enable = "pclmulqdq,ssse3,avx2,avx512f,avx512bw,vpclmulqdq")]
-fn fold16(y: __m128i, quads: &[__m512i], h: &[[u8; 64]]) -> __m128i {
+fn fold_quads(y: __m128i, quads: &[__m512i], h: &[[u8; 64]]) -> __m128i {
     let reverse = _mm512_broadcast_i32x4(reverse_bytes());
     let mut product = Product::<__m512i>::zero();
     // The running digest joins the first block only.
@@ -704,7 +801,7 @@ fn fold16(y: __m128i, quads: &[__m512i], h: &[[u8; 64]]) -> __m128i {
 /// Fold `tail`, less than a stitched pass and zero-padded to a block
 /// boundary, into `y`: in groups of up to sixteen blocks, each
 /// right-aligned in sixteen zero blocks so that a group of m blocks
-/// meets H^m..H¹ in [`fold16`], with the digest joining its first
+/// meets H^m..H¹ in [`fold_quads`], with the digest joining its first
 /// block.
 #[target_feature(enable = "pclmulqdq,ssse3,avx2,avx512f,avx512bw,vpclmulqdq")]
 fn fold_tail(mut y: __m128i, tail: &[u8], h: &[[u8; 64]]) -> __m128i {
@@ -718,9 +815,21 @@ fn fold_tail(mut y: __m128i, tail: &[u8], h: &[[u8; 64]]) -> __m128i {
         for (byte, d) in bytes[at..at + 16].iter_mut().zip(digest) {
             *byte ^= d;
         }
-        y = fold16(_mm_setzero_si128(), &padded.map(|quad| load512(&quad)), h);
+        y = fold_quads(_mm_setzero_si128(), &padded.map(|quad| load512(&quad)), h);
     }
     y
+}
+
+/// `to[k] = h · from[k]`, four GHASH elements to a row, each product
+/// reduced in its own lane.
+#[target_feature(enable = "pclmulqdq,avx2,avx512f,avx512bw,vpclmulqdq")]
+fn mul_rows(h: __m128i, from: &[[u8; 64]], to: &mut [[u8; 64]]) {
+    let h = _mm512_broadcast_i32x4(h);
+    for (src, dst) in from.iter().zip(to) {
+        let mut product = Product::<__m512i>::zero();
+        product.add_mul(load512(src), h);
+        store512(dst, product.reduce_lanes());
+    }
 }
 
 /// The counter block `nonce || counter` with the counter's four bytes
@@ -834,6 +943,21 @@ impl Product<__m512i> {
         self.hi = _mm512_xor_si512(self.hi, _mm512_clmulepi64_epi128::<0x11>(a, b));
         self.mid = _mm512_xor_si512(self.mid, _mm512_clmulepi64_epi128::<0x10>(a, b));
         self.mid = _mm512_xor_si512(self.mid, _mm512_clmulepi64_epi128::<0x01>(a, b));
+    }
+
+    /// [`Product::reduce`] in each of the four lanes.
+    #[target_feature(enable = "avx512f,avx512bw,vpclmulqdq")]
+    fn reduce_lanes(self) -> __m512i {
+        let poly = _mm512_broadcast_i32x4(_mm_set_epi64x(0, 0xc200_0000_0000_0000_u64 as i64));
+        let lo = _mm512_xor_si512(self.lo, _mm512_bslli_epi128::<8>(self.mid));
+        let hi = _mm512_xor_si512(self.hi, _mm512_bsrli_epi128::<8>(self.mid));
+        let fold = |v: __m512i| {
+            _mm512_xor_si512(
+                _mm512_shuffle_epi32::<0x4e>(v),
+                _mm512_clmulepi64_epi128::<0x00>(v, poly),
+            )
+        };
+        _mm512_xor_si512(hi, fold(fold(lo)))
     }
 
     /// The upper two lanes' products added into the lower two.
@@ -1076,7 +1200,7 @@ mod tests {
                     let tag = hw.crypt(&nonce, 2, &aad, &mut InPlace(&mut data), Direction::Seal);
                     assert_eq!(data[..], expected[..len], "{case}: ciphertext");
                     assert_eq!(tag[..], expected[len..], "{case}: tag");
-                    assert_eq!(hw.tag(&nonce, &aad, &data), tag, "{case}: tag alone");
+                    assert_eq!(hw.tag(&nonce, &aad, &data, None), tag, "{case}: tag alone");
                     let opened = hw.crypt(&nonce, 2, &aad, &mut InPlace(&mut data), Direction::Open);
                     assert_eq!(data, plaintext, "{case}: open");
                     assert_eq!(opened, tag, "{case}: open's tag");

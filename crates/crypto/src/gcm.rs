@@ -155,6 +155,14 @@ impl<'a> Apart<'a> {
     fn new(src: &'a [u8], dst: &'a mut [MaybeUninit<u8>]) -> Self {
         Apart { src, dst, filled: 0 }
     }
+
+    /// Copy the source from where the writes stand to its end.
+    pub(crate) fn copy_rest(&mut self) {
+        let rest = &self.src[self.filled..];
+        let dst = &mut self.dst[self.filled..self.filled + rest.len()];
+        dst.write_copy_of_slice(rest);
+        self.filled += rest.len();
+    }
 }
 
 impl Blocks for Apart<'_> {
@@ -392,6 +400,25 @@ enum Backend {
     Bitsliced { aes: Aes, ghash_key: GhashKey },
 }
 
+/// Run `write` over an [`Apart`] from `src` into `out`'s spare
+/// capacity (reserved here), and append what it wrote, which must be
+/// all of `src`: a seal's or open's CTR pass, or a tag check's copy.
+fn append<T>(src: &[u8], out: &mut Vec<u8>, write: impl FnOnce(&mut Apart) -> T) -> T {
+    out.reserve(src.len());
+    let start = out.len();
+    let mut blocks = Apart::new(src, out.spare_capacity_mut());
+    let result = write(&mut blocks);
+    let filled = blocks.filled;
+    debug_assert_eq!(filled, src.len());
+    // SAFETY: `Apart` writes only at `filled` and advances it by what
+    // it wrote, so the first `filled` bytes of the spare capacity
+    // (which starts at `start`) are initialised, and `filled` is at
+    // most that capacity because every write is a bounds-checked
+    // slice of it.
+    unsafe { out.set_len(start + filled) }
+    result
+}
+
 /// AES-GCM with a fixed 12-byte nonce size (the TLS case).
 pub struct AesGcm {
     backend: Backend,
@@ -450,46 +477,34 @@ impl AesGcm {
                 dir,
                 0,
                 |all| aes.ctr(nonce, 2, all),
-                |ciphertext| self.tag(nonce, aad, ciphertext),
+                |ciphertext| self.tag(nonce, aad, ciphertext, None),
             ),
         }
     }
 
-    /// [`AesGcm::crypt`] from `src` into `out`'s spare capacity,
-    /// appended: returns the tag.
-    fn crypt_append(
+    /// The tag over `aad` and `ciphertext`; with `copy`, an [`Apart`]
+    /// from `ciphertext`, also the ciphertext written through it (in
+    /// the pass that hashes it, on the hardware backend's 512-bit
+    /// loops).
+    fn tag(
         &self,
         nonce: &[u8; 12],
         aad: &[u8],
-        src: &[u8],
-        out: &mut Vec<u8>,
-        dir: Direction,
+        ciphertext: &[u8],
+        copy: Option<&mut Apart>,
     ) -> [u8; 16] {
-        out.reserve(src.len());
-        let start = out.len();
-        let mut blocks = Apart::new(src, out.spare_capacity_mut());
-        let tag = self.crypt(nonce, aad, &mut blocks, dir);
-        let filled = blocks.filled;
-        debug_assert_eq!(filled, src.len());
-        // SAFETY: `Apart` writes only at `filled` and advances it by what
-        // it wrote, so the first `filled` bytes of the spare capacity
-        // (which starts at `start`) are initialised, and `filled` is at
-        // most that capacity because every write is a bounds-checked
-        // slice of it.
-        unsafe { out.set_len(start + filled) }
-        tag
-    }
-
-    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(hw) => hw.tag(nonce, aad, ciphertext),
+            Backend::AesNi(hw) => hw.tag(nonce, aad, ciphertext, copy),
             Backend::Bitsliced { aes, ghash_key } => {
                 let s = ghash(ghash_key, aad, ciphertext);
                 let e = aes.encrypt_block_copy(&counter_block(nonce, 1));
                 let mut tag = [0u8; 16];
                 for i in 0..16 {
                     tag[i] = s[i] ^ e[i];
+                }
+                if let Some(copy) = copy {
+                    copy.copy_rest();
                 }
                 tag
             }
@@ -520,7 +535,7 @@ impl AesGcm {
     ) -> Result<(), CryptoError> {
         check_len(plaintext.len())?;
         out.reserve(plaintext.len() + TAG_LEN);
-        let tag = self.crypt_append(nonce, aad, plaintext, out, Direction::Seal);
+        let tag = append(plaintext, out, |blocks| self.crypt(nonce, aad, blocks, Direction::Seal));
         out.extend_from_slice(&tag);
         Ok(())
     }
@@ -541,10 +556,35 @@ impl AesGcm {
         tag: &[u8],
     ) -> Result<(), CryptoError> {
         check_len(ciphertext.len())?;
-        let expected = self.tag(nonce, aad, ciphertext);
+        let expected = self.tag(nonce, aad, ciphertext, None);
         if !ct::eq(&expected, tag) {
             return Err(CryptoError::BadTag);
         }
+        Ok(())
+    }
+
+    /// [`AesGcm::verify_tag`], appending `ciphertext || tag` to `out`
+    /// once it holds: the forward of a verified record. The ciphertext
+    /// is written into `out`'s spare capacity by the same pass that
+    /// hashes it, so it is read once. On a tag mismatch `out` is left
+    /// exactly as it was.
+    pub fn verify_tag_into(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        ciphertext: &[u8],
+        tag: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        check_len(ciphertext.len())?;
+        let start = out.len();
+        out.reserve(ciphertext.len() + TAG_LEN);
+        let expected = append(ciphertext, out, |copy| self.tag(nonce, aad, ciphertext, Some(copy)));
+        if !ct::eq(&expected, tag) {
+            out.truncate(start);
+            return Err(CryptoError::BadTag);
+        }
+        out.extend_from_slice(tag);
         Ok(())
     }
 
@@ -583,7 +623,7 @@ impl AesGcm {
     ) -> Result<(), CryptoError> {
         check_len(ciphertext.len())?;
         let start = out.len();
-        let expected = self.crypt_append(nonce, aad, ciphertext, out, Direction::Open);
+        let expected = append(ciphertext, out, |blocks| self.crypt(nonce, aad, blocks, Direction::Open));
         if !ct::eq(&expected, tag) {
             ct::zeroize(out.get_mut(start..).unwrap_or_default());
             out.truncate(start);
@@ -897,6 +937,55 @@ mod tests {
                         let err = gcm.open_into(&nonce, &aad, ciphertext, tag, &mut out);
                         assert_eq!(err, Err(CryptoError::BadTag), "{case}");
                         assert_eq!(out, opened, "{case}: a failed open appended");
+                    }
+                }
+            }
+        }
+    }
+
+    // The tag check alone and its appending form give the portable
+    // backend's verdicts on every backend this CPU runs, at ciphertext
+    // lengths on each side of one, two and three 512-byte groups (the
+    // 512-bit tag loop's whole groups, then the narrower loops' tail)
+    // and at a record's 16 320 and 16 384 bytes, under AAD of 0, 13 and
+    // 257 bytes: a genuine message appends exactly `ciphertext || tag`
+    // after what `out` held, and one flipped bit appends nothing.
+    #[test]
+    fn verify_tag_and_its_appending_form_agree_with_the_portable_backend() {
+        let mut rng = crate::rng::CryptoRng::from_seed(0x7A6_0512);
+        let nonce = [0x6du8; 12];
+        let lens: Vec<usize> = (1..=3)
+            .flat_map(|k| [k * 512 - 1, k * 512, k * 512 + 1])
+            .chain([16_320, 16_384])
+            .collect();
+        for key_len in [16usize, 32] {
+            let mut key = vec![0u8; key_len];
+            rng.fill(&mut key);
+            let portable = AesGcm::portable(&key).unwrap();
+            let backends = every_backend(&key);
+            for aad_len in [0usize, 13, 257] {
+                for &len in &lens {
+                    let mut aad = vec![0u8; aad_len];
+                    let mut plaintext = vec![0u8; len];
+                    rng.fill(&mut aad);
+                    rng.fill(&mut plaintext);
+                    let sealed = portable.seal(&nonce, &aad, &plaintext).unwrap();
+                    let (ciphertext, tag) = sealed.split_at(len);
+                    let mut bad = ciphertext.to_vec();
+                    bad[rng.gen_range(len as u64) as usize] ^= 1 << rng.gen_range(8);
+                    for (name, gcm) in &backends {
+                        let case = format!("{name} AES-{} aad {aad_len} len {len}", key_len * 8);
+                        assert_eq!(gcm.verify_tag(&nonce, &aad, ciphertext, tag), Ok(()), "{case}");
+                        let err = gcm.verify_tag(&nonce, &aad, &bad, tag);
+                        assert_eq!(err, Err(CryptoError::BadTag), "{case}");
+                        let mut out = vec![0xEEu8; 3];
+                        gcm.verify_tag_into(&nonce, &aad, ciphertext, tag, &mut out).unwrap();
+                        assert_eq!(out[..3], [0xEE; 3], "{case}: kept what out held");
+                        assert_eq!(out[3..], sealed[..], "{case}: appended");
+                        let before = out.clone();
+                        let err = gcm.verify_tag_into(&nonce, &aad, &bad, tag, &mut out);
+                        assert_eq!(err, Err(CryptoError::BadTag), "{case}");
+                        assert_eq!(out, before, "{case}: a failed check appended");
                     }
                 }
             }

@@ -244,10 +244,11 @@ proptest! {
 
     /// The selected backend and the bitsliced one are the same
     /// function: identical ciphertext and tag from `seal_in_place`,
-    /// identical verdicts from `open_in_place` and `verify_tag` on the
-    /// genuine and on a corrupted message. Lengths reach past eight
-    /// 128-byte groups so the eight-wide, single-block and
-    /// partial-tail paths of both CTR and GHASH all run. (Without
+    /// identical verdicts from `open_in_place`, `verify_tag` and
+    /// `verify_tag_into` on the genuine and on a corrupted message.
+    /// Lengths reach past three 512-byte groups, so the 512-bit loops'
+    /// whole groups and the wide, eight-wide, single-block and
+    /// partial-tail paths after them all run. (Without
     /// AES-NI both sides are the bitsliced backend and the property
     /// holds trivially; the benchmark host has it.)
     #[test]
@@ -255,7 +256,7 @@ proptest! {
                            key in proptest::collection::vec(any::<u8>(), 32),
                            nonce in proptest::array::uniform12(any::<u8>()),
                            aad in proptest::collection::vec(any::<u8>(), 0..=64),
-                           data in proptest::collection::vec(any::<u8>(), 0..=8 * 128 + 17),
+                           data in proptest::collection::vec(any::<u8>(), 0..=3 * 512 + 17),
                            flip in any::<prop::sample::Index>()) {
         let key = &key[..if key256 { 32 } else { 16 }];
         let selected = AesGcm::new(key).unwrap();
@@ -278,6 +279,13 @@ proptest! {
         for gcm in [&selected, &portable] {
             prop_assert_eq!(gcm.verify_tag(&nonce, &aad, &ct, &tag), Ok(()));
             prop_assert_eq!(gcm.verify_tag(&nonce, &aad, bad_ct, bad_tag), Err(CryptoError::BadTag));
+            let mut out = aad.clone();
+            prop_assert_eq!(gcm.verify_tag_into(&nonce, &aad, &ct, &tag, &mut out), Ok(()));
+            prop_assert_eq!(&out[aad.len()..], &[&ct[..], &tag[..]].concat()[..]);
+            out.truncate(aad.len());
+            let err = gcm.verify_tag_into(&nonce, &aad, bad_ct, bad_tag, &mut out);
+            prop_assert_eq!(err, Err(CryptoError::BadTag));
+            prop_assert_eq!(&out, &aad);
             let mut buf = ct.clone();
             prop_assert_eq!(gcm.open_in_place(&nonce, &aad, &mut buf, &tag), Ok(()));
             prop_assert_eq!(&buf, &data);

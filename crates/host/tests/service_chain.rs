@@ -5,7 +5,7 @@
 
 use mbtls_host::{ChainMix, Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, Workload};
 use mbtls_netsim::time::{Duration, SimTime};
-use mbtls_telemetry::{EventKind, Recorder};
+use mbtls_telemetry::{fast_path_disabled, EventKind, Party, Recorder};
 
 fn chain_load(sessions: usize, seed: u64) -> LoadConfig {
     LoadConfig {
@@ -95,8 +95,13 @@ fn read_only_path_fast_forwards_at_scale() {
         .iter()
         .filter(|e| matches!(e.kind, EventKind::RecordEncrypt { .. }))
         .count();
+    let disabled = trace
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::FastPathDisabled { .. }))
+        .count();
     assert!(fast > 0, "read-only path must take the fast path");
     assert_eq!(resealed, 0, "no middlebox re-encryption on a read-only path");
+    assert_eq!(disabled, 0, "no lane of a read-only chain leaves the fast path");
 }
 
 #[test]
@@ -118,4 +123,25 @@ fn modifying_chain_on_aliased_keys_opens_but_never_seals() {
     assert!(opened > 0, "undeclared processors must see the plaintext");
     assert_eq!(sealed, 0, "an aliased hop has no key to seal under");
     assert_eq!(fast, 0, "modifying processors must never fast-forward");
+    // Each lane says once, at its first record, why it opens instead
+    // of verifying: as many events as middlebox lanes that opened a
+    // record with sequence 0.
+    let disabled: Vec<_> = trace
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::FastPathDisabled { hop, reason } => Some((e.party, hop, reason)),
+            _ => None,
+        })
+        .collect();
+    let first_opens = trace
+        .iter()
+        .filter(|e| matches!(e.party, Party::Middlebox(_)))
+        .filter(|e| matches!(e.kind, EventKind::RecordDecrypt { seq: 0, .. }))
+        .count();
+    assert!(first_opens > 0);
+    assert_eq!(disabled.len(), first_opens, "one event per opening lane: {disabled:?}");
+    assert!(disabled.iter().all(|&(party, _, reason)| {
+        matches!(party, Party::Middlebox(_))
+            && reason == fast_path_disabled::PROCESSOR_NOT_READ_ONLY
+    }));
 }

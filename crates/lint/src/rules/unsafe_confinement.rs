@@ -29,8 +29,9 @@ pub const ALLOWED_FILES: &[&str] = &[
     // The volatile wipe, and the byte view of an integer slice it
     // wipes through.
     "crates/crypto/src/ct.rs",
-    // The one `Vec::set_len` after a CTR pass has filled a `Vec`'s
-    // spare capacity (`crypt_append`, under the append seal and open),
+    // The one `Vec::set_len` after a CTR pass or a tag check's copy
+    // has filled a `Vec`'s spare capacity (`append`, under the append
+    // seal, open and verify),
     // and `Apart::ciphertext`, the bytes of that capacity the pass has
     // written, for GHASH to read. Its GHASH key wipes through
     // `ct::zeroize`.

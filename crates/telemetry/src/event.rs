@@ -105,6 +105,16 @@ pub enum EventKind {
         /// Sequence number verified.
         seq: u64,
     },
+    /// A lane whose hop keys alias opened its first application-data
+    /// record instead of verifying it: records arriving on hop `hop`
+    /// leave the read-only forward for the reason given. Emitted once
+    /// per lane.
+    FastPathDisabled {
+        /// Hop index the records arrive on (0 = client-side hop).
+        hop: u64,
+        /// Why: one of the [`fast_path_disabled`] values.
+        reason: u64,
+    },
     /// Raw bytes entered the party from the wire.
     BytesIn {
         /// Byte count.
@@ -301,6 +311,7 @@ impl EventKind {
             EventKind::RecordEncrypt { .. } => "record_encrypt",
             EventKind::RecordDecrypt { .. } => "record_decrypt",
             EventKind::RecordForwardedReadOnly { .. } => "record_forwarded_read_only",
+            EventKind::FastPathDisabled { .. } => "fast_path_disabled",
             EventKind::BytesIn { .. } => "bytes_in",
             EventKind::BytesOut { .. } => "bytes_out",
             EventKind::LinkSend { .. } => "link_send",
@@ -347,6 +358,7 @@ impl EventKind {
             | EventKind::RecordForwardedReadOnly { hop, bytes, seq } => {
                 vec![("hop", hop), ("bytes", bytes), ("seq", seq)]
             }
+            EventKind::FastPathDisabled { hop, reason } => vec![("hop", hop), ("reason", reason)],
             EventKind::BytesIn { bytes } | EventKind::BytesOut { bytes } => {
                 vec![("bytes", bytes)]
             }
@@ -409,6 +421,13 @@ pub mod close_outcome {
     pub const EVICTED: u64 = 2;
     /// A party reported a fatal error.
     pub const FAILED: u64 = 3;
+}
+
+/// The values of [`EventKind::FastPathDisabled`]'s `reason` field.
+pub mod fast_path_disabled {
+    /// The middlebox's processor does not declare itself read-only, so
+    /// it is handed every record's plaintext.
+    pub const PROCESSOR_NOT_READ_ONLY: u64 = 0;
 }
 
 /// One telemetry event: when, who, where, what.

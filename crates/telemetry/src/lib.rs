@@ -33,7 +33,7 @@ pub mod json;
 pub mod metrics;
 pub mod sink;
 
-pub use event::{close_outcome, merge_shard_traces, Event, EventKind, Party};
+pub use event::{close_outcome, fast_path_disabled, merge_shard_traces, Event, EventKind, Party};
 pub use json::{to_json_line, validate_json_line};
 pub use metrics::{Aggregates, Counter, Histogram};
 pub use sink::{

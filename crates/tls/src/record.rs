@@ -192,10 +192,12 @@ impl DirectionState {
     /// sequence number like [`DirectionState::open_record_into`], so
     /// the two are interchangeable per record.
     ///
-    /// This is the read-only middlebox fast path: a hop whose inbound
-    /// and outbound keys are identical verifies the tag (GHASH plus
-    /// one AES block) and skips both the CTR decryption and the
-    /// re-encryption.
+    /// This is the read-only middlebox fast path's check: a hop whose
+    /// inbound and outbound keys are identical verifies the tag (GHASH
+    /// plus one AES block) and skips both the CTR decryption and the
+    /// re-encryption. A hop that forwards the record calls
+    /// [`DirectionState::verify_record_into`], which runs the same
+    /// check and appends the record in the same pass.
     pub fn verify_record(
         &mut self,
         content_type: ContentType,
@@ -203,6 +205,36 @@ impl DirectionState {
     ) -> Result<usize, TlsError> {
         let sealed = self.sealed(content_type, body)?;
         self.key.verify(&sealed.explicit, &sealed.aad, sealed.ciphertext(body), sealed.tag(body))?;
+        self.seq = sealed.next;
+        Ok(sealed.plain_len)
+    }
+
+    /// [`DirectionState::verify_record`] over a whole record, `wire`
+    /// (header and body as they arrived, of type `content_type`),
+    /// appending it to `out` in the pass that authenticates it: the
+    /// read-only forward, which reads the record once. On any error
+    /// `out` is left exactly as it was and the sequence number where it
+    /// was.
+    pub fn verify_record_into(
+        &mut self,
+        content_type: ContentType,
+        wire: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<usize, TlsError> {
+        let (head, body) = wire.split_at_checked(HEADER_LEN).unwrap_or((wire, &[]));
+        if head.first() != Some(&content_type.to_u8()) {
+            return Err(TlsError::Decode("record header does not carry its content type"));
+        }
+        let sealed = self.sealed(content_type, body)?;
+        let start = out.len();
+        out.reserve(wire.len());
+        out.extend_from_slice(head);
+        out.extend_from_slice(&sealed.explicit);
+        let (ciphertext, tag) = (sealed.ciphertext(body), sealed.tag(body));
+        if let Err(e) = self.key.verify_into(&sealed.explicit, &sealed.aad, ciphertext, tag, out) {
+            out.truncate(start);
+            return Err(e.into());
+        }
         self.seq = sealed.next;
         Ok(sealed.plain_len)
     }
@@ -668,6 +700,61 @@ mod tests {
         assert!(rx
             .verify_record(APP, &[0u8; EXPLICIT_NONCE_LEN + TAG_LEN - 1])
             .is_err());
+    }
+
+    // The forward appends a genuine record as it arrived, header
+    // included, after whatever `out` held: at lengths below one
+    // 512-byte group, at whole groups, with a tail, and at the
+    // fragment ceiling.
+    #[test]
+    fn verify_record_into_appends_exactly_the_wire() {
+        let (mut tx, mut rx) = pair();
+        let mut out = b"held".to_vec();
+        for len in [0usize, 100, 511, 512, 1024 + 300, MAX_FRAGMENT_LEN] {
+            let wire = seal(&mut tx, APP, &vec![0x5au8; len]);
+            let before = out.clone();
+            assert_eq!(rx.verify_record_into(APP, &wire, &mut out), Ok(len));
+            assert_eq!(out[..before.len()], before[..], "len {len}: what out held");
+            assert_eq!(out[before.len()..], wire[..], "len {len}: the record");
+        }
+        assert_eq!(rx.seq(), 6);
+    }
+
+    // The forward is fail-closed: one bit flipped in each 64-byte lane
+    // of both whole 512-byte groups, in the tail after them, in the
+    // tag, or in the AAD (the content type, which the header and the
+    // claimed type both carry) is an error that appends nothing, to an
+    // empty `out` or a prefilled one, and spends no sequence number:
+    // the genuine record still verifies after all of them.
+    #[test]
+    fn verify_record_into_is_fail_closed() {
+        let (mut tx, mut rx) = pair();
+        let first = seal(&mut tx, APP, b"first");
+        assert_eq!(rx.verify_record(APP, &first[HEADER_LEN..]), Ok(5));
+        let wire = seal(&mut tx, APP, &[0xC3u8; 2 * 512 + 300]);
+        let ciphertext = HEADER_LEN + EXPLICIT_NONCE_LEN;
+        let mut flips: Vec<(ContentType, usize, u8)> = (0..2 * 8)
+            .map(|lane| (APP, ciphertext + lane * 64 + lane, 1u8 << (lane % 8)))
+            .collect();
+        flips.push((APP, ciphertext + 2 * 512 + 7, 0x80));
+        flips.push((APP, ciphertext + 2 * 512 + 299, 0x02));
+        flips.push((APP, wire.len() - 1, 0x01));
+        flips.push((APP, wire.len() - TAG_LEN, 0x40));
+        flips.push((ContentType::Handshake, 0, 0x01));
+        for (claimed, at, bit) in flips {
+            let mut bad = wire.clone();
+            bad[at] ^= bit;
+            for held in [&b""[..], b"prefilled"] {
+                let mut out = held.to_vec();
+                let err = rx.verify_record_into(claimed, &bad, &mut out);
+                assert!(err.is_err(), "bit {bit:#04x} of byte {at} as {claimed:?}");
+                assert_eq!(out, held, "byte {at}: a failed verify appended");
+                assert_eq!(rx.seq(), 1, "byte {at}: a failed verify spent a sequence number");
+            }
+        }
+        let mut out = Vec::new();
+        assert_eq!(rx.verify_record_into(APP, &wire, &mut out), Ok(2 * 512 + 300));
+        assert_eq!(out, wire);
     }
 
     #[test]

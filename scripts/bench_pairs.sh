@@ -20,9 +20,21 @@
 # Once a workload's pairs are done it prints that workload's table:
 # for every end-to-end metric BENCHMARK.json declares, each side's
 # median and quartiles and the number of pairs the change won (ties
-# count for neither side). A metric is called a gain only when the
-# change won at least nine tenths of the pairs and the medians differ
-# by more than the parent's interquartile range. Every run's numbers
+# count for neither side), with one verdict:
+#
+#   gain        the change won at least nine tenths of the pairs and
+#               the medians differ by more than the parent's
+#               interquartile range;
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's `bound` in BENCHMARK.json (a share of
+#               the parent's median);
+#   unresolved  the parent's interquartile range is wider than that
+#               bound, so a regression within it could not be seen,
+#               and not every change run beats every parent run;
+#   no claim    none of these: no gain, and no regression past the
+#               bound.
+#
+# Every run's numbers
 # are kept in the temporary directory, whose path it prints. The
 # benchmark's own files are not touched. The workload list and the
 # statistics need python3.
@@ -105,18 +117,27 @@ def quartiles(xs):
 print(f"\n{workload} ({pairs} pairs)")
 print(f"{'metric':<18} {'parent q1/med/q3':>32} {'change q1/med/q3':>32} {'wins':>6}  verdict")
 for m in metrics:
-    name, higher = m["name"], m["better"] == "higher"
+    name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     if name not in parent[0]:
         continue
     p = [r[name]["value"] for r in parent]
     c = [r[name]["value"] for r in change]
-    wins = sum((cv > pv) if higher else (cv < pv) for pv, cv in zip(p, c))
+    better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
+    wins = sum(better(cv, pv) for pv, cv in zip(p, c))
     pq, cq = quartiles(p), quartiles(c)
+    # How much better the change's median is; negative when worse.
     gap = (cq[1] - pq[1]) if higher else (pq[1] - cq[1])
-    gain = wins * 10 >= 9 * pairs and gap > pq[2] - pq[0]
+    allowed = bound * abs(pq[1])
+    if wins * 10 >= 9 * pairs and gap > pq[2] - pq[0]:
+        verdict = "gain"
+    elif -gap > allowed:
+        verdict = "worse"
+    elif pq[2] - pq[0] > allowed and not all(better(cv, pv) for cv in c for pv in p):
+        verdict = "unresolved"
+    else:
+        verdict = "no claim"
     fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
-    print(f"{name:<18} {fmt(pq):>32} {fmt(cq):>32} {wins:>3}/{pairs:<2}  "
-          + ("gain" if gain else "no claim"))
+    print(f"{name:<18} {fmt(pq):>32} {fmt(cq):>32} {wins:>3}/{pairs:<2}  {verdict}")
 EOF
 }
 

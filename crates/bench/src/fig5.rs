@@ -21,7 +21,7 @@ use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
 use mbtls_pki::{KeyUsage, TrustStore};
 use mbtls_tls::{ClientConnection, ServerConnection};
 
-use mbtls_telemetry::{Aggregates, Party, Recorder, TelemetrySink};
+use mbtls_telemetry::{Event, EventKind, Party, Recorder};
 
 use crate::timing::{CpuMeter, TimedEndpoint, TimedRelay};
 
@@ -180,19 +180,25 @@ pub fn run_one(config: Config, seed: u64) -> RoleTimes {
     let mut chain = Chain::new(client, middles, server);
 
     chain.run_handshake().expect("handshake completes");
-    // Fold the trace's CpuTime samples into per-party aggregates.
-    let mut agg = Aggregates::new();
-    for event in recorder.snapshot() {
-        agg.emit(&event);
-    }
-    let cpu = |party: Party| {
-        Duration::from_nanos(agg.party(party).map_or(0, |stats| stats.cpu_ns.get()))
-    };
+    let events = recorder.snapshot();
+    let cpu = |party| cpu_time(&events, party);
     RoleTimes {
         client: cpu(Party::Client),
         middlebox: cpu(Party::Middlebox(0)),
         server: cpu(Party::Server),
     }
+}
+
+/// The CPU time `party`'s meter reported in `events`: the sum of its
+/// `CpuTime` samples.
+fn cpu_time(events: &[Event], party: Party) -> Duration {
+    let mut ns = 0;
+    for event in events.iter().filter(|event| event.party == party) {
+        if let EventKind::CpuTime { dur_ns } = event.kind {
+            ns += dur_ns;
+        }
+    }
+    Duration::from_nanos(ns)
 }
 
 /// Run `trials` handshakes and return the mean per-role times.
@@ -214,6 +220,20 @@ pub fn run_mean(config: Config, trials: u64) -> RoleTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cpu_time_sums_only_that_partys_samples() {
+        let event = |party, kind| Event { ts_ns: 0, shard: 0, party, kind };
+        let events = [
+            event(Party::Client, EventKind::CpuTime { dur_ns: 2_000 }),
+            event(Party::Client, EventKind::BytesOut { bytes: 100 }),
+            event(Party::Middlebox(0), EventKind::CpuTime { dur_ns: 500 }),
+            event(Party::Client, EventKind::CpuTime { dur_ns: 40 }),
+        ];
+        assert_eq!(cpu_time(&events, Party::Client), Duration::from_nanos(2_040));
+        assert_eq!(cpu_time(&events, Party::Middlebox(0)), Duration::from_nanos(500));
+        assert_eq!(cpu_time(&events, Party::Server), Duration::ZERO);
+    }
 
     #[test]
     fn all_configs_complete() {

@@ -15,7 +15,7 @@ use mbtls_crypto::ct;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_crypto::secret::Secret;
 use mbtls_telemetry::{fast_path_disabled, EventKind, Party, SharedSink};
-use mbtls_tls::record::{fragment, ContentType, DirectionState, Record, RecordReader};
+use mbtls_tls::record::{fragment, ContentType, DirectionState, Record, RecordReader, FIXED_IV_LEN};
 use mbtls_tls::session::SessionKeys;
 use mbtls_tls::suites::CipherSuite;
 use mbtls_tls::TlsError;
@@ -111,7 +111,7 @@ pub type HopKeys = SessionKeys;
 
 /// Generate fresh hop keys for `suite` (sequence numbers start at 0).
 pub fn fresh_hop_keys(suite: CipherSuite, rng: &mut CryptoRng) -> HopKeys {
-    let key_len = suite.bulk().key_len();
+    let key_len = suite.key_len();
     let mut gen = |n: usize| -> Secret {
         let mut v = vec![0u8; n];
         rng.fill(&mut v);
@@ -120,9 +120,9 @@ pub fn fresh_hop_keys(suite: CipherSuite, rng: &mut CryptoRng) -> HopKeys {
     HopKeys {
         suite,
         client_write_key: gen(key_len),
-        client_write_iv: gen(4),
+        client_write_iv: gen(FIXED_IV_LEN),
         server_write_key: gen(key_len),
-        server_write_iv: gen(4),
+        server_write_iv: gen(FIXED_IV_LEN),
         client_to_server_seq: 0,
         server_to_client_seq: 0,
     }
@@ -356,7 +356,7 @@ pub struct MiddleboxDataPlane {
     /// The attached processor declared itself non-modifying
     /// ([`crate::middlebox::DataProcessor::is_read_only`]), so an
     /// aliased lane verifies its records instead of opening them (see
-    /// [`MiddleboxDataPlane::feed_record_in_place`]).
+    /// [`MiddleboxDataPlane::feed_record`]).
     read_only: bool,
     telemetry: Option<PlaneTelemetry>,
 }
@@ -747,6 +747,15 @@ mod tests {
         assert_eq!(plain, b"pay $1");
         // Replaying the same record fails (sequence number advanced).
         assert!(server.feed(&wire).is_err());
+        // Reflecting it fails too: the client's own read direction, at
+        // the sequence number the record was sealed under, is keyed
+        // apart from its write direction, so the record never opens
+        // for its sender.
+        let mut sender = EndpointDataPlane::for_client(&hop).unwrap();
+        assert!(sender.feed(&wire).is_err(), "a reflected record opened");
+        plain.clear();
+        sender.drain_plaintext_into(&mut plain);
+        assert!(plain.is_empty());
     }
 
     #[test]
@@ -911,17 +920,18 @@ mod tests {
         // any GHASH (a broken tag changes nothing), whether it would
         // verify the record or open it. The error maps to the
         // record_overflow alert.
-        use mbtls_crypto::aead::AeadKey;
+        use mbtls_crypto::gcm::AesGcm;
         use mbtls_tls::alert::{Alert, AlertDescription};
         use mbtls_tls::record::MAX_FRAGMENT_LEN;
         let mut rng = CryptoRng::from_seed(17);
         let hop = fresh_hop_keys(SUITE, &mut rng);
-        let key = AeadKey::new(SUITE.bulk(), &hop.client_write_key, &hop.client_write_iv).unwrap();
+        let gcm = AesGcm::new(&hop.client_write_key).unwrap();
         let explicit = hop.client_to_server_seq.to_be_bytes();
+        let nonce: [u8; 12] = [&hop.client_write_iv[..], &explicit].concat().try_into().unwrap();
         let len = MAX_FRAGMENT_LEN + 1;
         let aad = [&explicit[..], &[23, 3, 3], &(len as u16).to_be_bytes()].concat();
         let mut body = vec![0x61; len];
-        let tag = key.seal_in_place(&explicit, &aad, &mut body).unwrap();
+        let tag = gcm.seal_in_place(&nonce, &aad, &mut body).unwrap();
         let wire_len = (explicit.len() + len + tag.len()) as u16;
         let record = [&[23, 3, 3][..], &wire_len.to_be_bytes(), &explicit, &body, &tag].concat();
         let mut bad_tag = record.clone();

@@ -863,7 +863,7 @@ impl Product {
         }
     }
 
-    /// `self += a · b` over GF(2)[x], no reduction.
+    /// `self += a · b` over `GF(2)[x]`, no reduction.
     #[target_feature(enable = "pclmulqdq")]
     fn add_mul(&mut self, a: __m128i, b: __m128i) {
         self.lo = _mm_xor_si128(self.lo, _mm_clmulepi64_si128::<0x00>(a, b));

@@ -28,7 +28,6 @@
 //!   only through [`gcm::AesGcm`] after runtime detection.
 //! * [`gcm`] — AES-GCM AEAD (GHASH + CTR) over whichever of the two
 //!   backends the CPU supports.
-//! * [`aead`] — the AEAD trait object used by the record layer.
 //! * [`x25519`] — Diffie-Hellman over Curve25519.
 //! * [`ed25519`] — Ed25519 signatures (used by the PKI).
 //! * [`bignum`] — minimal arbitrary-precision unsigned arithmetic.
@@ -39,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aead;
 pub mod aes;
 #[cfg(target_arch = "x86_64")]
 mod aesni;

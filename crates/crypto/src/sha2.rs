@@ -286,8 +286,8 @@ fn plus_constants(w: &[u64; 16], first: usize, k: &[u64; 8]) -> [u64; 8] {
     std::array::from_fn(|i| w[first + i].wrapping_add(k[i]))
 }
 
-/// Overwrite `w[first..first + 8]`, words W[t - 16], with words W[t]:
-/// W[t] = W[t - 16] + σ0(W[t - 15]) + W[t - 7] + σ1(W[t - 2]), the
+/// Overwrite `w[first..first + 8]`, words `W[t - 16]`, with words
+/// `W[t] = W[t - 16] + σ0(W[t - 15]) + W[t - 7] + σ1(W[t - 2])`, the
 /// ring's indices taken modulo 16.
 #[inline(always)]
 fn next_words(w: &mut [u64; 16], first: usize) {

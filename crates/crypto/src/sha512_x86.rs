@@ -100,8 +100,8 @@ fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
 
 /// The next eight schedule words in place of `x[first..first + 4]`
 /// (the words sixteen back), and the same words plus their round
-/// constants `k` into `slot`. Two words per step: W[t] and W[t + 1]
-/// need W[t - 2] and W[t - 1] for σ1, both already computed, so a
+/// constants `k` into `slot`. Two words per step: `W[t]` and `W[t + 1]`
+/// need `W[t - 2]` and `W[t - 1]` for σ1, both already computed, so a
 /// pair never waits on its own first half.
 #[target_feature(enable = "avx512f,avx512vl,ssse3")]
 fn schedule(x: &mut [__m128i; 8], first: usize, k: &[u64; 8], slot: &mut [u64; 8]) {

@@ -32,7 +32,7 @@ pub enum HostConfigError {
     /// The ticket cache capacity must be at least 1.
     ZeroTicketCap,
     /// Retry backoff doubled per attempt would overflow virtual time
-    /// (`backoff × 2^attempts` exceeds `u64` nanoseconds).
+    /// (`handshake_timeout × 2^attempts` exceeds `u64` nanoseconds).
     BackoffOverflow,
 }
 
@@ -66,7 +66,6 @@ pub struct HostConfig {
     shards: u16,
     handshake_timeout: Duration,
     handshake_attempts: u32,
-    retry_backoff: Duration,
     idle_timeout: Duration,
     ticket_ttl: Duration,
     ticket_cache_cap: usize,
@@ -85,14 +84,13 @@ impl Default for HostConfig {
 
 impl HostConfig {
     /// Start from the defaults: 1 shard, 1 s handshake timeout, 3
-    /// attempts, 1 s base retry backoff, 30 s idle eviction, 300 s
-    /// ticket TTL, 65 536-entry ticket cache, 8-pass pump cap.
+    /// attempts, 30 s idle eviction, 300 s ticket TTL, 65 536-entry
+    /// ticket cache, 8-pass pump cap.
     pub fn builder() -> HostConfigBuilder {
         HostConfigBuilder {
             shards: 1,
             handshake_timeout: Duration::from_millis(1_000),
             handshake_attempts: 3,
-            retry_backoff: None,
             idle_timeout: Duration::from_secs(30),
             ticket_ttl: Duration::from_secs(300),
             ticket_cache_cap: 65_536,
@@ -105,7 +103,8 @@ impl HostConfig {
         self.shards
     }
 
-    /// Deadline for the first handshake attempt.
+    /// Deadline for the first handshake attempt, and the base of the
+    /// retry backoff: attempt `n` waits `handshake_timeout × 2^n`.
     pub fn handshake_timeout(&self) -> Duration {
         self.handshake_timeout
     }
@@ -114,11 +113,6 @@ impl HostConfig {
     /// timeout (1 = no retries).
     pub fn handshake_attempts(&self) -> u32 {
         self.handshake_attempts
-    }
-
-    /// Base retry backoff; attempt `n` waits `backoff × 2^n`.
-    pub fn retry_backoff(&self) -> Duration {
-        self.retry_backoff
     }
 
     /// Established sessions idle this long are evicted.
@@ -152,8 +146,6 @@ pub struct HostConfigBuilder {
     shards: u32,
     handshake_timeout: Duration,
     handshake_attempts: u32,
-    /// `None` = follow `handshake_timeout` (the historical behavior).
-    retry_backoff: Option<Duration>,
     idle_timeout: Duration,
     ticket_ttl: Duration,
     ticket_cache_cap: usize,
@@ -176,13 +168,6 @@ impl HostConfigBuilder {
     /// Total handshake attempts (1 = no retries).
     pub fn handshake_attempts(mut self, attempts: u32) -> Self {
         self.handshake_attempts = attempts;
-        self
-    }
-
-    /// Base retry backoff (attempt `n` waits `backoff × 2^n`).
-    /// Defaults to the handshake timeout when not set.
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = Some(backoff);
         self
     }
 
@@ -236,16 +221,12 @@ impl HostConfigBuilder {
         if self.max_pump_passes == 0 {
             return Err(HostConfigError::ZeroPumpPasses);
         }
-        let retry_backoff = self.retry_backoff.unwrap_or(self.handshake_timeout);
-        if retry_backoff == Duration::ZERO {
-            return Err(HostConfigError::ZeroDuration("retry backoff"));
-        }
-        // The retry path shifts the base by the attempt number; make
-        // sure the largest shift the config can produce stays inside
-        // u64 nanoseconds.
+        // The retry path shifts the handshake timeout by the attempt
+        // number; make sure the largest shift the config can produce
+        // stays inside u64 nanoseconds.
         let max_shift = self.handshake_attempts.min(63);
         if self.handshake_attempts > 63
-            || retry_backoff.0.checked_mul(1u64 << max_shift).is_none()
+            || self.handshake_timeout.0.checked_mul(1u64 << max_shift).is_none()
         {
             return Err(HostConfigError::BackoffOverflow);
         }
@@ -253,7 +234,6 @@ impl HostConfigBuilder {
             shards: self.shards as u16,
             handshake_timeout: self.handshake_timeout,
             handshake_attempts: self.handshake_attempts,
-            retry_backoff,
             idle_timeout: self.idle_timeout,
             ticket_ttl: self.ticket_ttl,
             ticket_cache_cap: self.ticket_cache_cap,
@@ -272,7 +252,6 @@ mod tests {
         assert_eq!(c.shards(), 1);
         assert_eq!(c.handshake_timeout(), Duration::from_millis(1_000));
         assert_eq!(c.handshake_attempts(), 3);
-        assert_eq!(c.retry_backoff(), Duration::from_millis(1_000));
         assert_eq!(c.idle_timeout(), Duration::from_secs(30));
         assert_eq!(c.ticket_ttl(), Duration::from_secs(300));
         assert_eq!(c.max_pump_passes(), 8);
@@ -291,10 +270,6 @@ mod tests {
         assert_eq!(
             HostConfig::builder().handshake_attempts(0).build().unwrap_err(),
             HostConfigError::ZeroAttempts
-        );
-        assert_eq!(
-            HostConfig::builder().retry_backoff(Duration::ZERO).build().unwrap_err(),
-            HostConfigError::ZeroDuration("retry backoff")
         );
         assert_eq!(
             HostConfig::builder().idle_timeout(Duration::ZERO).build().unwrap_err(),
@@ -326,7 +301,7 @@ mod tests {
         );
         assert_eq!(
             HostConfig::builder()
-                .retry_backoff(Duration(u64::MAX / 2))
+                .handshake_timeout(Duration(u64::MAX / 2))
                 .handshake_attempts(3)
                 .build()
                 .unwrap_err(),
@@ -352,12 +327,6 @@ mod tests {
             .handshake_timeout(Duration::from_millis(250))
             .build()
             .unwrap();
-        assert_eq!(c.retry_backoff(), Duration::from_millis(250));
-        let c = HostConfig::builder()
-            .handshake_timeout(Duration::from_millis(250))
-            .retry_backoff(Duration::from_millis(40))
-            .build()
-            .unwrap();
-        assert_eq!(c.retry_backoff(), Duration::from_millis(40));
+        assert_eq!(c.handshake_timeout(), Duration::from_millis(250));
     }
 }

@@ -493,9 +493,9 @@ impl<S: Substrate> Shard<S> {
                     attempt: attempt as u64,
                 });
                 if attempt < self.config.handshake_attempts() {
-                    // Exponential backoff: 2^attempt × base backoff
-                    // (overflow ruled out by config validation).
-                    let backoff = self.config.retry_backoff().times(1u64 << attempt);
+                    // Exponential backoff: 2^attempt × the handshake
+                    // timeout (overflow ruled out by config validation).
+                    let backoff = self.config.handshake_timeout().times(1u64 << attempt);
                     if let Some(sess) = self.sessions.get_mut(id) {
                         sess.attempt += 1;
                     }

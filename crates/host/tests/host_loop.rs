@@ -146,12 +146,17 @@ fn blackholed_handshake_surfaces_timeout() {
         .iter()
         .filter(|e| matches!(e.kind, EventKind::HostTimeout { .. }))
         .count();
-    let backoffs = trace
+    let backoffs: Vec<u64> = trace
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::HostRetryBackoff { .. }))
-        .count();
+        .filter_map(|e| match e.kind {
+            EventKind::HostRetryBackoff { backoff_ns, .. } => Some(backoff_ns),
+            _ => None,
+        })
+        .collect();
     assert_eq!(timeouts, 2, "one HostTimeout per attempt");
-    assert_eq!(backoffs, 1, "one retry between the two attempts");
+    // One retry between the two attempts, after the handshake timeout
+    // doubled once (attempt 1 waits timeout × 2^1).
+    assert_eq!(backoffs, [Duration::from_millis(20).0]);
 }
 
 /// A session whose peer goes silent mid-workload is evicted by the

@@ -11,10 +11,10 @@
 //!   phases, per-hop record crypto, netsim link activity, SGX enclave
 //!   transitions, and CPU-time samples from the bench harness.
 //! - [`TelemetrySink`] — where events go. [`NullSink`] drops them,
-//!   [`RecordingSink`] keeps them for assertions, [`JsonLinesSink`]
-//!   streams them as JSON lines for offline analysis, and
-//!   [`Aggregates`] folds them into per-party / per-hop counters and
-//!   histograms.
+//!   [`Recorder`] keeps them for assertions, and [`JsonLinesSink`]
+//!   streams them as JSON lines for offline analysis.
+//! - [`Histogram`] — fixed-bucket distributions, for a reader that
+//!   wants one over a trace's values.
 //! - [`SharedSink`] — a cloneable handle (`Arc<Mutex<_>>` inside)
 //!   that parties, the network simulator, and the enclave simulator
 //!   all hold. It stamps every event from a shared [`VirtualClock`],
@@ -35,7 +35,5 @@ pub mod sink;
 
 pub use event::{close_outcome, fast_path_disabled, merge_shard_traces, Event, EventKind, Party};
 pub use json::{to_json_line, validate_json_line};
-pub use metrics::{Aggregates, Counter, Histogram};
-pub use sink::{
-    JsonLinesSink, NullSink, Recorder, RecordingSink, SharedSink, TelemetrySink, VirtualClock,
-};
+pub use metrics::Histogram;
+pub use sink::{JsonLinesSink, NullSink, Recorder, SharedSink, TelemetrySink, VirtualClock};

@@ -27,32 +27,13 @@ impl TelemetrySink for NullSink {
     fn emit(&mut self, _event: &Event) {}
 }
 
-/// Keeps every event in order — the test sink.
-#[derive(Debug, Default)]
-pub struct RecordingSink {
-    events: Vec<Event>,
-}
-
-impl RecordingSink {
-    /// An empty recording sink.
-    pub fn new() -> Self {
-        RecordingSink::default()
-    }
-
-    /// The recorded events, in emission order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Take the recorded events, leaving the sink empty.
-    pub fn take(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-}
+/// What a [`Recorder`] keeps: every event, in emission order.
+#[derive(Default)]
+struct RecordingSink(Vec<Event>);
 
 impl TelemetrySink for RecordingSink {
     fn emit(&mut self, event: &Event) {
-        self.events.push(event.clone());
+        self.0.push(event.clone());
     }
 }
 
@@ -179,8 +160,9 @@ impl SharedSink {
     }
 }
 
-/// A [`RecordingSink`] plus the [`SharedSink`] handle that feeds it —
-/// the standard shape for tests:
+/// An in-memory sink that keeps every event in order, plus the
+/// [`SharedSink`] handle that feeds it — the recording sink, and the
+/// standard shape for tests:
 ///
 /// ```
 /// use mbtls_telemetry::{Recorder, Party, EventKind};
@@ -206,7 +188,7 @@ impl Recorder {
     /// A fresh recorder with its own clock.
     pub fn new() -> Self {
         Recorder {
-            inner: Arc::new(Mutex::new(RecordingSink::new())),
+            inner: Arc::new(Mutex::new(RecordingSink::default())),
             clock: VirtualClock::new(),
         }
     }
@@ -228,12 +210,12 @@ impl Recorder {
 
     /// Copy of the events recorded so far.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.inner.lock().map(|s| s.events().to_vec()).unwrap_or_default()
+        self.inner.lock().map(|s| s.0.clone()).unwrap_or_default()
     }
 
     /// Take the recorded events, leaving the recorder empty.
     pub fn take(&self) -> Vec<Event> {
-        self.inner.lock().map(|mut s| s.take()).unwrap_or_default()
+        self.inner.lock().map(|mut s| std::mem::take(&mut s.0)).unwrap_or_default()
     }
 }
 

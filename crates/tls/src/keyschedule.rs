@@ -1,8 +1,8 @@
 //! The TLS 1.2 key schedule (RFC 5246 §8.1, §6.3) over the suite's
 //! PRF hash, plus the Finished verify-data computation (§7.4.9).
 
+use crate::record::FIXED_IV_LEN;
 use crate::suites::{CipherSuite, PrfHash};
-use mbtls_crypto::aead::FIXED_IV_LEN;
 use mbtls_crypto::hmac::Hmac;
 use mbtls_crypto::kdf::{tls12_prf, tls12_prf_keyed};
 use mbtls_crypto::secret::Secret;
@@ -167,7 +167,7 @@ pub(crate) fn expand_key_block(
 /// The key block's length under `suite`: both write keys and both
 /// implicit IVs.
 fn key_block_len(suite: CipherSuite) -> usize {
-    2 * suite.bulk().key_len() + 2 * FIXED_IV_LEN
+    2 * suite.key_len() + 2 * FIXED_IV_LEN
 }
 
 /// An expanded key block's four parts in RFC 5246 §6.3 order:

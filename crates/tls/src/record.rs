@@ -7,8 +7,10 @@
 //! subchannel multiplexing is built on.
 
 use crate::codec::StreamBuf;
+use crate::suites::CipherSuite;
 use crate::TlsError;
-use mbtls_crypto::aead::{AeadKey, BulkAlgorithm, EXPLICIT_NONCE_LEN, TAG_LEN};
+use mbtls_crypto::gcm::{AesGcm, TAG_LEN};
+use mbtls_crypto::CryptoError;
 
 /// Maximum plaintext fragment length (RFC 5246 §6.2.1).
 pub const MAX_FRAGMENT_LEN: usize = 1 << 14;
@@ -17,6 +19,12 @@ pub const MAX_FRAGMENT_LEN: usize = 1 << 14;
 pub const MAX_WIRE_LEN: usize = MAX_FRAGMENT_LEN + 2048;
 /// TLS 1.2 wire version.
 pub const VERSION_TLS12: (u8, u8) = (3, 3);
+/// Length of the implicit part of a record's nonce: the salt each
+/// direction takes from the key block (RFC 5288 §3).
+pub const FIXED_IV_LEN: usize = 4;
+/// Length of the explicit part of a record's nonce, carried on the
+/// wire before the ciphertext: the record's sequence number.
+pub const EXPLICIT_NONCE_LEN: usize = 8;
 
 /// Record content types, including the mbTLS additions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,24 +121,44 @@ pub fn frame_plaintext_into(content_type: ContentType, parts: &[&[u8]], out: &mu
     }
 }
 
-/// One direction of record protection state.
+/// One direction of record protection state: the AES-GCM key, the
+/// implicit IV and the sequence number, which together give every
+/// record its nonce.
 pub struct DirectionState {
-    key: AeadKey,
+    gcm: AesGcm,
+    fixed_iv: [u8; FIXED_IV_LEN],
     seq: u64,
 }
 
 impl DirectionState {
-    /// Build from raw key material.
+    /// Build from raw key material: a write key of `suite`'s length
+    /// and a [`FIXED_IV_LEN`]-byte implicit IV, or
+    /// [`CryptoError::BadKeyLength`].
     pub fn new(
-        algorithm: BulkAlgorithm,
+        suite: CipherSuite,
         key: &[u8],
         fixed_iv: &[u8],
         initial_seq: u64,
     ) -> Result<Self, TlsError> {
+        if key.len() != suite.key_len() {
+            return Err(CryptoError::BadKeyLength.into());
+        }
+        let fixed_iv =
+            <[u8; FIXED_IV_LEN]>::try_from(fixed_iv).map_err(|_| CryptoError::BadKeyLength)?;
         Ok(DirectionState {
-            key: AeadKey::new(algorithm, key, fixed_iv)?,
+            gcm: AesGcm::new(key)?,
+            fixed_iv,
             seq: initial_seq,
         })
+    }
+
+    /// The record nonce of RFC 5288 §3: the implicit IV, then the
+    /// explicit nonce the record carries.
+    fn nonce(&self, explicit: &[u8; EXPLICIT_NONCE_LEN]) -> [u8; 12] {
+        let mut nonce = [0u8; 12];
+        nonce[..FIXED_IV_LEN].copy_from_slice(&self.fixed_iv);
+        nonce[FIXED_IV_LEN..].copy_from_slice(explicit);
+        nonce
     }
 
     /// Current sequence number (mbTLS key-material messages carry it).
@@ -177,7 +205,7 @@ impl DirectionState {
         out.reserve(HEADER_LEN + wire_len);
         push_header(out, content_type, wire_len);
         out.extend_from_slice(&explicit);
-        if let Err(e) = self.key.seal_into(&explicit, &aad, payload, out) {
+        if let Err(e) = self.gcm.seal_into(&self.nonce(&explicit), &aad, payload, out) {
             out.truncate(start);
             return Err(e.into());
         }
@@ -204,7 +232,8 @@ impl DirectionState {
         body: &[u8],
     ) -> Result<usize, TlsError> {
         let sealed = self.sealed(content_type, body)?;
-        self.key.verify(&sealed.explicit, &sealed.aad, sealed.ciphertext(body), sealed.tag(body))?;
+        let nonce = self.nonce(&sealed.explicit);
+        self.gcm.verify_tag(&nonce, &sealed.aad, sealed.ciphertext(body), sealed.tag(body))?;
         self.seq = sealed.next;
         Ok(sealed.plain_len)
     }
@@ -231,7 +260,8 @@ impl DirectionState {
         out.extend_from_slice(head);
         out.extend_from_slice(&sealed.explicit);
         let (ciphertext, tag) = (sealed.ciphertext(body), sealed.tag(body));
-        if let Err(e) = self.key.verify_into(&sealed.explicit, &sealed.aad, ciphertext, tag, out) {
+        let nonce = self.nonce(&sealed.explicit);
+        if let Err(e) = self.gcm.verify_tag_into(&nonce, &sealed.aad, ciphertext, tag, out) {
             out.truncate(start);
             return Err(e.into());
         }
@@ -252,7 +282,7 @@ impl DirectionState {
     ) -> Result<usize, TlsError> {
         let sealed = self.sealed(content_type, body)?;
         let (ciphertext, tag) = (sealed.ciphertext(body), sealed.tag(body));
-        self.key.open_into(&sealed.explicit, &sealed.aad, ciphertext, tag, out)?;
+        self.gcm.open_into(&self.nonce(&sealed.explicit), &sealed.aad, ciphertext, tag, out)?;
         self.seq = sealed.next;
         Ok(sealed.plain_len)
     }
@@ -306,7 +336,7 @@ impl DirectionState {
             .get_mut(EXPLICIT_NONCE_LEN..)
             .unwrap_or_default()
             .split_at_mut(sealed.plain_len);
-        self.key.open_in_place(&sealed.explicit, &sealed.aad, ciphertext, tag)?;
+        self.gcm.open_in_place(&self.nonce(&sealed.explicit), &sealed.aad, ciphertext, tag)?;
         self.seq = sealed.next;
         Ok(ciphertext)
     }
@@ -500,15 +530,22 @@ pub fn fragment(payload: &[u8]) -> impl Iterator<Item = &[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const APP: ContentType = ContentType::ApplicationData;
+    const SUITE: CipherSuite = CipherSuite::EcdheAes256GcmSha384;
+
+    /// A writer and a reader of one direction under `suite`, built
+    /// apart from the same key material at `initial_seq`, as the two
+    /// ends of a hop build them.
+    fn pair_at(suite: CipherSuite, initial_seq: u64) -> (DirectionState, DirectionState) {
+        let key = vec![0x11u8; suite.key_len()];
+        let state = || DirectionState::new(suite, &key, &[0x22; FIXED_IV_LEN], initial_seq);
+        (state().unwrap(), state().unwrap())
+    }
 
     fn pair() -> (DirectionState, DirectionState) {
-        let key = [0x11u8; 32];
-        let iv = [0x22u8; 4];
-        let tx = DirectionState::new(BulkAlgorithm::Aes256Gcm, &key, &iv, 0).unwrap();
-        let rx = DirectionState::new(BulkAlgorithm::Aes256Gcm, &key, &iv, 0).unwrap();
-        (tx, rx)
+        pair_at(SUITE, 0)
     }
 
     /// One sealed record's wire bytes.
@@ -555,6 +592,85 @@ mod tests {
         let mut plain = b"kept".to_vec();
         assert_eq!(rx.open_record_into(APP, record.body(), &mut plain), Ok(11));
         assert_eq!(plain, b"kepthello world");
+    }
+
+    #[test]
+    fn every_suite_roundtrips() {
+        // AES-128-GCM and AES-256-GCM: a record is its header, the
+        // explicit nonce, the ciphertext and the tag, and opens again.
+        for suite in CipherSuite::ALL {
+            let (mut tx, mut rx) = pair_at(suite, 0);
+            let wire = seal(&mut tx, APP, b"hello world");
+            assert_eq!(wire.len(), HEADER_LEN + EXPLICIT_NONCE_LEN + 11 + TAG_LEN, "{suite:?}");
+            let mut plain = Vec::new();
+            assert_eq!(rx.open_record_into(APP, &wire[HEADER_LEN..], &mut plain), Ok(11));
+            assert_eq!(plain, b"hello world", "{suite:?}");
+        }
+    }
+
+    #[test]
+    fn a_reader_built_apart_opens_only_its_writers_records() {
+        // The two ends of a direction build their states apart from the
+        // same key and IV; a reader keyed for the other direction of the
+        // hop refuses the record.
+        let (mut tx, mut rx) = pair();
+        let wire = seal(&mut tx, APP, b"record");
+        let body = &wire[HEADER_LEN..];
+        let mut other = DirectionState::new(SUITE, &[0x33; 32], &[0x22; FIXED_IV_LEN], 0).unwrap();
+        assert!(other.open_record_into(APP, body, &mut Vec::new()).is_err());
+        let mut plain = Vec::new();
+        assert_eq!(rx.open_record_into(APP, body, &mut plain), Ok(6));
+        assert_eq!(plain, b"record");
+    }
+
+    #[test]
+    fn keys_and_ivs_of_the_wrong_length_are_refused() {
+        let refused = |suite, key_len, iv_len| {
+            DirectionState::new(suite, &vec![0; key_len], &vec![0; iv_len], 0).err()
+                == Some(TlsError::Crypto(CryptoError::BadKeyLength))
+        };
+        assert!(refused(CipherSuite::EcdheAes128GcmSha256, 32, FIXED_IV_LEN));
+        assert!(refused(CipherSuite::EcdheAes256GcmSha384, 16, FIXED_IV_LEN));
+        assert!(refused(CipherSuite::EcdheAes128GcmSha256, 16, 8));
+        assert!(refused(CipherSuite::EcdheAes256GcmSha384, 32, FIXED_IV_LEN - 1));
+        assert!(!refused(CipherSuite::EcdheAes128GcmSha256, 16, FIXED_IV_LEN));
+    }
+
+    proptest! {
+        /// A sealed record is the AES-GCM of RFC 5288 over RFC 5246
+        /// §6.2.3.3's AAD and nothing else: its ciphertext and tag open
+        /// under the bare cipher with the nonce `fixed_iv || seq` and the
+        /// AAD `seq || type || version || length`, and under the nonce
+        /// of a neighbouring sequence number or implicit IV they do not. A
+        /// change to how a record's nonce is formed fails here, not only
+        /// in the pinned wire digests.
+        #[test]
+        fn sealed_record_opens_under_the_rfc5288_nonce(
+            seq in 0..u64::MAX,
+            iv in any::<u32>(),
+            len in 0usize..600,
+            suite in 0usize..CipherSuite::ALL.len(),
+        ) {
+            let suite = CipherSuite::ALL[suite];
+            let key: Vec<u8> = (0..suite.key_len() as u8).collect();
+            let iv = iv.to_be_bytes();
+            let mut tx = DirectionState::new(suite, &key, &iv, seq).unwrap();
+            let payload = vec![0xA5u8; len];
+            let wire = seal(&mut tx, APP, &payload);
+            let (explicit, sealed) = wire[HEADER_LEN..].split_at(EXPLICIT_NONCE_LEN);
+            prop_assert_eq!(explicit, seq.to_be_bytes());
+            let (ciphertext, tag) = sealed.split_at(len);
+            let aad = [&seq.to_be_bytes()[..], &[23, 3, 3], &(len as u16).to_be_bytes()].concat();
+            let gcm = AesGcm::new(&key).unwrap();
+            let open = |iv: [u8; FIXED_IV_LEN], seq: u64| {
+                let nonce: [u8; 12] = [&iv[..], &seq.to_be_bytes()].concat().try_into().unwrap();
+                let mut plain = Vec::new();
+                gcm.open_into(&nonce, &aad, ciphertext, tag, &mut plain).map(|()| plain)
+            };
+            prop_assert_eq!(open(iv, seq), Ok(payload));
+            prop_assert!(open(iv, seq ^ 1).is_err(), "another sequence number's nonce");
+            prop_assert!(open((u32::from_be_bytes(iv) ^ 1).to_be_bytes(), seq).is_err());
+        }
     }
 
     #[test]
@@ -639,9 +755,7 @@ mod tests {
             assert_eq!(plain, [i; 100]);
             // The in-place form opens the same record the same way.
             let mut body = wire[HEADER_LEN..].to_vec();
-            let mut again =
-                DirectionState::new(BulkAlgorithm::Aes256Gcm, &[0x11; 32], &[0x22; 4], i.into())
-                    .unwrap();
+            let mut again = pair_at(SUITE, i.into()).1;
             assert_eq!(again.open_record_in_place(APP, &mut body).unwrap(), &[i; 100]);
         }
     }
@@ -700,6 +814,36 @@ mod tests {
         assert!(rx
             .verify_record(APP, &[0u8; EXPLICIT_NONCE_LEN + TAG_LEN - 1])
             .is_err());
+    }
+
+    #[test]
+    fn verify_and_open_agree_on_every_record() {
+        // The tag check alone gives the verdict a full open gives: on
+        // the genuine record, under a wrong claimed type, at another
+        // sequence number, and with a bit flipped in the explicit
+        // nonce, the ciphertext or the tag.
+        let wire = seal(&mut pair().0, APP, b"payload");
+        let body = &wire[HEADER_LEN..];
+        let flipped = |at: usize| {
+            let mut bad = body.to_vec();
+            bad[at] ^= 0x80;
+            bad
+        };
+        let cases = [
+            (APP, 0, body.to_vec()),
+            (ContentType::Handshake, 0, body.to_vec()),
+            (APP, 1, body.to_vec()),
+            (APP, 0, flipped(0)),
+            (APP, 0, flipped(EXPLICIT_NONCE_LEN)),
+            (APP, 0, flipped(body.len() - 1)),
+        ];
+        for (i, (claimed, seq, body)) in cases.into_iter().enumerate() {
+            let (mut verifier, mut opener) = pair_at(SUITE, seq);
+            let verdict = verifier.verify_record(claimed, &body);
+            let opened = opener.open_record_into(claimed, &body, &mut Vec::new());
+            assert_eq!(verdict, opened, "case {i}");
+            assert_eq!(verdict.is_ok(), i == 0, "case {i}");
+        }
     }
 
     // The forward appends a genuine record as it arrived, header
@@ -761,11 +905,7 @@ mod tests {
     fn sequence_number_never_wraps() {
         // Wrapping would seal the next records under nonces 2^64 − 1,
         // then 0, 1, … — the ones this key's first records used.
-        let state = || {
-            DirectionState::new(BulkAlgorithm::Aes256Gcm, &[0x11; 32], &[0x22; 4], u64::MAX - 1)
-                .unwrap()
-        };
-        let (mut tx, mut rx) = (state(), state());
+        let (mut tx, mut rx) = pair_at(SUITE, u64::MAX - 1);
         let wire = seal(&mut tx, APP, b"last");
         assert_eq!(wire[5..13], (u64::MAX - 1).to_be_bytes(), "explicit nonce");
         let mut out = Vec::new();

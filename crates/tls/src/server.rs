@@ -302,7 +302,7 @@ impl Connection<ServerHandshake> {
         Ok(())
     }
 
-    /// Abbreviated handshake: ServerHello, [ticket], CCS, Finished.
+    /// Abbreviated handshake: ServerHello, `[ticket]`, CCS, Finished.
     fn start_abbreviated(
         &mut self,
         suite: CipherSuite,

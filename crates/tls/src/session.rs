@@ -9,7 +9,7 @@
 
 use crate::codec::{Decoder, Encoder};
 use crate::keyschedule;
-use crate::record::DirectionState;
+use crate::record::{DirectionState, FIXED_IV_LEN};
 use crate::suites::CipherSuite;
 use crate::TlsError;
 use mbtls_crypto::secret::Secret;
@@ -103,7 +103,7 @@ impl SessionKeys {
     /// Record-protection state for reading the client→server flow.
     pub fn open_client_to_server(&self) -> Result<DirectionState, TlsError> {
         DirectionState::new(
-            self.suite.bulk(),
+            self.suite,
             &self.client_write_key,
             &self.client_write_iv,
             self.client_to_server_seq,
@@ -118,7 +118,7 @@ impl SessionKeys {
     /// Record-protection state for reading the server→client flow.
     pub fn open_server_to_client(&self) -> Result<DirectionState, TlsError> {
         DirectionState::new(
-            self.suite.bulk(),
+            self.suite,
             &self.server_write_key,
             &self.server_write_iv,
             self.server_to_client_seq,
@@ -164,7 +164,7 @@ impl SessionKeys {
             CipherSuite::from_id(d.u16()?).ok_or(TlsError::Decode("unknown suite in key material"))?;
         let key_len = d.u32()? as usize;
         let iv_len = d.u32()? as usize;
-        if key_len != suite.bulk().key_len() || iv_len != 4 {
+        if key_len != suite.key_len() || iv_len != FIXED_IV_LEN {
             return Err(TlsError::Decode("key material length mismatch"));
         }
         let client_write_key = d.take(key_len)?.into();

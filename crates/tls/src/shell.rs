@@ -84,7 +84,7 @@ impl Flow {
             Flow::ClientToServer => (client_key, client_iv),
             Flow::ServerToClient => (server_key, server_iv),
         };
-        DirectionState::new(suite.bulk(), key, iv, 0)
+        DirectionState::new(suite, key, iv, 0)
     }
 }
 

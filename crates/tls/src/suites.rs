@@ -8,8 +8,6 @@
 //! look shaped like the paper's (`ECDHE` vs `DHE`, AES-256-GCM
 //! default).
 
-use mbtls_crypto::aead::BulkAlgorithm;
-
 /// Key-exchange families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyExchange {
@@ -82,13 +80,12 @@ impl CipherSuite {
         }
     }
 
-    /// Bulk cipher.
-    pub fn bulk(self) -> BulkAlgorithm {
+    /// Length of the bulk cipher's key: 16 bytes for AES-128-GCM, 32
+    /// for AES-256-GCM.
+    pub fn key_len(self) -> usize {
         match self {
-            CipherSuite::EcdheAes128GcmSha256 => BulkAlgorithm::Aes128Gcm,
-            CipherSuite::EcdheAes256GcmSha384 | CipherSuite::DheAes256GcmSha384 => {
-                BulkAlgorithm::Aes256Gcm
-            }
+            CipherSuite::EcdheAes128GcmSha256 => 16,
+            CipherSuite::EcdheAes256GcmSha384 | CipherSuite::DheAes256GcmSha384 => 32,
         }
     }
 
@@ -118,7 +115,7 @@ mod tests {
     fn suite_properties() {
         let s = CipherSuite::EcdheAes256GcmSha384;
         assert_eq!(s.key_exchange(), KeyExchange::Ecdhe);
-        assert_eq!(s.bulk(), BulkAlgorithm::Aes256Gcm);
+        assert_eq!(s.key_len(), 32);
         assert_eq!(s.prf_hash(), PrfHash::Sha384);
         assert_eq!(s.prf_hash().output_len(), 48);
 
@@ -126,7 +123,7 @@ mod tests {
         assert_eq!(d.key_exchange(), KeyExchange::Dhe);
 
         let weak = CipherSuite::EcdheAes128GcmSha256;
-        assert_eq!(weak.bulk(), BulkAlgorithm::Aes128Gcm);
+        assert_eq!(weak.key_len(), 16);
         assert_eq!(weak.prf_hash().output_len(), 32);
     }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use mbtls_crypto::aead::AeadKey;
+use mbtls_crypto::gcm::AesGcm;
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_pki::cert::{CertificateAuthority, CertifiedKey};
 use mbtls_pki::{KeyUsage, TrustStore};
@@ -208,12 +208,13 @@ fn oversized_record_fails_with_record_overflow() {
     let (_, _, mut rng) = fixture();
     let (client, mut server) = established(&mut rng);
     let keys = client.export_session_keys().unwrap();
-    let key = AeadKey::new(keys.suite.bulk(), &keys.client_write_key, &keys.client_write_iv).unwrap();
+    let gcm = AesGcm::new(&keys.client_write_key).unwrap();
     let explicit = keys.client_to_server_seq.to_be_bytes();
+    let nonce: [u8; 12] = [&keys.client_write_iv[..], &explicit].concat().try_into().unwrap();
     let len = MAX_FRAGMENT_LEN + 1;
     let aad = [&explicit[..], &[23, 3, 3], &(len as u16).to_be_bytes()].concat();
     let mut body = vec![0x61; len];
-    let tag = key.seal_in_place(&explicit, &aad, &mut body).unwrap();
+    let tag = gcm.seal_in_place(&nonce, &aad, &mut body).unwrap();
     let wire_len = (explicit.len() + len + tag.len()) as u16;
     let record = [&[23, 3, 3][..], &wire_len.to_be_bytes(), &explicit, &body, &tag].concat();
 

@@ -12,7 +12,9 @@
 #               rustdoc::broken_intra_doc_links and
 #               rustdoc::private_intra_doc_links denied: a doc link to a
 #               renamed or deleted item, or from public docs to a private
-#               one, fails here
+#               one, fails here; then again with --document-private-items
+#               and broken links denied, so a stale link in a private
+#               item's docs fails too
 #   seam-build  cargo check of the repo benchmark's own package
 #               (benchmark/Cargo.toml, --offline, against ../crates/*):
 #               a reshaped public item that benchmark/src/seam.rs
@@ -56,8 +58,15 @@ stage() {
 mkdir -p target
 stage lint      cargo run -q -p mbtls-lint --release -- --json target/lint-report.jsonl
 stage clippy    cargo clippy --workspace --all-targets -- -D warnings
-stage doc       env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
-                cargo doc --no-deps --workspace --offline -q
+# Two passes: `private_intra_doc_links` only fires while private items
+# are left undocumented, and only the second pass reads their docs.
+docs() {
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+        cargo doc --no-deps --workspace --offline -q
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+        cargo doc --no-deps --workspace --offline -q --document-private-items
+}
+stage doc       docs
 stage seam-build cargo check --offline --quiet --manifest-path benchmark/Cargo.toml
 stage build     cargo build --release --workspace
 stage test      cargo test -q --workspace

@@ -47,6 +47,20 @@
 //! executable Table 1 adversaries live in `mbtls_bench::table1`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+// Panic-freedom (DESIGN.md §6d): attacker bytes and impossible states
+// surface as errors, never as an abort of every session on the thread.
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
+// methods and types are listed in the workspace's clippy.toml.
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod attacks;
 pub mod baseline;

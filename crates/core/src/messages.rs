@@ -2,6 +2,10 @@
 //! extension, Encapsulated records, key-material payloads, and
 //! middlebox announcements.
 
+// A wire file (DESIGN.md §6d): its buffers hold a peer's bytes, and no
+// slice here is indexed.
+#![forbid(clippy::indexing_slicing)]
+
 use mbtls_crypto::secret::Secret;
 use mbtls_tls::codec::{Decoder, Encoder};
 use mbtls_tls::record::{frame_plaintext_into, ContentType};

@@ -37,22 +37,49 @@
 //! * [`secret`] — the self-wiping buffer key material is held in.
 
 #![warn(missing_docs)]
+// `unsafe` is confined to the five modules below that allow it, each
+// behind a safe interface with a `// SAFETY:` argument per block.
+#![deny(unsafe_code)]
+// Panic-freedom (DESIGN.md §6d): attacker bytes and impossible states
+// surface as errors, never as an abort of every session on the thread.
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
+// `mod x86`: the SSE2 lane type of the bitsliced circuit.
+#[allow(unsafe_code)]
 pub mod aes;
+// AES-NI / PCLMULQDQ intrinsics behind runtime detection.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod aesni;
 pub mod bignum;
+// The volatile wipe, and the byte view of an integer slice it wipes
+// through.
+#[allow(unsafe_code)]
 pub mod ct;
 pub mod dh;
 pub mod ed25519;
 mod field25519;
+// The one `Vec::set_len` after a CTR pass or a tag check's copy has
+// filled a `Vec`'s spare capacity, and `Apart::ciphertext`, the bytes
+// of that capacity the pass has written, for GHASH to read.
+#[allow(unsafe_code)]
 pub mod gcm;
 pub mod hmac;
 pub mod kdf;
 pub mod rng;
 pub mod secret;
 pub mod sha2;
+// SHA-512's compression on AVX-512VL, BMI2 and SSSE3 intrinsics behind
+// runtime detection, and its unaligned SSE2 loads and stores.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod sha512_x86;
 pub mod x25519;
 

@@ -22,13 +22,6 @@ impl CryptoRng {
         }
     }
 
-    /// OS-entropy-seeded RNG for non-reproducible use.
-    pub fn from_entropy() -> Self {
-        CryptoRng {
-            inner: StdRng::from_entropy(),
-        }
-    }
-
     /// Fill `buf` with random bytes.
     pub fn fill(&mut self, buf: &mut [u8]) {
         self.inner.fill_bytes(buf);

@@ -39,6 +39,10 @@
 //!   per-session specs no matter how the load is sliced over shards.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+// Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
+// methods and types are listed in the workspace's clippy.toml.
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod config;
 pub mod host;

@@ -18,6 +18,17 @@
 //! All are from-scratch implementations with no dependencies.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+// Panic-freedom (DESIGN.md §6d): attacker bytes and impossible states
+// surface as errors, never as an abort of every session on the thread.
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod compress;
 pub mod message;

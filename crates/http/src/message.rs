@@ -13,6 +13,10 @@
 //! bytes parsed here come from the peer: nothing in this file indexes
 //! a buffer or adds lengths unchecked.
 
+// A wire file (DESIGN.md §6d): its buffers hold a peer's bytes, and no
+// slice here is indexed.
+#![forbid(clippy::indexing_slicing)]
+
 use std::io::Write as _;
 
 /// Parse failure.

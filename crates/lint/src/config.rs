@@ -1,29 +1,13 @@
 //! Which rule families apply where.
 //!
 //! Scopes are workspace-relative path prefixes. Only `src/` trees are
-//! listed: tests, benches, and examples may unwrap, spawn threads,
-//! and print what they like — the invariants protect the code that
-//! would ship.
+//! listed: tests, benches, and examples may print and share what
+//! they like — the invariants protect the code that would ship.
 
 use crate::rules::RuleId;
 
 /// (rule, path prefixes it applies to).
 pub const SCOPES: &[(RuleId, &[&str])] = &[
-    (
-        // The deterministic substitute for the paper's real-network
-        // evaluation: protocol logic must be drivable from a seeded
-        // simulator, so no ambient IO/time/randomness.
-        RuleId::SansIo,
-        &[
-            "crates/core/src",
-            "crates/tls/src",
-            "crates/netsim/src",
-            "crates/sgx/src",
-            "crates/telemetry/src",
-            "crates/host/src",
-            "crates/pki/src/delegation",
-        ],
-    ),
     (
         // Everywhere key material lives or transits. The pki crate is
         // scoped per-module: the delegation subsystem holds issuer and
@@ -36,21 +20,6 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
             "crates/tls/src",
             "crates/core/src",
             "crates/pki/src/delegation",
-        ],
-    ),
-    (
-        // Protocol state machines, record parsing, and the crypto
-        // they call into — and the application-layer decoders (HTTP,
-        // LZSS) with the middlebox processors that run them on a
-        // peer's bytes inside a shard's sessions.
-        RuleId::PanicFreedom,
-        &[
-            "crates/core/src",
-            "crates/crypto/src",
-            "crates/tls/src",
-            "crates/http/src/message.rs",
-            "crates/http/src/compress.rs",
-            "crates/mboxes/src",
         ],
     ),
     (
@@ -72,34 +41,6 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
         RuleId::ShardIsolation,
         &["crates/host/src", "crates/netsim/src", "crates/mboxes/src"],
     ),
-    (
-        // Everything that would ship. The rule itself names the four
-        // crypto files that may contain `unsafe`; sgx (simulated
-        // enclave memory) and the tooling crates are out of scope.
-        RuleId::UnsafeConfinement,
-        &[
-            "crates/crypto/src",
-            "crates/tls/src",
-            "crates/core/src",
-            "crates/pki/src",
-            "crates/host/src",
-            "crates/netsim/src",
-            "crates/http/src",
-            "crates/mboxes/src",
-            "crates/telemetry/src",
-        ],
-    ),
-];
-
-/// Files whose buffers hold attacker-controlled wire bytes: direct
-/// indexing is flagged there (see `panic_freedom`).
-pub const WIRE_INDEX_FILES: &[&str] = &[
-    "crates/tls/src/record.rs",
-    "crates/tls/src/codec.rs",
-    "crates/tls/src/messages.rs",
-    "crates/core/src/messages.rs",
-    "crates/core/src/dataplane.rs",
-    "crates/http/src/message.rs",
 ];
 
 /// The rule families that apply to a workspace-relative path.

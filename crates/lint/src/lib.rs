@@ -1,25 +1,28 @@
 //! # mbtls-lint
 //!
-//! The workspace invariant checker. mbTLS's security argument (paper
-//! §4) rests on properties the compiler cannot see: session keys
-//! must never reach a log line, protocol state machines must stay
-//! sans-IO and deterministic, record parsing must not panic on
-//! attacker bytes, comparisons on secrets must be constant-time, and
-//! `unsafe` must stay where its safety arguments can be reviewed.
-//! This crate enforces them as a from-scratch lexical static
-//! analysis — no external dependencies, run as the first step of
-//! `scripts/check.sh`.
+//! The workspace invariant checker for what the compiler cannot see.
+//! mbTLS's security argument (paper §4) rests on session keys never
+//! reaching a log line, comparisons on secrets being constant-time,
+//! and the sharded host sharing no mutable state. This crate enforces
+//! them as a from-scratch lexical static analysis — no external
+//! dependencies, run as the first step of `scripts/check.sh`.
+//!
+//! Three more invariants are lints the compiler already has, so they
+//! are not here: each crate root forbids them (DESIGN.md §6d).
+//! Sans-IO is `clippy::disallowed_methods` / `disallowed_types` over
+//! the workspace `clippy.toml`'s list, panic-freedom is
+//! `clippy::unwrap_used` and its siblings (plus
+//! `clippy::indexing_slicing` in the wire-parsing files), and
+//! `unsafe` confinement is rustc's `unsafe_code`, allowed on five
+//! crypto modules only.
 //!
 //! ## Rule families
 //!
 //! | rule | scope | what it forbids |
 //! |------|-------|-----------------|
-//! | `sans-io` | core, tls, netsim, sgx, telemetry | `std::net`, `Instant::now`, `SystemTime`, `thread::spawn`, unseeded randomness |
-//! | `secret-hygiene` | crypto, sgx, tls, core | `derive(Debug/Serialize)` on secret types, `Display` impls, `{:?}` formatting; requires zeroize-on-drop in all four crates |
-//! | `panic-freedom` | core, crypto, tls | `unwrap`/`expect`/`panic!` and wire-buffer indexing in parsing files |
+//! | `secret-hygiene` | crypto, sgx, tls, core, `pki/src/delegation` | `derive(Debug/Serialize)` on secret types, `Display` impls, `{:?}` formatting; requires zeroize-on-drop |
 //! | `const-time` | crypto, tls, core | `==`/`!=` on secret-tagged *or secret-tainted* operands outside `ct.rs` |
-//! | `shard-isolation` | host, netsim | shared statics, `Rc`/`RefCell`/locks, borrowed ring elements, hash-container iteration |
-//! | `unsafe-confinement` | crypto, tls, core, pki, host, netsim, http, mboxes, telemetry | the `unsafe` keyword outside the five crypto files the rule lists |
+//! | `shard-isolation` | host, netsim, mboxes | shared statics, `Rc`/`RefCell`/locks, borrowed ring elements, hash-container iteration |
 //!
 //! Rules are token-sequence matchers over a line-tagged token stream,
 //! sharpened by an intra-item dataflow pass ([`dataflow`]) that
@@ -27,26 +30,10 @@
 //! bindings, so `let s = keys.client_write; s == other` is caught
 //! even though the comparison names no secret.
 //!
-//! ## Allowlist
-//!
-//! A finding is marked reviewed — reported as allowed, with its
-//! reason — by
-//!
-//! ```text
-//! some_call(); // lint:allow(panic-freedom) -- length fixed by the caller's contract
-//! ```
-//!
-//! on the offending line, or on its own comment line directly above.
-//! The reason after `--` is mandatory; a malformed annotation is
-//! itself a blocking `allow-syntax` finding, so a typo cannot
-//! silently disable a rule. The workspace gate (the `mbtls-lint`
-//! binary, `tests/workspace_clean.rs`) fails on every finding,
-//! allowed ones included: the tree holds zero, so an annotation there
-//! can explain a finding but never pass it.
-//!
-//! There is no whole-file waiver. One more marker, `// lint:secret`
-//! above a type declaration, tags it secret-bearing even when its name
-//! does not match the built-in patterns.
+//! Every finding fails the gate (the `mbtls-lint` binary,
+//! `tests/workspace_clean.rs`); there is no waiver. One marker,
+//! `// lint:secret` above a type declaration, tags it secret-bearing
+//! even when its name does not match the built-in patterns.
 
 #![warn(missing_docs)]
 
@@ -71,7 +58,7 @@ pub fn lint_source(path_label: &str, src: &str, families: &[RuleId]) -> Vec<Find
 
 /// Lint the workspace rooted at `root`: walk every scoped `src/`
 /// tree, apply each file's applicable rule families, and return all
-/// findings (allowed ones included) sorted by path and line.
+/// findings sorted by path and line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut roots: Vec<&str> = config::SCOPES.iter().flat_map(|(_, p)| p.iter().copied()).collect();

@@ -1,6 +1,6 @@
 //! The `mbtls-lint` binary: lint the workspace, print every finding
-//! and a summary, optionally write JSON-lines findings, and exit
-//! non-zero when there is any finding at all, allowed or not.
+//! and a count, optionally write JSON-lines findings, and exit
+//! non-zero when there is any finding at all.
 //!
 //! ```text
 //! mbtls-lint [--root <dir>] [--json <file>]
@@ -9,9 +9,7 @@
 //! `--root` defaults to the nearest ancestor of the current directory
 //! that contains a `Cargo.toml` with `[workspace]` (so the binary
 //! works from any crate directory). `--json` writes one JSON object
-//! per finding, allowed ones included. The tree holds zero findings,
-//! so a `lint:allow` annotation waives nothing here: it names a
-//! reviewed finding in the report, and the run still fails on it.
+//! per finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -72,15 +70,11 @@ fn main() -> ExitCode {
     for f in &findings {
         println!("{}", report::human(f));
     }
-    println!("{}", report::summary(&findings));
+    println!("{} finding(s)", findings.len());
 
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "mbtls-lint: {} finding(s); fix them (a `lint:allow` annotation does not pass this gate)",
-            findings.len()
-        );
         ExitCode::FAILURE
     }
 }

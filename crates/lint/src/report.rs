@@ -4,23 +4,13 @@ use crate::rules::Finding;
 
 /// One finding as a human-readable line.
 pub fn human(finding: &Finding) -> String {
-    match &finding.allowed {
-        Some(reason) => format!(
-            "{}:{}: [{}] allowed: {} (reason: {})",
-            finding.path,
-            finding.line,
-            finding.rule.as_str(),
-            finding.message,
-            reason
-        ),
-        None => format!(
-            "{}:{}: [{}] {}",
-            finding.path,
-            finding.line,
-            finding.rule.as_str(),
-            finding.message
-        ),
-    }
+    format!(
+        "{}:{}: [{}] {}",
+        finding.path,
+        finding.line,
+        finding.rule.as_str(),
+        finding.message
+    )
 }
 
 /// One finding as a JSON object (one line, no trailing newline).
@@ -31,14 +21,6 @@ pub fn json_line(finding: &Finding) -> String {
     field(&mut out, "path", &finding.path);
     out.push_str(&format!(",\"line\":{},", finding.line));
     field(&mut out, "message", &finding.message);
-    out.push(',');
-    match &finding.allowed {
-        Some(reason) => {
-            out.push_str("\"allowed\":true,");
-            field(&mut out, "reason", reason);
-        }
-        None => out.push_str("\"allowed\":false"),
-    }
     out.push('}');
     out
 }
@@ -60,18 +42,6 @@ fn field(out: &mut String, key: &str, value: &str) {
     out.push('"');
 }
 
-/// Summary footer for the human report.
-pub fn summary(findings: &[Finding]) -> String {
-    let blocking = findings.iter().filter(|f| f.is_blocking()).count();
-    let allowed = findings.len() - blocking;
-    format!(
-        "{} finding(s): {} blocking, {} allowed",
-        findings.len(),
-        blocking,
-        allowed
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,15 +50,14 @@ mod tests {
     #[test]
     fn json_escapes_quotes() {
         let f = Finding {
-            rule: RuleId::PanicFreedom,
+            rule: RuleId::SecretHygiene,
             path: "a.rs".into(),
             line: 3,
             message: "bad \"quote\"".into(),
-            allowed: None,
         };
         let j = json_line(&f);
         assert!(j.contains("\\\"quote\\\""));
-        assert!(j.contains("\"allowed\":false"));
+        assert!(j.contains("\"line\":3,"));
         assert!(j.starts_with('{') && j.ends_with('}'));
     }
 }

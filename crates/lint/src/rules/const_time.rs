@@ -110,7 +110,7 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
                 message: format!(
                     "data-dependent table lookup `{lookup}`; the index drives which cache \
                      lines are touched — use a bitsliced circuit or a masked full-table \
-                     scan (or waive with lint:allow(const-time) and a reason)"
+                     scan"
                 ),
             });
         }

@@ -9,8 +9,7 @@
 //! are produced from the lexer's sanitized code (comments stripped,
 //! string/char contents blanked), so nothing in a comment or literal
 //! can fire a rule, and each token remembers the 0-based line it
-//! starts on so findings and `lint:allow` annotations stay
-//! line-anchored.
+//! starts on so findings stay line-anchored.
 //!
 //! This is still not a parser: there is no AST, just identifiers,
 //! numbers, and punctuation (with maximal-munch multi-character

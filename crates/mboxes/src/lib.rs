@@ -32,6 +32,17 @@
 //! direction is pass-through (DESIGN.md §6m).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+// Panic-freedom (DESIGN.md §6d): attacker bytes and impossible states
+// surface as errors, never as an abort of every session on the thread.
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod cache;
 pub mod chain;

@@ -25,6 +25,10 @@
 //!   Figure 6 inter-datacenter latency matrix.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+// Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
+// methods and types are listed in the workspace's clippy.toml.
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod fault;
 pub mod filter;

@@ -42,6 +42,9 @@
 //!   record crypto dominate — falls out of this model.
 
 #![warn(missing_docs)]
+// Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
+// methods and types are listed in the workspace's clippy.toml.
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod attest;
 pub mod cost;

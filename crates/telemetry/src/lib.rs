@@ -13,8 +13,6 @@
 //! - [`TelemetrySink`] — where events go. [`NullSink`] drops them,
 //!   [`Recorder`] keeps them for assertions, and [`JsonLinesSink`]
 //!   streams them as JSON lines for offline analysis.
-//! - [`Histogram`] — fixed-bucket distributions, for a reader that
-//!   wants one over a trace's values.
 //! - [`SharedSink`] — a cloneable handle (`Arc<Mutex<_>>` inside)
 //!   that parties, the network simulator, and the enclave simulator
 //!   all hold. It stamps every event from a shared [`VirtualClock`],
@@ -27,13 +25,15 @@
 //! check.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+// Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
+// methods and types are listed in the workspace's clippy.toml.
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod sink;
 
 pub use event::{close_outcome, fast_path_disabled, merge_shard_traces, Event, EventKind, Party};
 pub use json::{to_json_line, validate_json_line};
-pub use metrics::Histogram;
 pub use sink::{JsonLinesSink, NullSink, Recorder, SharedSink, TelemetrySink, VirtualClock};

@@ -3,6 +3,10 @@
 //! names this crate and `mbtls-core` use; what lives here is
 //! `StreamBuf`, the reassembly buffer under both stream readers.
 
+// A wire file (DESIGN.md §6d): its buffers hold a peer's bytes, and no
+// slice here is indexed.
+#![forbid(clippy::indexing_slicing)]
+
 pub use mbtls_pki::wire::{CodecError, Decoder, Encoder};
 
 /// The reassembly buffer under the record reader and the handshake

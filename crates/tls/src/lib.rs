@@ -40,6 +40,20 @@
 //! few new messages.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+// Panic-freedom (DESIGN.md §6d): attacker bytes and impossible states
+// surface as errors, never as an abort of every session on the thread.
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
+// methods and types are listed in the workspace's clippy.toml.
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod alert;
 pub mod client;

@@ -1,6 +1,10 @@
 //! Handshake message definitions and codecs (RFC 5246 §7.4, plus the
 //! mbTLS `sgx_attestation(17)` message from the paper's Appendix A.2).
 
+// A wire file (DESIGN.md §6d): its buffers hold a peer's bytes, and no
+// slice here is indexed.
+#![forbid(clippy::indexing_slicing)]
+
 use crate::codec::{CodecError, Decoder, Encoder, StreamBuf};
 use crate::suites::CipherSuite;
 use crate::TlsError;
@@ -133,14 +137,11 @@ impl ClientHello {
         if session_id.len() > 32 {
             return Err(TlsError::Decode("session id too long"));
         }
-        let suites_raw = d.vec16()?;
-        if suites_raw.len() % 2 != 0 || suites_raw.is_empty() {
+        let (suites, odd) = d.vec16()?.as_chunks::<2>();
+        if !odd.is_empty() || suites.is_empty() {
             return Err(TlsError::Decode("bad cipher suite list"));
         }
-        let cipher_suites = suites_raw
-            .chunks_exact(2)
-            .map(|c| u16::from_be_bytes([c[0], c[1]]))
-            .collect();
+        let cipher_suites = suites.iter().map(|&c| u16::from_be_bytes(c)).collect();
         let compressions = d.vec8()?;
         if !compressions.contains(&0) {
             return Err(TlsError::Decode("null compression not offered"));

@@ -6,6 +6,10 @@
 //! them to the caller instead of aborting — the hook mbTLS's
 //! subchannel multiplexing is built on.
 
+// A wire file (DESIGN.md §6d): its buffers hold a peer's bytes, and no
+// slice here is indexed.
+#![forbid(clippy::indexing_slicing)]
+
 use crate::codec::StreamBuf;
 use crate::suites::CipherSuite;
 use crate::TlsError;

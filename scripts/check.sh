@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Full local gate, run as named stages with per-stage timing:
 #
-#   lint        mbtls-lint workspace invariants (sans-IO, secret
-#               hygiene, panic-freedom, const-time, shard-isolation,
-#               unsafe-confinement); JSON-lines report to
-#               target/lint-report.jsonl. Any finding fails, one
-#               annotated with `lint:allow` included: the tree holds
+#   lint        mbtls-lint workspace invariants the compiler cannot
+#               see (secret hygiene, const-time, shard-isolation);
+#               JSON-lines report to target/lint-report.jsonl. Any
+#               finding fails: there is no waiver, and the tree holds
 #               zero
-#   clippy      cargo clippy --workspace --all-targets -D warnings
+#   clippy      cargo clippy --workspace --all-targets -D warnings:
+#               also where the sans-IO and panic-freedom lints that
+#               the protocol crate roots forbid (DESIGN.md §6d) gate;
+#               `unsafe` confinement is rustc's and gates in every
+#               build
 #   doc         cargo doc --no-deps --workspace with
 #               rustdoc::broken_intra_doc_links and
 #               rustdoc::private_intra_doc_links denied: a doc link to a

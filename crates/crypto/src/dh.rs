@@ -4,7 +4,8 @@
 
 use crate::bignum::BigUint;
 use crate::rng::CryptoRng;
-use crate::CryptoError;
+use crate::secret::Secret;
+use crate::{ct, CryptoError};
 
 /// Byte length of the ffdhe2048 prime.
 pub const PRIME_LEN: usize = 256;
@@ -65,9 +66,9 @@ impl DhSecret {
         rng.fill(&mut buf);
         buf[0] |= 0x80; // force full bit length
         buf[47] |= 1; // non-zero
-        DhSecret {
-            x: BigUint::from_bytes_be(&buf),
-        }
+        let x = BigUint::from_bytes_be(&buf);
+        ct::zeroize(&mut buf);
+        DhSecret { x }
     }
 
     /// g^x mod p.
@@ -77,9 +78,10 @@ impl DhSecret {
     }
 
     /// Shared secret Z = peer^x mod p, serialized to the full group
-    /// length (TLS 1.2 strips leading zeros of Z; we keep the padded
-    /// form internally and strip at the key-schedule boundary).
-    pub fn diffie_hellman(&self, peer: &DhPublic) -> Result<Vec<u8>, CryptoError> {
+    /// length as a [`Secret`] (TLS 1.2 strips leading zeros of Z; we
+    /// keep the padded form internally and strip at the key-schedule
+    /// boundary).
+    pub fn diffie_hellman(&self, peer: &DhPublic) -> Result<Secret, CryptoError> {
         let p = prime();
         let y = BigUint::from_bytes_be(&peer.0);
         // Reject out-of-range and degenerate values: y <= 1 or y >= p-1.
@@ -94,7 +96,7 @@ impl DhSecret {
         if z.cmp_val(&one) != std::cmp::Ordering::Greater {
             return Err(CryptoError::BadPublicValue);
         }
-        Ok(z.to_bytes_be_padded(PRIME_LEN))
+        Ok(Secret::from(z.to_bytes_be_padded(PRIME_LEN)))
     }
 }
 

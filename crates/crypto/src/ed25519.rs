@@ -706,12 +706,18 @@ impl SigningKey {
         sig[32..].copy_from_slice(&s_out);
         Signature(sig)
     }
+
+    /// Zero the scalar and the nonce prefix in place. What [`Drop`]
+    /// runs.
+    fn wipe(&mut self) {
+        crate::ct::zeroize(&mut self.s);
+        crate::ct::zeroize(&mut self.prefix);
+    }
 }
 
 impl Drop for SigningKey {
     fn drop(&mut self) {
-        crate::ct::zeroize(&mut self.s);
-        crate::ct::zeroize(&mut self.prefix);
+        self.wipe();
     }
 }
 
@@ -1055,6 +1061,12 @@ mod tests {
         // check directly.
         assert!(base.t.ct_eq(base.x.mul(base.y)));
         assert!(base.z.ct_eq(Fe::ONE));
+    }
+
+    #[test]
+    fn signing_key_wipes_on_drop() {
+        let key = SigningKey::generate(&mut CryptoRng::from_seed(5));
+        crate::ct::assert_wipes(key, SigningKey::wipe, |k| vec![k.s.to_vec(), k.prefix.to_vec()]);
     }
 
     // RFC 8032 §7.1 TEST 1 (empty message).

@@ -15,6 +15,18 @@ use crate::ct;
 /// It reads as a `[u8]`, cannot grow (so no reallocation ever leaves
 /// a stale copy behind), compares in constant time and prints only
 /// its length.
+///
+/// Its only `PartialEq` is against another `Secret`, through
+/// [`ct::eq`], so a variable-time `==` against plain bytes does not
+/// compile, whatever the binding holding the secret is called:
+///
+/// ```compile_fail,E0277
+/// use mbtls_crypto::secret::Secret;
+/// let key: Secret = vec![7u8; 32].into();
+/// let renamed = &key;
+/// let probe: &[u8] = &[7u8; 32];
+/// let _ = renamed == probe;
+/// ```
 #[derive(Clone)]
 pub struct Secret(Vec<u8>);
 

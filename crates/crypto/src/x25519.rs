@@ -3,12 +3,24 @@
 
 use crate::field25519::Fe;
 use crate::rng::CryptoRng;
+use crate::secret::Secret;
 use crate::{ct, CryptoError};
 
 /// Length of public keys, secret keys, and shared secrets.
 pub const KEY_LEN: usize = 32;
 
 /// An X25519 secret scalar (already clamped).
+///
+/// It has no `PartialEq`, so a variable-time `==` on one does not
+/// compile, whatever the binding holding it is called:
+///
+/// ```compile_fail,E0369
+/// use mbtls_crypto::{rng::CryptoRng, x25519::SecretKey};
+/// let mut rng = CryptoRng::from_seed(1);
+/// let (a, b) = (SecretKey::generate(&mut rng), SecretKey::generate(&mut rng));
+/// let renamed = a;
+/// let _ = renamed == b;
+/// ```
 #[derive(Clone)]
 pub struct SecretKey([u8; 32]);
 
@@ -39,12 +51,13 @@ impl SecretKey {
         PublicKey(crate::ed25519::mul_base_montgomery_u(&self.0))
     }
 
-    /// Compute the shared secret with the peer's public value.
+    /// Compute the shared secret with the peer's public value, as a
+    /// [`Secret`] (the pre-master secret of an ECDHE exchange).
     ///
     /// Rejects the all-zero output that results from small-order peer
     /// points, as RFC 7748 §6.1 requires for TLS-like protocols.
-    pub fn diffie_hellman(&self, peer: &PublicKey) -> Result<[u8; 32], CryptoError> {
-        let shared = scalar_mult(&self.0, &peer.0);
+    pub fn diffie_hellman(&self, peer: &PublicKey) -> Result<Secret, CryptoError> {
+        let shared = Secret::from(scalar_mult(&self.0, &peer.0));
         if ct::eq(&shared, &[0u8; 32]) {
             return Err(CryptoError::BadPublicValue);
         }
@@ -56,11 +69,16 @@ impl SecretKey {
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
+
+    /// Zero the scalar in place. What [`Drop`] runs.
+    fn wipe(&mut self) {
+        ct::zeroize(&mut self.0);
+    }
 }
 
 impl Drop for SecretKey {
     fn drop(&mut self) {
-        ct::zeroize(&mut self.0);
+        self.wipe();
     }
 }
 
@@ -164,7 +182,7 @@ mod tests {
         let k2 = bob_sk.diffie_hellman(&alice_pk).unwrap();
         assert_eq!(k1, k2);
         assert_eq!(
-            k1,
+            *k1,
             unhex32("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742")
         );
     }
@@ -292,7 +310,7 @@ mod tests {
         p_plus_9[0] = 0xf6;
         p_plus_9[31] = 0x7f;
         let via_base = sk.diffie_hellman(&PublicKey(BASE_U)).unwrap();
-        assert_eq!(via_base, sk.public_key().0);
+        assert_eq!(*via_base, sk.public_key().0);
         assert_eq!(sk.diffie_hellman(&PublicKey(p_plus_9)).unwrap(), via_base);
         p_plus_9[31] = 0xff;
         assert_eq!(sk.diffie_hellman(&PublicKey(p_plus_9)).unwrap(), via_base);
@@ -318,6 +336,12 @@ mod tests {
         let ab = a.diffie_hellman(&b.public_key()).unwrap();
         let ac = a.diffie_hellman(&c.public_key()).unwrap();
         assert_ne!(ab, ac);
+    }
+
+    #[test]
+    fn secret_key_wipes_on_drop() {
+        let sk = SecretKey::generate(&mut CryptoRng::from_seed(3));
+        ct::assert_wipes(sk, SecretKey::wipe, |sk| vec![sk.0.to_vec()]);
     }
 
     #[test]

@@ -43,6 +43,10 @@
 // Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
 // methods and types are listed in the workspace's clippy.toml.
 #![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
+// Shard isolation (DESIGN.md §6d): nothing walks a hash container,
+// whose order is randomized per process. Its iteration methods are
+// disallowed in clippy.toml; a `for` loop over one is this lint.
+#![forbid(clippy::iter_over_hash_type)]
 
 pub mod config;
 pub mod host;

@@ -24,9 +24,8 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
     ),
     (
         // Constant-time discipline is enforced where the primitives
-        // are implemented — and, since the dataflow pass can follow
-        // secrets through local bindings, also where key material is
-        // handled (tls key schedule, core session plumbing).
+        // are implemented, and where key material is handled (tls key
+        // schedule, core session plumbing).
         RuleId::ConstTime,
         &["crates/crypto/src", "crates/tls/src", "crates/core/src"],
     ),
@@ -34,7 +33,8 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
         // The shared-nothing shard discipline: the threaded-shards
         // ROADMAP item puts each Shard on an OS thread, so nothing in
         // the host or the simulator under it may share mutable state
-        // or iterate hash containers on trace/bench paths. Middlebox
+        // (hash-container iteration is clippy's; see the roots' forbid
+        // attributes and clippy.toml). Middlebox
         // processors run inside shard-owned sessions (the host's
         // service-chain load), so they are held to the same bar —
         // the cache's FIFO eviction exists to satisfy it.

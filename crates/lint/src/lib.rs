@@ -14,21 +14,24 @@
 //! `clippy::unwrap_used` and its siblings (plus
 //! `clippy::indexing_slicing` in the wire-parsing files), and
 //! `unsafe` confinement is rustc's `unsafe_code`, allowed on five
-//! crypto modules only.
+//! crypto modules only. Two shapes a name cannot show are held by
+//! type, too: hash-container iteration in the shard-scoped crates is
+//! `clippy::iter_over_hash_type` plus the `HashMap`/`HashSet`
+//! iteration methods in `clippy.toml`, and `==` on a secret that a
+//! local renamed fails to compile, because `Secret` compares only
+//! through `ct::eq` and the key types have no `PartialEq`.
 //!
 //! ## Rule families
 //!
 //! | rule | scope | what it forbids |
 //! |------|-------|-----------------|
 //! | `secret-hygiene` | crypto, sgx, tls, core, `pki/src/delegation` | `derive(Debug/Serialize)` on secret types, `Display` impls, `{:?}` formatting; requires zeroize-on-drop |
-//! | `const-time` | crypto, tls, core | `==`/`!=` on secret-tagged *or secret-tainted* operands outside `ct.rs` |
-//! | `shard-isolation` | host, netsim, mboxes | shared statics, `Rc`/`RefCell`/locks, borrowed ring elements, hash-container iteration |
+//! | `const-time` | crypto, tls, core | `==`/`!=` on secret-named operands and byte-cast or secret-named table indices, outside `ct.rs` |
+//! | `shard-isolation` | host, netsim, mboxes | shared statics, `Rc`/`RefCell`/locks |
 //!
-//! Rules are token-sequence matchers over a line-tagged token stream,
-//! sharpened by an intra-item dataflow pass ([`dataflow`]) that
-//! follows secret values (and hash containers) through local
-//! bindings, so `let s = keys.client_write; s == other` is caught
-//! even though the comparison names no secret.
+//! Rules are token-sequence matchers over a line-tagged token stream:
+//! they see names, not bindings, so a secret that a local renames is
+//! out of their reach (DESIGN.md §6d lists what that leaves).
 //!
 //! Every finding fails the gate (the `mbtls-lint` binary,
 //! `tests/workspace_clean.rs`); there is no waiver. One marker,
@@ -38,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod dataflow;
 pub mod lexer;
 pub mod report;
 pub mod rules;

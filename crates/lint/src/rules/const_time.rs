@@ -14,13 +14,12 @@
 //! single-line one. `ct.rs` itself is exempt — it is the
 //! implementation the rule points everyone at.
 //!
-//! On top of the name match, the rule consults the dataflow pass
-//! ([`crate::dataflow`]): an operand that *is* (or contains) a local
-//! binding carrying secret taint — `let s = keys.client_write;
-//! s == other`, through any number of rebinds — is flagged even
-//! though no token in the comparison names a secret. The finding
-//! message carries the taint origin so the alias chain is visible in
-//! the report.
+//! A comparison through an alias that names no secret (`let s =
+//! keys.client_write; s == other`) is the types' to refuse, not this
+//! rule's: `Secret`'s only `PartialEq` is `ct::eq`, and the key types
+//! (`x25519::SecretKey`, `SigningKey`, `DhSecret`) have none, so
+//! `&Secret == &[u8]` and `sk == other` do not compile (DESIGN.md
+//! §6d).
 //!
 //! The second heuristic targets the classic AES cache-timing channel:
 //! `base[x as usize]`-shaped indexing, where the index is a byte cast
@@ -29,12 +28,12 @@
 //! over tokens, so an index continued on the next line is in reach.
 //! Loop counters (`w[i]`), ranges (`buf[4..8]`), and literal indices
 //! do not trip it. An index cast in a `let` and used through the
-//! local, or a keyed value reaching the lookup through a function's
-//! parameters, is not seen (`fixtures/const_time/keyed_accumulator.rs`
-//! pins that blind spot).
+//! local, an index that aliases a secret through a local, or a keyed
+//! value reaching the lookup through a function's parameters, is not
+//! seen (`fixtures/const_time/keyed_accumulator.rs` and
+//! `bad_window.rs` pin those blind spots).
 
 use super::Hit;
-use crate::dataflow::Taint;
 use crate::source::SourceFile;
 use crate::tokens::{
     contains_seq, matching_close, operand_span_after, operand_span_before, render, Token,
@@ -59,52 +58,29 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
         return Vec::new();
     }
     let tokens = &file.tokens;
-    let taint = Taint::analyze(file);
     let mut hits = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
         if file.is_test[tok.line] {
             continue;
         }
         if tok.text == "==" || tok.text == "!=" {
-            let lhs_span = operand_span_before(tokens, i);
-            let rhs_span = operand_span_after(tokens, i + 1);
-            let mut flagged = false;
-            for span in [lhs_span.clone(), rhs_span.clone()] {
-                let operand = render(&tokens[span]);
-                if is_secret_operand(&operand) {
-                    hits.push(Hit {
-                        line: tok.line,
-                        message: format!(
-                            "variable-time comparison on secret-tagged operand `{operand}`; \
-                             use ct::eq / ct::select_byte instead of `{}`",
-                            tok.text
-                        ),
-                    });
-                    flagged = true;
-                    break; // one finding per comparison
-                }
-            }
-            if !flagged {
-                // The name match saw nothing — ask the dataflow pass
-                // whether either operand is an alias of a secret.
-                for span in [lhs_span, rhs_span] {
-                    if let Some((_, origin)) = taint.origin_in(span.clone()) {
-                        let operand = render(&tokens[span]);
-                        hits.push(Hit {
-                            line: tok.line,
-                            message: format!(
-                                "variable-time comparison on `{operand}`, which carries secret \
-                                 taint from `{origin}`; use ct::eq / ct::select_byte instead of \
-                                 `{}`",
-                                tok.text
-                            ),
-                        });
-                        break;
-                    }
-                }
+            let operands = [operand_span_before(tokens, i), operand_span_after(tokens, i + 1)];
+            if let Some(operand) = operands
+                .into_iter()
+                .map(|span| render(&tokens[span]))
+                .find(|operand| is_secret_operand(operand))
+            {
+                hits.push(Hit {
+                    line: tok.line,
+                    message: format!(
+                        "variable-time comparison on secret-tagged operand `{operand}`; \
+                         use ct::eq / ct::select_byte instead of `{}`",
+                        tok.text
+                    ),
+                });
             }
         }
-        if let Some(lookup) = table_lookup_at(tokens, i, &taint) {
+        if let Some(lookup) = table_lookup_at(tokens, i) {
             hits.push(Hit {
                 line: tok.line,
                 message: format!(
@@ -122,7 +98,7 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
 /// — contains a byte-to-index cast (`as usize`, `usize::from`) or
 /// names a secret — return the rendered `base[index]` expression.
 /// Ranges and plain counters pass.
-fn table_lookup_at(tokens: &[Token], i: usize, taint: &Taint) -> Option<String> {
+fn table_lookup_at(tokens: &[Token], i: usize) -> Option<String> {
     if tokens[i].text != "[" || i == 0 {
         return None;
     }
@@ -140,8 +116,7 @@ fn table_lookup_at(tokens: &[Token], i: usize, taint: &Taint) -> Option<String> 
     let index = render(index_tokens);
     let data_derived = contains_seq(index_tokens, &["as", "usize"])
         || contains_seq(index_tokens, &["usize", "::", "from"])
-        || is_secret_operand(&index)
-        || taint.origin_in(i + 1..close).is_some();
+        || is_secret_operand(&index);
     if !data_derived {
         return None;
     }
@@ -199,11 +174,8 @@ mod tests {
     }
 
     fn lookups(src: &str) -> Vec<String> {
-        let file = crate::source::SourceFile::parse("crates/crypto/src/t.rs", src);
-        let taint = Taint::analyze(&file);
-        (0..file.tokens.len())
-            .filter_map(|i| table_lookup_at(&file.tokens, i, &taint))
-            .collect()
+        let tokens = toks(src);
+        (0..tokens.len()).filter_map(|i| table_lookup_at(&tokens, i)).collect()
     }
 
     #[test]

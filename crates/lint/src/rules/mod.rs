@@ -15,9 +15,8 @@ pub enum RuleId {
     /// Comparisons on secret values in `crypto` must go through the
     /// `ct` primitives.
     ConstTime,
-    /// Sharded host/netsim code must stay shared-nothing and
-    /// iteration-order deterministic: no shared statics, no
-    /// `Rc`/`RefCell`/locks, no hash-container iteration.
+    /// Sharded host/netsim code must stay shared-nothing: no shared
+    /// statics, no `Rc`/`RefCell`/locks.
     ShardIsolation,
 }
 

@@ -23,29 +23,25 @@
 //! Independently, debug format specifiers (`{:?}`-style) are banned
 //! in non-test protocol/crypto code: the redacted `Debug` impls make
 //! them safe-ish, but a `{:?}` on the wrong binding is exactly the
-//! leak this family exists to stop, so each use must be annotated.
-//!
-//! Two further sinks consult the dataflow pass
-//! ([`crate::dataflow`]), which follows secret values through local
-//! bindings:
-//!
-//! * a format macro whose literal carries a debug specifier and whose
-//!   arguments include a secret-*tainted* binding is reported with
-//!   the taint origin (`let s = keys.client_write; trace!("{s:?}")`);
-//! * a secret-tainted value stored into a struct literal of a type
-//!   that `derive(Debug)`s — a *carrier* — is flagged: the secret
-//!   would leak through the carrier's derived `Debug` even though the
-//!   secret type itself is redacted.
+//! leak this family exists to stop, so none is allowed outside tests.
+//! The ban stays lexical: `clippy::use_debug` sees only the
+//! `print!`/`write!` family, not `format!("{:?}", x)` or
+//! `format!("{x:?}")`.
 
 use super::Hit;
-use crate::dataflow::Taint;
 use crate::source::SourceFile;
 use crate::tokens::{matching_close, seq_at, Token};
 
 /// Built-in secret-bearing type-name patterns (in addition to
 /// explicit `// lint:secret` markers).
-pub(crate) fn is_secret_name(name: &str) -> bool {
-    crate::dataflow::secret_type_name(name)
+fn is_secret_name(name: &str) -> bool {
+    name.contains("Secret")
+        || name.contains("SigningKey")
+        || name.contains("KeyMaterial")
+        || matches!(
+            name,
+            "SessionKeys" | "TicketPlaintext" | "ResumptionData" | "KeyBlock" | "HopKeys"
+        )
 }
 
 /// Crates in which secret types must also zeroize on drop: every
@@ -117,153 +113,7 @@ pub(crate) fn check(file: &SourceFile) -> Vec<Hit> {
             });
         }
     }
-
-    // Dataflow sinks: formats and Debug-deriving carriers fed by
-    // bindings that *carry* a secret without naming one.
-    let taint = Taint::analyze(file);
-    taint_format_sinks(file, &taint, &mut hits);
-    taint_carrier_sinks(file, &taint, &decls, &mut hits);
     hits
-}
-
-/// Format/log macros whose arguments could reach a log line.
-const FMT_MACROS: &[&str] = &[
-    "format", "println", "print", "eprintln", "eprint", "write", "writeln", "panic", "assert",
-    "assert_eq", "assert_ne", "debug", "trace", "info", "warn", "error", "log",
-];
-
-/// Flag `mac!(… "{:?}" … tainted …)`: a debug format whose arguments
-/// include a secret-tainted binding. The blanket `{:?}` ban already
-/// fires on the line; this finding adds *which* binding leaks and
-/// where its secret came from, and anchors on the macro even when the
-/// tainted argument sits on a later line.
-fn taint_format_sinks(file: &SourceFile, taint: &Taint, hits: &mut Vec<Hit>) {
-    let tokens = &file.tokens;
-    for i in 0..tokens.len() {
-        if file.is_test[tokens[i].line] {
-            continue;
-        }
-        if !(tokens[i].is_word()
-            && FMT_MACROS.contains(&tokens[i].text.as_str())
-            && tokens.get(i + 1).is_some_and(|t| t.text == "!")
-            && tokens.get(i + 2).is_some_and(|t| t.text == "("))
-        {
-            continue;
-        }
-        let Some(close) = matching_close(tokens, i + 2, "(", ")") else {
-            continue;
-        };
-        // Debug specifier anywhere in the literals the macro spans.
-        let has_debug_spec = (tokens[i].line..=tokens[close].line)
-            .any(|l| file.lines.get(l).is_some_and(|ln| ln.strings.contains("?}")));
-        if !has_debug_spec {
-            continue;
-        }
-        for arg in split_depth0(tokens, i + 3..close) {
-            if let Some((k, origin)) = taint.expr_origin_in(tokens, arg) {
-                hits.push(Hit {
-                    line: tokens[i].line,
-                    message: format!(
-                        "debug format of binding `{}`, which carries secret taint from \
-                         `{origin}`; the rebind does not launder the secret — drop the format \
-                         or print explicit public fields",
-                        tokens[k].text
-                    ),
-                });
-                break;
-            }
-        }
-    }
-}
-
-/// Split `range` into segments at depth-0 commas (the argument / field
-/// boundaries of the construct the caller matched).
-fn split_depth0(tokens: &[Token], range: std::ops::Range<usize>) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = range.start;
-    for j in range.clone() {
-        match tokens[j].text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "," if depth == 0 => {
-                out.push(start..j);
-                start = j + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < range.end {
-        out.push(start..range.end);
-    }
-    out
-}
-
-/// Flag `Carrier {{ field: tainted, .. }}` where `Carrier` derives
-/// `Debug` in this file: the carrier's derived impl prints every
-/// field, so a secret smuggled into one leaks through `{:?}` on the
-/// carrier even though the secret's own type is redacted.
-fn taint_carrier_sinks(file: &SourceFile, taint: &Taint, decls: &[TypeDecl], hits: &mut Vec<Hit>) {
-    let debug_carriers: Vec<&str> = decls
-        .iter()
-        .filter(|d| d.derives.iter().any(|dv| dv.what == "Debug"))
-        .map(|d| d.name.as_str())
-        .collect();
-    if debug_carriers.is_empty() {
-        return;
-    }
-    let tokens = &file.tokens;
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if file.is_test[t.line]
-            || !t.is_word()
-            || !debug_carriers.contains(&t.text.as_str())
-            || tokens.get(i + 1).is_none_or(|n| n.text != "{")
-        {
-            continue;
-        }
-        // Skip the declaration itself, pattern positions, and a
-        // return type directly before the function body (`-> Quote {`
-        // opens the body, not a struct literal).
-        if i > 0
-            && matches!(
-                tokens[i - 1].text.as_str(),
-                "struct" | "enum" | "impl" | "for" | "trait" | "mod" | "->"
-            )
-        {
-            continue;
-        }
-        let Some(close) = matching_close(tokens, i + 1, "{", "}") else {
-            continue;
-        };
-        if tokens.get(close + 1).is_some_and(|n| n.text == "=>") {
-            continue; // match-arm pattern, not construction
-        }
-        // Judge each field's *value expression* — a field holding a
-        // boolean derived from a secret (`blocked: got == want`) is
-        // public, a field holding the secret itself is not.
-        for field in split_depth0(tokens, i + 2..close) {
-            let mut value = field.clone();
-            // Strip the `name:` label (but not a `path::` segment).
-            if tokens.get(field.start).is_some_and(|t| t.is_word())
-                && tokens.get(field.start + 1).is_some_and(|t| t.text == ":")
-            {
-                value = field.start + 2..field.end;
-            }
-            if let Some((_, origin)) = taint.expr_origin_in(tokens, value) {
-                hits.push(Hit {
-                    line: t.line,
-                    message: format!(
-                        "secret-tainted value (from `{origin}`) stored in `{}`, which derives \
-                         Debug; the derived impl prints every field — redact the carrier's \
-                         Debug or keep the secret out of it",
-                        t.text
-                    ),
-                });
-                break;
-            }
-        }
-    }
 }
 
 /// One `derive(X)` occurrence attached to a declaration.

@@ -163,12 +163,13 @@ fn const_time_good_fixture_is_clean() {
 #[test]
 fn const_time_window_fixture_is_caught() {
     // Precomputed-table window fetches indexed by scalar-derived
-    // data: a cast inside the brackets (line 4), a `usize::from`
-    // inside the brackets (line 8), and an index aliasing a secret
-    // through a local (line 13) must all fire.
+    // data: a cast inside the brackets (line 4) and a `usize::from`
+    // inside the brackets (line 8) must fire. An index that aliases a
+    // secret through a local (line 13) is not seen: the rule reads
+    // names, not bindings, and DESIGN.md §6d lists it as a residual.
     let src = fixture("const_time", "bad_window.rs");
     let findings = lint_source("crates/crypto/src/fixture.rs", &src, &[RuleId::ConstTime]);
-    assert_eq!(lines_of(&findings, RuleId::ConstTime), vec![4, 8, 13]);
+    assert_eq!(lines_of(&findings, RuleId::ConstTime), vec![4, 8]);
     assert!(
         findings.iter().all(|f| f.message.contains("table lookup")),
         "window fetches must be reported as table lookups: {findings:?}"
@@ -187,29 +188,11 @@ fn const_time_window_negative_fixture_is_clean() {
 }
 
 #[test]
-fn const_time_alias_fixture_is_caught() {
-    let src = fixture("const_time", "bad_alias.rs");
-    let findings = lint_source("crates/crypto/src/fixture.rs", &src, &[RuleId::ConstTime]);
-    // Line 5: secret aliased through two rebinds; line 9: closure
-    // parameter capturing a secret receiver; line 14: tuple
-    // destructure of a secret-typed parameter.
-    assert_eq!(lines_of(&findings, RuleId::ConstTime), vec![5, 9, 14]);
-    assert!(
-        findings.iter().all(|f| f.message.contains("carries secret taint")),
-        "alias findings must come from the dataflow pass: {findings:?}"
-    );
-    // The message names the taint origin so the alias chain is
-    // auditable from the report alone.
-    assert!(findings.iter().any(|f| f.message.contains("from `SessionKeys`")));
-    assert!(findings.iter().any(|f| f.message.contains("from `secrets`")));
-    assert!(findings.iter().any(|f| f.message.contains("from `SecretKey`")));
-}
-
-#[test]
 fn const_time_alias_negative_fixture_is_clean() {
-    // The same rebind/closure shapes over *public* values — plus a
-    // shadowing rebind to `.len()` that launders the taint — must not
-    // fire: precision is what makes the taint pass adoptable.
+    // Rebinds and closures over *public* values, a shadowing rebind
+    // of a key to its `.len()`, and a key's length compared with a
+    // literal must not fire: the name match is precise about public
+    // metadata.
     let src = fixture("const_time", "good_alias.rs");
     let findings = lint_source("crates/crypto/src/fixture.rs", &src, &[RuleId::ConstTime]);
     assert!(findings.is_empty(), "unexpected findings: {findings:?}");
@@ -221,8 +204,8 @@ fn const_time_keyed_accumulator_fixture_pins_a_blind_spot() {
     // accumulator that depends on the key. Only the Shoup-table
     // lookup (line 26) fires, and for the `as usize` inside its
     // brackets, not for the key behind it. `R8[rem]` (line 25) is
-    // missed: its cast sits in a `let`, and taint does not follow the
-    // key through `mul_table`'s parameters. DESIGN.md §6d lists this
+    // missed: its cast sits in a `let`, and the rule does not follow
+    // the key through `mul_table`'s parameters. DESIGN.md §6d lists this
     // blind spot; a rule change that closes it updates this pin.
     let src = fixture("const_time", "keyed_accumulator.rs");
     let findings = lint_source("crates/crypto/src/fixture.rs", &src, &[RuleId::ConstTime]);
@@ -234,26 +217,13 @@ fn const_time_keyed_accumulator_fixture_pins_a_blind_spot() {
 fn secret_hygiene_alias_fixture_is_caught() {
     let src = fixture("secret_hygiene", "bad_alias.rs");
     let findings = lint_source("crates/crypto/src/fixture.rs", &src, &[RuleId::SecretHygiene]);
-    // Line 8: `{:?}` of a rebound secret — both the blanket specifier
-    // ban and the taint sink (which names the leaking binding) fire.
-    assert!(
-        findings.iter().any(|f| f.line == 8 && f.message.contains("debug format specifier")),
-        "missing blanket {{:?}} finding: {findings:?}"
-    );
-    assert!(
-        findings.iter().any(|f| f.line == 8
-            && f.message.contains("`snapshot`")
-            && f.message.contains("carries secret taint from `SessionKeys`")),
-        "missing taint format-sink finding: {findings:?}"
-    );
-    // Line 14: a destructured secret half stored in a Debug-deriving
-    // carrier struct.
-    assert!(
-        findings.iter().any(|f| f.line == 14
-            && f.message.contains("stored in `Telemetry`")
-            && f.message.contains("derives Debug")),
-        "missing Debug-carrier finding: {findings:?}"
-    );
+    // Line 8: `{:?}` of a rebound secret — the blanket specifier ban
+    // fires whatever the argument is called. Line 14 stores a
+    // destructured secret half in a Debug-deriving struct; no rule
+    // follows a value through a rebind, and DESIGN.md §6d lists that
+    // as a residual. Nothing else in the fixture is a finding.
+    assert_eq!(lines_of(&findings, RuleId::SecretHygiene), vec![8], "{findings:?}");
+    assert!(findings[0].message.contains("debug format specifier"), "{findings:?}");
 }
 
 #[test]
@@ -262,18 +232,15 @@ fn shard_isolation_bad_fixture_is_caught() {
     let findings = lint_source("crates/host/src/fixture.rs", &src, &[RuleId::ShardIsolation]);
     let lines = lines_of(&findings, RuleId::ShardIsolation);
     // 1: static mut, 2: static item, 5: Rc, 6: RefCell, 7: Mutex
-    // (inside Arc), 13: iteration over a HashMap reached through a
-    // rebind.
-    for expected in [1, 2, 5, 6, 7, 13] {
-        assert!(lines.contains(&expected), "expected shard-isolation finding on line {expected}, got {lines:?}");
-    }
+    // (inside Arc). Hash-container iteration is clippy's, by type
+    // (`workspace_clean.rs` checks the roots forbid it).
+    assert_eq!(lines, vec![1, 2, 5, 6, 7]);
     let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
     assert!(msgs.iter().any(|m| m.contains("`static mut`")));
     assert!(msgs.iter().any(|m| m.contains("`static` item")));
     assert!(msgs.iter().any(|m| m.contains("`Rc`")));
     assert!(msgs.iter().any(|m| m.contains("`RefCell`")));
     assert!(msgs.iter().any(|m| m.contains("`Mutex`")));
-    assert!(msgs.iter().any(|m| m.contains("order is randomized")));
 }
 
 #[test]

@@ -6,12 +6,3 @@ pub struct BadShard {
     scratch: RefCell<Vec<u8>>,
     shared: Arc<Mutex<Vec<Event>>>,
 }
-
-fn drain_trace(sessions: HashMap<u64, Session>) -> Vec<u64> {
-    let live = sessions;
-    let mut out = Vec::new();
-    for (id, _s) in live.iter() {
-        out.push(*id);
-    }
-    out
-}

@@ -35,8 +35,9 @@ fn workspace_has_no_blocking_findings() {
 /// The sharded host and netsim are shard-isolation-clean. The
 /// shared-nothing audit (paper §6.2's per-middlebox isolation, carried
 /// into the per-worker shards) is only as strong as this invariant:
-/// the day a `Mutex` or hash-iteration lands in `crates/host`, the fix
-/// is to restructure.
+/// the day a `Mutex` or a `static` lands in `crates/host`, the fix is
+/// to restructure. (Hash-container iteration there is clippy's; see
+/// `SHARD` below.)
 #[test]
 fn shard_scoped_crates_have_zero_shard_isolation_findings() {
     let shard = reported(Some(RuleId::ShardIsolation));
@@ -57,22 +58,26 @@ const PANIC: &[&str] = &[
 ];
 const SANS_IO: &[&str] = &["clippy::disallowed_methods", "clippy::disallowed_types"];
 const WIRE: &[&str] = &["clippy::indexing_slicing"];
+/// No walk over a hash container: `for` loops are `iter_over_hash_type`,
+/// the iteration methods are `disallowed_methods` over clippy.toml.
+const SHARD: &[&str] = &["clippy::iter_over_hash_type", "clippy::disallowed_methods"];
 
 /// (file, the clippy lint groups its `#![forbid(..)]` attributes must
 /// name). The crate roots hold the crate-wide invariants; the wire
-/// files, whose buffers hold attacker bytes, also forbid indexing.
+/// files, whose buffers hold attacker bytes, also forbid indexing, and
+/// the shard-scoped crates forbid hash-container walks.
 /// `unsafe_code` has its own tests: `unsafe_is_confined_with_zero_findings`
 /// here and `engine.rs`'s `unsafe_confinement_*`.
 const FORBIDS: &[(&str, &[&[&str]])] = &[
     ("crates/core/src/lib.rs", &[PANIC, SANS_IO]),
     ("crates/crypto/src/lib.rs", &[PANIC]),
     ("crates/tls/src/lib.rs", &[PANIC, SANS_IO]),
-    ("crates/mboxes/src/lib.rs", &[PANIC]),
+    ("crates/mboxes/src/lib.rs", &[PANIC, SHARD]),
     ("crates/http/src/lib.rs", &[PANIC]),
-    ("crates/netsim/src/lib.rs", &[SANS_IO]),
-    ("crates/sgx/src/lib.rs", &[SANS_IO]),
+    ("crates/netsim/src/lib.rs", &[SANS_IO, SHARD]),
+    ("crates/sgx/src/lib.rs", &[PANIC, SANS_IO]),
     ("crates/telemetry/src/lib.rs", &[SANS_IO]),
-    ("crates/host/src/lib.rs", &[SANS_IO]),
+    ("crates/host/src/lib.rs", &[SANS_IO, SHARD]),
     ("crates/pki/src/lib.rs", &[SANS_IO]),
     ("crates/tls/src/record.rs", &[WIRE]),
     ("crates/tls/src/codec.rs", &[WIRE]),
@@ -80,6 +85,7 @@ const FORBIDS: &[(&str, &[&[&str]])] = &[
     ("crates/core/src/messages.rs", &[WIRE]),
     ("crates/core/src/dataplane.rs", &[WIRE]),
     ("crates/http/src/message.rs", &[WIRE]),
+    ("crates/sgx/src/attest.rs", &[WIRE]),
 ];
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -93,9 +99,9 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Sans-io and panic-freedom are clippy lints, forbidden at each
-/// crate root (or wire file) they bind, so no item below can `allow`
-/// them.
+/// Sans-io, panic-freedom and shard isolation's hash-walk ban are
+/// clippy lints, forbidden at each crate root (or wire file) they
+/// bind, so no item below can `allow` them.
 #[test]
 fn scoped_roots_forbid_what_rustc_and_clippy_check() {
     for (file, groups) in FORBIDS {
@@ -106,6 +112,21 @@ fn scoped_roots_forbid_what_rustc_and_clippy_check() {
                 "{file} must `#![forbid({lint})]`"
             );
         }
+    }
+    // `disallowed_methods` bans a hash walk only if clippy.toml names
+    // each iteration method.
+    let clippy = scope::read("clippy.toml");
+    let walks = [
+        "HashMap::iter", "HashMap::iter_mut", "HashMap::keys", "HashMap::values",
+        "HashMap::values_mut", "HashMap::drain", "HashMap::retain", "HashMap::into_keys",
+        "HashMap::into_values", "HashSet::iter", "HashSet::drain", "HashSet::retain",
+    ];
+    for method in walks {
+        let path = format!("std::collections::{method}");
+        assert!(
+            clippy.contains(&format!("{{ path = \"{path}\"")),
+            "clippy.toml must disallow {path}"
+        );
     }
 }
 

@@ -43,6 +43,11 @@
     clippy::todo,
     clippy::unimplemented
 )]
+// Shard isolation (DESIGN.md §6d): processors run inside shard-owned
+// sessions, so none walks a hash container, whose order is randomized
+// per process. The iteration methods are `disallowed_methods` in
+// clippy.toml; a `for` loop over one is `iter_over_hash_type`.
+#![forbid(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 
 pub mod cache;
 pub mod chain;

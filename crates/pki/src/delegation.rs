@@ -19,7 +19,6 @@
 
 use std::fmt;
 
-use mbtls_crypto::ct;
 use mbtls_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use mbtls_crypto::rng::CryptoRng;
 
@@ -274,10 +273,9 @@ impl DelegatedCredential {
 
 /// The endpoint-side issuing handle: the endpoint's certified signing
 /// key plus the chain relying parties anchor it to. Secret state —
-/// the key seed is zeroized on drop and `Debug` is redacted.
+/// the [`SigningKey`] wipes itself on drop and `Debug` is redacted.
 // lint:secret
 pub struct CredentialIssuer {
-    seed: [u8; 32],
     key: SigningKey,
     name: String,
     chain: Vec<Certificate>,
@@ -288,7 +286,6 @@ impl CredentialIssuer {
     /// endpoint's certified name, and its leaf-first chain.
     pub fn new(seed: [u8; 32], name: impl Into<String>, chain: Vec<Certificate>) -> Self {
         CredentialIssuer {
-            seed,
             key: SigningKey::from_seed(&seed),
             name: name.into(),
             chain,
@@ -337,18 +334,6 @@ impl CredentialIssuer {
         cred.signature = self.key.sign(&cred.signed_transcript());
         cred
     }
-
-    /// Zeroize the stored key seed (the derived [`SigningKey`] wipes
-    /// its own expanded state on drop).
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.seed);
-    }
-}
-
-impl Drop for CredentialIssuer {
-    fn drop(&mut self) {
-        self.wipe();
-    }
 }
 
 impl fmt::Debug for CredentialIssuer {
@@ -357,18 +342,17 @@ impl fmt::Debug for CredentialIssuer {
     }
 }
 
-/// The middlebox-side delegated key pair. Secret state — the seed is
-/// zeroized on drop and `Debug` is redacted.
+/// The middlebox-side delegated key pair. Secret state — the
+/// [`SigningKey`] wipes itself on drop and `Debug` is redacted.
 // lint:secret
 pub struct DelegatedKeyPair {
-    seed: [u8; 32],
     key: SigningKey,
 }
 
 impl DelegatedKeyPair {
     /// Derive the pair from a 32-byte seed.
     pub fn from_seed(seed: [u8; 32]) -> Self {
-        DelegatedKeyPair { seed, key: SigningKey::from_seed(&seed) }
+        DelegatedKeyPair { key: SigningKey::from_seed(&seed) }
     }
 
     /// Generate a fresh pair (one 32-byte draw from `rng`).
@@ -385,17 +369,6 @@ impl DelegatedKeyPair {
     /// zeroizes itself independently on drop).
     pub fn signing_key(&self) -> SigningKey {
         self.key.clone()
-    }
-
-    /// Zeroize the stored seed.
-    pub fn wipe(&mut self) {
-        ct::zeroize(&mut self.seed);
-    }
-}
-
-impl Drop for DelegatedKeyPair {
-    fn drop(&mut self) {
-        self.wipe();
     }
 }
 
@@ -769,26 +742,6 @@ mod tests {
         require_ro.verify(f.issuer.issuer_chain(), &ro).expect("read-only satisfies read-only");
         assert!(DelegatedRole::ReadWrite.permits(DelegatedRole::ReadOnly));
         assert!(!DelegatedRole::ReadOnly.permits(DelegatedRole::ReadWrite));
-    }
-
-    #[test]
-    fn issuer_handle_wipes_on_drop() {
-        let f = fixture(11);
-        mbtls_crypto::ct::assert_wipes(
-            f.issuer,
-            |i| i.wipe(),
-            |i| vec![i.seed.to_vec()],
-        );
-    }
-
-    #[test]
-    fn delegated_key_pair_wipes_on_drop() {
-        let mut rng = CryptoRng::from_seed(12);
-        mbtls_crypto::ct::assert_wipes(
-            DelegatedKeyPair::generate(&mut rng),
-            |k| k.wipe(),
-            |k| vec![k.seed.to_vec()],
-        );
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! and report data against expectations. mbTLS binds report data to
 //! the handshake transcript hash for freshness (paper §3.4).
 
+// A quote arrives from a peer: its parse may not index out of range.
+#![forbid(clippy::indexing_slicing)]
+
 use crate::measurement::Measurement;
 use mbtls_crypto::ed25519::{
     verify_checks, Signature, SignatureCheck, SigningKey, VerifyingKey,
@@ -233,30 +236,25 @@ impl Quote {
         out
     }
 
-    /// Parse a serialized quote.
+    /// Parse a serialized quote: exactly the fields [`Quote::encode`]
+    /// writes, in its order, and nothing after them.
     pub fn decode(bytes: &[u8]) -> Option<Quote> {
-        if bytes.len() != 8 + 32 + 64 + 32 + 64 + 64 {
+        let (platform_id, rest) = bytes.split_first_chunk::<8>()?;
+        let (platform_key, rest) = rest.split_first_chunk::<32>()?;
+        let (endorsement, rest) = rest.split_first_chunk::<64>()?;
+        let (measurement, rest) = rest.split_first_chunk::<32>()?;
+        let (report_data, rest) = rest.split_first_chunk::<REPORT_DATA_LEN>()?;
+        let (signature, rest) = rest.split_first_chunk::<64>()?;
+        if !rest.is_empty() {
             return None;
         }
-        let mut at = 0usize;
-        let mut take = |n: usize| {
-            let s = &bytes[at..at + n];
-            at += n;
-            s
-        };
-        let platform_id = u64::from_be_bytes(take(8).try_into().unwrap());
-        let platform_key = VerifyingKey(take(32).try_into().unwrap());
-        let endorsement = Signature(take(64).try_into().unwrap());
-        let measurement = Measurement(take(32).try_into().unwrap());
-        let report_data: [u8; 64] = take(64).try_into().unwrap();
-        let signature = Signature(take(64).try_into().unwrap());
         Some(Quote {
-            platform_id,
-            platform_key,
-            endorsement,
-            measurement,
-            report_data,
-            signature,
+            platform_id: u64::from_be_bytes(*platform_id),
+            platform_key: VerifyingKey(*platform_key),
+            endorsement: Signature(*endorsement),
+            measurement: Measurement(*measurement),
+            report_data: *report_data,
+            signature: Signature(*signature),
         })
     }
 }

@@ -30,11 +30,18 @@ pub enum SealError {
     /// Sealed blob failed authentication (wrong platform, wrong
     /// enclave, or tampered blob).
     BadBlob,
+    /// AES-GCM refused to seal the data, which can only mean it is
+    /// over the 2^36-byte limit of one nonce (the key is always 32
+    /// bytes).
+    TooLong,
 }
 
 impl std::fmt::Display for SealError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sealed blob authentication failed")
+        f.write_str(match self {
+            SealError::BadBlob => "sealed blob authentication failed",
+            SealError::TooLong => "data too long to seal",
+        })
     }
 }
 
@@ -221,9 +228,8 @@ impl<S: EnclaveState> Enclave<S> {
 
     /// Seal `data` so only this enclave identity on this platform can
     /// recover it.
-    pub fn seal(&self, platform: &Platform, data: &[u8]) -> Vec<u8> {
-        let key = self.sealing_key(platform);
-        let gcm = AesGcm::new(&key).expect("32-byte key");
+    pub fn seal(&self, platform: &Platform, data: &[u8]) -> Result<Vec<u8>, SealError> {
+        let gcm = AesGcm::new(&self.sealing_key(platform)).map_err(|_| SealError::TooLong)?;
         // Deterministic sealing nonce derived from content would risk
         // nonce reuse; use a random nonce carried in the blob.
         // The sealing key is per-(platform, enclave) so a fixed
@@ -233,37 +239,49 @@ impl<S: EnclaveState> Enclave<S> {
         let digest = Sha256::digest(data);
         nonce.copy_from_slice(&digest[..12]);
         let mut blob = nonce.to_vec();
-        blob.extend_from_slice(&gcm.seal(&nonce, b"sgx-seal", data).expect("seal"));
-        blob
+        gcm.seal_into(&nonce, b"sgx-seal", data, &mut blob)
+            .map_err(|_| SealError::TooLong)?;
+        Ok(blob)
     }
 
     /// Recover sealed data.
     pub fn unseal(&self, platform: &Platform, blob: &[u8]) -> Result<Vec<u8>, SealError> {
-        if blob.len() < 12 {
-            return Err(SealError::BadBlob);
-        }
-        let key = self.sealing_key(platform);
-        let gcm = AesGcm::new(&key).expect("32-byte key");
-        let nonce: [u8; 12] = blob[..12].try_into().unwrap();
-        gcm.open(&nonce, b"sgx-seal", &blob[12..])
-            .map_err(|_| SealError::BadBlob)
+        let (nonce, sealed) = blob.split_first_chunk::<12>().ok_or(SealError::BadBlob)?;
+        let gcm = AesGcm::new(&self.sealing_key(platform)).map_err(|_| SealError::BadBlob)?;
+        gcm.open(nonce, b"sgx-seal", sealed).map_err(|_| SealError::BadBlob)
     }
 
     fn sealing_key(&self, platform: &Platform) -> Secret {
         hkdf::<Sha256>(&platform.sealing_secret, &self.measurement.0, b"sgx-sealing-key", 32)
     }
 
+    /// This enclave's memory-encryption key: the platform's MEE key
+    /// expanded over the enclave id, as [`Enclave::sealing_key`] does
+    /// over the measurement. Every enclave's nonce counter starts at
+    /// 0, so under the one platform key two enclaves would seal their
+    /// first images under the same (key, nonce), and the XOR of the
+    /// two images would be the XOR of the two states: a host running
+    /// an enclave of known state beside a victim would read the
+    /// victim's. With a key per enclave, each (key, nonce) pair is one
+    /// sync of one enclave.
+    fn mee_key(&self, platform: &Platform) -> Secret {
+        hkdf::<Sha256>(&platform.mee_key, &self.id.to_be_bytes(), b"sgx-mee-key", 32)
+    }
+
     /// Re-encrypt the state snapshot into the host-visible region.
     fn sync_page_image(&mut self, platform: &mut Platform) {
         let snapshot = self.state.snapshot_bytes();
-        let gcm = AesGcm::new(&platform.mee_key).expect("32-byte key");
         self.mee_nonce += 1;
         let mut nonce = [0u8; 12];
         nonce[4..].copy_from_slice(&self.mee_nonce.to_be_bytes());
-        let image = gcm
-            .seal(&nonce, self.region_name.as_bytes(), &snapshot)
-            .expect("seal");
-        platform.memory.write_protected(&self.region_name, image);
+        let image = AesGcm::new(&self.mee_key(platform))
+            .and_then(|gcm| gcm.seal(&nonce, self.region_name.as_bytes(), &snapshot));
+        // Neither step fails: the key is 32 bytes, and a state is far
+        // below GCM's 2^36-byte limit. Were one to, the host would
+        // keep the last image, never see plaintext.
+        if let Ok(image) = image {
+            platform.memory.write_protected(&self.region_name, image);
+        }
     }
 
     /// `EREMOVE` analogue: tear down the enclave, free its protected
@@ -374,6 +392,26 @@ mod tests {
         assert_ne!(before, after);
     }
 
+    // Two enclaves on one platform each seal their first image under
+    // nonce counter 1. The host runs one of them with state it knows;
+    // XORing the two images and its own state must not give it the
+    // victim's.
+    #[test]
+    fn colocated_enclave_of_known_state_does_not_reveal_its_neighbour() {
+        let (mut platform, _, _) = setup();
+        let secret = b"victim hop keys, 32 bytes long!!".to_vec();
+        let known = vec![0u8; secret.len()];
+        let code = CodeIdentity::new("proxy", "1.0", b"");
+        let _victim = Enclave::create(&mut platform, &code, secret.clone());
+        let _host_own = Enclave::create(&mut platform, &code, known.clone());
+        let insp = HostInspector::new(&mut platform.memory);
+        let victim = insp.read_region("enclave-1").unwrap();
+        let own = insp.read_region("enclave-2").unwrap();
+        let recovered: Vec<u8> =
+            victim.iter().zip(&own).zip(&known).map(|((v, o), k)| v ^ o ^ k).collect();
+        assert_ne!(recovered, secret, "enclaves share a keystream under the platform MEE key");
+    }
+
     #[test]
     #[should_panic(expected = "integrity check failed")]
     fn tampering_with_enclave_memory_is_fatal() {
@@ -411,7 +449,7 @@ mod tests {
         let (mut platform, _, _) = setup();
         let code = CodeIdentity::new("proxy", "1.0", b"");
         let enclave = Enclave::create(&mut platform, &code, vec![]);
-        let blob = enclave.seal(&platform, b"session ticket keys");
+        let blob = enclave.seal(&platform, b"session ticket keys").unwrap();
         assert_eq!(enclave.unseal(&platform, &blob).unwrap(), b"session ticket keys");
     }
 
@@ -420,7 +458,7 @@ mod tests {
         let (mut platform, _, _) = setup();
         let a = Enclave::create(&mut platform, &CodeIdentity::new("a", "1", b""), vec![]);
         let b = Enclave::create(&mut platform, &CodeIdentity::new("b", "1", b""), vec![]);
-        let blob = a.seal(&platform, b"secret");
+        let blob = a.seal(&platform, b"secret").unwrap();
         assert_eq!(b.unseal(&platform, &blob), Err(SealError::BadBlob));
         assert!(a.unseal(&platform, &blob).is_ok());
     }
@@ -433,7 +471,7 @@ mod tests {
         let code = CodeIdentity::new("proxy", "1.0", b"");
         let e1 = Enclave::create(&mut p1, &code, vec![]);
         let e2 = Enclave::create(&mut p2, &code, vec![]);
-        let blob = e1.seal(&p1, b"secret");
+        let blob = e1.seal(&p1, b"secret").unwrap();
         assert_eq!(e2.unseal(&p2, &blob), Err(SealError::BadBlob));
     }
 
@@ -441,7 +479,7 @@ mod tests {
     fn tampered_sealed_blob_rejected() {
         let (mut platform, _, _) = setup();
         let enclave = Enclave::create(&mut platform, &CodeIdentity::new("a", "1", b""), vec![]);
-        let mut blob = enclave.seal(&platform, b"data");
+        let mut blob = enclave.seal(&platform, b"data").unwrap();
         let last = blob.len() - 1;
         blob[last] ^= 1;
         assert_eq!(enclave.unseal(&platform, &blob), Err(SealError::BadBlob));

@@ -45,6 +45,17 @@
 // Sans-IO (DESIGN.md §6d): no wall clock, thread or socket; the
 // methods and types are listed in the workspace's clippy.toml.
 #![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
+// Panic-freedom (DESIGN.md §6d): a peer's quote or a failed seal
+// surfaces as an error, never as an abort of the sessions on the
+// thread.
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod attest;
 pub mod cost;

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use mbtls_crypto::dh::{DhPublic, DhSecret};
 use mbtls_crypto::ed25519::verify_checks;
 use mbtls_crypto::rng::CryptoRng;
-use mbtls_crypto::secret::Secret;
 use mbtls_crypto::x25519;
 use mbtls_crypto::CryptoError;
 use mbtls_pki::cert::Certificate;
@@ -575,7 +574,7 @@ impl Connection<ClientHandshake> {
                         .map_err(|_| TlsError::Decode("bad x25519 point"))?,
                 );
                 let secret = x25519::SecretKey::generate(rng);
-                let pre_master = Secret::from(secret.diffie_hellman(&server_pub)?);
+                let pre_master = secret.diffie_hellman(&server_pub)?;
                 (secret.public_key().0.to_vec(), pre_master)
             }
             (ServerKeyExchangeParams::Dhe { p, g, ys }, KeyExchange::Dhe) => {

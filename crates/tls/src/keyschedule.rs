@@ -78,10 +78,8 @@ pub fn prf(suite: CipherSuite, secret: &[u8], label: &[u8], seed: &[u8], out_len
 
 /// The pre-master secret of a finite-field DH exchange: the shared
 /// secret with its leading zeros stripped (see
-/// [`strip_leading_zeros`]). The shared secret is adopted and wiped.
-/// An X25519 output is used whole: `Secret::from(shared)`.
-pub fn dhe_pre_master(shared: Vec<u8>) -> Secret {
-    let shared = Secret::from(shared);
+/// [`strip_leading_zeros`]). An X25519 output is used whole.
+pub fn dhe_pre_master(shared: Secret) -> Secret {
     Secret::from(strip_leading_zeros(&shared))
 }
 
@@ -246,8 +244,8 @@ mod tests {
     #[test]
     fn dhe_pre_master_loses_its_leading_zeros() {
         // RFC 5246 §8.1.2.
-        assert_eq!(*dhe_pre_master(vec![0, 0, 7, 1]), [7, 1]);
-        assert_eq!(*dhe_pre_master(vec![9, 0]), [9, 0]);
+        assert_eq!(*dhe_pre_master(vec![0, 0, 7, 1].into()), [7, 1]);
+        assert_eq!(*dhe_pre_master(vec![9, 0].into()), [9, 0]);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl Hooks for ServerHandshake {
                                 .try_into()
                                 .map_err(|_| TlsError::Decode("bad x25519 point"))?,
                         );
-                        Secret::from(secret.diffie_hellman(&peer)?)
+                        secret.diffie_hellman(&peer)?
                     }
                     Some(KexSecret::Dhe(secret)) => {
                         let mut padded = vec![0u8; 256usize.saturating_sub(cke.public.len())];

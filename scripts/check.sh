@@ -2,15 +2,16 @@
 # Full local gate, run as named stages with per-stage timing:
 #
 #   lint        mbtls-lint workspace invariants the compiler cannot
-#               see (secret hygiene, const-time, shard-isolation);
+#               see (secret hygiene, const-time, shard-isolation), as
+#               token rules over names, with no dataflow pass;
 #               JSON-lines report to target/lint-report.jsonl. Any
 #               finding fails: there is no waiver, and the tree holds
 #               zero
 #   clippy      cargo clippy --workspace --all-targets -D warnings:
-#               also where the sans-IO and panic-freedom lints that
-#               the protocol crate roots forbid (DESIGN.md §6d) gate;
-#               `unsafe` confinement is rustc's and gates in every
-#               build
+#               also where the sans-IO, panic-freedom and hash-walk
+#               lints that the crate roots forbid (DESIGN.md §6d)
+#               gate; `unsafe` confinement is rustc's and gates in
+#               every build
 #   doc         cargo doc --no-deps --workspace with
 #               rustdoc::broken_intra_doc_links and
 #               rustdoc::private_intra_doc_links denied: a doc link to a

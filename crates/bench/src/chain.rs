@@ -219,21 +219,27 @@ pub const FLOORS: &[Floor] = &[
 
 /// Schema and floors of `BENCH_chain.json`: [`FLOORS`], then what no
 /// row expresses, that each `per_hop_over_crypto` ratio agrees with
-/// the rates it is derived from.
+/// the rates it is derived from, to within the report's rounding.
 pub fn check(report: &Value, _replaced: Option<&Value>) -> Result<String, String> {
     check_floors(report, FLOORS)?;
     let backend = report.text("aead_backend")?;
     let aead = |key: &str| report.num(&format!("aead_mb_s.{key}"));
     let hop = |key: &str| report.num(&format!("per_hop_mb_s.{key}"));
-    let over_crypto = [
-        ("read_only_over_tag_verify", hop("middlebox_read_only_forward")? / hop("raw_tag_verify")?),
-        ("reseal_over_pair_bound", hop("middlebox_open_reseal")? / pair_bound(aead("seal")?, aead("open")?)),
-        ("seal_over_aead_seal", hop("endpoint_seal")? / aead("seal")?),
+    let (seal, open) = (aead("seal")?, aead("open")?);
+    let (forward, verify) = (hop("middlebox_read_only_forward")?, hop("raw_tag_verify")?);
+    let (reseal, endpoint) = (hop("middlebox_open_reseal")?, hop("endpoint_seal")?);
+    let over_crypto: [(&str, f64, &[f64]); 3] = [
+        ("read_only_over_tag_verify", forward / verify, &[forward, verify]),
+        ("reseal_over_pair_bound", reseal / pair_bound(seal, open), &[reseal, seal, open]),
+        ("seal_over_aead_seal", endpoint / seal, &[endpoint, seal]),
     ];
-    for (key, ratio) in over_crypto {
+    for (key, ratio, rates) in over_crypto {
         let reported = report.num(&format!("per_hop_over_crypto.{key}"))?;
+        // The ratio is written to 3 decimals and each rate to 2, so a
+        // ratio of rates moves by up to `ratio × Σ 0.005 / rate`.
+        let rounding = 0.0005 + ratio * rates.iter().map(|rate| 0.005 / rate).sum::<f64>();
         floor!(
-            (reported - ratio).abs() < 0.002,
+            (reported - ratio).abs() <= rounding + 1e-9,
             "{key} {reported} disagrees with the rates ({ratio:.3})"
         );
     }
@@ -820,6 +826,25 @@ mod tests {
                     "reseal_over_pair_bound 99 disagrees with the rates",
                 ),
             ],
+        );
+        // Small rates round coarsely: a ratio from unrounded rates may
+        // sit well off the ratio of the rounded ones and still agree.
+        // 9.5149 / 1.9951 = 4.769, against 9.51 / 2.00 = 4.755.
+        let slow = [
+            ("per_hop_mb_s.middlebox_read_only_forward", "9.51"),
+            ("per_hop_mb_s.raw_tag_verify", "2.00"),
+            ("per_hop_over_crypto.read_only_over_tag_verify", "4.769"),
+        ]
+        .iter()
+        .fold(smoke, |report, (path, value)| crate::testing::doctored(&report, path, value));
+        crate::testing::assert_floors(
+            check,
+            &slow,
+            &[(
+                "per_hop_over_crypto.read_only_over_tag_verify",
+                "4.817",
+                "read_only_over_tag_verify 4.817 disagrees with the rates",
+            )],
         );
         // The rows name every configuration the suite runs.
         let configs = chain_configs().into_iter().map(|(name, ..)| format!("chain_mb_s.{name}"));

@@ -74,13 +74,24 @@ impl BigUint {
     }
 
     /// Serialize to exactly `len` big-endian bytes, left-padded with
-    /// zeros. Panics if the value does not fit.
+    /// zeros. Panics if the value does not fit. The limbs are written
+    /// straight into the result, so no other copy of a secret value
+    /// is left behind.
     pub fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
-        let raw = self.to_bytes_be();
-        assert!(raw.len() <= len, "value does not fit in {len} bytes");
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
+        assert!(self.bits() <= len * 8, "value does not fit in {len} bytes");
+        let mut out = vec![0u8; len];
+        // Least significant limb last; a short first chunk takes the
+        // low bytes of a limb whose high bytes are zero.
+        for (limb, chunk) in self.limbs.iter().zip(out.rchunks_mut(8)) {
+            let bytes = limb.to_be_bytes();
+            chunk.copy_from_slice(&bytes[8 - chunk.len()..]);
+        }
         out
+    }
+
+    /// Overwrite the limbs with zeros, for a value that was secret.
+    pub(crate) fn wipe(&mut self) {
+        crate::ct::zeroize(&mut self.limbs);
     }
 
     fn normalize(&mut self) {

@@ -92,11 +92,14 @@ impl DhSecret {
         {
             return Err(CryptoError::BadPublicValue);
         }
-        let z = y.pow_mod(&self.x, &p);
-        if z.cmp_val(&one) != std::cmp::Ordering::Greater {
-            return Err(CryptoError::BadPublicValue);
-        }
-        Ok(Secret::from(z.to_bytes_be_padded(PRIME_LEN)))
+        let mut z = y.pow_mod(&self.x, &p);
+        let shared = if z.cmp_val(&one) == std::cmp::Ordering::Greater {
+            Ok(Secret::from(z.to_bytes_be_padded(PRIME_LEN)))
+        } else {
+            Err(CryptoError::BadPublicValue)
+        };
+        z.wipe();
+        shared
     }
 }
 

@@ -661,7 +661,7 @@ pub struct Signature(pub [u8; 64]);
 impl SigningKey {
     /// Derive from a 32-byte seed per RFC 8032 §5.1.5.
     pub fn from_seed(seed: &[u8; 32]) -> Self {
-        let h = Sha512::digest(seed);
+        let mut h = Sha512::digest(seed);
         let mut s = [0u8; 32];
         s.copy_from_slice(&h[..32]);
         s[0] &= 248;
@@ -669,6 +669,7 @@ impl SigningKey {
         s[31] |= 64;
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&h[32..]);
+        crate::ct::zeroize(&mut h);
         let a = Point::mul_base(&s);
         let public = VerifyingKey(a.compress());
         SigningKey { s, prefix, public }

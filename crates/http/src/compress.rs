@@ -67,7 +67,9 @@ impl Lzss {
     /// Compress `input`.
     pub fn compress(&mut self, input: &[u8]) -> Vec<u8> {
         let mut out = Tokens {
-            bytes: Vec::with_capacity(input.len() / 2 + 16),
+            // The longest stream: every byte a literal, plus a flag
+            // byte per eight. So the stream is one allocation.
+            bytes: Vec::with_capacity(input.len() + input.len() / 8 + 1),
             flag_at: 0,
             flag_bit: 8,
         };

@@ -5,19 +5,26 @@
 //! HTTP/2 are out of scope (the paper's prototype proxy speaks plain
 //! HTTP/1.1).
 //!
-//! Requests and responses differ by their start line and by when the
-//! encoder writes `Content-Length`; everything else — finding the end
-//! of the head, the header block, the body length and its bounds, the
-//! cursor over the receive buffer, the header-block encoder — is
-//! written once, in [`Parser`] and `encode_after_start_line`. The
-//! bytes parsed here come from the peer: nothing in this file indexes
-//! a buffer or adds lengths unchecked.
+//! The parser reads each message once, in place: [`Parser::next_view`]
+//! returns a [`View`] whose start line, header fields and body are
+//! slices of the parser's buffer, and `next_request` / `next_response`
+//! build the owned [`Request`] / [`Response`] from that view. Framing
+//! — finding the end of the head, the header block, the body length
+//! and its bounds, the cursor over the receive buffer — is written
+//! once, in [`Parser::next_view`].
+//!
+//! The encoder is one header-block writer (`write_fields`) under both
+//! the owned messages' `encode_into` and [`View::encode_into`], which
+//! writes a view with [`HeaderEdits`] and a body of the caller's: a
+//! middlebox rewrites a message without owning a copy of it. The two
+//! paths emit the same bytes for the same message and the same edits.
+//!
+//! The bytes parsed here come from the peer: nothing in this file
+//! indexes a buffer or adds lengths unchecked.
 
 // A wire file (DESIGN.md §6d): its buffers hold a peer's bytes, and no
 // slice here is indexed.
 #![forbid(clippy::indexing_slicing)]
-
-use std::io::Write as _;
 
 /// Parse failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,10 +37,10 @@ pub enum HttpError {
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HttpError::Malformed => write!(f, "malformed HTTP message"),
-            HttpError::TooLarge => write!(f, "HTTP head or body too large"),
-        }
+        f.write_str(match self {
+            HttpError::Malformed => "malformed HTTP message",
+            HttpError::TooLarge => "HTTP head or body too large",
+        })
     }
 }
 
@@ -48,6 +55,9 @@ const MAX_HEAD: usize = 64 * 1024;
 pub const MAX_BODY: usize = 16 * 1024 * 1024;
 
 const HEAD_END: &[u8] = b"\r\n\r\n";
+
+/// The longest `Content-Length` line the encoder writes.
+const MAX_LENGTH_LINE: usize = "Content-Length: ".len() + 20 + "\r\n".len();
 
 /// Is one of `data` and `token` a prefix of the other? (A first chunk
 /// may be shorter than the token it starts.)
@@ -129,10 +139,12 @@ impl Request {
 
     /// Append the wire form to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        // Writing to a `Vec` cannot fail.
-        let _ = write!(out, "{} {} HTTP/1.1\r\n", self.method, self.target);
-        let with_length = !self.body.is_empty() || self.method == "POST" || self.method == "PUT";
-        encode_after_start_line(out, &self.headers, &self.body, with_length);
+        let line = self.method.len() + 1 + self.target.len() + " HTTP/1.1\r\n".len();
+        out.reserve(encoded_len_bound(line, &self.headers, self.body.len()));
+        write_request_line(out, &self.method, &self.target);
+        let length_due = request_length_due(&self.method, self.body.len());
+        write_fields(out, owned_fields(&self.headers), length_due, self.body.len());
+        out.extend_from_slice(&self.body);
     }
 }
 
@@ -176,9 +188,11 @@ impl Response {
 
     /// Append the wire form to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        // Writing to a `Vec` cannot fail.
-        let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status, self.reason);
-        encode_after_start_line(out, &self.headers, &self.body, true);
+        let line = "HTTP/1.1 65535 \r\n".len() + self.reason.len();
+        out.reserve(encoded_len_bound(line, &self.headers, self.body.len()));
+        write_status_line(out, self.status, &self.reason);
+        write_fields(out, owned_fields(&self.headers), true, self.body.len());
+        out.extend_from_slice(&self.body);
     }
 }
 
@@ -197,51 +211,173 @@ fn set_header(headers: &mut Headers, name: &str, value: &str) {
     }
 }
 
-/// Everything after the start line: header block, blank line, body.
-/// `Content-Length` belongs to the encoder: while `length_due`, the
-/// body's length is written over the first such header, where it
-/// stands, or appended when there is none.
-fn encode_after_start_line(
+fn owned_fields(headers: &[(String, String)]) -> impl Iterator<Item = (&str, &str)> {
+    headers.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+}
+
+/// The most bytes an owned message encodes to, so `encode_into`
+/// allocates once.
+fn encoded_len_bound(start_line: usize, headers: &[(String, String)], body: usize) -> usize {
+    let fields: usize = headers.iter().map(|(n, v)| n.len() + v.len() + ": \r\n".len()).sum();
+    start_line + fields + MAX_LENGTH_LINE + "\r\n".len() + body
+}
+
+fn write_request_line(out: &mut Vec<u8>, method: &str, target: &str) {
+    out.extend_from_slice(method.as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(target.as_bytes());
+    out.extend_from_slice(b" HTTP/1.1\r\n");
+}
+
+fn write_status_line(out: &mut Vec<u8>, status: u16, reason: &str) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    write_decimal(out, status.into());
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Does a request carry `Content-Length`? When it has a body, or when
+/// its method is one that sends one.
+fn request_length_due(method: &str, body_len: usize) -> bool {
+    body_len > 0 || method == "POST" || method == "PUT"
+}
+
+/// Everything after the start line but the body: the header block and
+/// the blank line. `Content-Length` belongs to the encoder: while
+/// `length_due`, `content_length` is written over the first such
+/// header, where it stands, or appended when there is none.
+fn write_fields<'h>(
     out: &mut Vec<u8>,
-    headers: &[(String, String)],
-    body: &[u8],
+    fields: impl Iterator<Item = (&'h str, &'h str)>,
     mut length_due: bool,
+    content_length: usize,
 ) {
-    for (name, value) in headers {
+    for (name, value) in fields {
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
         if length_due && name.eq_ignore_ascii_case("Content-Length") {
             length_due = false;
-            let _ = write!(out, "{name}: {}\r\n", body.len());
+            write_decimal(out, content_length);
         } else {
-            let _ = write!(out, "{name}: {value}\r\n");
+            out.extend_from_slice(value.as_bytes());
         }
+        out.extend_from_slice(b"\r\n");
     }
     if length_due {
-        let _ = write!(out, "Content-Length: {}\r\n", body.len());
+        out.extend_from_slice(b"Content-Length: ");
+        write_decimal(out, content_length);
+        out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
 }
 
-/// Parse a header block (after the start line, up to the blank line).
-fn parse_headers(lines: &str) -> Result<Headers, HttpError> {
-    let mut headers = Vec::new();
-    for line in lines.split("\r\n") {
-        if line.is_empty() {
-            continue;
+/// Append `n` in decimal.
+fn write_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut len = 0;
+    for digit in digits.iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
+        n /= 10;
+        len += 1;
+        if n == 0 {
+            break;
         }
-        let (name, value) = line.split_once(':').ok_or(HttpError::Malformed)?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::Malformed);
-        }
-        headers.push((name.to_string(), value.trim().to_string()));
     }
-    Ok(headers)
+    out.extend_from_slice(digits.get(digits.len() - len..).unwrap_or_default());
 }
 
-/// The body length the headers declare: 0 without a `Content-Length`,
+/// Where a piece of a head sits in it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    /// The span of `piece`, which starts `at` bytes into the head.
+    fn at(at: usize, piece: &str) -> Span {
+        Span {
+            start: at,
+            end: at + piece.len(),
+        }
+    }
+
+    fn of(self, head: &str) -> &str {
+        head.get(self.start..self.end).unwrap_or_default()
+    }
+}
+
+/// One header field: where its name and its trimmed value sit.
+#[derive(Clone, Copy, Debug)]
+struct Field {
+    name: Span,
+    value: Span,
+}
+
+fn field_lookup<'h>(head: &'h str, fields: &[Field], name: &str) -> Option<&'h str> {
+    fields
+        .iter()
+        .find(|f| f.name.of(head).eq_ignore_ascii_case(name))
+        .map(|f| f.value.of(head))
+}
+
+/// Read a header block — the lines after the start line, up to the
+/// blank line, starting `at` bytes into the head — into `fields`.
+fn parse_fields(block: &str, mut at: usize, fields: &mut Vec<Field>) -> Result<(), HttpError> {
+    fields.clear();
+    let mut rest = Some(block);
+    while let Some(text) = rest {
+        let (line, next) = match split_crlf(text) {
+            Some((line, next)) => (line, Some(next)),
+            None => (text, None),
+        };
+        rest = next;
+        if !line.is_empty() {
+            let (name, value) = line.split_once(':').ok_or(HttpError::Malformed)?;
+            if name.is_empty() || name.contains(' ') {
+                return Err(HttpError::Malformed);
+            }
+            // Within the head, which is at most `MAX_HEAD` bytes.
+            let value_at = at + name.len() + 1 + (value.len() - value.trim_start().len());
+            fields.push(Field {
+                name: Span::at(at, name),
+                value: Span::at(value_at, value.trim()),
+            });
+        }
+        at += line.len() + "\r\n".len();
+    }
+    Ok(())
+}
+
+/// Where the first blank line in `bytes` starts. A Horspool scan: in
+/// text without CR or LF it reads one byte in four.
+fn find_head_end(bytes: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    while let Some(&[a, b, c, d]) = bytes.get(at..at + HEAD_END.len()) {
+        at += match d {
+            b'\n' if [a, b, c] == *b"\r\n\r" => return Some(at),
+            // Shift the window to the needle's last CR or LF before
+            // its end, or past it.
+            b'\n' => 2,
+            b'\r' => 1,
+            _ => 4,
+        };
+    }
+    None
+}
+
+/// `text` split around its first CRLF. (A lone CR or LF is part of
+/// a line, as it is to `str::split("\r\n")`.)
+fn split_crlf(text: &str) -> Option<(&str, &str)> {
+    let at = text.as_bytes().windows(2).position(|w| matches!(w, b"\r\n"))?;
+    Some((text.get(..at)?, text.get(at + "\r\n".len()..)?))
+}
+
+/// The body length a `Content-Length` value declares (0 without one),
 /// an error for one that is not a decimal number within [`MAX_BODY`].
-fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
-    let Some(value) = header_lookup(headers, "Content-Length") else {
+fn content_length(value: Option<&str>) -> Result<usize, HttpError> {
+    let Some(value) = value else {
         return Ok(0);
     };
     if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
@@ -254,10 +390,240 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
     }
 }
 
+/// A start line as the parser reads it and the encoder writes it:
+/// [`RequestLine`] or [`ResponseLine`]. Its pieces are spans of the
+/// head it was read from.
+pub trait StartLine: Copy {
+    /// Read the head's first line.
+    fn parse(line: &str) -> Result<Self, HttpError>;
+
+    /// Write the start line the encoder emits for this one, read from
+    /// `head`, and say whether `Content-Length` is due with a body of
+    /// `body_len` bytes.
+    fn write(&self, head: &str, body_len: usize, out: &mut Vec<u8>) -> bool;
+}
+
+/// A request's start line: where its method and target sit.
+#[derive(Clone, Copy, Debug)]
+pub struct RequestLine {
+    method: Span,
+    target: Span,
+}
+
+impl StartLine for RequestLine {
+    fn parse(line: &str) -> Result<Self, HttpError> {
+        let (method, rest) = line.split_once(' ').ok_or(HttpError::Malformed)?;
+        let (target, version) = rest.split_once(' ').ok_or(HttpError::Malformed)?;
+        if !version.starts_with("HTTP/1.") || method.is_empty() {
+            return Err(HttpError::Malformed);
+        }
+        Ok(RequestLine {
+            method: Span::at(0, method),
+            target: Span::at(method.len() + 1, target),
+        })
+    }
+
+    fn write(&self, head: &str, body_len: usize, out: &mut Vec<u8>) -> bool {
+        let method = self.method.of(head);
+        write_request_line(out, method, self.target.of(head));
+        request_length_due(method, body_len)
+    }
+}
+
+/// A response's start line: its status, and where its reason sits.
+#[derive(Clone, Copy, Debug)]
+pub struct ResponseLine {
+    status: u16,
+    reason: Span,
+}
+
+impl StartLine for ResponseLine {
+    fn parse(line: &str) -> Result<Self, HttpError> {
+        let (version, rest) = line.split_once(' ').ok_or(HttpError::Malformed)?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::Malformed);
+        }
+        let (status, reason) = match rest.split_once(' ') {
+            Some((status, reason)) => (status, Span::at(line.len() - reason.len(), reason)),
+            None => (rest, Span::default()),
+        };
+        let status = status.parse().map_err(|_| HttpError::Malformed)?;
+        Ok(ResponseLine { status, reason })
+    }
+
+    fn write(&self, head: &str, _body_len: usize, out: &mut Vec<u8>) -> bool {
+        write_status_line(out, self.status, self.reason.of(head));
+        true
+    }
+}
+
+/// A message parsed in place: its start line, header fields and body
+/// are slices of the [`Parser`]'s buffer, valid until the parser is
+/// next fed or asked for a message.
+#[derive(Clone, Copy, Debug)]
+pub struct View<'a, L> {
+    line: L,
+    /// The start line and the header block, without the blank line.
+    head: &'a str,
+    fields: &'a [Field],
+    body: &'a [u8],
+}
+
+impl<'a, L> View<'a, L> {
+    /// Header fields in wire order, values trimmed.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let head = self.head;
+        self.fields.iter().map(move |f| (f.name.of(head), f.value.of(head)))
+    }
+
+    /// First value of a header (case-insensitive name).
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        field_lookup(self.head, self.fields, name)
+    }
+
+    /// Body bytes.
+    pub fn body(&self) -> &'a [u8] {
+        self.body
+    }
+
+    /// The header fields `keep` takes, owned, with room for one more:
+    /// a holder of an owned copy often marks it (the cache's
+    /// `X-Cache`), and a full `Vec` would double to take it.
+    fn owned_headers(&self, keep: impl Fn(&str) -> bool) -> Headers {
+        let mut headers = Vec::with_capacity(self.fields.len() + 1);
+        let kept = self.headers().filter(|(name, _)| keep(name));
+        headers.extend(kept.map(|(n, v)| (n.to_string(), v.to_string())));
+        headers
+    }
+}
+
+impl<L: StartLine> View<'_, L> {
+    /// Append the wire form of this message after `edits`, with `body`
+    /// in place of its own: the bytes the owned message encodes to
+    /// after the same `set_header` calls and the same body.
+    pub fn encode_into(&self, edits: &HeaderEdits, body: &[u8], out: &mut Vec<u8>) {
+        let head = self.head.len() + self.fields.len() + edits.added_len();
+        out.reserve(head + MAX_LENGTH_LINE + HEAD_END.len() + body.len());
+        let length_due = self.line.write(self.head, body.len(), out);
+        let earlier = |i, name: &str| self.headers().take(i).any(|(n, _)| n.eq_ignore_ascii_case(name));
+        let fields = self.headers().enumerate().map(|(i, (name, value))| match edits.get(name) {
+            // An edit lands on the first field of its name.
+            Some(new) if !earlier(i, name) => (name, new),
+            _ => (name, value),
+        });
+        let added = edits.iter().filter(|(name, _)| self.header(name).is_none());
+        write_fields(out, fields.chain(added), length_due, body.len());
+        out.extend_from_slice(body);
+    }
+}
+
+impl<'a> View<'a, RequestLine> {
+    /// Method (GET, POST, ...).
+    pub fn method(&self) -> &'a str {
+        self.line.method.of(self.head)
+    }
+
+    /// Request target (path).
+    pub fn target(&self) -> &'a str {
+        self.line.target.of(self.head)
+    }
+
+    /// The owned request.
+    pub fn to_request(&self) -> Request {
+        Request {
+            method: self.method().to_string(),
+            target: self.target().to_string(),
+            headers: self.owned_headers(|_| true),
+            body: self.body.to_vec(),
+        }
+    }
+}
+
+impl<'a> View<'a, ResponseLine> {
+    /// Status code.
+    pub fn status(&self) -> u16 {
+        self.line.status
+    }
+
+    /// Reason phrase.
+    pub fn reason(&self) -> &'a str {
+        self.line.reason.of(self.head)
+    }
+
+    /// The owned response, with `body` for its body and without the
+    /// headers `keep` refuses.
+    pub fn to_response_with(&self, body: Vec<u8>, keep: impl Fn(&str) -> bool) -> Response {
+        Response {
+            status: self.status(),
+            reason: self.reason().to_string(),
+            headers: self.owned_headers(keep),
+            body,
+        }
+    }
+
+    /// The owned response.
+    pub fn to_response(&self) -> Response {
+        self.to_response_with(self.body.to_vec(), |_| true)
+    }
+}
+
+/// Header edits for [`View::encode_into`]: each [`HeaderEdits::set`]
+/// does to the encoded view what `set_header` does to the owned
+/// message. Names and values are copied into one buffer, which
+/// [`HeaderEdits::clear`] keeps for the next message.
+#[derive(Debug, Default)]
+pub struct HeaderEdits {
+    text: String,
+    /// Each edit's name and value, as spans of `text`.
+    edits: Vec<Field>,
+}
+
+impl HeaderEdits {
+    /// Insert or replace a header.
+    pub fn set(&mut self, name: &str, value: &str) {
+        let value_at = self.text.len();
+        self.text.push_str(value);
+        let value = Span::at(value_at, value);
+        match self.edits.iter_mut().find(|e| e.name.of(&self.text).eq_ignore_ascii_case(name)) {
+            Some(edit) => edit.value = value,
+            None => {
+                let name_at = self.text.len();
+                self.text.push_str(name);
+                self.edits.push(Field {
+                    name: Span::at(name_at, name),
+                    value,
+                });
+            }
+        }
+    }
+
+    /// The value set for a header (case-insensitive name).
+    fn get(&self, name: &str) -> Option<&str> {
+        field_lookup(&self.text, &self.edits, name)
+    }
+
+    /// The edits, each header once, in the order first set.
+    fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.edits.iter().map(|e| (e.name.of(&self.text), e.value.of(&self.text)))
+    }
+
+    /// Forget every edit.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.edits.clear();
+    }
+
+    /// The most bytes the edits add to a head.
+    fn added_len(&self) -> usize {
+        self.text.len() + self.edits.len() * ": \r\n".len()
+    }
+}
+
 /// Incremental parser: feed stream bytes, pull complete messages.
 /// Framing is the same in both directions; which start line to expect
-/// is the caller's choice of [`Parser::next_request`] or
-/// [`Parser::next_response`].
+/// is the caller's choice of [`Parser::next_request`],
+/// [`Parser::next_response`] or the [`StartLine`] of
+/// [`Parser::next_view`].
 #[derive(Default)]
 pub struct Parser {
     buf: Vec<u8>,
@@ -269,6 +635,9 @@ pub struct Parser {
     /// Length of the message at the cursor, once its head has parsed:
     /// a body arriving in many chunks waits without re-parsing it.
     needed: usize,
+    /// The header fields of the last message read, kept from message
+    /// to message.
+    fields: Vec<Field>,
 }
 
 /// Incremental request parser: feed bytes, pull complete requests.
@@ -287,6 +656,17 @@ impl Parser {
     pub fn feed(&mut self, data: &[u8]) {
         self.compact();
         self.buf.extend_from_slice(data);
+    }
+
+    /// Append stream bytes the caller no longer needs: when nothing is
+    /// buffered, `data` becomes the buffer instead of being copied.
+    pub fn feed_owned(&mut self, data: Vec<u8>) {
+        if self.buffered() == 0 {
+            self.buf = data;
+            self.cursor = 0;
+        } else {
+            self.feed(&data);
+        }
     }
 
     /// Bytes buffered but not yet parsed.
@@ -312,12 +692,8 @@ impl Parser {
         }
     }
 
-    /// The next complete message as (start line, headers, body), the
-    /// start line parsed by `start_line`.
-    fn next_message<S>(
-        &mut self,
-        start_line: impl FnOnce(&str) -> Result<S, HttpError>,
-    ) -> Result<Option<(S, Headers, Vec<u8>)>, HttpError> {
+    /// The next complete message, read in place.
+    pub fn next_view<L: StartLine>(&mut self) -> Result<Option<View<'_, L>>, HttpError> {
         let pending = self.buf.get(self.cursor..).unwrap_or_default();
         if pending.len() < self.needed {
             return Ok(None);
@@ -325,74 +701,44 @@ impl Parser {
         let window = pending.get(..MAX_HEAD).unwrap_or(pending);
         // A blank line may straddle the end of the last scan.
         let from = self.scanned.saturating_sub(HEAD_END.len() - 1);
-        let found = window
-            .get(from..)
-            .and_then(|tail| tail.windows(HEAD_END.len()).position(|w| w == HEAD_END));
+        let found = window.get(from..).and_then(find_head_end);
         let Some(head_len) = found.map(|at| from + at) else {
             self.scanned = window.len();
             return if pending.len() < MAX_HEAD { Ok(None) } else { Err(HttpError::TooLarge) };
         };
         let head = pending.get(..head_len).ok_or(HttpError::Malformed)?;
         let head = std::str::from_utf8(head).map_err(|_| HttpError::Malformed)?;
-        let (first, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
-        let start = start_line(first)?;
-        let headers = parse_headers(header_block)?;
+        let (first, block) = split_crlf(head).unwrap_or((head, ""));
+        let line = L::parse(first)?;
+        parse_fields(block, head.len() - block.len(), &mut self.fields)?;
         // `head_len` is within `MAX_HEAD`; the peer's number is the
         // term that could overflow.
         let body_at = head_len + HEAD_END.len();
-        let total = content_length(&headers)?.checked_add(body_at).ok_or(HttpError::TooLarge)?;
+        let declared = content_length(field_lookup(head, &self.fields, "Content-Length"))?;
+        let total = declared.checked_add(body_at).ok_or(HttpError::TooLarge)?;
         let Some(body) = pending.get(body_at..total) else {
             self.needed = total;
             return Ok(None);
         };
-        let body = body.to_vec();
         self.cursor += total;
         self.scanned = 0;
         self.needed = 0;
-        Ok(Some((start, headers, body)))
+        Ok(Some(View {
+            line,
+            head,
+            fields: &self.fields,
+            body,
+        }))
     }
 
     /// Pull the next complete request, if any.
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
-        let message = self.next_message(|line| {
-            let mut parts = line.split(' ');
-            let method = parts.next().ok_or(HttpError::Malformed)?;
-            let target = parts.next().ok_or(HttpError::Malformed)?;
-            let version = parts.next().ok_or(HttpError::Malformed)?;
-            if !version.starts_with("HTTP/1.") || method.is_empty() {
-                return Err(HttpError::Malformed);
-            }
-            Ok((method.to_string(), target.to_string()))
-        })?;
-        Ok(message.map(|((method, target), headers, body)| Request {
-            method,
-            target,
-            headers,
-            body,
-        }))
+        Ok(self.next_view::<RequestLine>()?.map(|view| view.to_request()))
     }
 
     /// Pull the next complete response, if any.
     pub fn next_response(&mut self) -> Result<Option<Response>, HttpError> {
-        let message = self.next_message(|line| {
-            let mut parts = line.splitn(3, ' ');
-            let version = parts.next().ok_or(HttpError::Malformed)?;
-            if !version.starts_with("HTTP/1.") {
-                return Err(HttpError::Malformed);
-            }
-            let status: u16 = parts
-                .next()
-                .ok_or(HttpError::Malformed)?
-                .parse()
-                .map_err(|_| HttpError::Malformed)?;
-            Ok((status, parts.next().unwrap_or("").to_string()))
-        })?;
-        Ok(message.map(|((status, reason), headers, body)| Response {
-            status,
-            reason,
-            headers,
-            body,
-        }))
+        Ok(self.next_view::<ResponseLine>()?.map(|view| view.to_response()))
     }
 }
 

@@ -72,7 +72,7 @@ const FORBIDS: &[(&str, &[&[&str]])] = &[
     ("crates/core/src/lib.rs", &[PANIC, SANS_IO]),
     ("crates/crypto/src/lib.rs", &[PANIC]),
     ("crates/tls/src/lib.rs", &[PANIC, SANS_IO]),
-    ("crates/mboxes/src/lib.rs", &[PANIC, SHARD]),
+    ("crates/mboxes/src/lib.rs", &[PANIC, SHARD, WIRE]),
     ("crates/http/src/lib.rs", &[PANIC]),
     ("crates/netsim/src/lib.rs", &[SANS_IO, SHARD]),
     ("crates/sgx/src/lib.rs", &[PANIC, SANS_IO]),

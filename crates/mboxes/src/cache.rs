@@ -38,10 +38,10 @@ struct Shelf {
 }
 
 impl Shelf {
-    fn store(&mut self, target: &str, response: Response) {
+    fn store(&mut self, target: String, response: Response) {
         // Re-storing an existing key replaces the entry in place and
         // keeps its original queue position — no eviction needed.
-        if let Some(entry) = self.entries.get_mut(target) {
+        if let Some(entry) = self.entries.get_mut(&target) {
             entry.response = response;
             entry.hits = 0;
             return;
@@ -54,14 +54,14 @@ impl Shelf {
                 }
             }
         }
+        self.insertion_order.push_back(target.clone());
         self.entries.insert(
-            target.to_string(),
+            target,
             CacheEntry {
                 response,
                 hits: 0,
             },
         );
-        self.insertion_order.push_back(target.to_string());
     }
 }
 
@@ -104,7 +104,7 @@ impl WebCache {
     /// where a malicious client injects a response on the
     /// cache↔server hop.
     pub fn store(&mut self, target: &str, response: Response) {
-        self.shelf.store(target, response);
+        self.shelf.store(target.to_string(), response);
     }
 
     /// Number of cached objects.
@@ -122,25 +122,28 @@ impl DataProcessor for WebCache {
     fn process(&mut self, dir: FlowDirection, data: Vec<u8>) -> Vec<u8> {
         match dir {
             FlowDirection::ClientToServer => self.requests.rewrite(&REQUESTS, data, |req| {
-                if req.method == "GET" {
+                if req.method() == "GET" {
                     self.lookups += 1;
-                    if let Some(entry) = self.shelf.entries.get_mut(&req.target) {
+                    if let Some(entry) = self.shelf.entries.get_mut(req.target()) {
                         entry.hits += 1;
                         self.hits += 1;
                     }
-                    self.outstanding.push_back(req.target.clone());
+                    self.outstanding.push_back(req.target().to_string());
                 }
             }),
             FlowDirection::ServerToClient => self.responses.rewrite(&RESPONSES, data, |resp| {
                 let Some(target) = self.outstanding.pop_front() else {
                     return;
                 };
-                if resp.status == 200 {
+                if resp.status() == 200 {
                     if self.shelf.entries.contains_key(&target) {
                         resp.set_header("X-Cache", "HIT");
                     } else {
                         resp.set_header("X-Cache", "MISS");
-                        self.shelf.store(&target, resp.clone());
+                        // The one owned copy: the entry the shelf keeps.
+                        let mut stored = resp.to_response();
+                        stored.set_header("X-Cache", "MISS");
+                        self.shelf.store(target, stored);
                     }
                 }
             }),

@@ -92,7 +92,7 @@ impl ServiceChain {
     /// The first `n` functions of this chain (for scaling studies at
     /// 1, 2, 3 middleboxes).
     pub fn prefix(&self, n: usize) -> Self {
-        ServiceChain::new(self.functions[..n.min(self.functions.len())].to_vec())
+        ServiceChain::new(self.functions.iter().take(n).copied().collect())
     }
 
     /// The functions, client side first.

@@ -3,6 +3,8 @@
 //! that changes payload size" middlebox class — the one searchable
 //! encryption (BlindBox) cannot support and mbTLS can (§2.2).
 
+use std::borrow::Cow;
+
 use mbtls_core::dataplane::FlowDirection;
 use mbtls_core::middlebox::DataProcessor;
 use mbtls_http::compress::{lzss_decompress, lzss_expands_to, Lzss};
@@ -62,36 +64,29 @@ impl DataProcessor for CompressionProxy {
         if dir == FlowDirection::ClientToServer {
             return data;
         }
-        self.responses.rewrite(&RESPONSES, data, |resp| {
-            let already_encoded = resp.header("Content-Encoding").is_some();
-            if resp.body.len() < self.min_size || already_encoded {
+        self.responses.rewrite_with(&RESPONSES, data, &mut self.memo, |memo, resp| {
+            let body = resp.body();
+            if body.len() < self.min_size || resp.header("Content-Encoding").is_some() {
                 return;
             }
-            self.bytes_in += resp.body.len() as u64;
-            let key = Key::of(&resp.body);
-            let compressed = match self.memo.get(key, &resp.body) {
-                Some(stream) => {
-                    // Shorter than the body, so it fits its allocation.
-                    resp.body.clear();
-                    resp.body.extend_from_slice(stream);
-                    self.memo_hits += 1;
-                    true
+            self.bytes_in += body.len() as u64;
+            let key = Key::of(body);
+            let stream = if memo.reuse(key, body) {
+                self.memo_hits += 1;
+                Cow::Borrowed(memo.newest())
+            } else {
+                let stream = self.lzss.compress(body);
+                if stream.len() >= body.len() {
+                    self.bytes_out += body.len() as u64;
+                    return;
                 }
-                None => {
-                    let stream = self.lzss.compress(&resp.body);
-                    let shorter = stream.len() < resp.body.len();
-                    if shorter {
-                        self.memo.insert(key, &stream);
-                        resp.body = stream;
-                    }
-                    shorter
-                }
+                memo.insert(key, &stream);
+                Cow::Owned(stream)
             };
-            if compressed {
-                resp.set_header("Content-Encoding", ENCODING);
-                self.compressed_count += 1;
-            }
-            self.bytes_out += resp.body.len() as u64;
+            self.bytes_out += stream.len() as u64;
+            self.compressed_count += 1;
+            resp.set_header("Content-Encoding", ENCODING);
+            resp.set_body(stream);
         })
     }
 }
@@ -147,17 +142,25 @@ impl Key {
 }
 
 impl Memo {
-    /// The stream for `body` under `key`, made most recently used. An
-    /// entry under `key` that does not expand to `body` is dropped.
-    fn get(&mut self, key: Key, body: &[u8]) -> Option<&[u8]> {
-        let at = self.entries.iter().position(|e| e.key == key)?;
+    /// Is there a stream for `body` under `key`? If so it becomes the
+    /// most recently used, [`Memo::newest`]. An entry under `key` that
+    /// does not expand to `body` is dropped.
+    fn reuse(&mut self, key: Key, body: &[u8]) -> bool {
+        let Some(at) = self.entries.iter().position(|e| e.key == key) else {
+            return false;
+        };
         let entry = self.entries.remove(at);
         if !lzss_expands_to(&entry.stream, body) {
             self.bytes -= cost(&entry.stream);
-            return None;
+            return false;
         }
         self.entries.push(entry);
-        self.entries.last().map(|e| &*e.stream)
+        true
+    }
+
+    /// The most recently used stream: the one [`Memo::reuse`] found.
+    fn newest(&self) -> &[u8] {
+        self.entries.last().map_or(&[], |e| &e.stream)
     }
 
     /// Remember `stream` under `key` if it fits the budget, evicting
@@ -195,15 +198,16 @@ impl DecompressingClient {
     /// Feed response bytes; returns fully decoded responses.
     pub fn feed(&mut self, data: &[u8]) -> Vec<Response> {
         let mut out = Vec::new();
-        self.responses.messages(&RESPONSES, data, |mut resp| {
-            if resp.header("Content-Encoding") == Some(ENCODING) {
-                if let Ok(body) = lzss_decompress(&resp.body) {
-                    resp.body = body;
-                    resp.headers
-                        .retain(|(n, _)| !n.eq_ignore_ascii_case("Content-Encoding"));
-                }
-            }
-            out.push(resp);
+        self.responses.messages(&RESPONSES, data, |resp| {
+            let decoded = match resp.header("Content-Encoding") {
+                Some(encoding) if encoding == ENCODING => lzss_decompress(resp.body()).ok(),
+                _ => None,
+            };
+            out.push(match decoded {
+                Some(body) => resp
+                    .to_response_with(body, |name| !name.eq_ignore_ascii_case("Content-Encoding")),
+                None => resp.to_response(),
+            });
         });
         out
     }

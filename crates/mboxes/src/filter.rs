@@ -40,18 +40,20 @@ impl DataProcessor for ParentalFilter {
             return data;
         }
         self.requests.rewrite(&REQUESTS, data, |req| {
+            let target = req.target();
             let blocked = self
                 .blocked_substrings
                 .iter()
-                .any(|s| req.target.contains(s.as_str()));
+                .any(|s| target.contains(s.as_str()));
             if blocked {
                 self.blocked_count += 1;
-                self.audit_log.push(req.target.clone());
+                self.audit_log.push(target.to_string());
                 // Rewrite the request into a harmless probe of the
                 // block page; the origin never sees the original
                 // target.
-                *req = Request::get("/blocked", "filter.local");
-                req.set_header("X-Filtered-By", "parental-filter");
+                let mut page = Request::get("/blocked", "filter.local");
+                page.set_header("X-Filtered-By", "parental-filter");
+                req.replace(page);
             } else {
                 self.allowed_count += 1;
             }

@@ -24,7 +24,7 @@
 //! payloads and emits the bytes to forward in their place. The four
 //! that speak HTTP (header proxy, cache, compression proxy, filter)
 //! and [`compression::DecompressingClient`] are policies over one
-//! loop (`rewrite.rs`), which owns what a middlebox on a byte stream
+//! loop ([`rewrite`]), which owns what a middlebox on a byte stream
 //! must get right: a stream that is not HTTP is forwarded untouched
 //! (the caller's buffer, uncopied), a partial message is held until
 //! the rest arrives, and a stream that stops parsing has every byte
@@ -48,6 +48,9 @@
 // per process. The iteration methods are `disallowed_methods` in
 // clippy.toml; a `for` loop over one is `iter_over_hash_type`.
 #![forbid(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+// The HTTP processors read a peer's bytes (DESIGN.md §6d): no slice in
+// this crate is indexed.
+#![forbid(clippy::indexing_slicing)]
 
 pub mod cache;
 pub mod chain;
@@ -55,7 +58,7 @@ pub mod compression;
 pub mod filter;
 pub mod header_proxy;
 pub mod ids;
-mod rewrite;
+pub mod rewrite;
 pub mod sniff;
 
 pub use cache::WebCache;

@@ -3,6 +3,15 @@
 //! message to the processor's policy, encode it straight into the
 //! output.
 //!
+//! A message is parsed once, in place: the policy reads a [`View`]
+//! over the parser's buffer and records edits on a [`Message`] —
+//! `set_header`, `set_body`, or `replace` for a whole new message —
+//! and the loop writes the view with those edits into the output. No
+//! owned message is built on the way through; a policy that keeps one
+//! (the cache's stored response) builds it from the view. A new HTTP
+//! processor is a policy over [`HttpStream::rewrite`], never another
+//! feed/parse/encode loop.
+//!
 //! The loop owns the three things a middlebox on a byte stream must
 //! get right, so a processor is only its policy:
 //!
@@ -16,88 +25,176 @@
 //!   failing the session would decide for the endpoint that bytes it
 //!   may well accept are fatal — DESIGN.md §6m.)
 
+use std::borrow::Cow;
+use std::ops::Deref;
+
 use mbtls_http::message::{
-    looks_like_http_request, looks_like_http_response, HttpError, Parser, Request, Response,
+    looks_like_http_request, looks_like_http_response, HeaderEdits, Request, RequestLine, Response,
+    ResponseLine, StartLine, View,
 };
+use mbtls_http::Parser;
 
 use crate::sniff::Sniffer;
 
 /// What differs between the two directions: what the first bytes
-/// must look like, which start line the parser expects, how a message
-/// goes back on the wire.
-pub(crate) struct Kind<M> {
+/// must look like, which start line the parser expects (`L`), and how
+/// a message a policy replaced (`M`) goes on the wire.
+pub struct Kind<L, M> {
     looks_like: fn(&[u8]) -> bool,
-    next: fn(&mut Parser) -> Result<Option<M>, HttpError>,
+    start: std::marker::PhantomData<L>,
     encode_into: fn(&M, &mut Vec<u8>),
 }
 
 /// The client→server direction.
-pub(crate) const REQUESTS: Kind<Request> = Kind {
+pub const REQUESTS: Kind<RequestLine, Request> = Kind {
     looks_like: looks_like_http_request,
-    next: Parser::next_request,
+    start: std::marker::PhantomData,
     encode_into: Request::encode_into,
 };
 
 /// The server→client direction.
-pub(crate) const RESPONSES: Kind<Response> = Kind {
+pub const RESPONSES: Kind<ResponseLine, Response> = Kind {
     looks_like: looks_like_http_response,
-    next: Parser::next_response,
+    start: std::marker::PhantomData,
     encode_into: Response::encode_into,
 };
+
+/// One message as a policy sees it. Reads go to the message as parsed
+/// (the [`View`] it derefs to); `set_header`, `set_body` and `replace`
+/// record edits, and the loop encodes the view with them into the
+/// output once the policy returns.
+pub struct Message<'a, L, M> {
+    view: View<'a, L>,
+    headers: &'a mut HeaderEdits,
+    body: Option<Cow<'a, [u8]>>,
+    replacement: Option<M>,
+}
+
+impl<'a, L, M> Deref for Message<'a, L, M> {
+    type Target = View<'a, L>;
+
+    fn deref(&self) -> &View<'a, L> {
+        &self.view
+    }
+}
+
+impl<'a, L: StartLine, M> Message<'a, L, M> {
+    /// Insert or replace a header, as the owned message's
+    /// `set_header` would.
+    pub fn set_header(&mut self, name: &str, value: &str) {
+        self.headers.set(name, value);
+    }
+
+    /// Send `body` in place of the parsed one; `Content-Length`
+    /// follows it. A borrowed body is copied once, into the output.
+    pub fn set_body(&mut self, body: impl Into<Cow<'a, [u8]>>) {
+        self.body = Some(body.into());
+    }
+
+    /// Send `message` in place of this one. Edits made before or after
+    /// do not apply to it.
+    pub fn replace(&mut self, message: M) {
+        self.replacement = Some(message);
+    }
+
+    fn encode_into(&self, kind: &Kind<L, M>, out: &mut Vec<u8>) {
+        match &self.replacement {
+            Some(message) => (kind.encode_into)(message, out),
+            None => {
+                let body = self.body.as_deref().unwrap_or(self.view.body());
+                self.view.encode_into(self.headers, body, out);
+            }
+        }
+    }
+}
 
 /// One direction of one session's byte stream, as a middlebox that
 /// speaks HTTP sees it.
 #[derive(Default)]
-pub(crate) struct HttpStream {
+pub struct HttpStream {
     parser: Parser,
     sniff: Sniffer,
+    /// The edits of the message being rewritten, kept from message to
+    /// message so that recording one allocates nothing.
+    edits: HeaderEdits,
 }
 
 impl HttpStream {
-    /// Feed one chunk and hand `each` every message it completes.
-    /// `None`: the direction is not parsed, forward the chunk itself.
-    /// `Some(rest)`: forward `rest` behind whatever `each` produced —
-    /// empty unless parsing just failed.
-    pub(crate) fn messages<M>(
+    /// Feed one chunk and hand `each` every message it completes, read
+    /// in place. `None`: the direction is not parsed, forward the
+    /// chunk itself. `Some(rest)`: forward `rest` behind whatever
+    /// `each` produced — empty unless parsing just failed.
+    pub fn messages<L: StartLine, M>(
         &mut self,
-        kind: &Kind<M>,
+        kind: &Kind<L, M>,
         data: &[u8],
-        mut each: impl FnMut(M),
+        mut each: impl FnMut(View<'_, L>),
     ) -> Option<Vec<u8>> {
         if !self.sniff.is_http(data, kind.looks_like) {
             return None;
         }
         self.parser.feed(data);
-        loop {
-            match (kind.next)(&mut self.parser) {
-                Ok(Some(message)) => each(message),
-                Ok(None) => return Some(Vec::new()),
-                Err(_) => {
-                    self.sniff.give_up();
-                    return Some(self.parser.take_buffered());
-                }
-            }
-        }
+        Some(self.drain(|view, _| each(view)))
     }
 
     /// Feed one chunk and return what to forward in its place: every
-    /// message it completes, as `policy` left it.
-    pub(crate) fn rewrite<M>(
+    /// message it completes, as `policy` edited it.
+    pub fn rewrite<L: StartLine, M>(
         &mut self,
-        kind: &Kind<M>,
+        kind: &Kind<L, M>,
         data: Vec<u8>,
-        mut policy: impl FnMut(&mut M),
+        mut policy: impl FnMut(&mut Message<'_, L, M>),
     ) -> Vec<u8> {
+        self.rewrite_with(kind, data, &mut (), |(), message| policy(message))
+    }
+
+    /// [`HttpStream::rewrite`] for a policy whose edits borrow from
+    /// `state` (a body kept there is copied once, into the output).
+    pub fn rewrite_with<T, L: StartLine, M>(
+        &mut self,
+        kind: &Kind<L, M>,
+        data: Vec<u8>,
+        state: &mut T,
+        mut policy: impl for<'a> FnMut(&'a mut T, &mut Message<'a, L, M>),
+    ) -> Vec<u8> {
+        if !self.sniff.is_http(&data, kind.looks_like) {
+            return data;
+        }
+        self.parser.feed_owned(data);
         let mut out = Vec::new();
-        let rest = self.messages(kind, &data, |mut message| {
-            policy(&mut message);
-            (kind.encode_into)(&message, &mut out);
+        let rest = self.drain(|view, headers| {
+            headers.clear();
+            let mut message = Message {
+                view,
+                headers,
+                body: None,
+                replacement: None,
+            };
+            policy(&mut *state, &mut message);
+            message.encode_into(kind, &mut out);
         });
-        match rest {
-            None => data,
-            Some(rest) => {
-                out.extend_from_slice(&rest);
-                out
+        if out.is_empty() {
+            return rest;
+        }
+        out.extend_from_slice(&rest);
+        out
+    }
+
+    /// Hand `each` every complete message buffered, with the stream's
+    /// edit buffer; return the bytes to forward behind them: none
+    /// unless parsing failed, and then every byte not yet forwarded.
+    fn drain<L: StartLine>(
+        &mut self,
+        mut each: impl FnMut(View<'_, L>, &mut HeaderEdits),
+    ) -> Vec<u8> {
+        loop {
+            match self.parser.next_view::<L>() {
+                Ok(Some(view)) => each(view, &mut self.edits),
+                Ok(None) => return Vec::new(),
+                Err(_) => {
+                    self.sniff.give_up();
+                    return self.parser.take_buffered();
+                }
             }
         }
     }
@@ -121,7 +218,7 @@ mod tests {
     /// Feed `input` in `chunk`-byte pieces through an identity policy;
     /// returns the concatenated output and how many messages the
     /// policy saw.
-    fn identity<M>(kind: &Kind<M>, stream: &mut HttpStream, input: &[u8], chunk: usize) -> (Vec<u8>, usize) {
+    fn identity<L: StartLine, M>(kind: &Kind<L, M>, stream: &mut HttpStream, input: &[u8], chunk: usize) -> (Vec<u8>, usize) {
         let (mut out, mut seen) = (Vec::new(), 0);
         for piece in input.chunks(chunk) {
             out.extend(stream.rewrite(kind, piece.to_vec(), |_| seen += 1));
@@ -131,7 +228,7 @@ mod tests {
 
     /// Canonical messages, then a malformed tail, then more bytes —
     /// some of them well-formed messages that must no longer be parsed.
-    fn check_identity<M>(kind: &Kind<M>, good: &[Vec<u8>]) {
+    fn check_identity<L: StartLine, M>(kind: &Kind<L, M>, good: &[Vec<u8>]) {
         for tail in MALFORMED_TAILS {
             let mut input = good.concat();
             input.extend_from_slice(tail);
@@ -204,7 +301,7 @@ mod tests {
         let mut wire = Response::ok(b"one").encode();
         wire.extend_from_slice(b"HTTP/1.1 abc\r\n\r\nrest");
         let mut bodies = Vec::new();
-        let rest = stream.messages(&RESPONSES, &wire, |resp| bodies.push(resp.body));
+        let rest = stream.messages(&RESPONSES, &wire, |resp| bodies.push(resp.body().to_vec()));
         assert_eq!(bodies, [b"one"]);
         assert_eq!(rest.as_deref(), Some(b"HTTP/1.1 abc\r\n\r\nrest".as_slice()));
         let later = stream.messages(&RESPONSES, &Response::ok(b"two").encode(), |_| panic!("gave up"));
